@@ -1,5 +1,7 @@
-# Developer entry points for the DTM reproduction. `make bench` writes the
-# machine-readable BENCH_dtm.json used to track the perf trajectory PR over PR.
+# Developer entry points for the DTM reproduction. Performance claims are made
+# with the repository's benchmark, `bash bench/run.sh` (BENCHMARK.json,
+# bench/README.md); `make bench` / `make bench-gate` keep the older
+# BENCH_dtm.json trip-wire, whose ns/op follows host load.
 
 GO ?= go
 

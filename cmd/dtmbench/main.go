@@ -27,21 +27,18 @@ import (
 
 	"repro/internal/benchjson"
 	"repro/internal/experiments"
-	"repro/internal/factor"
 )
 
 func main() {
 	var (
-		exp         = flag.String("exp", "", "experiment to run (see -list)")
-		all         = flag.Bool("all", false, "run every registered experiment")
-		quick       = flag.Bool("quick", false, "use reduced problem sizes")
-		list        = flag.Bool("list", false, "list the available experiments")
-		benchjson   = flag.String("benchjson", "", "measure the hot-path experiments and write machine-readable results to this JSON file")
-		localSolver = flag.String("localsolver", "", fmt.Sprintf("local-factorisation backend every experiment's subdomain/block solves use: one of %v (default %q)", factor.Backends(), factor.Default()))
-		ordering    = flag.String("ordering", "", "fill-reducing ordering every sparse factorisation uses: natural, rcm, amd, nd or auto (default: auto)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile  = flag.String("memprofile", "", "write an allocation profile of the run to this file")
-		timeout     = flag.Duration("timeout", 0, "wall-clock deadline for the whole invocation (0 = none)")
+		exp        = flag.String("exp", "", "experiment to run (see -list)")
+		all        = flag.Bool("all", false, "run every registered experiment")
+		quick      = flag.Bool("quick", false, "use reduced problem sizes")
+		list       = flag.Bool("list", false, "list the available experiments")
+		benchjson  = flag.String("benchjson", "", "measure the hot-path experiments and write machine-readable results to this JSON file")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile = flag.String("memprofile", "", "write an allocation profile of the run to this file")
+		timeout    = flag.Duration("timeout", 0, "wall-clock deadline for the whole invocation (0 = none)")
 	)
 	flag.Parse()
 
@@ -50,27 +47,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dtmbench: %v deadline exceeded\n", *timeout)
 			os.Exit(1)
 		})
-	}
-
-	if *localSolver != "" {
-		// The experiments construct their own option structs; steering the
-		// factor package default reaches every one of them at once.
-		if err := factor.SetDefault(*localSolver); err != nil {
-			fmt.Fprintf(os.Stderr, "dtmbench: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	if *ordering != "" {
-		// Same trick for the fill-reducing ordering: the registered sparse
-		// backends all consult the package default.
-		ord, err := factor.ParseOrdering(*ordering)
-		if err == nil {
-			err = factor.SetDefaultOrdering(ord)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dtmbench: %v\n", err)
-			os.Exit(2)
-		}
 	}
 
 	if *cpuprofile != "" {

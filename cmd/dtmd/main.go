@@ -1,6 +1,6 @@
 // Command dtmd is the distributed DTM server. Each dtmd process is one
 // member of a TCP fabric: worker members own a contiguous group of
-// subdomains (factorised once, reused across solve sessions via the shared
+// subdomains (factorised once, reused across solve sessions via the worker's
 // factor cache), and one coordinator member tears the problem, assigns the
 // shards, drives the asynchronous exchange to quiescence and assembles the
 // solution. The wire protocol is the DES engine's wavePacket shape plus the
@@ -36,11 +36,12 @@
 //	  be refused with sparse.ErrHashMismatch. This is the CI distributed
 //	  smoke test.
 //
-// The problem is named either by the legacy grid flags (-rows/-cols/-seed,
-// torn -px by -py) or by -source, a problem-source string from the sparse
+// The problem is named by -source, a problem-source string from the sparse
 // registry ("grid:rows=33,cols=33,seed=1", "spanner:n=100,k=6,seed=7,leak=0.05",
-// "mm:/path/sys.mtx@<fnv64 hash>", …) torn into -parts subdomains with the
-// general level-set + EVS pipeline. The machine is named by -topology
+// "mm:/path/sys.mtx@<fnv64 hash>", …); without it, -rows/-cols/-seed are
+// shorthand for the "grid:" source they spell. A grid is torn -px by -py;
+// -parts tears any source into that many subdomains with the general
+// level-set + EVS pipeline. The machine is named by -topology
 // ("uniform", "ring", "mesh4x4", "mesh8x8", "yao:n=4,k=6,seed=1").
 package main
 
@@ -112,9 +113,9 @@ func main() {
 	flag.IntVar(&o.nworkers, "nworkers", 2, "selftest: number of worker processes to spawn")
 	flag.BoolVar(&o.keepWorkers, "keep-workers", false, "coordinator: leave workers running after the solve")
 	flag.UintVar(&o.incarnation, "incarnation", 0, "worker: incarnation number of this life (0 derives one from the wall clock; a restarted worker must use a strictly higher value than its previous life)")
-	flag.IntVar(&o.rows, "rows", 17, "problem spec: grid rows")
-	flag.IntVar(&o.cols, "cols", 17, "problem spec: grid cols")
-	flag.Int64Var(&o.seed, "seed", 3, "problem spec: generator seed")
+	flag.IntVar(&o.rows, "rows", 17, `problem spec: rows of the "grid:" source used when -source is empty`)
+	flag.IntVar(&o.cols, "cols", 17, `problem spec: cols of the "grid:" source used when -source is empty`)
+	flag.Int64Var(&o.seed, "seed", 3, `problem spec: seed of the "grid:" source used when -source is empty`)
 	flag.IntVar(&o.px, "px", 2, "problem spec: parts along x")
 	flag.IntVar(&o.py, "py", 2, "problem spec: parts along y")
 	flag.StringVar(&o.source, "source", "", `problem spec: source string ("grid:…", "saddle:…", "spanner:…", "mm:path@hash"; overrides -rows/-cols/-seed)`)
@@ -135,7 +136,7 @@ func main() {
 	flag.BoolVar(&o.crash, "crash", false, "selftest: SIGKILL the last worker mid-solve and require failover")
 	flag.DurationVar(&o.timeout, "timeout", 2*time.Minute, "coordinator/selftest deadline")
 	flag.Float64Var(&o.drop, "drop", 0, "inject this wave-drop probability on this member's sends (testing)")
-	flag.Int64Var(&o.cacheMB, "cache-mb", 64, "shared factor cache budget in MiB (0 disables)")
+	flag.Int64Var(&o.cacheMB, "cache-mb", 64, "worker: factor cache budget in MiB (0 disables)")
 	flag.BoolVar(&o.verbose, "v", false, "log progress")
 	flag.BoolVar(&o.printX, "print-x", false, "coordinator: print the assembled solution vector")
 	flag.Parse()
@@ -156,10 +157,6 @@ func run(o *options) error {
 	}
 	if _, ok := addrs[o.self]; !ok {
 		return fmt.Errorf("-peers does not list -self %d", o.self)
-	}
-	if o.cacheMB > 0 {
-		factor.EnableSharedCache(o.cacheMB << 20)
-		defer factor.DisableSharedCache()
 	}
 	tr, err := transport.NewTCP(o.self, addrs)
 	if err != nil {
@@ -187,6 +184,9 @@ func worker(o *options, tr transport.Transport) error {
 	}
 	w := dist.NewWorker(wtr)
 	w.Incarnation = workerIncarnation(o.incarnation)
+	if o.cacheMB > 0 {
+		w.FactorCache = factor.NewCache(o.cacheMB << 20)
+	}
 	if o.verbose {
 		w.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "dtmd: "+format+"\n", args...)
@@ -239,6 +239,7 @@ func coordinate(o *options, tr transport.Transport, addrs map[int]string) error 
 	if err != nil {
 		return err
 	}
+	fmt.Printf("source           %s\n", spec.Source)
 	fmt.Printf("converged        %v\n", res.Converged)
 	fmt.Printf("wall time        %v\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("workers          %d (parts %d)\n", len(workers), spec.Parts())
@@ -265,20 +266,18 @@ func coordinate(o *options, tr transport.Transport, addrs map[int]string) error 
 	return nil
 }
 
-// buildSpec assembles the problem spec from the flags: the versioned source
-// form when -source is given, the legacy grid form otherwise.
-func buildSpec(o *options) dist.ProblemSpec {
-	spec := dist.ProblemSpec{
-		Rows: o.rows, Cols: o.cols, Seed: o.seed,
+// buildSpec assembles the problem spec from the flags. Without -source the
+// -rows/-cols/-seed flags spell the "grid:" source.
+func buildSpec(o *options) dist.SpecV2 {
+	source := o.source
+	if source == "" {
+		source = sparse.GridSource{Rows: o.rows, Cols: o.cols, Seed: o.seed}.String()
+	}
+	return dist.SpecV2{
+		V: 2, Source: source,
 		PartsX: o.px, PartsY: o.py, NParts: o.parts,
 		Topology: o.topo, Delay: o.delay,
 	}
-	if o.source != "" {
-		spec.V = 2
-		spec.Source = o.source
-		spec.Rows, spec.Cols, spec.Seed = 0, 0, 0
-	}
-	return spec
 }
 
 func shutdownWorkers(tr transport.Transport, workers []int) {
@@ -372,7 +371,7 @@ func selftest(o *options) error {
 			return err
 		}
 		defer os.Remove(mmPath)
-		spec = dist.ProblemSpec{
+		spec = dist.SpecV2{
 			V: 2, Source: sparse.MMSource{Path: mmPath, Hash: mmHash}.String(),
 			NParts: o.parts, Topology: o.topo, Delay: o.delay,
 		}

@@ -51,13 +51,14 @@ type options struct {
 	maxTime     float64
 	maxIter     int
 	tol         float64
-	localSolver string
 	ordering    string
 	nrhs        int
-	factorCache bool
-	printX      bool
-	faults      string
-	timeout     time.Duration
+	// fs is what -localsolver, -ordering and -factorcache add up to; every
+	// factorisation of the run goes through it.
+	fs      factor.Settings
+	printX  bool
+	faults  string
+	timeout time.Duration
 }
 
 func main() {
@@ -78,29 +79,29 @@ func main() {
 	flag.Float64Var(&o.maxTime, "maxtime", 10000, "virtual time horizon for dtm/async-jacobi (topology time units)")
 	flag.IntVar(&o.maxIter, "maxiter", 5000, "iteration bound for the discrete-time solvers")
 	flag.Float64Var(&o.tol, "tol", 1e-8, "stopping tolerance")
-	flag.StringVar(&o.localSolver, "localsolver", "", fmt.Sprintf("local-factorisation backend for the block/subdomain solvers: one of %v (default: the factor package default, %q)", factor.Backends(), factor.Default()))
+	flag.StringVar(&o.fs.Backend, "localsolver", "", fmt.Sprintf("local-factorisation backend for the block/subdomain solvers: one of %v (default %q)", factor.Backends(), factor.Auto))
 	flag.StringVar(&o.ordering, "ordering", "", "fill-reducing ordering the sparse backends use: natural, rcm, amd, nd or auto (default: auto — nd/rcm for grid stencils by size, amd for irregular patterns)")
 	flag.IntVar(&o.nrhs, "nrhs", 1, "number of right-hand sides for -method direct: the loaded/default RHS plus generated extras, solved as one batched panel (-rhs stays the RHS-file flag)")
-	flag.BoolVar(&o.factorCache, "factorcache", false, "route factorisations through the shared factor cache and report its hit statistics")
+	factorCache := flag.Bool("factorcache", false, "route the run's factorisations through a factor cache and report its hit statistics")
 	flag.BoolVar(&o.printX, "print-x", false, "print the solution vector")
 	flag.StringVar(&o.faults, "faults", "", `fault-injection spec for dtm/mixed/live, e.g. "seed=7,drop=0.05,dup=0.01,jitter=0.5,down=2>3@100:400,crash=5@400+300,snap=100" (see internal/chaos)`)
 	flag.DurationVar(&o.timeout, "timeout", 0, "wall-clock deadline; for -method live this is the run's wall-time budget (default 3s), for the others a hard cap on the whole solve")
 	flag.Parse()
 
-	if o.localSolver != "" && !factor.Known(o.localSolver) {
-		fmt.Fprintf(os.Stderr, "dtmsolve: unknown local solver %q (have %v)\n", o.localSolver, factor.Backends())
-		os.Exit(2)
-	}
 	if o.ordering != "" {
 		ord, err := factor.ParseOrdering(o.ordering)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dtmsolve: %v\n", err)
 			os.Exit(2)
 		}
-		if err := factor.SetDefaultOrdering(ord); err != nil {
-			fmt.Fprintf(os.Stderr, "dtmsolve: %v\n", err)
-			os.Exit(2)
-		}
+		o.fs.Ordering = ord
+	}
+	if err := o.fs.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "dtmsolve: %v\n", err)
+		os.Exit(2)
+	}
+	if *factorCache {
+		o.fs.Cache = factor.NewCache(1 << 30)
 	}
 	if o.nrhs < 1 {
 		fmt.Fprintln(os.Stderr, "dtmsolve: -nrhs must be at least 1")
@@ -123,11 +124,6 @@ func run(o options) error {
 	}
 	fmt.Printf("system %q: n=%d, nnz=%d, symmetric=%v\n", sys.Name, sys.Dim(), sys.A.NNZ(), sys.A.IsSymmetric(1e-12))
 
-	if o.factorCache {
-		factor.EnableSharedCache(1 << 30)
-		defer factor.DisableSharedCache()
-	}
-
 	if o.timeout > 0 && o.method != "live" {
 		// The live engine honours the deadline cooperatively (it returns a
 		// partial result); for everything else the timeout is a hard cap on
@@ -148,8 +144,8 @@ func run(o options) error {
 	rel := sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2()
 	fmt.Printf("method=%s  %s\n", o.method, summary)
 	fmt.Printf("relative residual %.3g, wall time %v\n", rel, elapsed.Round(time.Millisecond))
-	if o.factorCache {
-		st := factor.SharedCache().Stats()
+	if o.fs.Cache != nil {
+		st := o.fs.Cache.Stats()
 		fmt.Printf("factor cache: %d hits / %d misses, %d entries, %.1f MiB resident, %d evictions\n",
 			st.Hits, st.Misses, st.Entries, float64(st.UsedBytes)/(1<<20), st.Evictions)
 	}
@@ -307,7 +303,7 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 			return nil, "", err
 		}
 		res, err := core.Solve(context.Background(), prob, core.Config{
-			CommonOptions: core.CommonOptions{Tol: o.tol, LocalSolver: o.localSolver, Faults: spec},
+			CommonOptions: core.CommonOptions{Tol: o.tol, Factor: o.fs, Faults: spec},
 			MaxTime:       o.maxTime,
 		})
 		if err != nil {
@@ -321,7 +317,7 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 			return nil, "", err
 		}
 		res, err := core.Solve(context.Background(), prob, core.Config{
-			CommonOptions: core.CommonOptions{Tol: o.tol, LocalSolver: o.localSolver},
+			CommonOptions: core.CommonOptions{Tol: o.tol, Factor: o.fs},
 			Engine:        core.EngineVTM,
 			MaxIterations: o.maxIter,
 		})
@@ -336,7 +332,7 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 			return nil, "", err
 		}
 		res, err := core.Solve(context.Background(), prob, core.Config{
-			CommonOptions: core.CommonOptions{Tol: o.tol, LocalSolver: o.localSolver, Faults: spec},
+			CommonOptions: core.CommonOptions{Tol: o.tol, Factor: o.fs, Faults: spec},
 			Engine:        core.EngineMixed,
 			MaxTime:       o.maxTime,
 			AsyncWindow:   o.maxTime / 20,
@@ -358,7 +354,7 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		}
 		res, err := core.Solve(context.Background(), prob, core.Config{
 			CommonOptions: core.CommonOptions{
-				Tol: o.tol, LocalSolver: o.localSolver, Faults: spec,
+				Tol: o.tol, Factor: o.fs, Faults: spec,
 				MaxWallTime: wall,
 			},
 			Engine:    core.EngineLive,
@@ -382,10 +378,10 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		// backends read only the lower triangle, so an unsymmetric matrix (a
 		// general MatrixMarket file, say) would be silently mis-factorised by
 		// everything except dense-lu — refuse it up front.
-		if o.localSolver != factor.DenseLU && !sys.A.IsSymmetric(1e-12) {
-			return nil, "", fmt.Errorf("method direct needs a symmetric matrix for backend %q (only dense-lu handles unsymmetric input)", o.localSolver)
+		if o.fs.Backend != factor.DenseLU && !sys.A.IsSymmetric(1e-12) {
+			return nil, "", fmt.Errorf("method direct needs a symmetric matrix for backend %q (only dense-lu handles unsymmetric input)", o.fs.Backend)
 		}
-		s, err := factor.New(o.localSolver, sys.A)
+		s, err := o.fs.New(sys.A)
 		if err != nil {
 			return nil, "", err
 		}
@@ -419,12 +415,12 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		} else {
 			x = factor.Solve(s, sys.B)
 		}
-		if o.factorCache {
+		if o.fs.Cache != nil {
 			// A second factorisation of the same matrix inside this invocation
-			// is served from the shared cache — the stats line at the end
+			// is served from the run's cache — the stats line at the end
 			// shows the hit.
 			t0 := time.Now()
-			if _, err := factor.New(o.localSolver, sys.A); err != nil {
+			if _, err := o.fs.New(sys.A); err != nil {
 				return nil, "", err
 			}
 			batchNote += fmt.Sprintf(", refactor served from the cache in %v", time.Since(t0).Round(time.Microsecond))
@@ -464,7 +460,7 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		return x, iterSummary(st), err
 	case "block-jacobi":
 		assign := partition.Strips(sys.Dim(), o.parts)
-		x, st, err := iterative.BlockJacobi(sys.A, sys.B, assign, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol, LocalSolver: o.localSolver})
+		x, st, err := iterative.BlockJacobi(sys.A, sys.B, assign, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol, Factor: o.fs})
 		return x, iterSummary(st), err
 	case "async-jacobi":
 		topo, err := machine(o)
@@ -472,7 +468,7 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 			return nil, "", err
 		}
 		assign := partition.Strips(sys.Dim(), o.parts)
-		res, err := iterative.AsyncBlockJacobi(sys.A, sys.B, assign, topo, iterative.AsyncOptions{MaxTime: o.maxTime, Tol: o.tol, LocalSolver: o.localSolver})
+		res, err := iterative.AsyncBlockJacobi(sys.A, sys.B, assign, topo, iterative.AsyncOptions{MaxTime: o.maxTime, Tol: o.tol, Factor: o.fs})
 		if err != nil {
 			return nil, "", err
 		}

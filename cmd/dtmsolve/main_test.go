@@ -1,0 +1,80 @@
+package main
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/factor"
+)
+
+func testOptions(method string, fs factor.Settings) options {
+	return options{
+		gen: "poisson2d", nx: 12, ny: 12, seed: 1,
+		method: method, parts: 4, topo: "uniform", partitioner: "levelset",
+		maxTime: 1e6, maxIter: 5000, tol: 1e-9, nrhs: 1,
+		fs: fs,
+	}
+}
+
+// TestFactorSettingsReachEveryMethod: what -localsolver, -ordering and
+// -factorcache add up to is handed to every method that factorises — each one
+// must populate the run's cache and still solve the system — and to nothing
+// after it: a default run that follows an nd-ordered one is back under auto.
+func TestFactorSettingsReachEveryMethod(t *testing.T) {
+	for _, method := range []string{"direct", "dtm", "vtm", "mixed", "block-jacobi", "async-jacobi"} {
+		cache := factor.NewCache(0)
+		o := testOptions(method, factor.Settings{Backend: factor.SparseCholesky, Ordering: factor.OrderND, Cache: cache})
+		sys, err := loadSystem(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, summary, err := solve(o, sys)
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		if rel := sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2(); rel > 1e-6 {
+			t.Errorf("%s: relative residual %g (%s)", method, rel, summary)
+		}
+		st := cache.Stats()
+		if st.Misses == 0 {
+			t.Errorf("%s: the run's factor cache saw no factorisation: %+v", method, st)
+		}
+		if method == "direct" {
+			if !strings.Contains(summary, "(nd ordering") {
+				t.Errorf("direct under -ordering nd reported %q", summary)
+			}
+			if st.Hits != 1 || !strings.Contains(summary, "refactor served from the cache") {
+				t.Errorf("direct with -factorcache: %+v, %q", st, summary)
+			}
+		}
+	}
+
+	o := testOptions("direct", factor.Settings{Backend: factor.SparseCholesky})
+	sys, err := loadSystem(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, summary, err := solve(o, sys); err != nil || !strings.Contains(summary, "(rcm ordering") {
+		t.Errorf("default direct run after nd-ordered ones reported %q, err %v", summary, err)
+	}
+}
+
+// TestRunReportsCacheStatistics drives the whole command body once, cache
+// report included.
+func TestRunReportsCacheStatistics(t *testing.T) {
+	if err := run(testOptions("direct", factor.Settings{Cache: factor.NewCache(0)})); err != nil {
+		t.Fatal(err)
+	}
+	bad := testOptions("direct", factor.Settings{})
+	bad.gen = "no-such-generator"
+	if err := run(bad); err == nil {
+		t.Error("an unknown generator must be an error")
+	}
+	if _, err := loadSystem(options{source: "grid:rows=4,cols=4,seed=1", gen: "poisson2d"}); err == nil {
+		t.Error("-source with -gen must be refused")
+	}
+	sys, err := loadSystem(options{source: "grid:rows=4,cols=4,seed=1"})
+	if err != nil || sys.Dim() != 16 {
+		t.Errorf("-source grid: built %d unknowns, err %v", sys.Dim(), err)
+	}
+}

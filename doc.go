@@ -27,7 +27,12 @@
 //     supernodal backend level-schedules a single large triangular solve
 //     across elimination-tree level sets, and a concurrency-safe LRU factor
 //     cache (pattern+values keyed, byte-budgeted) serves repeated
-//     factorisations, optionally shared process-wide via EnableSharedCache;
+//     factorisations. Backend, ordering and cache handle travel together as
+//     one factor.Settings value — nothing about a factorisation is
+//     process-global;
+//   - internal/geom — the planar Yao-graph construction (cone picks,
+//     symmetrisation, connectivity patching) the "spanner:" source and the
+//     "yao:" fabric share;
 //   - internal/graph, internal/partition — the electric graph of a symmetric
 //     system and its Electric Vertex Splitting (wire tearing);
 //   - internal/dtl, internal/topology, internal/netsim — directed transmission
@@ -45,18 +50,17 @@
 //     synchronous VTM special case and the mixed GALS variant; including the
 //     recovery protocol the engines run under injected faults: sequence
 //     numbers with last-writer-wins dedup, watchdog retransmission with
-//     backoff, and crash-restart from periodic snapshots (the pre-Config
-//     SolveDTM/SolveVTM/SolveMixed/SolveLive wrappers remain, deprecated and
-//     byte-identical);
+//     backoff, and crash-restart from periodic snapshots (the live engine
+//     keeps that accounting on in every run — real goroutines delay and drop
+//     on their own);
 //   - internal/transport — the datagram fabric distributed DTM runs on: an
 //     in-process channel implementation and a length-prefixed binary TCP
 //     implementation with reconnect backoff, under one conformance-tested
 //     Transport interface, plus the chaos fault decorator;
 //   - internal/dist — coordinator/worker distributed DTM over a Transport:
-//     deterministic re-tearing from a versioned ProblemSpec (legacy grid
-//     fields or a v2 {source, nparts, topology} registry spec), sharded
-//     subdomain
-//     ownership, watchdog retransmission and the distributed stopping rule,
+//     deterministic re-tearing from a dist.SpecV2 ({source, tearing shape,
+//     topology} registry strings), sharded subdomain ownership, watchdog
+//     retransmission and the distributed stopping rule,
 //     plus worker failover: heartbeats carrying wave frontiers and boundary
 //     snapshots, jittered coordinator leases, rendezvous-hashed ownership
 //     reassignment under fenced epochs (stale-epoch and dead-incarnation

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/dtl"
+	"repro/internal/factor"
 	"repro/internal/iterative"
 	"repro/internal/sparse"
 	"repro/internal/spectral"
@@ -32,17 +35,19 @@ func gridProblem(t *testing.T, nx, px int, topo *topology.Topology) (*Problem, s
 
 func TestOptionsValidation(t *testing.T) {
 	prob, exact := gridProblem(t, 6, 2, nil)
-	cases := map[string]Options{
+	cases := map[string]Config{
 		"zero MaxTime":       {},
 		"negative MaxTime":   {MaxTime: -5},
 		"NaN MaxTime":        {MaxTime: math.NaN()},
-		"wrong Exact length": {MaxTime: 10, Exact: sparse.Vec{1, 2}},
-		"negative Tol":       {MaxTime: 10, Tol: -1},
-		"negative StopOnErr": {MaxTime: 10, Exact: exact, StopOnError: -1},
-		"negative threshold": {MaxTime: 10, SendThreshold: -0.5},
+		"wrong Exact length": {MaxTime: 10, CommonOptions: CommonOptions{Exact: sparse.Vec{1, 2}}},
+		"negative Tol":       {MaxTime: 10, CommonOptions: CommonOptions{Tol: -1}},
+		"negative StopOnErr": {MaxTime: 10, CommonOptions: CommonOptions{Exact: exact, StopOnError: -1}},
+		"negative threshold": {MaxTime: 10, CommonOptions: CommonOptions{SendThreshold: -0.5}},
+		"unknown backend":    {MaxTime: 10, CommonOptions: CommonOptions{Factor: factor.Settings{Backend: "no-such-backend"}}},
+		"unknown ordering":   {MaxTime: 10, CommonOptions: CommonOptions{Factor: factor.Settings{Ordering: 99}}},
 	}
 	for name, opts := range cases {
-		if _, err := SolveDTM(prob, opts); err == nil {
+		if _, err := Solve(context.Background(), prob, opts); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
@@ -105,9 +110,9 @@ func TestAutoProblemOnIrregularSystem(t *testing.T) {
 	if err := VerifySplitConsistency(prob, 1e-9); err != nil {
 		t.Errorf("split consistency: %v", err)
 	}
-	res, err := SolveDTM(prob, Options{MaxTime: 5000, Tol: 1e-9})
+	res, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Tol: 1e-9}, MaxTime: 5000})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if res.Residual > 1e-7 {
 		t.Errorf("residual = %g", res.Residual)
@@ -296,21 +301,23 @@ func TestNewSubdomainRejectsBadImpedances(t *testing.T) {
 	// Impedance slice indexed by link ID with a zero entry: NewSubdomain must
 	// reject the non-positive impedance.
 	zs := []float64{0.2, 0}
-	if _, err := NewSubdomain(res.Subdomains[0], res.LinksOfPart(0), zs, ""); err == nil {
+	if _, err := NewSubdomain(res.Subdomains[0], res.LinksOfPart(0), zs, factor.Settings{}); err == nil {
 		t.Errorf("a non-positive impedance must be rejected")
 	}
 }
 
 func TestSolveDTMGridConvergesOnUniformMachine(t *testing.T) {
 	prob, exact := gridProblem(t, 8, 2, nil)
-	res, err := SolveDTM(prob, Options{
-		MaxTime:     20000,
-		Exact:       exact,
-		Tol:         1e-10,
-		RecordTrace: true,
+	res, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{
+			Exact:       exact,
+			Tol:         1e-10,
+			RecordTrace: true,
+		},
+		MaxTime: 20000,
 	})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !res.Converged {
 		t.Fatalf("did not converge: final error %g", res.RMSError)
@@ -337,13 +344,13 @@ func TestSolveDTMGridConvergesOnUniformMachine(t *testing.T) {
 
 func TestSolveDTMStopOnErrorStopsEarly(t *testing.T) {
 	prob, exact := gridProblem(t, 8, 2, nil)
-	full, err := SolveDTM(prob, Options{MaxTime: 20000, Exact: exact, RecordTrace: true})
+	full, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Exact: exact, RecordTrace: true}, MaxTime: 20000})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
-	early, err := SolveDTM(prob, Options{MaxTime: 20000, Exact: exact, StopOnError: 1e-4, RecordTrace: true})
+	early, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Exact: exact, StopOnError: 1e-4, RecordTrace: true}, MaxTime: 20000})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !early.Converged {
 		t.Fatalf("StopOnError run did not report convergence")
@@ -361,13 +368,13 @@ func TestSolveDTMStopOnErrorStopsEarly(t *testing.T) {
 
 func TestSolveDTMSendThresholdReducesMessages(t *testing.T) {
 	prob, exact := gridProblem(t, 8, 2, nil)
-	noisy, err := SolveDTM(prob, Options{MaxTime: 8000, Exact: exact})
+	noisy, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Exact: exact}, MaxTime: 8000})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
-	quiet, err := SolveDTM(prob, Options{MaxTime: 8000, Exact: exact, SendThreshold: 1e-12})
+	quiet, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Exact: exact, SendThreshold: 1e-12}, MaxTime: 8000})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if quiet.Messages >= noisy.Messages {
 		t.Errorf("a send threshold should let the converged computation go quiet: %d vs %d messages",
@@ -385,9 +392,9 @@ func TestSolveDTMSingleSubdomainIsDirectSolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GridProblem: %v", err)
 	}
-	res, err := SolveDTM(prob, Options{MaxTime: 10})
+	res, err := Solve(context.Background(), prob, Config{MaxTime: 10})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !res.Converged || res.Solves != 1 {
 		t.Errorf("single-subdomain run must converge with one solve: %+v", res)
@@ -400,9 +407,11 @@ func TestSolveDTMSingleSubdomainIsDirectSolve(t *testing.T) {
 func TestSolveDTMHonoursCustomComputeTime(t *testing.T) {
 	prob, exact := gridProblem(t, 6, 2, nil)
 	calls := 0
-	res, err := SolveDTM(prob, Options{
+	res, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{
+			Exact: exact,
+		},
 		MaxTime: 3000,
-		Exact:   exact,
 		ComputeTime: func(part, dim int) float64 {
 			calls++
 			if dim <= 0 {
@@ -412,7 +421,7 @@ func TestSolveDTMHonoursCustomComputeTime(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if calls == 0 {
 		t.Errorf("the custom compute-time model was never consulted")
@@ -425,9 +434,11 @@ func TestSolveDTMHonoursCustomComputeTime(t *testing.T) {
 func TestSolveDTMObserverSeesEverySolve(t *testing.T) {
 	prob, exact := gridProblem(t, 6, 2, nil)
 	observed := 0
-	res, err := SolveDTM(prob, Options{
+	res, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{
+			Exact: exact,
+		},
 		MaxTime: 2000,
-		Exact:   exact,
 		Observer: func(now float64, part int, local sparse.Vec) {
 			observed++
 			if part < 0 || part >= prob.Partition.NumParts() {
@@ -439,7 +450,7 @@ func TestSolveDTMObserverSeesEverySolve(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if observed != res.Solves {
 		t.Errorf("observer saw %d solves, result says %d", observed, res.Solves)
@@ -470,9 +481,9 @@ func TestDTMAsymmetricDelaysStillConverge(t *testing.T) {
 	if err != nil || !st.Converged {
 		t.Fatalf("reference CG failed")
 	}
-	res, err := SolveDTM(prob, Options{MaxTime: 200000, Exact: exact, StopOnError: 1e-8})
+	res, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Exact: exact, StopOnError: 1e-8}, MaxTime: 200000})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !res.Converged {
 		t.Errorf("DTM must converge for arbitrary positive asymmetric delays (Theorem 6.1); error %g", res.RMSError)
@@ -481,13 +492,13 @@ func TestDTMAsymmetricDelaysStillConverge(t *testing.T) {
 
 func TestVTMOptionsValidation(t *testing.T) {
 	prob, exact := gridProblem(t, 6, 2, nil)
-	cases := map[string]VTMOptions{
-		"zero iterations":     {},
-		"negative iterations": {MaxIterations: -3},
-		"bad exact length":    {MaxIterations: 10, Exact: sparse.Vec{1}},
+	cases := map[string]Config{
+		"zero iterations":     {Engine: EngineVTM},
+		"negative iterations": {Engine: EngineVTM, MaxIterations: -3},
+		"bad exact length":    {Engine: EngineVTM, MaxIterations: 10, CommonOptions: CommonOptions{Exact: sparse.Vec{1}}},
 	}
 	for name, opts := range cases {
-		if _, err := SolveVTM(prob, opts); err == nil {
+		if _, err := Solve(context.Background(), prob, opts); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
@@ -496,14 +507,17 @@ func TestVTMOptionsValidation(t *testing.T) {
 
 func TestVTMConvergesAndMatchesDTMFixedPoint(t *testing.T) {
 	prob, exact := gridProblem(t, 8, 2, nil)
-	vtm, err := SolveVTM(prob, VTMOptions{
+	vtm, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{
+			Tol:         1e-11,
+			Exact:       exact,
+			RecordTrace: true,
+		},
+		Engine:        EngineVTM,
 		MaxIterations: 2000,
-		Tol:           1e-11,
-		Exact:         exact,
-		RecordTrace:   true,
 	})
 	if err != nil {
-		t.Fatalf("SolveVTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !vtm.Converged {
 		t.Fatalf("VTM did not converge (error %g after %d iterations)", vtm.RMSError, vtm.Iterations)
@@ -515,9 +529,9 @@ func TestVTMConvergesAndMatchesDTMFixedPoint(t *testing.T) {
 		t.Errorf("VTM trace does not decrease")
 	}
 	// Both engines converge to the same fixed point — the exact solution.
-	dtm, err := SolveDTM(prob, Options{MaxTime: 20000, Exact: exact, Tol: 1e-10})
+	dtm, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Exact: exact, Tol: 1e-10}, MaxTime: 20000})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !dtm.X.Equal(vtm.X, 1e-6) {
 		t.Errorf("DTM and VTM disagree: max diff %g", dtm.X.MaxAbsDiff(vtm.X))
@@ -526,14 +540,17 @@ func TestVTMConvergesAndMatchesDTMFixedPoint(t *testing.T) {
 
 func TestVTMStopOnError(t *testing.T) {
 	prob, exact := gridProblem(t, 8, 2, nil)
-	res, err := SolveVTM(prob, VTMOptions{
+	res, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{
+			Exact:       exact,
+			StopOnError: 1e-3,
+			RecordTrace: true,
+		},
+		Engine:        EngineVTM,
 		MaxIterations: 2000,
-		Exact:         exact,
-		StopOnError:   1e-3,
-		RecordTrace:   true,
 	})
 	if err != nil {
-		t.Fatalf("SolveVTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !res.Converged {
 		t.Fatalf("VTM StopOnError run did not converge")
@@ -541,9 +558,9 @@ func TestVTMStopOnError(t *testing.T) {
 	if res.RMSError > 1.5e-3 {
 		t.Errorf("stopped at error %g, want <= about 1e-3", res.RMSError)
 	}
-	full, err := SolveVTM(prob, VTMOptions{MaxIterations: 2000, Exact: exact, Tol: 1e-11})
+	full, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Exact: exact, Tol: 1e-11}, Engine: EngineVTM, MaxIterations: 2000})
 	if err != nil {
-		t.Fatalf("SolveVTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if res.Iterations >= full.Iterations {
 		t.Errorf("StopOnError run used %d iterations, full run %d", res.Iterations, full.Iterations)
@@ -554,14 +571,17 @@ func TestVTMImpedanceAffectsSpeedNotFixedPoint(t *testing.T) {
 	prob, exact := gridProblem(t, 8, 2, nil)
 	var iters []int
 	for _, z := range []float64{0.2, 1, 5} {
-		res, err := SolveVTM(prob, VTMOptions{
+		res, err := Solve(context.Background(), prob, Config{
+			CommonOptions: CommonOptions{
+				Tol:       1e-10,
+				Exact:     exact,
+				Impedance: dtl.Constant{Z: z},
+			},
+			Engine:        EngineVTM,
 			MaxIterations: 4000,
-			Tol:           1e-10,
-			Exact:         exact,
-			Impedance:     dtl.Constant{Z: z},
 		})
 		if err != nil {
-			t.Fatalf("SolveVTM(z=%g): %v", z, err)
+			t.Fatalf("Solve(context.Background(), z=%g): %v", z, err)
 		}
 		if !res.Converged {
 			t.Errorf("z=%g did not converge", z)
@@ -640,15 +660,17 @@ func TestResultErrorAtTimeAndTimeToError(t *testing.T) {
 
 func TestTraceDownsampleKeepsEndpoints(t *testing.T) {
 	prob, exact := gridProblem(t, 8, 2, nil)
-	res, err := SolveDTM(prob, Options{
-		MaxTime:        20000,
-		Exact:          exact,
-		Tol:            1e-10,
-		RecordTrace:    true,
-		TraceMaxPoints: 20,
+	res, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{
+			Exact:          exact,
+			Tol:            1e-10,
+			RecordTrace:    true,
+			TraceMaxPoints: 20,
+		},
+		MaxTime: 20000,
 	})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if len(res.Trace) == 0 || len(res.Trace) > 20 {
 		t.Fatalf("trace length = %d, want 1..20", len(res.Trace))
@@ -656,5 +678,28 @@ func TestTraceDownsampleKeepsEndpoints(t *testing.T) {
 	last := res.Trace[len(res.Trace)-1]
 	if last.Solves != res.Solves {
 		t.Errorf("the last trace point must be the final state (%d vs %d solves)", last.Solves, res.Solves)
+	}
+}
+
+// TestSolveContextCancellation checks the context-first contract: a
+// pre-cancelled context ends a DES run immediately with ErrDeadlineExceeded
+// and a valid partial result.
+func TestSolveContextCancellation(t *testing.T) {
+	sys := sparse.RandomGridSPD(13, 13, 7)
+	prob, err := GridProblem(sys, 13, 13, 4, 4, topology.Mesh4x4Paper())
+	if err != nil {
+		t.Fatalf("GridProblem: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Solve(ctx, prob, Config{
+		CommonOptions: CommonOptions{Tol: 1e-10},
+		MaxTime:       4000,
+	})
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
+	}
+	if res == nil || res.Converged {
+		t.Fatalf("want non-converged partial result, got %+v", res)
 	}
 }

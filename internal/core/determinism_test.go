@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/dense"
@@ -23,20 +25,22 @@ func TestSolveDTMDeterminism(t *testing.T) {
 	}
 	topo := topology.Mesh4x4Paper()
 
-	run := func(backend string) *Result {
+	run := func(fs factor.Settings) *Result {
 		prob, err := GridProblem(sys, 13, 13, 4, 4, topo)
 		if err != nil {
 			t.Fatalf("GridProblem: %v", err)
 		}
-		res, err := SolveDTM(prob, Options{
-			MaxTime:     4000,
-			Exact:       exact,
-			StopOnError: 1e-6,
-			RecordTrace: true,
-			LocalSolver: backend,
+		res, err := Solve(context.Background(), prob, Config{
+			CommonOptions: CommonOptions{
+				Exact:       exact,
+				StopOnError: 1e-6,
+				RecordTrace: true,
+				Factor:      fs,
+			},
+			MaxTime: 4000,
 		})
 		if err != nil {
-			t.Fatalf("SolveDTM: %v", err)
+			t.Fatalf("Solve: %v", err)
 		}
 		return res
 	}
@@ -81,8 +85,9 @@ func TestSolveDTMDeterminism(t *testing.T) {
 		if name == "" {
 			name = "default"
 		}
+		fs := factor.Settings{Backend: backend}
 		t.Run(name, func(t *testing.T) {
-			compare(t, run(backend), run(backend))
+			compare(t, run(fs), run(fs))
 		})
 	}
 
@@ -90,15 +95,8 @@ func TestSolveDTMDeterminism(t *testing.T) {
 	// dissection, so the ND code path (bushy etrees, parallel subtree
 	// factorisation) is under the byte-identical DES guarantee too.
 	t.Run("supernodal-nd-ordering", func(t *testing.T) {
-		if err := factor.SetDefaultOrdering(factor.OrderND); err != nil {
-			t.Fatal(err)
-		}
-		defer func() {
-			if err := factor.SetDefaultOrdering(factor.OrderAuto); err != nil {
-				t.Fatal(err)
-			}
-		}()
-		compare(t, run(factor.SparseSupernodal), run(factor.SparseSupernodal))
+		fs := factor.Settings{Backend: factor.SparseSupernodal, Ordering: factor.OrderND}
+		compare(t, run(fs), run(fs))
 	})
 }
 
@@ -113,9 +111,9 @@ func TestIncrementalTwinGapMatchesFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GridProblem: %v", err)
 	}
-	cfg := Options{MaxTime: 800, Tol: 1e-7}.Config()
+	cfg := Config{CommonOptions: CommonOptions{Tol: 1e-7}, MaxTime: 800}
 	cfg.normalize()
-	subs, _, err := prob.BuildSubdomains(cfg.Impedance, cfg.LocalSolver)
+	subs, _, err := prob.buildSubdomains(cfg.Impedance, cfg.Factor)
 	if err != nil {
 		t.Fatalf("BuildSubdomains: %v", err)
 	}
@@ -141,5 +139,106 @@ func TestIncrementalTwinGapMatchesFullScan(t *testing.T) {
 	}
 	if got := eng.twinGap(); got != full {
 		t.Errorf("incremental twin gap %g != full scan %g", got, full)
+	}
+}
+
+// orderingProblem is a grid torn 2×2 whose blocks are factorised sparsely
+// when the backend says so, so the fill-reducing ordering is observable.
+func orderingProblem(t *testing.T) *Problem {
+	t.Helper()
+	sys := sparse.RandomGridSPD(17, 17, 5)
+	prob, err := GridProblem(sys, 17, 17, 2, 2, topology.Uniform(4, 10, "uniform"))
+	if err != nil {
+		t.Fatalf("GridProblem: %v", err)
+	}
+	return prob
+}
+
+func orderingConfig(ord factor.Ordering) Config {
+	return Config{
+		CommonOptions: CommonOptions{Tol: 1e-9, Factor: factor.Settings{Backend: factor.SparseCholesky, Ordering: ord}},
+		MaxTime:       1e6,
+	}
+}
+
+func solveWithOrdering(t *testing.T, prob *Problem, ord factor.Ordering) *Result {
+	t.Helper()
+	res, err := Solve(context.Background(), prob, orderingConfig(ord))
+	if err != nil {
+		t.Fatalf("Solve (%v ordering): %v", ord, err)
+	}
+	if !res.Converged {
+		t.Fatalf("Solve (%v ordering) did not converge", ord)
+	}
+	return res
+}
+
+func sameRun(a, b *Result) bool {
+	if a.Solves != b.Solves || a.Messages != b.Messages || a.FinalTime != b.FinalTime || len(a.X) != len(b.X) {
+		return false
+	}
+	for i := range a.X {
+		if a.X[i] != b.X[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestOrderingDoesNotOutliveItsSolve: a Solve under nested dissection leaves
+// nothing behind — the next Solve with default settings, and the next
+// default BuildSubdomains, factor under auto again.
+func TestOrderingDoesNotOutliveItsSolve(t *testing.T) {
+	prob := orderingProblem(t)
+	before := solveWithOrdering(t, prob, factor.OrderAuto)
+	solveWithOrdering(t, prob, factor.OrderND)
+	after := solveWithOrdering(t, prob, factor.OrderAuto)
+	if !sameRun(before, after) {
+		t.Error("an auto-ordered Solve changed after an nd-ordered Solve ran in the same process")
+	}
+	subs, _, err := prob.BuildSubdomains(nil, factor.SparseCholesky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range subs {
+		if ord := s.solver.(*factor.Cholesky).Ordering(); ord != factor.OrderRCM {
+			t.Errorf("part %d factorised under %v after an nd-ordered Solve, want auto's rcm", s.Part(), ord)
+		}
+	}
+}
+
+// TestConcurrentSolvesKeepTheirOrdering runs an nd-ordered and an
+// auto-ordered Solve at the same time (run it under -race): each must be
+// byte-identical to its own sequential run.
+func TestConcurrentSolvesKeepTheirOrdering(t *testing.T) {
+	orders := []factor.Ordering{factor.OrderND, factor.OrderAuto, factor.OrderND, factor.OrderAuto}
+	want := make([]*Result, len(orders))
+	for i, ord := range orders[:2] {
+		want[i] = solveWithOrdering(t, orderingProblem(t), ord)
+		want[i+2] = want[i]
+	}
+	if sameRun(want[0], want[1]) {
+		t.Fatal("nd and auto orderings produced identical bits; the test cannot tell them apart")
+	}
+	got := make([]*Result, len(orders))
+	var wg sync.WaitGroup
+	for i, ord := range orders {
+		prob := orderingProblem(t)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := Solve(context.Background(), prob, orderingConfig(ord))
+			if err != nil {
+				t.Errorf("concurrent Solve (%v ordering): %v", ord, err)
+				return
+			}
+			got[i] = res
+		}()
+	}
+	wg.Wait()
+	for i, ord := range orders {
+		if got[i] != nil && !sameRun(got[i], want[i]) {
+			t.Errorf("concurrent %v-ordered Solve %d differs from its sequential run", ord, i)
+		}
 	}
 }

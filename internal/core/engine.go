@@ -254,7 +254,7 @@ func (e *engine) twinGap() float64 {
 	return e.gapTree[1]
 }
 
-// quiesced implements the distributed stopping rule of Options.Tol.
+// quiesced implements the distributed stopping rule of CommonOptions.Tol.
 func (e *engine) quiesced(tol float64) bool {
 	if tol <= 0 {
 		return false
@@ -471,7 +471,7 @@ func (n *dtmNode) packetsToAll(now float64, initial bool) []netsim.Outgoing[wave
 // Background context leaves the hot path exactly as fast — and the run
 // byte-identical — as before the context-first API existed.
 func solveDES(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
-	subs, zs, err := p.BuildSubdomains(cfg.Impedance, cfg.LocalSolver)
+	subs, zs, err := p.buildSubdomains(cfg.Impedance, cfg.Factor)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ import (
 // watchdog retransmission with exponential backoff, crash-restart from
 // in-memory snapshots, and the fault-aware part of the stopping rule.
 //
-// Everything here is inert when Options.Faults is nil or disabled: no timers
+// Everything here is inert when Config.Faults is nil or disabled: no timers
 // are armed, packets carry seq 0, and shouldStop reduces to the fault-free
 // rule — so fault-free runs stay byte-identical to previous releases.
 

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/factor"
 	"repro/internal/sparse"
 	"repro/internal/topology"
 )
@@ -25,14 +27,16 @@ func faultTestProblem(t *testing.T) *Problem {
 
 func faultRun(t *testing.T, spec *chaos.Spec) *Result {
 	t.Helper()
-	res, err := SolveDTM(faultTestProblem(t), Options{
-		MaxTime:       200000,
-		Tol:           1e-9,
-		SendThreshold: 1e-11,
-		Faults:        spec,
+	res, err := Solve(context.Background(), faultTestProblem(t), Config{
+		CommonOptions: CommonOptions{
+			Tol:           1e-9,
+			SendThreshold: 1e-11,
+			Faults:        spec,
+		},
+		MaxTime: 200000,
 	})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	return res
 }
@@ -54,14 +58,16 @@ func maxAbsDiff(a, b sparse.Vec) float64 {
 // can never fire — the run would chatter to MaxTime with the twin gap orders
 // of magnitude below Tol and still report converged=false.
 func TestDTMFaultsDefaultSendThreshold(t *testing.T) {
-	res, err := SolveDTM(faultTestProblem(t), Options{
+	res, err := Solve(context.Background(), faultTestProblem(t), Config{
+		CommonOptions: CommonOptions{
+			Tol: 1e-9,
+			// SendThreshold deliberately zero: initFaults must default it.
+			Faults: &chaos.Spec{Seed: 11, Drop: 0.05, Dup: 0.02, Jitter: 0.5},
+		},
 		MaxTime: 200000,
-		Tol:     1e-9,
-		// SendThreshold deliberately zero: initFaults must default it.
-		Faults: &chaos.Spec{Seed: 11, Drop: 0.05, Dup: 0.02, Jitter: 0.5},
 	})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !res.Converged {
 		t.Fatalf("faulted run with a defaulted send threshold did not converge: gap %g at t=%g", res.TwinGap, res.FinalTime)
@@ -156,15 +162,17 @@ func TestDTMFaultRunsDeterministic(t *testing.T) {
 		SnapshotEvery: 100,
 	}
 	run := func() *Result {
-		res, err := SolveDTM(faultTestProblem(t), Options{
-			MaxTime:       200000,
-			Tol:           1e-9,
-			SendThreshold: 1e-11,
-			LocalSolver:   "sparse-supernodal",
-			Faults:        spec,
+		res, err := Solve(context.Background(), faultTestProblem(t), Config{
+			CommonOptions: CommonOptions{
+				Tol:           1e-9,
+				SendThreshold: 1e-11,
+				Factor:        factor.Settings{Backend: "sparse-supernodal"},
+				Faults:        spec,
+			},
+			MaxTime: 200000,
 		})
 		if err != nil {
-			t.Fatalf("SolveDTM: %v", err)
+			t.Fatalf("Solve: %v", err)
 		}
 		return res
 	}
@@ -196,15 +204,18 @@ func TestDTMFaultRunsDeterministic(t *testing.T) {
 // lossy, and the run must still reach the oracle's solution.
 func TestMixedFaultsConverge(t *testing.T) {
 	oracle := faultRun(t, nil)
-	res, err := SolveMixed(faultTestProblem(t), MixedOptions{
+	res, err := Solve(context.Background(), faultTestProblem(t), Config{
+		CommonOptions: CommonOptions{
+			Tol:    1e-9,
+			Faults: &chaos.Spec{Seed: 8, Drop: 0.10, Jitter: 0.5},
+		},
+		Engine:      EngineMixed,
 		MaxTime:     200000,
 		AsyncWindow: 500,
 		SyncSweeps:  1,
-		Tol:         1e-9,
-		Faults:      &chaos.Spec{Seed: 8, Drop: 0.10, Jitter: 0.5},
 	})
 	if err != nil {
-		t.Fatalf("SolveMixed: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !res.Converged {
 		t.Fatalf("mixed faulted run did not converge (twin gap %g)", res.TwinGap)

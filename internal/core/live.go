@@ -13,9 +13,9 @@ import (
 	"repro/internal/sparse"
 )
 
-// ErrDeadlineExceeded is returned by Solve (and the deprecated Solve*
-// wrappers) when the run ends — by the caller's context or by MaxWallTime —
-// before the convergence tolerance is reached. The returned Result is still
+// ErrDeadlineExceeded is returned by Solve when the run ends — by the
+// caller's context or by MaxWallTime — before the convergence tolerance is
+// reached. The returned Result is still
 // valid: it carries the partial solution, its residual, and the trace up to
 // the deadline.
 var ErrDeadlineExceeded = errors.New("core: solve deadline exceeded before convergence")
@@ -23,17 +23,21 @@ var ErrDeadlineExceeded = errors.New("core: solve deadline exceeded before conve
 // liveShared is the state the monitor reads and the subdomain goroutines
 // write; all access goes through mu.
 type liveShared struct {
-	mu    sync.Mutex
-	x     sparse.Vec   // assembled owner values
-	ports []sparse.Vec // per part, the port potentials
+	mu     sync.Mutex
+	x      sparse.Vec   // assembled owner values
+	ports  []sparse.Vec // per part, the port potentials
+	solved []bool       // per part, whether it has published a solve yet
 }
 
-// liveFaults is the live engine's fault bookkeeping. The needed/applied
-// arrays mirror the DES engine's faultState: needed[from·n+to] is the newest
-// state-bearing sequence number announced on the pair (written only by the
-// sender's goroutine), applied[·] the newest one folded in (written only by
-// the receiver's goroutine); the monitor reads both to refuse convergence
-// while any announced state has not landed.
+// liveFaults is the live engine's wave-reliability bookkeeping, active on
+// every run: real goroutines and timers lose, delay and reorder waves on
+// their own (a full inbox drops, a descheduled receiver holds a backlog), so
+// a nil fault spec only means the chaos layer adds nothing on top. The
+// needed/applied arrays mirror the DES engine's faultState: needed[from·n+to]
+// is the newest state-bearing sequence number announced on the pair (written
+// only by the sender's goroutine), applied[·] the newest one folded in
+// (written only by the receiver's goroutine); the monitor reads both to
+// refuse convergence while any announced state has not landed.
 type liveFaults struct {
 	spec    *chaos.Spec
 	ctl     *chaos.Controller
@@ -66,7 +70,7 @@ func (lf *liveFaults) quietAt(tv float64) bool {
 // deterministic — that is the point — but by Theorem 6.1 it converges to the
 // same solution for any interleaving. cfg must be normalized and validated.
 func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
-	subs, zs, err := p.BuildSubdomains(cfg.Impedance, cfg.LocalSolver)
+	subs, zs, err := p.buildSubdomains(cfg.Impedance, cfg.Factor)
 	if err != nil {
 		return nil, err
 	}
@@ -77,22 +81,24 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	owner := p.OwnerPairs()
 	links := p.Partition.Links
 
-	var lf *liveFaults
-	if cfg.Faults.Enabled() {
-		for _, c := range cfg.Faults.Crashes {
-			if c.Part >= nParts {
-				return nil, fmt.Errorf("core: fault spec crashes part %d but the partition has only %d parts", c.Part, nParts)
-			}
-		}
-		lf = &liveFaults{
-			spec:    cfg.Faults,
-			ctl:     chaos.NewController(cfg.Faults, nParts),
-			needed:  make([]atomic.Uint64, nParts*nParts),
-			applied: make([]atomic.Uint64, nParts*nParts),
+	spec := cfg.Faults
+	if spec == nil {
+		// The zero spec gives every send exactly one on-time fate.
+		spec = &chaos.Spec{}
+	}
+	for _, c := range spec.Crashes {
+		if c.Part >= nParts {
+			return nil, fmt.Errorf("core: fault spec crashes part %d but the partition has only %d parts", c.Part, nParts)
 		}
 	}
+	lf := &liveFaults{
+		spec:    spec,
+		ctl:     chaos.NewController(spec, nParts),
+		needed:  make([]atomic.Uint64, nParts*nParts),
+		applied: make([]atomic.Uint64, nParts*nParts),
+	}
 
-	shared := &liveShared{x: sparse.NewVec(p.System.Dim()), ports: make([]sparse.Vec, nParts)}
+	shared := &liveShared{x: sparse.NewVec(p.System.Dim()), ports: make([]sparse.Vec, nParts), solved: make([]bool, nParts)}
 	for i, s := range subs {
 		shared.ports[i] = sparse.NewVec(s.NumPorts())
 	}
@@ -119,10 +125,9 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	virtualNow := func() float64 {
 		return time.Since(start).Seconds() / cfg.TimeScale.Seconds()
 	}
-	// sendThreshold suppresses fault-mode re-announcements of waves that did
-	// not change meaningfully; Config.normalize defaulted it to two orders
-	// below the stopping tolerance, so suppression can never hold the gap
-	// above Tol.
+	// sendThreshold suppresses re-announcements of waves that did not change
+	// meaningfully; Config.normalize defaulted it to two orders below the
+	// stopping tolerance, so suppression can never hold the gap above Tol.
 	sendThreshold := cfg.SendThreshold
 
 	inboxes := make([]chan wavePacket, nParts)
@@ -130,10 +135,10 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 		inboxes[i] = make(chan wavePacket, 256)
 	}
 
-	// deliver schedules a packet to arrive at `to` after the scaled link delay
-	// (or after whatever fate the fault controller assigns each copy). If the
-	// destination inbox is full the packet is dropped: a newer boundary
-	// condition will follow, and dropping keeps the timer goroutines from
+	// deliver schedules a packet to arrive at `to` after whatever fate the
+	// fault controller assigns each copy (one on-time copy under the zero
+	// spec). If the destination inbox is full the packet is dropped: the
+	// watchdog re-announces, and dropping keeps the timer goroutines from
 	// blocking forever after cancellation.
 	var timers sync.WaitGroup
 	arrive := func(to int, pkt wavePacket, delay time.Duration) {
@@ -149,10 +154,6 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	}
 	deliver := func(from, to int, pkt wavePacket) {
 		d := p.Delay(from, to)
-		if lf == nil {
-			arrive(to, pkt, time.Duration(float64(cfg.TimeScale)*d))
-			return
-		}
 		// The fates buffer is reused per pair; consume it before returning.
 		// Duplicated copies alias pkt.entries, which is never written after
 		// this point.
@@ -169,6 +170,7 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 		for q := 0; q < s.NumPorts(); q++ {
 			shared.ports[part][q] = s.PortPotential(q)
 		}
+		shared.solved[part] = true
 		shared.mu.Unlock()
 	}
 
@@ -185,14 +187,15 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 			// a fresh state-bearing send, the needed marks would never stop
 			// moving, and the monitor could never see the system quiet.
 			sentSeq := make([]uint64, len(adj))
-			var lastSent [][]float64
-			if lf != nil {
-				lastSent = make([][]float64, len(adj))
-				for ai, remote := range adj {
-					lastSent[ai] = make([]float64, len(s.EndsTowards(remote)))
-					for j := range lastSent[ai] {
-						lastSent[ai][j] = math.NaN()
-					}
+			// seen[from] is the newest sequence number folded in from each
+			// sender: this goroutine's private last-writer-wins frontier,
+			// published to lf.applied once the solve it triggered is out.
+			seen := make([]uint64, nParts)
+			lastSent := make([][]float64, len(adj))
+			for ai, remote := range adj {
+				lastSent[ai] = make([]float64, len(s.EndsTowards(remote)))
+				for j := range lastSent[ai] {
+					lastSent[ai][j] = math.NaN()
 				}
 			}
 
@@ -200,19 +203,19 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 			// retransmit distinguishes watchdog re-announcements: they always
 			// go out, with fresh sequence numbers (so receivers prefer them
 			// over older in-flight copies), but do not raise the pair's
-			// needed mark. Regular fault-mode sends are suppressed per
-			// neighbour when nothing changed beyond the threshold.
+			// needed mark. Regular sends are suppressed per neighbour when
+			// nothing changed beyond the threshold.
 			sendAll := func(initial, retransmit bool) {
 				for ai, remote := range adj {
 					ends := s.EndsTowards(remote)
 					entries := make([]waveEntry, 0, len(ends))
-					changed := initial || retransmit || lf == nil
+					changed := initial || retransmit
 					for j, k := range ends {
 						w := 0.0
 						if !initial {
 							w = s.OutgoingWave(k)
 						}
-						if lf != nil && !changed && !(math.Abs(w-lastSent[ai][j]) <= sendThreshold) {
+						if !(math.Abs(w-lastSent[ai][j]) <= sendThreshold) {
 							changed = true
 						}
 						entries = append(entries, waveEntry{linkID: s.Ends()[k].LinkID, wave: w})
@@ -220,28 +223,25 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 					if !changed {
 						continue
 					}
-					if lf != nil {
-						// The baseline moves only on an actual send, so
-						// sub-threshold drift cannot accumulate unannounced.
-						for j := range entries {
-							lastSent[ai][j] = entries[j].wave
-						}
+					// The baseline moves only on an actual send, so
+					// sub-threshold drift cannot accumulate unannounced.
+					for j := range entries {
+						lastSent[ai][j] = entries[j].wave
 					}
-					pkt := wavePacket{from: int32(part), entries: entries}
-					if lf != nil {
-						sentSeq[ai]++
-						pkt.seq = sentSeq[ai]
-						if !retransmit {
-							lf.needed[part*nParts+remote].Store(pkt.seq)
-						}
+					sentSeq[ai]++
+					pkt := wavePacket{from: int32(part), seq: sentSeq[ai], entries: entries}
+					if !retransmit {
+						lf.needed[part*nParts+remote].Store(pkt.seq)
 					}
 					deliver(part, remote, pkt)
 				}
 			}
 
-			// Fault-mode timers. The watchdog is per part here (one timer
+			// Recovery timers. The watchdog is per part here (one timer
 			// re-announcing to all neighbours), a coarser grain than the DES
-			// engine's per-neighbour watchdogs but the same protocol.
+			// engine's per-neighbour watchdogs but the same protocol; a part
+			// with no neighbours has nobody to re-announce to. The crash and
+			// snapshot timers exist only when the spec schedules crashes.
 			var (
 				wdC, snapC, crashC, restartC <-chan time.Time
 				wdTimer                      *time.Timer
@@ -254,7 +254,7 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 				restartTimer                 *time.Timer
 				snapTicker                   *time.Ticker
 			)
-			if lf != nil {
+			if len(adj) > 0 {
 				maxDelay := 0.0
 				for _, remote := range adj {
 					if d := p.Delay(part, remote); d > maxDelay {
@@ -265,21 +265,21 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 				wdTimer = time.NewTimer(wdBase)
 				defer wdTimer.Stop()
 				wdC = wdTimer.C
-				for ci, c := range lf.spec.Crashes {
-					if c.Part == part {
-						crashIdx = ci
-						restartAfter = time.Duration(float64(cfg.TimeScale) * c.RestartAfter)
-						nextCrash = time.NewTimer(time.Duration(float64(cfg.TimeScale) * c.At))
-						defer nextCrash.Stop()
-						crashC = nextCrash.C
-						break
-					}
+			}
+			for ci, c := range lf.spec.Crashes {
+				if c.Part == part {
+					crashIdx = ci
+					restartAfter = time.Duration(float64(cfg.TimeScale) * c.RestartAfter)
+					nextCrash = time.NewTimer(time.Duration(float64(cfg.TimeScale) * c.At))
+					defer nextCrash.Stop()
+					crashC = nextCrash.C
+					break
 				}
-				if len(lf.spec.Crashes) > 0 {
-					snapTicker = time.NewTicker(time.Duration(float64(cfg.TimeScale) * lf.spec.SnapshotInterval()))
-					defer snapTicker.Stop()
-					snapC = snapTicker.C
-				}
+			}
+			if len(lf.spec.Crashes) > 0 {
+				snapTicker = time.NewTicker(time.Duration(float64(cfg.TimeScale) * lf.spec.SnapshotInterval()))
+				defer snapTicker.Stop()
+				snapC = snapTicker.C
 			}
 			resetWatchdog := func() {
 				if wdTimer != nil {
@@ -309,21 +309,18 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 						// A crashed process loses everything delivered to it.
 						continue
 					}
-					fresh := 0
+					fresh := false
 					for _, b := range batch {
-						if lf != nil {
-							pid := int(b.from)*nParts + part
-							if b.seq <= lf.applied[pid].Load() {
-								continue
-							}
-							lf.applied[pid].Store(b.seq)
+						if b.seq <= seen[b.from] {
+							continue
 						}
-						fresh++
+						seen[b.from] = b.seq
+						fresh = true
 						for _, en := range b.entries {
 							s.SetIncomingByLink(en.linkID, en.wave)
 						}
 					}
-					if fresh == 0 && lf != nil {
+					if !fresh {
 						continue
 					}
 					s.Solve()
@@ -331,6 +328,13 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 					publish(part, s)
 					backoff = 0
 					sendAll(false, false)
+					// Only now are the waves applied in the monitor's sense:
+					// their effect is published and re-announced (needed marks
+					// raised), so "applied ≥ needed everywhere" never holds
+					// while a state-bearing wave is still being digested.
+					for _, remote := range adj {
+						lf.applied[remote*nParts+part].Store(seen[remote])
+					}
 					resetWatchdog()
 				case <-wdC:
 					if !crashed {
@@ -397,9 +401,11 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	}
 
 	// Monitor: samples the shared state, records the trace, and stops the run
-	// when the twin disagreement falls below Tol (and, under faults, the fault
-	// layer is quiet: no open down window, no crashed part, no announced wave
-	// still unapplied).
+	// when every part has solved, the twin disagreement is below Tol and the
+	// network is quiet: no open down window, no crashed part, no announced
+	// wave still unapplied. Without the last clause a single lucky gap sample
+	// taken while a descheduled receiver still held a backlog would declare
+	// a state that the backlog then moves.
 	var trace []TracePoint
 	converged := false
 	ticker := time.NewTicker(cfg.PollInterval)
@@ -409,6 +415,10 @@ monitorLoop:
 		case <-runCtx.Done():
 			break monitorLoop
 		case <-ticker.C:
+			// Quiet is read before the state: once it holds, nothing
+			// state-bearing is in flight or being digested, so the sample
+			// below is of a state that no longer moves beyond SendThreshold.
+			quiet := lf.quietAt(virtualNow())
 			shared.mu.Lock()
 			gap := 0.0
 			for _, l := range links {
@@ -416,6 +426,10 @@ monitorLoop:
 				if d > gap {
 					gap = d
 				}
+			}
+			allSolved := true
+			for _, ok := range shared.solved {
+				allSolved = allSolved && ok
 			}
 			rms := math.NaN()
 			if cfg.Exact != nil {
@@ -431,8 +445,7 @@ monitorLoop:
 					Messages: int(totalMessages.Load()),
 				})
 			}
-			if cfg.Tol > 0 && gap <= cfg.Tol && totalSolves.Load() >= int64(nParts) &&
-				(lf == nil || lf.quietAt(virtualNow())) {
+			if cfg.Tol > 0 && gap <= cfg.Tol && allSolved && quiet {
 				converged = true
 				cancel()
 				break monitorLoop
@@ -481,7 +494,7 @@ func liveResult(p *Problem, cfg *Config, shared *liveShared, zs []float64, elaps
 		bn = 1
 	}
 	res.Residual = r.Norm2() / bn
-	if lf != nil {
+	if cfg.Faults.Enabled() {
 		st := lf.ctl.Stats()
 		res.Faults = &FaultStats{
 			Dropped:         st.Dropped,

@@ -16,13 +16,13 @@ import (
 
 func TestSolveLiveValidation(t *testing.T) {
 	prob, _ := gridProblem(t, 6, 2, nil)
-	if _, err := SolveLive(context.Background(), prob, LiveOptions{}); err == nil {
+	if _, err := Solve(context.Background(), prob, Config{Engine: EngineLive}); err == nil {
 		t.Errorf("a live run without MaxWallTime must be rejected")
 	}
-	if _, err := SolveLive(context.Background(), prob, LiveOptions{MaxWallTime: time.Second, Exact: sparse.Vec{1, 2}}); err == nil {
+	if _, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{MaxWallTime: time.Second, Exact: sparse.Vec{1, 2}}, Engine: EngineLive}); err == nil {
 		t.Errorf("a wrong-length exact vector must be rejected")
 	}
-	if _, err := SolveLive(context.Background(), prob, LiveOptions{MaxWallTime: time.Second, Faults: &chaos.Spec{Drop: 2}}); err == nil {
+	if _, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{MaxWallTime: time.Second, Faults: &chaos.Spec{Drop: 2}}, Engine: EngineLive}); err == nil {
 		t.Errorf("an invalid fault spec must be rejected")
 	}
 }
@@ -41,16 +41,19 @@ func TestSolveLiveConvergesOnGoroutines(t *testing.T) {
 	if err != nil || !st.Converged {
 		t.Fatalf("reference CG failed")
 	}
-	res, err := SolveLive(context.Background(), prob, LiveOptions{
+	res, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{
+			MaxWallTime: 10 * time.Second,
+			Tol:         1e-9,
+			Exact:       exact,
+			RecordTrace: true,
+		},
+		Engine:       EngineLive,
 		TimeScale:    5 * time.Microsecond,
-		MaxWallTime:  10 * time.Second,
-		Tol:          1e-9,
-		Exact:        exact,
 		PollInterval: time.Millisecond,
-		RecordTrace:  true,
 	})
 	if err != nil {
-		t.Fatalf("SolveLive: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !res.Converged {
 		t.Fatalf("live run did not converge within the wall-time budget (error %g)", res.RMSError)
@@ -79,17 +82,20 @@ func TestSolveLiveMatchesDESFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GridProblem: %v", err)
 	}
-	des, err := SolveDTM(prob, Options{MaxTime: 20000, Tol: 1e-10})
+	des, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Tol: 1e-10}, MaxTime: 20000})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
-	live, err := SolveLive(context.Background(), prob, LiveOptions{
-		TimeScale:   5 * time.Microsecond,
-		MaxWallTime: 10 * time.Second,
-		Tol:         1e-9,
+	live, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{
+			MaxWallTime: 10 * time.Second,
+			Tol:         1e-9,
+		},
+		Engine:    EngineLive,
+		TimeScale: 5 * time.Microsecond,
 	})
 	if err != nil {
-		t.Fatalf("SolveLive: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !live.Converged {
 		t.Fatalf("live run did not converge")
@@ -114,10 +120,13 @@ func TestSolveLiveDeadlineExceeded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GridProblem: %v", err)
 	}
-	res, err := SolveLive(context.Background(), prob, LiveOptions{
-		TimeScale:   5 * time.Microsecond,
-		MaxWallTime: 200 * time.Millisecond,
-		Tol:         1e-300, // unreachable: forces the deadline path
+	res, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{
+			MaxWallTime: 200 * time.Millisecond,
+			Tol:         1e-300, // unreachable: forces the deadline path
+		},
+		Engine:    EngineLive,
+		TimeScale: 5 * time.Microsecond,
 	})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
@@ -137,10 +146,13 @@ func TestSolveLiveDeadlineExceeded(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err = SolveLive(ctx, prob, LiveOptions{
-		TimeScale:   5 * time.Microsecond,
-		MaxWallTime: 10 * time.Second,
-		Tol:         1e-9,
+	res, err = Solve(ctx, prob, Config{
+		CommonOptions: CommonOptions{
+			MaxWallTime: 10 * time.Second,
+			Tol:         1e-9,
+		},
+		Engine:    EngineLive,
+		TimeScale: 5 * time.Microsecond,
 	})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("cancelled context: err = %v, want ErrDeadlineExceeded", err)
@@ -167,22 +179,25 @@ func TestSolveLiveFaultsRecover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GridProblem: %v", err)
 	}
-	des, err := SolveDTM(prob, Options{MaxTime: 20000, Tol: 1e-10})
+	des, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Tol: 1e-10}, MaxTime: 20000})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
-	live, err := SolveLive(context.Background(), prob, LiveOptions{
-		TimeScale:   5 * time.Microsecond,
-		MaxWallTime: 20 * time.Second,
-		Tol:         1e-9,
-		Faults: &chaos.Spec{
-			Seed: 17, Drop: 0.20, Dup: 0.05, Jitter: 0.5,
-			Crashes:       []chaos.Crash{{Part: 2, At: 2000, RestartAfter: 1000}},
-			SnapshotEvery: 500,
+	live, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{
+			MaxWallTime: 20 * time.Second,
+			Tol:         1e-9,
+			Faults: &chaos.Spec{
+				Seed: 17, Drop: 0.20, Dup: 0.05, Jitter: 0.5,
+				Crashes:       []chaos.Crash{{Part: 2, At: 2000, RestartAfter: 1000}},
+				SnapshotEvery: 500,
+			},
 		},
+		Engine:    EngineLive,
+		TimeScale: 5 * time.Microsecond,
 	})
 	if err != nil {
-		t.Fatalf("SolveLive: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !live.Converged {
 		t.Fatalf("faulted live run did not converge (twin gap %g)", live.TwinGap)

@@ -7,21 +7,11 @@ import (
 	"repro/internal/netsim"
 )
 
-// MixedResult is the outcome of a mixed sync/async run through the deprecated
-// SolveMixed wrapper. New code reads the phase counters directly off the
-// unified Result.
-type MixedResult struct {
-	// Result carries the same fields as a pure DTM run.
-	Result
-	// AsyncPhases and SyncSweepsDone count the work of each kind.
-	AsyncPhases, SyncSweepsDone int
-}
-
 // solveMixed runs the sync-async-mixed variant: asynchronous DES windows
 // separated by globally synchronous sweeps, all sharing one virtual time
 // axis. cfg must be normalized and validated.
 func solveMixed(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
-	subs, zs, err := p.BuildSubdomains(cfg.Impedance, cfg.LocalSolver)
+	subs, zs, err := p.buildSubdomains(cfg.Impedance, cfg.Factor)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,15 +12,15 @@ import (
 
 func TestMixedOptionsValidation(t *testing.T) {
 	prob, exact := gridProblem(t, 6, 2, nil)
-	cases := map[string]MixedOptions{
-		"zero MaxTime":     {AsyncWindow: 10},
-		"zero AsyncWindow": {MaxTime: 100},
-		"NaN window":       {MaxTime: 100, AsyncWindow: math.NaN()},
-		"bad exact":        {MaxTime: 100, AsyncWindow: 10, Exact: sparse.Vec{1}},
-		"negative tol":     {MaxTime: 100, AsyncWindow: 10, Tol: -1},
+	cases := map[string]Config{
+		"zero MaxTime":     {Engine: EngineMixed, AsyncWindow: 10},
+		"zero AsyncWindow": {Engine: EngineMixed, MaxTime: 100},
+		"NaN window":       {Engine: EngineMixed, MaxTime: 100, AsyncWindow: math.NaN()},
+		"bad exact":        {Engine: EngineMixed, MaxTime: 100, AsyncWindow: 10, CommonOptions: CommonOptions{Exact: sparse.Vec{1}}},
+		"negative tol":     {Engine: EngineMixed, MaxTime: 100, AsyncWindow: 10, CommonOptions: CommonOptions{Tol: -1}},
 	}
 	for name, opts := range cases {
-		if _, err := SolveMixed(prob, opts); err == nil {
+		if _, err := Solve(context.Background(), prob, opts); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
@@ -37,16 +38,19 @@ func TestMixedConvergesAndAlternatesPhases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference solve: %v", err)
 	}
-	res, err := SolveMixed(prob, MixedOptions{
+	res, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{
+			Exact:       exact,
+			StopOnError: 1e-7,
+			RecordTrace: true,
+		},
+		Engine:      EngineMixed,
 		MaxTime:     30000,
 		AsyncWindow: 400,
 		SyncSweeps:  1,
-		Exact:       exact,
-		StopOnError: 1e-7,
-		RecordTrace: true,
 	})
 	if err != nil {
-		t.Fatalf("SolveMixed: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !res.Converged {
 		t.Fatalf("mixed run did not converge (error %g)", res.RMSError)
@@ -59,7 +63,7 @@ func TestMixedConvergesAndAlternatesPhases(t *testing.T) {
 			res.AsyncPhases, res.SyncSweepsDone)
 	}
 	if res.Solves == 0 || res.Messages == 0 {
-		t.Errorf("no work recorded: %+v", res.Result)
+		t.Errorf("no work recorded: %+v", res)
 	}
 	// The stitched trace must stay on a single non-decreasing time axis.
 	for i := 1; i < len(res.Trace); i++ {
@@ -71,15 +75,18 @@ func TestMixedConvergesAndAlternatesPhases(t *testing.T) {
 
 func TestMixedMatchesDTMAndVTMFixedPoint(t *testing.T) {
 	prob, exact := gridProblem(t, 8, 2, nil)
-	mixed, err := SolveMixed(prob, MixedOptions{
+	mixed, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{
+			Tol:   1e-10,
+			Exact: exact,
+		},
+		Engine:      EngineMixed,
 		MaxTime:     30000,
 		AsyncWindow: 300,
 		SyncSweeps:  2,
-		Tol:         1e-10,
-		Exact:       exact,
 	})
 	if err != nil {
-		t.Fatalf("SolveMixed: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !mixed.Converged {
 		t.Fatalf("mixed run did not converge")
@@ -95,11 +102,11 @@ func TestMixedSingleSubdomainDegenerates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GridProblem: %v", err)
 	}
-	res, err := SolveMixed(prob, MixedOptions{MaxTime: 10, AsyncWindow: 5})
+	res, err := Solve(context.Background(), prob, Config{Engine: EngineMixed, MaxTime: 10, AsyncWindow: 5})
 	if err != nil {
-		t.Fatalf("SolveMixed: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !res.Converged || res.Solves != 1 {
-		t.Errorf("single-subdomain mixed run must converge with one solve: %+v", res.Result)
+		t.Errorf("single-subdomain mixed run must converge with one solve: %+v", res)
 	}
 }

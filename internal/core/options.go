@@ -50,45 +50,40 @@ func (e Engine) String() string {
 }
 
 // CommonOptions is the engine-independent half of a solve Config: the knobs
-// every engine interprets the same way. It exists so the four engines share
-// one set of fields (and one normalize) instead of the four near-duplicate
-// Options structs of earlier releases.
+// every engine interprets the same way, with one normalize.
 type CommonOptions struct {
 	// Impedance selects the characteristic impedance of every DTLP.
 	// Default: dtl.DiagScaled{Alpha: 1}.
 	Impedance dtl.ImpedanceStrategy
 
-	// LocalSolver selects the local-factorisation backend every subdomain
-	// factorises its constant system with (a backend name registered in
-	// internal/factor: "dense-cholesky", "dense-lu", "sparse-cholesky",
-	// "sparse-ldlt", "sparse-supernodal" or "auto"). Empty selects the factor
-	// package default ("auto"). Results are byte-identical run over run for a
-	// fixed backend — including "sparse-supernodal", whose parallel subtree
+	// Factor says how every subdomain factorises its constant local system:
+	// the internal/factor backend ("dense-cholesky", "dense-lu",
+	// "sparse-cholesky", "sparse-ldlt", "sparse-supernodal" or "auto"), the
+	// fill-reducing ordering of the sparse backends, and an optional factor
+	// cache (which a crash-restarted subdomain's refactorisation hits). The
+	// zero value is auto/auto, uncached. It is carried by value down to every
+	// factorisation, so concurrent Solves with different settings are
+	// independent. Results are byte-identical run over run for fixed
+	// settings — including "sparse-supernodal", whose parallel subtree
 	// factorisation is deterministic at every GOMAXPROCS.
-	LocalSolver string
-
-	// Ordering, when non-empty, steers the fill-reducing ordering the sparse
-	// backends use ("natural", "rcm", "amd", "nd" or "auto"). Like the CLIs'
-	// -ordering flag it sets the factor package's process-wide default — the
-	// registered backends consult it — so concurrent Solves with different
-	// Orderings race on the default; leave it empty for all but one of them.
-	Ordering string
+	Factor factor.Settings
 
 	// Tol, when positive, stops the run early once the computation has
 	// quiesced in the distributed sense: every subdomain has solved at least
 	// once, the last local solve of every subdomain moved its boundary
 	// potentials by less than Tol, and the largest twin disagreement is below
-	// Tol. (The live engine checks the twin-gap half at every monitor poll.)
+	// Tol. (The live engine checks, at every monitor poll, the twin gap and
+	// that every announced wave has been applied.)
 	Tol float64
 
 	// SendThreshold suppresses messages to a neighbour when none of the waves
 	// toward it changed by more than this amount since the last send. Zero
 	// means every solve broadcasts to all neighbours (the paper's Table 1
 	// behaviour); a small positive value lets a converged computation go
-	// quiet on its own. Under an enabled fault spec a zero threshold defaults
-	// to Tol/100 (1e-12 when Tol is zero): the fault-aware stop waits for
-	// every state-bearing wave to be applied, and a network that re-announces
-	// sub-tolerance changes forever never drains.
+	// quiet on its own. Under an enabled fault spec, and always on the live
+	// engine, a zero threshold defaults to Tol/100 (1e-12 when Tol is zero):
+	// their stop rule waits for every state-bearing wave to be applied, and a
+	// network that re-announces sub-tolerance changes forever never drains.
 	SendThreshold float64
 
 	// Exact, when non-nil, is the exact solution used for RMS-error traces.
@@ -110,7 +105,9 @@ type CommonOptions struct {
 	// run and activates the recovery machinery: sequence-numbered waves with
 	// last-writer-wins deduplication, watchdog retransmission, and periodic
 	// snapshots. DES runs stay byte-identical per Faults.Seed. A nil or
-	// disabled spec leaves every fault-path branch off.
+	// disabled spec leaves every fault-path branch of the virtual-time
+	// engines off; the live engine keeps the recovery accounting on and
+	// merely injects nothing.
 	Faults *chaos.Spec
 
 	// MaxWallTime is the wall-clock deadline of the run. Required for the
@@ -178,9 +175,8 @@ type Config struct {
 }
 
 // normalize fills the defaults every engine shares — the single home of the
-// defaulting rules that used to be copy-pasted per engine (notably the
-// fault-mode SendThreshold = Tol/100 rule, which lived in both the DES fault
-// layer and the live engine).
+// defaulting rules (notably SendThreshold = Tol/100 wherever the stop rule
+// waits for the network to drain).
 func (c *Config) normalize() {
 	if c.Impedance == nil {
 		c.Impedance = dtl.DiagScaled{Alpha: 1}
@@ -188,13 +184,13 @@ func (c *Config) normalize() {
 	if c.TraceMaxPoints <= 0 {
 		c.TraceMaxPoints = 2000
 	}
-	if c.Faults.Enabled() && c.SendThreshold == 0 {
-		// The fault-aware stop refuses to declare convergence while any
-		// state-bearing wave is unapplied, so quiescence requires the network
-		// to drain — impossible with a zero send threshold, which re-announces
-		// sub-tolerance changes after every solve forever. Two orders below
-		// the stopping tolerance, so suppression can never hold the twin gap
-		// above Tol.
+	if (c.Faults.Enabled() || c.Engine == EngineLive) && c.SendThreshold == 0 {
+		// The stop rule of every faulted run, and of every live run, refuses
+		// to declare convergence while any state-bearing wave is unapplied,
+		// so quiescence requires the network to drain — impossible with a
+		// zero send threshold, which re-announces sub-tolerance changes after
+		// every solve forever. Two orders below the stopping tolerance, so
+		// suppression can never hold the twin gap above Tol.
 		c.SendThreshold = c.Tol / 100
 		if c.SendThreshold <= 0 {
 			c.SendThreshold = 1e-12
@@ -224,13 +220,8 @@ func (c *Config) validate(p *Problem) error {
 	if c.Tol < 0 || c.StopOnError < 0 || c.SendThreshold < 0 {
 		return fmt.Errorf("core: tolerances must be non-negative")
 	}
-	if c.LocalSolver != "" && !factor.Known(c.LocalSolver) {
-		return fmt.Errorf("core: unknown local solver backend %q (have %v)", c.LocalSolver, factor.Backends())
-	}
-	if c.Ordering != "" {
-		if _, err := factor.ParseOrdering(c.Ordering); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
+	if err := c.Factor.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -284,203 +275,4 @@ func (c *Config) computeTimeFn(p *Problem) func(part, dim int) float64 {
 	}
 	ct := 0.05 * minDelay
 	return func(part, dim int) float64 { return ct }
-}
-
-// Options configures a DTM run on the discrete-event simulator.
-//
-// Deprecated: Options is the legacy per-engine struct; new code should build
-// a Config (Engine: EngineDES) and call Solve. SolveDTM remains as a thin
-// wrapper and produces byte-identical results.
-type Options struct {
-	// Impedance selects the characteristic impedance of every DTLP.
-	// Default: dtl.DiagScaled{Alpha: 1}.
-	Impedance dtl.ImpedanceStrategy
-	// LocalSolver selects the local-factorisation backend (see
-	// CommonOptions.LocalSolver).
-	LocalSolver string
-	// MaxTime is the virtual time horizon of the run. Required.
-	MaxTime float64
-	// Tol is the distributed quiescence tolerance (see CommonOptions.Tol).
-	Tol float64
-	// Exact, when non-nil, is the exact solution used for RMS-error traces.
-	Exact sparse.Vec
-	// StopOnError stops the run once the RMS error reaches it (requires Exact).
-	StopOnError float64
-	// ComputeTime models the local solve time of a subdomain (virtual time).
-	ComputeTime func(part, dim int) float64
-	// SendThreshold suppresses unchanged re-announcements (see
-	// CommonOptions.SendThreshold).
-	SendThreshold float64
-	// Observer is invoked after every local solve (see Config.Observer).
-	Observer func(now float64, part int, local sparse.Vec)
-	// RecordTrace enables the convergence-history trace.
-	RecordTrace bool
-	// TraceMaxPoints bounds the number of retained trace points (default 2000).
-	TraceMaxPoints int
-	// Faults injects deterministic channel faults (see CommonOptions.Faults).
-	Faults *chaos.Spec
-}
-
-// Config lifts the legacy DES options into the unified Config.
-func (o Options) Config() Config {
-	return Config{
-		CommonOptions: CommonOptions{
-			Impedance:      o.Impedance,
-			LocalSolver:    o.LocalSolver,
-			Tol:            o.Tol,
-			SendThreshold:  o.SendThreshold,
-			Exact:          o.Exact,
-			StopOnError:    o.StopOnError,
-			RecordTrace:    o.RecordTrace,
-			TraceMaxPoints: o.TraceMaxPoints,
-			Faults:         o.Faults,
-		},
-		Engine:      EngineDES,
-		MaxTime:     o.MaxTime,
-		ComputeTime: o.ComputeTime,
-		Observer:    o.Observer,
-	}
-}
-
-// VTMOptions configures a run of the Virtual Transmission Method — the
-// synchronous, discrete-time special case of DTM obtained by giving every DTL
-// a propagation delay of exactly one time unit and running the subdomains in
-// lock-step (equation (5.10) in the paper).
-//
-// Deprecated: build a Config (Engine: EngineVTM) and call Solve.
-type VTMOptions struct {
-	// Impedance selects the characteristic impedance of every DTLP.
-	Impedance dtl.ImpedanceStrategy
-	// LocalSolver selects the local-factorisation backend.
-	LocalSolver string
-	// MaxIterations bounds the number of synchronous sweeps. Required.
-	MaxIterations int
-	// Tol stops the iteration once the largest twin disagreement and the
-	// largest boundary-potential change both fall below it.
-	Tol float64
-	// Exact, when non-nil, enables RMS-error traces and the StopOnError rule.
-	Exact sparse.Vec
-	// StopOnError stops as soon as the RMS error reaches this value (requires
-	// Exact).
-	StopOnError float64
-	// RecordTrace enables the per-iteration convergence history.
-	RecordTrace bool
-}
-
-// Config lifts the legacy VTM options into the unified Config.
-func (o VTMOptions) Config() Config {
-	return Config{
-		CommonOptions: CommonOptions{
-			Impedance:   o.Impedance,
-			LocalSolver: o.LocalSolver,
-			Tol:         o.Tol,
-			Exact:       o.Exact,
-			StopOnError: o.StopOnError,
-			RecordTrace: o.RecordTrace,
-		},
-		Engine:        EngineVTM,
-		MaxIterations: o.MaxIterations,
-	}
-}
-
-// MixedOptions configures the sync-async-mixed solver — the time-domain
-// "async-sync-async-sync" variant the paper's conclusions propose as a way to
-// narrow the speed gap between DTM and VTM.
-//
-// Deprecated: build a Config (Engine: EngineMixed) and call Solve.
-type MixedOptions struct {
-	// Impedance selects the characteristic impedance of every DTLP.
-	Impedance dtl.ImpedanceStrategy
-	// LocalSolver selects the local-factorisation backend.
-	LocalSolver string
-	// MaxTime is the total virtual horizon. Required.
-	MaxTime float64
-	// AsyncWindow is the length of each asynchronous phase. Required.
-	AsyncWindow float64
-	// SyncSweeps is the number of synchronous sweeps per window (default 1).
-	SyncSweeps int
-	// SyncSweepCost is the virtual cost charged per synchronous sweep.
-	SyncSweepCost float64
-	// Tol is the distributed quiescence tolerance.
-	Tol float64
-	// Exact enables RMS-error traces and the StopOnError rule.
-	Exact sparse.Vec
-	// StopOnError stops the run once the RMS error reaches it (requires Exact).
-	StopOnError float64
-	// RecordTrace enables the convergence history.
-	RecordTrace bool
-	// TraceMaxPoints bounds the retained trace length (default 2000).
-	TraceMaxPoints int
-	// Faults injects deterministic channel faults into the asynchronous
-	// windows (see CommonOptions.Faults). The synchronous sweeps are reliable
-	// barriers — they exchange every wave and settle all outstanding sequence
-	// numbers — but a part inside a crash window sits a sweep out.
-	Faults *chaos.Spec
-}
-
-// Config lifts the legacy mixed options into the unified Config.
-func (o MixedOptions) Config() Config {
-	return Config{
-		CommonOptions: CommonOptions{
-			Impedance:      o.Impedance,
-			LocalSolver:    o.LocalSolver,
-			Tol:            o.Tol,
-			Exact:          o.Exact,
-			StopOnError:    o.StopOnError,
-			RecordTrace:    o.RecordTrace,
-			TraceMaxPoints: o.TraceMaxPoints,
-			Faults:         o.Faults,
-		},
-		Engine:        EngineMixed,
-		MaxTime:       o.MaxTime,
-		AsyncWindow:   o.AsyncWindow,
-		SyncSweeps:    o.SyncSweeps,
-		SyncSweepCost: o.SyncSweepCost,
-	}
-}
-
-// LiveOptions configures the live engine: the genuinely asynchronous
-// execution of DTM on goroutines and channels, with the topology's delays
-// mapped onto real wall-clock delays.
-//
-// Deprecated: build a Config (Engine: EngineLive) and call Solve.
-type LiveOptions struct {
-	// Impedance selects the characteristic impedance of every DTLP.
-	Impedance dtl.ImpedanceStrategy
-	// LocalSolver selects the local-factorisation backend.
-	LocalSolver string
-	// TimeScale converts one topology time unit into wall-clock time.
-	TimeScale time.Duration
-	// MaxWallTime bounds the real run time. Required.
-	MaxWallTime time.Duration
-	// Tol stops the run once the largest twin disagreement falls below it.
-	Tol float64
-	// Exact, when non-nil, enables RMS-error traces.
-	Exact sparse.Vec
-	// PollInterval is how often the monitor samples the shared state.
-	PollInterval time.Duration
-	// RecordTrace enables the convergence history (sampled by the monitor).
-	RecordTrace bool
-	// Faults injects seeded channel faults into the real channels (see
-	// CommonOptions.Faults). The run itself stays non-deterministic — only
-	// the per-send fault fates are seeded.
-	Faults *chaos.Spec
-}
-
-// Config lifts the legacy live options into the unified Config.
-func (o LiveOptions) Config() Config {
-	return Config{
-		CommonOptions: CommonOptions{
-			Impedance:   o.Impedance,
-			LocalSolver: o.LocalSolver,
-			Tol:         o.Tol,
-			Exact:       o.Exact,
-			RecordTrace: o.RecordTrace,
-			Faults:      o.Faults,
-			MaxWallTime: o.MaxWallTime,
-		},
-		Engine:       EngineLive,
-		TimeScale:    o.TimeScale,
-		PollInterval: o.PollInterval,
-	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -161,15 +162,17 @@ func TestDTMPaperExampleConverges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	result, err := SolveDTM(prob, Options{
-		Impedance:   paperImpedances(),
-		MaxTime:     2000, // microseconds, as in Example 5.1
-		Exact:       exact,
-		Tol:         1e-10,
-		RecordTrace: true,
+	result, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{
+			Impedance:   paperImpedances(),
+			Exact:       exact,
+			Tol:         1e-10,
+			RecordTrace: true,
+		},
+		MaxTime: 2000, // microseconds, as in Example 5.1
 	})
 	if err != nil {
-		t.Fatalf("SolveDTM: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if !result.Converged {
 		t.Fatalf("DTM did not converge within the time horizon (final error %g)", result.RMSError)
@@ -205,14 +208,16 @@ func TestDTMPaperExampleImpedanceDoesNotChangeFixedPoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewProblem: %v", err)
 		}
-		result, err := SolveDTM(prob, Options{
-			Impedance: dtl.Constant{Z: z},
-			MaxTime:   20000,
-			Exact:     exact,
-			Tol:       1e-11,
+		result, err := Solve(context.Background(), prob, Config{
+			CommonOptions: CommonOptions{
+				Impedance: dtl.Constant{Z: z},
+				Exact:     exact,
+				Tol:       1e-11,
+			},
+			MaxTime: 20000,
 		})
 		if err != nil {
-			t.Fatalf("SolveDTM(z=%g): %v", z, err)
+			t.Fatalf("Solve(context.Background(), z=%g): %v", z, err)
 		}
 		if result.RMSError > 1e-7 {
 			t.Errorf("z=%g: final RMS error %g, want <= 1e-7 (Theorem 6.1: any positive impedance converges)", z, result.RMSError)

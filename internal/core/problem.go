@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dtl"
+	"repro/internal/factor"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/sparse"
@@ -122,11 +123,16 @@ func (p *Problem) OwnerPairs() [][][2]int {
 
 // BuildSubdomains instantiates the per-part DTM solvers with the impedances
 // chosen by the strategy (nil for the default, dtl.DiagScaled{Alpha: 1}) and
-// the given local-factorisation backend (empty for the factor package
-// default). It is shared by the DES, VTM and live engines, and exported so
-// out-of-process workers (internal/dist) can build exactly the subdomains the
-// in-process engines would for the same problem.
+// the named local-factorisation backend (empty for auto) under the default
+// ordering, uncached — exactly the subdomains Solve builds for a Config whose
+// Factor names only that backend, for callers that drive or measure the
+// subdomains themselves.
 func (p *Problem) BuildSubdomains(strategy dtl.ImpedanceStrategy, backend string) ([]*Subdomain, []float64, error) {
+	return p.buildSubdomains(strategy, factor.Settings{Backend: backend})
+}
+
+// buildSubdomains is the one subdomain constructor every engine shares.
+func (p *Problem) buildSubdomains(strategy dtl.ImpedanceStrategy, fs factor.Settings) ([]*Subdomain, []float64, error) {
 	if strategy == nil {
 		strategy = dtl.DiagScaled{Alpha: 1}
 	}
@@ -136,7 +142,7 @@ func (p *Problem) BuildSubdomains(strategy dtl.ImpedanceStrategy, backend string
 	}
 	subs := make([]*Subdomain, p.Partition.NumParts())
 	for i, ps := range p.Partition.Subdomains {
-		sd, err := NewSubdomain(ps, p.Partition.LinksOfPart(i), zs, backend)
+		sd, err := NewSubdomain(ps, p.Partition.LinksOfPart(i), zs, fs)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: building subdomain %d: %w", i, err)
 		}

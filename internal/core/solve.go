@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"repro/internal/factor"
-)
+import "context"
 
 // Solve runs the configured engine on the problem and returns the assembled
 // solution, the convergence verdict, and the trace. It is the single entry
@@ -18,23 +14,11 @@ import (
 // ErrDeadlineExceeded when a convergence target was set (cfg.Tol or an
 // external cancellation); a time-boxed run with no target simply ends. The
 // deterministic engines only poll the ctx when it can actually fire, so a
-// context.Background() run pays nothing and stays byte-identical to the
-// pre-context API.
+// context.Background() run pays nothing.
 func Solve(ctx context.Context, p *Problem, cfg Config) (*Result, error) {
 	cfg.normalize()
 	if err := cfg.validate(p); err != nil {
 		return nil, err
-	}
-	if cfg.Ordering != "" {
-		ord, err := factor.ParseOrdering(cfg.Ordering)
-		if err != nil {
-			return nil, err
-		}
-		// Like the CLIs' -ordering flag this steers the process-wide default
-		// the registered backends consult (see CommonOptions.Ordering).
-		if err := factor.SetDefaultOrdering(ord); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.MaxWallTime > 0 && cfg.Engine != EngineLive {
 		// The live engine owns its MaxWallTime handling (it is the engine's
@@ -68,73 +52,4 @@ func deadlineErr(ctx context.Context, cfg *Config, interrupted bool) error {
 		return ErrDeadlineExceeded
 	}
 	return nil
-}
-
-// SolveDTM runs the Directed Transmission Method on the problem's machine
-// using the deterministic discrete-event engine and returns the assembled
-// solution plus the convergence trace.
-//
-// Deprecated: SolveDTM is the legacy entry point; call Solve with a Config
-// (Engine: EngineDES). Results are byte-identical.
-func SolveDTM(p *Problem, opts Options) (*Result, error) {
-	return Solve(context.Background(), p, opts.Config())
-}
-
-// SolveVTM runs the Virtual Transmission Method: in every iteration all
-// subdomains solve their local systems with the waves received at the end of
-// the previous iteration and then exchange waves simultaneously. It is the
-// globally synchronous reference point that the paper's conclusions compare
-// DTM against.
-//
-// Deprecated: SolveVTM is the legacy entry point; call Solve with a Config
-// (Engine: EngineVTM). Results are byte-identical.
-func SolveVTM(p *Problem, opts VTMOptions) (*VTMResult, error) {
-	res, err := Solve(context.Background(), p, opts.Config())
-	if err != nil {
-		return nil, err
-	}
-	return &VTMResult{
-		X:          res.X,
-		Iterations: res.Iterations,
-		Converged:  res.Converged,
-		RMSError:   res.RMSError,
-		TwinGap:    res.TwinGap,
-		Residual:   res.Residual,
-		Trace:      res.Trace,
-		Impedances: res.Impedances,
-	}, nil
-}
-
-// SolveMixed runs the sync-async-mixed variant: asynchronous DES windows
-// separated by globally synchronous sweeps, all on the problem's machine and
-// all sharing one virtual time axis. With AsyncWindow → ∞ it degenerates into
-// the pure DES engine; with AsyncWindow → 0 it degenerates into VTM paying
-// the slowest round trip per sweep.
-//
-// Deprecated: SolveMixed is the legacy entry point; call Solve with a Config
-// (Engine: EngineMixed). Results are byte-identical.
-func SolveMixed(p *Problem, opts MixedOptions) (*MixedResult, error) {
-	res, err := Solve(context.Background(), p, opts.Config())
-	if err != nil {
-		return nil, err
-	}
-	return &MixedResult{Result: *res, AsyncPhases: res.AsyncPhases, SyncSweepsDone: res.SyncSweepsDone}, nil
-}
-
-// SolveLive runs DTM with one goroutine per subdomain and real (scaled)
-// communication delays, until convergence, the context's cancellation or
-// deadline, or MaxWallTime — whichever comes first. The result mirrors the
-// DES engine's, with FinalTime in wall-clock seconds. The run is not
-// deterministic — that is the point — but by Theorem 6.1 it converges to the
-// same solution for any interleaving.
-//
-// When the run ends before converging — the caller's ctx fired, or
-// MaxWallTime elapsed with a Tol set — SolveLive returns the partial result
-// together with ErrDeadlineExceeded. With Tol zero the run is time-boxed by
-// design and a full-length run is not an error.
-//
-// Deprecated: SolveLive is the legacy entry point; call Solve with a Config
-// (Engine: EngineLive).
-func SolveLive(ctx context.Context, p *Problem, opts LiveOptions) (*Result, error) {
-	return Solve(ctx, p, opts.Config())
 }

@@ -60,11 +60,11 @@ type Subdomain struct {
 	solves    int
 	spd       bool // whether the local matrix was Cholesky-factorisable
 
-	// localA and backend are kept so a crash-restarted subdomain can rebuild
-	// its factorisation through the registry (Refactor); snapX/snapIncoming
+	// localA and fs are kept so a crash-restarted subdomain can rebuild its
+	// factorisation the way it was first built (Refactor); snapX/snapIncoming
 	// hold the latest in-memory snapshot a restart rolls back to.
 	localA       *sparse.CSR
-	backend      string
+	fs           factor.Settings
 	snapX        sparse.Vec
 	snapIncoming []float64
 	hasSnap      bool
@@ -75,12 +75,10 @@ type Subdomain struct {
 // impedance per link ID (indexed by TwinLink.ID over the whole partition).
 //
 // The local coefficient matrix is A_local + Σ_ends (1/Z) e_p e_pᵀ — constant
-// throughout the computation — and is factorised here once through the
-// internal/factor backend registry. backend names a registered backend
-// ("dense-cholesky", "dense-lu", "sparse-cholesky", "auto"); the empty string
-// selects the factor package default ("auto": Cholesky sized to the block,
-// falling back to LU with partial pivoting for merely-SNND blocks).
-func NewSubdomain(sub *partition.Subdomain, links []partition.TwinLink, z []float64, backend string) (*Subdomain, error) {
+// throughout the computation — and is factorised here once as fs says (the
+// zero Settings is "auto": Cholesky sized to the block, falling back to LU
+// with partial pivoting for merely-SNND blocks).
+func NewSubdomain(sub *partition.Subdomain, links []partition.TwinLink, z []float64, fs factor.Settings) (*Subdomain, error) {
 	s := &Subdomain{
 		part:      sub.Part,
 		numPorts:  sub.NumPorts,
@@ -128,14 +126,11 @@ func NewSubdomain(sub *partition.Subdomain, links []partition.TwinLink, z []floa
 
 	// Build and factorise the constant local matrix of eq. (5.9).
 	local := sub.A.AddDiag(diagAdd)
-	solver, err := factor.New(backend, local)
-	if err != nil {
-		return nil, fmt.Errorf("core: factorising local system of part %d: %w", sub.Part, err)
-	}
-	s.solver = solver
-	s.spd = solver.Backend() != factor.DenseLU
 	s.localA = local
-	s.backend = backend
+	s.fs = fs
+	if err := s.Refactor(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -368,14 +363,15 @@ func (s *Subdomain) RestoreSnapshot() {
 	copy(s.incoming, s.snapIncoming)
 }
 
-// Refactor rebuilds the local solver from the cached local matrix through the
-// factor registry. A crash-restarted subdomain calls it because the
-// factorisation held by the crashed process is lost; the rebuild is
-// deterministic, so the restarted subdomain solves exactly as before.
+// Refactor (re)builds the local solver from the retained local matrix and
+// factor settings. NewSubdomain factorises through it, and a crash-restarted
+// subdomain calls it because the factorisation held by the crashed process is
+// lost; the rebuild is deterministic, so the restarted subdomain solves
+// exactly as before.
 func (s *Subdomain) Refactor() error {
-	solver, err := factor.New(s.backend, s.localA)
+	solver, err := s.fs.New(s.localA)
 	if err != nil {
-		return fmt.Errorf("core: refactorising local system of part %d: %w", s.part, err)
+		return fmt.Errorf("core: factorising local system of part %d: %w", s.part, err)
 	}
 	s.solver = solver
 	s.spd = solver.Backend() != factor.DenseLU

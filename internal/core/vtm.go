@@ -7,33 +7,11 @@ import (
 	"repro/internal/sparse"
 )
 
-// VTMResult is the outcome of a VTM run through the deprecated SolveVTM
-// wrapper. New code reads the same fields off the unified Result (which
-// carries the sweep count in Result.Iterations).
-type VTMResult struct {
-	// X is the assembled global solution.
-	X sparse.Vec
-	// Iterations is the number of synchronous sweeps performed.
-	Iterations int
-	// Converged reports whether a stopping rule fired before MaxIterations.
-	Converged bool
-	// RMSError is the final RMS error against Exact (NaN when unknown).
-	RMSError float64
-	// TwinGap is the final maximum twin disagreement.
-	TwinGap float64
-	// Residual is the final relative residual.
-	Residual float64
-	// Trace is the per-iteration history (Time holds the iteration index).
-	Trace []TracePoint
-	// Impedances holds the characteristic impedance per twin link.
-	Impedances []float64
-}
-
 // solveVTM runs the Virtual Transmission Method: lock-step sweeps with a
 // simultaneous wave exchange after each. cfg must be normalized and
 // validated.
 func solveVTM(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
-	subs, zs, err := p.BuildSubdomains(cfg.Impedance, cfg.LocalSolver)
+	subs, zs, err := p.buildSubdomains(cfg.Impedance, cfg.Factor)
 	if err != nil {
 		return nil, err
 	}

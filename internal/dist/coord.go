@@ -17,7 +17,7 @@ import (
 // CoordConfig drives one distributed solve.
 type CoordConfig struct {
 	// Spec is the problem every member re-tears locally.
-	Spec ProblemSpec
+	Spec SpecV2
 	// Workers lists the transport member ids that own shards. Parts are
 	// assigned in contiguous ranges across this slice, in order (the home
 	// map); failover re-derives ownership from the surviving subset.

@@ -16,7 +16,7 @@ import (
 
 // quickSpec is a small torn grid that converges fast but still crosses
 // member boundaries in both directions.
-var quickSpec = ProblemSpec{Rows: 17, Cols: 17, Seed: 3, PartsX: 2, PartsY: 2}
+var quickSpec = SpecV2{V: 2, Source: "grid:rows=17,cols=17,seed=3", PartsX: 2, PartsY: 2}
 
 // fabric builds an n-member network plus teardown.
 type fabricFn func(t *testing.T, n int) []transport.Transport
@@ -58,7 +58,7 @@ func tcpFabric(t *testing.T, n int) []transport.Transport {
 
 // runDistributed runs one coordinated solve: member 0 coordinates, members
 // 1..n-1 are workers, optionally behind an enabled fault spec.
-func runDistributed(t *testing.T, fab fabricFn, nWorkers int, spec ProblemSpec, faults string) *Result {
+func runDistributed(t *testing.T, fab fabricFn, nWorkers int, spec SpecV2, faults string) *Result {
 	t.Helper()
 	members := fab(t, nWorkers+1)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -113,7 +113,7 @@ func maxAbsDiff(a, b sparse.Vec) float64 {
 
 // checkAgainstOracle asserts the acceptance bar: the distributed run
 // converges and agrees with the in-process DES oracle to 1e-6.
-func checkAgainstOracle(t *testing.T, res *Result, spec ProblemSpec) {
+func checkAgainstOracle(t *testing.T, res *Result, spec SpecV2) {
 	t.Helper()
 	if !res.Converged {
 		t.Fatalf("distributed run did not converge (%d polls, maxChange=%g, gap=%g)",
@@ -172,7 +172,7 @@ func TestWorkerServesMultipleSessions(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		spec := quickSpec
-		spec.Seed = int64(3 + round)
+		spec.Source = fmt.Sprintf("grid:rows=17,cols=17,seed=%d", 3+round)
 		res, err := Coordinate(ctx, members[0], CoordConfig{
 			Spec: spec, Workers: []int{1, 2}, Tol: 1e-9,
 			WatchdogMS: 20, PollInterval: 5 * time.Millisecond,
@@ -300,8 +300,8 @@ func TestQuiescentRules(t *testing.T) {
 	}
 }
 
-func ExampleProblemSpec_Oracle() {
-	spec := ProblemSpec{Rows: 9, Cols: 9, Seed: 1, PartsX: 2, PartsY: 1}
+func ExampleSpecV2_Oracle() {
+	spec := SpecV2{V: 2, Source: "grid:rows=9,cols=9,seed=1", PartsX: 2, PartsY: 1}
 	res, err := spec.Oracle(1e-8, "")
 	if err != nil {
 		panic(err)

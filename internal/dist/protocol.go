@@ -66,7 +66,7 @@ type ctrlMsg struct {
 
 // assignMsg tells a worker which shard of which problem it owns.
 type assignMsg struct {
-	Spec ProblemSpec `json:"spec"`
+	Spec SpecV2 `json:"spec"`
 	// Owner maps part → member id, for every part (workers need it to route
 	// waves to remote parts).
 	Owner []int `json:"owner"`

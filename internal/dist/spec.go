@@ -24,9 +24,11 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/factor"
 	"repro/internal/sparse"
 	"repro/internal/topology"
 )
@@ -35,35 +37,26 @@ import (
 // builds the same system, partition, impedances and factorisations from it,
 // so assigning work requires no bulk data transfer.
 //
-// Two forms share the one wire shape. The versioned form (V = 2) carries a
-// problem-source string from the sparse registry ("grid:…", "saddle:…",
-// "spanner:…", "mm:path@fnv64hash") plus a topology string from the
+// It carries a problem-source string from the sparse registry ("grid:…",
+// "saddle:…", "spanner:…", "mm:path@fnv64hash"), a topology string from the
 // topology registry ("uniform", "ring", "mesh4x4", "mesh8x8", "yao:…") and
-// a part count; irregular sources are torn with the general level-set + EVS
-// pipeline (core.AutoProblem). The legacy form (V = 0, Source empty) is the
-// pre-registry grid spec — Rows/Cols/Seed plus PartsX×PartsY — kept so old
-// assign messages decode unchanged; it canonicalises to the equivalent
-// "grid:" source and still tears through core.GridProblem, byte-identically
-// to earlier releases (pinned by the compat test). An mm: source whose file
-// content does not hash to the pinned value is refused at assign time with
-// sparse.ErrHashMismatch: the member would have torn a different system
-// than the rest of the fleet.
+// the tearing shape. A grid source torn PartsX×PartsY keeps the paper's
+// regular block tearing; everything else — an irregular source, or an
+// explicit NParts — is torn with the general level-set + EVS pipeline
+// (core.AutoProblem). A spec without a Source — which is what the pre-registry
+// Rows/Cols/Seed wire form decodes to — is refused at assign time, as is an
+// mm: source whose file content does not hash to the pinned value
+// (sparse.ErrHashMismatch): either way the member would have torn a different
+// system than the rest of the fleet.
 type SpecV2 struct {
-	// V is the spec version: 0 is the legacy grid form, 2 the source form.
+	// V is the spec version; 2 is the only one.
 	V int `json:"v,omitempty"`
-	// Source is the canonical problem-source string (sparse.ParseSource).
-	// Empty selects the legacy grid form below.
+	// Source is the problem-source string (sparse.ParseSource). Required.
 	Source string `json:"source,omitempty"`
 	// NParts, when positive, tears the source into this many subdomains with
 	// the general pipeline. Zero defers to PartsX×PartsY (and, for grid
 	// sources, to the paper's regular block tearing).
 	NParts int `json:"nparts,omitempty"`
-
-	// Rows, Cols are the grid dimensions of the generated SPD system
-	// (sparse.RandomGridSPD) in the legacy form.
-	Rows, Cols int
-	// Seed seeds the legacy generator.
-	Seed int64
 	// PartsX, PartsY tear the grid into PartsX·PartsY subdomains.
 	PartsX, PartsY int
 	// Topology names the machine, resolved through the topology registry:
@@ -76,10 +69,6 @@ type SpecV2 struct {
 	Delay float64
 }
 
-// ProblemSpec is the pre-registry name of SpecV2, kept for the callers (and
-// wire peers) that predate the problem-source layer.
-type ProblemSpec = SpecV2
-
 // Parts returns the number of subdomains the spec tears into.
 func (s *SpecV2) Parts() int {
 	if s.NParts > 0 {
@@ -88,22 +77,21 @@ func (s *SpecV2) Parts() int {
 	return s.PartsX * s.PartsY
 }
 
-// SourceString returns the canonical problem-source string of the spec: the
-// validated, round-tripped Source for the versioned form, or the "grid:"
-// equivalent of the legacy fields. Hash folds it, so two specs describing
-// the same system in different spellings hash identically.
+// errNoSource refuses a spec that names no problem source.
+var errNoSource = errors.New(`dist: spec has no problem source (the rows/cols/seed form is gone: send source "grid:rows=R,cols=C,seed=S")`)
+
+// SourceString returns the canonical (validated, round-tripped) form of the
+// spec's problem-source string. Hash folds it, so two spellings of the same
+// source hash identically.
 func (s *SpecV2) SourceString() (string, error) {
-	if s.Source != "" {
-		src, err := sparse.ParseSource(s.Source)
-		if err != nil {
-			return "", err
-		}
-		return src.String(), nil
+	if s.Source == "" {
+		return "", errNoSource
 	}
-	if s.Rows < 1 || s.Cols < 1 {
-		return "", fmt.Errorf("dist: invalid problem spec %+v", *s)
+	src, err := sparse.ParseSource(s.Source)
+	if err != nil {
+		return "", err
 	}
-	return sparse.GridSource{Rows: s.Rows, Cols: s.Cols, Seed: s.Seed}.String(), nil
+	return src.String(), nil
 }
 
 // TopologyString returns the spec's topology string with the default applied.
@@ -124,29 +112,20 @@ func (s *SpecV2) delayOrDefault() float64 {
 
 // Build tears the problem. Deterministic: every call, in every process,
 // yields the same system, partition and link numbering. Grid-shaped sources
-// torn PartsX×PartsY keep the paper's regular block partitioning (and the
-// legacy byte-identical path); everything else — irregular sources, or an
-// explicit NParts — goes through the general level-set + EVS pipeline.
+// torn PartsX×PartsY keep the paper's regular block partitioning; everything
+// else — irregular sources, or an explicit NParts — goes through the general
+// level-set + EVS pipeline.
 func (s *SpecV2) Build() (*core.Problem, error) {
-	var (
-		sys  sparse.System
-		hint sparse.Hint
-	)
-	if s.Source != "" {
-		src, err := sparse.ParseSource(s.Source)
-		if err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-		sys, hint, err = src.Build()
-		if err != nil {
-			return nil, fmt.Errorf("dist: building source %q: %w", s.Source, err)
-		}
-	} else {
-		if s.Rows <= 0 || s.Cols <= 0 || s.PartsX <= 0 || s.PartsY <= 0 {
-			return nil, fmt.Errorf("dist: invalid problem spec %+v", *s)
-		}
-		sys = sparse.RandomGridSPD(s.Rows, s.Cols, s.Seed)
-		hint = sparse.Hint{Grid: true, NX: s.Rows, NY: s.Cols}
+	if s.Source == "" {
+		return nil, errNoSource
+	}
+	src, err := sparse.ParseSource(s.Source)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
+	sys, hint, err := src.Build()
+	if err != nil {
+		return nil, fmt.Errorf("dist: building source %q: %w", s.Source, err)
 	}
 	n := s.Parts()
 	if n < 1 {
@@ -173,7 +152,7 @@ func (s *SpecV2) Oracle(tol float64, localSolver string) (*core.Result, error) {
 		return nil, err
 	}
 	return core.Solve(context.Background(), p, core.Config{
-		CommonOptions: core.CommonOptions{Tol: tol, LocalSolver: localSolver},
+		CommonOptions: core.CommonOptions{Tol: tol, Factor: factor.Settings{Backend: localSolver}},
 		MaxTime:       1e9,
 	})
 }

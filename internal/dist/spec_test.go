@@ -1,0 +1,209 @@
+package dist
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sparse"
+	"repro/internal/topology"
+	"repro/internal/transport"
+)
+
+// legacySpecJSON is raw wire bytes from a pre-registry coordinator, pinned
+// verbatim. Its Rows/Cols/Seed keys name fields SpecV2 no longer has, so it
+// decodes to a spec with no Source.
+const legacySpecJSON = `{"Rows":12,"Cols":12,"Seed":7,"PartsX":2,"PartsY":2,"Topology":"","Delay":10}`
+
+// TestLegacySpecJSONDecodes: an old peer's assign message must still decode —
+// into a spec that visibly has no source — so it is answered with the clear
+// refusal below rather than a JSON error.
+func TestLegacySpecJSONDecodes(t *testing.T) {
+	var s SpecV2
+	if err := json.Unmarshal([]byte(legacySpecJSON), &s); err != nil {
+		t.Fatalf("legacy spec JSON no longer decodes: %v", err)
+	}
+	if s.V != 0 || s.Source != "" || s.NParts != 0 || s.PartsX != 2 || s.PartsY != 2 || s.Delay != 10 {
+		t.Fatalf("legacy JSON decoded to %+v", s)
+	}
+}
+
+// TestLegacySpecRefused: a spec without a problem source must be refused —
+// by Build, by the coordinator before it touches the transport, and by a
+// worker at assign time — rather than torn into something the rest of the
+// fleet did not tear.
+func TestLegacySpecRefused(t *testing.T) {
+	var s SpecV2
+	if err := json.Unmarshal([]byte(legacySpecJSON), &s); err != nil {
+		t.Fatal(err)
+	}
+	_, err := s.Build()
+	if err == nil || !strings.Contains(err.Error(), "no problem source") {
+		t.Fatalf("Build err = %v, want the no-problem-source refusal", err)
+	}
+	if _, err := s.SourceString(); err == nil {
+		t.Fatal("SourceString accepted a spec without a source")
+	}
+
+	_, err = Coordinate(context.Background(), nil, CoordConfig{Spec: s, Workers: []int{1, 2}, Tol: 1e-6})
+	if err == nil || !strings.Contains(err.Error(), "no problem source") {
+		t.Fatalf("Coordinate err = %v, want the no-problem-source refusal", err)
+	}
+
+	members := transport.NewChanNetwork(2)
+	defer members[0].Close()
+	defer members[1].Close()
+	_, err = NewWorker(members[1]).newSession(context.Background(), 0, &assignMsg{Spec: s, Owner: []int{1, 1, 1, 1}, Tol: 1e-6})
+	if err == nil || !strings.Contains(err.Error(), "no problem source") {
+		t.Fatalf("worker assign err = %v, want the no-problem-source refusal", err)
+	}
+}
+
+// TestSpecHashSpellingInvariant: the hash folds canonical strings, so two
+// spellings of the same source hash identically — failover rendezvous does
+// not depend on how the coordinator happened to write the spec.
+func TestSpecHashSpellingInvariant(t *testing.T) {
+	v2 := SpecV2{V: 2, Source: "grid:rows=12,cols=12,seed=7", PartsX: 2, PartsY: 2}
+	sloppy := SpecV2{V: 2, Source: "grid: seed=7 , cols=12 ,rows=12", PartsX: 2, PartsY: 2}
+	if sloppy.Hash() != v2.Hash() {
+		t.Fatalf("non-canonical spelling hashes differently: %016x vs %016x", sloppy.Hash(), v2.Hash())
+	}
+	other := SpecV2{V: 2, Source: "grid:rows=12,cols=12,seed=8", PartsX: 2, PartsY: 2}
+	if other.Hash() == v2.Hash() {
+		t.Fatal("different seeds hash identically")
+	}
+}
+
+// formerLegacySpecs are the specs that used to be written Rows/Cols/Seed —
+// the E9/E10 defaults and legacySpecJSON — with the Hash their legacy form
+// had in the last release that accepted it.
+var formerLegacySpecs = []struct {
+	rows, cols int
+	seed       int64
+	px, py     int
+	hash       uint64
+}{
+	{33, 33, 1089, 2, 4, 0x569e4f8330f88bf1}, // E9/E10 full
+	{17, 17, 289, 2, 2, 0x009e214fe150e788},  // E9/E10 quick
+	{12, 12, 7, 2, 2, 0x828ce3b302e6a9c8},    // legacySpecJSON
+}
+
+func gridSpec(rows, cols int, seed int64, px, py int) SpecV2 {
+	return SpecV2{V: 2, Source: sparse.GridSource{Rows: rows, Cols: cols, Seed: seed}.String(), PartsX: px, PartsY: py}
+}
+
+// TestV2GridSourceTearsLikeLegacy: the grid: spelling of a former legacy spec
+// keeps its Hash, so failover rendezvous and lease jitter did not move when
+// E9/E10 were respelled.
+func TestV2GridSourceTearsLikeLegacy(t *testing.T) {
+	for _, tc := range formerLegacySpecs {
+		spec := gridSpec(tc.rows, tc.cols, tc.seed, tc.px, tc.py)
+		if got := spec.Hash(); got != tc.hash {
+			t.Errorf("%s: Hash = %#016x, legacy form hashed to %#016x", spec.Source, got, tc.hash)
+		}
+	}
+}
+
+// TestLegacySpecBuildByteIdentical: the grid: spelling of a former legacy
+// spec tears exactly as the legacy path did, which was the direct
+// RandomGridSPD → GridProblem pipeline — same assignment, same subdomain
+// port layout, same twin-link numbering.
+func TestLegacySpecBuildByteIdentical(t *testing.T) {
+	for _, tc := range formerLegacySpecs {
+		spec := gridSpec(tc.rows, tc.cols, tc.seed, tc.px, tc.py)
+		got, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := sparse.RandomGridSPD(tc.rows, tc.cols, tc.seed)
+		want, err := core.GridProblem(sys, tc.rows, tc.cols, tc.px, tc.py, topology.Uniform(tc.px*tc.py, 10, "uniform"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gp, wp := got.Partition, want.Partition
+		if !reflect.DeepEqual(gp.Assign.Assign, wp.Assign.Assign) {
+			t.Fatalf("%s: vertex assignment differs from the legacy pipeline", spec.Source)
+		}
+		if len(gp.Subdomains) != len(wp.Subdomains) {
+			t.Fatalf("%s: %d subdomains, legacy pipeline had %d", spec.Source, len(gp.Subdomains), len(wp.Subdomains))
+		}
+		for p, ws := range wp.Subdomains {
+			gs := gp.Subdomains[p]
+			if gs.NumPorts != ws.NumPorts || !reflect.DeepEqual(gs.GlobalIdx, ws.GlobalIdx) {
+				t.Fatalf("%s: part %d port layout differs from the legacy pipeline", spec.Source, p)
+			}
+		}
+		if !reflect.DeepEqual(gp.Links, wp.Links) {
+			t.Fatalf("%s: twin-link numbering differs from the legacy pipeline", spec.Source)
+		}
+	}
+}
+
+// TestSpannerSpecAutoTearing: an irregular source with an explicit part
+// count goes through the general pipeline and yields exactly NParts parts.
+func TestSpannerSpecAutoTearing(t *testing.T) {
+	s := SpecV2{V: 2, Source: "spanner:n=64,k=5,seed=9,leak=0.05", NParts: 4}
+	p, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Partition.NumParts(); got != 4 {
+		t.Fatalf("torn into %d parts, want 4", got)
+	}
+	if p.System.Dim() != 64 {
+		t.Fatalf("system dim %d, want 64", p.System.Dim())
+	}
+	if p.Topology.N() < 4 {
+		t.Fatalf("topology has %d processors, need >= 4", p.Topology.N())
+	}
+}
+
+// TestMMSpecHashMismatchRefused: a worker (or coordinator) whose mm: file
+// does not hash to the pinned value must refuse the assignment with the
+// typed sparse error, surfaced through both Build and Coordinate.
+func TestMMSpecHashMismatchRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sys.mtx")
+	sys := sparse.RandomGridSPD(6, 6, 2)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sparse.WriteMatrixSym(f, sys.A); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	h, err := sparse.HashFileFNV64(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	good := SpecV2{V: 2, Source: sparse.MMSource{Path: path, Hash: h}.String(), NParts: 2}
+	if _, err := good.Build(); err != nil {
+		t.Fatalf("matching hash refused: %v", err)
+	}
+
+	bad := SpecV2{V: 2, Source: sparse.MMSource{Path: path, Hash: h ^ 1}.String(), NParts: 2}
+	if _, err := bad.Build(); !errors.Is(err, sparse.ErrHashMismatch) {
+		t.Fatalf("Build err = %v, want ErrHashMismatch", err)
+	}
+	var mismatch *sparse.HashMismatchError
+	if _, err := bad.Build(); !errors.As(err, &mismatch) {
+		t.Fatalf("Build err = %v, want *HashMismatchError", err)
+	}
+
+	// Coordinate builds the spec before touching the transport, so the
+	// refusal is a coordinator-side fast-fail with the same typed error.
+	_, err = Coordinate(context.Background(), nil, CoordConfig{
+		Spec: bad, Workers: []int{1, 2}, Tol: 1e-6,
+	})
+	if !errors.Is(err, sparse.ErrHashMismatch) {
+		t.Fatalf("Coordinate err = %v, want ErrHashMismatch", err)
+	}
+}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dtl"
+	"repro/internal/factor"
 	"repro/internal/transport"
 )
 
@@ -38,6 +39,10 @@ type Worker struct {
 	// incarnation than its previous life, or its beats are fenced as zombie
 	// traffic. Defaults to 1.
 	Incarnation uint32
+	// FactorCache, when non-nil, serves this worker's subdomain
+	// factorisations, so a standing worker re-assigned a problem it has
+	// already torn (a repeated session, a failover adoption) factors once.
+	FactorCache *factor.Cache
 
 	badCtrl atomic.Uint64
 }
@@ -224,7 +229,8 @@ type workerSession struct {
 // assignment and failover adoption share it). The ownership maps must
 // already name this worker for the part.
 func (s *workerSession) adopt(part int32) error {
-	sd, err := core.NewSubdomain(s.p.Partition.Subdomains[part], s.p.Partition.LinksOfPart(int(part)), s.zs, s.a.LocalSolver)
+	sd, err := core.NewSubdomain(s.p.Partition.Subdomains[part], s.p.Partition.LinksOfPart(int(part)), s.zs,
+		factor.Settings{Backend: s.a.LocalSolver, Cache: s.w.FactorCache})
 	if err != nil {
 		return fmt.Errorf("dist: building subdomain %d: %w", part, err)
 	}

@@ -540,7 +540,7 @@ func AblationMixedSync(p CompareParams) (*CompareResult, error) {
 
 	out.Notes = append(out.Notes,
 		"speeding up the intra-cluster links moves DTM towards its synchronous limit and narrows the speed gap to VTM, as the conclusions conjecture",
-		"the time-domain mixed row inserts a globally synchronous sweep after every asynchronous window (core.SolveMixed), the other future-work variant of Section 8",
+		"the time-domain mixed row inserts a globally synchronous sweep after every asynchronous window (core.EngineMixed), the other future-work variant of Section 8",
 	)
 	return out, nil
 }

@@ -29,7 +29,7 @@ type CompareDistributedParams struct {
 	// Figure is the caption used when rendering.
 	Figure string
 	// Spec is the torn problem every leg re-tears deterministically.
-	Spec dist.ProblemSpec
+	Spec dist.SpecV2
 	// Workers is the number of worker members of each distributed leg.
 	Workers int
 	// Tol is the quiescence tolerance of every leg.
@@ -45,7 +45,7 @@ type CompareDistributedParams struct {
 func DefaultCompareDistributedParams() CompareDistributedParams {
 	return CompareDistributedParams{
 		Figure:  "E9 — distributed DTM vs DES oracle (33x33 grid, 8 parts, 4 workers)",
-		Spec:    dist.ProblemSpec{Rows: 33, Cols: 33, Seed: 1089, PartsX: 2, PartsY: 4},
+		Spec:    dist.SpecV2{V: 2, Source: "grid:rows=33,cols=33,seed=1089", PartsX: 2, PartsY: 4},
 		Workers: 4,
 		Tol:     1e-9,
 		Drop:    0.05,
@@ -58,7 +58,7 @@ func DefaultCompareDistributedParams() CompareDistributedParams {
 func QuickCompareDistributedParams() CompareDistributedParams {
 	p := DefaultCompareDistributedParams()
 	p.Figure = "E9 — distributed DTM vs DES oracle (17x17 grid, 4 parts, 2 workers)"
-	p.Spec = dist.ProblemSpec{Rows: 17, Cols: 17, Seed: 289, PartsX: 2, PartsY: 2}
+	p.Spec = dist.SpecV2{V: 2, Source: "grid:rows=17,cols=17,seed=289", PartsX: 2, PartsY: 2}
 	p.Workers = 2
 	return p
 }

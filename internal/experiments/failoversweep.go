@@ -27,7 +27,7 @@ type FailoverSweepParams struct {
 	// Figure is the caption used when rendering.
 	Figure string
 	// Spec is the torn problem every leg re-tears deterministically.
-	Spec dist.ProblemSpec
+	Spec dist.SpecV2
 	// Workers is the number of worker members per leg; the kill legs SIGKILL
 	// (cancel) the last one mid-solve.
 	Workers int
@@ -49,7 +49,7 @@ type FailoverSweepParams struct {
 func DefaultFailoverSweepParams() FailoverSweepParams {
 	return FailoverSweepParams{
 		Figure:     "E10 — worker failover cost (33x33 grid, 8 parts, 4 workers, kill 1 mid-solve)",
-		Spec:       dist.ProblemSpec{Rows: 33, Cols: 33, Seed: 1089, PartsX: 2, PartsY: 4},
+		Spec:       dist.SpecV2{V: 2, Source: "grid:rows=33,cols=33,seed=1089", PartsX: 2, PartsY: 4},
 		Workers:    4,
 		Tol:        1e-9,
 		Heartbeats: []int{10, 25, 50},
@@ -63,7 +63,7 @@ func DefaultFailoverSweepParams() FailoverSweepParams {
 func QuickFailoverSweepParams() FailoverSweepParams {
 	p := DefaultFailoverSweepParams()
 	p.Figure = "E10 — worker failover cost (17x17 grid, 4 parts, 3 workers, kill 1 mid-solve)"
-	p.Spec = dist.ProblemSpec{Rows: 17, Cols: 17, Seed: 289, PartsX: 2, PartsY: 2}
+	p.Spec = dist.SpecV2{V: 2, Source: "grid:rows=17,cols=17,seed=289", PartsX: 2, PartsY: 2}
 	p.Workers = 3
 	p.Heartbeats = []int{10, 25}
 	return p

@@ -304,7 +304,7 @@ func ScaleSparse(p ScaleSparseParams) (*ScaleSparseResult, error) {
 			return nil, err
 		}
 		res, err := core.Solve(context.Background(), prob, core.Config{
-			CommonOptions: core.CommonOptions{Tol: p.DTMTol, LocalSolver: factor.SparseSupernodal},
+			CommonOptions: core.CommonOptions{Tol: p.DTMTol, Factor: factor.Settings{Backend: factor.SparseSupernodal}},
 			MaxTime:       p.DTMMaxTime,
 		})
 		if err != nil {

@@ -14,8 +14,7 @@ import (
 // goroutines sharing a matrix) keeps asking for the factor of the same
 // matrix; the cache keys factors by a hash of the matrix pattern AND values
 // (same pattern with different values is a different system and must miss),
-// plus the backend name and the package ordering default — both change what
-// New would build. Entries are LRU-evicted against a byte budget sized by
+// plus the backend name and the ordering — both change what New would build. Entries are LRU-evicted against a byte budget sized by
 // the factors' real memory footprint.
 //
 // Hits return the cached LocalSolver. That is safe to share across
@@ -62,15 +61,16 @@ func NewCache(budget int64) *Cache {
 	return &Cache{budget: budget, ll: list.New(), byKey: make(map[uint64]*list.Element)}
 }
 
-// GetOrFactor returns the cached factor of a under the named backend,
-// factoring and inserting on a miss. The boolean reports whether the call
-// was a hit. An empty backend name resolves to Default(); factorisation
-// errors are returned unchained and never cached.
+// GetOrFactor returns the cached factor of a under the named backend (empty
+// for Auto) and the default ordering, factoring and inserting on a miss. The
+// boolean reports whether the call was a hit. Factorisation errors are
+// returned unchained and never cached. Settings.New is the route for a
+// non-default ordering.
 func (c *Cache) GetOrFactor(backend string, a *sparse.CSR) (LocalSolver, bool, error) {
-	if backend == "" {
-		backend = Default()
-	}
-	order := DefaultOrdering()
+	return c.getOrFactor(Settings{Backend: backend}.backend(), OrderAuto, a)
+}
+
+func (c *Cache) getOrFactor(backend string, order Ordering, a *sparse.CSR) (LocalSolver, bool, error) {
 	key := cacheKey(backend, order, a)
 
 	c.mu.Lock()
@@ -91,7 +91,7 @@ func (c *Cache) GetOrFactor(backend string, a *sparse.CSR) (LocalSolver, bool, e
 
 	// Factor outside the lock — a large factorisation must not serialise
 	// every concurrent cache user behind it.
-	sol, err := newRaw(backend, a)
+	sol, err := newRaw(backend, order, a)
 	if err != nil {
 		return nil, false, err
 	}
@@ -144,10 +144,9 @@ func (c *Cache) Purge() {
 	c.mu.Unlock()
 }
 
-// cacheKey hashes the backend name, the resolved package ordering default and
-// the matrix — dimensions, pattern and value bits — with FNV-1a. Values are
-// part of the key by design: a refreshed system with the same sparsity must
-// refactor.
+// cacheKey hashes the backend name, the requested ordering and the matrix —
+// dimensions, pattern and value bits — with FNV-1a. Values are part of the
+// key by design: a refreshed system with the same sparsity must refactor.
 func cacheKey(backend string, order Ordering, a *sparse.CSR) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -217,36 +216,4 @@ func entryBytes(s LocalSolver, a *sparse.CSR) int64 {
 	}
 	n := int64(s.Dim())
 	return 8*n*n + matrix
-}
-
-// Shared cache: when enabled, every factor.New routes through one
-// process-wide cache — the switch the dtmsolve -factorcache flag and the
-// crash-restart refactorisation path flip.
-var sharedCacheMu sync.RWMutex
-var sharedCacheC *Cache
-
-// EnableSharedCache installs (and returns) a process-wide factor cache with
-// the given byte budget that every subsequent New consults. Re-enabling
-// replaces the previous shared cache.
-func EnableSharedCache(budget int64) *Cache {
-	c := NewCache(budget)
-	sharedCacheMu.Lock()
-	sharedCacheC = c
-	sharedCacheMu.Unlock()
-	return c
-}
-
-// DisableSharedCache removes the process-wide cache; New factors directly
-// again.
-func DisableSharedCache() {
-	sharedCacheMu.Lock()
-	sharedCacheC = nil
-	sharedCacheMu.Unlock()
-}
-
-// SharedCache returns the process-wide cache, or nil when disabled.
-func SharedCache() *Cache {
-	sharedCacheMu.RLock()
-	defer sharedCacheMu.RUnlock()
-	return sharedCacheC
 }

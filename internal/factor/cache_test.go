@@ -204,32 +204,59 @@ func errResidual(name string, r float64) error {
 	return fmt.Errorf("%s: residual %g after cached solve", name, r)
 }
 
-// TestSharedCache pins the process-wide hook: once enabled, factor.New routes
-// through the shared cache, and disabling restores direct factorisation.
+// TestSharedCache pins configuration-by-value for the cache: Settings that
+// share a Cache handle share its factors, a Settings without one factors
+// afresh, two handles in one process never see each other's entries, and the
+// ordering is part of the key.
 func TestSharedCache(t *testing.T) {
 	sys := sparse.Poisson2D(16, 16, 0.05)
-	c := EnableSharedCache(0)
-	defer DisableSharedCache()
-	s1, err := New(SparseCholesky, sys.A)
+	c1, c2 := NewCache(0), NewCache(0)
+	with1 := Settings{Backend: SparseCholesky, Cache: c1}
+	s1, err := with1.New(sys.A)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := New(SparseCholesky, sys.A)
+	s2, err := with1.New(sys.A)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1 != s2 {
-		t.Fatal("factor.New did not serve the cached instance while the shared cache was enabled")
+		t.Fatal("Settings.New did not serve the cached instance from its Cache handle")
 	}
-	if st := c.Stats(); st.Hits == 0 {
-		t.Fatalf("shared cache saw no hits: %+v", st)
+	if st := c1.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("first cache saw %+v, want 1 hit and 1 miss", st)
 	}
-	DisableSharedCache()
-	s3, err := New(SparseCholesky, sys.A)
+
+	other, err := Settings{Backend: SparseCholesky, Cache: c2}.New(sys.A)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3 == s1 {
-		t.Fatal("factor.New still served the cached instance after DisableSharedCache")
+	if other == s1 {
+		t.Fatal("a second Cache handle served the first handle's entry")
+	}
+	if st := c2.Stats(); st.Hits != 0 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("second cache saw %+v, want a lone miss", st)
+	}
+	if st := c1.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("a factorisation through the second handle touched the first: %+v", st)
+	}
+
+	uncached, err := New(SparseCholesky, sys.A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uncached == s1 || uncached == other {
+		t.Fatal("factor.New without a Cache handle served a cached instance")
+	}
+
+	nd, err := Settings{Backend: SparseCholesky, Ordering: OrderND, Cache: c1}.New(sys.A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nd == s1 {
+		t.Fatal("a different ordering hit the auto-ordered entry")
+	}
+	if ord := nd.(*Cholesky).Ordering(); ord != OrderND {
+		t.Errorf("cached factorisation ran under %v, want nd", ord)
 	}
 }

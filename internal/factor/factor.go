@@ -41,13 +41,13 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/dense"
 	"repro/internal/sparse"
 )
 
-// Backend names understood by New. Auto is the package default.
+// Backend names understood by New. Auto is the package default: an empty
+// Settings.Backend resolves to it.
 const (
 	DenseCholesky    = "dense-cholesky"
 	DenseLU          = "dense-lu"
@@ -97,8 +97,9 @@ type LocalSolver interface {
 	Backend() string
 }
 
-// Factorizer builds a LocalSolver from a sparse matrix.
-type Factorizer func(a *sparse.CSR) (LocalSolver, error)
+// factorizer builds a LocalSolver from a sparse matrix under the given
+// fill-reducing ordering (which the dense backends ignore).
+type factorizer func(a *sparse.CSR, order Ordering) (LocalSolver, error)
 
 // Solve is a convenience wrapper around SolveTo that allocates the solution.
 func Solve(s LocalSolver, b sparse.Vec) sparse.Vec {
@@ -107,96 +108,98 @@ func Solve(s LocalSolver, b sparse.Vec) sparse.Vec {
 	return x
 }
 
-var (
-	regMu          sync.RWMutex
-	registry       = map[string]Factorizer{}
-	defaultBackend = Auto
-)
+// registry maps backend names to factorizers. It is filled once, in init
+// (newAuto refers back to it, so a composite literal would be an
+// initialisation cycle), and only read afterwards.
+var registry map[string]factorizer
 
 func init() {
-	Register(DenseCholesky, newDenseCholesky)
-	Register(DenseLU, newDenseLU)
-	Register(SparseCholesky, newSparseCholeskyBackend)
-	Register(SparseLDLT, newSparseLDLTBackend)
-	Register(SparseSupernodal, newSparseSupernodalBackend)
-	Register(Auto, newAuto)
-}
-
-// Register adds (or replaces) a named backend.
-func Register(name string, f Factorizer) {
-	if name == "" || f == nil {
-		panic("factor: Register requires a name and a factorizer")
+	registry = map[string]factorizer{
+		DenseCholesky:    newDenseCholesky,
+		DenseLU:          newDenseLU,
+		SparseCholesky:   newSparseCholeskyBackend,
+		SparseLDLT:       newSparseLDLTBackend,
+		SparseSupernodal: newSparseSupernodalBackend,
+		Auto:             newAuto,
 	}
-	regMu.Lock()
-	registry[name] = f
-	regMu.Unlock()
 }
 
 // Known reports whether a backend name is registered.
 func Known(name string) bool {
-	regMu.RLock()
 	_, ok := registry[name]
-	regMu.RUnlock()
 	return ok
 }
 
 // Backends returns the registered backend names in sorted order.
 func Backends() []string {
-	regMu.RLock()
 	names := make([]string, 0, len(registry))
 	for name := range registry {
 		names = append(names, name)
 	}
-	regMu.RUnlock()
 	sort.Strings(names)
 	return names
 }
 
-// Default returns the backend an empty selection resolves to.
-func Default() string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return defaultBackend
+// Settings is everything a caller decides about a local factorisation: the
+// backend, the fill-reducing ordering the sparse backends use, and an optional
+// cache to serve repeated factorisations from. The zero value is the package
+// default (Auto backend, OrderAuto, no cache). It is a plain value — every
+// consumer (core.Config, iterative.Config, dist.Worker, the CLIs) carries its
+// own, so concurrent solves with different settings cannot interfere.
+type Settings struct {
+	// Backend names a registered backend; empty selects Auto.
+	Backend string
+	// Ordering is the fill-reducing ordering of the sparse backends.
+	Ordering Ordering
+	// Cache, when non-nil, is consulted before factoring and populated on a
+	// miss — the factor-once/serve-many path of repeated and concurrent
+	// workloads. Several Settings may share one Cache.
+	Cache *Cache
 }
 
-// SetDefault changes the backend an empty selection resolves to (used by the
-// CLIs to steer every consumer at once).
-func SetDefault(name string) error {
-	if !Known(name) {
-		return fmt.Errorf("factor: unknown backend %q (have %v)", name, Backends())
+// Validate reports an unregistered backend name or an out-of-range ordering.
+func (s Settings) Validate() error {
+	if s.Backend != "" && !Known(s.Backend) {
+		return fmt.Errorf("factor: unknown backend %q (have %v)", s.Backend, Backends())
 	}
-	regMu.Lock()
-	defaultBackend = name
-	regMu.Unlock()
+	if s.Ordering < OrderAuto || s.Ordering > OrderND {
+		return fmt.Errorf("factor: unknown ordering %d", s.Ordering)
+	}
 	return nil
 }
 
-// New factorises a with the named backend. An empty name selects Default().
-// When the process-wide factor cache is enabled (EnableSharedCache), New
-// consults it first and factors only on a miss — the factor-once/serve-many
-// path of repeated and concurrent workloads.
-func New(backend string, a *sparse.CSR) (LocalSolver, error) {
-	if backend == "" {
-		backend = Default()
+// backend resolves the empty backend name to Auto.
+func (s Settings) backend() string {
+	if s.Backend == "" {
+		return Auto
 	}
-	if c := SharedCache(); c != nil {
-		s, _, err := c.GetOrFactor(backend, a)
-		return s, err
-	}
-	return newRaw(backend, a)
+	return s.Backend
 }
 
-// newRaw factorises through the registry, bypassing the shared cache — the
-// path the cache itself (and the auto policy's internal fallback chain, which
-// must not populate the cache with doomed intermediate attempts) uses.
-func newRaw(backend string, a *sparse.CSR) (LocalSolver, error) {
-	regMu.RLock()
+// New factorises a as the settings say.
+func (s Settings) New(a *sparse.CSR) (LocalSolver, error) {
+	if s.Cache != nil {
+		sol, _, err := s.Cache.getOrFactor(s.backend(), s.Ordering, a)
+		return sol, err
+	}
+	return newRaw(s.backend(), s.Ordering, a)
+}
+
+// New factorises a with the named backend (empty for Auto) under the default
+// ordering and without a cache: shorthand for Settings{Backend: backend}.New(a).
+func New(backend string, a *sparse.CSR) (LocalSolver, error) {
+	return Settings{Backend: backend}.New(a)
+}
+
+// newRaw factorises through the registry, bypassing any cache — the path the
+// cache itself (and the auto policy's internal fallback chain, which must not
+// populate a cache with doomed intermediate attempts) uses.
+func newRaw(backend string, order Ordering, a *sparse.CSR) (LocalSolver, error) {
 	f, ok := registry[backend]
-	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("factor: unknown backend %q (have %v)", backend, Backends())
 	}
-	return f(a)
+	return f(a, order)
 }
 
 // DenseBytesNeeded returns the transient allocation an n×n dense
@@ -240,7 +243,7 @@ func (s denseLUSolver) FactorBytes() int64 {
 	return 16 * n * n
 }
 
-func newDenseCholesky(a *sparse.CSR) (LocalSolver, error) {
+func newDenseCholesky(a *sparse.CSR, _ Ordering) (LocalSolver, error) {
 	if err := DenseFeasible(a.Rows()); err != nil {
 		return nil, err
 	}
@@ -251,7 +254,7 @@ func newDenseCholesky(a *sparse.CSR) (LocalSolver, error) {
 	return denseCholSolver{c}, nil
 }
 
-func newDenseLU(a *sparse.CSR) (LocalSolver, error) {
+func newDenseLU(a *sparse.CSR, _ Ordering) (LocalSolver, error) {
 	if err := DenseFeasible(a.Rows()); err != nil {
 		return nil, err
 	}
@@ -262,20 +265,19 @@ func newDenseLU(a *sparse.CSR) (LocalSolver, error) {
 	return denseLUSolver{lu}, nil
 }
 
-func newSparseCholeskyBackend(a *sparse.CSR) (LocalSolver, error) {
-	return NewCholesky(a, DefaultOrdering())
+func newSparseCholeskyBackend(a *sparse.CSR, order Ordering) (LocalSolver, error) {
+	return NewCholesky(a, order)
 }
 
-func newSparseLDLTBackend(a *sparse.CSR) (LocalSolver, error) {
-	return NewLDLT(a, DefaultOrdering())
+func newSparseLDLTBackend(a *sparse.CSR, order Ordering) (LocalSolver, error) {
+	return NewLDLT(a, order)
 }
 
 // newSparseSupernodalBackend covers both symmetric factorisations with one
 // name: Cholesky when the matrix turns out SPD, LDLᵀ otherwise. A non-positive
 // diagonal entry proves non-positive-definiteness up front (xᵀAx ≤ 0 for a
 // unit vector), so that case skips the doomed Cholesky attempt entirely.
-func newSparseSupernodalBackend(a *sparse.CSR) (LocalSolver, error) {
-	order := DefaultOrdering()
+func newSparseSupernodalBackend(a *sparse.CSR, order Ordering) (LocalSolver, error) {
 	if !hasPosDiag(a) {
 		return NewSupernodal(a, order, ModeLDLT)
 	}
@@ -335,18 +337,18 @@ func autoPicksSparse(n, nnz int) bool {
 // is both huge and merely SNND factorises sparsely instead of dying at
 // ErrDenseTooLarge; on the dense path (small blocks) it stays dense-Cholesky
 // → dense LU.
-func newAuto(a *sparse.CSR) (LocalSolver, error) {
+func newAuto(a *sparse.CSR, order Ordering) (LocalSolver, error) {
 	n := a.Rows()
 	sparsePath := autoPicksSparse(n, a.NNZ())
 	if sparsePath && n >= autoSupernodalMinDim {
 		// The supernodal backend runs its own Cholesky → LDLᵀ chain; only a
 		// numerically singular block (zero diagonal pivots) falls out, and
 		// dense LU's row pivoting is the last resort for those.
-		s, err := newRaw(SparseSupernodal, a)
+		s, err := newRaw(SparseSupernodal, order, a)
 		if err == nil {
 			return s, nil
 		}
-		lu, luErr := newRaw(DenseLU, a)
+		lu, luErr := newRaw(DenseLU, order, a)
 		if luErr != nil {
 			return nil, fmt.Errorf("factor: auto fallback after %v: %w", err, luErr)
 		}
@@ -356,7 +358,7 @@ func newAuto(a *sparse.CSR) (LocalSolver, error) {
 	if sparsePath {
 		chol = SparseCholesky
 	}
-	s, err := newRaw(chol, a)
+	s, err := newRaw(chol, order, a)
 	if err == nil {
 		return s, nil
 	}
@@ -366,7 +368,7 @@ func newAuto(a *sparse.CSR) (LocalSolver, error) {
 	// The block is at best SNND. On the sparse path try LDLᵀ first: same
 	// sparse cost model, no definiteness requirement.
 	if sparsePath {
-		ldlt, lErr := newRaw(SparseLDLT, a)
+		ldlt, lErr := newRaw(SparseLDLT, order, a)
 		if lErr == nil {
 			return ldlt, nil
 		}
@@ -374,7 +376,7 @@ func newAuto(a *sparse.CSR) (LocalSolver, error) {
 		// row pivoting can still succeed where diagonal pivots cannot.
 		err = fmt.Errorf("%v; sparse-ldlt: %w", err, lErr)
 	}
-	lu, luErr := newRaw(DenseLU, a)
+	lu, luErr := newRaw(DenseLU, order, a)
 	if luErr != nil {
 		return nil, fmt.Errorf("factor: auto fallback after %v: %w", err, luErr)
 	}

@@ -19,11 +19,21 @@ func TestBackendsRegistered(t *testing.T) {
 	if _, err := New("no-such-backend", sparse.Identity(3)); err == nil {
 		t.Error("New accepted an unregistered backend")
 	}
-	if got := Default(); got != Auto {
-		t.Errorf("Default() = %q, want %q", got, Auto)
+	def, err := New("", sparse.Poisson2D(5, 5, 0.05).A)
+	if err != nil {
+		t.Fatalf("New with an empty backend: %v", err)
 	}
-	if err := SetDefault("no-such-backend"); err == nil {
-		t.Error("SetDefault accepted an unregistered backend")
+	if got := def.Backend(); got != DenseCholesky {
+		t.Errorf("an empty backend factorised a small SPD block with %q, want auto's %q", got, DenseCholesky)
+	}
+	if err := (Settings{Backend: "no-such-backend"}).Validate(); err == nil {
+		t.Error("Settings.Validate accepted an unregistered backend")
+	}
+	if err := (Settings{Ordering: Ordering(99)}).Validate(); err == nil {
+		t.Error("Settings.Validate accepted an unknown ordering")
+	}
+	if err := (Settings{}).Validate(); err != nil {
+		t.Errorf("the zero Settings must validate: %v", err)
 	}
 }
 

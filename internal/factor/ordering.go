@@ -2,7 +2,6 @@ package factor
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/sparse"
 )
@@ -11,8 +10,14 @@ import (
 type Ordering int
 
 const (
+	// OrderAuto picks per matrix: a nested-dissection or RCM ordering when
+	// the pattern looks like a bounded-degree grid stencil (ND for large
+	// blocks, RCM for small ones), AMD otherwise. It is the zero value, so a
+	// zero Settings factorises under the policy the auto backend applies to
+	// every block it factorises sparsely.
+	OrderAuto Ordering = iota
 	// OrderNatural factorises the matrix as given.
-	OrderNatural Ordering = iota
+	OrderNatural
 	// OrderRCM applies the reverse Cuthill–McKee ordering first; on the grid
 	// Laplacians DTM tears apart this keeps the factor banded, so nnz(L) is
 	// O(n·bandwidth) instead of the O(n²) a bad ordering can fill in to.
@@ -27,11 +32,6 @@ const (
 	// fill and flops far below RCM's banded profile and yields the bushy
 	// elimination trees the supernodal subtree scheduler parallelises.
 	OrderND
-	// OrderAuto picks per matrix: a nested-dissection or RCM ordering when
-	// the pattern looks like a bounded-degree grid stencil (ND for large
-	// blocks, RCM for small ones), AMD otherwise. This is the policy the auto
-	// backend applies to every block it factorises sparsely.
-	OrderAuto
 )
 
 // String returns the ordering's short name as used in reports and tests.
@@ -69,32 +69,6 @@ func ParseOrdering(name string) (Ordering, error) {
 	default:
 		return 0, fmt.Errorf("factor: unknown ordering %q (have natural, rcm, amd, nd, auto)", name)
 	}
-}
-
-var (
-	ordMu           sync.RWMutex
-	defaultOrdering = OrderAuto
-)
-
-// DefaultOrdering returns the ordering the registered sparse backends use.
-func DefaultOrdering() Ordering {
-	ordMu.RLock()
-	defer ordMu.RUnlock()
-	return defaultOrdering
-}
-
-// SetDefaultOrdering changes the ordering every registered sparse backend
-// uses (the CLIs' -ordering flag steers every consumer at once, the same way
-// SetDefault steers the backend choice). Constructing a backend directly via
-// NewCholesky/NewLDLT/NewSupernodal still takes an explicit Ordering.
-func SetDefaultOrdering(o Ordering) error {
-	if o < OrderNatural || o > OrderAuto {
-		return fmt.Errorf("factor: unknown ordering %d", o)
-	}
-	ordMu.Lock()
-	defaultOrdering = o
-	ordMu.Unlock()
-	return nil
 }
 
 // OrderAuto policy thresholds. The 5-point and 7-point stencils of the grid

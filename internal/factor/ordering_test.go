@@ -79,37 +79,31 @@ func TestParseOrderingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSetDefaultOrderingSteersRegisteredBackends checks the CLI hook: after
-// SetDefaultOrdering(OrderND) the registry backends factorise under ND, and
-// the default restores to auto.
-func TestSetDefaultOrderingSteersRegisteredBackends(t *testing.T) {
-	if DefaultOrdering() != OrderAuto {
-		t.Fatalf("default ordering is %v at test start, want auto", DefaultOrdering())
-	}
-	if err := SetDefaultOrdering(OrderND); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := SetDefaultOrdering(OrderAuto); err != nil {
-			t.Fatal(err)
-		}
-	}()
+// TestSettingsOrderingSteersRegisteredBackends checks that the ordering a
+// Settings value carries reaches the registry backends, and that the next
+// factorisation — with a zero Settings — is back under auto: nothing
+// process-wide remembers the previous call.
+func TestSettingsOrderingSteersRegisteredBackends(t *testing.T) {
 	sys := sparse.Poisson2D(24, 24, 0.05)
-	s, err := New(SparseCholesky, sys.A)
+	s, err := Settings{Backend: SparseCholesky, Ordering: OrderND}.New(sys.A)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ord := s.(*Cholesky).Ordering(); ord != OrderND {
-		t.Errorf("sparse-cholesky factorised under %v after SetDefaultOrdering(nd)", ord)
+		t.Errorf("sparse-cholesky factorised under %v with Settings.Ordering = nd", ord)
 	}
-	sn, err := New(SparseSupernodal, sys.A)
+	sn, err := Settings{Backend: SparseSupernodal, Ordering: OrderND}.New(sys.A)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ord := sn.(*Supernodal).Ordering(); ord != OrderND {
-		t.Errorf("sparse-supernodal factorised under %v after SetDefaultOrdering(nd)", ord)
+		t.Errorf("sparse-supernodal factorised under %v with Settings.Ordering = nd", ord)
 	}
-	if err := SetDefaultOrdering(Ordering(99)); err == nil {
-		t.Error("SetDefaultOrdering accepted an unknown ordering")
+	after, err := New(SparseCholesky, sys.A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ord := after.(*Cholesky).Ordering(); ord != OrderRCM {
+		t.Errorf("a default factorisation after an nd one ran under %v, want auto's rcm", ord)
 	}
 }

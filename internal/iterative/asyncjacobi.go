@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/factor"
 	"repro/internal/netsim"
 	"repro/internal/partition"
 	"repro/internal/sparse"
@@ -31,9 +32,9 @@ type AsyncOptions struct {
 	RecordTrace bool
 	// ProcMap maps blocks to processors (identity when nil).
 	ProcMap []int
-	// LocalSolver selects the internal/factor backend the diagonal blocks are
-	// factorised with; empty selects the package default.
-	LocalSolver string
+	// Factor says how the diagonal blocks are factorised (the zero value is
+	// auto).
+	Factor factor.Settings
 }
 
 // AsyncTracePoint is one monitor sample of an asynchronous block-Jacobi run.
@@ -149,7 +150,7 @@ func AsyncBlockJacobi(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, 
 	if opts.Exact != nil && len(opts.Exact) != n {
 		return nil, fmt.Errorf("iterative: Exact has length %d, want %d", len(opts.Exact), n)
 	}
-	blocks, err := buildBlocks(a, b, assign, opts.LocalSolver)
+	blocks, err := buildBlocks(a, b, assign, opts.Factor)
 	if err != nil {
 		return nil, err
 	}

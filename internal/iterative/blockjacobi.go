@@ -33,10 +33,9 @@ type extCoupling struct {
 }
 
 // buildBlocks prepares the block-Jacobi data for every part of an assignment.
-// backend names the internal/factor backend that factorises every diagonal
-// block (empty for the package default, whose auto policy keeps the classic
-// Cholesky → LU fallback for non-SPD blocks).
-func buildBlocks(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, backend string) ([]*blockData, error) {
+// fs says how every diagonal block is factorised (the zero value is the auto
+// policy, which keeps the classic Cholesky → LU fallback for non-SPD blocks).
+func buildBlocks(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, fs factor.Settings) ([]*blockData, error) {
 	n := a.Rows()
 	if len(assign.Assign) != n {
 		return nil, fmt.Errorf("iterative: assignment covers %d vertices, matrix has %d", len(assign.Assign), n)
@@ -82,7 +81,7 @@ func buildBlocks(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, backe
 			})
 		}
 		local := coo.ToCSR()
-		solver, err := factor.New(backend, local)
+		solver, err := fs.New(local)
 		if err != nil {
 			return nil, fmt.Errorf("iterative: factorising diagonal block of part %d: %w", p, err)
 		}
@@ -129,7 +128,7 @@ func BlockJacobi(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, cfg C
 	if err := cfg.validate(n); err != nil {
 		return nil, Stats{}, err
 	}
-	blocks, err := buildBlocks(a, b, assign, cfg.LocalSolver)
+	blocks, err := buildBlocks(a, b, assign, cfg.Factor)
 	if err != nil {
 		return nil, Stats{}, err
 	}

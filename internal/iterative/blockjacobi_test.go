@@ -27,7 +27,7 @@ func TestBuildBlocksNonSPDBlockFallsBackToLU(t *testing.T) {
 	b := sparse.Vec{5, 4, 1, 1}
 	assign := partition.Strips(4, 2)
 
-	blocks, err := buildBlocks(a, b, assign, "")
+	blocks, err := buildBlocks(a, b, assign, factor.Settings{})
 	if err != nil {
 		t.Fatalf("buildBlocks with a non-SPD diagonal block: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestBlockJacobiExplicitBackends(t *testing.T) {
 	var ref sparse.Vec
 	for _, backend := range []string{factor.DenseCholesky, factor.SparseCholesky, factor.SparseLDLT, factor.SparseSupernodal, factor.Auto} {
 		x, st, err := BlockJacobi(sys.A, sys.B, assign, Config{
-			MaxIterations: 4000, Tol: 1e-10, LocalSolver: backend,
+			MaxIterations: 4000, Tol: 1e-10, Factor: factor.Settings{Backend: backend},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
@@ -73,20 +73,12 @@ func TestBlockJacobiExplicitBackends(t *testing.T) {
 		}
 	}
 
-	// The same sweep with the package default ordering forced to nested
-	// dissection: every sparse backend must still converge to the same
-	// solution (the ordering changes the factors, not the algebra).
-	if err := factor.SetDefaultOrdering(factor.OrderND); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := factor.SetDefaultOrdering(factor.OrderAuto); err != nil {
-			t.Fatal(err)
-		}
-	}()
+	// The same sweep with the ordering forced to nested dissection: every
+	// sparse backend must still converge to the same solution (the ordering
+	// changes the factors, not the algebra).
 	for _, backend := range []string{factor.SparseCholesky, factor.SparseSupernodal} {
 		x, st, err := BlockJacobi(sys.A, sys.B, assign, Config{
-			MaxIterations: 4000, Tol: 1e-10, LocalSolver: backend,
+			MaxIterations: 4000, Tol: 1e-10, Factor: factor.Settings{Backend: backend, Ordering: factor.OrderND},
 		})
 		if err != nil {
 			t.Fatalf("%s under nd ordering: %v", backend, err)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/factor"
 	"repro/internal/sparse"
 )
 
@@ -36,12 +37,10 @@ type Config struct {
 	Tol float64
 	// Exact, when non-nil, records an RMS-error trace.
 	Exact sparse.Vec
-	// LocalSolver selects the internal/factor backend the block methods
-	// factorise their diagonal blocks with ("dense-cholesky", "dense-lu",
-	// "sparse-cholesky", "sparse-ldlt", "sparse-supernodal" or "auto"); empty
-	// selects the package default. The point methods (Jacobi, Gauss-Seidel,
-	// SOR, CG) ignore it.
-	LocalSolver string
+	// Factor says how the block methods factorise their diagonal blocks
+	// (backend, ordering, optional cache; the zero value is auto). The point
+	// methods (Jacobi, Gauss-Seidel, SOR, CG) ignore it.
+	Factor factor.Settings
 }
 
 func (c Config) validate(n int) error {

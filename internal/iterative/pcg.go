@@ -70,7 +70,7 @@ type BlockJacobiPreconditioner struct {
 // NewBlockJacobiPreconditioner factorises the diagonal blocks induced by the
 // assignment.
 func NewBlockJacobiPreconditioner(a *sparse.CSR, assign partition.Assignment) (*BlockJacobiPreconditioner, error) {
-	blocks, err := buildBlocks(a, sparse.NewVec(a.Rows()), assign, "")
+	blocks, err := buildBlocks(a, sparse.NewVec(a.Rows()), assign, factor.Settings{})
 	if err != nil {
 		return nil, err
 	}

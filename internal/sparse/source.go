@@ -192,8 +192,7 @@ func floatField(dst *float64, lo, hi float64) kvField {
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // GridSource is the "grid:" scheme: the random grid-pattern SPD system of
-// RandomGridSPD, the paper's synthetic workload. It is the source legacy
-// grid specs canonicalise to.
+// RandomGridSPD, the paper's synthetic workload.
 type GridSource struct {
 	Rows, Cols int
 	Seed       int64

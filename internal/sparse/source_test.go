@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/geom"
 )
 
 // TestParseSourceCanonicalRoundTrip: every accepted spelling canonicalises
@@ -49,20 +51,20 @@ func TestParseSourceCanonicalRoundTrip(t *testing.T) {
 
 func TestParseSourceRejectsMalformed(t *testing.T) {
 	bad := []string{
-		"",                      // no scheme
-		"grid",                  // no colon
-		"nosuch:n=3",            // unknown scheme
-		"grid:rows",             // not key=value
-		"grid:rows=0",           // out of range
-		"grid:rows=99999999",    // over the side cap
-		"grid:bogus=1",          // unknown key
-		"saddle:gamma=-1",       // gamma must be positive
-		"saddle:gamma=nan",      // NaN rejected
-		"spanner:k=65",          // cone cap
-		"spanner:leak=0",        // leak must be positive
-		"mm:/tmp/a.mtx",         // missing hash
-		"mm:@0011223344556677",  // empty path
-		"mm:/tmp/a.mtx@123",     // hash too short
+		"",                               // no scheme
+		"grid",                           // no colon
+		"nosuch:n=3",                     // unknown scheme
+		"grid:rows",                      // not key=value
+		"grid:rows=0",                    // out of range
+		"grid:rows=99999999",             // over the side cap
+		"grid:bogus=1",                   // unknown key
+		"saddle:gamma=-1",                // gamma must be positive
+		"saddle:gamma=nan",               // NaN rejected
+		"spanner:k=65",                   // cone cap
+		"spanner:leak=0",                 // leak must be positive
+		"mm:/tmp/a.mtx",                  // missing hash
+		"mm:@0011223344556677",           // empty path
+		"mm:/tmp/a.mtx@123",              // hash too short
 		"mm:/tmp/a.mtx@zzzzzzzzzzzzzzzz", // not hex
 	}
 	for _, in := range bad {
@@ -240,8 +242,8 @@ func TestYaoSpannerLaplacianStructure(t *testing.T) {
 // directed picks themselves.
 func TestYaoSpannerOutDegreeBound(t *testing.T) {
 	const n, k = 80, 4
-	pts := yaoSpannerPoints(rand.New(rand.NewSource(11)), n)
-	for i, ps := range yaoSpannerPicks(pts, k) {
+	pts := geom.Points(rand.New(rand.NewSource(11)), n)
+	for i, ps := range geom.YaoPicks(pts, k) {
 		if len(ps) > k {
 			t.Fatalf("node %d has %d directed Yao picks, bound is k=%d", i, len(ps), k)
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/geom"
 )
 
 // This file generates Yao-spanner problem graphs: the weighted Laplacian of
@@ -12,146 +14,9 @@ import (
 // random points in the unit square. Unlike the grid workloads, the result is
 // irregular — no stencil, no natural row/column order — with bounded
 // per-node Yao out-degree, which stresses the AMD/ND orderings and the EVS
-// tearing in ways regular grids never do. The construction mirrors
-// topology.YaoMesh so a spanner problem can run on the matching spanner
-// fabric.
-
-// yaoSpannerPoints places n points uniformly in the unit square from one
-// sequential seeded stream (byte-deterministic at every GOMAXPROCS).
-func yaoSpannerPoints(rng *rand.Rand, n int) [][2]float64 {
-	pts := make([][2]float64, n)
-	for i := range pts {
-		pts[i] = [2]float64{rng.Float64(), rng.Float64()}
-	}
-	return pts
-}
-
-// yaoSpannerPicks returns each point's directed Yao picks: the nearest other
-// point within each of the k angular cones [2πc/k, 2π(c+1)/k), ties broken
-// toward the smaller index. Every point has at most k picks.
-func yaoSpannerPicks(pts [][2]float64, k int) [][]int {
-	n := len(pts)
-	picks := make([][]int, n)
-	for i := 0; i < n; i++ {
-		best := make([]int, k)
-		bestD := make([]float64, k)
-		for c := 0; c < k; c++ {
-			best[c] = -1
-			bestD[c] = math.Inf(1)
-		}
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			dx := pts[j][0] - pts[i][0]
-			dy := pts[j][1] - pts[i][1]
-			ang := math.Atan2(dy, dx)
-			if ang < 0 {
-				ang += 2 * math.Pi
-			}
-			c := int(ang / (2 * math.Pi / float64(k)))
-			if c >= k {
-				c = k - 1
-			}
-			if d := math.Hypot(dx, dy); d < bestD[c] {
-				bestD[c] = d
-				best[c] = j
-			}
-		}
-		for c := 0; c < k; c++ {
-			if best[c] >= 0 {
-				picks[i] = append(picks[i], best[c])
-			}
-		}
-	}
-	return picks
-}
-
-// yaoSpannerEdges symmetrises the picks into the undirected edge set
-// {i < j}, in lexicographic order, and patches connectivity: while more than
-// one component remains, the closest inter-component pair is linked (ties
-// toward smaller indices). Patching almost never fires for k ≥ 4 — it only
-// guards degenerate seeds — and keeps the graph solvable as one problem.
-func yaoSpannerEdges(pts [][2]float64, picks [][]int) [][2]int {
-	n := len(pts)
-	has := make([]map[int]bool, n)
-	for i := range has {
-		has[i] = make(map[int]bool)
-	}
-	addEdge := func(i, j int) {
-		has[i][j] = true
-		has[j][i] = true
-	}
-	for i, ps := range picks {
-		for _, j := range ps {
-			addEdge(i, j)
-		}
-	}
-	// Connected components by BFS over the symmetrised picks.
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	count := 0
-	for s := 0; s < n; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		queue := []int{s}
-		comp[s] = count
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for w := range has[v] {
-				if comp[w] < 0 {
-					comp[w] = count
-					queue = append(queue, w)
-				}
-			}
-		}
-		count++
-	}
-	for count > 1 {
-		bi, bj, bd := -1, -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if comp[i] == comp[j] {
-					continue
-				}
-				d := math.Hypot(pts[j][0]-pts[i][0], pts[j][1]-pts[i][1])
-				if d < bd {
-					bd, bi, bj = d, i, j
-				}
-			}
-		}
-		addEdge(bi, bj)
-		old, now := comp[bj], comp[bi]
-		for v := range comp {
-			if comp[v] == old {
-				comp[v] = now
-			}
-		}
-		count--
-	}
-	var edges [][2]int
-	for i := 0; i < n; i++ {
-		js := make([]int, 0, len(has[i]))
-		for j := range has[i] {
-			if j > i {
-				js = append(js, j)
-			}
-		}
-		for x := 1; x < len(js); x++ {
-			for y := x; y > 0 && js[y] < js[y-1]; y-- {
-				js[y], js[y-1] = js[y-1], js[y]
-			}
-		}
-		for _, j := range js {
-			edges = append(edges, [2]int{i, j})
-		}
-	}
-	return edges
-}
+// tearing in ways regular grids never do. The graph construction is
+// geom.YaoEdges, shared with topology.YaoMesh, so a spanner problem can run
+// on the matching spanner fabric.
 
 // YaoSpannerLaplacian returns the weighted Laplacian system of the Yao graph
 // over n seeded random points with k cones: edge {i,j} carries conductance
@@ -173,14 +38,12 @@ func YaoSpannerLaplacian(n, k int, seed int64, leak float64) System {
 		panic(fmt.Sprintf("sparse: YaoSpannerLaplacian leak must be >= 0, got %g", leak))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	pts := yaoSpannerPoints(rng, n)
-	edges := yaoSpannerEdges(pts, yaoSpannerPicks(pts, k))
+	pts := geom.Points(rng, n)
 	coo := NewCOO(n, n)
 	diag := make([]float64, n)
-	for _, e := range edges {
+	for _, e := range geom.YaoEdges(pts, k) {
 		i, j := e[0], e[1]
-		d := math.Hypot(pts[j][0]-pts[i][0], pts[j][1]-pts[i][1])
-		g := 1 / (0.1 + math.Sqrt(float64(n))*d)
+		g := 1 / (0.1 + math.Sqrt(float64(n))*geom.Dist(pts, i, j))
 		coo.AddSym(i, j, -g)
 		diag[i] += g
 		diag[j] += g

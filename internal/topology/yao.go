@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+
+	"repro/internal/geom"
 )
 
 // This file implements Yao-graph machine fabrics: processors placed at
@@ -16,145 +17,8 @@ import (
 // factor — which makes them a realistic irregular interconnect to contrast
 // with the paper's uniform and mesh machines. Link delays are proportional
 // to Euclidean distance, so the fabric's delay spread comes from the
-// geometry rather than from an explicit random delay table.
-
-// yaoPoints places n points uniformly in the unit square, deterministically
-// per seed (one sequential stream, independent of GOMAXPROCS).
-func yaoPoints(n int, seed int64) [][2]float64 {
-	rng := rand.New(rand.NewSource(seed))
-	pts := make([][2]float64, n)
-	for i := range pts {
-		pts[i] = [2]float64{rng.Float64(), rng.Float64()}
-	}
-	return pts
-}
-
-// yaoPicks returns, for each point, its directed Yao picks: the nearest
-// other point within each of the k angular cones [2πc/k, 2π(c+1)/k), ties
-// broken toward the smaller index. Every point has at most k picks.
-func yaoPicks(pts [][2]float64, k int) [][]int {
-	n := len(pts)
-	picks := make([][]int, n)
-	for i := 0; i < n; i++ {
-		best := make([]int, k)
-		bestD := make([]float64, k)
-		for c := 0; c < k; c++ {
-			best[c] = -1
-			bestD[c] = math.Inf(1)
-		}
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			dx := pts[j][0] - pts[i][0]
-			dy := pts[j][1] - pts[i][1]
-			ang := math.Atan2(dy, dx)
-			if ang < 0 {
-				ang += 2 * math.Pi
-			}
-			c := int(ang / (2 * math.Pi / float64(k)))
-			if c >= k { // ang == 2π after rounding
-				c = k - 1
-			}
-			if d := math.Hypot(dx, dy); d < bestD[c] {
-				bestD[c] = d
-				best[c] = j
-			}
-		}
-		for c := 0; c < k; c++ {
-			if best[c] >= 0 {
-				picks[i] = append(picks[i], best[c])
-			}
-		}
-	}
-	return picks
-}
-
-// yaoComponents labels the connected components of the undirected graph
-// given by the picks and returns (labels, count).
-func yaoComponents(n int, adj [][]int) ([]int, int) {
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	count := 0
-	for s := 0; s < n; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		queue := []int{s}
-		comp[s] = count
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range adj[v] {
-				if comp[w] < 0 {
-					comp[w] = count
-					queue = append(queue, w)
-				}
-			}
-		}
-		count++
-	}
-	return comp, count
-}
-
-// yaoPatchEdges returns the extra undirected edges needed to connect the
-// graph: while more than one component remains, the closest inter-component
-// point pair (ties toward smaller indices) is linked and the components
-// merged. On random points with k ≥ 4 the Yao graph is almost always already
-// connected and no patches are produced; the patching only guards degenerate
-// seeds, deterministically.
-func yaoPatchEdges(pts [][2]float64, adj [][]int) [][2]int {
-	n := len(pts)
-	comp, count := yaoComponents(n, adj)
-	var patches [][2]int
-	for count > 1 {
-		bi, bj, bd := -1, -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if comp[i] == comp[j] {
-					continue
-				}
-				d := math.Hypot(pts[j][0]-pts[i][0], pts[j][1]-pts[i][1])
-				if d < bd {
-					bd, bi, bj = d, i, j
-				}
-			}
-		}
-		patches = append(patches, [2]int{bi, bj})
-		old, now := comp[bj], comp[bi]
-		for v := range comp {
-			if comp[v] == old {
-				comp[v] = now
-			}
-		}
-		count--
-	}
-	return patches
-}
-
-// yaoUndirected symmetrises the picks into sorted adjacency lists.
-func yaoUndirected(n int, picks [][]int) [][]int {
-	seen := make([]map[int]bool, n)
-	for i := range seen {
-		seen[i] = make(map[int]bool)
-	}
-	for i, ps := range picks {
-		for _, j := range ps {
-			seen[i][j] = true
-			seen[j][i] = true
-		}
-	}
-	adj := make([][]int, n)
-	for i, m := range seen {
-		for j := range m {
-			adj[i] = append(adj[i], j)
-		}
-		sort.Ints(adj[i])
-	}
-	return adj
-}
+// geometry rather than from an explicit random delay table. The graph
+// construction is geom.YaoEdges, shared with sparse.YaoSpannerLaplacian.
 
 // YaoMesh returns an n-processor Yao-graph fabric: processors at seeded
 // random positions in the unit square, bidirectional links from each
@@ -178,23 +42,11 @@ func YaoMesh(n, k int, seed int64, baseDelay float64) *Topology {
 	if baseDelay <= 0 || math.IsNaN(baseDelay) {
 		panic(fmt.Sprintf("topology: YaoMesh baseDelay must be positive, got %g", baseDelay))
 	}
-	pts := yaoPoints(n, seed)
-	picks := yaoPicks(pts, k)
-	adj := yaoUndirected(n, picks)
+	pts := geom.Points(rand.New(rand.NewSource(seed)), n)
 	t := New(n, fmt.Sprintf("yao-%d-k%d-seed%d", n, k, seed))
-	linkDelay := func(i, j int) float64 {
-		d := math.Hypot(pts[j][0]-pts[i][0], pts[j][1]-pts[i][1])
-		return baseDelay * (0.1 + math.Sqrt(float64(n))*d)
-	}
-	for i, js := range adj {
-		for _, j := range js {
-			if i < j {
-				t.SetLinkPair(i, j, linkDelay(i, j), linkDelay(i, j))
-			}
-		}
-	}
-	for _, e := range yaoPatchEdges(pts, adj) {
-		t.SetLinkPair(e[0], e[1], linkDelay(e[0], e[1]), linkDelay(e[0], e[1]))
+	for _, e := range geom.YaoEdges(pts, k) {
+		d := baseDelay * (0.1 + math.Sqrt(float64(n))*geom.Dist(pts, e[0], e[1]))
+		t.SetLinkPair(e[0], e[1], d, d)
 	}
 	return t
 }

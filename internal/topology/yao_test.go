@@ -2,9 +2,12 @@ package topology
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/geom"
 )
 
 // TestYaoMeshConnectivity: every processor can reach every other processor
@@ -30,8 +33,8 @@ func TestYaoMeshConnectivity(t *testing.T) {
 // one neighbour per cone, so its directed out-degree is at most k.
 func TestYaoMeshOutDegree(t *testing.T) {
 	const n, k = 60, 5
-	pts := yaoPoints(n, 3)
-	picks := yaoPicks(pts, k)
+	pts := geom.Points(rand.New(rand.NewSource(3)), n)
+	picks := geom.YaoPicks(pts, k)
 	if len(picks) != n {
 		t.Fatalf("picks for %d nodes, want %d", len(picks), n)
 	}
