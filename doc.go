@@ -47,12 +47,12 @@
 //   - internal/core — the DTM solver itself behind the context-first
 //     core.Solve(ctx, p, cfg) entry point, whose Config selects the engine:
 //     the asynchronous DES engine (default), the live goroutine engine, the
-//     synchronous VTM special case and the mixed GALS variant; including the
-//     recovery protocol the engines run under injected faults: sequence
-//     numbers with last-writer-wins dedup, watchdog retransmission with
-//     backoff, and crash-restart from periodic snapshots (the live engine
-//     keeps that accounting on in every run — real goroutines delay and drop
-//     on their own);
+//     synchronous VTM special case and the mixed GALS variant; and
+//     core.Shard, the wave-reliability protocol as a pure state machine
+//     (sequence numbers with last-writer-wins dedup, needed/applied marks,
+//     watchdog re-announcement, epoch fences, the Quiescent stopping rule)
+//     that the live engine and the dist worker both drive, with the DES
+//     engine's own fault layer as the reference it is tested against;
 //   - internal/transport — the datagram fabric distributed DTM runs on: an
 //     in-process channel implementation and a length-prefixed binary TCP
 //     implementation with reconnect backoff, under one conformance-tested

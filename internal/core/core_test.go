@@ -5,10 +5,13 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/dtl"
 	"repro/internal/factor"
+	"repro/internal/graph"
 	"repro/internal/iterative"
+	"repro/internal/partition"
 	"repro/internal/sparse"
 	"repro/internal/spectral"
 	"repro/internal/topology"
@@ -401,6 +404,42 @@ func TestSolveDTMSingleSubdomainIsDirectSolve(t *testing.T) {
 	}
 	if res.Residual > 1e-10 {
 		t.Errorf("residual = %g", res.Residual)
+	}
+
+	// Two uncoupled blocks torn into two parts: no twin links, so every
+	// engine's answer is one direct solve per part, counted per part.
+	coo := sparse.NewCOO(6, 6)
+	for i := 0; i < 6; i++ {
+		coo.Add(i, i, 3)
+		if i%3 != 2 {
+			coo.AddSym(i, i+1, -1)
+		}
+	}
+	blocks := sparse.System{A: coo.ToCSR(), B: sparse.Vec{1, 2, 3, 4, 5, 6}, Name: "two blocks"}
+	g, err := graph.FromSystem(blocks.A, blocks.B)
+	if err != nil {
+		t.Fatalf("FromSystem: %v", err)
+	}
+	torn, err := partition.EVS(g, partition.Assignment{Parts: 2, Assign: []int{0, 0, 0, 1, 1, 1}}, partition.Options{})
+	if err != nil {
+		t.Fatalf("EVS: %v", err)
+	}
+	prob, err = NewProblem(blocks, torn, topology.Uniform(2, 10, "pair"), nil)
+	if err != nil {
+		t.Fatalf("NewProblem: %v", err)
+	}
+	for _, cfg := range []Config{
+		{Engine: EngineDES, MaxTime: 10},
+		{Engine: EngineMixed, MaxTime: 10, AsyncWindow: 5},
+		{Engine: EngineLive, CommonOptions: CommonOptions{MaxWallTime: time.Second}},
+	} {
+		res, err := Solve(context.Background(), prob, cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", cfg.Engine, err)
+		}
+		if !res.Converged || res.Solves != 2 || res.Messages != 0 || res.Residual > 1e-10 {
+			t.Errorf("%v: uncoupled parts must be solved once each, exactly: %+v", cfg.Engine, res)
+		}
 	}
 }
 

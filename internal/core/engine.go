@@ -13,13 +13,11 @@ import (
 // generic simulator as a value — no interface boxing — and its entries slice
 // is recycled through the engine's pool once the receiver has consumed it.
 //
-// from and seq exist for the fault layer: seq numbers the waves of each
-// directed part pair so receivers can discard duplicated or overtaken packets
-// (last-writer-wins), and from identifies the sender on transports that do not
-// carry it themselves (the live engine's channels). Fault-free DES runs leave
-// seq at zero and never consult either field.
+// seq exists for the fault layer: it numbers the waves of each directed part
+// pair so receivers can discard duplicated or overtaken packets
+// (last-writer-wins). Fault-free DES runs leave it at zero and never consult
+// it.
 type wavePacket struct {
-	from    int32
 	seq     uint64
 	entries []waveEntry
 }
@@ -453,7 +451,7 @@ func (n *dtmNode) packetsToAll(now float64, initial bool) []netsim.Outgoing[wave
 		for i, k := range toward {
 			n.lastSent[k] = entries[i].wave
 		}
-		pkt := wavePacket{from: int32(part), entries: entries}
+		pkt := wavePacket{entries: entries}
 		if f := n.eng.faults; f != nil {
 			pkt.seq = f.sendSeq(n.eng.pairID(part, remote))
 			n.wdBackoff[ai] = 0
@@ -476,22 +474,10 @@ func solveDES(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Degenerate case: a single subdomain (no twin links) is the whole system;
-	// one local solve is the exact answer.
-	if len(p.Partition.Links) == 0 {
-		eng := newEngine(p, cfg, subs)
-		for part, s := range subs {
-			s.Solve()
-			eng.solves++
-			eng.applyLocal(part)
-			eng.solvedOnce[part] = true
-			eng.lastChange[part] = 0
-		}
-		eng.record(0)
-		return finish(eng, zs, 0, 0, true), nil
-	}
-
 	eng := newEngine(p, cfg, subs)
+	if len(p.Partition.Links) == 0 {
+		return eng.solveUncoupled(zs), nil
+	}
 	compute := cfg.computeTimeFn(p)
 	dtmNodes := make([]*dtmNode, len(subs))
 	nodes := make([]netsim.Node[wavePacket], len(subs))
@@ -501,9 +487,7 @@ func solveDES(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	}
 	sim := netsim.New(nodes, func(from, to int) float64 { return p.Delay(from, to) })
 	if cfg.Faults.Enabled() {
-		if err := eng.initFaults(cfg.Faults); err != nil {
-			return nil, err
-		}
+		eng.initFaults(cfg.Faults)
 		sim.SetFaultPolicy(eng.faults.ctl.Fate)
 	}
 	for _, n := range dtmNodes {
@@ -529,6 +513,21 @@ func solveDES(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	return res, deadlineErr(ctx, cfg, eng.interrupted)
 }
 
+// solveUncoupled is the degenerate case of a partition with no twin links:
+// every subdomain is a whole system, and one local solve of each is the exact
+// answer.
+func (e *engine) solveUncoupled(zs []float64) *Result {
+	for part, s := range e.subs {
+		s.Solve()
+		e.solves++
+		e.applyLocal(part)
+		e.solvedOnce[part] = true
+		e.lastChange[part] = 0
+	}
+	e.record(0)
+	return finish(e, zs, 0, 0, true)
+}
+
 func finish(eng *engine, zs []float64, finalTime float64, deliveredMessages int, converged bool) *Result {
 	p := eng.prob
 	x := eng.x.Clone()
@@ -542,17 +541,7 @@ func finish(eng *engine, zs []float64, finalTime float64, deliveredMessages int,
 		Trace:      downsample(eng.trace, eng.cfg.TraceMaxPoints),
 		Impedances: zs,
 	}
-	if eng.exact != nil {
-		res.RMSError = x.RMSError(eng.exact)
-	} else {
-		res.RMSError = math.NaN()
-	}
-	r := p.System.A.Residual(x, p.System.B)
-	bn := p.System.B.Norm2()
-	if bn == 0 {
-		bn = 1
-	}
-	res.Residual = r.Norm2() / bn
+	res.measure(p, eng.exact)
 	if f := eng.faults; f != nil {
 		st := f.ctl.Stats()
 		fs := f.stats

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/chaos"
@@ -46,20 +45,10 @@ type faultState struct {
 	stats FaultStats
 }
 
-// initFaults attaches an enabled fault spec to the engine and validates that
-// the spec's part references exist in this partition.
-func (e *engine) initFaults(spec *chaos.Spec) error {
+// initFaults attaches an enabled fault spec (Config.validate has checked its
+// part references against the partition) to the engine.
+func (e *engine) initFaults(spec *chaos.Spec) {
 	n := len(e.subs)
-	for _, c := range spec.Crashes {
-		if c.Part >= n {
-			return fmt.Errorf("core: fault spec crashes part %d but the partition has only %d parts", c.Part, n)
-		}
-	}
-	for _, w := range spec.Down {
-		if w.From >= n || w.To >= n {
-			return fmt.Errorf("core: fault spec window %d>%d references a part outside the %d-part partition", w.From, w.To, n)
-		}
-	}
 	// The fault-mode SendThreshold default (Tol/100, floor 1e-12) is applied
 	// by Config.normalize — the single home of that rule for every engine.
 	e.faults = &faultState{
@@ -69,7 +58,6 @@ func (e *engine) initFaults(spec *chaos.Spec) error {
 		neededSeq:  make([]uint64, n*n),
 		appliedSeq: make([]uint64, n*n),
 	}
-	return nil
 }
 
 func (e *engine) pairID(from, to int) int { return from*len(e.subs) + to }
@@ -222,7 +210,7 @@ func (n *dtmNode) watchdogFired(now float64, ai int) []netsim.Outgoing[wavePacke
 	n.outs = n.outs[:0]
 	n.outs = append(n.outs, netsim.Outgoing[wavePacket]{
 		To:      n.adj[ai],
-		Payload: wavePacket{from: int32(part), seq: f.retransmitSeq(n.eng.pairID(part, n.adj[ai])), entries: entries},
+		Payload: wavePacket{seq: f.retransmitSeq(n.eng.pairID(part, n.adj[ai])), entries: entries},
 	})
 	return n.outs
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,6 +25,20 @@ func TestSolveLiveValidation(t *testing.T) {
 	}
 	if _, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{MaxWallTime: time.Second, Faults: &chaos.Spec{Drop: 2}}, Engine: EngineLive}); err == nil {
 		t.Errorf("an invalid fault spec must be rejected")
+	}
+	// A 4-part problem has no part 7 or 8: the crash would never fire, and
+	// the window would hold the stopping rule for its whole span.
+	for _, spec := range []string{"crash=7@10+5", "down=7>8@0:1e9"} {
+		faults, err := chaos.ParseSpec(spec)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", spec, err)
+		}
+		for _, engine := range []Engine{EngineLive, EngineDES} {
+			cfg := Config{CommonOptions: CommonOptions{MaxWallTime: time.Second, Faults: faults}, Engine: engine, MaxTime: 100}
+			if _, err := Solve(context.Background(), prob, cfg); err == nil || !strings.Contains(err.Error(), "partition") {
+				t.Errorf("engine %v accepted %q, which names a part outside the partition (err=%v)", engine, spec, err)
+			}
+		}
 	}
 }
 
@@ -165,8 +180,8 @@ func TestSolveLiveDeadlineExceeded(t *testing.T) {
 // TestSolveLiveFaultsRecover drives the live engine's whole fault path — real
 // dropped and duplicated channel sends, watchdog retransmissions, and one
 // crash-restart from a snapshot — at GOMAXPROCS=4, and checks the run still
-// lands on the DES engine's solution. Run it under -race: the fault machinery
-// (per-pair atomics, in-goroutine timers) is exactly the code this guards.
+// lands on the DES engine's solution. Run it under -race: the driver's shared
+// state (published shard states, in-goroutine timers) is what this guards.
 func TestSolveLiveFaultsRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live engine test skipped in -short mode")

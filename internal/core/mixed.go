@@ -17,22 +17,10 @@ func solveMixed(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	}
 	eng := newEngine(p, cfg, subs)
 	if cfg.Faults.Enabled() {
-		if err := eng.initFaults(cfg.Faults); err != nil {
-			return nil, err
-		}
+		eng.initFaults(cfg.Faults)
 	}
-
-	// Degenerate single-subdomain case: one solve is the answer.
 	if len(p.Partition.Links) == 0 {
-		for part, s := range subs {
-			s.Solve()
-			eng.solves++
-			eng.applyLocal(part)
-			eng.solvedOnce[part] = true
-			eng.lastChange[part] = 0
-		}
-		eng.record(0)
-		return finish(eng, zs, 0, 0, true), nil
+		return eng.solveUncoupled(zs), nil
 	}
 
 	syncCost := cfg.SyncSweepCost

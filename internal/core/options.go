@@ -71,19 +71,18 @@ type CommonOptions struct {
 	// Tol, when positive, stops the run early once the computation has
 	// quiesced in the distributed sense: every subdomain has solved at least
 	// once, the last local solve of every subdomain moved its boundary
-	// potentials by less than Tol, and the largest twin disagreement is below
-	// Tol. (The live engine checks, at every monitor poll, the twin gap and
-	// that every announced wave has been applied.)
+	// potentials by less than Tol, the largest twin disagreement is below
+	// Tol, and — wherever waves can be lost or late (an enabled fault spec,
+	// the live engine) — no announced wave is still unapplied or unsolved-for.
 	Tol float64
 
 	// SendThreshold suppresses messages to a neighbour when none of the waves
 	// toward it changed by more than this amount since the last send. Zero
 	// means every solve broadcasts to all neighbours (the paper's Table 1
 	// behaviour); a small positive value lets a converged computation go
-	// quiet on its own. Under an enabled fault spec, and always on the live
-	// engine, a zero threshold defaults to Tol/100 (1e-12 when Tol is zero):
-	// their stop rule waits for every state-bearing wave to be applied, and a
-	// network that re-announces sub-tolerance changes forever never drains.
+	// quiet on its own. Where the stop rule waits for the network to drain
+	// (see Tol) a zero threshold defaults to Tol/100 (1e-12 when Tol is
+	// zero): re-announcing sub-tolerance changes forever, it never would.
 	SendThreshold float64
 
 	// Exact, when non-nil, is the exact solution used for RMS-error traces.
@@ -106,7 +105,7 @@ type CommonOptions struct {
 	// last-writer-wins deduplication, watchdog retransmission, and periodic
 	// snapshots. DES runs stay byte-identical per Faults.Seed. A nil or
 	// disabled spec leaves every fault-path branch of the virtual-time
-	// engines off; the live engine keeps the recovery accounting on and
+	// engines off; the live engine runs its protocol (Shard) regardless and
 	// merely injects nothing.
 	Faults *chaos.Spec
 
@@ -185,12 +184,9 @@ func (c *Config) normalize() {
 		c.TraceMaxPoints = 2000
 	}
 	if (c.Faults.Enabled() || c.Engine == EngineLive) && c.SendThreshold == 0 {
-		// The stop rule of every faulted run, and of every live run, refuses
-		// to declare convergence while any state-bearing wave is unapplied,
-		// so quiescence requires the network to drain — impossible with a
-		// zero send threshold, which re-announces sub-tolerance changes after
-		// every solve forever. Two orders below the stopping tolerance, so
-		// suppression can never hold the twin gap above Tol.
+		// These stop rules wait for the network to drain (see SendThreshold).
+		// Two orders below the stopping tolerance, so suppression can never
+		// hold the twin gap above Tol.
 		c.SendThreshold = c.Tol / 100
 		if c.SendThreshold <= 0 {
 			c.SendThreshold = 1e-12
@@ -225,6 +221,22 @@ func (c *Config) validate(p *Problem) error {
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
+	}
+	if c.Faults != nil {
+		// A crash of a part the partition does not have would never fire, and
+		// a window on one would hold the stopping rule for its whole span
+		// with no link to act on.
+		n := p.Partition.NumParts()
+		for _, cr := range c.Faults.Crashes {
+			if cr.Part >= n {
+				return fmt.Errorf("core: fault spec crashes part %d but the partition has only %d parts", cr.Part, n)
+			}
+		}
+		for _, w := range c.Faults.Down {
+			if w.From >= n || w.To >= n {
+				return fmt.Errorf("core: fault spec window %d>%d references a part outside the %d-part partition", w.From, w.To, n)
+			}
+		}
 	}
 	if c.Faults.Enabled() && c.Engine == EngineVTM {
 		return fmt.Errorf("core: the VTM engine is a reliable synchronous baseline and does not take a fault spec")

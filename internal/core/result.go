@@ -75,6 +75,20 @@ type FaultStats struct {
 	Crashes, Restarts, Snapshots int
 }
 
+// measure fills in how good the assembled X is: the RMS error against the
+// exact solution (NaN when none was supplied) and the relative residual.
+func (r *Result) measure(p *Problem, exact sparse.Vec) {
+	r.RMSError = math.NaN()
+	if exact != nil {
+		r.RMSError = r.X.RMSError(exact)
+	}
+	bn := p.System.B.Norm2()
+	if bn == 0 {
+		bn = 1
+	}
+	r.Residual = p.System.A.Residual(r.X, p.System.B).Norm2() / bn
+}
+
 // ErrorAtTime returns the RMS error of the last trace point at or before the
 // given time (and the time of that point). It returns NaN when the trace is
 // empty or starts after t — callers use it to read "the error at t = 100 µs"

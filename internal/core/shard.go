@@ -1,0 +1,375 @@
+package core
+
+import (
+	"math"
+	"slices"
+
+	"repro/internal/partition"
+	"repro/internal/transport"
+)
+
+// Shard is the wave-reliability protocol of one member of a real-concurrency
+// DTM run: the parts it owns, the paper's per-processor loop over them
+// (Table 1: fold in whatever waves arrived, re-solve, announce) and the
+// recovery rules that make Theorem 6.1's self-stabilisation usable on a
+// network that loses, duplicates and reorders datagrams — per-pair sequence
+// numbers with last-writer-wins, needed/applied marks, threshold-suppressed
+// sends, watchdog re-announcement, epoch fences (DESIGN.md, "One
+// wave-reliability protocol", states the rules).
+//
+// It is a pure state machine: no clock, no goroutine, no transport. A driver
+// hands it received wave packets (Receive), tells it when to work
+// (SolveDirty), when its watchdog fired (Retransmit) and when ownership
+// changed (Adopt, Drop, Advance); what the shard wants to send to another
+// member leaves through emit. The live engine runs one single-part Shard per
+// goroutine, a dist worker one Shard for all its parts. Waves between two
+// parts of one shard are applied directly and carry no sequence numbers:
+// in-process delivery cannot lose anything. Not safe for concurrent use.
+type Shard struct {
+	self      int
+	owner     []int // part → member id, for every part of the problem
+	threshold float64
+	emit      func(to int, pkt transport.Packet)
+
+	parts []*shardPart // by part id; nil where another member owns the part
+	owned []int32      // ascending, so every sweep is deterministic
+	dirty []int32      // parts that applied a wave and await their solve, FIFO
+	dedup *transport.Dedup
+
+	solves, messages int
+}
+
+// shardPart is one owned part's protocol state. sentSeq and needed index the
+// subdomain's AdjacentParts: the newest sequence number assigned toward that
+// neighbour, and the newest one that announced changed state (a watchdog
+// retransmission gets a fresh number, so it beats older copies in flight,
+// but carries no news and must not hold the stopping rule if it is lost).
+type shardPart struct {
+	sub *Subdomain
+	// lastSent[k] is the wave last announced on end k (NaN when nothing has
+	// been announced since the last Wake); the send threshold compares
+	// against it, so a converged part goes quiet and the network can drain.
+	lastSent        []float64
+	sentSeq, needed []uint64
+	lastChange      float64
+	solvedOnce      bool
+}
+
+// PairSeq is one directed part pair's sequence-number mark.
+type PairSeq struct {
+	From int32  `json:"f"`
+	To   int32  `json:"t"`
+	Seq  uint64 `json:"s"`
+}
+
+// PartState is one owned part's convergence state.
+type PartState struct {
+	Part       int32     `json:"part"`
+	SolvedOnce bool      `json:"solvedOnce"`
+	LastChange float64   `json:"lastChange"` // largest port move of the last solve
+	Ports      []float64 `json:"ports"`
+}
+
+// ShardState is a consistent snapshot of what the stopping rule needs from
+// one shard. Parts ascend by part id; Needed and Applied follow the same
+// sweep (owned part, then neighbour, both ascending), so equal states encode
+// to equal bytes. The JSON form is the body of dist's status frame.
+type ShardState struct {
+	Solves   int         `json:"solves"`
+	Messages int         `json:"messages"`
+	Parts    []PartState `json:"parts"`
+	// Needed lists the outgoing cross-member pairs that have announced state,
+	// Applied the incoming ones that have folded some in.
+	Needed  []PairSeq `json:"needed,omitempty"`
+	Applied []PairSeq `json:"applied,omitempty"`
+	// Dirty counts owned parts whose Ports and LastChange are stale: they
+	// applied a wave (or were woken) and have not been re-solved yet.
+	Dirty int `json:"dirty,omitempty"`
+	// Fenced counts packets the epoch and incarnation fences discarded.
+	Fenced uint64 `json:"fenced,omitempty"`
+}
+
+// NewShard returns an empty shard for member self under the given ownership
+// map and epoch. Announcements are suppressed per neighbour while no wave
+// toward it has moved by more than sendThreshold since the last one.
+func NewShard(self int, owner []int, epoch uint32, sendThreshold float64, emit func(to int, pkt transport.Packet)) *Shard {
+	s := &Shard{
+		self: self, owner: owner, threshold: sendThreshold, emit: emit,
+		parts: make([]*shardPart, len(owner)),
+		dedup: transport.NewDedup(),
+	}
+	s.dedup.Advance(epoch)
+	return s
+}
+
+// Adopt adds a factorised subdomain. On the initial assignment snap is nil
+// and the part starts from the zero state of (5.6). A failover adopter passes
+// the last-known-good boundary snapshot (see Incoming), so recovery costs
+// what the snapshot is stale by, never a cold restart, and the part is solved
+// once off the books of the stopping rule: seeded, it jumps from zero to
+// (near) the fixed point, a huge last change that might never be measured
+// again because converged neighbours suppress their sends. A snapshot of the
+// wrong shape is ignored — one more transient for Theorem 6.1 to absorb.
+func (s *Shard) Adopt(sub *Subdomain, snap []float64) {
+	nAdj := len(sub.AdjacentParts())
+	p := &shardPart{
+		sub:      sub,
+		lastSent: make([]float64, len(sub.Ends())),
+		sentSeq:  make([]uint64, nAdj),
+		needed:   make([]uint64, nAdj),
+	}
+	p.forget()
+	s.parts[sub.Part()] = p
+	s.owned = append(s.owned, int32(sub.Part()))
+	slices.Sort(s.owned)
+	if snap != nil && len(snap) == len(sub.incoming) {
+		copy(sub.incoming, snap)
+		sub.Solve()
+		s.solves++
+	}
+}
+
+func (p *shardPart) forget() {
+	for i := range p.lastSent {
+		p.lastSent[i] = math.NaN()
+	}
+}
+
+// Drop forgets a part handed to another owner. It leaves the dirty queue
+// too: a pending solve must never reach a part that is gone.
+func (s *Shard) Drop(part int32) {
+	if s.Sub(part) == nil {
+		return
+	}
+	s.parts[part] = nil
+	gone := func(p int32) bool { return p == part }
+	s.owned = slices.DeleteFunc(s.owned, gone)
+	s.dirty = slices.DeleteFunc(s.dirty, gone)
+}
+
+// Sub returns an owned part's subdomain, nil when the part is not owned.
+func (s *Shard) Sub(part int32) *Subdomain {
+	if part < 0 || int(part) >= len(s.parts) || s.parts[part] == nil {
+		return nil
+	}
+	return s.parts[part].sub
+}
+
+// Owned lists the owned parts, ascending. The slice is the shard's own.
+func (s *Shard) Owned() []int32 { return s.owned }
+
+// Epoch is the ownership epoch the shard announces under and admits.
+func (s *Shard) Epoch() uint32 { return s.dedup.Epoch() }
+
+// Incoming returns a copy of an owned part's boundary state: the latest
+// incoming wave per DTL end, in end order. It is the complete recovery state
+// (the local solution is a pure function of it), and small.
+func (s *Shard) Incoming(part int32) []float64 {
+	return slices.Clone(s.parts[part].sub.incoming)
+}
+
+// Wake marks every owned part dirty and forgets what it last announced, so
+// each solves and then sends all its waves, whatever the threshold. It starts
+// the exchange (every part's first solve is against the zero incoming waves of
+// (5.6)), and restarts it after a crash-restart — a process with no memory of
+// what it sent — or an epoch change.
+func (s *Shard) Wake() {
+	for _, part := range s.owned {
+		s.parts[part].forget()
+		s.markDirty(part)
+	}
+}
+
+// Advance installs the ownership map of a newer epoch: packets of older
+// epochs are fenced from now on, the per-pair sequence numbers restart, and
+// every part wakes. An older or equal epoch is ignored.
+func (s *Shard) Advance(epoch uint32, owner []int) {
+	if epoch <= s.dedup.Epoch() {
+		return
+	}
+	s.owner = owner
+	s.dedup.Advance(epoch)
+	for _, part := range s.owned {
+		clear(s.parts[part].sentSeq)
+		clear(s.parts[part].needed)
+	}
+	s.Wake()
+}
+
+// Receive folds one wave packet into the part it is addressed to and marks
+// the part dirty. It reports false, having changed nothing but the fence
+// counter, when the part is not owned here or the packet is a duplicate,
+// overtaken, or fenced (transport.Dedup).
+func (s *Shard) Receive(pkt *transport.Packet) bool {
+	sub := s.Sub(pkt.ToPart)
+	if sub == nil || !s.dedup.Fresh(pkt) {
+		return false
+	}
+	for _, e := range pkt.Entries {
+		sub.SetIncomingByLink(int(e.LinkID), e.Wave)
+	}
+	s.markDirty(pkt.ToPart)
+	return true
+}
+
+func (s *Shard) markDirty(part int32) {
+	if !slices.Contains(s.dirty, part) {
+		s.dirty = append(s.dirty, part)
+	}
+}
+
+// SolveDirty solves the longest-waiting dirty part and announces its new
+// waves. It reports false when nothing was dirty.
+func (s *Shard) SolveDirty() bool {
+	if len(s.dirty) == 0 {
+		return false
+	}
+	part := s.dirty[0]
+	s.dirty = s.dirty[1:]
+	p := s.parts[part]
+	p.lastChange = p.sub.Solve()
+	p.solvedOnce = true
+	s.solves++
+	s.announce(part, false)
+	return true
+}
+
+// Retransmit is the watchdog sweep: re-announce every owned part's current
+// waves to its neighbours on other members.
+func (s *Shard) Retransmit() {
+	for _, part := range s.owned {
+		s.announce(part, true)
+	}
+}
+
+// announce sends part's outgoing waves, one packet per neighbouring part. A
+// retransmission always goes out, skips neighbours on this shard and leaves
+// needed alone; otherwise a neighbour toward which no wave moved beyond the
+// threshold is skipped. The baseline moves only on an actual send, so
+// sub-threshold drift cannot accumulate unannounced.
+func (s *Shard) announce(part int32, retransmit bool) {
+	p := s.parts[part]
+	ends := p.sub.Ends()
+	for ai, remote := range p.sub.AdjacentParts() {
+		local := s.owner[remote] == s.self
+		if retransmit && local {
+			continue
+		}
+		toward := p.sub.EndsTowards(remote)
+		entries := make([]transport.WaveEntry, 0, len(toward))
+		changed := retransmit
+		for _, k := range toward {
+			w := p.sub.OutgoingWave(k)
+			if !(math.Abs(w-p.lastSent[k]) <= s.threshold) {
+				changed = true
+			}
+			entries = append(entries, transport.WaveEntry{LinkID: int32(ends[k].LinkID), Wave: w})
+		}
+		if !changed {
+			continue
+		}
+		for i, k := range toward {
+			p.lastSent[k] = entries[i].Wave
+		}
+		s.messages++
+		if local {
+			dst := s.parts[remote].sub
+			for _, e := range entries {
+				dst.SetIncomingByLink(int(e.LinkID), e.Wave)
+			}
+			s.markDirty(int32(remote))
+			continue
+		}
+		p.sentSeq[ai]++
+		if !retransmit {
+			p.needed[ai] = p.sentSeq[ai]
+		}
+		s.emit(s.owner[remote], transport.Packet{
+			Kind: transport.KindWave, FromPart: part, ToPart: int32(remote),
+			Seq: p.sentSeq[ai], Epoch: s.dedup.Epoch(), Entries: entries,
+		})
+	}
+}
+
+// State snapshots the shard for the stopping rule.
+func (s *Shard) State() ShardState {
+	st := ShardState{
+		Solves: s.solves, Messages: s.messages,
+		Parts: make([]PartState, 0, len(s.owned)),
+		Dirty: len(s.dirty), Fenced: s.dedup.Fenced(),
+	}
+	for _, part := range s.owned {
+		p := s.parts[part]
+		st.Parts = append(st.Parts, PartState{
+			Part: part, SolvedOnce: p.solvedOnce, LastChange: p.lastChange,
+			Ports: slices.Clone(p.sub.x[:p.sub.numPorts]),
+		})
+		for ai, remote := range p.sub.AdjacentParts() {
+			if s.owner[remote] == s.self {
+				continue
+			}
+			rp := int32(remote)
+			if p.needed[ai] > 0 {
+				st.Needed = append(st.Needed, PairSeq{From: part, To: rp, Seq: p.needed[ai]})
+			}
+			if seq := s.dedup.Applied(rp, part); seq > 0 {
+				st.Applied = append(st.Applied, PairSeq{From: rp, To: part, Seq: seq})
+			}
+		}
+	}
+	return st
+}
+
+// Totals sums the states' work and fence counters.
+func Totals(states []ShardState) (solves, messages int, fenced uint64) {
+	for i := range states {
+		solves += states[i].Solves
+		messages += states[i].Messages
+		fenced += states[i].Fenced
+	}
+	return solves, messages, fenced
+}
+
+// Quiescent is the distributed stopping rule, evaluated on one state per
+// shard: every part has solved at least once, no last solve moved a port by
+// more than tol, every twin gap (the two port potentials across a DTLP) is
+// within tol, no shard has applied a wave it has not yet solved for, and
+// every announced sequence number has been applied by its receiver — the
+// network is drained. It also returns the two convergence measures; a link
+// whose part no state reports makes the gap infinite.
+func Quiescent(links []partition.TwinLink, tol float64, states []ShardState) (quiet bool, maxChange, gap float64) {
+	nParts := 0
+	for _, l := range links {
+		nParts = max(nParts, l.PartA+1, l.PartB+1)
+	}
+	ports := make([][]float64, nParts)
+	applied := make(map[[2]int32]uint64)
+	quiet = true
+	for i := range states {
+		quiet = quiet && states[i].Dirty == 0
+		for _, ps := range states[i].Parts {
+			quiet = quiet && ps.SolvedOnce
+			maxChange = math.Max(maxChange, ps.LastChange)
+			if ps.Part >= 0 && int(ps.Part) < nParts {
+				ports[ps.Part] = ps.Ports
+			}
+		}
+		for _, pr := range states[i].Applied {
+			applied[[2]int32{pr.From, pr.To}] = pr.Seq
+		}
+	}
+	for _, l := range links {
+		a, b := ports[l.PartA], ports[l.PartB]
+		if l.PortA >= len(a) || l.PortB >= len(b) {
+			gap = math.Inf(1)
+			break
+		}
+		gap = math.Max(gap, math.Abs(a[l.PortA]-b[l.PortB]))
+	}
+	for i := range states {
+		for _, nd := range states[i].Needed {
+			quiet = quiet && applied[[2]int32{nd.From, nd.To}] >= nd.Seq
+		}
+	}
+	return quiet && maxChange <= tol && gap <= tol, maxChange, gap
+}

@@ -1,0 +1,366 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/dtl"
+	"repro/internal/factor"
+	"repro/internal/iterative"
+	"repro/internal/sparse"
+	"repro/internal/topology"
+	"repro/internal/transport"
+)
+
+// The Shard property suite: N shards stepped on one goroutine by a seeded
+// scheduler that drops, duplicates, reorders and delays their packets and
+// interleaves Receive / SolveDirty / Retransmit / State in random order — no
+// clock, no goroutine, no transport, so every failure replays from its seed.
+// It is the deterministic generalisation of dist's stepped failover test:
+// midway one member dies and the survivors adopt its parts from its last
+// boundary snapshot under a new epoch, each learning of it at a different
+// step.
+
+const (
+	shardTol       = 1e-9
+	shardFaultEnd  = 4000  // step after which the network only delays
+	shardKillStep  = 1500  // step at which the victim dies (failover runs)
+	shardStepLimit = 60000 // liveness bound: quiescent by then, or fail
+)
+
+// shardHarness is the simulated network and scheduler around the shards.
+type shardHarness struct {
+	t      *testing.T
+	rng    *rand.Rand
+	p      *Problem
+	zs     []float64
+	exact  sparse.Vec
+	shards []*Shard // nil once dead
+	step   int
+	// inflight are the emitted packets not yet delivered.
+	inflight []flight
+	// reassignAt[i] is the step at which member i learns of the failover.
+	reassignAt []int
+	newOwner   []int
+	snaps      map[int32][]float64
+	// newest[(from,to,epoch)] is the newest sequence number applied on the
+	// pair — the harness's own last-writer-wins oracle.
+	newest map[[3]int64]uint64
+	trail  []byte // hash chain of every State() the scheduler sampled
+}
+
+type flight struct {
+	to  int
+	due int
+	pkt transport.Packet
+}
+
+func newShardHarness(t *testing.T, seed int64, nMembers int) *shardHarness {
+	t.Helper()
+	sys := sparse.RandomGridSPD(9, 6, 5)
+	p, err := GridProblem(sys, 9, 6, 3, 2, topology.Uniform(6, 10, "uniform"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, st, err := iterative.CG(sys.A, sys.B, iterative.Config{MaxIterations: 5000, Tol: 1e-13})
+	if err != nil || !st.Converged {
+		t.Fatalf("reference CG failed: %v", err)
+	}
+	zs, err := dtl.Assign(p.Partition, dtl.DiagScaled{Alpha: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &shardHarness{
+		t: t, rng: rand.New(rand.NewSource(seed)), p: p, zs: zs, exact: exact,
+		shards: make([]*Shard, nMembers), reassignAt: make([]int, nMembers),
+		newest: make(map[[3]int64]uint64),
+	}
+	nParts := p.Partition.NumParts()
+	owner := make([]int, nParts)
+	for part := range owner {
+		owner[part] = part * nMembers / nParts
+	}
+	for m := range h.shards {
+		h.shards[m] = NewShard(m, owner, 1, shardTol/100, h.emit)
+		for part, o := range owner {
+			if o == m {
+				h.shards[m].Adopt(h.subdomain(part), nil)
+			}
+		}
+		h.shards[m].Wake()
+	}
+	return h
+}
+
+func (h *shardHarness) subdomain(part int) *Subdomain {
+	sd, err := NewSubdomain(h.p.Partition.Subdomains[part], h.p.Partition.LinksOfPart(part), h.zs, factor.Settings{})
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	return sd
+}
+
+// emit is every shard's network: while faults last a packet may be dropped or
+// duplicated, and each copy is delayed by its own random number of steps, so
+// packets overtake each other.
+func (h *shardHarness) emit(to int, pkt transport.Packet) {
+	copies := 1
+	if h.step < shardFaultEnd {
+		switch r := h.rng.Float64(); {
+		case r < 0.2:
+			copies = 0
+		case r < 0.3:
+			copies = 2
+		}
+	}
+	for range copies {
+		h.inflight = append(h.inflight, flight{to: to, due: h.step + 1 + h.rng.Intn(40), pkt: pkt})
+	}
+}
+
+// deliver hands every due packet to its member and checks the receive-side
+// rules against the harness's own bookkeeping: a packet of another epoch is
+// never applied; within an epoch a packet is applied exactly when its
+// sequence number is the newest seen on its pair.
+func (h *shardHarness) deliver() {
+	keep := h.inflight[:0]
+	var due []flight
+	for _, f := range h.inflight {
+		if f.due <= h.step {
+			due = append(due, f)
+		} else {
+			keep = append(keep, f)
+		}
+	}
+	h.inflight = keep
+	h.rng.Shuffle(len(due), func(i, j int) { due[i], due[j] = due[j], due[i] })
+	for _, f := range due {
+		sh := h.shards[f.to]
+		if sh == nil {
+			continue // addressed to the dead member
+		}
+		pkt := f.pkt
+		key := [3]int64{int64(pkt.FromPart), int64(pkt.ToPart), int64(pkt.Epoch)}
+		want := pkt.Epoch == sh.Epoch() && sh.Sub(pkt.ToPart) != nil && pkt.Seq > h.newest[key]
+		before := incoming(sh, pkt.ToPart)
+		got := sh.Receive(&pkt)
+		if got != want {
+			h.t.Fatalf("step %d: Receive(%d→%d seq %d epoch %d) = %v at epoch %d with newest %d",
+				h.step, pkt.FromPart, pkt.ToPart, pkt.Seq, pkt.Epoch, got, sh.Epoch(), h.newest[key])
+		}
+		if got {
+			h.newest[key] = pkt.Seq
+		} else if after := incoming(sh, pkt.ToPart); !reflect.DeepEqual(before, after) {
+			h.t.Fatalf("step %d: a refused packet changed part %d's boundary state", h.step, pkt.ToPart)
+		}
+	}
+}
+
+// incoming is Shard.Incoming, nil for a part the shard does not own.
+func incoming(sh *Shard, part int32) []float64 {
+	if sh.Sub(part) == nil {
+		return nil
+	}
+	return sh.Incoming(part)
+}
+
+// kill removes the victim and schedules the survivors' reassignment: each
+// adopts its share of the orphaned parts, seeded from the victim's boundary
+// state at the moment of death, at its own random later step.
+func (h *shardHarness) kill(victim int) {
+	dead := h.shards[victim]
+	h.shards[victim] = nil
+	h.snaps = make(map[int32][]float64)
+	var alive []int
+	for m, sh := range h.shards {
+		if sh != nil {
+			alive = append(alive, m)
+			h.reassignAt[m] = h.step + 1 + h.rng.Intn(200)
+		}
+	}
+	h.newOwner = append([]int(nil), dead.owner...)
+	for _, part := range dead.Owned() {
+		h.snaps[part] = dead.Incoming(part)
+		h.newOwner[part] = alive[int(part)%len(alive)]
+	}
+}
+
+func (h *shardHarness) reassign(m int) {
+	sh := h.shards[m]
+	for part, o := range h.newOwner {
+		if o == m && sh.Sub(int32(part)) == nil {
+			sh.Adopt(h.subdomain(part), h.snaps[int32(part)])
+		}
+	}
+	sh.Advance(2, h.newOwner)
+	h.reassignAt[m] = 0
+}
+
+func (h *shardHarness) states() []ShardState {
+	var sts []ShardState
+	for _, sh := range h.shards {
+		if sh != nil {
+			sts = append(sts, sh.State())
+		}
+	}
+	return sts
+}
+
+// x assembles the owner values of every live member's parts.
+func (h *shardHarness) x() sparse.Vec {
+	x := sparse.NewVec(h.p.System.Dim())
+	pairs := h.p.OwnerPairs()
+	for _, sh := range h.shards {
+		if sh == nil {
+			continue
+		}
+		for _, part := range sh.Owned() {
+			for _, pair := range pairs[part] {
+				x[pair[1]] = sh.Sub(part).X()[pair[0]]
+			}
+		}
+	}
+	return x
+}
+
+// run steps the scheduler until the fleet is quiescent after the faults have
+// stopped, and returns the assembled solution and the State() trail as bytes.
+func (h *shardHarness) run(failover bool) []byte {
+	for h.step = 1; h.step <= shardStepLimit; h.step++ {
+		if failover && h.step == shardKillStep {
+			h.kill(len(h.shards) - 1)
+		}
+		for m, at := range h.reassignAt {
+			if at > 0 && at <= h.step {
+				h.reassign(m)
+			}
+		}
+		h.deliver()
+
+		m := h.rng.Intn(len(h.shards))
+		if sh := h.shards[m]; sh != nil {
+			switch r := h.rng.Float64(); {
+			case r < 0.6:
+				sh.SolveDirty()
+			case r < 0.7:
+				// (d) a retransmission never raises a needed mark.
+				before := sh.State().Needed
+				sh.Retransmit()
+				if after := sh.State().Needed; !reflect.DeepEqual(before, after) {
+					h.t.Fatalf("step %d: Retransmit moved the needed marks %v → %v", h.step, before, after)
+				}
+			default:
+				sum := fnv.New64a()
+				sum.Write(h.trail)
+				fmt.Fprintf(sum, "%d %+v", m, sh.State())
+				h.trail = sum.Sum(h.trail[:0])
+			}
+		}
+
+		// (a) the stopping rule never holds over a wrong answer or unsolved
+		// work, whatever the interleaving.
+		sts := h.states()
+		quiet, _, _ := Quiescent(h.p.Partition.Links, shardTol, sts)
+		if !quiet {
+			continue
+		}
+		for _, sh := range h.shards {
+			if sh != nil && len(sh.dirty) > 0 {
+				h.t.Fatalf("step %d: quiescent with parts %v applied but unsolved", h.step, sh.dirty)
+			}
+		}
+		x := h.x()
+		if d := x.MaxAbsDiff(h.exact); d > 1e-6 {
+			h.t.Fatalf("step %d: quiescent %g away from the solution", h.step, d)
+		}
+		if h.step > shardFaultEnd {
+			h.t.Logf("quiescent at step %d", h.step)
+			out := append([]byte(nil), h.trail...)
+			for _, v := range x {
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+			}
+			return out
+		}
+	}
+	// (b) once faults stop and retransmissions continue, quiescence is reached.
+	h.t.Fatalf("not quiescent %d steps after the faults stopped", shardStepLimit-shardFaultEnd)
+	return nil
+}
+
+// TestShardPropertiesUnderFaults runs the suite over several seeds, with and
+// without a mid-run failover.
+func TestShardPropertiesUnderFaults(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, failover := range []bool{false, true} {
+			t.Run(fmt.Sprintf("seed=%d/failover=%v", seed, failover), func(t *testing.T) {
+				newShardHarness(t, seed, 3).run(failover)
+			})
+		}
+	}
+}
+
+// TestShardDeterministicAcrossGOMAXPROCS: (c) the same seed gives a
+// byte-identical solution and State() sequence at GOMAXPROCS 1 and 4 — the
+// protocol has no map-iteration or scheduling dependence.
+func TestShardDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	one := newShardHarness(t, 42, 3).run(true)
+	again := newShardHarness(t, 42, 3).run(true)
+	runtime.GOMAXPROCS(4)
+	four := newShardHarness(t, 42, 3).run(true)
+	if !bytes.Equal(one, again) {
+		t.Fatal("the same seed gave different runs at GOMAXPROCS=1")
+	}
+	if !bytes.Equal(one, four) {
+		t.Fatal("the same seed gave different runs at GOMAXPROCS=1 and GOMAXPROCS=4")
+	}
+}
+
+// TestShardAdvanceFencesOlderEpochs: (d) after Advance every packet stamped
+// with an older epoch is refused and counted, and the sequence numbering
+// restarts, so the new epoch's first packet is applied.
+func TestShardAdvanceFencesOlderEpochs(t *testing.T) {
+	h := newShardHarness(t, 7, 2)
+	h.step = shardFaultEnd // a clean network: nothing is dropped
+	a, b := h.shards[0], h.shards[1]
+	for a.SolveDirty() {
+	}
+	if len(h.inflight) == 0 {
+		t.Fatal("member 0 announced nothing to member 1")
+	}
+	old := h.inflight[0].pkt
+	if old.Epoch != 1 || old.Seq != 1 {
+		t.Fatalf("first packet is epoch %d seq %d, want 1/1", old.Epoch, old.Seq)
+	}
+	owner := append([]int(nil), a.owner...)
+	b.Advance(2, owner)
+	if b.Receive(&old) {
+		t.Fatal("an epoch-1 packet was applied at epoch 2")
+	}
+	if got := b.State().Fenced; got != 1 {
+		t.Fatalf("fenced = %d, want 1", got)
+	}
+	b.Advance(1, owner) // an older epoch is ignored
+	if b.Epoch() != 2 {
+		t.Fatalf("Advance moved the epoch backwards to %d", b.Epoch())
+	}
+	h.inflight = nil
+	a.Advance(2, owner)
+	for a.SolveDirty() {
+	}
+	fresh := h.inflight[0].pkt
+	if fresh.Epoch != 2 || fresh.Seq != 1 {
+		t.Fatalf("after Advance the first packet is epoch %d seq %d, want 2/1", fresh.Epoch, fresh.Seq)
+	}
+	if !b.Receive(&fresh) {
+		t.Fatal("the new epoch's first packet was refused")
+	}
+}

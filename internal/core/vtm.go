@@ -17,7 +17,7 @@ func solveVTM(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	}
 
 	links := p.Partition.Links
-	res := &Result{Impedances: zs, RMSError: math.NaN()}
+	res := &Result{Impedances: zs}
 
 	assemble := func() sparse.Vec {
 		locals := make([]sparse.Vec, len(subs))
@@ -107,14 +107,6 @@ func solveVTM(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	res.X = assemble()
 	res.FinalTime = float64(res.Iterations)
 	res.TwinGap = twinGap()
-	if cfg.Exact != nil {
-		res.RMSError = res.X.RMSError(cfg.Exact)
-	}
-	r := p.System.A.Residual(res.X, p.System.B)
-	bn := p.System.B.Norm2()
-	if bn == 0 {
-		bn = 1
-	}
-	res.Residual = r.Norm2() / bn
+	res.measure(p, cfg.Exact)
 	return res, deadlineErr(ctx, cfg, interrupted)
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/partition"
 	"repro/internal/sparse"
 	"repro/internal/transport"
 )
@@ -198,9 +197,9 @@ type coordinator struct {
 	lastReassign *reassignMsg
 	reassignSent map[int]time.Time
 
-	// Round state: statuses collected for the in-flight poll, by worker.
+	// Round state: statuses collected for the in-flight poll, by worker; nil
+	// while no poll is in flight.
 	statuses map[int]*statusMsg
-	pollSent bool
 	// rejoins queues dead-declared members seen beating with a higher
 	// incarnation (recorded), to be re-admitted at the next epoch.
 	rejoins map[int]uint32
@@ -379,7 +378,7 @@ func (c *coordinator) await(ctx context.Context, want string, members []int, fn 
 func (c *coordinator) pollLoop(ctx context.Context) error {
 	stable := 0
 	round := 0
-	var lastFull []*statusMsg
+	var lastFull []core.ShardState
 	nextPoll := time.Now().Add(c.cfg.PollInterval)
 	for {
 		if ctx.Err() != nil {
@@ -390,13 +389,13 @@ func (c *coordinator) pollLoop(ctx context.Context) error {
 			if err := c.readmit(ctx, now); err != nil {
 				return err
 			}
-			stable, c.pollSent = 0, false
+			stable, c.statuses = 0, nil
 		}
 		if expired := c.ms.expired(now); len(expired) > 0 {
 			if err := c.failover(ctx, expired); err != nil {
 				return err
 			}
-			stable, c.pollSent = 0, false
+			stable, c.statuses = 0, nil
 		}
 		c.resendLagging(ctx, now)
 		if !now.Before(nextPoll) {
@@ -407,14 +406,10 @@ func (c *coordinator) pollLoop(ctx context.Context) error {
 			// Best-effort: a lost poll is re-sent next interval. Dead members
 			// are pinged too — a restarted process answers with hello and is
 			// re-admitted.
-			for _, w := range c.ms.alive() {
-				_ = sendCtrl(ctx, c.tr, w, &ctrlMsg{Type: msgStatusRq})
-			}
-			for _, w := range c.ms.dead() {
+			for _, w := range c.cfg.Workers {
 				_ = sendCtrl(ctx, c.tr, w, &ctrlMsg{Type: msgStatusRq})
 			}
 			c.statuses = make(map[int]*statusMsg, len(c.ms.alive()))
-			c.pollSent = true
 			nextPoll = now.Add(c.cfg.PollInterval)
 		}
 		rctx, cancel := context.WithDeadline(ctx, nextPoll)
@@ -439,15 +434,17 @@ func (c *coordinator) pollLoop(ctx context.Context) error {
 		if err := c.classify(int(pkt.From), m, time.Now()); err != nil {
 			return err
 		}
-		if !c.pollSent || !c.roundComplete() {
+		states := c.roundStates()
+		if states == nil {
 			continue
 		}
 		// Complete round: evaluate the stopping rule.
-		c.pollSent = false
+		c.statuses = nil
 		c.res.Polls++
-		statuses := c.sortedStatuses()
-		lastFull = statuses
-		if quiescent(c.p.Partition.Links, c.cfg.Tol, statuses, c.res) {
+		lastFull = states
+		var quiet bool
+		quiet, c.res.MaxLastChange, c.res.TwinGap = core.Quiescent(c.p.Partition.Links, c.cfg.Tol, states)
+		if quiet {
 			stable++
 			if stable >= c.cfg.StablePolls {
 				c.res.Converged = true
@@ -457,35 +454,23 @@ func (c *coordinator) pollLoop(ctx context.Context) error {
 			stable = 0
 		}
 	}
-	if lastFull != nil {
-		c.res.Solves, c.res.Messages, c.res.Fenced = 0, 0, 0
-		for _, st := range lastFull {
-			c.res.Solves += st.Solves
-			c.res.Messages += st.Messages
-			c.res.Fenced += st.Fenced
-		}
-	}
+	c.res.Solves, c.res.Messages, c.res.Fenced = core.Totals(lastFull)
 	return nil
 }
 
-// roundComplete reports whether every live worker has answered the in-flight
-// poll under the current epoch.
-func (c *coordinator) roundComplete() bool {
-	for _, w := range c.ms.alive() {
-		if c.statuses[w] == nil {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *coordinator) sortedStatuses() []*statusMsg {
+// roundStates returns the in-flight poll's shard states in member order, or
+// nil while no poll is in flight or a live worker has yet to answer it under
+// the current epoch.
+func (c *coordinator) roundStates() []core.ShardState {
 	workers := c.ms.alive()
-	statuses := make([]*statusMsg, 0, len(workers))
+	states := make([]core.ShardState, 0, len(workers))
 	for _, w := range workers {
-		statuses = append(statuses, c.statuses[w])
+		if c.statuses[w] == nil {
+			return nil
+		}
+		states = append(states, c.statuses[w].ShardState)
 	}
-	return statuses
+	return states
 }
 
 // failover declares the expired workers dead and moves their parts to the
@@ -578,59 +563,4 @@ func (c *coordinator) resendLagging(ctx context.Context, now time.Time) {
 		c.reassignSent[w] = now
 		_ = sendCtrl(ctx, c.tr, w, &ctrlMsg{Type: msgReassign, Reassign: c.lastReassign})
 	}
-}
-
-// quiescent evaluates the distributed stopping rule on one poll's statuses:
-// every part solved at least once, every last boundary change within Tol,
-// every twin gap (difference of the two port potentials across each DTLP)
-// within Tol, and every announced sequence number applied by its receiver —
-// the network is drained. It also records the poll's convergence measures in
-// res.
-func quiescent(links []partition.TwinLink, tol float64, statuses []*statusMsg, res *Result) bool {
-	ports := make(map[int32][]float64)
-	allSolved := true
-	maxChange := 0.0
-	applied := make(map[[2]int32]uint64)
-	for _, st := range statuses {
-		for _, ps := range st.Parts {
-			ports[ps.Part] = ps.Ports
-			if !ps.SolvedOnce {
-				allSolved = false
-			}
-			maxChange = math.Max(maxChange, ps.LastChange)
-		}
-		for _, pr := range st.Applied {
-			applied[[2]int32{pr.From, pr.To}] = pr.Seq
-		}
-	}
-	gap := twinGap(links, ports)
-	res.MaxLastChange, res.TwinGap = maxChange, gap
-	if !allSolved || maxChange > tol || !(gap <= tol) {
-		return false
-	}
-	for _, st := range statuses {
-		for _, nd := range st.Needed {
-			if applied[[2]int32{nd.From, nd.To}] < nd.Seq {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// twinGap computes the maximum absolute difference between the two port
-// potentials of every DTLP, from the per-part port vectors reported in the
-// statuses. A missing part makes the gap infinite (the poll raced a part
-// that has not reported yet).
-func twinGap(links []partition.TwinLink, ports map[int32][]float64) float64 {
-	gap := 0.0
-	for _, l := range links {
-		a, okA := ports[int32(l.PartA)]
-		b, okB := ports[int32(l.PartB)]
-		if !okA || !okB || l.PortA >= len(a) || l.PortB >= len(b) {
-			return math.Inf(1)
-		}
-		gap = math.Max(gap, math.Abs(a[l.PortA]-b[l.PortB]))
-	}
-	return gap
 }

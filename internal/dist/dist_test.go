@@ -6,10 +6,12 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/sparse"
 	"repro/internal/transport"
 )
@@ -155,15 +157,34 @@ func TestDistributedChanWithDropConverges(t *testing.T) {
 	checkAgainstOracle(t, res, quickSpec)
 }
 
+// recvGuard counts Recv calls that overlapped another one on the same member.
+type recvGuard struct {
+	transport.Transport
+	active, overlaps atomic.Int32
+}
+
+func (g *recvGuard) Recv(ctx context.Context) (transport.Packet, error) {
+	if g.active.Add(1) > 1 {
+		g.overlaps.Add(1)
+	}
+	defer g.active.Add(-1)
+	return g.Transport.Recv(ctx)
+}
+
 func TestWorkerServesMultipleSessions(t *testing.T) {
 	// A dtmd-style long-lived worker: two solves over the same worker
-	// processes, second session reuses the standing members.
+	// processes, second session reuses the standing members. Each worker
+	// must be its transport's only receiver throughout: a second one (a
+	// session's own pump outliving the session) swallows whatever it takes —
+	// the shutdown below, or the next assign.
 	members := chanFabric(t, 3)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
+	guards := make([]*recvGuard, 3)
 	for i := 1; i <= 2; i++ {
-		w := NewWorker(members[i])
+		guards[i] = &recvGuard{Transport: members[i]}
+		w := NewWorker(guards[i])
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -186,6 +207,14 @@ func TestWorkerServesMultipleSessions(t *testing.T) {
 		_ = sendCtrl(ctx, members[0], w, &ctrlMsg{Type: msgShutdown})
 	}
 	wg.Wait()
+	if ctx.Err() != nil {
+		t.Fatal("a worker missed its shutdown and ran into the deadline")
+	}
+	for _, g := range guards[1:] {
+		if n := g.overlaps.Load(); n != 0 {
+			t.Errorf("worker %d: %d Recv calls overlapped another receiver", g.Self(), n)
+		}
+	}
 }
 
 func TestContiguousOwner(t *testing.T) {
@@ -247,56 +276,67 @@ func TestSpecBuildDeterministic(t *testing.T) {
 }
 
 // TestQuiescentRules drives the stopping predicate directly through its edge
-// cases: unsolved part, in-flight sequence numbers, twin gap.
+// cases: unsolved part, in-flight sequence numbers, a dirty shard, twin gap.
 func TestQuiescentRules(t *testing.T) {
 	p, err := quickSpec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &Result{}
-	mk := func() []*statusMsg {
-		sts := []*statusMsg{{}}
+	links := p.Partition.Links
+	mk := func() []core.ShardState {
+		sts := []core.ShardState{{}}
 		for part := 0; part < p.Partition.NumParts(); part++ {
 			sub := p.Partition.Subdomains[part]
-			sts[0].Parts = append(sts[0].Parts, partStatus{
+			sts[0].Parts = append(sts[0].Parts, core.PartState{
 				Part: int32(part), SolvedOnce: true, Ports: make([]float64, sub.NumPorts),
 			})
 		}
 		return sts
 	}
+	quiescent := func(sts []core.ShardState) bool {
+		ok, _, _ := core.Quiescent(links, 1e-9, sts)
+		return ok
+	}
 
 	sts := mk()
-	if !quiescent(p.Partition.Links, 1e-9, sts, res) {
+	if !quiescent(sts) {
 		t.Fatal("all-zero converged state should be quiescent")
 	}
 	sts[0].Parts[0].SolvedOnce = false
-	if quiescent(p.Partition.Links, 1e-9, sts, res) {
+	if quiescent(sts) {
 		t.Fatal("unsolved part must block quiescence")
 	}
 
 	sts = mk()
 	sts[0].Parts[1].LastChange = 1e-3
-	if quiescent(p.Partition.Links, 1e-9, sts, res) {
-		t.Fatal("large boundary change must block quiescence")
+	if ok, maxChange, _ := core.Quiescent(links, 1e-9, sts); ok || maxChange != 1e-3 {
+		t.Fatalf("large boundary change must block quiescence and be reported: ok=%v maxChange=%g", ok, maxChange)
 	}
 
 	sts = mk()
-	sts[0].Needed = []pairSeq{{From: 0, To: 1, Seq: 5}}
-	sts[0].Applied = []pairSeq{{From: 0, To: 1, Seq: 4}}
-	if quiescent(p.Partition.Links, 1e-9, sts, res) {
+	sts[0].Needed = []core.PairSeq{{From: 0, To: 1, Seq: 5}}
+	sts[0].Applied = []core.PairSeq{{From: 0, To: 1, Seq: 4}}
+	if quiescent(sts) {
 		t.Fatal("in-flight sequence number must block quiescence")
 	}
 	sts[0].Applied[0].Seq = 5
-	if !quiescent(p.Partition.Links, 1e-9, sts, res) {
+	if !quiescent(sts) {
 		t.Fatal("drained network should be quiescent")
+	}
+	sts[0].Dirty = 1
+	if quiescent(sts) {
+		t.Fatal("a shard that applied a wave it has not solved for must block quiescence")
 	}
 
 	sts = mk()
-	if len(sts[0].Parts[0].Ports) > 0 {
-		sts[0].Parts[0].Ports[0] = 1e-3
-		if quiescent(p.Partition.Links, 1e-9, sts, res) {
-			t.Fatal("twin gap must block quiescence")
-		}
+	sts[0].Parts[0].Ports[0] = 1e-3
+	if ok, _, gap := core.Quiescent(links, 1e-9, sts); ok || gap != 1e-3 {
+		t.Fatalf("twin gap must block quiescence and be reported: ok=%v gap=%g", ok, gap)
+	}
+	sts = mk()
+	sts[0].Parts = sts[0].Parts[1:]
+	if ok, _, gap := core.Quiescent(links, 1e-9, sts); ok || !math.IsInf(gap, 1) {
+		t.Fatalf("a part nobody reports must make the gap infinite: ok=%v gap=%g", ok, gap)
 	}
 }
 

@@ -341,7 +341,7 @@ func runSteppedFailover(t *testing.T, nWorkers, victim, killRound int) []byte {
 	sessions := make([]*workerSession, nWorkers)
 	for i := 0; i < nWorkers; i++ {
 		w := NewWorker(members[i])
-		s, err := w.newSession(context.Background(), coord, steppedAssign(home))
+		s, err := w.newSession(context.Background(), coord, steppedAssign(home), nil)
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
@@ -349,10 +349,7 @@ func runSteppedFailover(t *testing.T, nWorkers, victim, killRound int) []byte {
 	}
 	for _, s := range sessions {
 		s.started = true
-		for _, part := range s.owned {
-			s.sendWaves(part, true, false)
-		}
-		s.markAllDirty()
+		s.shard.Wake()
 	}
 
 	// A cancelled context makes chan Recv a non-blocking drain.
@@ -396,13 +393,13 @@ func runSteppedFailover(t *testing.T, nWorkers, victim, killRound int) []byte {
 				if dead[i] || pkt.Kind != transport.KindWave {
 					continue
 				}
-				sessions[i].handleWave(&pkt)
+				sessions[i].shard.Receive(&pkt)
 				progress = true
 			}
 			if dead[i] {
 				continue
 			}
-			for sessions[i].solveDirty() {
+			for sessions[i].shard.SolveDirty() {
 				progress = true
 			}
 		}
@@ -417,8 +414,8 @@ func runSteppedFailover(t *testing.T, nWorkers, victim, killRound int) []byte {
 		if dead[i] {
 			continue
 		}
-		for _, part := range s.owned {
-			xl := s.subs[part].X()
+		for _, part := range s.shard.Owned() {
+			xl := s.shard.Sub(part).X()
 			for _, pair := range ownerPairs[part] {
 				x[pair[1]] = xl[pair[0]]
 			}
@@ -476,12 +473,12 @@ func TestFencingStaleEpochWaves(t *testing.T) {
 	}()
 	w := NewWorker(members[0])
 	owner := make([]int, quickSpec.Parts()) // all parts on worker 0
-	s, err := w.newSession(context.Background(), 1, steppedAssign(owner))
+	s, err := w.newSession(context.Background(), 1, steppedAssign(owner), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.started = true
-	sub := s.subs[0]
+	sub := s.shard.Sub(0)
 	link := int32(sub.Ends()[0].LinkID)
 	mk := func(epoch, inc uint32, seq uint64) *transport.Packet {
 		return &transport.Packet{
@@ -491,14 +488,23 @@ func TestFencingStaleEpochWaves(t *testing.T) {
 		}
 	}
 
-	s.handleWave(mk(0, 1, 1)) // stale epoch (session is at 1)
-	if got := s.dedup.Fenced(); got != 1 {
+	if s.shard.Receive(mk(0, 1, 1)) { // stale epoch (session is at 1)
+		t.Fatal("stale-epoch wave applied")
+	}
+	if got := s.status().Fenced; got != 1 {
 		t.Fatalf("stale-epoch wave not counted: fenced=%d", got)
 	}
-	s.handleWave(mk(1, 2, 1)) // fresh: incarnation 2 registers
-	s.handleWave(mk(1, 1, 9)) // zombie incarnation
-	if got := s.dedup.Fenced(); got != 2 {
+	if !s.shard.Receive(mk(1, 2, 1)) { // fresh: incarnation 2 registers
+		t.Fatal("fresh wave refused")
+	}
+	if s.shard.Receive(mk(1, 1, 9)) { // zombie incarnation
+		t.Fatal("zombie-incarnation wave applied")
+	}
+	if got := s.status().Fenced; got != 2 {
 		t.Fatalf("zombie-incarnation wave not counted: fenced=%d", got)
+	}
+	if got := sub.Incoming(0); got != 1 {
+		t.Fatalf("incoming wave = %g, want the one fresh packet's 1", got)
 	}
 
 	// Advance to epoch 2 via a reassign; yesterday's epoch is now fenced.
@@ -507,9 +513,8 @@ func TestFencingStaleEpochWaves(t *testing.T) {
 	if err := s.applyReassign(re); err != nil {
 		t.Fatal(err)
 	}
-	s.handleWave(mk(1, 2, 10))
-	if got := s.dedup.Fenced(); got != 3 {
-		t.Fatalf("post-reassign stale wave not counted: fenced=%d", got)
+	if s.shard.Receive(mk(1, 2, 10)) {
+		t.Fatal("post-reassign stale wave applied")
 	}
 	if st := s.status(); st.Fenced != 3 || st.Epoch != 2 {
 		t.Fatalf("status does not surface the fences: %+v", st)
@@ -529,7 +534,7 @@ func TestHeartbeatCarriesSnapshots(t *testing.T) {
 	w := NewWorker(members[0])
 	w.Incarnation = 7
 	owner := make([]int, quickSpec.Parts())
-	s, err := w.newSession(context.Background(), 1, steppedAssign(owner))
+	s, err := w.newSession(context.Background(), 1, steppedAssign(owner), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,15 +542,16 @@ func TestHeartbeatCarriesSnapshots(t *testing.T) {
 	if hb.Inc != 7 || hb.Epoch != 1 {
 		t.Fatalf("heartbeat identity wrong: %+v", hb)
 	}
-	if len(hb.Snaps) != len(s.owned) {
-		t.Fatalf("want %d snapshots, got %d", len(s.owned), len(hb.Snaps))
+	owned := s.shard.Owned()
+	if len(hb.Snaps) != len(owned) {
+		t.Fatalf("want %d snapshots, got %d", len(owned), len(hb.Snaps))
 	}
 	for i, sn := range hb.Snaps {
-		if sn.Part != s.owned[i] {
+		if sn.Part != owned[i] {
 			t.Fatalf("snapshot %d out of order: part %d", i, sn.Part)
 		}
-		if len(sn.Incoming) != len(s.subs[sn.Part].Ends()) {
-			t.Fatalf("snapshot %d has %d entries for %d ends", i, len(sn.Incoming), len(s.subs[sn.Part].Ends()))
+		if ends := s.shard.Sub(sn.Part).Ends(); len(sn.Incoming) != len(ends) {
+			t.Fatalf("snapshot %d has %d entries for %d ends", i, len(sn.Incoming), len(ends))
 		}
 	}
 }
@@ -675,12 +681,15 @@ func TestReassignDropsDirtyPart(t *testing.T) {
 	}()
 	w := NewWorker(members[0])
 	owner := make([]int, quickSpec.Parts()) // all parts on worker 0
-	s, err := w.newSession(context.Background(), 2, steppedAssign(owner))
+	s, err := w.newSession(context.Background(), 2, steppedAssign(owner), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.started = true
-	s.markAllDirty()
+	s.shard.Wake()
+	if d := s.status().Dirty; d != quickSpec.Parts() {
+		t.Fatalf("after boot %d parts are dirty, want all %d", d, quickSpec.Parts())
+	}
 
 	// Hand the last part to worker 1 while it is still dirty.
 	handed := int32(quickSpec.Parts() - 1)
@@ -691,14 +700,14 @@ func TestReassignDropsDirtyPart(t *testing.T) {
 	if err := s.applyReassign(re); err != nil {
 		t.Fatal(err)
 	}
-	if s.dirtySet[handed] {
-		t.Fatalf("part %d still in the dirty set after handback", handed)
+	if d := s.status().Dirty; d != quickSpec.Parts()-1 {
+		t.Fatalf("%d parts dirty after handback, want the %d kept ones", d, quickSpec.Parts()-1)
 	}
 	// Drain the whole dirty queue: no pop may name the handed part, and none
 	// may panic on a nil subdomain.
-	for s.solveDirty() {
+	for s.shard.SolveDirty() {
 	}
-	if _, ok := s.subs[handed]; ok {
+	if s.shard.Sub(handed) != nil {
 		t.Fatalf("part %d still torn after handback", handed)
 	}
 }
@@ -726,7 +735,7 @@ func TestWorkerDropsCorruptCtrl(t *testing.T) {
 	}()
 	w := NewWorker(members[0])
 	owner := make([]int, quickSpec.Parts())
-	s, err := w.newSession(context.Background(), 1, steppedAssign(owner))
+	s, err := w.newSession(context.Background(), 1, steppedAssign(owner), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -744,8 +753,8 @@ func TestWorkerDropsCorruptCtrl(t *testing.T) {
 	if err := s.applyReassign(re); err != nil {
 		t.Fatal(err)
 	}
-	if s.epoch != 1 || w.BadCtrl() != 5 {
-		t.Fatalf("malformed reassign applied: epoch=%d badCtrl=%d", s.epoch, w.BadCtrl())
+	if s.shard.Epoch() != 1 || w.BadCtrl() != 5 {
+		t.Fatalf("malformed reassign applied: epoch=%d badCtrl=%d", s.shard.Epoch(), w.BadCtrl())
 	}
 }
 

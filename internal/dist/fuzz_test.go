@@ -38,7 +38,7 @@ func FuzzCtrlMsg(f *testing.F) {
 	sess, err := w.newSession(context.Background(), 0, &assignMsg{
 		Spec: quickSpec, Owner: []int{1, 1, 1, 1}, Tol: 1e-9,
 		SendThreshold: 1e-11, WatchdogMS: 1000, HeartbeatMS: 1000, Epoch: 1,
-	})
+	}, nil)
 	if err != nil {
 		f.Fatalf("session: %v", err)
 	}
@@ -51,7 +51,7 @@ func FuzzCtrlMsg(f *testing.F) {
 		defer mu.Unlock()
 		pkt := transport.Packet{Kind: transport.KindControl, From: 0, Ctrl: data}
 		before := w.BadCtrl()
-		epochBefore := sess.epoch
+		epochBefore := sess.shard.Epoch()
 		_, derr := decodeCtrl(&pkt)
 		if _, herr := sess.handle(&pkt); herr != nil && herr != transport.ErrClosed {
 			t.Fatalf("handle returned unexpected error: %v", herr)
@@ -59,8 +59,8 @@ func FuzzCtrlMsg(f *testing.F) {
 		if derr != nil && w.BadCtrl() != before+1 {
 			t.Fatalf("corrupt ctrl not counted: BadCtrl %d -> %d", before, w.BadCtrl())
 		}
-		if derr != nil && sess.epoch != epochBefore {
-			t.Fatalf("corrupt ctrl advanced epoch %d -> %d", epochBefore, sess.epoch)
+		if derr != nil && sess.shard.Epoch() != epochBefore {
+			t.Fatalf("corrupt ctrl advanced epoch %d -> %d", epochBefore, sess.shard.Epoch())
 		}
 		for {
 			if _, err := net[0].Recv(drainCtx); err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/transport"
 )
 
@@ -28,10 +29,9 @@ import (
 //
 // Failover extends the lifecycle with three messages. Workers in a session
 // send periodic heartbeats carrying their incarnation, their ownership
-// epoch, their applied/needed sequence frontiers and a boundary-state
-// snapshot of every owned part; the coordinator grants each worker a lease
-// renewed by any sign of life and declares it dead after the (jittered)
-// lease lapses. On death it broadcasts a fenced reassign: a higher epoch, a
+// epoch and a boundary-state snapshot of every owned part; the coordinator
+// grants each worker a lease renewed by any sign of life and declares it
+// dead after the (jittered) lease lapses. On death it broadcasts a fenced reassign: a higher epoch, a
 // deterministically re-derived ownership map, and the last-known-good
 // snapshots of the reassigned parts, so survivors adopt the dead worker's
 // subdomains and resume from the freshest reported boundary state. An idle
@@ -99,15 +99,13 @@ type partSnap struct {
 }
 
 // heartbeatMsg is a worker's periodic liveness beat: its incarnation, the
-// epoch it operates under, its sequence frontiers and the boundary snapshots
-// the coordinator retains as last-known-good recovery state. An idle worker
-// sends it with Epoch 0 as a hello (re-registration).
+// epoch it operates under and the boundary snapshots the coordinator retains
+// as last-known-good recovery state. An idle worker sends it with Epoch 0 as
+// a hello (re-registration).
 type heartbeatMsg struct {
-	Inc     uint32     `json:"inc"`
-	Epoch   uint32     `json:"epoch"`
-	Needed  []pairSeq  `json:"needed,omitempty"`
-	Applied []pairSeq  `json:"applied,omitempty"`
-	Snaps   []partSnap `json:"snaps,omitempty"`
+	Inc   uint32     `json:"inc"`
+	Epoch uint32     `json:"epoch"`
+	Snaps []partSnap `json:"snaps,omitempty"`
 }
 
 // reassignMsg is the fenced ownership change of one failover or rejoin
@@ -120,37 +118,17 @@ type reassignMsg struct {
 	Snaps  []partSnap `json:"snaps,omitempty"`
 }
 
-// pairSeq reports one directed part pair's recovery state.
-type pairSeq struct {
-	From int32  `json:"f"`
-	To   int32  `json:"t"`
-	Seq  uint64 `json:"s"`
-}
-
-// partStatus is one owned part's convergence state.
-type partStatus struct {
-	Part       int32     `json:"part"`
-	SolvedOnce bool      `json:"solvedOnce"`
-	LastChange float64   `json:"lastChange"`
-	Ports      []float64 `json:"ports"`
-}
-
-// statusMsg is a worker's poll reply. The coordinator joins Needed (sender
-// side) against Applied (receiver side) across workers to decide whether any
-// announced state is still in flight — the distributed pendingPairs check.
+// statusMsg is a worker's poll reply: its shard's state — per-part
+// convergence state, the needed/applied sequence frontiers the coordinator
+// joins across workers (core.Quiescent), the dirty count, the work and fence
+// counters — stamped by the session.
 type statusMsg struct {
-	Solves   int          `json:"solves"`
-	Messages int          `json:"messages"`
-	Parts    []partStatus `json:"parts"`
-	Needed   []pairSeq    `json:"needed,omitempty"`
-	Applied  []pairSeq    `json:"applied,omitempty"`
+	core.ShardState
 	// Inc and Epoch identify which life and ownership map produced this
 	// status; the coordinator discards statuses from stale epochs.
 	Inc   uint32 `json:"inc"`
 	Epoch uint32 `json:"epoch"`
-	// Fenced counts wave packets dropped by the epoch/incarnation fences;
 	// BadCtrl counts malformed control frames dropped by this worker.
-	Fenced  uint64 `json:"fenced,omitempty"`
 	BadCtrl uint64 `json:"badCtrl,omitempty"`
 }
 

@@ -3,12 +3,11 @@
 // retained as the deterministic oracle.
 //
 // The design exploits the paper's structure directly. DTM needs only
-// unreliable neighbour-to-neighbour wave messages, so the data plane is the
-// DES engine's wavePacket shape (link id + wave value, sequence-numbered per
-// directed part pair) carried verbatim by the transport, with the PR 6
-// recovery protocol on top: last-writer-wins deduplication at the receiver
-// and periodic watchdog retransmission at the sender, so dropped packets and
-// broken connections cost time, never correctness (Theorem 6.1
+// unreliable neighbour-to-neighbour wave messages, so the data plane is wave
+// packets (link id + wave value, sequence-numbered per directed part pair)
+// carried verbatim by the transport, under the core.Shard protocol — the
+// same state machine the live engine drives — so dropped packets and broken
+// connections cost time, never correctness (Theorem 6.1
 // self-stabilisation). And because the tearing is deterministic —
 // partitioning, impedance assignment and local factorisation depend only on
 // the SpecV2 — workers do not ship matrices: every member re-tears the
@@ -17,9 +16,8 @@
 //
 // Roles: one coordinator (Coordinate) assigns a contiguous range of
 // subdomains to each worker (Worker.Run), polls statuses until the
-// distributed stopping rule holds — every part solved, boundary changes and
-// twin gaps below Tol, and every announced sequence number applied, stable
-// across consecutive polls — then gathers the owner fragments of X.
+// distributed stopping rule (core.Quiescent) holds, stable across consecutive
+// polls, then gathers the owner fragments of X.
 package dist
 
 import (

@@ -59,7 +59,7 @@ func TestLegacySpecRefused(t *testing.T) {
 	members := transport.NewChanNetwork(2)
 	defer members[0].Close()
 	defer members[1].Close()
-	_, err = NewWorker(members[1]).newSession(context.Background(), 0, &assignMsg{Spec: s, Owner: []int{1, 1, 1, 1}, Tol: 1e-6})
+	_, err = NewWorker(members[1]).newSession(context.Background(), 0, &assignMsg{Spec: s, Owner: []int{1, 1, 1, 1}, Tol: 1e-6}, nil)
 	if err == nil || !strings.Contains(err.Error(), "no problem source") {
 		t.Fatalf("worker assign err = %v, want the no-problem-source refusal", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -17,13 +16,12 @@ import (
 // Worker owns a group of subdomains in a distributed run: it factorises them
 // once on assignment, then reacts to whatever waves arrive — solve, announce,
 // repeat — with no synchronisation, exactly the per-processor loop of
-// Table 1 in the paper. Waves between two parts of the same worker are
-// applied in-process; waves to remote parts ride the transport with
-// sequence numbers, and a periodic watchdog re-announces the current waves
-// so losses cost time, not correctness.
+// Table 1 in the paper. That loop and its reliability protocol are a
+// core.Shard; the worker drives it from the transport, a watchdog ticker and
+// the coordinator's control messages.
 //
-// Failover: an in-session worker heartbeats its incarnation, epoch,
-// sequence frontiers and per-part boundary snapshots to the coordinator;
+// Failover: an in-session worker heartbeats its incarnation, epoch and
+// per-part boundary snapshots to the coordinator;
 // when a peer dies the coordinator broadcasts a fenced reassign and the
 // worker adopts its share of the orphaned parts, re-tearing them from the
 // spec and seeding them from the last-known-good snapshot. An idle worker
@@ -45,6 +43,9 @@ type Worker struct {
 	FactorCache *factor.Cache
 
 	badCtrl atomic.Uint64
+	// rx carries everything Run's receive pump takes off the transport, to
+	// the idle loop and to the session in progress alike.
+	rx chan transport.Packet
 }
 
 // NewWorker wraps a transport member into a worker (incarnation 1).
@@ -66,13 +67,37 @@ func (w *Worker) logf(format string, args ...any) {
 // factorisation across solves. A reassign addressed to an idle worker (the
 // rejoin path) starts a mid-solve session directly.
 func (w *Worker) Run(ctx context.Context) error {
+	// Pump receives into a channel, so a session's loop can select over its
+	// timers. One pump serves the worker's whole life: a pump per session
+	// would go on taking packets off the transport after its session ended,
+	// and a shutdown (or the next assign) swallowed that way is never seen.
+	pumpCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	rx := make(chan transport.Packet, 1024) // a burst of waves from every neighbour
+	w.rx = rx
+	var pumpErr error
+	go func() {
+		defer close(rx)
+		for {
+			pkt, err := w.tr.Recv(pumpCtx)
+			if err != nil {
+				pumpErr = err
+				return
+			}
+			select {
+			case rx <- pkt:
+			case <-pumpCtx.Done():
+				return
+			}
+		}
+	}()
 	for {
-		pkt, err := w.tr.Recv(ctx)
-		if err != nil {
-			if errors.Is(err, transport.ErrClosed) || ctx.Err() != nil {
+		pkt, ok := <-rx
+		if !ok {
+			if errors.Is(pumpErr, transport.ErrClosed) || ctx.Err() != nil {
 				return nil
 			}
-			return err
+			return pumpErr
 		}
 		if pkt.Kind != transport.KindControl {
 			continue // stray wave from a finished session
@@ -123,7 +148,9 @@ func (w *Worker) serve(ctx context.Context, coord int, a *assignMsg, re *reassig
 // starts mid-solve from a reassign (rejoin): no ready handshake, solving
 // begins immediately from the carried snapshots.
 func (w *Worker) session(ctx context.Context, coord int, a *assignMsg, re *reassignMsg) error {
+	var snaps []partSnap
 	if re != nil {
+		snaps = re.Snaps
 		// Renew the lease before tearing and factorising: a rejoining worker
 		// rebuilds the whole problem from the spec, which can outlast a lease
 		// on a slow machine, and being re-declared dead for doing the
@@ -131,15 +158,13 @@ func (w *Worker) session(ctx context.Context, coord int, a *assignMsg, re *reass
 		_ = sendCtrl(ctx, w.tr, coord, &ctrlMsg{Type: msgHeartbeat,
 			HB: &heartbeatMsg{Inc: w.Incarnation, Epoch: re.Epoch}})
 	}
-	s, err := w.newSession(ctx, coord, a)
+	s, err := w.newSession(ctx, coord, a, snaps)
 	if err != nil {
 		return err
 	}
 	if re != nil {
-		s.restoreSnaps(re.Snaps)
-		s.warmup(s.owned)
 		s.started = true
-		s.markAllDirty()
+		s.shard.Wake()
 		s.sendHeartbeat()
 	} else if err := sendCtrlRetry(ctx, w.tr, coord, &ctrlMsg{Type: msgReady}); err != nil {
 		return err
@@ -147,10 +172,11 @@ func (w *Worker) session(ctx context.Context, coord int, a *assignMsg, re *reass
 	return s.run()
 }
 
-// newSession tears the spec, factorises the owned subdomains and builds the
-// per-assignment solve state (it performs no network handshake — session
-// and the stepped tests drive that).
-func (w *Worker) newSession(ctx context.Context, coord int, a *assignMsg) (*workerSession, error) {
+// newSession tears the spec, factorises the owned subdomains (seeding them
+// from snaps, which a rejoin carries) and builds the per-assignment solve
+// state. It performs no network handshake — session and the stepped tests
+// drive that.
+func (w *Worker) newSession(ctx context.Context, coord int, a *assignMsg, snaps []partSnap) (*workerSession, error) {
 	self := w.tr.Self()
 	p, err := a.Spec.Build()
 	if err != nil {
@@ -164,35 +190,20 @@ func (w *Worker) newSession(ctx context.Context, coord int, a *assignMsg) (*work
 	if err != nil {
 		return nil, err
 	}
-	s := &workerSession{
-		w: w, ctx: ctx, coord: coord, a: a, p: p, self: self, zs: zs,
-		epoch:      a.Epoch,
-		subs:       make(map[int32]*core.Subdomain),
-		dedup:      transport.NewDedup(),
-		sentSeq:    make(map[[2]int32]uint64),
-		needed:     make(map[[2]int32]uint64),
-		lastSent:   make(map[int32][]float64),
-		lastChange: make(map[int32]float64),
-		solvedOnce: make(map[int32]bool),
+	s := &workerSession{w: w, ctx: ctx, coord: coord, a: a, p: p, self: self, zs: zs}
+	s.shard = core.NewShard(self, a.Owner, a.Epoch, a.SendThreshold, s.send)
+	if err := s.own(a.Owner, snaps); err != nil {
+		return nil, err
 	}
-	s.dedup.Advance(a.Epoch)
-	// Factorise only the owned subdomains — the whole point of sharding.
-	for part := 0; part < nParts; part++ {
-		if a.Owner[part] != self {
-			continue
-		}
-		if err := s.adopt(int32(part)); err != nil {
-			return nil, err
-		}
-	}
-	if len(s.owned) == 0 {
+	if len(s.shard.Owned()) == 0 {
 		return nil, fmt.Errorf("dist: worker %d owns no parts", self)
 	}
-	w.logf("worker %d (inc %d): owns parts %v (%d unknowns total)", self, w.Incarnation, s.owned, p.System.Dim())
+	w.logf("worker %d (inc %d): owns parts %v (%d unknowns total)", self, w.Incarnation, s.shard.Owned(), p.System.Dim())
 	return s, nil
 }
 
-// workerSession is the per-assignment solve state.
+// workerSession is the per-assignment state: the control plane around one
+// core.Shard, which carries the solve loop and the wave-reliability protocol.
 type workerSession struct {
 	w     *Worker
 	ctx   context.Context
@@ -202,307 +213,65 @@ type workerSession struct {
 	self  int
 	zs    []float64
 
-	epoch   uint32
 	started bool
-
-	subs  map[int32]*core.Subdomain
-	owned []int32
-
-	dedup   *transport.Dedup
-	sentSeq map[[2]int32]uint64 // outgoing cross-member pair → last assigned seq
-	needed  map[[2]int32]uint64 // outgoing cross-member pair → newest state-bearing seq
-	// lastSent[part][endIdx] is the wave last announced on that end (NaN
-	// before the first send); the send threshold compares against it so a
-	// converged shard goes quiet and the network can drain.
-	lastSent   map[int32][]float64
-	lastChange map[int32]float64
-	solvedOnce map[int32]bool
-
-	solves   int
-	messages int
-
-	dirty    []int32
-	dirtySet map[int32]bool
+	shard   *core.Shard
 }
 
-// adopt builds and factorises one subdomain into the session (initial
-// assignment and failover adoption share it). The ownership maps must
-// already name this worker for the part.
-func (s *workerSession) adopt(part int32) error {
-	sd, err := core.NewSubdomain(s.p.Partition.Subdomains[part], s.p.Partition.LinksOfPart(int(part)), s.zs,
-		factor.Settings{Backend: s.a.LocalSolver, Cache: s.w.FactorCache})
-	if err != nil {
-		return fmt.Errorf("dist: building subdomain %d: %w", part, err)
-	}
-	s.subs[part] = sd
-	// Keep owned sorted so every sweep (waves, status, heartbeat) is
-	// deterministic regardless of adoption order.
-	at := len(s.owned)
-	for i, p := range s.owned {
-		if p > part {
-			at = i
-			break
+// own makes the shard hold exactly the parts the ownership map gives this
+// worker: parts handed to someone else are dropped, newly owned ones torn,
+// factorised — only the owned subdomains, the whole point of sharding — and
+// adopted, seeded from their snapshot when snaps carries one.
+func (s *workerSession) own(owner []int, snaps []partSnap) error {
+	for part, w := range owner {
+		if w != s.self {
+			s.shard.Drop(int32(part))
+			continue
 		}
+		if s.shard.Sub(int32(part)) != nil {
+			continue
+		}
+		sd, err := core.NewSubdomain(s.p.Partition.Subdomains[part], s.p.Partition.LinksOfPart(part), s.zs,
+			factor.Settings{Backend: s.a.LocalSolver, Cache: s.w.FactorCache})
+		if err != nil {
+			return fmt.Errorf("dist: building subdomain %d: %w", part, err)
+		}
+		var snap []float64
+		for _, sn := range snaps {
+			if int(sn.Part) == part {
+				snap = sn.Incoming
+			}
+		}
+		s.shard.Adopt(sd, snap)
 	}
-	s.owned = append(s.owned, 0)
-	copy(s.owned[at+1:], s.owned[at:])
-	s.owned[at] = part
-	ls := make([]float64, len(sd.Ends()))
-	for i := range ls {
-		ls[i] = math.NaN()
-	}
-	s.lastSent[part] = ls
 	return nil
 }
 
-// drop forgets a part handed to another owner (rejoin handback). The part
-// must leave the dirty queue too: a pending solve on a dropped part would
-// dereference the deleted subdomain.
-func (s *workerSession) drop(part int32) {
-	delete(s.subs, part)
-	delete(s.lastSent, part)
-	delete(s.lastChange, part)
-	delete(s.solvedOnce, part)
-	for i, p := range s.owned {
-		if p == part {
-			s.owned = append(s.owned[:i], s.owned[i+1:]...)
-			break
-		}
-	}
-	if s.dirtySet[part] {
-		delete(s.dirtySet, part)
-		for i, p := range s.dirty {
-			if p == part {
-				s.dirty = append(s.dirty[:i], s.dirty[i+1:]...)
-				break
-			}
-		}
-	}
+// send is the shard's emit: stamp the wave with this life's incarnation, so
+// receivers can fence zombie traffic, and hand it to the transport.
+// Best-effort — a failed send is a lost datagram, and the watchdog sweep
+// re-announces.
+func (s *workerSession) send(to int, pkt transport.Packet) {
+	pkt.Inc = s.w.Incarnation
+	_ = s.w.tr.Send(s.ctx, to, pkt)
 }
 
-// restoreSnaps seeds adopted subdomains from the last-known-good boundary
-// snapshots: the incoming waves are the complete recovery state (the local
-// solution is a pure function of them), so recovery cost is proportional to
-// snapshot staleness, never a cold restart of the global solve. Malformed or
-// unknown snapshots are skipped — a missing snapshot just means the zero
-// initial condition, which Theorem 6.1 self-stabilisation absorbs.
-func (s *workerSession) restoreSnaps(snaps []partSnap) {
-	for _, sn := range snaps {
-		sub, ok := s.subs[sn.Part]
-		if !ok {
-			continue
-		}
-		ends := sub.Ends()
-		if len(sn.Incoming) != len(ends) {
-			continue
-		}
-		for k, e := range ends {
-			sub.SetIncomingByLink(e.LinkID, sn.Incoming[k])
-		}
-	}
-}
-
-// warmup solves freshly seeded parts once, off the books of the stopping
-// rule. A part restored from a snapshot jumps from the zero initial state to
-// (near) the fixpoint in one solve — a huge "last change" that would never
-// be re-measured, because converged neighbours suppress further sends and
-// the part would never go dirty again. The warm-up absorbs that jump;
-// whatever the loop's accounted solves measure afterwards is genuine
-// movement since restoration.
-func (s *workerSession) warmup(parts []int32) {
-	for _, part := range parts {
-		s.subs[part].Solve()
-		s.solves++
-	}
-}
-
-func (s *workerSession) markAllDirty() {
-	for _, part := range s.owned {
-		s.markDirty(part)
-	}
-}
-
-func (s *workerSession) markDirty(part int32) {
-	if s.dirtySet == nil {
-		s.dirtySet = make(map[int32]bool)
-	}
-	if !s.dirtySet[part] {
-		s.dirtySet[part] = true
-		s.dirty = append(s.dirty, part)
-	}
-}
-
-func (s *workerSession) popDirty() (int32, bool) {
-	if len(s.dirty) == 0 {
-		return 0, false
-	}
-	part := s.dirty[0]
-	s.dirty = s.dirty[1:]
-	delete(s.dirtySet, part)
-	return part, true
-}
-
-// sendWaves announces part's current outgoing waves. initial sends the zero
-// boot waves of (5.6); retransmit is a watchdog sweep (always goes out to
-// remote neighbours with a fresh seq that does not raise the needed mark,
-// and skips local neighbours — in-process delivery cannot lose anything).
-// Regular sends are suppressed per neighbour when no wave moved more than
-// the send threshold. Every remote wave carries the session epoch and the
-// worker incarnation so receivers can fence zombie traffic.
-func (s *workerSession) sendWaves(part int32, initial, retransmit bool) {
-	sub := s.subs[part]
-	ends := sub.Ends()
-	ls := s.lastSent[part]
-	for _, remote := range sub.AdjacentParts() {
-		rp := int32(remote)
-		localDst := s.a.Owner[remote] == s.self
-		if retransmit && localDst {
-			continue
-		}
-		toward := sub.EndsTowards(remote)
-		entries := make([]transport.WaveEntry, 0, len(toward))
-		changed := initial || retransmit
-		for _, k := range toward {
-			w := 0.0
-			if !initial {
-				w = sub.OutgoingWave(k)
-			}
-			if !changed && !(math.Abs(w-ls[k]) <= s.a.SendThreshold) {
-				changed = true
-			}
-			entries = append(entries, transport.WaveEntry{LinkID: int32(ends[k].LinkID), Wave: w})
-		}
-		if !changed {
-			continue
-		}
-		for i, k := range toward {
-			ls[k] = entries[i].Wave
-		}
-		s.messages++
-		if localDst {
-			// Same worker: reliable in-process delivery, no seq needed.
-			dst := s.subs[rp]
-			for _, e := range entries {
-				dst.SetIncomingByLink(int(e.LinkID), e.Wave)
-			}
-			s.markDirty(rp)
-			continue
-		}
-		key := [2]int32{part, rp}
-		s.sentSeq[key]++
-		seq := s.sentSeq[key]
-		if !retransmit {
-			s.needed[key] = seq
-		}
-		pkt := transport.Packet{
-			Kind: transport.KindWave, FromPart: part, ToPart: rp,
-			Seq: seq, Epoch: s.epoch, Inc: s.w.Incarnation, Entries: entries,
-		}
-		// Best-effort: a failed send is a lost datagram; the watchdog sweep
-		// re-announces.
-		_ = s.w.tr.Send(s.ctx, s.a.Owner[remote], pkt)
-	}
-}
-
-// retransmit is the watchdog sweep: re-announce every owned part's current
-// waves to its remote neighbours.
-func (s *workerSession) retransmit() {
-	for _, part := range s.owned {
-		s.sendWaves(part, false, true)
-	}
-}
-
-// solveDirty solves one dirty part and announces its new waves.
-func (s *workerSession) solveDirty() bool {
-	part, ok := s.popDirty()
-	if !ok {
-		return false
-	}
-	sub := s.subs[part]
-	change := sub.Solve()
-	s.solves++
-	s.lastChange[part] = change
-	s.solvedOnce[part] = true
-	s.sendWaves(part, false, false)
-	return true
-}
-
-// handleWave applies a received wave packet to the owned destination part,
-// unless the fences (epoch, incarnation, LWW sequence) discard it.
-func (s *workerSession) handleWave(pkt *transport.Packet) {
-	sub, ok := s.subs[pkt.ToPart]
-	if !ok {
-		return // not ours — stale assignment or misroute; drop
-	}
-	if !s.dedup.Fresh(pkt) {
-		return // duplicate, overtaken, or fenced (stale epoch/incarnation)
-	}
-	for _, e := range pkt.Entries {
-		sub.SetIncomingByLink(int(e.LinkID), e.Wave)
-	}
-	s.markDirty(pkt.ToPart)
-}
-
-// status assembles the poll reply: per-part convergence state plus the
-// recovery protocol's sequence-number frontier, stamped with the epoch and
-// incarnation that produced it.
+// status assembles the poll reply: the shard's state, stamped with the epoch
+// and incarnation that produced it.
 func (s *workerSession) status() *statusMsg {
-	st := &statusMsg{
-		Solves: s.solves, Messages: s.messages,
-		Inc: s.w.Incarnation, Epoch: s.epoch,
-		Fenced: s.dedup.Fenced(), BadCtrl: s.w.badCtrl.Load(),
+	return &statusMsg{
+		ShardState: s.shard.State(),
+		Inc:        s.w.Incarnation, Epoch: s.shard.Epoch(),
+		BadCtrl: s.w.badCtrl.Load(),
 	}
-	for _, part := range s.owned {
-		sub := s.subs[part]
-		ports := make([]float64, sub.NumPorts())
-		for q := range ports {
-			ports[q] = sub.PortPotential(q)
-		}
-		st.Parts = append(st.Parts, partStatus{
-			Part:       part,
-			SolvedOnce: s.solvedOnce[part],
-			LastChange: s.lastChange[part],
-			Ports:      ports,
-		})
-		// Incoming cross-member pairs: the applied frontier.
-		for _, remote := range sub.AdjacentParts() {
-			if s.a.Owner[remote] == s.self {
-				continue
-			}
-			rp := int32(remote)
-			st.Applied = append(st.Applied, pairSeq{From: rp, To: part, Seq: s.dedup.Applied(rp, part)})
-		}
-	}
-	for key, seq := range s.needed {
-		st.Needed = append(st.Needed, pairSeq{From: key[0], To: key[1], Seq: seq})
-	}
-	return st
 }
 
-// heartbeat assembles the periodic liveness beat: incarnation, epoch, the
-// sequence frontiers, and one boundary snapshot per owned part (small: the
-// incoming wave per DTL end, never interior unknowns) — the state the
-// coordinator retains as last-known-good for failover.
+// heartbeat assembles the periodic liveness beat: incarnation, epoch, and one
+// boundary snapshot per owned part — the state the coordinator retains as
+// last-known-good for failover.
 func (s *workerSession) heartbeat() *heartbeatMsg {
-	hb := &heartbeatMsg{Inc: s.w.Incarnation, Epoch: s.epoch}
-	for _, part := range s.owned {
-		sub := s.subs[part]
-		ends := sub.Ends()
-		inc := make([]float64, len(ends))
-		for k := range ends {
-			inc[k] = sub.Incoming(k)
-		}
-		hb.Snaps = append(hb.Snaps, partSnap{Part: part, Incoming: inc})
-		for _, remote := range sub.AdjacentParts() {
-			if s.a.Owner[remote] == s.self {
-				continue
-			}
-			rp := int32(remote)
-			hb.Applied = append(hb.Applied, pairSeq{From: rp, To: part, Seq: s.dedup.Applied(rp, part)})
-		}
-	}
-	for key, seq := range s.needed {
-		hb.Needed = append(hb.Needed, pairSeq{From: key[0], To: key[1], Seq: seq})
+	hb := &heartbeatMsg{Inc: s.w.Incarnation, Epoch: s.shard.Epoch()}
+	for _, part := range s.shard.Owned() {
+		hb.Snaps = append(hb.Snaps, partSnap{Part: part, Incoming: s.shard.Incoming(part)})
 	}
 	return hb
 }
@@ -512,12 +281,12 @@ func (s *workerSession) sendHeartbeat() {
 }
 
 // applyReassign installs a fenced ownership change: adopt newly owned parts
-// (seeded from the carried snapshots), drop handed-back parts, advance the
-// epoch fence, and restart the per-pair sequence numbering. Stale or
-// malformed reassigns are dropped. The announcement machinery resets so the
-// next solves re-announce every boundary under the new epoch.
+// (seeded from the carried snapshots), drop handed-back parts, and advance
+// the shard to the new epoch, which restarts the sequence numbering and makes
+// every part re-announce its boundary. Stale or malformed reassigns are
+// dropped.
 func (s *workerSession) applyReassign(m *reassignMsg) error {
-	if m.Epoch <= s.epoch {
+	if m.Epoch <= s.shard.Epoch() {
 		return nil // duplicate or out-of-order reassign: already there
 	}
 	// Renew the lease before adopting: factorising inherited subdomains can
@@ -529,41 +298,15 @@ func (s *workerSession) applyReassign(m *reassignMsg) error {
 		s.w.badCtrl.Add(1)
 		return nil
 	}
-	// Adopt first (factorisation can fail — report before mutating the rest).
-	var adopted []int32
-	for part := 0; part < len(newOwner); part++ {
-		p32 := int32(part)
-		if newOwner[part] == s.self && s.subs[p32] == nil {
-			if err := s.adopt(p32); err != nil {
-				return err
-			}
-			adopted = append(adopted, p32)
-		}
+	if err := s.own(newOwner, m.Snaps); err != nil {
+		return err
 	}
-	for part := 0; part < len(newOwner); part++ {
-		p32 := int32(part)
-		if newOwner[part] != s.self && s.subs[p32] != nil {
-			s.drop(p32)
-		}
-	}
-	s.restoreSnaps(m.Snaps)
-	s.warmup(adopted)
 	s.a.Owner = newOwner
-	s.epoch = m.Epoch
-	s.dedup.Advance(m.Epoch)
-	clear(s.sentSeq)
-	clear(s.needed)
-	for part, ls := range s.lastSent {
-		for i := range ls {
-			ls[i] = math.NaN()
-		}
-		s.lastSent[part] = ls
-	}
-	if len(s.owned) == 0 {
+	s.shard.Advance(m.Epoch, newOwner)
+	if len(s.shard.Owned()) == 0 {
 		return nil
 	}
-	s.markAllDirty()
-	s.w.logf("worker %d (inc %d): epoch %d, owns parts %v", s.self, s.w.Incarnation, s.epoch, s.owned)
+	s.w.logf("worker %d (inc %d): epoch %d, owns parts %v", s.self, s.w.Incarnation, s.shard.Epoch(), s.shard.Owned())
 	s.sendHeartbeat()
 	return nil
 }
@@ -571,39 +314,20 @@ func (s *workerSession) applyReassign(m *reassignMsg) error {
 // run is the solve loop: drain the network, solve dirty parts, retransmit on
 // watchdog silence, heartbeat the coordinator, answer polls, stop on command.
 func (s *workerSession) run() error {
-	// Pump receives into a channel so the loop can select over the timers.
-	sessCtx, cancel := context.WithCancel(s.ctx)
-	defer cancel()
-	rx := make(chan transport.Packet, 1024)
-	pumpErr := make(chan error, 1)
-	go func() {
-		for {
-			pkt, err := s.w.tr.Recv(sessCtx)
-			if err != nil {
-				pumpErr <- err
-				close(rx)
-				return
-			}
-			rx <- pkt
-		}
-	}()
-
 	wdInterval := time.Duration(s.a.WatchdogMS) * time.Millisecond
 	if wdInterval <= 0 {
 		wdInterval = 50 * time.Millisecond
 	}
-	wd := time.NewTicker(wdInterval)
-	defer wd.Stop()
 	hbInterval := time.Duration(s.a.HeartbeatMS) * time.Millisecond
 	if hbInterval <= 0 {
 		hbInterval = 25 * time.Millisecond
 	}
-	hb := time.NewTicker(hbInterval)
-	defer hb.Stop()
 	// The deadlines are checked at the top of every iteration, not only in
 	// the idle select: a worker busy solving a long dirty backlog must still
 	// heartbeat, or the coordinator declares it dead for doing its job. The
-	// tickers below only wake the idle select.
+	// ticker only wakes the idle select.
+	tick := time.NewTicker(min(wdInterval, hbInterval))
+	defer tick.Stop()
 	nextHB := time.Now().Add(hbInterval)
 	nextWD := time.Now().Add(wdInterval)
 
@@ -614,43 +338,30 @@ func (s *workerSession) run() error {
 			nextHB = now.Add(hbInterval)
 		}
 		if s.started && !now.Before(nextWD) {
-			s.retransmit()
+			s.shard.Retransmit()
 			nextWD = now.Add(wdInterval)
 		}
-		// Drain everything already queued before doing local work, so a
-		// burst is folded in as one batch like the DES engine's OnMessages.
-		for {
-			var pkt transport.Packet
-			var ok bool
-			select {
-			case pkt, ok = <-rx:
-			default:
-				ok = false
-			}
-			if !ok {
-				break
-			}
-			stop, err := s.handle(&pkt)
-			if err != nil || stop {
-				return err
-			}
-		}
-		if s.started && s.solveDirty() {
-			continue
-		}
+		// Take what is already queued before doing local work, so a burst is
+		// folded in as one batch; block only when nothing is left to solve.
+		var pkt transport.Packet
+		ok := true
 		select {
-		case pkt, ok := <-rx:
-			if !ok {
-				return <-pumpErr
+		case pkt, ok = <-s.w.rx:
+		default:
+			if s.started && s.shard.SolveDirty() {
+				continue
 			}
-			stop, err := s.handle(&pkt)
-			if err != nil || stop {
-				return err
+			select {
+			case pkt, ok = <-s.w.rx:
+			case <-tick.C:
+				continue
 			}
-		case <-wd.C:
-		case <-hb.C:
-		case <-s.ctx.Done():
-			return s.ctx.Err()
+		}
+		if !ok {
+			return transport.ErrClosed // Run reports why the pump stopped
+		}
+		if stop, err := s.handle(&pkt); err != nil || stop {
+			return err
 		}
 	}
 }
@@ -659,7 +370,7 @@ func (s *workerSession) run() error {
 func (s *workerSession) handle(pkt *transport.Packet) (bool, error) {
 	if pkt.Kind == transport.KindWave {
 		if s.started {
-			s.handleWave(pkt)
+			s.shard.Receive(pkt)
 		}
 		return false, nil
 	}
@@ -671,14 +382,7 @@ func (s *workerSession) handle(pkt *transport.Packet) (bool, error) {
 	switch m.Type {
 	case msgStart:
 		s.started = true
-		// Boot: announce the zero initial waves of (5.6) on every pair.
-		// Receivers (local and remote) fold them in and solve — the
-		// asynchronous exchange bootstraps itself from there.
-		for _, part := range s.owned {
-			s.sendWaves(part, true, false)
-		}
-		// A worker whose parts have only local neighbours must seed itself.
-		s.markAllDirty()
+		s.shard.Wake()
 	case msgStatusRq:
 		_ = sendCtrl(s.ctx, s.w.tr, int(pkt.From), &ctrlMsg{Type: msgStatus, Status: s.status()})
 	case msgReassign:
@@ -692,8 +396,8 @@ func (s *workerSession) handle(pkt *transport.Packet) (bool, error) {
 	case msgStop:
 		res := &resultMsg{}
 		owner := s.p.OwnerPairs()
-		for _, part := range s.owned {
-			x := s.subs[part].X()
+		for _, part := range s.shard.Owned() {
+			x := s.shard.Sub(part).X()
 			for _, pair := range owner[part] {
 				res.Index = append(res.Index, int32(pair[1]))
 				res.Value = append(res.Value, x[pair[0]])
@@ -702,7 +406,8 @@ func (s *workerSession) handle(pkt *transport.Packet) (bool, error) {
 		if err := sendCtrlRetry(s.ctx, s.w.tr, int(pkt.From), &ctrlMsg{Type: msgResult, Result: res}); err != nil {
 			return true, err
 		}
-		s.w.logf("worker %d: session done (%d solves, %d messages, %d fenced)", s.self, s.solves, s.messages, s.dedup.Fenced())
+		st := s.shard.State()
+		s.w.logf("worker %d: session done (%d solves, %d messages, %d fenced)", s.self, st.Solves, st.Messages, st.Fenced)
 		return true, nil
 	case msgShutdown:
 		return true, transport.ErrClosed

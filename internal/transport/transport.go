@@ -5,8 +5,7 @@
 // can send a Packet to a peer, receive whatever has arrived, and close.
 // Reliability is the job of the protocol layered on top (per-directed-pair
 // sequence numbers with last-writer-wins deduplication plus watchdog
-// retransmission, the PR 6 recovery machinery), which package dist carries
-// over any Transport.
+// retransmission): core.Shard, which package dist drives over any Transport.
 //
 // Two implementations ship: an in-process channel fabric (NewChanNetwork) for
 // deterministic tests, and a TCP fabric (NewTCP) framing packets as
@@ -43,9 +42,7 @@ type WaveEntry struct {
 }
 
 // Packet is the unit of exchange: either a wave packet between two parts or
-// a control message between two members. It mirrors the DES engine's
-// wavePacket shape so the recovery protocol (seq + LWW dedup) transfers
-// unchanged onto real networks.
+// a control message between two members.
 type Packet struct {
 	// Kind selects wave vs control.
 	Kind Kind
@@ -106,9 +103,9 @@ var ErrPeerUnavailable = errors.New("transport: peer unavailable")
 // Dedup is the receiver half of the recovery protocol: last-writer-wins
 // deduplication of wave packets per directed part pair, plus the failover
 // fences — a packet from a stale ownership epoch or from an overtaken
-// incarnation of its sending part is dropped and counted, never applied. It
-// is shared by the dist worker and the conformance tests so every Transport
-// is exercised against the same rule the DES engine's fault layer pins.
+// incarnation of its sending part is dropped and counted, never applied.
+// core.Shard receives through it, and the conformance tests exercise every
+// Transport against it.
 type Dedup struct {
 	epoch   uint32
 	applied map[[2]int32]uint64
