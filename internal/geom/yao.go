@@ -4,15 +4,32 @@
 // Funke et al. (arXiv:2303.07858; bounded-degree Yao-Yao variants in Damian,
 // arXiv:0802.4325) — over seeded random points in the unit square. One
 // construction serves both, so a spanner problem and the matching spanner
-// fabric are the same graph, and a faster cone search (the grid-bucketed
-// construction of Funke et al. instead of the all-pairs scan below) has one
-// place to land.
+// fabric are the same graph.
+//
+// The construction is the uniform-grid one of Funke et al.: the points are
+// counting-sorted into ≈ n/2 square cells of their bounding box, and each
+// point searches the square rings of cells around its own, ring by ring. On a
+// ring, a cone visits only the cells its sector can touch (two half-plane
+// clips per ring side), so an empty cone that leaves the bounding box walks a
+// thin strip of cells, not the whole grid. Every candidate met is judged by
+// the definition itself — Atan2 cone index, Hypot distance, tie toward the
+// smaller index — so the search decides which points are looked at, never
+// how they compare. A cone stops at ring r once its best distance is strictly
+// below r−1 cell widths (every cell of ring r or beyond is at least that far
+// along one axis, and Hypot(dx, dy) ≥ max(|dx|, |dy|) holds in floating
+// point), or once it touches no cell of the ring (its sector clipped to the
+// bounding box is convex, so it touches none beyond). Each bound the search
+// derives from cell coordinates is loosened by slack, orders of magnitude
+// above their rounding, so it can only look at too many points: the picks are
+// those of the all-pairs scan bit for bit (kept as the oracle in yao_test.go).
+// Uniform points cost O(1) rings and candidates per point and cone.
 package geom
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Points places n points uniformly in the unit square from one sequential
@@ -31,45 +48,245 @@ func Dist(pts [][2]float64, i, j int) float64 {
 	return math.Hypot(pts[j][0]-pts[i][0], pts[j][1]-pts[i][1])
 }
 
+// slack, in cell widths, loosens every bound the grid search derives from
+// cell coordinates. Those carry rounding of about 1e-16 × the grid side.
+const slack = 1e-9
+
+// grid buckets points into square cells of side w covering their bounding
+// box: cell (cx, cy) holds members[start[cy*nx+cx]:start[cy*nx+cx+1]], in
+// index order.
+type grid struct {
+	minX, minY, w float64
+	nx, ny        int
+	start         []int
+	members       []int
+}
+
+// cellCoord is the position of (x, y) in cell units; its integer part is the
+// cell. Monotone in x and y, so cell order follows coordinate order.
+func (g *grid) cellCoord(p [2]float64) (u, v float64) {
+	return (p[0] - g.minX) / g.w, (p[1] - g.minY) / g.w
+}
+
+func newGrid(pts [][2]float64) *grid {
+	g := &grid{w: 1, nx: 1, ny: 1}
+	if len(pts) > 0 {
+		maxX, maxY := pts[0][0], pts[0][1]
+		g.minX, g.minY = maxX, maxY
+		for _, p := range pts {
+			g.minX, maxX = math.Min(g.minX, p[0]), math.Max(maxX, p[0])
+			g.minY, maxY = math.Min(g.minY, p[1]), math.Max(maxY, p[1])
+		}
+		// ≈ n/2 square cells; a thin box gets at most that many along its
+		// long side, so the cell count stays O(n) at any aspect ratio.
+		cells := float64(len(pts)/2 + 1)
+		spanX, spanY := maxX-g.minX, maxY-g.minY
+		if w := math.Max(math.Sqrt(spanX*spanY/cells), math.Max(spanX, spanY)/cells); w > 0 {
+			g.w = w
+		}
+		u, v := g.cellCoord([2]float64{maxX, maxY})
+		g.nx, g.ny = int(u)+1, int(v)+1
+	}
+	g.start = make([]int, g.nx*g.ny+1)
+	cell := make([]int, len(pts))
+	for i, p := range pts {
+		u, v := g.cellCoord(p)
+		cell[i] = int(v)*g.nx + int(u)
+		g.start[cell[i]+1]++
+	}
+	for c := 1; c < len(g.start); c++ {
+		g.start[c] += g.start[c-1]
+	}
+	g.members = make([]int, len(pts))
+	next := append([]int(nil), g.start...)
+	for i, c := range cell {
+		g.members[next[c]] = i
+		next[c]++
+	}
+	return g
+}
+
+// side is one side of the square ring of cells r cells out from a point: the
+// cells of column (row, if horizontal) fixed from first to last, clipped to
+// the grid; first > last when none is in it. In cell units the side spans
+// [s0, s1] across, relative to the point, which sits at along along it.
+type side struct {
+	horizontal         bool
+	fixed              int
+	s0, s1             float64
+	along, first, last float64
+}
+
+func (g *grid) side(horizontal bool, fixed int, across, along float64, mid, r int) side {
+	width, length := g.nx, g.ny
+	if horizontal {
+		width, length = g.ny, g.nx
+	}
+	sd := side{horizontal, fixed, float64(fixed) - across, float64(fixed+1) - across,
+		along, float64(max(mid-r, 0)), float64(min(mid+r, length-1))}
+	if fixed < 0 || fixed >= width {
+		sd.last = -1
+	}
+	return sd
+}
+
+// clip narrows [*lo, *hi] to the t for which a·t + b·s ≥ −slack has a
+// solution with s in [s0, s1].
+func clip(lo, hi *float64, a, b, s0, s1 float64) {
+	m := max(b*s0, b*s1) + slack
+	switch {
+	case a > 0:
+		*lo = max(*lo, -m/a)
+	case a < 0:
+		*hi = min(*hi, -m/a)
+	case m < 0:
+		*lo = math.Inf(1)
+	}
+}
+
 // YaoPicks returns each point's directed Yao picks: the nearest other point
 // within each of the k angular cones [2πc/k, 2π(c+1)/k), ties broken toward
 // the smaller index. Every point has at most k picks.
 func YaoPicks(pts [][2]float64, k int) [][]int {
-	n := len(pts)
-	picks := make([][]int, n)
-	for i := 0; i < n; i++ {
-		best := make([]int, k)
-		bestD := make([]float64, k)
-		for c := 0; c < k; c++ {
-			best[c] = -1
-			bestD[c] = math.Inf(1)
+	picks, _ := yaoPicks(newGrid(pts), pts, k)
+	return picks
+}
+
+// yaoPicks is YaoPicks over a prebuilt grid; evals counts the candidates
+// whose cone and distance were evaluated (n(n−1) for an all-pairs scan).
+func yaoPicks(g *grid, pts [][2]float64, k int) (picks [][]int, evals int) {
+	step := 2 * math.Pi / float64(k)
+	dirs := make([][2]float64, k+1) // cone c lies between dirs[c] and dirs[c+1]
+	for c := range dirs {
+		dirs[c][1], dirs[c][0] = math.Sincos(step * float64(c))
+	}
+	picks = make([][]int, len(pts))
+	best, bestD, done := make([]int, k), make([]float64, k), make([]bool, k)
+	seen := make([]int, g.nx*g.ny) // seen[cell] == i+1: already scanned for point i
+	for _, i := range g.members {  // cell by cell, so neighbourhoods stay cached
+		p := pts[i]
+		scan := func(cell int) {
+			if seen[cell] == i+1 {
+				return
+			}
+			seen[cell] = i + 1
+			for _, j := range g.members[g.start[cell]:g.start[cell+1]] {
+				if j == i {
+					continue
+				}
+				evals++
+				dx, dy := pts[j][0]-p[0], pts[j][1]-p[1]
+				ang := math.Atan2(dy, dx)
+				if ang < 0 {
+					ang += 2 * math.Pi
+				}
+				c := int(ang / step)
+				if c >= k { // ang == 2π after rounding
+					c = k - 1
+				}
+				if d := math.Hypot(dx, dy); d < bestD[c] || d == bestD[c] && j < best[c] {
+					bestD[c], best[c] = d, j
+				}
+			}
 		}
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			dx := pts[j][0] - pts[i][0]
-			dy := pts[j][1] - pts[i][1]
-			ang := math.Atan2(dy, dx)
-			if ang < 0 {
-				ang += 2 * math.Pi
-			}
-			c := int(ang / (2 * math.Pi / float64(k)))
-			if c >= k { // ang == 2π after rounding
-				c = k - 1
-			}
-			if d := math.Hypot(dx, dy); d < bestD[c] {
-				bestD[c] = d
-				best[c] = j
+		for c := range best {
+			best[c], bestD[c], done[c] = -1, math.Inf(1), false
+		}
+		u, v := g.cellCoord(p)
+		cx, cy := int(u), int(v)
+		// Rings 0 and 1 whole: no cone can settle before ring 2 (r−1 = 0), and
+		// together the cones touch every cell.
+		for y := max(cy-1, 0); y <= min(cy+1, g.ny-1); y++ {
+			for x := max(cx-1, 0); x <= min(cx+1, g.nx-1); x++ {
+				scan(y*g.nx + x)
 			}
 		}
-		for c := 0; c < k; c++ {
-			if best[c] >= 0 {
-				picks[i] = append(picks[i], best[c])
+		for r, live := 2, k; live > 0; r++ {
+			sides := [4]side{
+				g.side(false, cx+r, u, v, cy, r), g.side(false, cx-r, u, v, cy, r),
+				g.side(true, cy+r, v, u, cx, r), g.side(true, cy-r, v, u, cx, r),
+			}
+			// Cone c is settled once its pick is nearer than any cell of ring r
+			// or beyond, all at least r−1 cells away, or once it touches no
+			// cell of the ring: it has left the grid.
+			nearest := (float64(r-1) - slack) * g.w
+			for c := 0; c < k; c++ {
+				if done[c] {
+					continue
+				}
+				touched := false
+				for _, sd := range sides {
+					if bestD[c] < nearest {
+						break
+					}
+					lo, hi := math.Inf(-1), math.Inf(1)
+					d0, d1 := dirs[c], dirs[c+1]
+					switch {
+					case k == 1: // a single cone is the whole plane
+					case sd.horizontal:
+						clip(&lo, &hi, -d0[1], d0[0], sd.s0, sd.s1)
+						clip(&lo, &hi, d1[1], -d1[0], sd.s0, sd.s1)
+					default:
+						clip(&lo, &hi, d0[0], -d0[1], sd.s0, sd.s1)
+						clip(&lo, &hi, -d1[0], d1[1], sd.s0, sd.s1)
+					}
+					lo = math.Floor(max(sd.along+lo-slack, sd.first))
+					hi = math.Floor(min(sd.along+hi+slack, sd.last))
+					for t := lo; t <= hi; t++ {
+						touched = true
+						if sd.horizontal {
+							scan(sd.fixed*g.nx + int(t))
+						} else {
+							scan(int(t)*g.nx + sd.fixed)
+						}
+					}
+				}
+				if !touched {
+					done[c] = true
+					live--
+				}
+			}
+		}
+		for _, j := range best {
+			if j >= 0 {
+				picks[i] = append(picks[i], j)
 			}
 		}
 	}
-	return picks
+	return picks, evals
+}
+
+// components is a union-find over point indices.
+type components struct {
+	parent []int
+	count  int
+}
+
+func newComponents(n int) *components {
+	uf := &components{parent: make([]int, n), count: n}
+	for i := range uf.parent {
+		uf.parent[i] = i
+	}
+	return uf
+}
+
+func (uf *components) find(i int) int {
+	for uf.parent[i] != i {
+		uf.parent[i] = uf.parent[uf.parent[i]]
+		i = uf.parent[i]
+	}
+	return i
+}
+
+// union merges the components of i and j and reports whether they differed.
+func (uf *components) union(i, j int) bool {
+	i, j = uf.find(i), uf.find(j)
+	if i == j {
+		return false
+	}
+	uf.parent[j] = i
+	uf.count--
+	return true
 }
 
 // YaoEdges returns the undirected Yao graph over pts with k cones as the
@@ -79,78 +296,58 @@ func YaoPicks(pts [][2]float64, k int) [][]int {
 // almost never fires for k ≥ 4; it only guards degenerate seeds, so the graph
 // is always solvable as one problem and routable as one machine.
 func YaoEdges(pts [][2]float64, k int) [][2]int {
-	n := len(pts)
-	has := make([]map[int]bool, n)
-	for i := range has {
-		has[i] = make(map[int]bool)
-	}
-	addEdge := func(i, j int) {
-		has[i][j] = true
-		has[j][i] = true
-	}
-	for i, ps := range YaoPicks(pts, k) {
+	g := newGrid(pts)
+	picks, _ := yaoPicks(g, pts, k)
+	uf := newComponents(len(pts))
+	// An edge {i < j} is the key i<<32 | j until the end: sorting the keys
+	// sorts the edges, and duplicates (mutual picks) are adjacent.
+	var keys []uint64
+	for i, ps := range picks {
 		for _, j := range ps {
-			addEdge(i, j)
+			keys = append(keys, uint64(min(i, j))<<32|uint64(max(i, j)))
+			uf.union(i, j)
 		}
 	}
-	// Connected components by BFS over the symmetrised picks. Labels follow
-	// the smallest vertex of each component, whatever order the map yields.
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
+	// Linking the closest inter-component pair until one component remains
+	// is Kruskal's algorithm over the pairs in (distance, i, j) order, and
+	// all pairs no longer than some radius are a prefix of that order: take
+	// them from the grid, sorted, and double the radius while components
+	// remain. Pairs within earlier radii are intra-component by then.
+	type pair struct {
+		d    float64
+		i, j int
 	}
-	count := 0
-	for s := 0; s < n; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		queue := []int{s}
-		comp[s] = count
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for w := range has[v] {
-				if comp[w] < 0 {
-					comp[w] = count
-					queue = append(queue, w)
+	for radius := g.w; uf.count > 1; radius *= 2 {
+		var cand []pair
+		cells := int(radius/g.w) + 2 // one spare for the rounding of cellCoord
+		for i, p := range pts {
+			u, v := g.cellCoord(p)
+			own := uf.find(i)
+			lo, hi := max(int(u)-cells, 0), min(int(u)+cells, g.nx-1)
+			for cy := max(int(v)-cells, 0); cy <= min(int(v)+cells, g.ny-1); cy++ {
+				for _, j := range g.members[g.start[cy*g.nx+lo]:g.start[cy*g.nx+hi+1]] {
+					if j > i && uf.find(j) != own {
+						if d := Dist(pts, i, j); d <= radius {
+							cand = append(cand, pair{d, i, j})
+						}
+					}
 				}
 			}
 		}
-		count++
+		slices.SortFunc(cand, func(x, y pair) int {
+			return cmp.Or(cmp.Compare(x.d, y.d), cmp.Compare(x.i, y.i), cmp.Compare(x.j, y.j))
+		})
+		for _, c := range cand {
+			if uf.union(c.i, c.j) {
+				keys = append(keys, uint64(c.i)<<32|uint64(c.j))
+			}
+		}
 	}
-	for count > 1 {
-		bi, bj, bd := -1, -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if comp[i] == comp[j] {
-					continue
-				}
-				if d := Dist(pts, i, j); d < bd {
-					bd, bi, bj = d, i, j
-				}
-			}
-		}
-		addEdge(bi, bj)
-		old, now := comp[bj], comp[bi]
-		for v := range comp {
-			if comp[v] == old {
-				comp[v] = now
-			}
-		}
-		count--
-	}
-	var edges [][2]int
-	for i := 0; i < n; i++ {
-		js := make([]int, 0, len(has[i]))
-		for j := range has[i] {
-			if j > i {
-				js = append(js, j)
-			}
-		}
-		sort.Ints(js)
-		for _, j := range js {
-			edges = append(edges, [2]int{i, j})
-		}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	edges := slices.Grow([][2]int(nil), len(keys))
+	for _, key := range keys {
+		edges = append(edges, [2]int{int(key >> 32), int(uint32(key))})
 	}
 	return edges
 }

@@ -273,6 +273,28 @@ func TestYaoSpannerLaplacianDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestSpannerSourceBuildsLarge: with the grid Yao construction a 10⁵-node
+// spanner is an ordinary source (the all-pairs scan took minutes there).
+func TestSpannerSourceBuildsLarge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=100000")
+	}
+	src, err := ParseSource("spanner:n=100000,k=6,seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, _, err := src.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sys.A.IsSymmetric(0) {
+		t.Fatal("spanner Laplacian is not exactly symmetric")
+	}
+	if weak, strict := sys.A.IsDiagonallyDominant(); !weak || strict != sys.Dim() {
+		t.Fatalf("spanner Laplacian should be strictly diagonally dominant (weak=%v strict=%d of %d)", weak, strict, sys.Dim())
+	}
+}
+
 func TestSpannerSourceBuild(t *testing.T) {
 	src, err := ParseSource("spanner:n=64,k=5,seed=9,leak=0.1")
 	if err != nil {

@@ -103,6 +103,11 @@ func noParams(scheme, params string) error {
 	return nil
 }
 
+// maxYaoProcessors bounds the size a "yao:" spec — external input on the
+// dist wire — may ask for: a Topology holds a dense n×n delay table (32 MiB
+// at the limit).
+const maxYaoProcessors = 1 << 11
+
 func init() {
 	RegisterTopology("uniform", func(params string, n int, delay float64) (*Topology, error) {
 		if err := noParams("uniform", params); err != nil {
@@ -134,8 +139,8 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		if size < 1 || int64(int(size)) != size {
-			return nil, fmt.Errorf("yao needs n >= 1 processors, got %d", size)
+		if size < 1 || size > maxYaoProcessors {
+			return nil, fmt.Errorf("yao n must be in [1,%d], got %d", maxYaoProcessors, size)
 		}
 		if k < 1 || k > 64 {
 			return nil, fmt.Errorf("yao needs 1 <= k <= 64 cones, got %d", k)

@@ -150,14 +150,21 @@ func TestParseTopologyRegistry(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown topology") {
 		t.Fatalf("unknown topology: err = %v", err)
 	}
-	if _, err := ParseTopology("mesh4x4:px=2", 4, 10); err == nil {
-		t.Fatal("mesh4x4 with parameters should be rejected")
+	for _, tc := range []struct{ spec, wantErr string }{
+		{"mesh4x4:px=2", "takes no parameters"},
+		{"yao:bogus=1", "bogus"},
+		{"yao:k=0", "1 <= k <= 64"},
+		{"yao:k=65", "1 <= k <= 64"},
+		{"yao:n=0", "yao n must be in [1,2048]"},
+		{"yao:n=2049", "yao n must be in [1,2048]"},
+		{"yao:n=4000000000", "yao n must be in [1,2048]"},
+	} {
+		if _, err := ParseTopology(tc.spec, 4, 10); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("ParseTopology(%q): err = %v, want one mentioning %q", tc.spec, err, tc.wantErr)
+		}
 	}
-	if _, err := ParseTopology("yao:bogus=1", 4, 10); err == nil {
-		t.Fatal("yao with an unknown parameter should be rejected")
-	}
-	if _, err := ParseTopology("yao:k=0", 4, 10); err == nil {
-		t.Fatal("yao with k=0 should be rejected")
+	if _, err := ParseTopology("yao", maxYaoProcessors+1, 10); err == nil {
+		t.Error("yao defaulting to more processors than the limit should be rejected")
 	}
 }
 
