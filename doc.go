@@ -46,8 +46,10 @@
 //     controller that assigns every send a reproducible fate;
 //   - internal/core — the DTM solver itself behind the context-first
 //     core.Solve(ctx, p, cfg) entry point, whose Config selects the engine:
-//     the asynchronous DES engine (default), the live goroutine engine, the
-//     synchronous VTM special case and the mixed GALS variant; and
+//     the asynchronous DES engine (default), the synchronous VTM special
+//     case and the mixed GALS variant — one virtual-time engine under three
+//     schedules of an asynchronous window and a barrier sweep — and the live
+//     goroutine engine; and
 //     core.Shard, the wave-reliability protocol as a pure state machine
 //     (sequence numbers with last-writer-wins dedup, needed/applied marks,
 //     watchdog re-announcement, epoch fences, the Quiescent stopping rule)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/dtl"
 	"repro/internal/factor"
 	"repro/internal/graph"
@@ -36,7 +37,7 @@ func gridProblem(t *testing.T, nx, px int, topo *topology.Topology) (*Problem, s
 	return prob, exact
 }
 
-func TestOptionsValidation(t *testing.T) {
+func TestConfigValidation(t *testing.T) {
 	prob, exact := gridProblem(t, 6, 2, nil)
 	cases := map[string]Config{
 		"zero MaxTime":       {},
@@ -428,10 +429,14 @@ func TestSolveDTMSingleSubdomainIsDirectSolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
+	lossy := &chaos.Spec{Drop: 0.1}
 	for _, cfg := range []Config{
 		{Engine: EngineDES, MaxTime: 10},
+		{Engine: EngineVTM, MaxIterations: 10},
 		{Engine: EngineMixed, MaxTime: 10, AsyncWindow: 5},
 		{Engine: EngineLive, CommonOptions: CommonOptions{MaxWallTime: time.Second}},
+		{Engine: EngineDES, MaxTime: 10, CommonOptions: CommonOptions{Faults: lossy}},
+		{Engine: EngineLive, CommonOptions: CommonOptions{MaxWallTime: time.Second, Faults: lossy}},
 	} {
 		res, err := Solve(context.Background(), prob, cfg)
 		if err != nil {
@@ -439,6 +444,9 @@ func TestSolveDTMSingleSubdomainIsDirectSolve(t *testing.T) {
 		}
 		if !res.Converged || res.Solves != 2 || res.Messages != 0 || res.Residual > 1e-10 {
 			t.Errorf("%v: uncoupled parts must be solved once each, exactly: %+v", cfg.Engine, res)
+		}
+		if (res.Faults != nil) != cfg.Faults.Enabled() {
+			t.Errorf("%v: Result.Faults = %v under fault spec %v", cfg.Engine, res.Faults, cfg.Faults)
 		}
 	}
 }
@@ -472,27 +480,33 @@ func TestSolveDTMHonoursCustomComputeTime(t *testing.T) {
 
 func TestSolveDTMObserverSeesEverySolve(t *testing.T) {
 	prob, exact := gridProblem(t, 6, 2, nil)
-	observed := 0
-	res, err := Solve(context.Background(), prob, Config{
-		CommonOptions: CommonOptions{
-			Exact: exact,
-		},
-		MaxTime: 2000,
-		Observer: func(now float64, part int, local sparse.Vec) {
+	for _, cfg := range []Config{
+		{Engine: EngineDES, MaxTime: 2000},
+		{Engine: EngineVTM, MaxIterations: 40},
+		// Windows short enough that most solves happen in barrier sweeps.
+		{Engine: EngineMixed, MaxTime: 2000, AsyncWindow: 30, SyncSweeps: 2},
+	} {
+		observed := 0
+		cfg.Exact = exact
+		cfg.Observer = func(now float64, part int, local sparse.Vec) {
 			observed++
 			if part < 0 || part >= prob.Partition.NumParts() {
-				t.Errorf("observer saw unknown part %d", part)
+				t.Errorf("%v: observer saw unknown part %d", cfg.Engine, part)
 			}
 			if len(local) != prob.Partition.Subdomains[part].Dim() {
-				t.Errorf("observer local vector has length %d", len(local))
+				t.Errorf("%v: observer local vector has length %d", cfg.Engine, len(local))
 			}
-		},
-	})
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if observed != res.Solves {
-		t.Errorf("observer saw %d solves, result says %d", observed, res.Solves)
+		}
+		res, err := Solve(context.Background(), prob, cfg)
+		if err != nil {
+			t.Fatalf("%v: Solve: %v", cfg.Engine, err)
+		}
+		if res.Solves == 0 || observed != res.Solves {
+			t.Errorf("%v: observer saw %d solves, result says %d", cfg.Engine, observed, res.Solves)
+		}
+		if cfg.Engine == EngineMixed && res.SyncSweepsDone == 0 {
+			t.Errorf("mixed leg ran no barrier sweep: %+v", res)
+		}
 	}
 }
 
@@ -529,7 +543,7 @@ func TestDTMAsymmetricDelaysStillConverge(t *testing.T) {
 	}
 }
 
-func TestVTMOptionsValidation(t *testing.T) {
+func TestVTMConfigValidation(t *testing.T) {
 	prob, exact := gridProblem(t, 6, 2, nil)
 	cases := map[string]Config{
 		"zero iterations":     {Engine: EngineVTM},
@@ -699,24 +713,30 @@ func TestResultErrorAtTimeAndTimeToError(t *testing.T) {
 
 func TestTraceDownsampleKeepsEndpoints(t *testing.T) {
 	prob, exact := gridProblem(t, 8, 2, nil)
-	res, err := Solve(context.Background(), prob, Config{
-		CommonOptions: CommonOptions{
+	for _, cfg := range []Config{
+		{Engine: EngineDES, MaxTime: 20000},
+		{Engine: EngineVTM, MaxIterations: 2000},
+	} {
+		cfg.CommonOptions = CommonOptions{
 			Exact:          exact,
 			Tol:            1e-10,
 			RecordTrace:    true,
 			TraceMaxPoints: 20,
-		},
-		MaxTime: 20000,
-	})
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if len(res.Trace) == 0 || len(res.Trace) > 20 {
-		t.Fatalf("trace length = %d, want 1..20", len(res.Trace))
-	}
-	last := res.Trace[len(res.Trace)-1]
-	if last.Solves != res.Solves {
-		t.Errorf("the last trace point must be the final state (%d vs %d solves)", last.Solves, res.Solves)
+		}
+		res, err := Solve(context.Background(), prob, cfg)
+		if err != nil {
+			t.Fatalf("%v: Solve: %v", cfg.Engine, err)
+		}
+		if len(res.Trace) == 0 || len(res.Trace) > 20 {
+			t.Fatalf("%v: trace length = %d, want 1..20", cfg.Engine, len(res.Trace))
+		}
+		if res.Solves <= 20*prob.Partition.NumParts() {
+			t.Fatalf("%v: %d solves leave nothing to thin", cfg.Engine, res.Solves)
+		}
+		last := res.Trace[len(res.Trace)-1]
+		if last.Solves != res.Solves {
+			t.Errorf("%v: the last trace point must be the final state (%d vs %d solves)", cfg.Engine, last.Solves, res.Solves)
+		}
 	}
 }
 

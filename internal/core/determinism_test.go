@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/dense"
 	"repro/internal/factor"
-	"repro/internal/netsim"
 	"repro/internal/sparse"
 	"repro/internal/topology"
 )
@@ -100,6 +104,58 @@ func TestSolveDTMDeterminism(t *testing.T) {
 	})
 }
 
+// TestVTMGolden pins the VTM engine the way bench/dtmperf/pins.json pins the
+// DES one: the quick compare-vtm problem, with every number below recorded
+// from the stand-alone sweep loop VTM had before it became a schedule of
+// engine.sweep (commit 74f05e3). The counters hold on every platform; the
+// bit patterns of X and of the trace are amd64's (other targets may fuse
+// multiply-adds).
+func TestVTMGolden(t *testing.T) {
+	sys := sparse.Poisson2D(17, 17, 0.05)
+	exact, err := dense.SolveExact(sys.A, sys.B)
+	if err != nil {
+		t.Fatalf("reference solve: %v", err)
+	}
+	prob, err := GridProblem(sys, 17, 17, 4, 4, topology.Mesh4x4Paper())
+	if err != nil {
+		t.Fatalf("GridProblem: %v", err)
+	}
+	res, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{Exact: exact, StopOnError: 1e-4, RecordTrace: true},
+		Engine:        EngineVTM,
+		MaxIterations: 600,
+	})
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if res.Iterations != 97 || res.Solves != 1552 || res.Messages != 23280 || res.FinalTime != 97 || !res.Converged || len(res.Trace) != 97 {
+		t.Errorf("VTM run moved: %d sweeps, %d solves, %d messages, t=%g, converged=%v, %d trace points; want 97, 1552, 23280, 97, true, 97",
+			res.Iterations, res.Solves, res.Messages, res.FinalTime, res.Converged, len(res.Trace))
+	}
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	hx, ht := fnv.New64a(), fnv.New64a()
+	hashBits := func(h hash.Hash64, vs ...float64) {
+		for _, v := range vs {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+	}
+	hashBits(hx, res.X...)
+	for _, tp := range res.Trace {
+		hashBits(ht, tp.Time, tp.RMSError, tp.TwinGap, float64(tp.Solves), float64(tp.Messages))
+	}
+	if got := hx.Sum64(); got != 0xed3bf8c121376c2d {
+		t.Errorf("FNV-1a of X = %#x, want 0xed3bf8c121376c2d", got)
+	}
+	if got := ht.Sum64(); got != 0x48a9d9fa25da5d36 {
+		t.Errorf("FNV-1a of the trace = %#x, want 0x48a9d9fa25da5d36", got)
+	}
+	if math.Float64bits(res.RMSError) != 0x3f17fabfbfe6becc || math.Float64bits(res.TwinGap) != 0x3ecdac59c9800000 {
+		t.Errorf("final RMS %x gap %x, want 3f17fabfbfe6becc 3ecdac59c9800000", math.Float64bits(res.RMSError), math.Float64bits(res.TwinGap))
+	}
+}
+
 // TestIncrementalTwinGapMatchesFullScan verifies, after a DTM run, that the
 // incrementally maintained segment tree's root equals a from-scratch scan over
 // every link — the invariant that lets the stop condition check only
@@ -113,19 +169,12 @@ func TestIncrementalTwinGapMatchesFullScan(t *testing.T) {
 	}
 	cfg := Config{CommonOptions: CommonOptions{Tol: 1e-7}, MaxTime: 800}
 	cfg.normalize()
-	subs, _, err := prob.buildSubdomains(cfg.Impedance, cfg.Factor)
+	eng, err := newEngine(prob, &cfg)
 	if err != nil {
-		t.Fatalf("BuildSubdomains: %v", err)
+		t.Fatalf("newEngine: %v", err)
 	}
-	eng := newEngine(prob, &cfg, subs)
-	compute := cfg.computeTimeFn(prob)
-	nodes := make([]netsim.Node[wavePacket], len(subs))
-	for i, s := range subs {
-		nodes[i] = newDTMNode(eng, s, compute)
-	}
-	sim := netsim.New(nodes, func(from, to int) float64 { return prob.Delay(from, to) })
-	sim.SetStopCondition(func(now float64) bool { return eng.shouldStop(now) })
-	sim.Run(cfg.MaxTime)
+	eng.window(context.Background(), cfg.computeTimeFn(prob), 0, cfg.MaxTime, false)
+	subs := eng.subs
 
 	full := 0.0
 	for _, l := range prob.Partition.Links {

@@ -27,12 +27,18 @@ type waveEntry struct {
 	wave   float64
 }
 
-// engine is the shared state of a DES-based DTM run: the subdomains, the
-// incrementally maintained assembled solution and error, and the trace.
+// engine is the one virtual-time engine: the subdomains, the incrementally
+// maintained assembled solution and error, the trace, and the two scheduling
+// primitives every virtual-time run is made of — window (an asynchronous DES
+// phase) and sweep (a synchronous barrier). The DES, VTM and mixed engines
+// are three schedules of them (solveDES, solveVTM, solveMixed). All engine
+// state is on the run's absolute time axis; only window and the nodes it
+// creates know the simulator's window-relative one.
 type engine struct {
 	prob *Problem
 	cfg  *Config
 	subs []*Subdomain
+	zs   []float64 // characteristic impedance per twin link
 
 	// ownerOf[part] lists the (local index, global index) pairs the part owns
 	// (see Problem.OwnerPairs).
@@ -72,27 +78,33 @@ type engine struct {
 	lastChange []float64 // last boundary-potential change per part
 	solvedOnce []bool
 
-	trace     []TracePoint
-	messages  int
+	trace []TracePoint
+	// messages counts the waves sent and delivered those that arrived; a
+	// fault spec drops and duplicates in between.
+	messages, delivered int
+
 	converged bool
 	// interrupted is set when the caller's ctx (or the MaxWallTime deadline)
 	// ended the run before a stopping rule fired.
 	interrupted bool
-
-	// timeOffset is added to every recorded trace time; the mixed sync/async
-	// engine uses it to stitch several DES windows onto one virtual time axis.
-	timeOffset float64
 
 	// faults is the fault-injection bookkeeping (see faults.go); nil unless the
 	// run has an enabled fault spec, and every fault-path branch is off then.
 	faults *faultState
 }
 
-func newEngine(p *Problem, cfg *Config, subs []*Subdomain) *engine {
+// newEngine factorises the subdomains and builds the engine around them. cfg
+// must be normalized and validated.
+func newEngine(p *Problem, cfg *Config) (*engine, error) {
+	subs, zs, err := p.buildSubdomains(cfg.Impedance, cfg.Factor)
+	if err != nil {
+		return nil, err
+	}
 	e := &engine{
 		prob:       p,
 		cfg:        cfg,
 		subs:       subs,
+		zs:         zs,
 		x:          sparse.NewVec(p.System.Dim()),
 		exact:      cfg.Exact,
 		lastChange: make([]float64, len(subs)),
@@ -109,7 +121,10 @@ func newEngine(p *Problem, cfg *Config, subs []*Subdomain) *engine {
 		}
 	}
 	e.initTwinGaps()
-	return e
+	if cfg.Faults.Enabled() {
+		e.faults = newFaultState(cfg.Faults, len(subs))
+	}
+	return e, nil
 }
 
 // errRecomputeEvery is how many incremental error updates are allowed between
@@ -190,6 +205,21 @@ func (e *engine) updateTwinGaps(part int) {
 			}
 			tree[i] = m
 		}
+	}
+}
+
+// solve is one local solve of a part — the step every schedule is made of:
+// re-solve with the current incoming waves, note the boundary change for the
+// quiescence rule, fold the solution into the assembled state, and tell the
+// observer.
+func (e *engine) solve(part int, now float64) {
+	sub := e.subs[part]
+	e.lastChange[part] = sub.Solve()
+	e.solvedOnce[part] = true
+	e.solves++
+	e.applyLocal(part)
+	if e.cfg.Observer != nil {
+		e.cfg.Observer(now, part, sub.X())
 	}
 }
 
@@ -289,7 +319,7 @@ func (e *engine) record(now float64) {
 		return
 	}
 	e.trace = append(e.trace, TracePoint{
-		Time:     e.timeOffset + now,
+		Time:     now,
 		RMSError: e.rmsError(),
 		TwinGap:  e.twinGap(),
 		Solves:   e.solves,
@@ -317,6 +347,10 @@ type dtmNode struct {
 	// instead of the paper's zero initial condition (5.6); the mixed sync/async
 	// engine uses it to resume an asynchronous window from accumulated state.
 	warmStart bool
+	// off is the absolute virtual time of the window's start: the simulator
+	// hands the node window-relative times, the engine and the fault spec
+	// live on the absolute axis.
+	off float64
 
 	// Fault-layer state (see faults.go); untouched in fault-free runs.
 	sim        *netsim.Simulator[wavePacket]
@@ -402,15 +436,7 @@ func (n *dtmNode) OnMessages(now float64, msgs []netsim.Message[wavePacket]) []n
 		// duplicate traffic.
 		return nil
 	}
-	change := n.sub.Solve()
-	part := n.sub.Part()
-	n.eng.lastChange[part] = change
-	n.eng.solvedOnce[part] = true
-	n.eng.solves++
-	n.eng.applyLocal(part)
-	if n.eng.cfg.Observer != nil {
-		n.eng.cfg.Observer(now, part, n.sub.X())
-	}
+	n.eng.solve(n.sub.Part(), n.off+now)
 	return n.packetsToAll(now, false)
 }
 
@@ -464,85 +490,126 @@ func (n *dtmNode) packetsToAll(now float64, initial bool) []netsim.Outgoing[wave
 }
 
 // solveDES runs the fully asynchronous DTM on the deterministic
-// discrete-event engine. cfg must be normalized and validated. The ctx is
-// consulted only when it can fire (Solve wires MaxWallTime into it): a
-// Background context leaves the hot path exactly as fast — and the run
-// byte-identical — as before the context-first API existed.
+// discrete-event engine: one window over the whole horizon. cfg must be
+// normalized and validated.
 func solveDES(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
-	subs, zs, err := p.buildSubdomains(cfg.Impedance, cfg.Factor)
+	eng, err := newEngine(p, cfg)
 	if err != nil {
 		return nil, err
 	}
+	end := eng.window(ctx, cfg.computeTimeFn(p), 0, cfg.MaxTime, false)
+	return eng.finish(end), deadlineErr(ctx, cfg, eng.interrupted)
+}
 
-	eng := newEngine(p, cfg, subs)
-	if len(p.Partition.Links) == 0 {
-		return eng.solveUncoupled(zs), nil
-	}
-	compute := cfg.computeTimeFn(p)
-	dtmNodes := make([]*dtmNode, len(subs))
-	nodes := make([]netsim.Node[wavePacket], len(subs))
-	for i, s := range subs {
-		dtmNodes[i] = newDTMNode(eng, s, compute)
+// window runs one asynchronous phase: a fresh DES over the subdomains' current
+// state from absolute virtual time off for at most length, cold (the paper's
+// zero initial waves) or warm (announcing the current ones). It returns the
+// absolute time the phase ended at. The ctx is consulted only when it can
+// fire (Solve wires MaxWallTime into it), so a Background run pays one nil
+// check per stop test.
+func (e *engine) window(ctx context.Context, compute func(part, dim int) float64, off, length float64, warm bool) float64 {
+	dtmNodes := make([]*dtmNode, len(e.subs))
+	nodes := make([]netsim.Node[wavePacket], len(e.subs))
+	for i, s := range e.subs {
+		dtmNodes[i] = newDTMNode(e, s, compute)
+		dtmNodes[i].warmStart, dtmNodes[i].off = warm, off
 		nodes[i] = dtmNodes[i]
 	}
-	sim := netsim.New(nodes, func(from, to int) float64 { return p.Delay(from, to) })
-	if cfg.Faults.Enabled() {
-		eng.initFaults(cfg.Faults)
-		sim.SetFaultPolicy(eng.faults.ctl.Fate)
-	}
+	sim := netsim.New(nodes, func(from, to int) float64 { return e.prob.Delay(from, to) })
 	for _, n := range dtmNodes {
 		n.sim = sim
 	}
-	sim.SetObserver(func(now float64, node int) { eng.record(now) })
-	if done := ctx.Done(); done != nil {
-		sim.SetStopCondition(func(now float64) bool {
-			select {
-			case <-done:
-				eng.interrupted = true
-				return true
-			default:
-			}
-			return eng.shouldStop(now)
-		})
-	} else {
-		sim.SetStopCondition(func(now float64) bool { return eng.shouldStop(now) })
+	if f := e.faults; f != nil {
+		sim.SetFaultPolicy(func(from, to int, t, d float64) []float64 { return f.ctl.Fate(from, to, off+t, d) })
 	}
+	sim.SetObserver(func(t float64, node int) { e.record(off + t) })
+	done := ctx.Done()
+	sim.SetStopCondition(func(t float64) bool { return (done != nil && e.cancelled(done)) || e.shouldStop(off+t) })
 
-	stats := sim.Run(cfg.MaxTime)
-	res := finish(eng, zs, stats.Time, stats.Messages, eng.converged)
-	return res, deadlineErr(ctx, cfg, eng.interrupted)
+	stats := sim.Run(length)
+	e.delivered += stats.Messages
+	return off + stats.Time
 }
 
-// solveUncoupled is the degenerate case of a partition with no twin links:
-// every subdomain is a whole system, and one local solve of each is the exact
-// answer.
-func (e *engine) solveUncoupled(zs []float64) *Result {
-	for part, s := range e.subs {
-		s.Solve()
-		e.solves++
-		e.applyLocal(part)
-		e.solvedOnce[part] = true
-		e.lastChange[part] = 0
+// cancelled polls the run's done channel (nil when its ctx can never fire)
+// and latches interrupted.
+func (e *engine) cancelled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		e.interrupted = true
+		return true
+	default:
+		return false
+	}
+}
+
+// sweep runs one synchronous barrier at absolute virtual time now: every part
+// solves with the waves it holds, then every link carries the new waves both
+// ways at once (eq. (5.10)). A part inside a crash window at the barrier
+// instant is down: it neither solves nor exchanges waves this sweep. What the
+// barrier costs in virtual time is the schedule's business.
+func (e *engine) sweep(now float64) {
+	crashed := func(part int) bool { return e.faults != nil && e.faults.spec.CrashedAt(part, now) }
+	for part := range e.subs {
+		if !crashed(part) {
+			e.solve(part, now)
+		}
+	}
+	// The exchange is simultaneous: read every outgoing wave before any
+	// incoming one is overwritten.
+	type pending struct {
+		sub  *Subdomain
+		link int
+		wave float64
+	}
+	var updates []pending
+	for part, sub := range e.subs {
+		if crashed(part) {
+			continue
+		}
+		for k, end := range sub.Ends() {
+			if !crashed(end.Remote) {
+				updates = append(updates, pending{e.subs[end.Remote], end.LinkID, sub.OutgoingWave(k)})
+			}
+		}
+	}
+	for _, u := range updates {
+		u.sub.SetIncomingByLink(u.link, u.wave)
+	}
+	e.messages += len(updates)
+	e.delivered += len(updates)
+	if e.faults != nil {
+		// The barrier exchanged (or consciously skipped) everything: no wave
+		// is left in flight.
+		e.faults.settle()
+	}
+}
+
+// solveUncoupled is the degenerate case of a partition with no twin links
+// (Solve short-cuts every engine to it): one local solve of each part.
+func (e *engine) solveUncoupled() *Result {
+	for part := range e.subs {
+		e.solve(part, 0)
 	}
 	e.record(0)
-	return finish(e, zs, 0, 0, true)
+	e.converged = true
+	return e.finish(0)
 }
 
-func finish(eng *engine, zs []float64, finalTime float64, deliveredMessages int, converged bool) *Result {
-	p := eng.prob
-	x := eng.x.Clone()
+// finish assembles the Result of a run that ended at virtual time finalTime.
+func (e *engine) finish(finalTime float64) *Result {
 	res := &Result{
-		X:          x,
-		Converged:  converged,
+		X:          e.x.Clone(),
+		Converged:  e.converged,
 		FinalTime:  finalTime,
-		TwinGap:    eng.twinGap(),
-		Solves:     eng.solves,
-		Messages:   deliveredMessages,
-		Trace:      downsample(eng.trace, eng.cfg.TraceMaxPoints),
-		Impedances: zs,
+		TwinGap:    e.twinGap(),
+		Solves:     e.solves,
+		Messages:   e.delivered,
+		Trace:      downsample(e.trace, e.cfg.TraceMaxPoints),
+		Impedances: e.zs,
 	}
-	res.measure(p, eng.exact)
-	if f := eng.faults; f != nil {
+	res.measure(e.prob, e.exact)
+	if f := e.faults; f != nil {
 		st := f.ctl.Stats()
 		fs := f.stats
 		fs.Dropped, fs.Duplicated, fs.Delayed = st.Dropped, st.Duplicated, st.Delayed

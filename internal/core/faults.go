@@ -45,13 +45,12 @@ type faultState struct {
 	stats FaultStats
 }
 
-// initFaults attaches an enabled fault spec (Config.validate has checked its
-// part references against the partition) to the engine.
-func (e *engine) initFaults(spec *chaos.Spec) {
-	n := len(e.subs)
-	// The fault-mode SendThreshold default (Tol/100, floor 1e-12) is applied
-	// by Config.normalize — the single home of that rule for every engine.
-	e.faults = &faultState{
+// newFaultState is the bookkeeping of an enabled fault spec over n parts
+// (Config.validate has checked its part references against the partition).
+// The fault-mode SendThreshold default (Tol/100, floor 1e-12) is applied by
+// Config.normalize — the single home of that rule for every engine.
+func newFaultState(spec *chaos.Spec, n int) *faultState {
+	return &faultState{
 		spec:       spec,
 		ctl:        chaos.NewController(spec, n),
 		sentSeq:    make([]uint64, n*n),
@@ -95,9 +94,8 @@ func (f *faultState) apply(pid int, seq uint64) bool {
 	return true
 }
 
-// settle marks every assigned sequence number as applied — the mixed engine
-// calls it after a synchronous barrier sweep, which exchanges all waves
-// reliably.
+// settle marks every assigned sequence number as applied — engine.sweep
+// calls it after the barrier, which exchanges all waves reliably.
 func (f *faultState) settle() {
 	copy(f.appliedSeq, f.sentSeq)
 	f.pendingPairs = 0
@@ -131,7 +129,7 @@ func (n *dtmNode) initFaultNode(now float64) {
 	n.wdBackoff = make([]int, len(n.adj))
 	spec := n.eng.faults.spec
 	part := n.sub.Part()
-	absNow := n.eng.timeOffset + now
+	absNow := n.off + now
 	for ci, c := range spec.Crashes {
 		if c.Part != part {
 			continue
@@ -257,13 +255,6 @@ func (n *dtmNode) crashTimer(now float64, id int) []netsim.Outgoing[wavePacket] 
 	for k := range n.lastSent {
 		n.lastSent[k] = math.NaN()
 	}
-	change := n.sub.Solve()
-	n.eng.lastChange[part] = change
-	n.eng.solvedOnce[part] = true
-	n.eng.solves++
-	n.eng.applyLocal(part)
-	if n.eng.cfg.Observer != nil {
-		n.eng.cfg.Observer(now, part, n.sub.X())
-	}
+	n.eng.solve(part, n.off+now)
 	return n.packetsToAll(now, false)
 }

@@ -61,7 +61,7 @@ func TestDTMFaultsDefaultSendThreshold(t *testing.T) {
 	res, err := Solve(context.Background(), faultTestProblem(t), Config{
 		CommonOptions: CommonOptions{
 			Tol: 1e-9,
-			// SendThreshold deliberately zero: initFaults must default it.
+			// SendThreshold deliberately zero: Config.normalize must default it.
 			Faults: &chaos.Spec{Seed: 11, Drop: 0.05, Dup: 0.02, Jitter: 0.5},
 		},
 		MaxTime: 200000,

@@ -45,10 +45,6 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	owner := p.OwnerPairs()
 	links := p.Partition.Links
 
-	if len(links) == 0 {
-		return newEngine(p, cfg, subs).solveUncoupled(zs), nil
-	}
-
 	spec := cfg.Faults
 	if spec == nil {
 		// The zero spec gives every send exactly one on-time fate.

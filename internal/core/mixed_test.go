@@ -10,7 +10,7 @@ import (
 	"repro/internal/topology"
 )
 
-func TestMixedOptionsValidation(t *testing.T) {
+func TestMixedConfigValidation(t *testing.T) {
 	prob, exact := gridProblem(t, 6, 2, nil)
 	cases := map[string]Config{
 		"zero MaxTime":     {Engine: EngineMixed, AsyncWindow: 10},
@@ -93,6 +93,21 @@ func TestMixedMatchesDTMAndVTMFixedPoint(t *testing.T) {
 	}
 	if !mixed.X.Equal(exact, 1e-6) {
 		t.Errorf("mixed solution error %g", mixed.X.MaxAbsDiff(exact))
+	}
+
+	// One window over the whole horizon is the DES engine, byte for byte.
+	common := CommonOptions{Tol: 1e-10, Exact: exact}
+	des, err := Solve(context.Background(), prob, Config{CommonOptions: common, MaxTime: 30000})
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	oneWindow, err := Solve(context.Background(), prob, Config{CommonOptions: common, Engine: EngineMixed, MaxTime: 30000, AsyncWindow: 30000})
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if !des.Converged || !sameRun(des, oneWindow) || oneWindow.AsyncPhases != 1 || oneWindow.SyncSweepsDone != 0 {
+		t.Errorf("mixed with AsyncWindow = MaxTime is not the DES run:\n des   %d solves %d messages t=%g\n mixed %d solves %d messages t=%g (%d phases, %d sweeps)",
+			des.Solves, des.Messages, des.FinalTime, oneWindow.Solves, oneWindow.Messages, oneWindow.FinalTime, oneWindow.AsyncPhases, oneWindow.SyncSweepsDone)
 	}
 }
 

@@ -137,11 +137,13 @@ type Config struct {
 	// realistic fraction of the time and bounds the message rate.
 	ComputeTime func(part, dim int) float64
 
-	// Observer, when non-nil, is invoked by the DES and mixed engines after
-	// every local solve with the virtual completion time, the part that
-	// solved, and its local solution vector [u_ports; y_inner] (a live buffer
-	// — copy it if it must be kept). Experiments use it to record individual
-	// port potentials (Fig. 8).
+	// Observer, when non-nil, is invoked by the virtual-time engines (DES,
+	// VTM and mixed) after every local solve with its virtual completion time
+	// (for the solves of a barrier sweep, the barrier instant — under VTM the
+	// number of sweeps before it), the part that solved, and its local
+	// solution vector [u_ports; y_inner] (a live buffer — copy it if it must
+	// be kept). Experiments use it to record individual port potentials
+	// (Fig. 8).
 	Observer func(now float64, part int, local sparse.Vec)
 
 	// MaxIterations bounds the number of synchronous sweeps. Required by the
@@ -153,13 +155,10 @@ type Config struct {
 	AsyncWindow float64
 
 	// SyncSweeps is the number of synchronous sweeps performed after each
-	// asynchronous window of the mixed engine (default 1).
+	// asynchronous window of the mixed engine (default 1). Each is charged
+	// the slowest round-trip delay between adjacent subdomains — what a
+	// barrier on that machine actually costs.
 	SyncSweeps int
-
-	// SyncSweepCost is the virtual cost the mixed engine charges per
-	// synchronous sweep. The default is the slowest round-trip delay between
-	// adjacent subdomains — what a barrier on that machine actually costs.
-	SyncSweepCost float64
 
 	// TimeScale converts one topology time unit into wall-clock time for the
 	// live engine, e.g. 100·time.Microsecond turns a 10 ms-unit mesh delay

@@ -27,6 +27,15 @@ func Solve(ctx context.Context, p *Problem, cfg Config) (*Result, error) {
 		defer cancel()
 		ctx = runCtx
 	}
+	if len(p.Partition.Links) == 0 {
+		// No twin links: every subdomain is a whole system and one local
+		// solve of each is the exact answer, whatever the engine.
+		eng, err := newEngine(p, &cfg)
+		if err != nil {
+			return nil, err
+		}
+		return eng.solveUncoupled(), nil
+	}
 	switch cfg.Engine {
 	case EngineVTM:
 		return solveVTM(ctx, p, &cfg)

@@ -41,209 +41,63 @@ type Renderer interface {
 // reduced problem size suitable for unit tests and -short benchmarks.
 type Runner func(w io.Writer, quick bool) error
 
+// runner builds an experiment's Runner from its full-size and reduced
+// parameter sets: run it, render the result and — when the result can check
+// itself against its oracle (Agrees) — fail if it does not.
+func runner[P any, R Renderer](full, reduced func() P, exp func(P) (R, error)) Runner {
+	return func(w io.Writer, quick bool) error {
+		params := full
+		if quick {
+			params = reduced
+		}
+		r, err := exp(params())
+		if err != nil {
+			return err
+		}
+		if err := r.Render(w); err != nil {
+			return err
+		}
+		if a, ok := any(r).(interface{ Agrees() bool }); ok && !a.Agrees() {
+			return fmt.Errorf("experiments: the runs disagree with their oracle (see table)")
+		}
+		return nil
+	}
+}
+
 // Registry maps experiment names (as accepted by cmd/dtmbench -exp) to their
 // runners.
 func Registry() map[string]Runner {
+	quickFig9 := func() Fig9Params {
+		p := DefaultFig9Params()
+		p.Impedances = p.Impedances[:5]
+		return p
+	}
 	return map[string]Runner{
-		"fig8": func(w io.Writer, quick bool) error {
-			r, err := Fig8(DefaultFig8Params())
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"fig9": func(w io.Writer, quick bool) error {
-			p := DefaultFig9Params()
-			if quick {
-				p.Impedances = p.Impedances[:5]
-			}
-			r, err := Fig9(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"fig11": func(w io.Writer, quick bool) error {
-			r := Fig11()
-			return r.Render(w)
-		},
-		"fig12": func(w io.Writer, quick bool) error {
-			p := DefaultFig12Params()
-			if quick {
-				p = QuickFig12Params()
-			}
-			r, err := Fig12(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"fig13": func(w io.Writer, quick bool) error {
-			r := Fig13()
-			return r.Render(w)
-		},
-		"fig14": func(w io.Writer, quick bool) error {
-			p := DefaultFig14Params()
-			if quick {
-				p = QuickFig14Params()
-			}
-			r, err := Fig14(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"compare-vtm": func(w io.Writer, quick bool) error {
-			p := DefaultCompareParams()
-			if quick {
-				p = QuickCompareParams()
-			}
-			r, err := CompareDTMvsVTM(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"compare-async-jacobi": func(w io.Writer, quick bool) error {
-			p := DefaultCompareParams()
-			if quick {
-				p = QuickCompareParams()
-			}
-			r, err := CompareAsyncJacobi(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"ablation-impedance": func(w io.Writer, quick bool) error {
-			p := DefaultCompareParams()
-			if quick {
-				p = QuickCompareParams()
-			}
-			r, err := AblationImpedance(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"ablation-delays": func(w io.Writer, quick bool) error {
-			p := DefaultCompareParams()
-			if quick {
-				p = QuickCompareParams()
-			}
-			r, err := AblationDelays(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"ablation-mixed": func(w io.Writer, quick bool) error {
-			p := DefaultCompareParams()
-			if quick {
-				p = QuickCompareParams()
-			}
-			r, err := AblationMixedSync(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"scale-sparse": func(w io.Writer, quick bool) error {
-			p := DefaultScaleSparseParams()
-			if quick {
-				p = QuickScaleSparseParams()
-			}
-			r, err := ScaleSparse(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"solve-throughput": func(w io.Writer, quick bool) error {
-			p := DefaultSolveThroughputParams()
-			if quick {
-				p = QuickSolveThroughputParams()
-			}
-			r, err := SolveThroughput(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
+		"fig8":                 runner(DefaultFig8Params, DefaultFig8Params, Fig8),
+		"fig9":                 runner(DefaultFig9Params, quickFig9, Fig9),
+		"fig11":                func(w io.Writer, quick bool) error { return Fig11().Render(w) },
+		"fig12":                runner(DefaultFig12Params, QuickFig12Params, Fig12),
+		"fig13":                func(w io.Writer, quick bool) error { return Fig13().Render(w) },
+		"fig14":                runner(DefaultFig14Params, QuickFig14Params, Fig14),
+		"compare-vtm":          runner(DefaultCompareParams, QuickCompareParams, CompareDTMvsVTM),
+		"compare-async-jacobi": runner(DefaultCompareParams, QuickCompareParams, CompareAsyncJacobi),
+		"ablation-impedance":   runner(DefaultCompareParams, QuickCompareParams, AblationImpedance),
+		"ablation-delays":      runner(DefaultCompareParams, QuickCompareParams, AblationDelays),
+		"ablation-mixed":       runner(DefaultCompareParams, QuickCompareParams, AblationMixedSync),
+		"scale-sparse":         runner(DefaultScaleSparseParams, QuickScaleSparseParams, ScaleSparse),
+		"solve-throughput":     runner(DefaultSolveThroughputParams, QuickSolveThroughputParams, SolveThroughput),
 		"fault-sweep": func(w io.Writer, quick bool) error {
-			p := DefaultFaultSweepParams()
-			if quick {
-				p = QuickFaultSweepParams()
-			}
-			r, err := FaultSweep(p)
-			if err != nil {
+			err := runner(DefaultFaultSweepParams, QuickFaultSweepParams, FaultSweep)(w, quick)
+			if err != nil || quick {
 				return err
-			}
-			if err := r.Render(w); err != nil {
-				return err
-			}
-			if quick {
-				return nil
 			}
 			// The full run adds the large-grid leg.
-			big, err := FaultSweep(FullFaultSweepParams())
-			if err != nil {
-				return err
-			}
 			fmt.Fprintln(w)
-			return big.Render(w)
+			return runner(FullFaultSweepParams, FullFaultSweepParams, FaultSweep)(w, false)
 		},
-		"failover-sweep": func(w io.Writer, quick bool) error {
-			p := DefaultFailoverSweepParams()
-			if quick {
-				p = QuickFailoverSweepParams()
-			}
-			r, err := FailoverSweep(p)
-			if err != nil {
-				return err
-			}
-			if err := r.Render(w); err != nil {
-				return err
-			}
-			if !r.Agrees() {
-				return fmt.Errorf("experiments: E10 disagreement (see table)")
-			}
-			return nil
-		},
-		"spanner-fabric": func(w io.Writer, quick bool) error {
-			p := DefaultSpannerFabricParams()
-			if quick {
-				p = QuickSpannerFabricParams()
-			}
-			r, err := SpannerFabric(p)
-			if err != nil {
-				return err
-			}
-			if err := r.Render(w); err != nil {
-				return err
-			}
-			if !r.Agrees() {
-				return fmt.Errorf("experiments: E11 disagreement (see table)")
-			}
-			return nil
-		},
-		"compare-distributed": func(w io.Writer, quick bool) error {
-			p := DefaultCompareDistributedParams()
-			if quick {
-				p = QuickCompareDistributedParams()
-			}
-			r, err := CompareDistributed(p)
-			if err != nil {
-				return err
-			}
-			if err := r.Render(w); err != nil {
-				return err
-			}
-			if !r.Agrees() {
-				return fmt.Errorf("experiments: E9 disagreement (see table)")
-			}
-			return nil
-		},
+		"failover-sweep":      runner(DefaultFailoverSweepParams, QuickFailoverSweepParams, FailoverSweep),
+		"spanner-fabric":      runner(DefaultSpannerFabricParams, QuickSpannerFabricParams, SpannerFabric),
+		"compare-distributed": runner(DefaultCompareDistributedParams, QuickCompareDistributedParams, CompareDistributed),
 	}
 }
 

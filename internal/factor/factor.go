@@ -74,10 +74,10 @@ var ErrDenseTooLarge = errors.New("factor: matrix too large to factorise densely
 
 // MaxDenseBytes caps the transient memory a dense factorisation may allocate:
 // densifying the matrix plus the factor and its cached transpose costs about
-// 24 bytes per n² entry. The default (2 GiB) admits every per-subdomain block
-// of the paper's workloads while refusing the whole-system sizes the E6
+// 24 bytes per n² entry. 2 GiB admits every per-subdomain block of the
+// paper's workloads while refusing the whole-system sizes the E6
 // scale-sparse experiment demonstrates the sparse backend on.
-var MaxDenseBytes int64 = 2 << 30
+const MaxDenseBytes int64 = 2 << 30
 
 // LocalSolver is the factor-once/solve-many contract every backend satisfies.
 // SolveTo must be deterministic, must tolerate x aliasing b, and must be
@@ -211,11 +211,13 @@ func DenseBytesNeeded(n int) int64 {
 
 // DenseFeasible reports (as a nil/non-nil error) whether an n×n dense
 // factorisation fits under MaxDenseBytes.
-func DenseFeasible(n int) error {
+func DenseFeasible(n int) error { return denseFeasible(n, MaxDenseBytes) }
+
+func denseFeasible(n int, capBytes int64) error {
 	need := DenseBytesNeeded(n)
-	if need > MaxDenseBytes {
+	if need > capBytes {
 		return fmt.Errorf("%w: n=%d would need ~%.1f GiB, cap is %.1f GiB",
-			ErrDenseTooLarge, n, float64(need)/(1<<30), float64(MaxDenseBytes)/(1<<30))
+			ErrDenseTooLarge, n, float64(need)/(1<<30), float64(capBytes)/(1<<30))
 	}
 	return nil
 }

@@ -95,10 +95,18 @@ func TestAutoPicksDenseForSmallSparseForLarge(t *testing.T) {
 // dense backend refuses (without allocating) a matrix beyond MaxDenseBytes,
 // while the auto policy routes the same matrix to the sparse backend.
 func TestDenseGuard(t *testing.T) {
-	// A sparse identity far beyond the dense cap is cheap to build.
+	// The guard's arithmetic at a cap small enough to straddle: 24·n² bytes
+	// against 1 MiB admits n = 209 and refuses n = 210.
+	if err := denseFeasible(209, 1<<20); err != nil {
+		t.Errorf("n=209 under a 1 MiB cap: %v, want feasible", err)
+	}
+	if err := denseFeasible(210, 1<<20); !errors.Is(err, ErrDenseTooLarge) {
+		t.Errorf("n=210 under a 1 MiB cap: %v, want ErrDenseTooLarge", err)
+	}
+	// A sparse identity far beyond the real cap is cheap to build.
 	n := 20000
 	if DenseFeasible(n) == nil {
-		t.Skipf("MaxDenseBytes %d admits n=%d; guard not exercised", MaxDenseBytes, n)
+		t.Fatalf("MaxDenseBytes %d admits n=%d; guard not exercised", MaxDenseBytes, n)
 	}
 	a := sparse.Identity(n)
 	for _, backend := range []string{DenseCholesky, DenseLU} {
@@ -129,35 +137,39 @@ func TestDenseGuard(t *testing.T) {
 // ErrDenseTooLarge. With the chain sparse-Cholesky → sparse-LDLᵀ → dense LU
 // the same block factorises sparsely.
 func TestAutoRoutesLargeNonSPDToSparseLDLT(t *testing.T) {
-	// Shrink the dense cap so "beyond the dense memory wall" is cheap to
-	// reach: with a 1 MiB cap, DenseFeasible fails above n = 209.
-	saved := MaxDenseBytes
-	MaxDenseBytes = 1 << 20
-	defer func() { MaxDenseBytes = saved }()
-
-	sys := sparse.SaddlePoisson2D(20, 20, 1e-2) // n = 420, indefinite
-	n := sys.Dim()
-	if DenseFeasible(n) == nil {
-		t.Fatalf("test setup: n=%d should be past the lowered dense cap", n)
-	}
-	if _, err := New(SparseCholesky, sys.A); !errors.Is(err, ErrNotPositiveDefinite) {
-		t.Fatalf("sparse Cholesky on the saddle system: %v, want ErrNotPositiveDefinite", err)
-	}
-	// The old chain's landing spot, dense LU, is infeasible at this cap …
-	if _, err := New(DenseLU, sys.A); !errors.Is(err, ErrDenseTooLarge) {
-		t.Fatalf("dense LU at the lowered cap: %v, want ErrDenseTooLarge", err)
-	}
-	// … but auto now routes to the sparse LDLᵀ and solves.
-	s, err := New(Auto, sys.A)
-	if err != nil {
-		t.Fatalf("Auto on a large non-SPD block: %v", err)
-	}
-	if s.Backend() != SparseLDLT {
-		t.Errorf("Auto picked %q, want %q", s.Backend(), SparseLDLT)
-	}
-	x := Solve(s, sys.B)
-	if r := sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2(); r > 1e-10 {
-		t.Errorf("auto LDLT solve has relative residual %g", r)
+	for _, tc := range []struct {
+		side        int
+		pastTheWall bool
+		want        string
+	}{
+		// Scalar chain: sparse Cholesky → sparse LDLᵀ.
+		{side: 20, want: SparseLDLT}, // n = 420
+		// Past the dense memory wall (n = 9702 needs 2.1 GiB), where the old
+		// chain's landing spot, dense LU, cannot be allocated; at this size
+		// the supernodal backend runs the same Cholesky → LDLᵀ chain itself.
+		{side: 98, pastTheWall: true, want: SparseSupernodal},
+	} {
+		sys := sparse.SaddlePoisson2D(tc.side, tc.side, 1e-2) // indefinite
+		n := sys.Dim()
+		if _, err := New(SparseCholesky, sys.A); !errors.Is(err, ErrNotPositiveDefinite) {
+			t.Fatalf("n=%d: sparse Cholesky on the saddle system: %v, want ErrNotPositiveDefinite", n, err)
+		}
+		if tc.pastTheWall {
+			if _, err := New(DenseLU, sys.A); !errors.Is(err, ErrDenseTooLarge) {
+				t.Fatalf("n=%d: dense LU: %v, want ErrDenseTooLarge", n, err)
+			}
+		}
+		s, err := New(Auto, sys.A)
+		if err != nil {
+			t.Fatalf("n=%d: Auto on a large non-SPD block: %v", n, err)
+		}
+		if s.Backend() != tc.want {
+			t.Errorf("n=%d: Auto picked %q, want %q", n, s.Backend(), tc.want)
+		}
+		x := Solve(s, sys.B)
+		if r := sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2(); r > 1e-10 {
+			t.Errorf("n=%d: auto solve has relative residual %g", n, r)
+		}
 	}
 }
 
