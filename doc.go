@@ -75,6 +75,7 @@
 //
 // The executables cmd/dtmsolve, cmd/dtmbench, cmd/dtmgen and cmd/dtmd (the
 // distributed DTM server) and the programs under examples/ exercise the same
-// packages; bench_test.go at the module root regenerates every experiment as
-// a testing.B benchmark.
+// packages; experiments_test.go at the module root runs every experiment at
+// its reduced size, and the benchmark under bench/ (BENCHMARK.json) times the
+// solve layer by layer.
 package repro

@@ -104,6 +104,48 @@ func TestSolveDTMDeterminism(t *testing.T) {
 	})
 }
 
+// TestDESSteadyStateDoesNotAllocate is the zero-allocation contract of the DES
+// loop stated exactly: on the ring9 shape of bench/dtmperf (169 unknowns torn
+// 3×3 on a 9-processor ring, no stopping rule, no faults, no trace) a run
+// twice as long does ≈ 14 400 more solves and ≈ 51 000 more messages, and may
+// allocate at most one more object per 50 of those solves. What it does
+// allocate is growth of the event heap and the wave pools (≈ 140 objects,
+// one per 105 solves); anything paid per event, per message or per solve
+// is at least one per solve. The faulted path is not held to this: it hands
+// duplicated buffers to the GC by design, and ring9-grid13-faults in
+// bench/dtmperf/pins.json is its guard.
+func TestDESSteadyStateDoesNotAllocate(t *testing.T) {
+	sys := sparse.RandomGridSPD(13, 13, 169)
+	topo, err := topology.ParseTopology("ring", 9, 10)
+	if err != nil {
+		t.Fatalf("ParseTopology: %v", err)
+	}
+	run := func(maxTime float64) (mallocs uint64, solves int) {
+		prob, err := GridProblem(sys, 13, 13, 3, 3, topo)
+		if err != nil {
+			t.Fatalf("GridProblem: %v", err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Solve(context.Background(), prob, Config{MaxTime: maxTime})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("Solve: %v", err)
+		}
+		return after.Mallocs - before.Mallocs, res.Solves
+	}
+	shortMallocs, shortSolves := run(800)
+	longMallocs, longSolves := run(1600)
+	t.Logf("MaxTime 800: %d solves, %d mallocs; 1600: %d solves, %d mallocs", shortSolves, shortMallocs, longSolves, longMallocs)
+	if longSolves < 2*shortSolves {
+		t.Fatalf("the longer run did %d solves against %d: not a steady-state comparison", longSolves, shortSolves)
+	}
+	if extra, budget := int(longMallocs)-int(shortMallocs), (longSolves-shortSolves)/50; extra > budget {
+		t.Errorf("%d more solves cost %d more allocations (%d → %d), budget %d: something allocates in the DES loop",
+			longSolves-shortSolves, extra, shortMallocs, longMallocs, budget)
+	}
+}
+
 // TestVTMGolden pins the VTM engine the way bench/dtmperf/pins.json pins the
 // DES one: the quick compare-vtm problem, with every number below recorded
 // from the stand-alone sweep loop VTM had before it became a schedule of

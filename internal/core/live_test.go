@@ -15,7 +15,7 @@ import (
 	"repro/internal/topology"
 )
 
-func TestSolveLiveValidation(t *testing.T) {
+func TestLiveValidation(t *testing.T) {
 	prob, _ := gridProblem(t, 6, 2, nil)
 	if _, err := Solve(context.Background(), prob, Config{Engine: EngineLive}); err == nil {
 		t.Errorf("a live run without MaxWallTime must be rejected")
@@ -42,7 +42,7 @@ func TestSolveLiveValidation(t *testing.T) {
 	}
 }
 
-func TestSolveLiveConvergesOnGoroutines(t *testing.T) {
+func TestLiveConvergesOnGoroutines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live engine test skipped in -short mode")
 	}
@@ -87,7 +87,7 @@ func TestSolveLiveConvergesOnGoroutines(t *testing.T) {
 	}
 }
 
-func TestSolveLiveMatchesDESFixedPoint(t *testing.T) {
+func TestLiveMatchesDESFixedPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live engine test skipped in -short mode")
 	}

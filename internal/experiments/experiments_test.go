@@ -224,6 +224,11 @@ func TestFig12QuickConverges(t *testing.T) {
 	if !c.Converged || c.FinalRMS > 2e-6 {
 		t.Errorf("quick Fig12 run: converged=%v rms=%g", c.Converged, c.FinalRMS)
 	}
+	// The DES run is deterministic, so its work is exact: any drift in these
+	// two counters means the engine's behaviour changed.
+	if c.Solves != 35013 || c.Messages != 136951 {
+		t.Errorf("quick Fig12 run did %d solves, %d messages; want 35013, 136951", c.Solves, c.Messages)
+	}
 	if !strings.Contains(c.Theorem, "satisfied") {
 		t.Errorf("theorem report: %s", c.Theorem)
 	}

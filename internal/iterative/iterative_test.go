@@ -2,6 +2,7 @@ package iterative
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -249,6 +250,41 @@ func TestAsyncBlockJacobiValidation(t *testing.T) {
 	}
 	if _, err := AsyncBlockJacobi(sys.A, sys.B, assign, topo, AsyncOptions{MaxTime: 100, ProcMap: []int{0, 1}}); err == nil {
 		t.Errorf("a short process map must be rejected")
+	}
+}
+
+// TestAsyncBlockJacobiSteadyStateDoesNotAllocate holds the baseline, the
+// other netsim client, to the allocation contract of the DES loop
+// (core.TestDESSteadyStateDoesNotAllocate, same system, ring and budget): a
+// run twice as long may allocate at most one more object per 50 additional
+// solves. Measured flat: its value slices are pooled, so the horizon costs
+// nothing.
+func TestAsyncBlockJacobiSteadyStateDoesNotAllocate(t *testing.T) {
+	sys := sparse.RandomGridSPD(13, 13, 169)
+	assign := partition.GridBlocks(13, 13, 3, 3)
+	topo, err := topology.ParseTopology("ring", 9, 10)
+	if err != nil {
+		t.Fatalf("ParseTopology: %v", err)
+	}
+	run := func(maxTime float64) (mallocs uint64, solves int) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := AsyncBlockJacobi(sys.A, sys.B, assign, topo, AsyncOptions{MaxTime: maxTime})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("AsyncBlockJacobi: %v", err)
+		}
+		return after.Mallocs - before.Mallocs, res.Solves
+	}
+	shortMallocs, shortSolves := run(800)
+	longMallocs, longSolves := run(1600)
+	t.Logf("MaxTime 800: %d solves, %d mallocs; 1600: %d solves, %d mallocs", shortSolves, shortMallocs, longSolves, longMallocs)
+	if longSolves < 2*shortSolves {
+		t.Fatalf("the longer run did %d solves against %d: not a steady-state comparison", longSolves, shortSolves)
+	}
+	if extra, budget := int(longMallocs)-int(shortMallocs), (longSolves-shortSolves)/50; extra > budget {
+		t.Errorf("%d more solves cost %d more allocations (%d → %d), budget %d: something allocates per event",
+			longSolves-shortSolves, extra, shortMallocs, longMallocs, budget)
 	}
 }
 
