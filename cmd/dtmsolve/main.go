@@ -434,9 +434,8 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 			summary += fmt.Sprintf(" (%s ordering, nnz(L)=%d, inertia %d+/%d-/%d0)", f.Ordering(), f.NNZL(), pos, neg, zero)
 		case *factor.Supernodal:
 			pos, neg, zero := f.Inertia()
-			tasks, workers := f.Parallelism()
-			summary += fmt.Sprintf(" (%s mode, %s ordering, %d supernodes, nnz(L)=%d, inertia %d+/%d-/%d0, %d subtree tasks on %d workers)",
-				f.Mode(), f.Ordering(), f.Supernodes(), f.NNZL(), pos, neg, zero, tasks, workers)
+			summary += fmt.Sprintf(" (%s mode, %s ordering, %d supernodes, nnz(L)=%d, inertia %d+/%d-/%d0)",
+				f.Mode(), f.Ordering(), f.Supernodes(), f.NNZL(), pos, neg, zero)
 		}
 		return x, summary + batchNote, nil
 	case "cg":

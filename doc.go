@@ -17,16 +17,15 @@
 //     dense-lu, sparse-cholesky and sparse-ldlt (up-looking factorisations
 //     with per-block ND/RCM/AMD fill-reducing orderings) and sparse-supernodal
 //     (blocked trapezoidal panels over the postordered elimination tree,
-//     with independent subtrees factorised in parallel, deterministically),
+//     factorised and swept sequentially),
 //     plus the auto policy every subdomain and block solver uses, whose
 //     non-SPD fallback chain is sparse-Cholesky → sparse-LDLᵀ → dense LU.
 //     Solves are built for factor-once/solve-many: every sparse backend
 //     sweeps k right-hand sides as one batched panel (SolveBatchTo,
 //     byte-identical per RHS to k scalar sweeps; the supernodal panels run
-//     the packed rank-k kernels — an AVX microkernel on amd64), the
-//     supernodal backend level-schedules a single large triangular solve
-//     across elimination-tree level sets, and a concurrency-safe LRU factor
-//     cache (pattern+values keyed, byte-budgeted) serves repeated
+//     the packed rank-k kernels — an AVX microkernel on amd64), every
+//     factor answers concurrent SolveTo calls, and a concurrency-safe LRU
+//     factor cache (pattern+values keyed, byte-budgeted) serves repeated
 //     factorisations. Backend, ordering and cache handle travel together as
 //     one factor.Settings value — nothing about a factorisation is
 //     process-global;

@@ -310,7 +310,7 @@ func TestNewSubdomainRejectsBadImpedances(t *testing.T) {
 	}
 }
 
-func TestSolveDTMGridConvergesOnUniformMachine(t *testing.T) {
+func TestDESGridConvergesOnUniformMachine(t *testing.T) {
 	prob, exact := gridProblem(t, 8, 2, nil)
 	res, err := Solve(context.Background(), prob, Config{
 		CommonOptions: CommonOptions{
@@ -346,7 +346,7 @@ func TestSolveDTMGridConvergesOnUniformMachine(t *testing.T) {
 	}
 }
 
-func TestSolveDTMStopOnErrorStopsEarly(t *testing.T) {
+func TestDESStopOnErrorStopsEarly(t *testing.T) {
 	prob, exact := gridProblem(t, 8, 2, nil)
 	full, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Exact: exact, RecordTrace: true}, MaxTime: 20000})
 	if err != nil {
@@ -370,7 +370,7 @@ func TestSolveDTMStopOnErrorStopsEarly(t *testing.T) {
 	}
 }
 
-func TestSolveDTMSendThresholdReducesMessages(t *testing.T) {
+func TestDESSendThresholdReducesMessages(t *testing.T) {
 	prob, exact := gridProblem(t, 8, 2, nil)
 	noisy, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Exact: exact}, MaxTime: 8000})
 	if err != nil {

@@ -96,8 +96,8 @@ func TestSolveDTMDeterminism(t *testing.T) {
 	}
 
 	// The same contract with the fill-reducing ordering forced to nested
-	// dissection, so the ND code path (bushy etrees, parallel subtree
-	// factorisation) is under the byte-identical DES guarantee too.
+	// dissection, so the ND code path is under the byte-identical DES
+	// guarantee too.
 	t.Run("supernodal-nd-ordering", func(t *testing.T) {
 		fs := factor.Settings{Backend: factor.SparseSupernodal, Ordering: factor.OrderND}
 		compare(t, run(fs), run(fs))

@@ -204,8 +204,11 @@ func TestSolveLiveFaultsRecover(t *testing.T) {
 			Tol:         1e-9,
 			Faults: &chaos.Spec{
 				Seed: 17, Drop: 0.20, Dup: 0.05, Jitter: 0.5,
-				Crashes:       []chaos.Crash{{Part: 2, At: 2000, RestartAfter: 1000}},
-				SnapshotEvery: 500,
+				// The crash and the restart sit inside the first 2.5 ms of wall
+				// time (500 units × 5 µs): scheduled later, a fast run converges
+				// before the crash fires and reports 0/0 or 1/0.
+				Crashes:       []chaos.Crash{{Part: 2, At: 100, RestartAfter: 400}},
+				SnapshotEvery: 50,
 			},
 		},
 		Engine:    EngineLive,

@@ -64,8 +64,7 @@ type CommonOptions struct {
 	// zero value is auto/auto, uncached. It is carried by value down to every
 	// factorisation, so concurrent Solves with different settings are
 	// independent. Results are byte-identical run over run for fixed
-	// settings — including "sparse-supernodal", whose parallel subtree
-	// factorisation is deterministic at every GOMAXPROCS.
+	// settings, at every GOMAXPROCS: no backend starts a goroutine.
 	Factor factor.Settings
 
 	// Tol, when positive, stops the run early once the computation has

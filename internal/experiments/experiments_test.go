@@ -385,10 +385,9 @@ func TestSolveThroughputQuickStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solve-throughput experiment skipped in -short mode")
 	}
-	// A reduced configuration: the structural claims (byte-identical level
-	// solve, cache hits for every concurrent client, one cold miss per
-	// system) hold at any size; the speedup numbers are what the full E8
-	// run is for.
+	// A reduced configuration: the structural claims (cache hits for every
+	// concurrent client, one cold miss per system) hold at any size; the
+	// speedup numbers are what the full E8 run is for.
 	p := SolveThroughputParams{
 		GridSide:    64,
 		SaddleSide:  32,
@@ -413,12 +412,6 @@ func TestSolveThroughputQuickStructure(t *testing.T) {
 				t.Errorf("%s k=%d: non-positive timing (scalar %g, batch %g)", s.Name, b.K, b.ScalarMS, b.BatchMS)
 			}
 		}
-		if !s.ParExact {
-			t.Errorf("%s: level-scheduled solve diverged from the sequential sweep", s.Name)
-		}
-		if s.Levels <= 0 {
-			t.Errorf("%s: levels = %d", s.Name, s.Levels)
-		}
 		for _, c := range s.Conc {
 			if !c.CacheHit {
 				t.Errorf("%s: %d clients missed the shared cache", s.Name, c.Clients)
@@ -438,7 +431,7 @@ func TestSolveThroughputQuickStructure(t *testing.T) {
 	if err := res.Render(&sb); err != nil {
 		t.Fatalf("Render: %v", err)
 	}
-	for _, want := range []string{"speedup", "byte-identical", "all cache hits"} {
+	for _, want := range []string{"speedup", "all cache hits"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("rendered report lacks %q", want)
 		}

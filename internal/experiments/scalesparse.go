@@ -108,19 +108,15 @@ type ScaleSparseRow struct {
 	ScalarSpeedup  float64 // scalar factor time / auto factor time
 
 	// The ordering comparison: the same system analysed symbolically under
-	// the banded RCM ordering and under nested dissection, so the ND fill,
-	// flop and subtree-parallelism gains are measured columns rather than
-	// claims. Task counts are for a full worker pool (a property of the
-	// ordering, not the machine); 0 means the scheduler stays sequential.
-	// OrdStatus is "" when the comparison was not attempted (the auto policy
-	// stayed off the supernodal backend at this size).
+	// the banded RCM ordering and under nested dissection, so the ND fill and
+	// flop gains are measured columns rather than claims. OrdStatus is "" when
+	// the comparison was not attempted (the auto policy stayed off the
+	// supernodal backend at this size).
 	OrdStatus string
 	NDNNZL    int
 	NDFlops   float64
-	NDTasks   int
 	RCMNNZL   int
 	RCMFlops  float64
-	RCMTasks  int
 
 	DenseBytes     int64 // what the dense backend would have to allocate
 	DenseStatus    string
@@ -211,13 +207,12 @@ func ScaleSparse(p ScaleSparseParams) (*ScaleSparseResult, error) {
 		}
 
 		// The ordering comparison: the same grid analysed supernodally under
-		// RCM (banded, path etree, sequential) and under nested dissection
-		// (separator fill, bushy etree, parallel subtrees). Symbolic phase
-		// only — fill, flops and the subtree-task cut are all decided there,
-		// so the comparison costs milliseconds, stays out of the measured
-		// factor/solve times, and reports the same task counts on every
-		// machine. Run wherever the auto policy picked the supernodal backend
-		// — the sizes where ordering quality decides the factorisation cost.
+		// RCM (banded, path etree) and under nested dissection (separator
+		// fill, bushy etree). Symbolic phase only — fill and flops are both
+		// decided there, so the comparison costs milliseconds and stays out of
+		// the measured factor/solve times. Run wherever the auto policy picked
+		// the supernodal backend — the sizes where ordering quality decides
+		// the factorisation cost.
 		if row.Backend == factor.SparseSupernodal {
 			rcm, rerr := factor.AnalyzeSupernodal(sys.A, factor.OrderRCM)
 			nd, nerr := factor.AnalyzeSupernodal(sys.A, factor.OrderND)
@@ -225,8 +220,8 @@ func ScaleSparse(p ScaleSparseParams) (*ScaleSparseResult, error) {
 				return nil, fmt.Errorf("experiments: ordering comparison at n=%d: rcm %v, nd %v", n, rerr, nerr)
 			}
 			row.OrdStatus = "ok"
-			row.RCMNNZL, row.RCMFlops, row.RCMTasks = rcm.NNZL, rcm.Flops, rcm.Tasks
-			row.NDNNZL, row.NDFlops, row.NDTasks = nd.NNZL, nd.Flops, nd.Tasks
+			row.RCMNNZL, row.RCMFlops = rcm.NNZL, rcm.Flops
+			row.NDNNZL, row.NDFlops = nd.NNZL, nd.Flops
 		}
 
 		switch {
@@ -346,10 +341,9 @@ func (r *ScaleSparseResult) Render(w io.Writer) error {
 		}
 		fmt.Fprintln(w)
 		if row.OrdStatus == "ok" {
-			fmt.Fprintf(w, "%8s nd vs rcm: nnz(L) %d vs %d (%.2fx), flops %.3g vs %.3g (%.2fx), subtree tasks %d vs %d\n",
+			fmt.Fprintf(w, "%8s nd vs rcm: nnz(L) %d vs %d (%.2fx), flops %.3g vs %.3g (%.2fx)\n",
 				"", row.NDNNZL, row.RCMNNZL, float64(row.NDNNZL)/float64(row.RCMNNZL),
-				row.NDFlops, row.RCMFlops, row.NDFlops/row.RCMFlops,
-				max(row.NDTasks, 1), max(row.RCMTasks, 1))
+				row.NDFlops, row.RCMFlops, row.NDFlops/row.RCMFlops)
 		}
 	}
 	if r.NonSPD != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -15,12 +14,10 @@ import (
 // SolveThroughputParams configures the E8 solve-throughput experiment: the
 // factor-once/solve-many regime the DTM engines and the block-Jacobi
 // preconditioner live in, measured explicitly. One cached factorisation per
-// system serves (a) batched multi-RHS panel solves at growing widths against
-// the same number of scalar sweeps, (b) the level-scheduled parallel
-// triangular solve against the sequential sweep on one large RHS, and (c) N
-// concurrent goroutines pulling the shared factor from the cache and solving
-// batches simultaneously — the service shape a reentrant factor plus an LRU
-// cache exists to support.
+// system serves batched multi-RHS panel solves at growing widths against the
+// same number of scalar sweeps, and N concurrent goroutines pulling the shared
+// factor from the cache and solving batches simultaneously — the service shape
+// a reentrant factor plus an LRU cache exists to support.
 type SolveThroughputParams struct {
 	// GridSide is the Poisson grid side (GridSide² unknowns, the SPD leg).
 	GridSide int
@@ -95,17 +92,7 @@ type SolveThroughputSystem struct {
 	FactorMS float64
 
 	Batch []SolveThroughputBatchRow
-
-	// The level-scheduled parallel solve leg, single RHS.
-	GOMAXPROCS  int
-	ParEligible bool    // the factor is large enough to route to the level schedule
-	Levels      int     // level sets of the supernodal etree
-	SeqMS       float64 // sequential two-sweep substitution
-	ParMS       float64 // level-scheduled substitution
-	ParSpeedup  float64
-	ParExact    bool // parallel result byte-identical to sequential
-
-	Conc []SolveThroughputConcRow
+	Conc  []SolveThroughputConcRow
 }
 
 // SolveThroughputResult is the E8 artifact.
@@ -137,7 +124,7 @@ func SolveThroughput(p SolveThroughputParams) (*SolveThroughputResult, error) {
 	}
 	for _, sys := range systems {
 		n := sys.Dim()
-		row := SolveThroughputSystem{Name: sys.Name, N: n, GOMAXPROCS: runtime.GOMAXPROCS(0)}
+		row := SolveThroughputSystem{Name: sys.Name, N: n}
 
 		start := time.Now()
 		sol, hit, err := cache.GetOrFactor(factor.SparseSupernodal, sys.A)
@@ -172,7 +159,7 @@ func SolveThroughput(p SolveThroughputParams) (*SolveThroughputResult, error) {
 			br := SolveThroughputBatchRow{K: k}
 			br.ScalarMS = bestOf(p.Repeats, func() {
 				for r := 0; r < k; r++ {
-					sn.SolveSeqTo(X[r], B[r])
+					sn.SolveTo(X[r], B[r])
 				}
 			})
 			br.BatchMS = bestOf(p.Repeats, func() {
@@ -186,27 +173,6 @@ func SolveThroughput(p SolveThroughputParams) (*SolveThroughputResult, error) {
 				br.Speedup = br.ScalarMS / br.BatchMS
 			}
 			row.Batch = append(row.Batch, br)
-		}
-
-		// Level-scheduled parallel solve, one RHS, against the sequential
-		// sweep — byte-checked, since the schedule must not change a single
-		// rounding. On a single-CPU host the speedup honestly reports ~1×;
-		// the byte check and the level structure are machine-independent.
-		row.ParEligible = sn.ParallelSolveEligible()
-		row.Levels = sn.SolveLevels()
-		b1 := B[0]
-		xSeq, xPar := sparse.NewVec(n), sparse.NewVec(n)
-		row.SeqMS = bestOf(p.Repeats, func() { sn.SolveSeqTo(xSeq, b1) })
-		row.ParMS = bestOf(p.Repeats, func() { sn.SolveLevelTo(xPar, b1) })
-		row.ParExact = true
-		for i := range xSeq {
-			if math.Float64bits(xSeq[i]) != math.Float64bits(xPar[i]) {
-				row.ParExact = false
-				break
-			}
-		}
-		if row.ParMS > 0 {
-			row.ParSpeedup = row.SeqMS / row.ParMS
 		}
 
 		// Concurrent clients sharing the cached factor: every client re-asks
@@ -252,7 +218,7 @@ func SolveThroughput(p SolveThroughputParams) (*SolveThroughputResult, error) {
 
 // Render implements Renderer.
 func (r *SolveThroughputResult) Render(w io.Writer) error {
-	fmt.Fprintln(w, "E8 — solve-throughput: batched multi-RHS panels, level-scheduled parallel substitution, and the shared factor cache")
+	fmt.Fprintln(w, "E8 — solve-throughput: batched multi-RHS panels and the shared factor cache")
 	for _, s := range r.Systems {
 		fmt.Fprintf(w, "\n%s: n=%d, %s, nnz(L)=%d, factor %.1fms (cached thereafter)\n",
 			s.Name, s.N, s.Backend, s.NNZL, s.FactorMS)
@@ -261,16 +227,6 @@ func (r *SolveThroughputResult) Render(w io.Writer) error {
 			fmt.Fprintf(w, "  %6d %10.3fms %10.3fms %14.0f %14.0f %8.2fx\n",
 				b.K, b.ScalarMS, b.BatchMS, b.ScalarPerSec, b.BatchPerSec, b.Speedup)
 		}
-		elig := "routed"
-		if !s.ParEligible {
-			elig = "below the size gate, forced"
-		}
-		exact := "byte-identical"
-		if !s.ParExact {
-			exact = "DIVERGED"
-		}
-		fmt.Fprintf(w, "  level solve (%d levels, %s, GOMAXPROCS=%d): seq %.3fms, level %.3fms = %.2fx, %s\n",
-			s.Levels, elig, s.GOMAXPROCS, s.SeqMS, s.ParMS, s.ParSpeedup, exact)
 		for _, c := range s.Conc {
 			hit := "all cache hits"
 			if !c.CacheHit {

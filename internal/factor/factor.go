@@ -24,9 +24,8 @@
 //     cases under one name (Cholesky for SPD blocks, LDLᵀ otherwise): columns
 //     group into supernodes on the postordered elimination tree, every
 //     supernode factorises as a dense trapezoidal panel with register-blocked
-//     rank-k updates, and independent elimination subtrees factorise
-//     concurrently on a bounded worker pool — deterministically, at every
-//     GOMAXPROCS. The fastest backend for large sparse blocks.
+//     rank-k updates, one supernode after another on the calling
+//     goroutine. The fastest backend for large sparse blocks.
 //   - "auto" — picks a backend by size and density and performs the fallback
 //     chain sparse-Cholesky → ErrNotPositiveDefinite → sparse-LDLᵀ → dense LU
 //     (dense-Cholesky → dense-LU for small blocks; both sparse roles are

@@ -6,14 +6,13 @@ import (
 
 // Nested-dissection ordering. RCM keeps grid factors banded, but a banded
 // profile is exactly what makes the elimination tree a path: every column
-// depends on the previous one, the supernodal scheduler finds no independent
-// subtrees, and the factorisation costs O(n·bw²) flops. Nested dissection
-// attacks both problems at once: a small vertex separator splits the graph
+// depends on the previous one, and the factorisation costs O(n·bw²) flops.
+// Nested dissection attacks that: a small vertex separator splits the graph
 // into two halves that share no edges, the halves are ordered first (each
 // recursively dissected the same way) and the separator last — so in the
 // elimination tree the two halves hang off the separator as *independent
-// subtrees* (bushy, the shape the subtree scheduler scales on) and the fill
-// of a planar-ish graph drops from O(n·bw) to O(n·log n).
+// subtrees* and the fill of a planar-ish graph drops from O(n·bw) to
+// O(n·log n).
 //
 // The implementation is the classic level-set scheme, fully deterministic
 // (every tie breaks towards the smaller vertex index):
@@ -348,8 +347,7 @@ func (st *ndState) assignSides(verts []int32, ecc int32) {
 		if balanced {
 			// Among balanced cuts: separator size scaled up by the imbalance,
 			// so a slightly larger separator still wins when it splits the
-			// region near the middle (halving drives both the fill recurrence
-			// and the subtree scheduler's load balance).
+			// region near the middle (halving drives the fill recurrence).
 			imb := float64(na-nb) / float64(na+nb)
 			if imb < 0 {
 				imb = -imb

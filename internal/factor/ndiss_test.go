@@ -2,7 +2,6 @@ package factor
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/sparse"
@@ -97,12 +96,8 @@ func TestNDTopSplitBalance(t *testing.T) {
 // TestNDFillAndFlopsBelowRCMOnGrids is the acceptance criterion of the
 // nested-dissection PR: on the 64² grid ND must not fill more than RCM, and
 // on the 128² (16384-unknown) grid ND must cut both nnz(L) and the factor
-// flops to at most half of RCM's while scheduling more than one independent
-// subtree task (RCM's path-like etree schedules none).
+// flops to at most half of RCM's.
 func TestNDFillAndFlopsBelowRCMOnGrids(t *testing.T) {
-	saved := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(saved)
-	runtime.GOMAXPROCS(4)
 	for _, side := range []int{64, 128} {
 		sys := sparse.Poisson2D(side, side, 0.05)
 		rcm, err := NewSupernodal(sys.A, OrderRCM, ModeCholesky)
@@ -126,26 +121,14 @@ func TestNDFillAndFlopsBelowRCMOnGrids(t *testing.T) {
 		if f := nd.Flops() / rcm.Flops(); f > bound {
 			t.Errorf("side %d: flops nd/rcm = %.3f, want ≤ %.2f (nd %.3g, rcm %.3g)", side, f, bound, nd.Flops(), rcm.Flops())
 		}
-		if side >= 128 {
-			ndTasks, _ := nd.Parallelism()
-			rcmTasks, _ := rcm.Parallelism()
-			if ndTasks <= 1 {
-				t.Errorf("side %d: ND scheduled %d subtree tasks, want > 1", side, ndTasks)
-			}
-			if rcmTasks > 1 {
-				t.Logf("side %d: RCM unexpectedly scheduled %d tasks", side, rcmTasks)
-			}
-			t.Logf("side %d: nnz(L) nd/rcm %.2f, flops nd/rcm %.2f, tasks nd %d rcm %d",
-				side, float64(nd.NNZL())/float64(rcm.NNZL()), nd.Flops()/rcm.Flops(), ndTasks, rcmTasks)
-		}
+		t.Logf("side %d: nnz(L) nd/rcm %.2f, flops nd/rcm %.2f",
+			side, float64(nd.NNZL())/float64(rcm.NNZL()), nd.Flops()/rcm.Flops())
 	}
 }
 
 // TestAnalyzeSupernodalMatchesFactorisation pins the symbolic-only analysis
 // (what E6's ordering comparison runs) to the real factorisation: identical
-// nnz(L), flop estimate, supernode count and resolved ordering, and a
-// full-pool task count on the bushy ND tree where the 1-worker numeric run
-// stays sequential.
+// nnz(L), flop estimate, supernode count and resolved ordering.
 func TestAnalyzeSupernodalMatchesFactorisation(t *testing.T) {
 	sys := sparse.Poisson2D(64, 64, 0.05)
 	for _, ord := range []Ordering{OrderRCM, OrderND} {
@@ -161,18 +144,6 @@ func TestAnalyzeSupernodalMatchesFactorisation(t *testing.T) {
 			t.Errorf("%v: analysis (nnzL %d, flops %g, ns %d, %v) differs from factorisation (nnzL %d, flops %g, ns %d, %v)",
 				ord, an.NNZL, an.Flops, an.Supernodes, an.Ordering, s.NNZL(), s.Flops(), s.Supernodes(), s.Ordering())
 		}
-	}
-	// Task counts need enough total work to clear the scheduler's parallel
-	// floor: the 64² ND factor (≈4.5 Mflop) rightly stays sequential, the
-	// 96² one is past the 8 Mflop threshold and must cut a bushy task set.
-	big := sparse.Poisson2D(96, 96, 0.05)
-	nd, _ := AnalyzeSupernodal(big.A, OrderND)
-	rcm, _ := AnalyzeSupernodal(big.A, OrderRCM)
-	if nd.Tasks <= 1 {
-		t.Errorf("ND analysis cut %d tasks on a 96x96 grid, want > 1 for the full pool", nd.Tasks)
-	}
-	if rcm.Tasks > nd.Tasks {
-		t.Errorf("RCM analysis cut more tasks (%d) than ND (%d)", rcm.Tasks, nd.Tasks)
 	}
 	if _, err := AnalyzeSupernodal(sparse.NewCOO(2, 3).ToCSR(), OrderND); err == nil {
 		t.Error("non-square analysis did not fail")

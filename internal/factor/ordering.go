@@ -29,8 +29,7 @@ const (
 	OrderAMD
 	// OrderND applies nested dissection: recursive vertex separators numbered
 	// last, AMD on the leaf subgraphs. On large grid stencils it cuts both
-	// fill and flops far below RCM's banded profile and yields the bushy
-	// elimination trees the supernodal subtree scheduler parallelises.
+	// fill and flops far below RCM's banded profile.
 	OrderND
 )
 
@@ -78,8 +77,7 @@ func ParseOrdering(name string) (Ordering, error) {
 // EVS boundaries, saddle couplings, random irregular graphs) goes to AMD.
 // Grid-like patterns of autoOrderNDMinDim unknowns and up are ordered by
 // nested dissection — below that RCM's tighter banded profile wins, above it
-// ND's separator fill (and the bushy etrees the subtree scheduler needs)
-// dominates.
+// ND's separator fill dominates.
 const (
 	autoOrderMaxGridDegree = 8
 	autoOrderNDMinDim      = 4096

@@ -8,9 +8,7 @@ import (
 
 // Dense numeric kernels of the supernodal factorisation. Every kernel works
 // on column-major panels and is deterministic: a supernode's floating-point
-// operations run in one fixed order no matter which worker executes it or how
-// many workers exist, which is what makes the parallel factorisation
-// byte-identical to the sequential one.
+// operations run in one fixed order, set by the symbolic phase.
 //
 // The rank-k update is organised like a register-blocked BLAS: both operands
 // are packed into contiguous 4-wide, k-major panels (zero-padded, so the
@@ -23,8 +21,8 @@ import (
 // through the packed microkernel.
 const snPanelStrip = 8
 
-// snWorker is the per-worker scratch of the numeric phase. Workers never
-// share scratch, so independent subtrees race on nothing.
+// snWorker is the scratch of the numeric phase, allocated once per
+// factorisation.
 type snWorker struct {
 	relind []int32   // global row -> row within the supernode being built
 	abuf   []float64 // packed left operand, one row chunk
@@ -250,6 +248,23 @@ func gemmPackedFrom(c []float64, ldc int, ap []float64, m int, bp []float64, q, 
 			c[t], c[t+1], c[t+2], c[t+3] = c03, c13, c23, c33
 		}
 	}
+}
+
+// factorAll runs the numeric phase: assemble and factorise every supernode in
+// ascending order (descendants before ancestors, by the postorder) on one
+// scratch, stopping at the first bad pivot.
+func (s *Supernodal) factorAll(c *sparse.CSR, sym *snSym) error {
+	pivTol := 0.0
+	if s.mode == ModeLDLT {
+		pivTol = ldltPivotRelTol * c.MaxAbs()
+	}
+	wk := newSnWorker(s.n)
+	for sn := 0; sn < s.ns; sn++ {
+		if err := s.factorSupernode(sn, c, sym, wk, pivTol); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // factorSupernode assembles and factorises supernode sn: scatter the matrix

@@ -1,53 +1,21 @@
 package factor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
+import "repro/internal/sparse"
 
-	"repro/internal/sparse"
-)
-
-// Parallel and batched triangular solves of the supernodal factorisation.
+// Batched triangular solves of the supernodal factorisation.
 //
-// Both paths are byte-identical to the sequential SolveSeqTo because every
-// value of the solution is produced by the same floating-point operations in
-// the same order:
-//
-//   - The level solve rewrites the forward sweep from scatter form (each
-//     supernode pushes its contribution down to ancestor rows) to gather form
-//     (each supernode pulls its descendants' contributions through the
-//     retained symbolic update lists). Per solution row the subtractions
-//     arrive in the identical order — ascending descendant, each descendant's
-//     contribution pre-summed over its columns ascending — and gather form
-//     makes same-level supernodes write-disjoint, so they parallelise without
-//     locks. The backward sweep is write-disjoint as written.
-//   - The batched solve replaces k scalar sweeps with one panel sweep whose
-//     rectangular updates run through the packed rank-k kernels. The kernels
-//     accumulate each output element over the shared dimension ascending —
-//     the same chain the scalar sweep runs — so every right-hand side of the
-//     panel gets the scalar solve's bytes.
-const (
-	// snParSolveMinNNZ is the factor size (stored entries) under which the
-	// level-scheduled solve cannot beat the sequential sweep: below it the
-	// per-level goroutine handoff dominates the O(nnz(L)) sweep itself.
-	snParSolveMinNNZ = 150000
-	// snLevelParMinWork is the per-level flop floor for spawning workers;
-	// cheaper levels (the narrow top of the tree) run inline.
-	snLevelParMinWork = 20000
-	// snBatchMaxK caps the right-hand-side panel width per sweep; wider
-	// batches run as several passes so the working panel and the packed
-	// operands stay cache-resident.
-	snBatchMaxK = 64
-)
+// SolveBatchTo is byte-identical to k SolveTo calls because every value of the
+// solution is produced by the same floating-point operations in the same
+// order: it replaces k scalar sweeps with one panel sweep whose rectangular
+// updates run through the packed rank-k kernels, and the kernels accumulate
+// each output element over the shared dimension ascending — the same chain
+// the scalar sweep runs — so every right-hand side of the panel gets the
+// scalar solve's bytes.
 
-// snParScratch is the per-call scratch of the level-scheduled solve: the
-// permuted working vector plus one gather buffer per worker slot (workers
-// never share a gather buffer, so the backward sweep races on nothing).
-type snParScratch struct {
-	w sparse.Vec
-	g [][]float64
-}
+// snBatchMaxK caps the right-hand-side panel width per sweep; wider batches
+// run as several passes so the working panel and the packed operands stay
+// cache-resident.
+const snBatchMaxK = 64
 
 // snBatchScratch is the per-batch scratch of SolveBatchTo, acquired once per
 // panel sweep rather than once per right-hand side: the row-major n×kp
@@ -69,181 +37,13 @@ func growFloats(buf *[]float64, n int) []float64 {
 	return (*buf)[:n]
 }
 
-// SolveLevelTo solves A·x = b into x with the level-scheduled parallel
-// substitution: supernodes of one elimination-tree level share no
-// ancestor/descendant relation, so the forward sweep dispatches each level's
-// supernodes (gather form) across goroutines behind a per-level barrier,
-// ascending; the backward sweep does the same descending. Results are
-// byte-identical to SolveSeqTo at every GOMAXPROCS — the dispatch changes
-// which goroutine runs a supernode, never the operations it runs. x may alias
-// b; the call is reentrant like SolveSeqTo.
-func (s *Supernodal) SolveLevelTo(x, b sparse.Vec) {
-	n := s.n
-	if len(b) != n || len(x) != n {
-		panic(fmt.Sprintf("factor: supernodal solve dimension mismatch n=%d len(b)=%d len(x)=%d", n, len(b), len(x)))
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > snMaxWorkers {
-		workers = snMaxWorkers
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ps := s.lscratch.Get().(*snParScratch)
-	w := ps.w
-	if s.perm != nil {
-		for i, old := range s.perm {
-			w[i] = b[old]
-		}
-	} else {
-		copy(w, b)
-	}
-
-	nlev := len(s.levPtr) - 1
-	gFor := func(slot int) []float64 {
-		for len(ps.g) <= slot {
-			ps.g = append(ps.g, make([]float64, s.maxLd))
-		}
-		return ps.g[slot]
-	}
-	// Forward: levels ascending, gather form.
-	for l := 0; l < nlev; l++ {
-		list := s.levList[s.levPtr[l]:s.levPtr[l+1]]
-		if workers == 1 || len(list) < 2 || s.levWork[l] < snLevelParMinWork {
-			for _, sn := range list {
-				s.forwardSupernodeGather(int(sn), w)
-			}
-			continue
-		}
-		s.runLevel(list, workers, func(sub []int32, _ int) {
-			for _, sn := range sub {
-				s.forwardSupernodeGather(int(sn), w)
-			}
-		})
-	}
-	if s.mode == ModeLDLT {
-		for j := 0; j < n; j++ {
-			w[j] /= s.d[j]
-		}
-	}
-	// Backward: levels descending. Each supernode needs a private gather
-	// buffer; chunk slots index into the per-call buffer set.
-	for l := nlev - 1; l >= 0; l-- {
-		list := s.levList[s.levPtr[l]:s.levPtr[l+1]]
-		if workers == 1 || len(list) < 2 || s.levWork[l] < snLevelParMinWork {
-			g := gFor(0)
-			for _, sn := range list {
-				s.backwardSupernode(int(sn), w, g)
-			}
-			continue
-		}
-		// Pre-grow the buffer set before spawning (gFor appends are not
-		// goroutine-safe).
-		nw := workers
-		if nw > len(list) {
-			nw = len(list)
-		}
-		gFor(nw - 1)
-		s.runLevel(list, workers, func(sub []int32, slot int) {
-			g := ps.g[slot]
-			for _, sn := range sub {
-				s.backwardSupernode(int(sn), w, g)
-			}
-		})
-	}
-	if s.perm != nil {
-		for i, old := range s.perm {
-			x[old] = w[i]
-		}
-	} else {
-		copy(x, w)
-	}
-	s.lscratch.Put(ps)
-}
-
-// runLevel splits one level's supernode list into contiguous chunks and runs
-// them concurrently, waiting for the whole level before returning (the
-// barrier the next level's dependencies need). The chunk a supernode lands in
-// affects only which goroutine executes it.
-func (s *Supernodal) runLevel(list []int32, workers int, run func(sub []int32, slot int)) {
-	nw := workers
-	if nw > len(list) {
-		nw = len(list)
-	}
-	chunk := (len(list) + nw - 1) / nw
-	var wg sync.WaitGroup
-	slot := 0
-	for c0 := 0; c0 < len(list); c0 += chunk {
-		c1 := c0 + chunk
-		if c1 > len(list) {
-			c1 = len(list)
-		}
-		wg.Add(1)
-		go func(sub []int32, slot int) {
-			defer wg.Done()
-			run(sub, slot)
-		}(list[c0:c1], slot)
-		slot++
-	}
-	wg.Wait()
-}
-
-// forwardSupernodeGather runs supernode sn's slice of the forward sweep
-// L y = P b in gather (left-looking) form: pull every descendant
-// contribution through the retained update lists — ascending descendant
-// order, each contribution pre-summed over the descendant's columns ascending
-// with the same zero-skip as the scatter form, so the bytes match
-// SolveSeqTo's — then the dense (unit-)lower solve on the diagonal block.
-// Writes land only in w[f:f+width]: the update windows [lo,hi) cover exactly
-// the descendant rows inside this supernode's columns.
-func (s *Supernodal) forwardSupernodeGather(sn int, w sparse.Vec) {
-	f := int(s.sfirst[sn])
-	width := int(s.sfirst[sn+1]) - f
-	ld := int(s.rx[sn+1] - s.rx[sn])
-	panel := s.panel[s.px[sn]:s.px[sn+1]]
-	unit := s.mode == ModeLDLT
-	for _, u := range s.upd[sn] {
-		d := int(u.d)
-		fd := int(s.sfirst[d])
-		wd := int(s.sfirst[d+1]) - fd
-		ldd := int(s.rx[d+1] - s.rx[d])
-		dpanel := s.panel[s.px[d]:s.px[d+1]]
-		drows := s.rowind[s.rx[d]:s.rx[d+1]]
-		for t := int(u.lo); t < int(u.hi); t++ {
-			sum := 0.0
-			for jj := 0; jj < wd; jj++ {
-				v := w[fd+jj]
-				if v == 0 {
-					continue
-				}
-				sum += dpanel[jj*ldd+t] * v
-			}
-			w[drows[t]] -= sum
-		}
-	}
-	for jj := 0; jj < width; jj++ {
-		col := panel[jj*ld:]
-		v := w[f+jj]
-		if !unit {
-			v /= col[jj]
-			w[f+jj] = v
-		}
-		if v == 0 {
-			continue
-		}
-		for i := jj + 1; i < width; i++ {
-			w[f+i] -= col[i] * v
-		}
-	}
-}
-
 // SolveBatchTo solves A·X[r] = B[r] for every right-hand side of the batch by
 // sweeping the whole panel through the factor once per supernode instead of
 // once per RHS: the diagonal-block solves run across the panel row-wise, and
 // the rectangular updates become rank-width panel products through the packed
 // 4×4 kernels (one operand pack per supernode, amortised over the batch). The
 // scratch panel is acquired once per batch. Every X[r] carries exactly the
-// bytes SolveSeqTo(X[r], B[r]) would produce; batches wider than snBatchMaxK
+// bytes SolveTo(X[r], B[r]) would produce; batches wider than snBatchMaxK
 // run as several passes. X[r] may alias B[r]; the call is reentrant.
 func (s *Supernodal) SolveBatchTo(X, B []sparse.Vec) {
 	batchValidate("supernodal", s.n, X, B)
@@ -251,7 +51,7 @@ func (s *Supernodal) SolveBatchTo(X, B []sparse.Vec) {
 		return
 	}
 	if len(B) == 1 {
-		s.SolveSeqTo(X[0], B[0])
+		s.SolveTo(X[0], B[0])
 		return
 	}
 	for r0 := 0; r0 < len(B); r0 += snBatchMaxK {

@@ -3,7 +3,6 @@ package factor
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/sparse"
@@ -79,10 +78,12 @@ const snRelaxFracMax = 0.6
 // supernode is stored as one dense column-major trapezoidal panel. The numeric
 // phase factorises each panel with dense kernels (register-blocked rank-k
 // updates pulled from descendant supernodes, then a dense trapezoidal
-// factorisation), and independent elimination subtrees are factorised
-// concurrently on a bounded worker pool. Numerics are deterministic — the
-// update order of every supernode is fixed by the symbolic phase — so factors
-// and solves are byte-identical regardless of GOMAXPROCS.
+// factorisation), one supernode after another in ascending order on the
+// calling goroutine; the triangular sweeps are sequential too. Nothing here
+// reads GOMAXPROCS or starts a goroutine, so factors and solves are
+// byte-identical at every setting by construction. The parallelism this
+// backend serves is between callers: one factor answers concurrent SolveTo
+// calls (see scratch below).
 type Supernodal struct {
 	n     int
 	mode  SupernodalMode
@@ -103,36 +104,19 @@ type Supernodal struct {
 
 	d []float64 // ModeLDLT: the signed pivots in permuted order
 
-	// Retained symbolic structure for the level-scheduled parallel solve: the
-	// supernodal etree, the per-supernode update lists (the gather-form forward
-	// sweep pulls descendant contributions through them), and the level sets
-	// (levList[levPtr[l]:levPtr[l+1]] are the supernodes of level l, ascending;
-	// same-level supernodes share no ancestor/descendant relation, so their
-	// forward/backward steps are write-disjoint).
-	sparent []int32
-	upd     [][]snUpd
-	levPtr  []int32
-	levList []int32
-	levWork []float64 // per-level solve flops, the inline-vs-spawn decision
-	maxLd   int       // longest panel (solve scratch sizing)
-	parOK   bool      // factor is large enough for the level-scheduled solve
+	maxLd int // longest panel (solve scratch sizing)
 
 	// scratch pools per-call solve buffers (*snSolveScratch), so SolveTo is
 	// reentrant: concurrent solves on one factor — the factor-once/solve-many
 	// pattern of the DTM subdomains — share nothing mutable. bscratch holds the
-	// batched-solve panels (*snBatchScratch), acquired once per batch; lscratch
-	// holds the level-scheduled solve's working vector and per-worker gather
-	// buffers (*snParScratch).
+	// batched-solve panels (*snBatchScratch), acquired once per batch.
 	scratch  sync.Pool
 	bscratch sync.Pool
-	lscratch sync.Pool
 
-	// Stats from the symbolic phase / scheduler.
+	// Stats from the symbolic phase.
 	nnzStored int     // stored trapezoid entries (incl. amalgamation zeros)
 	zeroFill  int     // explicit zeros introduced by amalgamation
 	flopsEst  float64 // symbolic estimate of the factorisation flops
-	workers   int     // workers the numeric phase ran on (1 = sequential)
-	tasks     int     // independent subtree tasks scheduled
 }
 
 // snSolveScratch is the per-call scratch of SolveTo: the permuted
@@ -175,15 +159,10 @@ func NewSupernodal(a *sparse.CSR, order Ordering, mode SupernodalMode) (*Superno
 		}
 	}
 	s.maxLd = maxLd
-	s.sparent = sym.sparent
-	s.upd = sym.upd
-	s.levPtr, s.levList, s.levWork = snLevels(sym)
-	s.parOK = s.nnzStored >= snParSolveMinNNZ && s.ns >= 2
 	s.scratch.New = func() any {
 		return &snSolveScratch{w: sparse.NewVec(n), g: make([]float64, maxLd)}
 	}
 	s.bscratch.New = func() any { return new(snBatchScratch) }
-	s.lscratch.New = func() any { return &snParScratch{w: sparse.NewVec(n)} }
 
 	if err := s.factorAll(c, sym); err != nil {
 		return nil, err
@@ -234,25 +213,20 @@ type SupernodalAnalysis struct {
 	Supernodes int
 	NNZL       int     // stored trapezoid entries (incl. amalgamation zeros)
 	Flops      float64 // estimated factorisation flops
-	Tasks      int     // subtree tasks the scheduler cuts for a full worker pool
 }
 
-// AnalyzeSupernodal runs only the symbolic phase and the subtree scheduler
-// and reports the factor's cost profile — the cheap way to compare orderings
-// (E6's ND-vs-RCM column) without paying for numeric factorisations. Tasks
-// is computed for the full snMaxWorkers pool, so the reported parallelism is
-// a property of the ordering, not of the machine the analysis runs on.
+// AnalyzeSupernodal runs only the symbolic phase and reports the factor's
+// cost profile — the cheap way to compare orderings (E6's ND-vs-RCM column)
+// without paying for numeric factorisations.
 func AnalyzeSupernodal(a *sparse.CSR, order Ordering) (SupernodalAnalysis, error) {
 	if a.Rows() != a.Cols() {
 		return SupernodalAnalysis{}, fmt.Errorf("factor: supernodal analysis of non-square %dx%d matrix", a.Rows(), a.Cols())
 	}
 	_, _, sym, resolved := snPrepare(a, order)
-	tasks, _ := scheduleTasks(sym, snMaxWorkers)
 	an := SupernodalAnalysis{
 		Ordering:   resolved,
 		Supernodes: sym.ns,
 		NNZL:       sym.nnzStored,
-		Tasks:      len(tasks),
 	}
 	for _, f := range sym.flops {
 		an.Flops += f
@@ -396,8 +370,7 @@ type snUpd struct{ d, lo, hi int32 }
 
 // snSym is the symbolic analysis the numeric phase executes: the supernode
 // partition, per-supernode row structures, the per-supernode update lists in
-// their fixed deterministic order, and the flop estimates the subtree
-// scheduler partitions work by.
+// their fixed deterministic order, and the per-supernode flop estimates.
 type snSym struct {
 	n      int
 	parent []int // postordered etree
@@ -638,20 +611,6 @@ func (s *Supernodal) ZeroFill() int { return s.zeroFill }
 // Supernodes returns the number of supernodes of the partition.
 func (s *Supernodal) Supernodes() int { return s.ns }
 
-// Parallelism reports how the numeric phase was scheduled: the number of
-// independent elimination-subtree tasks and the worker count they ran on
-// (1/0 means the factorisation ran sequentially).
-func (s *Supernodal) Parallelism() (tasks, workers int) { return s.tasks, s.workers }
-
-// ParallelSolveEligible reports whether SolveTo routes to the level-scheduled
-// parallel substitution when more than one CPU is available (the factor is
-// past the size gate and has at least two supernodes).
-func (s *Supernodal) ParallelSolveEligible() bool { return s.parOK }
-
-// SolveLevels returns the number of level sets of the supernodal elimination
-// tree — the critical-path length of the level-scheduled triangular solve.
-func (s *Supernodal) SolveLevels() int { return len(s.levPtr) - 1 }
-
 // Inertia returns the number of positive, negative and exactly-zero pivots,
 // classified by exact sign — the same convention as LDLT.Inertia, so the two
 // backends agree pivot for pivot. In Cholesky mode every pivot is positive by
@@ -667,20 +626,15 @@ func (s *Supernodal) Inertia() (pos, neg, zero int) {
 
 // Flops returns the symbolic estimate of the factorisation's floating-point
 // work (panel factorisations plus rank-k updates) — the number the E6
-// ordering comparison and the subtree scheduler partition work by.
+// ordering comparison reports.
 func (s *Supernodal) Flops() float64 { return s.flopsEst }
 
 // FactorBytes returns the factor's resident memory footprint — panels,
-// pivots, row structure and the retained solve schedule — the number the
-// factor cache budgets by.
+// pivots and row structure — the number the factor cache budgets by.
 func (s *Supernodal) FactorBytes() int64 {
-	b := int64(len(s.panel)+len(s.d)+len(s.levWork))*8 +
-		int64(len(s.rowind)+len(s.sfirst)+len(s.rx)+len(s.sparent)+len(s.levPtr)+len(s.levList))*4 +
+	return int64(len(s.panel)+len(s.d))*8 +
+		int64(len(s.rowind)+len(s.sfirst)+len(s.rx))*4 +
 		int64(len(s.px)+len(s.perm))*8
-	for _, u := range s.upd {
-		b += int64(len(u)) * 12
-	}
-	return b
 }
 
 // Solve solves A·x = b and returns x.
@@ -690,27 +644,13 @@ func (s *Supernodal) Solve(b sparse.Vec) sparse.Vec {
 	return x
 }
 
-// SolveTo solves A·x = b into x using the precomputed factor. Large factors
-// route to the level-scheduled parallel substitution when more than one
-// processor is available; everything else runs the sequential sweep. Both
-// paths produce identical bytes (the per-supernode operation order is fixed
-// by the symbolic phase, not by execution order), so the dispatch is pure
-// speed. x may alias b. SolveTo is reentrant — all scratch is per call — so
-// one factor may serve concurrent solves.
+// SolveTo solves A·x = b into x using the precomputed factor, on the calling
+// goroutine: permute, supernodal forward substitution (dense triangular solve
+// per diagonal block, gathered rectangular updates), the D⁻¹ scaling in LDLᵀ
+// mode, supernodal backward substitution, permute back. The batched panel
+// solve is byte-identical to it. x may alias b. SolveTo is reentrant — all
+// scratch is per call — so one factor may serve concurrent solves.
 func (s *Supernodal) SolveTo(x, b sparse.Vec) {
-	if s.parOK && runtime.GOMAXPROCS(0) > 1 {
-		s.SolveLevelTo(x, b)
-		return
-	}
-	s.SolveSeqTo(x, b)
-}
-
-// SolveSeqTo solves A·x = b into x on one goroutine: permute, supernodal
-// forward substitution (dense triangular solve per diagonal block, gathered
-// rectangular updates), the D⁻¹ scaling in LDLᵀ mode, supernodal backward
-// substitution, permute back. It is the sequential baseline the level solve
-// and the batched panel solve are byte-identical to.
-func (s *Supernodal) SolveSeqTo(x, b sparse.Vec) {
 	n := s.n
 	if len(b) != n || len(x) != n {
 		panic(fmt.Sprintf("factor: supernodal solve dimension mismatch n=%d len(b)=%d len(x)=%d", n, len(b), len(x)))
@@ -782,11 +722,9 @@ func (s *Supernodal) SolveSeqTo(x, b sparse.Vec) {
 // backwardSupernode runs supernode sn's slice of the backward sweep Lᵀ z = y
 // on the permuted working vector w: gather the ancestor rows into g, subtract
 // each column's pre-summed rectangular contribution, then the dense
-// (unit-)upper solve on the diagonal block. It writes only w[f:f+width] and
-// reads only rows solved later in the backward order (ancestors), which is
-// what lets same-level supernodes run concurrently; the rectangular
-// contribution is pre-summed per column (ascending row order) so the batched
-// panel solve's rank-k kernel reproduces it bit for bit.
+// (unit-)upper solve on the diagonal block. The rectangular contribution is
+// pre-summed per column (ascending row order) so the batched panel solve's
+// rank-k kernel reproduces it bit for bit.
 func (s *Supernodal) backwardSupernode(sn int, w sparse.Vec, g []float64) {
 	f := int(s.sfirst[sn])
 	width := int(s.sfirst[sn+1]) - f

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"testing"
 
@@ -135,22 +136,25 @@ func snFactorBytes(t *testing.T, s *Supernodal, b sparse.Vec) []byte {
 	return buf.Bytes()
 }
 
-// TestSupernodalDeterministicAcrossGOMAXPROCS is the determinism guarantee of
-// the ISSUE: factors and solves must be byte-identical whether the scheduler
-// runs subtree tasks on one worker or four. AMD- and ND-ordered systems have
-// bushy elimination trees, so the parallel path genuinely engages (asserted
-// via Parallelism) when the work is large enough — the 128² ND grid is the
-// acceptance workload of the nested-dissection PR.
+// TestSupernodalDeterministicAcrossGOMAXPROCS is the determinism guarantee:
+// factors and solves must be byte-identical at GOMAXPROCS 1 and 4 — the
+// backend starts no goroutine, so this holds by construction — and, on amd64,
+// equal to the bytes of the subtree-scheduled, level-solved implementation it
+// replaced: golden is the FNV-1a hash of snFactorBytes recorded at commit
+// dfc81e0 (the same at both settings there; other targets run the portable
+// kernel and may fuse multiply-adds). The 128² ND grid is the acceptance
+// workload of the nested-dissection PR.
 func TestSupernodalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	systems := map[string]struct {
-		sys  sparse.System
-		ord  Ordering
-		mode SupernodalMode
+		sys    sparse.System
+		ord    Ordering
+		mode   SupernodalMode
+		golden uint64
 	}{
-		"poisson-96x96-amd":  {sparse.Poisson2D(96, 96, 0.05), OrderAMD, ModeCholesky},
-		"saddle-64x64-amd":   {sparse.SaddlePoisson2D(64, 64, 1e-2), OrderAMD, ModeLDLT},
-		"poisson-128x128-nd": {sparse.Poisson2D(128, 128, 0.05), OrderND, ModeCholesky},
-		"saddle-64x64-nd":    {sparse.SaddlePoisson2D(64, 64, 1e-2), OrderND, ModeLDLT},
+		"poisson-96x96-amd":  {sparse.Poisson2D(96, 96, 0.05), OrderAMD, ModeCholesky, 0x10d433bd3e1b2c32},
+		"saddle-64x64-amd":   {sparse.SaddlePoisson2D(64, 64, 1e-2), OrderAMD, ModeLDLT, 0xa640cdd7e55df070},
+		"poisson-128x128-nd": {sparse.Poisson2D(128, 128, 0.05), OrderND, ModeCholesky, 0x15bafac87cf329b5},
+		"saddle-64x64-nd":    {sparse.SaddlePoisson2D(64, 64, 1e-2), OrderND, ModeLDLT, 0x8e090ba3e7f88ba6},
 	}
 	saved := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(saved)
@@ -162,9 +166,6 @@ func TestSupernodalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 				t.Fatal(err)
 			}
 			bytes1 := snFactorBytes(t, s1, tc.sys.B)
-			if tasks, workers := s1.Parallelism(); workers != 1 {
-				t.Errorf("GOMAXPROCS=1 ran on %d workers (%d tasks)", workers, tasks)
-			}
 
 			runtime.GOMAXPROCS(4)
 			s4, err := NewSupernodal(tc.sys.A, tc.ord, tc.mode)
@@ -175,10 +176,13 @@ func TestSupernodalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			if !bytes.Equal(bytes1, bytes4) {
 				t.Fatal("factor/solve bytes differ between GOMAXPROCS=1 and GOMAXPROCS=4")
 			}
-			if tasks, workers := s4.Parallelism(); workers < 2 {
-				t.Errorf("GOMAXPROCS=4 did not engage the worker pool (tasks=%d workers=%d)", tasks, workers)
-			} else {
-				t.Logf("parallel run: %d subtree tasks on %d workers, byte-identical to sequential", tasks, workers)
+			if runtime.GOARCH != "amd64" {
+				return
+			}
+			h := fnv.New64a()
+			h.Write(bytes1)
+			if got := h.Sum64(); got != tc.golden {
+				t.Errorf("FNV-1a of the factor/solve bytes = %#x, want %#x", got, tc.golden)
 			}
 		})
 	}
@@ -403,9 +407,9 @@ func TestSupernodalErrors(t *testing.T) {
 	}
 }
 
-// TestSupernodalParallelErrorDeterministic forces a bad pivot into a system
-// large enough to schedule subtree tasks and checks the reported error is the
-// same pivot the sequential pass reports, at every GOMAXPROCS.
+// TestSupernodalParallelErrorDeterministic forces a bad pivot into a large
+// system and checks the reported error names the same pivot at every
+// GOMAXPROCS.
 func TestSupernodalParallelErrorDeterministic(t *testing.T) {
 	// A large AMD-friendly SPD system made indefinite at one entry.
 	sys := sparse.SaddlePoisson2D(64, 64, 1e-2)
