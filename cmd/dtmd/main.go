@@ -18,7 +18,7 @@
 //
 //	coordinate:
 //	    dtmd -coordinate -self 0 -peers "..." -workers 1,2 \
-//	         -rows 33 -cols 33 -px 2 -py 2 -tol 1e-9
+//	         -source "grid:rows=33,cols=33,seed=1" -px 2 -py 2 -tol 1e-9
 //	  assigns the spec'd problem across the listed worker members, waits for
 //	  quiescence, prints the result, and shuts the workers down (unless
 //	  -keep-workers).
@@ -38,11 +38,10 @@
 //
 // The problem is named by -source, a problem-source string from the sparse
 // registry ("grid:rows=33,cols=33,seed=1", "spanner:n=100,k=6,seed=7,leak=0.05",
-// "mm:/path/sys.mtx@<fnv64 hash>", …); without it, -rows/-cols/-seed are
-// shorthand for the "grid:" source they spell. A grid is torn -px by -py;
-// -parts tears any source into that many subdomains with the general
-// level-set + EVS pipeline. The machine is named by -topology
-// ("uniform", "ring", "mesh4x4", "mesh8x8", "yao:n=4,k=6,seed=1").
+// "mm:/path/sys.mtx@<fnv64 hash>", …). A grid is torn -px by -py; -parts
+// tears any source into that many subdomains with the general level-set +
+// EVS pipeline. The machine is named by -topo, a topology-registry string
+// ("uniform", "ring", "mesh4x4", "mesh8x8", "torus", "yao:n=4,k=6,seed=1").
 package main
 
 import (
@@ -65,6 +64,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/factor"
 	"repro/internal/sparse"
+	"repro/internal/topology"
 	"repro/internal/transport"
 )
 
@@ -78,8 +78,6 @@ type options struct {
 	keepWorkers bool
 	incarnation uint
 
-	rows, cols    int
-	seed          int64
 	px, py        int
 	source        string
 	parts         int
@@ -93,7 +91,6 @@ type options struct {
 	pollMS        int
 	heartbeat     time.Duration
 	leaseBeats    int
-	maxEpochs     int
 	noFailover    bool
 	crash         bool
 	timeout       time.Duration
@@ -113,16 +110,12 @@ func main() {
 	flag.IntVar(&o.nworkers, "nworkers", 2, "selftest: number of worker processes to spawn")
 	flag.BoolVar(&o.keepWorkers, "keep-workers", false, "coordinator: leave workers running after the solve")
 	flag.UintVar(&o.incarnation, "incarnation", 0, "worker: incarnation number of this life (0 derives one from the wall clock; a restarted worker must use a strictly higher value than its previous life)")
-	flag.IntVar(&o.rows, "rows", 17, `problem spec: rows of the "grid:" source used when -source is empty`)
-	flag.IntVar(&o.cols, "cols", 17, `problem spec: cols of the "grid:" source used when -source is empty`)
-	flag.Int64Var(&o.seed, "seed", 3, `problem spec: seed of the "grid:" source used when -source is empty`)
 	flag.IntVar(&o.px, "px", 2, "problem spec: parts along x")
 	flag.IntVar(&o.py, "py", 2, "problem spec: parts along y")
-	flag.StringVar(&o.source, "source", "", `problem spec: source string ("grid:…", "saddle:…", "spanner:…", "mm:path@hash"; overrides -rows/-cols/-seed)`)
+	flag.StringVar(&o.source, "source", "grid:rows=17,cols=17,seed=3", fmt.Sprintf("problem spec: source string (%v)", sparse.RegisteredSources()))
 	flag.IntVar(&o.parts, "parts", 0, "problem spec: tear into this many parts with the general pipeline (0 keeps -px×-py)")
 	flag.BoolVar(&o.mmtest, "mm", false, "selftest: run the MatrixMarket-by-hash leg (write a file, solve it distributed, require a corrupted hash to be refused)")
-	flag.StringVar(&o.topo, "topo", "uniform", "problem spec: topology (uniform, ring, mesh4x4, mesh8x8, yao:…)")
-	flag.StringVar(&o.topo, "topology", "uniform", "alias for -topo")
+	flag.StringVar(&o.topo, "topo", "uniform", fmt.Sprintf("problem spec: topology string (%v)", topology.RegisteredTopologies()))
 	flag.Float64Var(&o.delay, "delay", 10, "problem spec: uniform/ring link delay")
 	flag.Float64Var(&o.tol, "tol", 1e-9, "quiescence tolerance")
 	flag.StringVar(&o.localSolver, "local-solver", "", "factor backend for the local solves (empty for default)")
@@ -131,7 +124,6 @@ func main() {
 	flag.IntVar(&o.pollMS, "poll-ms", 10, "coordinator status poll interval")
 	flag.DurationVar(&o.heartbeat, "heartbeat", 25*time.Millisecond, "worker heartbeat (and snapshot) interval")
 	flag.IntVar(&o.leaseBeats, "lease", 6, "coordinator: worker lease in heartbeat intervals")
-	flag.IntVar(&o.maxEpochs, "max-epochs", 8, "coordinator: give up after this many ownership epochs")
 	flag.BoolVar(&o.noFailover, "no-failover", false, "coordinator: surface a lost worker as an error instead of reassigning")
 	flag.BoolVar(&o.crash, "crash", false, "selftest: SIGKILL the last worker mid-solve and require failover")
 	flag.DurationVar(&o.timeout, "timeout", 2*time.Minute, "coordinator/selftest deadline")
@@ -233,7 +225,6 @@ func coordinate(o *options, tr transport.Transport, addrs map[int]string) error 
 		PollInterval:    time.Duration(o.pollMS) * time.Millisecond,
 		HeartbeatMS:     int(o.heartbeat / time.Millisecond),
 		LeaseBeats:      o.leaseBeats,
-		MaxEpochs:       o.maxEpochs,
 		DisableFailover: o.noFailover,
 	})
 	if err != nil {
@@ -266,15 +257,10 @@ func coordinate(o *options, tr transport.Transport, addrs map[int]string) error 
 	return nil
 }
 
-// buildSpec assembles the problem spec from the flags. Without -source the
-// -rows/-cols/-seed flags spell the "grid:" source.
+// buildSpec assembles the problem spec from the flags.
 func buildSpec(o *options) dist.SpecV2 {
-	source := o.source
-	if source == "" {
-		source = sparse.GridSource{Rows: o.rows, Cols: o.cols, Seed: o.seed}.String()
-	}
 	return dist.SpecV2{
-		V: 2, Source: source,
+		V: 2, Source: o.source,
 		PartsX: o.px, PartsY: o.py, NParts: o.parts,
 		Topology: o.topo, Delay: o.delay,
 	}
@@ -386,7 +372,6 @@ func selftest(o *options) error {
 		PollInterval: time.Duration(o.pollMS) * time.Millisecond,
 		HeartbeatMS:  int(o.heartbeat / time.Millisecond),
 		LeaseBeats:   o.leaseBeats,
-		MaxEpochs:    o.maxEpochs,
 	}
 	if o.crash {
 		// SIGKILL the last worker once the solve is in flight (after the
@@ -451,11 +436,18 @@ func selftest(o *options) error {
 	return nil
 }
 
-// writeSelftestMatrix writes a deterministic SPD system to a temp
+// writeSelftestMatrix writes the -source system's matrix to a temp
 // MatrixMarket file and returns its path and FNV-1a 64 content hash — the
 // two halves of an "mm:" source spec.
 func writeSelftestMatrix(o *options) (string, uint64, error) {
-	sys := sparse.RandomGridSPD(o.rows, o.cols, o.seed)
+	src, err := sparse.ParseSource(o.source)
+	if err != nil {
+		return "", 0, err
+	}
+	sys, _, err := src.Build()
+	if err != nil {
+		return "", 0, err
+	}
 	f, err := os.CreateTemp("", "dtmd-selftest-*.mtx")
 	if err != nil {
 		return "", 0, err

@@ -7,14 +7,15 @@
 //
 // Usage examples:
 //
-//	dtmgen -gen poisson2d -nx 33 -ny 33 -matrix A.mtx -rhs b.vec
-//	dtmgen -gen random-grid -nx 65 -ny 65 -seed 4225 -matrix A4225.mtx -rhs b4225.vec
+//	dtmgen -source "poisson:nx=33,ny=33" -matrix A.mtx -rhs b.vec
+//	dtmgen -source "grid:rows=65,cols=65,seed=4225" -matrix A4225.mtx -rhs b4225.vec
 //	dtmgen -source "spanner:n=289,k=6,seed=1,leak=0.05" -matrix spanner.mtx -rhs spanner.vec
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/sparse"
@@ -22,63 +23,41 @@ import (
 
 func main() {
 	var (
-		gen    = flag.String("gen", "poisson2d", "generator: poisson2d, poisson3d, random, random-grid, resistor, tridiag")
-		source = flag.String("source", "", fmt.Sprintf("problem-source string (%v); overrides -gen", sparse.RegisteredSources()))
-		nx     = flag.Int("nx", 33, "grid width")
-		ny     = flag.Int("ny", 33, "grid height")
-		nz     = flag.Int("nz", 9, "grid depth (poisson3d)")
-		n      = flag.Int("n", 500, "dimension for non-grid generators")
-		seed   = flag.Int64("seed", 1, "random seed")
+		source = flag.String("source", "poisson:nx=33,ny=33", fmt.Sprintf("problem-source string (%v)", sparse.RegisteredSources()))
 		matrix = flag.String("matrix", "A.mtx", "output matrix file (MatrixMarket coordinate format)")
 		rhs    = flag.String("rhs", "b.vec", "output right-hand-side file (MatrixMarket array format)")
 		sym    = flag.Bool("sym", false, "write the matrix in MatrixMarket symmetric form (stores one triangle, halves the file)")
 	)
 	flag.Parse()
 
-	var sys sparse.System
-	if *source != "" {
-		src, err := sparse.ParseSource(*source)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dtmgen: %v\n", err)
-			os.Exit(2)
-		}
-		var berr error
-		sys, _, berr = src.Build()
-		if berr != nil {
-			fmt.Fprintf(os.Stderr, "dtmgen: %v\n", berr)
-			os.Exit(1)
-		}
-	} else {
-		switch *gen {
-		case "poisson2d":
-			sys = sparse.Poisson2D(*nx, *ny, 0.05)
-		case "poisson3d":
-			sys = sparse.Poisson3D(*nx, *ny, *nz, 0.05)
-		case "random":
-			sys = sparse.RandomSPD(*n, 0.02, *seed)
-		case "random-grid":
-			sys = sparse.RandomGridSPD(*nx, *ny, *seed)
-		case "resistor":
-			sys = sparse.ResistorNetwork(*nx, *ny, *seed)
-		case "tridiag":
-			sys = sparse.Tridiagonal(*n, 2.1, -1)
-		default:
-			fmt.Fprintf(os.Stderr, "dtmgen: unknown generator %q\n", *gen)
-			os.Exit(2)
-		}
-	}
-
-	if err := writeSystem(sys, *matrix, *rhs, *sym); err != nil {
-		fmt.Fprintf(os.Stderr, "dtmgen: %v\n", err)
-		os.Exit(1)
-	}
-	hash, err := sparse.HashFileFNV64(*matrix)
+	src, err := sparse.ParseSource(*source)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dtmgen: %v\n", err)
+		os.Exit(2)
+	}
+	if err := generate(os.Stdout, src, *matrix, *rhs, *sym); err != nil {
+		fmt.Fprintf(os.Stderr, "dtmgen: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s (n=%d, nnz=%d) and %s\n", *matrix, sys.Dim(), sys.A.NNZ(), *rhs)
-	fmt.Printf("source spec: %s\n", sparse.MMSource{Path: *matrix, Hash: hash}.String())
+}
+
+// generate builds the source's system, writes it, and prints the mm: spec
+// that names the written matrix.
+func generate(w io.Writer, src sparse.Source, matrix, rhs string, sym bool) error {
+	sys, _, err := src.Build()
+	if err != nil {
+		return err
+	}
+	if err := writeSystem(sys, matrix, rhs, sym); err != nil {
+		return err
+	}
+	hash, err := sparse.HashFileFNV64(matrix)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s (n=%d, nnz=%d) and %s\n", matrix, sys.Dim(), sys.A.NNZ(), rhs)
+	fmt.Fprintf(w, "source spec: %s\n", sparse.MMSource{Path: matrix, Hash: hash})
+	return nil
 }
 
 func writeSystem(sys sparse.System, matrixPath, rhsPath string, symmetric bool) error {

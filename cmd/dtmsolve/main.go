@@ -2,18 +2,19 @@
 // Transmission Method (or one of the baselines) and prints the solve
 // statistics.
 //
-// The system is either generated (-gen poisson2d -nx 33 -ny 33), named by a
-// problem-source string from the sparse registry (-source "spanner:n=289,k=6",
-// -source "mm:A.mtx@<fnv64 hash>", …), or read from files (-matrix A.mtx
+// The system is named by a problem-source string from the sparse registry
+// (-source "poisson:nx=33,ny=33", -source "spanner:n=289,k=6",
+// -source "mm:A.mtx@<fnv64 hash>", …) or read from files (-matrix A.mtx
 // -rhs b.vec, MatrixMarket format — general, symmetric and pattern coordinate
-// files as well as array files are accepted).
+// files as well as array files are accepted; the only way to supply a
+// right-hand side). The machine is a topology-registry string (-topo).
 //
 // Usage examples:
 //
-//	dtmsolve -gen poisson2d -nx 33 -ny 33 -method dtm -parts 16 -topo mesh4x4
+//	dtmsolve -source "poisson:nx=33,ny=33" -method dtm -parts 16 -topo mesh4x4
 //	dtmsolve -source "spanner:n=289,k=6,seed=1,leak=0.05" -method dtm -parts 8 -topo "yao:k=6"
-//	dtmsolve -gen random -n 500 -method cg
-//	dtmsolve -gen saddle -nx 128 -ny 128 -method direct
+//	dtmsolve -source "random:n=500" -method cg
+//	dtmsolve -source "saddle:nx=128,ny=128" -method direct
 //	dtmsolve -matrix A.mtx -rhs b.vec -method vtm -parts 4
 package main
 
@@ -37,10 +38,7 @@ import (
 )
 
 type options struct {
-	gen         string
 	source      string
-	nx, ny      int
-	n           int
 	seed        int64
 	matrix      string
 	rhs         string
@@ -63,18 +61,13 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.gen, "gen", "", "generator: poisson2d, poisson3d, random, random-grid, resistor, tridiag, saddle")
-	flag.StringVar(&o.source, "source", "", fmt.Sprintf("problem-source string (%v; e.g. \"spanner:n=289,k=6\" or \"mm:A.mtx@<hash>\"); alternative to -gen/-matrix", sparse.RegisteredSources()))
-	flag.IntVar(&o.nx, "nx", 33, "grid width for grid generators")
-	flag.IntVar(&o.ny, "ny", 33, "grid height for grid generators")
-	flag.IntVar(&o.n, "n", 500, "dimension for non-grid generators")
-	flag.Int64Var(&o.seed, "seed", 1, "random seed for the generators")
+	flag.StringVar(&o.source, "source", "", fmt.Sprintf("problem-source string (%v; e.g. \"poisson:nx=33,ny=33\", \"spanner:n=289,k=6\" or \"mm:A.mtx@<hash>\"); alternative to -matrix", sparse.RegisteredSources()))
+	flag.Int64Var(&o.seed, "seed", 1, "random seed of the extra right-hand sides -nrhs generates")
 	flag.StringVar(&o.matrix, "matrix", "", "matrix file (MatrixMarket .mtx)")
 	flag.StringVar(&o.rhs, "rhs", "", "right-hand-side file (MatrixMarket array or coordinate)")
 	flag.StringVar(&o.method, "method", "dtm", "solver: dtm, vtm, mixed, live, direct, cg, pcg, jacobi, gauss-seidel, sor, block-jacobi, async-jacobi")
 	flag.IntVar(&o.parts, "parts", 4, "number of subdomains / blocks for the distributed solvers")
-	flag.StringVar(&o.topo, "topo", "uniform", "machine: uniform, ring, mesh4x4, mesh8x8, yao:…, torus")
-	flag.StringVar(&o.topo, "topology", "uniform", "alias for -topo")
+	flag.StringVar(&o.topo, "topo", "uniform", fmt.Sprintf("machine, a topology-registry string (%v)", topology.RegisteredTopologies()))
 	flag.StringVar(&o.partitioner, "partitioner", "levelset", "graph partitioner for the distributed solvers: levelset, bisection, strips")
 	flag.Float64Var(&o.maxTime, "maxtime", 10000, "virtual time horizon for dtm/async-jacobi (topology time units)")
 	flag.IntVar(&o.maxIter, "maxiter", 5000, "iteration bound for the discrete-time solvers")
@@ -159,8 +152,8 @@ func run(o options) error {
 
 func loadSystem(o options) (sparse.System, error) {
 	if o.source != "" {
-		if o.gen != "" || o.matrix != "" {
-			return sparse.System{}, fmt.Errorf("-source excludes -gen and -matrix")
+		if o.matrix != "" {
+			return sparse.System{}, fmt.Errorf("-source excludes -matrix")
 		}
 		src, err := sparse.ParseSource(o.source)
 		if err != nil {
@@ -169,71 +162,41 @@ func loadSystem(o options) (sparse.System, error) {
 		sys, _, err := src.Build()
 		return sys, err
 	}
-	if o.matrix != "" {
-		mf, err := os.Open(o.matrix)
+	if o.matrix == "" {
+		return sparse.System{}, fmt.Errorf("either -source or -matrix is required")
+	}
+	mf, err := os.Open(o.matrix)
+	if err != nil {
+		return sparse.System{}, err
+	}
+	defer mf.Close()
+	a, err := sparse.ReadMatrix(mf)
+	if err != nil {
+		return sparse.System{}, fmt.Errorf("reading %s: %w", o.matrix, err)
+	}
+	var b sparse.Vec
+	if o.rhs != "" {
+		rf, err := os.Open(o.rhs)
 		if err != nil {
 			return sparse.System{}, err
 		}
-		defer mf.Close()
-		a, err := sparse.ReadMatrix(mf)
+		defer rf.Close()
+		b, err = sparse.ReadVec(rf)
 		if err != nil {
-			return sparse.System{}, fmt.Errorf("reading %s: %w", o.matrix, err)
+			return sparse.System{}, fmt.Errorf("reading %s: %w", o.rhs, err)
 		}
-		var b sparse.Vec
-		if o.rhs != "" {
-			rf, err := os.Open(o.rhs)
-			if err != nil {
-				return sparse.System{}, err
-			}
-			defer rf.Close()
-			b, err = sparse.ReadVec(rf)
-			if err != nil {
-				return sparse.System{}, fmt.Errorf("reading %s: %w", o.rhs, err)
-			}
-		} else {
-			// Default right-hand side: all ones, the standard smoke-test load.
-			b = sparse.NewVec(a.Rows())
-			b.Fill(1)
-		}
-		if len(b) != a.Rows() {
-			return sparse.System{}, fmt.Errorf("matrix is %d-dimensional but the right-hand side has %d entries", a.Rows(), len(b))
-		}
-		return sparse.System{A: a, B: b, Name: o.matrix}, nil
+	} else {
+		// Default right-hand side: all ones, the standard smoke-test load.
+		b = sparse.NewVec(a.Rows())
+		b.Fill(1)
 	}
-	switch o.gen {
-	case "poisson2d":
-		return sparse.Poisson2D(o.nx, o.ny, 0.05), nil
-	case "poisson3d":
-		return sparse.Poisson3D(o.nx, o.ny, o.nx, 0.05), nil
-	case "random":
-		return sparse.RandomSPD(o.n, 0.02, o.seed), nil
-	case "random-grid":
-		return sparse.RandomGridSPD(o.nx, o.ny, o.seed), nil
-	case "resistor":
-		return sparse.ResistorNetwork(o.nx, o.ny, o.seed), nil
-	case "tridiag":
-		return sparse.Tridiagonal(o.n, 2.1, -1), nil
-	case "saddle":
-		// Symmetric quasi-definite (indefinite) — the non-SPD workload the
-		// sparse LDLT backend exists for; solve it with -method direct.
-		return sparse.SaddlePoisson2D(o.nx, o.ny, 1e-2), nil
-	case "":
-		return sparse.System{}, fmt.Errorf("either -gen or -matrix is required")
-	default:
-		return sparse.System{}, fmt.Errorf("unknown generator %q", o.gen)
+	if len(b) != a.Rows() {
+		return sparse.System{}, fmt.Errorf("matrix is %d-dimensional but the right-hand side has %d entries", a.Rows(), len(b))
 	}
+	return sparse.System{A: a, B: b, Name: o.matrix}, nil
 }
 
 func machine(o options) (*topology.Topology, error) {
-	// torus predates the registry and keeps its sizing rule here; everything
-	// else resolves through topology.ParseTopology.
-	if o.topo == "torus" {
-		side := 2
-		for side*side < o.parts {
-			side++
-		}
-		return topology.TorusUniformRandom(side, side, 10, 99, 1, fmt.Sprintf("torus %dx%d", side, side)), nil
-	}
 	return topology.ParseTopology(o.topo, o.parts, 10)
 }
 

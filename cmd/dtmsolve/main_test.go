@@ -9,7 +9,7 @@ import (
 
 func testOptions(method string, fs factor.Settings) options {
 	return options{
-		gen: "poisson2d", nx: 12, ny: 12, seed: 1,
+		source: "poisson:nx=12,ny=12", seed: 1,
 		method: method, parts: 4, topo: "uniform", partitioner: "levelset",
 		maxTime: 1e6, maxIter: 5000, tol: 1e-9, nrhs: 1,
 		fs: fs,
@@ -66,15 +66,40 @@ func TestRunReportsCacheStatistics(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := testOptions("direct", factor.Settings{})
-	bad.gen = "no-such-generator"
+	bad.source = "no-such-scheme:n=3"
 	if err := run(bad); err == nil {
-		t.Error("an unknown generator must be an error")
+		t.Error("an unknown source scheme must be an error")
 	}
-	if _, err := loadSystem(options{source: "grid:rows=4,cols=4,seed=1", gen: "poisson2d"}); err == nil {
-		t.Error("-source with -gen must be refused")
+	if _, err := loadSystem(options{source: "grid:rows=4,cols=4,seed=1", matrix: "A.mtx"}); err == nil {
+		t.Error("-source with -matrix must be refused")
+	}
+	if _, err := loadSystem(options{}); err == nil {
+		t.Error("a run that names no system must be refused")
 	}
 	sys, err := loadSystem(options{source: "grid:rows=4,cols=4,seed=1"})
 	if err != nil || sys.Dim() != 16 {
 		t.Errorf("-source grid: built %d unknowns, err %v", sys.Dim(), err)
+	}
+}
+
+// TestMachineResolvesThroughRegistry: -topo is a topology-registry string and
+// nothing else; torus, once sized here, is the registry's.
+func TestMachineResolvesThroughRegistry(t *testing.T) {
+	o := testOptions("dtm", factor.Settings{})
+	o.parts, o.topo = 5, "torus"
+	topo, err := machine(o)
+	if err != nil || topo.N() != 9 || topo.Name() != "torus 3x3" {
+		t.Fatalf("-topo torus for 5 parts: %v, err %v", topo, err)
+	}
+	sys, err := loadSystem(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := distributedProblem(o, sys); err != nil {
+		t.Errorf("tearing onto the torus: %v", err)
+	}
+	o.topo = "no-such-machine"
+	if _, err := machine(o); err == nil {
+		t.Error("an unregistered machine must be refused")
 	}
 }

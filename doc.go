@@ -7,9 +7,11 @@
 //   - internal/sparse, internal/dense, internal/spectral — the numerical
 //     substrate (CSR matrices, MatrixMarket I/O, Cholesky/LU/eigen,
 //     definiteness certification) plus the problem-source registry: one
-//     canonical spec-string grammar (sparse.ParseSource) naming every way a
-//     system enters the repo — generated grids ("grid:", "saddle:"), random
-//     geometric Yao-spanner Laplacians ("spanner:") and content-hash-pinned
+//     canonical spec-string grammar (sparse.ParseSource) that is the only
+//     way a system is named, by the CLIs' -source flag, the experiments and
+//     dist.SpecV2 alike — generated systems ("grid:", "poisson:",
+//     "resistor:", "random:", "tridiag:", "saddle:"), random geometric
+//     Yao-spanner Laplacians ("spanner:") and content-hash-pinned
 //     MatrixMarket files ("mm:<path>@<fnv64>", verified on every build and
 //     refused on mismatch with a typed error);
 //   - internal/factor — the pluggable local-factorisation subsystem: one
@@ -36,9 +38,9 @@
 //     system and its Electric Vertex Splitting (wire tearing);
 //   - internal/dtl, internal/topology, internal/netsim — directed transmission
 //     lines, heterogeneous machines (behind the machine registry
-//     topology.ParseTopology: uniform, ring, the paper's mesh4x4/mesh8x8,
-//     and random geometric "yao:" fabrics), and the discrete-event network
-//     simulator;
+//     topology.ParseTopology: uniform, ring, torus, the paper's
+//     mesh4x4/mesh8x8, and random geometric "yao:" fabrics), and the
+//     discrete-event network simulator;
 //   - internal/chaos — the deterministic fault-injection model: a parsed
 //     fault spec (drop/duplicate/jitter probabilities, link-down and
 //     slow-link windows, crash-restart schedules) and the seeded per-link

@@ -59,9 +59,8 @@ func main() {
 				RecordTrace: true,
 				MaxWallTime: 5 * time.Second,
 			},
-			Engine:       core.EngineLive,
-			TimeScale:    20 * time.Microsecond,
-			PollInterval: time.Millisecond,
+			Engine:    core.EngineLive,
+			TimeScale: 20 * time.Microsecond,
 		})
 		if err != nil {
 			log.Fatalf("live run %d: %v", run, err)
@@ -80,9 +79,8 @@ func main() {
 			Faults:      &chaos.Spec{Seed: 7, Drop: 0.10, Jitter: 0.5},
 			MaxWallTime: 10 * time.Second,
 		},
-		Engine:       core.EngineLive,
-		TimeScale:    20 * time.Microsecond,
-		PollInterval: time.Millisecond,
+		Engine:    core.EngineLive,
+		TimeScale: 20 * time.Microsecond,
 	})
 	if err != nil {
 		log.Fatalf("lossy live run: %v", err)

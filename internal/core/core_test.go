@@ -451,34 +451,7 @@ func TestSolveDTMSingleSubdomainIsDirectSolve(t *testing.T) {
 	}
 }
 
-func TestSolveDTMHonoursCustomComputeTime(t *testing.T) {
-	prob, exact := gridProblem(t, 6, 2, nil)
-	calls := 0
-	res, err := Solve(context.Background(), prob, Config{
-		CommonOptions: CommonOptions{
-			Exact: exact,
-		},
-		MaxTime: 3000,
-		ComputeTime: func(part, dim int) float64 {
-			calls++
-			if dim <= 0 {
-				t.Errorf("ComputeTime called with dim %d", dim)
-			}
-			return 1
-		},
-	})
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if calls == 0 {
-		t.Errorf("the custom compute-time model was never consulted")
-	}
-	if res.Solves == 0 {
-		t.Errorf("no solves recorded")
-	}
-}
-
-func TestSolveDTMObserverSeesEverySolve(t *testing.T) {
+func TestDESObserverSeesEverySolve(t *testing.T) {
 	prob, exact := gridProblem(t, 6, 2, nil)
 	for _, cfg := range []Config{
 		{Engine: EngineDES, MaxTime: 2000},
@@ -712,26 +685,35 @@ func TestResultErrorAtTimeAndTimeToError(t *testing.T) {
 }
 
 func TestTraceDownsampleKeepsEndpoints(t *testing.T) {
+	trace := make([]TracePoint, 1001)
+	for i := range trace {
+		trace[i].Solves = i
+	}
+	thin := downsample(trace, 20)
+	if len(thin) < 2 || len(thin) > 20 {
+		t.Fatalf("thinned trace length = %d, want 2..20", len(thin))
+	}
+	if thin[0] != trace[0] || thin[len(thin)-1] != trace[len(trace)-1] {
+		t.Errorf("thinning must keep both endpoints, got solves %d..%d", thin[0].Solves, thin[len(thin)-1].Solves)
+	}
+	if short := downsample(trace[:20], 20); len(short) != 20 {
+		t.Errorf("a trace within the bound must be kept whole, got %d points", len(short))
+	}
+
+	// Through the engines: at most traceMaxPoints points, ending on the
+	// final state.
 	prob, exact := gridProblem(t, 8, 2, nil)
 	for _, cfg := range []Config{
 		{Engine: EngineDES, MaxTime: 20000},
 		{Engine: EngineVTM, MaxIterations: 2000},
 	} {
-		cfg.CommonOptions = CommonOptions{
-			Exact:          exact,
-			Tol:            1e-10,
-			RecordTrace:    true,
-			TraceMaxPoints: 20,
-		}
+		cfg.CommonOptions = CommonOptions{Exact: exact, Tol: 1e-10, RecordTrace: true}
 		res, err := Solve(context.Background(), prob, cfg)
 		if err != nil {
 			t.Fatalf("%v: Solve: %v", cfg.Engine, err)
 		}
-		if len(res.Trace) == 0 || len(res.Trace) > 20 {
-			t.Fatalf("%v: trace length = %d, want 1..20", cfg.Engine, len(res.Trace))
-		}
-		if res.Solves <= 20*prob.Partition.NumParts() {
-			t.Fatalf("%v: %d solves leave nothing to thin", cfg.Engine, res.Solves)
+		if len(res.Trace) == 0 || len(res.Trace) > traceMaxPoints {
+			t.Fatalf("%v: trace length = %d, want 1..%d", cfg.Engine, len(res.Trace), traceMaxPoints)
 		}
 		last := res.Trace[len(res.Trace)-1]
 		if last.Solves != res.Solves {

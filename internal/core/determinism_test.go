@@ -215,7 +215,7 @@ func TestIncrementalTwinGapMatchesFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("newEngine: %v", err)
 	}
-	eng.window(context.Background(), cfg.computeTimeFn(prob), 0, cfg.MaxTime, false)
+	eng.window(context.Background(), 0, cfg.MaxTime, false)
 	subs := eng.subs
 
 	full := 0.0

@@ -39,6 +39,8 @@ type engine struct {
 	cfg  *Config
 	subs []*Subdomain
 	zs   []float64 // characteristic impedance per twin link
+	// compute is the virtual time one local solve takes (see computeTime).
+	compute float64
 
 	// ownerOf[part] lists the (local index, global index) pairs the part owns
 	// (see Problem.OwnerPairs).
@@ -105,6 +107,7 @@ func newEngine(p *Problem, cfg *Config) (*engine, error) {
 		cfg:        cfg,
 		subs:       subs,
 		zs:         zs,
+		compute:    computeTime(p),
 		x:          sparse.NewVec(p.System.Dim()),
 		exact:      cfg.Exact,
 		lastChange: make([]float64, len(subs)),
@@ -332,14 +335,12 @@ func (e *engine) record(now float64) {
 type dtmNode struct {
 	eng *engine
 	sub *Subdomain
-	dim int
 	adj []int
 	// endsTo[i] are the end indices towards adj[i] (the subdomain's cached
 	// EndsTowards table — never mutated here).
 	endsTo [][]int
 	// lastSent[k] is the wave last sent on end k (NaN before the first send).
 	lastSent []float64
-	compute  func(part, dim int) float64
 	// outs is the reused outgoing-message buffer; netsim copies it into the
 	// event queue before the node runs again.
 	outs []netsim.Outgoing[wavePacket]
@@ -359,16 +360,14 @@ type dtmNode struct {
 	crashed    bool
 }
 
-func newDTMNode(eng *engine, sub *Subdomain, compute func(part, dim int) float64) *dtmNode {
+func newDTMNode(eng *engine, sub *Subdomain) *dtmNode {
 	adj := sub.AdjacentParts()
 	n := &dtmNode{
 		eng:      eng,
 		sub:      sub,
-		dim:      sub.Dim(),
 		adj:      adj,
 		endsTo:   make([][]int, len(adj)),
 		lastSent: make([]float64, len(sub.Ends())),
-		compute:  compute,
 		outs:     make([]netsim.Outgoing[wavePacket], 0, len(adj)),
 	}
 	for i, remote := range adj {
@@ -442,7 +441,7 @@ func (n *dtmNode) OnMessages(now float64, msgs []netsim.Message[wavePacket]) []n
 
 // ComputeTime implements netsim.Node.
 func (n *dtmNode) ComputeTime(batch int) float64 {
-	return n.compute(n.sub.Part(), n.dim)
+	return n.eng.compute
 }
 
 // packetsToAll builds one wave packet per adjacent subdomain. When initial is
@@ -497,7 +496,7 @@ func solveDES(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	end := eng.window(ctx, cfg.computeTimeFn(p), 0, cfg.MaxTime, false)
+	end := eng.window(ctx, 0, cfg.MaxTime, false)
 	return eng.finish(end), deadlineErr(ctx, cfg, eng.interrupted)
 }
 
@@ -507,11 +506,11 @@ func solveDES(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 // absolute time the phase ended at. The ctx is consulted only when it can
 // fire (Solve wires MaxWallTime into it), so a Background run pays one nil
 // check per stop test.
-func (e *engine) window(ctx context.Context, compute func(part, dim int) float64, off, length float64, warm bool) float64 {
+func (e *engine) window(ctx context.Context, off, length float64, warm bool) float64 {
 	dtmNodes := make([]*dtmNode, len(e.subs))
 	nodes := make([]netsim.Node[wavePacket], len(e.subs))
 	for i, s := range e.subs {
-		dtmNodes[i] = newDTMNode(e, s, compute)
+		dtmNodes[i] = newDTMNode(e, s)
 		dtmNodes[i].warmStart, dtmNodes[i].off = warm, off
 		nodes[i] = dtmNodes[i]
 	}
@@ -605,7 +604,7 @@ func (e *engine) finish(finalTime float64) *Result {
 		TwinGap:    e.twinGap(),
 		Solves:     e.solves,
 		Messages:   e.delivered,
-		Trace:      downsample(e.trace, e.cfg.TraceMaxPoints),
+		Trace:      downsample(e.trace, traceMaxPoints),
 		Impedances: e.zs,
 	}
 	res.measure(e.prob, e.exact)

@@ -267,7 +267,7 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	var trace []TracePoint
 	converged := false
 	sample := make([]ShardState, nParts)
-	ticker := time.NewTicker(cfg.PollInterval)
+	ticker := time.NewTicker(livePollInterval)
 monitorLoop:
 	for {
 		select {
@@ -310,7 +310,7 @@ monitorLoop:
 		Converged:  converged,
 		FinalTime:  time.Since(start).Seconds(),
 		Messages:   int(delivered.Load()),
-		Trace:      downsample(trace, cfg.TraceMaxPoints),
+		Trace:      downsample(trace, traceMaxPoints),
 		Impedances: zs,
 	}
 	_, _, res.TwinGap = Quiescent(links, cfg.Tol, states)

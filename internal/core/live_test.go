@@ -63,9 +63,8 @@ func TestLiveConvergesOnGoroutines(t *testing.T) {
 			Exact:       exact,
 			RecordTrace: true,
 		},
-		Engine:       EngineLive,
-		TimeScale:    5 * time.Microsecond,
-		PollInterval: time.Millisecond,
+		Engine:    EngineLive,
+		TimeScale: 5 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
@@ -122,11 +121,11 @@ func TestLiveMatchesDESFixedPoint(t *testing.T) {
 	}
 }
 
-// TestSolveLiveDeadlineExceeded pins the deadline contract: a run that cannot
+// TestLiveDeadlineExceeded pins the deadline contract: a run that cannot
 // reach its tolerance in the wall-time budget returns ErrDeadlineExceeded
 // together with the partial result, and an already-cancelled caller context
 // ends the run the same way.
-func TestSolveLiveDeadlineExceeded(t *testing.T) {
+func TestLiveDeadlineExceeded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live engine test skipped in -short mode")
 	}
@@ -177,12 +176,12 @@ func TestSolveLiveDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestSolveLiveFaultsRecover drives the live engine's whole fault path — real
+// TestLiveFaultsRecover drives the live engine's whole fault path — real
 // dropped and duplicated channel sends, watchdog retransmissions, and one
 // crash-restart from a snapshot — at GOMAXPROCS=4, and checks the run still
 // lands on the DES engine's solution. Run it under -race: the driver's shared
 // state (published shard states, in-goroutine timers) is what this guards.
-func TestSolveLiveFaultsRecover(t *testing.T) {
+func TestLiveFaultsRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live engine test skipped in -short mode")
 	}

@@ -14,7 +14,6 @@ func solveMixed(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	compute := cfg.computeTimeFn(p)
 	syncCost := slowestAdjacentRoundTrip(p)
 
 	now := 0.0
@@ -22,7 +21,7 @@ func solveMixed(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	running := func() bool { return now < cfg.MaxTime && !eng.converged && !eng.interrupted }
 	for running() {
 		// Only the very first window starts from the paper's zero waves.
-		now = eng.window(ctx, compute, now, math.Min(cfg.AsyncWindow, cfg.MaxTime-now), phases > 0)
+		now = eng.window(ctx, now, math.Min(cfg.AsyncWindow, cfg.MaxTime-now), phases > 0)
 		phases++
 		for s := 0; s < cfg.SyncSweeps && running(); s++ {
 			eng.sweep(now)

@@ -92,11 +92,9 @@ type CommonOptions struct {
 	// engines — the live engine has no deterministic instant to test it at).
 	StopOnError float64
 
-	// RecordTrace enables the convergence-history trace.
+	// RecordTrace enables the convergence-history trace, thinned uniformly
+	// to at most 2000 points.
 	RecordTrace bool
-
-	// TraceMaxPoints bounds the number of retained trace points (default 2000).
-	TraceMaxPoints int
 
 	// Faults, when non-nil and enabled, injects deterministic channel faults
 	// (drops, duplicates, jitter, link-down windows, crash-restart) into the
@@ -130,12 +128,6 @@ type Config struct {
 	// delays). Required by the DES and mixed engines.
 	MaxTime float64
 
-	// ComputeTime models the local solve time of a subdomain (virtual time)
-	// for the DES and mixed engines. When nil, each solve takes 5% of the
-	// smallest communication delay, which keeps the processors busy a
-	// realistic fraction of the time and bounds the message rate.
-	ComputeTime func(part, dim int) float64
-
 	// Observer, when non-nil, is invoked by the virtual-time engines (DES,
 	// VTM and mixed) after every local solve with its virtual completion time
 	// (for the solves of a barrier sweep, the barrier instant — under VTM the
@@ -165,11 +157,15 @@ type Config struct {
 	// windows and schedules, expressed in topology time units, are mapped
 	// through the same scale.
 	TimeScale time.Duration
-
-	// PollInterval is how often the live engine's monitor samples the shared
-	// state for the trace and the stopping rule. Default: 2 ms.
-	PollInterval time.Duration
 }
+
+const (
+	// traceMaxPoints bounds the number of trace points a Result retains.
+	traceMaxPoints = 2000
+	// livePollInterval is how often the live engine's monitor samples the
+	// shared state for the trace and the stopping rule.
+	livePollInterval = 2 * time.Millisecond
+)
 
 // normalize fills the defaults every engine shares — the single home of the
 // defaulting rules (notably SendThreshold = Tol/100 wherever the stop rule
@@ -177,9 +173,6 @@ type Config struct {
 func (c *Config) normalize() {
 	if c.Impedance == nil {
 		c.Impedance = dtl.DiagScaled{Alpha: 1}
-	}
-	if c.TraceMaxPoints <= 0 {
-		c.TraceMaxPoints = 2000
 	}
 	if (c.Faults.Enabled() || c.Engine == EngineLive) && c.SendThreshold == 0 {
 		// These stop rules wait for the network to drain (see SendThreshold).
@@ -198,9 +191,6 @@ func (c *Config) normalize() {
 	case EngineLive:
 		if c.TimeScale <= 0 {
 			c.TimeScale = 100 * time.Microsecond
-		}
-		if c.PollInterval <= 0 {
-			c.PollInterval = 2 * time.Millisecond
 		}
 	}
 }
@@ -265,24 +255,19 @@ func (c *Config) validate(p *Problem) error {
 	return nil
 }
 
-// computeTimeFn resolves the compute-time model, defaulting to 5% of the
-// smallest inter-subdomain delay of the problem.
-func (c *Config) computeTimeFn(p *Problem) func(part, dim int) float64 {
-	if c.ComputeTime != nil {
-		return c.ComputeTime
-	}
+// computeTime models the local solve time of a subdomain (virtual time) for
+// the DES and mixed engines: 5% of the smallest inter-subdomain delay of the
+// problem, which keeps the processors busy a realistic fraction of the time
+// and bounds the message rate.
+func computeTime(p *Problem) float64 {
 	minDelay := math.Inf(1)
-	adj := p.Partition.AdjacentParts()
-	for a, neighbours := range adj {
+	for a, neighbours := range p.Partition.AdjacentParts() {
 		for _, b := range neighbours {
-			if d := p.Delay(a, b); d < minDelay {
-				minDelay = d
-			}
+			minDelay = math.Min(minDelay, p.Delay(a, b))
 		}
 	}
 	if math.IsInf(minDelay, 1) {
 		minDelay = 1
 	}
-	ct := 0.05 * minDelay
-	return func(part, dim int) float64 { return ct }
+	return 0.05 * minDelay
 }

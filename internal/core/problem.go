@@ -57,21 +57,28 @@ func NewProblem(sys sparse.System, part *partition.Result, topo *topology.Topolo
 	return &Problem{System: sys, Partition: part, Topology: topo, ProcMap: procMap}, nil
 }
 
-// AutoProblem is the convenience constructor used by the examples and the CLI:
-// it builds the electric graph of the system, partitions it into parts pieces
-// with the BFS level-set partitioner, applies EVS with the default
-// (dominance-proportional) splitting and maps subdomain i onto processor i.
-func AutoProblem(sys sparse.System, parts int, topo *topology.Topology) (*Problem, error) {
+// tear is the pipeline behind AutoProblem and GridProblem: electric graph,
+// the caller's vertex assignment, EVS with the default (dominance-
+// proportional) splitting, subdomain i on processor i.
+func tear(sys sparse.System, topo *topology.Topology, assign func(*graph.Electric) partition.Assignment) (*Problem, error) {
 	g, err := graph.FromSystem(sys.A, sys.B)
 	if err != nil {
 		return nil, fmt.Errorf("core: building electric graph: %w", err)
 	}
-	assign := partition.LevelSetGrow(g, parts)
-	res, err := partition.EVS(g, assign, partition.Options{})
+	res, err := partition.EVS(g, assign(g), partition.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("core: EVS: %w", err)
 	}
 	return NewProblem(sys, res, topo, nil)
+}
+
+// AutoProblem is the convenience constructor used by the examples and the
+// general tearing of dist.SpecV2: it partitions the system's electric graph
+// into parts pieces with the BFS level-set partitioner.
+func AutoProblem(sys sparse.System, parts int, topo *topology.Topology) (*Problem, error) {
+	return tear(sys, topo, func(g *graph.Electric) partition.Assignment {
+		return partition.LevelSetGrow(g, parts)
+	})
 }
 
 // GridProblem partitions an nx×ny grid-structured system (vertex ix + iy*nx)
@@ -83,16 +90,9 @@ func GridProblem(sys sparse.System, nx, ny, px, py int, topo *topology.Topology)
 	if nx*ny != sys.Dim() {
 		return nil, fmt.Errorf("core: grid %dx%d has %d vertices but the system has %d unknowns", nx, ny, nx*ny, sys.Dim())
 	}
-	g, err := graph.FromSystem(sys.A, sys.B)
-	if err != nil {
-		return nil, fmt.Errorf("core: building electric graph: %w", err)
-	}
-	assign := partition.GridBlocks(nx, ny, px, py)
-	res, err := partition.EVS(g, assign, partition.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("core: EVS: %w", err)
-	}
-	return NewProblem(sys, res, topo, nil)
+	return tear(sys, topo, func(*graph.Electric) partition.Assignment {
+		return partition.GridBlocks(nx, ny, px, py)
+	})
 }
 
 // Delay returns the communication delay from subdomain a to subdomain b on

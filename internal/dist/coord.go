@@ -39,10 +39,6 @@ type CoordConfig struct {
 	// (default 6), plus a deterministic per-worker jitter of up to 25% so a
 	// uniformly slow fabric does not mass-expire the fleet at one instant.
 	LeaseBeats int
-	// MaxEpochs caps how many ownership epochs (1 initial + failovers +
-	// rejoins) the solve may burn before giving up (default 8) — a flapping
-	// fleet must fail loudly, not churn forever.
-	MaxEpochs int
 	// DisableFailover turns lease expiry into an immediate *WorkerLostError
 	// instead of a reassignment (strict mode).
 	DisableFailover bool
@@ -80,9 +76,6 @@ func (c *CoordConfig) normalize() error {
 	if c.LeaseBeats <= 0 {
 		c.LeaseBeats = 6
 	}
-	if c.MaxEpochs <= 0 {
-		c.MaxEpochs = 8
-	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 10 * time.Millisecond
 	}
@@ -91,6 +84,11 @@ func (c *CoordConfig) normalize() error {
 	}
 	return nil
 }
+
+// maxEpochs caps how many ownership epochs (1 initial + failovers + rejoins)
+// a solve may burn before giving up — a flapping fleet must fail loudly, not
+// churn forever.
+const maxEpochs = 8
 
 // lease is the base lease duration (per-worker jitter applied on top).
 func (c *CoordConfig) lease() time.Duration {
@@ -149,7 +147,7 @@ func ContiguousOwner(nParts int, workers []int) []int {
 // seeded from its last heartbeat's boundary snapshots. A restarted worker
 // answering the coordinator's polls with a higher incarnation is revived and
 // handed its home parts back on the next epoch. When no failover can absorb
-// a loss (no survivors, DisableFailover, or MaxEpochs exhausted) Coordinate
+// a loss (no survivors, DisableFailover, or maxEpochs exhausted) Coordinate
 // returns a *WorkerLostError wrapping ErrWorkerLost.
 func Coordinate(ctx context.Context, tr transport.Transport, cfg CoordConfig) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
@@ -380,6 +378,11 @@ func (c *coordinator) pollLoop(ctx context.Context) error {
 	round := 0
 	var lastFull []core.ShardState
 	nextPoll := time.Now().Add(c.cfg.PollInterval)
+	// idle: the last Recv found the inbox empty. Leases are judged only then —
+	// after this process was stalled, every live worker's beats are queued
+	// behind the stall, and expiring on the clock alone would take the
+	// coordinator's own pause for their deaths.
+	idle := true
 	for {
 		if ctx.Err() != nil {
 			break // deadline: stop with whatever we have
@@ -391,7 +394,7 @@ func (c *coordinator) pollLoop(ctx context.Context) error {
 			}
 			stable, c.statuses = 0, nil
 		}
-		if expired := c.ms.expired(now); len(expired) > 0 {
+		if expired := c.ms.expired(now); idle && len(expired) > 0 {
 			if err := c.failover(ctx, expired); err != nil {
 				return err
 			}
@@ -415,6 +418,7 @@ func (c *coordinator) pollLoop(ctx context.Context) error {
 		rctx, cancel := context.WithDeadline(ctx, nextPoll)
 		pkt, err := c.tr.Recv(rctx)
 		cancel()
+		idle = err != nil
 		if err != nil {
 			if ctx.Err() != nil {
 				break
@@ -513,7 +517,7 @@ func (c *coordinator) readmit(ctx context.Context, now time.Time) error {
 // the error when no reassignment is possible.
 func (c *coordinator) reassign(ctx context.Context, lost int, revived map[int]bool) error {
 	alive := c.ms.alive()
-	if len(alive) == 0 || c.cfg.DisableFailover || int(c.epoch) >= c.cfg.MaxEpochs {
+	if len(alive) == 0 || c.cfg.DisableFailover || c.epoch >= maxEpochs {
 		return lostError(lost, c.owner, "poll")
 	}
 	prev := c.owner

@@ -209,6 +209,73 @@ func TestReassignResentToLaggingWorker(t *testing.T) {
 	checkAgainstOracle(t, res, quickSpec)
 }
 
+// stallTransport freezes the coordinator once: the first Recv after arm
+// sleeps for d before reading, the way a descheduled process would, while
+// the workers keep beating into its inbox. Only the coordinator's goroutine
+// touches it.
+type stallTransport struct {
+	transport.Transport
+	d       time.Duration
+	armed   bool
+	stalled bool
+}
+
+func (s *stallTransport) Recv(ctx context.Context) (transport.Packet, error) {
+	if s.armed && !s.stalled {
+		s.stalled = true
+		time.Sleep(s.d)
+	}
+	return s.Transport.Recv(ctx)
+}
+
+// TestCoordinatorStallDoesNotExpireLiveWorkers: a coordinator that was not
+// scheduled for several leases must read the beats that queued behind the
+// stall before it judges anybody's lease. Nobody dies here, so any failover,
+// rejoin or epoch past the first is the coordinator mistaking its own
+// stall for its workers' deaths (regression: one 300 ms stall burned three
+// of the eight epochs).
+func TestCoordinatorStallDoesNotExpireLiveWorkers(t *testing.T) {
+	const nWorkers = 3
+	members := chanFabric(t, nWorkers+1)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	workers := make([]int, nWorkers)
+	for i := 1; i <= nWorkers; i++ {
+		workers[i-1] = i
+		w := NewWorker(members[i])
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = w.Run(ctx)
+		}()
+	}
+	// 300 ms is six 40–50 ms leases.
+	coord := &stallTransport{Transport: members[0], d: 300 * time.Millisecond}
+	res, err := Coordinate(ctx, coord, CoordConfig{
+		Spec: quickSpec, Workers: workers, Tol: 1e-9,
+		WatchdogMS: 20, PollInterval: 5 * time.Millisecond,
+		HeartbeatMS: 10, LeaseBeats: 4, StablePolls: 4,
+		OnPoll: func(p int) { coord.armed = p >= 2 },
+	})
+	for _, w := range workers {
+		_ = sendCtrl(ctx, members[0], w, &ctrlMsg{Type: msgShutdown})
+	}
+	cancel()
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("coordinate: %v", err)
+	}
+	if !coord.stalled {
+		t.Fatal("the run ended before the stall was injected")
+	}
+	if res.Failovers != 0 || res.Rejoins != 0 || res.Epoch != 1 {
+		t.Fatalf("a coordinator stall cost failovers=%d rejoins=%d epoch=%d, want 0/0/1",
+			res.Failovers, res.Rejoins, res.Epoch)
+	}
+	checkAgainstOracle(t, res, quickSpec)
+}
+
 func TestFailoverDisabledSurfacesLoss(t *testing.T) {
 	_, err := runFailoverKill(t, failoverOpts{fab: chanFabric, nWorkers: 3, disable: true})
 	if !errors.Is(err, ErrWorkerLost) {

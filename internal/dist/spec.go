@@ -36,12 +36,12 @@ import (
 // so assigning work requires no bulk data transfer.
 //
 // It carries a problem-source string from the sparse registry ("grid:…",
-// "saddle:…", "spanner:…", "mm:path@fnv64hash"), a topology string from the
-// topology registry ("uniform", "ring", "mesh4x4", "mesh8x8", "yao:…") and
-// the tearing shape. A grid source torn PartsX×PartsY keeps the paper's
-// regular block tearing; everything else — an irregular source, or an
-// explicit NParts — is torn with the general level-set + EVS pipeline
-// (core.AutoProblem). A spec without a Source — which is what the pre-registry
+// "poisson:…", "spanner:…", "mm:path@fnv64hash", …), a topology string from
+// the topology registry ("uniform", "ring", "mesh4x4", "mesh8x8", "torus",
+// "yao:…") and the tearing shape. A source with a grid hint (grid, 2-D
+// poisson, resistor) torn PartsX×PartsY keeps the paper's regular block
+// tearing; everything else — an irregular source, or an explicit NParts — is
+// torn with the general level-set + EVS pipeline (core.AutoProblem). A spec without a Source — which is what the pre-registry
 // Rows/Cols/Seed wire form decodes to — is refused at assign time, as is an
 // mm: source whose file content does not hash to the pinned value
 // (sparse.ErrHashMismatch): either way the member would have torn a different
@@ -58,9 +58,9 @@ type SpecV2 struct {
 	// PartsX, PartsY tear the grid into PartsX·PartsY subdomains.
 	PartsX, PartsY int
 	// Topology names the machine, resolved through the topology registry:
-	// "uniform" (default), "ring", "mesh4x4", "mesh8x8", or a parameterised
-	// spec such as "yao:n=4,k=6,seed=1". The topology must have at least
-	// Parts() processors.
+	// "uniform" (default), "ring", "mesh4x4", "mesh8x8", "torus", or a
+	// parameterised spec such as "yao:n=4,k=6,seed=1". The topology must have
+	// at least Parts() processors.
 	Topology string
 	// Delay is the default link delay handed to sized topologies (uniform,
 	// ring, yao); default 10 time units.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -95,7 +96,7 @@ var formerLegacySpecs = []struct {
 }
 
 func gridSpec(rows, cols int, seed int64, px, py int) SpecV2 {
-	return SpecV2{V: 2, Source: sparse.GridSource{Rows: rows, Cols: cols, Seed: seed}.String(), PartsX: px, PartsY: py}
+	return SpecV2{V: 2, Source: fmt.Sprintf("grid:rows=%d,cols=%d,seed=%d", rows, cols, seed), PartsX: px, PartsY: py}
 }
 
 // TestV2GridSourceTearsLikeLegacy: the grid: spelling of a former legacy spec
@@ -106,6 +107,26 @@ func TestV2GridSourceTearsLikeLegacy(t *testing.T) {
 		spec := gridSpec(tc.rows, tc.cols, tc.seed, tc.px, tc.py)
 		if got := spec.Hash(); got != tc.hash {
 			t.Errorf("%s: Hash = %#016x, legacy form hashed to %#016x", spec.Source, got, tc.hash)
+		}
+	}
+}
+
+// TestSpecHashPinned: the specs in daily use — dtmd's default and the three
+// bench/dtmperf problems — hash as they did before every generator became a
+// registered source, so ownership after a failover and lease jitter are
+// where they were.
+func TestSpecHashPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec SpecV2
+		hash uint64
+	}{
+		{SpecV2{V: 2, Source: "grid:rows=17,cols=17,seed=3", PartsX: 2, PartsY: 2}, 0xe8eee9315032d310},
+		{SpecV2{V: 2, Source: "grid:rows=13,cols=13,seed=169", PartsX: 3, PartsY: 3, Topology: "ring"}, 0xb4be39c54f5f2aa1},
+		{SpecV2{V: 2, Source: "grid:rows=65,cols=65,seed=7", PartsX: 2, PartsY: 2, Topology: "uniform"}, 0x3117b346c257a8c4},
+		{SpecV2{V: 2, Source: "spanner:n=1000,k=6,seed=1", NParts: 4, Topology: "uniform"}, 0x2da505b346f83934},
+	} {
+		if got := tc.spec.Hash(); got != tc.hash {
+			t.Errorf("%s: Hash = %#016x, want %#016x", tc.spec.Source, got, tc.hash)
 		}
 	}
 }

@@ -7,25 +7,22 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/dtl"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
-	"repro/internal/partition"
 	"repro/internal/sparse"
 	"repro/internal/topology"
 )
 
 // CompareParams configures the comparison and ablation experiments (the
-// Extra E1–E5 rows of DESIGN.md): one grid-structured SPD workload, one
-// processor mesh, and the stopping rules shared by every solver compared.
+// Extra E1–E5 rows of DESIGN.md): one torn problem and the stopping rules
+// shared by every solver compared.
 type CompareParams struct {
-	// System is the workload; its grid dimensions also define the EVS block
-	// partition (MeshPx × MeshPy blocks).
-	System GridSystemSpec
-	// MeshPx, MeshPy give the processor mesh shape; MeshPx*MeshPy subdomains.
-	MeshPx, MeshPy int
-	// Topo is the machine. Its processor count must equal MeshPx*MeshPy.
-	Topo *topology.Topology
+	// Spec is the workload, its PartsX×PartsY block tearing and the machine.
+	// The delay ablations (E4, E5) take the system and the tearing from it
+	// and run them on machines of their own making, PartsX×PartsY meshes.
+	Spec dist.SpecV2
 	// MaxTime is the virtual horizon (ms) for the continuous-time runs.
 	MaxTime float64
 	// TargetError is the RMS error at which "time to converge" is read.
@@ -38,9 +35,7 @@ type CompareParams struct {
 // 1089-unknown grid system of Section 7.
 func DefaultCompareParams() CompareParams {
 	return CompareParams{
-		System: GridSystemSpec{Nx: 33, Ny: 33, Kind: "poisson"},
-		MeshPx: 4, MeshPy: 4,
-		Topo:             topology.Mesh4x4Paper(),
+		Spec:             tornOnMesh("poisson:nx=33,ny=33", 4),
 		MaxTime:          15000,
 		TargetError:      1e-6,
 		VTMMaxIterations: 3000,
@@ -50,32 +45,15 @@ func DefaultCompareParams() CompareParams {
 // QuickCompareParams is a reduced configuration for tests and -short benches.
 func QuickCompareParams() CompareParams {
 	return CompareParams{
-		System: GridSystemSpec{Nx: 17, Ny: 17, Kind: "poisson"},
-		MeshPx: 4, MeshPy: 4,
-		Topo:             topology.Mesh4x4Paper(),
+		Spec:             tornOnMesh("poisson:nx=17,ny=17", 4),
 		MaxTime:          8000,
 		TargetError:      1e-4,
 		VTMMaxIterations: 600,
 	}
 }
 
-func (p CompareParams) validate() error {
-	if p.MeshPx <= 0 || p.MeshPy <= 0 || p.Topo == nil {
-		return fmt.Errorf("experiments: compare params need a processor mesh and a topology")
-	}
-	if p.MeshPx*p.MeshPy != p.Topo.N() {
-		return fmt.Errorf("experiments: mesh %dx%d does not match topology with %d processors",
-			p.MeshPx, p.MeshPy, p.Topo.N())
-	}
-	if p.MaxTime <= 0 || p.TargetError <= 0 {
-		return fmt.Errorf("experiments: compare params need a positive horizon and target error")
-	}
-	return nil
-}
-
-// comparisonSetup bundles the shared pieces of one comparison run: the built
-// workload, its reference solution, and the DTM problem on the configured
-// machine.
+// comparisonSetup bundles the shared pieces of one comparison run: the torn
+// problem on the configured machine, its system and its reference solution.
 type comparisonSetup struct {
 	sys   sparse.System
 	exact sparse.Vec
@@ -85,23 +63,23 @@ type comparisonSetup struct {
 // buildComparison materialises the shared workload of a comparison experiment.
 func (p CompareParams) buildComparison() (comparisonSetup, error) {
 	var shared comparisonSetup
-	if err := p.validate(); err != nil {
-		return shared, err
+	if p.MaxTime <= 0 || p.TargetError <= 0 {
+		return shared, fmt.Errorf("experiments: compare params need a positive horizon and target error")
 	}
 	var err error
-	shared.sys, err = p.System.Build()
+	shared.prob, err = p.Spec.Build()
 	if err != nil {
 		return shared, err
 	}
+	shared.sys = shared.prob.System
 	shared.exact, err = Reference(shared.sys)
-	if err != nil {
-		return shared, err
-	}
-	shared.prob, err = core.GridProblem(shared.sys, p.System.Nx, p.System.Ny, p.MeshPx, p.MeshPy, p.Topo)
-	if err != nil {
-		return shared, err
-	}
-	return shared, nil
+	return shared, err
+}
+
+// on moves the shared problem — same system, same tearing — onto another
+// machine.
+func (c comparisonSetup) on(topo *topology.Topology) (*core.Problem, error) {
+	return core.NewProblem(c.sys, c.prob.Partition, topo, nil)
 }
 
 // CompareRow is one solver's line in a comparison table.
@@ -179,7 +157,7 @@ func CompareDTMvsVTM(p CompareParams) (*CompareResult, error) {
 		return nil, err
 	}
 	out := &CompareResult{
-		Title:  "DTM vs. VTM (synchronous special case) on " + p.Topo.Name(),
+		Title:  "DTM vs. VTM (synchronous special case) on " + shared.prob.Topology.Name(),
 		N:      shared.sys.Dim(),
 		Target: p.TargetError,
 	}
@@ -216,7 +194,7 @@ func CompareDTMvsVTM(p CompareParams) (*CompareResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := slowestRoundTrip(p.Topo)
+	rt := slowestRoundTrip(shared.prob.Topology)
 	vtmIterToTarget := math.NaN()
 	for _, tp := range vtmRes.Trace {
 		if !math.IsNaN(tp.RMSError) && tp.RMSError <= p.TargetError {
@@ -254,7 +232,7 @@ func CompareAsyncJacobi(p CompareParams) (*CompareResult, error) {
 		return nil, err
 	}
 	out := &CompareResult{
-		Title:  "DTM vs. asynchronous block-Jacobi on " + p.Topo.Name(),
+		Title:  "DTM vs. asynchronous block-Jacobi on " + shared.prob.Topology.Name(),
 		N:      shared.sys.Dim(),
 		Target: p.TargetError,
 	}
@@ -279,8 +257,8 @@ func CompareAsyncJacobi(p CompareParams) (*CompareResult, error) {
 		Converged:    dtmRes.Converged,
 	})
 
-	assign := partition.GridBlocks(p.System.Nx, p.System.Ny, p.MeshPx, p.MeshPy)
-	ajRes, err := iterative.AsyncBlockJacobi(shared.sys.A, shared.sys.B, assign, p.Topo, iterative.AsyncOptions{
+	assign := shared.prob.Partition.Assign
+	ajRes, err := iterative.AsyncBlockJacobi(shared.sys.A, shared.sys.B, assign, shared.prob.Topology, iterative.AsyncOptions{
 		MaxTime:     p.MaxTime,
 		Exact:       shared.exact,
 		RecordTrace: true,
@@ -309,7 +287,7 @@ func CompareAsyncJacobi(p CompareParams) (*CompareResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := slowestRoundTrip(p.Topo)
+	rt := slowestRoundTrip(shared.prob.Topology)
 	bjIterToTarget := math.NaN()
 	for k, e := range bjStats.ErrorTrace {
 		if e <= p.TargetError {
@@ -393,32 +371,26 @@ func AblationImpedance(p CompareParams) (*CompareResult, error) {
 // degrades — the sensitivity study behind the paper's claim that DTM is at
 // home on "terrible" parallel environments.
 func AblationDelays(p CompareParams) (*CompareResult, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	sys, err := p.System.Build()
+	shared, err := p.buildComparison()
 	if err != nil {
 		return nil, err
 	}
-	exact, err := Reference(sys)
-	if err != nil {
-		return nil, err
-	}
+	exact, px, py := shared.exact, p.Spec.PartsX, p.Spec.PartsY
 	out := &CompareResult{
 		Title:  "Ablation — delay heterogeneity (uniform 10 ms base, max/min ratio swept)",
-		N:      sys.Dim(),
+		N:      shared.sys.Dim(),
 		Target: p.TargetError,
 	}
 	ratios := []float64{1, 3, 10, 30}
 	for i, ratio := range ratios {
 		var topo *topology.Topology
-		name := fmt.Sprintf("mesh %dx%d, delays U[10,%.0f] ms", p.MeshPx, p.MeshPy, 10*ratio)
+		name := fmt.Sprintf("mesh %dx%d, delays U[10,%.0f] ms", px, py, 10*ratio)
 		if ratio == 1 {
-			topo = topology.Mesh(p.MeshPx, p.MeshPy, name, func(_, _ int) float64 { return 10 })
+			topo = topology.Mesh(px, py, name, func(_, _ int) float64 { return 10 })
 		} else {
-			topo = topology.MeshUniformRandom(p.MeshPx, p.MeshPy, 10, 10*ratio, int64(1000+i), name)
+			topo = topology.MeshUniformRandom(px, py, 10, 10*ratio, int64(1000+i), name)
 		}
-		prob, err := core.GridProblem(sys, p.System.Nx, p.System.Ny, p.MeshPx, p.MeshPy, topo)
+		prob, err := shared.on(topo)
 		if err != nil {
 			return nil, err
 		}
@@ -454,20 +426,14 @@ func AblationDelays(p CompareParams) (*CompareResult, error) {
 // links are fast (local synchrony is nearly free) while inter-cluster links
 // stay slow and asymmetric, and on a fully uniform mesh (the VTM-like limit).
 func AblationMixedSync(p CompareParams) (*CompareResult, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	sys, err := p.System.Build()
+	shared, err := p.buildComparison()
 	if err != nil {
 		return nil, err
 	}
-	exact, err := Reference(sys)
-	if err != nil {
-		return nil, err
-	}
+	exact, px, py := shared.exact, p.Spec.PartsX, p.Spec.PartsY
 	out := &CompareResult{
 		Title:  "Ablation — sync/async mixing via the delay structure (GALS)",
-		N:      sys.Dim(),
+		N:      shared.sys.Dim(),
 		Target: p.TargetError,
 	}
 
@@ -476,12 +442,12 @@ func AblationMixedSync(p CompareParams) (*CompareResult, error) {
 		topo *topology.Topology
 	}
 	variants := []variant{
-		{"fully asynchronous (heterogeneous 10–99 ms)", heterogeneousMesh(p.MeshPx, p.MeshPy)},
-		{"global-async-local-sync (1 ms inside 2x2 clusters, 10–99 ms between)", galsMesh(p.MeshPx, p.MeshPy)},
-		{"fully synchronous-like (uniform 10 ms)", topology.Mesh(p.MeshPx, p.MeshPy, "uniform 10 ms mesh", func(_, _ int) float64 { return 10 })},
+		{"fully asynchronous (heterogeneous 10–99 ms)", heterogeneousMesh(px, py)},
+		{"global-async-local-sync (1 ms inside 2x2 clusters, 10–99 ms between)", galsMesh(px, py)},
+		{"fully synchronous-like (uniform 10 ms)", topology.Mesh(px, py, "uniform 10 ms mesh", func(_, _ int) float64 { return 10 })},
 	}
 	for _, v := range variants {
-		prob, err := core.GridProblem(sys, p.System.Nx, p.System.Ny, p.MeshPx, p.MeshPy, v.topo)
+		prob, err := shared.on(v.topo)
 		if err != nil {
 			return nil, err
 		}
@@ -509,8 +475,7 @@ func AblationMixedSync(p CompareParams) (*CompareResult, error) {
 	// The time-domain variant of the same idea ("async-sync-async-sync",
 	// synchronising once after a period of asynchronisation): asynchronous
 	// windows on the heterogeneous mesh separated by one global sweep.
-	hetero := heterogeneousMesh(p.MeshPx, p.MeshPy)
-	prob, err := core.GridProblem(sys, p.System.Nx, p.System.Ny, p.MeshPx, p.MeshPy, hetero)
+	prob, err := shared.on(heterogeneousMesh(px, py))
 	if err != nil {
 		return nil, err
 	}

@@ -76,9 +76,9 @@ func Registry() map[string]Runner {
 		"fig8":                 runner(DefaultFig8Params, DefaultFig8Params, Fig8),
 		"fig9":                 runner(DefaultFig9Params, quickFig9, Fig9),
 		"fig11":                func(w io.Writer, quick bool) error { return Fig11().Render(w) },
-		"fig12":                runner(DefaultFig12Params, QuickFig12Params, Fig12),
+		"fig12":                runner(DefaultFig12Params, QuickFig12Params, RunMesh),
 		"fig13":                func(w io.Writer, quick bool) error { return Fig13().Render(w) },
-		"fig14":                runner(DefaultFig14Params, QuickFig14Params, Fig14),
+		"fig14":                runner(DefaultFig14Params, QuickFig14Params, RunMesh),
 		"compare-vtm":          runner(DefaultCompareParams, QuickCompareParams, CompareDTMvsVTM),
 		"compare-async-jacobi": runner(DefaultCompareParams, QuickCompareParams, CompareAsyncJacobi),
 		"ablation-impedance":   runner(DefaultCompareParams, QuickCompareParams, AblationImpedance),

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sparse"
 	"repro/internal/topology"
 )
 
@@ -28,11 +29,7 @@ func TestRegistryAndNamesAgree(t *testing.T) {
 }
 
 func TestReferenceSolvesSmallAndLargeSystems(t *testing.T) {
-	small := GridSystemSpec{Nx: 5, Ny: 5, Kind: "poisson"}
-	sys, err := small.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
+	sys := sparse.Poisson2D(5, 5, 0.05)
 	x, err := Reference(sys)
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
@@ -41,11 +38,7 @@ func TestReferenceSolvesSmallAndLargeSystems(t *testing.T) {
 		t.Errorf("small reference residual %g", r.NormInf())
 	}
 	// Force the CG path (dim > 600).
-	large := GridSystemSpec{Nx: 26, Ny: 26, Kind: "random-grid", Seed: 4}
-	lsys, err := large.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
+	lsys := sparse.RandomGridSPD(26, 26, 4)
 	lx, err := Reference(lsys)
 	if err != nil {
 		t.Fatalf("Reference (CG path): %v", err)
@@ -55,9 +48,11 @@ func TestReferenceSolvesSmallAndLargeSystems(t *testing.T) {
 	}
 }
 
-func TestGridSystemSpecRejectsUnknownKind(t *testing.T) {
-	if _, err := (GridSystemSpec{Nx: 4, Ny: 4, Kind: "banana"}).Build(); err == nil {
-		t.Errorf("unknown workload kind must be rejected")
+func TestRunMeshRejectsUnknownSource(t *testing.T) {
+	p := QuickFig12Params()
+	p.Specs[0].Source = "banana:nx=4,ny=4"
+	if _, err := RunMesh(p); err == nil {
+		t.Errorf("a workload no source scheme names must be rejected")
 	}
 }
 
@@ -200,9 +195,9 @@ func TestFig11AndFig13Platforms(t *testing.T) {
 
 func TestRunMeshValidatesShape(t *testing.T) {
 	p := QuickFig12Params()
-	p.MeshPx = 3 // 3x4 != 16 processors
+	p.Specs[0].PartsX = 5 // 5x4 parts on the 16 processors of the 4x4 mesh
 	if _, err := RunMesh(p); err == nil {
-		t.Errorf("mismatched processor mesh must be rejected")
+		t.Errorf("a tearing with more parts than the mesh has processors must be rejected")
 	}
 }
 
@@ -210,9 +205,9 @@ func TestFig12QuickConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mesh experiment skipped in -short mode")
 	}
-	res, err := Fig12(QuickFig12Params())
+	res, err := RunMesh(QuickFig12Params())
 	if err != nil {
-		t.Fatalf("Fig12: %v", err)
+		t.Fatalf("RunMesh: %v", err)
 	}
 	if len(res.Curves) != 1 {
 		t.Fatalf("curves = %d", len(res.Curves))
@@ -285,9 +280,9 @@ func TestFaultSweepQuickLegsRecover(t *testing.T) {
 
 func TestFaultSweepValidatesShape(t *testing.T) {
 	p := QuickFaultSweepParams()
-	p.MeshPx = 3
+	p.Spec.PartsX = 5
 	if _, err := FaultSweep(p); err == nil {
-		t.Errorf("mismatched processor mesh must be rejected")
+		t.Errorf("a tearing with more parts than the mesh has processors must be rejected")
 	}
 	p = QuickFaultSweepParams()
 	p.DropRates = []float64{0.05}
@@ -298,9 +293,9 @@ func TestFaultSweepValidatesShape(t *testing.T) {
 
 func TestCompareParamsValidation(t *testing.T) {
 	bad := DefaultCompareParams()
-	bad.MeshPx = 3
+	bad.Spec.PartsX = 5
 	if _, err := CompareDTMvsVTM(bad); err == nil {
-		t.Errorf("mismatched mesh must be rejected")
+		t.Errorf("a tearing with more parts than the mesh has processors must be rejected")
 	}
 	bad2 := DefaultCompareParams()
 	bad2.MaxTime = 0
@@ -308,9 +303,9 @@ func TestCompareParamsValidation(t *testing.T) {
 		t.Errorf("zero horizon must be rejected")
 	}
 	bad3 := DefaultCompareParams()
-	bad3.Topo = nil
+	bad3.Spec.Topology = "no-such-machine"
 	if _, err := AblationImpedance(bad3); err == nil {
-		t.Errorf("nil topology must be rejected")
+		t.Errorf("an unregistered topology must be rejected")
 	}
 	bad4 := DefaultCompareParams()
 	bad4.TargetError = 0
@@ -318,7 +313,7 @@ func TestCompareParamsValidation(t *testing.T) {
 		t.Errorf("zero target error must be rejected")
 	}
 	bad5 := DefaultCompareParams()
-	bad5.System.Kind = "banana"
+	bad5.Spec.Source = "banana:nx=4,ny=4"
 	if _, err := AblationMixedSync(bad5); err == nil {
 		t.Errorf("unknown workload must be rejected")
 	}

@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/metrics"
-	"repro/internal/topology"
 )
 
 // This file is experiment E7 (DESIGN.md): DTM under injected faults. The
@@ -24,11 +24,8 @@ import (
 type FaultSweepParams struct {
 	// Figure is the caption used when rendering.
 	Figure string
-	// Topo is the processor mesh; MeshPx×MeshPy must equal Topo.N().
-	Topo           *topology.Topology
-	MeshPx, MeshPy int
-	// System is the workload every leg runs on.
-	System GridSystemSpec
+	// Spec is the torn problem every leg runs on.
+	Spec dist.SpecV2
 	// DropRates is the drop-probability sweep; 0 is the fault-free baseline.
 	DropRates []float64
 	// Dup and Jitter are held fixed across the sweep's faulted legs.
@@ -53,10 +50,8 @@ type FaultSweepParams struct {
 // system of Fig. 12 on the paper's heterogeneous 4×4 mesh.
 func DefaultFaultSweepParams() FaultSweepParams {
 	return FaultSweepParams{
-		Figure: "E7 — DTM under injected faults (heterogeneous 4x4 mesh)",
-		Topo:   topology.Mesh4x4Paper(),
-		MeshPx: 4, MeshPy: 4,
-		System:    GridSystemSpec{Nx: 33, Ny: 33, Kind: "random-grid", Seed: 1089},
+		Figure:    "E7 — DTM under injected faults (heterogeneous 4x4 mesh)",
+		Spec:      tornOnMesh("grid:rows=33,cols=33,seed=1089", 4),
 		DropRates: []float64{0, 0.01, 0.05, 0.20},
 		Dup:       0.02, Jitter: 0.5,
 		DownWindow: 900,
@@ -72,7 +67,7 @@ func DefaultFaultSweepParams() FaultSweepParams {
 // the 17² system on the same mesh, with the 5% and 20% drop legs kept.
 func QuickFaultSweepParams() FaultSweepParams {
 	p := DefaultFaultSweepParams()
-	p.System = GridSystemSpec{Nx: 17, Ny: 17, Kind: "random-grid", Seed: 289}
+	p.Spec = tornOnMesh("grid:rows=17,cols=17,seed=289", 4)
 	p.DropRates = []float64{0, 0.05, 0.20}
 	return p
 }
@@ -82,7 +77,7 @@ func QuickFaultSweepParams() FaultSweepParams {
 func FullFaultSweepParams() FaultSweepParams {
 	p := DefaultFaultSweepParams()
 	p.Figure = "E7 — DTM under injected faults, 128x128 grid (heterogeneous 4x4 mesh)"
-	p.System = GridSystemSpec{Nx: 128, Ny: 128, Kind: "random-grid", Seed: 16384}
+	p.Spec = tornOnMesh("grid:rows=128,cols=128,seed=16384", 4)
 	p.MaxTime = 2000000
 	return p
 }
@@ -122,9 +117,6 @@ type FaultSweepResult struct {
 // hard link-down leg and a crash-restart leg, each compared against the
 // fault-free baseline run on the same problem.
 func FaultSweep(p FaultSweepParams) (*FaultSweepResult, error) {
-	if p.MeshPx*p.MeshPy != p.Topo.N() {
-		return nil, fmt.Errorf("experiments: mesh %dx%d does not match topology with %d processors", p.MeshPx, p.MeshPy, p.Topo.N())
-	}
 	hasBaseline := false
 	for _, rate := range p.DropRates {
 		hasBaseline = hasBaseline || rate == 0
@@ -132,11 +124,7 @@ func FaultSweep(p FaultSweepParams) (*FaultSweepResult, error) {
 	if !hasBaseline {
 		return nil, fmt.Errorf("experiments: the drop sweep must include the fault-free baseline (rate 0)")
 	}
-	sys, err := p.System.Build()
-	if err != nil {
-		return nil, err
-	}
-	prob, err := core.GridProblem(sys, p.System.Nx, p.System.Ny, p.MeshPx, p.MeshPy, p.Topo)
+	prob, err := p.Spec.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +139,7 @@ func FaultSweep(p FaultSweepParams) (*FaultSweepResult, error) {
 		})
 	}
 
-	out := &FaultSweepResult{Figure: p.Figure, System: sys.Name, N: sys.Dim()}
+	out := &FaultSweepResult{Figure: p.Figure, System: prob.System.Name, N: prob.System.Dim()}
 	var baseline *core.Result
 	addLeg := func(name string, spec *chaos.Spec) error {
 		res, err := run(spec)
@@ -224,7 +212,7 @@ func FaultSweep(p FaultSweepParams) (*FaultSweepResult, error) {
 	}
 	if p.CrashAt > 0 && p.CrashRestartAfter > 0 {
 		// Crash the most connected subdomain: the hardest case for recovery.
-		degree := make([]int, p.Topo.N())
+		degree := make([]int, prob.Partition.NumParts())
 		for _, l := range prob.Partition.Links {
 			degree[l.PartA]++
 			degree[l.PartB]++

@@ -7,46 +7,25 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/metrics"
-	"repro/internal/sparse"
-	"repro/internal/topology"
 )
 
-// GridSystemSpec describes one grid-structured SPD workload of the mesh
-// experiments (Figs. 12 and 14): the paper's sparse SPD systems with
-// n = 289, 1089 and 4225 unknowns are 17², 33² and 65² grid systems.
-type GridSystemSpec struct {
-	// Nx, Ny are the grid dimensions (n = Nx*Ny).
-	Nx, Ny int
-	// Kind selects the generator: "poisson" (5-point Laplacian with a small
-	// SPD shift) or "random-grid" (random edge weights on the grid pattern,
-	// matching the paper's "randomly generated sparse SPD linear systems").
-	Kind string
-	// Seed seeds the random generator for "random-grid".
-	Seed int64
-}
-
-// Build materialises the workload.
-func (s GridSystemSpec) Build() (sparse.System, error) {
-	switch s.Kind {
-	case "poisson":
-		return sparse.Poisson2D(s.Nx, s.Ny, 0.05), nil
-	case "random-grid":
-		return sparse.RandomGridSPD(s.Nx, s.Ny, s.Seed), nil
-	default:
-		return sparse.System{}, fmt.Errorf("experiments: unknown grid system kind %q", s.Kind)
-	}
+// tornOnMesh is the set-up of the paper's Section 7: a grid source regularly
+// torn p×p (level-one/level-two mixed EVS), block (bx, by) on processor
+// bx + by·p of the p×p mesh of Fig. 11 (p = 4) or Fig. 13 (p = 8).
+func tornOnMesh(source string, p int) dist.SpecV2 {
+	return dist.SpecV2{V: 2, Source: source, PartsX: p, PartsY: p, Topology: fmt.Sprintf("mesh%dx%d", p, p)}
 }
 
 // MeshRunParams configures one mesh convergence experiment (Fig. 12 or 14).
 type MeshRunParams struct {
 	// Figure is the caption used when rendering.
 	Figure string
-	// Topo is the processor mesh; MeshPx×MeshPy must equal Topo.N().
-	Topo           *topology.Topology
-	MeshPx, MeshPy int
-	// Systems are the workloads whose convergence curves are overlaid.
-	Systems []GridSystemSpec
+	// Specs are the torn problems whose convergence curves are overlaid; the
+	// paper's sparse SPD systems with n = 289, 1089 and 4225 unknowns are
+	// 17², 33² and 65² random grid systems.
+	Specs []dist.SpecV2
 	// MaxTime is the virtual horizon in ms.
 	MaxTime float64
 	// StopOnError ends a run early once the RMS error reaches it.
@@ -57,16 +36,13 @@ type MeshRunParams struct {
 
 // DefaultFig12Params reproduces Fig. 12: DTM on the 16-processor heterogeneous
 // 4×4 mesh, solving randomly generated grid-sparsity SPD systems with 289 and
-// 1089 unknowns, regularly partitioned into 4×4 blocks (level-one/level-two
-// mixed EVS).
+// 1089 unknowns.
 func DefaultFig12Params() MeshRunParams {
 	return MeshRunParams{
 		Figure: "Figure 12 — DTM convergence on 16 processors (heterogeneous 4x4 mesh)",
-		Topo:   topology.Mesh4x4Paper(),
-		MeshPx: 4, MeshPy: 4,
-		Systems: []GridSystemSpec{
-			{Nx: 17, Ny: 17, Kind: "random-grid", Seed: 289},
-			{Nx: 33, Ny: 33, Kind: "random-grid", Seed: 1089},
+		Specs: []dist.SpecV2{
+			tornOnMesh("grid:rows=17,cols=17,seed=289", 4),
+			tornOnMesh("grid:rows=33,cols=33,seed=1089", 4),
 		},
 		MaxTime:      6000,
 		StopOnError:  1e-9,
@@ -77,7 +53,7 @@ func DefaultFig12Params() MeshRunParams {
 // QuickFig12Params is a reduced version for tests and -short benchmarks.
 func QuickFig12Params() MeshRunParams {
 	p := DefaultFig12Params()
-	p.Systems = []GridSystemSpec{{Nx: 17, Ny: 17, Kind: "random-grid", Seed: 289}}
+	p.Specs = p.Specs[:1]
 	p.MaxTime = 2500
 	p.StopOnError = 1e-6
 	return p
@@ -88,11 +64,9 @@ func QuickFig12Params() MeshRunParams {
 func DefaultFig14Params() MeshRunParams {
 	return MeshRunParams{
 		Figure: "Figure 14 — DTM convergence on 64 processors (8x8 mesh, U[10,100] ms delays)",
-		Topo:   topology.Mesh8x8Paper(),
-		MeshPx: 8, MeshPy: 8,
-		Systems: []GridSystemSpec{
-			{Nx: 33, Ny: 33, Kind: "random-grid", Seed: 1089},
-			{Nx: 65, Ny: 65, Kind: "random-grid", Seed: 4225},
+		Specs: []dist.SpecV2{
+			tornOnMesh("grid:rows=33,cols=33,seed=1089", 8),
+			tornOnMesh("grid:rows=65,cols=65,seed=4225", 8),
 		},
 		MaxTime:      8000,
 		StopOnError:  1e-9,
@@ -103,7 +77,7 @@ func DefaultFig14Params() MeshRunParams {
 // QuickFig14Params is a reduced version for tests and -short benchmarks.
 func QuickFig14Params() MeshRunParams {
 	p := DefaultFig14Params()
-	p.Systems = []GridSystemSpec{{Nx: 17, Ny: 17, Kind: "random-grid", Seed: 17}}
+	p.Specs = []dist.SpecV2{tornOnMesh("grid:rows=17,cols=17,seed=17", 8)}
 	p.MaxTime = 2500
 	p.StopOnError = 1e-5
 	return p
@@ -131,22 +105,16 @@ type MeshRunResult struct {
 	Curves []MeshRunCurve
 }
 
-// RunMesh executes a mesh convergence experiment.
+// RunMesh executes a mesh convergence experiment (Figs. 12 and 14).
 func RunMesh(p MeshRunParams) (*MeshRunResult, error) {
-	if p.MeshPx*p.MeshPy != p.Topo.N() {
-		return nil, fmt.Errorf("experiments: mesh %dx%d does not match topology with %d processors", p.MeshPx, p.MeshPy, p.Topo.N())
-	}
 	out := &MeshRunResult{Figure: p.Figure}
-	for _, spec := range p.Systems {
-		sys, err := spec.Build()
+	for _, spec := range p.Specs {
+		prob, err := spec.Build()
 		if err != nil {
 			return nil, err
 		}
+		sys := prob.System
 		exact, err := Reference(sys)
-		if err != nil {
-			return nil, err
-		}
-		prob, err := core.GridProblem(sys, spec.Nx, spec.Ny, p.MeshPx, p.MeshPy, p.Topo)
 		if err != nil {
 			return nil, err
 		}
@@ -184,12 +152,6 @@ func RunMesh(p MeshRunParams) (*MeshRunResult, error) {
 	}
 	return out, nil
 }
-
-// Fig12 reproduces Fig. 12.
-func Fig12(p MeshRunParams) (*MeshRunResult, error) { return RunMesh(p) }
-
-// Fig14 reproduces Fig. 14.
-func Fig14(p MeshRunParams) (*MeshRunResult, error) { return RunMesh(p) }
 
 // Render implements Renderer.
 func (r *MeshRunResult) Render(w io.Writer) error {

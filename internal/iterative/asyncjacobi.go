@@ -25,13 +25,8 @@ type AsyncOptions struct {
 	Tol float64
 	// Exact, when non-nil, enables the RMS-error trace.
 	Exact sparse.Vec
-	// ComputeTime is the virtual local solve time (default: 5% of the minimum
-	// link delay).
-	ComputeTime float64
 	// RecordTrace enables the error trace.
 	RecordTrace bool
-	// ProcMap maps blocks to processors (identity when nil).
-	ProcMap []int
 	// Factor says how the diagonal blocks are factorised (the zero value is
 	// auto).
 	Factor factor.Settings
@@ -157,42 +152,22 @@ func AsyncBlockJacobi(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, 
 	if opts.Tol < 0 {
 		return nil, fmt.Errorf("iterative: AsyncOptions.Tol must be non-negative")
 	}
-	procMap := opts.ProcMap
-	if procMap == nil {
-		if topo.N() < len(blocks) {
-			return nil, fmt.Errorf("iterative: %d blocks but only %d processors", len(blocks), topo.N())
-		}
-		procMap = make([]int, len(blocks))
-		for i := range procMap {
-			procMap[i] = i
-		}
-	} else {
-		if len(procMap) != len(blocks) {
-			return nil, fmt.Errorf("iterative: process map covers %d blocks, want %d", len(procMap), len(blocks))
-		}
-		for blk, p := range procMap {
-			if p < 0 || p >= topo.N() {
-				return nil, fmt.Errorf("iterative: block %d mapped to processor %d, out of range [0,%d)", blk, p, topo.N())
-			}
-		}
+	if topo.N() < len(blocks) {
+		return nil, fmt.Errorf("iterative: %d blocks but only %d processors", len(blocks), topo.N())
 	}
-	delay := func(from, to int) float64 { return topo.Delay(procMap[from], procMap[to]) }
 
-	compute := opts.ComputeTime
-	if compute <= 0 {
-		minDelay := math.Inf(1)
-		for _, blk := range blocks {
-			for _, q := range blk.adjacent {
-				if d := delay(blk.part, q); d < minDelay {
-					minDelay = d
-				}
-			}
+	// Block i runs on processor i, and a local solve takes 5% of the smallest
+	// delay between adjacent blocks — DTM's model (core.computeTime).
+	minDelay := math.Inf(1)
+	for _, blk := range blocks {
+		for _, q := range blk.adjacent {
+			minDelay = math.Min(minDelay, topo.Delay(blk.part, q))
 		}
-		if math.IsInf(minDelay, 1) {
-			minDelay = 1
-		}
-		compute = 0.05 * minDelay
 	}
+	if math.IsInf(minDelay, 1) {
+		minDelay = 1
+	}
+	compute := 0.05 * minDelay
 
 	eng := &ajEngine{
 		blocks: blocks,
@@ -216,7 +191,7 @@ func AsyncBlockJacobi(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, 
 			compute: compute,
 		}
 	}
-	sim := netsim.New(nodes, delay)
+	sim := netsim.New(nodes, topo.Delay)
 	sim.SetObserver(func(now float64, node int) {
 		if !opts.RecordTrace {
 			return

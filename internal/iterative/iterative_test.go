@@ -248,9 +248,6 @@ func TestAsyncBlockJacobiValidation(t *testing.T) {
 	if _, err := AsyncBlockJacobi(sys.A, sys.B, assign, topology.Uniform(2, 10, "u2"), AsyncOptions{MaxTime: 100}); err == nil {
 		t.Errorf("too few processors must be rejected")
 	}
-	if _, err := AsyncBlockJacobi(sys.A, sys.B, assign, topo, AsyncOptions{MaxTime: 100, ProcMap: []int{0, 1}}); err == nil {
-		t.Errorf("a short process map must be rejected")
-	}
 }
 
 // TestAsyncBlockJacobiSteadyStateDoesNotAllocate holds the baseline, the

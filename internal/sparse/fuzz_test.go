@@ -72,6 +72,11 @@ func FuzzParseSource(f *testing.F) {
 	f.Add("grid:")
 	f.Add("saddle:nx=8,ny=4,gamma=0.01")
 	f.Add("spanner:n=100,k=6,seed=7,leak=0.05")
+	f.Add("poisson:nx=9,ny=8,nz=7,shift=0.05")
+	f.Add("resistor:nx=33,ny=33,seed=1")
+	f.Add("random:n=500,density=0.02,seed=-1")
+	f.Add("tridiag:n=500,diag=2.1,off=-1")
+	f.Add("tridiag:diag=-0,off=1e-320")
 	f.Add("mm:/tmp/a.mtx@00000000deadbeef")
 	f.Add("mm:a@b")
 	f.Add("grid:rows=0")

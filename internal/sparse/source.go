@@ -4,23 +4,25 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // This file is the problem-source registry: named, string-addressable,
-// deterministic builders of the systems DTM tears. A source spec is
-// "scheme:params" — "grid:rows=33,cols=33,seed=1089",
-// "saddle:nx=16,ny=16,gamma=0.01", "spanner:n=400,k=6,seed=7,leak=0.05", or
-// "mm:/path/to/A.mtx@<fnv64 hash>" — and Source.String() renders the
-// canonical form (keys in fixed order, values normalised), so
-// ParseSource(src.String()) reproduces src exactly, like chaos.Spec. The
-// canonical string is what dist.SpecV2 carries on the wire and folds into
-// its hash: every fleet member that resolves the same string provably
-// builds, and therefore tears, the same system.
+// deterministic builders of the systems DTM tears, and the only way the
+// CLIs, the experiments and dist.SpecV2 name a system. A source spec is
+// "scheme:params" — "grid:rows=33,cols=33,seed=1089", "poisson:nx=33,ny=33",
+// "spanner:n=400,k=6,seed=7,leak=0.05", or "mm:/path/to/A.mtx@<fnv64 hash>" —
+// and Source.String() renders the canonical form (keys in fixed order,
+// defaults spelled out, values normalised), so ParseSource(src.String())
+// reproduces src exactly, like chaos.Spec. The canonical string is what
+// dist.SpecV2 carries on the wire and folds into its hash: every fleet member
+// that resolves the same string provably builds, and therefore tears, the
+// same system.
 
 // Hint is the tearing hint a source returns alongside its system: grid
 // sources expose their dimensions so callers can keep the paper's regular
@@ -36,7 +38,7 @@ type Hint struct {
 // Source is one registered problem source: a named, deterministically
 // buildable description of a system A·x = b.
 type Source interface {
-	// Name returns the scheme name ("grid", "saddle", "spanner", "mm").
+	// Name returns the scheme name ("grid", "poisson", "mm", …).
 	Name() string
 	// String returns the canonical spec string; ParseSource round-trips it.
 	String() string
@@ -68,42 +70,168 @@ func (e *HashMismatchError) Error() string {
 // Is makes errors.Is(err, ErrHashMismatch) match.
 func (e *HashMismatchError) Is(target error) bool { return target == ErrHashMismatch }
 
-// parseSourceFunc parses the parameter part of a spec (after "scheme:").
-type parseSourceFunc func(params string) (Source, error)
+const (
+	// maxSide and maxUnknowns bound generated problem sizes so a hostile
+	// spec string cannot request a multi-terabyte build.
+	maxSide     = 1 << 16
+	maxUnknowns = 1 << 24
+)
 
-var sourceRegistry = map[string]parseSourceFunc{}
-
-// RegisterSource adds a source scheme to the registry. It panics on a
-// duplicate (registration is an init-time affair).
-func RegisterSource(scheme string, parse parseSourceFunc) {
-	if _, dup := sourceRegistry[scheme]; dup {
-		panic(fmt.Sprintf("sparse: duplicate source scheme %q", scheme))
-	}
-	sourceRegistry[scheme] = parse
+// value is one parsed parameter. Integer parameters fill both fields (a seed
+// needs the whole int64 range, which a float64 cannot carry); real ones only f.
+type value struct {
+	i int64
+	f float64
 }
+
+// param is one key of a scheme's parameter list: its default and its
+// inclusive range. A spec may give the keys in any order and omit any of
+// them; the canonical string spells all of them, in table order.
+type param struct {
+	key         string
+	real        bool
+	def, lo, hi float64
+}
+
+func integer(key string, def, lo, hi float64) param { return param{key, false, def, lo, hi} }
+func real(key string, def, lo, hi float64) param    { return param{key, true, def, lo, hi} }
+
+// side is one side of a generated grid; seed takes any int64.
+func side(key string, def float64) param { return integer(key, def, 1, maxSide) }
+func seed() param                        { return integer("seed", 1, math.MinInt64, math.MaxInt64) }
+
+func (p param) parse(s string) (v value, err error) {
+	if p.real {
+		v.f, err = strconv.ParseFloat(s, 64)
+	} else {
+		v.i, err = strconv.ParseInt(s, 10, 64)
+		v.f = float64(v.i)
+	}
+	if err == nil && !(v.f >= p.lo && v.f <= p.hi) { // also rejects NaN
+		err = fmt.Errorf("value %s out of range [%g,%g]", s, p.lo, p.hi)
+	}
+	return v, err
+}
+
+// format is canonical: decimal integers, the shortest real that round-trips.
+func (p param) format(v value) string {
+	if p.real {
+		return strconv.FormatFloat(v.f, 'g', -1, 64)
+	}
+	return strconv.FormatInt(v.i, 10)
+}
+
+// values holds one checked value per parameter of a scheme, in table order.
+type values []value
+
+func (v values) n(i int) int { return int(v[i].i) }
+
+// unknowns refuses a spec whose leading dims parameters multiply to more
+// than maxUnknowns (each is at most maxSide and there are at most three, so
+// the product cannot overflow).
+func (v values) unknowns(dims int) error {
+	n := int64(1)
+	for _, d := range v[:dims] {
+		n *= d.i
+	}
+	if n > maxUnknowns {
+		return fmt.Errorf("%d unknowns exceed the limit of %d", n, maxUnknowns)
+	}
+	return nil
+}
+
+func (v values) gridHint() Hint { return Hint{Grid: true, NX: v.n(0), NY: v.n(1)} }
+
+// scheme is one row of the registry: a name, its ordered parameters, an
+// optional check across them, and the generator the values feed. Only mm,
+// whose parameter part is not a key=value list, brings its own parser.
+type scheme struct {
+	name   string
+	params []param
+	check  func(v values) error
+	build  func(v values) (System, Hint)
+	parse  func(params string) (Source, error)
+}
+
+// schemes is the registry, in name order. Each generator's own comment in
+// build.go says what the system is.
+var schemes = []scheme{{
+	name:   "grid", // the paper's Section 7 workload
+	params: []param{side("rows", 17), side("cols", 17), seed()},
+	check:  func(v values) error { return v.unknowns(2) },
+	build:  func(v values) (System, Hint) { return RandomGridSPD(v.n(0), v.n(1), v[2].i), v.gridHint() },
+}, {
+	name:  "mm",
+	parse: parseMM,
+}, {
+	// nz = 1 is the 5-point stencil on nx×ny; nz > 1 the 7-point stencil on
+	// nx×ny×nz, which has no 2-D tearing hint.
+	name:   "poisson",
+	params: []param{side("nx", 33), side("ny", 33), side("nz", 1), real("shift", 0.05, 0, 1e6)},
+	check:  func(v values) error { return v.unknowns(3) },
+	build: func(v values) (System, Hint) {
+		if v.n(2) == 1 {
+			return Poisson2D(v.n(0), v.n(1), v[3].f), v.gridHint()
+		}
+		return Poisson3D(v.n(0), v.n(1), v.n(2), v[3].f), Hint{}
+	},
+}, {
+	// Generation visits every pair of unknowns, so n is bounded well below
+	// the other schemes', and the expected fill with it.
+	name:   "random",
+	params: []param{integer("n", 500, 1, maxSide), real("density", 0.02, 0, 1), seed()},
+	check: func(v values) error {
+		if nnz := v[0].f * v[0].f * v[1].f; nnz > 4*maxUnknowns {
+			return fmt.Errorf("about %.3g nonzeros exceed the limit of %d", nnz, 4*maxUnknowns)
+		}
+		return nil
+	},
+	build: func(v values) (System, Hint) { return RandomSPD(v.n(0), v[1].f, v[2].i), Hint{} },
+}, {
+	name:   "resistor",
+	params: []param{side("nx", 33), side("ny", 33), seed()},
+	check:  func(v values) error { return v.unknowns(2) },
+	build:  func(v values) (System, Hint) { return ResistorNetwork(v.n(0), v.n(1), v[2].i), v.gridHint() },
+}, {
+	name:   "saddle", // indefinite and irregular: the non-SPD workload
+	params: []param{side("nx", 16), side("ny", 16), real("gamma", 0.01, 1e-12, 1e6)},
+	check:  func(v values) error { return v.unknowns(2) },
+	build:  func(v values) (System, Hint) { return SaddlePoisson2D(v.n(0), v.n(1), v[2].f), Hint{} },
+}, {
+	name: "spanner",
+	params: []param{integer("n", 289, 1, maxUnknowns), integer("k", 6, 1, 64), seed(),
+		real("leak", 0.05, 1e-12, 1e6)},
+	build: func(v values) (System, Hint) {
+		return YaoSpannerLaplacian(v.n(0), v.n(1), v[2].i, v[3].f), Hint{}
+	},
+}, {
+	name: "tridiag", // the defaults are the 1-D Laplacian plus a small shift
+	params: []param{integer("n", 500, 1, maxUnknowns), real("diag", 2.1, -1e6, 1e6),
+		real("off", -1, -1e6, 1e6)},
+	build: func(v values) (System, Hint) { return Tridiagonal(v.n(0), v[1].f, v[2].f), Hint{} },
+}}
 
 // RegisteredSources returns the registered scheme names, sorted.
 func RegisteredSources() []string {
-	names := make([]string, 0, len(sourceRegistry))
-	for name := range sourceRegistry {
-		names = append(names, name)
+	names := make([]string, len(schemes))
+	for i := range schemes {
+		names[i] = schemes[i].name
 	}
-	sort.Strings(names)
 	return names
 }
 
 // ParseSource parses a source spec string into a validated Source.
 func ParseSource(spec string) (Source, error) {
-	scheme, params, ok := strings.Cut(spec, ":")
-	scheme = strings.TrimSpace(scheme)
-	if !ok || scheme == "" {
-		return nil, fmt.Errorf("sparse: source spec %q is not scheme:params (have %s)",
+	name, params, ok := strings.Cut(spec, ":")
+	name = strings.TrimSpace(name)
+	i := slices.IndexFunc(schemes, func(sc scheme) bool { return sc.name == name })
+	if !ok || i < 0 {
+		return nil, fmt.Errorf("sparse: source spec %q is not scheme:params with a registered scheme (have %s)",
 			spec, strings.Join(RegisteredSources(), ", "))
 	}
-	parse, known := sourceRegistry[scheme]
-	if !known {
-		return nil, fmt.Errorf("sparse: unknown source scheme %q (have %s)",
-			scheme, strings.Join(RegisteredSources(), ", "))
+	parse := schemes[i].parseKV
+	if schemes[i].parse != nil {
+		parse = schemes[i].parse
 	}
 	src, err := parse(strings.TrimSpace(params))
 	if err != nil {
@@ -112,16 +240,12 @@ func ParseSource(spec string) (Source, error) {
 	return src, nil
 }
 
-// kvField is one key of a source parameter list.
-type kvField struct {
-	set func(string) error
-}
-
-// parseSourceKV parses "key=value,key=value,..." against the allowed keys.
+// parseKV parses "key=value,key=value,..." against the scheme's parameters.
 // Missing keys keep their defaults; unknown keys are rejected.
-func parseSourceKV(params string, fields map[string]kvField) error {
-	if params == "" {
-		return nil
+func (sc *scheme) parseKV(params string) (Source, error) {
+	v := make(values, len(sc.params))
+	for i, p := range sc.params {
+		v[i] = value{i: int64(p.def), f: p.def}
 	}
 	for _, item := range strings.Split(params, ",") {
 		item = strings.TrimSpace(item)
@@ -130,168 +254,49 @@ func parseSourceKV(params string, fields map[string]kvField) error {
 		}
 		key, val, ok := strings.Cut(item, "=")
 		if !ok {
-			return fmt.Errorf("parameter %q is not key=value", item)
+			return nil, fmt.Errorf("parameter %q is not key=value", item)
 		}
-		f, known := fields[strings.TrimSpace(key)]
-		if !known {
-			keys := make([]string, 0, len(fields))
-			for k := range fields {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			return fmt.Errorf("unknown parameter %q (have %s)", key, strings.Join(keys, ", "))
+		key = strings.TrimSpace(key)
+		i := slices.IndexFunc(sc.params, func(p param) bool { return p.key == key })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown parameter %q (a full spec reads %q)", key, generated{sc, v})
 		}
-		if err := f.set(strings.TrimSpace(val)); err != nil {
-			return fmt.Errorf("parameter %q: %w", item, err)
+		var err error
+		if v[i], err = sc.params[i].parse(strings.TrimSpace(val)); err != nil {
+			return nil, fmt.Errorf("parameter %q: %w", item, err)
 		}
 	}
-	return nil
+	if sc.check != nil {
+		if err := sc.check(v); err != nil {
+			return nil, err
+		}
+	}
+	return generated{sc: sc, v: v}, nil
 }
 
-func intField(dst *int, lo, hi int) kvField {
-	return kvField{set: func(s string) error {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return err
-		}
-		if v < lo || v > hi {
-			return fmt.Errorf("value %d out of range [%d,%d]", v, lo, hi)
-		}
-		*dst = v
-		return nil
-	}}
-}
-
-func int64Field(dst *int64) kvField {
-	return kvField{set: func(s string) error {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return err
-		}
-		*dst = v
-		return nil
-	}}
-}
-
-func floatField(dst *float64, lo, hi float64) kvField {
-	return kvField{set: func(s string) error {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return err
-		}
-		if !(v >= lo && v <= hi) { // also rejects NaN
-			return fmt.Errorf("value %g out of range [%g,%g]", v, lo, hi)
-		}
-		*dst = v
-		return nil
-	}}
-}
-
-// formatFloat renders a float the way the canonical strings want it:
-// shortest representation that round-trips.
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// GridSource is the "grid:" scheme: the random grid-pattern SPD system of
-// RandomGridSPD, the paper's synthetic workload.
-type GridSource struct {
-	Rows, Cols int
-	Seed       int64
+// generated is a source of any key=value scheme: the scheme's row and one
+// checked value per parameter.
+type generated struct {
+	sc *scheme
+	v  values
 }
 
 // Name implements Source.
-func (s GridSource) Name() string { return "grid" }
+func (g generated) Name() string { return g.sc.name }
 
 // String implements Source.
-func (s GridSource) String() string {
-	return fmt.Sprintf("grid:rows=%d,cols=%d,seed=%d", s.Rows, s.Cols, s.Seed)
+func (g generated) String() string {
+	items := make([]string, len(g.v))
+	for i, p := range g.sc.params {
+		items[i] = p.key + "=" + p.format(g.v[i])
+	}
+	return g.sc.name + ":" + strings.Join(items, ",")
 }
 
 // Build implements Source.
-func (s GridSource) Build() (System, Hint, error) {
-	if err := s.validate(); err != nil {
-		return System{}, Hint{}, err
-	}
-	return RandomGridSPD(s.Rows, s.Cols, s.Seed), Hint{Grid: true, NX: s.Rows, NY: s.Cols}, nil
-}
-
-func (s GridSource) validate() error {
-	if s.Rows < 1 || s.Cols < 1 || s.Rows > maxSide || s.Cols > maxSide || s.Rows*s.Cols > maxUnknowns {
-		return fmt.Errorf("grid dimensions %dx%d out of range (sides in [1,%d], at most %d unknowns)",
-			s.Rows, s.Cols, maxSide, maxUnknowns)
-	}
-	return nil
-}
-
-// SaddleSource is the "saddle:" scheme: the symmetric quasi-definite
-// saddle-point system of SaddlePoisson2D — indefinite and irregular (its
-// multiplier rows have degree nx), the non-SPD workload.
-type SaddleSource struct {
-	NX, NY int
-	Gamma  float64
-}
-
-// Name implements Source.
-func (s SaddleSource) Name() string { return "saddle" }
-
-// String implements Source.
-func (s SaddleSource) String() string {
-	return fmt.Sprintf("saddle:nx=%d,ny=%d,gamma=%s", s.NX, s.NY, formatFloat(s.Gamma))
-}
-
-// Build implements Source.
-func (s SaddleSource) Build() (System, Hint, error) {
-	if err := s.validate(); err != nil {
-		return System{}, Hint{}, err
-	}
-	return SaddlePoisson2D(s.NX, s.NY, s.Gamma), Hint{}, nil
-}
-
-func (s SaddleSource) validate() error {
-	if s.NX < 1 || s.NY < 1 || s.NX > maxSide || s.NY > maxSide || s.NX*s.NY > maxUnknowns {
-		return fmt.Errorf("saddle dimensions %dx%d out of range (sides in [1,%d], at most %d unknowns)",
-			s.NX, s.NY, maxSide, maxUnknowns)
-	}
-	if !(s.Gamma > 0) || s.Gamma > 1e6 {
-		return fmt.Errorf("saddle gamma must be in (0,1e6], got %g", s.Gamma)
-	}
-	return nil
-}
-
-// SpannerSource is the "spanner:" scheme: the Yao-spanner Laplacian of
-// YaoSpannerLaplacian — an irregular, bounded-Yao-degree geometric graph.
-type SpannerSource struct {
-	N, K int
-	Seed int64
-	Leak float64
-}
-
-// Name implements Source.
-func (s SpannerSource) Name() string { return "spanner" }
-
-// String implements Source.
-func (s SpannerSource) String() string {
-	return fmt.Sprintf("spanner:n=%d,k=%d,seed=%d,leak=%s", s.N, s.K, s.Seed, formatFloat(s.Leak))
-}
-
-// Build implements Source.
-func (s SpannerSource) Build() (System, Hint, error) {
-	if err := s.validate(); err != nil {
-		return System{}, Hint{}, err
-	}
-	return YaoSpannerLaplacian(s.N, s.K, s.Seed, s.Leak), Hint{}, nil
-}
-
-func (s SpannerSource) validate() error {
-	if s.N < 1 || s.N > maxUnknowns {
-		return fmt.Errorf("spanner n must be in [1,%d], got %d", maxUnknowns, s.N)
-	}
-	if s.K < 1 || s.K > 64 {
-		return fmt.Errorf("spanner k must be in [1,64], got %d", s.K)
-	}
-	if !(s.Leak > 0) || s.Leak > 1e6 {
-		return fmt.Errorf("spanner leak must be in (0,1e6], got %g", s.Leak)
-	}
-	return nil
+func (g generated) Build() (System, Hint, error) {
+	sys, hint := g.sc.build(g.v)
+	return sys, hint, nil
 }
 
 // MMSource is the "mm:" scheme: a MatrixMarket file pinned by the FNV-1a 64
@@ -305,13 +310,30 @@ type MMSource struct {
 	Hash uint64
 }
 
+func parseMM(params string) (Source, error) {
+	at := strings.LastIndex(params, "@")
+	if at < 0 {
+		return nil, fmt.Errorf("mm source wants path@fnv64hash")
+	}
+	path, hexHash := params[:at], params[at+1:]
+	if path == "" {
+		return nil, fmt.Errorf("mm source has an empty path")
+	}
+	if len(hexHash) != 16 {
+		return nil, fmt.Errorf("mm hash %q must be exactly 16 hex digits", hexHash)
+	}
+	h, err := strconv.ParseUint(hexHash, 16, 64)
+	if err != nil {
+		return nil, fmt.Errorf("mm hash %q: %w", hexHash, err)
+	}
+	return MMSource{Path: path, Hash: h}, nil
+}
+
 // Name implements Source.
 func (s MMSource) Name() string { return "mm" }
 
 // String implements Source.
-func (s MMSource) String() string {
-	return fmt.Sprintf("mm:%s@%016x", s.Path, s.Hash)
-}
+func (s MMSource) String() string { return fmt.Sprintf("mm:%s@%016x", s.Path, s.Hash) }
 
 // Build implements Source.
 func (s MMSource) Build() (System, Hint, error) {
@@ -327,11 +349,8 @@ func (s MMSource) Build() (System, Hint, error) {
 		return System{}, Hint{}, fmt.Errorf("sparse: mm source %s: %w", s.Path, err)
 	}
 	b := NewVec(m.Rows())
-	for i := range b {
-		b[i] = 1
-	}
-	name := fmt.Sprintf("mm-%s-%016x", filepath.Base(s.Path), s.Hash)
-	return System{A: m, B: b, Name: name}, Hint{}, nil
+	b.Fill(1)
+	return System{A: m, B: b, Name: fmt.Sprintf("mm-%s-%016x", filepath.Base(s.Path), s.Hash)}, Hint{}, nil
 }
 
 // HashFileFNV64 returns the FNV-1a 64 hash of a file's content — the value
@@ -348,69 +367,4 @@ func fnv64(data []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(data)
 	return h.Sum64()
-}
-
-const (
-	// maxSide and maxUnknowns bound generated problem sizes so a hostile
-	// spec string cannot request a multi-terabyte build.
-	maxSide     = 1 << 16
-	maxUnknowns = 1 << 24
-)
-
-func init() {
-	RegisterSource("grid", func(params string) (Source, error) {
-		s := GridSource{Rows: 17, Cols: 17, Seed: 1}
-		err := parseSourceKV(params, map[string]kvField{
-			"rows": intField(&s.Rows, 1, maxSide),
-			"cols": intField(&s.Cols, 1, maxSide),
-			"seed": int64Field(&s.Seed),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return s, s.validate()
-	})
-	RegisterSource("saddle", func(params string) (Source, error) {
-		s := SaddleSource{NX: 16, NY: 16, Gamma: 0.01}
-		err := parseSourceKV(params, map[string]kvField{
-			"nx":    intField(&s.NX, 1, maxSide),
-			"ny":    intField(&s.NY, 1, maxSide),
-			"gamma": floatField(&s.Gamma, 1e-12, 1e6),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return s, s.validate()
-	})
-	RegisterSource("spanner", func(params string) (Source, error) {
-		s := SpannerSource{N: 289, K: 6, Seed: 1, Leak: 0.05}
-		err := parseSourceKV(params, map[string]kvField{
-			"n":    intField(&s.N, 1, maxUnknowns),
-			"k":    intField(&s.K, 1, 64),
-			"seed": int64Field(&s.Seed),
-			"leak": floatField(&s.Leak, 1e-12, 1e6),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return s, s.validate()
-	})
-	RegisterSource("mm", func(params string) (Source, error) {
-		at := strings.LastIndex(params, "@")
-		if at < 0 {
-			return nil, fmt.Errorf("mm source wants path@fnv64hash")
-		}
-		path, hexHash := params[:at], params[at+1:]
-		if path == "" {
-			return nil, fmt.Errorf("mm source has an empty path")
-		}
-		if len(hexHash) != 16 {
-			return nil, fmt.Errorf("mm hash %q must be exactly 16 hex digits", hexHash)
-		}
-		h, err := strconv.ParseUint(hexHash, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("mm hash %q: %w", hexHash, err)
-		}
-		return MMSource{Path: path, Hash: h}, nil
-	})
 }

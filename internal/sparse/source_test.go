@@ -28,6 +28,13 @@ func TestParseSourceCanonicalRoundTrip(t *testing.T) {
 		{"saddle:gamma=1e-2", "saddle:nx=16,ny=16,gamma=0.01"},
 		{"spanner:n=100,k=6,seed=7,leak=0.05", "spanner:n=100,k=6,seed=7,leak=0.05"},
 		{"spanner:", "spanner:n=289,k=6,seed=1,leak=0.05"},
+		{"poisson:nx=33,ny=33", "poisson:nx=33,ny=33,nz=1,shift=0.05"},
+		{"poisson: nz=7 , ny=8,nx=9,shift=0", "poisson:nx=9,ny=8,nz=7,shift=0"},
+		{"resistor:ny=5", "resistor:nx=33,ny=5,seed=1"},
+		{"random:", "random:n=500,density=0.02,seed=1"},
+		{"random:density=2e-1,seed=-9223372036854775808", "random:n=500,density=0.2,seed=-9223372036854775808"},
+		{"tridiag:n=12", "tridiag:n=12,diag=2.1,off=-1"},
+		{"tridiag:off=-0.50,diag=4", "tridiag:n=500,diag=4,off=-0.5"},
 		{"mm:/tmp/a.mtx@00000000deadbeef", "mm:/tmp/a.mtx@00000000deadbeef"},
 		{"mm:/tmp/a.mtx@00000000DEADBEEF", "mm:/tmp/a.mtx@00000000deadbeef"},
 	}
@@ -62,6 +69,16 @@ func TestParseSourceRejectsMalformed(t *testing.T) {
 		"saddle:gamma=nan",               // NaN rejected
 		"spanner:k=65",                   // cone cap
 		"spanner:leak=0",                 // leak must be positive
+		"poisson:nz=0",                   // a side below 1
+		"poisson:nx=65536,ny=65536",      // over the unknown cap
+		"poisson:shift=-1",               // shift must be non-negative
+		"resistor:nx=1.5",                // sides are integers
+		"random:n=65537",                 // over the pairwise-generation cap
+		"random:n=65536,density=1",       // over the fill cap
+		"random:density=1.5",             // density is a probability
+		"tridiag:n=0",                    // empty system
+		"tridiag:diag=inf",               // out of range
+		"tridiag:seed=1",                 // tridiag has no seed
 		"mm:/tmp/a.mtx",                  // missing hash
 		"mm:@0011223344556677",           // empty path
 		"mm:/tmp/a.mtx@123",              // hash too short
@@ -106,6 +123,47 @@ func TestGridSourceBuildMatchesGenerator(t *testing.T) {
 // TestMMSourceHashProtocol: an mm: source builds exactly the written matrix
 // when the content hash matches, and returns the typed *HashMismatchError
 // (matching ErrHashMismatch) when the file content was flipped.
+// TestGeneratedSourcesBuildMatchGenerators: every scheme that replaced a CLI
+// generator name builds byte for byte what that name built, defaults being
+// the constants the CLIs passed, and only the 2-D grids claim the tearing
+// hint.
+func TestGeneratedSourcesBuildMatchGenerators(t *testing.T) {
+	tests := []struct {
+		spec string
+		want System
+		hint Hint
+	}{
+		{"poisson:nx=33,ny=31", Poisson2D(33, 31, 0.05), Hint{Grid: true, NX: 33, NY: 31}},
+		{"poisson:nx=9,ny=8,nz=7", Poisson3D(9, 8, 7, 0.05), Hint{}},
+		{"resistor:nx=12,ny=9,seed=5", ResistorNetwork(12, 9, 5), Hint{Grid: true, NX: 12, NY: 9}},
+		{"random:n=500,seed=1", RandomSPD(500, 0.02, 1), Hint{}},
+		{"tridiag:n=500", Tridiagonal(500, 2.1, -1), Hint{}},
+		{"saddle:nx=8,ny=4", SaddlePoisson2D(8, 4, 1e-2), Hint{}},
+	}
+	for _, tc := range tests {
+		src, err := ParseSource(tc.spec)
+		if err != nil {
+			t.Fatalf("ParseSource(%q): %v", tc.spec, err)
+		}
+		sys, hint, err := src.Build()
+		if err != nil {
+			t.Fatalf("%s: Build: %v", tc.spec, err)
+		}
+		if sys.Name != tc.want.Name || !sys.A.EqualApprox(tc.want.A, 0) {
+			t.Errorf("%s: system %q differs from the generator's %q", tc.spec, sys.Name, tc.want.Name)
+		}
+		for i := range tc.want.B {
+			if math.Float64bits(sys.B[i]) != math.Float64bits(tc.want.B[i]) {
+				t.Errorf("%s: B[%d] = %g, want %g", tc.spec, i, sys.B[i], tc.want.B[i])
+				break
+			}
+		}
+		if hint != tc.hint {
+			t.Errorf("%s: hint = %+v, want %+v", tc.spec, hint, tc.hint)
+		}
+	}
+}
+
 func TestMMSourceHashProtocol(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a.mtx")
@@ -315,7 +373,7 @@ func TestSpannerSourceBuild(t *testing.T) {
 
 func TestRegisteredSources(t *testing.T) {
 	got := strings.Join(RegisteredSources(), ",")
-	if got != "grid,mm,saddle,spanner" {
+	if got != "grid,mm,poisson,random,resistor,saddle,spanner,tridiag" {
 		t.Fatalf("RegisteredSources = %q", got)
 	}
 }

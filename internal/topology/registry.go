@@ -10,32 +10,63 @@ import (
 // This file is the machine-topology registry: the named, string-addressable
 // counterpart of the problem-source registry in internal/sparse. A topology
 // spec is either a bare registered name ("uniform", "ring", "mesh4x4",
-// "mesh8x8") or a parameterised form "scheme:key=value,key=value,..."
+// "mesh8x8", "torus") or a parameterised form "scheme:key=value,key=value,..."
 // ("yao:n=4,k=6,seed=1"). dist.SpecV2 carries the spec string on the wire
 // and every fleet member resolves it through the same registry, so the
 // machine a problem is torn for is as reproducible as the problem itself.
 
-// BuildFunc builds a topology from the parameter part of a spec string
+// buildFunc builds a topology from the parameter part of a spec string
 // (empty for bare names). n is the number of processors the caller needs —
-// fabrics without an intrinsic size (uniform, ring) are sized to it — and
-// delay is the caller's default link delay for fabrics that take one.
-type BuildFunc func(params string, n int, delay float64) (*Topology, error)
+// fabrics without an intrinsic size (uniform, ring, torus, yao) are sized to
+// it — and delay is the caller's default link delay for fabrics that take
+// one.
+type buildFunc func(params string, n int, delay float64) (*Topology, error)
 
-var topoRegistry = map[string]BuildFunc{}
-
-// RegisterTopology adds a named topology builder to the registry. It panics
-// on a duplicate name (registration is an init-time affair).
-func RegisterTopology(name string, build BuildFunc) {
-	if _, dup := topoRegistry[name]; dup {
-		panic(fmt.Sprintf("topology: duplicate registration of %q", name))
+// fixed adapts a fabric that takes no parameters.
+func fixed(build func(n int, delay float64) *Topology) buildFunc {
+	return func(params string, n int, delay float64) (*Topology, error) {
+		if params != "" {
+			return nil, fmt.Errorf("takes no parameters, got %q", params)
+		}
+		return build(n, delay), nil
 	}
-	topoRegistry[name] = build
+}
+
+// topologies is the registry.
+var topologies = map[string]buildFunc{
+	"uniform": fixed(func(n int, delay float64) *Topology { return Uniform(n, delay, "uniform") }),
+	"ring":    fixed(Ring),
+	"mesh4x4": fixed(func(int, float64) *Topology { return Mesh4x4Paper() }),
+	"mesh8x8": fixed(func(int, float64) *Topology { return Mesh8x8Paper() }),
+	// The smallest square torus with n processors, its directed link delays
+	// uniform in [10, 99] like the paper's meshes (fixed seed).
+	"torus": fixed(func(n int, _ float64) *Topology {
+		side := 2
+		for side*side < n {
+			side++
+		}
+		return TorusUniformRandom(side, side, 10, 99, 1, fmt.Sprintf("torus %dx%d", side, side))
+	}),
+	"yao": func(params string, n int, delay float64) (*Topology, error) {
+		size, k, seed := int64(n), int64(6), int64(1)
+		err := parseKVInt64(params, map[string]*int64{"n": &size, "k": &k, "seed": &seed})
+		if err != nil {
+			return nil, err
+		}
+		if size < 1 || size > maxYaoProcessors {
+			return nil, fmt.Errorf("yao n must be in [1,%d], got %d", maxYaoProcessors, size)
+		}
+		if k < 1 || k > 64 {
+			return nil, fmt.Errorf("yao needs 1 <= k <= 64 cones, got %d", k)
+		}
+		return YaoMesh(int(size), int(k), seed, delay), nil
+	},
 }
 
 // RegisteredTopologies returns the registered spec scheme names, sorted.
 func RegisteredTopologies() []string {
-	names := make([]string, 0, len(topoRegistry))
-	for name := range topoRegistry {
+	names := make([]string, 0, len(topologies))
+	for name := range topologies {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -44,14 +75,14 @@ func RegisteredTopologies() []string {
 
 // ParseTopology resolves a topology spec string into a machine. The empty
 // string means "uniform". n and delay are the caller's processor count and
-// default link delay (see BuildFunc).
+// default link delay (see buildFunc).
 func ParseTopology(spec string, n int, delay float64) (*Topology, error) {
 	scheme, params, _ := strings.Cut(spec, ":")
 	scheme = strings.TrimSpace(scheme)
 	if scheme == "" {
 		scheme = "uniform"
 	}
-	build, ok := topoRegistry[scheme]
+	build, ok := topologies[scheme]
 	if !ok {
 		return nil, fmt.Errorf("topology: unknown topology %q (have %s)",
 			spec, strings.Join(RegisteredTopologies(), ", "))
@@ -96,55 +127,7 @@ func parseKVInt64(params string, fields map[string]*int64) error {
 	return nil
 }
 
-func noParams(scheme, params string) error {
-	if params != "" {
-		return fmt.Errorf("%s takes no parameters, got %q", scheme, params)
-	}
-	return nil
-}
-
 // maxYaoProcessors bounds the size a "yao:" spec — external input on the
 // dist wire — may ask for: a Topology holds a dense n×n delay table (32 MiB
 // at the limit).
 const maxYaoProcessors = 1 << 11
-
-func init() {
-	RegisterTopology("uniform", func(params string, n int, delay float64) (*Topology, error) {
-		if err := noParams("uniform", params); err != nil {
-			return nil, err
-		}
-		return Uniform(n, delay, "uniform"), nil
-	})
-	RegisterTopology("ring", func(params string, n int, delay float64) (*Topology, error) {
-		if err := noParams("ring", params); err != nil {
-			return nil, err
-		}
-		return Ring(n, delay), nil
-	})
-	RegisterTopology("mesh4x4", func(params string, n int, delay float64) (*Topology, error) {
-		if err := noParams("mesh4x4", params); err != nil {
-			return nil, err
-		}
-		return Mesh4x4Paper(), nil
-	})
-	RegisterTopology("mesh8x8", func(params string, n int, delay float64) (*Topology, error) {
-		if err := noParams("mesh8x8", params); err != nil {
-			return nil, err
-		}
-		return Mesh8x8Paper(), nil
-	})
-	RegisterTopology("yao", func(params string, n int, delay float64) (*Topology, error) {
-		size, k, seed := int64(n), int64(6), int64(1)
-		err := parseKVInt64(params, map[string]*int64{"n": &size, "k": &k, "seed": &seed})
-		if err != nil {
-			return nil, err
-		}
-		if size < 1 || size > maxYaoProcessors {
-			return nil, fmt.Errorf("yao n must be in [1,%d], got %d", maxYaoProcessors, size)
-		}
-		if k < 1 || k > 64 {
-			return nil, fmt.Errorf("yao needs 1 <= k <= 64 cones, got %d", k)
-		}
-		return YaoMesh(int(size), int(k), seed, delay), nil
-	})
-}

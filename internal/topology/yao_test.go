@@ -134,6 +134,9 @@ func TestParseTopologyRegistry(t *testing.T) {
 		{"ring", 4, 4},
 		{"mesh4x4", 8, 16},
 		{"mesh8x8", 8, 64},
+		{"torus", 4, 4}, // the smallest square torus that holds the caller's count
+		{"torus", 5, 9},
+		{"torus", 1, 4},
 		{"yao:n=12,k=5,seed=2", 4, 12},
 		{"yao", 6, 6}, // n defaults to the caller's processor count
 	}
@@ -152,6 +155,7 @@ func TestParseTopologyRegistry(t *testing.T) {
 	}
 	for _, tc := range []struct{ spec, wantErr string }{
 		{"mesh4x4:px=2", "takes no parameters"},
+		{"torus:px=2", "takes no parameters"},
 		{"yao:bogus=1", "bogus"},
 		{"yao:k=0", "1 <= k <= 64"},
 		{"yao:k=65", "1 <= k <= 64"},
