@@ -200,8 +200,19 @@ func machine(o options) (*topology.Topology, error) {
 	return topology.ParseTopology(o.topo, o.parts, 10)
 }
 
+// checkParts refuses a -parts the partitioners would panic on.
+func checkParts(o options, n int) error {
+	if o.parts < 1 || o.parts > n {
+		return fmt.Errorf("-parts %d: a system of %d unknowns tears into 1 to %d parts", o.parts, n, n)
+	}
+	return nil
+}
+
 // assignment picks the graph partitioner requested on the command line.
 func assignment(o options, g *graph.Electric) (partition.Assignment, error) {
+	if err := checkParts(o, g.Order()); err != nil {
+		return partition.Assignment{}, err
+	}
 	switch o.partitioner {
 	case "levelset":
 		return partition.LevelSetGrow(g, o.parts), nil
@@ -421,12 +432,18 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		x, st, err := iterative.SOR(sys.A, sys.B, 1.5, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol})
 		return x, iterSummary(st), err
 	case "block-jacobi":
+		if err := checkParts(o, sys.Dim()); err != nil {
+			return nil, "", err
+		}
 		assign := partition.Strips(sys.Dim(), o.parts)
 		x, st, err := iterative.BlockJacobi(sys.A, sys.B, assign, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol, Factor: o.fs})
 		return x, iterSummary(st), err
 	case "async-jacobi":
 		topo, err := machine(o)
 		if err != nil {
+			return nil, "", err
+		}
+		if err := checkParts(o, sys.Dim()); err != nil {
 			return nil, "", err
 		}
 		assign := partition.Strips(sys.Dim(), o.parts)

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -101,5 +105,43 @@ func TestMachineResolvesThroughRegistry(t *testing.T) {
 	o.topo = "no-such-machine"
 	if _, err := machine(o); err == nil {
 		t.Error("an unregistered machine must be refused")
+	}
+}
+
+// TestOversizedPartsIsAnErrorNotAPanic: -parts larger than the system used to
+// reach the partitioners' panics; every tearing method now exits 1 with one
+// line naming n and the request, and no goroutine trace.
+func TestOversizedPartsIsAnErrorNotAPanic(t *testing.T) {
+	for _, method := range []string{"dtm", "vtm", "block-jacobi", "async-jacobi"} {
+		for _, partitioner := range []string{"levelset", "bisection", "strips"} {
+			o := testOptions(method, factor.Settings{})
+			o.source, o.parts, o.partitioner = "tridiag:n=5", 9, partitioner
+			sys, err := loadSystem(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = solve(o, sys)
+			if err == nil || !strings.Contains(err.Error(), "-parts 9") || !strings.Contains(err.Error(), "5 unknowns") {
+				t.Errorf("%s/%s: -parts 9 on 5 unknowns returned %v, want an error naming both", method, partitioner, err)
+			}
+		}
+	}
+	if testing.Short() {
+		t.Skip("builds and runs the command")
+	}
+	bin := filepath.Join(t.TempDir(), "dtmsolve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "-source", "tridiag:n=5", "-method", "dtm", "-parts", "9")
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("err %v, want exit code 1", err)
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "dtmsolve: -parts 9") || strings.Contains(msg, "goroutine") || strings.Count(msg, "\n") != 1 {
+		t.Errorf("stderr is not the one-line error:\n%s", msg)
 	}
 }

@@ -35,7 +35,8 @@
 //     symmetrisation, connectivity patching) the "spanner:" source and the
 //     "yao:" fabric share;
 //   - internal/graph, internal/partition — the electric graph of a symmetric
-//     system and its Electric Vertex Splitting (wire tearing);
+//     system, a flat read-only adjacency laid over its CSR, and its Electric
+//     Vertex Splitting (wire tearing);
 //   - internal/dtl, internal/topology, internal/netsim — directed transmission
 //     lines, heterogeneous machines (behind the machine registry
 //     topology.ParseTopology: uniform, ring, torus, the paper's

@@ -59,8 +59,16 @@ func NewProblem(sys sparse.System, part *partition.Result, topo *topology.Topolo
 
 // tear is the pipeline behind AutoProblem and GridProblem: electric graph,
 // the caller's vertex assignment, EVS with the default (dominance-
-// proportional) splitting, subdomain i on processor i.
-func tear(sys sparse.System, topo *topology.Topology, assign func(*graph.Electric) partition.Assignment) (*Problem, error) {
+// proportional) splitting, subdomain i on processor i. The system is taken as
+// an nx×ny arrangement of unknowns torn into px×py parts (n×1 into parts×1 for
+// a general tearing); a request with more parts than unknowns along a side is
+// refused here, because the partitioners panic on it and the request may have
+// arrived over the wire.
+func tear(sys sparse.System, topo *topology.Topology, nx, ny, px, py int, assign func(*graph.Electric) partition.Assignment) (*Problem, error) {
+	if px < 1 || py < 1 || px > nx || py > ny {
+		return nil, fmt.Errorf("core: a system of %d unknowns (%d×%d) cannot be torn into %d×%d = %d parts: more parts than unknowns along a side",
+			sys.Dim(), nx, ny, px, py, px*py)
+	}
 	g, err := graph.FromSystem(sys.A, sys.B)
 	if err != nil {
 		return nil, fmt.Errorf("core: building electric graph: %w", err)
@@ -76,7 +84,7 @@ func tear(sys sparse.System, topo *topology.Topology, assign func(*graph.Electri
 // general tearing of dist.SpecV2: it partitions the system's electric graph
 // into parts pieces with the BFS level-set partitioner.
 func AutoProblem(sys sparse.System, parts int, topo *topology.Topology) (*Problem, error) {
-	return tear(sys, topo, func(g *graph.Electric) partition.Assignment {
+	return tear(sys, topo, sys.Dim(), 1, parts, 1, func(g *graph.Electric) partition.Assignment {
 		return partition.LevelSetGrow(g, parts)
 	})
 }
@@ -90,7 +98,7 @@ func GridProblem(sys sparse.System, nx, ny, px, py int, topo *topology.Topology)
 	if nx*ny != sys.Dim() {
 		return nil, fmt.Errorf("core: grid %dx%d has %d vertices but the system has %d unknowns", nx, ny, nx*ny, sys.Dim())
 	}
-	return tear(sys, topo, func(*graph.Electric) partition.Assignment {
+	return tear(sys, topo, nx, ny, px, py, func(*graph.Electric) partition.Assignment {
 		return partition.GridBlocks(nx, ny, px, py)
 	})
 }

@@ -228,3 +228,31 @@ func TestMMSpecHashMismatchRefused(t *testing.T) {
 		t.Fatalf("Coordinate err = %v, want ErrHashMismatch", err)
 	}
 }
+
+// TestSpecBuildRejectsOversizedTearing: a spec asking for more parts than the
+// system has unknowns (along either side, for a block tearing) is an error
+// naming both numbers, not a partitioner panic — Build runs on every member on
+// a spec that arrived over the wire.
+func TestSpecBuildRejectsOversizedTearing(t *testing.T) {
+	for _, s := range []SpecV2{
+		{V: 2, Source: "tridiag:n=5", NParts: 9},
+		{V: 2, Source: "grid:rows=3,cols=3,seed=1", NParts: 10},
+		{V: 2, Source: "grid:rows=3,cols=5,seed=1", PartsX: 4, PartsY: 1},
+		{V: 2, Source: "grid:rows=3,cols=5,seed=1", PartsX: 1, PartsY: 6},
+	} {
+		p, err := s.Build()
+		if err == nil {
+			t.Errorf("%+v: built a problem with %d parts, want an error", s, p.Partition.NumParts())
+			continue
+		}
+		for _, want := range []string{"unknowns", fmt.Sprint(s.Parts(), " parts")} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%+v: error %q does not mention %q", s, err, want)
+			}
+		}
+	}
+	// The largest request that fits still builds.
+	if _, err := (&SpecV2{V: 2, Source: "grid:rows=3,cols=5,seed=1", PartsX: 3, PartsY: 5}).Build(); err != nil {
+		t.Errorf("3x5 parts of a 3x5 grid: %v", err)
+	}
+}

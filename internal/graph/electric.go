@@ -4,12 +4,18 @@
 // current) and potential x_i, while edge {i,j} carries weight a_ij. The
 // electric graph is one-to-one with the symmetric system, and Electric Vertex
 // Splitting (package partition) operates on this representation.
+//
+// The graph is a read-only view of the system it was built from: FromSystem
+// lays the off-diagonal part of the CSR out as one flat adjacency (offsets,
+// neighbours, weights) in a single O(nnz) pass and nothing mutates it
+// afterwards, so it can be shared freely and every traversal order —
+// neighbours ascending, edges ascending by (U, V) — is fixed by construction.
 package graph
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"iter"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -22,33 +28,20 @@ type Edge struct {
 
 // Electric is the electric graph of a symmetric linear system.
 type Electric struct {
-	n       int
-	weights sparse.Vec        // vertex weights a_ii
-	sources sparse.Vec        // vertex sources b_i
-	adj     []map[int]float64 // adjacency with edge weights a_ij (i != j)
-}
-
-// New returns an electric graph with n isolated vertices, zero weights and
-// zero sources.
-func New(n int) *Electric {
-	if n < 0 {
-		panic("graph: New with negative size")
-	}
-	g := &Electric{
-		n:       n,
-		weights: sparse.NewVec(n),
-		sources: sparse.NewVec(n),
-		adj:     make([]map[int]float64, n),
-	}
-	for i := range g.adj {
-		g.adj[i] = make(map[int]float64)
-	}
-	return g
+	a       *sparse.CSR // the system matrix the graph was built from
+	diag    sparse.Vec  // vertex weights a_ii
+	sources sparse.Vec  // vertex sources b_i
+	// The neighbours of vertex i are nbr[off[i]:off[i+1]], ascending, and
+	// wt holds the edge weights a_ij beside them.
+	off []int
+	nbr []int
+	wt  []float64
 }
 
 // FromSystem builds the electric graph of the symmetric system (A, b).
 // It returns an error when A is not square, not symmetric, or its dimension
-// does not match b.
+// does not match b. Edge {i,j}, i < j, carries the upper-triangle entry
+// A(i,j) in both directions.
 func FromSystem(a *sparse.CSR, b sparse.Vec) (*Electric, error) {
 	if a.Rows() != a.Cols() {
 		return nil, fmt.Errorf("graph: matrix is %dx%d, not square", a.Rows(), a.Cols())
@@ -59,15 +52,39 @@ func FromSystem(a *sparse.CSR, b sparse.Vec) (*Electric, error) {
 	if !a.IsSymmetric(1e-9 * (1 + a.MaxAbs())) {
 		return nil, fmt.Errorf("graph: matrix is not symmetric")
 	}
-	g := New(a.Rows())
-	copy(g.sources, b)
-	a.Each(func(i, j int, v float64) {
-		if i == j {
-			g.weights[i] = v
-		} else if i < j {
-			g.SetEdge(i, j, v)
+	n := a.Rows()
+	g := &Electric{a: a, diag: sparse.NewVec(n), sources: b.Clone(), off: make([]int, n+1)}
+	for i := 0; i < n; i++ {
+		cols, vals := a.RowView(i)
+		for k, j := range cols {
+			if j == i {
+				g.diag[i] = vals[k]
+			} else if j > i {
+				g.off[i+1]++
+				g.off[j+1]++
+			}
 		}
-	})
+	}
+	for i := 0; i < n; i++ {
+		g.off[i+1] += g.off[i]
+	}
+	g.nbr = make([]int, g.off[n])
+	g.wt = make([]float64, g.off[n])
+	// Scanning rows in ascending order fills every list in ascending order:
+	// the neighbours below i arrive from their own (earlier) rows, the ones
+	// above i from row i itself. fill[i] is the next free slot of vertex i.
+	fill := slices.Clone(g.off[:n])
+	for i := 0; i < n; i++ {
+		cols, vals := a.RowView(i)
+		for k, j := range cols {
+			if j > i {
+				g.nbr[fill[i]], g.wt[fill[i]] = j, vals[k]
+				g.nbr[fill[j]], g.wt[fill[j]] = i, vals[k]
+				fill[i]++
+				fill[j]++
+			}
+		}
+	}
 	return g, nil
 }
 
@@ -82,137 +99,101 @@ func MustFromSystem(a *sparse.CSR, b sparse.Vec) *Electric {
 }
 
 // Order returns the number of vertices.
-func (g *Electric) Order() int { return g.n }
+func (g *Electric) Order() int { return len(g.diag) }
 
 // NumEdges returns the number of undirected edges.
-func (g *Electric) NumEdges() int {
-	total := 0
-	for _, m := range g.adj {
-		total += len(m)
-	}
-	return total / 2
-}
+func (g *Electric) NumEdges() int { return len(g.nbr) / 2 }
 
 // VertexWeight returns a_ii.
-func (g *Electric) VertexWeight(i int) float64 { return g.weights[i] }
-
-// SetVertexWeight sets a_ii.
-func (g *Electric) SetVertexWeight(i int, w float64) { g.weights[i] = w }
+func (g *Electric) VertexWeight(i int) float64 { return g.diag[i] }
 
 // Source returns b_i.
 func (g *Electric) Source(i int) float64 { return g.sources[i] }
 
-// SetSource sets b_i.
-func (g *Electric) SetSource(i int, s float64) { g.sources[i] = s }
-
 // EdgeWeight returns a_ij (zero when the edge does not exist).
-func (g *Electric) EdgeWeight(i, j int) float64 { return g.adj[i][j] }
+func (g *Electric) EdgeWeight(i, j int) float64 {
+	if k, ok := slices.BinarySearch(g.Neighbors(i), j); ok {
+		return g.wt[g.off[i]+k]
+	}
+	return 0
+}
 
 // HasEdge reports whether {i, j} is an edge.
 func (g *Electric) HasEdge(i, j int) bool {
-	_, ok := g.adj[i][j]
+	_, ok := slices.BinarySearch(g.Neighbors(i), j)
 	return ok
 }
 
-// SetEdge sets the weight of the undirected edge {i, j}. A zero weight removes
-// the edge. Self-loops are rejected: diagonal entries are vertex weights.
-func (g *Electric) SetEdge(i, j int, w float64) {
-	if i == j {
-		panic(fmt.Sprintf("graph: SetEdge self-loop at vertex %d; use SetVertexWeight", i))
-	}
-	if w == 0 {
-		delete(g.adj[i], j)
-		delete(g.adj[j], i)
-		return
-	}
-	g.adj[i][j] = w
-	g.adj[j][i] = w
-}
-
-// Neighbors returns the neighbours of vertex i in ascending order.
-func (g *Electric) Neighbors(i int) []int {
-	out := make([]int, 0, len(g.adj[i]))
-	for j := range g.adj[i] {
-		out = append(out, j)
-	}
-	sort.Ints(out)
-	return out
-}
+// Neighbors returns the neighbours of vertex i: ascending, without i itself,
+// and read-only — the slice is a view of the graph's storage, shared by every
+// caller, and must not be modified.
+func (g *Electric) Neighbors(i int) []int { return g.nbr[g.off[i]:g.off[i+1]] }
 
 // Degree returns the number of neighbours of vertex i.
-func (g *Electric) Degree(i int) int { return len(g.adj[i]) }
+func (g *Electric) Degree(i int) int { return g.off[i+1] - g.off[i] }
 
-// Edges returns all undirected edges with U < V, ordered lexicographically.
-func (g *Electric) Edges() []Edge {
-	var out []Edge
-	for i := 0; i < g.n; i++ {
-		for j, w := range g.adj[i] {
-			if i < j {
-				out = append(out, Edge{U: i, V: j, Weight: w})
+// Edges visits all undirected edges with U < V in ascending (U, V) order.
+func (g *Electric) Edges() iter.Seq[Edge] {
+	return func(yield func(Edge) bool) {
+		for u := range g.diag {
+			for k := g.off[u]; k < g.off[u+1]; k++ {
+				if v := g.nbr[k]; v > u && !yield(Edge{U: u, V: v, Weight: g.wt[k]}) {
+					return
+				}
 			}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].U != out[b].U {
-			return out[a].U < out[b].U
-		}
-		return out[a].V < out[b].V
-	})
-	return out
 }
 
-// ToSystem converts the electric graph back into (A, b). Composed with
-// FromSystem it is the identity (Section 3: the mapping is one-to-one).
-func (g *Electric) ToSystem() (*sparse.CSR, sparse.Vec) {
-	coo := sparse.NewCOO(g.n, g.n)
-	for i := 0; i < g.n; i++ {
-		coo.Add(i, i, g.weights[i])
-		for j, w := range g.adj[i] {
-			if i < j {
-				coo.AddSym(i, j, w)
+// ToSystem converts the electric graph back into (A, b): the matrix it was
+// built from (immutable, so it is returned as is) and a copy of the sources.
+// Composed with FromSystem it is the identity (Section 3: the mapping is
+// one-to-one).
+func (g *Electric) ToSystem() (*sparse.CSR, sparse.Vec) { return g.a, g.sources.Clone() }
+
+// BFS is the one breadth-first traversal every consumer of the graph shares.
+// It visits the vertices reachable from start through vertices v with
+// mark[v] == from, taking neighbours in ascending order, sets the mark of each
+// visited vertex to to (which must differ from from) and appends them to order
+// in visiting order; order's free capacity is the queue. It returns the
+// extended order and the index in it at which the deepest level begins.
+//
+// The mark doubles as the region mask: a caller confines the walk to a vertex
+// set by stamping that set with a value no other vertex holds, and walks the
+// same set again from another start by asking for from = the previous to.
+func (g *Electric) BFS(start int, mark []int32, from, to int32, order []int) (out []int, lastLevel int) {
+	head := len(order)
+	mark[start] = to
+	order = append(order, start)
+	lastLevel, levelEnd := head, len(order)
+	for ; head < len(order); head++ {
+		if head == levelEnd {
+			lastLevel, levelEnd = head, len(order)
+		}
+		for _, w := range g.Neighbors(order[head]) {
+			if mark[w] == from {
+				mark[w] = to
+				order = append(order, w)
 			}
 		}
 	}
-	return coo.ToCSR(), g.sources.Clone()
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Electric) Clone() *Electric {
-	out := New(g.n)
-	copy(out.weights, g.weights)
-	copy(out.sources, g.sources)
-	for i := 0; i < g.n; i++ {
-		for j, w := range g.adj[i] {
-			out.adj[i][j] = w
-		}
-	}
-	return out
+	return order, lastLevel
 }
 
 // ConnectedComponents returns the vertex sets of the connected components,
 // each sorted ascending, ordered by their smallest vertex.
 func (g *Electric) ConnectedComponents() [][]int {
-	seen := make([]bool, g.n)
+	mark := make([]int32, g.Order())
+	order := make([]int, 0, g.Order())
 	var comps [][]int
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
+	for s := range mark {
+		if mark[s] != 0 {
 			continue
 		}
-		var comp []int
-		queue := []int{s}
-		seen[s] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			comp = append(comp, v)
-			for _, w := range g.Neighbors(v) {
-				if !seen[w] {
-					seen[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-		sort.Ints(comp)
+		begin := len(order)
+		order, _ = g.BFS(s, mark, 0, 1, order)
+		comp := order[begin:len(order):len(order)]
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps
@@ -221,53 +202,5 @@ func (g *Electric) ConnectedComponents() [][]int {
 // IsConnected reports whether the graph has a single connected component
 // (or is empty).
 func (g *Electric) IsConnected() bool {
-	return g.n == 0 || len(g.ConnectedComponents()) == 1
-}
-
-// BFSLevels returns, for each vertex, its BFS distance from the start vertex
-// (-1 for unreachable vertices). It is used by the level-set partitioner.
-func (g *Electric) BFSLevels(start int) []int {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	if start < 0 || start >= g.n {
-		return dist
-	}
-	dist[start] = 0
-	queue := []int{start}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(v) {
-			if dist[w] == -1 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}
-
-// DiagonalDominanceSlack returns, for vertex i, a_ii - Σ_j |a_ij| — the amount
-// of "excess" self-weight beyond what its incident edges require. EVS uses it
-// to split vertex weights in a definiteness-preserving way.
-func (g *Electric) DiagonalDominanceSlack(i int) float64 {
-	var off float64
-	for _, w := range g.adj[i] {
-		off += math.Abs(w)
-	}
-	return g.weights[i] - off
-}
-
-// IncidentAbsWeight returns Σ_{j in set} |a_ij| for the neighbours of i that
-// lie in the given vertex set.
-func (g *Electric) IncidentAbsWeight(i int, inSet func(int) bool) float64 {
-	var s float64
-	for j, w := range g.adj[i] {
-		if inSet(j) {
-			s += math.Abs(w)
-		}
-	}
-	return s
+	return g.Order() == 0 || len(g.ConnectedComponents()) == 1
 }

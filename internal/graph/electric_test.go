@@ -1,7 +1,8 @@
 package graph
 
 import (
-	"math"
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +13,24 @@ func paperGraph(t *testing.T) *Electric {
 	t.Helper()
 	sys := sparse.PaperExample()
 	g, err := FromSystem(sys.A, sys.B)
+	if err != nil {
+		t.Fatalf("FromSystem: %v", err)
+	}
+	return g
+}
+
+// fromEdges builds the graph on n vertices with the given unit-conductance
+// edges (weight −1) and a dominant diagonal.
+func fromEdges(t *testing.T, n int, edges [][2]int) *Electric {
+	t.Helper()
+	coo := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		coo.Add(i, i, 4)
+	}
+	for _, e := range edges {
+		coo.AddSym(e[0], e[1], -1)
+	}
+	g, err := FromSystem(coo.ToCSR(), sparse.NewVec(n))
 	if err != nil {
 		t.Fatalf("FromSystem: %v", err)
 	}
@@ -107,51 +126,20 @@ func TestNeighborsAndDegree(t *testing.T) {
 
 func TestEdgesListMatchesCount(t *testing.T) {
 	g := paperGraph(t)
-	edges := g.Edges()
+	edges := slices.Collect(g.Edges())
+	if !slices.IsSortedFunc(edges, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) }) {
+		t.Errorf("edges are not in ascending (U,V) order: %+v", edges)
+	}
 	if len(edges) != g.NumEdges() {
 		t.Fatalf("Edges() returned %d edges, NumEdges says %d", len(edges), g.NumEdges())
 	}
 	for _, e := range edges {
-		if e.U == e.V {
-			t.Errorf("self-loop in edge list: %+v", e)
+		if e.U >= e.V {
+			t.Errorf("edge list entry without U < V: %+v", e)
 		}
 		if e.Weight != g.EdgeWeight(e.U, e.V) {
 			t.Errorf("edge list weight mismatch for %+v", e)
 		}
-	}
-}
-
-func TestSetEdgeAddAndRemove(t *testing.T) {
-	g := New(3)
-	g.SetEdge(0, 2, -1.5)
-	if !g.HasEdge(0, 2) || g.EdgeWeight(2, 0) != -1.5 {
-		t.Errorf("SetEdge did not create the undirected edge")
-	}
-	g.SetEdge(0, 2, 0)
-	if g.HasEdge(0, 2) || g.NumEdges() != 0 {
-		t.Errorf("a zero weight must remove the edge")
-	}
-}
-
-func TestSetEdgeRejectsSelfLoop(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("self-loops must be rejected")
-		}
-	}()
-	New(2).SetEdge(1, 1, 3)
-}
-
-func TestSettersAndClone(t *testing.T) {
-	g := New(2)
-	g.SetVertexWeight(0, 4)
-	g.SetSource(0, -2)
-	g.SetEdge(0, 1, -1)
-	c := g.Clone()
-	c.SetVertexWeight(0, 99)
-	c.SetEdge(0, 1, -7)
-	if g.VertexWeight(0) != 4 || g.EdgeWeight(0, 1) != -1 || g.Source(0) != -2 {
-		t.Errorf("Clone must not alias the original graph")
 	}
 }
 
@@ -165,9 +153,7 @@ func TestConnectivityHelpers(t *testing.T) {
 	}
 
 	// Two disconnected pairs.
-	h := New(4)
-	h.SetEdge(0, 1, -1)
-	h.SetEdge(2, 3, -1)
+	h := fromEdges(t, 4, [][2]int{{0, 1}, {2, 3}})
 	if h.IsConnected() {
 		t.Errorf("disconnected graph misreported as connected")
 	}
@@ -175,51 +161,32 @@ func TestConnectivityHelpers(t *testing.T) {
 	if len(comps) != 2 {
 		t.Errorf("components = %v, want 2", comps)
 	}
-	levels := h.BFSLevels(0)
-	if levels[1] != 1 || levels[0] != 0 {
-		t.Errorf("BFS levels wrong: %v", levels)
+	mark := make([]int32, 4)
+	order, last := h.BFS(0, mark, 0, 1, nil)
+	if !slices.Equal(order, []int{0, 1}) || last != 1 {
+		t.Errorf("BFS from 0 = %v (deepest level at %d), want [0 1] and 1", order, last)
 	}
-	if levels[2] != -1 || levels[3] != -1 {
-		t.Errorf("unreachable vertices must have level -1: %v", levels)
+	if !slices.Equal(mark, []int32{1, 1, 0, 0}) {
+		t.Errorf("unreachable vertices must keep their mark: %v", mark)
 	}
 }
 
 func TestBFSLevelsPath(t *testing.T) {
-	// A path 0-1-2-3: levels from 0 are 0,1,2,3.
-	g := New(4)
-	for i := 0; i < 3; i++ {
-		g.SetEdge(i, i+1, -1)
+	// A path 0-1-2-3 walked from 1: levels {1}, {0,2}, {3}.
+	g := fromEdges(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
+	order, last := g.BFS(1, make([]int32, 4), 0, 1, nil)
+	if !slices.Equal(order, []int{1, 0, 2, 3}) || last != 3 {
+		t.Errorf("BFS from 1 = %v (deepest level at %d), want [1 0 2 3] and 3", order, last)
 	}
-	levels := g.BFSLevels(0)
-	for i, want := range []int{0, 1, 2, 3} {
-		if levels[i] != want {
-			t.Errorf("level[%d] = %d, want %d", i, levels[i], want)
-		}
+	// The mark is the region mask: with vertex 2 stamped differently the walk
+	// stays on {0, 1}, and it appends to what order already holds.
+	mark := []int32{7, 7, 0, 7}
+	order, last = g.BFS(0, mark, 7, 8, []int{9})
+	if !slices.Equal(order, []int{9, 0, 1}) || last != 2 {
+		t.Errorf("masked BFS = %v (deepest level at %d), want [9 0 1] and 2", order, last)
 	}
-}
-
-func TestDiagonalDominanceSlack(t *testing.T) {
-	g := paperGraph(t)
-	// Row 1 of the paper matrix: 6 - (1+2+1) = 2.
-	if got := g.DiagonalDominanceSlack(1); math.Abs(got-2) > 1e-12 {
-		t.Errorf("slack(V2) = %g, want 2", got)
-	}
-	// Row 0: 5 - (1+1) = 3.
-	if got := g.DiagonalDominanceSlack(0); math.Abs(got-3) > 1e-12 {
-		t.Errorf("slack(V1) = %g, want 3", got)
-	}
-}
-
-func TestIncidentAbsWeight(t *testing.T) {
-	g := paperGraph(t)
-	// Neighbours of V2 inside the set {V3, V4}: |−2| + |−1| = 3.
-	inSet := func(j int) bool { return j == 2 || j == 3 }
-	if got := g.IncidentAbsWeight(1, inSet); math.Abs(got-3) > 1e-12 {
-		t.Errorf("IncidentAbsWeight = %g, want 3", got)
-	}
-	// Empty set: zero.
-	if got := g.IncidentAbsWeight(1, func(int) bool { return false }); got != 0 {
-		t.Errorf("IncidentAbsWeight over the empty set = %g", got)
+	if !slices.Equal(mark, []int32{8, 8, 0, 7}) {
+		t.Errorf("masked BFS left marks %v, want [8 8 0 7]", mark)
 	}
 }
 

@@ -1,7 +1,7 @@
 package partition
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -22,113 +22,64 @@ func RecursiveBisection(g *graph.Electric, parts int) Assignment {
 	if parts > n {
 		parts = n
 	}
-	assign := make([]int, n)
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i
 	}
-	next := 0
-	bisect(g, all, parts, assign, &next)
-	return Assignment{Parts: next, Assign: assign}
+	b := bisector{g: g, assign: make([]int, n), mark: make([]int32, n), stamp: 1, scratch: make([]int, 0, n)}
+	b.bisect(all, parts)
+	return Assignment{Parts: b.next, Assign: b.assign}
 }
 
-// bisect assigns the vertices of region to `parts` consecutive part ids,
-// allocating ids from *next.
-func bisect(g *graph.Electric, region []int, parts int, assign []int, next *int) {
+// bisector is the state the recursion shares: the output, the next free part
+// id, and the BFS mark array with the queue buffer, both sized once for the
+// whole graph and reused by every region.
+type bisector struct {
+	g       *graph.Electric
+	assign  []int
+	next    int
+	mark    []int32
+	stamp   int32 // the smallest mark value no vertex holds yet
+	scratch []int
+}
+
+// bisect assigns the vertices of region to `parts` consecutive part ids. It
+// reorders region in place.
+func (b *bisector) bisect(region []int, parts int) {
 	if parts <= 1 || len(region) <= 1 {
-		id := *next
-		*next++
 		for _, v := range region {
-			assign[v] = id
+			b.assign[v] = b.next
 		}
+		b.next++
 		return
 	}
 	left := parts / 2
-	right := parts - left
-	// Order the region breadth-first from a pseudo-peripheral vertex of the
-	// region, restricted to edges inside the region.
-	order := regionBFSOrder(g, region)
-	cut := len(region) * left / parts
-	if cut == 0 {
-		cut = 1
-	}
-	if cut >= len(region) {
-		cut = len(region) - 1
-	}
-	bisect(g, order[:cut], left, assign, next)
-	bisect(g, order[cut:], right, assign, next)
+	b.orderBreadthFirst(region)
+	cut := min(max(len(region)*left/parts, 1), len(region)-1)
+	b.bisect(region[:cut], left)
+	b.bisect(region[cut:], parts-left)
 }
 
-// regionBFSOrder returns the vertices of the region in breadth-first order
-// from a pseudo-peripheral vertex, visiting only edges whose endpoints both
-// lie inside the region; vertices of the region unreachable that way are
-// appended at the end (in ascending order) so the result is a permutation of
-// the region.
-func regionBFSOrder(g *graph.Electric, region []int) []int {
-	in := make(map[int]bool, len(region))
+// orderBreadthFirst reorders the region breadth-first from a pseudo-peripheral
+// vertex of it (the last vertex two walks from its smallest vertex reach),
+// visiting only edges whose endpoints both lie inside the region; vertices of
+// the region unreachable that way follow in ascending order.
+func (b *bisector) orderBreadthFirst(region []int) {
+	m := b.stamp
+	b.stamp += 4
 	for _, v := range region {
-		in[v] = true
+		b.mark[v] = m
 	}
-	start := regionPeripheral(g, region, in)
-
-	order := make([]int, 0, len(region))
-	visited := make(map[int]bool, len(region))
-	queue := []int{start}
-	visited[start] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		nbs := g.Neighbors(v)
-		sort.Ints(nbs)
-		for _, w := range nbs {
-			if in[w] && !visited[w] {
-				visited[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	if len(order) < len(region) {
-		rest := make([]int, 0, len(region)-len(order))
+	last := func(deepest []int) int { return deepest[len(deepest)-1] }
+	start := peripheral(b.g, slices.Min(region), b.mark, m, b.scratch, last)
+	order, _ := b.g.BFS(start, b.mark, m+2, m+3, b.scratch[:0])
+	if reached := len(order); reached < len(region) {
 		for _, v := range region {
-			if !visited[v] {
-				rest = append(rest, v)
+			if b.mark[v] != m+3 {
+				order = append(order, v)
 			}
 		}
-		sort.Ints(rest)
-		order = append(order, rest...)
+		slices.Sort(order[reached:])
 	}
-	return order
-}
-
-// regionPeripheral finds an approximately peripheral vertex of the region by
-// two BFS passes restricted to the region.
-func regionPeripheral(g *graph.Electric, region []int, in map[int]bool) int {
-	far := func(start int) int {
-		dist := map[int]int{start: 0}
-		queue := []int{start}
-		last := start
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			last = v
-			for _, w := range g.Neighbors(v) {
-				if !in[w] {
-					continue
-				}
-				if _, ok := dist[w]; !ok {
-					dist[w] = dist[v] + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		return last
-	}
-	start := region[0]
-	for _, v := range region {
-		if v < start {
-			start = v
-		}
-	}
-	return far(far(start))
+	copy(region, order)
 }

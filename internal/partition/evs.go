@@ -3,7 +3,7 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/sparse"
@@ -91,8 +91,6 @@ type Result struct {
 	// Splits records every split vertex.
 	Splits []SplitVertex
 
-	// portIndex[part][global] = local port index of global's copy in part.
-	portIndex []map[int]int
 	// original system dimension.
 	n int
 }
@@ -156,252 +154,222 @@ func EVS(g *graph.Electric, a Assignment, opts Options) (*Result, error) {
 	}
 	assign := a.Assign
 
-	// Step 1: establish the splitting boundary.
+	// Step 1: establish the splitting boundary — explicit here, or derived in
+	// the scan below from the cut edges each vertex sees.
+	explicit := len(opts.Boundary) > 0
 	inBoundary := make([]bool, n)
-	if len(opts.Boundary) > 0 {
-		for _, v := range opts.Boundary {
-			if v < 0 || v >= n {
-				return nil, fmt.Errorf("partition: boundary vertex %d out of range [0,%d)", v, n)
-			}
-			inBoundary[v] = true
+	for _, v := range opts.Boundary {
+		if v < 0 || v >= n {
+			return nil, fmt.Errorf("partition: boundary vertex %d out of range [0,%d)", v, n)
 		}
-	} else {
-		for _, e := range g.Edges() {
-			if assign[e.U] == assign[e.V] {
-				continue
-			}
-			switch opts.Rule {
-			case TwoSided:
-				inBoundary[e.U] = true
-				inBoundary[e.V] = true
-			default: // OneSided
-				if assign[e.U] < assign[e.V] {
-					inBoundary[e.U] = true
-				} else {
-					inBoundary[e.V] = true
-				}
-			}
-		}
-	}
-	// Every cut edge must have a boundary endpoint, otherwise the subgraphs
-	// would not decouple.
-	for _, e := range g.Edges() {
-		if assign[e.U] != assign[e.V] && !inBoundary[e.U] && !inBoundary[e.V] {
-			return nil, fmt.Errorf("partition: edge {%d,%d} crosses parts %d/%d but neither endpoint is in the splitting boundary",
-				e.U, e.V, assign[e.U], assign[e.V])
-		}
+		inBoundary[v] = true
 	}
 
 	// Step 2: determine which parts receive a copy of each boundary vertex.
 	// A vertex listed in the boundary but touching a single part is left whole.
-	isSplit := make([]bool, n)
-	vertexParts := make([][]int, n)
+	// Everything kept per copy of a split vertex lives in flat arrays: split s
+	// owns the slots [off[s], off[s+1]), one per part in ascending part order.
+	var (
+		splits  []SplitVertex
+		off     = []int{0}
+		parts   []int // the part of every slot
+		splitOf = make([]int, n)
+	)
 	for v := 0; v < n; v++ {
-		if !inBoundary[v] {
-			continue
-		}
-		set := map[int]bool{assign[v]: true}
+		pv := assign[v]
+		begin := len(parts)
+		parts = append(parts, pv)
+		boundary := inBoundary[v]
 		for _, w := range g.Neighbors(v) {
-			set[assign[w]] = true
+			pw := assign[w]
+			if pw == pv {
+				continue
+			}
+			parts = append(parts, pw)
+			if !explicit && (opts.Rule == TwoSided || pv < pw) {
+				boundary = true
+			}
 		}
-		if len(set) < 2 {
+		touched := parts[begin:]
+		slices.Sort(touched)
+		touched = slices.Compact(touched)
+		if !boundary || len(touched) < 2 {
+			parts = parts[:begin]
+			splitOf[v] = -1
 			continue
 		}
-		isSplit[v] = true
-		parts := make([]int, 0, len(set))
-		for p := range set {
-			parts = append(parts, p)
-		}
-		sort.Ints(parts)
-		vertexParts[v] = parts
+		parts = parts[:begin+len(touched)]
+		splitOf[v] = len(splits)
+		splits = append(splits, SplitVertex{Global: v})
+		off = append(off, len(parts))
+	}
+	var (
+		copyLocal = make([]int, len(parts))     // local port index of the copy
+		incident  = make([]float64, len(parts)) // Σ |assigned edge weight| of the copy
+		weights   = make([]float64, len(parts))
+		sources   = make([]float64, len(parts))
+	)
+	for s := range splits {
+		splits[s].Parts = parts[off[s]:off[s+1]:off[s+1]]
 	}
 
-	// Step 3a: assign every edge (or edge fraction) to a part.
-	type localEdge struct {
-		u, v   int // global ids
-		weight float64
-	}
-	partEdges := make([][]localEdge, a.Parts)
-	// incident[v][part] accumulates Σ |assigned edge weight| per copy of v.
-	incident := make([]map[int]float64, n)
-	addIncident := func(v, part int, w float64) {
-		if !isSplit[v] {
-			return
+	// Local vertex ordering: ports (split copies) first, then inner vertices,
+	// both by ascending global id. A part holds the vertices assigned to it
+	// plus the copies of split vertices whose home is elsewhere.
+	dim := a.PartSizes()
+	for _, sv := range splits {
+		for _, p := range sv.Parts {
+			if p != assign[sv.Global] {
+				dim[p]++
+			}
 		}
-		if incident[v] == nil {
-			incident[v] = make(map[int]float64)
-		}
-		incident[v][part] += math.Abs(w)
 	}
-	for _, e := range g.Edges() {
-		u, v, w := e.U, e.V, e.Weight
-		pu, pv := assign[u], assign[v]
-		su, sv := isSplit[u], isSplit[v]
+	subs := make([]*Subdomain, a.Parts)
+	coos := make([]*sparse.COO, a.Parts)
+	for p := range subs {
+		subs[p] = &Subdomain{Part: p, GlobalIdx: make([]int, 0, dim[p]), B: sparse.NewVec(dim[p])}
+		coos[p] = sparse.NewCOO(dim[p], dim[p])
+	}
+	for s, sv := range splits {
+		for k, p := range sv.Parts {
+			copyLocal[off[s]+k] = len(subs[p].GlobalIdx)
+			subs[p].GlobalIdx = append(subs[p].GlobalIdx, sv.Global)
+		}
+	}
+	for _, sub := range subs {
+		sub.NumPorts = len(sub.GlobalIdx)
+	}
+	local := make([]int, n) // local index of a whole vertex in its home part
+	for v := 0; v < n; v++ {
+		if sub := subs[assign[v]]; splitOf[v] < 0 {
+			local[v] = len(sub.GlobalIdx)
+			sub.GlobalIdx = append(sub.GlobalIdx, v)
+		}
+	}
+
+	// Step 3a: assign every edge (or edge fraction) to a part, in ascending
+	// (U, V) order — the order the incident sums accumulate in. place resolves
+	// vertex x inside part p: its local index there and, for a split vertex,
+	// the slot of that copy (-1 for a whole vertex).
+	place := func(x, p int) (li, slot int, ok bool) {
+		s := splitOf[x]
+		if s < 0 {
+			return local[x], -1, assign[x] == p
+		}
+		k, ok := slices.BinarySearch(splits[s].Parts, p)
+		if !ok {
+			return 0, -1, false
+		}
+		return copyLocal[off[s]+k], off[s] + k, true
+	}
+	add := func(p int, e graph.Edge, w float64) error {
+		lu, cu, ok1 := place(e.U, p)
+		lv, cv, ok2 := place(e.V, p)
+		if !ok1 || !ok2 {
+			return fmt.Errorf("partition: internal error: edge {%d,%d} assigned to part %d but an endpoint has no copy there", e.U, e.V, p)
+		}
+		coos[p].AddSym(lu, lv, w)
+		if cu >= 0 {
+			incident[cu] += math.Abs(w)
+		}
+		if cv >= 0 {
+			incident[cv] += math.Abs(w)
+		}
+		return nil
+	}
+	for e := range g.Edges() {
+		pu, pv := assign[e.U], assign[e.V]
+		su, sv := splitOf[e.U] >= 0, splitOf[e.V] >= 0
+		var err error
 		switch {
-		case !su && !sv:
-			// Both vertices stay whole; by the coverage check they live in the
-			// same part.
-			partEdges[pu] = append(partEdges[pu], localEdge{u, v, w})
 		case su != sv:
 			// Exactly one endpoint is split: the edge follows the whole
 			// endpoint into its home part, attaching to the split vertex's
 			// copy there (which exists because they are neighbours).
-			host := pu
+			home := pu
 			if su {
-				host = pv
+				home = pv
 			}
-			partEdges[host] = append(partEdges[host], localEdge{u, v, w})
-			addIncident(u, host, w)
-			addIncident(v, host, w)
+			err = add(home, e, e.Weight)
+		case pu == pv:
+			err = add(pu, e, e.Weight)
+		case !su:
+			// Every cut edge must have a boundary endpoint, otherwise the
+			// subgraphs would not decouple.
+			err = fmt.Errorf("partition: edge {%d,%d} crosses parts %d/%d but neither endpoint is in the splitting boundary",
+				e.U, e.V, pu, pv)
 		default:
-			// Both endpoints are split.
-			if pu == pv {
-				partEdges[pu] = append(partEdges[pu], localEdge{u, v, w})
-				addIncident(u, pu, w)
-				addIncident(v, pu, w)
-				break
-			}
-			// The edge lies on the splitting boundary and its weight is split
-			// between the two home parts (Example 4.1: the −2 edge between V2
-			// and V3 becomes −0.9 and −1.1).
-			var wu, wv float64
+			// Both endpoints are split and the edge lies on the splitting
+			// boundary: its weight is split between the two home parts
+			// (Example 4.1: the −2 edge between V2 and V3 becomes −0.9 and
+			// −1.1).
+			wu, wv := e.Weight/2, e.Weight/2
 			if opts.EdgeSplit != nil {
-				wu, wv = opts.EdgeSplit(u, v, w)
-				if math.Abs(wu+wv-w) > 1e-9*(1+math.Abs(w)) {
-					return nil, fmt.Errorf("partition: EdgeSplit for edge {%d,%d} returned %g+%g, want sum %g", u, v, wu, wv, w)
+				wu, wv = opts.EdgeSplit(e.U, e.V, e.Weight)
+				if math.Abs(wu+wv-e.Weight) > 1e-9*(1+math.Abs(e.Weight)) {
+					return nil, fmt.Errorf("partition: EdgeSplit for edge {%d,%d} returned %g+%g, want sum %g", e.U, e.V, wu, wv, e.Weight)
 				}
-			} else {
-				wu, wv = w/2, w/2
 			}
-			if wu != 0 {
-				partEdges[pu] = append(partEdges[pu], localEdge{u, v, wu})
-				addIncident(u, pu, wu)
-				addIncident(v, pu, wu)
+			if err = add(pu, e, wu); err == nil {
+				err = add(pv, e, wv)
 			}
-			if wv != 0 {
-				partEdges[pv] = append(partEdges[pv], localEdge{u, v, wv})
-				addIncident(u, pv, wv)
-				addIncident(v, pv, wv)
-			}
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 
-	// Step 3b: split the weight and source of every split vertex.
-	splits := make([]SplitVertex, 0)
-	splitWeight := make([]map[int]float64, n)
-	splitSource := make([]map[int]float64, n)
-	for v := 0; v < n; v++ {
-		if !isSplit[v] {
-			continue
-		}
-		parts := vertexParts[v]
-		weight := g.VertexWeight(v)
-		source := g.Source(v)
-		var weights, sources []float64
+	// Step 3b: split the weight and source of every split vertex; whole
+	// vertices keep theirs.
+	for s := range splits {
+		sv := &splits[s]
+		v, lo, hi := sv.Global, off[s], off[s+1]
+		weight, source := g.VertexWeight(v), g.Source(v)
+		sv.Weights, sv.Sources = weights[lo:hi:hi], sources[lo:hi:hi]
 		if opts.VertexSplit != nil {
-			weights, sources = opts.VertexSplit(v, parts, weight, source)
-			if len(weights) != len(parts) || len(sources) != len(parts) {
-				return nil, fmt.Errorf("partition: VertexSplit for vertex %d returned %d weights and %d sources, want %d", v, len(weights), len(sources), len(parts))
+			sv.Weights, sv.Sources = opts.VertexSplit(v, sv.Parts, weight, source)
+			if len(sv.Weights) != hi-lo || len(sv.Sources) != hi-lo {
+				return nil, fmt.Errorf("partition: VertexSplit for vertex %d returned %d weights and %d sources, want %d", v, len(sv.Weights), len(sv.Sources), hi-lo)
 			}
-			if sw, ss := sum(weights), sum(sources); math.Abs(sw-weight) > 1e-9*(1+math.Abs(weight)) || math.Abs(ss-source) > 1e-9*(1+math.Abs(source)) {
+			if sw, ss := sum(sv.Weights), sum(sv.Sources); math.Abs(sw-weight) > 1e-9*(1+math.Abs(weight)) || math.Abs(ss-source) > 1e-9*(1+math.Abs(source)) {
 				return nil, fmt.Errorf("partition: VertexSplit for vertex %d does not preserve weight/source sums (%g vs %g, %g vs %g)", v, sw, weight, ss, source)
 			}
 		} else {
-			weights, sources = defaultVertexSplit(parts, weight, source, incident[v])
+			defaultVertexSplit(weight, source, incident[lo:hi], sv.Weights, sv.Sources)
 		}
-		sv := SplitVertex{Global: v, Parts: parts, Weights: weights, Sources: sources}
-		splits = append(splits, sv)
-		splitWeight[v] = make(map[int]float64, len(parts))
-		splitSource[v] = make(map[int]float64, len(parts))
-		for k, p := range parts {
-			splitWeight[v][p] = weights[k]
-			splitSource[v][p] = sources[k]
+		for k, p := range sv.Parts {
+			li := copyLocal[lo+k]
+			coos[p].Add(li, li, sv.Weights[k])
+			subs[p].B[li] = sv.Sources[k]
 		}
-	}
-
-	// Local vertex ordering: ports (split copies) first, then inner vertices,
-	// both by ascending global id.
-	portIndex := make([]map[int]int, a.Parts)
-	localIndex := make([]map[int]int, a.Parts)
-	globalIdx := make([][]int, a.Parts)
-	numPorts := make([]int, a.Parts)
-	for p := 0; p < a.Parts; p++ {
-		portIndex[p] = make(map[int]int)
-		localIndex[p] = make(map[int]int)
-	}
-	for _, sv := range splits {
-		for _, p := range sv.Parts {
-			portIndex[p][sv.Global] = len(globalIdx[p])
-			localIndex[p][sv.Global] = len(globalIdx[p])
-			globalIdx[p] = append(globalIdx[p], sv.Global)
-		}
-	}
-	for p := 0; p < a.Parts; p++ {
-		numPorts[p] = len(globalIdx[p])
 	}
 	for v := 0; v < n; v++ {
-		if isSplit[v] {
-			continue
+		if splitOf[v] < 0 {
+			p, li := assign[v], local[v]
+			coos[p].Add(li, li, g.VertexWeight(v))
+			subs[p].B[li] = g.Source(v)
 		}
-		p := assign[v]
-		localIndex[p][v] = len(globalIdx[p])
-		globalIdx[p] = append(globalIdx[p], v)
 	}
-
-	// Build the local systems.
-	subs := make([]*Subdomain, a.Parts)
-	for p := 0; p < a.Parts; p++ {
-		dim := len(globalIdx[p])
-		coo := sparse.NewCOO(dim, dim)
-		b := sparse.NewVec(dim)
-		for li, gv := range globalIdx[p] {
-			if li < numPorts[p] {
-				coo.Add(li, li, splitWeight[gv][p])
-				b[li] = splitSource[gv][p]
-			} else {
-				coo.Add(li, li, g.VertexWeight(gv))
-				b[li] = g.Source(gv)
-			}
-		}
-		for _, e := range partEdges[p] {
-			lu, ok1 := localIndex[p][e.u]
-			lv, ok2 := localIndex[p][e.v]
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("partition: internal error: edge {%d,%d} assigned to part %d but an endpoint has no copy there", e.u, e.v, p)
-			}
-			coo.AddSym(lu, lv, e.weight)
-		}
-		subs[p] = &Subdomain{
-			Part:      p,
-			NumPorts:  numPorts[p],
-			GlobalIdx: globalIdx[p],
-			A:         coo.ToCSR(),
-			B:         b,
-		}
+	for p, sub := range subs {
+		sub.A = coos[p].ToCSR()
 	}
 
 	// Step 4: twin links — chain the copies of each split vertex in ascending
 	// part order (level-one tearing gives one link per split vertex; vertices
 	// shared by k parts get a chain of k−1 links, the multilevel tearing).
-	var links []TwinLink
-	for _, sv := range splits {
+	links := make([]TwinLink, 0, len(parts)-len(splits))
+	boundary := make([]int, len(splits))
+	for s, sv := range splits {
+		boundary[s] = sv.Global
 		for k := 0; k+1 < len(sv.Parts); k++ {
-			pa, pb := sv.Parts[k], sv.Parts[k+1]
 			links = append(links, TwinLink{
 				ID:     len(links),
 				Global: sv.Global,
-				PartA:  pa,
-				PartB:  pb,
-				PortA:  portIndex[pa][sv.Global],
-				PortB:  portIndex[pb][sv.Global],
+				PartA:  sv.Parts[k],
+				PartB:  sv.Parts[k+1],
+				PortA:  copyLocal[off[s]+k],
+				PortB:  copyLocal[off[s]+k+1],
 			})
-		}
-	}
-
-	boundary := make([]int, 0)
-	for v := 0; v < n; v++ {
-		if isSplit[v] {
-			boundary = append(boundary, v)
 		}
 	}
 
@@ -411,37 +379,27 @@ func EVS(g *graph.Electric, a Assignment, opts Options) (*Result, error) {
 		Subdomains: subs,
 		Links:      links,
 		Splits:     splits,
-		portIndex:  portIndex,
 		n:          n,
 	}, nil
 }
 
 // defaultVertexSplit distributes a boundary vertex's weight proportionally to
 // the absolute edge weight incident to each copy, and its source in the same
-// proportions. For a (weakly) diagonally dominant row this keeps every copy
-// weakly diagonally dominant, so all subgraphs of a diagonally dominant SPD
-// system are SNND — the hypothesis of Theorem 6.1.
-func defaultVertexSplit(parts []int, weight, source float64, incident map[int]float64) (weights, sources []float64) {
-	k := len(parts)
-	weights = make([]float64, k)
-	sources = make([]float64, k)
-	var total float64
-	for _, p := range parts {
-		total += incident[p]
-	}
-	if total <= 0 {
-		for i := range parts {
-			weights[i] = weight / float64(k)
-			sources[i] = source / float64(k)
+// proportions, into weights and sources (one entry per copy, like incident).
+// For a (weakly) diagonally dominant row this keeps every copy weakly
+// diagonally dominant, so all subgraphs of a diagonally dominant SPD system
+// are SNND — the hypothesis of Theorem 6.1.
+func defaultVertexSplit(weight, source float64, incident, weights, sources []float64) {
+	total := sum(incident)
+	for i, inc := range incident {
+		if total > 0 {
+			share := inc / total
+			weights[i], sources[i] = weight*share, source*share
+		} else {
+			k := float64(len(incident))
+			weights[i], sources[i] = weight/k, source/k
 		}
-		return weights, sources
 	}
-	for i, p := range parts {
-		share := incident[p] / total
-		weights[i] = weight * share
-		sources[i] = source * share
-	}
-	return weights, sources
 }
 
 func sum(xs []float64) float64 {
@@ -461,8 +419,8 @@ func (r *Result) NumParts() int { return len(r.Subdomains) }
 // PortLocalIndex returns the local port index of the copy of global vertex gv
 // in the given part, and whether such a copy exists.
 func (r *Result) PortLocalIndex(part, gv int) (int, bool) {
-	idx, ok := r.portIndex[part][gv]
-	return idx, ok
+	sub := r.Subdomains[part]
+	return slices.BinarySearch(sub.GlobalIdx[:sub.NumPorts], gv)
 }
 
 // AdjacentParts returns, for each part, the sorted list of parts it shares at
@@ -481,7 +439,7 @@ func (r *Result) AdjacentParts() [][]int {
 		for p := range s {
 			out[i] = append(out[i], p)
 		}
-		sort.Ints(out[i])
+		slices.Sort(out[i])
 	}
 	return out
 }

@@ -487,7 +487,7 @@ func TestEVSBoundaryCoverProperty(t *testing.T) {
 		for _, sv := range res.Splits {
 			split[sv.Global] = true
 		}
-		for _, e := range g.Edges() {
+		for e := range g.Edges() {
 			if a.Assign[e.U] != a.Assign[e.V] && !split[e.U] && !split[e.V] {
 				return false
 			}

@@ -7,11 +7,17 @@
 // boundary edges so that the per-part subsystems sum back to the original
 // system, and records the twin links between copies — the places where the DTM
 // engine will insert directed transmission line pairs (DTLPs).
+//
+// The graph is read-only and its orders are fixed (neighbours ascending, edges
+// ascending by (U, V)), so every partitioner and EVS are deterministic without
+// sorting anything they are handed. The breadth-first partitioners run on
+// graph.BFS; EVS keeps its per-vertex state in slices and walks the edge set
+// once.
 package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -122,73 +128,42 @@ func GridBlocks(nx, ny, px, py int) Assignment {
 // walking the vertices in breadth-first order from a pseudo-peripheral vertex
 // and cutting the ordering into equal chunks. Contiguity of each part is good
 // for connected graphs with small diameter growth (grids, meshes, circuits).
+// Vertices unreachable from the start follow, each remaining component walked
+// from its smallest vertex, so the order always covers the whole graph.
 func LevelSetGrow(g *graph.Electric, parts int) Assignment {
 	n := g.Order()
 	if parts <= 0 || n < parts {
 		panic(fmt.Sprintf("partition: LevelSetGrow needs 1 <= parts <= n, got n=%d parts=%d", n, parts))
 	}
-	order := bfsOrder(g, pseudoPeripheral(g))
+	// Marks: 0 unvisited, 2 the start's component after peripheral's two
+	// walks, 3 placed in the order.
+	mark := make([]int32, n)
+	order := make([]int, 0, n)
+	start := peripheral(g, 0, mark, 0, order, slices.Min[[]int])
+	order, _ = g.BFS(start, mark, 2, 3, order)
+	for v := range mark {
+		if mark[v] == 0 {
+			order, _ = g.BFS(v, mark, 0, 3, order)
+		}
+	}
 	assign := make([]int, n)
 	for rank, v := range order {
-		p := rank * parts / n
-		if p >= parts {
-			p = parts - 1
-		}
-		assign[v] = p
+		assign[v] = rank * parts / n
 	}
 	return Assignment{Parts: parts, Assign: assign}
 }
 
-// pseudoPeripheral returns a vertex of (approximately) maximal eccentricity by
-// the standard double-BFS heuristic, considering unreachable vertices last.
-func pseudoPeripheral(g *graph.Electric) int {
-	if g.Order() == 0 {
-		return 0
-	}
-	start := 0
-	for iter := 0; iter < 2; iter++ {
-		dist := g.BFSLevels(start)
-		far, fd := start, -1
-		for v, d := range dist {
-			if d > fd {
-				far, fd = v, d
-			}
-		}
-		start = far
+// peripheral returns a vertex of (approximately) maximal eccentricity among
+// the vertices marked m that are reachable from start, by the standard
+// double-BFS heuristic: walk from start, move to a vertex of the deepest
+// level — the one pick chooses — and walk again. It leaves the vertices it
+// reached marked m+2 and uses scratch's free capacity as the queue.
+func peripheral(g *graph.Electric, start int, mark []int32, m int32, scratch []int, pick func(deepest []int) int) int {
+	for pass := int32(0); pass < 2; pass++ {
+		order, last := g.BFS(start, mark, m+pass, m+pass+1, scratch[:0])
+		start = pick(order[last:])
 	}
 	return start
-}
-
-// bfsOrder returns all vertices in BFS order from start; vertices unreachable
-// from start are appended afterwards (each starting its own BFS) so the order
-// always covers the whole graph.
-func bfsOrder(g *graph.Electric, start int) []int {
-	n := g.Order()
-	seen := make([]bool, n)
-	order := make([]int, 0, n)
-	bfs := func(s int) {
-		if seen[s] {
-			return
-		}
-		queue := []int{s}
-		seen[s] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			for _, w := range g.Neighbors(v) {
-				if !seen[w] {
-					seen[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	bfs(start)
-	for v := 0; v < n; v++ {
-		bfs(v)
-	}
-	return order
 }
 
 // BoundaryVertices returns, for the given assignment, the sorted list of
@@ -205,14 +180,13 @@ func BoundaryVertices(g *graph.Electric, a Assignment) []int {
 			}
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // EdgeCut returns the number of edges whose endpoints lie in different parts.
 func EdgeCut(g *graph.Electric, a Assignment) int {
 	cut := 0
-	for _, e := range g.Edges() {
+	for e := range g.Edges() {
 		if a.Assign[e.U] != a.Assign[e.V] {
 			cut++
 		}

@@ -1,8 +1,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Triplet is a single (row, col, value) entry of a matrix in coordinate form.
@@ -65,37 +66,49 @@ func (c *COO) Triplets() []Triplet {
 }
 
 // ToCSR compiles the COO matrix into compressed-sparse-row form, summing
-// duplicates and dropping entries that cancel to exactly zero.
+// duplicates and dropping entries that cancel to exactly zero. It is a counting
+// sort by row followed by a stable sort by column within each row, so the
+// triplets of one position meet in the order they were added and are summed
+// left to right in that order.
 func (c *COO) ToCSR() *CSR {
-	ts := make([]Triplet, len(c.entries))
-	copy(ts, c.entries)
-	sort.Slice(ts, func(a, b int) bool {
-		if ts[a].Row != ts[b].Row {
-			return ts[a].Row < ts[b].Row
-		}
-		return ts[a].Col < ts[b].Col
-	})
-
-	rowPtr := make([]int, c.rows+1)
-	colIdx := make([]int, 0, len(ts))
-	vals := make([]float64, 0, len(ts))
-
-	i := 0
-	for i < len(ts) {
-		r, col := ts[i].Row, ts[i].Col
-		sum := 0.0
-		for i < len(ts) && ts[i].Row == r && ts[i].Col == col {
-			sum += ts[i].Val
-			i++
-		}
-		if sum != 0 {
-			colIdx = append(colIdx, col)
-			vals = append(vals, sum)
-			rowPtr[r+1]++
-		}
+	type entry struct {
+		col int
+		val float64
+	}
+	// Counting sort by row. end[r] starts as the offset of row r in byRow and,
+	// advanced by the scatter, finishes as the offset one past its last entry.
+	end := make([]int, c.rows+1)
+	for _, t := range c.entries {
+		end[t.Row+1]++
 	}
 	for r := 0; r < c.rows; r++ {
-		rowPtr[r+1] += rowPtr[r]
+		end[r+1] += end[r]
+	}
+	byRow := make([]entry, len(c.entries))
+	for _, t := range c.entries {
+		byRow[end[t.Row]] = entry{t.Col, t.Val}
+		end[t.Row]++
+	}
+
+	rowPtr := make([]int, c.rows+1)
+	colIdx := make([]int, 0, len(byRow))
+	vals := make([]float64, 0, len(byRow))
+	begin := 0
+	for r := 0; r < c.rows; r++ {
+		row := byRow[begin:end[r]]
+		begin = end[r]
+		slices.SortStableFunc(row, func(a, b entry) int { return cmp.Compare(a.col, b.col) })
+		for i := 0; i < len(row); {
+			col, sum := row[i].col, 0.0
+			for ; i < len(row) && row[i].col == col; i++ {
+				sum += row[i].val
+			}
+			if sum != 0 {
+				colIdx = append(colIdx, col)
+				vals = append(vals, sum)
+			}
+		}
+		rowPtr[r+1] = len(colIdx)
 	}
 	return &CSR{
 		rows:   c.rows,
