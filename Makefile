@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test bench cover clean
+.PHONY: all build vet test bench cover loc clean
 
 all: vet build test
 
@@ -26,6 +26,11 @@ bench:
 # or above the floor committed in COVERAGE_FLOOR.
 cover:
 	./scripts/coverage_gate.sh
+
+# The line counts CHANGES.md entries quote: non-test Go outside bench/, test
+# Go, bench/, and non-test lines per package.
+loc:
+	./scripts/loc.sh
 
 clean:
 	rm -f repro.test *.test *.out *.pprof

@@ -86,42 +86,34 @@ func main() {
 
 // dispatch runs the selected mode and returns the process exit code.
 func dispatch(exp string, quick, all, list bool) int {
-	registry := experiments.Registry()
 	switch {
 	case list:
 		fmt.Println("available experiments:")
-		for _, name := range experiments.Names() {
-			fmt.Printf("  %s\n", name)
+		for _, e := range experiments.Registry() {
+			fmt.Printf("  %s\n", e.Name)
 		}
-	case all:
-		for _, name := range experiments.Names() {
-			if err := runOne(registry, name, quick); err != nil {
-				fmt.Fprintf(os.Stderr, "dtmbench: %s: %v\n", name, err)
-				return 1
-			}
-		}
-	case exp != "":
-		if err := runOne(registry, exp, quick); err != nil {
-			fmt.Fprintf(os.Stderr, "dtmbench: %v\n", err)
-			return 1
-		}
-	default:
+		return 0
+	case !all && exp == "":
 		flag.Usage()
 		return 2
 	}
+	ran := false
+	for _, e := range experiments.Registry() {
+		if !all && e.Name != exp {
+			continue
+		}
+		ran = true
+		fmt.Printf("==== %s ====\n", e.Name)
+		start := time.Now()
+		if err := e.Run(os.Stdout, quick); err != nil {
+			fmt.Fprintf(os.Stderr, "dtmbench: %s: %v\n", e.Name, err)
+			return 1
+		}
+		fmt.Printf("---- %s done in %v ----\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "dtmbench: unknown experiment %q (use -list)\n", exp)
+		return 1
+	}
 	return 0
-}
-
-func runOne(registry map[string]experiments.Runner, name string, quick bool) error {
-	runner, ok := registry[name]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (use -list)", name)
-	}
-	fmt.Printf("==== %s ====\n", name)
-	start := time.Now()
-	if err := runner(os.Stdout, quick); err != nil {
-		return err
-	}
-	fmt.Printf("---- %s done in %v ----\n\n", name, time.Since(start).Round(time.Millisecond))
-	return nil
 }

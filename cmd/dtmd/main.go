@@ -49,7 +49,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -403,10 +402,7 @@ func selftest(o *options) error {
 	if err != nil {
 		return err
 	}
-	d := 0.0
-	for i := range res.X {
-		d = math.Max(d, math.Abs(res.X[i]-oracle.X[i]))
-	}
+	d := res.X.MaxAbsDiff(oracle.X)
 	mode := "clean"
 	if o.drop > 0 {
 		mode = fmt.Sprintf("drop=%g", o.drop)
@@ -428,7 +424,7 @@ func selftest(o *options) error {
 			return fmt.Errorf("selftest FAIL (mm): corrupted hash not refused with ErrHashMismatch (got %v)", cerr)
 		}
 	}
-	if d > 1e-6 {
+	if !(d <= 1e-6) { // a NaN distance fails too
 		return fmt.Errorf("selftest FAIL (%s): distributed X differs from DES oracle by %g (> 1e-6)", mode, d)
 	}
 	fmt.Printf("selftest PASS (%s): %d worker processes, %d parts, max |x_dist - x_des| = %.3e, %d solves, %d messages, %d failovers (epoch %d)\n",

@@ -72,8 +72,9 @@
 //     survivors, and rejoin of restarted workers at a higher incarnation;
 //   - internal/iterative — the classical baselines (CG, Jacobi, Gauss–Seidel,
 //     SOR, synchronous and asynchronous block-Jacobi);
-//   - internal/experiments — one entry point per figure/table of the paper's
-//     evaluation plus the comparisons and ablations of DESIGN.md.
+//   - internal/experiments — one registry of experiments: every figure of the
+//     paper's evaluation plus the comparisons and ablations of DESIGN.md,
+//     most of them lists of legs on one torn problem.
 //
 // The executables cmd/dtmsolve, cmd/dtmbench, cmd/dtmgen and cmd/dtmd (the
 // distributed DTM server) and the programs under examples/ exercise the same

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/sparse"
 	"repro/internal/transport"
 )
 
@@ -20,12 +18,23 @@ import (
 // member boundaries in both directions.
 var quickSpec = SpecV2{V: 2, Source: "grid:rows=17,cols=17,seed=3", PartsX: 2, PartsY: 2}
 
-// fabric builds an n-member network plus teardown.
+// fabricFn builds an n-member network, closed again when the test ends.
 type fabricFn func(t *testing.T, n int) []transport.Transport
 
 func chanFabric(t *testing.T, n int) []transport.Transport {
+	return closeAtCleanup(t, transport.NewChanNetwork(n))
+}
+
+func tcpFabric(t *testing.T, n int) []transport.Transport {
 	t.Helper()
-	members := transport.NewChanNetwork(n)
+	members, err := transport.NewTCPLoopback(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return closeAtCleanup(t, members)
+}
+
+func closeAtCleanup(t *testing.T, members []transport.Transport) []transport.Transport {
 	t.Cleanup(func() {
 		for _, m := range members {
 			m.Close()
@@ -34,83 +43,46 @@ func chanFabric(t *testing.T, n int) []transport.Transport {
 	return members
 }
 
-func tcpFabric(t *testing.T, n int) []transport.Transport {
+// faultWrap is the Fleet decorator that puts every worker member behind an
+// enabled fault spec (nil for an empty one). Distinct seed per member:
+// independent fate streams, like the engines' per-pair streams.
+func faultWrap(t *testing.T, faults string, nMembers int) func(int, transport.Transport) transport.Transport {
 	t.Helper()
-	lns := make([]net.Listener, n)
-	addrs := make(map[int]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+	if faults == "" {
+		return nil
 	}
-	members := make([]transport.Transport, n)
-	for i := 0; i < n; i++ {
-		members[i] = transport.NewTCPFromListener(i, lns[i], addrs)
+	fs, err := chaos.ParseSpec(faults)
+	if err != nil {
+		t.Fatalf("fault spec: %v", err)
 	}
-	t.Cleanup(func() {
-		for _, m := range members {
-			m.Close()
+	return func(member int, tr transport.Transport) transport.Transport {
+		if member == 0 {
+			return tr
 		}
-	})
-	return members
+		own := *fs
+		own.Seed += int64(member)
+		return transport.WithFaults(tr, &own, nMembers, 100*time.Microsecond)
+	}
 }
 
 // runDistributed runs one coordinated solve: member 0 coordinates, members
 // 1..n-1 are workers, optionally behind an enabled fault spec.
 func runDistributed(t *testing.T, fab fabricFn, nWorkers int, spec SpecV2, faults string) *Result {
 	t.Helper()
-	members := fab(t, nWorkers+1)
+	f := NewFleet(fab(t, nWorkers+1), faultWrap(t, faults, nWorkers+1))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-
-	var wg sync.WaitGroup
-	workers := make([]int, nWorkers)
-	for i := 1; i <= nWorkers; i++ {
-		workers[i-1] = i
-		wtr := members[i]
-		if faults != "" {
-			fs, err := chaos.ParseSpec(faults)
-			if err != nil {
-				t.Fatalf("fault spec: %v", err)
-			}
-			// Distinct seed per member: independent fate streams, like the
-			// engines' per-pair streams.
-			fs.Seed += int64(i)
-			wtr = transport.WithFaults(wtr, fs, nWorkers+1, 100*time.Microsecond)
-		}
-		w := NewWorker(wtr)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Run(ctx); err != nil && ctx.Err() == nil {
-				t.Errorf("worker: %v", err)
-			}
-		}()
-	}
-	res, err := Coordinate(ctx, members[0], CoordConfig{
-		Spec: spec, Workers: workers, Tol: 1e-9,
+	res, err := f.Coordinate(ctx, CoordConfig{
+		Spec: spec, Tol: 1e-9,
 		WatchdogMS: 20, PollInterval: 5 * time.Millisecond,
 	})
+	if werr := f.Close(); werr != nil {
+		t.Errorf("worker: %v", werr)
+	}
 	if err != nil {
 		t.Fatalf("coordinate: %v", err)
 	}
-	// Shut the workers down so the goroutines exit before cleanup.
-	for _, w := range workers {
-		_ = sendCtrl(ctx, members[0], w, &ctrlMsg{Type: msgShutdown})
-	}
-	wg.Wait()
 	return res
-}
-
-func maxAbsDiff(a, b sparse.Vec) float64 {
-	d := 0.0
-	for i := range a {
-		d = math.Max(d, math.Abs(a[i]-b[i]))
-	}
-	return d
 }
 
 // checkAgainstOracle asserts the acceptance bar: the distributed run
@@ -125,7 +97,7 @@ func checkAgainstOracle(t *testing.T, res *Result, spec SpecV2) {
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
-	if d := maxAbsDiff(res.X, oracle.X); !(d <= 1e-6) {
+	if d := res.X.MaxAbsDiff(oracle.X); !(d <= 1e-6) {
 		t.Fatalf("distributed X differs from DES oracle by %g (> 1e-6)", d)
 	}
 	if res.Solves == 0 || res.Messages == 0 {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/transport"
 )
 
@@ -30,79 +29,43 @@ type failoverOpts struct {
 	coordWrap func(transport.Transport) transport.Transport
 }
 
-// runFailoverKill runs a coordinated solve and kills the last worker at poll
-// 1 by cancelling its private context — the in-process analogue of SIGKILL:
-// the goroutines stop dead, the transport member stays bound, queued and
-// in-flight packets go stale.
+// runFailoverKill runs a coordinated solve on a Fleet and kills the last
+// worker at poll 1.
 func runFailoverKill(t *testing.T, o failoverOpts) (*Result, error) {
 	t.Helper()
-	members := o.fab(t, o.nWorkers+1)
+	faults := faultWrap(t, o.faults, o.nWorkers+1)
+	f := NewFleet(o.fab(t, o.nWorkers+1), func(member int, tr transport.Transport) transport.Transport {
+		switch {
+		case member == 0 && o.coordWrap != nil:
+			return o.coordWrap(tr)
+		case faults != nil:
+			return faults(member, tr)
+		}
+		return tr
+	})
+	defer f.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	mktr := func(i int) transport.Transport {
-		wtr := members[i]
-		if o.faults != "" {
-			fs, err := chaos.ParseSpec(o.faults)
-			if err != nil {
-				t.Fatalf("fault spec: %v", err)
-			}
-			fs.Seed += int64(i)
-			wtr = transport.WithFaults(wtr, fs, o.nWorkers+1, 100*time.Microsecond)
-		}
-		return wtr
-	}
-
-	var wg sync.WaitGroup
-	workers := make([]int, o.nWorkers)
-	cancels := make([]context.CancelFunc, o.nWorkers+1)
-	for i := 1; i <= o.nWorkers; i++ {
-		workers[i-1] = i
-		wctx, wcancel := context.WithCancel(ctx)
-		cancels[i] = wcancel
-		w := NewWorker(mktr(i))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run(wctx)
-		}()
-	}
-
 	victim := o.nWorkers
-	ctr := members[0]
-	if o.coordWrap != nil {
-		ctr = o.coordWrap(ctr)
-	}
-	var killOnce, restartOnce sync.Once
-	res, err := Coordinate(ctx, ctr, CoordConfig{
-		Spec: quickSpec, Workers: workers, Tol: 1e-9,
+	var killed, restarted bool
+	return f.Coordinate(ctx, CoordConfig{
+		Spec: quickSpec, Tol: 1e-9,
 		WatchdogMS: 20, PollInterval: 5 * time.Millisecond,
 		HeartbeatMS: 10, LeaseBeats: 4,
 		StablePolls:     max(o.stablePolls, 4),
 		DisableFailover: o.disable,
 		OnPoll: func(p int) {
-			if p >= 1 {
-				killOnce.Do(cancels[victim])
+			if p >= 1 && !killed {
+				killed = true
+				f.Kill(victim)
 			}
-			if o.restartAtPoll > 0 && p >= o.restartAtPoll {
-				restartOnce.Do(func() {
-					w := NewWorker(mktr(victim))
-					w.Incarnation = 2
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						_ = w.Run(ctx)
-					}()
-				})
+			if o.restartAtPoll > 0 && p >= o.restartAtPoll && !restarted {
+				restarted = true
+				f.Start(victim, 2)
 			}
 		},
 	})
-	for _, w := range workers {
-		_ = sendCtrl(ctx, members[0], w, &ctrlMsg{Type: msgShutdown})
-	}
-	cancel()
-	wg.Wait()
-	return res, err
 }
 
 func TestFailoverChanMatchesOracle(t *testing.T) {
@@ -235,34 +198,24 @@ func (s *stallTransport) Recv(ctx context.Context) (transport.Packet, error) {
 // stall for its workers' deaths (regression: one 300 ms stall burned three
 // of the eight epochs).
 func TestCoordinatorStallDoesNotExpireLiveWorkers(t *testing.T) {
-	const nWorkers = 3
-	members := chanFabric(t, nWorkers+1)
+	// 300 ms is six 40–50 ms leases.
+	coord := &stallTransport{d: 300 * time.Millisecond}
+	f := NewFleet(chanFabric(t, 4), func(member int, tr transport.Transport) transport.Transport {
+		if member == 0 {
+			coord.Transport = tr
+			return coord
+		}
+		return tr
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	var wg sync.WaitGroup
-	workers := make([]int, nWorkers)
-	for i := 1; i <= nWorkers; i++ {
-		workers[i-1] = i
-		w := NewWorker(members[i])
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run(ctx)
-		}()
-	}
-	// 300 ms is six 40–50 ms leases.
-	coord := &stallTransport{Transport: members[0], d: 300 * time.Millisecond}
-	res, err := Coordinate(ctx, coord, CoordConfig{
-		Spec: quickSpec, Workers: workers, Tol: 1e-9,
+	res, err := f.Coordinate(ctx, CoordConfig{
+		Spec: quickSpec, Tol: 1e-9,
 		WatchdogMS: 20, PollInterval: 5 * time.Millisecond,
 		HeartbeatMS: 10, LeaseBeats: 4, StablePolls: 4,
 		OnPoll: func(p int) { coord.armed = p >= 2 },
 	})
-	for _, w := range workers {
-		_ = sendCtrl(ctx, members[0], w, &ctrlMsg{Type: msgShutdown})
-	}
-	cancel()
-	wg.Wait()
+	f.Close()
 	if err != nil {
 		t.Fatalf("coordinate: %v", err)
 	}
@@ -274,6 +227,57 @@ func TestCoordinatorStallDoesNotExpireLiveWorkers(t *testing.T) {
 			res.Failovers, res.Rejoins, res.Epoch)
 	}
 	checkAgainstOracle(t, res, quickSpec)
+}
+
+// TestFleetCloseAfterKill: a fleet abandoned in the worst state — one worker
+// killed mid-session, the coordinator gone (its context cancelled) with the
+// survivors still solving — must still shut down: Close returns, and after it
+// every member refuses sends with the fabric's closed error.
+func TestFleetCloseAfterKill(t *testing.T) {
+	for _, fab := range []struct {
+		name string
+		make fabricFn
+	}{{"chan", chanFabric}, {"tcp", tcpFabric}} {
+		t.Run(fab.name, func(t *testing.T) {
+			t.Parallel()
+			members := fab.make(t, 4)
+			f := NewFleet(members, nil)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, err := f.Coordinate(ctx, CoordConfig{
+				Spec: quickSpec, Tol: 1e-9,
+				HeartbeatMS: 10, LeaseBeats: 4, PollInterval: 5 * time.Millisecond,
+				StablePolls: 1000, // keep polling: the kill must land mid-solve
+				OnPoll: func(p int) {
+					if p == 1 {
+						f.Kill(3)
+						cancel()
+					}
+				},
+			})
+			// The cancelled coordinator still stops and gathers (5 s of grace);
+			// the killed worker never answers.
+			if !errors.Is(err, ErrWorkerLost) {
+				t.Fatalf("coordinate: %v, want the killed worker reported lost", err)
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- f.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Errorf("close: %v", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("Close hangs after a kill and an abandoned session")
+			}
+			for i, m := range members {
+				err := m.Send(context.Background(), (i+1)%len(members), transport.Packet{Kind: transport.KindControl})
+				if !errors.Is(err, transport.ErrClosed) {
+					t.Errorf("member %d: send after Close: %v, want ErrClosed", i, err)
+				}
+			}
+		})
+	}
 }
 
 func TestFailoverDisabledSurfacesLoss(t *testing.T) {
@@ -339,26 +343,17 @@ func TestWorkerLostReady(t *testing.T) {
 // TestWorkerLostStatus: the sole worker goes silent mid-solve; with no
 // survivors to fail over to, the poll loop surfaces a typed loss.
 func TestWorkerLostStatus(t *testing.T) {
-	members := chanFabric(t, 2)
+	f := NewFleet(chanFabric(t, 2), nil)
+	defer f.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	wctx, wcancel := context.WithCancel(ctx)
-	defer wcancel()
-	var wg sync.WaitGroup
-	w := NewWorker(members[1])
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = w.Run(wctx)
-	}()
-	var killOnce sync.Once
-	_, err := Coordinate(ctx, members[0], CoordConfig{
-		Spec: quickSpec, Workers: []int{1}, Tol: 1e-9,
+	_, err := f.Coordinate(ctx, CoordConfig{
+		Spec: quickSpec, Tol: 1e-9,
 		HeartbeatMS: 10, LeaseBeats: 3, PollInterval: 5 * time.Millisecond,
 		StablePolls: 1000, // keep polling: the kill must land mid-solve
 		OnPoll: func(p int) {
 			if p >= 1 {
-				killOnce.Do(wcancel)
+				f.Kill(1)
 			}
 		},
 	})
@@ -369,7 +364,6 @@ func TestWorkerLostStatus(t *testing.T) {
 	if wl.Worker != 1 || wl.Phase != "poll" || len(wl.Parts) != quickSpec.Parts() {
 		t.Fatalf("loss misattributed: %+v", wl)
 	}
-	wg.Wait()
 }
 
 // steppedAssign builds the epoch-1 assignment used by the deterministic

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/dtl"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
-	"repro/internal/sparse"
 	"repro/internal/topology"
 )
 
@@ -31,55 +29,55 @@ type CompareParams struct {
 	VTMMaxIterations int
 }
 
-// DefaultCompareParams uses the paper's 16-processor heterogeneous mesh and the
-// 1089-unknown grid system of Section 7.
-func DefaultCompareParams() CompareParams {
-	return CompareParams{
-		Spec:             tornOnMesh("poisson:nx=33,ny=33", 4),
-		MaxTime:          15000,
-		TargetError:      1e-6,
-		VTMMaxIterations: 3000,
+// compareParams is the paper's 16-processor heterogeneous mesh and the
+// 1089-unknown grid system of Section 7; quick, the 289-unknown one.
+func compareParams(quick bool) CompareParams {
+	if quick {
+		return CompareParams{Spec: tornOnMesh("poisson:nx=17,ny=17", 4), MaxTime: 8000, TargetError: 1e-4, VTMMaxIterations: 600}
 	}
+	return CompareParams{Spec: tornOnMesh("poisson:nx=33,ny=33", 4), MaxTime: 15000, TargetError: 1e-6, VTMMaxIterations: 3000}
 }
 
-// QuickCompareParams is a reduced configuration for tests and -short benches.
-func QuickCompareParams() CompareParams {
-	return CompareParams{
-		Spec:             tornOnMesh("poisson:nx=17,ny=17", 4),
-		MaxTime:          8000,
-		TargetError:      1e-4,
-		VTMMaxIterations: 600,
-	}
+// comparison is the shared workload of one comparison run: the torn problem
+// with its reference solution, and the configuration every leg runs under —
+// stop at the target RMS error, trace on, the common horizon.
+type comparison struct {
+	setup
+	p    CompareParams
+	base core.Config
 }
 
-// comparisonSetup bundles the shared pieces of one comparison run: the torn
-// problem on the configured machine, its system and its reference solution.
-type comparisonSetup struct {
-	sys   sparse.System
-	exact sparse.Vec
-	prob  *core.Problem
-}
-
-// buildComparison materialises the shared workload of a comparison experiment.
-func (p CompareParams) buildComparison() (comparisonSetup, error) {
-	var shared comparisonSetup
+func (p CompareParams) build() (comparison, error) {
 	if p.MaxTime <= 0 || p.TargetError <= 0 {
-		return shared, fmt.Errorf("experiments: compare params need a positive horizon and target error")
+		return comparison{}, fmt.Errorf("experiments: compare params need a positive horizon and target error")
 	}
-	var err error
-	shared.prob, err = p.Spec.Build()
-	if err != nil {
-		return shared, err
-	}
-	shared.sys = shared.prob.System
-	shared.exact, err = Reference(shared.sys)
-	return shared, err
+	s, err := build(p.Spec)
+	return comparison{s, p, core.Config{
+		CommonOptions: core.CommonOptions{Exact: s.exact, StopOnError: p.TargetError, RecordTrace: true},
+		MaxTime:       p.MaxTime,
+	}}, err
 }
 
-// on moves the shared problem — same system, same tearing — onto another
-// machine.
-func (c comparisonSetup) on(topo *topology.Topology) (*core.Problem, error) {
-	return core.NewProblem(c.sys, c.prob.Partition, topo, nil)
+// dtm runs the legs and reads one table row off each result.
+func (c comparison) dtm(legs ...leg) ([]CompareRow, error) {
+	outs, err := c.run(c.base, legs...)
+	rows := make([]CompareRow, len(outs))
+	for i, o := range outs {
+		rows[i] = CompareRow{
+			Solver:       o.label,
+			FinalRMS:     o.RMSError,
+			TimeToTarget: o.TimeToError(c.p.TargetError),
+			Iterations:   o.SyncSweepsDone, // the mixed engine's barrier sweeps; 0 for plain DTM
+			Solves:       o.Solves,
+			Messages:     o.Messages,
+			Converged:    o.Converged,
+		}
+	}
+	return rows, err
+}
+
+func (c comparison) result(title string, rows []CompareRow, notes ...string) *CompareResult {
+	return &CompareResult{Title: title, N: c.prob.System.Dim(), Target: c.p.TargetError, Rows: rows, Notes: notes}
 }
 
 // CompareRow is one solver's line in a comparison table.
@@ -152,74 +150,36 @@ func slowestRoundTrip(t *topology.Topology) float64 {
 // sweeps, but on a heterogeneous machine every sweep costs the slowest
 // round-trip, whereas DTM's subdomains keep computing at their own pace.
 func CompareDTMvsVTM(p CompareParams) (*CompareResult, error) {
-	shared, err := p.buildComparison()
+	c, err := p.build()
 	if err != nil {
 		return nil, err
 	}
-	out := &CompareResult{
-		Title:  "DTM vs. VTM (synchronous special case) on " + shared.prob.Topology.Name(),
-		N:      shared.sys.Dim(),
-		Target: p.TargetError,
+	rows, err := c.dtm(leg{label: "DTM (asynchronous, heterogeneous delays)"})
+	if err != nil {
+		return nil, err
 	}
-
-	dtmRes, err := core.Solve(context.Background(), shared.prob, core.Config{
-		CommonOptions: core.CommonOptions{
-			Exact:       shared.exact,
-			StopOnError: p.TargetError,
-			RecordTrace: true,
-		},
-		MaxTime: p.MaxTime,
+	outs, err := c.run(c.base, leg{
+		label: "VTM (synchronous, one sweep per slowest round-trip)",
+		delta: func(cfg *core.Config) { cfg.Engine, cfg.MaxIterations = core.EngineVTM, p.VTMMaxIterations },
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.Rows = append(out.Rows, CompareRow{
-		Solver:       "DTM (asynchronous, heterogeneous delays)",
-		FinalRMS:     dtmRes.RMSError,
-		TimeToTarget: dtmRes.TimeToError(p.TargetError),
-		Solves:       dtmRes.Solves,
-		Messages:     dtmRes.Messages,
-		Converged:    dtmRes.Converged,
+	// A VTM trace is indexed by sweep, and a sweep costs the slowest round-trip.
+	vtm, rt := outs[0], slowestRoundTrip(c.prob.Topology)
+	rows = append(rows, CompareRow{
+		Solver:       vtm.label,
+		FinalRMS:     vtm.RMSError,
+		TimeToTarget: vtm.TimeToError(p.TargetError) * rt,
+		Iterations:   vtm.Iterations,
+		Solves:       vtm.Iterations * c.prob.Partition.NumParts(),
+		Messages:     vtm.Iterations * 2 * len(c.prob.Partition.Links),
+		Converged:    vtm.Converged,
 	})
-
-	vtmRes, err := core.Solve(context.Background(), shared.prob, core.Config{
-		CommonOptions: core.CommonOptions{
-			Exact:       shared.exact,
-			StopOnError: p.TargetError,
-			RecordTrace: true,
-		},
-		Engine:        core.EngineVTM,
-		MaxIterations: p.VTMMaxIterations,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rt := slowestRoundTrip(shared.prob.Topology)
-	vtmIterToTarget := math.NaN()
-	for _, tp := range vtmRes.Trace {
-		if !math.IsNaN(tp.RMSError) && tp.RMSError <= p.TargetError {
-			vtmIterToTarget = tp.Time
-			break
-		}
-	}
-	vtmTime := math.NaN()
-	if !math.IsNaN(vtmIterToTarget) {
-		vtmTime = vtmIterToTarget * rt
-	}
-	out.Rows = append(out.Rows, CompareRow{
-		Solver:       "VTM (synchronous, one sweep per slowest round-trip)",
-		FinalRMS:     vtmRes.RMSError,
-		TimeToTarget: vtmTime,
-		Iterations:   vtmRes.Iterations,
-		Solves:       vtmRes.Iterations * shared.prob.Partition.NumParts(),
-		Messages:     vtmRes.Iterations * 2 * len(shared.prob.Partition.Links),
-		Converged:    vtmRes.Converged,
-	})
-	out.Notes = append(out.Notes,
+	return c.result("DTM vs. VTM (synchronous special case) on "+c.prob.Topology.Name(), rows,
 		fmt.Sprintf("slowest round-trip on this machine: %.0f ms; VTM pays it on every sweep, DTM never waits for it", rt),
 		"the paper's conclusion — VTM needs fewer transmissions, DTM needs no synchronisation — corresponds to VTM's lower iteration count and DTM's per-subdomain progress",
-	)
-	return out, nil
+	), nil
 }
 
 // CompareAsyncJacobi contrasts DTM with the traditional asynchronous
@@ -227,143 +187,87 @@ func CompareDTMvsVTM(p CompareParams) (*CompareResult, error) {
 // partition, and message accounting — the Section 1 claim that classical
 // asynchronous iterations are not competitive.
 func CompareAsyncJacobi(p CompareParams) (*CompareResult, error) {
-	shared, err := p.buildComparison()
+	c, err := p.build()
 	if err != nil {
 		return nil, err
 	}
-	out := &CompareResult{
-		Title:  "DTM vs. asynchronous block-Jacobi on " + shared.prob.Topology.Name(),
-		N:      shared.sys.Dim(),
-		Target: p.TargetError,
-	}
-
-	dtmRes, err := core.Solve(context.Background(), shared.prob, core.Config{
-		CommonOptions: core.CommonOptions{
-			Exact:       shared.exact,
-			StopOnError: p.TargetError,
-			RecordTrace: true,
-		},
-		MaxTime: p.MaxTime,
-	})
+	rows, err := c.dtm(leg{label: "DTM"})
 	if err != nil {
 		return nil, err
 	}
-	out.Rows = append(out.Rows, CompareRow{
-		Solver:       "DTM",
-		FinalRMS:     dtmRes.RMSError,
-		TimeToTarget: dtmRes.TimeToError(p.TargetError),
-		Solves:       dtmRes.Solves,
-		Messages:     dtmRes.Messages,
-		Converged:    dtmRes.Converged,
-	})
+	sys, assign := c.prob.System, c.prob.Partition.Assign
 
-	assign := shared.prob.Partition.Assign
-	ajRes, err := iterative.AsyncBlockJacobi(shared.sys.A, shared.sys.B, assign, shared.prob.Topology, iterative.AsyncOptions{
-		MaxTime:     p.MaxTime,
-		Exact:       shared.exact,
-		RecordTrace: true,
+	aj, err := iterative.AsyncBlockJacobi(sys.A, sys.B, assign, c.prob.Topology, iterative.AsyncOptions{
+		MaxTime: p.MaxTime, Exact: c.exact, RecordTrace: true,
 	})
 	if err != nil {
 		return nil, err
 	}
 	ajTime := math.NaN()
-	for _, tp := range ajRes.Trace {
-		if !math.IsNaN(tp.RMSError) && tp.RMSError <= p.TargetError {
+	for _, tp := range aj.Trace {
+		if tp.RMSError <= p.TargetError {
 			ajTime = tp.Time
 			break
 		}
 	}
-	out.Rows = append(out.Rows, CompareRow{
+	rows = append(rows, CompareRow{
 		Solver:       "asynchronous block-Jacobi (chaotic relaxation)",
-		FinalRMS:     ajRes.RMSError,
+		FinalRMS:     aj.RMSError,
 		TimeToTarget: ajTime,
-		Solves:       ajRes.Solves,
-		Messages:     ajRes.Messages,
+		Solves:       aj.Solves,
+		Messages:     aj.Messages,
 		Converged:    !math.IsNaN(ajTime),
 	})
 
-	syncAssignCfg := iterative.Config{MaxIterations: p.VTMMaxIterations, Tol: 1e-12, Exact: shared.exact}
-	_, bjStats, err := iterative.BlockJacobi(shared.sys.A, shared.sys.B, assign, syncAssignCfg)
+	_, bj, err := iterative.BlockJacobi(sys.A, sys.B, assign, iterative.Config{MaxIterations: p.VTMMaxIterations, Tol: 1e-12, Exact: c.exact})
 	if err != nil {
 		return nil, err
 	}
-	rt := slowestRoundTrip(shared.prob.Topology)
-	bjIterToTarget := math.NaN()
-	for k, e := range bjStats.ErrorTrace {
+	bjTime, bjFinal := math.NaN(), math.NaN()
+	for k, e := range bj.ErrorTrace {
 		if e <= p.TargetError {
-			bjIterToTarget = float64(k + 1)
+			bjTime = float64(k+1) * slowestRoundTrip(c.prob.Topology)
 			break
 		}
 	}
-	bjTime := math.NaN()
-	if !math.IsNaN(bjIterToTarget) {
-		bjTime = bjIterToTarget * rt
+	if n := len(bj.ErrorTrace); n > 0 {
+		bjFinal = bj.ErrorTrace[n-1]
 	}
-	finalBJ := math.NaN()
-	if len(bjStats.ErrorTrace) > 0 {
-		finalBJ = bjStats.ErrorTrace[len(bjStats.ErrorTrace)-1]
-	}
-	out.Rows = append(out.Rows, CompareRow{
+	rows = append(rows, CompareRow{
 		Solver:       "synchronous block-Jacobi (one sweep per slowest round-trip)",
-		FinalRMS:     finalBJ,
+		FinalRMS:     bjFinal,
 		TimeToTarget: bjTime,
-		Iterations:   bjStats.Iterations,
-		Solves:       bjStats.Iterations * assign.Parts,
+		Iterations:   bj.Iterations,
+		Solves:       bj.Iterations * assign.Parts,
 		Converged:    !math.IsNaN(bjTime),
 	})
-	out.Notes = append(out.Notes,
+	return c.result("DTM vs. asynchronous block-Jacobi on "+c.prob.Topology.Name(), rows,
 		"all three solvers use the same 16-block partition; DTM and async block-Jacobi also share the discrete-event machine model",
-	)
-	return out, nil
+	), nil
 }
 
 // AblationImpedance measures how the characteristic-impedance strategy changes
 // the convergence speed of DTM on a realistic mesh problem — the system-level
 // counterpart of the Fig. 9 sweep on the 4-unknown example.
 func AblationImpedance(p CompareParams) (*CompareResult, error) {
-	shared, err := p.buildComparison()
+	c, err := p.build()
 	if err != nil {
 		return nil, err
 	}
-	out := &CompareResult{
-		Title:  "Ablation — characteristic-impedance strategy",
-		N:      shared.sys.Dim(),
-		Target: p.TargetError,
+	var legs []leg
+	for _, s := range []dtl.ImpedanceStrategy{
+		dtl.Constant{Z: 0.05}, dtl.Constant{Z: 0.5}, dtl.Constant{Z: 5},
+		dtl.DiagScaled{Alpha: 0.5}, dtl.DiagScaled{Alpha: 1}, dtl.DiagScaled{Alpha: 2},
+	} {
+		legs = append(legs, leg{label: "DTM, Z = " + s.Name(), delta: func(cfg *core.Config) { cfg.Impedance = s }})
 	}
-	strategies := []dtl.ImpedanceStrategy{
-		dtl.Constant{Z: 0.05},
-		dtl.Constant{Z: 0.5},
-		dtl.Constant{Z: 5},
-		dtl.DiagScaled{Alpha: 0.5},
-		dtl.DiagScaled{Alpha: 1},
-		dtl.DiagScaled{Alpha: 2},
+	rows, err := c.dtm(legs...)
+	if err != nil {
+		return nil, err
 	}
-	for _, s := range strategies {
-		res, err := core.Solve(context.Background(), shared.prob, core.Config{
-			CommonOptions: core.CommonOptions{
-				Impedance:   s,
-				Exact:       shared.exact,
-				StopOnError: p.TargetError,
-				RecordTrace: true,
-			},
-			MaxTime: p.MaxTime,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, CompareRow{
-			Solver:       "DTM, Z = " + s.Name(),
-			FinalRMS:     res.RMSError,
-			TimeToTarget: res.TimeToError(p.TargetError),
-			Solves:       res.Solves,
-			Messages:     res.Messages,
-			Converged:    res.Converged,
-		})
-	}
-	out.Notes = append(out.Notes,
+	return c.result("Ablation — characteristic-impedance strategy", rows,
 		"Theorem 6.1: every positive impedance converges; the strategy only changes the speed (Fig. 9 on the small example, this table on a mesh problem)",
-	)
-	return out, nil
+	), nil
 }
 
 // AblationDelays sweeps the heterogeneity of the communication delays (the
@@ -371,143 +275,58 @@ func AblationImpedance(p CompareParams) (*CompareResult, error) {
 // degrades — the sensitivity study behind the paper's claim that DTM is at
 // home on "terrible" parallel environments.
 func AblationDelays(p CompareParams) (*CompareResult, error) {
-	shared, err := p.buildComparison()
+	c, err := p.build()
 	if err != nil {
 		return nil, err
 	}
-	exact, px, py := shared.exact, p.Spec.PartsX, p.Spec.PartsY
-	out := &CompareResult{
-		Title:  "Ablation — delay heterogeneity (uniform 10 ms base, max/min ratio swept)",
-		N:      shared.sys.Dim(),
-		Target: p.TargetError,
-	}
-	ratios := []float64{1, 3, 10, 30}
-	for i, ratio := range ratios {
-		var topo *topology.Topology
+	px, py := p.Spec.PartsX, p.Spec.PartsY
+	var legs []leg
+	for i, ratio := range []float64{1, 3, 10, 30} {
 		name := fmt.Sprintf("mesh %dx%d, delays U[10,%.0f] ms", px, py, 10*ratio)
-		if ratio == 1 {
-			topo = topology.Mesh(px, py, name, func(_, _ int) float64 { return 10 })
-		} else {
+		topo := topology.Mesh(px, py, name, func(_, _ int) float64 { return 10 })
+		if ratio != 1 {
 			topo = topology.MeshUniformRandom(px, py, 10, 10*ratio, int64(1000+i), name)
 		}
-		prob, err := shared.on(topo)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.Solve(context.Background(), prob, core.Config{
-			CommonOptions: core.CommonOptions{
-				Exact:       exact,
-				StopOnError: p.TargetError,
-				RecordTrace: true,
-			},
-			MaxTime: p.MaxTime,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, CompareRow{
-			Solver:       name,
-			FinalRMS:     res.RMSError,
-			TimeToTarget: res.TimeToError(p.TargetError),
-			Solves:       res.Solves,
-			Messages:     res.Messages,
-			Converged:    res.Converged,
-		})
+		legs = append(legs, leg{label: name, topo: topo})
 	}
-	out.Notes = append(out.Notes,
+	rows, err := c.dtm(legs...)
+	if err != nil {
+		return nil, err
+	}
+	return c.result("Ablation — delay heterogeneity (uniform 10 ms base, max/min ratio swept)", rows,
 		"convergence never breaks as the delays become more heterogeneous (Theorem 6.1 holds for arbitrary positive delays); only the wall-clock time stretches with the slowest links",
-	)
-	return out, nil
+	), nil
 }
 
 // AblationMixedSync explores the sync/async middle ground the paper's
 // conclusions speculate about ("global-async-local-sync"): the same workload is
 // run on a fully heterogeneous mesh, on a clustered mesh whose intra-cluster
 // links are fast (local synchrony is nearly free) while inter-cluster links
-// stay slow and asymmetric, and on a fully uniform mesh (the VTM-like limit).
+// stay slow and asymmetric, and on a fully uniform mesh (the VTM-like limit) —
+// and, the time-domain variant of the same idea ("async-sync-async-sync"), in
+// asynchronous windows on the heterogeneous mesh separated by one global sweep.
 func AblationMixedSync(p CompareParams) (*CompareResult, error) {
-	shared, err := p.buildComparison()
+	c, err := p.build()
 	if err != nil {
 		return nil, err
 	}
-	exact, px, py := shared.exact, p.Spec.PartsX, p.Spec.PartsY
-	out := &CompareResult{
-		Title:  "Ablation — sync/async mixing via the delay structure (GALS)",
-		N:      shared.sys.Dim(),
-		Target: p.TargetError,
-	}
-
-	type variant struct {
-		name string
-		topo *topology.Topology
-	}
-	variants := []variant{
-		{"fully asynchronous (heterogeneous 10–99 ms)", heterogeneousMesh(px, py)},
-		{"global-async-local-sync (1 ms inside 2x2 clusters, 10–99 ms between)", galsMesh(px, py)},
-		{"fully synchronous-like (uniform 10 ms)", topology.Mesh(px, py, "uniform 10 ms mesh", func(_, _ int) float64 { return 10 })},
-	}
-	for _, v := range variants {
-		prob, err := shared.on(v.topo)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.Solve(context.Background(), prob, core.Config{
-			CommonOptions: core.CommonOptions{
-				Exact:       exact,
-				StopOnError: p.TargetError,
-				RecordTrace: true,
-			},
-			MaxTime: p.MaxTime,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, CompareRow{
-			Solver:       v.name,
-			FinalRMS:     res.RMSError,
-			TimeToTarget: res.TimeToError(p.TargetError),
-			Solves:       res.Solves,
-			Messages:     res.Messages,
-			Converged:    res.Converged,
-		})
-	}
-
-	// The time-domain variant of the same idea ("async-sync-async-sync",
-	// synchronising once after a period of asynchronisation): asynchronous
-	// windows on the heterogeneous mesh separated by one global sweep.
-	prob, err := shared.on(heterogeneousMesh(px, py))
+	px, py := p.Spec.PartsX, p.Spec.PartsY
+	rows, err := c.dtm(
+		leg{label: "fully asynchronous (heterogeneous 10–99 ms)", topo: heterogeneousMesh(px, py)},
+		leg{label: "global-async-local-sync (1 ms inside 2x2 clusters, 10–99 ms between)", topo: galsMesh(px, py)},
+		leg{label: "fully synchronous-like (uniform 10 ms)",
+			topo: topology.Mesh(px, py, "uniform 10 ms mesh", func(_, _ int) float64 { return 10 })},
+		leg{label: "time-domain mixed (400 ms async windows + 1 sync sweep, heterogeneous mesh)",
+			topo:  heterogeneousMesh(px, py),
+			delta: func(cfg *core.Config) { cfg.Engine, cfg.AsyncWindow, cfg.SyncSweeps = core.EngineMixed, 400, 1 }},
+	)
 	if err != nil {
 		return nil, err
 	}
-	mixed, err := core.Solve(context.Background(), prob, core.Config{
-		CommonOptions: core.CommonOptions{
-			Exact:       exact,
-			StopOnError: p.TargetError,
-			RecordTrace: true,
-		},
-		Engine:      core.EngineMixed,
-		MaxTime:     p.MaxTime,
-		AsyncWindow: 400,
-		SyncSweeps:  1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = append(out.Rows, CompareRow{
-		Solver:       "time-domain mixed (400 ms async windows + 1 sync sweep, heterogeneous mesh)",
-		FinalRMS:     mixed.RMSError,
-		TimeToTarget: mixed.TimeToError(p.TargetError),
-		Iterations:   mixed.SyncSweepsDone,
-		Solves:       mixed.Solves,
-		Messages:     mixed.Messages,
-		Converged:    mixed.Converged,
-	})
-
-	out.Notes = append(out.Notes,
+	return c.result("Ablation — sync/async mixing via the delay structure (GALS)", rows,
 		"speeding up the intra-cluster links moves DTM towards its synchronous limit and narrows the speed gap to VTM, as the conclusions conjecture",
 		"the time-domain mixed row inserts a globally synchronous sweep after every asynchronous window (core.EngineMixed), the other future-work variant of Section 8",
-	)
-	return out, nil
+	), nil
 }
 
 // heterogeneousMesh reproduces the Fig. 11-style delay structure for an

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation plus the comparisons and ablations listed in DESIGN.md. Each
-// experiment is a function returning a structured result with a Render method
-// that prints the same rows or series the paper reports; the cmd/dtmbench CLI
-// and the root bench harness are thin wrappers around this package.
+// evaluation plus the comparisons and ablations listed in DESIGN.md. An
+// experiment is a row of Registry: a name, one parameter struct stated at its
+// full and its reduced size, and a function from those parameters to a result
+// whose Render prints the rows or series the paper reports. Most are lists of
+// legs (legs.go) on one torn problem. cmd/dtmbench and the root
+// TestAllExperimentsQuick walk the registry.
 package experiments
 
 import (
@@ -32,82 +34,63 @@ func Reference(sys sparse.System) (sparse.Vec, error) {
 	return x, nil
 }
 
-// Renderer is implemented by every experiment result.
-type Renderer interface {
+// Experiment is one registered experiment.
+type Experiment struct {
+	// Name is what cmd/dtmbench -exp accepts.
+	Name string
+	// Run executes the experiment — at its reduced size when quick is set —
+	// and renders it to w. It fails when a leg misses the agreement bar it
+	// declares, after the table that shows which one has been printed.
+	Run func(w io.Writer, quick bool) error
+}
+
+// Registry lists every experiment in cmd/dtmbench -list order: the paper's
+// figures, then E1–E11 of DESIGN.md.
+func Registry() []Experiment {
+	return []Experiment{
+		{"fig8", sized(fig8Params, Fig8)},
+		{"fig9", sized(fig9Params, Fig9)},
+		{"fig11", func(w io.Writer, _ bool) error { return Fig11().Render(w) }},
+		{"fig12", sized(fig12Params, RunMesh)},
+		{"fig13", func(w io.Writer, _ bool) error { return Fig13().Render(w) }},
+		{"fig14", sized(fig14Params, RunMesh)},
+		{"compare-vtm", sized(compareParams, CompareDTMvsVTM)},
+		{"compare-async-jacobi", sized(compareParams, CompareAsyncJacobi)},
+		{"ablation-impedance", sized(compareParams, AblationImpedance)},
+		{"ablation-delays", sized(compareParams, AblationDelays)},
+		{"ablation-mixed", sized(compareParams, AblationMixedSync)},
+		{"scale-sparse", sized(scaleSparseParams, ScaleSparse)},
+		{"fault-sweep", sized(faultSweepParams, FaultSweep, FaultSweepResult.missed)},
+		{"solve-throughput", sized(solveThroughputParams, SolveThroughput)},
+		{"compare-distributed", sized(compareDistributedParams, CompareDistributed, (*DistributedResult).missed)},
+		{"failover-sweep", sized(failoverSweepParams, FailoverSweep, (*DistributedResult).missed)},
+		{"spanner-fabric", sized(spannerFabricParams, SpannerFabric, (*SpannerFabricResult).missed)},
+	}
+}
+
+// renderer is implemented by every experiment result.
+type renderer interface {
 	Render(w io.Writer) error
 }
 
-// Runner executes one named experiment and renders it to w. quick selects a
-// reduced problem size suitable for unit tests and -short benchmarks.
-type Runner func(w io.Writer, quick bool) error
-
-// runner builds an experiment's Runner from its full-size and reduced
-// parameter sets: run it, render the result and — when the result can check
-// itself against its oracle (Agrees) — fail if it does not.
-func runner[P any, R Renderer](full, reduced func() P, exp func(P) (R, error)) Runner {
+// sized makes a registry row's Run from an experiment and the one function
+// that states its parameters at both sizes. A row whose legs declare
+// agreement bars also names the result's check: once the table is out, the
+// first leg that missed its bar fails the run.
+func sized[P any, R renderer](params func(quick bool) P, run func(P) (R, error), missed ...func(R) error) func(io.Writer, bool) error {
 	return func(w io.Writer, quick bool) error {
-		params := full
-		if quick {
-			params = reduced
-		}
-		r, err := exp(params())
+		r, err := run(params(quick))
 		if err != nil {
 			return err
 		}
 		if err := r.Render(w); err != nil {
 			return err
 		}
-		if a, ok := any(r).(interface{ Agrees() bool }); ok && !a.Agrees() {
-			return fmt.Errorf("experiments: the runs disagree with their oracle (see table)")
-		}
-		return nil
-	}
-}
-
-// Registry maps experiment names (as accepted by cmd/dtmbench -exp) to their
-// runners.
-func Registry() map[string]Runner {
-	quickFig9 := func() Fig9Params {
-		p := DefaultFig9Params()
-		p.Impedances = p.Impedances[:5]
-		return p
-	}
-	return map[string]Runner{
-		"fig8":                 runner(DefaultFig8Params, DefaultFig8Params, Fig8),
-		"fig9":                 runner(DefaultFig9Params, quickFig9, Fig9),
-		"fig11":                func(w io.Writer, quick bool) error { return Fig11().Render(w) },
-		"fig12":                runner(DefaultFig12Params, QuickFig12Params, RunMesh),
-		"fig13":                func(w io.Writer, quick bool) error { return Fig13().Render(w) },
-		"fig14":                runner(DefaultFig14Params, QuickFig14Params, RunMesh),
-		"compare-vtm":          runner(DefaultCompareParams, QuickCompareParams, CompareDTMvsVTM),
-		"compare-async-jacobi": runner(DefaultCompareParams, QuickCompareParams, CompareAsyncJacobi),
-		"ablation-impedance":   runner(DefaultCompareParams, QuickCompareParams, AblationImpedance),
-		"ablation-delays":      runner(DefaultCompareParams, QuickCompareParams, AblationDelays),
-		"ablation-mixed":       runner(DefaultCompareParams, QuickCompareParams, AblationMixedSync),
-		"scale-sparse":         runner(DefaultScaleSparseParams, QuickScaleSparseParams, ScaleSparse),
-		"solve-throughput":     runner(DefaultSolveThroughputParams, QuickSolveThroughputParams, SolveThroughput),
-		"fault-sweep": func(w io.Writer, quick bool) error {
-			err := runner(DefaultFaultSweepParams, QuickFaultSweepParams, FaultSweep)(w, quick)
-			if err != nil || quick {
+		for _, check := range missed {
+			if err := check(r); err != nil {
 				return err
 			}
-			// The full run adds the large-grid leg.
-			fmt.Fprintln(w)
-			return runner(FullFaultSweepParams, FullFaultSweepParams, FaultSweep)(w, false)
-		},
-		"failover-sweep":      runner(DefaultFailoverSweepParams, QuickFailoverSweepParams, FailoverSweep),
-		"spanner-fabric":      runner(DefaultSpannerFabricParams, QuickSpannerFabricParams, SpannerFabric),
-		"compare-distributed": runner(DefaultCompareDistributedParams, QuickCompareDistributedParams, CompareDistributed),
-	}
-}
-
-// Names returns the registered experiment names in a stable order.
-func Names() []string {
-	return []string{
-		"fig8", "fig9", "fig11", "fig12", "fig13", "fig14",
-		"compare-vtm", "compare-async-jacobi",
-		"ablation-impedance", "ablation-delays", "ablation-mixed",
-		"scale-sparse", "fault-sweep", "solve-throughput",
-		"compare-distributed", "failover-sweep", "spanner-fabric",
+		}
+		return nil
 	}
 }

@@ -10,20 +10,43 @@ import (
 	"repro/internal/topology"
 )
 
+// find returns the registry row with the given name.
+func find(t *testing.T, name string) Experiment {
+	t.Helper()
+	for _, e := range Registry() {
+		if e.Name == name {
+			return e
+		}
+	}
+	t.Fatalf("experiment %q is not registered", name)
+	return Experiment{}
+}
+
+// TestRegistryAndNamesAgree pins the one registry: 17 runnable rows, unique
+// names, in the order cmd/dtmbench -list has always printed them.
 func TestRegistryAndNamesAgree(t *testing.T) {
+	want := []string{
+		"fig8", "fig9", "fig11", "fig12", "fig13", "fig14",
+		"compare-vtm", "compare-async-jacobi",
+		"ablation-impedance", "ablation-delays", "ablation-mixed",
+		"scale-sparse", "fault-sweep", "solve-throughput",
+		"compare-distributed", "failover-sweep", "spanner-fabric",
+	}
 	reg := Registry()
-	names := Names()
-	if len(reg) != len(names) {
-		t.Errorf("registry has %d entries, Names lists %d", len(reg), len(names))
+	if len(reg) != len(want) {
+		t.Fatalf("registry has %d rows, want %d", len(reg), len(want))
 	}
 	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Errorf("duplicate experiment name %q", n)
+	for i, e := range reg {
+		if e.Name != want[i] {
+			t.Errorf("row %d is %q, want %q", i, e.Name, want[i])
 		}
-		seen[n] = true
-		if reg[n] == nil {
-			t.Errorf("experiment %q listed but not registered", n)
+		if seen[e.Name] {
+			t.Errorf("duplicate experiment name %q", e.Name)
+		}
+		seen[e.Name] = true
+		if e.Run == nil {
+			t.Errorf("experiment %q has no run function", e.Name)
 		}
 	}
 }
@@ -49,7 +72,7 @@ func TestReferenceSolvesSmallAndLargeSystems(t *testing.T) {
 }
 
 func TestRunMeshRejectsUnknownSource(t *testing.T) {
-	p := QuickFig12Params()
+	p := fig12Params(true)
 	p.Specs[0].Source = "banana:nx=4,ny=4"
 	if _, err := RunMesh(p); err == nil {
 		t.Errorf("a workload no source scheme names must be rejected")
@@ -93,7 +116,7 @@ func TestPaperProblemMatchesExample(t *testing.T) {
 }
 
 func TestFig8ReproducesConvergence(t *testing.T) {
-	res, err := Fig8(DefaultFig8Params())
+	res, err := Fig8(fig8Params(false))
 	if err != nil {
 		t.Fatalf("Fig8: %v", err)
 	}
@@ -102,8 +125,8 @@ func TestFig8ReproducesConvergence(t *testing.T) {
 	if math.Abs(res.ExactX2-0.9176470588) > 1e-6 || math.Abs(res.ExactX3-1.0235294118) > 1e-6 {
 		t.Errorf("exact potentials wrong: %g, %g", res.ExactX2, res.ExactX3)
 	}
-	if res.FinalRMS > 1e-5 {
-		t.Errorf("final RMS error %g, want < 1e-5 after 150 us", res.FinalRMS)
+	if res.RMSError > 1e-5 {
+		t.Errorf("final RMS error %g, want < 1e-5 after 150 us", res.RMSError)
 	}
 	if len(res.Potentials) != 4 {
 		t.Fatalf("expected 4 potential series")
@@ -131,7 +154,7 @@ func TestFig8ReproducesConvergence(t *testing.T) {
 }
 
 func TestFig9ImpedanceSweepShape(t *testing.T) {
-	p := DefaultFig9Params()
+	p := fig9Params(false)
 	p.Impedances = []float64{0.01, 0.1, 1, 10}
 	res, err := Fig9(p)
 	if err != nil {
@@ -194,7 +217,7 @@ func TestFig11AndFig13Platforms(t *testing.T) {
 }
 
 func TestRunMeshValidatesShape(t *testing.T) {
-	p := QuickFig12Params()
+	p := fig12Params(true)
 	p.Specs[0].PartsX = 5 // 5x4 parts on the 16 processors of the 4x4 mesh
 	if _, err := RunMesh(p); err == nil {
 		t.Errorf("a tearing with more parts than the mesh has processors must be rejected")
@@ -205,7 +228,7 @@ func TestFig12QuickConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mesh experiment skipped in -short mode")
 	}
-	res, err := RunMesh(QuickFig12Params())
+	res, err := RunMesh(fig12Params(true))
 	if err != nil {
 		t.Fatalf("RunMesh: %v", err)
 	}
@@ -216,8 +239,8 @@ func TestFig12QuickConverges(t *testing.T) {
 	if c.N != 289 {
 		t.Errorf("n = %d, want 289", c.N)
 	}
-	if !c.Converged || c.FinalRMS > 2e-6 {
-		t.Errorf("quick Fig12 run: converged=%v rms=%g", c.Converged, c.FinalRMS)
+	if !c.Converged || c.RMSError > 2e-6 {
+		t.Errorf("quick Fig12 run: converged=%v rms=%g", c.Converged, c.RMSError)
 	}
 	// The DES run is deterministic, so its work is exact: any drift in these
 	// two counters means the engine's behaviour changed.
@@ -227,7 +250,7 @@ func TestFig12QuickConverges(t *testing.T) {
 	if !strings.Contains(c.Theorem, "satisfied") {
 		t.Errorf("theorem report: %s", c.Theorem)
 	}
-	if math.IsNaN(c.TimeTo1e3) {
+	if math.IsNaN(c.TimeToError(1e-3)) {
 		t.Errorf("the error never reached 1e-3")
 	}
 	if c.Error.Len() == 0 {
@@ -243,31 +266,38 @@ func TestFaultSweepQuickLegsRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-sweep experiment skipped in -short mode")
 	}
-	res, err := FaultSweep(QuickFaultSweepParams())
+	res, err := FaultSweep(faultSweepParams(true))
 	if err != nil {
 		t.Fatalf("FaultSweep: %v", err)
 	}
+	if len(res) != 1 {
+		t.Fatalf("the quick sweep runs on %d grids, want 1", len(res))
+	}
+	legs := res[0].Legs
 	// baseline + two drop legs + link-down + crash.
-	if len(res.Legs) != 5 {
-		t.Fatalf("legs = %d, want 5", len(res.Legs))
+	if len(legs) != 5 {
+		t.Fatalf("legs = %d, want 5", len(legs))
 	}
-	for _, leg := range res.Legs {
+	for _, leg := range legs {
 		if !leg.Converged {
-			t.Errorf("leg %q did not converge", leg.Name)
+			t.Errorf("leg %q did not converge", leg.label)
 		}
-		if !leg.Agrees {
-			t.Errorf("leg %q diverges from the fault-free baseline by %g", leg.Name, leg.OracleDiff)
+		if leg.bar != 1e-5 || leg.miss() != nil {
+			t.Errorf("leg %q (bar %g) diverges from the fault-free baseline by %g", leg.label, leg.bar, leg.diff)
 		}
-		if leg.Name != "baseline" && leg.TimeOverhead < 1 {
-			t.Errorf("leg %q finished %0.2fx faster than the baseline — faults cannot speed convergence up", leg.Name, leg.TimeOverhead)
+		if leg.FinalTime < legs[0].FinalTime {
+			t.Errorf("leg %q finished at t=%g, before the baseline's %g — faults cannot speed convergence up", leg.label, leg.FinalTime, legs[0].FinalTime)
 		}
 	}
-	if res.Legs[0].Name != "baseline" || res.Legs[0].Faults.Dropped != 0 {
-		t.Errorf("first leg must be the clean baseline: %+v", res.Legs[0])
+	if legs[0].label != "baseline" || faultStats(legs[0]).Dropped != 0 {
+		t.Errorf("first leg must be the clean baseline: %+v", legs[0])
 	}
-	crash := res.Legs[len(res.Legs)-1]
-	if crash.Faults.Crashes != 1 || crash.Faults.Restarts != 1 || crash.Faults.Snapshots == 0 {
-		t.Errorf("crash leg counters wrong: %+v", crash.Faults)
+	crash := faultStats(legs[len(legs)-1])
+	if crash.Crashes != 1 || crash.Restarts != 1 || crash.Snapshots == 0 {
+		t.Errorf("crash leg counters wrong: %+v", crash)
+	}
+	if err := res.missed(); err != nil {
+		t.Errorf("missed() = %v on a fully recovering sweep", err)
 	}
 	var sb strings.Builder
 	if err := res.Render(&sb); err != nil {
@@ -278,13 +308,36 @@ func TestFaultSweepQuickLegsRecover(t *testing.T) {
 	}
 }
 
+// TestFaultSweepRunnerFailsOnDisagreement: E7 exists to measure
+// self-stabilisation (Theorem 6.1), so a sweep whose legs do not recover must
+// fail its run — here every leg is cut off at a horizon far short of
+// convergence — with an error naming the leg, after the table is out.
+func TestFaultSweepRunnerFailsOnDisagreement(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fault-sweep experiment skipped in -short mode")
+	}
+	cutShort := func(quick bool) FaultSweepParams {
+		p := faultSweepParams(quick)
+		p.Grids[0].MaxTime = 500
+		return p
+	}
+	var sb strings.Builder
+	err := sized(cutShort, FaultSweep, FaultSweepResult.missed)(&sb, true)
+	if err == nil || !strings.Contains(err.Error(), `"baseline"`) {
+		t.Fatalf("a sweep with no converged leg returned %v, want an error naming the first leg", err)
+	}
+	if !strings.Contains(sb.String(), "link-down") {
+		t.Errorf("the table must be rendered before the run fails:\n%s", sb.String())
+	}
+}
+
 func TestFaultSweepValidatesShape(t *testing.T) {
-	p := QuickFaultSweepParams()
-	p.Spec.PartsX = 5
+	p := faultSweepParams(true)
+	p.Grids[0].Spec.PartsX = 5
 	if _, err := FaultSweep(p); err == nil {
 		t.Errorf("a tearing with more parts than the mesh has processors must be rejected")
 	}
-	p = QuickFaultSweepParams()
+	p = faultSweepParams(true)
 	p.DropRates = []float64{0.05}
 	if _, err := FaultSweep(p); err == nil {
 		t.Errorf("a sweep without the fault-free baseline must be rejected")
@@ -292,27 +345,27 @@ func TestFaultSweepValidatesShape(t *testing.T) {
 }
 
 func TestCompareParamsValidation(t *testing.T) {
-	bad := DefaultCompareParams()
+	bad := compareParams(false)
 	bad.Spec.PartsX = 5
 	if _, err := CompareDTMvsVTM(bad); err == nil {
 		t.Errorf("a tearing with more parts than the mesh has processors must be rejected")
 	}
-	bad2 := DefaultCompareParams()
+	bad2 := compareParams(false)
 	bad2.MaxTime = 0
 	if _, err := CompareAsyncJacobi(bad2); err == nil {
 		t.Errorf("zero horizon must be rejected")
 	}
-	bad3 := DefaultCompareParams()
+	bad3 := compareParams(false)
 	bad3.Spec.Topology = "no-such-machine"
 	if _, err := AblationImpedance(bad3); err == nil {
 		t.Errorf("an unregistered topology must be rejected")
 	}
-	bad4 := DefaultCompareParams()
+	bad4 := compareParams(false)
 	bad4.TargetError = 0
 	if _, err := AblationDelays(bad4); err == nil {
 		t.Errorf("zero target error must be rejected")
 	}
-	bad5 := DefaultCompareParams()
+	bad5 := compareParams(false)
 	bad5.Spec.Source = "banana:nx=4,ny=4"
 	if _, err := AblationMixedSync(bad5); err == nil {
 		t.Errorf("unknown workload must be rejected")
@@ -323,7 +376,7 @@ func TestCompareDTMvsVTMQuickShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparison experiment skipped in -short mode")
 	}
-	res, err := CompareDTMvsVTM(QuickCompareParams())
+	res, err := CompareDTMvsVTM(compareParams(true))
 	if err != nil {
 		t.Fatalf("CompareDTMvsVTM: %v", err)
 	}
@@ -434,8 +487,7 @@ func TestSolveThroughputQuickStructure(t *testing.T) {
 }
 
 func TestCompareDistributedQuickAgrees(t *testing.T) {
-	p := QuickCompareDistributedParams()
-	res, err := CompareDistributed(p)
+	res, err := CompareDistributed(compareDistributedParams(true))
 	if err != nil {
 		t.Fatalf("CompareDistributed: %v", err)
 	}
@@ -447,18 +499,18 @@ func TestCompareDistributedQuickAgrees(t *testing.T) {
 	}
 	for _, l := range res.Legs {
 		if !l.Converged {
-			t.Errorf("%s: did not converge", l.Fabric)
+			t.Errorf("%s: did not converge", l.label)
 		}
-		if !(l.MaxAbsDiff <= 1e-6) {
-			t.Errorf("%s: max|dx| = %g, want <= 1e-6", l.Fabric, l.MaxAbsDiff)
+		if !(l.diff <= 1e-6) {
+			t.Errorf("%s: max|dx| = %g, want <= 1e-6", l.label, l.diff)
 		}
 		if l.Solves <= 0 || l.Messages <= 0 || l.Polls <= 0 {
 			t.Errorf("%s: counters solves=%d messages=%d polls=%d, all must be positive",
-				l.Fabric, l.Solves, l.Messages, l.Polls)
+				l.label, l.Solves, l.Messages, l.Polls)
 		}
 	}
-	if !res.Agrees() {
-		t.Error("Agrees() = false on a fully passing run")
+	if err := res.missed(); err != nil {
+		t.Errorf("missed() = %v on a fully passing run", err)
 	}
 	var sb strings.Builder
 	if err := res.Render(&sb); err != nil {
@@ -473,7 +525,7 @@ func TestCompareDistributedQuickAgrees(t *testing.T) {
 
 func TestScaleSparseQuickRunner(t *testing.T) {
 	var sb strings.Builder
-	if err := Registry()["scale-sparse"](&sb, true); err != nil {
+	if err := find(t, "scale-sparse").Run(&sb, true); err != nil {
 		t.Fatalf("scale-sparse quick: %v", err)
 	}
 	for _, want := range []string{"backend", "supernodal", "residual"} {
@@ -485,7 +537,7 @@ func TestScaleSparseQuickRunner(t *testing.T) {
 
 func TestCompareDistributedRunner(t *testing.T) {
 	var sb strings.Builder
-	if err := Registry()["compare-distributed"](&sb, true); err != nil {
+	if err := find(t, "compare-distributed").Run(&sb, true); err != nil {
 		t.Fatalf("compare-distributed quick: %v", err)
 	}
 	if !strings.Contains(sb.String(), "PASS") {
@@ -494,7 +546,7 @@ func TestCompareDistributedRunner(t *testing.T) {
 }
 
 func TestFailoverSweepQuickAgrees(t *testing.T) {
-	p := QuickFailoverSweepParams()
+	p := failoverSweepParams(true)
 	res, err := FailoverSweep(p)
 	if err != nil {
 		t.Fatalf("FailoverSweep: %v", err)
@@ -504,21 +556,21 @@ func TestFailoverSweepQuickAgrees(t *testing.T) {
 	if len(res.Legs) != want {
 		t.Fatalf("legs = %d, want %d", len(res.Legs), want)
 	}
-	if res.Legs[0].Name != "baseline" || res.Legs[0].Failovers != 0 {
+	if res.Legs[0].label != "baseline" || res.Legs[0].Failovers != 0 {
 		t.Errorf("baseline leg %+v: must run first and fail nothing over", res.Legs[0])
 	}
 	for _, l := range res.Legs[1:] {
 		if l.Failovers < 1 || l.Epoch < 2 {
-			t.Errorf("%s: failovers=%d epoch=%d, kill leg must fail over", l.Name, l.Failovers, l.Epoch)
+			t.Errorf("%s: failovers=%d epoch=%d, kill leg must fail over", l.label, l.Failovers, l.Epoch)
 		}
 	}
 	for _, l := range res.Legs {
-		if !l.Agrees {
-			t.Errorf("%s: converged=%v max|dx|=%g, want agreement within 1e-6", l.Name, l.Converged, l.MaxAbsDiff)
+		if l.bar != 1e-6 || l.miss() != nil {
+			t.Errorf("%s: converged=%v max|dx|=%g, want agreement within 1e-6", l.label, l.Converged, l.diff)
 		}
 	}
-	if !res.Agrees() {
-		t.Error("Agrees() = false on a fully passing run")
+	if err := res.missed(); err != nil {
+		t.Errorf("missed() = %v on a fully passing run", err)
 	}
 	var sb strings.Builder
 	if err := res.Render(&sb); err != nil {
@@ -533,7 +585,7 @@ func TestFailoverSweepQuickAgrees(t *testing.T) {
 
 func TestFailoverSweepRunner(t *testing.T) {
 	var sb strings.Builder
-	if err := Registry()["failover-sweep"](&sb, true); err != nil {
+	if err := find(t, "failover-sweep").Run(&sb, true); err != nil {
 		t.Fatalf("failover-sweep quick: %v", err)
 	}
 	if !strings.Contains(sb.String(), "PASS") {

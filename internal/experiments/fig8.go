@@ -70,11 +70,9 @@ type Fig8Params struct {
 	SamplePoints int
 }
 
-// DefaultFig8Params returns the paper's setting: the example is run long
+// fig8Params is the paper's setting at either size: the example is run long
 // enough for the potentials to settle (the paper plots roughly 100 µs).
-func DefaultFig8Params() Fig8Params {
-	return Fig8Params{MaxTime: 150, SamplePoints: 40}
-}
+func fig8Params(bool) Fig8Params { return Fig8Params{MaxTime: 150, SamplePoints: 40} }
 
 // Fig8Result holds the reproduction of Fig. 8: the four twin-port potentials
 // against virtual time, the RMS error trace, and the exact values they must
@@ -86,10 +84,8 @@ type Fig8Result struct {
 	Error metrics.Series
 	// ExactX2 and ExactX3 are the exact potentials of V2 and V3.
 	ExactX2, ExactX3 float64
-	// FinalRMS is the RMS error at the end of the run.
-	FinalRMS float64
-	// Solves and Messages summarise the work performed.
-	Solves, Messages int
+	// Result is the run itself: final RMS error, solves, messages.
+	*core.Result
 }
 
 // Fig8 reruns Example 5.1 on the discrete-event simulator and records the
@@ -119,7 +115,7 @@ func Fig8(p Fig8Params) (*Fig8Result, error) {
 			out.Potentials[3].Append(now, local[1])
 		}
 	}
-	res, err := core.Solve(context.Background(), prob, core.Config{
+	out.Result, err = core.Solve(context.Background(), prob, core.Config{
 		CommonOptions: core.CommonOptions{
 			Impedance:   strategy,
 			Exact:       exact,
@@ -131,16 +127,13 @@ func Fig8(p Fig8Params) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, tp := range res.Trace {
+	for _, tp := range out.Trace {
 		out.Error.Append(tp.Time, tp.RMSError)
 	}
 	for i := range out.Potentials {
 		out.Potentials[i] = out.Potentials[i].Resample(p.SamplePoints)
 	}
 	out.Error = out.Error.Resample(p.SamplePoints)
-	out.FinalRMS = res.RMSError
-	out.Solves = res.Solves
-	out.Messages = res.Messages
 	return out, nil
 }
 
@@ -157,6 +150,6 @@ func (r *Fig8Result) Render(w io.Writer) error {
 	if err := tbl.Render(w); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "final RMS error %.3g after %d local solves and %d messages\n", r.FinalRMS, r.Solves, r.Messages)
+	_, err := fmt.Fprintf(w, "final RMS error %.3g after %d local solves and %d messages\n", r.RMSError, r.Solves, r.Messages)
 	return err
 }

@@ -24,11 +24,15 @@ type Fig9Params struct {
 	Impedances []float64
 }
 
-// DefaultFig9Params returns a logarithmic sweep around the paper's values.
-func DefaultFig9Params() Fig9Params {
+// fig9Params is a logarithmic sweep around the paper's values, four points a
+// decade from 0.01 to 10; quick keeps the first five.
+func fig9Params(quick bool) Fig9Params {
 	var zs []float64
 	for z := 0.01; z <= 10.001; z *= math.Pow(10, 0.25) {
 		zs = append(zs, z)
+	}
+	if quick {
+		zs = zs[:5]
 	}
 	return Fig9Params{SampleTime: 100, Impedances: zs}
 }

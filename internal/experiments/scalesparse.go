@@ -1,16 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/factor"
 	"repro/internal/sparse"
-	"repro/internal/topology"
 )
 
 // ScaleSparseParams configures the E6 scale-sparse experiment: the same
@@ -36,12 +35,11 @@ type ScaleSparseParams struct {
 	ScalarAttemptMax int
 	// Solves is the number of factor-once/solve-many solves timed per factor.
 	Solves int
-	// DTMSide, when positive, also runs a full DTM solve of the DTMSide² grid
-	// partitioned DTMParts×DTMParts with supernodal local factorisations —
-	// the end-to-end pipeline at a size whose subdomains dwarf the old
-	// default.
-	DTMSide, DTMParts int
-	// DTMMaxTime and DTMTol bound the DTM leg.
+	// DTM, when it names a source, also runs a full DTM solve of that torn
+	// problem with supernodal local factorisations — the end-to-end pipeline
+	// at a size whose subdomains dwarf the old default — bounded by
+	// DTMMaxTime and DTMTol.
+	DTM                dist.SpecV2
 	DTMMaxTime, DTMTol float64
 	// NonSPDSide, when positive, adds the non-SPD leg: the symmetric
 	// quasi-definite saddle system of a NonSPDSide² grid (plus one multiplier
@@ -52,43 +50,38 @@ type ScaleSparseParams struct {
 	NonSPDSolves int
 }
 
-// DefaultScaleSparseParams runs up to a 147456-unknown grid — a system whose
-// dense factorisation would need ~500 GiB — the sizes where the scalar
-// up-looking kernels dominated runtime before the supernodal backend.
-func DefaultScaleSparseParams() ScaleSparseParams {
+// scaleSparseParams runs up to a 147456-unknown grid — a system whose dense
+// factorisation would need ~500 GiB — the sizes where the scalar up-looking
+// kernels dominated runtime before the supernodal backend. Quick stops at
+// 128² = 16384 unknowns, already past factor.MaxDenseBytes, so the
+// dense-fails/sparse-completes contrast is exercised even there; its smallest
+// size keeps the dense comparison branch alive cheaply, and the
+// scalar-vs-supernodal comparison runs at every quick size: 128² is exactly
+// the block size where the scalar kernels used to dominate the quick runtime.
+func scaleSparseParams(quick bool) ScaleSparseParams {
+	if quick {
+		return ScaleSparseParams{
+			Sides:            []int{16, 64, 128},
+			DenseAttemptMax:  1200,
+			ScalarAttemptMax: 5000,
+			Solves:           5,
+			DTM:              dist.SpecV2{V: 2, Source: "poisson:nx=64,ny=64", PartsX: 2, PartsY: 2},
+			DTMMaxTime:       2000,
+			DTMTol:           1e-6,
+			NonSPDSide:       128,
+			NonSPDSolves:     5,
+		}
+	}
 	return ScaleSparseParams{
 		Sides:            []int{32, 64, 128, 256, 384},
 		DenseAttemptMax:  1200,
 		ScalarAttemptMax: 70000,
 		Solves:           10,
-		DTMSide:          128,
-		DTMParts:         2,
+		DTM:              dist.SpecV2{V: 2, Source: "poisson:nx=128,ny=128", PartsX: 2, PartsY: 2},
 		DTMMaxTime:       4000,
 		DTMTol:           1e-8,
 		NonSPDSide:       256,
 		NonSPDSolves:     10,
-	}
-}
-
-// QuickScaleSparseParams is the reduced configuration for tests, CI smoke and
-// -quick benchmarks. The largest size (128² = 16384 unknowns) is already past
-// factor.MaxDenseBytes, so the dense-fails/sparse-completes contrast is
-// exercised even at quick scale; the smallest size keeps the dense
-// comparison branch alive cheaply. The scalar-vs-supernodal comparison runs
-// at every quick size: 128² is exactly the block size where the scalar
-// kernels used to dominate the quick runtime.
-func QuickScaleSparseParams() ScaleSparseParams {
-	return ScaleSparseParams{
-		Sides:            []int{16, 64, 128},
-		DenseAttemptMax:  1200,
-		ScalarAttemptMax: 5000,
-		Solves:           5,
-		DTMSide:          64,
-		DTMParts:         2,
-		DTMMaxTime:       2000,
-		DTMTol:           1e-6,
-		NonSPDSide:       128,
-		NonSPDSolves:     5,
 	}
 }
 
@@ -124,17 +117,6 @@ type ScaleSparseRow struct {
 	DenseSpeedupVs float64 // dense factor time / auto factor time
 }
 
-// ScaleSparseDTM is the end-to-end DTM leg of E6.
-type ScaleSparseDTM struct {
-	N, Parts  int
-	Backend   string
-	Solves    int
-	Messages  int
-	FinalTime float64
-	Residual  float64
-	Converged bool
-}
-
 // ScaleSparseNonSPD is the non-SPD leg of E6: a symmetric quasi-definite
 // system past the dense memory cap, factorised through the auto policy (the
 // supernodal backend's LDLᵀ mode).
@@ -156,7 +138,9 @@ type ScaleSparseNonSPD struct {
 type ScaleSparseResult struct {
 	Rows   []ScaleSparseRow
 	NonSPD *ScaleSparseNonSPD
-	DTM    *ScaleSparseDTM
+	// DTM is the end-to-end leg, on DTMProcs subdomains.
+	DTM      *core.Result
+	DTMProcs int
 }
 
 // ScaleSparse runs E6.
@@ -290,31 +274,19 @@ func ScaleSparse(p ScaleSparseParams) (*ScaleSparseResult, error) {
 		out.NonSPD = leg
 	}
 
-	if p.DTMSide > 0 {
-		sys := sparse.Poisson2D(p.DTMSide, p.DTMSide, 0.05)
-		parts := p.DTMParts * p.DTMParts
-		topo := topology.Uniform(parts, 10, fmt.Sprintf("uniform %d-processor machine", parts))
-		prob, err := core.GridProblem(sys, p.DTMSide, p.DTMSide, p.DTMParts, p.DTMParts, topo)
+	if p.DTM.Source != "" {
+		prob, err := p.DTM.Build()
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Solve(context.Background(), prob, core.Config{
+		outs, err := setup{prob: prob}.run(core.Config{
 			CommonOptions: core.CommonOptions{Tol: p.DTMTol, Factor: factor.Settings{Backend: factor.SparseSupernodal}},
 			MaxTime:       p.DTMMaxTime,
-		})
+		}, leg{label: "DTM end-to-end"})
 		if err != nil {
 			return nil, err
 		}
-		out.DTM = &ScaleSparseDTM{
-			N:         sys.Dim(),
-			Parts:     parts,
-			Backend:   factor.SparseSupernodal,
-			Solves:    res.Solves,
-			Messages:  res.Messages,
-			FinalTime: res.FinalTime,
-			Residual:  res.Residual,
-			Converged: res.Converged,
-		}
+		out.DTM, out.DTMProcs = outs[0].Result, p.DTM.Parts()
 	}
 	return out, nil
 }
@@ -358,7 +330,7 @@ func (r *ScaleSparseResult) Render(w io.Writer) error {
 	}
 	if r.DTM != nil {
 		fmt.Fprintf(w, "\nDTM end-to-end with %s local solvers: n=%d on %d processors: converged=%v at t=%.0f, %d local solves, %d messages, relative residual %.3g\n",
-			r.DTM.Backend, r.DTM.N, r.DTM.Parts, r.DTM.Converged, r.DTM.FinalTime, r.DTM.Solves, r.DTM.Messages, r.DTM.Residual)
+			factor.SparseSupernodal, len(r.DTM.X), r.DTMProcs, r.DTM.Converged, r.DTM.FinalTime, r.DTM.Solves, r.DTM.Messages, r.DTM.Residual)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,10 +36,13 @@ type SolveThroughputParams struct {
 	CacheBudget int64
 }
 
-// DefaultSolveThroughputParams measures the 128² grid (the acceptance
-// system) and a saddle system of the same scale.
-func DefaultSolveThroughputParams() SolveThroughputParams {
-	return SolveThroughputParams{
+// solveThroughputParams measures the 128² grid (the acceptance system) and a
+// saddle system of the same scale. Quick keeps the 128² grid — the
+// batched-vs-scalar contrast E8 exists to demonstrate needs a factor whose
+// panels are wide enough to feed the blocked kernels — but trims the repeat
+// count and the saddle leg.
+func solveThroughputParams(quick bool) SolveThroughputParams {
+	p := SolveThroughputParams{
 		GridSide:    128,
 		SaddleSide:  128,
 		Ks:          []int{1, 8, 64},
@@ -46,21 +50,10 @@ func DefaultSolveThroughputParams() SolveThroughputParams {
 		Repeats:     5,
 		CacheBudget: 1 << 30,
 	}
-}
-
-// QuickSolveThroughputParams keeps the 128² grid — the batched-vs-scalar
-// contrast E8 exists to demonstrate needs a factor whose panels are wide
-// enough to feed the blocked kernels — but trims the repeat count and the
-// saddle leg for CI.
-func QuickSolveThroughputParams() SolveThroughputParams {
-	return SolveThroughputParams{
-		GridSide:    128,
-		SaddleSide:  64,
-		Ks:          []int{1, 8, 64},
-		Conc:        []int{1, 4},
-		Repeats:     2,
-		CacheBudget: 1 << 30,
+	if quick {
+		p.SaddleSide, p.Repeats = 64, 2
 	}
+	return p
 }
 
 // SolveThroughputBatchRow is one batch-width measurement on one system.
@@ -143,14 +136,8 @@ func SolveThroughput(p SolveThroughputParams) (*SolveThroughputResult, error) {
 		row.NNZL = sn.NNZL()
 
 		// Batched vs scalar: k right-hand sides as k sweeps vs one panel.
-		maxK := 0
-		for _, k := range p.Ks {
-			if k > maxK {
-				maxK = k
-			}
-		}
-		B := make([]sparse.Vec, maxK)
-		X := make([]sparse.Vec, maxK)
+		B := make([]sparse.Vec, slices.Max(p.Ks))
+		X := make([]sparse.Vec, len(B))
 		for r := range B {
 			B[r] = sparse.RandomVec(n, int64(17*r+3))
 			X[r] = sparse.NewVec(n)

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -38,136 +36,93 @@ type SpannerFabricParams struct {
 	MaxTime float64
 }
 
-// DefaultSpannerFabricParams is E11 at full size: the 33² random grid and a
-// 289-node Yao-spanner Laplacian, torn into 16 parts, on the paper's 4×4
-// heterogeneous mesh versus a 16-processor Yao fabric.
-func DefaultSpannerFabricParams() SpannerFabricParams {
-	return SpannerFabricParams{
-		Figure: "E11 — DTM on spanner fabrics (grid and Yao-spanner problems, 16 parts)",
-		Sources: []string{
-			"grid:rows=33,cols=33,seed=1089",
-			"spanner:n=289,k=6,seed=1,leak=0.05",
-		},
+// spannerFabricParams is E11: at full size the 33² random grid and a 289-node
+// Yao-spanner Laplacian, torn into 16 parts, on the paper's 4×4 heterogeneous
+// mesh versus a 16-processor Yao fabric; quick, 17² and 100 nodes in 4 parts.
+func spannerFabricParams(quick bool) SpannerFabricParams {
+	p := SpannerFabricParams{
+		Figure:  "E11 — DTM on spanner fabrics (grid and Yao-spanner problems, 16 parts)",
+		Sources: []string{"grid:rows=33,cols=33,seed=1089", "spanner:n=289,k=6,seed=1,leak=0.05"},
 		Fabrics: []string{"mesh4x4", "yao:n=16,k=6,seed=1108"},
 		Parts:   16,
 		Tol:     1e-9,
 		MaxTime: 1e7,
 	}
-}
-
-// QuickSpannerFabricParams is the reduced E11 for tests and -short benchmarks.
-func QuickSpannerFabricParams() SpannerFabricParams {
-	return SpannerFabricParams{
-		Figure: "E11 — DTM on spanner fabrics (grid and Yao-spanner problems, 4 parts)",
-		Sources: []string{
-			"grid:rows=17,cols=17,seed=289",
-			"spanner:n=100,k=6,seed=1,leak=0.05",
-		},
-		Fabrics: []string{"mesh4x4", "yao:n=4,k=3,seed=1108"},
-		Parts:   4,
-		Tol:     1e-9,
-		MaxTime: 1e7,
+	if quick {
+		p.Figure = "E11 — DTM on spanner fabrics (grid and Yao-spanner problems, 4 parts)"
+		p.Sources = []string{"grid:rows=17,cols=17,seed=289", "spanner:n=100,k=6,seed=1,leak=0.05"}
+		p.Fabrics, p.Parts = []string{"mesh4x4", "yao:n=4,k=3,seed=1108"}, 4
 	}
+	return p
 }
 
 // SpannerFabricLeg is one (problem, fabric) outcome.
 type SpannerFabricLeg struct {
+	outcome
 	Source, Fabric string
-	Converged      bool
-	// FinalTime is the virtual time at quiescence.
-	FinalTime float64
-	Solves    int
-	Messages  int
-	// MaxAbsDiff is the max-norm distance to the reference solution.
-	MaxAbsDiff float64
 }
 
-// SpannerFabricResult is the outcome of experiment E11.
+// SpannerFabricResult is the outcome of experiment E11: Legs holds, source by
+// source, one leg per fabric.
 type SpannerFabricResult struct {
 	Params SpannerFabricParams
 	Legs   []SpannerFabricLeg
-	// Speedup maps each source to the ratio of virtual convergence times,
-	// first fabric over second — > 1 means the Yao fabric converged sooner.
-	Speedup map[string]float64
 }
 
 // SpannerFabric runs experiment E11. Each leg names its problem and machine
 // with the same spec strings the distributed layer ships, tears with the
 // general pipeline (core.AutoProblem via dist.SpecV2), and solves on the
-// deterministic DES engine.
+// deterministic DES engine; the reference is solved once per source.
 func SpannerFabric(p SpannerFabricParams) (*SpannerFabricResult, error) {
 	if len(p.Sources) == 0 || len(p.Fabrics) == 0 || p.Parts < 1 {
 		return nil, fmt.Errorf("experiments: E11 needs sources, fabrics and a positive part count")
 	}
-	out := &SpannerFabricResult{Params: p, Speedup: make(map[string]float64)}
+	out := &SpannerFabricResult{Params: p}
 	for _, src := range p.Sources {
-		times := make([]float64, 0, len(p.Fabrics))
-		for _, fabric := range p.Fabrics {
+		var s setup
+		for i, fabric := range p.Fabrics {
 			spec := dist.SpecV2{V: 2, Source: src, NParts: p.Parts, Topology: fabric}
-			prob, err := spec.Build()
+			var err error
+			if i == 0 {
+				s, err = build(spec)
+			} else {
+				s.prob, err = spec.Build()
+			}
 			if err != nil {
 				return nil, fmt.Errorf("experiments: E11 %s on %s: %w", src, fabric, err)
 			}
-			exact, err := Reference(prob.System)
+			outs, err := s.run(core.Config{CommonOptions: core.CommonOptions{Tol: p.Tol}, MaxTime: p.MaxTime},
+				leg{label: src + " on " + fabric, bar: 1e-6})
 			if err != nil {
-				return nil, fmt.Errorf("experiments: E11 reference for %s: %w", src, err)
+				return nil, err
 			}
-			res, err := core.Solve(context.Background(), prob, core.Config{
-				CommonOptions: core.CommonOptions{Tol: p.Tol},
-				MaxTime:       p.MaxTime,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: E11 %s on %s: %w", src, fabric, err)
-			}
-			leg := SpannerFabricLeg{
-				Source: src, Fabric: fabric,
-				Converged: res.Converged, FinalTime: res.FinalTime,
-				Solves: res.Solves, Messages: res.Messages,
-			}
-			for i := range res.X {
-				leg.MaxAbsDiff = math.Max(leg.MaxAbsDiff, math.Abs(res.X[i]-exact[i]))
-			}
-			out.Legs = append(out.Legs, leg)
-			times = append(times, res.FinalTime)
-		}
-		if len(times) >= 2 && times[1] > 0 {
-			out.Speedup[src] = times[0] / times[1]
+			out.Legs = append(out.Legs, SpannerFabricLeg{outs[0], src, fabric})
 		}
 	}
 	return out, nil
 }
 
-// Render prints the per-leg table and the per-problem fabric speedups.
+func (r *SpannerFabricResult) missed() error { return firstMiss(r.Legs) }
+
+// Render prints the per-leg table and the per-problem fabric speedups: the
+// ratio of virtual convergence times, first fabric over second — > 1 means
+// the Yao fabric converged sooner.
 func (r *SpannerFabricResult) Render(w io.Writer) error {
 	fmt.Fprintln(w, r.Params.Figure)
 	fmt.Fprintf(w, "tol %.0e, %d parts, agreement bar 1e-6 (max norm vs reference)\n\n", r.Params.Tol, r.Params.Parts)
 	fmt.Fprintf(w, "%-36s  %-22s  %-9s  %12s  %8s  %9s  %-12s\n",
 		"source", "fabric", "converged", "t_final", "solves", "messages", "max|dx|")
 	for _, l := range r.Legs {
-		ok := "PASS"
-		if !l.Converged || !(l.MaxAbsDiff <= 1e-6) {
-			ok = "FAIL"
-		}
 		fmt.Fprintf(w, "%-36s  %-22s  %-9v  %12.0f  %8d  %9d  %-12.3e  %s\n",
-			l.Source, l.Fabric, l.Converged, l.FinalTime, l.Solves, l.Messages, l.MaxAbsDiff, ok)
+			l.Source, l.Fabric, l.Converged, l.FinalTime, l.Solves, l.Messages, l.diff, verdict(l.holds(l.Converged)))
 	}
-	if len(r.Params.Fabrics) >= 2 {
+	if nf := len(r.Params.Fabrics); nf >= 2 {
 		fmt.Fprintf(w, "\nfabric speedup (t_final %s / %s):\n", r.Params.Fabrics[0], r.Params.Fabrics[1])
-		for _, src := range r.Params.Sources {
-			if s, ok := r.Speedup[src]; ok {
-				fmt.Fprintf(w, "  %-36s  %.2fx\n", src, s)
+		for i, src := range r.Params.Sources {
+			if first, second := r.Legs[i*nf], r.Legs[i*nf+1]; second.FinalTime > 0 {
+				fmt.Fprintf(w, "  %-36s  %.2fx\n", src, first.FinalTime/second.FinalTime)
 			}
 		}
 	}
 	return nil
-}
-
-// Agrees reports whether every leg converged within the 1e-6 agreement bar.
-func (r *SpannerFabricResult) Agrees() bool {
-	for _, l := range r.Legs {
-		if !l.Converged || !(l.MaxAbsDiff <= 1e-6) {
-			return false
-		}
-	}
-	return len(r.Legs) > 0
 }

@@ -1,14 +1,13 @@
 // Package metrics provides the small reporting toolkit the experiment harness
-// uses: time-series of convergence traces, summary statistics, and plain-text
-// table / CSV rendering so every figure and table of the paper can be
-// regenerated as rows and series on stdout.
+// uses: time-series of convergence traces and plain-text table rendering, so
+// every figure and table of the paper can be regenerated as rows and series
+// on stdout.
 package metrics
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -86,55 +85,6 @@ func (s *Series) Resample(maxPoints int) Series {
 		last = idx
 	}
 	return out
-}
-
-// WriteCSV writes the series as "t,value" lines with a header.
-func (s *Series) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "t,%s\n", s.Name); err != nil {
-		return err
-	}
-	for _, p := range s.Points {
-		if _, err := fmt.Fprintf(w, "%g,%g\n", p.T, p.V); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Summary holds basic descriptive statistics of a sample.
-type Summary struct {
-	Count          int
-	Min, Max, Mean float64
-	Median         float64
-}
-
-// Summarize computes descriptive statistics, ignoring NaNs.
-func Summarize(values []float64) Summary {
-	var clean []float64
-	for _, v := range values {
-		if !math.IsNaN(v) {
-			clean = append(clean, v)
-		}
-	}
-	s := Summary{Count: len(clean), Min: math.NaN(), Max: math.NaN(), Mean: math.NaN(), Median: math.NaN()}
-	if len(clean) == 0 {
-		return s
-	}
-	sort.Float64s(clean)
-	s.Min = clean[0]
-	s.Max = clean[len(clean)-1]
-	var sum float64
-	for _, v := range clean {
-		sum += v
-	}
-	s.Mean = sum / float64(len(clean))
-	mid := len(clean) / 2
-	if len(clean)%2 == 1 {
-		s.Median = clean[mid]
-	} else {
-		s.Median = (clean[mid-1] + clean[mid]) / 2
-	}
-	return s
 }
 
 // Table is a simple column-aligned text table.
@@ -217,17 +167,4 @@ func (t *Table) RenderString() string {
 	var b strings.Builder
 	_ = t.Render(&b)
 	return b.String()
-}
-
-// WriteCSV writes the table as comma-separated values.
-func (t *Table) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.Headers, ",")); err != nil {
-		return err
-	}
-	for _, r := range t.rows {
-		if _, err := fmt.Fprintln(w, strings.Join(r, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
 }

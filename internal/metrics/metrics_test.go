@@ -76,41 +76,6 @@ func TestSeriesResample(t *testing.T) {
 	}
 }
 
-func TestSeriesWriteCSV(t *testing.T) {
-	s := Series{Name: "err", Points: []Point{{1, 0.5}, {2, 0.25}}}
-	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "0.25") || !strings.Contains(out, "\n") {
-		t.Errorf("CSV output looks wrong: %q", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 { // header + 2 rows
-		t.Errorf("CSV has %d lines, want 3", len(lines))
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.Count != 4 || s.Min != 1 || s.Max != 4 || s.Mean != 2.5 || s.Median != 2.5 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	odd := Summarize([]float64{5, 1, 3})
-	if odd.Median != 3 {
-		t.Errorf("odd-length median = %g, want 3", odd.Median)
-	}
-	withNaN := Summarize([]float64{math.NaN(), 2, 4})
-	if withNaN.Count != 2 || withNaN.Mean != 3 {
-		t.Errorf("NaNs must be ignored: %+v", withNaN)
-	}
-	empty := Summarize(nil)
-	if empty.Count != 0 {
-		t.Errorf("empty summary count = %d", empty.Count)
-	}
-}
-
 func TestTableRenderAlignsAndCounts(t *testing.T) {
 	tbl := NewTable("demo", "name", "value")
 	tbl.AddRow("alpha", 1.5)
@@ -141,25 +106,5 @@ func TestTableFloatsFormatting(t *testing.T) {
 	out := tbl.RenderString()
 	if !strings.Contains(out, "0.0001235") && !strings.Contains(out, "1.235e-04") {
 		t.Errorf("floats should render with ~4 significant digits, got:\n%s", out)
-	}
-}
-
-func TestTableWriteCSV(t *testing.T) {
-	tbl := NewTable("t", "a", "b")
-	tbl.AddRow(1, "x")
-	tbl.AddRow(2, "y")
-	var sb strings.Builder
-	if err := tbl.WriteCSV(&sb); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV lines = %d, want 3 (header + 2 rows)", len(lines))
-	}
-	if lines[0] != "a,b" {
-		t.Errorf("CSV header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "1,") {
-		t.Errorf("CSV row = %q", lines[1])
 	}
 }

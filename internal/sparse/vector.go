@@ -153,14 +153,20 @@ func (v Vec) Sub(w Vec) Vec {
 	return out
 }
 
-// MaxAbsDiff returns max_i |v[i]-w[i]|.
+// MaxAbsDiff returns max_i |v[i]-w[i]|, or NaN as soon as any difference is
+// NaN: a distance to an oracle must not read an all-NaN answer as 0, so
+// callers can test agreement as !(d <= tol).
 func (v Vec) MaxAbsDiff(w Vec) float64 {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("sparse: MaxAbsDiff length mismatch %d vs %d", len(v), len(w)))
 	}
 	var m float64
 	for i := range v {
-		if d := math.Abs(v[i] - w[i]); d > m {
+		d := math.Abs(v[i] - w[i])
+		if math.IsNaN(d) {
+			return d
+		}
+		if d > m {
 			m = d
 		}
 	}

@@ -136,6 +136,26 @@ func TestVecRMSErrorAndMaxAbsDiff(t *testing.T) {
 	}
 }
 
+// TestMaxAbsDiffPropagatesNaN: an oracle distance is tested as !(d <= tol), so
+// a NaN anywhere in the answer must come back as NaN, never as the maximum of
+// the entries that happen to compare.
+func TestMaxAbsDiffPropagatesNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct{ v, w Vec }{
+		{Vec{nan, 1}, Vec{0, 1}},
+		{Vec{5, nan}, Vec{0, 1}},
+		{Vec{0, 1}, Vec{nan, 1}},
+		{Vec{math.Inf(1)}, Vec{math.Inf(1)}},
+	} {
+		if d := c.v.MaxAbsDiff(c.w); !math.IsNaN(d) {
+			t.Errorf("%v.MaxAbsDiff(%v) = %g, want NaN", c.v, c.w, d)
+		}
+	}
+	if d := (Vec{1, math.Inf(1)}).MaxAbsDiff(Vec{1, 0}); !math.IsInf(d, 1) {
+		t.Errorf("an infinite difference must stay +Inf, got %g", d)
+	}
+}
+
 func TestVecEqualToleranceSemantics(t *testing.T) {
 	v := Vec{1, 2}
 	if !v.Equal(Vec{1, 2 + 1e-12}, 1e-10) {

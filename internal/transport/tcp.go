@@ -86,6 +86,30 @@ func NewTCPFromListener(self int, ln net.Listener, addrs map[int]string) Transpo
 	return t
 }
 
+// NewTCPLoopback builds an n-member TCP fabric on 127.0.0.1 with OS-assigned
+// ports — the TCP counterpart of NewChanNetwork. Every listener is opened
+// before any member is made, so the shared address map is complete; when one
+// cannot be opened the ones already open are closed again.
+func NewTCPLoopback(n int) ([]Transport, error) {
+	lns := make([]net.Listener, n)
+	addrs := make(map[int]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, open := range lns[:i] {
+				open.Close()
+			}
+			return nil, fmt.Errorf("transport: loopback member %d: %w", i, err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	ts := make([]Transport, n)
+	for i, ln := range lns {
+		ts[i] = NewTCPFromListener(i, ln, addrs)
+	}
+	return ts, nil
+}
+
 // Addr returns the listener's actual address (resolves ":0" ports).
 func (t *tcpTransport) Addr() string { return t.ln.Addr().String() }
 

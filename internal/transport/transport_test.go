@@ -14,23 +14,11 @@ import (
 	"repro/internal/chaos"
 )
 
-// newTCPNetwork builds an n-member TCP fabric on loopback with OS-assigned
-// ports: listeners first (so every address is known), then the transports.
 func newTCPNetwork(t *testing.T, n int) []Transport {
 	t.Helper()
-	lns := make([]net.Listener, n)
-	addrs := make(map[int]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	ts := make([]Transport, n)
-	for i := 0; i < n; i++ {
-		ts[i] = NewTCPFromListener(i, lns[i], addrs)
+	ts, err := NewTCPLoopback(n)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return ts
 }
