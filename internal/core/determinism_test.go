@@ -198,10 +198,10 @@ func TestVTMGolden(t *testing.T) {
 	}
 }
 
-// TestIncrementalTwinGapMatchesFullScan verifies, after a DTM run, that the
-// incrementally maintained segment tree's root equals a from-scratch scan over
-// every link — the invariant that lets the stop condition check only
-// O(incident) links per solve.
+// TestIncrementalTwinGapMatchesFullScan verifies, after a DTM run, that
+// twinGap — the segment tree's root once the stale parts are refreshed —
+// equals a from-scratch scan over every link: the invariant that lets the
+// stop condition touch only O(incident) links per solved part.
 func TestIncrementalTwinGapMatchesFullScan(t *testing.T) {
 	sys := sparse.RandomGridSPD(13, 13, 99)
 	topo := topology.Mesh4x4Paper()

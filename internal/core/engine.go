@@ -57,20 +57,29 @@ type engine struct {
 	sinceRecompute int
 	solves         int
 
-	// Incrementally maintained twin-gap state. gapTree is a 1-indexed max
-	// segment tree whose leaves (starting at gapLeaf) hold the exact current
-	// disagreement |u_A − u_B| of each link. After a part solves, only its
-	// incident links are refreshed — O(incident · log L) instead of the O(L)
-	// full scan per stop-condition check — and, unlike errSq, no periodic
-	// recomputation is needed because every leaf is always recomputed exactly
-	// from the two port potentials (nothing accumulates). gapRefs[p] holds,
-	// per incident link of part p, the tree leaf index and direct pointers to
-	// the two port potentials (stable: a Subdomain's x is solved in place and
+	// Twin-gap state, maintained on demand. gapTree is a 1-indexed max
+	// segment tree whose leaves (starting at gapLeaf) hold the disagreement
+	// |u_A − u_B| of each link. A solve only marks its part stale; twinGap
+	// refreshes the links incident to the stale parts — O(incident · log L)
+	// each instead of an O(L) scan — before it reads the root. The stop rule
+	// asks for the gap only once every part's lastChange is under Tol, so a
+	// run that records no trace pays for the tree a handful of times instead
+	// of once per solve. Unlike errSq no periodic recomputation is needed:
+	// every leaf is recomputed exactly from the two port potentials (nothing
+	// accumulates), and those change only inside solve. gapRefs[p] holds, per
+	// incident link of part p, the tree leaf index and direct pointers to the
+	// two port potentials (stable: a Subdomain's x is solved in place and
 	// never reallocated), so a gap refresh is two loads, one abs, and a tree
 	// walk.
 	gapRefs [][]gapRef
 	gapTree []float64
 	gapLeaf int
+	// gapStale lists the parts solved since the last twinGap, each once
+	// (gapIsStale is the membership test); gapRefreshes counts the per-part
+	// refreshes performed, for the test that pins how few a run needs.
+	gapStale     []int32
+	gapIsStale   []bool
+	gapRefreshes int
 
 	// entryPool recycles waveEntry slices between sender and receiver; the DES
 	// engine is single-threaded, so a plain free list suffices and the steady
@@ -167,6 +176,8 @@ func (e *engine) initTwinGaps() {
 	for i := leaf - 1; i >= 1; i-- {
 		e.gapTree[i] = math.Max(e.gapTree[2*i], e.gapTree[2*i+1])
 	}
+	e.gapStale = make([]int32, 0, len(e.subs))
+	e.gapIsStale = make([]bool, len(e.subs))
 	e.gapRefs = make([][]gapRef, len(e.subs))
 	for part, incident := range linksOfPart {
 		refs := make([]gapRef, len(incident))
@@ -183,13 +194,11 @@ func (e *engine) initTwinGaps() {
 }
 
 // updateTwinGaps refreshes the disagreement of every link incident to part
-// (the only links whose gap can have changed in that part's solve) and
+// (the only links whose gap can have changed in that part's solves) and
 // propagates the new maxima up the tree, stopping as soon as a parent is
 // unchanged.
 func (e *engine) updateTwinGaps(part int) {
-	if e.gapTree == nil {
-		return
-	}
+	e.gapRefreshes++
 	tree := e.gapTree
 	for _, r := range e.gapRefs[part] {
 		g := math.Abs(*r.a - *r.b)
@@ -227,8 +236,8 @@ func (e *engine) solve(part int, now float64) {
 }
 
 // applyLocal folds the latest local solution of one part into the assembled
-// solution, the running error, and the incident twin gaps, touching only the
-// entries that part owns.
+// solution and the running error, touching only the entries that part owns,
+// and marks the part's incident twin gaps stale.
 func (e *engine) applyLocal(part int) {
 	lx := e.subs[part].X()
 	for _, pair := range e.ownerOf[part] {
@@ -244,7 +253,10 @@ func (e *engine) applyLocal(part int) {
 	if e.errSq < 0 {
 		e.errSq = 0
 	}
-	e.updateTwinGaps(part)
+	if e.gapTree != nil && !e.gapIsStale[part] {
+		e.gapIsStale[part] = true
+		e.gapStale = append(e.gapStale, int32(part))
+	}
 	if e.exact == nil {
 		return
 	}
@@ -276,12 +288,18 @@ func (e *engine) rmsError() float64 {
 	return math.Sqrt(e.errSq / float64(n))
 }
 
-// twinGap returns the largest twin-potential disagreement over all links, in
-// O(1) from the incrementally maintained segment tree.
+// twinGap returns the largest twin-potential disagreement over all links: the
+// root of the segment tree, once the parts solved since the last call have
+// had their incident leaves refreshed.
 func (e *engine) twinGap() float64 {
 	if e.gapTree == nil {
 		return 0
 	}
+	for _, part := range e.gapStale {
+		e.updateTwinGaps(int(part))
+		e.gapIsStale[part] = false
+	}
+	e.gapStale = e.gapStale[:0]
 	return e.gapTree[1]
 }
 

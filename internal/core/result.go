@@ -20,7 +20,9 @@ type TracePoint struct {
 	TwinGap float64
 	// Solves is the cumulative number of local solves across all subdomains.
 	Solves int
-	// Messages is the cumulative number of delivered messages.
+	// Messages is the cumulative number of messages sent. Result.Messages
+	// counts deliveries, so an asynchronous run that stops with waves in
+	// flight ends its trace above it.
 	Messages int
 }
 

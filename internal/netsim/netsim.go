@@ -16,14 +16,17 @@
 //
 // The simulator is generic over the message payload type P, so a run over a
 // concrete payload (e.g. a wave packet) never boxes payloads into interfaces.
-// The event queue is an index-based 4-ary min-heap of value-typed events with
-// the (time, seq) comparison inlined; together with per-node inbox recycling
+// The event queue is an index-based 4-ary min-heap of 16-byte integer keys —
+// the bits of the event time and the sequence number packed over a slot
+// index — compared and selected without branches, over a free-listed slab
+// that holds the event bodies still; together with per-node inbox recycling
 // the steady-state event loop performs no heap allocations at all.
 package netsim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Message is a payload in flight between two nodes.
@@ -110,11 +113,9 @@ const (
 	evTimer
 )
 
-// event is a value-typed queue entry; it is stored directly in the heap's
-// backing array, never allocated individually. It deliberately does not embed
-// a full Message: the destination equals node and the delivery time equals
-// time, so only the sender, send time and payload are carried — keeping the
-// entries the heap shuffles around 24 bytes smaller. Timer events reuse the
+// event is the body of a queue entry. It deliberately does not embed a full
+// Message: the destination equals node and the delivery time equals time, so
+// only the sender, send time and payload are carried. Timer events reuse the
 // from field for the caller-chosen timer id, so they cost nothing extra.
 type event[P any] struct {
 	time     float64
@@ -126,77 +127,157 @@ type event[P any] struct {
 	payload  P
 }
 
-// eventQueue is an index-based 4-ary min-heap ordered by (time, seq). The
-// 4-ary layout halves the tree depth of a binary heap and keeps the children
-// of a node in one or two cache lines; the comparison is inlined rather than
-// dispatched through the container/heap interface. seq is unique per event,
-// so (time, seq) is a strict total order and pop order is fully deterministic.
-type eventQueue[P any] struct {
-	a []event[P]
+// key is what the heap orders and moves: 16 bytes of integers, so the four
+// children of a node are one cache line's worth of data. t is
+// math.Float64bits of the event time, which orders exactly like the float for
+// the non-negative, non-NaN times push admits; s packs the event's sequence
+// number over its slab slot, so s is unique and (t, s) is the same strict
+// total order as (time, seq).
+type key struct {
+	t uint64
+	s uint64
 }
 
-func (q *eventQueue[P]) len() int { return len(q.a) }
+const (
+	slotBits = 24
+	maxSlots = 1 << slotBits        // events in flight
+	maxSeq   = 1 << (64 - slotBits) // events ever scheduled
+)
 
-// push inserts e, sifting up with a hole (moving parents down and writing e
-// once) instead of pairwise swaps.
+// infBits is the largest admissible key time: Float64bits is monotone on
+// [+0, +Inf], and everything above +Inf's pattern is a NaN or carries the
+// sign bit (a -0.0 would sort after +Inf).
+var infBits = math.Float64bits(math.Inf(1))
+
+// makeKey packs the key of an event stored in the given slab slot, refusing
+// what the packing cannot order.
+func makeKey(time float64, seq int64, slot int) key {
+	t := math.Float64bits(time)
+	if t > infBits {
+		panic(fmt.Sprintf("netsim: event time %g is negative or NaN", time))
+	}
+	if uint64(seq) >= maxSeq {
+		panic(fmt.Sprintf("netsim: event sequence number %d is outside [0, 2^%d)", seq, 64-slotBits))
+	}
+	if slot >= maxSlots {
+		panic(fmt.Sprintf("netsim: more than 2^%d events in flight", slotBits))
+	}
+	return key{t: t, s: uint64(seq)<<slotBits | uint64(slot)}
+}
+
+// less reports a < b as 1 or 0 without a branch: it is the borrow out of the
+// 128-bit subtraction a − b. A (time, seq) comparison on in-flight events is
+// a coin toss the branch predictor loses; the borrow chain has nothing to
+// predict.
+func (a key) less(b key) uint64 {
+	_, borrow := bits.Sub64(a.s, b.s, 0)
+	_, borrow = bits.Sub64(a.t, b.t, borrow)
+	return borrow
+}
+
+// minOf returns the smaller of a and b and which it was (0 for a, 1 for b),
+// selected arithmetically.
+func minOf(a, b key) (uint64, key) {
+	which := b.less(a)
+	mask := -which
+	return which, key{t: a.t ^ (a.t^b.t)&mask, s: a.s ^ (a.s^b.s)&mask}
+}
+
+// eventQueue is an index-based 4-ary min-heap of keys ordered by (time, seq)
+// over a slab of event bodies. Only the keys take part in sifting; a body is
+// written once into a free-listed slab slot on push and read once on pop,
+// never moved in between. The 4-ary layout halves the tree depth of a binary
+// heap, and the minimum of a node's four children is selected by mask
+// arithmetic on less (minOf) rather than by branches. seq is unique per
+// event, so pop order is fully deterministic.
+type eventQueue[P any] struct {
+	keys []key
+	slab []event[P]
+	free []int32 // vacant slab slots, most recently vacated last
+}
+
+func (q *eventQueue[P]) len() int { return len(q.keys) }
+
+// push stores e in a slab slot and inserts its key, sifting up with a hole
+// (moving parents down and writing the key once) instead of pairwise swaps.
 func (q *eventQueue[P]) push(e event[P]) {
-	q.a = append(q.a, e)
-	a := q.a
+	slot := len(q.slab)
+	if n := len(q.free); n > 0 {
+		slot = int(q.free[n-1])
+		q.free = q.free[:n-1]
+		q.slab[slot] = e
+	} else {
+		q.slab = append(q.slab, e)
+	}
+	k := makeKey(e.time, e.seq, slot)
+	q.keys = append(q.keys, k)
+	a := q.keys
 	i := len(a) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if a[p].time < e.time || (a[p].time == e.time && a[p].seq < e.seq) {
+		if a[p].less(k) != 0 {
 			break
 		}
 		a[i] = a[p]
 		i = p
 	}
-	a[i] = e
+	a[i] = k
 }
 
-// pop removes and returns the minimum event.
+// pop removes and returns the minimum event, vacating its slab slot.
 func (q *eventQueue[P]) pop() event[P] {
-	a := q.a
-	top := a[0]
+	a := q.keys
+	slot := int32(a[0].s & (maxSlots - 1))
+	top := q.slab[slot]
+	var zero event[P]
+	q.slab[slot] = zero // drop payload references so the GC can reclaim them
+	q.free = append(q.free, slot)
 	n := len(a) - 1
 	last := a[n]
-	var zero event[P]
-	a[n] = zero // drop payload references so the GC can reclaim them
-	q.a = a[:n]
+	q.keys = a[:n]
 	if n > 0 {
 		q.siftDown(last)
 	}
 	return top
 }
 
-// siftDown re-inserts e starting from the root, moving the smallest child up
-// into the hole until e's position is found.
-func (q *eventQueue[P]) siftDown(e event[P]) {
-	a := q.a
+// siftDown re-inserts k starting from the root, moving the smallest child up
+// into the hole until k's position is found. A full group of four children
+// costs three borrow-chain comparisons and no branch; only the last level can
+// hold a partial group, which the trailing loop handles.
+func (q *eventQueue[P]) siftDown(k key) {
+	a := q.keys
 	n := len(a)
 	i := 0
 	for {
 		c := i<<2 + 1
-		if c >= n {
+		if c+4 > n {
 			break
 		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
+		g := a[c : c+4 : c+4]
+		lo, kLo := minOf(g[0], g[1])
+		hi, kHi := minOf(g[2], g[3])
+		top, kMin := minOf(kLo, kHi)
+		if k.less(kMin) != 0 {
+			a[i] = k
+			return
 		}
-		for j := c + 1; j < end; j++ {
-			if a[j].time < a[m].time || (a[j].time == a[m].time && a[j].seq < a[m].seq) {
+		a[i] = kMin
+		i = c + int(lo+(2+hi-lo)&-top)
+	}
+	if c := i<<2 + 1; c < n {
+		m := c
+		for j := c + 1; j < n; j++ {
+			if a[j].less(a[m]) != 0 {
 				m = j
 			}
 		}
-		if e.time < a[m].time || (e.time == a[m].time && e.seq < a[m].seq) {
-			break
+		if a[m].less(k) != 0 {
+			a[i] = a[m]
+			i = m
 		}
-		a[i] = a[m]
-		i = m
 	}
-	a[i] = e
+	a[i] = k
 }
 
 // Simulator is a deterministic discrete-event simulator over a fixed set of
@@ -217,6 +298,7 @@ type Simulator[P any] struct {
 	busy  []bool
 
 	now float64
+	ran bool // Run has been called
 
 	observer Observer
 	// stop is checked after every node activation.
@@ -240,7 +322,8 @@ func New[P any](nodes []Node[P], delay DelayFunc) *Simulator[P] {
 		spare: make([][]Message[P], len(nodes)),
 		busy:  make([]bool, len(nodes)),
 	}
-	s.queue.a = make([]event[P], 0, 4*len(nodes))
+	s.queue.keys = make([]key, 0, 4*len(nodes))
+	s.queue.slab = make([]event[P], 0, 4*len(nodes))
 	return s
 }
 
@@ -361,8 +444,13 @@ func (s *Simulator[P]) startNode(node int, start float64) {
 
 // Run executes the simulation until the event queue drains, the virtual clock
 // exceeds maxTime, or the stop condition fires. It returns the run statistics.
-// Run may be called once per simulator.
+// Run may be called once per simulator: a second call would re-Init the nodes
+// over whatever the first left in the queue, so it panics.
 func (s *Simulator[P]) Run(maxTime float64) Stats {
+	if s.ran {
+		panic("netsim: Run called twice on one Simulator")
+	}
+	s.ran = true
 	// Initial messages at time 0.
 	for i, n := range s.nodes {
 		s.send(i, 0, n.Init(0))

@@ -2,14 +2,17 @@ package netsim
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
 // refEvent / refQueue is a container/heap reference implementation with the
-// same (time, seq) ordering the 4-ary value heap inlines; the equivalence test
-// below drives both with identical random event streams and demands identical
-// pop order.
+// (time, seq) ordering on floats that the key heap reproduces on integers; the
+// equivalence test below drives both with identical random event streams and
+// demands identical pop order.
 type refEvent struct {
 	time float64
 	seq  int64
@@ -34,52 +37,178 @@ func (q *refQueue) Pop() any {
 	return e
 }
 
+// edgeTimes are the event times whose bit patterns sit at the ends of what
+// the integer key has to order like a float: zero, the smallest subnormal, a
+// subnormal/normal neighbour pair, adjacent doubles, and magnitudes whose
+// exponents differ in the top bits.
+var edgeTimes = []float64{
+	0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+	1, math.Nextafter(1, 2), 1e300, math.MaxFloat64, math.Inf(1),
+}
+
 func TestFourAryHeapMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
-		var fast eventQueue[int]
+		// A slice payload, so a slab slot that kept its body after the pop
+		// would show as a retained reference.
+		var fast eventQueue[[]int64]
 		ref := &refQueue{}
 		heap.Init(ref)
 		var seq int64
+		maxLive := 0
+		popBoth := func(when string) {
+			got := fast.pop()
+			want := heap.Pop(ref).(refEvent)
+			if got.time != want.time || got.seq != want.seq {
+				t.Fatalf("trial %d: %s mismatch: got (%g,%d), want (%g,%d)",
+					trial, when, got.time, got.seq, want.time, want.seq)
+			}
+			if len(got.payload) != 1 || got.payload[0] != got.seq || got.node != int32(got.seq%7) {
+				t.Fatalf("trial %d: %s returned the body of another event: %+v", trial, when, got)
+			}
+		}
 		n := 1 + rng.Intn(400)
 		// Interleave pushes and pops the way a simulation does: bursts of
 		// schedules separated by pops, with many duplicate timestamps so the
-		// seq tie-break is exercised constantly.
+		// seq tie-break is exercised constantly and vacated slots are reused.
 		for op := 0; op < n; op++ {
 			if fast.len() > 0 && rng.Intn(3) == 0 {
 				pops := 1 + rng.Intn(fast.len())
 				for p := 0; p < pops; p++ {
-					got := fast.pop()
-					want := heap.Pop(ref).(refEvent)
-					if got.time != want.time || got.seq != want.seq {
-						t.Fatalf("trial %d: pop mismatch: got (%g,%d), want (%g,%d)",
-							trial, got.time, got.seq, want.time, want.seq)
-					}
+					popBoth("pop")
 				}
 				continue
 			}
 			pushes := 1 + rng.Intn(8)
 			for p := 0; p < pushes; p++ {
-				// Coarse times produce plenty of exact collisions.
+				// Coarse times produce plenty of exact collisions; one push in
+				// four takes an edge time instead.
 				tm := float64(rng.Intn(20))
+				if rng.Intn(4) == 0 {
+					tm = edgeTimes[rng.Intn(len(edgeTimes))]
+				}
 				seq++
-				fast.push(event[int]{time: tm, seq: seq})
+				fast.push(event[[]int64]{time: tm, seq: seq, node: int32(seq % 7), payload: []int64{seq}})
 				heap.Push(ref, refEvent{time: tm, seq: seq})
 			}
+			maxLive = max(maxLive, fast.len())
 		}
 		// Drain completely; the full pop sequence must agree.
 		for fast.len() > 0 {
-			got := fast.pop()
-			want := heap.Pop(ref).(refEvent)
-			if got.time != want.time || got.seq != want.seq {
-				t.Fatalf("trial %d: drain mismatch: got (%g,%d), want (%g,%d)",
-					trial, got.time, got.seq, want.time, want.seq)
-			}
+			popBoth("drain")
 		}
 		if ref.Len() != 0 {
 			t.Fatalf("trial %d: reference heap retained %d events", trial, ref.Len())
 		}
+		// The slab grew to the high-water mark and no further (slots were
+		// recycled), every slot is vacant, and no vacant slot holds a body.
+		if len(fast.slab) != maxLive || len(fast.free) != maxLive {
+			t.Fatalf("trial %d: slab %d, free list %d after a drain; at most %d events were ever live",
+				trial, len(fast.slab), len(fast.free), maxLive)
+		}
+		for slot, e := range fast.slab {
+			if !reflect.ValueOf(e).IsZero() {
+				t.Fatalf("trial %d: slab slot %d retains %+v after the drain", trial, slot, e)
+			}
+		}
 	}
+}
+
+// TestQueueLimitsPanic pins that the queue and the simulator refuse what they
+// cannot order instead of misordering it. The in-flight row drives makeKey,
+// the function push builds every key with: 2²⁴ live events would need a
+// gigabyte of slab.
+func TestQueueLimitsPanic(t *testing.T) {
+	push := func(time float64, seq int64) func() {
+		return func() {
+			var q eventQueue[int]
+			q.push(event[int]{time: time, seq: seq})
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		f    func()
+		want string // empty: must not panic
+	}{
+		{"zero time, largest seq", push(0, maxSeq-1), ""},
+		{"infinite time", push(math.Inf(1), 1), ""},
+		{"last slot", func() { makeKey(1, 1, maxSlots-1) }, ""},
+		{"negative time", push(-1, 1), "netsim: event time -1 is negative or NaN"},
+		{"negative zero", push(math.Copysign(0, -1), 1), "netsim: event time -0 is negative or NaN"},
+		{"NaN time", push(math.NaN(), 1), "netsim: event time NaN is negative or NaN"},
+		{"seq 2^40", push(1, maxSeq), "netsim: event sequence number 1099511627776 is outside [0, 2^40)"},
+		{"negative seq", push(1, -1), "netsim: event sequence number -1 is outside [0, 2^40)"},
+		{"2^24 events in flight", func() { makeKey(1, 1, maxSlots) }, "netsim: more than 2^24 events in flight"},
+		{"second Run", func() {
+			sim := New([]Node[int]{&chatterNode{n: 1, maxSends: 2}}, func(from, to int) float64 { return 1 })
+			sim.Run(10)
+			sim.Run(20)
+		}, "netsim: Run called twice on one Simulator"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				got, _ := recover().(string)
+				if got != tc.want {
+					t.Errorf("panic %q, want %q", got, tc.want)
+				}
+			}()
+			tc.f()
+		})
+	}
+}
+
+// FuzzEventQueueOrder turns a byte stream into pushes and pops and checks
+// every pop against the plainest oracle there is: sort the live (time, seq)
+// pairs as floats and take the first. A byte with its two low bits clear
+// pops; any other pushes at a time drawn from the rest of the byte — a few
+// coarse values, so ties on time are the common case, or one of edgeTimes.
+func FuzzEventQueueOrder(f *testing.F) {
+	// The seeds are testdata/fuzz/FuzzEventQueueOrder: an equal-time burst,
+	// every edge time in both orders, a push/pop interleaving that recycles
+	// slots, and a 190-push stream four levels deep.
+	f.Add([]byte{1, 2, 3, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var q eventQueue[int]
+		var live []refEvent
+		var seq int64
+		pop := func() {
+			sort.Slice(live, func(i, j int) bool {
+				if live[i].time != live[j].time {
+					return live[i].time < live[j].time
+				}
+				return live[i].seq < live[j].seq
+			})
+			got, want := q.pop(), live[0]
+			live = live[1:]
+			if got.time != want.time || got.seq != want.seq || got.payload != int(want.seq) {
+				t.Fatalf("pop (%g,%d) payload %d, want (%g,%d)", got.time, got.seq, got.payload, want.time, want.seq)
+			}
+		}
+		for _, b := range ops {
+			if b&3 == 0 {
+				if q.len() > 0 {
+					pop()
+				}
+				continue
+			}
+			tm := float64(b >> 2 & 7)
+			if b&0x80 != 0 {
+				tm = edgeTimes[int(b>>2&31)%len(edgeTimes)]
+			}
+			seq++
+			q.push(event[int]{time: tm, seq: seq, payload: int(seq)})
+			live = append(live, refEvent{time: tm, seq: seq})
+			if q.len() != len(live) {
+				t.Fatalf("len %d with %d live events", q.len(), len(live))
+			}
+		}
+		for q.len() > 0 {
+			pop()
+		}
+		if len(live) != 0 || len(q.free) != len(q.slab) {
+			t.Fatalf("after the drain: %d live in the oracle, %d of %d slab slots vacant", len(live), len(q.free), len(q.slab))
+		}
+	})
 }
 
 // chatterNode exchanges messages over randomised (but deterministic per seed)
