@@ -119,10 +119,10 @@ func main() {
 	flag.Float64Var(&o.tol, "tol", 1e-9, "quiescence tolerance")
 	flag.StringVar(&o.localSolver, "local-solver", "", "factor backend for the local solves (empty for default)")
 	flag.Float64Var(&o.sendThreshold, "send-threshold", 0, "wave re-announcement suppression threshold (default tol/100)")
-	flag.IntVar(&o.watchdogMS, "watchdog-ms", 50, "worker retransmission sweep interval")
-	flag.IntVar(&o.pollMS, "poll-ms", 10, "coordinator status poll interval")
-	flag.DurationVar(&o.heartbeat, "heartbeat", 25*time.Millisecond, "worker heartbeat (and snapshot) interval")
-	flag.IntVar(&o.leaseBeats, "lease", 6, "coordinator: worker lease in heartbeat intervals")
+	flag.IntVar(&o.watchdogMS, "watchdog-ms", 50, "worker retransmission sweep interval (at least 1)")
+	flag.IntVar(&o.pollMS, "poll-ms", 10, "coordinator status poll interval (at least 1)")
+	flag.DurationVar(&o.heartbeat, "heartbeat", 25*time.Millisecond, "worker heartbeat (and snapshot) interval, in whole milliseconds (at least 1ms)")
+	flag.IntVar(&o.leaseBeats, "lease", 6, "coordinator: worker lease in heartbeat intervals (at least 1)")
 	flag.BoolVar(&o.noFailover, "no-failover", false, "coordinator: surface a lost worker as an error instead of reassigning")
 	flag.BoolVar(&o.crash, "crash", false, "selftest: SIGKILL the last worker mid-solve and require failover")
 	flag.DurationVar(&o.timeout, "timeout", 2*time.Minute, "coordinator/selftest deadline")
@@ -138,7 +138,27 @@ func main() {
 	}
 }
 
+// checkCadence refuses a cadence dist.CoordConfig would read as unset and
+// replace by its default: -heartbeat 500us is zero whole milliseconds, and
+// would silently beat every 25 ms.
+func checkCadence(o *options) error {
+	switch {
+	case o.heartbeat < time.Millisecond:
+		return fmt.Errorf("-heartbeat %v is below the floor of 1ms", o.heartbeat)
+	case o.pollMS < 1:
+		return fmt.Errorf("-poll-ms %d is below the floor of 1", o.pollMS)
+	case o.watchdogMS < 1:
+		return fmt.Errorf("-watchdog-ms %d is below the floor of 1", o.watchdogMS)
+	case o.leaseBeats < 1:
+		return fmt.Errorf("-lease %d is below the floor of 1", o.leaseBeats)
+	}
+	return nil
+}
+
 func run(o *options) error {
+	if err := checkCadence(o); err != nil {
+		return err
+	}
 	if o.selftest {
 		return selftest(o)
 	}
@@ -217,15 +237,9 @@ func coordinate(o *options, tr transport.Transport, addrs map[int]string) error 
 	}
 	spec := buildSpec(o)
 	start := time.Now()
-	res, err := dist.Coordinate(ctx, tr, dist.CoordConfig{
-		Spec: spec, Workers: workers, Tol: o.tol,
-		LocalSolver: o.localSolver, SendThreshold: o.sendThreshold,
-		WatchdogMS:      o.watchdogMS,
-		PollInterval:    time.Duration(o.pollMS) * time.Millisecond,
-		HeartbeatMS:     int(o.heartbeat / time.Millisecond),
-		LeaseBeats:      o.leaseBeats,
-		DisableFailover: o.noFailover,
-	})
+	cfg := coordConfig(o, spec, workers)
+	cfg.DisableFailover = o.noFailover
+	res, err := dist.Coordinate(ctx, tr, cfg)
 	if err != nil {
 		return err
 	}
@@ -262,6 +276,18 @@ func buildSpec(o *options) dist.SpecV2 {
 		V: 2, Source: o.source,
 		PartsX: o.px, PartsY: o.py, NParts: o.parts,
 		Topology: o.topo, Delay: o.delay,
+	}
+}
+
+// coordConfig is the one place the flags become a coordinator configuration.
+func coordConfig(o *options, spec dist.SpecV2, workers []int) dist.CoordConfig {
+	return dist.CoordConfig{
+		Spec: spec, Workers: workers, Tol: o.tol,
+		LocalSolver: o.localSolver, SendThreshold: o.sendThreshold,
+		WatchdogMS:   o.watchdogMS,
+		PollInterval: time.Duration(o.pollMS) * time.Millisecond,
+		HeartbeatMS:  int(o.heartbeat / time.Millisecond),
+		LeaseBeats:   o.leaseBeats,
 	}
 }
 
@@ -364,14 +390,7 @@ func selftest(o *options) error {
 			spec.NParts = 2 * n // default tearing: two parts per worker
 		}
 	}
-	cfg := dist.CoordConfig{
-		Spec: spec, Workers: workers, Tol: o.tol,
-		LocalSolver: o.localSolver, SendThreshold: o.sendThreshold,
-		WatchdogMS:   o.watchdogMS,
-		PollInterval: time.Duration(o.pollMS) * time.Millisecond,
-		HeartbeatMS:  int(o.heartbeat / time.Millisecond),
-		LeaseBeats:   o.leaseBeats,
-	}
+	cfg := coordConfig(o, spec, workers)
 	if o.crash {
 		// SIGKILL the last worker once the solve is in flight (after the
 		// first status poll round has gone out) — no shutdown handshake, no

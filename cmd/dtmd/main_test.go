@@ -1,7 +1,9 @@
 package main
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
 )
@@ -49,6 +51,54 @@ func TestBuildSpec(t *testing.T) {
 		}
 		if canon, err := got.SourceString(); err != nil || canon != got.Source {
 			t.Errorf("%s: source %q is not canonical (canonical form %q, err %v)", tc.name, got.Source, canon, err)
+		}
+	}
+}
+
+// TestCadenceFlagsHaveAFloor: a cadence the coordinator would replace by its
+// default (dist.CoordConfig reads a non-positive interval as unset) is an
+// error naming the flag and its floor, before any socket is opened — not a
+// run at a cadence nobody asked for.
+func TestCadenceFlagsHaveAFloor(t *testing.T) {
+	defaults := options{heartbeat: 25 * time.Millisecond, pollMS: 10, watchdogMS: 50, leaseBeats: 6}
+	for _, tc := range []struct {
+		name string
+		set  func(*options)
+		want string // substrings of the error; empty when the value is accepted
+	}{
+		{"the defaults", func(*options) {}, ""},
+		{"one millisecond", func(o *options) { o.heartbeat = time.Millisecond }, ""},
+		{"a fraction above a millisecond", func(o *options) { o.heartbeat = 1500 * time.Microsecond }, ""},
+		{"-heartbeat 500us", func(o *options) { o.heartbeat = 500 * time.Microsecond }, "-heartbeat 500µs|1ms"},
+		{"-heartbeat 0", func(o *options) { o.heartbeat = 0 }, "-heartbeat 0s|1ms"},
+		{"-heartbeat -1s", func(o *options) { o.heartbeat = -time.Second }, "-heartbeat -1s|1ms"},
+		{"-poll-ms 0", func(o *options) { o.pollMS = 0 }, "-poll-ms 0|floor of 1"},
+		{"-watchdog-ms 0", func(o *options) { o.watchdogMS = 0 }, "-watchdog-ms 0|floor of 1"},
+		{"-lease 0", func(o *options) { o.leaseBeats = 0 }, "-lease 0|floor of 1"},
+		{"-lease -3", func(o *options) { o.leaseBeats = -3 }, "-lease -3|floor of 1"},
+	} {
+		o := defaults
+		tc.set(&o)
+		err := checkCadence(&o)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: refused: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		for _, part := range strings.Split(tc.want, "|") {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, part)
+			}
+		}
+		// run refuses it too, whatever the mode, and first.
+		o.selftest = true
+		if rerr := run(&o); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%s: run = %v, want %v", tc.name, rerr, err)
 		}
 	}
 }

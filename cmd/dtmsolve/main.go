@@ -257,6 +257,48 @@ func faultSummary(f *core.FaultStats) string {
 		f.Dropped, f.Duplicated, f.Delayed, f.Retransmissions, f.Crashes, f.Restarts, f.Snapshots)
 }
 
+// An engineMethod is a -method that runs core.Solve on the torn problem: its
+// engine, whether -faults applies, what its Config adds to the shared
+// Tol/Factor/Faults, and how its Result reads.
+type engineMethod struct {
+	engine  core.Engine
+	faults  bool
+	config  func(o options, c *core.Config)
+	summary func(r *core.Result) string
+}
+
+var engineMethods = map[string]engineMethod{
+	"dtm": {core.EngineDES, true,
+		func(o options, c *core.Config) { c.MaxTime = o.maxTime },
+		func(r *core.Result) string {
+			return fmt.Sprintf("converged=%v at t=%.0f, %d local solves, %d messages, twin gap %.3g%s",
+				r.Converged, r.FinalTime, r.Solves, r.Messages, r.TwinGap, faultSummary(r.Faults))
+		}},
+	"vtm": {core.EngineVTM, false,
+		func(o options, c *core.Config) { c.MaxIterations = o.maxIter },
+		func(r *core.Result) string {
+			return fmt.Sprintf("converged=%v after %d synchronous sweeps, twin gap %.3g",
+				r.Converged, r.Iterations, r.TwinGap)
+		}},
+	"mixed": {core.EngineMixed, true,
+		func(o options, c *core.Config) { c.MaxTime, c.AsyncWindow, c.SyncSweeps = o.maxTime, o.maxTime/20, 1 },
+		func(r *core.Result) string {
+			return fmt.Sprintf("converged=%v at t=%.0f after %d async phases and %d sync sweeps, %d local solves, %d messages%s",
+				r.Converged, r.FinalTime, r.AsyncPhases, r.SyncSweepsDone, r.Solves, r.Messages, faultSummary(r.Faults))
+		}},
+	"live": {core.EngineLive, true,
+		func(o options, c *core.Config) {
+			c.TimeScale, c.MaxWallTime = 20*time.Microsecond, 3*time.Second
+			if o.timeout > 0 {
+				c.MaxWallTime = o.timeout
+			}
+		},
+		func(r *core.Result) string {
+			return fmt.Sprintf("converged=%v after %.2f s of real asynchronous execution, %d local solves, %d messages%s",
+				r.Converged, r.FinalTime, r.Solves, r.Messages, faultSummary(r.Faults))
+		}},
+}
+
 func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 	var spec *chaos.Spec
 	if o.faults != "" {
@@ -264,87 +306,31 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		if spec, err = chaos.ParseSpec(o.faults); err != nil {
 			return nil, "", err
 		}
-		switch o.method {
-		case "dtm", "mixed", "live":
-		default:
+		if !engineMethods[o.method].faults {
 			return nil, "", fmt.Errorf("-faults applies to methods dtm, mixed and live, not %q", o.method)
 		}
 	}
-	switch o.method {
-	case "dtm":
+	if m, ok := engineMethods[o.method]; ok {
 		prob, err := distributedProblem(o, sys)
 		if err != nil {
 			return nil, "", err
 		}
-		res, err := core.Solve(context.Background(), prob, core.Config{
-			CommonOptions: core.CommonOptions{Tol: o.tol, Factor: o.fs, Faults: spec},
-			MaxTime:       o.maxTime,
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		return res.X, fmt.Sprintf("converged=%v at t=%.0f, %d local solves, %d messages, twin gap %.3g%s",
-			res.Converged, res.FinalTime, res.Solves, res.Messages, res.TwinGap, faultSummary(res.Faults)), nil
-	case "vtm":
-		prob, err := distributedProblem(o, sys)
-		if err != nil {
-			return nil, "", err
-		}
-		res, err := core.Solve(context.Background(), prob, core.Config{
-			CommonOptions: core.CommonOptions{Tol: o.tol, Factor: o.fs},
-			Engine:        core.EngineVTM,
-			MaxIterations: o.maxIter,
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		return res.X, fmt.Sprintf("converged=%v after %d synchronous sweeps, twin gap %.3g",
-			res.Converged, res.Iterations, res.TwinGap), nil
-	case "mixed":
-		prob, err := distributedProblem(o, sys)
-		if err != nil {
-			return nil, "", err
-		}
-		res, err := core.Solve(context.Background(), prob, core.Config{
-			CommonOptions: core.CommonOptions{Tol: o.tol, Factor: o.fs, Faults: spec},
-			Engine:        core.EngineMixed,
-			MaxTime:       o.maxTime,
-			AsyncWindow:   o.maxTime / 20,
-			SyncSweeps:    1,
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		return res.X, fmt.Sprintf("converged=%v at t=%.0f after %d async phases and %d sync sweeps, %d local solves, %d messages%s",
-			res.Converged, res.FinalTime, res.AsyncPhases, res.SyncSweepsDone, res.Solves, res.Messages, faultSummary(res.Faults)), nil
-	case "live":
-		prob, err := distributedProblem(o, sys)
-		if err != nil {
-			return nil, "", err
-		}
-		wall := 3 * time.Second
-		if o.timeout > 0 {
-			wall = o.timeout
-		}
-		res, err := core.Solve(context.Background(), prob, core.Config{
-			CommonOptions: core.CommonOptions{
-				Tol: o.tol, Factor: o.fs, Faults: spec,
-				MaxWallTime: wall,
-			},
-			Engine:    core.EngineLive,
-			TimeScale: 20 * time.Microsecond,
-		})
+		cfg := core.Config{CommonOptions: core.CommonOptions{Tol: o.tol, Factor: o.fs, Faults: spec}, Engine: m.engine}
+		m.config(o, &cfg)
+		res, err := core.Solve(context.Background(), prob, cfg)
 		if errors.Is(err, core.ErrDeadlineExceeded) {
-			// Still report the partial result; the residual line tells the
-			// user how far the run got.
+			// Only the live engine runs against a deadline. Still report the
+			// partial result; the residual line tells the user how far the
+			// run got.
 			fmt.Fprintf(os.Stderr, "dtmsolve: %v\n", err)
 			err = nil
 		}
 		if err != nil {
 			return nil, "", err
 		}
-		return res.X, fmt.Sprintf("converged=%v after %.2f s of real asynchronous execution, %d local solves, %d messages%s",
-			res.Converged, res.FinalTime, res.Solves, res.Messages, faultSummary(res.Faults)), nil
+		return res.X, m.summary(res), nil
+	}
+	switch o.method {
 	case "direct":
 		// One factor-once/solve-many factorisation of the whole system through
 		// the local-solver registry — the way to exercise a backend (or the

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/factor"
 )
@@ -143,5 +144,59 @@ func TestOversizedPartsIsAnErrorNotAPanic(t *testing.T) {
 	}
 	if msg := stderr.String(); !strings.Contains(msg, "dtmsolve: -parts 9") || strings.Contains(msg, "goroutine") || strings.Count(msg, "\n") != 1 {
 		t.Errorf("stderr is not the one-line error:\n%s", msg)
+	}
+}
+
+// TestEngineMethodSummaries pins what the four core.Solve methods print after
+// "method=<name>  ": the three virtual-time engines are deterministic, so the
+// line is held byte for byte (recorded at a1bc04f, before the four blocks
+// became rows of engineMethods); the live engine's counts vary per run, so its
+// line is held by shape, on the converged path and on the deadline path,
+// which reports the partial result instead of failing.
+func TestEngineMethodSummaries(t *testing.T) {
+	summary := func(method string, set func(*options)) string {
+		t.Helper()
+		o := testOptions(method, factor.Settings{})
+		if set != nil {
+			set(&o)
+		}
+		sys, err := loadSystem(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := solve(o, sys)
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		return got
+	}
+	for _, tc := range []struct{ method, faults, want string }{
+		{"dtm", "", "converged=true at t=777, 606 local solves, 879 messages, twin gap 7.66e-10"},
+		{"vtm", "", "converged=true after 81 synchronous sweeps, twin gap 8.03e-11"},
+		{"mixed", "", "converged=true at t=777 after 1 async phases and 0 sync sweeps, 606 local solves, 879 messages"},
+		{"dtm", "seed=7,drop=0.05", "converged=true at t=1192, 831 local solves, 1156 messages, twin gap 3.19e-12\n" +
+			"faults: 55 dropped, 0 duplicated, 0 delayed, 9 retransmissions, 0 crashes / 0 restarts (0 snapshots)"},
+		{"mixed", "seed=7,drop=0.05", "converged=true at t=1192 after 1 async phases and 0 sync sweeps, 831 local solves, 1156 messages\n" +
+			"faults: 55 dropped, 0 duplicated, 0 delayed, 9 retransmissions, 0 crashes / 0 restarts (0 snapshots)"},
+	} {
+		if got := summary(tc.method, func(o *options) { o.faults = tc.faults }); got != tc.want {
+			t.Errorf("-method %s -faults %q:\n got %q\nwant %q", tc.method, tc.faults, got, tc.want)
+		}
+	}
+	if got := summary("live", nil); !strings.HasPrefix(got, "converged=true after ") || !strings.Contains(got, " s of real asynchronous execution, ") {
+		t.Errorf("-method live: %q", got)
+	}
+	if got := summary("live", func(o *options) { o.timeout = time.Millisecond }); !strings.HasPrefix(got, "converged=false after 0.0") || !strings.Contains(got, " s of real asynchronous execution, ") {
+		t.Errorf("-method live -timeout 1ms must report its partial result, got %q", got)
+	}
+
+	o := testOptions("vtm", factor.Settings{})
+	o.faults = "seed=7,drop=0.05"
+	sys, err := loadSystem(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := solve(o, sys); err == nil || err.Error() != `-faults applies to methods dtm, mixed and live, not "vtm"` {
+		t.Errorf("-method vtm -faults: %v", err)
 	}
 }

@@ -37,8 +37,8 @@
 //   - internal/graph, internal/partition — the electric graph of a symmetric
 //     system, a flat read-only adjacency laid over its CSR, and its Electric
 //     Vertex Splitting (wire tearing);
-//   - internal/dtl, internal/topology, internal/netsim — directed transmission
-//     lines, heterogeneous machines (behind the machine registry
+//   - internal/dtl, internal/topology, internal/netsim — the impedances of
+//     the directed transmission lines, heterogeneous machines (the registry
 //     topology.ParseTopology: uniform, ring, torus, the paper's
 //     mesh4x4/mesh8x8, and random geometric "yao:" fabrics), and the
 //     discrete-event network simulator;

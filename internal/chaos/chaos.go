@@ -165,22 +165,6 @@ func (s *Spec) SnapshotInterval() float64 {
 	return s.SnapshotEvery
 }
 
-// DownAt reports whether the directed pair from→to is hard down at time t.
-func (s *Spec) DownAt(from, to int, t float64) bool {
-	if s == nil {
-		return false
-	}
-	for _, w := range s.Down {
-		if w.SlowBy > 1 {
-			continue
-		}
-		if (w.From == -1 || w.From == from) && (w.To == -1 || w.To == to) && t >= w.T0 && t < w.T1 {
-			return true
-		}
-	}
-	return false
-}
-
 // AnyDownAt reports whether any down (or degraded) window is open at time t —
 // the engines refuse to declare convergence inside one.
 func (s *Spec) AnyDownAt(t float64) bool {
@@ -220,26 +204,6 @@ func (s *Spec) AnyCrashedAt(t float64) bool {
 		}
 	}
 	return false
-}
-
-// QuietAfter returns the earliest time from which no scheduled window or
-// crash is open any more — after it, only the stochastic faults remain.
-func (s *Spec) QuietAfter() float64 {
-	if s == nil {
-		return 0
-	}
-	q := 0.0
-	for _, w := range s.Down {
-		if w.T1 > q {
-			q = w.T1
-		}
-	}
-	for _, c := range s.Crashes {
-		if end := c.At + c.RestartAfter; end > q {
-			q = end
-		}
-	}
-	return q
 }
 
 // Stats counts the faults a Controller actually injected. Counters are
@@ -284,9 +248,6 @@ func NewController(spec *Spec, nParts int) *Controller {
 	}
 	return c
 }
-
-// Spec returns the spec the controller applies.
-func (c *Controller) Spec() *Spec { return c.spec }
 
 // Fate decides what happens to one send on the directed pair from→to at
 // virtual time now with nominal delay d: it returns the delivery delay of

@@ -94,12 +94,6 @@ func TestDownWindows(t *testing.T) {
 		t.Errorf("burst window must stretch the delay 8x: got %v, want [80]", got)
 	}
 
-	if !spec.DownAt(0, 1, 150) || spec.DownAt(0, 1, 200) || spec.DownAt(1, 0, 150) {
-		t.Errorf("DownAt window membership wrong")
-	}
-	if spec.DownAt(2, 0, 15) {
-		t.Errorf("a degraded window must not count as hard down")
-	}
 	if !spec.AnyDownAt(15) || spec.AnyDownAt(1000) {
 		t.Errorf("AnyDownAt wrong")
 	}
@@ -118,9 +112,6 @@ func TestCrashSchedule(t *testing.T) {
 	}
 	if !spec.AnyCrashedAt(120) || spec.AnyCrashedAt(151) {
 		t.Errorf("AnyCrashedAt wrong")
-	}
-	if q := spec.QuietAfter(); q != 150 {
-		t.Errorf("QuietAfter = %g, want 150", q)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/partition"
 	"repro/internal/spectral"
 )
 
@@ -60,63 +59,4 @@ func CheckTheorem(p *Problem, tol float64, denseLimit int) TheoremReport {
 	}
 	report.Satisfied = report.OriginalSPD && report.NumSPD >= 1 && report.NumIndefinite == 0
 	return report
-}
-
-// VerifySplitConsistency checks the structural EVS invariant: the per-part
-// subsystems must sum back exactly (within tol) to the original system. It
-// returns nil when they do and a descriptive error otherwise. Together with
-// CheckTheorem this is the full pre-flight check a caller should run before
-// trusting a DTM result on a new partition.
-func VerifySplitConsistency(p *Problem, tol float64) error {
-	a, b := p.Partition.Reconstruct()
-	if !a.EqualApprox(p.System.A, tol) {
-		return fmt.Errorf("core: reconstructed matrix differs from the original by more than %g", tol)
-	}
-	diff := b.Sub(p.System.B)
-	if diff.NormInf() > tol {
-		return fmt.Errorf("core: reconstructed right-hand side differs from the original by %g (> %g)", diff.NormInf(), tol)
-	}
-	return nil
-}
-
-// PartitionSummary describes a partition for reports: per-part dimensions,
-// port counts and the number of twin links.
-type PartitionSummary struct {
-	Parts    int
-	Links    int
-	Dims     []int
-	Ports    []int
-	MaxDim   int
-	MinDim   int
-	AvgPorts float64
-	Splits   int
-}
-
-// Summarize collects the partition statistics of a problem.
-func Summarize(res *partition.Result) PartitionSummary {
-	s := PartitionSummary{
-		Parts:  res.NumParts(),
-		Links:  len(res.Links),
-		Splits: len(res.Splits),
-		MinDim: int(^uint(0) >> 1),
-	}
-	var totalPorts int
-	for _, sub := range res.Subdomains {
-		d := sub.Dim()
-		s.Dims = append(s.Dims, d)
-		s.Ports = append(s.Ports, sub.NumPorts)
-		totalPorts += sub.NumPorts
-		if d > s.MaxDim {
-			s.MaxDim = d
-		}
-		if d < s.MinDim {
-			s.MinDim = d
-		}
-	}
-	if s.Parts > 0 {
-		s.AvgPorts = float64(totalPorts) / float64(s.Parts)
-	} else {
-		s.MinDim = 0
-	}
-	return s
 }

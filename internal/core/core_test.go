@@ -111,9 +111,6 @@ func TestAutoProblemOnIrregularSystem(t *testing.T) {
 	if prob.Partition.NumParts() != 3 {
 		t.Errorf("parts = %d", prob.Partition.NumParts())
 	}
-	if err := VerifySplitConsistency(prob, 1e-9); err != nil {
-		t.Errorf("split consistency: %v", err)
-	}
 	res, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Tol: 1e-9}, MaxTime: 5000})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
@@ -160,33 +157,6 @@ func TestOwnerPairsCoverEveryVertexExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestSummarizePartition(t *testing.T) {
-	prob, _ := gridProblem(t, 8, 2, nil)
-	s := Summarize(prob.Partition)
-	if s.Parts != 4 {
-		t.Errorf("Parts = %d", s.Parts)
-	}
-	if s.Links != len(prob.Partition.Links) {
-		t.Errorf("Links = %d, want %d", s.Links, len(prob.Partition.Links))
-	}
-	if s.MaxDim < s.MinDim || s.MinDim <= 0 {
-		t.Errorf("dims inconsistent: %+v", s)
-	}
-	total := 0
-	for _, d := range s.Dims {
-		total += d
-	}
-	if total < prob.System.Dim() {
-		t.Errorf("sum of subdomain dims %d must be at least the system dimension %d (split copies add up)", total, prob.System.Dim())
-	}
-	if s.Splits != len(prob.Partition.Splits) {
-		t.Errorf("Splits = %d", s.Splits)
-	}
-	if s.AvgPorts <= 0 {
-		t.Errorf("AvgPorts = %g", s.AvgPorts)
-	}
-}
-
 func TestSubdomainAccessorsAndWaves(t *testing.T) {
 	sys, res := paperTearing(t)
 	prob, err := NewProblem(sys, res, topology.TwoProcessorPaper(), nil)
@@ -201,11 +171,8 @@ func TestSubdomainAccessorsAndWaves(t *testing.T) {
 		t.Fatalf("impedances = %v", zs)
 	}
 	s0 := subs[0]
-	if s0.Part() != 0 || s0.Dim() != 3 || s0.NumPorts() != 2 {
-		t.Errorf("subdomain 0 shape wrong: part %d dim %d ports %d", s0.Part(), s0.Dim(), s0.NumPorts())
-	}
-	if !s0.IsSPD() {
-		t.Errorf("the paper subdomain plus 1/Z on the port diagonal is SPD")
+	if s0.Part() != 0 || len(s0.X()) != 3 || s0.numPorts != 2 {
+		t.Errorf("subdomain 0 shape wrong: part %d dim %d ports %d", s0.Part(), len(s0.X()), s0.numPorts)
 	}
 	if adj := s0.AdjacentParts(); len(adj) != 1 || adj[0] != 1 {
 		t.Errorf("AdjacentParts = %v, want [1]", adj)
@@ -228,52 +195,32 @@ func TestSubdomainAccessorsAndWaves(t *testing.T) {
 	if got := s0.EndsTowards(5); len(got) != 0 {
 		t.Errorf("EndsTowards(unknown) = %v, want empty", got)
 	}
-	if got := s0.GlobalIdx(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 0 {
-		t.Errorf("GlobalIdx = %v, want [1 2 0] (ports V2, V3 then inner V1)", got)
+	if got := s0.globalIdx; len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 0 {
+		t.Errorf("globalIdx = %v, want [1 2 0] (ports V2, V3 then inner V1)", got)
 	}
 
 	// Before any solve the state is the zero initial condition (5.6).
-	for p := 0; p < s0.NumPorts(); p++ {
-		if s0.PortPotential(p) != 0 || s0.PortCurrent(p) != 0 {
+	for p := 0; p < s0.numPorts; p++ {
+		if s0.PortPotential(p) != 0 {
 			t.Errorf("initial port state must be zero")
 		}
 	}
-	// Solve once with zero incoming waves and check the wave/current identities.
+	// Solve once with zero incoming waves and check the wave identity.
 	change := s0.Solve()
 	if change <= 0 {
 		t.Errorf("first solve must move the boundary potentials, change = %g", change)
 	}
-	if s0.Solves() != 1 {
-		t.Errorf("Solves = %d", s0.Solves())
-	}
 	for k := range ends {
 		u := s0.PortPotential(ends[k].Port)
-		r := s0.Incoming(k) // still zero
+		r := s0.incoming[k] // still zero
 		if r != 0 {
 			t.Errorf("incoming wave must still be zero")
 		}
 		// ω_k = (r − u)/Z and the outgoing wave is u − Z·ω = 2u − r.
-		wantCurrent := (r - u) / ends[k].Z
-		if math.Abs(s0.EndCurrent(k)-wantCurrent) > 1e-12 {
-			t.Errorf("EndCurrent(%d) = %g, want %g", k, s0.EndCurrent(k), wantCurrent)
-		}
 		if math.Abs(s0.OutgoingWave(k)-(2*u-r)) > 1e-12 {
 			t.Errorf("OutgoingWave(%d) = %g, want %g", k, s0.OutgoingWave(k), 2*u-r)
 		}
 	}
-	// The port current is the sum of its end currents (single end per port here).
-	for p := 0; p < s0.NumPorts(); p++ {
-		sum := 0.0
-		for k, e := range ends {
-			if e.Port == p {
-				sum += s0.EndCurrent(k)
-			}
-		}
-		if math.Abs(s0.PortCurrent(p)-sum) > 1e-12 {
-			t.Errorf("PortCurrent(%d) = %g, want %g", p, s0.PortCurrent(p), sum)
-		}
-	}
-
 	// SetIncomingByLink: a foreign link id is rejected, a real one lands on the
 	// right end.
 	if s0.SetIncomingByLink(99, 1.5) {
@@ -285,18 +232,12 @@ func TestSubdomainAccessorsAndWaves(t *testing.T) {
 	}
 	found := false
 	for k, e := range ends {
-		if e.LinkID == link.ID && s0.Incoming(k) == 1.5 {
+		if e.LinkID == link.ID && s0.incoming[k] == 1.5 {
 			found = true
 		}
 	}
 	if !found {
 		t.Errorf("incoming wave was not recorded on the matching end")
-	}
-
-	// Reset restores the initial condition.
-	s0.Reset()
-	if s0.Solves() != 0 || s0.PortPotential(0) != 0 || s0.Incoming(0) != 0 {
-		t.Errorf("Reset did not restore the zero state")
 	}
 }
 
@@ -389,7 +330,7 @@ func TestDESSendThresholdReducesMessages(t *testing.T) {
 	}
 }
 
-func TestSolveDTMSingleSubdomainIsDirectSolve(t *testing.T) {
+func TestSingleSubdomainIsDirectSolve(t *testing.T) {
 	sys := sparse.Poisson2D(5, 5, 0.05)
 	topo := topology.Uniform(1, 1, "single")
 	prob, err := GridProblem(sys, 5, 5, 1, 1, topo)
@@ -645,18 +586,6 @@ func TestCheckTheoremClassifiesPartitions(t *testing.T) {
 		if c == spectral.Indefinite {
 			t.Errorf("no subgraph of a dominance-proportional split should be indefinite")
 		}
-	}
-}
-
-func TestVerifySplitConsistencyDetectsTampering(t *testing.T) {
-	prob, _ := gridProblem(t, 6, 2, nil)
-	if err := VerifySplitConsistency(prob, 1e-9); err != nil {
-		t.Fatalf("a fresh EVS partition must be consistent: %v", err)
-	}
-	// Tamper with one subdomain's right-hand side: the check must notice.
-	prob.Partition.Subdomains[0].B[0] += 0.5
-	if err := VerifySplitConsistency(prob, 1e-9); err == nil {
-		t.Errorf("tampered partition must fail the consistency check")
 	}
 }
 

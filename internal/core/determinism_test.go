@@ -16,12 +16,12 @@ import (
 	"repro/internal/topology"
 )
 
-// TestSolveDTMDeterminism pins the zero-allocation event core to the DES
+// TestDESDeterminism pins the zero-allocation event core to the DES
 // contract the paper's figures rely on, for every local-factorisation
 // backend: two runs with identical inputs must produce identical
 // solve/message counts, identical solutions bit for bit, and identical
 // convergence traces.
-func TestSolveDTMDeterminism(t *testing.T) {
+func TestDESDeterminism(t *testing.T) {
 	sys := sparse.RandomGridSPD(13, 13, 7)
 	exact, err := dense.SolveExact(sys.A, sys.B)
 	if err != nil {

@@ -134,7 +134,6 @@ func TestPaperLocalSystemMatchesEquation54(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference solve: %v", err)
 		}
-		sub.Reset()
 		sub.Solve()
 		if !sub.X().Equal(want, 1e-10) {
 			t.Errorf("subdomain %d initial solve = %v, want %v", sub.Part(), sub.X(), want)
@@ -238,9 +237,6 @@ func TestPaperExampleTheoremHypotheses(t *testing.T) {
 	if !report.Satisfied {
 		t.Errorf("Theorem 6.1 hypotheses not satisfied: %v", report)
 	}
-	if err := VerifySplitConsistency(prob, 1e-10); err != nil {
-		t.Errorf("split consistency: %v", err)
-	}
 }
 
 func TestPaperExampleExactSolutionSanity(t *testing.T) {
@@ -255,7 +251,7 @@ func TestPaperExampleExactSolutionSanity(t *testing.T) {
 	if r.NormInf() > 1e-12 {
 		t.Errorf("residual of the reference solution = %g, want ~0", r.NormInf())
 	}
-	if math.IsNaN(exact.Sum()) {
+	if math.IsNaN(exact.Norm2()) {
 		t.Errorf("reference solution contains NaN")
 	}
 }

@@ -57,8 +57,6 @@ type Subdomain struct {
 	x         sparse.Vec // latest local solution [u; y]
 	rhs       sparse.Vec // scratch right-hand side
 	prevPorts []float64  // scratch: port potentials before the latest solve
-	solves    int
-	spd       bool // whether the local matrix was Cholesky-factorisable
 
 	// localA and fs are kept so a crash-restarted subdomain can rebuild its
 	// factorisation the way it was first built (Refactor); snapX/snapIncoming
@@ -137,30 +135,8 @@ func NewSubdomain(sub *partition.Subdomain, links []partition.TwinLink, z []floa
 // Part returns the subdomain (part) index.
 func (s *Subdomain) Part() int { return s.part }
 
-// Dim returns the number of local unknowns.
-func (s *Subdomain) Dim() int { return len(s.globalIdx) }
-
-// NumPorts returns the number of local ports.
-func (s *Subdomain) NumPorts() int { return s.numPorts }
-
-// GlobalIdx returns the mapping from local index to global vertex id.
-func (s *Subdomain) GlobalIdx() []int { return s.globalIdx }
-
 // Ends returns the DTL endpoints terminating in this subdomain.
 func (s *Subdomain) Ends() []LinkEnd { return s.ends }
-
-// Solves returns how many local solves have been performed.
-func (s *Subdomain) Solves() int { return s.solves }
-
-// IsSPD reports whether the local system was factorised by a Cholesky
-// backend and is therefore certified SPD. Under an explicitly selected LU
-// backend it is false regardless of the matrix's actual definiteness (LU
-// never certifies it); under the default auto policy it keeps its historical
-// meaning of "Cholesky succeeded".
-func (s *Subdomain) IsSPD() bool { return s.spd }
-
-// SolverBackend returns the name of the factorisation backend in use.
-func (s *Subdomain) SolverBackend() string { return s.solver.Backend() }
 
 // X returns the latest local solution [u_ports; y_inner]. The returned slice
 // is the live buffer; callers that need a stable copy must Clone it.
@@ -181,9 +157,6 @@ func (s *Subdomain) SetIncomingByLink(linkID int, wave float64) bool {
 	return true
 }
 
-// Incoming returns the latest received wave on end k.
-func (s *Subdomain) Incoming(k int) float64 { return s.incoming[k] }
-
 // Solve re-solves the local system with the current incoming waves and returns
 // the largest absolute change of any port potential relative to the previous
 // solution. It performs only a forward/backward substitution — the
@@ -197,7 +170,6 @@ func (s *Subdomain) Solve() float64 {
 	prev := s.prevPorts
 	copy(prev, s.x[:s.numPorts])
 	s.solver.SolveTo(s.x, s.rhs)
-	s.solves++
 	var change float64
 	for p := 0; p < s.numPorts; p++ {
 		if d := math.Abs(s.x[p] - prev[p]); d > change {
@@ -207,60 +179,8 @@ func (s *Subdomain) Solve() float64 {
 	return change
 }
 
-// SolveBatch solves the local system for several incoming-wave sets at once,
-// without disturbing the subdomain's own state: waveSets[s] holds one wave
-// per end (in end order), and the returned X[s] is the local solution the
-// subdomain would reach under wave set s. All right-hand sides sweep the
-// factor together through factor.SolveBatch, so backends implementing
-// factor.BatchSolver stream the factor once per direction instead of once per
-// set — the service path a factor cache front-end uses to answer many
-// boundary scenarios against one factorisation. The incoming waves, the
-// latest solution and the port history are left untouched; only the solve
-// counter advances (by len(waveSets)), since each set costs one
-// forward/backward sweep of work.
-func (s *Subdomain) SolveBatch(waveSets [][]float64) []sparse.Vec {
-	k := len(waveSets)
-	X := make([]sparse.Vec, k)
-	B := make([]sparse.Vec, k)
-	dim := len(s.globalIdx)
-	for i, waves := range waveSets {
-		if len(waves) != len(s.ends) {
-			panic(fmt.Sprintf("core: wave set %d has %d waves for %d ends", i, len(waves), len(s.ends)))
-		}
-		b := sparse.NewVec(dim)
-		b.CopyFrom(s.baseRHS)
-		for e := range s.ends {
-			b[s.ends[e].Port] += s.invZ[e] * waves[e]
-		}
-		B[i] = b
-		X[i] = sparse.NewVec(dim)
-	}
-	factor.SolveBatch(s.solver, X, B)
-	s.solves += k
-	return X
-}
-
 // PortPotential returns the latest potential of local port p.
 func (s *Subdomain) PortPotential(p int) float64 { return s.x[p] }
-
-// EndCurrent returns the inflow current carried by end k with the latest local
-// solution: ω_k = (r_k − u_p)/Z.
-func (s *Subdomain) EndCurrent(k int) float64 {
-	e := s.ends[k]
-	return (s.incoming[k] - s.x[e.Port]) * s.invZ[k]
-}
-
-// PortCurrent returns the total inflow current of local port p (the sum over
-// the DTL endpoints terminating on it).
-func (s *Subdomain) PortCurrent(p int) float64 {
-	var w float64
-	for k, e := range s.ends {
-		if e.Port == p {
-			w += s.EndCurrent(k)
-		}
-	}
-	return w
-}
 
 // OutgoingWave returns the wave to send down end k after the latest solve.
 // The remote twin's delay equation (2.2) reads
@@ -322,16 +242,6 @@ func (s *Subdomain) AdjacentParts() []int {
 	return s.adjacent
 }
 
-// Reset restores the subdomain to the paper's initial condition (5.6):
-// zero potentials, zero currents, zero incoming waves.
-func (s *Subdomain) Reset() {
-	s.x.Zero()
-	for k := range s.incoming {
-		s.incoming[k] = 0
-	}
-	s.solves = 0
-}
-
 // Snapshot stores an in-memory copy of the subdomain's recovery state: the
 // latest local solution and the latest incoming waves. The constant inputs —
 // the local matrix, right-hand side and DTL endpoints — need no snapshot, and
@@ -374,6 +284,5 @@ func (s *Subdomain) Refactor() error {
 		return fmt.Errorf("core: factorising local system of part %d: %w", s.part, err)
 	}
 	s.solver = solver
-	s.spd = solver.Backend() != factor.DenseLU
 	return nil
 }

@@ -70,9 +70,6 @@ func NewCholeskyCSR(a *sparse.CSR) (*Cholesky, error) {
 // Dim returns the dimension of the factorised matrix.
 func (c *Cholesky) Dim() int { return c.n }
 
-// L returns a copy of the lower-triangular factor.
-func (c *Cholesky) L() *Matrix { return c.l.Clone() }
-
 // Solve solves A x = b using the precomputed factor (forward then backward
 // substitution) and returns x.
 func (c *Cholesky) Solve(b sparse.Vec) sparse.Vec {
@@ -112,32 +109,9 @@ func (c *Cholesky) SolveTo(x, b sparse.Vec) {
 	}
 }
 
-// LogDet returns the natural logarithm of det(A) = 2*sum(log L_ii).
-func (c *Cholesky) LogDet() float64 {
-	var s float64
-	for i := 0; i < c.n; i++ {
-		s += math.Log(c.l.At(i, i))
-	}
-	return 2 * s
-}
-
 // IsSPD reports whether the symmetric matrix a is numerically positive
 // definite (its Cholesky factorisation succeeds).
 func IsSPD(a *Matrix) bool {
 	_, err := NewCholesky(a)
 	return err == nil
-}
-
-// IsSNND reports whether the symmetric matrix a is symmetric non-negative
-// definite within tolerance tol: the Cholesky factorisation of a + tol*I must
-// succeed. The paper's Theorem 6.1 requires every non-SPD subgraph to be SNND.
-func IsSNND(a *Matrix, tol float64) bool {
-	if a.Rows() != a.Cols() {
-		return false
-	}
-	shifted := a.Clone()
-	for i := 0; i < a.Rows(); i++ {
-		shifted.Addf(i, i, tol)
-	}
-	return IsSPD(shifted)
 }

@@ -138,32 +138,3 @@ func MinEigenvalue(a *Matrix) (float64, error) {
 	}
 	return eig[0], nil
 }
-
-// MaxEigenvalue returns the largest eigenvalue of a symmetric matrix.
-func MaxEigenvalue(a *Matrix) (float64, error) {
-	eig, _, err := SymEigen(a, false)
-	if err != nil {
-		return 0, err
-	}
-	if len(eig) == 0 {
-		return 0, nil
-	}
-	return eig[len(eig)-1], nil
-}
-
-// ConditionNumber2 returns the 2-norm condition number of a symmetric
-// positive-definite matrix, λ_max / λ_min.
-func ConditionNumber2(a *Matrix) (float64, error) {
-	eig, _, err := SymEigen(a, false)
-	if err != nil {
-		return 0, err
-	}
-	if len(eig) == 0 {
-		return 1, nil
-	}
-	lo, hi := eig[0], eig[len(eig)-1]
-	if lo <= 0 {
-		return math.Inf(1), nil
-	}
-	return hi / lo, nil
-}

@@ -131,32 +131,6 @@ func (f *LU) Det() float64 {
 	return d
 }
 
-// SolveDense solves A X = B column by column and returns X.
-func (f *LU) SolveDense(b *Matrix) *Matrix {
-	if b.Rows() != f.n {
-		panic("dense: LU.SolveDense dimension mismatch")
-	}
-	out := New(f.n, b.Cols())
-	col := sparse.NewVec(f.n)
-	res := sparse.NewVec(f.n)
-	for j := 0; j < b.Cols(); j++ {
-		for i := 0; i < f.n; i++ {
-			col[i] = b.At(i, j)
-		}
-		f.SolveTo(res, col)
-		for i := 0; i < f.n; i++ {
-			out.Set(i, j, res[i])
-		}
-	}
-	return out
-}
-
-// Inverse returns A⁻¹ (for small matrices used in tests and the Laplace-domain
-// convergence analysis).
-func (f *LU) Inverse() *Matrix {
-	return f.SolveDense(Identity(f.n))
-}
-
 // SolveExact is a convenience wrapper: it densifies a sparse system, LU-solves
 // it, and returns the solution. It is the reference "ground truth" used when
 // measuring RMS error against the exact solution in the experiments.

@@ -80,13 +80,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// RowSlice returns row i as a copy.
-func (m *Matrix) RowSlice(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // MulVec computes y = M x.
 func (m *Matrix) MulVec(x sparse.Vec) sparse.Vec {
 	if len(x) != m.cols {
@@ -120,39 +113,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 				out.Addf(i, j, a*b.At(k, j))
 			}
 		}
-	}
-	return out
-}
-
-// Add returns M + B.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic("dense: Add shape mismatch")
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out
-}
-
-// Sub returns M - B.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic("dense: Sub shape mismatch")
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out
-}
-
-// Scale returns a*M.
-func (m *Matrix) Scale(a float64) *Matrix {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= a
 	}
 	return out
 }

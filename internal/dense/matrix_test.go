@@ -45,15 +45,6 @@ func TestFromRowsAndClone(t *testing.T) {
 	}
 }
 
-func TestMatrixRowSliceIsACopy(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	r := m.RowSlice(1)
-	r[0] = 77
-	if m.At(1, 0) != 3 {
-		t.Errorf("RowSlice must return a copy")
-	}
-}
-
 func TestIdentityMatrix(t *testing.T) {
 	id := Identity(3)
 	x := sparse.Vec{1, -2, 3}
@@ -77,24 +68,6 @@ func TestMatrixMulVec(t *testing.T) {
 	got := a.MulVec(sparse.Vec{1, 1, 1})
 	if !got.Equal(sparse.Vec{6, 15}, 1e-14) {
 		t.Errorf("MulVec = %v", got)
-	}
-}
-
-func TestMatrixAddSubScale(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{4, 3}, {2, 1}})
-	if !a.Add(b).EqualApprox(FromRows([][]float64{{5, 5}, {5, 5}}), 0) {
-		t.Errorf("Add wrong")
-	}
-	if !a.Sub(b).EqualApprox(FromRows([][]float64{{-3, -1}, {1, 3}}), 0) {
-		t.Errorf("Sub wrong")
-	}
-	if !a.Scale(2).EqualApprox(FromRows([][]float64{{2, 4}, {6, 8}}), 0) {
-		t.Errorf("Scale wrong")
-	}
-	// The receiver must not change.
-	if a.At(0, 0) != 1 {
-		t.Errorf("Add/Sub/Scale must not mutate the receiver")
 	}
 }
 
@@ -206,11 +179,6 @@ func TestCholeskySolvesKnownSystem(t *testing.T) {
 	if !buf.Equal(xWant, 1e-12) {
 		t.Errorf("SolveTo = %v", buf)
 	}
-	// L·Lᵀ must reproduce A.
-	l := chol.L()
-	if !l.Mul(l.Transpose()).EqualApprox(a, 1e-10) {
-		t.Errorf("L·Lᵀ != A")
-	}
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
@@ -231,17 +199,6 @@ func TestCholeskyCSRMatchesDense(t *testing.T) {
 	r := csr.Residual(x, b)
 	if r.NormInf() > 1e-10 {
 		t.Errorf("residual = %g", r.NormInf())
-	}
-}
-
-func TestCholeskyLogDet(t *testing.T) {
-	a := FromRows([][]float64{{4, 0}, {0, 9}})
-	chol, err := NewCholesky(a)
-	if err != nil {
-		t.Fatalf("NewCholesky: %v", err)
-	}
-	if got, want := chol.LogDet(), math.Log(36); math.Abs(got-want) > 1e-12 {
-		t.Errorf("LogDet = %g, want %g", got, want)
 	}
 }
 
@@ -267,28 +224,10 @@ func TestLUSolvesAndDeterminant(t *testing.T) {
 	if got := lu.Det(); math.Abs(got-(-4)) > 1e-10 {
 		t.Errorf("Det = %g, want -4", got)
 	}
-	// A·A⁻¹ = I.
-	inv := lu.Inverse()
-	if !a.Mul(inv).EqualApprox(Identity(3), 1e-10) {
-		t.Errorf("A·A⁻¹ != I")
-	}
 	buf := sparse.NewVec(3)
 	lu.SolveTo(buf, b)
 	if !buf.Equal(xWant, 1e-10) {
 		t.Errorf("SolveTo = %v", buf)
-	}
-}
-
-func TestLUSolveDense(t *testing.T) {
-	a := FromRows([][]float64{{2, 1}, {1, 3}})
-	lu, err := NewLU(a)
-	if err != nil {
-		t.Fatalf("NewLU: %v", err)
-	}
-	rhs := FromRows([][]float64{{1, 0}, {0, 1}})
-	x := lu.SolveDense(rhs)
-	if !a.Mul(x).EqualApprox(rhs, 1e-12) {
-		t.Errorf("SolveDense: A·X != B")
 	}
 }
 
@@ -398,40 +337,26 @@ func TestSymEigenRejectsNonSymmetric(t *testing.T) {
 	}
 }
 
-func TestMinMaxEigenvalueAndCondition(t *testing.T) {
+func TestMinEigenvalue(t *testing.T) {
 	a := FromRows([][]float64{{2, 1}, {1, 2}})
 	mn, err := MinEigenvalue(a)
 	if err != nil || math.Abs(mn-1) > 1e-10 {
 		t.Errorf("MinEigenvalue = %g, %v", mn, err)
 	}
-	mx, err := MaxEigenvalue(a)
-	if err != nil || math.Abs(mx-3) > 1e-10 {
-		t.Errorf("MaxEigenvalue = %g, %v", mx, err)
-	}
-	cond, err := ConditionNumber2(a)
-	if err != nil || math.Abs(cond-3) > 1e-9 {
-		t.Errorf("ConditionNumber2 = %g, %v", cond, err)
-	}
 }
 
-func TestIsSPDAndIsSNND(t *testing.T) {
+func TestIsSPD(t *testing.T) {
 	spd := FromRows([][]float64{{2, -1}, {-1, 2}})
 	if !IsSPD(spd) {
 		t.Errorf("SPD matrix misclassified")
-	}
-	if !IsSNND(spd, 1e-12) {
-		t.Errorf("an SPD matrix is also SNND")
 	}
 	// Singular but non-negative definite: the graph Laplacian of one edge.
 	snnd := FromRows([][]float64{{1, -1}, {-1, 1}})
 	if IsSPD(snnd) {
 		t.Errorf("singular SNND matrix must not be SPD")
 	}
-	if !IsSNND(snnd, 1e-10) {
-		t.Errorf("Laplacian must be SNND")
-	}
 	indef := FromRows([][]float64{{1, 3}, {3, 1}})
-	if IsSPD(indef) || IsSNND(indef, 1e-10) {
+	if IsSPD(indef) {
 		t.Errorf("indefinite matrix misclassified")
 	}
 }

@@ -564,7 +564,7 @@ func TestFencingStaleEpochWaves(t *testing.T) {
 	if got := s.status().Fenced; got != 2 {
 		t.Fatalf("zombie-incarnation wave not counted: fenced=%d", got)
 	}
-	if got := sub.Incoming(0); got != 1 {
+	if got := s.shard.Incoming(0)[0]; got != 1 {
 		t.Fatalf("incoming wave = %g, want the one fresh packet's 1", got)
 	}
 
@@ -806,7 +806,7 @@ func TestWorkerDropsCorruptCtrl(t *testing.T) {
 			t.Fatalf("corrupt ctrl %q terminated the session: stop=%v err=%v", ctrl, stop, err)
 		}
 	}
-	if got := w.BadCtrl(); got != 4 {
+	if got := w.badCtrl.Load(); got != 4 {
 		t.Fatalf("want 4 bad-ctrl drops, got %d", got)
 	}
 	// A reassign with a malformed owner map is counted, not applied.
@@ -814,8 +814,8 @@ func TestWorkerDropsCorruptCtrl(t *testing.T) {
 	if err := s.applyReassign(re); err != nil {
 		t.Fatal(err)
 	}
-	if s.shard.Epoch() != 1 || w.BadCtrl() != 5 {
-		t.Fatalf("malformed reassign applied: epoch=%d badCtrl=%d", s.shard.Epoch(), w.BadCtrl())
+	if s.shard.Epoch() != 1 || w.badCtrl.Load() != 5 {
+		t.Fatalf("malformed reassign applied: epoch=%d badCtrl=%d", s.shard.Epoch(), w.badCtrl.Load())
 	}
 }
 
@@ -846,7 +846,7 @@ func TestWorkerIdleSurvivesCorruptCtrl(t *testing.T) {
 	}
 	_ = sendCtrl(ctx, members[0], 1, &ctrlMsg{Type: msgShutdown})
 	wg.Wait()
-	if w.BadCtrl() < 3 {
-		t.Fatalf("bad-ctrl counter = %d, want >= 3", w.BadCtrl())
+	if w.badCtrl.Load() < 3 {
+		t.Fatalf("bad-ctrl counter = %d, want >= 3", w.badCtrl.Load())
 	}
 }

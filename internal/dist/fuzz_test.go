@@ -10,7 +10,7 @@ import (
 
 // FuzzCtrlMsg throws arbitrary bytes at the worker's control-plane decode and
 // dispatch path. The invariants under fuzz: the session NEVER panics, corrupt
-// frames are dropped and counted (BadCtrl), and a malformed reassign never
+// frames are dropped and counted (badCtrl), and a malformed reassign never
 // advances the epoch fence. The seed corpus under testdata/fuzz/FuzzCtrlMsg
 // pins the interesting shapes: valid messages of every type, truncated JSON,
 // a reassign with a mismatched owner map, and binary garbage.
@@ -50,14 +50,14 @@ func FuzzCtrlMsg(f *testing.F) {
 		mu.Lock()
 		defer mu.Unlock()
 		pkt := transport.Packet{Kind: transport.KindControl, From: 0, Ctrl: data}
-		before := w.BadCtrl()
+		before := w.badCtrl.Load()
 		epochBefore := sess.shard.Epoch()
 		_, derr := decodeCtrl(&pkt)
 		if _, herr := sess.handle(&pkt); herr != nil && herr != transport.ErrClosed {
 			t.Fatalf("handle returned unexpected error: %v", herr)
 		}
-		if derr != nil && w.BadCtrl() != before+1 {
-			t.Fatalf("corrupt ctrl not counted: BadCtrl %d -> %d", before, w.BadCtrl())
+		if derr != nil && w.badCtrl.Load() != before+1 {
+			t.Fatalf("corrupt ctrl not counted: BadCtrl %d -> %d", before, w.badCtrl.Load())
 		}
 		if derr != nil && sess.shard.Epoch() != epochBefore {
 			t.Fatalf("corrupt ctrl advanced epoch %d -> %d", epochBefore, sess.shard.Epoch())

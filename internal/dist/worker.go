@@ -51,9 +51,6 @@ type Worker struct {
 // NewWorker wraps a transport member into a worker (incarnation 1).
 func NewWorker(tr transport.Transport) *Worker { return &Worker{tr: tr, Incarnation: 1} }
 
-// BadCtrl returns how many malformed control frames this worker has dropped.
-func (w *Worker) BadCtrl() uint64 { return w.badCtrl.Load() }
-
 func (w *Worker) logf(format string, args ...any) {
 	if w.Logf != nil {
 		w.Logf(format, args...)

@@ -1,18 +1,20 @@
-// Package dtl models the Directed Transmission Line (DTL) of Section 2 of the
-// paper: an algorithmic (not physical) element that couples two ports through
-// the directed transmission delay equation
+// Package dtl chooses the characteristic impedances of the Directed
+// Transmission Lines (DTL) of Section 2 of the paper. A DTL is an algorithmic
+// (not physical) element that couples two ports through the directed
+// transmission delay equation
 //
 //	U_out(t) + Z·I_out(t) = U_in(t-τ) − Z·I_in(t-τ)
 //
 // with a strictly positive characteristic impedance Z and a propagation delay
-// τ from the input to the output. A DTL pair (DTLP) is two DTLs in opposite
+// τ from the input to the output; a DTL pair (DTLP) is two DTLs in opposite
 // directions with the same impedance but possibly different delays — that
 // asymmetry is what lets the algorithm's delays be mapped one-to-one onto the
 // asymmetric communication delays of a real parallel machine
-// (algorithm–architecture delay mapping).
-//
-// The package also provides the characteristic-impedance selection strategies
-// that the DTM engine and the Fig. 9 impedance-sweep experiment use.
+// (algorithm–architecture delay mapping). The equation itself lives where it
+// is solved, in core.Subdomain (Solve and OutgoingWave), and the delays in
+// topology; this package holds the one free parameter, Z: the selection
+// strategies the engines and the Fig. 9 impedance sweep use, and Assign, which
+// evaluates one on every twin link.
 package dtl
 
 import (
@@ -21,79 +23,6 @@ import (
 
 	"repro/internal/partition"
 )
-
-// DTL is a directed transmission line from an input port to an output port.
-type DTL struct {
-	// Z is the characteristic impedance; it must be strictly positive.
-	Z float64
-	// Delay is the propagation delay τ from input to output; it must be
-	// strictly positive for the asynchronous iteration to be well defined.
-	Delay float64
-}
-
-// Validate checks the positivity constraints of equation (2.1).
-func (d DTL) Validate() error {
-	if !(d.Z > 0) || math.IsInf(d.Z, 0) || math.IsNaN(d.Z) {
-		return fmt.Errorf("dtl: characteristic impedance must be positive and finite, got %g", d.Z)
-	}
-	if !(d.Delay > 0) || math.IsInf(d.Delay, 0) || math.IsNaN(d.Delay) {
-		return fmt.Errorf("dtl: propagation delay must be positive and finite, got %g", d.Delay)
-	}
-	return nil
-}
-
-// IncidentWave returns the right-hand side of the delay equation as seen by
-// the output port: U_in − Z·I_in evaluated at the input port (the caller is
-// responsible for using the values from time t−τ). In scattering terms this is
-// the wave travelling down the line.
-func (d DTL) IncidentWave(uIn, iIn float64) float64 { return uIn - d.Z*iIn }
-
-// ReflectedCurrent solves the delay equation for the output current given the
-// output potential and the incident wave: I_out = (wave − U_out)/Z.
-func (d DTL) ReflectedCurrent(uOut, wave float64) float64 { return (wave - uOut) / d.Z }
-
-// Residual returns how far a set of port values is from satisfying the delay
-// equation; it is zero exactly when U_out + Z·I_out = U_in(t−τ) − Z·I_in(t−τ).
-func (d DTL) Residual(uOut, iOut, uInDelayed, iInDelayed float64) float64 {
-	return uOut + d.Z*iOut - (uInDelayed - d.Z*iInDelayed)
-}
-
-// Pair is a directed transmission line pair (DTLP) between port 1 and port 2:
-// the same impedance in both directions, with possibly different delays.
-type Pair struct {
-	Z         float64
-	Delay1To2 float64
-	Delay2To1 float64
-}
-
-// Validate checks the positivity constraints of equation (2.2).
-func (p Pair) Validate() error {
-	if err := (DTL{Z: p.Z, Delay: p.Delay1To2}).Validate(); err != nil {
-		return fmt.Errorf("dtl: pair direction 1→2: %w", err)
-	}
-	if err := (DTL{Z: p.Z, Delay: p.Delay2To1}).Validate(); err != nil {
-		return fmt.Errorf("dtl: pair direction 2→1: %w", err)
-	}
-	return nil
-}
-
-// Forward returns the DTL from port 1 to port 2.
-func (p Pair) Forward() DTL { return DTL{Z: p.Z, Delay: p.Delay1To2} }
-
-// Backward returns the DTL from port 2 to port 1.
-func (p Pair) Backward() DTL { return DTL{Z: p.Z, Delay: p.Delay2To1} }
-
-// IsSymmetric reports whether the pair degenerates into a physical
-// (undirected) transmission line, i.e. both delays are equal.
-func (p Pair) IsSymmetric() bool { return p.Delay1To2 == p.Delay2To1 }
-
-// FixedPoint reports the steady state the pair enforces: when both delay
-// equations hold with time-independent values, the two port potentials are
-// equal and the two port currents cancel. It returns the residuals of those
-// two identities for the supplied values (both are zero at a true fixed point).
-func (p Pair) FixedPoint(u1, i1, u2, i2 float64) (potentialGap, currentSum float64) {
-	return u1 - u2, i1 + i2
-}
 
 // ImpedanceStrategy chooses the characteristic impedance of the DTLP inserted
 // on a given twin link. The choice affects the convergence speed (Fig. 9) but,
@@ -139,30 +68,9 @@ func (d DiagScaled) Impedance(res *partition.Result, link partition.TwinLink) fl
 // Name implements ImpedanceStrategy.
 func (d DiagScaled) Name() string { return fmt.Sprintf("diag-scaled(%g)", d.Alpha) }
 
-// PerLink assigns explicit impedances by link ID, falling back to Default for
-// links that are not listed. It is used to reproduce the paper's Example 5.1
-// exactly (Z=0.2 between V2a/V2b and Z=0.1 between V3a/V3b).
-type PerLink struct {
-	Values  map[int]float64
-	Default float64
-}
-
-// Impedance implements ImpedanceStrategy.
-func (p PerLink) Impedance(_ *partition.Result, link partition.TwinLink) float64 {
-	if z, ok := p.Values[link.ID]; ok {
-		return z
-	}
-	if p.Default > 0 {
-		return p.Default
-	}
-	return 1
-}
-
-// Name implements ImpedanceStrategy.
-func (p PerLink) Name() string { return "per-link" }
-
 // PerVertex assigns explicit impedances by the global id of the split vertex,
-// falling back to Default.
+// falling back to Default. It reproduces the paper's Example 5.1 exactly
+// (Z=0.2 between V2a/V2b and Z=0.1 between V3a/V3b).
 type PerVertex struct {
 	Values  map[int]float64
 	Default float64

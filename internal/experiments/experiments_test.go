@@ -132,12 +132,12 @@ func TestFig8ReproducesConvergence(t *testing.T) {
 		t.Fatalf("expected 4 potential series")
 	}
 	for _, s := range res.Potentials {
-		if s.Len() == 0 {
+		if len(s.Points) == 0 {
 			t.Errorf("series %s is empty", s.Name)
 		}
 	}
 	for i, want := range []float64{res.ExactX2, res.ExactX2, res.ExactX3, res.ExactX3} {
-		if got := res.Potentials[i].Final(); math.Abs(got-want) > 1e-4 {
+		if got := res.Potentials[i].At(math.Inf(1)); math.Abs(got-want) > 1e-4 {
 			t.Errorf("final %s = %g, want %g", res.Potentials[i].Name, got, want)
 		}
 	}
@@ -160,8 +160,8 @@ func TestFig9ImpedanceSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig9: %v", err)
 	}
-	if res.Curve.Len() != 4 {
-		t.Fatalf("curve has %d points", res.Curve.Len())
+	if len(res.Curve.Points) != 4 {
+		t.Fatalf("curve has %d points", len(res.Curve.Points))
 	}
 	if res.BestError >= res.WorstError {
 		t.Errorf("the sweep must show a spread: best %g, worst %g", res.BestError, res.WorstError)
@@ -253,7 +253,7 @@ func TestFig12QuickConverges(t *testing.T) {
 	if math.IsNaN(c.TimeToError(1e-3)) {
 		t.Errorf("the error never reached 1e-3")
 	}
-	if c.Error.Len() == 0 {
+	if len(c.Error.Points) == 0 {
 		t.Errorf("empty convergence curve")
 	}
 	var sb strings.Builder

@@ -135,15 +135,6 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.ll.Len(), UsedBytes: c.used}
 }
 
-// Purge drops every entry (counters are kept).
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	for c.ll.Len() > 0 {
-		c.removeLocked(c.ll.Back())
-	}
-	c.mu.Unlock()
-}
-
 // cacheKey hashes the backend name, the requested ordering and the matrix —
 // dimensions, pattern and value bits — with FNV-1a. Values are part of the
 // key by design: a refreshed system with the same sparsity must refactor.

@@ -130,27 +130,6 @@ func TestCacheTinyBudget(t *testing.T) {
 	}
 }
 
-// TestCachePurge pins Purge: it empties the cache and resets byte accounting
-// but keeps the historical counters.
-func TestCachePurge(t *testing.T) {
-	sys := sparse.Poisson2D(12, 12, 0.05)
-	c := NewCache(0)
-	if _, _, err := c.GetOrFactor(SparseCholesky, sys.A); err != nil {
-		t.Fatal(err)
-	}
-	c.Purge()
-	st := c.Stats()
-	if st.Entries != 0 || st.UsedBytes != 0 {
-		t.Fatalf("after Purge: %+v", st)
-	}
-	if st.Misses != 1 {
-		t.Fatalf("Purge reset the miss counter: %+v", st)
-	}
-	if _, hit, _ := c.GetOrFactor(SparseCholesky, sys.A); hit {
-		t.Fatal("purged entry still hit")
-	}
-}
-
 // TestCacheConcurrent hammers one cache from many goroutines over a small
 // working set under -race: every returned solver must produce correct
 // solutions, and the cache must end internally consistent.
@@ -204,11 +183,11 @@ func errResidual(name string, r float64) error {
 	return fmt.Errorf("%s: residual %g after cached solve", name, r)
 }
 
-// TestSharedCache pins configuration-by-value for the cache: Settings that
+// TestCacheHandlesAreIndependent pins configuration-by-value for the cache: Settings that
 // share a Cache handle share its factors, a Settings without one factors
 // afresh, two handles in one process never see each other's entries, and the
 // ordering is part of the key.
-func TestSharedCache(t *testing.T) {
+func TestCacheHandlesAreIndependent(t *testing.T) {
 	sys := sparse.Poisson2D(16, 16, 0.05)
 	c1, c2 := NewCache(0), NewCache(0)
 	with1 := Settings{Backend: SparseCholesky, Cache: c1}

@@ -454,42 +454,3 @@ func (st *ndState) refineSides(verts []int32, rs int32) {
 		}
 	}
 }
-
-// ndTopSplit runs only the first bisection of the nested dissection on the
-// whole graph and reports the two half sizes and the separator size — the
-// hook the balance property tests assert on. It returns ok=false when the
-// graph is disconnected or too shallow to cut (the cases ND handles by
-// recursing per component or falling back to AMD).
-func ndTopSplit(a *sparse.CSR) (na, nb, ns int, ok bool) {
-	n := a.Rows()
-	if n == 0 {
-		return 0, 0, 0, false
-	}
-	st := newNdState(a)
-	verts := make([]int32, n)
-	for i := range verts {
-		verts[i] = int32(i)
-	}
-	st.reg++
-	rs := st.reg
-	for _, v := range verts {
-		st.inReg[v] = rs
-	}
-	if comps := st.components(verts, rs); comps != nil {
-		return 0, 0, 0, false
-	}
-	if !st.bisect(verts, rs) {
-		return 0, 0, 0, false
-	}
-	for _, v := range verts {
-		switch st.side[v] {
-		case 0:
-			na++
-		case 1:
-			nb++
-		default:
-			ns++
-		}
-	}
-	return na, nb, ns, true
-}

@@ -1,7 +1,6 @@
 package factor
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/sparse"
@@ -66,30 +65,6 @@ func TestNDDeterministic(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestNDTopSplitBalance asserts the separator balance bound of the first
-// bisection on grids: each half keeps at least ndBalanceMin of the
-// non-separator vertices, and the separator stays within a small multiple of
-// the grid's √n cross-section.
-func TestNDTopSplitBalance(t *testing.T) {
-	for _, side := range []int{48, 64, 128} {
-		a := sparse.Poisson2D(side, side, 0.05).A
-		na, nb, ns, ok := ndTopSplit(a)
-		if !ok {
-			t.Fatalf("side %d: top split did not run (disconnected/shallow?)", side)
-		}
-		if na+nb+ns != a.Rows() {
-			t.Fatalf("side %d: split %d/%d/%d does not cover n=%d", side, na, nb, ns, a.Rows())
-		}
-		minSide := math.Min(float64(na), float64(nb))
-		if minSide < ndBalanceMin*float64(na+nb) {
-			t.Errorf("side %d: split %d/%d breaks the %.0f%% balance bound", side, na, nb, 100*ndBalanceMin)
-		}
-		if ns > 3*side {
-			t.Errorf("side %d: separator has %d vertices, want O(side)=O(%d)", side, ns, side)
-		}
 	}
 }
 

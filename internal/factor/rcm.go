@@ -25,15 +25,6 @@ func (p Perm) Check() error {
 	return nil
 }
 
-// Inverse returns the inverse permutation: Inverse()[old] = new.
-func (p Perm) Inverse() Perm {
-	inv := make(Perm, len(p))
-	for newIdx, oldIdx := range p {
-		inv[oldIdx] = newIdx
-	}
-	return inv
-}
-
 // IsIdentity reports whether p maps every index to itself.
 func (p Perm) IsIdentity() bool {
 	for i, v := range p {

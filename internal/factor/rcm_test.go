@@ -44,22 +44,6 @@ func TestRCMIsPermutation(t *testing.T) {
 	}
 }
 
-func TestPermInverseRoundTrip(t *testing.T) {
-	a := shuffledGrid(7, 8, 5)
-	p := RCM(a)
-	inv := p.Inverse()
-	for i := range p {
-		if inv[p[i]] != i || p[inv[i]] != i {
-			t.Fatalf("inverse round trip fails at %d", i)
-		}
-	}
-	// Applying p and then inv relabels new->old->new — the identity.
-	c := PermuteSym(PermuteSym(a, p), inv)
-	if !c.EqualApprox(a, 0) {
-		t.Error("PermuteSym round trip does not restore the matrix")
-	}
-}
-
 func TestRCMReducesBandwidth(t *testing.T) {
 	a := shuffledGrid(13, 13, 9)
 	before := bandwidth(a)

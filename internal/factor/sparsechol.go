@@ -194,10 +194,6 @@ func (s *Cholesky) FactorBytes() int64 {
 // resolved to (OrderRCM or OrderAMD when built with OrderAuto).
 func (s *Cholesky) Ordering() Ordering { return s.order }
 
-// Perm returns the fill-reducing ordering in use (nil for the natural order).
-// The returned slice is live — callers must not mutate it.
-func (s *Cholesky) Perm() Perm { return s.perm }
-
 // Solve solves A·x = b and returns x.
 func (s *Cholesky) Solve(b sparse.Vec) sparse.Vec {
 	x := sparse.NewVec(s.n)

@@ -115,7 +115,6 @@ type Supernodal struct {
 
 	// Stats from the symbolic phase.
 	nnzStored int     // stored trapezoid entries (incl. amalgamation zeros)
-	zeroFill  int     // explicit zeros introduced by amalgamation
 	flopsEst  float64 // symbolic estimate of the factorisation flops
 }
 
@@ -144,7 +143,6 @@ func NewSupernodal(a *sparse.CSR, order Ordering, mode SupernodalMode) (*Superno
 	s.rowind = sym.rowind
 	s.px = sym.px
 	s.nnzStored = sym.nnzStored
-	s.zeroFill = sym.zeroFill
 	for _, f := range sym.flops {
 		s.flopsEst += f
 	}
@@ -386,7 +384,6 @@ type snSym struct {
 	flops   []float64 // per-supernode numeric cost estimate
 
 	nnzStored int
-	zeroFill  int
 }
 
 // snSymbolic runs the full symbolic phase on the postordered matrix c:
@@ -543,15 +540,6 @@ func snSymbolic(c *sparse.CSR, parent []int) *snSym {
 		sym.nnzStored += w*ld - w*(w-1)/2
 	}
 	sym.rowind = rowind
-	for s := 0; s < ns; s++ {
-		w := int(sym.sfirst[s+1] - sym.sfirst[s])
-		ld := int(sym.rx[s+1] - sym.rx[s])
-		truth := 0
-		for j := sym.sfirst[s]; j < sym.sfirst[s+1]; j++ {
-			truth += count[j]
-		}
-		sym.zeroFill += w*ld - w*(w-1)/2 - truth
-	}
 
 	// Update lists: descendant d updates every supernode owning a row of its
 	// below-diagonal structure. Scanning descendants in ascending order keeps
@@ -595,18 +583,11 @@ func (s *Supernodal) Mode() SupernodalMode { return s.mode }
 // resolved to (OrderRCM or OrderAMD when built with OrderAuto).
 func (s *Supernodal) Ordering() Ordering { return s.order }
 
-// Perm returns the combined fill-reducing-plus-postorder permutation in use
-// (nil for the natural order). The returned slice is live — do not mutate.
-func (s *Supernodal) Perm() Perm { return s.perm }
-
 // NNZL returns the number of stored factor entries — the dense trapezoids,
 // including the explicit zeros relaxed amalgamation padded in. This is the
 // factor's true memory footprint, the number comparable to the scalar
 // backends' NNZL.
 func (s *Supernodal) NNZL() int { return s.nnzStored }
-
-// ZeroFill returns how many explicit zeros relaxed amalgamation introduced.
-func (s *Supernodal) ZeroFill() int { return s.zeroFill }
 
 // Supernodes returns the number of supernodes of the partition.
 func (s *Supernodal) Supernodes() int { return s.ns }

@@ -88,16 +88,6 @@ func FromSystem(a *sparse.CSR, b sparse.Vec) (*Electric, error) {
 	return g, nil
 }
 
-// MustFromSystem is FromSystem that panics on error (for tests and generators
-// whose inputs are symmetric by construction).
-func MustFromSystem(a *sparse.CSR, b sparse.Vec) *Electric {
-	g, err := FromSystem(a, b)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Order returns the number of vertices.
 func (g *Electric) Order() int { return len(g.diag) }
 
@@ -110,27 +100,10 @@ func (g *Electric) VertexWeight(i int) float64 { return g.diag[i] }
 // Source returns b_i.
 func (g *Electric) Source(i int) float64 { return g.sources[i] }
 
-// EdgeWeight returns a_ij (zero when the edge does not exist).
-func (g *Electric) EdgeWeight(i, j int) float64 {
-	if k, ok := slices.BinarySearch(g.Neighbors(i), j); ok {
-		return g.wt[g.off[i]+k]
-	}
-	return 0
-}
-
-// HasEdge reports whether {i, j} is an edge.
-func (g *Electric) HasEdge(i, j int) bool {
-	_, ok := slices.BinarySearch(g.Neighbors(i), j)
-	return ok
-}
-
 // Neighbors returns the neighbours of vertex i: ascending, without i itself,
 // and read-only — the slice is a view of the graph's storage, shared by every
 // caller, and must not be modified.
 func (g *Electric) Neighbors(i int) []int { return g.nbr[g.off[i]:g.off[i+1]] }
-
-// Degree returns the number of neighbours of vertex i.
-func (g *Electric) Degree(i int) int { return g.off[i+1] - g.off[i] }
 
 // Edges visits all undirected edges with U < V in ascending (U, V) order.
 func (g *Electric) Edges() iter.Seq[Edge] {
@@ -144,12 +117,6 @@ func (g *Electric) Edges() iter.Seq[Edge] {
 		}
 	}
 }
-
-// ToSystem converts the electric graph back into (A, b): the matrix it was
-// built from (immutable, so it is returned as is) and a copy of the sources.
-// Composed with FromSystem it is the identity (Section 3: the mapping is
-// one-to-one).
-func (g *Electric) ToSystem() (*sparse.CSR, sparse.Vec) { return g.a, g.sources.Clone() }
 
 // BFS is the one breadth-first traversal every consumer of the graph shares.
 // It visits the vertices reachable from start through vertices v with

@@ -46,14 +46,14 @@ func TestFromSystemPaperExample(t *testing.T) {
 	if g.NumEdges() != 5 {
 		t.Errorf("NumEdges = %d, want 5", g.NumEdges())
 	}
-	if g.HasEdge(0, 3) {
+	if slices.Contains(g.Neighbors(0), 3) || slices.Contains(g.Neighbors(3), 0) {
 		t.Errorf("V1 and V4 must not be connected (a_14 = 0)")
 	}
-	if !g.HasEdge(1, 2) || g.EdgeWeight(1, 2) != -2 {
-		t.Errorf("edge V2-V3 weight = %g, want -2", g.EdgeWeight(1, 2))
+	if !slices.Contains(slices.Collect(g.Edges()), Edge{U: 1, V: 2, Weight: -2}) {
+		t.Errorf("edge V2-V3 with weight -2 missing from %+v", slices.Collect(g.Edges()))
 	}
-	if g.EdgeWeight(2, 1) != -2 {
-		t.Errorf("edges are undirected; weight(2,1) = %g", g.EdgeWeight(2, 1))
+	if !slices.Contains(g.Neighbors(2), 1) {
+		t.Errorf("edges are undirected; V3 must list V2")
 	}
 	// Vertex weights are the diagonal, sources the right-hand side, potentials
 	// initially unknown.
@@ -84,33 +84,11 @@ func TestFromSystemErrors(t *testing.T) {
 	}
 }
 
-func TestMustFromSystemPanicsOnBadInput(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("MustFromSystem must panic on invalid input")
-		}
-	}()
-	asym := sparse.NewCSRFromDense([][]float64{{1, 2}, {3, 1}}, 0)
-	MustFromSystem(asym, sparse.Vec{1, 2})
-}
-
-func TestToSystemRoundTrip(t *testing.T) {
-	sys := sparse.PaperExample()
-	g := paperGraph(t)
-	a, b := g.ToSystem()
-	if !a.EqualApprox(sys.A, 1e-14) {
-		t.Errorf("ToSystem matrix differs from the original")
-	}
-	if !b.Equal(sys.B, 0) {
-		t.Errorf("ToSystem rhs = %v, want %v", b, sys.B)
-	}
-}
-
 func TestNeighborsAndDegree(t *testing.T) {
 	g := paperGraph(t)
 	nb := g.Neighbors(1)
-	if len(nb) != 3 || g.Degree(1) != 3 {
-		t.Errorf("V2 neighbours = %v (degree %d), want 3 of them", nb, g.Degree(1))
+	if len(nb) != 3 {
+		t.Errorf("V2 neighbours = %v, want 3 of them", nb)
 	}
 	seen := map[int]bool{}
 	for _, j := range nb {
@@ -119,12 +97,13 @@ func TestNeighborsAndDegree(t *testing.T) {
 	if !seen[0] || !seen[2] || !seen[3] {
 		t.Errorf("V2 must neighbour V1, V3, V4; got %v", nb)
 	}
-	if g.Degree(0) != 2 {
-		t.Errorf("V1 degree = %d, want 2", g.Degree(0))
+	if d := len(g.Neighbors(0)); d != 2 {
+		t.Errorf("V1 degree = %d, want 2", d)
 	}
 }
 
 func TestEdgesListMatchesCount(t *testing.T) {
+	a := sparse.PaperExample().A
 	g := paperGraph(t)
 	edges := slices.Collect(g.Edges())
 	if !slices.IsSortedFunc(edges, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) }) {
@@ -137,7 +116,7 @@ func TestEdgesListMatchesCount(t *testing.T) {
 		if e.U >= e.V {
 			t.Errorf("edge list entry without U < V: %+v", e)
 		}
-		if e.Weight != g.EdgeWeight(e.U, e.V) {
+		if e.Weight != a.At(e.U, e.V) {
 			t.Errorf("edge list weight mismatch for %+v", e)
 		}
 	}
@@ -190,24 +169,6 @@ func TestBFSLevelsPath(t *testing.T) {
 	}
 }
 
-// Property: FromSystem followed by ToSystem is the identity on random
-// symmetric diagonally dominant systems.
-func TestGraphSystemRoundTripProperty(t *testing.T) {
-	f := func(seed int64, rawN uint8) bool {
-		n := 2 + int(rawN%25)
-		sys := sparse.RandomSPD(n, 0.2, seed)
-		g, err := FromSystem(sys.A, sys.B)
-		if err != nil {
-			return false
-		}
-		a, b := g.ToSystem()
-		return a.EqualApprox(sys.A, 1e-12) && b.Equal(sys.B, 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: the sum of all vertex degrees equals twice the number of edges.
 func TestHandshakeLemmaProperty(t *testing.T) {
 	f := func(seed int64, rawN uint8) bool {
@@ -219,7 +180,7 @@ func TestHandshakeLemmaProperty(t *testing.T) {
 		}
 		total := 0
 		for i := 0; i < g.Order(); i++ {
-			total += g.Degree(i)
+			total += len(g.Neighbors(i))
 		}
 		return total == 2*g.NumEdges()
 	}

@@ -3,8 +3,6 @@ package iterative
 import (
 	"fmt"
 
-	"repro/internal/factor"
-	"repro/internal/partition"
 	"repro/internal/sparse"
 )
 
@@ -13,8 +11,6 @@ import (
 type Preconditioner interface {
 	// Apply computes dst = M⁻¹·r.
 	Apply(dst, r sparse.Vec)
-	// Name identifies the preconditioner in reports.
-	Name() string
 }
 
 // JacobiPreconditioner is the diagonal (Jacobi) preconditioner M = diag(A).
@@ -42,109 +38,6 @@ func (p *JacobiPreconditioner) Apply(dst, r sparse.Vec) {
 	for i := range dst {
 		dst[i] = r[i] * p.invDiag[i]
 	}
-}
-
-// Name implements Preconditioner.
-func (p *JacobiPreconditioner) Name() string { return "jacobi" }
-
-// BlockJacobiPreconditioner applies M⁻¹ = blockdiag(A)⁻¹ under a
-// vertex-to-part assignment: one factorised diagonal block per part, exactly
-// the blocks the synchronous and asynchronous block-Jacobi solvers use. It is
-// the natural domain-decomposition preconditioner to compare against the DTM
-// subdomain structure, since both factorise their local systems once.
-//
-// The per-block gather/solve scratch is hoisted into the struct, so Apply and
-// ApplyBatch allocate nothing in steady state. A preconditioner instance is
-// consequently confined to one solver loop at a time (PCG applies it
-// sequentially); build one instance per concurrent solve.
-type BlockJacobiPreconditioner struct {
-	blocks []*blockData
-	rhs    []sparse.Vec // per-block gathered right-hand side
-	sol    []sparse.Vec // per-block local solution
-	// brhs/bsol are the per-block panels of the batched path, grown to the
-	// widest batch seen so far.
-	brhs [][]sparse.Vec
-	bsol [][]sparse.Vec
-}
-
-// NewBlockJacobiPreconditioner factorises the diagonal blocks induced by the
-// assignment.
-func NewBlockJacobiPreconditioner(a *sparse.CSR, assign partition.Assignment) (*BlockJacobiPreconditioner, error) {
-	blocks, err := buildBlocks(a, sparse.NewVec(a.Rows()), assign, factor.Settings{})
-	if err != nil {
-		return nil, err
-	}
-	p := &BlockJacobiPreconditioner{
-		blocks: blocks,
-		rhs:    make([]sparse.Vec, len(blocks)),
-		sol:    make([]sparse.Vec, len(blocks)),
-		brhs:   make([][]sparse.Vec, len(blocks)),
-		bsol:   make([][]sparse.Vec, len(blocks)),
-	}
-	for i, blk := range blocks {
-		p.rhs[i] = sparse.NewVec(len(blk.own))
-		p.sol[i] = sparse.NewVec(len(blk.own))
-	}
-	return p, nil
-}
-
-// Apply implements Preconditioner: it solves each diagonal block against the
-// corresponding slice of r.
-func (p *BlockJacobiPreconditioner) Apply(dst, r sparse.Vec) {
-	for i, blk := range p.blocks {
-		rhs, local := p.rhs[i], p.sol[i]
-		for li, gv := range blk.own {
-			rhs[li] = r[gv]
-		}
-		blk.solver.SolveTo(local, rhs)
-		for li, gv := range blk.own {
-			dst[gv] = local[li]
-		}
-	}
-}
-
-// ApplyBatch applies M⁻¹ to every column of R at once: each diagonal block is
-// swept through the whole batch with one factor.SolveBatch call, so backends
-// implementing factor.BatchSolver stream their factor once per direction
-// instead of once per right-hand side. Dst[s] receives M⁻¹·R[s]; Dst[s] may
-// alias R[s]. Like Apply, the call reuses struct-level scratch and must not
-// run concurrently with other applications on the same instance.
-func (p *BlockJacobiPreconditioner) ApplyBatch(Dst, R []sparse.Vec) {
-	if len(Dst) != len(R) {
-		panic(fmt.Sprintf("iterative: ApplyBatch with %d outputs for %d inputs", len(Dst), len(R)))
-	}
-	k := len(R)
-	if k == 0 {
-		return
-	}
-	for i, blk := range p.blocks {
-		dim := len(blk.own)
-		for len(p.brhs[i]) < k {
-			p.brhs[i] = append(p.brhs[i], sparse.NewVec(dim))
-			p.bsol[i] = append(p.bsol[i], sparse.NewVec(dim))
-		}
-		rhs, sol := p.brhs[i][:k], p.bsol[i][:k]
-		for s := 0; s < k; s++ {
-			r := R[s]
-			dst := rhs[s]
-			for li, gv := range blk.own {
-				dst[li] = r[gv]
-			}
-		}
-		factor.SolveBatch(blk.solver, sol, rhs)
-		for s := 0; s < k; s++ {
-			dst := Dst[s]
-			src := sol[s]
-			for li, gv := range blk.own {
-				dst[gv] = src[li]
-			}
-		}
-	}
-}
-
-// Name implements Preconditioner.
-func (p *BlockJacobiPreconditioner) Name() string {
-	return fmt.Sprintf("block-jacobi(%d)", len(p.blocks))
 }
 
 // PCG solves the SPD system A·x = b by the preconditioned conjugate gradient

@@ -27,9 +27,6 @@ type Series struct {
 // Append adds a sample.
 func (s *Series) Append(t, v float64) { s.Points = append(s.Points, Point{T: t, V: v}) }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.Points) }
-
 // At returns the last value at or before time t (NaN if none).
 func (s *Series) At(t float64) float64 {
 	v := math.NaN()
@@ -41,25 +38,6 @@ func (s *Series) At(t float64) float64 {
 		}
 	}
 	return v
-}
-
-// Final returns the last value of the series (NaN when empty).
-func (s *Series) Final() float64 {
-	if len(s.Points) == 0 {
-		return math.NaN()
-	}
-	return s.Points[len(s.Points)-1].V
-}
-
-// TimeTo returns the earliest time at which the series value drops to or below
-// the target, or NaN if it never does.
-func (s *Series) TimeTo(target float64) float64 {
-	for _, p := range s.Points {
-		if !math.IsNaN(p.V) && p.V <= target {
-			return p.T
-		}
-	}
-	return math.NaN()
 }
 
 // Resample returns the series thinned to at most maxPoints samples (first and
@@ -119,9 +97,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render writes the table as aligned plain text.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))
@@ -160,11 +135,4 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// RenderString renders the table to a string.
-func (t *Table) RenderString() string {
-	var b strings.Builder
-	_ = t.Render(&b)
-	return b.String()
 }

@@ -367,9 +367,6 @@ func (s *Simulator[P]) After(node int, now, delay float64, id int) {
 	})
 }
 
-// Now returns the current virtual time.
-func (s *Simulator[P]) Now() float64 { return s.now }
-
 func (s *Simulator[P]) send(from int, now float64, outs []Outgoing[P]) {
 	for i := range outs {
 		o := &outs[i]

@@ -271,16 +271,3 @@ func TestInvalidConstructionPanics(t *testing.T) {
 		})
 	}
 }
-
-func TestNowTracksVirtualTime(t *testing.T) {
-	a := &pingNode{id: 0, peer: 1, compute: 1, maxSends: 2}
-	b := &pingNode{id: 1, peer: 0, compute: 1, maxSends: 2}
-	sim := New([]Node[int]{a, b}, func(from, to int) float64 { return 3 })
-	if sim.Now() != 0 {
-		t.Errorf("initial Now = %g", sim.Now())
-	}
-	stats := sim.Run(1e6)
-	if sim.Now() != stats.Time {
-		t.Errorf("Now() = %g, stats.Time = %g", sim.Now(), stats.Time)
-	}
-}

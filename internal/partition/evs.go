@@ -36,12 +36,6 @@ type Subdomain struct {
 // Dim returns the number of local unknowns (ports + inner vertices).
 func (s *Subdomain) Dim() int { return len(s.GlobalIdx) }
 
-// NumInner returns the number of inner vertices.
-func (s *Subdomain) NumInner() int { return len(s.GlobalIdx) - s.NumPorts }
-
-// PortGlobal returns the global vertex id of port p.
-func (s *Subdomain) PortGlobal(p int) int { return s.GlobalIdx[p] }
-
 // TwinLink is one pair of twin ports — the place where the DTM engine inserts
 // a directed transmission line pair (DTLP). PartA/PortA and PartB/PortB are
 // two copies of the split vertex Global.
@@ -55,17 +49,6 @@ type TwinLink struct {
 	// PortA and PortB are the local port indices of the copies inside PartA
 	// and PartB respectively.
 	PortA, PortB int
-}
-
-// Other returns the (part, port) at the far side of the link from the given part.
-func (l TwinLink) Other(part int) (int, int) {
-	if part == l.PartA {
-		return l.PartB, l.PortB
-	}
-	if part == l.PartB {
-		return l.PartA, l.PortA
-	}
-	panic(fmt.Sprintf("partition: part %d is not an endpoint of link %d", part, l.ID))
 }
 
 // SplitVertex records how one boundary vertex was torn apart: which parts
@@ -416,13 +399,6 @@ func (r *Result) Dim() int { return r.n }
 // NumParts returns the number of subdomains.
 func (r *Result) NumParts() int { return len(r.Subdomains) }
 
-// PortLocalIndex returns the local port index of the copy of global vertex gv
-// in the given part, and whether such a copy exists.
-func (r *Result) PortLocalIndex(part, gv int) (int, bool) {
-	sub := r.Subdomains[part]
-	return slices.BinarySearch(sub.GlobalIdx[:sub.NumPorts], gv)
-}
-
 // AdjacentParts returns, for each part, the sorted list of parts it shares at
 // least one twin link with (its N2N communication neighbours).
 func (r *Result) AdjacentParts() [][]int {
@@ -471,72 +447,4 @@ func (r *Result) Reconstruct() (*sparse.CSR, sparse.Vec) {
 		}
 	}
 	return coo.ToCSR(), b
-}
-
-// AssembleOwner builds a global solution vector from per-part local solutions:
-// every inner vertex takes its unique local value and every split vertex takes
-// the value of its copy in the part it was originally assigned to.
-func (r *Result) AssembleOwner(locals []sparse.Vec) sparse.Vec {
-	x := sparse.NewVec(r.n)
-	r.assembleInto(x, locals, false)
-	return x
-}
-
-// AssembleAverage builds a global solution vector like AssembleOwner but
-// averages all copies of each split vertex, which is a slightly better
-// estimate while the twin potentials have not yet agreed.
-func (r *Result) AssembleAverage(locals []sparse.Vec) sparse.Vec {
-	x := sparse.NewVec(r.n)
-	r.assembleInto(x, locals, true)
-	return x
-}
-
-func (r *Result) assembleInto(x sparse.Vec, locals []sparse.Vec, average bool) {
-	if len(locals) != r.NumParts() {
-		panic(fmt.Sprintf("partition: assemble with %d local solutions, want %d", len(locals), r.NumParts()))
-	}
-	counts := make([]int, r.n)
-	for p, sub := range r.Subdomains {
-		lx := locals[p]
-		if len(lx) != sub.Dim() {
-			panic(fmt.Sprintf("partition: local solution %d has length %d, want %d", p, len(lx), sub.Dim()))
-		}
-		for li, gv := range sub.GlobalIdx {
-			if li >= sub.NumPorts {
-				x[gv] = lx[li]
-				counts[gv] = 1
-				continue
-			}
-			if average {
-				x[gv] += lx[li]
-				counts[gv]++
-			} else if r.Assign.Assign[gv] == p {
-				x[gv] = lx[li]
-				counts[gv] = 1
-			}
-		}
-	}
-	if average {
-		for i, c := range counts {
-			if c > 1 {
-				x[i] /= float64(c)
-			}
-		}
-	}
-}
-
-// MaxTwinDisagreement returns, given per-part local solutions, the largest
-// absolute difference between the potentials of twin copies of any split
-// vertex — a distributed-friendly convergence indicator (at the solution all
-// twins agree exactly).
-func (r *Result) MaxTwinDisagreement(locals []sparse.Vec) float64 {
-	var m float64
-	for _, l := range r.Links {
-		va := locals[l.PartA][l.PortA]
-		vb := locals[l.PartB][l.PortB]
-		if d := math.Abs(va - vb); d > m {
-			m = d
-		}
-	}
-	return m
 }

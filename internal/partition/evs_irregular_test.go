@@ -14,7 +14,10 @@ import (
 func TestEVSIrregularYaoSpanner(t *testing.T) {
 	const n, parts = 120, 4
 	sys := sparse.YaoSpannerLaplacian(n, 6, 5, 0.05)
-	g := graph.MustFromSystem(sys.A, sys.B)
+	g, err := graph.FromSystem(sys.A, sys.B)
+	if err != nil {
+		t.Fatalf("FromSystem: %v", err)
+	}
 	a := LevelSetGrow(g, parts)
 	if err := a.Validate(n); err != nil {
 		t.Fatalf("level-set assignment invalid: %v", err)

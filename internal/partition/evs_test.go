@@ -2,7 +2,7 @@ package partition
 
 import (
 	"math"
-
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -32,7 +32,7 @@ func mustEVS(t *testing.T, sys sparse.System, a Assignment, opts Options) *Resul
 //     is symmetric;
 //   - every twin link joins two copies of the same global vertex in two
 //     different parts;
-//   - port bookkeeping (PortLocalIndex, PortGlobal) is consistent.
+//   - the ports of a subdomain are in ascending global order.
 func checkEVSInvariants(t *testing.T, sys sparse.System, res *Result) {
 	t.Helper()
 	a, b := res.Reconstruct()
@@ -49,29 +49,22 @@ func checkEVSInvariants(t *testing.T, sys sparse.System, res *Result) {
 		if sub.Part != p {
 			t.Errorf("subdomain %d reports part %d", p, sub.Part)
 		}
-		if sub.Dim() != len(sub.GlobalIdx) || sub.Dim() != sub.NumPorts+sub.NumInner() {
-			t.Errorf("subdomain %d dimensions inconsistent", p)
-		}
 		if sub.A.Rows() != sub.Dim() || len(sub.B) != sub.Dim() {
 			t.Errorf("subdomain %d system size mismatch", p)
 		}
 		if !sub.A.IsSymmetric(1e-10) {
 			t.Errorf("subdomain %d local matrix is not symmetric", p)
 		}
-		for port := 0; port < sub.NumPorts; port++ {
-			gv := sub.PortGlobal(port)
-			idx, ok := res.PortLocalIndex(p, gv)
-			if !ok || idx != port {
-				t.Errorf("PortLocalIndex(%d, %d) = %d, %v; want %d, true", p, gv, idx, ok, port)
-			}
+		if ports := sub.GlobalIdx[:sub.NumPorts]; !slices.IsSorted(ports) {
+			t.Errorf("subdomain %d ports are not in ascending global order: %v", p, ports)
 		}
 	}
 	for _, l := range res.Links {
 		if l.PartA == l.PartB {
 			t.Errorf("link %d joins a part to itself", l.ID)
 		}
-		ga := res.Subdomains[l.PartA].PortGlobal(l.PortA)
-		gb := res.Subdomains[l.PartB].PortGlobal(l.PortB)
+		ga := res.Subdomains[l.PartA].GlobalIdx[l.PortA]
+		gb := res.Subdomains[l.PartB].GlobalIdx[l.PortB]
 		if ga != l.Global || gb != l.Global {
 			t.Errorf("link %d endpoints map to globals %d/%d, want %d", l.ID, ga, gb, l.Global)
 		}
@@ -133,8 +126,8 @@ func TestEVSPaperExampleDefaultSplit(t *testing.T) {
 	}
 	// Level-one tearing: each part has 2 ports and 1 inner vertex.
 	for p, sub := range res.Subdomains {
-		if sub.NumPorts != 2 || sub.NumInner() != 1 {
-			t.Errorf("part %d: %d ports, %d inner; want 2 and 1", p, sub.NumPorts, sub.NumInner())
+		if sub.NumPorts != 2 || sub.Dim() != 3 {
+			t.Errorf("part %d: %d ports of %d unknowns; want 2 of 3", p, sub.NumPorts, sub.Dim())
 		}
 	}
 }
@@ -228,22 +221,6 @@ func TestEVSAdjacentPartsAndLinksOfPart(t *testing.T) {
 	}
 }
 
-func TestTwinLinkOther(t *testing.T) {
-	l := TwinLink{ID: 0, Global: 7, PartA: 1, PartB: 3, PortA: 0, PortB: 2}
-	if p, port := l.Other(1); p != 3 || port != 2 {
-		t.Errorf("Other(1) = %d,%d", p, port)
-	}
-	if p, port := l.Other(3); p != 1 || port != 0 {
-		t.Errorf("Other(3) = %d,%d", p, port)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("Other with a non-endpoint part must panic")
-		}
-	}()
-	l.Other(2)
-}
-
 func TestEVSRejectsInvalidInputs(t *testing.T) {
 	sys := sparse.PaperExample()
 	g, err := graph.FromSystem(sys.A, sys.B)
@@ -317,42 +294,6 @@ func TestEVSDefaultSplitPreservesDiagonalDominance(t *testing.T) {
 		if weak, _ := sub.A.IsDiagonallyDominant(); !weak {
 			t.Errorf("subdomain %d lost diagonal dominance under the default split", p)
 		}
-	}
-}
-
-func TestAssembleOwnerAndAverage(t *testing.T) {
-	sys := sparse.PaperExample()
-	res := mustEVS(t, sys, Assignment{Parts: 2, Assign: []int{0, 0, 1, 1}}, Options{Boundary: []int{1, 2}})
-
-	// Build per-part local vectors whose entries are their global ids, except
-	// that part 1's copies of the split vertices disagree by +10.
-	locals := make([]sparse.Vec, 2)
-	for p, sub := range res.Subdomains {
-		locals[p] = sparse.NewVec(sub.Dim())
-		for li, gv := range sub.GlobalIdx {
-			locals[p][li] = float64(gv)
-			if p == 1 && li < sub.NumPorts {
-				locals[p][li] += 10
-			}
-		}
-	}
-	owner := res.AssembleOwner(locals)
-	// The owner of split vertex V2 (global 1) is part 0 and of V3 (global 2) is
-	// part 1, per the original [0,0,1,1] assignment — so V3 takes part 1's
-	// perturbed copy while V2 keeps part 0's clean copy.
-	if !owner.Equal(sparse.Vec{0, 1, 12, 3}, 1e-14) {
-		t.Errorf("AssembleOwner = %v, want [0 1 12 3]", owner)
-	}
-	avg := res.AssembleAverage(locals)
-	if math.Abs(avg[1]-6) > 1e-12 || math.Abs(avg[2]-7) > 1e-12 {
-		t.Errorf("AssembleAverage = %v, want split vertices averaged to 6 and 7", avg)
-	}
-	if avg[0] != 0 || avg[3] != 3 {
-		t.Errorf("inner vertices must be taken verbatim: %v", avg)
-	}
-
-	if got := res.MaxTwinDisagreement(locals); math.Abs(got-10) > 1e-12 {
-		t.Errorf("MaxTwinDisagreement = %g, want 10", got)
 	}
 }
 

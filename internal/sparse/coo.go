@@ -28,15 +28,6 @@ func NewCOO(rows, cols int) *COO {
 	return &COO{rows: rows, cols: cols}
 }
 
-// Rows returns the number of rows.
-func (c *COO) Rows() int { return c.rows }
-
-// Cols returns the number of columns.
-func (c *COO) Cols() int { return c.cols }
-
-// NNZ returns the number of stored triplets (duplicates counted separately).
-func (c *COO) NNZ() int { return len(c.entries) }
-
 // Add appends value v at (i, j). Zero values are ignored so generators can add
 // unconditionally. Adding the same position twice accumulates.
 func (c *COO) Add(i, j int, v float64) {
@@ -56,13 +47,6 @@ func (c *COO) AddSym(i, j int, v float64) {
 	if i != j {
 		c.Add(j, i, v)
 	}
-}
-
-// Triplets returns a copy of the stored triplets.
-func (c *COO) Triplets() []Triplet {
-	out := make([]Triplet, len(c.entries))
-	copy(out, c.entries)
-	return out
 }
 
 // ToCSR compiles the COO matrix into compressed-sparse-row form, summing

@@ -84,9 +84,6 @@ func (m *CSR) Row(i int, fn func(col int, val float64)) {
 	}
 }
 
-// RowNNZ returns the number of stored entries in row i.
-func (m *CSR) RowNNZ(i int) int { return m.rowPtr[i+1] - m.rowPtr[i] }
-
 // Each calls fn(row, col, val) for every stored entry.
 func (m *CSR) Each(fn func(i, j int, v float64)) {
 	for i := 0; i < m.rows; i++ {
@@ -144,13 +141,6 @@ func (m *CSR) Residual(x, b Vec) Vec {
 		r[i] = b[i] - r[i]
 	}
 	return r
-}
-
-// Transpose returns Aᵀ.
-func (m *CSR) Transpose() *CSR {
-	coo := NewCOO(m.cols, m.rows)
-	m.Each(func(i, j int, v float64) { coo.Add(j, i, v) })
-	return coo.ToCSR()
 }
 
 // PermuteSym returns B = A(p, p), i.e. B(i, j) = A(p[i], p[j]), for a square
@@ -215,24 +205,6 @@ func (m *CSR) PermuteSym(p []int) *CSR {
 		}
 	}
 	return &CSR{rows: n, cols: n, rowPtr: bPtr, colIdx: bCol, vals: bVal}
-}
-
-// Scale returns a*A as a new matrix.
-func (m *CSR) Scale(a float64) *CSR {
-	coo := NewCOO(m.rows, m.cols)
-	m.Each(func(i, j int, v float64) { coo.Add(i, j, a*v) })
-	return coo.ToCSR()
-}
-
-// AddMat returns A + B as a new matrix.
-func (m *CSR) AddMat(b *CSR) *CSR {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(fmt.Sprintf("sparse: AddMat dimension mismatch %dx%d + %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	coo := NewCOO(m.rows, m.cols)
-	m.Each(func(i, j int, v float64) { coo.Add(i, j, v) })
-	b.Each(func(i, j int, v float64) { coo.Add(i, j, v) })
-	return coo.ToCSR()
 }
 
 // AddDiag returns A + diag(d) as a new matrix.
@@ -329,15 +301,6 @@ func (m *CSR) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// FrobeniusNorm returns the Frobenius norm of the matrix.
-func (m *CSR) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.vals {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // EqualApprox reports whether A and B have the same shape and agree entry-wise

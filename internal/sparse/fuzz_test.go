@@ -96,9 +96,6 @@ func FuzzParseSource(f *testing.F) {
 		if again.String() != canon {
 			t.Fatalf("canonical form of %q is not a fixed point: %q -> %q", data, canon, again.String())
 		}
-		if src.Name() == "" {
-			t.Fatalf("accepted source %q has an empty name", data)
-		}
 	})
 }
 

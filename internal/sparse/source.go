@@ -38,8 +38,6 @@ type Hint struct {
 // Source is one registered problem source: a named, deterministically
 // buildable description of a system A·x = b.
 type Source interface {
-	// Name returns the scheme name ("grid", "poisson", "mm", …).
-	Name() string
 	// String returns the canonical spec string; ParseSource round-trips it.
 	String() string
 	// Build constructs the system and its tearing hint. Deterministic: every
@@ -281,9 +279,6 @@ type generated struct {
 	v  values
 }
 
-// Name implements Source.
-func (g generated) Name() string { return g.sc.name }
-
 // String implements Source.
 func (g generated) String() string {
 	items := make([]string, len(g.v))
@@ -328,9 +323,6 @@ func parseMM(params string) (Source, error) {
 	}
 	return MMSource{Path: path, Hash: h}, nil
 }
-
-// Name implements Source.
-func (s MMSource) Name() string { return "mm" }
 
 // String implements Source.
 func (s MMSource) String() string { return fmt.Sprintf("mm:%s@%016x", s.Path, s.Hash) }

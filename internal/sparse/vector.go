@@ -103,15 +103,6 @@ func (v Vec) RMS() float64 {
 	return math.Sqrt(s / float64(len(v)))
 }
 
-// Sum returns the sum of the entries of v.
-func (v Vec) Sum() float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
 // Scale multiplies v in place by a.
 func (v Vec) Scale(a float64) {
 	for i := range v {
@@ -127,18 +118,6 @@ func (v Vec) AddScaled(a float64, w Vec) {
 	for i := range v {
 		v[i] += a * w[i]
 	}
-}
-
-// Add returns v + w as a new vector.
-func (v Vec) Add(w Vec) Vec {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("sparse: Add length mismatch %d vs %d", len(v), len(w)))
-	}
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
 }
 
 // Sub returns v - w as a new vector.
@@ -201,43 +180,4 @@ func (v Vec) Equal(w Vec, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Gather returns the sub-vector v[idx[0]], v[idx[1]], ...
-func (v Vec) Gather(idx []int) Vec {
-	out := make(Vec, len(idx))
-	for k, i := range idx {
-		out[k] = v[i]
-	}
-	return out
-}
-
-// Scatter writes src[k] into v[idx[k]] for every k.
-func (v Vec) Scatter(idx []int, src Vec) {
-	if len(idx) != len(src) {
-		panic(fmt.Sprintf("sparse: Scatter length mismatch %d vs %d", len(idx), len(src)))
-	}
-	for k, i := range idx {
-		v[i] = src[k]
-	}
-}
-
-// ScatterAdd adds src[k] to v[idx[k]] for every k.
-func (v Vec) ScatterAdd(idx []int, src Vec) {
-	if len(idx) != len(src) {
-		panic(fmt.Sprintf("sparse: ScatterAdd length mismatch %d vs %d", len(idx), len(src)))
-	}
-	for k, i := range idx {
-		v[i] += src[k]
-	}
-}
-
-// HasNaN reports whether any entry of v is NaN or infinite.
-func (v Vec) HasNaN() bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return true
-		}
-	}
-	return false
 }

@@ -7,7 +7,6 @@
 package spectral
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -180,21 +179,4 @@ func Classify(a *sparse.CSR, tol float64, denseLimit int) Definiteness {
 	default:
 		return Indefinite
 	}
-}
-
-// ConditionEstimate returns a cheap estimate of the 2-norm condition number of
-// an SPD matrix using power iterations for the extreme eigenvalues.
-func ConditionEstimate(a *sparse.CSR, seed int64) (float64, error) {
-	if a.Rows() != a.Cols() {
-		return 0, fmt.Errorf("spectral: ConditionEstimate of non-square matrix")
-	}
-	if a.Rows() == 0 {
-		return 1, nil
-	}
-	lmax, _ := PowerIteration(a, 300, 1e-10, seed)
-	lmin := SmallestEigenEstimate(a, 300, 1e-10, seed+1)
-	if lmin <= 0 {
-		return math.Inf(1), nil
-	}
-	return lmax / lmin, nil
 }

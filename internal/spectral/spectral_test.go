@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/dense"
 	"repro/internal/sparse"
 )
 
@@ -48,31 +47,6 @@ func TestSmallestEigenEstimateTridiagonal(t *testing.T) {
 	got := SmallestEigenEstimate(a, 20000, 1e-12, 3)
 	if math.Abs(got-want) > 1e-4 {
 		t.Errorf("smallest eigenvalue estimate = %g, want %g", got, want)
-	}
-}
-
-func TestConditionEstimateIdentityIsOne(t *testing.T) {
-	got, err := ConditionEstimate(sparse.Identity(10), 1)
-	if err != nil {
-		t.Fatalf("ConditionEstimate: %v", err)
-	}
-	if math.Abs(got-1) > 1e-6 {
-		t.Errorf("condition of the identity = %g, want 1", got)
-	}
-}
-
-func TestConditionEstimateAgreesWithDense(t *testing.T) {
-	sys := sparse.Tridiagonal(12, 3, -1)
-	est, err := ConditionEstimate(sys.A, 2)
-	if err != nil {
-		t.Fatalf("ConditionEstimate: %v", err)
-	}
-	exact, err := dense.ConditionNumber2(dense.FromCSR(sys.A))
-	if err != nil {
-		t.Fatalf("ConditionNumber2: %v", err)
-	}
-	if math.Abs(est-exact) > 0.05*exact {
-		t.Errorf("condition estimate %g differs from exact %g by more than 5%%", est, exact)
 	}
 }
 

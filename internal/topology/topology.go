@@ -294,21 +294,3 @@ func Ring(n int, delay float64) *Topology {
 	}
 	return t
 }
-
-// ScaleDelays returns a copy of the topology with every link delay multiplied
-// by factor (used to convert virtual milliseconds into short wall-clock
-// delays for the live goroutine engine).
-func (t *Topology) ScaleDelays(factor float64) *Topology {
-	if factor <= 0 {
-		panic("topology: ScaleDelays factor must be positive")
-	}
-	out := New(t.n, fmt.Sprintf("%s-x%g", t.name, factor))
-	for i := 0; i < t.n; i++ {
-		for j := 0; j < t.n; j++ {
-			if t.HasDirectLink(i, j) {
-				out.SetLink(i, j, t.delay[i][j]*factor)
-			}
-		}
-	}
-	return out
-}

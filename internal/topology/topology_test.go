@@ -230,17 +230,6 @@ func TestMeshUniformRandomBoundsAndSeeding(t *testing.T) {
 	}
 }
 
-func TestScaleDelays(t *testing.T) {
-	topo := Uniform(3, 4, "u")
-	scaled := topo.ScaleDelays(0.5)
-	if scaled.Delay(0, 1) != 2 {
-		t.Errorf("scaled delay = %g, want 2", scaled.Delay(0, 1))
-	}
-	if topo.Delay(0, 1) != 4 {
-		t.Errorf("ScaleDelays must not modify the original")
-	}
-}
-
 func TestLinksAreSortedAndComplete(t *testing.T) {
 	topo := Mesh(2, 2, "m", func(from, to int) float64 { return float64(from + to + 1) })
 	links := topo.Links()

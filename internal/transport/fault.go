@@ -83,9 +83,6 @@ func (f *faultTransport) Send(ctx context.Context, to int, pkt Packet) error {
 	return firstErr // nil when dropped: a lost datagram is not a send error
 }
 
-// Stats exposes the fault controller's injected-fault counters.
-func (f *faultTransport) Stats() chaos.Stats { return f.ctl.Stats() }
-
 func (f *faultTransport) Close() error {
 	f.once.Do(func() { close(f.closed) })
 	f.wg.Wait()

@@ -110,9 +110,6 @@ func NewTCPLoopback(n int) ([]Transport, error) {
 	return ts, nil
 }
 
-// Addr returns the listener's actual address (resolves ":0" ports).
-func (t *tcpTransport) Addr() string { return t.ln.Addr().String() }
-
 func (t *tcpTransport) Self() int    { return t.self }
 func (t *tcpTransport) Peers() []int { return t.peers }
 

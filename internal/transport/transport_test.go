@@ -484,7 +484,7 @@ func TestWithFaultsDropsAndDuplicates(t *testing.T) {
 			t.Fatalf("send %d: %v", s, err)
 		}
 	}
-	st := faulty.(*faultTransport).Stats()
+	st := faulty.(*faultTransport).ctl.Stats()
 	if st.Dropped == 0 || st.Duplicated == 0 {
 		t.Fatalf("fault decorator injected nothing: %+v", st)
 	}
