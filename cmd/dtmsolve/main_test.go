@@ -171,10 +171,10 @@ func TestEngineMethodSummaries(t *testing.T) {
 		return got
 	}
 	for _, tc := range []struct{ method, faults, want string }{
-		{"dtm", "", "converged=true at t=777, 606 local solves, 879 messages, twin gap 7.66e-10"},
+		{"dtm", "", "converged=true at t=756, 591 local solves, 860 messages, twin gap 6.77e-10"},
 		{"vtm", "", "converged=true after 81 synchronous sweeps, twin gap 8.03e-11"},
-		{"mixed", "", "converged=true at t=777 after 1 async phases and 0 sync sweeps, 606 local solves, 879 messages"},
-		{"dtm", "seed=7,drop=0.05", "converged=true at t=1192, 831 local solves, 1156 messages, twin gap 3.19e-12\n" +
+		{"mixed", "", "converged=true at t=756 after 1 async phases and 0 sync sweeps, 591 local solves, 860 messages"},
+		{"dtm", "seed=7,drop=0.05", "converged=true at t=1192, 831 local solves, 1156 messages, twin gap 3.2e-12\n" +
 			"faults: 55 dropped, 0 duplicated, 0 delayed, 9 retransmissions, 0 crashes / 0 restarts (0 snapshots)"},
 		{"mixed", "seed=7,drop=0.05", "converged=true at t=1192 after 1 async phases and 0 sync sweeps, 831 local solves, 1156 messages\n" +
 			"faults: 55 dropped, 0 duplicated, 0 delayed, 9 retransmissions, 0 crashes / 0 restarts (0 snapshots)"},

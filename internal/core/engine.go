@@ -46,7 +46,11 @@ type engine struct {
 	// (see Problem.OwnerPairs).
 	ownerOf [][][2]int
 
-	x     sparse.Vec // assembled solution (owner copies)
+	// x is the assembled solution (owner copies). It follows every solve only
+	// when exact is set — the running error is its one reader during a run;
+	// otherwise finish folds each part in once, which is all a Subdomain
+	// whose interior is materialised on demand should be asked for.
+	x     sparse.Vec
 	exact sparse.Vec
 	// errSq is the running Σ (x_i - exact_i)² (valid only when exact != nil).
 	// It is updated incrementally on every local solve and recomputed exactly
@@ -222,43 +226,40 @@ func (e *engine) updateTwinGaps(part int) {
 
 // solve is one local solve of a part — the step every schedule is made of:
 // re-solve with the current incoming waves, note the boundary change for the
-// quiescence rule, fold the solution into the assembled state, and tell the
-// observer.
+// quiescence rule, mark the part's incident twin gaps stale, fold the
+// solution into the assembled state if the running error needs it, and tell
+// the observer.
 func (e *engine) solve(part int, now float64) {
 	sub := e.subs[part]
 	e.lastChange[part] = sub.Solve()
 	e.solvedOnce[part] = true
 	e.solves++
-	e.applyLocal(part)
+	if e.gapTree != nil && !e.gapIsStale[part] {
+		e.gapIsStale[part] = true
+		e.gapStale = append(e.gapStale, int32(part))
+	}
+	if e.exact != nil {
+		e.applyLocal(part)
+	}
 	if e.cfg.Observer != nil {
 		e.cfg.Observer(now, part, sub.X())
 	}
 }
 
 // applyLocal folds the latest local solution of one part into the assembled
-// solution and the running error, touching only the entries that part owns,
-// and marks the part's incident twin gaps stale.
+// solution and the running error, touching only the entries that part owns.
 func (e *engine) applyLocal(part int) {
 	lx := e.subs[part].X()
 	for _, pair := range e.ownerOf[part] {
 		li, gv := pair[0], pair[1]
-		if e.exact != nil {
-			d := e.x[gv] - e.exact[gv]
-			e.errSq -= d * d
-			d = lx[li] - e.exact[gv]
-			e.errSq += d * d
-		}
+		d := e.x[gv] - e.exact[gv]
+		e.errSq -= d * d
+		d = lx[li] - e.exact[gv]
+		e.errSq += d * d
 		e.x[gv] = lx[li]
 	}
 	if e.errSq < 0 {
 		e.errSq = 0
-	}
-	if e.gapTree != nil && !e.gapIsStale[part] {
-		e.gapIsStale[part] = true
-		e.gapStale = append(e.gapStale, int32(part))
-	}
-	if e.exact == nil {
-		return
 	}
 	e.sinceRecompute++
 	if e.sinceRecompute >= errRecomputeEvery {
@@ -615,6 +616,12 @@ func (e *engine) solveUncoupled() *Result {
 
 // finish assembles the Result of a run that ended at virtual time finalTime.
 func (e *engine) finish(finalTime float64) *Result {
+	if e.exact == nil {
+		// Nothing read the assembled solution during the run: assemble it now.
+		for part, sub := range e.subs {
+			assembleOwned(e.x, sub.X(), e.ownerOf[part])
+		}
+	}
 	res := &Result{
 		X:          e.x.Clone(),
 		Converged:  e.converged,

@@ -59,7 +59,10 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	// What the subdomain goroutines publish and the monitor reads, under mu:
 	// the assembled owner values and each part's shard state after its latest
 	// step. A published ShardState is never written again, so the monitor may
-	// keep reading one after it has let go of mu.
+	// keep reading one after it has let go of mu. The monitor reads x only for
+	// the trace's RMS error, so a part folds its values in after every step
+	// only when cfg.Exact is set and otherwise once, as its goroutine ends:
+	// asking a Subdomain for X costs it a full interior solve.
 	var mu sync.Mutex
 	x := sparse.NewVec(p.System.Dim())
 	states := make([]ShardState, nParts)
@@ -125,6 +128,13 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if cfg.Exact == nil {
+				defer func() {
+					mu.Lock()
+					assembleOwned(x, sub.X(), owner[part])
+					mu.Unlock()
+				}()
+			}
 			// step solves what is dirty, publishes the outcome, and only then
 			// lets the waves the shard emitted leave — so no receiver can have
 			// applied a sequence number whose needed mark the monitor cannot
@@ -134,8 +144,8 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 				}
 				st := sh.State()
 				mu.Lock()
-				for _, pair := range owner[part] {
-					x[pair[1]] = sub.X()[pair[0]]
+				if cfg.Exact != nil {
+					assembleOwned(x, sub.X(), owner[part])
 				}
 				states[part] = st
 				mu.Unlock()

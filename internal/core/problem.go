@@ -129,6 +129,14 @@ func (p *Problem) OwnerPairs() [][][2]int {
 	return owner
 }
 
+// assembleOwned writes the values a part owns (pairs is its OwnerPairs row)
+// from its local solution into the global vector x.
+func assembleOwned(x, local sparse.Vec, pairs [][2]int) {
+	for _, pair := range pairs {
+		x[pair[1]] = local[pair[0]]
+	}
+}
+
 // BuildSubdomains instantiates the per-part DTM solvers with the impedances
 // chosen by the strategy (nil for the default, dtl.DiagScaled{Alpha: 1}) and
 // the named local-factorisation backend (empty for auto) under the default

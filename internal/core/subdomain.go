@@ -27,6 +27,14 @@ type LinkEnd struct {
 // equation (5.9), the incident DTL endpoints, the latest incoming waves
 // (remote boundary conditions) and the latest local solution.
 //
+// Between two activations only the port entries of (5.9)'s right-hand side
+// change, and only the port potentials leave the subdomain (the outgoing
+// waves, the boundary change, the twin gaps). When the factorisation holds
+// the Schur complement S of the interior onto the ports (factor.PortSolver),
+// Solve therefore computes the ports alone, u = u⁰ + S⁻¹δ, and the interior
+// is solved for once, when somebody asks for it (X). Every other backend
+// solves the whole system on every activation, as Table 1 of the paper says.
+//
 // Subdomain is not safe for concurrent use by itself; the DES engine calls it
 // from a single goroutine and the live engine confines each Subdomain to the
 // goroutine of its processor.
@@ -35,8 +43,21 @@ type Subdomain struct {
 	numPorts  int
 	globalIdx []int
 
-	solver  factor.LocalSolver
+	solver factor.LocalSolver
+	// ports is solver again when it holds the port factor, nil otherwise:
+	// which of Solve's two paths this subdomain takes.
+	ports   factor.PortSolver
 	baseRHS sparse.Vec
+	// On the port path: u0 is the port potentials under zero incoming waves
+	// (the ports of A⁻¹·baseRHS), delta[p] the Σ (1/Z)·incoming over the ends
+	// on port p as of the latest Solve, and stale says x's interior entries
+	// predate that Solve. delta, not incoming, is what X solves for: an
+	// engine may overwrite incoming between a Solve and the X that follows.
+	u0, delta []float64
+	stale     bool
+	// interiorSolves counts the full solves X performed, for the test that a
+	// run nobody watches pays for one per part.
+	interiorSolves int
 
 	ends []LinkEnd
 	// endOfLink maps a global link id to its local end index (-1 when the link
@@ -54,17 +75,19 @@ type Subdomain struct {
 	//   r_k = u_twin(t-τ) − Z·ω_twin(t-τ)
 	incoming []float64
 
-	x         sparse.Vec // latest local solution [u; y]
+	x         sparse.Vec // latest local solution [u; y]; y only as fresh as stale says
 	rhs       sparse.Vec // scratch right-hand side
 	prevPorts []float64  // scratch: port potentials before the latest solve
 
 	// localA and fs are kept so a crash-restarted subdomain can rebuild its
-	// factorisation the way it was first built (Refactor); snapX/snapIncoming
+	// factorisation the way it was first built (Refactor); the snap fields
 	// hold the latest in-memory snapshot a restart rolls back to.
 	localA       *sparse.CSR
 	fs           factor.Settings
 	snapX        sparse.Vec
 	snapIncoming []float64
+	snapDelta    []float64
+	snapStale    bool
 	hasSnap      bool
 }
 
@@ -75,7 +98,8 @@ type Subdomain struct {
 // The local coefficient matrix is A_local + Σ_ends (1/Z) e_p e_pᵀ — constant
 // throughout the computation — and is factorised here once as fs says (the
 // zero Settings is "auto": Cholesky sized to the block, falling back to LU
-// with partial pivoting for merely-SNND blocks).
+// with partial pivoting for merely-SNND blocks), with the ports named so a
+// backend that can condense onto them does.
 func NewSubdomain(sub *partition.Subdomain, links []partition.TwinLink, z []float64, fs factor.Settings) (*Subdomain, error) {
 	s := &Subdomain{
 		part:      sub.Part,
@@ -86,6 +110,8 @@ func NewSubdomain(sub *partition.Subdomain, links []partition.TwinLink, z []floa
 		x:         sparse.NewVec(sub.Dim()),
 		rhs:       sparse.NewVec(sub.Dim()),
 		prevPorts: make([]float64, sub.NumPorts),
+		u0:        make([]float64, sub.NumPorts),
+		delta:     make([]float64, sub.NumPorts),
 	}
 	for i := range s.endOfLink {
 		s.endOfLink[i] = -1
@@ -139,8 +165,24 @@ func (s *Subdomain) Part() int { return s.part }
 func (s *Subdomain) Ends() []LinkEnd { return s.ends }
 
 // X returns the latest local solution [u_ports; y_inner]. The returned slice
-// is the live buffer; callers that need a stable copy must Clone it.
-func (s *Subdomain) X() sparse.Vec { return s.x }
+// is the live buffer; callers that need a stable copy must Clone it. On the
+// port path the interior is materialised here, by one full solve for the
+// right-hand side of the latest Solve; the ports keep the values that Solve
+// gave them (the full solve's differ in the last bits), so asking for X never
+// changes what the subdomain sends next.
+func (s *Subdomain) X() sparse.Vec {
+	if s.stale {
+		s.stale = false
+		s.interiorSolves++
+		s.rhs.CopyFrom(s.baseRHS)
+		for p, d := range s.delta {
+			s.rhs[p] += d
+		}
+		s.solver.SolveTo(s.rhs, s.rhs)
+		copy(s.x[s.numPorts:], s.rhs[s.numPorts:])
+	}
+	return s.x
+}
 
 // SetIncomingByLink records a freshly received wave r = u_twin − Z·ω_twin for
 // the end attached to the given link. It reports whether the link terminates
@@ -160,19 +202,34 @@ func (s *Subdomain) SetIncomingByLink(linkID int, wave float64) bool {
 // Solve re-solves the local system with the current incoming waves and returns
 // the largest absolute change of any port potential relative to the previous
 // solution. It performs only a forward/backward substitution — the
-// factorisation was done once in NewSubdomain.
+// factorisation was done once in NewSubdomain — and on the port path only the
+// ports' share of it: the waves enter (5.9) as δ on the ports, so the port
+// potentials are u⁰ + S⁻¹δ.
 func (s *Subdomain) Solve() float64 {
-	s.rhs.CopyFrom(s.baseRHS)
-	for k, e := range s.ends {
-		// f_p + (1/Z)·(u_twin − Z·ω_twin)(t−τ), the right-hand side of (5.9).
-		s.rhs[e.Port] += s.invZ[k] * s.incoming[k]
-	}
+	ports := s.x[:s.numPorts]
 	prev := s.prevPorts
-	copy(prev, s.x[:s.numPorts])
-	s.solver.SolveTo(s.x, s.rhs)
+	copy(prev, ports)
+	if s.ports != nil {
+		clear(s.delta)
+		for k, e := range s.ends {
+			s.delta[e.Port] += s.invZ[k] * s.incoming[k]
+		}
+		s.ports.SolvePorts(ports, s.delta)
+		for p, u0 := range s.u0 {
+			ports[p] += u0
+		}
+		s.stale = true
+	} else {
+		s.rhs.CopyFrom(s.baseRHS)
+		for k, e := range s.ends {
+			// f_p + (1/Z)·(u_twin − Z·ω_twin)(t−τ), the right-hand side of (5.9).
+			s.rhs[e.Port] += s.invZ[k] * s.incoming[k]
+		}
+		s.solver.SolveTo(s.x, s.rhs)
+	}
 	var change float64
-	for p := 0; p < s.numPorts; p++ {
-		if d := math.Abs(s.x[p] - prev[p]); d > change {
+	for p, u := range ports {
+		if d := math.Abs(u - prev[p]); d > change {
 			change = d
 		}
 	}
@@ -243,17 +300,22 @@ func (s *Subdomain) AdjacentParts() []int {
 }
 
 // Snapshot stores an in-memory copy of the subdomain's recovery state: the
-// latest local solution and the latest incoming waves. The constant inputs —
-// the local matrix, right-hand side and DTL endpoints — need no snapshot, and
-// the factorisation is deliberately excluded: a crashed process loses it and
-// Refactor rebuilds it from the cached matrix.
+// latest local solution and the latest incoming waves — and, since the
+// solution's interior may be waiting for X, whether it is and the δ it would
+// be solved for. The constant inputs — the local matrix, right-hand side and
+// DTL endpoints — need no snapshot, and the factorisation is deliberately
+// excluded: a crashed process loses it and Refactor rebuilds it from the
+// cached matrix.
 func (s *Subdomain) Snapshot() {
 	if s.snapX == nil {
 		s.snapX = sparse.NewVec(len(s.x))
 		s.snapIncoming = make([]float64, len(s.incoming))
+		s.snapDelta = make([]float64, len(s.delta))
 	}
 	s.snapX.CopyFrom(s.x)
 	copy(s.snapIncoming, s.incoming)
+	copy(s.snapDelta, s.delta)
+	s.snapStale = s.stale
 	s.hasSnap = true
 }
 
@@ -264,25 +326,33 @@ func (s *Subdomain) Snapshot() {
 func (s *Subdomain) RestoreSnapshot() {
 	if !s.hasSnap {
 		s.x.Zero()
-		for k := range s.incoming {
-			s.incoming[k] = 0
-		}
+		clear(s.incoming)
+		clear(s.delta)
+		s.stale = false
 		return
 	}
 	s.x.CopyFrom(s.snapX)
 	copy(s.incoming, s.snapIncoming)
+	copy(s.delta, s.snapDelta)
+	s.stale = s.snapStale
 }
 
-// Refactor (re)builds the local solver from the retained local matrix and
-// factor settings. NewSubdomain factorises through it, and a crash-restarted
+// Refactor (re)builds the local solver — and with it the port factor and u⁰,
+// when the backend has one — from the retained local matrix and factor
+// settings. NewSubdomain factorises through it, and a crash-restarted
 // subdomain calls it because the factorisation held by the crashed process is
 // lost; the rebuild is deterministic, so the restarted subdomain solves
 // exactly as before.
 func (s *Subdomain) Refactor() error {
-	solver, err := s.fs.New(s.localA)
+	solver, err := s.fs.NewPorts(s.localA, s.numPorts)
 	if err != nil {
 		return fmt.Errorf("core: factorising local system of part %d: %w", s.part, err)
 	}
 	s.solver = solver
+	s.ports, _ = solver.(factor.PortSolver)
+	if s.ports != nil {
+		solver.SolveTo(s.rhs, s.baseRHS)
+		copy(s.u0, s.rhs)
+	}
 	return nil
 }

@@ -106,7 +106,7 @@ func TestOnDemandTwinGapTree(t *testing.T) {
 	}{
 		{"ring9-grid13", ring, CommonOptions{Tol: 1e-9}, 1e9, 15843, 1917},
 		{"spanner-lsg4", spanner, CommonOptions{Tol: 1e-9}, 1e9, 1496, 272},
-		{"crash+snap", faultTestProblem, CommonOptions{Tol: 1e-9, SendThreshold: 1e-11, Faults: crash}, 200000, 99966, 17011},
+		{"crash+snap", faultTestProblem, CommonOptions{Tol: 1e-9, SendThreshold: 1e-11, Faults: crash}, 200000, 99950, 16995},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(trace bool) (*Result, *engine) {

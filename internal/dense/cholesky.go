@@ -60,13 +60,6 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 	return &Cholesky{n: n, l: l, lt: lt}, nil
 }
 
-// NewCholeskyCSR factorises a sparse SPD matrix by densifying it first; the
-// local DTM subsystems are small enough (n / #subdomains) that this is the
-// pragmatic choice and keeps the dependency graph simple.
-func NewCholeskyCSR(a *sparse.CSR) (*Cholesky, error) {
-	return NewCholesky(FromCSR(a))
-}
-
 // Dim returns the dimension of the factorised matrix.
 func (c *Cholesky) Dim() int { return c.n }
 
@@ -104,6 +97,37 @@ func (c *Cholesky) SolveTo(x, b sparse.Vec) {
 		s := x[i]
 		for k := i + 1; k < n; k++ {
 			s -= row[k] * x[k]
+		}
+		x[i] = s / row[i]
+	}
+}
+
+// SolveTrailingTo solves S x = b into x, where k = len(b) and S is the Schur
+// complement of A's leading (n−k)×(n−k) block onto its trailing k unknowns,
+// S = A₂₂ − A₂₁ A₁₁⁻¹ A₁₂ — equivalently x = (A⁻¹)₂₂ b. It needs nothing the
+// factorisation has not already computed: the trailing k×k block of L is the
+// Cholesky factor of S, so this is SolveTo confined to that block, k² flops
+// where a full solve takes n².
+func (c *Cholesky) SolveTrailingTo(x, b sparse.Vec) {
+	n, k := c.n, len(b)
+	if k > n || len(x) != k {
+		panic(fmt.Sprintf("dense: Cholesky.SolveTrailingTo dimension mismatch n=%d len(b)=%d len(x)=%d", n, k, len(x)))
+	}
+	m := n - k
+	ld := c.l.data
+	for i := 0; i < k; i++ {
+		row := ld[(m+i)*n+m : (m+i)*n+m+i+1]
+		s := b[i]
+		for j, xj := range x[:i] {
+			s -= row[j] * xj
+		}
+		x[i] = s / row[i]
+	}
+	for i := k - 1; i >= 0; i-- {
+		row := c.lt[(m+i)*n+m : (m+i+1)*n]
+		s := x[i]
+		for j := i + 1; j < k; j++ {
+			s -= row[j] * x[j]
 		}
 		x[i] = s / row[i]
 	}

@@ -190,9 +190,9 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 
 func TestCholeskyCSRMatchesDense(t *testing.T) {
 	csr := sparse.Tridiagonal(10, 3, -1).A
-	cholCSR, err := NewCholeskyCSR(csr)
+	cholCSR, err := NewCholesky(FromCSR(csr))
 	if err != nil {
-		t.Fatalf("NewCholeskyCSR: %v", err)
+		t.Fatalf("NewCholesky(FromCSR): %v", err)
 	}
 	b := sparse.RandomVec(10, 4)
 	x := cholCSR.Solve(b)

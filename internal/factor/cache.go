@@ -14,7 +14,8 @@ import (
 // goroutines sharing a matrix) keeps asking for the factor of the same
 // matrix; the cache keys factors by a hash of the matrix pattern AND values
 // (same pattern with different values is a different system and must miss),
-// plus the backend name and the ordering — both change what New would build. Entries are LRU-evicted against a byte budget sized by
+// plus the backend name, the ordering and the port count — all three change
+// what New would build. Entries are LRU-evicted against a byte budget sized by
 // the factors' real memory footprint.
 //
 // Hits return the cached LocalSolver. That is safe to share across
@@ -38,6 +39,7 @@ type cacheEntry struct {
 	key     uint64
 	backend string
 	order   Ordering
+	ports   int
 	a       *sparse.CSR // retained for exact verification of hash hits
 	solver  LocalSolver
 	bytes   int64
@@ -67,16 +69,19 @@ func NewCache(budget int64) *Cache {
 // returned unchained and never cached. Settings.New is the route for a
 // non-default ordering.
 func (c *Cache) GetOrFactor(backend string, a *sparse.CSR) (LocalSolver, bool, error) {
-	return c.getOrFactor(Settings{Backend: backend}.backend(), OrderAuto, a)
+	return c.getOrFactor(Settings{Backend: backend}.backend(), OrderAuto, 0, a)
 }
 
-func (c *Cache) getOrFactor(backend string, order Ordering, a *sparse.CSR) (LocalSolver, bool, error) {
-	key := cacheKey(backend, order, a)
+func (c *Cache) getOrFactor(backend string, order Ordering, ports int, a *sparse.CSR) (LocalSolver, bool, error) {
+	key := cacheKey(backend, order, ports, a)
+	same := func(e *cacheEntry) bool {
+		return e.backend == backend && e.order == order && e.ports == ports && sameMatrix(e.a, a)
+	}
 
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		e := el.Value.(*cacheEntry)
-		if e.backend == backend && e.order == order && sameMatrix(e.a, a) {
+		if same(e) {
 			c.ll.MoveToFront(el)
 			c.hits++
 			sol := e.solver
@@ -91,18 +96,18 @@ func (c *Cache) getOrFactor(backend string, order Ordering, a *sparse.CSR) (Loca
 
 	// Factor outside the lock — a large factorisation must not serialise
 	// every concurrent cache user behind it.
-	sol, err := newRaw(backend, order, a)
+	sol, err := newRaw(backend, order, ports, a)
 	if err != nil {
 		return nil, false, err
 	}
-	e := &cacheEntry{key: key, backend: backend, order: order, a: a, solver: sol, bytes: entryBytes(sol, a)}
+	e := &cacheEntry{key: key, backend: backend, order: order, ports: ports, a: a, solver: sol, bytes: entryBytes(sol, a)}
 
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		// Another goroutine factored the same system while we did: keep the
 		// canonical entry, drop ours.
 		prev := el.Value.(*cacheEntry)
-		if prev.backend == backend && prev.order == order && sameMatrix(prev.a, a) {
+		if same(prev) {
 			c.ll.MoveToFront(el)
 			sol := prev.solver
 			c.mu.Unlock()
@@ -135,10 +140,11 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.ll.Len(), UsedBytes: c.used}
 }
 
-// cacheKey hashes the backend name, the requested ordering and the matrix —
-// dimensions, pattern and value bits — with FNV-1a. Values are part of the
-// key by design: a refreshed system with the same sparsity must refactor.
-func cacheKey(backend string, order Ordering, a *sparse.CSR) uint64 {
+// cacheKey hashes the backend name, the requested ordering, the port count
+// and the matrix — dimensions, pattern and value bits — with FNV-1a. Values
+// are part of the key by design: a refreshed system with the same sparsity
+// must refactor.
+func cacheKey(backend string, order Ordering, ports int, a *sparse.CSR) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -156,6 +162,7 @@ func cacheKey(backend string, order Ordering, a *sparse.CSR) uint64 {
 		h *= prime64
 	}
 	mix(uint64(order))
+	mix(uint64(ports))
 	mix(uint64(a.Rows()))
 	mix(uint64(a.Cols()))
 	for i := 0; i < a.Rows(); i++ {

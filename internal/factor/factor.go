@@ -7,7 +7,12 @@
 // Registered backends:
 //
 //   - "dense-cholesky" — dense.Cholesky after densification; the right choice
-//     for small blocks, O(n²) memory and O(n³) factor time.
+//     for small blocks, O(n²) memory and O(n³) factor time. The one backend
+//     that is a PortSolver: told how many leading unknowns are ports
+//     (Settings.NewPorts), it eliminates them last, and the trailing block of
+//     L is then the Cholesky factor of the Schur complement onto the ports —
+//     a DTM subdomain's per-activation solve shrinks from n² to k² flops at
+//     no extra set-up cost.
 //   - "dense-lu" — dense.LU with partial pivoting; the fallback for blocks
 //     that are merely SNND (so Cholesky fails by a hair) or unsymmetric.
 //   - "sparse-cholesky" — the sparse up-looking Cholesky of this package with
@@ -39,6 +44,7 @@ package factor
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dense"
@@ -96,9 +102,25 @@ type LocalSolver interface {
 	Backend() string
 }
 
-// factorizer builds a LocalSolver from a sparse matrix under the given
-// fill-reducing ordering (which the dense backends ignore).
-type factorizer func(a *sparse.CSR, order Ordering) (LocalSolver, error)
+// PortSolver is the optional extension of LocalSolver for backends that
+// factorise with the ports — the leading unknowns NewPorts was told about —
+// eliminated last, and so hold the factor of the Schur complement S of the
+// interior onto the ports as a by-product. Between two activations of a DTM
+// subdomain only the port entries of the right-hand side change and only the
+// port potentials leave it, so S⁻¹ is all an activation needs. SolvePorts is
+// deterministic, tolerates u aliasing d and is reentrant, exactly like
+// SolveTo.
+type PortSolver interface {
+	LocalSolver
+	// SolvePorts solves S·u = d: u = (A⁻¹)_PP·d, the port potentials a
+	// right-hand side that is d on the ports and zero inside produces.
+	SolvePorts(u, d sparse.Vec)
+}
+
+// factorizer builds a LocalSolver from a sparse matrix whose first ports
+// unknowns are ports, under the given fill-reducing ordering (the dense
+// backends ignore the ordering, every backend but dense-cholesky the ports).
+type factorizer func(a *sparse.CSR, order Ordering, ports int) (LocalSolver, error)
 
 // Solve is a convenience wrapper around SolveTo that allocates the solution.
 func Solve(s LocalSolver, b sparse.Vec) sparse.Vec {
@@ -176,12 +198,21 @@ func (s Settings) backend() string {
 }
 
 // New factorises a as the settings say.
-func (s Settings) New(a *sparse.CSR) (LocalSolver, error) {
+func (s Settings) New(a *sparse.CSR) (LocalSolver, error) { return s.NewPorts(a, 0) }
+
+// NewPorts factorises a as the settings say, telling the backend that the
+// first ports unknowns are the only ones whose right-hand side will change
+// and whose solution will be read between full solves. A backend that can
+// use that returns a PortSolver; the others factorise exactly as New does.
+func (s Settings) NewPorts(a *sparse.CSR, ports int) (LocalSolver, error) {
+	if ports < 0 || ports > a.Rows() {
+		return nil, fmt.Errorf("factor: %d ports in a system of %d unknowns", ports, a.Rows())
+	}
 	if s.Cache != nil {
-		sol, _, err := s.Cache.getOrFactor(s.backend(), s.Ordering, a)
+		sol, _, err := s.Cache.getOrFactor(s.backend(), s.Ordering, ports, a)
 		return sol, err
 	}
-	return newRaw(s.backend(), s.Ordering, a)
+	return newRaw(s.backend(), s.Ordering, ports, a)
 }
 
 // New factorises a with the named backend (empty for Auto) under the default
@@ -193,12 +224,12 @@ func New(backend string, a *sparse.CSR) (LocalSolver, error) {
 // newRaw factorises through the registry, bypassing any cache — the path the
 // cache itself (and the auto policy's internal fallback chain, which must not
 // populate a cache with doomed intermediate attempts) uses.
-func newRaw(backend string, order Ordering, a *sparse.CSR) (LocalSolver, error) {
+func newRaw(backend string, order Ordering, ports int, a *sparse.CSR) (LocalSolver, error) {
 	f, ok := registry[backend]
 	if !ok {
 		return nil, fmt.Errorf("factor: unknown backend %q (have %v)", backend, Backends())
 	}
-	return f(a, order)
+	return f(a, order, ports)
 }
 
 // DenseBytesNeeded returns the transient allocation an n×n dense
@@ -221,11 +252,47 @@ func denseFeasible(n int, capBytes int64) error {
 	return nil
 }
 
-// denseCholSolver and denseLUSolver adapt the dense factorisations (which
-// already provide Dim and SolveTo) to the LocalSolver interface.
-type denseCholSolver struct{ *dense.Cholesky }
+// denseCholSolver is dense.Cholesky of the matrix with its unknowns rotated
+// left by ports — interior first, the ports last — which makes the trailing
+// ports×ports block of L the Cholesky factor of the Schur complement onto the
+// ports. Callers never see the rotation: SolveTo takes and returns vectors in
+// the matrix's own order.
+type denseCholSolver struct {
+	chol  *dense.Cholesky
+	ports int
+}
 
 func (denseCholSolver) Backend() string { return DenseCholesky }
+
+func (s denseCholSolver) Dim() int { return s.chol.Dim() }
+
+// SolveTo rotates b into the factor's order inside x, solves in place and
+// rotates back, so it allocates nothing and x may alias b.
+func (s denseCholSolver) SolveTo(x, b sparse.Vec) {
+	if s.ports == 0 || s.ports == len(x) {
+		s.chol.SolveTo(x, b)
+		return
+	}
+	copy(x, b)
+	rotateLeft(x, s.ports)
+	s.chol.SolveTo(x, x)
+	rotateLeft(x, len(x)-s.ports)
+}
+
+func (s denseCholSolver) SolvePorts(u, d sparse.Vec) {
+	if len(d) != s.ports {
+		panic(fmt.Sprintf("factor: SolvePorts of %d values on a factor with %d ports", len(d), s.ports))
+	}
+	s.chol.SolveTrailingTo(u, d)
+}
+
+// rotateLeft rotates x left by k in place (x[i] becomes the old x[i+k]) by
+// three reversals.
+func rotateLeft(x sparse.Vec, k int) {
+	slices.Reverse(x[:k])
+	slices.Reverse(x[k:])
+	slices.Reverse(x)
+}
 
 // FactorBytes estimates the dense factor's footprint (n² stored values).
 func (s denseCholSolver) FactorBytes() int64 {
@@ -233,6 +300,8 @@ func (s denseCholSolver) FactorBytes() int64 {
 	return 8 * n * n
 }
 
+// denseLUSolver adapts dense.LU (which already provides Dim and SolveTo) to
+// the LocalSolver interface.
 type denseLUSolver struct{ *dense.LU }
 
 func (denseLUSolver) Backend() string { return DenseLU }
@@ -244,18 +313,26 @@ func (s denseLUSolver) FactorBytes() int64 {
 	return 16 * n * n
 }
 
-func newDenseCholesky(a *sparse.CSR, _ Ordering) (LocalSolver, error) {
-	if err := DenseFeasible(a.Rows()); err != nil {
+func newDenseCholesky(a *sparse.CSR, _ Ordering, ports int) (LocalSolver, error) {
+	n := a.Rows()
+	if a.Cols() != n {
+		return nil, fmt.Errorf("factor: dense Cholesky of non-square %dx%d matrix", n, a.Cols())
+	}
+	if err := DenseFeasible(n); err != nil {
 		return nil, err
 	}
-	c, err := dense.NewCholeskyCSR(a)
+	// Densify straight into the rotated order: unknown i goes to i − ports,
+	// wrapping the ports round to the end.
+	m := dense.New(n, n)
+	a.Each(func(i, j int, v float64) { m.Set((i+n-ports)%n, (j+n-ports)%n, v) })
+	c, err := dense.NewCholesky(m)
 	if err != nil {
 		return nil, err
 	}
-	return denseCholSolver{c}, nil
+	return denseCholSolver{chol: c, ports: ports}, nil
 }
 
-func newDenseLU(a *sparse.CSR, _ Ordering) (LocalSolver, error) {
+func newDenseLU(a *sparse.CSR, _ Ordering, _ int) (LocalSolver, error) {
 	if err := DenseFeasible(a.Rows()); err != nil {
 		return nil, err
 	}
@@ -266,11 +343,11 @@ func newDenseLU(a *sparse.CSR, _ Ordering) (LocalSolver, error) {
 	return denseLUSolver{lu}, nil
 }
 
-func newSparseCholeskyBackend(a *sparse.CSR, order Ordering) (LocalSolver, error) {
+func newSparseCholeskyBackend(a *sparse.CSR, order Ordering, _ int) (LocalSolver, error) {
 	return NewCholesky(a, order)
 }
 
-func newSparseLDLTBackend(a *sparse.CSR, order Ordering) (LocalSolver, error) {
+func newSparseLDLTBackend(a *sparse.CSR, order Ordering, _ int) (LocalSolver, error) {
 	return NewLDLT(a, order)
 }
 
@@ -278,7 +355,7 @@ func newSparseLDLTBackend(a *sparse.CSR, order Ordering) (LocalSolver, error) {
 // name: Cholesky when the matrix turns out SPD, LDLᵀ otherwise. A non-positive
 // diagonal entry proves non-positive-definiteness up front (xᵀAx ≤ 0 for a
 // unit vector), so that case skips the doomed Cholesky attempt entirely.
-func newSparseSupernodalBackend(a *sparse.CSR, order Ordering) (LocalSolver, error) {
+func newSparseSupernodalBackend(a *sparse.CSR, order Ordering, _ int) (LocalSolver, error) {
 	if !hasPosDiag(a) {
 		return NewSupernodal(a, order, ModeLDLT)
 	}
@@ -338,18 +415,18 @@ func autoPicksSparse(n, nnz int) bool {
 // is both huge and merely SNND factorises sparsely instead of dying at
 // ErrDenseTooLarge; on the dense path (small blocks) it stays dense-Cholesky
 // → dense LU.
-func newAuto(a *sparse.CSR, order Ordering) (LocalSolver, error) {
+func newAuto(a *sparse.CSR, order Ordering, ports int) (LocalSolver, error) {
 	n := a.Rows()
 	sparsePath := autoPicksSparse(n, a.NNZ())
 	if sparsePath && n >= autoSupernodalMinDim {
 		// The supernodal backend runs its own Cholesky → LDLᵀ chain; only a
 		// numerically singular block (zero diagonal pivots) falls out, and
 		// dense LU's row pivoting is the last resort for those.
-		s, err := newRaw(SparseSupernodal, order, a)
+		s, err := newRaw(SparseSupernodal, order, ports, a)
 		if err == nil {
 			return s, nil
 		}
-		lu, luErr := newRaw(DenseLU, order, a)
+		lu, luErr := newRaw(DenseLU, order, ports, a)
 		if luErr != nil {
 			return nil, fmt.Errorf("factor: auto fallback after %v: %w", err, luErr)
 		}
@@ -359,7 +436,7 @@ func newAuto(a *sparse.CSR, order Ordering) (LocalSolver, error) {
 	if sparsePath {
 		chol = SparseCholesky
 	}
-	s, err := newRaw(chol, order, a)
+	s, err := newRaw(chol, order, ports, a)
 	if err == nil {
 		return s, nil
 	}
@@ -369,7 +446,7 @@ func newAuto(a *sparse.CSR, order Ordering) (LocalSolver, error) {
 	// The block is at best SNND. On the sparse path try LDLᵀ first: same
 	// sparse cost model, no definiteness requirement.
 	if sparsePath {
-		ldlt, lErr := newRaw(SparseLDLT, order, a)
+		ldlt, lErr := newRaw(SparseLDLT, order, ports, a)
 		if lErr == nil {
 			return ldlt, nil
 		}
@@ -377,7 +454,7 @@ func newAuto(a *sparse.CSR, order Ordering) (LocalSolver, error) {
 		// row pivoting can still succeed where diagonal pivots cannot.
 		err = fmt.Errorf("%v; sparse-ldlt: %w", err, lErr)
 	}
-	lu, luErr := newRaw(DenseLU, order, a)
+	lu, luErr := newRaw(DenseLU, order, ports, a)
 	if luErr != nil {
 		return nil, fmt.Errorf("factor: auto fallback after %v: %w", err, luErr)
 	}
