@@ -23,8 +23,15 @@ import (
 // changed (Adopt, Drop, Advance); what the shard wants to send to another
 // member leaves through emit. The live engine runs one single-part Shard per
 // goroutine, a dist worker one Shard for all its parts. Waves between two
-// parts of one shard are applied directly and carry no sequence numbers:
-// in-process delivery cannot lose anything. Not safe for concurrent use.
+// parts of one shard ("siblings") are applied directly and carry no sequence
+// numbers: in-process delivery cannot lose anything.
+//
+// When a part re-solves is the shard's choice (Theorem 6.1 holds for any
+// delays), and it solves for the network, not against it: a part that applied
+// a remote wave is dirty and solves at once, a part that applied a sibling's
+// wave is only owed a solve, and the owed parts are swept once per batch of
+// remote news — not iterated to a fixed point against remote waves that
+// cannot change until the driver next blocks. Not safe for concurrent use.
 type Shard struct {
 	self      int
 	owner     []int // part → member id, for every part of the problem
@@ -33,17 +40,24 @@ type Shard struct {
 
 	parts []*shardPart // by part id; nil where another member owns the part
 	owned []int32      // ascending, so every sweep is deterministic
-	dirty []int32      // parts that applied a wave and await their solve, FIFO
-	dedup *transport.Dedup
+	dirty []int32      // parts that applied a remote wave (or woke) and await their solve, FIFO
+	owed  []int32      // parts that applied a sibling's wave and await the next sweep; disjoint from dirty
+	// awaited[m] marks a member this shard sent a wave to and has not heard
+	// from since; news says a fresh remote packet arrived since the last
+	// sibling sweep. A sweep runs when either permits it (SolveDirty).
+	awaited []bool
+	news    bool
+	dedup   *transport.Dedup
 
 	solves, messages int
 }
 
-// shardPart is one owned part's protocol state. sentSeq and needed index the
-// subdomain's AdjacentParts: the newest sequence number assigned toward that
-// neighbour, and the newest one that announced changed state (a watchdog
-// retransmission gets a fresh number, so it beats older copies in flight,
-// but carries no news and must not hold the stopping rule if it is lost).
+// shardPart is one owned part's protocol state. sentSeq, needed and answer
+// index the subdomain's AdjacentParts: the newest sequence number assigned
+// toward that neighbour, the newest one that announced changed state (a
+// watchdog retransmission gets a fresh number, so it beats older copies in
+// flight, but carries no news and must not hold the stopping rule if it is
+// lost), and whether the neighbour sent news this part has not answered yet.
 type shardPart struct {
 	sub *Subdomain
 	// lastSent[k] is the wave last announced on end k (NaN when nothing has
@@ -51,6 +65,7 @@ type shardPart struct {
 	// against it, so a converged part goes quiet and the network can drain.
 	lastSent        []float64
 	sentSeq, needed []uint64
+	answer          []bool
 	lastChange      float64
 	solvedOnce      bool
 }
@@ -83,7 +98,8 @@ type ShardState struct {
 	Needed  []PairSeq `json:"needed,omitempty"`
 	Applied []PairSeq `json:"applied,omitempty"`
 	// Dirty counts owned parts whose Ports and LastChange are stale: they
-	// applied a wave (or were woken) and have not been re-solved yet.
+	// applied a wave (or were woken) and have not been re-solved yet — owed
+	// parts included.
 	Dirty int `json:"dirty,omitempty"`
 	// Fenced counts packets the epoch and incarnation fences discarded.
 	Fenced uint64 `json:"fenced,omitempty"`
@@ -94,12 +110,23 @@ type ShardState struct {
 // toward it has moved by more than sendThreshold since the last one.
 func NewShard(self int, owner []int, epoch uint32, sendThreshold float64, emit func(to int, pkt transport.Packet)) *Shard {
 	s := &Shard{
-		self: self, owner: owner, threshold: sendThreshold, emit: emit,
+		self: self, threshold: sendThreshold, emit: emit,
 		parts: make([]*shardPart, len(owner)),
 		dedup: transport.NewDedup(),
 	}
+	s.setOwner(owner)
 	s.dedup.Advance(epoch)
 	return s
+}
+
+// setOwner installs an ownership map with no member awaited.
+func (s *Shard) setOwner(owner []int) {
+	s.owner = owner
+	members := 0
+	for _, m := range owner {
+		members = max(members, m+1)
+	}
+	s.awaited = make([]bool, members)
 }
 
 // Adopt adds a factorised subdomain. On the initial assignment snap is nil
@@ -117,6 +144,7 @@ func (s *Shard) Adopt(sub *Subdomain, snap []float64) {
 		lastSent: make([]float64, len(sub.Ends())),
 		sentSeq:  make([]uint64, nAdj),
 		needed:   make([]uint64, nAdj),
+		answer:   make([]bool, nAdj),
 	}
 	p.forget()
 	s.parts[sub.Part()] = p
@@ -135,8 +163,8 @@ func (p *shardPart) forget() {
 	}
 }
 
-// Drop forgets a part handed to another owner. It leaves the dirty queue
-// too: a pending solve must never reach a part that is gone.
+// Drop forgets a part handed to another owner. It leaves the dirty and owed
+// queues too: a pending solve must never reach a part that is gone.
 func (s *Shard) Drop(part int32) {
 	if s.Sub(part) == nil {
 		return
@@ -145,6 +173,7 @@ func (s *Shard) Drop(part int32) {
 	gone := func(p int32) bool { return p == part }
 	s.owned = slices.DeleteFunc(s.owned, gone)
 	s.dirty = slices.DeleteFunc(s.dirty, gone)
+	s.owed = slices.DeleteFunc(s.owed, gone)
 }
 
 // Sub returns an owned part's subdomain, nil when the part is not owned.
@@ -181,48 +210,82 @@ func (s *Shard) Wake() {
 }
 
 // Advance installs the ownership map of a newer epoch: packets of older
-// epochs are fenced from now on, the per-pair sequence numbers restart, and
-// every part wakes. An older or equal epoch is ignored.
+// epochs are fenced from now on, the per-pair sequence numbers restart, no
+// member is awaited, and every part wakes. An older or equal epoch is ignored.
 func (s *Shard) Advance(epoch uint32, owner []int) {
 	if epoch <= s.dedup.Epoch() {
 		return
 	}
-	s.owner = owner
+	s.setOwner(owner)
 	s.dedup.Advance(epoch)
 	for _, part := range s.owned {
 		clear(s.parts[part].sentSeq)
 		clear(s.parts[part].needed)
+		clear(s.parts[part].answer)
 	}
 	s.Wake()
 }
 
 // Receive folds one wave packet into the part it is addressed to and marks
-// the part dirty. It reports false, having changed nothing but the fence
-// counter, when the part is not owned here or the packet is a duplicate,
-// overtaken, or fenced (transport.Dedup).
+// the part dirty. A fresh packet is news for the sibling sweep and ends the
+// wait for its sender's member; one that moved an incoming wave by more than
+// the send threshold is owed an answer (see announce). Receive reports false,
+// having changed nothing but the fence counter, when the part is not owned
+// here or the packet is a duplicate, overtaken, or fenced (transport.Dedup).
 func (s *Shard) Receive(pkt *transport.Packet) bool {
 	sub := s.Sub(pkt.ToPart)
 	if sub == nil || !s.dedup.Fresh(pkt) {
 		return false
 	}
+	moved := false
 	for _, e := range pkt.Entries {
-		sub.SetIncomingByLink(int(e.LinkID), e.Wave)
+		if k := sub.endOf(int(e.LinkID)); k >= 0 {
+			moved = moved || math.Abs(e.Wave-sub.incoming[k]) > s.threshold
+			sub.incoming[k] = e.Wave
+		}
 	}
+	from := int(pkt.FromPart)
+	if moved {
+		if ai, ok := slices.BinarySearch(sub.AdjacentParts(), from); ok {
+			s.parts[pkt.ToPart].answer[ai] = true
+		}
+	}
+	if from >= 0 && from < len(s.owner) {
+		s.awaited[s.owner[from]] = false
+	}
+	s.news = true
 	s.markDirty(pkt.ToPart)
 	return true
 }
 
+// markDirty queues part for a solve at once; an owed part is promoted.
 func (s *Shard) markDirty(part int32) {
+	s.owed = slices.DeleteFunc(s.owed, func(p int32) bool { return p == part })
 	if !slices.Contains(s.dirty, part) {
 		s.dirty = append(s.dirty, part)
 	}
 }
 
+// markOwed queues part for the next sibling sweep, unless it is dirty.
+func (s *Shard) markOwed(part int32) {
+	if !slices.Contains(s.dirty, part) && !slices.Contains(s.owed, part) {
+		s.owed = append(s.owed, part)
+	}
+}
+
 // SolveDirty solves the longest-waiting dirty part and announces its new
-// waves. It reports false when nothing was dirty.
+// waves. With no part dirty it sweeps the owed parts — makes them all dirty
+// and solves the first — if a fresh remote packet arrived since the last
+// sweep or no member it sent a wave to is still awaited; otherwise the remote
+// waves the owed parts would solve against are about to change, and it
+// reports false, as it does when nothing is dirty or owed.
 func (s *Shard) SolveDirty() bool {
 	if len(s.dirty) == 0 {
-		return false
+		if len(s.owed) == 0 || !s.news && slices.Contains(s.awaited, true) {
+			return false
+		}
+		s.dirty, s.owed = s.owed, s.dirty
+		s.news = false
 	}
 	part := s.dirty[0]
 	s.dirty = s.dirty[1:]
@@ -235,8 +298,10 @@ func (s *Shard) SolveDirty() bool {
 }
 
 // Retransmit is the watchdog sweep: re-announce every owned part's current
-// waves to its neighbours on other members.
+// waves to its neighbours on other members, and stop awaiting anyone — an
+// answer that was lost then costs one watchdog interval, never liveness.
 func (s *Shard) Retransmit() {
+	clear(s.awaited)
 	for _, part := range s.owned {
 		s.announce(part, true)
 	}
@@ -244,9 +309,13 @@ func (s *Shard) Retransmit() {
 
 // announce sends part's outgoing waves, one packet per neighbouring part. A
 // retransmission always goes out, skips neighbours on this shard and leaves
-// needed alone; otherwise a neighbour toward which no wave moved beyond the
-// threshold is skipped. The baseline moves only on an actual send, so
-// sub-threshold drift cannot accumulate unannounced.
+// needed and answer alone. Otherwise a neighbour gets a packet when a wave
+// toward it moved beyond the threshold (raising needed) or when it sent news
+// this part has not answered yet: the answer carries this part's state after
+// folding that news in, and is what ends the sender's wait. Either marks the
+// neighbour's member awaited. A sibling's waves are written in place and
+// leave it owed. The baseline moves only on an actual send, so sub-threshold
+// drift cannot accumulate unannounced; only a packet that leaves allocates.
 func (s *Shard) announce(part int32, retransmit bool) {
 	p := s.parts[part]
 	ends := p.sub.Ends()
@@ -256,33 +325,38 @@ func (s *Shard) announce(part int32, retransmit bool) {
 			continue
 		}
 		toward := p.sub.EndsTowards(remote)
-		entries := make([]transport.WaveEntry, 0, len(toward))
-		changed := retransmit
+		moved := false
 		for _, k := range toward {
-			w := p.sub.OutgoingWave(k)
-			if !(math.Abs(w-p.lastSent[k]) <= s.threshold) {
-				changed = true
+			if !(math.Abs(p.sub.OutgoingWave(k)-p.lastSent[k]) <= s.threshold) {
+				moved = true
+				break
 			}
-			entries = append(entries, transport.WaveEntry{LinkID: int32(ends[k].LinkID), Wave: w})
 		}
-		if !changed {
+		if !moved && !retransmit && !p.answer[ai] {
 			continue
-		}
-		for i, k := range toward {
-			p.lastSent[k] = entries[i].Wave
 		}
 		s.messages++
 		if local {
 			dst := s.parts[remote].sub
-			for _, e := range entries {
-				dst.SetIncomingByLink(int(e.LinkID), e.Wave)
+			for _, k := range toward {
+				p.lastSent[k] = p.sub.OutgoingWave(k)
+				dst.SetIncomingByLink(ends[k].LinkID, p.lastSent[k])
 			}
-			s.markDirty(int32(remote))
+			s.markOwed(int32(remote))
 			continue
+		}
+		entries := make([]transport.WaveEntry, len(toward))
+		for i, k := range toward {
+			p.lastSent[k] = p.sub.OutgoingWave(k)
+			entries[i] = transport.WaveEntry{LinkID: int32(ends[k].LinkID), Wave: p.lastSent[k]}
 		}
 		p.sentSeq[ai]++
 		if !retransmit {
-			p.needed[ai] = p.sentSeq[ai]
+			if moved {
+				p.needed[ai] = p.sentSeq[ai]
+			}
+			p.answer[ai] = false
+			s.awaited[s.owner[remote]] = true
 		}
 		s.emit(s.owner[remote], transport.Packet{
 			Kind: transport.KindWave, FromPart: part, ToPart: int32(remote),
@@ -296,7 +370,7 @@ func (s *Shard) State() ShardState {
 	st := ShardState{
 		Solves: s.solves, Messages: s.messages,
 		Parts: make([]PartState, 0, len(s.owned)),
-		Dirty: len(s.dirty), Fenced: s.dedup.Fenced(),
+		Dirty: len(s.dirty) + len(s.owed), Fenced: s.dedup.Fenced(),
 	}
 	for _, part := range s.owned {
 		p := s.parts[part]

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/dtl"
@@ -44,6 +45,13 @@ type shardHarness struct {
 	exact  sparse.Vec
 	shards []*Shard // nil once dead
 	step   int
+	// Until faultEnd the network loses a drop share of the packets and
+	// duplicates a dup share; after it, it only delays. deafWatchdog loses
+	// every packet a Retransmit emits, whenever it runs.
+	faultEnd       int
+	drop, dup      float64
+	deafWatchdog   bool
+	retransmitting bool
 	// inflight are the emitted packets not yet delivered.
 	inflight []flight
 	// reassignAt[i] is the step at which member i learns of the failover.
@@ -80,6 +88,7 @@ func newShardHarness(t *testing.T, seed int64, nMembers int) *shardHarness {
 	h := &shardHarness{
 		t: t, rng: rand.New(rand.NewSource(seed)), p: p, zs: zs, exact: exact,
 		shards: make([]*Shard, nMembers), reassignAt: make([]int, nMembers),
+		faultEnd: shardFaultEnd, drop: 0.2, dup: 0.1,
 		newest: make(map[[3]int64]uint64),
 	}
 	nParts := p.Partition.NumParts()
@@ -111,12 +120,15 @@ func (h *shardHarness) subdomain(part int) *Subdomain {
 // duplicated, and each copy is delayed by its own random number of steps, so
 // packets overtake each other.
 func (h *shardHarness) emit(to int, pkt transport.Packet) {
+	if h.deafWatchdog && h.retransmitting {
+		return
+	}
 	copies := 1
-	if h.step < shardFaultEnd {
+	if h.step < h.faultEnd {
 		switch r := h.rng.Float64(); {
-		case r < 0.2:
+		case r < h.drop:
 			copies = 0
-		case r < 0.3:
+		case r < h.drop+h.dup:
 			copies = 2
 		}
 	}
@@ -252,7 +264,9 @@ func (h *shardHarness) run(failover bool) []byte {
 			case r < 0.7:
 				// (d) a retransmission never raises a needed mark.
 				before := sh.State().Needed
+				h.retransmitting = true
 				sh.Retransmit()
+				h.retransmitting = false
 				if after := sh.State().Needed; !reflect.DeepEqual(before, after) {
 					h.t.Fatalf("step %d: Retransmit moved the needed marks %v → %v", h.step, before, after)
 				}
@@ -272,15 +286,15 @@ func (h *shardHarness) run(failover bool) []byte {
 			continue
 		}
 		for _, sh := range h.shards {
-			if sh != nil && len(sh.dirty) > 0 {
-				h.t.Fatalf("step %d: quiescent with parts %v applied but unsolved", h.step, sh.dirty)
+			if sh != nil && len(sh.dirty)+len(sh.owed) > 0 {
+				h.t.Fatalf("step %d: quiescent with parts %v applied but unsolved, %v owed a sweep", h.step, sh.dirty, sh.owed)
 			}
 		}
 		x := h.x()
 		if d := x.MaxAbsDiff(h.exact); d > 1e-6 {
 			h.t.Fatalf("step %d: quiescent %g away from the solution", h.step, d)
 		}
-		if h.step > shardFaultEnd {
+		if h.step > h.faultEnd {
 			h.t.Logf("quiescent at step %d", h.step)
 			out := append([]byte(nil), h.trail...)
 			for _, v := range x {
@@ -290,12 +304,21 @@ func (h *shardHarness) run(failover bool) []byte {
 		}
 	}
 	// (b) once faults stop and retransmissions continue, quiescence is reached.
-	h.t.Fatalf("not quiescent %d steps after the faults stopped", shardStepLimit-shardFaultEnd)
+	h.t.Fatalf("not quiescent %d steps after the faults stopped", shardStepLimit-h.faultEnd)
 	return nil
 }
 
 // TestShardPropertiesUnderFaults runs the suite over several seeds, with and
-// without a mid-run failover.
+// without a mid-run failover, and the silent-start leg.
+//
+// The silent-start leg is where only the watchdog can end a wait. Every
+// packet of the first steps is lost, so each member leaves its start-up pass
+// awaiting the member it wrote to, with owed parts and nothing in flight; and
+// every packet a Retransmit emits is lost throughout, so no peer's
+// re-announcement can end the wait either (without that, one would: any fresh
+// packet clears its sender's mark). Only Retransmit's clearing of its own
+// awaited marks lets a member sweep again, and the run must still become
+// quiescent at the right answer.
 func TestShardPropertiesUnderFaults(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		for _, failover := range []bool{false, true} {
@@ -303,6 +326,156 @@ func TestShardPropertiesUnderFaults(t *testing.T) {
 				newShardHarness(t, seed, 3).run(failover)
 			})
 		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d/silent-start", seed), func(t *testing.T) {
+			h := newShardHarness(t, seed, 2)
+			h.faultEnd, h.drop, h.dup, h.deafWatchdog = 200, 1, 0, true
+			h.step = 1
+			for m, sh := range h.shards {
+				for sh.SolveDirty() {
+				}
+				if sh.State().Dirty == 0 || !slices.Contains(sh.awaited, true) {
+					t.Fatalf("member %d left its start-up pass with nothing owed or nobody awaited", m)
+				}
+			}
+			if len(h.inflight) > 0 {
+				t.Fatalf("%d packets survived a network that drops everything", len(h.inflight))
+			}
+			h.run(false)
+		})
+	}
+}
+
+// TestShardDropLeavesOwedQueue: a part handed away while it waits for a
+// sibling sweep leaves the owed queue, as it leaves the dirty one — a sweep
+// must never reach a part that is gone.
+func TestShardDropLeavesOwedQueue(t *testing.T) {
+	h := newShardHarness(t, 1, 1)
+	sh := h.shards[0]
+	for range sh.Owned() {
+		sh.SolveDirty() // the woken parts; the sibling waves leave them owed
+	}
+	if len(sh.dirty) > 0 || len(sh.owed) == 0 {
+		t.Fatalf("after the start-up pass: dirty %v, owed %v", sh.dirty, sh.owed)
+	}
+	// Hand the part to member 1 as a reassign does: drop, then advance.
+	gone := sh.owed[0]
+	owner := slices.Clone(sh.owner)
+	owner[gone] = 1
+	sh.Drop(gone)
+	sh.Advance(2, owner)
+	if slices.Contains(sh.owed, gone) || sh.State().Dirty != len(owner)-1 {
+		t.Fatalf("part %d dropped but still owed: %v", gone, sh.owed)
+	}
+	for sh.SolveDirty() {
+	}
+}
+
+// roundRobin is the benchmark's one-P dist fleet in miniature: members take
+// turns, each draining its inbox into its shard and then solving until
+// SolveDirty reports false, over a network that delivers every packet by the
+// receiver's next turn. It stops after a full round in which no member had
+// anything to do, and returns the final states and the number of turns in
+// which one had.
+func roundRobin(t *testing.T, p *Problem, threshold float64, nMembers int) (sts []ShardState, x sparse.Vec, turns int) {
+	t.Helper()
+	zs, err := dtl.Assign(p.Partition, dtl.DiagScaled{Alpha: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nParts := p.Partition.NumParts()
+	owner := make([]int, nParts)
+	for part := range owner {
+		owner[part] = part * nMembers / nParts
+	}
+	inbox := make([][]transport.Packet, nMembers)
+	shards := make([]*Shard, nMembers)
+	for m := range shards {
+		shards[m] = NewShard(m, owner, 1, threshold, func(to int, pkt transport.Packet) {
+			inbox[to] = append(inbox[to], pkt)
+		})
+		for part, o := range owner {
+			if o == m {
+				sd, err := NewSubdomain(p.Partition.Subdomains[part], p.Partition.LinksOfPart(part), zs, factor.Settings{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				shards[m].Adopt(sd, nil)
+			}
+		}
+		shards[m].Wake()
+	}
+	for turn, idle := 0, 0; idle < nMembers; turn++ {
+		sh := shards[turn%nMembers]
+		in := inbox[turn%nMembers]
+		inbox[turn%nMembers] = nil
+		worked := len(in) > 0
+		for i := range in {
+			sh.Receive(&in[i])
+		}
+		for sh.SolveDirty() {
+			worked = true
+		}
+		if worked {
+			idle = 0
+			turns++
+		} else {
+			idle++
+		}
+	}
+	x = sparse.NewVec(p.System.Dim())
+	pairs := p.OwnerPairs()
+	for _, sh := range shards {
+		sts = append(sts, sh.State())
+		for _, part := range sh.Owned() {
+			for _, pair := range pairs[part] {
+				x[pair[1]] = sh.Sub(part).X()[pair[0]]
+			}
+		}
+	}
+	return sts, x, turns
+}
+
+// TestShardRoundRobinCounts pins the sibling schedule's work exactly: a
+// member sweeps its owed parts once per batch of remote news instead of
+// iterating them against remote waves that cannot change before its next
+// turn. Before the schedule (5ff290a) the same runs took 1 480 solves, 4 527
+// messages and 40 turns; 1 313 solves on 3 members; 610 solves on 9×6.
+func TestShardRoundRobinCounts(t *testing.T) {
+	for _, c := range []struct {
+		nx, ny, px, py, members int
+		solves, messages, turns int
+	}{
+		{13, 13, 3, 3, 2, 330, 1099, 63},
+		{13, 13, 3, 3, 3, 340, 1110, 80},
+		{9, 6, 3, 2, 2, 219, 621, 49},
+	} {
+		t.Run(fmt.Sprintf("%dx%d/%dx%d/members=%d", c.nx, c.ny, c.px, c.py, c.members), func(t *testing.T) {
+			sys := sparse.RandomGridSPD(c.nx, c.ny, 5)
+			p, err := GridProblem(sys, c.nx, c.ny, c.px, c.py, topology.Uniform(c.px*c.py, 10, "uniform"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sts, x, turns := roundRobin(t, p, 1e-11, c.members)
+			solves, messages, _ := Totals(sts)
+			t.Logf("%d solves, %d messages, %d turns", solves, messages, turns)
+			// Pinned where the golden counters are: arm64 fuses multiply-adds,
+			// which moves the last bits and with them the counts.
+			if runtime.GOARCH == "amd64" && (solves != c.solves || messages != c.messages || turns != c.turns) {
+				t.Errorf("%d solves, %d messages, %d turns; want %d, %d, %d", solves, messages, turns, c.solves, c.messages, c.turns)
+			}
+			if quiet, change, gap := Quiescent(p.Partition.Links, 1e-9, sts); !quiet {
+				t.Errorf("not quiescent at the end: last change %g, twin gap %g", change, gap)
+			}
+			exact, st, err := iterative.CG(sys.A, sys.B, iterative.Config{MaxIterations: 5000, Tol: 1e-13})
+			if err != nil || !st.Converged {
+				t.Fatalf("reference CG failed: %v", err)
+			}
+			if d := x.MaxAbsDiff(exact); d > 1e-6 {
+				t.Errorf("%g away from the solution", d)
+			}
+		})
 	}
 }
 

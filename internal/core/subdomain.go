@@ -188,15 +188,21 @@ func (s *Subdomain) X() sparse.Vec {
 // the end attached to the given link. It reports whether the link terminates
 // in this subdomain.
 func (s *Subdomain) SetIncomingByLink(linkID int, wave float64) bool {
-	if linkID < 0 || linkID >= len(s.endOfLink) {
-		return false
-	}
-	k := s.endOfLink[linkID]
+	k := s.endOf(linkID)
 	if k < 0 {
 		return false
 	}
 	s.incoming[k] = wave
 	return true
+}
+
+// endOf returns the index of the end attached to the given link, -1 when the
+// link does not terminate here or the id is out of range.
+func (s *Subdomain) endOf(linkID int) int {
+	if linkID < 0 || linkID >= len(s.endOfLink) {
+		return -1
+	}
+	return int(s.endOfLink[linkID])
 }
 
 // Solve re-solves the local system with the current incoming waves and returns
