@@ -74,7 +74,7 @@ func main() {
 	flag.Float64Var(&o.tol, "tol", 1e-8, "stopping tolerance")
 	flag.StringVar(&o.fs.Backend, "localsolver", "", fmt.Sprintf("local-factorisation backend for the block/subdomain solvers: one of %v (default %q)", factor.Backends(), factor.Auto))
 	flag.StringVar(&o.ordering, "ordering", "", "fill-reducing ordering the sparse backends use: natural, rcm, amd, nd or auto (default: auto — nd/rcm for grid stencils by size, amd for irregular patterns)")
-	flag.IntVar(&o.nrhs, "nrhs", 1, "number of right-hand sides for -method direct: the loaded/default RHS plus generated extras, solved as one batched panel (-rhs stays the RHS-file flag)")
+	flag.IntVar(&o.nrhs, "nrhs", 1, "number of right-hand sides for -method direct: the loaded/default RHS plus generated extras, solved as one batched panel by sparse-supernodal and one after another by the other backends (-rhs stays the RHS-file flag)")
 	factorCache := flag.Bool("factorcache", false, "route the run's factorisations through a factor cache and report its hit statistics")
 	flag.BoolVar(&o.printX, "print-x", false, "print the solution vector")
 	flag.StringVar(&o.faults, "faults", "", `fault-injection spec for dtm/mixed/live, e.g. "seed=7,drop=0.05,dup=0.01,jitter=0.5,down=2>3@100:400,crash=5@400+300,snap=100" (see internal/chaos)`)
@@ -349,8 +349,9 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		var batchNote string
 		if o.nrhs > 1 {
 			// The loaded (or default) right-hand side rides first; the extras
-			// are generated. All of them sweep through the factor as one
-			// batched panel — the factor-once/solve-many service shape.
+			// are generated. A supernodal factor sweeps all of them as one
+			// batched panel — the factor-once/solve-many service shape; any
+			// other backend solves them one after another.
 			B := make([]sparse.Vec, o.nrhs)
 			X := make([]sparse.Vec, o.nrhs)
 			B[0] = sys.B
@@ -369,7 +370,7 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 					worst = rel
 				}
 			}
-			batchNote = fmt.Sprintf(", %d right-hand sides as one panel in %v (%.0f solves/s, worst relative residual %.3g)",
+			batchNote = fmt.Sprintf(", %d right-hand sides in %v (%.0f solves/s, worst relative residual %.3g)",
 				o.nrhs, dt.Round(time.Microsecond), float64(o.nrhs)/dt.Seconds(), worst)
 			x = X[0]
 		} else {
@@ -389,9 +390,6 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		switch f := s.(type) {
 		case *factor.Cholesky:
 			summary += fmt.Sprintf(" (%s ordering, nnz(L)=%d)", f.Ordering(), f.NNZL())
-		case *factor.LDLT:
-			pos, neg, zero := f.Inertia()
-			summary += fmt.Sprintf(" (%s ordering, nnz(L)=%d, inertia %d+/%d-/%d0)", f.Ordering(), f.NNZL(), pos, neg, zero)
 		case *factor.Supernodal:
 			pos, neg, zero := f.Inertia()
 			summary += fmt.Sprintf(" (%s mode, %s ordering, %d supernodes, nnz(L)=%d, inertia %d+/%d-/%d0)",

@@ -16,16 +16,17 @@
 //     refused on mismatch with a typed error);
 //   - internal/factor — the pluggable local-factorisation subsystem: one
 //     LocalSolver interface over the registered backends dense-cholesky,
-//     dense-lu, sparse-cholesky and sparse-ldlt (up-looking factorisations
-//     with per-block ND/RCM/AMD fill-reducing orderings) and sparse-supernodal
-//     (blocked trapezoidal panels over the postordered elimination tree,
-//     factorised and swept sequentially),
+//     dense-lu, sparse-cholesky (up-looking, with per-block ND/RCM/AMD
+//     fill-reducing orderings) and sparse-supernodal (Cholesky or LDLᵀ in
+//     blocked trapezoidal panels over the postordered elimination tree,
+//     factorised and swept sequentially — the one sparse LDLᵀ),
 //     plus the auto policy every subdomain and block solver uses, whose
-//     non-SPD fallback chain is sparse-Cholesky → sparse-LDLᵀ → dense LU.
-//     Solves are built for factor-once/solve-many: every sparse backend
-//     sweeps k right-hand sides as one batched panel (SolveBatchTo,
-//     byte-identical per RHS to k scalar sweeps; the supernodal panels run
-//     the packed rank-k kernels — an AVX microkernel on amd64), every
+//     one fallback chain sends a sparse block that is not positive definite
+//     to the supernodal LDLᵀ and a block singular under diagonal pivots to
+//     dense LU. Solves are built for factor-once/solve-many: the supernodal
+//     backend sweeps k right-hand sides as one batched panel (SolveBatchTo,
+//     byte-identical per RHS to k scalar sweeps, through the packed rank-k
+//     kernels — an AVX microkernel on amd64), every
 //     factor answers concurrent SolveTo calls, and a concurrency-safe LRU
 //     factor cache (pattern+values keyed, byte-budgeted) serves repeated
 //     factorisations. Backend, ordering and cache handle travel together as

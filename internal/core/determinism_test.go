@@ -84,7 +84,7 @@ func TestDESDeterminism(t *testing.T) {
 		}
 	}
 
-	for _, backend := range []string{"", factor.DenseCholesky, factor.SparseCholesky, factor.SparseLDLT, factor.SparseSupernodal, factor.Auto} {
+	for _, backend := range []string{"", factor.DenseCholesky, factor.SparseCholesky, factor.SparseSupernodal, factor.Auto} {
 		name := backend
 		if name == "" {
 			name = "default"

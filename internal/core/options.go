@@ -58,7 +58,7 @@ type CommonOptions struct {
 
 	// Factor says how every subdomain factorises its constant local system:
 	// the internal/factor backend ("dense-cholesky", "dense-lu",
-	// "sparse-cholesky", "sparse-ldlt", "sparse-supernodal" or "auto"), the
+	// "sparse-cholesky", "sparse-supernodal" or "auto"), the
 	// fill-reducing ordering of the sparse backends, and an optional factor
 	// cache (which a crash-restarted subdomain's refactorisation hits). The
 	// zero value is auto/auto, uncached. It is carried by value down to every

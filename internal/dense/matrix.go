@@ -1,5 +1,5 @@
 // Package dense provides the dense linear-algebra kernels the DTM reproduction
-// relies on: dense matrices, Cholesky / LDLᵀ / LU factorisations with
+// relies on: dense matrices, Cholesky / LU factorisations with
 // triangular solves, and a symmetric Jacobi eigenvalue solver used to certify
 // the SPD / SNND hypotheses of the convergence theorem.
 package dense

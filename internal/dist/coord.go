@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/factor"
 	"repro/internal/sparse"
 	"repro/internal/transport"
 )
@@ -63,6 +64,11 @@ func (c *CoordConfig) normalize() error {
 	}
 	if !(c.Tol > 0) {
 		return errors.New("dist: Tol must be positive")
+	}
+	// Refused here, before any assign: every worker would otherwise build the
+	// spec only to fail in NewSubdomain.
+	if err := (factor.Settings{Backend: c.LocalSolver}).Validate(); err != nil {
+		return err
 	}
 	if c.SendThreshold <= 0 {
 		c.SendThreshold = math.Max(c.Tol/100, 1e-12)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/factor"
 	"repro/internal/transport"
 )
 
@@ -217,6 +218,27 @@ func TestCoordinateRejectsBadConfig(t *testing.T) {
 		if _, err := Coordinate(ctx, members[0], cfg); err == nil {
 			t.Fatalf("case %d: expected config error", i)
 		}
+	}
+}
+
+// TestCoordinateRejectsUnknownBackend: a backend name no worker can build is
+// refused with factor's own error before a single assign leaves the
+// coordinator.
+func TestCoordinateRejectsUnknownBackend(t *testing.T) {
+	members := chanFabric(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := Coordinate(ctx, members[0], CoordConfig{
+		Spec: quickSpec, Workers: []int{1}, Tol: 1e-9, LocalSolver: "no-such-backend",
+	})
+	want := factor.Settings{Backend: "no-such-backend"}.Validate()
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("Coordinate: %v, want %v", err, want)
+	}
+	quiet, stop := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer stop()
+	if pkt, err := members[1].Recv(quiet); err == nil {
+		t.Fatalf("the worker received %q after a refused config", pkt.Ctrl)
 	}
 }
 

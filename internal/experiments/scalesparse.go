@@ -43,8 +43,8 @@ type ScaleSparseParams struct {
 	DTMMaxTime, DTMTol float64
 	// NonSPDSide, when positive, adds the non-SPD leg: the symmetric
 	// quasi-definite saddle system of a NonSPDSide² grid (plus one multiplier
-	// per grid row) handed to the auto policy. Before the sparse LDLᵀ backends
-	// existed this leg could not run at all above the dense cap.
+	// per grid row) handed to the auto policy. Before a sparse LDLᵀ existed
+	// this leg could not run at all above the dense cap.
 	NonSPDSide int
 	// NonSPDSolves is the number of timed solves on the non-SPD leg.
 	NonSPDSolves int
@@ -251,17 +251,11 @@ func ScaleSparse(p ScaleSparseParams) (*ScaleSparseResult, error) {
 		}
 		leg.FactorMS = float64(time.Since(start).Microseconds()) / 1000
 		leg.Backend = sol.Backend()
-		switch f := sol.(type) {
-		case *factor.Supernodal:
+		if f, ok := sol.(*factor.Supernodal); ok {
 			leg.NNZL = f.NNZL()
 			leg.Ordering = f.Ordering().String()
 			leg.Mode = f.Mode().String()
 			leg.Supernodes = f.Supernodes()
-			leg.PosPivots, leg.NegPivots, leg.ZeroPivots = f.Inertia()
-		case *factor.LDLT:
-			leg.NNZL = f.NNZL()
-			leg.Ordering = f.Ordering().String()
-			leg.Mode = "ldlt"
 			leg.PosPivots, leg.NegPivots, leg.ZeroPivots = f.Inertia()
 		}
 		x := sparse.NewVec(n)

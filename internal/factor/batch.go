@@ -8,11 +8,12 @@ import (
 
 // BatchSolver is the optional extension of LocalSolver for backends that can
 // sweep several right-hand sides through the factor as one panel — one pass
-// over the factor's memory instead of k, and (on the supernodal backend)
-// rank-k kernel products instead of k rank-1 sweeps. SolveBatchTo must be
-// byte-identical per right-hand side to k sequential SolveTo calls, must
-// tolerate X[r] aliasing B[r], and must be reentrant, exactly like SolveTo —
-// the batched path is a throughput optimisation, never a semantic change.
+// over the factor's memory instead of k, and rank-k kernel products instead
+// of k rank-1 sweeps; the supernodal backend is the one that does.
+// SolveBatchTo must be byte-identical per right-hand side to k sequential
+// SolveTo calls, must tolerate X[r] aliasing B[r], and must be reentrant,
+// exactly like SolveTo — the batched path is a throughput optimisation, never
+// a semantic change.
 type BatchSolver interface {
 	LocalSolver
 	// SolveBatchTo solves A·X[r] = B[r] for every r. len(X) must equal
@@ -20,12 +21,9 @@ type BatchSolver interface {
 	SolveBatchTo(X, B []sparse.Vec)
 }
 
-// SolveBatch solves the k systems A·X[r] = B[r] through s, using the panel
-// path when the backend provides one and falling back to k sequential
-// SolveTo calls otherwise (the dense backends, whose factors are small
-// enough that the scalar sweep is already cache-resident). This is the entry
-// point the preconditioner application and the multi-wave subdomain solves
-// route through.
+// SolveBatch solves the k systems A·X[r] = B[r] through s: one panel sweep on
+// a BatchSolver (the supernodal backend), k sequential SolveTo calls on every
+// other backend. Either way each X[r] holds the bytes SolveTo would produce.
 func SolveBatch(s LocalSolver, X, B []sparse.Vec) {
 	if len(X) != len(B) {
 		panic(fmt.Sprintf("factor: batch solve mismatch len(X)=%d len(B)=%d", len(X), len(B)))
@@ -37,15 +35,6 @@ func SolveBatch(s LocalSolver, X, B []sparse.Vec) {
 	for r := range B {
 		s.SolveTo(X[r], B[r])
 	}
-}
-
-// cscBatchScratch is the per-batch scratch of the scalar sparse backends'
-// SolveBatchTo: the row-major n×kp working panel and the pivot-row buffer.
-// One Get/Put pair serves the whole batch, where the scalar path pays one
-// per solve.
-type cscBatchScratch struct {
-	w    []float64
-	vbuf []float64
 }
 
 // batchPanelBlock is the row-block size of the panel transposes: one block of
@@ -131,13 +120,13 @@ func batchPanelOut(w []float64, X []sparse.Vec, perm Perm, n int) {
 }
 
 // batchValidate panics on a shape mismatch between the batch and the factor.
-func batchValidate(name string, n int, X, B []sparse.Vec) {
+func batchValidate(n int, X, B []sparse.Vec) {
 	if len(X) != len(B) {
-		panic(fmt.Sprintf("factor: %s batch solve mismatch len(X)=%d len(B)=%d", name, len(X), len(B)))
+		panic(fmt.Sprintf("factor: supernodal batch solve mismatch len(X)=%d len(B)=%d", len(X), len(B)))
 	}
 	for r := range B {
 		if len(B[r]) != n || len(X[r]) != n {
-			panic(fmt.Sprintf("factor: %s batch solve dimension mismatch n=%d len(B[%d])=%d len(X[%d])=%d", name, n, r, len(B[r]), r, len(X[r])))
+			panic(fmt.Sprintf("factor: supernodal batch solve dimension mismatch n=%d len(B[%d])=%d len(X[%d])=%d", n, r, len(B[r]), r, len(X[r])))
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // batchBackends enumerates every sparse backend × ordering combination the
 // byte-agreement contract covers. The grid systems exercise the Cholesky
-// paths, the saddle systems the LDLᵀ paths.
+// paths, the saddle systems the LDLᵀ mode.
 func batchBackends(t *testing.T) []struct {
 	name   string
 	solver LocalSolver
@@ -45,8 +45,6 @@ func batchBackends(t *testing.T) []struct {
 	for _, o := range orders {
 		chol, err := NewCholesky(grid.A, o.order)
 		add("sparse-cholesky/"+o.name, chol, err)
-		ldlt, err := NewLDLT(saddle.A, o.order)
-		add("sparse-ldlt/"+o.name, ldlt, err)
 		snc, err := NewSupernodal(grid.A, o.order, ModeCholesky)
 		add("supernodal-cholesky/"+o.name, snc, err)
 		snl, err := NewSupernodal(saddle.A, o.order, ModeLDLT)
@@ -67,17 +65,14 @@ func vecsEqual(a, b sparse.Vec) bool {
 	return true
 }
 
-// TestSolveBatchAgreement pins the batch contract: SolveBatchTo must hand
-// every right-hand side exactly the bytes k sequential SolveTo calls produce,
-// on every sparse backend under every ordering, for batch widths on both
+// TestSolveBatchAgreement pins the batch contract: SolveBatch must hand every
+// right-hand side exactly the bytes k sequential SolveTo calls produce, on
+// every sparse backend under every ordering — the supernodal panel sweep and
+// the scalar Cholesky's sequential fallback alike — for batch widths on both
 // sides of the panel cap (snBatchMaxK).
 func TestSolveBatchAgreement(t *testing.T) {
 	for _, tc := range batchBackends(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			bs, ok := tc.solver.(BatchSolver)
-			if !ok {
-				t.Fatalf("%T does not implement BatchSolver", tc.solver)
-			}
 			n := tc.solver.Dim()
 			for _, k := range []int{1, 2, 3, 8, 17, snBatchMaxK + 3} {
 				B := make([]sparse.Vec, k)
@@ -89,7 +84,7 @@ func TestSolveBatchAgreement(t *testing.T) {
 					got[r] = sparse.NewVec(n)
 					tc.solver.SolveTo(want[r], B[r])
 				}
-				bs.SolveBatchTo(got, B)
+				SolveBatch(tc.solver, got, B)
 				for r := range B {
 					if !vecsEqual(got[r], want[r]) {
 						t.Fatalf("k=%d rhs %d: batched solve differs from scalar solve", k, r)
@@ -186,33 +181,41 @@ func TestSolveBatchConcurrentCached(t *testing.T) {
 	}
 }
 
-// TestSolveBatchFallback pins the SolveBatch helper on a dense backend (no
-// BatchSolver implementation): the sequential fallback must match SolveTo.
+// TestSolveBatchFallback pins the SolveBatch helper on backends without a
+// panel (no BatchSolver implementation): the sequential fallback must match
+// SolveTo.
 func TestSolveBatchFallback(t *testing.T) {
-	sys := sparse.PaperExample()
-	s, err := New(DenseCholesky, sys.A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.(BatchSolver); ok {
-		t.Fatalf("test premise broken: %T implements BatchSolver", s)
-	}
-	n := s.Dim()
-	B := []sparse.Vec{sys.B, sparse.RandomVec(n, 3)}
-	X := []sparse.Vec{sparse.NewVec(n), sparse.NewVec(n)}
-	SolveBatch(s, X, B)
-	for r := range B {
-		want := sparse.NewVec(n)
-		s.SolveTo(want, B[r])
-		if !vecsEqual(X[r], want) {
-			t.Fatalf("rhs %d: fallback batch differs from SolveTo", r)
+	for _, tc := range []struct {
+		backend string
+		sys     sparse.System
+	}{
+		{DenseCholesky, sparse.PaperExample()},
+		{SparseCholesky, sparse.Poisson2D(12, 12, 0.05)},
+	} {
+		s, err := New(tc.backend, tc.sys.A)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.(BatchSolver); ok {
+			t.Fatalf("test premise broken: %T implements BatchSolver", s)
+		}
+		n := s.Dim()
+		B := []sparse.Vec{tc.sys.B, sparse.RandomVec(n, 3)}
+		X := []sparse.Vec{sparse.NewVec(n), sparse.NewVec(n)}
+		SolveBatch(s, X, B)
+		for r := range B {
+			want := sparse.NewVec(n)
+			s.SolveTo(want, B[r])
+			if !vecsEqual(X[r], want) {
+				t.Fatalf("%s rhs %d: fallback batch differs from SolveTo", tc.backend, r)
+			}
 		}
 	}
 }
 
 // TestSolveBatchScratchReuse pins the per-batch scratch hoisting: after a
-// warm-up call, a whole batched solve must run allocation-free on every
-// sparse backend (the scalar path allocates nothing either, per solve).
+// warm-up call, a whole batched solve must run allocation-free (the scalar
+// path allocates nothing either, per solve).
 func TestSolveBatchScratchReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is noisy under -short races")

@@ -47,7 +47,6 @@ func BenchmarkFactorScalarVsSupernodal(b *testing.B) {
 	}{
 		{"scalar-cholesky/poisson-128", func() error { _, err := NewCholesky(grid.A, OrderAuto); return err }},
 		{"supernodal-cholesky/poisson-128", func() error { _, err := NewSupernodal(grid.A, OrderAuto, ModeCholesky); return err }},
-		{"scalar-ldlt/saddle-128", func() error { _, err := NewLDLT(saddle.A, OrderAuto); return err }},
 		{"supernodal-ldlt/saddle-128", func() error { _, err := NewSupernodal(saddle.A, OrderAuto, ModeLDLT); return err }},
 	}
 	for _, tc := range cases {

@@ -13,28 +13,28 @@
 //     L is then the Cholesky factor of the Schur complement onto the ports —
 //     a DTM subdomain's per-activation solve shrinks from n² to k² flops at
 //     no extra set-up cost.
-//   - "dense-lu" — dense.LU with partial pivoting; the fallback for blocks
-//     that are merely SNND (so Cholesky fails by a hair) or unsymmetric.
+//   - "dense-lu" — dense.LU with partial pivoting; the fallback for small
+//     blocks that are merely SNND (so Cholesky fails by a hair), for blocks
+//     singular under diagonal pivots, and for unsymmetric input.
 //   - "sparse-cholesky" — the sparse up-looking Cholesky of this package with
 //     a fill-reducing ordering picked per block (nested dissection for large
 //     grid-like patterns, reverse Cuthill–McKee for small ones, approximate
 //     minimum degree for irregular ones); memory and factor time scale with
 //     nnz(L), which for grid Laplacians is far below O(n²), unlocking
 //     subdomain sizes that are flatly infeasible dense.
-//   - "sparse-ldlt" — the sparse up-looking LDLᵀ with 1×1 diagonal pivots and
-//     the same per-block ordering policy; it factorises the symmetric blocks
-//     that are merely SNND or indefinite (saddle points, shifted Laplacians)
-//     at sparse cost, removing the last reason a huge block had to densify.
 //   - "sparse-supernodal" — the blocked factorisation covering both symmetric
-//     cases under one name (Cholesky for SPD blocks, LDLᵀ otherwise): columns
+//     cases under one name (Cholesky for SPD blocks, LDLᵀ with 1×1 diagonal
+//     pivots otherwise — the package's one sparse LDLᵀ, which factorises the
+//     blocks that are merely SNND or indefinite at sparse cost): columns
 //     group into supernodes on the postordered elimination tree, every
 //     supernode factorises as a dense trapezoidal panel with register-blocked
 //     rank-k updates, one supernode after another on the calling
 //     goroutine. The fastest backend for large sparse blocks.
-//   - "auto" — picks a backend by size and density and performs the fallback
-//     chain sparse-Cholesky → ErrNotPositiveDefinite → sparse-LDLᵀ → dense LU
-//     (dense-Cholesky → dense-LU for small blocks; both sparse roles are
-//     played by "sparse-supernodal" for blocks of ≥ 800 unknowns).
+//   - "auto" — picks a backend by size and density and performs the one
+//     fallback chain (see newAuto): a block that is not positive definite
+//     lands in the supernodal LDLᵀ on the sparse path and in dense LU on the
+//     dense path, and dense LU is the last resort for a block singular under
+//     diagonal pivots.
 //
 // Every backend is deterministic: for a fixed backend name and input matrix
 // the factor and all solves are byte-identical run over run, which the DES
@@ -57,7 +57,6 @@ const (
 	DenseCholesky    = "dense-cholesky"
 	DenseLU          = "dense-lu"
 	SparseCholesky   = "sparse-cholesky"
-	SparseLDLT       = "sparse-ldlt"
 	SparseSupernodal = "sparse-supernodal"
 	Auto             = "auto"
 )
@@ -67,7 +66,7 @@ const (
 // dense package's sentinel so errors.Is works across backends.
 var ErrNotPositiveDefinite = dense.ErrNotPositiveDefinite
 
-// ErrSingular is returned by the LU and LDLᵀ backends when a pivot is
+// ErrSingular is returned by dense LU and by LDLᵀ mode when a pivot is
 // numerically zero (the matrix is singular to working precision). It aliases
 // the dense package's sentinel so errors.Is works across backends.
 var ErrSingular = dense.ErrSingular
@@ -139,7 +138,6 @@ func init() {
 		DenseCholesky:    newDenseCholesky,
 		DenseLU:          newDenseLU,
 		SparseCholesky:   newSparseCholeskyBackend,
-		SparseLDLT:       newSparseLDLTBackend,
 		SparseSupernodal: newSparseSupernodalBackend,
 		Auto:             newAuto,
 	}
@@ -347,10 +345,6 @@ func newSparseCholeskyBackend(a *sparse.CSR, order Ordering, _ int) (LocalSolver
 	return NewCholesky(a, order)
 }
 
-func newSparseLDLTBackend(a *sparse.CSR, order Ordering, _ int) (LocalSolver, error) {
-	return NewLDLT(a, order)
-}
-
 // newSparseSupernodalBackend covers both symmetric factorisations with one
 // name: Cholesky when the matrix turns out SPD, LDLᵀ otherwise. A non-positive
 // diagonal entry proves non-positive-definiteness up front (xᵀAx ≤ 0 for a
@@ -383,10 +377,10 @@ func hasPosDiag(a *sparse.CSR) bool {
 
 // Auto policy thresholds: blocks below autoSparseMinDim solve fastest with
 // the cache-friendly dense kernels; above it, a block whose density is below
-// autoMaxDensity is factorised sparsely — with the scalar up-looking kernels
-// up to autoSupernodalMinDim unknowns, and with the supernodal blocked
-// kernels beyond (below that the panel machinery costs more than the dense
-// sub-blocks recover).
+// autoMaxDensity is factorised sparsely — its Cholesky with the scalar
+// up-looking kernels up to autoSupernodalMinDim unknowns, and with the
+// supernodal blocked kernels beyond (below that the panel machinery costs
+// more than the dense sub-blocks recover).
 const (
 	autoSparseMinDim     = 200
 	autoMaxDensity       = 0.25
@@ -407,52 +401,43 @@ func autoPicksSparse(n, nnz int) bool {
 	return float64(nnz)/(float64(n)*float64(n)) <= autoMaxDensity
 }
 
-// newAuto picks a backend by size and density — the single home of the
-// non-SPD fallback previously copy-pasted across core and iterative. On the
-// sparse path the chain is sparse Cholesky → ErrNotPositiveDefinite → sparse
-// LDLᵀ → dense LU (with the supernodal blocked backend playing both sparse
-// roles for blocks of autoSupernodalMinDim unknowns and up), so a block that
-// is both huge and merely SNND factorises sparsely instead of dying at
-// ErrDenseTooLarge; on the dense path (small blocks) it stays dense-Cholesky
-// → dense LU.
+// newAuto picks a backend by size and density and runs the package's one
+// fallback chain:
+//
+//	dense path     dense-cholesky  → (not PD)   → dense-lu
+//	sparse, n<800  sparse-cholesky → (not PD)   → supernodal LDLᵀ → (singular) → dense-lu
+//	sparse, n≥800  sparse-supernodal (Cholesky → LDLᵀ) → (singular)   → dense-lu
+//
+// so a block that is both huge and merely SNND factorises sparsely instead of
+// dying at ErrDenseTooLarge, and dense LU's row pivoting is the last resort
+// for a block that diagonal pivots find singular.
 func newAuto(a *sparse.CSR, order Ordering, ports int) (LocalSolver, error) {
 	n := a.Rows()
-	sparsePath := autoPicksSparse(n, a.NNZ())
-	if sparsePath && n >= autoSupernodalMinDim {
-		// The supernodal backend runs its own Cholesky → LDLᵀ chain; only a
-		// numerically singular block (zero diagonal pivots) falls out, and
-		// dense LU's row pivoting is the last resort for those.
-		s, err := newRaw(SparseSupernodal, order, ports, a)
-		if err == nil {
-			return s, nil
+	first := DenseCholesky
+	if autoPicksSparse(n, a.NNZ()) {
+		first = SparseCholesky
+		if n >= autoSupernodalMinDim {
+			first = SparseSupernodal
 		}
-		lu, luErr := newRaw(DenseLU, order, ports, a)
-		if luErr != nil {
-			return nil, fmt.Errorf("factor: auto fallback after %v: %w", err, luErr)
-		}
-		return lu, nil
 	}
-	chol := DenseCholesky
-	if sparsePath {
-		chol = SparseCholesky
-	}
-	s, err := newRaw(chol, order, ports, a)
+	s, err := newRaw(first, order, ports, a)
 	if err == nil {
 		return s, nil
 	}
-	if !errors.Is(err, ErrNotPositiveDefinite) {
+	switch {
+	case first == SparseSupernodal:
+		// Its own Cholesky → LDLᵀ chain has run: the block is singular under
+		// diagonal pivots.
+	case !errors.Is(err, ErrNotPositiveDefinite):
 		return nil, err
-	}
-	// The block is at best SNND. On the sparse path try LDLᵀ first: same
-	// sparse cost model, no definiteness requirement.
-	if sparsePath {
-		ldlt, lErr := newRaw(SparseLDLT, order, ports, a)
+	case first == SparseCholesky:
+		// At best SNND: LDLᵀ has the same sparse cost model and no
+		// definiteness requirement.
+		ldlt, lErr := NewSupernodal(a, order, ModeLDLT)
 		if lErr == nil {
 			return ldlt, nil
 		}
-		// A numerically singular block falls through to dense LU below, whose
-		// row pivoting can still succeed where diagonal pivots cannot.
-		err = fmt.Errorf("%v; sparse-ldlt: %w", err, lErr)
+		err = fmt.Errorf("%v; supernodal LDLT: %w", err, lErr)
 	}
 	lu, luErr := newRaw(DenseLU, order, ports, a)
 	if luErr != nil {

@@ -2,16 +2,16 @@ package factor
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/sparse"
 )
 
 func TestBackendsRegistered(t *testing.T) {
-	for _, name := range []string{Auto, DenseCholesky, DenseLU, SparseCholesky, SparseLDLT} {
-		if !Known(name) {
-			t.Errorf("backend %q is not registered", name)
-		}
+	want := []string{Auto, DenseCholesky, DenseLU, SparseCholesky, SparseSupernodal}
+	if got := Backends(); !slices.Equal(got, want) {
+		t.Errorf("Backends() = %v, want %v", got, want)
 	}
 	if Known("no-such-backend") {
 		t.Error("Known accepted an unregistered backend")
@@ -134,20 +134,19 @@ func TestDenseGuard(t *testing.T) {
 // where the auto policy treated ErrNotPositiveDefinite from the sparse
 // Cholesky exactly like the dense one — falling straight to dense LU — so a
 // block that was both large and merely SNND/indefinite died at
-// ErrDenseTooLarge. With the chain sparse-Cholesky → sparse-LDLᵀ → dense LU
-// the same block factorises sparsely.
+// ErrDenseTooLarge. With the chain sparse Cholesky → supernodal LDLᵀ → dense
+// LU the same block factorises sparsely.
 func TestAutoRoutesLargeNonSPDToSparseLDLT(t *testing.T) {
 	for _, tc := range []struct {
 		side        int
 		pastTheWall bool
-		want        string
 	}{
-		// Scalar chain: sparse Cholesky → sparse LDLᵀ.
-		{side: 20, want: SparseLDLT}, // n = 420
+		// Below autoSupernodalMinDim: scalar Cholesky → supernodal LDLᵀ.
+		{side: 20}, // n = 420
 		// Past the dense memory wall (n = 9702 needs 2.1 GiB), where the old
 		// chain's landing spot, dense LU, cannot be allocated; at this size
 		// the supernodal backend runs the same Cholesky → LDLᵀ chain itself.
-		{side: 98, pastTheWall: true, want: SparseSupernodal},
+		{side: 98, pastTheWall: true},
 	} {
 		sys := sparse.SaddlePoisson2D(tc.side, tc.side, 1e-2) // indefinite
 		n := sys.Dim()
@@ -163,8 +162,8 @@ func TestAutoRoutesLargeNonSPDToSparseLDLT(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: Auto on a large non-SPD block: %v", n, err)
 		}
-		if s.Backend() != tc.want {
-			t.Errorf("n=%d: Auto picked %q, want %q", n, s.Backend(), tc.want)
+		if sn, ok := s.(*Supernodal); !ok || sn.Mode() != ModeLDLT {
+			t.Errorf("n=%d: Auto picked %q, want %q in LDLT mode", n, s.Backend(), SparseSupernodal)
 		}
 		x := Solve(s, sys.B)
 		if r := sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2(); r > 1e-10 {
@@ -174,21 +173,22 @@ func TestAutoRoutesLargeNonSPDToSparseLDLT(t *testing.T) {
 }
 
 // TestAutoFallsThroughToDenseLUWhenLDLTFails covers the last link of the
-// chain: a singular-to-LDLT block (zero diagonal pivots that 1×1 pivoting
-// cannot pass) still reaches dense LU when that is feasible.
+// scalar-band chain: a singular-to-LDLT block (zero diagonal pivots that 1×1
+// pivoting cannot pass) still reaches dense LU when that is feasible.
 func TestAutoFallsThroughToDenseLUWhenLDLTFails(t *testing.T) {
 	// An anti-diagonal permutation-like matrix: symmetric, nonsingular, but
 	// every leading principal minor up to n/2 is singular, so un-pivoted LDLᵀ
 	// meets a zero pivot immediately. Sized past autoSparseMinDim with low
-	// density so the auto policy takes the sparse path.
+	// density, and below autoSupernodalMinDim, so the auto policy takes the
+	// sparse Cholesky path.
 	n := 2 * autoSparseMinDim
 	coo := sparse.NewCOO(n, n)
 	for i := 0; i < n/2; i++ {
 		coo.AddSym(i, n-1-i, 1)
 	}
 	a := coo.ToCSR()
-	if _, err := New(SparseLDLT, a); !errors.Is(err, ErrSingular) {
-		t.Fatalf("sparse LDLT on the anti-diagonal: %v, want ErrSingular", err)
+	if _, err := NewSupernodal(a, OrderAuto, ModeLDLT); !errors.Is(err, ErrSingular) {
+		t.Fatalf("supernodal LDLT on the anti-diagonal: %v, want ErrSingular", err)
 	}
 	s, err := New(Auto, a)
 	if err != nil {
@@ -207,7 +207,7 @@ func TestAutoFallsThroughToDenseLUWhenLDLTFails(t *testing.T) {
 
 func TestSolverDims(t *testing.T) {
 	sys := sparse.Poisson2D(7, 6, 0.05)
-	for _, backend := range []string{DenseCholesky, DenseLU, SparseCholesky, SparseLDLT, Auto} {
+	for _, backend := range Backends() {
 		s, err := New(backend, sys.A)
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)

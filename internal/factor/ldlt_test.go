@@ -9,6 +9,10 @@ import (
 	"repro/internal/sparse"
 )
 
+// The tests of this file pin the package's one sparse LDLᵀ, the supernodal
+// backend's LDLᵀ mode, against references that share no code with it: dense
+// LU, the scalar sparse Cholesky, and exact quantities.
+
 // randomQuasiDefinite builds a random symmetric quasi-definite (hence SNND-
 // adjacent but indefinite) saddle system [[A, B], [Bᵀ, -C]] with A, C random
 // SPD and B random sparse — the class of matrices the sparse LDLᵀ exists for.
@@ -31,9 +35,9 @@ func randomQuasiDefinite(nA, nC int, seed int64) sparse.System {
 	return sparse.System{A: coo.ToCSR(), B: b, Name: "random-quasi-definite"}
 }
 
-// TestLDLTMatchesDenseLUOnSNND is the satellite agreement test: on random
-// symmetric non-positive-definite systems the sparse LDLᵀ must agree with the
-// dense partial-pivoting LU to 1e-10, under every ordering.
+// TestLDLTMatchesDenseLUOnSNND: on random symmetric non-positive-definite
+// systems LDLᵀ mode must agree with the dense partial-pivoting LU to 1e-10,
+// under every ordering.
 func TestLDLTMatchesDenseLUOnSNND(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		sys := randomQuasiDefinite(120, 30, seed)
@@ -42,7 +46,7 @@ func TestLDLTMatchesDenseLUOnSNND(t *testing.T) {
 			t.Fatalf("seed %d: dense LU reference: %v", seed, err)
 		}
 		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD, OrderND, OrderAuto} {
-			s, err := NewLDLT(sys.A, ord)
+			s, err := NewSupernodal(sys.A, ord, ModeLDLT)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, ord, err)
 			}
@@ -55,7 +59,8 @@ func TestLDLTMatchesDenseLUOnSNND(t *testing.T) {
 }
 
 // TestLDLTMatchesCholeskyOnSPD checks the definite case degenerates correctly:
-// on SPD systems LDLᵀ (all-positive pivots) and the sparse Cholesky agree.
+// on SPD systems LDLᵀ mode (all-positive pivots) and the scalar sparse
+// Cholesky agree.
 func TestLDLTMatchesCholeskyOnSPD(t *testing.T) {
 	for _, sys := range []sparse.System{
 		sparse.Poisson2D(17, 13, 0.05),
@@ -65,7 +70,7 @@ func TestLDLTMatchesCholeskyOnSPD(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sys.Name, err)
 		}
-		ldlt, err := NewLDLT(sys.A, OrderAuto)
+		ldlt, err := NewSupernodal(sys.A, OrderAuto, ModeLDLT)
 		if err != nil {
 			t.Fatalf("%s: %v", sys.Name, err)
 		}
@@ -83,7 +88,7 @@ func TestLDLTMatchesCholeskyOnSPD(t *testing.T) {
 func TestLDLTInertiaOfSaddleSystem(t *testing.T) {
 	nx, ny := 15, 12
 	sys := sparse.SaddlePoisson2D(nx, ny, 1e-2)
-	s, err := NewLDLT(sys.A, OrderAuto)
+	s, err := NewSupernodal(sys.A, OrderAuto, ModeLDLT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +100,7 @@ func TestLDLTInertiaOfSaddleSystem(t *testing.T) {
 
 func TestLDLTSolveToleratesAliasing(t *testing.T) {
 	sys := sparse.SaddlePoisson2D(9, 9, 1e-2)
-	s, err := NewLDLT(sys.A, OrderAuto)
+	s, err := NewSupernodal(sys.A, OrderAuto, ModeLDLT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +114,13 @@ func TestLDLTSolveToleratesAliasing(t *testing.T) {
 
 func TestLDLTIsDeterministic(t *testing.T) {
 	sys := randomQuasiDefinite(80, 20, 42)
-	first, err := NewLDLT(sys.A, OrderAuto)
+	first, err := NewSupernodal(sys.A, OrderAuto, ModeLDLT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x0 := first.Solve(sys.B)
 	for run := 0; run < 3; run++ {
-		again, err := NewLDLT(sys.A, OrderAuto)
+		again, err := NewSupernodal(sys.A, OrderAuto, ModeLDLT)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +137,11 @@ func TestLDLTRejectsSingularAndNonSquare(t *testing.T) {
 	coo.AddSym(0, 1, 1)
 	coo.Add(1, 1, 2)
 	// Vertex 2 has no entries at all.
-	if _, err := NewLDLT(coo.ToCSR(), OrderNatural); !errors.Is(err, ErrSingular) {
+	if _, err := NewSupernodal(coo.ToCSR(), OrderNatural, ModeLDLT); !errors.Is(err, ErrSingular) {
 		t.Errorf("singular matrix: err = %v, want ErrSingular", err)
 	}
 	rect := sparse.NewCOO(2, 3).ToCSR()
-	if _, err := NewLDLT(rect, OrderNatural); err == nil {
+	if _, err := NewSupernodal(rect, OrderNatural, ModeLDLT); err == nil {
 		t.Error("non-square matrix was accepted")
 	}
 }
@@ -152,7 +157,7 @@ func TestLDLTHandlesNegativeLeadingPivot(t *testing.T) {
 	if _, err := NewCholesky(a, OrderNatural); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("Cholesky on a negative-pivot matrix: %v, want ErrNotPositiveDefinite", err)
 	}
-	s, err := NewLDLT(a, OrderNatural)
+	s, err := NewSupernodal(a, OrderNatural, ModeLDLT)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func TestNewPortsFallsBackToAFullSolver(t *testing.T) {
 	}
 
 	spd := sparse.Poisson2D(6, 6, 0.05).A
-	for _, backend := range []string{SparseCholesky, SparseLDLT, SparseSupernodal, DenseLU} {
+	for _, backend := range []string{SparseCholesky, SparseSupernodal, DenseLU} {
 		s, err := Settings{Backend: backend}.NewPorts(spd, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)

@@ -35,17 +35,6 @@ func (p Perm) IsIdentity() bool {
 	return true
 }
 
-// PermuteSym returns C = A(perm, perm): C(i, j) = A(perm[i], perm[j]). The
-// pattern-symmetric matrices the Cholesky backends consume stay symmetric.
-// It delegates to the linear-time counting permute of the sparse package —
-// every sparse factorisation permutes its block, so this is hot-path code.
-func PermuteSym(a *sparse.CSR, p Perm) *sparse.CSR {
-	if a.Rows() != a.Cols() || len(p) != a.Rows() {
-		panic(fmt.Sprintf("factor: PermuteSym of %dx%d matrix with %d-permutation", a.Rows(), a.Cols(), len(p)))
-	}
-	return a.PermuteSym(p)
-}
-
 // RCM computes the reverse Cuthill–McKee ordering of the symmetric sparsity
 // pattern of a: a breadth-first ordering from a pseudo-peripheral vertex with
 // neighbours visited in increasing-degree order, reversed. On banded and grid

@@ -18,7 +18,7 @@ func shuffledGrid(nx, ny int, seed int64) *sparse.CSR {
 		p[i] = i
 	}
 	rng.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return PermuteSym(sys.A, p)
+	return sys.A.PermuteSym(p)
 }
 
 func bandwidth(a *sparse.CSR) int {
@@ -48,7 +48,7 @@ func TestRCMReducesBandwidth(t *testing.T) {
 	a := shuffledGrid(13, 13, 9)
 	before := bandwidth(a)
 	p := RCM(a)
-	after := bandwidth(PermuteSym(a, p))
+	after := bandwidth(a.PermuteSym(p))
 	if after >= before {
 		t.Errorf("RCM did not reduce bandwidth: %d -> %d", before, after)
 	}

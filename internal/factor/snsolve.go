@@ -46,7 +46,7 @@ func growFloats(buf *[]float64, n int) []float64 {
 // bytes SolveTo(X[r], B[r]) would produce; batches wider than snBatchMaxK
 // run as several passes. X[r] may alias B[r]; the call is reentrant.
 func (s *Supernodal) SolveBatchTo(X, B []sparse.Vec) {
-	batchValidate("supernodal", s.n, X, B)
+	batchValidate(s.n, X, B)
 	if len(B) == 0 {
 		return
 	}

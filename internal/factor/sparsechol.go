@@ -19,20 +19,19 @@ import (
 // the input, so a numerically unsymmetric matrix is treated as if its lower
 // triangle were mirrored.
 type Cholesky struct {
-	n        int
-	order    Ordering // the resolved concrete ordering (never OrderAuto)
-	perm     Perm     // perm[new] = old; nil when the ordering is the identity
-	colPtr   []int
-	rowIdx   []int32
-	vals     []float64
-	scratch  sync.Pool // *sparse.Vec per-call solve scratch (SolveTo is reentrant)
-	bscratch sync.Pool // *cscBatchScratch, acquired once per SolveBatchTo call
+	n       int
+	order   Ordering // the resolved concrete ordering (never OrderAuto)
+	perm    Perm     // perm[new] = old; nil when the ordering is the identity
+	colPtr  []int
+	rowIdx  []int32
+	vals    []float64
+	scratch sync.Pool // *sparse.Vec per-call solve scratch (SolveTo is reentrant)
 }
 
 // NewCholesky factorises the sparse SPD matrix a under the given ordering
 // (OrderAuto resolves per the grid-vs-irregular policy). It returns
 // ErrNotPositiveDefinite when a pivot is not strictly positive, leaving the
-// caller (the auto policy) to fall back to the sparse LDLᵀ or dense LU.
+// caller (the auto policy) to fall back to the supernodal LDLᵀ or dense LU.
 func NewCholesky(a *sparse.CSR, order Ordering) (*Cholesky, error) {
 	if a.Rows() != a.Cols() {
 		return nil, fmt.Errorf("factor: sparse Cholesky of non-square %dx%d matrix", a.Rows(), a.Cols())
@@ -40,12 +39,11 @@ func NewCholesky(a *sparse.CSR, order Ordering) (*Cholesky, error) {
 	n := a.Rows()
 	s := &Cholesky{n: n, order: resolveOrdering(a, order)}
 	s.scratch.New = func() any { v := sparse.NewVec(n); return &v }
-	s.bscratch.New = func() any { return new(cscBatchScratch) }
 	c := a
 	if n > 1 {
 		if p := fillReducing(a, s.order); p != nil {
 			s.perm = p
-			c = PermuteSym(a, p)
+			c = a.PermuteSym(p)
 		}
 	}
 
@@ -245,71 +243,4 @@ func (s *Cholesky) SolveTo(x, b sparse.Vec) {
 		copy(x, w)
 	}
 	s.scratch.Put(wp)
-}
-
-// SolveBatchTo solves A·X[r] = B[r] for every right-hand side of the batch
-// with one sweep over the factor per direction instead of k: the panel is
-// row-major n×kp, so each column's scan touches contiguous panel rows and
-// the factor's memory streams through once for the whole batch. Per
-// right-hand side the operations and their order are exactly SolveTo's, so
-// the bytes agree; the scratch is acquired once per batch. X[r] may alias
-// B[r]; the call is reentrant.
-func (s *Cholesky) SolveBatchTo(X, B []sparse.Vec) {
-	batchValidate("sparse Cholesky", s.n, X, B)
-	if len(B) == 0 {
-		return
-	}
-	if len(B) == 1 {
-		s.SolveTo(X[0], B[0])
-		return
-	}
-	n := s.n
-	for r0 := 0; r0 < len(B); r0 += snBatchMaxK {
-		r1 := r0 + snBatchMaxK
-		if r1 > len(B) {
-			r1 = len(B)
-		}
-		Xp, Bp := X[r0:r1], B[r0:r1]
-		sc := s.bscratch.Get().(*cscBatchScratch)
-		kp := len(Bp)
-		w := growFloats(&sc.w, n*kp)
-		vb := growFloats(&sc.vbuf, kp)
-		batchPanelIn(w, Bp, s.perm, n)
-		// Forward: L Y = P B, column-oriented contiguous scans across the panel.
-		for j := 0; j < n; j++ {
-			start, end := s.colPtr[j], s.colPtr[j+1]
-			piv := s.vals[start]
-			base := w[j*kp : j*kp+kp]
-			for r, v := range base {
-				v /= piv
-				base[r] = v
-				vb[r] = v
-			}
-			for p := start + 1; p < end; p++ {
-				lv := s.vals[p]
-				dst := w[int(s.rowIdx[p])*kp:]
-				for r, v := range vb {
-					dst[r] -= lv * v
-				}
-			}
-		}
-		// Backward: Lᵀ Z = Y, the same columns as dot products per RHS.
-		for j := n - 1; j >= 0; j-- {
-			start, end := s.colPtr[j], s.colPtr[j+1]
-			base := w[j*kp : j*kp+kp]
-			for p := start + 1; p < end; p++ {
-				lv := s.vals[p]
-				src := w[int(s.rowIdx[p])*kp:]
-				for r := range base {
-					base[r] -= lv * src[r]
-				}
-			}
-			piv := s.vals[start]
-			for r := range base {
-				base[r] /= piv
-			}
-		}
-		batchPanelOut(w, Xp, s.perm, n)
-		s.bscratch.Put(sc)
-	}
 }

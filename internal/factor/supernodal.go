@@ -30,6 +30,14 @@ func (m SupernodalMode) String() string {
 	return "cholesky"
 }
 
+// ldltPivotRelTol is the 1×1 pivot acceptance threshold of LDLᵀ mode: a pivot
+// whose magnitude falls below this fraction of the matrix's largest entry is
+// declared (numerically) singular. Unlike Bunch–Kaufman there is no 2×2 pivot
+// rescue — the symmetric quasi-definite and shifted-SNND blocks the auto
+// policy routes here are exactly the class where 1×1 diagonal pivots are safe
+// under any symmetric permutation.
+const ldltPivotRelTol = 1e-13
+
 // Supernode partitioning and amalgamation parameters. A supernode is a run of
 // consecutive columns factorised as one dense trapezoidal panel; relaxed
 // amalgamation merges a child supernode into its parent when the explicit
@@ -127,7 +135,7 @@ type snSolveScratch struct {
 
 // NewSupernodal factorises the sparse symmetric matrix a under the given
 // fill-reducing ordering (OrderAuto resolves per the grid-vs-irregular
-// policy) in the given mode. Like the scalar sparse backends it reads only
+// policy) in the given mode. Like the scalar sparse Cholesky it reads only
 // one triangle of the input (the upper rows of the CSR, which for the
 // symmetric matrices every caller passes is the mirror of the lower).
 func NewSupernodal(a *sparse.CSR, order Ordering, mode SupernodalMode) (*Supernodal, error) {
@@ -401,7 +409,7 @@ func snSymbolic(c *sparse.CSR, parent []int) *snSym {
 	}
 
 	// Per-column counts of L — the Gilbert–Ng–Peyton skeleton algorithm,
-	// O(nnz·α) instead of the O(nnz(L)) ereach sweep the scalar backends run.
+	// O(nnz·α) instead of the O(nnz(L)) ereach sweep the scalar Cholesky runs.
 	count := snColCounts(c, parent)
 
 	// Fundamental supernodes: column j extends the current supernode when it
@@ -586,23 +594,40 @@ func (s *Supernodal) Ordering() Ordering { return s.order }
 // NNZL returns the number of stored factor entries — the dense trapezoids,
 // including the explicit zeros relaxed amalgamation padded in. This is the
 // factor's true memory footprint, the number comparable to the scalar
-// backends' NNZL.
+// Cholesky's NNZL (which counts only true entries).
 func (s *Supernodal) NNZL() int { return s.nnzStored }
 
 // Supernodes returns the number of supernodes of the partition.
 func (s *Supernodal) Supernodes() int { return s.ns }
 
-// Inertia returns the number of positive, negative and exactly-zero pivots,
-// classified by exact sign — the same convention as LDLT.Inertia, so the two
-// backends agree pivot for pivot. In Cholesky mode every pivot is positive by
-// construction. (A zero pivot can only be reported on a matrix whose largest
-// entry is itself zero: anything else fails the relative pivot threshold and
-// the factorisation returns ErrSingular instead.)
+// Inertia returns the number of positive, negative and exactly-zero pivots of
+// D — by Sylvester's law the inertia of A itself, which is how callers tell a
+// definite block from a genuine saddle point after the fact. In Cholesky mode
+// every pivot is positive by construction. (A zero pivot can only be reported
+// on a matrix whose largest entry is itself zero: anything else fails the
+// relative pivot threshold and the factorisation returns ErrSingular
+// instead.)
 func (s *Supernodal) Inertia() (pos, neg, zero int) {
 	if s.mode == ModeCholesky {
 		return s.n, 0, 0
 	}
 	return inertiaOf(s.d)
+}
+
+// inertiaOf classifies the pivots of d by exact sign; a zero is neither
+// positive nor negative.
+func inertiaOf(d []float64) (pos, neg, zero int) {
+	for _, v := range d {
+		switch {
+		case v > 0:
+			pos++
+		case v < 0:
+			neg++
+		default:
+			zero++
+		}
+	}
+	return pos, neg, zero
 }
 
 // Flops returns the symbolic estimate of the factorisation's floating-point

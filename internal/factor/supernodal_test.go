@@ -27,10 +27,11 @@ func snTestSystems() map[string]sparse.System {
 	}
 }
 
-// TestSupernodalAgreesWithScalarBackends is the cross-backend property test
-// of the ISSUE: on SPD and quasi-definite systems, under every ordering, the
-// supernodal factorisation must agree with the scalar sparse backends and the
-// dense reference to 1e-10 relative.
+// TestSupernodalAgreesWithScalarBackends is the cross-backend property test:
+// on SPD and quasi-definite systems, under every ordering, the supernodal
+// factorisation must agree to 1e-10 relative with the scalar sparse Cholesky
+// (SPD input) or with dense LU, which shares no code with the sparse path
+// (the rest).
 func TestSupernodalAgreesWithScalarBackends(t *testing.T) {
 	for name, sys := range snTestSystems() {
 		spd := hasPosDiag(sys.A)
@@ -46,11 +47,11 @@ func TestSupernodalAgreesWithScalarBackends(t *testing.T) {
 					ref = scalar.Solve(sys.B)
 				} else {
 					mode = ModeLDLT
-					scalar, err := NewLDLT(sys.A, ord)
+					lu, err := New(DenseLU, sys.A)
 					if err != nil {
-						t.Fatalf("scalar LDLT: %v", err)
+						t.Fatalf("dense LU: %v", err)
 					}
-					ref = scalar.Solve(sys.B)
+					ref = Solve(lu, sys.B)
 				}
 				sn, err := NewSupernodal(sys.A, ord, mode)
 				if err != nil {
@@ -73,7 +74,7 @@ func TestSupernodalAgreesWithScalarBackends(t *testing.T) {
 							scale = 1
 						}
 						if d := x.Sub(ref).Norm2() / scale; d > 1e-10 {
-							t.Errorf("supernodal deviates from scalar by %g (rel)", d)
+							t.Errorf("supernodal deviates from the reference by %g (rel)", d)
 						}
 					}
 				}
@@ -82,31 +83,27 @@ func TestSupernodalAgreesWithScalarBackends(t *testing.T) {
 	}
 }
 
-// TestSupernodalLDLTInertiaMatchesScalar checks the inertia (a discrete
-// invariant, so it must match exactly) on quasi-definite systems.
+// TestSupernodalLDLTInertiaMatchesScalar checks LDLᵀ mode's inertia (a
+// discrete invariant, so it must match exactly) against the one
+// SaddlePoisson2D documents — (nx·ny)+, ny−, no zeros — on a non-square grid,
+// at every ordering and at both a comfortable and a singular-leaning γ, and
+// that Cholesky mode refuses the same indefinite system.
 func TestSupernodalLDLTInertiaMatchesScalar(t *testing.T) {
-	sys := sparse.SaddlePoisson2D(20, 20, 1e-2)
-	scalar, err := NewLDLT(sys.A, OrderAMD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn, err := NewSupernodal(sys.A, OrderAMD, ModeLDLT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, sneg, szero := scalar.Inertia()
-	p, neg, zero := sn.Inertia()
-	if p != sp || neg != sneg || zero != szero {
-		t.Errorf("supernodal inertia (%d+,%d-,%d0) differs from scalar (%d+,%d-,%d0)", p, neg, zero, sp, sneg, szero)
-	}
-	if cp, cneg, _ := func() (int, int, int) {
-		c, err := NewSupernodal(sys.A, OrderAMD, ModeCholesky)
-		if err == nil {
-			return c.Inertia()
+	const nx, ny = 20, 13
+	for _, gamma := range []float64{1e-2, 1e-9} {
+		sys := sparse.SaddlePoisson2D(nx, ny, gamma)
+		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD, OrderND, OrderAuto} {
+			sn, err := NewSupernodal(sys.A, ord, ModeLDLT)
+			if err != nil {
+				t.Fatalf("γ=%g %v: %v", gamma, ord, err)
+			}
+			if p, neg, zero := sn.Inertia(); p != nx*ny || neg != ny || zero != 0 {
+				t.Errorf("γ=%g %v: inertia (%d+,%d-,%d0), want (%d+,%d-,00)", gamma, ord, p, neg, zero, nx*ny, ny)
+			}
 		}
-		return -1, -1, -1
-	}(); cp != -1 {
-		t.Errorf("Cholesky mode factorised an indefinite system (inertia %d+,%d-)", cp, cneg)
+		if _, err := NewSupernodal(sys.A, OrderAMD, ModeCholesky); !errors.Is(err, ErrNotPositiveDefinite) {
+			t.Errorf("γ=%g: Cholesky mode on an indefinite system: %v, want ErrNotPositiveDefinite", gamma, err)
+		}
 	}
 }
 

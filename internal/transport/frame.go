@@ -31,7 +31,8 @@ import (
 // moved — instead a mismatched fleet fails fast, on the first frame, with an
 // explicit version error. Bump frameVersion whenever the layout changes.
 // maxFrame bounds a frame at 16 MiB so a corrupt or hostile length prefix
-// cannot make the reader allocate unboundedly.
+// cannot make the reader allocate unboundedly; the TCP Send refuses to write
+// a larger one (ErrFrameTooLarge).
 
 const (
 	// frameVersion 2: version byte introduced together with the failover
@@ -43,10 +44,15 @@ const (
 	maxFrame     = 16 << 20
 )
 
+// payloadLen is the length of pkt's frame without its length prefix — the
+// number readFrame holds against maxFrame.
+func payloadLen(pkt *Packet) int {
+	return frameHeader + len(pkt.Entries)*entrySize + 4 + len(pkt.Ctrl)
+}
+
 // appendPacket encodes pkt as one frame (length prefix included) onto buf.
 func appendPacket(buf []byte, pkt *Packet) []byte {
-	payload := frameHeader + len(pkt.Entries)*entrySize + 4 + len(pkt.Ctrl)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(payload))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(payloadLen(pkt)))
 	buf = append(buf, frameVersion, byte(pkt.Kind))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(pkt.From))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(pkt.FromPart))

@@ -166,6 +166,9 @@ func (t *tcpTransport) Send(ctx context.Context, to int, pkt Packet) error {
 	if err != nil {
 		return err
 	}
+	if n := payloadLen(&pkt); n > maxFrame {
+		return fmt.Errorf("%w: %d bytes, the cap is %d", ErrFrameTooLarge, n, maxFrame)
+	}
 	pkt.From = int32(t.self)
 
 	pc.mu.Lock()

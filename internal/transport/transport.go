@@ -100,6 +100,12 @@ var ErrClosed = errors.New("transport: closed")
 // retransmission recovers.
 var ErrPeerUnavailable = errors.New("transport: peer unavailable")
 
+// ErrFrameTooLarge is returned by the TCP Send for a packet whose frame would
+// exceed the 16 MiB cap every reader enforces. Written, such a frame would
+// make the receiver drop the connection and would be lost again on every
+// retry; refused, it costs nothing, and the connection stays as it was.
+var ErrFrameTooLarge = errors.New("transport: frame too large")
+
 // Dedup is the receiver half of the recovery protocol: last-writer-wins
 // deduplication of wave packets per directed part pair, plus the failover
 // fences — a packet from a stale ownership epoch or from an overtaken

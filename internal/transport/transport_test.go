@@ -281,6 +281,45 @@ func TestTCPReconnectAfterClose(t *testing.T) {
 	}
 }
 
+// TestTCPOversizedFrameRefused: a control packet too large for the reader's
+// frame cap is refused with ErrFrameTooLarge before anything is written, so
+// the connection survives and the next small packet on the same pair is
+// delivered.
+func TestTCPOversizedFrameRefused(t *testing.T) {
+	ts := newTCPNetwork(t, 2)
+	defer closeAll(ts)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	small := func(seq uint64) Packet {
+		return Packet{Kind: KindControl, Seq: seq, Ctrl: []byte(`{"type":"status"}`)}
+	}
+	for {
+		err := ts[0].Send(ctx, 1, small(1))
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrPeerUnavailable) {
+			t.Fatalf("send: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, err := ts[1].Recv(ctx); err != nil {
+		t.Fatalf("first recv: %v", err)
+	}
+
+	big := Packet{Kind: KindControl, Ctrl: make([]byte, maxFrame)}
+	if err := ts[0].Send(ctx, 1, big); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized send: %v, want ErrFrameTooLarge", err)
+	}
+	if err := ts[0].Send(ctx, 1, small(2)); err != nil {
+		t.Fatalf("send after the refusal: %v", err)
+	}
+	pkt, err := ts[1].Recv(ctx)
+	if err != nil || pkt.Seq != 2 {
+		t.Fatalf("recv after the refusal: %+v, %v; want the packet with seq 2", pkt, err)
+	}
+}
+
 // TestFrameRoundTrip pins the wire format: encode→decode is the identity,
 // including NaN waves, empty entry lists and control payloads.
 func TestFrameRoundTrip(t *testing.T) {

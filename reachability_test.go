@@ -52,7 +52,6 @@ var reachKeep = map[string]string{
 	// The allocating Solve beside each backend's SolveTo, which binaries call.
 	"internal/dense.Cholesky.Solve":    "x := f.Solve(b) in dense's tests of the factor whose SolveTo binaries call",
 	"internal/factor.Cholesky.Solve":   "x := f.Solve(b) in factor's agreement tests of the backend whose SolveTo binaries call",
-	"internal/factor.LDLT.Solve":       "x := f.Solve(b) in factor's agreement tests of the backend whose SolveTo binaries call",
 	"internal/factor.Supernodal.Solve": "x := f.Solve(b) in factor's agreement tests of the backend whose SolveTo binaries call",
 
 	// Called by errors.Is / errors.As through unexported interfaces.
