@@ -1,7 +1,7 @@
 // Command dtmd is the distributed DTM server. Each dtmd process is one
 // member of a TCP fabric: worker members own a contiguous group of
-// subdomains (factorised once, reused across solve sessions via the worker's
-// factor cache), and one coordinator member tears the problem, assigns the
+// subdomains (factorised once per solve session), and one coordinator member
+// tears the problem, assigns the
 // shards, drives the asynchronous exchange to quiescence and assembles the
 // solution. The wire protocol is the DES engine's wavePacket shape plus the
 // sequence-numbered recovery protocol, so dropped packets and broken
@@ -61,7 +61,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/dist"
-	"repro/internal/factor"
 	"repro/internal/sparse"
 	"repro/internal/topology"
 	"repro/internal/transport"
@@ -94,7 +93,6 @@ type options struct {
 	crash         bool
 	timeout       time.Duration
 	drop          float64
-	cacheMB       int64
 	verbose       bool
 	printX        bool
 }
@@ -127,7 +125,6 @@ func main() {
 	flag.BoolVar(&o.crash, "crash", false, "selftest: SIGKILL the last worker mid-solve and require failover")
 	flag.DurationVar(&o.timeout, "timeout", 2*time.Minute, "coordinator/selftest deadline")
 	flag.Float64Var(&o.drop, "drop", 0, "inject this wave-drop probability on this member's sends (testing)")
-	flag.Int64Var(&o.cacheMB, "cache-mb", 64, "worker: factor cache budget in MiB (0 disables)")
 	flag.BoolVar(&o.verbose, "v", false, "log progress")
 	flag.BoolVar(&o.printX, "print-x", false, "coordinator: print the assembled solution vector")
 	flag.Parse()
@@ -190,14 +187,11 @@ func worker(o *options, tr transport.Transport) error {
 		if err := spec.Validate(); err != nil {
 			return err
 		}
-		wtr = transport.WithFaults(tr, spec, len(tr.Peers())+1, 100*time.Microsecond)
+		wtr = transport.WithFaults(tr, spec, len(tr.Peers())+1)
 		defer wtr.Close()
 	}
 	w := dist.NewWorker(wtr)
 	w.Incarnation = workerIncarnation(o.incarnation)
-	if o.cacheMB > 0 {
-		w.FactorCache = factor.NewCache(o.cacheMB << 20)
-	}
 	if o.verbose {
 		w.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "dtmd: "+format+"\n", args...)
@@ -342,10 +336,7 @@ func selftest(o *options) error {
 		}
 	}()
 	for id := 1; id <= n; id++ {
-		args := []string{
-			"-self", strconv.Itoa(id), "-peers", peers,
-			"-cache-mb", strconv.FormatInt(o.cacheMB, 10),
-		}
+		args := []string{"-self", strconv.Itoa(id), "-peers", peers}
 		if o.drop > 0 {
 			args = append(args, "-drop", strconv.FormatFloat(o.drop, 'g', -1, 64))
 		}

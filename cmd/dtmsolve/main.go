@@ -51,8 +51,8 @@ type options struct {
 	tol         float64
 	ordering    string
 	nrhs        int
-	// fs is what -localsolver, -ordering and -factorcache add up to; every
-	// factorisation of the run goes through it.
+	// fs is what -localsolver and -ordering add up to; every factorisation of
+	// the run goes through it.
 	fs      factor.Settings
 	printX  bool
 	faults  string
@@ -75,7 +75,6 @@ func main() {
 	flag.StringVar(&o.fs.Backend, "localsolver", "", fmt.Sprintf("local-factorisation backend for the block/subdomain solvers: one of %v (default %q)", factor.Backends(), factor.Auto))
 	flag.StringVar(&o.ordering, "ordering", "", "fill-reducing ordering the sparse backends use: natural, rcm, amd, nd or auto (default: auto — nd/rcm for grid stencils by size, amd for irregular patterns)")
 	flag.IntVar(&o.nrhs, "nrhs", 1, "number of right-hand sides for -method direct: the loaded/default RHS plus generated extras, solved as one batched panel by sparse-supernodal and one after another by the other backends (-rhs stays the RHS-file flag)")
-	factorCache := flag.Bool("factorcache", false, "route the run's factorisations through a factor cache and report its hit statistics")
 	flag.BoolVar(&o.printX, "print-x", false, "print the solution vector")
 	flag.StringVar(&o.faults, "faults", "", `fault-injection spec for dtm/mixed/live, e.g. "seed=7,drop=0.05,dup=0.01,jitter=0.5,down=2>3@100:400,crash=5@400+300,snap=100" (see internal/chaos)`)
 	flag.DurationVar(&o.timeout, "timeout", 0, "wall-clock deadline; for -method live this is the run's wall-time budget (default 3s), for the others a hard cap on the whole solve")
@@ -92,9 +91,6 @@ func main() {
 	if err := o.fs.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "dtmsolve: %v\n", err)
 		os.Exit(2)
-	}
-	if *factorCache {
-		o.fs.Cache = factor.NewCache(1 << 30)
 	}
 	if o.nrhs < 1 {
 		fmt.Fprintln(os.Stderr, "dtmsolve: -nrhs must be at least 1")
@@ -137,11 +133,6 @@ func run(o options) error {
 	rel := sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2()
 	fmt.Printf("method=%s  %s\n", o.method, summary)
 	fmt.Printf("relative residual %.3g, wall time %v\n", rel, elapsed.Round(time.Millisecond))
-	if o.fs.Cache != nil {
-		st := o.fs.Cache.Stats()
-		fmt.Printf("factor cache: %d hits / %d misses, %d entries, %.1f MiB resident, %d evictions\n",
-			st.Hits, st.Misses, st.Entries, float64(st.UsedBytes)/(1<<20), st.Evictions)
-	}
 	if o.printX {
 		for i, v := range x {
 			fmt.Printf("x[%d] = %.10g\n", i, v)
@@ -375,16 +366,6 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 			x = X[0]
 		} else {
 			x = factor.Solve(s, sys.B)
-		}
-		if o.fs.Cache != nil {
-			// A second factorisation of the same matrix inside this invocation
-			// is served from the run's cache — the stats line at the end
-			// shows the hit.
-			t0 := time.Now()
-			if _, err := o.fs.New(sys.A); err != nil {
-				return nil, "", err
-			}
-			batchNote += fmt.Sprintf(", refactor served from the cache in %v", time.Since(t0).Round(time.Microsecond))
 		}
 		summary := fmt.Sprintf("backend=%s", s.Backend())
 		switch f := s.(type) {

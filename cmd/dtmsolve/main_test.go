@@ -3,13 +3,16 @@ package main
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/factor"
+	"repro/internal/sparse"
 )
 
 func testOptions(method string, fs factor.Settings) options {
@@ -21,35 +24,45 @@ func testOptions(method string, fs factor.Settings) options {
 	}
 }
 
-// TestFactorSettingsReachEveryMethod: what -localsolver, -ordering and
-// -factorcache add up to is handed to every method that factorises — each one
-// must populate the run's cache and still solve the system — and to nothing
-// after it: a default run that follows an nd-ordered one is back under auto.
+// TestFactorSettingsReachEveryMethod: what -localsolver and -ordering add up
+// to is handed to every method that factorises. Every backend and ordering is
+// deterministic, so a method that dropped the settings would compute the same
+// bytes under all of them; each method must instead solve the system under
+// each one and give a different answer at the last bit. And the settings
+// reach nothing after their run: a default run that follows an nd-ordered one
+// is back under auto.
 func TestFactorSettingsReachEveryMethod(t *testing.T) {
+	settings := []factor.Settings{
+		{Backend: factor.SparseCholesky, Ordering: factor.OrderND},
+		{Backend: factor.SparseCholesky, Ordering: factor.OrderRCM},
+		{Backend: factor.DenseLU},
+	}
+	sameBits := func(a, b sparse.Vec) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
 	for _, method := range []string{"direct", "dtm", "vtm", "mixed", "block-jacobi", "async-jacobi"} {
-		cache := factor.NewCache(0)
-		o := testOptions(method, factor.Settings{Backend: factor.SparseCholesky, Ordering: factor.OrderND, Cache: cache})
-		sys, err := loadSystem(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, summary, err := solve(o, sys)
-		if err != nil {
-			t.Fatalf("%s: %v", method, err)
-		}
-		if rel := sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2(); rel > 1e-6 {
-			t.Errorf("%s: relative residual %g (%s)", method, rel, summary)
-		}
-		st := cache.Stats()
-		if st.Misses == 0 {
-			t.Errorf("%s: the run's factor cache saw no factorisation: %+v", method, st)
-		}
-		if method == "direct" {
-			if !strings.Contains(summary, "(nd ordering") {
+		xs := make([]sparse.Vec, len(settings))
+		for i, fs := range settings {
+			o := testOptions(method, fs)
+			sys, err := loadSystem(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, summary, err := solve(o, sys)
+			if err != nil {
+				t.Fatalf("%s under %+v: %v", method, fs, err)
+			}
+			if rel := sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2(); rel > 1e-6 {
+				t.Errorf("%s under %+v: relative residual %g (%s)", method, fs, rel, summary)
+			}
+			if method == "direct" && fs.Ordering == factor.OrderND && !strings.Contains(summary, "(nd ordering") {
 				t.Errorf("direct under -ordering nd reported %q", summary)
 			}
-			if st.Hits != 1 || !strings.Contains(summary, "refactor served from the cache") {
-				t.Errorf("direct with -factorcache: %+v, %q", st, summary)
+			xs[i] = x
+			for j := range i {
+				if sameBits(xs[j], x) {
+					t.Errorf("%s computed the same bytes under %+v and %+v", method, settings[j], fs)
+				}
 			}
 		}
 	}
@@ -64,10 +77,10 @@ func TestFactorSettingsReachEveryMethod(t *testing.T) {
 	}
 }
 
-// TestRunReportsCacheStatistics drives the whole command body once, cache
-// report included.
-func TestRunReportsCacheStatistics(t *testing.T) {
-	if err := run(testOptions("direct", factor.Settings{Cache: factor.NewCache(0)})); err != nil {
+// TestRunDrivesTheCommandBody drives the whole command body once and the
+// ways a run can fail to name its system.
+func TestRunDrivesTheCommandBody(t *testing.T) {
+	if err := run(testOptions("direct", factor.Settings{})); err != nil {
 		t.Fatal(err)
 	}
 	bad := testOptions("direct", factor.Settings{})

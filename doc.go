@@ -26,11 +26,9 @@
 //     dense LU. Solves are built for factor-once/solve-many: the supernodal
 //     backend sweeps k right-hand sides as one batched panel (SolveBatchTo,
 //     byte-identical per RHS to k scalar sweeps, through the packed rank-k
-//     kernels — an AVX microkernel on amd64), every
-//     factor answers concurrent SolveTo calls, and a concurrency-safe LRU
-//     factor cache (pattern+values keyed, byte-budgeted) serves repeated
-//     factorisations. Backend, ordering and cache handle travel together as
-//     one factor.Settings value — nothing about a factorisation is
+//     kernels — an AVX microkernel on amd64), and every factor answers
+//     concurrent SolveTo calls. Backend and ordering travel together as one
+//     factor.Settings value — nothing about a factorisation is
 //     process-global;
 //   - internal/geom — the planar Yao-graph construction (cone picks,
 //     symmetrisation, connectivity patching) the "spanner:" source and the
@@ -61,7 +59,7 @@
 //   - internal/transport — the datagram fabric distributed DTM runs on: an
 //     in-process channel implementation and a length-prefixed binary TCP
 //     implementation with reconnect backoff, under one conformance-tested
-//     Transport interface, plus the chaos fault decorator;
+//     Transport interface, plus the drop-and-duplicate chaos decorator;
 //   - internal/dist — coordinator/worker distributed DTM over a Transport:
 //     deterministic re-tearing from a dist.SpecV2 ({source, tearing shape,
 //     topology} registry strings), sharded subdomain ownership, watchdog

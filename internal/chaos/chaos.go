@@ -53,12 +53,9 @@ type Spec struct {
 	Crashes []Crash
 	// WatchdogMult scales the per-twin-link retransmission timeout: the
 	// initial timeout is WatchdogMult × the link's nominal delay, doubling on
-	// every silent expiry up to WatchdogMaxBackoff doublings. Zero selects the
-	// default (4).
+	// every silent expiry up to MaxBackoff doublings. Zero selects the default
+	// (4).
 	WatchdogMult float64
-	// WatchdogMaxBackoff caps the exponential backoff: the timeout never
-	// exceeds initial × 2^WatchdogMaxBackoff. Zero selects the default (6).
-	WatchdogMaxBackoff int
 	// SnapshotEvery is the virtual time between periodic in-memory snapshots
 	// of each subdomain's recovery state (only taken when Crashes is
 	// non-empty). Zero selects the default (50 time units).
@@ -105,9 +102,6 @@ func (s *Spec) Validate() error {
 	if s.WatchdogMult < 0 {
 		return fmt.Errorf("chaos: watchdog multiplier must be non-negative, got %g", s.WatchdogMult)
 	}
-	if s.WatchdogMaxBackoff < 0 {
-		return fmt.Errorf("chaos: watchdog backoff cap must be non-negative, got %d", s.WatchdogMaxBackoff)
-	}
 	if s.SnapshotEvery < 0 {
 		return fmt.Errorf("chaos: snapshot interval must be non-negative, got %g", s.SnapshotEvery)
 	}
@@ -149,13 +143,9 @@ func (s *Spec) WatchdogTimeout(delay float64) float64 {
 	return m * delay
 }
 
-// BackoffCap returns the maximum number of timeout doublings.
-func (s *Spec) BackoffCap() int {
-	if s.WatchdogMaxBackoff == 0 {
-		return 6
-	}
-	return s.WatchdogMaxBackoff
-}
+// MaxBackoff caps the watchdog's exponential backoff: a retransmission
+// timeout never exceeds its initial value × 2^MaxBackoff.
+const MaxBackoff = 6
 
 // SnapshotInterval returns the periodic snapshot interval.
 func (s *Spec) SnapshotInterval() float64 {

@@ -157,9 +157,6 @@ func TestWatchdogDefaults(t *testing.T) {
 	if got := (&Spec{WatchdogMult: 2}).WatchdogTimeout(10); got != 20 {
 		t.Errorf("watchdog timeout = %g, want 20", got)
 	}
-	if got := s.BackoffCap(); got != 6 {
-		t.Errorf("default backoff cap = %d, want 6", got)
-	}
 	if got := s.SnapshotInterval(); got != 50 {
 		t.Errorf("default snapshot interval = %g, want 50", got)
 	}

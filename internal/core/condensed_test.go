@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/factor"
@@ -305,62 +304,6 @@ func TestCondensedRunSolvesEachInteriorOnce(t *testing.T) {
 	for i, s := range seng.subs {
 		if s.ports != nil || s.interiorSolves != 0 {
 			t.Errorf("part %d under sparse-cholesky: port factor %v, %d interior solves; want the full path", i, s.ports != nil, s.interiorSolves)
-		}
-	}
-}
-
-// TestCondensedSubdomainsShareACachedPortFactor: subdomains built through one
-// factor cache hold the same port factor (Refactor after a crash hits it
-// again), so it must serve their goroutines at once with the bytes each would
-// get alone. Run under -race.
-func TestCondensedSubdomainsShareACachedPortFactor(t *testing.T) {
-	prob, err := GridProblem(sparse.RandomGridSPD(13, 13, 169), 13, 13, 3, 3, topology.Uniform(9, 10, "uniform"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := factor.Settings{Cache: factor.NewCache(0)}
-	const copies = 4
-	fleets := make([][]*Subdomain, copies)
-	for c := range fleets {
-		if fleets[c], _, err = prob.buildSubdomains(nil, fs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := fs.Cache.Stats(); st.Misses != 9 || st.Hits != 9*(copies-1) {
-		t.Fatalf("cache after %d builds of 9 parts: %+v", copies, st)
-	}
-	drive := func(subs []*Subdomain) sparse.Vec {
-		var out sparse.Vec
-		for round := 0; round < 20; round++ {
-			for i, s := range subs {
-				for e := range s.incoming {
-					s.incoming[e] = math.Sin(float64(round*131 + i*17 + e))
-				}
-				s.Solve()
-				if round%5 == 4 {
-					if err := s.Refactor(); err != nil {
-						t.Error(err)
-					}
-					out = append(out, s.X()...)
-				}
-			}
-		}
-		return out
-	}
-	want := drive(fleets[0])
-	got := make([]sparse.Vec, copies)
-	var wg sync.WaitGroup
-	for c := 1; c < copies; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[c] = drive(fleets[c])
-		}()
-	}
-	wg.Wait()
-	for c := 1; c < copies; c++ {
-		if !got[c].Equal(want, 0) {
-			t.Errorf("fleet %d, sharing its port factors with %d others, computed different bytes", c, copies-1)
 		}
 	}
 }

@@ -47,8 +47,8 @@ type faultState struct {
 
 // newFaultState is the bookkeeping of an enabled fault spec over n parts
 // (Config.validate has checked its part references against the partition).
-// The fault-mode SendThreshold default (Tol/100, floor 1e-12) is applied by
-// Config.normalize — the single home of that rule for every engine.
+// The fault-mode SendThreshold default (DrainThreshold) is applied by
+// Config.normalize, for every engine.
 func newFaultState(spec *chaos.Spec, n int) *faultState {
 	return &faultState{
 		spec:       spec,
@@ -201,7 +201,7 @@ func (n *dtmNode) watchdogFired(now float64, ai int) []netsim.Outgoing[wavePacke
 	}
 	f.stats.Retransmissions++
 	n.eng.messages++
-	if n.wdBackoff[ai] < f.spec.BackoffCap() {
+	if n.wdBackoff[ai] < chaos.MaxBackoff {
 		n.wdBackoff[ai]++
 	}
 	n.armWatchdog(now, ai)

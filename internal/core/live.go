@@ -232,7 +232,7 @@ func solveLive(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 						recovery[part].Retransmissions++
 						sh.Retransmit()
 						step()
-						if backoff < spec.BackoffCap() {
+						if backoff < chaos.MaxBackoff {
 							backoff++
 						}
 					}

@@ -52,19 +52,18 @@ func (e Engine) String() string {
 // CommonOptions is the engine-independent half of a solve Config: the knobs
 // every engine interprets the same way, with one normalize.
 type CommonOptions struct {
-	// Impedance selects the characteristic impedance of every DTLP.
-	// Default: dtl.DiagScaled{Alpha: 1}.
+	// Impedance selects the characteristic impedance of every DTLP. nil is
+	// the default of Problem.Impedances.
 	Impedance dtl.ImpedanceStrategy
 
 	// Factor says how every subdomain factorises its constant local system:
 	// the internal/factor backend ("dense-cholesky", "dense-lu",
-	// "sparse-cholesky", "sparse-supernodal" or "auto"), the
-	// fill-reducing ordering of the sparse backends, and an optional factor
-	// cache (which a crash-restarted subdomain's refactorisation hits). The
-	// zero value is auto/auto, uncached. It is carried by value down to every
-	// factorisation, so concurrent Solves with different settings are
-	// independent. Results are byte-identical run over run for fixed
-	// settings, at every GOMAXPROCS: no backend starts a goroutine.
+	// "sparse-cholesky", "sparse-supernodal" or "auto") and the
+	// fill-reducing ordering of the sparse backends. The zero value is
+	// auto/auto. It is carried by value down to every factorisation, so
+	// concurrent Solves with different settings are independent. Results are
+	// byte-identical run over run for fixed settings, at every GOMAXPROCS: no
+	// backend starts a goroutine.
 	Factor factor.Settings
 
 	// Tol, when positive, stops the run early once the computation has
@@ -167,21 +166,25 @@ const (
 	livePollInterval = 2 * time.Millisecond
 )
 
-// normalize fills the defaults every engine shares — the single home of the
-// defaulting rules (notably SendThreshold = Tol/100 wherever the stop rule
-// waits for the network to drain).
-func (c *Config) normalize() {
-	if c.Impedance == nil {
-		c.Impedance = dtl.DiagScaled{Alpha: 1}
+// DrainThreshold is the SendThreshold a run whose stop rule waits for the
+// network to drain gets when it sets none — every fault-injected or live
+// solve and every dist session: two orders below the stopping tolerance, so
+// suppression can never hold the twin gap above tol, and 1e-12 when tol is
+// zero.
+func DrainThreshold(tol float64) float64 {
+	if t := tol / 100; t > 0 {
+		return t
 	}
+	return 1e-12
+}
+
+// normalize fills the defaults every engine shares — the single home of the
+// defaulting rules (notably SendThreshold = DrainThreshold(Tol) wherever the
+// stop rule waits for the network to drain).
+func (c *Config) normalize() {
 	if (c.Faults.Enabled() || c.Engine == EngineLive) && c.SendThreshold == 0 {
 		// These stop rules wait for the network to drain (see SendThreshold).
-		// Two orders below the stopping tolerance, so suppression can never
-		// hold the twin gap above Tol.
-		c.SendThreshold = c.Tol / 100
-		if c.SendThreshold <= 0 {
-			c.SendThreshold = 1e-12
-		}
+		c.SendThreshold = DrainThreshold(c.Tol)
 	}
 	switch c.Engine {
 	case EngineMixed:

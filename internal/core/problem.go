@@ -137,22 +137,28 @@ func assembleOwned(x, local sparse.Vec, pairs [][2]int) {
 	}
 }
 
+// Impedances evaluates the strategy on every twin link of the tear, indexed
+// by link ID. A nil strategy is the default every solve and every dist
+// session share, dtl.DiagScaled{Alpha: 1}; this is the one place it is named.
+func (p *Problem) Impedances(strategy dtl.ImpedanceStrategy) ([]float64, error) {
+	if strategy == nil {
+		strategy = dtl.DiagScaled{Alpha: 1}
+	}
+	return dtl.Assign(p.Partition, strategy)
+}
+
 // BuildSubdomains instantiates the per-part DTM solvers with the impedances
-// chosen by the strategy (nil for the default, dtl.DiagScaled{Alpha: 1}) and
-// the named local-factorisation backend (empty for auto) under the default
-// ordering, uncached — exactly the subdomains Solve builds for a Config whose
-// Factor names only that backend, for callers that drive or measure the
-// subdomains themselves.
+// chosen by the strategy (nil for the default, see Impedances) and the named
+// local-factorisation backend (empty for auto) under the default ordering —
+// exactly the subdomains Solve builds for a Config whose Factor names only
+// that backend, for callers that drive or measure the subdomains themselves.
 func (p *Problem) BuildSubdomains(strategy dtl.ImpedanceStrategy, backend string) ([]*Subdomain, []float64, error) {
 	return p.buildSubdomains(strategy, factor.Settings{Backend: backend})
 }
 
 // buildSubdomains is the one subdomain constructor every engine shares.
 func (p *Problem) buildSubdomains(strategy dtl.ImpedanceStrategy, fs factor.Settings) ([]*Subdomain, []float64, error) {
-	if strategy == nil {
-		strategy = dtl.DiagScaled{Alpha: 1}
-	}
-	zs, err := dtl.Assign(p.Partition, strategy)
+	zs, err := p.Impedances(strategy)
 	if err != nil {
 		return nil, nil, err
 	}

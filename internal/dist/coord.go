@@ -28,7 +28,7 @@ type CoordConfig struct {
 	// default).
 	LocalSolver string
 	// SendThreshold suppresses unchanged wave re-announcements; defaults to
-	// Tol/100 (floor 1e-12), the fault-mode rule, because a real network
+	// core.DrainThreshold(Tol), the fault-mode rule, because a real network
 	// always needs traffic to drain.
 	SendThreshold float64
 	// WatchdogMS is the workers' retransmission interval (default 50ms).
@@ -71,7 +71,7 @@ func (c *CoordConfig) normalize() error {
 		return err
 	}
 	if c.SendThreshold <= 0 {
-		c.SendThreshold = math.Max(c.Tol/100, 1e-12)
+		c.SendThreshold = core.DrainThreshold(c.Tol)
 	}
 	if c.WatchdogMS <= 0 {
 		c.WatchdogMS = 50

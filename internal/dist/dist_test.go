@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,7 +63,7 @@ func faultWrap(t *testing.T, faults string, nMembers int) func(int, transport.Tr
 		}
 		own := *fs
 		own.Seed += int64(member)
-		return transport.WithFaults(tr, &own, nMembers, 100*time.Microsecond)
+		return transport.WithFaults(tr, &own, nMembers)
 	}
 }
 
@@ -218,6 +219,42 @@ func TestCoordinateRejectsBadConfig(t *testing.T) {
 		if _, err := Coordinate(ctx, members[0], cfg); err == nil {
 			t.Fatalf("case %d: expected config error", i)
 		}
+	}
+}
+
+// TestSendThresholdDefaultIsCoreRule: a dist session suppresses waves at the
+// threshold EngineLive and every fault-injected solve default to, core's one
+// DrainThreshold rule — no floor of its own, so at Tol 1e-11 it is 1e-13.
+func TestSendThresholdDefaultIsCoreRule(t *testing.T) {
+	for _, tol := range []float64{1e-6, 1e-9, 1e-11, 1e-14} {
+		cfg := CoordConfig{Spec: quickSpec, Workers: []int{1}, Tol: tol}
+		if err := cfg.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if want := core.DrainThreshold(tol); cfg.SendThreshold != want {
+			t.Errorf("Tol %g: session threshold %g, core's rule %g", tol, cfg.SendThreshold, want)
+		}
+	}
+	if got := core.DrainThreshold(1e-11); !(got < 1e-12) {
+		t.Errorf("DrainThreshold(1e-11) = %g, want Tol/100, below 1e-12", got)
+	}
+}
+
+// TestSessionImpedancesMatchTheOracle: a worker session tears its spec with
+// the impedances the spec's DES oracle reports, core's one default, so the
+// two cannot drift apart when that default changes.
+func TestSessionImpedancesMatchTheOracle(t *testing.T) {
+	members := chanFabric(t, 2)
+	s, err := NewWorker(members[1]).newSession(context.Background(), 0, steppedAssign(ContiguousOwner(quickSpec.Parts(), []int{1})), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := quickSpec.Oracle(1e-9, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.zs) == 0 || !slices.Equal(s.zs, oracle.Impedances) {
+		t.Errorf("session impedances %v, oracle %v", s.zs, oracle.Impedances)
 	}
 }
 

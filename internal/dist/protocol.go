@@ -75,8 +75,8 @@ type assignMsg struct {
 	// LocalSolver selects the factor backend (empty for default).
 	LocalSolver string `json:"localSolver,omitempty"`
 	// SendThreshold suppresses unchanged wave re-announcements. The
-	// coordinator defaults it to Tol/100 — the fault-mode rule — because a
-	// real network always needs the traffic to drain.
+	// coordinator defaults it to core.DrainThreshold(Tol) — the fault-mode
+	// rule — because a real network always needs the traffic to drain.
 	SendThreshold float64 `json:"sendThreshold"`
 	// WatchdogMS is the wall-clock interval of the retransmission sweep.
 	WatchdogMS int `json:"watchdogMS"`

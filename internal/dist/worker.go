@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dtl"
 	"repro/internal/factor"
 	"repro/internal/transport"
 )
@@ -37,10 +36,6 @@ type Worker struct {
 	// incarnation than its previous life, or its beats are fenced as zombie
 	// traffic. Defaults to 1.
 	Incarnation uint32
-	// FactorCache, when non-nil, serves this worker's subdomain
-	// factorisations, so a standing worker re-assigned a problem it has
-	// already torn (a repeated session, a failover adoption) factors once.
-	FactorCache *factor.Cache
 
 	badCtrl atomic.Uint64
 	// rx carries everything Run's receive pump takes off the transport, to
@@ -59,10 +54,10 @@ func (w *Worker) logf(format string, args ...any) {
 
 // Run serves solve sessions until the context is cancelled, the transport
 // closes, or a shutdown message arrives. Each session is one
-// assign→ready→start→solve→stop→result cycle; the worker (and its factor
-// cache) outlives sessions, so a long-lived dtmd process amortises
-// factorisation across solves. A reassign addressed to an idle worker (the
-// rejoin path) starts a mid-solve session directly.
+// assign→ready→start→solve→stop→result cycle; the worker outlives sessions,
+// and every session tears the spec and factorises its owned parts afresh. A
+// reassign addressed to an idle worker (the rejoin path) starts a mid-solve
+// session directly.
 func (w *Worker) Run(ctx context.Context) error {
 	// Pump receives into a channel, so a session's loop can select over its
 	// timers. One pump serves the worker's whole life: a pump per session
@@ -183,7 +178,7 @@ func (w *Worker) newSession(ctx context.Context, coord int, a *assignMsg, snaps 
 	if len(a.Owner) != nParts {
 		return nil, fmt.Errorf("dist: assignment maps %d parts, problem tears into %d", len(a.Owner), nParts)
 	}
-	zs, err := dtl.Assign(p.Partition, dtl.DiagScaled{Alpha: 1})
+	zs, err := p.Impedances(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +223,7 @@ func (s *workerSession) own(owner []int, snaps []partSnap) error {
 			continue
 		}
 		sd, err := core.NewSubdomain(s.p.Partition.Subdomains[part], s.p.Partition.LinksOfPart(part), s.zs,
-			factor.Settings{Backend: s.a.LocalSolver, Cache: s.w.FactorCache})
+			factor.Settings{Backend: s.a.LocalSolver})
 		if err != nil {
 			return fmt.Errorf("dist: building subdomain %d: %w", part, err)
 		}

@@ -91,11 +91,9 @@ func (p PerVertex) Impedance(_ *partition.Result, link partition.TwinLink) float
 func (p PerVertex) Name() string { return "per-vertex" }
 
 // Assign evaluates the strategy on every link of an EVS result and returns the
-// impedance per link ID, validating positivity.
+// impedance per link ID, validating positivity. s must be non-nil: the
+// default strategy is core's (Problem.Impedances).
 func Assign(res *partition.Result, s ImpedanceStrategy) ([]float64, error) {
-	if s == nil {
-		s = DiagScaled{Alpha: 1}
-	}
 	zs := make([]float64, len(res.Links))
 	for i, l := range res.Links {
 		z := s.Impedance(res, l)

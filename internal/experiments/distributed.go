@@ -188,7 +188,7 @@ func (p DistributedParams) solve(oracle sparse.Vec, l distLeg) (DistributedLeg, 
 		}
 		faults := l.faults
 		faults.Seed = int64(100 + member)
-		return transport.WithFaults(tr, &faults, p.Workers+1, 100*time.Microsecond)
+		return transport.WithFaults(tr, &faults, p.Workers+1)
 	})
 	defer fleet.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), p.Timeout)

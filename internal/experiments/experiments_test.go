@@ -433,16 +433,15 @@ func TestSolveThroughputQuickStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solve-throughput experiment skipped in -short mode")
 	}
-	// A reduced configuration: the structural claims (cache hits for every
-	// concurrent client, one cold miss per system) hold at any size; the
-	// speedup numbers are what the full E8 run is for.
+	// A reduced configuration: the structural claim (every concurrent client
+	// on the shared factor computes the sequential solve's bytes) holds at any
+	// size; the speedup numbers are what the full E8 run is for.
 	p := SolveThroughputParams{
-		GridSide:    64,
-		SaddleSide:  32,
-		Ks:          []int{1, 8, 16},
-		Conc:        []int{1, 2},
-		Repeats:     1,
-		CacheBudget: 1 << 30,
+		GridSide:   64,
+		SaddleSide: 32,
+		Ks:         []int{1, 8, 16},
+		Conc:       []int{1, 2},
+		Repeats:    1,
 	}
 	res, err := SolveThroughput(p)
 	if err != nil {
@@ -461,25 +460,19 @@ func TestSolveThroughputQuickStructure(t *testing.T) {
 			}
 		}
 		for _, c := range s.Conc {
-			if !c.CacheHit {
-				t.Errorf("%s: %d clients missed the shared cache", s.Name, c.Clients)
+			if !c.Agree {
+				t.Errorf("%s: %d concurrent clients on the shared factor diverged from the sequential solve", s.Name, c.Clients)
 			}
 			if c.PerSec <= 0 {
 				t.Errorf("%s: %d clients report %g solves/s", s.Name, c.Clients, c.PerSec)
 			}
 		}
 	}
-	if res.CacheStats.Misses != 2 {
-		t.Errorf("cold misses = %d, want 2 (one per system)", res.CacheStats.Misses)
-	}
-	if res.CacheStats.Hits < 2 {
-		t.Errorf("cache hits = %d, want at least one per concurrency leg", res.CacheStats.Hits)
-	}
 	var sb strings.Builder
 	if err := res.Render(&sb); err != nil {
 		t.Fatalf("Render: %v", err)
 	}
-	for _, want := range []string{"speedup", "all cache hits"} {
+	for _, want := range []string{"speedup", "bytes equal the sequential solve"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("rendered report lacks %q", want)
 		}

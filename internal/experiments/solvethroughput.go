@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/factor"
@@ -14,11 +15,10 @@ import (
 
 // SolveThroughputParams configures the E8 solve-throughput experiment: the
 // factor-once/solve-many regime the DTM engines and the block-Jacobi
-// preconditioner live in, measured explicitly. One cached factorisation per
-// system serves batched multi-RHS panel solves at growing widths against the
-// same number of scalar sweeps, and N concurrent goroutines pulling the shared
-// factor from the cache and solving batches simultaneously — the service shape
-// a reentrant factor plus an LRU cache exists to support.
+// preconditioner live in, measured explicitly. One factorisation per system
+// serves batched multi-RHS panel solves at growing widths against the same
+// number of scalar sweeps, and N concurrent goroutines solving batches on that
+// one shared factor handle at once — the throughput a reentrant factor buys.
 type SolveThroughputParams struct {
 	// GridSide is the Poisson grid side (GridSide² unknowns, the SPD leg).
 	GridSide int
@@ -32,8 +32,6 @@ type SolveThroughputParams struct {
 	// (minimum) time is reported, the standard practice for throughput
 	// micro-measurements under scheduler noise.
 	Repeats int
-	// CacheBudget bounds the factor cache in bytes (0 = unbounded).
-	CacheBudget int64
 }
 
 // solveThroughputParams measures the 128² grid (the acceptance system) and a
@@ -43,12 +41,11 @@ type SolveThroughputParams struct {
 // count and the saddle leg.
 func solveThroughputParams(quick bool) SolveThroughputParams {
 	p := SolveThroughputParams{
-		GridSide:    128,
-		SaddleSide:  128,
-		Ks:          []int{1, 8, 64},
-		Conc:        []int{1, 4},
-		Repeats:     5,
-		CacheBudget: 1 << 30,
+		GridSide:   128,
+		SaddleSide: 128,
+		Ks:         []int{1, 8, 64},
+		Conc:       []int{1, 4},
+		Repeats:    5,
 	}
 	if quick {
 		p.SaddleSide, p.Repeats = 64, 2
@@ -67,14 +64,14 @@ type SolveThroughputBatchRow struct {
 }
 
 // SolveThroughputConcRow is one concurrency measurement: Clients goroutines
-// each solving Batches batches of width K against the one cached factor.
+// each solving Batches batches of width K against the one shared factor.
 type SolveThroughputConcRow struct {
-	Clients  int
-	K        int
-	Batches  int
-	WallMS   float64
-	PerSec   float64 // aggregate RHS/sec across all clients
-	CacheHit bool    // every client found the factor in the cache
+	Clients int
+	K       int
+	Batches int
+	WallMS  float64
+	PerSec  float64 // aggregate RHS/sec across all clients
+	Agree   bool    // every client's solutions equal the sequential solve, bit for bit
 }
 
 // SolveThroughputSystem is the E8 measurement on one system.
@@ -90,8 +87,7 @@ type SolveThroughputSystem struct {
 
 // SolveThroughputResult is the E8 artifact.
 type SolveThroughputResult struct {
-	Systems    []SolveThroughputSystem
-	CacheStats factor.CacheStats
+	Systems []SolveThroughputSystem
 }
 
 // bestOf runs f repeats times and returns the minimum duration in ms.
@@ -109,7 +105,6 @@ func bestOf(repeats int, f func()) float64 {
 
 // SolveThroughput runs E8.
 func SolveThroughput(p SolveThroughputParams) (*SolveThroughputResult, error) {
-	cache := factor.NewCache(p.CacheBudget)
 	out := &SolveThroughputResult{}
 	systems := []sparse.System{sparse.Poisson2D(p.GridSide, p.GridSide, 0.05)}
 	if p.SaddleSide > 0 {
@@ -120,12 +115,9 @@ func SolveThroughput(p SolveThroughputParams) (*SolveThroughputResult, error) {
 		row := SolveThroughputSystem{Name: sys.Name, N: n}
 
 		start := time.Now()
-		sol, hit, err := cache.GetOrFactor(factor.SparseSupernodal, sys.A)
+		sol, err := factor.New(factor.SparseSupernodal, sys.A)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: factorising %s (n=%d): %w", sys.Name, n, err)
-		}
-		if hit {
-			return nil, fmt.Errorf("experiments: cold cache reported a hit for %s", sys.Name)
 		}
 		row.FactorMS = float64(time.Since(start).Microseconds()) / 1000
 		row.Backend = sol.Backend()
@@ -162,36 +154,43 @@ func SolveThroughput(p SolveThroughputParams) (*SolveThroughputResult, error) {
 			row.Batch = append(row.Batch, br)
 		}
 
-		// Concurrent clients sharing the cached factor: every client re-asks
-		// the cache (hit), then streams batched solves.
+		// Concurrent clients on the one factor handle, each streaming batched
+		// solves; every client's last batch is checked against the sequential
+		// solve.
 		const batchesPerClient = 4
 		ck := 8 // a mid-width batch per request, the service sweet spot
+		want := make([]sparse.Vec, ck)
+		for r := range want {
+			want[r] = factor.Solve(sn, B[r])
+		}
 		for _, clients := range p.Conc {
 			cr := SolveThroughputConcRow{Clients: clients, K: ck, Batches: batchesPerClient}
-			allHit := true
+			var diverged atomic.Bool
 			cr.WallMS = bestOf(p.Repeats, func() {
 				var wg sync.WaitGroup
 				for c := 0; c < clients; c++ {
 					wg.Add(1)
-					go func(c int) {
+					go func() {
 						defer wg.Done()
-						cs, chit, cerr := cache.GetOrFactor(factor.SparseSupernodal, sys.A)
-						if cerr != nil || !chit {
-							allHit = false
-							return
-						}
 						Xc := make([]sparse.Vec, ck)
 						for r := range Xc {
 							Xc[r] = sparse.NewVec(n)
 						}
 						for it := 0; it < batchesPerClient; it++ {
-							factor.SolveBatch(cs, Xc, B[:ck])
+							factor.SolveBatch(sn, Xc, B[:ck])
 						}
-					}(c)
+						for r := range Xc {
+							for i, v := range Xc[r] {
+								if math.Float64bits(v) != math.Float64bits(want[r][i]) {
+									diverged.Store(true)
+								}
+							}
+						}
+					}()
 				}
 				wg.Wait()
 			})
-			cr.CacheHit = allHit
+			cr.Agree = !diverged.Load()
 			if cr.WallMS > 0 {
 				cr.PerSec = float64(clients*batchesPerClient*ck) / (cr.WallMS / 1000)
 			}
@@ -199,15 +198,14 @@ func SolveThroughput(p SolveThroughputParams) (*SolveThroughputResult, error) {
 		}
 		out.Systems = append(out.Systems, row)
 	}
-	out.CacheStats = cache.Stats()
 	return out, nil
 }
 
 // Render implements Renderer.
 func (r *SolveThroughputResult) Render(w io.Writer) error {
-	fmt.Fprintln(w, "E8 — solve-throughput: batched multi-RHS panels and the shared factor cache")
+	fmt.Fprintln(w, "E8 — solve-throughput: batched multi-RHS panels and concurrent clients on one factor")
 	for _, s := range r.Systems {
-		fmt.Fprintf(w, "\n%s: n=%d, %s, nnz(L)=%d, factor %.1fms (cached thereafter)\n",
+		fmt.Fprintf(w, "\n%s: n=%d, %s, nnz(L)=%d, factor %.1fms (once)\n",
 			s.Name, s.N, s.Backend, s.NNZL, s.FactorMS)
 		fmt.Fprintf(w, "  %6s %12s %12s %14s %14s %9s\n", "k", "scalar", "batched", "scalar/s", "batched/s", "speedup")
 		for _, b := range s.Batch {
@@ -215,16 +213,13 @@ func (r *SolveThroughputResult) Render(w io.Writer) error {
 				b.K, b.ScalarMS, b.BatchMS, b.ScalarPerSec, b.BatchPerSec, b.Speedup)
 		}
 		for _, c := range s.Conc {
-			hit := "all cache hits"
-			if !c.CacheHit {
-				hit = "CACHE MISS"
+			agree := "bytes equal the sequential solve"
+			if !c.Agree {
+				agree = "DIVERGED from the sequential solve"
 			}
 			fmt.Fprintf(w, "  %d client(s) × %d batches of k=%d on the shared factor: %.3fms wall, %.0f solves/s (%s)\n",
-				c.Clients, c.Batches, c.K, c.WallMS, c.PerSec, hit)
+				c.Clients, c.Batches, c.K, c.WallMS, c.PerSec, agree)
 		}
 	}
-	st := r.CacheStats
-	fmt.Fprintf(w, "\ncache: %d hits / %d misses, %d entries, %.1f MiB resident, %d evictions\n",
-		st.Hits, st.Misses, st.Entries, float64(st.UsedBytes)/(1<<20), st.Evictions)
 	return nil
 }

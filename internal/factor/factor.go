@@ -160,20 +160,15 @@ func Backends() []string {
 }
 
 // Settings is everything a caller decides about a local factorisation: the
-// backend, the fill-reducing ordering the sparse backends use, and an optional
-// cache to serve repeated factorisations from. The zero value is the package
-// default (Auto backend, OrderAuto, no cache). It is a plain value — every
-// consumer (core.Config, iterative.Config, dist.Worker, the CLIs) carries its
-// own, so concurrent solves with different settings cannot interfere.
+// backend and the fill-reducing ordering the sparse backends use. The zero
+// value is the package default (Auto backend, OrderAuto). It is a plain value —
+// every consumer (core.Config, iterative.Config, the CLIs) carries its own, so
+// concurrent solves with different settings cannot interfere.
 type Settings struct {
 	// Backend names a registered backend; empty selects Auto.
 	Backend string
 	// Ordering is the fill-reducing ordering of the sparse backends.
 	Ordering Ordering
-	// Cache, when non-nil, is consulted before factoring and populated on a
-	// miss — the factor-once/serve-many path of repeated and concurrent
-	// workloads. Several Settings may share one Cache.
-	Cache *Cache
 }
 
 // Validate reports an unregistered backend name or an out-of-range ordering.
@@ -206,28 +201,17 @@ func (s Settings) NewPorts(a *sparse.CSR, ports int) (LocalSolver, error) {
 	if ports < 0 || ports > a.Rows() {
 		return nil, fmt.Errorf("factor: %d ports in a system of %d unknowns", ports, a.Rows())
 	}
-	if s.Cache != nil {
-		sol, _, err := s.Cache.getOrFactor(s.backend(), s.Ordering, ports, a)
-		return sol, err
+	f, ok := registry[s.backend()]
+	if !ok {
+		return nil, fmt.Errorf("factor: unknown backend %q (have %v)", s.Backend, Backends())
 	}
-	return newRaw(s.backend(), s.Ordering, ports, a)
+	return f(a, s.Ordering, ports)
 }
 
 // New factorises a with the named backend (empty for Auto) under the default
-// ordering and without a cache: shorthand for Settings{Backend: backend}.New(a).
+// ordering: shorthand for Settings{Backend: backend}.New(a).
 func New(backend string, a *sparse.CSR) (LocalSolver, error) {
 	return Settings{Backend: backend}.New(a)
-}
-
-// newRaw factorises through the registry, bypassing any cache — the path the
-// cache itself (and the auto policy's internal fallback chain, which must not
-// populate a cache with doomed intermediate attempts) uses.
-func newRaw(backend string, order Ordering, ports int, a *sparse.CSR) (LocalSolver, error) {
-	f, ok := registry[backend]
-	if !ok {
-		return nil, fmt.Errorf("factor: unknown backend %q (have %v)", backend, Backends())
-	}
-	return f(a, order, ports)
 }
 
 // DenseBytesNeeded returns the transient allocation an n×n dense
@@ -420,7 +404,7 @@ func newAuto(a *sparse.CSR, order Ordering, ports int) (LocalSolver, error) {
 			first = SparseSupernodal
 		}
 	}
-	s, err := newRaw(first, order, ports, a)
+	s, err := registry[first](a, order, ports)
 	if err == nil {
 		return s, nil
 	}
@@ -439,7 +423,7 @@ func newAuto(a *sparse.CSR, order Ordering, ports int) (LocalSolver, error) {
 		}
 		err = fmt.Errorf("%v; supernodal LDLT: %w", err, lErr)
 	}
-	lu, luErr := newRaw(DenseLU, order, ports, a)
+	lu, luErr := newDenseLU(a, order, ports)
 	if luErr != nil {
 		return nil, fmt.Errorf("factor: auto fallback after %v: %w", err, luErr)
 	}

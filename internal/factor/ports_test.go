@@ -115,32 +115,14 @@ func TestNewPortsFallsBackToAFullSolver(t *testing.T) {
 	}
 }
 
-// TestPortFactorIsCachedPerPortCount: the port count changes what the dense
-// backend builds, so it is part of the cache key — and a cached port factor,
-// shared by every subdomain that hits it, must serve concurrent SolvePorts
-// and SolveTo calls with the bytes a lone caller sees (run under -race).
-func TestPortFactorIsCachedPerPortCount(t *testing.T) {
-	a := sparse.RandomSPD(27, 0.3, 9).A
-	fs := Settings{Cache: NewCache(0)}
-	s8, err := fs.NewPorts(a, 8)
+// TestPortFactorIsReentrant: one port factor serves concurrent SolvePorts and
+// SolveTo calls with the bytes a lone caller sees (run under -race).
+func TestPortFactorIsReentrant(t *testing.T) {
+	s, err := Settings{}.NewPorts(sparse.RandomSPD(27, 0.3, 9).A, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.NewPorts(a, 17); err != nil {
-		t.Fatal(err)
-	}
-	again, err := fs.NewPorts(a, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := fs.Cache.Stats(); st.Misses != 2 || st.Hits != 1 || st.Entries != 2 {
-		t.Errorf("two port counts and one repeat: %+v, want 2 misses, 1 hit, 2 entries", st)
-	}
-	if again != s8 {
-		t.Error("the repeated NewPorts(a, 8) did not return the cached factor")
-	}
-
-	ps := s8.(PortSolver)
+	ps := s.(PortSolver)
 	d, b := sparse.RandomVec(8, 3), sparse.RandomVec(27, 4)
 	wantU, wantX := sparse.NewVec(8), sparse.NewVec(27)
 	ps.SolvePorts(wantU, d)

@@ -183,7 +183,7 @@ func (s *Cholesky) Backend() string { return SparseCholesky }
 func (s *Cholesky) NNZL() int { return len(s.vals) }
 
 // FactorBytes returns the factor's resident memory footprint (values, row
-// indices, column pointers, permutation) — the factor cache's budget unit.
+// indices, column pointers, permutation).
 func (s *Cholesky) FactorBytes() int64 {
 	return int64(len(s.vals))*8 + int64(len(s.rowIdx))*4 + int64(len(s.colPtr)+len(s.perm))*8
 }

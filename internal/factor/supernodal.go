@@ -635,8 +635,8 @@ func inertiaOf(d []float64) (pos, neg, zero int) {
 // ordering comparison reports.
 func (s *Supernodal) Flops() float64 { return s.flopsEst }
 
-// FactorBytes returns the factor's resident memory footprint — panels,
-// pivots and row structure — the number the factor cache budgets by.
+// FactorBytes returns the factor's resident memory footprint: panels,
+// pivots and row structure.
 func (s *Supernodal) FactorBytes() int64 {
 	return int64(len(s.panel)+len(s.d))*8 +
 		int64(len(s.rowind)+len(s.sfirst)+len(s.rx))*4 +

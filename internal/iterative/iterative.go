@@ -38,7 +38,7 @@ type Config struct {
 	// Exact, when non-nil, records an RMS-error trace.
 	Exact sparse.Vec
 	// Factor says how the block methods factorise their diagonal blocks
-	// (backend, ordering, optional cache; the zero value is auto). The point
+	// (backend and ordering; the zero value is auto). The point
 	// methods (Jacobi, Gauss-Seidel, SOR, CG) ignore it.
 	Factor factor.Settings
 }

@@ -78,32 +78,15 @@ type Result struct {
 	n int
 }
 
-// BoundaryRule selects how the splitting boundary G_B is derived from a
-// vertex-to-part assignment when no explicit boundary is supplied.
-type BoundaryRule int
-
-const (
-	// OneSided puts, for every edge whose endpoints lie in different parts,
-	// the endpoint of the lower-numbered part into the boundary. This yields
-	// a one-layer vertex separator — the wire tearing of Section 4 of the
-	// paper — and is the default.
-	OneSided BoundaryRule = iota
-	// TwoSided puts both endpoints of every cut edge into the boundary, so a
-	// two-layer separator is split. It creates more ports and links but makes
-	// the two sides of every cut symmetric.
-	TwoSided
-)
-
 // Options configures Electric Vertex Splitting.
 type Options struct {
 	// Boundary, when non-empty, is the explicit splitting boundary G_B
 	// (Step 1 of Section 4). It must cover every cut edge: for every edge
 	// whose endpoints are assigned to different parts, at least one endpoint
 	// must be in the boundary. When empty the boundary is derived from the
-	// assignment using Rule.
+	// assignment: for every cut edge, the endpoint in the lower-numbered part
+	// — a one-layer vertex separator, the wire tearing of Section 4.
 	Boundary []int
-	// Rule selects the automatic boundary derivation (default OneSided).
-	Rule BoundaryRule
 	// VertexSplit, when non-nil, decides how the weight and source of a split
 	// vertex are distributed over its copies. parts is sorted; the returned
 	// slices must have the same length as parts and sum to weight and source
@@ -169,7 +152,7 @@ func EVS(g *graph.Electric, a Assignment, opts Options) (*Result, error) {
 				continue
 			}
 			parts = append(parts, pw)
-			if !explicit && (opts.Rule == TwoSided || pv < pw) {
+			if !explicit && pv < pw {
 				boundary = true
 			}
 		}

@@ -149,24 +149,13 @@ func TestEVSOneSidedAutomaticBoundary(t *testing.T) {
 	}
 }
 
-func TestEVSTwoSidedBoundary(t *testing.T) {
-	sys := sparse.PaperExample()
-	res := mustEVS(t, sys, Assignment{Parts: 2, Assign: []int{0, 0, 1, 1}}, Options{Rule: TwoSided})
-	checkEVSInvariants(t, sys, res)
-	// Two-sided splitting splits every endpoint of every cut edge; the cut
-	// edges {V1,V3}, {V2,V3}, {V2,V4} touch all four vertices.
-	if len(res.Splits) != 4 {
-		t.Errorf("two-sided splitting should split 4 vertices, got %d", len(res.Splits))
-	}
-}
-
 func TestEVSGridBlocksMultilevelTearing(t *testing.T) {
 	// A 2x2 block partition of a grid splits the vertices at the block corner
 	// into more than two copies (their closed 5-point neighbourhood touches
 	// three parts) — the multilevel tearing of Fig. 6 — producing a chain of
 	// links rather than a single pair.
 	sys := sparse.Poisson2D(5, 5, 0.05)
-	res := mustEVS(t, sys, GridBlocks(5, 5, 2, 2), Options{Rule: TwoSided})
+	res := mustEVS(t, sys, GridBlocks(5, 5, 2, 2), Options{})
 	checkEVSInvariants(t, sys, res)
 	var corner *SplitVertex
 	for i := range res.Splits {

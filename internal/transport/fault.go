@@ -2,48 +2,39 @@ package transport
 
 import (
 	"context"
-	"sync"
-	"time"
+	"fmt"
 
 	"repro/internal/chaos"
 )
 
-// faultTransport decorates a Transport with the seeded chaos fault model:
-// every Send consults the chaos controller, which may drop the packet,
-// duplicate it, or delay copies — the same per-pair deterministic fate
-// stream the DES and live engines inject, here applied at the member level
-// of a real fabric. Recv and membership pass through untouched (the fault
-// model of the paper is a channel model, not a receiver model).
+// faultTransport decorates a Transport with the drop and duplication half of
+// the seeded chaos fault model: every wave Send consults the chaos
+// controller, which may drop the packet or send it twice — the same per-pair
+// deterministic fate stream the DES and live engines inject, here applied at
+// the member level of a real fabric. Every copy goes out at once: the
+// fabric's real latency is the delivery delay. Recv and membership pass
+// through untouched (the fault model of the paper is a channel model, not a
+// receiver model).
 type faultTransport struct {
 	Transport
-	ctl   *chaos.Controller
-	scale time.Duration
-	start time.Time
-
-	wg     sync.WaitGroup
-	closed chan struct{}
-	once   sync.Once
+	ctl *chaos.Controller
 }
 
-// WithFaults wraps t with an enabled chaos spec. nMembers sizes the
-// controller's per-pair state (member ids must be < nMembers). timeScale
-// maps one topology time unit onto wall-clock time for the spec's windows,
-// schedules and jitter (the live engine's convention). A nil or disabled
-// spec returns t unchanged.
-func WithFaults(t Transport, spec *chaos.Spec, nMembers int, timeScale time.Duration) Transport {
+// WithFaults wraps t with an enabled chaos spec that drops and duplicates.
+// nMembers sizes the controller's per-pair state (member ids must be <
+// nMembers). A nil or disabled spec returns t unchanged. The half of the
+// model that needs a clock — jitter, down and slow windows, crashes — is not
+// applied at this level, so a spec carrying any of it panics rather than
+// being silently ignored.
+func WithFaults(t Transport, spec *chaos.Spec, nMembers int) Transport {
 	if !spec.Enabled() {
 		return t
 	}
-	if timeScale <= 0 {
-		timeScale = 100 * time.Microsecond
+	if spec.Jitter != 0 || len(spec.Down) > 0 || len(spec.Crashes) > 0 {
+		panic(fmt.Sprintf("transport: WithFaults applies drop and dup only, not jitter %g, %d windows, %d crashes",
+			spec.Jitter, len(spec.Down), len(spec.Crashes)))
 	}
-	return &faultTransport{
-		Transport: t,
-		ctl:       chaos.NewController(spec, nMembers),
-		scale:     timeScale,
-		start:     time.Now(),
-		closed:    make(chan struct{}),
-	}
+	return &faultTransport{Transport: t, ctl: chaos.NewController(spec, nMembers)}
 }
 
 func (f *faultTransport) Send(ctx context.Context, to int, pkt Packet) error {
@@ -52,39 +43,13 @@ func (f *faultTransport) Send(ctx context.Context, to int, pkt Packet) error {
 		// model; it rides the underlying transport unharmed.
 		return f.Transport.Send(ctx, to, pkt)
 	}
-	now := time.Since(f.start).Seconds() / f.scale.Seconds()
-	// Nominal delay 1 topology unit: fates at or below it go out immediately
-	// (the fabric's real latency is the delivery delay), larger ones are the
-	// injected jitter, scheduled as extra wall-clock delay.
-	const nominal = 1.0
-	fates := f.ctl.Fate(f.Transport.Self(), to, now, nominal)
+	// With no windows the send time is irrelevant, and with no jitter every
+	// fate is the nominal delay: each one is a copy to send now.
 	var firstErr error
-	for _, fd := range fates {
-		if fd <= nominal {
-			if err := f.Transport.Send(ctx, to, pkt); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			continue
+	for range f.ctl.Fate(f.Transport.Self(), to, 0, 1) {
+		if err := f.Transport.Send(ctx, to, pkt); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		extra := time.Duration((fd - nominal) * float64(f.scale))
-		f.wg.Add(1)
-		time.AfterFunc(extra, func() {
-			defer f.wg.Done()
-			select {
-			case <-f.closed:
-				return
-			default:
-			}
-			sendCtx, cancel := context.WithTimeout(context.Background(), writeTimeout)
-			defer cancel()
-			_ = f.Transport.Send(sendCtx, to, pkt)
-		})
 	}
 	return firstErr // nil when dropped: a lost datagram is not a send error
-}
-
-func (f *faultTransport) Close() error {
-	f.once.Do(func() { close(f.closed) })
-	f.wg.Wait()
-	return f.Transport.Close()
 }

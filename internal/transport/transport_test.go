@@ -509,7 +509,7 @@ func TestWithFaultsDropsAndDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := NewChanNetwork(2)
-	faulty := WithFaults(ts[0], spec, 2, time.Microsecond)
+	faulty := WithFaults(ts[0], spec, 2)
 	defer faulty.Close()
 	defer ts[1].Close()
 
@@ -528,9 +528,7 @@ func TestWithFaultsDropsAndDuplicates(t *testing.T) {
 		t.Fatalf("fault decorator injected nothing: %+v", st)
 	}
 
-	// Collect what actually arrived (bounded drain; jittered dups settle fast
-	// at microsecond scale).
-	time.Sleep(100 * time.Millisecond)
+	// Collect what actually arrived: every copy was sent inside Send.
 	dedup := NewDedup()
 	delivered, fresh := 0, 0
 	for {
@@ -555,4 +553,24 @@ func TestWithFaultsDropsAndDuplicates(t *testing.T) {
 		t.Fatalf("dedup admitted %d fresh > %d sent", fresh, burst)
 	}
 	t.Logf("burst=%d delivered=%d fresh=%d stats=%+v", burst, delivered, fresh, st)
+}
+
+// TestWithFaultsRefusesTimedFaults: jitter, down or slow windows and crashes
+// need a clock the decorator does not read, so a spec carrying any of them is
+// refused instead of being applied as drop and dup alone.
+func TestWithFaultsRefusesTimedFaults(t *testing.T) {
+	for _, s := range []string{"drop=0.1,jitter=0.5", "down=0>1@0:10", "slow=0>1@0:10x4", "crash=1@10+5"} {
+		spec, err := chaos.ParseSpec(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WithFaults accepted %q", s)
+				}
+			}()
+			WithFaults(NewChanNetwork(2)[0], spec, 2)
+		}()
+	}
 }
