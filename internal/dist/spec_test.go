@@ -256,3 +256,45 @@ func TestSpecBuildRejectsOversizedTearing(t *testing.T) {
 		t.Errorf("3x5 parts of a 3x5 grid: %v", err)
 	}
 }
+
+// gatedSpecs are the three problems bench/dtmperf gates its end-to-end
+// metrics on, as every member of a session builds them from the spec, with
+// about twice the objects one Build allocates (171, 118 and 143).
+var gatedSpecs = []struct {
+	name      string
+	spec      SpecV2
+	maxAllocs float64
+}{
+	{"ring9-grid13", SpecV2{V: 2, Source: "grid:rows=13,cols=13,seed=169", PartsX: 3, PartsY: 3, Topology: "ring"}, 350},
+	{"bigblock-grid65", SpecV2{V: 2, Source: "grid:rows=65,cols=65,seed=7", PartsX: 2, PartsY: 2, Topology: "uniform"}, 240},
+	{"spanner-lsg4", SpecV2{V: 2, Source: "spanner:n=1000,k=6,seed=1", NParts: 4, Topology: "uniform"}, 300},
+}
+
+// BenchmarkSpecBuild times the set-up every member of a dist session pays
+// before its first poll: source generation, tearing and the problem around it.
+func BenchmarkSpecBuild(b *testing.B) {
+	for _, tc := range gatedSpecs {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.spec.Build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestSpecBuildAllocations holds each gated Build to its allocation ceiling.
+func TestSpecBuildAllocations(t *testing.T) {
+	for _, tc := range gatedSpecs {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := tc.spec.Build(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.maxAllocs {
+			t.Errorf("%s: Build allocates %.0f objects, want <= %.0f", tc.name, allocs, tc.maxAllocs)
+		}
+	}
+}

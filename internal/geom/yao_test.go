@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -216,6 +217,36 @@ var pointSets = []struct {
 		}
 		return pts
 	}},
+	{"cone-boundary", coneBoundaryPoints},
+}
+
+// coneBoundaryPoints places every point but the first on a cone edge of
+// k ∈ {5, 7, 12} seen from an earlier point, p + ρ·dirs[c], each coordinate
+// nudged by 0, ±1 ulp or ±1e-10: directions inside the band where the search
+// falls back to the Atan2 expression, on both sides of the edge. The edges of
+// 12 cones include those of 1, 2, 3, 4 and 6.
+func coneBoundaryPoints(rng *rand.Rand, n int) [][2]float64 {
+	pts := Points(rng, n)
+	for i := 1; i < n; i++ {
+		k := []int{5, 7, 12}[rng.Intn(3)]
+		sin, cos := math.Sincos(2 * math.Pi / float64(k) * float64(rng.Intn(k)))
+		p, rho := pts[rng.Intn(i)], 0.01+0.1*rng.Float64()
+		q := [2]float64{p[0] + rho*cos, p[1] + rho*sin}
+		for d := range q {
+			switch rng.Intn(5) {
+			case 1:
+				q[d] = math.Nextafter(q[d], math.Inf(1))
+			case 2:
+				q[d] = math.Nextafter(q[d], math.Inf(-1))
+			case 3:
+				q[d] += 1e-10
+			case 4:
+				q[d] -= 1e-10
+			}
+		}
+		pts[i] = q
+	}
+	return pts
 }
 
 func TestYaoMatchesAllPairsReference(t *testing.T) {
@@ -296,8 +327,7 @@ func TestYaoPatchingFires(t *testing.T) {
 // evaluations per point for uniform points, k = 6.
 func evalsPerPoint(n int) float64 {
 	pts := Points(rand.New(rand.NewSource(1)), n)
-	_, evals := yaoPicks(newGrid(pts), pts, 6)
-	return float64(evals) / float64(n)
+	return float64(yaoPicks(newGrid(pts), pts, 6).evals) / float64(n)
 }
 
 // TestYaoEvaluationsNearLinear states "near-linear" as a count, not a wall
@@ -317,6 +347,47 @@ func TestYaoEvaluationsNearLinear(t *testing.T) {
 	}
 }
 
+// TestYaoConeFallback: the exact Atan2 path is exercised where it decides —
+// on directions within slack of a cone edge, against the oracle — and stays
+// rare elsewhere.
+func TestYaoConeFallback(t *testing.T) {
+	pts := coneBoundaryPoints(rand.New(rand.NewSource(1)), 300)
+	for _, k := range []int{5, 7, 12} {
+		if s := yaoPicks(newGrid(pts), pts, k); s.cones.fallbacks == 0 {
+			t.Errorf("k=%d: no fallbacks in %d evaluations of the cone-boundary points", k, s.evals)
+		}
+		checkAgainstReference(t, pts, k)
+	}
+	n := 10000
+	if testing.Short() {
+		n = 1000
+	}
+	uniform := Points(rand.New(rand.NewSource(1)), n)
+	if s := yaoPicks(newGrid(uniform), uniform, 6); s.cones.fallbacks*100 >= s.evals {
+		t.Errorf("uniform n=%d: %d fallbacks in %d evaluations, want under 1%%", n, s.cones.fallbacks, s.evals)
+	}
+}
+
+// TestYaoEdgesAllocations: the search keeps its picks in one flat array and
+// sorts the edges from it, so YaoEdges allocates a few dozen objects and no
+// more bytes than the per-point picks and sorted keys it replaced (431 kB).
+func TestYaoEdgesAllocations(t *testing.T) {
+	pts := Points(rand.New(rand.NewSource(1)), 1000)
+	if allocs := testing.AllocsPerRun(5, func() { benchEdges = YaoEdges(pts, 6) }); allocs > 64 {
+		t.Errorf("YaoEdges n=1000: %.0f allocations per call, want <= 64", allocs)
+	}
+	var before, after runtime.MemStats
+	const runs = 5
+	runtime.ReadMemStats(&before)
+	for range runs {
+		benchEdges = YaoEdges(pts, 6)
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 431_409 {
+		t.Errorf("YaoEdges n=1000: %d B per call, want <= 431409", b)
+	}
+}
+
 // TestYaoEdgesManyComponents is the case the all-pairs patch could not
 // finish: k = 1 leaves thousands of components at n = 20000.
 func TestYaoEdgesManyComponents(t *testing.T) {
@@ -329,25 +400,65 @@ func TestYaoEdgesManyComponents(t *testing.T) {
 	}
 }
 
-// FuzzYaoPicks decodes bytes into k and up to 64 points on a 16×16 lattice —
-// coarse enough that distance ties, duplicates and cone-boundary points are
-// the norm — and demands the reference's picks and edges.
+// FuzzYaoPicks decodes bytes into k and up to 64 points, and demands the
+// reference's picks and edges. The first byte is k (mod 64, plus one). Below
+// 128 every further byte is a point of a 16×16 lattice — coarse enough that
+// distance ties, duplicates and cone-boundary points are the norm. From 128
+// up the points lie off the lattice, three bytes each (b, x, y): lattice
+// point b nudged by offset x in x and offset y in y, where an offset's low
+// three bits pick 0, 1e-9, 1e-10, 1e-12, 1e-14, 1e-16, 1e-17 (sub-ulp beside
+// any coordinate but 0) or one ulp, and its bit 3 the sign; or, when x ≥ 0xc0,
+// the point on cone edge y (mod k) of earlier point b (mod the count so far)
+// at distance ((x & 0x3f) + 1)/8 — a direction the lattice never hits for
+// k = 5 or 7, and within rounding of the edge, where the cone comes from the
+// Atan2 fallback.
 func FuzzYaoPicks(f *testing.F) {
 	f.Add([]byte{6, 0x00, 0x11, 0x22, 0x33, 0x44})
 	f.Add([]byte{1, 0x00, 0x0f, 0xf0, 0xff})
 	f.Add([]byte{4, 0x77, 0x77, 0x78, 0x87, 0x88, 0x67})
+	f.Add([]byte{128 + 4, 0x77, 0, 0, 0, 0xc7, 0, 0, 0xc7, 1, 0, 0xcf, 2, 0, 0xc3, 3, 0, 0xc7, 4, 3, 0xc7, 1, 0x78, 0x09, 0x01})
+	f.Add([]byte{128 + 6, 0x38, 0, 0, 0, 0xc7, 0, 0, 0xc7, 1, 0, 0xc7, 5, 0, 0xcb, 6, 2, 0xc7, 3, 0x48, 0x07, 0x0f, 0x39, 0x05, 0x0e})
+	f.Add([]byte{128 + 11, 0x00, 0, 0, 0x01, 0x06, 0x0d, 0x10, 0x0e, 0x06, 0, 0xc7, 2, 0x11, 0x01, 0x09})
+	// On edge 3 of 7 cones, on the side where rounding puts the pseudo-angle
+	// and the Atan2 expression in different cones.
+	f.Add([]byte{128 + 6, 0x32, 0x30, 0x30, 0x30, 0xea, 0x42, 0x22, 0x30, 0x30})
+	// Two candidates at distance 1 in one cone of 5 whose squares order them
+	// the other way round from Hypot.
+	f.Add([]byte{128 + 4, 0x77, 0x30, 0x31, 0x30, 0xc7, 0x38, 0x78, 0x30, 0x31})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		k := int(data[0])%64 + 1
-		data = data[1:]
-		if len(data) > 64 {
-			data = data[:64]
+		lattice := func(b byte) [2]float64 { return [2]float64{float64(b >> 4), float64(b & 15)} }
+		var pts [][2]float64
+		if data[0] < 128 {
+			for _, b := range data[1:min(len(data), 65)] {
+				pts = append(pts, lattice(b))
+			}
+			checkAgainstReference(t, pts, k)
+			return
 		}
-		pts := make([][2]float64, len(data))
-		for i, b := range data {
-			pts[i] = [2]float64{float64(b >> 4), float64(b & 15)}
+		nudge := func(v float64, o byte) float64 {
+			sign := 1.0
+			if o&8 != 0 {
+				sign = -1
+			}
+			if o&7 == 7 {
+				return math.Nextafter(v, sign*math.Inf(1))
+			}
+			return v + sign*[]float64{0, 1e-9, 1e-10, 1e-12, 1e-14, 1e-16, 1e-17}[o&7]
+		}
+		for data = data[1:]; len(data) >= 3 && len(pts) < 64; data = data[3:] {
+			b, x, y := data[0], data[1], data[2]
+			if x >= 0xc0 && len(pts) > 0 {
+				sin, cos := math.Sincos(2 * math.Pi / float64(k) * float64(int(y)%k))
+				p, rho := pts[int(b)%len(pts)], float64(x&0x3f+1)/8
+				pts = append(pts, [2]float64{p[0] + rho*cos, p[1] + rho*sin})
+				continue
+			}
+			p := lattice(b)
+			pts = append(pts, [2]float64{nudge(p[0], x), nudge(p[1], y)})
 		}
 		checkAgainstReference(t, pts, k)
 	})
@@ -359,7 +470,7 @@ func BenchmarkYaoEdges(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			pts := Points(rand.New(rand.NewSource(1)), n)
-			_, evals := yaoPicks(newGrid(pts), pts, 6)
+			evals := yaoPicks(newGrid(pts), pts, 6).evals
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

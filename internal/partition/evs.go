@@ -191,10 +191,8 @@ func EVS(g *graph.Electric, a Assignment, opts Options) (*Result, error) {
 		}
 	}
 	subs := make([]*Subdomain, a.Parts)
-	coos := make([]*sparse.COO, a.Parts)
 	for p := range subs {
 		subs[p] = &Subdomain{Part: p, GlobalIdx: make([]int, 0, dim[p]), B: sparse.NewVec(dim[p])}
-		coos[p] = sparse.NewCOO(dim[p], dim[p])
 	}
 	for s, sv := range splits {
 		for k, p := range sv.Parts {
@@ -211,6 +209,17 @@ func EVS(g *graph.Electric, a Assignment, opts Options) (*Result, error) {
 			local[v] = len(sub.GlobalIdx)
 			sub.GlobalIdx = append(sub.GlobalIdx, v)
 		}
+	}
+	// A part's entries are its diagonal and both ends of each edge it holds,
+	// whose endpoints both have a copy there: at most its vertices' degrees.
+	coos := make([]*sparse.COO, a.Parts)
+	for p, sub := range subs {
+		coos[p] = sparse.NewCOO(dim[p], dim[p])
+		entries := dim[p]
+		for _, v := range sub.GlobalIdx {
+			entries += len(g.Neighbors(v))
+		}
+		coos[p].Grow(entries)
 	}
 
 	// Step 3a: assign every edge (or edge fraction) to a part, in ascending

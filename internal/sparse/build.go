@@ -54,6 +54,7 @@ func Poisson2D(nx, ny int, shift float64) System {
 	}
 	n := nx * ny
 	coo := NewCOO(n, n)
+	coo.Grow(5 * n)
 	idx := func(ix, iy int) int { return ix + iy*nx }
 	for iy := 0; iy < ny; iy++ {
 		for ix := 0; ix < nx; ix++ {
@@ -93,6 +94,7 @@ func Poisson3D(nx, ny, nz int, shift float64) System {
 	}
 	n := nx * ny * nz
 	coo := NewCOO(n, n)
+	coo.Grow(7 * n)
 	idx := func(ix, iy, iz int) int { return ix + nx*(iy+ny*iz) }
 	for iz := 0; iz < nz; iz++ {
 		for iy := 0; iy < ny; iy++ {
@@ -135,6 +137,7 @@ func Tridiagonal(n int, diag, off float64) System {
 		panic("sparse: Tridiagonal requires n > 0")
 	}
 	coo := NewCOO(n, n)
+	coo.Grow(3 * n)
 	for i := 0; i < n; i++ {
 		coo.Add(i, i, diag)
 		if i > 0 {
@@ -164,6 +167,7 @@ func RandomSPD(n int, density float64, seed int64) System {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	coo := NewCOO(n, n)
+	coo.Grow(3*n + int(density*float64(n)*float64(n))) // the expected count
 	rowSum := make([]float64, n)
 	for i := 1; i < n; i++ {
 		// Always connect i to i-1 so the graph is connected.
@@ -202,6 +206,7 @@ func RandomGridSPD(nx, ny int, seed int64) System {
 	rng := rand.New(rand.NewSource(seed))
 	n := nx * ny
 	coo := NewCOO(n, n)
+	coo.Grow(5 * n)
 	rowSum := make([]float64, n)
 	idx := func(ix, iy int) int { return ix + iy*nx }
 	addEdge := func(i, j int) {
@@ -243,6 +248,7 @@ func ResistorNetwork(nx, ny int, seed int64) System {
 	rng := rand.New(rand.NewSource(seed))
 	n := nx * ny
 	coo := NewCOO(n, n)
+	coo.Grow(5 * n)
 	diag := make([]float64, n)
 	idx := func(ix, iy int) int { return ix + iy*nx }
 	addR := func(i, j int) {
@@ -300,6 +306,7 @@ func SaddlePoisson2D(nx, ny int, gamma float64) System {
 	n := nx * ny
 	total := n + ny
 	coo := NewCOO(total, total)
+	coo.Grow(grid.A.NNZ() + 2*n + ny)
 	grid.A.Each(func(i, j int, v float64) { coo.Add(i, j, v) })
 	for iy := 0; iy < ny; iy++ {
 		lam := n + iy

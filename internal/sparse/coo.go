@@ -28,6 +28,12 @@ func NewCOO(rows, cols int) *COO {
 	return &COO{rows: rows, cols: cols}
 }
 
+// Grow makes room for n more entries, so a builder that knows (or bounds)
+// its entry count assembles without regrowing.
+func (c *COO) Grow(n int) {
+	c.entries = slices.Grow(c.entries, n)
+}
+
 // Add appends value v at (i, j). Zero values are ignored so generators can add
 // unconditionally. Adding the same position twice accumulates.
 func (c *COO) Add(i, j int, v float64) {

@@ -41,6 +41,7 @@ func NewCSRFromDense(a [][]float64, dropTol float64) *CSR {
 // Identity returns the n×n identity matrix.
 func Identity(n int) *CSR {
 	coo := NewCOO(n, n)
+	coo.Grow(n)
 	for i := 0; i < n; i++ {
 		coo.Add(i, i, 1)
 	}
@@ -213,6 +214,7 @@ func (m *CSR) AddDiag(d Vec) *CSR {
 		panic("sparse: AddDiag requires a square matrix and matching diagonal length")
 	}
 	coo := NewCOO(m.rows, m.cols)
+	coo.Grow(m.NNZ() + len(d))
 	m.Each(func(i, j int, v float64) { coo.Add(i, j, v) })
 	for i, v := range d {
 		coo.Add(i, i, v)

@@ -39,9 +39,11 @@ func YaoSpannerLaplacian(n, k int, seed int64, leak float64) System {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	pts := geom.Points(rng, n)
+	edges := geom.YaoEdges(pts, k)
 	coo := NewCOO(n, n)
+	coo.Grow(n + 2*len(edges))
 	diag := make([]float64, n)
-	for _, e := range geom.YaoEdges(pts, k) {
+	for _, e := range edges {
 		i, j := e[0], e[1]
 		g := 1 / (0.1 + math.Sqrt(float64(n))*geom.Dist(pts, i, j))
 		coo.AddSym(i, j, -g)
