@@ -61,8 +61,9 @@
 //     implementation with reconnect backoff, under one conformance-tested
 //     Transport interface, plus the drop-and-duplicate chaos decorator;
 //   - internal/dist — coordinator/worker distributed DTM over a Transport:
-//     deterministic re-tearing from a dist.SpecV2 ({source, tearing shape,
-//     topology} registry strings), sharded subdomain ownership, watchdog
+//     deterministic re-tearing by every worker from a dist.SpecV2 ({source,
+//     tearing shape, topology} registry strings; the coordinator only
+//     validates it), sharded subdomain ownership, watchdog
 //     retransmission and the distributed stopping rule,
 //     plus worker failover: heartbeats carrying wave frontiers and boundary
 //     snapshots, jittered coordinator leases, rendezvous-hashed ownership

@@ -5,18 +5,21 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/factor"
+	"repro/internal/partition"
 	"repro/internal/sparse"
 	"repro/internal/transport"
 )
 
 // CoordConfig drives one distributed solve.
 type CoordConfig struct {
-	// Spec is the problem every member re-tears locally.
+	// Spec is the problem every worker re-tears locally; the coordinator
+	// only validates it.
 	Spec SpecV2
 	// Workers lists the transport member ids that own shards. Parts are
 	// assigned in contiguous ranges across this slice, in order (the home
@@ -49,9 +52,9 @@ type CoordConfig struct {
 	// rule before the coordinator declares convergence (default 2) — the
 	// distributed analogue of the DES engine's no-pending-events check.
 	StablePolls int
-	// OnPoll, when non-nil, is called just before status round n (0-based)
-	// is sent. Fault drills hook it to kill a worker at a deterministic
-	// point mid-solve.
+	// OnPoll, when non-nil, is called just before status poll n (0-based)
+	// is sent, a round asked again included. Fault drills hook it to kill a
+	// worker at a deterministic point mid-solve.
 	OnPoll func(poll int)
 }
 
@@ -159,14 +162,14 @@ func Coordinate(ctx context.Context, tr transport.Transport, cfg CoordConfig) (*
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	p, err := cfg.Spec.Build()
-	if err != nil {
+	// The workers tear; the coordinator only refuses what it can see is
+	// wrong without tearing, and learns the problem's shape from ready.
+	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	nParts := p.Partition.NumParts()
-	home := ContiguousOwner(nParts, cfg.Workers)
+	home := ContiguousOwner(cfg.Spec.Parts(), cfg.Workers)
 	c := &coordinator{
-		tr: tr, cfg: &cfg, p: p,
+		tr: tr, cfg: &cfg,
 		home:     home,
 		owner:    append([]int(nil), home...),
 		epoch:    1,
@@ -182,8 +185,14 @@ func Coordinate(ctx context.Context, tr transport.Transport, cfg CoordConfig) (*
 type coordinator struct {
 	tr  transport.Transport
 	cfg *CoordConfig
-	p   *core.Problem
 	res *Result
+
+	// dim and links are the first ready's problem shape, from worker
+	// shapeFrom (dim is 0 until it arrives); every other ready must match it.
+	// links are the twin links as core.Quiescent reads them.
+	dim       int
+	links     []partition.TwinLink
+	shapeFrom int
 
 	// home is the epoch-1 ownership map; owner is the current epoch's.
 	home, owner []int
@@ -201,8 +210,9 @@ type coordinator struct {
 	lastReassign *reassignMsg
 	reassignSent map[int]time.Time
 
-	// Round state: statuses collected for the in-flight poll, by worker; nil
-	// while no poll is in flight.
+	// Round state: the number of the latest poll sent, and the statuses
+	// answering it, by worker; nil while no poll is in flight.
+	round    int
 	statuses map[int]*statusMsg
 	// rejoins queues dead-declared members seen beating with a higher
 	// incarnation (recorded), to be re-admitted at the next epoch.
@@ -216,7 +226,7 @@ func (c *coordinator) run(ctx context.Context) (*Result, error) {
 			return nil, lostError(w, c.owner, "assign")
 		}
 	}
-	if err := c.await(ctx, msgReady, c.cfg.Workers, nil); err != nil {
+	if err := c.await(ctx, msgReady, c.cfg.Workers, c.agree); err != nil {
 		return nil, err
 	}
 	for _, w := range c.cfg.Workers {
@@ -249,17 +259,55 @@ func (c *coordinator) run(ctx context.Context) (*Result, error) {
 	for _, w := range c.ms.dead() {
 		_ = sendCtrl(stopCtx, c.tr, w, &ctrlMsg{Type: msgStop})
 	}
-	c.res.X = make(sparse.Vec, c.p.System.Dim())
-	if err := c.await(stopCtx, msgResult, alive, func(w int, m *ctrlMsg) {
-		for i, gv := range m.Result.Index {
-			c.res.X[gv] = m.Result.Value[i]
+	c.res.X = make(sparse.Vec, c.dim)
+	if err := c.await(stopCtx, msgResult, alive, func(w int, m *ctrlMsg) error {
+		r := m.Result
+		if r == nil || len(r.Value) != len(r.Index) {
+			return fmt.Errorf("dist: worker %d sent a malformed result", w)
 		}
+		for i, gv := range r.Index {
+			if gv < 0 || int(gv) >= len(c.res.X) {
+				return fmt.Errorf("dist: worker %d returned unknown %d of a %d-unknown problem", w, gv, len(c.res.X))
+			}
+			c.res.X[gv] = r.Value[i]
+		}
+		return nil
 	}); err != nil {
 		return nil, err
 	}
 	c.res.Owner = append([]int(nil), c.owner...)
 	c.res.Epoch = c.epoch
 	return c.res, nil
+}
+
+// agree takes the first ready's problem shape and refuses a worker whose
+// shape differs: each worker tore the spec on its own, and one that tore a
+// different problem cannot be solved against the others' links.
+func (c *coordinator) agree(w int, m *ctrlMsg) error {
+	r := m.Ready
+	if r == nil {
+		return fmt.Errorf("dist: worker %d sent ready without the problem's shape", w)
+	}
+	nParts := int32(c.cfg.Spec.Parts())
+	if r.Dim < int(nParts) {
+		return fmt.Errorf("dist: worker %d sent a problem of %d unknowns for %d parts", w, r.Dim, nParts)
+	}
+	links := make([]partition.TwinLink, len(r.Links))
+	for i, l := range r.Links {
+		if l[0] < 0 || l[0] >= nParts || l[2] < 0 || l[2] >= nParts || l[1] < 0 || l[3] < 0 {
+			return fmt.Errorf("dist: worker %d sent twin link %d as %v, outside its %d parts", w, i, l, nParts)
+		}
+		links[i] = partition.TwinLink{ID: i, PartA: int(l[0]), PortA: int(l[1]), PartB: int(l[2]), PortB: int(l[3])}
+	}
+	if c.dim == 0 {
+		c.dim, c.links, c.shapeFrom = r.Dim, links, w
+		return nil
+	}
+	if r.Dim != c.dim || !slices.Equal(links, c.links) {
+		return fmt.Errorf("dist: worker %d tore a different problem than worker %d: %d unknowns and %d twin links, against %d and %d",
+			w, c.shapeFrom, r.Dim, len(links), c.dim, len(c.links))
+	}
+	return nil
 }
 
 func (c *coordinator) assignMsg() *assignMsg {
@@ -317,7 +365,9 @@ func (c *coordinator) classify(from int, m *ctrlMsg, now time.Time) error {
 			epoch = m.Status.Epoch
 		}
 		c.ms.beat(from, 0, epoch, now)
-		if m.Status != nil && m.Status.Epoch == c.epoch && c.statuses != nil {
+		// A reply to an earlier round was produced before the round in
+		// flight began, so it cannot stand for it.
+		if m.Status != nil && m.Status.Epoch == c.epoch && m.Round == c.round && c.statuses != nil {
 			c.statuses[from] = m.Status
 		}
 	default:
@@ -339,7 +389,7 @@ func (c *coordinator) queueRejoin(w int, inc uint32) {
 // message of the wanted type, folding everything else into the membership
 // state. A context expiry surfaces as a *WorkerLostError naming a still-
 // pending worker and its parts.
-func (c *coordinator) await(ctx context.Context, want string, members []int, fn func(int, *ctrlMsg)) error {
+func (c *coordinator) await(ctx context.Context, want string, members []int, fn func(int, *ctrlMsg) error) error {
 	phase := map[string]string{msgReady: "ready", msgResult: "result"}[want]
 	pending := make(map[int]bool, len(members))
 	for _, m := range members {
@@ -369,8 +419,8 @@ func (c *coordinator) await(ctx context.Context, want string, members []int, fn 
 			continue
 		}
 		delete(pending, int(pkt.From))
-		if fn != nil {
-			fn(int(pkt.From), m)
+		if err := fn(int(pkt.From), m); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -379,9 +429,15 @@ func (c *coordinator) await(ctx context.Context, want string, members []int, fn 
 // pollLoop is the solve-phase event loop: poll statuses on a cadence,
 // evaluate the stopping rule on complete rounds, renew leases from every
 // sign of life, fail over expired workers and re-admit restarted ones.
+//
+// A quiet round is confirmed at once: the next poll goes out as soon as the
+// round completes, not a PollInterval later. That is the second wave of
+// Mattern's four-counter termination detection, which needs the second round
+// to begin after the first has completed and no delay between them, as long
+// as a reply counts only in the round that asked for it (classify). A round
+// still incomplete when PollInterval passes is asked again, not replaced.
 func (c *coordinator) pollLoop(ctx context.Context) error {
-	stable := 0
-	round := 0
+	stable, polls := 0, 0
 	var lastFull []core.ShardState
 	nextPoll := time.Now().Add(c.cfg.PollInterval)
 	// idle: the last Recv found the inbox empty. Leases are judged only then —
@@ -408,17 +464,25 @@ func (c *coordinator) pollLoop(ctx context.Context) error {
 		}
 		c.resendLagging(ctx, now)
 		if !now.Before(nextPoll) {
-			if c.cfg.OnPoll != nil {
-				c.cfg.OnPoll(round)
+			// A new round begins only after the last one completed (or was
+			// abandoned by an epoch change). A round still incomplete is asked
+			// again under its own number, keeping the replies it has: a reply
+			// slower than PollInterval still counts, and any reply echoing the
+			// round was produced after the round was first asked.
+			if c.statuses == nil {
+				c.round++
+				c.statuses = make(map[int]*statusMsg, len(c.ms.alive()))
 			}
-			round++
+			if c.cfg.OnPoll != nil {
+				c.cfg.OnPoll(polls)
+			}
+			polls++
 			// Best-effort: a lost poll is re-sent next interval. Dead members
 			// are pinged too — a restarted process answers with hello and is
 			// re-admitted.
 			for _, w := range c.cfg.Workers {
-				_ = sendCtrl(ctx, c.tr, w, &ctrlMsg{Type: msgStatusRq})
+				_ = sendCtrl(ctx, c.tr, w, &ctrlMsg{Type: msgStatusRq, Round: c.round})
 			}
-			c.statuses = make(map[int]*statusMsg, len(c.ms.alive()))
 			nextPoll = now.Add(c.cfg.PollInterval)
 		}
 		rctx, cancel := context.WithDeadline(ctx, nextPoll)
@@ -453,13 +517,14 @@ func (c *coordinator) pollLoop(ctx context.Context) error {
 		c.res.Polls++
 		lastFull = states
 		var quiet bool
-		quiet, c.res.MaxLastChange, c.res.TwinGap = core.Quiescent(c.p.Partition.Links, c.cfg.Tol, states)
+		quiet, c.res.MaxLastChange, c.res.TwinGap = core.Quiescent(c.links, c.cfg.Tol, states)
 		if quiet {
 			stable++
 			if stable >= c.cfg.StablePolls {
 				c.res.Converged = true
 				break
 			}
+			nextPoll = time.Time{} // confirm at once
 		} else {
 			stable = 0
 		}

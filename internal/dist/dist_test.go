@@ -2,9 +2,11 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -368,6 +370,185 @@ func TestQuiescentRules(t *testing.T) {
 	sts[0].Parts = sts[0].Parts[1:]
 	if ok, _, gap := core.Quiescent(links, 1e-9, sts); ok || !math.IsInf(gap, 1) {
 		t.Fatalf("a part nobody reports must make the gap infinite: ok=%v gap=%g", ok, gap)
+	}
+}
+
+// TestClassifyFilesStatusOnlyForItsRound: a status counts only in the round
+// that asked for it. One echoing round r−1 while round r is in flight was
+// produced before r began, and is not filed; one echoing r is.
+func TestClassifyFilesStatusOnlyForItsRound(t *testing.T) {
+	now := time.Now()
+	c := &coordinator{epoch: 1, round: 5, statuses: map[int]*statusMsg{},
+		ms: newMembership([]int{1}, time.Second, quickSpec.Hash())}
+	c.ms.start(now)
+	status := func(round int) *ctrlMsg {
+		return &ctrlMsg{Type: msgStatus, Round: round, Status: &statusMsg{Epoch: 1}}
+	}
+	if err := c.classify(1, status(4), now); err != nil {
+		t.Fatal(err)
+	}
+	if c.roundStates() != nil {
+		t.Fatal("a reply to round 4 was filed in round 5")
+	}
+	if err := c.classify(1, status(5), now); err != nil {
+		t.Fatal(err)
+	}
+	if c.roundStates() == nil {
+		t.Fatal("the reply to round 5 was not filed")
+	}
+}
+
+// statusDelay sits on the coordinator's member and holds every status reply
+// for d before the coordinator sees it, letting the rest of the control
+// traffic through. Only the coordinator's goroutine uses it.
+type statusDelay struct {
+	transport.Transport
+	d    time.Duration
+	held []heldPacket
+}
+
+type heldPacket struct {
+	due time.Time
+	pkt transport.Packet
+}
+
+func (s *statusDelay) Recv(ctx context.Context) (transport.Packet, error) {
+	for {
+		if len(s.held) > 0 && !time.Now().Before(s.held[0].due) {
+			pkt := s.held[0].pkt
+			s.held = s.held[1:]
+			return pkt, nil
+		}
+		rctx, cancel := ctx, context.CancelFunc(func() {})
+		if len(s.held) > 0 {
+			rctx, cancel = context.WithDeadline(ctx, s.held[0].due)
+		}
+		pkt, err := s.Transport.Recv(rctx)
+		cancel()
+		if err != nil {
+			if ctx.Err() == nil && rctx.Err() != nil {
+				continue // a held reply fell due
+			}
+			return pkt, err
+		}
+		if m, err := decodeCtrl(&pkt); err == nil && m.Type == msgStatus {
+			s.held = append(s.held, heldPacket{due: time.Now().Add(s.d), pkt: pkt})
+			continue
+		}
+		return pkt, nil
+	}
+}
+
+// TestDistributedSlowRoundMatchesOracle: every status reply takes three poll
+// intervals to reach the coordinator. A round still incomplete when the
+// interval passes must be asked again, not replaced by a new one whose number
+// no reply in transit can echo, or no round ever completes.
+func TestDistributedSlowRoundMatchesOracle(t *testing.T) {
+	const poll = 5 * time.Millisecond
+	f := NewFleet(chanFabric(t, 3), func(member int, tr transport.Transport) transport.Transport {
+		if member == 0 {
+			return &statusDelay{Transport: tr, d: 3 * poll}
+		}
+		return tr
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := f.Coordinate(ctx, CoordConfig{
+		Spec: quickSpec, Tol: 1e-9,
+		WatchdogMS: 20, PollInterval: poll,
+	})
+	if werr := f.Close(); werr != nil {
+		t.Errorf("worker: %v", werr)
+	}
+	if err != nil {
+		t.Fatalf("coordinate: %v", err)
+	}
+	checkAgainstOracle(t, res, quickSpec)
+}
+
+// readyTamper sits on the coordinator's member. It alters the victim's ready
+// on its way in and holds it back until the other workers' readies have
+// passed, so the altered tear is the one that disagrees with the first. It
+// also counts the start messages the coordinator sends. Only the
+// coordinator's goroutine uses it.
+type readyTamper struct {
+	transport.Transport
+	victim int
+	others int // readies from other workers still to pass before the victim's
+	alter  func(*readyMsg)
+	held   *transport.Packet
+	starts int
+}
+
+func (r *readyTamper) Send(ctx context.Context, to int, pkt transport.Packet) error {
+	if m, err := decodeCtrl(&pkt); err == nil && m.Type == msgStart {
+		r.starts++
+	}
+	return r.Transport.Send(ctx, to, pkt)
+}
+
+func (r *readyTamper) Recv(ctx context.Context) (transport.Packet, error) {
+	for {
+		if r.held != nil && r.others == 0 {
+			pkt := *r.held
+			r.held = nil
+			return pkt, nil
+		}
+		pkt, err := r.Transport.Recv(ctx)
+		if err != nil {
+			return pkt, err
+		}
+		m, err := decodeCtrl(&pkt)
+		if err != nil || m.Type != msgReady || m.Ready == nil {
+			return pkt, nil
+		}
+		if int(pkt.From) != r.victim {
+			r.others--
+			return pkt, nil
+		}
+		r.alter(m.Ready)
+		if pkt.Ctrl, err = json.Marshal(m); err != nil {
+			return pkt, err
+		}
+		r.held = &pkt
+	}
+}
+
+// TestCoordinatorRefusesDisagreeingTears: every worker tears the spec on its
+// own, and its ready says what it tore. A worker whose twin links or
+// dimension differ from the first ready's, or whose dimension could not hold
+// the parts, is refused by name, and no start leaves the coordinator.
+func TestCoordinatorRefusesDisagreeingTears(t *testing.T) {
+	const differs = "dist: worker 2 tore a different problem"
+	for _, tc := range []struct {
+		name  string
+		alter func(*readyMsg)
+		want  string
+	}{
+		{"links", func(r *readyMsg) { r.Links[len(r.Links)/2][3]++ }, differs},
+		{"dim", func(r *readyMsg) { r.Dim++ }, differs},
+		{"negative-dim", func(r *readyMsg) { r.Dim = -1 }, "dist: worker 2 sent a problem of -1 unknowns"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord := &readyTamper{victim: 2, others: 1, alter: tc.alter}
+			f := NewFleet(chanFabric(t, 3), func(member int, tr transport.Transport) transport.Transport {
+				if member == 0 {
+					coord.Transport = tr
+					return coord
+				}
+				return tr
+			})
+			defer f.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			_, err := f.Coordinate(ctx, CoordConfig{Spec: quickSpec, Tol: 1e-9})
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("Coordinate: %v, want %q…", err, tc.want)
+			}
+			if coord.starts != 0 {
+				t.Fatalf("%d start messages sent after a disagreeing ready", coord.starts)
+			}
+		})
 	}
 }
 

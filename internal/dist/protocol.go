@@ -18,9 +18,11 @@ import (
 // Shard lifecycle, as seen by a worker:
 //
 //	assign  → build the spec's problem, factorise the owned subdomains
-//	ready   ← all owned parts factorised
+//	ready   ← all owned parts factorised; carries the problem's dimension
+//	          and twin links, which the coordinator does not tear itself
 //	start   → announce initial waves; enter the solve loop
-//	status  ⇄ report per-part convergence state + recovery sequence numbers
+//	status  ⇄ report per-part convergence state + recovery sequence numbers;
+//	          the reply echoes the poll's round number
 //	stop    → leave the solve loop
 //	result  ← owner fragments of X
 //
@@ -53,8 +55,12 @@ const (
 )
 
 type ctrlMsg struct {
-	Type     string        `json:"type"`
+	Type string `json:"type"`
+	// Round numbers a status? poll; the status answering it echoes the
+	// number, so the coordinator counts a reply only in the round that asked.
+	Round    int           `json:"round,omitempty"`
 	Assign   *assignMsg    `json:"assign,omitempty"`
+	Ready    *readyMsg     `json:"ready,omitempty"`
 	Status   *statusMsg    `json:"status,omitempty"`
 	Result   *resultMsg    `json:"result,omitempty"`
 	HB       *heartbeatMsg `json:"hb,omitempty"`
@@ -86,6 +92,16 @@ type assignMsg struct {
 	// Epoch is the ownership epoch this map was derived under; wave packets
 	// carry it and receivers fence mismatches.
 	Epoch uint32 `json:"epoch"`
+}
+
+// readyMsg is what the coordinator needs of the torn problem and no longer
+// tears to learn: the dimension of X for the gather, and per twin link, in
+// link-ID order, the [PartA, PortA, PartB, PortB] quadruple core.Quiescent
+// reads. Every worker sends its own, so the coordinator also checks that they
+// all tore the same problem.
+type readyMsg struct {
+	Dim   int        `json:"dim"`
+	Links [][4]int32 `json:"links"`
 }
 
 // partSnap is the boundary-state snapshot of one part: the latest incoming

@@ -10,14 +10,16 @@
 // connections cost time, never correctness (Theorem 6.1
 // self-stabilisation). And because the tearing is deterministic —
 // partitioning, impedance assignment and local factorisation depend only on
-// the SpecV2 — workers do not ship matrices: every member re-tears the
+// the SpecV2 — workers do not ship matrices: every worker re-tears the
 // same problem locally and builds exactly the subdomains the in-process
 // engines would, so the wire carries only waves and small control messages.
 //
-// Roles: one coordinator (Coordinate) assigns a contiguous range of
-// subdomains to each worker (Worker.Run), polls statuses until the
-// distributed stopping rule (core.Quiescent) holds, stable across consecutive
-// polls, then gathers the owner fragments of X.
+// Roles: one coordinator (Coordinate) validates the spec without tearing it,
+// assigns a contiguous range of subdomains to each worker (Worker.Run), takes
+// the problem's dimension and twin links from the workers' ready replies
+// (refusing a worker whose tear differs), polls statuses until the
+// distributed stopping rule (core.Quiescent) holds on consecutive rounds,
+// then gathers the owner fragments of X.
 package dist
 
 import (
@@ -114,32 +116,64 @@ func (s *SpecV2) delayOrDefault() float64 {
 // else — irregular sources, or an explicit NParts — goes through the general
 // level-set + EVS pipeline.
 func (s *SpecV2) Build() (*core.Problem, error) {
-	if s.Source == "" {
-		return nil, errNoSource
-	}
-	src, err := sparse.ParseSource(s.Source)
+	src, topo, err := s.resolve()
 	if err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
+		return nil, err
 	}
 	sys, hint, err := src.Build()
 	if err != nil {
-		return nil, fmt.Errorf("dist: building source %q: %w", s.Source, err)
-	}
-	n := s.Parts()
-	if n < 1 {
-		return nil, fmt.Errorf("dist: spec tears into %d parts (set nparts or partsX/partsY): %+v", n, *s)
-	}
-	topo, err := topology.ParseTopology(s.Topology, n, s.delayOrDefault())
-	if err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
-	}
-	if topo.N() < n {
-		return nil, fmt.Errorf("dist: topology %s has %d processors, spec needs %d", topo.Name(), topo.N(), n)
+		return nil, s.sourceError(err)
 	}
 	if hint.Grid && s.NParts == 0 && s.PartsX > 0 && s.PartsY > 0 {
 		return core.GridProblem(sys, hint.NX, hint.NY, s.PartsX, s.PartsY, topo)
 	}
-	return core.AutoProblem(sys, n, topo)
+	return core.AutoProblem(sys, s.Parts(), topo)
+}
+
+// Validate checks what can be checked without tearing: the source parses, an
+// mm: file hashes to its pin, the spec tears into at least one part and the
+// topology has a processor for each. The coordinator runs it instead of
+// Build. A spec it accepts can still fail to tear (more parts than unknowns);
+// the workers that tear it report that.
+func (s *SpecV2) Validate() error {
+	src, _, err := s.resolve()
+	if err != nil {
+		return err
+	}
+	if mm, ok := src.(sparse.MMSource); ok {
+		if err := mm.Verify(); err != nil {
+			return s.sourceError(err)
+		}
+	}
+	return nil
+}
+
+// resolve runs the checks Build and Validate share and returns the parsed
+// source and the resolved topology.
+func (s *SpecV2) resolve() (sparse.Source, *topology.Topology, error) {
+	if s.Source == "" {
+		return nil, nil, errNoSource
+	}
+	src, err := sparse.ParseSource(s.Source)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dist: %w", err)
+	}
+	n := s.Parts()
+	if n < 1 {
+		return nil, nil, fmt.Errorf("dist: spec tears into %d parts (set nparts or partsX/partsY): %+v", n, *s)
+	}
+	topo, err := topology.ParseTopology(s.Topology, n, s.delayOrDefault())
+	if err != nil {
+		return nil, nil, fmt.Errorf("dist: %w", err)
+	}
+	if topo.N() < n {
+		return nil, nil, fmt.Errorf("dist: topology %s has %d processors, spec needs %d", topo.Name(), topo.N(), n)
+	}
+	return src, topo, nil
+}
+
+func (s *SpecV2) sourceError(err error) error {
+	return fmt.Errorf("dist: building source %q: %w", s.Source, err)
 }
 
 // Oracle solves the spec's problem on the in-process DES engine — the

@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sparse"
@@ -36,9 +38,9 @@ func TestLegacySpecJSONDecodes(t *testing.T) {
 }
 
 // TestLegacySpecRefused: a spec without a problem source must be refused —
-// by Build, by the coordinator before it touches the transport, and by a
-// worker at assign time — rather than torn into something the rest of the
-// fleet did not tear.
+// by Build, by the coordinator's Validate before it touches the transport,
+// and by a worker at assign time — rather than torn into something the rest
+// of the fleet did not tear.
 func TestLegacySpecRefused(t *testing.T) {
 	var s SpecV2
 	if err := json.Unmarshal([]byte(legacySpecJSON), &s); err != nil {
@@ -187,7 +189,8 @@ func TestSpannerSpecAutoTearing(t *testing.T) {
 
 // TestMMSpecHashMismatchRefused: a worker (or coordinator) whose mm: file
 // does not hash to the pinned value must refuse the assignment with the
-// typed sparse error, surfaced through both Build and Coordinate.
+// typed sparse error, surfaced through both Build (the workers) and
+// Validate (the coordinator).
 func TestMMSpecHashMismatchRefused(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sys.mtx")
@@ -219,8 +222,9 @@ func TestMMSpecHashMismatchRefused(t *testing.T) {
 		t.Fatalf("Build err = %v, want *HashMismatchError", err)
 	}
 
-	// Coordinate builds the spec before touching the transport, so the
-	// refusal is a coordinator-side fast-fail with the same typed error.
+	// Coordinate validates the spec, hashing the file, before touching the
+	// transport, so the refusal is a coordinator-side fast-fail with the same
+	// typed error.
 	_, err = Coordinate(context.Background(), nil, CoordConfig{
 		Spec: bad, Workers: []int{1, 2}, Tol: 1e-6,
 	})
@@ -231,8 +235,9 @@ func TestMMSpecHashMismatchRefused(t *testing.T) {
 
 // TestSpecBuildRejectsOversizedTearing: a spec asking for more parts than the
 // system has unknowns (along either side, for a block tearing) is an error
-// naming both numbers, not a partitioner panic — Build runs on every member on
-// a spec that arrived over the wire.
+// naming both numbers, not a partitioner panic — Build runs on every worker on
+// a spec that arrived over the wire. Validate cannot see it without tearing,
+// so in a session the error reaches Coordinate from a worker.
 func TestSpecBuildRejectsOversizedTearing(t *testing.T) {
 	for _, s := range []SpecV2{
 		{V: 2, Source: "tridiag:n=5", NParts: 9},
@@ -250,10 +255,41 @@ func TestSpecBuildRejectsOversizedTearing(t *testing.T) {
 				t.Errorf("%+v: error %q does not mention %q", s, err, want)
 			}
 		}
+
+		f := NewFleet(chanFabric(t, 3), nil)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		_, err = f.Coordinate(ctx, CoordConfig{Spec: s, Tol: 1e-9})
+		cancel()
+		f.Close()
+		if err == nil || !strings.Contains(err.Error(), "dist: worker") || !strings.Contains(err.Error(), "unknowns") {
+			t.Errorf("%+v: Coordinate err = %v, want a worker's error naming the unknowns", s, err)
+		}
 	}
 	// The largest request that fits still builds.
 	if _, err := (&SpecV2{V: 2, Source: "grid:rows=3,cols=5,seed=1", PartsX: 3, PartsY: 5}).Build(); err != nil {
 		t.Errorf("3x5 parts of a 3x5 grid: %v", err)
+	}
+}
+
+// TestCoordinatorDoesNotTear: the coordinator validates the spec and leaves
+// the tearing to the workers. With no worker serving, a session on a spanner
+// of 10⁵ points, one Build of which allocates ≈ 150 MB, runs into the ready
+// deadline having allocated under 1 MB (≈ 47 kB).
+func TestCoordinatorDoesNotTear(t *testing.T) {
+	members := chanFabric(t, 2)
+	spec := SpecV2{V: 2, Source: "spanner:n=100000,k=6,seed=1", NParts: 4}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Coordinate(ctx, members[0], CoordConfig{Spec: spec, Workers: []int{1}, Tol: 1e-9})
+	runtime.ReadMemStats(&after)
+	var wl *WorkerLostError
+	if !errors.As(err, &wl) || wl.Worker != 1 || wl.Phase != "ready" {
+		t.Fatalf("Coordinate err = %v, want worker 1 lost at ready", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("the coordinator allocated %d bytes: it tore the spec", d)
 	}
 }
 

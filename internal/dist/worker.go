@@ -158,7 +158,7 @@ func (w *Worker) session(ctx context.Context, coord int, a *assignMsg, re *reass
 		s.started = true
 		s.shard.Wake()
 		s.sendHeartbeat()
-	} else if err := sendCtrlRetry(ctx, w.tr, coord, &ctrlMsg{Type: msgReady}); err != nil {
+	} else if err := sendCtrlRetry(ctx, w.tr, coord, &ctrlMsg{Type: msgReady, Ready: s.ready()}); err != nil {
 		return err
 	}
 	return s.run()
@@ -245,6 +245,15 @@ func (s *workerSession) own(owner []int, snaps []partSnap) error {
 func (s *workerSession) send(to int, pkt transport.Packet) {
 	pkt.Inc = s.w.Incarnation
 	_ = s.w.tr.Send(s.ctx, to, pkt)
+}
+
+// ready reports the torn problem's shape: its dimension and twin links.
+func (s *workerSession) ready() *readyMsg {
+	links := make([][4]int32, len(s.p.Partition.Links))
+	for i, l := range s.p.Partition.Links {
+		links[i] = [4]int32{int32(l.PartA), int32(l.PortA), int32(l.PartB), int32(l.PortB)}
+	}
+	return &readyMsg{Dim: s.p.System.Dim(), Links: links}
 }
 
 // status assembles the poll reply: the shard's state, stamped with the epoch
@@ -376,7 +385,7 @@ func (s *workerSession) handle(pkt *transport.Packet) (bool, error) {
 		s.started = true
 		s.shard.Wake()
 	case msgStatusRq:
-		_ = sendCtrl(s.ctx, s.w.tr, int(pkt.From), &ctrlMsg{Type: msgStatus, Status: s.status()})
+		_ = sendCtrl(s.ctx, s.w.tr, int(pkt.From), &ctrlMsg{Type: msgStatus, Round: m.Round, Status: s.status()})
 	case msgReassign:
 		if m.Reassign == nil {
 			s.w.badCtrl.Add(1)

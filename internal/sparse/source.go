@@ -327,14 +327,30 @@ func parseMM(params string) (Source, error) {
 // String implements Source.
 func (s MMSource) String() string { return fmt.Sprintf("mm:%s@%016x", s.Path, s.Hash) }
 
-// Build implements Source.
-func (s MMSource) Build() (System, Hint, error) {
+// Verify checks, without parsing, that the file hashes to the pinned value:
+// a *HashMismatchError when it does not. Build runs the same check first.
+func (s MMSource) Verify() error {
+	_, err := s.read()
+	return err
+}
+
+// read returns the file's content once it has checked it against the pin.
+func (s MMSource) read() ([]byte, error) {
 	data, err := os.ReadFile(s.Path)
 	if err != nil {
-		return System{}, Hint{}, fmt.Errorf("sparse: mm source: %w", err)
+		return nil, fmt.Errorf("sparse: mm source: %w", err)
 	}
 	if got := fnv64(data); got != s.Hash {
-		return System{}, Hint{}, &HashMismatchError{Path: s.Path, Want: s.Hash, Got: got}
+		return nil, &HashMismatchError{Path: s.Path, Want: s.Hash, Got: got}
+	}
+	return data, nil
+}
+
+// Build implements Source.
+func (s MMSource) Build() (System, Hint, error) {
+	data, err := s.read()
+	if err != nil {
+		return System{}, Hint{}, err
 	}
 	m, err := ReadMatrix(strings.NewReader(string(data)))
 	if err != nil {
