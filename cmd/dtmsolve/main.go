@@ -39,7 +39,6 @@ import (
 
 type options struct {
 	source      string
-	seed        int64
 	matrix      string
 	rhs         string
 	method      string
@@ -50,7 +49,6 @@ type options struct {
 	maxIter     int
 	tol         float64
 	ordering    string
-	nrhs        int
 	// fs is what -localsolver and -ordering add up to; every factorisation of
 	// the run goes through it.
 	fs      factor.Settings
@@ -62,7 +60,6 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.source, "source", "", fmt.Sprintf("problem-source string (%v; e.g. \"poisson:nx=33,ny=33\", \"spanner:n=289,k=6\" or \"mm:A.mtx@<hash>\"); alternative to -matrix", sparse.RegisteredSources()))
-	flag.Int64Var(&o.seed, "seed", 1, "random seed of the extra right-hand sides -nrhs generates")
 	flag.StringVar(&o.matrix, "matrix", "", "matrix file (MatrixMarket .mtx)")
 	flag.StringVar(&o.rhs, "rhs", "", "right-hand-side file (MatrixMarket array or coordinate)")
 	flag.StringVar(&o.method, "method", "dtm", "solver: dtm, vtm, mixed, live, direct, cg, pcg, jacobi, gauss-seidel, sor, block-jacobi, async-jacobi")
@@ -74,7 +71,6 @@ func main() {
 	flag.Float64Var(&o.tol, "tol", 1e-8, "stopping tolerance")
 	flag.StringVar(&o.fs.Backend, "localsolver", "", fmt.Sprintf("local-factorisation backend for the block/subdomain solvers: one of %v (default %q)", factor.Backends(), factor.Auto))
 	flag.StringVar(&o.ordering, "ordering", "", "fill-reducing ordering the sparse backends use: natural, rcm, amd, nd or auto (default: auto — nd/rcm for grid stencils by size, amd for irregular patterns)")
-	flag.IntVar(&o.nrhs, "nrhs", 1, "number of right-hand sides for -method direct: the loaded/default RHS plus generated extras, solved as one batched panel by sparse-supernodal and one after another by the other backends (-rhs stays the RHS-file flag)")
 	flag.BoolVar(&o.printX, "print-x", false, "print the solution vector")
 	flag.StringVar(&o.faults, "faults", "", `fault-injection spec for dtm/mixed/live, e.g. "seed=7,drop=0.05,dup=0.01,jitter=0.5,down=2>3@100:400,crash=5@400+300,snap=100" (see internal/chaos)`)
 	flag.DurationVar(&o.timeout, "timeout", 0, "wall-clock deadline; for -method live this is the run's wall-time budget (default 3s), for the others a hard cap on the whole solve")
@@ -90,14 +86,6 @@ func main() {
 	}
 	if err := o.fs.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "dtmsolve: %v\n", err)
-		os.Exit(2)
-	}
-	if o.nrhs < 1 {
-		fmt.Fprintln(os.Stderr, "dtmsolve: -nrhs must be at least 1")
-		os.Exit(2)
-	}
-	if o.nrhs > 1 && o.method != "direct" {
-		fmt.Fprintf(os.Stderr, "dtmsolve: -nrhs applies to -method direct, not %q\n", o.method)
 		os.Exit(2)
 	}
 	if err := run(o); err != nil {
@@ -336,37 +324,7 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		var x sparse.Vec
-		var batchNote string
-		if o.nrhs > 1 {
-			// The loaded (or default) right-hand side rides first; the extras
-			// are generated. A supernodal factor sweeps all of them as one
-			// batched panel — the factor-once/solve-many service shape; any
-			// other backend solves them one after another.
-			B := make([]sparse.Vec, o.nrhs)
-			X := make([]sparse.Vec, o.nrhs)
-			B[0] = sys.B
-			for r := 1; r < o.nrhs; r++ {
-				B[r] = sparse.RandomVec(sys.Dim(), o.seed+int64(r))
-			}
-			for r := range X {
-				X[r] = sparse.NewVec(sys.Dim())
-			}
-			t0 := time.Now()
-			factor.SolveBatch(s, X, B)
-			dt := time.Since(t0)
-			worst := 0.0
-			for r := range X {
-				if rel := sys.A.Residual(X[r], B[r]).Norm2() / B[r].Norm2(); rel > worst {
-					worst = rel
-				}
-			}
-			batchNote = fmt.Sprintf(", %d right-hand sides in %v (%.0f solves/s, worst relative residual %.3g)",
-				o.nrhs, dt.Round(time.Microsecond), float64(o.nrhs)/dt.Seconds(), worst)
-			x = X[0]
-		} else {
-			x = factor.Solve(s, sys.B)
-		}
+		x := factor.Solve(s, sys.B)
 		summary := fmt.Sprintf("backend=%s", s.Backend())
 		switch f := s.(type) {
 		case *factor.Cholesky:
@@ -376,7 +334,7 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 			summary += fmt.Sprintf(" (%s mode, %s ordering, %d supernodes, nnz(L)=%d, inertia %d+/%d-/%d0)",
 				f.Mode(), f.Ordering(), f.Supernodes(), f.NNZL(), pos, neg, zero)
 		}
-		return x, summary + batchNote, nil
+		return x, summary, nil
 	case "cg":
 		x, st, err := iterative.CG(sys.A, sys.B, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol})
 		return x, iterSummary(st), err

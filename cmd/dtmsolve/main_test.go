@@ -17,9 +17,9 @@ import (
 
 func testOptions(method string, fs factor.Settings) options {
 	return options{
-		source: "poisson:nx=12,ny=12", seed: 1,
+		source: "poisson:nx=12,ny=12",
 		method: method, parts: 4, topo: "uniform", partitioner: "levelset",
-		maxTime: 1e6, maxIter: 5000, tol: 1e-9, nrhs: 1,
+		maxTime: 1e6, maxIter: 5000, tol: 1e-9,
 		fs: fs,
 	}
 }

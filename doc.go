@@ -23,13 +23,12 @@
 //     plus the auto policy every subdomain and block solver uses, whose
 //     one fallback chain sends a sparse block that is not positive definite
 //     to the supernodal LDLᵀ and a block singular under diagonal pivots to
-//     dense LU. Solves are built for factor-once/solve-many: the supernodal
-//     backend sweeps k right-hand sides as one batched panel (SolveBatchTo,
-//     byte-identical per RHS to k scalar sweeps, through the packed rank-k
-//     kernels — an AVX microkernel on amd64), and every factor answers
-//     concurrent SolveTo calls. Backend and ordering travel together as one
-//     factor.Settings value — nothing about a factorisation is
-//     process-global;
+//     dense LU. Solves are built for factor-once/solve-many: every factor
+//     answers concurrent SolveTo calls, one right-hand side each, without
+//     allocating, and the supernodal factorisation's rank-k updates run
+//     through packed kernels (an AVX microkernel on amd64). Backend and
+//     ordering travel together as one factor.Settings value — nothing about
+//     a factorisation is process-global;
 //   - internal/geom — the planar Yao-graph construction (cone picks,
 //     symmetrisation, connectivity patching) the "spanner:" source and the
 //     "yao:" fabric share;

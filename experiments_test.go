@@ -20,8 +20,8 @@ var update = flag.Bool("update", false, "rewrite testdata/quick/*.golden from th
 
 // pureQuick names the experiments whose -quick output is a pure function of
 // the code: everything on the deterministic virtual-time engines. The other
-// four print wall times (scale-sparse, solve-throughput) or run on real
-// goroutines and sockets (compare-distributed, failover-sweep).
+// three print wall times (scale-sparse) or run on real goroutines and sockets
+// (compare-distributed, failover-sweep).
 var pureQuick = map[string]bool{
 	"fig8": true, "fig9": true, "fig11": true, "fig12": true, "fig13": true, "fig14": true,
 	"compare-vtm": true, "compare-async-jacobi": true,

@@ -45,7 +45,7 @@ type Experiment struct {
 }
 
 // Registry lists every experiment in cmd/dtmbench -list order: the paper's
-// figures, then E1–E11 of DESIGN.md.
+// figures, then E1–E11 of DESIGN.md (E8 is retired).
 func Registry() []Experiment {
 	return []Experiment{
 		{"fig8", sized(fig8Params, Fig8)},
@@ -61,7 +61,6 @@ func Registry() []Experiment {
 		{"ablation-mixed", sized(compareParams, AblationMixedSync)},
 		{"scale-sparse", sized(scaleSparseParams, ScaleSparse)},
 		{"fault-sweep", sized(faultSweepParams, FaultSweep, FaultSweepResult.missed)},
-		{"solve-throughput", sized(solveThroughputParams, SolveThroughput)},
 		{"compare-distributed", sized(compareDistributedParams, CompareDistributed, (*DistributedResult).missed)},
 		{"failover-sweep", sized(failoverSweepParams, FailoverSweep, (*DistributedResult).missed)},
 		{"spanner-fabric", sized(spannerFabricParams, SpannerFabric, (*SpannerFabricResult).missed)},

@@ -22,14 +22,14 @@ func find(t *testing.T, name string) Experiment {
 	return Experiment{}
 }
 
-// TestRegistryAndNamesAgree pins the one registry: 17 runnable rows, unique
+// TestRegistryAndNamesAgree pins the one registry: 16 runnable rows, unique
 // names, in the order cmd/dtmbench -list has always printed them.
 func TestRegistryAndNamesAgree(t *testing.T) {
 	want := []string{
 		"fig8", "fig9", "fig11", "fig12", "fig13", "fig14",
 		"compare-vtm", "compare-async-jacobi",
 		"ablation-impedance", "ablation-delays", "ablation-mixed",
-		"scale-sparse", "fault-sweep", "solve-throughput",
+		"scale-sparse", "fault-sweep",
 		"compare-distributed", "failover-sweep", "spanner-fabric",
 	}
 	reg := Registry()
@@ -426,56 +426,6 @@ func TestSlowestRoundTrip(t *testing.T) {
 	topo.SetLinkPair(0, 1, 30, 70)
 	if got := slowestRoundTrip(topo); got != 100 {
 		t.Errorf("slowestRoundTrip = %g, want 100", got)
-	}
-}
-
-func TestSolveThroughputQuickStructure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("solve-throughput experiment skipped in -short mode")
-	}
-	// A reduced configuration: the structural claim (every concurrent client
-	// on the shared factor computes the sequential solve's bytes) holds at any
-	// size; the speedup numbers are what the full E8 run is for.
-	p := SolveThroughputParams{
-		GridSide:   64,
-		SaddleSide: 32,
-		Ks:         []int{1, 8, 16},
-		Conc:       []int{1, 2},
-		Repeats:    1,
-	}
-	res, err := SolveThroughput(p)
-	if err != nil {
-		t.Fatalf("SolveThroughput: %v", err)
-	}
-	if len(res.Systems) != 2 {
-		t.Fatalf("systems = %d, want 2", len(res.Systems))
-	}
-	for _, s := range res.Systems {
-		if len(s.Batch) != len(p.Ks) {
-			t.Fatalf("%s: batch rows = %d, want %d", s.Name, len(s.Batch), len(p.Ks))
-		}
-		for _, b := range s.Batch {
-			if b.ScalarMS <= 0 || b.BatchMS <= 0 {
-				t.Errorf("%s k=%d: non-positive timing (scalar %g, batch %g)", s.Name, b.K, b.ScalarMS, b.BatchMS)
-			}
-		}
-		for _, c := range s.Conc {
-			if !c.Agree {
-				t.Errorf("%s: %d concurrent clients on the shared factor diverged from the sequential solve", s.Name, c.Clients)
-			}
-			if c.PerSec <= 0 {
-				t.Errorf("%s: %d clients report %g solves/s", s.Name, c.Clients, c.PerSec)
-			}
-		}
-	}
-	var sb strings.Builder
-	if err := res.Render(&sb); err != nil {
-		t.Fatalf("Render: %v", err)
-	}
-	for _, want := range []string{"speedup", "bytes equal the sequential solve"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("rendered report lacks %q", want)
-		}
 	}
 }
 

@@ -71,74 +71,6 @@ func packPanels(dst, src []float64, ld, rowOff, rows, k int, scale []float64) {
 	}
 }
 
-// packPanelsT packs the transpose of a column-major block: packed element
-// (ip, kk) is src[ip*ld + colOff + kk] — row ip of the packed operand is
-// column ip of the source, read across columns colOff..colOff+k. Used by the
-// batched backward sweep, where the operand is L21ᵀ (k-major 4-row panels,
-// zero-padded like packPanels).
-func packPanelsT(dst, src []float64, ld, colOff, rows, k int) {
-	for ip := 0; ip < rows; ip += 4 {
-		base := ip * k
-		r := rows - ip
-		if r > 4 {
-			r = 4
-		}
-		s0 := src[ip*ld+colOff:]
-		var s1, s2, s3 []float64
-		if r > 1 {
-			s1 = src[(ip+1)*ld+colOff:]
-		}
-		if r > 2 {
-			s2 = src[(ip+2)*ld+colOff:]
-		}
-		if r > 3 {
-			s3 = src[(ip+3)*ld+colOff:]
-		}
-		for kk := 0; kk < k; kk++ {
-			d := dst[base+kk*4 : base+kk*4+4 : base+kk*4+4]
-			switch r {
-			case 4:
-				d[0], d[1], d[2], d[3] = s0[kk], s1[kk], s2[kk], s3[kk]
-			case 3:
-				d[0], d[1], d[2], d[3] = s0[kk], s1[kk], s2[kk], 0
-			case 2:
-				d[0], d[1], d[2], d[3] = s0[kk], s1[kk], 0, 0
-			default:
-				d[0], d[1], d[2], d[3] = s0[kk], 0, 0, 0
-			}
-		}
-	}
-}
-
-// packPanelsGather packs the transpose of scattered rows of the row-major
-// n×kp panel w: packed element (ip, kk) is w[rows[kk]*kp + ip] — the RHS
-// values of panel column ip at the gathered rows. Used by the batched
-// backward sweep, where the operand is Gᵀ (the ancestor rows of the working
-// panel).
-func packPanelsGather(dst, w []float64, kp int, rows []int32, k int) {
-	for ip := 0; ip < kp; ip += 4 {
-		base := ip * k
-		r := kp - ip
-		if r > 4 {
-			r = 4
-		}
-		for kk := 0; kk < k; kk++ {
-			s := w[int(rows[kk])*kp+ip:]
-			d := dst[base+kk*4 : base+kk*4+4 : base+kk*4+4]
-			switch r {
-			case 4:
-				d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
-			case 3:
-				d[0], d[1], d[2], d[3] = s[0], s[1], s[2], 0
-			case 2:
-				d[0], d[1], d[2], d[3] = s[0], s[1], 0, 0
-			default:
-				d[0], d[1], d[2], d[3] = s[0], 0, 0, 0
-			}
-		}
-	}
-}
-
 // gemmPacked computes C = A·Bᵀ from packed operands: ap holds ⌈m/4⌉ and bp
 // ⌈q/4⌉ k-major 4-wide panels; C is written column-major with leading
 // dimension ldc (a multiple of 4 at least ⌈m/4⌉·4, so full 4×4 tiles always

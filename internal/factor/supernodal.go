@@ -112,14 +112,10 @@ type Supernodal struct {
 
 	d []float64 // ModeLDLT: the signed pivots in permuted order
 
-	maxLd int // longest panel (solve scratch sizing)
-
 	// scratch pools per-call solve buffers (*snSolveScratch), so SolveTo is
 	// reentrant: concurrent solves on one factor — the factor-once/solve-many
-	// pattern of the DTM subdomains — share nothing mutable. bscratch holds the
-	// batched-solve panels (*snBatchScratch), acquired once per batch.
-	scratch  sync.Pool
-	bscratch sync.Pool
+	// pattern of the DTM subdomains — share nothing mutable.
+	scratch sync.Pool
 
 	// Stats from the symbolic phase.
 	nnzStored int     // stored trapezoid entries (incl. amalgamation zeros)
@@ -164,11 +160,9 @@ func NewSupernodal(a *sparse.CSR, order Ordering, mode SupernodalMode) (*Superno
 			maxLd = ld
 		}
 	}
-	s.maxLd = maxLd
 	s.scratch.New = func() any {
 		return &snSolveScratch{w: sparse.NewVec(n), g: make([]float64, maxLd)}
 	}
-	s.bscratch.New = func() any { return new(snBatchScratch) }
 
 	if err := s.factorAll(c, sym); err != nil {
 		return nil, err
@@ -653,9 +647,11 @@ func (s *Supernodal) Solve(b sparse.Vec) sparse.Vec {
 // SolveTo solves A·x = b into x using the precomputed factor, on the calling
 // goroutine: permute, supernodal forward substitution (dense triangular solve
 // per diagonal block, gathered rectangular updates), the D⁻¹ scaling in LDLᵀ
-// mode, supernodal backward substitution, permute back. The batched panel
-// solve is byte-identical to it. x may alias b. SolveTo is reentrant — all
-// scratch is per call — so one factor may serve concurrent solves.
+// mode, supernodal backward substitution, permute back. Its floating-point
+// order is pinned: TestSupernodalDeterministicAcrossGOMAXPROCS's hashes and
+// the bigblock-grid65 benchmark counters move on any last-bit change. x may
+// alias b. SolveTo is reentrant — all scratch is per call — so one factor may
+// serve concurrent solves.
 func (s *Supernodal) SolveTo(x, b sparse.Vec) {
 	n := s.n
 	if len(b) != n || len(x) != n {
@@ -729,8 +725,8 @@ func (s *Supernodal) SolveTo(x, b sparse.Vec) {
 // on the permuted working vector w: gather the ancestor rows into g, subtract
 // each column's pre-summed rectangular contribution, then the dense
 // (unit-)upper solve on the diagonal block. The rectangular contribution is
-// pre-summed per column (ascending row order) so the batched panel solve's
-// rank-k kernel reproduces it bit for bit.
+// pre-summed per column in ascending row order; that order is part of the
+// pinned solve bytes (see SolveTo).
 func (s *Supernodal) backwardSupernode(sn int, w sparse.Vec, g []float64) {
 	f := int(s.sfirst[sn])
 	width := int(s.sfirst[sn+1]) - f

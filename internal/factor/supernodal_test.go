@@ -202,6 +202,54 @@ func TestSupernodalRunToRunDeterminism(t *testing.T) {
 	}
 }
 
+// TestSupernodalSolveToDoesNotAllocate pins the pooled per-call scratch: after
+// a warm-up solve, SolveTo must run allocation-free.
+func TestSupernodalSolveToDoesNotAllocate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is noisy under -short races")
+	}
+	grid := sparse.Poisson2D(24, 24, 0.05)
+	s, err := NewSupernodal(grid.A, OrderAuto, ModeCholesky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sparse.RandomVec(s.Dim(), 1)
+	x := sparse.NewVec(s.Dim())
+	s.SolveTo(x, b) // warm the pool
+	avg := testing.AllocsPerRun(20, func() {
+		s.SolveTo(x, b)
+	})
+	// A GC between runs may clear the pool once; anything beyond that means
+	// the scratch is acquired somewhere other than the pool.
+	if avg > 2 {
+		t.Fatalf("SolveTo allocates %.1f allocs/op; pool reuse regressed", avg)
+	}
+
+	// The same on a large factor (128² ND, nnz(L) 413 403) with processors to
+	// spare: SolveTo sweeps on the calling goroutine whatever GOMAXPROCS says;
+	// a solve that fanned out over the elimination tree would allocate per
+	// goroutine. Counted from MemStats because AllocsPerRun pins GOMAXPROCS
+	// to 1 while it measures.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	big := sparse.Poisson2D(128, 128, 0.05)
+	s, err = NewSupernodal(big.A, OrderND, ModeCholesky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x = sparse.NewVec(s.Dim())
+	s.SolveTo(x, big.B)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		s.SolveTo(x, big.B)
+	}
+	runtime.ReadMemStats(&after)
+	if avg := float64(after.Mallocs-before.Mallocs) / runs; avg > 2 {
+		t.Fatalf("SolveTo on the 128² ND factor at GOMAXPROCS=4 allocates %.1f allocs/op", avg)
+	}
+}
+
 // TestSupernodePartitionProperties checks the structural invariants of the
 // supernode partition the ISSUE names: supernodes cover the columns
 // contiguously, every supernode's row structure starts with its own columns

@@ -45,6 +45,7 @@ var reachKeep = map[string]string{
 
 	// Fixtures of tests in several packages.
 	"internal/sparse.Identity":        "the identity as an input of factor's, spectral's and sparse's tests",
+	"internal/sparse.RandomVec":       "seeded random right-hand sides in the tests of factor, sparse and dense",
 	"internal/dense.FromRows":         "literal matrices in the tests of dense and theory",
 	"internal/dense.Matrix.Mul":       "B·Bᵀ + n·I, the random SPD input of dense's factorisation property tests; QᵀQ = I in theory's",
 	"internal/dense.Matrix.Transpose": "B·Bᵀ + n·I, the random SPD input of dense's factorisation property tests; QᵀQ = I in theory's",
