@@ -187,21 +187,29 @@ func checkParts(o options, n int) error {
 	return nil
 }
 
-// assignment picks the graph partitioner requested on the command line.
-func assignment(o options, g *graph.Electric) (partition.Assignment, error) {
-	if err := checkParts(o, g.Order()); err != nil {
-		return partition.Assignment{}, err
+// assignment builds the system's graph and tears it with the partitioner
+// requested on the command line. DTM's methods and the block-Jacobi
+// baselines all tear here, so -method compares like for like.
+func assignment(o options, sys sparse.System) (*graph.Electric, partition.Assignment, error) {
+	var a partition.Assignment
+	g, err := graph.FromSystem(sys.A, sys.B)
+	if err == nil {
+		err = checkParts(o, g.Order())
+	}
+	if err != nil {
+		return nil, a, err
 	}
 	switch o.partitioner {
 	case "levelset":
-		return partition.LevelSetGrow(g, o.parts), nil
+		a = partition.LevelSetGrow(g, o.parts)
 	case "bisection":
-		return partition.RecursiveBisection(g, o.parts), nil
+		a = partition.RecursiveBisection(g, o.parts)
 	case "strips":
-		return partition.Strips(g.Order(), o.parts), nil
+		a = partition.Strips(g.Order(), o.parts)
 	default:
-		return partition.Assignment{}, fmt.Errorf("unknown partitioner %q", o.partitioner)
+		return nil, a, fmt.Errorf("unknown partitioner %q", o.partitioner)
 	}
+	return g, a, nil
 }
 
 func distributedProblem(o options, sys sparse.System) (*core.Problem, error) {
@@ -212,11 +220,7 @@ func distributedProblem(o options, sys sparse.System) (*core.Problem, error) {
 	if topo.N() < o.parts {
 		return nil, fmt.Errorf("topology %s has %d processors but %d parts were requested", topo.Name(), topo.N(), o.parts)
 	}
-	g, err := graph.FromSystem(sys.A, sys.B)
-	if err != nil {
-		return nil, err
-	}
-	assign, err := assignment(o, g)
+	g, assign, err := assignment(o, sys)
 	if err != nil {
 		return nil, err
 	}
@@ -355,10 +359,10 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		x, st, err := iterative.SOR(sys.A, sys.B, 1.5, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol})
 		return x, iterSummary(st), err
 	case "block-jacobi":
-		if err := checkParts(o, sys.Dim()); err != nil {
+		_, assign, err := assignment(o, sys)
+		if err != nil {
 			return nil, "", err
 		}
-		assign := partition.Strips(sys.Dim(), o.parts)
 		x, st, err := iterative.BlockJacobi(sys.A, sys.B, assign, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol, Factor: o.fs})
 		return x, iterSummary(st), err
 	case "async-jacobi":
@@ -366,10 +370,10 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		if err := checkParts(o, sys.Dim()); err != nil {
+		_, assign, err := assignment(o, sys)
+		if err != nil {
 			return nil, "", err
 		}
-		assign := partition.Strips(sys.Dim(), o.parts)
 		res, err := iterative.AsyncBlockJacobi(sys.A, sys.B, assign, topo, iterative.AsyncOptions{MaxTime: o.maxTime, Tol: o.tol, Factor: o.fs})
 		if err != nil {
 			return nil, "", err

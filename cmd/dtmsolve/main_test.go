@@ -77,6 +77,35 @@ func TestFactorSettingsReachEveryMethod(t *testing.T) {
 	}
 }
 
+// TestBlockBaselinesTearLikeDTM: block-jacobi and async-jacobi tear with
+// -partitioner, as the DTM methods do, so a comparison on the command line
+// is like for like. On a 12×12 Poisson grid the levelset and strips tears
+// differ, and so must the bytes each tear solves to.
+func TestBlockBaselinesTearLikeDTM(t *testing.T) {
+	for _, method := range []string{"block-jacobi", "async-jacobi"} {
+		xs := map[string]sparse.Vec{}
+		for _, partitioner := range []string{"levelset", "strips"} {
+			o := testOptions(method, factor.Settings{})
+			o.partitioner = partitioner
+			sys, err := loadSystem(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, summary, err := solve(o, sys)
+			if err != nil {
+				t.Fatalf("%s -partitioner %s: %v", method, partitioner, err)
+			}
+			if rel := sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2(); rel > 1e-6 {
+				t.Errorf("%s -partitioner %s: relative residual %g (%s)", method, partitioner, rel, summary)
+			}
+			xs[partitioner] = x
+		}
+		if slices.EqualFunc(xs["levelset"], xs["strips"], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Errorf("%s computed the same bytes under -partitioner levelset and strips", method)
+		}
+	}
+}
+
 // TestRunDrivesTheCommandBody drives the whole command body once and the
 // ways a run can fail to name its system.
 func TestRunDrivesTheCommandBody(t *testing.T) {

@@ -375,25 +375,25 @@ func TestQuiescentRules(t *testing.T) {
 
 // TestClassifyFilesStatusOnlyForItsRound: a status counts only in the round
 // that asked for it. One echoing round r−1 while round r is in flight was
-// produced before r began, and is not filed; one echoing r is.
+// produced before r began, and is not filed; one echoing r is, and completes
+// the round.
 func TestClassifyFilesStatusOnlyForItsRound(t *testing.T) {
-	now := time.Now()
-	c := &coordinator{epoch: 1, round: 5, statuses: map[int]*statusMsg{},
-		ms: newMembership([]int{1}, time.Second, quickSpec.Hash())}
-	c.ms.start(now)
+	now := time.Unix(1000, 0)
+	s := pollingState(t, now, 1)
+	s.round, s.statuses = 5, map[int]*statusMsg{}
 	status := func(round int) *ctrlMsg {
 		return &ctrlMsg{Type: msgStatus, Round: round, Status: &statusMsg{Epoch: 1}}
 	}
-	if err := c.classify(1, status(4), now); err != nil {
+	if _, err := s.Handle(now, 1, status(4)); err != nil {
 		t.Fatal(err)
 	}
-	if c.roundStates() != nil {
+	if s.statuses[1] != nil || s.res.Polls != 0 {
 		t.Fatal("a reply to round 4 was filed in round 5")
 	}
-	if err := c.classify(1, status(5), now); err != nil {
+	if _, err := s.Handle(now, 1, status(5)); err != nil {
 		t.Fatal(err)
 	}
-	if c.roundStates() == nil {
+	if s.res.Polls != 1 {
 		t.Fatal("the reply to round 5 was not filed")
 	}
 }

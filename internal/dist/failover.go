@@ -27,8 +27,8 @@ type WorkerLostError struct {
 	// Parts are the parts the worker owned (or was expected to serve) at
 	// the time of loss.
 	Parts []int
-	// Phase is the protocol phase the loss surfaced in ("assign", "ready",
-	// "poll", "result").
+	// Phase is the protocol phase the loss surfaced in: "assign", "ready",
+	// "start", "poll", "stop" or "result".
 	Phase string
 }
 

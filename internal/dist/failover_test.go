@@ -232,7 +232,10 @@ func TestCoordinatorStallDoesNotExpireLiveWorkers(t *testing.T) {
 // TestFleetCloseAfterKill: a fleet abandoned in the worst state — one worker
 // killed mid-session, the coordinator gone (its context cancelled) with the
 // survivors still solving — must still shut down: Close returns, and after it
-// every member refuses sends with the fabric's closed error.
+// every member refuses sends with the fabric's closed error. The cancelled
+// coordinator still stops and gathers, and reports the killed worker lost in
+// the result phase as soon as its lease lapses, not at the end of the 5 s
+// grace.
 func TestFleetCloseAfterKill(t *testing.T) {
 	for _, fab := range []struct {
 		name string
@@ -244,6 +247,7 @@ func TestFleetCloseAfterKill(t *testing.T) {
 			f := NewFleet(members, nil)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
+			start := time.Now()
 			_, err := f.Coordinate(ctx, CoordConfig{
 				Spec: quickSpec, Tol: 1e-9,
 				HeartbeatMS: 10, LeaseBeats: 4, PollInterval: 5 * time.Millisecond,
@@ -255,10 +259,12 @@ func TestFleetCloseAfterKill(t *testing.T) {
 					}
 				},
 			})
-			// The cancelled coordinator still stops and gathers (5 s of grace);
-			// the killed worker never answers.
-			if !errors.Is(err, ErrWorkerLost) {
-				t.Fatalf("coordinate: %v, want the killed worker reported lost", err)
+			var wl *WorkerLostError
+			if !errors.As(err, &wl) || wl.Worker != 3 || wl.Phase != "result" {
+				t.Fatalf("coordinate: %v, want worker 3 reported lost in the result phase", err)
+			}
+			if d := time.Since(start); d >= time.Second {
+				t.Fatalf("Coordinate took %v to report a lost result, want under 1 s", d)
 			}
 			closed := make(chan error, 1)
 			go func() { closed <- f.Close() }()
@@ -338,6 +344,32 @@ func TestWorkerLostReady(t *testing.T) {
 	if !errors.As(err, &wl) || wl.Worker != 1 || wl.Phase != "ready" {
 		t.Fatalf("expected ready-phase WorkerLostError, got %v", err)
 	}
+}
+
+// TestCoordinatorClosedDuringReady: the coordinator's own member closes
+// while it waits for ready. That is not a worker's loss: the error wraps
+// transport.ErrClosed.
+func TestCoordinatorClosedDuringReady(t *testing.T) {
+	members := chanFabric(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := Coordinate(ctx, closeOnRecv{members[0]}, CoordConfig{Spec: quickSpec, Workers: []int{1}, Tol: 1e-9})
+	if !errors.Is(err, transport.ErrClosed) || errors.Is(err, ErrWorkerLost) {
+		t.Fatalf("Coordinate: %v, want an error wrapping transport.ErrClosed", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("Coordinate ran into its deadline instead of returning on the closed member")
+	}
+}
+
+// closeOnRecv closes its member before every receive (closing again is
+// harmless). The coordinator first receives once its assigns are out, in the
+// ready phase.
+type closeOnRecv struct{ transport.Transport }
+
+func (c closeOnRecv) Recv(ctx context.Context) (transport.Packet, error) {
+	c.Close()
+	return c.Transport.Recv(ctx)
 }
 
 // TestWorkerLostStatus: the sole worker goes silent mid-solve; with no
