@@ -79,10 +79,10 @@ type PairSeq struct {
 
 // PartState is one owned part's convergence state.
 type PartState struct {
-	Part       int32     `json:"part"`
-	SolvedOnce bool      `json:"solvedOnce"`
-	LastChange float64   `json:"lastChange"` // largest port move of the last solve
-	Ports      []float64 `json:"ports"`
+	Part       int32                     `json:"part"`
+	SolvedOnce bool                      `json:"solvedOnce"`
+	LastChange float64                   `json:"lastChange"` // largest port move of the last solve
+	Ports      transport.Packed[float64] `json:"ports"`
 }
 
 // ShardState is a consistent snapshot of what the stopping rule needs from
@@ -376,7 +376,7 @@ func (s *Shard) State() ShardState {
 		p := s.parts[part]
 		st.Parts = append(st.Parts, PartState{
 			Part: part, SolvedOnce: p.solvedOnce, LastChange: p.lastChange,
-			Ports: slices.Clone(p.sub.x[:p.sub.numPorts]),
+			Ports: transport.Packed[float64](slices.Clone(p.sub.x[:p.sub.numPorts])),
 		})
 		for ai, remote := range p.sub.AdjacentParts() {
 			if s.owner[remote] == s.self {

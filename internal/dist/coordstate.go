@@ -296,8 +296,12 @@ func (s *coordState) agree(w int, m *ctrlMsg) error {
 	if r.Dim < int(nParts) {
 		return fmt.Errorf("dist: worker %d sent a problem of %d unknowns for %d parts", w, r.Dim, nParts)
 	}
-	links := make([]partition.TwinLink, len(r.Links))
-	for i, l := range r.Links {
+	if len(r.Links)%4 != 0 {
+		return fmt.Errorf("dist: worker %d sent %d twin-link values, not a whole number of quadruples", w, len(r.Links))
+	}
+	links := make([]partition.TwinLink, len(r.Links)/4)
+	for i := range links {
+		l := r.Links[4*i : 4*i+4]
 		if l[0] < 0 || l[0] >= nParts || l[2] < 0 || l[2] >= nParts || l[1] < 0 || l[3] < 0 {
 			return fmt.Errorf("dist: worker %d sent twin link %d as %v, outside its %d parts", w, i, l, nParts)
 		}

@@ -1,10 +1,16 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +20,7 @@ import (
 
 // simShape is the problem every simulated worker reports having torn: ten
 // unknowns over quickSpec's four parts, two ports a part.
-var simShape = readyMsg{Dim: 10, Links: [][4]int32{{0, 0, 1, 0}, {1, 1, 2, 0}, {2, 1, 3, 0}, {3, 1, 0, 1}}}
+var simShape = readyMsg{Dim: 10, Links: transport.Packed[int32]{0, 0, 1, 0, 1, 1, 2, 0, 2, 1, 3, 0, 3, 1, 0, 1}}
 
 // stateConfig is a normalised session of the given workers over quickSpec:
 // a 40 ms base lease, a 5 ms poll, two quiet rounds to stop.
@@ -403,6 +409,83 @@ func TestCoordStateProperties(t *testing.T) {
 	if done < 150 || failovers < 100 || rejoins < 50 || ended["lost in result"] == 0 {
 		t.Errorf("the schedules no longer reach what the invariants are about: %d done, ended early %v, %d failovers, %d rejoins",
 			done, ended, failovers, rejoins)
+	}
+}
+
+// TestHeartbeatNonFiniteSnapshot: a diverging part's incoming waves go NaN
+// and infinite. Its worker's heartbeat must still encode, renew the lease in
+// Handle and be retained bit for bit as the part's snapshot — a worker must
+// not look dead, and the run end in a loss, because of what it holds.
+func TestHeartbeatNonFiniteSnapshot(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s := pollingState(t, now, 1, 2) // worker 1 owns parts 0 and 1
+	net := transport.NewChanNetwork(2)
+	defer net[0].Close()
+	defer net[1].Close()
+	incoming := []float64{math.NaN(), math.Inf(1), math.Float64frombits(0x7ff0000000000bad), -1.5}
+	hb := &ctrlMsg{Type: msgHeartbeat, HB: &heartbeatMsg{Inc: 1, Epoch: 1, Snaps: []partSnap{{Part: 0, Incoming: incoming}}}}
+	ctx := context.Background()
+	if err := sendCtrl(ctx, net[1], 0, hb); err != nil {
+		t.Fatalf("a heartbeat holding NaN and +Inf does not send: %v", err)
+	}
+	pkt, err := net[0].Recv(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := decodeCtrl(&pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	later := now.Add(time.Millisecond)
+	if _, err := s.Handle(later, 1, m); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ms.members[1].lastBeat; !got.Equal(later) {
+		t.Fatalf("lease last renewed at %v, want the heartbeat's %v", got, later)
+	}
+	snap := s.snaps[0]
+	if len(snap) != len(incoming) {
+		t.Fatalf("snapshot of part 0 has %d values, want %d", len(snap), len(incoming))
+	}
+	for i := range incoming {
+		if math.Float64bits(snap[i]) != math.Float64bits(incoming[i]) {
+			t.Fatalf("snapshot value %d is %x, want %x", i, math.Float64bits(snap[i]), math.Float64bits(incoming[i]))
+		}
+	}
+}
+
+// TestFuzzCoordHandleSeedsDecode: FuzzCoordHandle's seeds are frames of the
+// current protocol — every one but those named binary-* or truncated-*
+// decodes — so none turns silently into garbage when a field's encoding
+// changes, and each still reaches the check it is named for.
+func TestFuzzCoordHandleSeedsDecode(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzCoordHandle")
+	seeds, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range seeds {
+		b, err := os.ReadFile(filepath.Join(dir, seed.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+		arg, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+		if !ok || !strings.HasSuffix(arg, ")") {
+			t.Fatalf("seed %s: last line is not a []byte value", seed.Name())
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(arg, ")"))
+		if err != nil {
+			t.Fatalf("seed %s: %v", seed.Name(), err)
+		}
+		_, err = decodeCtrl(&transport.Packet{Kind: transport.KindControl, Ctrl: []byte(data)})
+		garbage := strings.HasPrefix(seed.Name(), "binary-") || strings.HasPrefix(seed.Name(), "truncated-")
+		if garbage && err == nil {
+			t.Errorf("seed %s decodes", seed.Name())
+		}
+		if !garbage && err != nil {
+			t.Errorf("seed %s does not decode: %v", seed.Name(), err)
+		}
 	}
 }
 

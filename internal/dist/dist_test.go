@@ -525,7 +525,7 @@ func TestCoordinatorRefusesDisagreeingTears(t *testing.T) {
 		alter func(*readyMsg)
 		want  string
 	}{
-		{"links", func(r *readyMsg) { r.Links[len(r.Links)/2][3]++ }, differs},
+		{"links", func(r *readyMsg) { r.Links[len(r.Links)/8*4+3]++ }, differs}, // the middle link's PortB
 		{"dim", func(r *readyMsg) { r.Dim++ }, differs},
 		{"negative-dim", func(r *readyMsg) { r.Dim = -1 }, "dist: worker 2 sent a problem of -1 unknowns"},
 	} {

@@ -11,9 +11,15 @@ import (
 	"repro/internal/transport"
 )
 
-// Control-plane protocol. Control messages ride transport.Packet.Ctrl as
-// JSON — they are rare (assignment, polling, teardown) so schema clarity
-// beats byte-shaving; the hot path (waves) stays binary.
+// Control-plane protocol. Control messages ride transport.Packet.Ctrl as a
+// JSON envelope: field names, scalars and everything sized by the part count
+// (owner maps, pair frontiers) are plain JSON, and every slice whose length
+// grows with the problem — port potentials, boundary snapshots, the result's
+// owner fragment, the twin links — is a transport.Packed string of
+// little-endian bytes. The coordinator decodes a status per worker per poll
+// round and a result per worker on its critical path; as decimal JSON those
+// cost it 2–4× the decode time and half again the bytes (BenchmarkCtrlCodec).
+// The waves themselves are binary frames.
 //
 // Shard lifecycle, as seen by a worker:
 //
@@ -96,12 +102,12 @@ type assignMsg struct {
 
 // readyMsg is what the coordinator needs of the torn problem and no longer
 // tears to learn: the dimension of X for the gather, and per twin link, in
-// link-ID order, the [PartA, PortA, PartB, PortB] quadruple core.Quiescent
-// reads. Every worker sends its own, so the coordinator also checks that they
-// all tore the same problem.
+// link-ID order, the PartA, PortA, PartB, PortB quadruple core.Quiescent
+// reads, flattened (4·L values). Every worker sends its own, so the
+// coordinator also checks that they all tore the same problem.
 type readyMsg struct {
-	Dim   int        `json:"dim"`
-	Links [][4]int32 `json:"links"`
+	Dim   int                     `json:"dim"`
+	Links transport.Packed[int32] `json:"links"`
 }
 
 // partSnap is the boundary-state snapshot of one part: the latest incoming
@@ -110,8 +116,8 @@ type readyMsg struct {
 // constant local system and its incoming waves — and it is small: boundary
 // ports only, never interior unknowns.
 type partSnap struct {
-	Part     int32     `json:"part"`
-	Incoming []float64 `json:"incoming"`
+	Part     int32                     `json:"part"`
+	Incoming transport.Packed[float64] `json:"incoming"`
 }
 
 // heartbeatMsg is a worker's periodic liveness beat: its incarnation, the
@@ -150,8 +156,8 @@ type statusMsg struct {
 
 // resultMsg carries a worker's owner fragment of the assembled solution.
 type resultMsg struct {
-	Index []int32   `json:"index"`
-	Value []float64 `json:"value"`
+	Index transport.Packed[int32]   `json:"index"`
+	Value transport.Packed[float64] `json:"value"`
 }
 
 // Shutdown asks a worker member to exit its Run loop (the dtmd coordinator
@@ -160,10 +166,15 @@ func Shutdown(ctx context.Context, tr transport.Transport, worker int) error {
 	return sendCtrl(ctx, tr, worker, &ctrlMsg{Type: msgShutdown})
 }
 
+// errEncode wraps a control message encoding/json refuses — a non-finite
+// float outside a Packed field, such as a diverging part's LastChange — so a
+// send site that drops transport failures can still report it.
+var errEncode = errors.New("dist: encoding")
+
 func sendCtrl(ctx context.Context, tr transport.Transport, to int, m *ctrlMsg) error {
 	ctrl, err := json.Marshal(m)
 	if err != nil {
-		return fmt.Errorf("dist: encoding %s: %w", m.Type, err)
+		return fmt.Errorf("%w %s: %w", errEncode, m.Type, err)
 	}
 	return tr.Send(ctx, to, transport.Packet{Kind: transport.KindControl, Ctrl: ctrl})
 }

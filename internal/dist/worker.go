@@ -249,9 +249,9 @@ func (s *workerSession) send(to int, pkt transport.Packet) {
 
 // ready reports the torn problem's shape: its dimension and twin links.
 func (s *workerSession) ready() *readyMsg {
-	links := make([][4]int32, len(s.p.Partition.Links))
-	for i, l := range s.p.Partition.Links {
-		links[i] = [4]int32{int32(l.PartA), int32(l.PortA), int32(l.PartB), int32(l.PortB)}
+	links := make(transport.Packed[int32], 0, 4*len(s.p.Partition.Links))
+	for _, l := range s.p.Partition.Links {
+		links = append(links, int32(l.PartA), int32(l.PortA), int32(l.PartB), int32(l.PortB))
 	}
 	return &readyMsg{Dim: s.p.System.Dim(), Links: links}
 }
@@ -278,7 +278,16 @@ func (s *workerSession) heartbeat() *heartbeatMsg {
 }
 
 func (s *workerSession) sendHeartbeat() {
-	_ = sendCtrl(s.ctx, s.w.tr, s.coord, &ctrlMsg{Type: msgHeartbeat, HB: s.heartbeat()})
+	s.sendBestEffort(s.coord, &ctrlMsg{Type: msgHeartbeat, HB: s.heartbeat()})
+}
+
+// sendBestEffort sends m and drops a transport failure — the next beat or
+// poll sends again — but logs a message encoding/json refuses, which no
+// repeat can send.
+func (s *workerSession) sendBestEffort(to int, m *ctrlMsg) {
+	if err := sendCtrl(s.ctx, s.w.tr, to, m); errors.Is(err, errEncode) {
+		s.w.logf("worker %d: %v", s.self, err)
+	}
 }
 
 // applyReassign installs a fenced ownership change: adopt newly owned parts
@@ -385,7 +394,7 @@ func (s *workerSession) handle(pkt *transport.Packet) (bool, error) {
 		s.started = true
 		s.shard.Wake()
 	case msgStatusRq:
-		_ = sendCtrl(s.ctx, s.w.tr, int(pkt.From), &ctrlMsg{Type: msgStatus, Round: m.Round, Status: s.status()})
+		s.sendBestEffort(int(pkt.From), &ctrlMsg{Type: msgStatus, Round: m.Round, Status: s.status()})
 	case msgReassign:
 		if m.Reassign == nil {
 			s.w.badCtrl.Add(1)

@@ -37,8 +37,11 @@ import (
 const (
 	// frameVersion 2: version byte introduced together with the failover
 	// fields (epoch, inc); version 1 is the implicit pre-failover layout,
-	// which had no version byte at all.
-	frameVersion = 2
+	// which had no version byte at all. Version 3 keeps the layout and
+	// changes the control payload: its problem-sized vectors travel as
+	// Packed strings, not JSON arrays, which a version-2 peer would read as
+	// a bad control frame on every status and never finish a poll round.
+	frameVersion = 3
 	frameHeader  = 1 + 1 + 4 + 4 + 4 + 8 + 4 + 4 + 4 // version..nEntries
 	entrySize    = 4 + 8
 	maxFrame     = 16 << 20
