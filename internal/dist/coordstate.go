@@ -16,9 +16,10 @@ import (
 // await; start and stop happen inside the transitions out of ready and poll.
 const phasePoll, phaseDone = "poll", "done"
 
-// out is one message the state asks Coordinate to send. Without retry it is
-// sent once: polls (a lost one is re-sent next interval), stops to dead
-// members and lagging re-sends. With retry it is retried until the context
+// out is one message a state asks its driver to send. A worker's ready and
+// result are retried until the context ends, the rest sent once. The
+// coordinator sends once polls (a lost one is re-sent next interval), stops
+// to dead members and lagging re-sends; the rest are retried until the context
 // ends, and failing that the worker is lost in the phase the message names
 // (assign, start, stop) — except a reassign, retried for at most two leases:
 // a worker that dies mid-broadcast is caught by its own lease expiry on a

@@ -150,9 +150,8 @@ func (g *recvGuard) Recv(ctx context.Context) (transport.Packet, error) {
 func TestWorkerServesMultipleSessions(t *testing.T) {
 	// A dtmd-style long-lived worker: two solves over the same worker
 	// processes, second session reuses the standing members. Each worker
-	// must be its transport's only receiver throughout: a second one (a
-	// session's own pump outliving the session) swallows whatever it takes —
-	// the shutdown below, or the next assign.
+	// must be its transport's only receiver throughout: a second one swallows
+	// whatever it takes — the shutdown below, or the next assign.
 	members := chanFabric(t, 3)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -247,10 +246,7 @@ func TestSendThresholdDefaultIsCoreRule(t *testing.T) {
 // two cannot drift apart when that default changes.
 func TestSessionImpedancesMatchTheOracle(t *testing.T) {
 	members := chanFabric(t, 2)
-	s, err := NewWorker(members[1]).newSession(context.Background(), 0, steppedAssign(ContiguousOwner(quickSpec.Parts(), []int{1})), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := stepSession(t, members[1], 1, 0, steppedAssign(ContiguousOwner(quickSpec.Parts(), []int{1})))
 	oracle, err := quickSpec.Oracle(1e-9, "")
 	if err != nil {
 		t.Fatal(err)

@@ -408,7 +408,7 @@ func steppedAssign(owner []int) *assignMsg {
 }
 
 // runSteppedFailover runs a fully deterministic single-goroutine failover:
-// worker sessions over a chan fabric are stepped round-robin, the victim is
+// worker states over a chan fabric are stepped round-robin, the victim is
 // stopped at a fixed round, and the survivors adopt its parts from its last
 // heartbeat snapshot under epoch 2. It returns the assembled solution as
 // bytes (IEEE-754 bits), so two runs can be compared for byte identity.
@@ -431,18 +431,12 @@ func runSteppedFailover(t *testing.T, nWorkers, victim, killRound int) []byte {
 	}
 	home := ContiguousOwner(p.Partition.NumParts(), ids)
 
-	sessions := make([]*workerSession, nWorkers)
-	for i := 0; i < nWorkers; i++ {
-		w := NewWorker(members[i])
-		s, err := w.newSession(context.Background(), coord, steppedAssign(home), nil)
-		if err != nil {
-			t.Fatalf("session %d: %v", i, err)
-		}
-		sessions[i] = s
+	sessions := make([]*workerState, nWorkers)
+	for i := range sessions {
+		sessions[i] = stepSession(t, members[i], 1, coord, steppedAssign(home))
 	}
 	for _, s := range sessions {
-		s.started = true
-		s.shard.Wake()
+		stepMsg(t, s, coord, &ctrlMsg{Type: msgStart})
 	}
 
 	// A cancelled context makes chan Recv a non-blocking drain.
@@ -471,8 +465,8 @@ func runSteppedFailover(t *testing.T, nWorkers, victim, killRound int) []byte {
 				}
 			}
 			for _, id := range alive {
-				if err := sessions[id].applyReassign(re); err != nil {
-					t.Fatalf("reassign %d: %v", id, err)
+				if stepMsg(t, sessions[id], coord, &ctrlMsg{Type: msgReassign, Reassign: re}); sessions[id].shard.Epoch() != 2 {
+					t.Fatalf("worker %d did not adopt epoch 2", id)
 				}
 			}
 		}
@@ -564,12 +558,8 @@ func TestFencingStaleEpochWaves(t *testing.T) {
 			m.Close()
 		}
 	}()
-	w := NewWorker(members[0])
 	owner := make([]int, quickSpec.Parts()) // all parts on worker 0
-	s, err := w.newSession(context.Background(), 1, steppedAssign(owner), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := stepSession(t, members[0], 1, 1, steppedAssign(owner))
 	s.started = true
 	sub := s.shard.Sub(0)
 	link := int32(sub.Ends()[0].LinkID)
@@ -603,9 +593,7 @@ func TestFencingStaleEpochWaves(t *testing.T) {
 	// Advance to epoch 2 via a reassign; yesterday's epoch is now fenced.
 	re := &reassignMsg{Epoch: 2, Assign: *steppedAssign(owner)}
 	re.Assign.Epoch = 2
-	if err := s.applyReassign(re); err != nil {
-		t.Fatal(err)
-	}
+	stepMsg(t, s, 1, &ctrlMsg{Type: msgReassign, Reassign: re})
 	if s.shard.Receive(mk(1, 2, 10)) {
 		t.Fatal("post-reassign stale wave applied")
 	}
@@ -624,13 +612,8 @@ func TestHeartbeatCarriesSnapshots(t *testing.T) {
 			m.Close()
 		}
 	}()
-	w := NewWorker(members[0])
-	w.Incarnation = 7
 	owner := make([]int, quickSpec.Parts())
-	s, err := w.newSession(context.Background(), 1, steppedAssign(owner), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := stepSession(t, members[0], 7, 1, steppedAssign(owner))
 	hb := s.heartbeat()
 	if hb.Inc != 7 || hb.Epoch != 1 {
 		t.Fatalf("heartbeat identity wrong: %+v", hb)
@@ -772,14 +755,9 @@ func TestReassignDropsDirtyPart(t *testing.T) {
 			m.Close()
 		}
 	}()
-	w := NewWorker(members[0])
 	owner := make([]int, quickSpec.Parts()) // all parts on worker 0
-	s, err := w.newSession(context.Background(), 2, steppedAssign(owner), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.started = true
-	s.shard.Wake()
+	s := stepSession(t, members[0], 1, 2, steppedAssign(owner))
+	stepMsg(t, s, 2, &ctrlMsg{Type: msgStart})
 	if d := s.status().Dirty; d != quickSpec.Parts() {
 		t.Fatalf("after boot %d parts are dirty, want all %d", d, quickSpec.Parts())
 	}
@@ -790,9 +768,7 @@ func TestReassignDropsDirtyPart(t *testing.T) {
 	newOwner[handed] = 1
 	re := &reassignMsg{Epoch: 2, Assign: *steppedAssign(newOwner)}
 	re.Assign.Epoch = 2
-	if err := s.applyReassign(re); err != nil {
-		t.Fatal(err)
-	}
+	stepMsg(t, s, 2, &ctrlMsg{Type: msgReassign, Reassign: re})
 	if d := s.status().Dirty; d != quickSpec.Parts()-1 {
 		t.Fatalf("%d parts dirty after handback, want the %d kept ones", d, quickSpec.Parts()-1)
 	}
@@ -826,33 +802,28 @@ func TestWorkerDropsCorruptCtrl(t *testing.T) {
 			m.Close()
 		}
 	}()
-	w := NewWorker(members[0])
 	owner := make([]int, quickSpec.Parts())
-	s, err := w.newSession(context.Background(), 1, steppedAssign(owner), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := stepSession(t, members[0], 1, 1, steppedAssign(owner))
 	for _, ctrl := range [][]byte{nil, []byte(`{"type":`), []byte(`"start"`), []byte("\xff\xfe")} {
-		stop, err := s.handle(&transport.Packet{Kind: transport.KindControl, From: 1, Ctrl: ctrl})
-		if stop || err != nil {
-			t.Fatalf("corrupt ctrl %q terminated the session: stop=%v err=%v", ctrl, stop, err)
+		outs, exit := s.Handle(&transport.Packet{Kind: transport.KindControl, From: 1, Ctrl: ctrl})
+		if exit || s.shard == nil || len(outs) > 0 {
+			t.Fatalf("corrupt ctrl %q was answered or ended the session: exit=%v, %d messages", ctrl, exit, len(outs))
 		}
 	}
-	if got := w.badCtrl.Load(); got != 4 {
+	if got := s.badCtrl; got != 4 {
 		t.Fatalf("want 4 bad-ctrl drops, got %d", got)
 	}
 	// A reassign with a malformed owner map is counted, not applied.
 	re := &reassignMsg{Epoch: 9, Assign: assignMsg{Owner: []int{0}, Epoch: 9}}
-	if err := s.applyReassign(re); err != nil {
-		t.Fatal(err)
-	}
-	if s.shard.Epoch() != 1 || w.badCtrl.Load() != 5 {
-		t.Fatalf("malformed reassign applied: epoch=%d badCtrl=%d", s.shard.Epoch(), w.badCtrl.Load())
+	stepMsg(t, s, 1, &ctrlMsg{Type: msgReassign, Reassign: re})
+	if s.shard.Epoch() != 1 || s.badCtrl != 5 {
+		t.Fatalf("malformed reassign applied: epoch=%d badCtrl=%d", s.shard.Epoch(), s.badCtrl)
 	}
 }
 
 // TestWorkerIdleSurvivesCorruptCtrl: an idle worker fed garbage frames keeps
-// serving (answers the next status poll with hello).
+// serving (answers the next status poll with hello) and counts them, as the
+// status of the session it is assigned next reports.
 func TestWorkerIdleSurvivesCorruptCtrl(t *testing.T) {
 	members := chanFabric(t, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -876,9 +847,21 @@ func TestWorkerIdleSurvivesCorruptCtrl(t *testing.T) {
 	if err != nil || m.Type != msgHello || m.HB == nil || m.HB.Inc != 1 {
 		t.Fatalf("idle worker did not hello after garbage: %v %+v", err, m)
 	}
+	_ = sendCtrl(ctx, members[0], 1, &ctrlMsg{Type: msgAssign, Assign: steppedAssign(ContiguousOwner(quickSpec.Parts(), []int{1}))})
+	_ = sendCtrl(ctx, members[0], 1, &ctrlMsg{Type: msgStatusRq, Round: 1})
+	var st *statusMsg
+	for st == nil {
+		pkt, err := members[0].Recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := decodeCtrl(&pkt); err == nil && m.Type == msgStatus {
+			st = m.Status
+		}
+	}
 	_ = sendCtrl(ctx, members[0], 1, &ctrlMsg{Type: msgShutdown})
 	wg.Wait()
-	if w.badCtrl.Load() < 3 {
-		t.Fatalf("bad-ctrl counter = %d, want >= 3", w.badCtrl.Load())
+	if st.BadCtrl < 3 {
+		t.Fatalf("bad-ctrl counter = %d, want >= 3", st.BadCtrl)
 	}
 }

@@ -4,16 +4,19 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/transport"
 )
 
-// FuzzCtrlMsg throws arbitrary bytes at the worker's control-plane decode and
-// dispatch path. The invariants under fuzz: the session NEVER panics, corrupt
-// frames are dropped and counted (badCtrl), and a malformed reassign never
-// advances the epoch fence. The seed corpus under testdata/fuzz/FuzzCtrlMsg
-// pins the interesting shapes: valid messages of every type, truncated JSON,
-// a reassign with a mismatched owner map, and binary garbage.
+// FuzzCtrlMsg throws arbitrary bytes at the worker's state, idle and in a
+// session, each time through Handle and the Tick Run runs after it. The
+// invariants under fuzz: the state NEVER panics, a frame that does not decode
+// is dropped and counted (badCtrl), and it neither starts nor ends a session
+// nor moves the epoch fence. The seed corpus under testdata/fuzz/FuzzCtrlMsg
+// pins the interesting shapes: valid messages of every type, a status? for an
+// idle worker, a rejoin reassign, truncated JSON, a reassign with a
+// mismatched owner map, and binary garbage.
 func FuzzCtrlMsg(f *testing.F) {
 	seeds := [][]byte{
 		[]byte(`{"type":"start"}`),
@@ -31,45 +34,44 @@ func FuzzCtrlMsg(f *testing.F) {
 		f.Add(s)
 	}
 
-	// One long-lived session absorbs every input; the fabric's member 0 plays
-	// the coordinator and is drained after each round so replies never pile up.
+	// The in-session state lives across inputs until one ends its session.
+	// The fabric's member 0 plays the coordinator; both members are drained
+	// after each input, so replies and waves never pile up.
 	net := transport.NewChanNetwork(2)
-	w := NewWorker(net[1])
-	sess, err := w.newSession(context.Background(), 0, &assignMsg{
-		Spec: quickSpec, Owner: []int{1, 1, 1, 1}, Tol: 1e-9,
-		SendThreshold: 1e-11, WatchdogMS: 1000, HeartbeatMS: 1000, Epoch: 1,
-	}, nil)
-	if err != nil {
-		f.Fatalf("session: %v", err)
-	}
+	a := &assignMsg{Spec: quickSpec, Owner: []int{1, 1, 1, 1}, Tol: 1e-9,
+		SendThreshold: 1e-11, WatchdogMS: 1000, HeartbeatMS: 1000, Epoch: 1}
 	drainCtx, cancelDrain := context.WithCancel(context.Background())
-	cancelDrain() // cancelled ctx == non-blocking drain on the chan fabric
+	cancelDrain() // a done ctx takes only what is queued
 	var mu sync.Mutex
+	var sess *workerState
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mu.Lock()
 		defer mu.Unlock()
-		pkt := transport.Packet{Kind: transport.KindControl, From: 0, Ctrl: data}
-		before := w.badCtrl.Load()
-		epochBefore := sess.shard.Epoch()
-		_, derr := decodeCtrl(&pkt)
-		if _, herr := sess.handle(&pkt); herr != nil && herr != transport.ErrClosed {
-			t.Fatalf("handle returned unexpected error: %v", herr)
+		if sess == nil || sess.shard == nil {
+			sess = stepSession(t, net[1], 1, 0, a)
 		}
-		if derr != nil && w.badCtrl.Load() != before+1 {
-			t.Fatalf("corrupt ctrl not counted: BadCtrl %d -> %d", before, w.badCtrl.Load())
-		}
-		if derr != nil && sess.shard.Epoch() != epochBefore {
-			t.Fatalf("corrupt ctrl advanced epoch %d -> %d", epochBefore, sess.shard.Epoch())
-		}
-		for {
-			if _, err := net[0].Recv(drainCtx); err != nil {
-				break
+		for _, s := range []*workerState{stepState(net[1], 1), sess} {
+			pkt := transport.Packet{Kind: transport.KindControl, From: 0, Ctrl: data}
+			idle, before, epoch := s.shard == nil, s.badCtrl, uint32(0)
+			if !idle {
+				epoch = s.shard.Epoch()
+			}
+			_, derr := decodeCtrl(&pkt)
+			s.Handle(&pkt)
+			s.Tick(time.Unix(1000, 0), true)
+			if derr != nil && s.badCtrl != before+1 {
+				t.Fatalf("corrupt ctrl not counted: BadCtrl %d -> %d", before, s.badCtrl)
+			}
+			if derr != nil && (idle != (s.shard == nil) || !idle && s.shard.Epoch() != epoch) {
+				t.Fatalf("corrupt ctrl moved the session: idle %v -> %v, epoch %d", idle, s.shard == nil, epoch)
 			}
 		}
-		for {
-			if _, err := net[1].Recv(drainCtx); err != nil {
-				break
+		for _, m := range net {
+			for {
+				if _, err := m.Recv(drainCtx); err != nil {
+					break
+				}
 			}
 		}
 	})

@@ -83,7 +83,10 @@ type Transport interface {
 	// retransmission machinery is expected to recover.
 	Send(ctx context.Context, to int, pkt Packet) error
 	// Recv returns the next received packet, blocking until one arrives,
-	// ctx is done, or the transport is closed (ErrClosed).
+	// ctx is done, or the transport is closed (ErrClosed). A packet already
+	// queued is returned even when ctx is already done, so a receive under a
+	// done ctx takes one without waiting; after Close the queued packets come
+	// back first, then ErrClosed.
 	Recv(ctx context.Context) (Packet, error)
 	// Close releases the member's resources. Packets already received stay
 	// readable until drained; then Recv returns ErrClosed.

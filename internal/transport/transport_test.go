@@ -196,6 +196,88 @@ func TestConformanceDedup(t *testing.T) {
 	}
 }
 
+// queued is how many packets wait in tr's inbox.
+func queued(tr Transport) int {
+	switch m := tr.(type) {
+	case *chanTransport:
+		return len(m.net.inboxes[m.self])
+	case *tcpTransport:
+		return len(m.inbox)
+	case *faultTransport:
+		return queued(m.Transport)
+	}
+	panic(fmt.Sprintf("queued: %T", tr))
+}
+
+// TestConformanceRecvDrainsWhenDone pins the Recv rule a non-blocking take
+// relies on: packets already queued come back, in order, even under a ctx
+// that is already done, and ctx.Err() only once none is left; after Close
+// the queued packets come back first, then ErrClosed. WithFaults passes Recv
+// through untouched.
+func TestConformanceRecvDrainsWhenDone(t *testing.T) {
+	faulty := func(t *testing.T, n int) []Transport {
+		spec, err := chaos.ParseSpec("drop=0.5,dup=0.5,seed=3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := NewChanNetwork(n)
+		for i := range ts {
+			ts[i] = WithFaults(ts[i], spec, n)
+		}
+		return ts
+	}
+	run := func(name string, mk func(t *testing.T, n int) []Transport) {
+		t.Run(name, func(t *testing.T) {
+			ts := mk(t, 2)
+			defer closeAll(ts)
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			done, stop := context.WithCancel(ctx)
+			stop()
+			const n = 3
+			fill := func(first uint64) {
+				for s := first; s < first+n; s++ {
+					for {
+						err := ts[0].Send(ctx, 1, Packet{Kind: KindControl, Seq: s, Ctrl: []byte(`{}`)})
+						if err == nil {
+							break
+						}
+						if !errors.Is(err, ErrPeerUnavailable) {
+							t.Fatalf("send: %v", err)
+						}
+						time.Sleep(10 * time.Millisecond)
+					}
+				}
+				for queued(ts[1]) < n {
+					if ctx.Err() != nil {
+						t.Fatal("the packets sent never queued")
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			take := func(rctx context.Context, first uint64, end error) {
+				for s := first; s < first+n; s++ {
+					if pkt, err := ts[1].Recv(rctx); err != nil || pkt.Seq != s {
+						t.Fatalf("recv: seq %d, %v; want the queued seq %d", pkt.Seq, err, s)
+					}
+				}
+				if _, err := ts[1].Recv(rctx); !errors.Is(err, end) {
+					t.Fatalf("recv with nothing queued: %v, want %v", err, end)
+				}
+			}
+			fill(1)
+			take(done, 1, context.Canceled)
+			fill(1 + n)
+			ts[1].Close()
+			take(ctx, 1+n, ErrClosed)
+		})
+	}
+	for _, f := range fabrics {
+		run(f.name, f.make)
+	}
+	run("faults", faulty)
+}
+
 // TestTCPReconnectAfterClose kills a member and restarts it on the same
 // address: the sender's connection breaks, Send degrades to lost datagrams
 // with backoff, and once the member is back the (retried) sends flow again —
