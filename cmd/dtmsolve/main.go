@@ -1,17 +1,19 @@
 // Command dtmsolve solves a sparse SPD linear system with the Directed
 // Transmission Method (or one of the baselines) and prints the solve
-// statistics.
+// statistics. Every tearing method cuts the system with
+// partition.LevelSetGrow.
 //
 // The system is named by a problem-source string from the sparse registry
 // (-source "poisson:nx=33,ny=33", -source "spanner:n=289,k=6",
 // -source "mm:A.mtx@<fnv64 hash>", …) or read from files (-matrix A.mtx
 // -rhs b.vec, MatrixMarket format — general, symmetric and pattern coordinate
-// files as well as array files are accepted; the only way to supply a
-// right-hand side). The machine is a topology-registry string (-topo).
+// files as well as array files are accepted; -rhs goes only with -matrix,
+// since a source carries its own right-hand side). The machine is a
+// topology-registry string (-topo).
 //
 // Usage examples:
 //
-//	dtmsolve -source "poisson:nx=33,ny=33" -method dtm -parts 16 -topo mesh4x4
+//	dtmsolve -source "poisson:nx=33,ny=33" -method dtm -parts 16 -topo mesh4x4 -maxtime 30000
 //	dtmsolve -source "spanner:n=289,k=6,seed=1,leak=0.05" -method dtm -parts 8 -topo "yao:k=6"
 //	dtmsolve -source "random:n=500" -method cg
 //	dtmsolve -source "saddle:nx=128,ny=128" -method direct
@@ -25,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/chaos"
@@ -38,17 +41,16 @@ import (
 )
 
 type options struct {
-	source      string
-	matrix      string
-	rhs         string
-	method      string
-	parts       int
-	topo        string
-	partitioner string
-	maxTime     float64
-	maxIter     int
-	tol         float64
-	ordering    string
+	source   string
+	matrix   string
+	rhs      string
+	method   string
+	parts    int
+	topo     string
+	maxTime  float64
+	maxIter  int
+	tol      float64
+	ordering string
 	// fs is what -localsolver and -ordering add up to; every factorisation of
 	// the run goes through it.
 	fs      factor.Settings
@@ -62,10 +64,9 @@ func main() {
 	flag.StringVar(&o.source, "source", "", fmt.Sprintf("problem-source string (%v; e.g. \"poisson:nx=33,ny=33\", \"spanner:n=289,k=6\" or \"mm:A.mtx@<hash>\"); alternative to -matrix", sparse.RegisteredSources()))
 	flag.StringVar(&o.matrix, "matrix", "", "matrix file (MatrixMarket .mtx)")
 	flag.StringVar(&o.rhs, "rhs", "", "right-hand-side file (MatrixMarket array or coordinate)")
-	flag.StringVar(&o.method, "method", "dtm", "solver: dtm, vtm, mixed, live, direct, cg, pcg, jacobi, gauss-seidel, sor, block-jacobi, async-jacobi")
+	flag.StringVar(&o.method, "method", "dtm", "solver: "+strings.Join(methods, ", "))
 	flag.IntVar(&o.parts, "parts", 4, "number of subdomains / blocks for the distributed solvers")
 	flag.StringVar(&o.topo, "topo", "uniform", fmt.Sprintf("machine, a topology-registry string (%v)", topology.RegisteredTopologies()))
-	flag.StringVar(&o.partitioner, "partitioner", "levelset", "graph partitioner for the distributed solvers: levelset, bisection, strips")
 	flag.Float64Var(&o.maxTime, "maxtime", 10000, "virtual time horizon for dtm/async-jacobi (topology time units)")
 	flag.IntVar(&o.maxIter, "maxiter", 5000, "iteration bound for the discrete-time solvers")
 	flag.Float64Var(&o.tol, "tol", 1e-8, "stopping tolerance")
@@ -130,6 +131,9 @@ func run(o options) error {
 }
 
 func loadSystem(o options) (sparse.System, error) {
+	if o.rhs != "" && o.matrix == "" {
+		return sparse.System{}, fmt.Errorf("-rhs goes with -matrix: a -source system carries its own right-hand side")
+	}
 	if o.source != "" {
 		if o.matrix != "" {
 			return sparse.System{}, fmt.Errorf("-source excludes -matrix")
@@ -179,7 +183,7 @@ func machine(o options) (*topology.Topology, error) {
 	return topology.ParseTopology(o.topo, o.parts, 10)
 }
 
-// checkParts refuses a -parts the partitioners would panic on.
+// checkParts refuses a -parts the partitioner would panic on.
 func checkParts(o options, n int) error {
 	if o.parts < 1 || o.parts > n {
 		return fmt.Errorf("-parts %d: a system of %d unknowns tears into 1 to %d parts", o.parts, n, n)
@@ -187,29 +191,18 @@ func checkParts(o options, n int) error {
 	return nil
 }
 
-// assignment builds the system's graph and tears it with the partitioner
-// requested on the command line. DTM's methods and the block-Jacobi
-// baselines all tear here, so -method compares like for like.
+// assignment builds the system's graph and tears it into -parts pieces with
+// partition.LevelSetGrow. DTM's methods and the block-Jacobi baselines all
+// tear here, so -method compares like for like.
 func assignment(o options, sys sparse.System) (*graph.Electric, partition.Assignment, error) {
-	var a partition.Assignment
 	g, err := graph.FromSystem(sys.A, sys.B)
 	if err == nil {
 		err = checkParts(o, g.Order())
 	}
 	if err != nil {
-		return nil, a, err
+		return nil, partition.Assignment{}, err
 	}
-	switch o.partitioner {
-	case "levelset":
-		a = partition.LevelSetGrow(g, o.parts)
-	case "bisection":
-		a = partition.RecursiveBisection(g, o.parts)
-	case "strips":
-		a = partition.Strips(g.Order(), o.parts)
-	default:
-		return nil, a, fmt.Errorf("unknown partitioner %q", o.partitioner)
-	}
-	return g, a, nil
+	return g, partition.LevelSetGrow(g, o.parts), nil
 }
 
 func distributedProblem(o options, sys sparse.System) (*core.Problem, error) {
@@ -249,6 +242,11 @@ type engineMethod struct {
 	config  func(o options, c *core.Config)
 	summary func(r *core.Result) string
 }
+
+// methods is every -method, in the order -help lists them: the rows of
+// engineMethods, then the cases of solve's switch. TestEveryMethodSolves runs
+// each one, so the help cannot name a method solve lacks.
+var methods = []string{"dtm", "vtm", "mixed", "live", "direct", "cg", "block-jacobi", "async-jacobi"}
 
 var engineMethods = map[string]engineMethod{
 	"dtm": {core.EngineDES, true,
@@ -341,22 +339,6 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		return x, summary, nil
 	case "cg":
 		x, st, err := iterative.CG(sys.A, sys.B, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol})
-		return x, iterSummary(st), err
-	case "pcg":
-		m, err := iterative.NewJacobiPreconditioner(sys.A)
-		if err != nil {
-			return nil, "", err
-		}
-		x, st, err := iterative.PCG(sys.A, sys.B, m, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol})
-		return x, iterSummary(st), err
-	case "jacobi":
-		x, st, err := iterative.Jacobi(sys.A, sys.B, 1, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol})
-		return x, iterSummary(st), err
-	case "gauss-seidel":
-		x, st, err := iterative.GaussSeidel(sys.A, sys.B, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol})
-		return x, iterSummary(st), err
-	case "sor":
-		x, st, err := iterative.SOR(sys.A, sys.B, 1.5, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol})
 		return x, iterSummary(st), err
 	case "block-jacobi":
 		_, assign, err := assignment(o, sys)

@@ -12,13 +12,40 @@ import (
 	"time"
 
 	"repro/internal/factor"
+	"repro/internal/graph"
+	"repro/internal/iterative"
+	"repro/internal/partition"
 	"repro/internal/sparse"
 )
+
+func sameBits(a, b sparse.Vec) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestEveryMethodSolves runs every -method the help lists on a small source:
+// each must solve it to a relative residual of 1e-6.
+func TestEveryMethodSolves(t *testing.T) {
+	for _, method := range methods {
+		o := testOptions(method, factor.Settings{})
+		sys, err := loadSystem(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, summary, err := solve(o, sys)
+		if err != nil {
+			t.Errorf("-method %s: %v", method, err)
+			continue
+		}
+		if rel := sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2(); !(rel <= 1e-6) {
+			t.Errorf("-method %s: relative residual %g (%s)", method, rel, summary)
+		}
+	}
+}
 
 func testOptions(method string, fs factor.Settings) options {
 	return options{
 		source: "poisson:nx=12,ny=12",
-		method: method, parts: 4, topo: "uniform", partitioner: "levelset",
+		method: method, parts: 4, topo: "uniform",
 		maxTime: 1e6, maxIter: 5000, tol: 1e-9,
 		fs: fs,
 	}
@@ -36,9 +63,6 @@ func TestFactorSettingsReachEveryMethod(t *testing.T) {
 		{Backend: factor.SparseCholesky, Ordering: factor.OrderND},
 		{Backend: factor.SparseCholesky, Ordering: factor.OrderRCM},
 		{Backend: factor.DenseLU},
-	}
-	sameBits := func(a, b sparse.Vec) bool {
-		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 	}
 	for _, method := range []string{"direct", "dtm", "vtm", "mixed", "block-jacobi", "async-jacobi"} {
 		xs := make([]sparse.Vec, len(settings))
@@ -78,30 +102,57 @@ func TestFactorSettingsReachEveryMethod(t *testing.T) {
 }
 
 // TestBlockBaselinesTearLikeDTM: block-jacobi and async-jacobi tear with
-// -partitioner, as the DTM methods do, so a comparison on the command line
-// is like for like. On a 12×12 Poisson grid the levelset and strips tears
-// differ, and so must the bytes each tear solves to.
+// LevelSetGrow, as the DTM methods do, so a comparison on the command line is
+// like for like. On a 12×12 Poisson grid the level-set tear and four strips
+// differ, and each baseline must compute the level-set tear's bytes.
 func TestBlockBaselinesTearLikeDTM(t *testing.T) {
-	for _, method := range []string{"block-jacobi", "async-jacobi"} {
-		xs := map[string]sparse.Vec{}
-		for _, partitioner := range []string{"levelset", "strips"} {
-			o := testOptions(method, factor.Settings{})
-			o.partitioner = partitioner
-			sys, err := loadSystem(o)
+	o := testOptions("block-jacobi", factor.Settings{})
+	sys, err := loadSystem(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.FromSystem(sys.A, sys.B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := machine(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tears := map[string]partition.Assignment{
+		"levelset": partition.LevelSetGrow(g, o.parts),
+		"strips":   partition.GridBlocks(sys.Dim(), 1, o.parts, 1),
+	}
+	baselines := map[string]func(partition.Assignment) (sparse.Vec, error){
+		"block-jacobi": func(a partition.Assignment) (sparse.Vec, error) {
+			x, _, err := iterative.BlockJacobi(sys.A, sys.B, a, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol})
+			return x, err
+		},
+		"async-jacobi": func(a partition.Assignment) (sparse.Vec, error) {
+			res, err := iterative.AsyncBlockJacobi(sys.A, sys.B, a, topo, iterative.AsyncOptions{MaxTime: o.maxTime, Tol: o.tol})
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
-			x, summary, err := solve(o, sys)
-			if err != nil {
-				t.Fatalf("%s -partitioner %s: %v", method, partitioner, err)
-			}
-			if rel := sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2(); rel > 1e-6 {
-				t.Errorf("%s -partitioner %s: relative residual %g (%s)", method, partitioner, rel, summary)
-			}
-			xs[partitioner] = x
+			return res.X, nil
+		},
+	}
+	for method, baseline := range baselines {
+		o.method = method
+		x, summary, err := solve(o, sys)
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
 		}
-		if slices.EqualFunc(xs["levelset"], xs["strips"], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-			t.Errorf("%s computed the same bytes under -partitioner levelset and strips", method)
+		if rel := sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2(); rel > 1e-6 {
+			t.Errorf("%s: relative residual %g (%s)", method, rel, summary)
+		}
+		for name, a := range tears {
+			want, err := baseline(a)
+			if err != nil {
+				t.Fatalf("%s on the %s tear: %v", method, name, err)
+			}
+			if same := sameBits(x, want); same != (name == "levelset") {
+				t.Errorf("%s: same bytes as on the %s tear = %v", method, name, same)
+			}
 		}
 	}
 }
@@ -119,6 +170,17 @@ func TestRunDrivesTheCommandBody(t *testing.T) {
 	}
 	if _, err := loadSystem(options{source: "grid:rows=4,cols=4,seed=1", matrix: "A.mtx"}); err == nil {
 		t.Error("-source with -matrix must be refused")
+	}
+	// A source carries its own right-hand side: -rhs without -matrix is
+	// refused by name rather than dropped.
+	for _, o := range []options{
+		{source: "poisson:nx=5,ny=5", rhs: "/nonexistent/b.vec", method: "cg"},
+		{source: "mm:A.mtx@0123456789abcdef", rhs: "b.vec"},
+		{rhs: "b.vec"},
+	} {
+		if _, err := loadSystem(o); err == nil || !strings.HasPrefix(err.Error(), "-rhs ") {
+			t.Errorf("-source %q -rhs %q: err %v, want a refusal naming -rhs", o.source, o.rhs, err)
+		}
 	}
 	if _, err := loadSystem(options{}); err == nil {
 		t.Error("a run that names no system must be refused")
@@ -156,17 +218,15 @@ func TestMachineResolvesThroughRegistry(t *testing.T) {
 // line naming n and the request, and no goroutine trace.
 func TestOversizedPartsIsAnErrorNotAPanic(t *testing.T) {
 	for _, method := range []string{"dtm", "vtm", "block-jacobi", "async-jacobi"} {
-		for _, partitioner := range []string{"levelset", "bisection", "strips"} {
-			o := testOptions(method, factor.Settings{})
-			o.source, o.parts, o.partitioner = "tridiag:n=5", 9, partitioner
-			sys, err := loadSystem(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, _, err = solve(o, sys)
-			if err == nil || !strings.Contains(err.Error(), "-parts 9") || !strings.Contains(err.Error(), "5 unknowns") {
-				t.Errorf("%s/%s: -parts 9 on 5 unknowns returned %v, want an error naming both", method, partitioner, err)
-			}
+		o := testOptions(method, factor.Settings{})
+		o.source, o.parts = "tridiag:n=5", 9
+		sys, err := loadSystem(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = solve(o, sys)
+		if err == nil || !strings.Contains(err.Error(), "-parts 9") || !strings.Contains(err.Error(), "5 unknowns") {
+			t.Errorf("%s: -parts 9 on 5 unknowns returned %v, want an error naming both", method, err)
 		}
 	}
 	if testing.Short() {

@@ -69,15 +69,15 @@
 //     reassignment under fenced epochs (stale-epoch and dead-incarnation
 //     packets are dropped and counted), snapshot-seeded adoption by the
 //     survivors, and rejoin of restarted workers at a higher incarnation;
-//   - internal/iterative — the classical baselines (CG, Jacobi, Gauss–Seidel,
-//     SOR, synchronous and asynchronous block-Jacobi);
+//   - internal/iterative — the classical baselines (CG, the reference solve,
+//     and synchronous and asynchronous block-Jacobi);
 //   - internal/experiments — one registry of experiments: every figure of the
 //     paper's evaluation plus the comparisons and ablations of DESIGN.md,
 //     most of them lists of legs on one torn problem.
 //
 // The executables cmd/dtmsolve, cmd/dtmbench, cmd/dtmgen and cmd/dtmd (the
-// distributed DTM server) and the programs under examples/ exercise the same
-// packages; experiments_test.go at the module root runs every experiment at
-// its reduced size, and the benchmark under bench/ (BENCHMARK.json) times the
+// distributed DTM server) exercise the same packages; example_test.go at the
+// module root holds two worked examples (go test -run Example -v .),
+// experiments_test.go runs every experiment at its reduced size, and the benchmark under bench/ (BENCHMARK.json) times the
 // solve layer by layer.
 package repro

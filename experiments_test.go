@@ -19,14 +19,14 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/quick/*.golden from this run's output")
 
 // pureQuick names the experiments whose -quick output is a pure function of
-// the code: everything on the deterministic virtual-time engines. The other
-// three print wall times (scale-sparse) or run on real goroutines and sockets
+// the code: everything on the deterministic virtual-time engines, and E6's
+// factorisations. The other two run on real goroutines and sockets
 // (compare-distributed, failover-sweep).
 var pureQuick = map[string]bool{
 	"fig8": true, "fig9": true, "fig11": true, "fig12": true, "fig13": true, "fig14": true,
 	"compare-vtm": true, "compare-async-jacobi": true,
 	"ablation-impedance": true, "ablation-delays": true, "ablation-mixed": true,
-	"fault-sweep": true, "spanner-fabric": true,
+	"scale-sparse": true, "fault-sweep": true, "spanner-fabric": true,
 }
 
 // TestAllExperimentsQuick runs every registered experiment at its reduced size

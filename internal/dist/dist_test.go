@@ -557,3 +557,27 @@ func ExampleSpecV2_Oracle() {
 	fmt.Println(res.Converged)
 	// Output: true
 }
+
+// TestDivergingSessionFailsFast: DTM on an indefinite system diverges, and a
+// non-finite port potential or last change never becomes finite again. The
+// worker owning such a part answers the next poll with an error naming it,
+// so the session fails within a poll or two instead of running to its
+// deadline.
+func TestDivergingSessionFailsFast(t *testing.T) {
+	f := NewFleet(chanFabric(t, 3), nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	res, err := f.Coordinate(ctx, CoordConfig{
+		Spec: SpecV2{V: 2, Source: "saddle:nx=8,ny=8", PartsX: 2, PartsY: 2}, Tol: 1e-8,
+		WatchdogMS: 20, PollInterval: 5 * time.Millisecond,
+	})
+	elapsed := time.Since(start)
+	f.Close()
+	if err == nil || !strings.Contains(err.Error(), "failed: part ") || !strings.HasSuffix(err.Error(), " diverged") {
+		t.Fatalf("Coordinate: res %+v, err %v; want a worker failure naming a diverged part", res, err)
+	}
+	if elapsed > time.Second {
+		t.Errorf("the diverged session took %v to fail, want under 1 s", elapsed)
+	}
+}

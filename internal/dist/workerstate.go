@@ -2,6 +2,8 @@ package dist
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -69,7 +71,14 @@ func (s *workerState) Handle(pkt *transport.Packet) (outs []out, exit bool) {
 		// coordinator can hand parts back (rejoin) on the next epoch.
 		s.send(from, &ctrlMsg{Type: msgHello, HB: &heartbeatMsg{Inc: s.inc}}, false)
 	case m.Type == msgStatusRq:
-		s.send(from, &ctrlMsg{Type: msgStatus, Round: m.Round, Status: s.status()}, false)
+		st := s.status()
+		if part, ok := diverged(st.Parts); ok {
+			// NaN and ±Inf never leave a part once they appear, so the session
+			// cannot converge: fail it now rather than at its deadline.
+			s.send(from, &ctrlMsg{Type: msgStatus, Round: m.Round, Err: fmt.Sprintf("part %d diverged", part)}, false)
+			break
+		}
+		s.send(from, &ctrlMsg{Type: msgStatus, Round: m.Round, Status: st}, false)
 	case m.Type == msgAssign && m.Assign == nil, m.Type == msgReassign && re == nil:
 		s.badCtrl++
 	case m.Type == msgAssign && idle:
@@ -288,6 +297,18 @@ func (s *workerState) ready() *readyMsg {
 // and incarnation that produced it.
 func (s *workerState) status() *statusMsg {
 	return &statusMsg{ShardState: s.shard.State(), Inc: s.inc, Epoch: s.shard.Epoch(), BadCtrl: s.badCtrl}
+}
+
+// diverged returns the first part whose last change or a port potential is
+// not finite.
+func diverged(parts []core.PartState) (int32, bool) {
+	nonFinite := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+	for _, p := range parts {
+		if nonFinite(p.LastChange) || slices.ContainsFunc(p.Ports, nonFinite) {
+			return p.Part, true
+		}
+	}
+	return 0, false
 }
 
 // heartbeat assembles the periodic liveness beat: incarnation, epoch, and one

@@ -91,9 +91,6 @@ func FromSystem(a *sparse.CSR, b sparse.Vec) (*Electric, error) {
 // Order returns the number of vertices.
 func (g *Electric) Order() int { return len(g.diag) }
 
-// NumEdges returns the number of undirected edges.
-func (g *Electric) NumEdges() int { return len(g.nbr) / 2 }
-
 // VertexWeight returns a_ii.
 func (g *Electric) VertexWeight(i int) float64 { return g.diag[i] }
 
@@ -145,29 +142,4 @@ func (g *Electric) BFS(start int, mark []int32, from, to int32, order []int) (ou
 		}
 	}
 	return order, lastLevel
-}
-
-// ConnectedComponents returns the vertex sets of the connected components,
-// each sorted ascending, ordered by their smallest vertex.
-func (g *Electric) ConnectedComponents() [][]int {
-	mark := make([]int32, g.Order())
-	order := make([]int, 0, g.Order())
-	var comps [][]int
-	for s := range mark {
-		if mark[s] != 0 {
-			continue
-		}
-		begin := len(order)
-		order, _ = g.BFS(s, mark, 0, 1, order)
-		comp := order[begin:len(order):len(order)]
-		slices.Sort(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// IsConnected reports whether the graph has a single connected component
-// (or is empty).
-func (g *Electric) IsConnected() bool {
-	return g.Order() == 0 || len(g.ConnectedComponents()) == 1
 }

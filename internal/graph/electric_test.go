@@ -43,8 +43,8 @@ func TestFromSystemPaperExample(t *testing.T) {
 		t.Fatalf("Order = %d, want 4", g.Order())
 	}
 	// Fig. 3: V1-V2, V1-V3, V2-V3, V2-V4, V3-V4 — five edges, no V1-V4 edge.
-	if g.NumEdges() != 5 {
-		t.Errorf("NumEdges = %d, want 5", g.NumEdges())
+	if m := len(slices.Collect(g.Edges())); m != 5 {
+		t.Errorf("%d edges, want 5", m)
 	}
 	if slices.Contains(g.Neighbors(0), 3) || slices.Contains(g.Neighbors(3), 0) {
 		t.Errorf("V1 and V4 must not be connected (a_14 = 0)")
@@ -109,8 +109,8 @@ func TestEdgesListMatchesCount(t *testing.T) {
 	if !slices.IsSortedFunc(edges, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) }) {
 		t.Errorf("edges are not in ascending (U,V) order: %+v", edges)
 	}
-	if len(edges) != g.NumEdges() {
-		t.Fatalf("Edges() returned %d edges, NumEdges says %d", len(edges), g.NumEdges())
+	if want := (a.NNZ() - a.Rows()) / 2; len(edges) != want {
+		t.Fatalf("Edges() returned %d edges, the off-diagonal pattern has %d", len(edges), want)
 	}
 	for _, e := range edges {
 		if e.U >= e.V {
@@ -124,22 +124,12 @@ func TestEdgesListMatchesCount(t *testing.T) {
 
 func TestConnectivityHelpers(t *testing.T) {
 	g := paperGraph(t)
-	if !g.IsConnected() {
-		t.Errorf("the paper graph is connected")
-	}
-	if comps := g.ConnectedComponents(); len(comps) != 1 || len(comps[0]) != 4 {
-		t.Errorf("components = %v, want one component of size 4", comps)
+	if order, _ := g.BFS(0, make([]int32, 4), 0, 1, nil); len(order) != 4 {
+		t.Errorf("the paper graph is connected, BFS from V1 reached %v", order)
 	}
 
 	// Two disconnected pairs.
 	h := fromEdges(t, 4, [][2]int{{0, 1}, {2, 3}})
-	if h.IsConnected() {
-		t.Errorf("disconnected graph misreported as connected")
-	}
-	comps := h.ConnectedComponents()
-	if len(comps) != 2 {
-		t.Errorf("components = %v, want 2", comps)
-	}
 	mark := make([]int32, 4)
 	order, last := h.BFS(0, mark, 0, 1, nil)
 	if !slices.Equal(order, []int{0, 1}) || last != 1 {
@@ -182,7 +172,7 @@ func TestHandshakeLemmaProperty(t *testing.T) {
 		for i := 0; i < g.Order(); i++ {
 			total += len(g.Neighbors(i))
 		}
-		return total == 2*g.NumEdges()
+		return total == 2*len(slices.Collect(g.Edges()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -25,7 +25,7 @@ func TestBuildBlocksNonSPDBlockFallsBackToLU(t *testing.T) {
 	coo.AddSym(1, 2, 0.01)
 	a := coo.ToCSR()
 	b := sparse.Vec{5, 4, 1, 1}
-	assign := partition.Strips(4, 2)
+	assign := partition.GridBlocks(4, 1, 2, 1)
 
 	blocks, err := buildBlocks(a, b, assign, factor.Settings{})
 	if err != nil {
@@ -52,7 +52,7 @@ func TestBuildBlocksNonSPDBlockFallsBackToLU(t *testing.T) {
 // solution with each.
 func TestBlockJacobiExplicitBackends(t *testing.T) {
 	sys := sparse.Poisson2D(12, 12, 0.05)
-	assign := partition.Strips(sys.Dim(), 4)
+	assign := partition.GridBlocks(sys.Dim(), 1, 4, 1)
 	var ref sparse.Vec
 	for _, backend := range []string{factor.DenseCholesky, factor.SparseCholesky, factor.SparseSupernodal, factor.Auto} {
 		x, st, err := BlockJacobi(sys.A, sys.B, assign, Config{

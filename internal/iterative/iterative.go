@@ -1,5 +1,5 @@
 // Package iterative implements the classical solvers the paper positions DTM
-// against: conjugate gradients, (weighted) Jacobi, Gauss–Seidel, SOR, the
+// against: conjugate gradients (the reference solve of the experiments), the
 // synchronous block-Jacobi (additive Schwarz) domain-decomposition iteration,
 // and an asynchronous block-Jacobi baseline that runs on the same
 // discrete-event network simulator as DTM so the two can be compared on equal
@@ -29,7 +29,7 @@ type Stats struct {
 	ErrorTrace []float64
 }
 
-// Config is shared by the stationary methods.
+// Config is shared by CG and the synchronous block-Jacobi iteration.
 type Config struct {
 	// MaxIterations bounds the iteration count. Required.
 	MaxIterations int
@@ -38,8 +38,7 @@ type Config struct {
 	// Exact, when non-nil, records an RMS-error trace.
 	Exact sparse.Vec
 	// Factor says how the block methods factorise their diagonal blocks
-	// (backend and ordering; the zero value is auto). The point
-	// methods (Jacobi, Gauss-Seidel, SOR, CG) ignore it.
+	// (backend and ordering; the zero value is auto). CG ignores it.
 	Factor factor.Settings
 }
 
@@ -104,89 +103,6 @@ func CG(a *sparse.CSR, b sparse.Vec, cfg Config) (sparse.Vec, Stats, error) {
 		p.Scale(rsNew / rsOld)
 		p.AddScaled(1, r)
 		rsOld = rsNew
-	}
-	st.Residual = relResidual(a, x, b)
-	return x, st, nil
-}
-
-// Jacobi solves A·x = b with the (damped) Jacobi iteration
-// x ← x + ω·D⁻¹·(b − A·x), starting from zero. omega = 1 is plain Jacobi.
-func Jacobi(a *sparse.CSR, b sparse.Vec, omega float64, cfg Config) (sparse.Vec, Stats, error) {
-	n := a.Rows()
-	if err := cfg.validate(n); err != nil {
-		return nil, Stats{}, err
-	}
-	if omega <= 0 {
-		return nil, Stats{}, fmt.Errorf("iterative: Jacobi damping must be positive, got %g", omega)
-	}
-	d := a.Diag()
-	for i, v := range d {
-		if v == 0 {
-			return nil, Stats{}, fmt.Errorf("iterative: zero diagonal at row %d", i)
-		}
-	}
-	x := sparse.NewVec(n)
-	st := Stats{}
-	for k := 1; k <= cfg.MaxIterations; k++ {
-		r := a.Residual(x, b)
-		for i := range x {
-			x[i] += omega * r[i] / d[i]
-		}
-		st.Iterations = k
-		if cfg.Exact != nil {
-			st.ErrorTrace = append(st.ErrorTrace, x.RMSError(cfg.Exact))
-		}
-		if rr := relResidual(a, x, b); rr <= cfg.Tol {
-			st.Converged = true
-			break
-		}
-	}
-	st.Residual = relResidual(a, x, b)
-	return x, st, nil
-}
-
-// GaussSeidel solves A·x = b with forward Gauss–Seidel sweeps starting from zero.
-func GaussSeidel(a *sparse.CSR, b sparse.Vec, cfg Config) (sparse.Vec, Stats, error) {
-	return SOR(a, b, 1.0, cfg)
-}
-
-// SOR solves A·x = b with successive over-relaxation (forward sweeps, factor
-// omega in (0, 2)); omega = 1 is Gauss–Seidel.
-func SOR(a *sparse.CSR, b sparse.Vec, omega float64, cfg Config) (sparse.Vec, Stats, error) {
-	n := a.Rows()
-	if err := cfg.validate(n); err != nil {
-		return nil, Stats{}, err
-	}
-	if omega <= 0 || omega >= 2 {
-		return nil, Stats{}, fmt.Errorf("iterative: SOR factor must lie in (0,2), got %g", omega)
-	}
-	d := a.Diag()
-	for i, v := range d {
-		if v == 0 {
-			return nil, Stats{}, fmt.Errorf("iterative: zero diagonal at row %d", i)
-		}
-	}
-	x := sparse.NewVec(n)
-	st := Stats{}
-	for k := 1; k <= cfg.MaxIterations; k++ {
-		for i := 0; i < n; i++ {
-			var sigma float64
-			a.Row(i, func(j int, v float64) {
-				if j != i {
-					sigma += v * x[j]
-				}
-			})
-			gs := (b[i] - sigma) / d[i]
-			x[i] += omega * (gs - x[i])
-		}
-		st.Iterations = k
-		if cfg.Exact != nil {
-			st.ErrorTrace = append(st.ErrorTrace, x.RMSError(cfg.Exact))
-		}
-		if rr := relResidual(a, x, b); rr <= cfg.Tol {
-			st.Converged = true
-			break
-		}
 	}
 	st.Residual = relResidual(a, x, b)
 	return x, st, nil

@@ -408,7 +408,7 @@ func TestEVSBoundaryCoverProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a := Strips(n, 2+int(rawN%3))
+		a := GridBlocks(n, 1, 2+int(rawN%3), 1)
 		res, err := EVS(g, a, Options{})
 		if err != nil {
 			return false

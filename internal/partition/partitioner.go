@@ -1,7 +1,7 @@
 // Package partition implements graph partitioning and Electric Vertex
 // Splitting (EVS, Section 4 of the paper, also called "wire tearing").
 //
-// A Partitioner assigns every vertex of the electric graph to one of N parts.
+// A partitioner assigns every vertex of the electric graph to one of N parts.
 // EVS then splits every boundary vertex (a vertex with a neighbour in another
 // part) into one copy per adjacent part, splits its weight, source and
 // boundary edges so that the per-part subsystems sum back to the original
@@ -10,8 +10,7 @@
 //
 // The graph is read-only and its orders are fixed (neighbours ascending, edges
 // ascending by (U, V)), so every partitioner and EVS are deterministic without
-// sorting anything they are handed. The breadth-first partitioners run on
-// graph.BFS; EVS keeps its per-vertex state in slices and walks the edge set
+// sorting anything they are handed. LevelSetGrow runs on graph.BFS; EVS keeps its per-vertex state in slices and walks the edge set
 // once.
 package partition
 
@@ -79,26 +78,9 @@ func (a Assignment) Imbalance() float64 {
 	return float64(max) / ideal
 }
 
-// Strips assigns vertices to parts by contiguous index ranges of (nearly)
-// equal size. For 1-D chain graphs this is the natural partition; for general
-// graphs it is a crude but deterministic baseline.
-func Strips(n, parts int) Assignment {
-	if parts <= 0 || n < parts {
-		panic(fmt.Sprintf("partition: Strips needs 1 <= parts <= n, got n=%d parts=%d", n, parts))
-	}
-	assign := make([]int, n)
-	for i := 0; i < n; i++ {
-		// Balanced split: part p receives indices [p*n/parts, (p+1)*n/parts).
-		assign[i] = i * parts / n
-		if assign[i] >= parts {
-			assign[i] = parts - 1
-		}
-	}
-	return Assignment{Parts: parts, Assign: assign}
-}
-
 // GridBlocks assigns the vertices of an nx×ny grid (vertex index ix + iy*nx)
-// to a px×py block grid of parts. Part (bx, by) has index bx + by*px. This is
+// to a px×py block grid of parts. Part (bx, by) has index bx + by*px;
+// GridBlocks(n, 1, parts, 1) cuts a chain into contiguous strips. This is
 // the "regular partitioning" the paper uses on its grid-structured systems,
 // and composed with EVS it yields exactly the level-one / level-two mixed wire
 // tearing of Section 4 (edge vertices split in two, block-corner vertices split
@@ -126,7 +108,9 @@ func GridBlocks(nx, ny, px, py int) Assignment {
 
 // LevelSetGrow partitions a general graph into `parts` balanced pieces by
 // walking the vertices in breadth-first order from a pseudo-peripheral vertex
-// and cutting the ordering into equal chunks. Contiguity of each part is good
+// and cutting the ordering into equal chunks. The start is found by the
+// standard double-BFS heuristic: walk from vertex 0, move to the smallest
+// vertex of the deepest level, and walk again. Contiguity of each part is good
 // for connected graphs with small diameter growth (grids, meshes, circuits).
 // Vertices unreachable from the start follow, each remaining component walked
 // from its smallest vertex, so the order always covers the whole graph.
@@ -135,11 +119,15 @@ func LevelSetGrow(g *graph.Electric, parts int) Assignment {
 	if parts <= 0 || n < parts {
 		panic(fmt.Sprintf("partition: LevelSetGrow needs 1 <= parts <= n, got n=%d parts=%d", n, parts))
 	}
-	// Marks: 0 unvisited, 2 the start's component after peripheral's two
-	// walks, 3 placed in the order.
+	// Marks: 0 unvisited, 2 the start's component after the two walks that
+	// find the start, 3 placed in the order.
 	mark := make([]int32, n)
 	order := make([]int, 0, n)
-	start := peripheral(g, 0, mark, 0, order, slices.Min[[]int])
+	start := 0
+	for pass := int32(0); pass < 2; pass++ {
+		walk, last := g.BFS(start, mark, pass, pass+1, order)
+		start = slices.Min(walk[last:])
+	}
 	order, _ = g.BFS(start, mark, 2, 3, order)
 	for v := range mark {
 		if mark[v] == 0 {
@@ -151,45 +139,4 @@ func LevelSetGrow(g *graph.Electric, parts int) Assignment {
 		assign[v] = rank * parts / n
 	}
 	return Assignment{Parts: parts, Assign: assign}
-}
-
-// peripheral returns a vertex of (approximately) maximal eccentricity among
-// the vertices marked m that are reachable from start, by the standard
-// double-BFS heuristic: walk from start, move to a vertex of the deepest
-// level — the one pick chooses — and walk again. It leaves the vertices it
-// reached marked m+2 and uses scratch's free capacity as the queue.
-func peripheral(g *graph.Electric, start int, mark []int32, m int32, scratch []int, pick func(deepest []int) int) int {
-	for pass := int32(0); pass < 2; pass++ {
-		order, last := g.BFS(start, mark, m+pass, m+pass+1, scratch[:0])
-		start = pick(order[last:])
-	}
-	return start
-}
-
-// BoundaryVertices returns, for the given assignment, the sorted list of
-// vertices that have at least one neighbour assigned to a different part.
-// These are exactly the vertices EVS will split.
-func BoundaryVertices(g *graph.Electric, a Assignment) []int {
-	var out []int
-	for v := 0; v < g.Order(); v++ {
-		pv := a.Assign[v]
-		for _, w := range g.Neighbors(v) {
-			if a.Assign[w] != pv {
-				out = append(out, v)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// EdgeCut returns the number of edges whose endpoints lie in different parts.
-func EdgeCut(g *graph.Electric, a Assignment) int {
-	cut := 0
-	for e := range g.Edges() {
-		if a.Assign[e.U] != a.Assign[e.V] {
-			cut++
-		}
-	}
-	return cut
 }

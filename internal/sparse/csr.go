@@ -94,23 +94,6 @@ func (m *CSR) Each(fn func(i, j int, v float64)) {
 	}
 }
 
-// Diag returns the main diagonal as a vector.
-func (m *CSR) Diag() Vec {
-	n := m.rows
-	if m.cols < n {
-		n = m.cols
-	}
-	d := NewVec(n)
-	for i := 0; i < n; i++ {
-		m.Row(i, func(j int, v float64) {
-			if j == i {
-				d[i] = v
-			}
-		})
-	}
-	return d
-}
-
 // MulVec computes y = A x and returns y as a new vector.
 func (m *CSR) MulVec(x Vec) Vec {
 	y := NewVec(m.rows)

@@ -117,13 +117,6 @@ func TestCSRMulVecAgainstDense(t *testing.T) {
 	}
 }
 
-func TestCSRDiag(t *testing.T) {
-	_, m := testMatrix()
-	if got := m.Diag(); !got.Equal(Vec{4, 4, 4, 4}, 0) {
-		t.Errorf("Diag = %v", got)
-	}
-}
-
 func TestCSRAddDiag(t *testing.T) {
 	_, m := testMatrix()
 	shifted := m.AddDiag(Vec{1, 2, 3, 4})
