@@ -152,6 +152,13 @@ func TestCondensedSolveMatchesFullSolve(t *testing.T) {
 // solution of the snapshotted Solve — through a Refactor, as a crash-restart
 // does it — and whose next Solve repeats, bit for bit, what the uncrashed
 // subdomain computed. Without a snapshot the restore is the zero state.
+//
+// On the ports-only path nothing may move a bit: per part of the 2×2 tear of
+// grid65, X of a snapshotted Solve — taken through more Solves, X calls, a
+// Refactor and RestoreSnapshot — is, bit for bit, X as it was at the
+// snapshot, and that X is the full supernodal solve of the snapshotted
+// right-hand side, ports included. The remembered right-hand side must live
+// apart from the scratch vectors X and Refactor write.
 func TestCondensedSnapshotCarriesTheStaleInterior(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f := newCondensedFixture(t, seed, 27, 11, false)
@@ -195,6 +202,65 @@ func TestCondensedSnapshotCarriesTheStaleInterior(t *testing.T) {
 			}
 		}
 	}
+	t.Run("grid65-supernodal", func(t *testing.T) {
+		_, subs := grid65Subdomains(t)
+		rng := rand.New(rand.NewSource(65))
+		waves := func(s *Subdomain) {
+			for e := range s.incoming {
+				s.incoming[e] = rng.NormFloat64()
+			}
+		}
+		for i, s := range subs {
+			waves(s)
+			atSnap := append([]float64(nil), s.incoming...)
+			s.Solve()
+			s.Snapshot()
+			want := s.X().Clone()
+			rhs := s.baseRHS.Clone()
+			for e, end := range s.ends {
+				rhs[end.Port] += s.invZ[e] * atSnap[e] // as Solve forms (5.9)
+			}
+			if full := factor.Solve(s.solver, rhs); !want.Equal(full, 0) {
+				t.Fatalf("part %d: X after a ports-only Solve is not the full solve bit for bit", i)
+			}
+			for j := 0; j < 3; j++ {
+				waves(s)
+				s.Solve()
+				if j == 1 {
+					s.X()
+				}
+			}
+			if err := s.Refactor(); err != nil {
+				t.Fatal(err)
+			}
+			s.RestoreSnapshot()
+			before := s.interiorSolves
+			if got := s.X(); !got.Equal(want, 0) || s.interiorSolves != before+1 {
+				t.Errorf("part %d: X after Snapshot, Solves, Refactor and RestoreSnapshot differs from the snapshotted X (%d interior solves)", i, s.interiorSolves-before)
+			}
+		}
+	})
+}
+
+// grid65Subdomains tears grid:rows=65,cols=65,seed=7 2×2, the benchmark's
+// bigblock problem: four parts of ≈ 1 100 unknowns, every one factorised by
+// auto's sparse-supernodal backend, which gives each a ports-only solve.
+func grid65Subdomains(t *testing.T) (*Problem, []*Subdomain) {
+	t.Helper()
+	prob, err := GridProblem(sparse.RandomGridSPD(65, 65, 7), 65, 65, 2, 2, topology.Uniform(4, 10, "uniform"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, _, err := prob.BuildSubdomains(nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range subs {
+		if s.portsOnly == nil || s.solver.Backend() != factor.SparseSupernodal {
+			t.Fatalf("part %d: factorised by %q, ports-only solve %v; want sparse-supernodal's", i, s.solver.Backend(), s.portsOnly != nil)
+		}
+	}
+	return prob, subs
 }
 
 // TestCondensedFallbackSolvesInFull: a symmetric indefinite block falls back
@@ -259,35 +325,57 @@ func TestCondensedSweepExchangeKeepsX(t *testing.T) {
 
 // TestCondensedRunSolvesEachInteriorOnce is the cost claim without a clock:
 // a fault-free DES run that nobody watches (no Exact, no Observer) performs,
-// over its thousands of activations, exactly one interior solve per part — in
-// finish — and the answer is the one the watched run assembles solve by solve.
-// Sparse-backend parts take the full path and perform none.
+// over its activations, exactly one interior solve per part — in finish — and
+// the answer is the one the watched run assembles solve by solve. That holds
+// on the dense port factors of the 3×3 tear of grid13 and on the supernodal
+// ports-only solves of the 2×2 tear of grid65. sparse-cholesky parts take the
+// full path and perform none.
 func TestCondensedRunSolvesEachInteriorOnce(t *testing.T) {
 	prob, err := GridProblem(sparse.RandomGridSPD(13, 13, 169), 13, 13, 3, 3, topology.Uniform(9, 10, "uniform"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(cfg Config) (*Result, *engine) {
-		cfg.Tol, cfg.MaxTime = 1e-9, 1e9
-		cfg.normalize()
-		eng, err := newEngine(prob, &cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := eng.finish(eng.window(context.Background(), 0, cfg.MaxTime, false))
-		if !res.Converged {
-			t.Fatal("not converged")
-		}
-		return res, eng
+	big, _ := grid65Subdomains(t)
+	for _, p := range []*Problem{prob, big} {
+		checkOneInteriorSolvePerPart(t, p)
 	}
-	res, eng := run(Config{})
+	_, seng := runUnwatched(t, prob, Config{CommonOptions: CommonOptions{Factor: factor.Settings{Backend: factor.SparseCholesky}}})
+	for i, s := range seng.subs {
+		if s.ports != nil || s.portsOnly != nil || s.interiorSolves != 0 {
+			t.Errorf("part %d under sparse-cholesky: port factor %v, ports-only solve %v, %d interior solves; want the full path", i, s.ports != nil, s.portsOnly != nil, s.interiorSolves)
+		}
+	}
+}
+
+// runUnwatched runs prob to 1e-9 on the DES engine under cfg and returns the
+// result and the engine, whose subdomains count their interior solves.
+func runUnwatched(t *testing.T, prob *Problem, cfg Config) (*Result, *engine) {
+	t.Helper()
+	cfg.Tol, cfg.MaxTime = 1e-9, 1e9
+	cfg.normalize()
+	eng, err := newEngine(prob, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := eng.finish(eng.window(context.Background(), 0, cfg.MaxTime, false))
+	if !res.Converged {
+		t.Fatal("not converged")
+	}
+	return res, eng
+}
+
+// checkOneInteriorSolvePerPart runs prob unwatched and watched (Exact set)
+// and compares interior solve counts and answers.
+func checkOneInteriorSolvePerPart(t *testing.T, prob *Problem) {
+	t.Helper()
+	res, eng := runUnwatched(t, prob, Config{})
 	for i, s := range eng.subs {
 		if s.interiorSolves != 1 {
 			t.Errorf("part %d: %d interior solves in a run of %d activations nobody watched, want 1", i, s.interiorSolves, res.Solves)
 		}
 	}
 	exact := sparse.NewVec(prob.System.Dim())
-	watched, weng := run(Config{CommonOptions: CommonOptions{Exact: exact}})
+	watched, weng := runUnwatched(t, prob, Config{CommonOptions: CommonOptions{Exact: exact}})
 	total := 0
 	for _, s := range weng.subs {
 		total += s.interiorSolves
@@ -298,12 +386,6 @@ func TestCondensedRunSolvesEachInteriorOnce(t *testing.T) {
 	for i := range res.X {
 		if math.Float64bits(res.X[i]) != math.Float64bits(watched.X[i]) {
 			t.Fatalf("X[%d] = %x unwatched, %x watched", i, math.Float64bits(res.X[i]), math.Float64bits(watched.X[i]))
-		}
-	}
-	_, seng := run(Config{CommonOptions: CommonOptions{Factor: factor.Settings{Backend: factor.SparseCholesky}}})
-	for i, s := range seng.subs {
-		if s.ports != nil || s.interiorSolves != 0 {
-			t.Errorf("part %d under sparse-cholesky: port factor %v, %d interior solves; want the full path", i, s.ports != nil, s.interiorSolves)
 		}
 	}
 }

@@ -31,9 +31,12 @@ type LinkEnd struct {
 // change, and only the port potentials leave the subdomain (the outgoing
 // waves, the boundary change, the twin gaps). When the factorisation holds
 // the Schur complement S of the interior onto the ports (factor.PortSolver),
-// Solve therefore computes the ports alone, u = u⁰ + S⁻¹δ, and the interior
-// is solved for once, when somebody asks for it (X). Every other backend
-// solves the whole system on every activation, as Table 1 of the paper says.
+// Solve therefore computes the ports alone, u = u⁰ + S⁻¹δ; when it is a
+// supernodal factor that marked the ports' closure (factor.PortsOnly), Solve
+// runs the sweeps on that closure alone, with the full solve's bytes. Either
+// way the interior is solved for once, when somebody asks for it (X). Every
+// other backend solves the whole system on every activation, as Table 1 of
+// the paper says.
 //
 // Subdomain is not safe for concurrent use by itself; the DES engine calls it
 // from a single goroutine and the live engine confines each Subdomain to the
@@ -44,17 +47,20 @@ type Subdomain struct {
 	globalIdx []int
 
 	solver factor.LocalSolver
-	// ports is solver again when it holds the port factor, nil otherwise:
-	// which of Solve's two paths this subdomain takes.
-	ports   factor.PortSolver
-	baseRHS sparse.Vec
-	// On the port path: u0 is the port potentials under zero incoming waves
-	// (the ports of A⁻¹·baseRHS), delta[p] the Σ (1/Z)·incoming over the ends
-	// on port p as of the latest Solve, and stale says x's interior entries
-	// predate that Solve. delta, not incoming, is what X solves for: an
-	// engine may overwrite incoming between a Solve and the X that follows.
-	u0, delta []float64
-	stale     bool
+	// ports is solver again when it holds the port factor, portsOnly the
+	// solver's ports-only solve for baseRHS; at most one is set, and which
+	// one picks Solve's path.
+	ports     factor.PortSolver
+	portsOnly *factor.PortsOnly
+	baseRHS   sparse.Vec
+	// u0 is the port potentials under zero incoming waves (the ports of
+	// A⁻¹·baseRHS), on the port factor's path. On both condensed paths
+	// portRHS is the port entries of the right-hand side of the latest Solve
+	// and stale says x's interior entries predate that Solve. portRHS, not
+	// incoming, is what X solves for: an engine may overwrite incoming
+	// between a Solve and the X that follows.
+	u0, portRHS []float64
+	stale       bool
 	// interiorSolves counts the full solves X performed, for the test that a
 	// run nobody watches pays for one per part.
 	interiorSolves int
@@ -86,7 +92,7 @@ type Subdomain struct {
 	fs           factor.Settings
 	snapX        sparse.Vec
 	snapIncoming []float64
-	snapDelta    []float64
+	snapPortRHS  []float64
 	snapStale    bool
 	hasSnap      bool
 }
@@ -111,7 +117,7 @@ func NewSubdomain(sub *partition.Subdomain, links []partition.TwinLink, z []floa
 		rhs:       sparse.NewVec(sub.Dim()),
 		prevPorts: make([]float64, sub.NumPorts),
 		u0:        make([]float64, sub.NumPorts),
-		delta:     make([]float64, sub.NumPorts),
+		portRHS:   make([]float64, sub.NumPorts),
 	}
 	for i := range s.endOfLink {
 		s.endOfLink[i] = -1
@@ -166,18 +172,16 @@ func (s *Subdomain) Ends() []LinkEnd { return s.ends }
 
 // X returns the latest local solution [u_ports; y_inner]. The returned slice
 // is the live buffer; callers that need a stable copy must Clone it. On the
-// port path the interior is materialised here, by one full solve for the
-// right-hand side of the latest Solve; the ports keep the values that Solve
-// gave them (the full solve's differ in the last bits), so asking for X never
-// changes what the subdomain sends next.
+// condensed paths the interior is materialised here, by one full solve for
+// the right-hand side of the latest Solve; the ports keep the values that
+// Solve gave them (on the port factor's path the full solve's differ in the
+// last bits), so asking for X never changes what the subdomain sends next.
 func (s *Subdomain) X() sparse.Vec {
 	if s.stale {
 		s.stale = false
 		s.interiorSolves++
 		s.rhs.CopyFrom(s.baseRHS)
-		for p, d := range s.delta {
-			s.rhs[p] += d
-		}
+		copy(s.rhs, s.portRHS)
 		s.solver.SolveTo(s.rhs, s.rhs)
 		copy(s.x[s.numPorts:], s.rhs[s.numPorts:])
 	}
@@ -208,21 +212,29 @@ func (s *Subdomain) endOf(linkID int) int {
 // Solve re-solves the local system with the current incoming waves and returns
 // the largest absolute change of any port potential relative to the previous
 // solution. It performs only a forward/backward substitution — the
-// factorisation was done once in NewSubdomain — and on the port path only the
-// ports' share of it: the waves enter (5.9) as δ on the ports, so the port
-// potentials are u⁰ + S⁻¹δ.
+// factorisation was done once in NewSubdomain — and on the condensed paths
+// only the ports' share of it: on the port factor's the waves enter (5.9) as
+// δ on the ports, so the port potentials are u⁰ + S⁻¹δ; on the ports-only
+// solve's the sweeps run on the ports' closure.
 func (s *Subdomain) Solve() float64 {
 	ports := s.x[:s.numPorts]
 	prev := s.prevPorts
 	copy(prev, ports)
 	if s.ports != nil {
-		clear(s.delta)
+		delta := s.portRHS
+		clear(delta)
 		for k, e := range s.ends {
-			s.delta[e.Port] += s.invZ[k] * s.incoming[k]
+			delta[e.Port] += s.invZ[k] * s.incoming[k]
 		}
-		s.ports.SolvePorts(ports, s.delta)
-		for p, u0 := range s.u0 {
-			ports[p] += u0
+		s.ports.SolvePorts(ports, delta)
+		// Slices of one length, taken before the loop, so that this per-port
+		// loop of every activation neither reloads s's fields nor checks
+		// bounds.
+		base, u0 := s.baseRHS[:len(delta)], s.u0[:len(delta)]
+		ports = ports[:len(delta)]
+		for p := range delta {
+			ports[p] += u0[p]
+			delta[p] += base[p] // now the port entries of base + δ
 		}
 		s.stale = true
 	} else {
@@ -231,7 +243,13 @@ func (s *Subdomain) Solve() float64 {
 			// f_p + (1/Z)·(u_twin − Z·ω_twin)(t−τ), the right-hand side of (5.9).
 			s.rhs[e.Port] += s.invZ[k] * s.incoming[k]
 		}
-		s.solver.SolveTo(s.x, s.rhs)
+		if s.portsOnly != nil {
+			s.portsOnly.SolveTo(ports, s.rhs)
+			copy(s.portRHS, s.rhs)
+			s.stale = true
+		} else {
+			s.solver.SolveTo(s.x, s.rhs)
+		}
 	}
 	var change float64
 	for p, u := range ports {
@@ -307,20 +325,20 @@ func (s *Subdomain) AdjacentParts() []int {
 
 // Snapshot stores an in-memory copy of the subdomain's recovery state: the
 // latest local solution and the latest incoming waves — and, since the
-// solution's interior may be waiting for X, whether it is and the δ it would
-// be solved for. The constant inputs — the local matrix, right-hand side and
-// DTL endpoints — need no snapshot, and the factorisation is deliberately
-// excluded: a crashed process loses it and Refactor rebuilds it from the
-// cached matrix.
+// solution's interior may be waiting for X, whether it is and the port
+// entries of the right-hand side it would be solved for. The constant inputs
+// — the local matrix, right-hand side and DTL endpoints — need no snapshot,
+// and the factorisation is deliberately excluded: a crashed process loses it
+// and Refactor rebuilds it from the cached matrix.
 func (s *Subdomain) Snapshot() {
 	if s.snapX == nil {
 		s.snapX = sparse.NewVec(len(s.x))
 		s.snapIncoming = make([]float64, len(s.incoming))
-		s.snapDelta = make([]float64, len(s.delta))
+		s.snapPortRHS = make([]float64, len(s.portRHS))
 	}
 	s.snapX.CopyFrom(s.x)
 	copy(s.snapIncoming, s.incoming)
-	copy(s.snapDelta, s.delta)
+	copy(s.snapPortRHS, s.portRHS)
 	s.snapStale = s.stale
 	s.hasSnap = true
 }
@@ -333,22 +351,22 @@ func (s *Subdomain) RestoreSnapshot() {
 	if !s.hasSnap {
 		s.x.Zero()
 		clear(s.incoming)
-		clear(s.delta)
+		clear(s.portRHS)
 		s.stale = false
 		return
 	}
 	s.x.CopyFrom(s.snapX)
 	copy(s.incoming, s.snapIncoming)
-	copy(s.delta, s.snapDelta)
+	copy(s.portRHS, s.snapPortRHS)
 	s.stale = s.snapStale
 }
 
 // Refactor (re)builds the local solver — and with it the port factor and u⁰,
-// when the backend has one — from the retained local matrix and factor
-// settings. NewSubdomain factorises through it, and a crash-restarted
-// subdomain calls it because the factorisation held by the crashed process is
-// lost; the rebuild is deterministic, so the restarted subdomain solves
-// exactly as before.
+// or the ports-only solve, when the backend offers one — from the retained
+// local matrix and factor settings. NewSubdomain factorises through it, and a
+// crash-restarted subdomain calls it because the factorisation held by the
+// crashed process is lost; the rebuild is deterministic, so the restarted
+// subdomain solves exactly as before.
 func (s *Subdomain) Refactor() error {
 	solver, err := s.fs.NewPorts(s.localA, s.numPorts)
 	if err != nil {
@@ -356,9 +374,12 @@ func (s *Subdomain) Refactor() error {
 	}
 	s.solver = solver
 	s.ports, _ = solver.(factor.PortSolver)
+	s.portsOnly = nil
 	if s.ports != nil {
 		solver.SolveTo(s.rhs, s.baseRHS)
 		copy(s.u0, s.rhs)
+	} else if sn, ok := solver.(*factor.Supernodal); ok {
+		s.portsOnly = sn.PortsOnly(s.baseRHS)
 	}
 	return nil
 }

@@ -2,8 +2,12 @@ package factor
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/dtl"
+	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/sparse"
 )
 
@@ -61,6 +65,51 @@ func BenchmarkFactorScalarVsSupernodal(b *testing.B) {
 	}
 }
 
+// bigblockPart is one local system of the benchmark's bigblock-grid65 lane:
+// the 2×2 tear of grid:rows=65,cols=65,seed=7, each part's matrix with its
+// lines' 1/Z on the port diagonal (eq. 5.9, dtl.DiagScaled{Alpha: 1}), its
+// base right-hand side and its port count.
+type bigblockPart struct {
+	a     *sparse.CSR
+	b     sparse.Vec
+	ports int
+}
+
+func bigblockParts(tb testing.TB) []bigblockPart {
+	sys := sparse.RandomGridSPD(65, 65, 7)
+	g, err := graph.FromSystem(sys.A, sys.B)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := partition.EVS(g, partition.GridBlocks(65, 65, 2, 2), partition.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	z, err := dtl.Assign(res, dtl.DiagScaled{Alpha: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	parts := make([]bigblockPart, len(res.Subdomains))
+	for i, sub := range res.Subdomains {
+		diag := sparse.NewVec(sub.Dim())
+		for _, l := range res.Links {
+			if l.PartA == i {
+				diag[l.PortA] += 1 / z[l.ID]
+			}
+			if l.PartB == i {
+				diag[l.PortB] += 1 / z[l.ID]
+			}
+		}
+		parts[i] = bigblockPart{a: sub.A.AddDiag(diag), b: sub.B, ports: sub.NumPorts}
+	}
+	return parts
+}
+
+// BenchmarkSolve times one solve of a factor: SolveTo on a 128² Poisson
+// grid, and on each of bigblock-grid65's four parts the full SolveTo beside
+// the ports-only solve an activation runs. The ports-only arm reports its
+// closure: supernodes in it, of all, and the share of the stored factor
+// entries they hold.
 func BenchmarkSolve(b *testing.B) {
 	grid := sparse.Poisson2D(128, 128, 0.05)
 	for _, backend := range []string{SparseCholesky, SparseSupernodal} {
@@ -75,5 +124,39 @@ func BenchmarkSolve(b *testing.B) {
 				s.SolveTo(x, grid.B)
 			}
 		})
+	}
+	for i, p := range bigblockParts(b) {
+		f, err := Settings{}.NewPorts(p.a, p.ports)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sn := f.(*Supernodal)
+		po := sn.PortsOnly(p.b)
+		x, u := sparse.NewVec(p.a.Rows()), sparse.NewVec(p.ports)
+		b.Run(fmt.Sprintf("bigblock/part%d/full", i), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sn.SolveTo(x, p.b)
+			}
+		})
+		b.Run(fmt.Sprintf("bigblock/part%d/ports-only", i), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				po.SolveTo(u, p.b)
+			}
+			in, entries := 0, 0
+			for s := 0; s < sn.ns; s++ {
+				if sn.closure[s] {
+					in++
+					w, ld := int(sn.sfirst[s+1]-sn.sfirst[s]), int(sn.rx[s+1]-sn.rx[s])
+					entries += w*ld - w*(w-1)/2
+				}
+			}
+			b.ReportMetric(float64(in), "closure-sn")
+			b.ReportMetric(float64(sn.ns), "sn")
+			b.ReportMetric(float64(entries)/float64(sn.NNZL()), "entry-share")
+		})
+		first, last := slices.Min(sn.portPos), slices.Max(sn.portPos)
+		b.Logf("part %d: n=%d k=%d ordering %v, ports at permuted columns %d..%d", i, p.a.Rows(), p.ports, sn.Ordering(), first, last)
 	}
 }

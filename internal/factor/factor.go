@@ -29,7 +29,12 @@
 //     group into supernodes on the postordered elimination tree, every
 //     supernode factorises as a dense trapezoidal panel with register-blocked
 //     rank-k updates, one supernode after another on the calling
-//     goroutine. The fastest backend for large sparse blocks.
+//     goroutine. The fastest backend for large sparse blocks. Told how many
+//     leading unknowns are ports, it marks their closure — the supernodes on
+//     an elimination-tree path from a port column to a root — and offers a
+//     ports-only solve (Supernodal.PortsOnly): for right-hand sides that
+//     agree with a fixed base outside the ports it writes the port entries
+//     SolveTo would, bit for bit, doing dense work on the closure alone.
 //   - "auto" — picks a backend by size and density and performs the one
 //     fallback chain (see newAuto): a block that is not positive definite
 //     lands in the supernodal LDLᵀ on the sparse path and in dense LU on the
@@ -118,7 +123,7 @@ type PortSolver interface {
 
 // factorizer builds a LocalSolver from a sparse matrix whose first ports
 // unknowns are ports, under the given fill-reducing ordering (the dense
-// backends ignore the ordering, every backend but dense-cholesky the ports).
+// backends ignore the ordering; dense-lu and sparse-cholesky the ports).
 type factorizer func(a *sparse.CSR, order Ordering, ports int) (LocalSolver, error)
 
 // Solve is a convenience wrapper around SolveTo that allocates the solution.
@@ -195,8 +200,11 @@ func (s Settings) New(a *sparse.CSR) (LocalSolver, error) { return s.NewPorts(a,
 
 // NewPorts factorises a as the settings say, telling the backend that the
 // first ports unknowns are the only ones whose right-hand side will change
-// and whose solution will be read between full solves. A backend that can
-// use that returns a PortSolver; the others factorise exactly as New does.
+// and whose solution will be read between full solves. dense-cholesky uses
+// that to eliminate the ports last and returns a PortSolver; the supernodal
+// backend (also when auto picks it, or falls back to its LDLᵀ) factorises as
+// New does and marks the ports' closure, which its PortsOnly solve needs; the
+// others factorise exactly as New does.
 func (s Settings) NewPorts(a *sparse.CSR, ports int) (LocalSolver, error) {
 	if ports < 0 || ports > a.Rows() {
 		return nil, fmt.Errorf("factor: %d ports in a system of %d unknowns", ports, a.Rows())
@@ -332,19 +340,22 @@ func newSparseCholeskyBackend(a *sparse.CSR, order Ordering, _ int) (LocalSolver
 // newSparseSupernodalBackend covers both symmetric factorisations with one
 // name: Cholesky when the matrix turns out SPD, LDLᵀ otherwise. A non-positive
 // diagonal entry proves non-positive-definiteness up front (xᵀAx ≤ 0 for a
-// unit vector), so that case skips the doomed Cholesky attempt entirely.
-func newSparseSupernodalBackend(a *sparse.CSR, order Ordering, _ int) (LocalSolver, error) {
+// unit vector), so that case skips the doomed Cholesky attempt entirely. The
+// factor marks the ports' closure, which offers the ports-only solve.
+func newSparseSupernodalBackend(a *sparse.CSR, order Ordering, ports int) (LocalSolver, error) {
+	mode := ModeCholesky
 	if !hasPosDiag(a) {
-		return NewSupernodal(a, order, ModeLDLT)
+		mode = ModeLDLT
 	}
-	s, err := NewSupernodal(a, order, ModeCholesky)
-	if err == nil {
-		return s, nil
+	s, err := NewSupernodal(a, order, mode)
+	if mode == ModeCholesky && errors.Is(err, ErrNotPositiveDefinite) {
+		s, err = NewSupernodal(a, order, ModeLDLT)
 	}
-	if !errors.Is(err, ErrNotPositiveDefinite) {
+	if err != nil {
 		return nil, err
 	}
-	return NewSupernodal(a, order, ModeLDLT)
+	s.markClosure(ports)
+	return s, nil
 }
 
 // hasPosDiag reports whether every diagonal entry of a is strictly positive —
@@ -419,6 +430,7 @@ func newAuto(a *sparse.CSR, order Ordering, ports int) (LocalSolver, error) {
 		// definiteness requirement.
 		ldlt, lErr := NewSupernodal(a, order, ModeLDLT)
 		if lErr == nil {
+			ldlt.markClosure(ports)
 			return ldlt, nil
 		}
 		err = fmt.Errorf("%v; supernodal LDLT: %w", err, lErr)

@@ -79,7 +79,8 @@ func TestSolvePortsIsThePortBlockOfTheInverse(t *testing.T) {
 
 // TestNewPortsFallsBackToAFullSolver: a symmetric indefinite block has no
 // Cholesky factor, so auto's dense path ends at dense-lu, which is not a
-// PortSolver — and still solves. The sparse backends ignore the ports too.
+// PortSolver — and still solves. The sparse backends are no PortSolver
+// either (the supernodal one marks the ports' closure instead).
 func TestNewPortsFallsBackToAFullSolver(t *testing.T) {
 	indefinite := sparse.NewCSRFromDense([][]float64{
 		{2, 1, 0},

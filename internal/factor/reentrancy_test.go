@@ -11,7 +11,8 @@ import (
 // serving eight goroutines of factor-once/solve-many traffic (the DTM
 // subdomain pattern) must produce byte-identical solutions on every stream —
 // run under -race in CI, where the old factor-owned scratch buffers showed up
-// as a data race and silently corrupted results.
+// as a data race and silently corrupted results. The supernodal ports-only
+// solve is raced the same way.
 func TestSolveToConcurrentReentrant(t *testing.T) {
 	const goroutines = 8
 	const solvesPerG = 16
@@ -78,6 +79,44 @@ func TestSolveToConcurrentReentrant(t *testing.T) {
 			}
 		})
 	}
+
+	// The ports-only solve shares the factor's scratch pool: eight goroutines
+	// of port-perturbed right-hand sides must each see SolveTo's port bytes.
+	t.Run("supernodal-ports-only", func(t *testing.T) {
+		a := shuffled(sparse.Poisson2D(64, 64, 0.05).A, 9)
+		n, k := a.Rows(), 300
+		base := sparse.RandomVec(n, 10)
+		s, po := portsOnlyOf(t, a, OrderAuto, k, base)
+		rhs := make([]sparse.Vec, solvesPerG)
+		want := make([]sparse.Vec, solvesPerG)
+		for i := range rhs {
+			rhs[i] = base.Clone()
+			copy(rhs[i], sparse.RandomVec(k, int64(7*i+1)))
+			want[i] = Solve(s, rhs[i])
+		}
+		var wg sync.WaitGroup
+		diffs := make([]int, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				u := sparse.NewVec(k)
+				for i := range rhs {
+					po.SolveTo(u, rhs[i])
+					if samePorts(u, want[i]) >= 0 {
+						diffs[g] = i + 1
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g, d := range diffs {
+			if d != 0 {
+				t.Errorf("goroutine %d: ports-only solve %d differs from SolveTo's ports", g, d-1)
+			}
+		}
+	})
 }
 
 // TestInertiaCrossBackendAgreement is the inertia bugfix's pin: on a

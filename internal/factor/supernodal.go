@@ -112,6 +112,12 @@ type Supernodal struct {
 
 	d []float64 // ModeLDLT: the signed pivots in permuted order
 
+	// Ports, when NewPorts named any (markClosure): portPos[p] is the permuted
+	// column of port p, and closure[sn] says supernode sn lies on an
+	// elimination-tree path from a port column to a root. Both nil otherwise.
+	portPos []int32
+	closure []bool
+
 	// scratch pools per-call solve buffers (*snSolveScratch), so SolveTo is
 	// reentrant: concurrent solves on one factor — the factor-once/solve-many
 	// pattern of the DTM subdomains — share nothing mutable.
@@ -666,43 +672,11 @@ func (s *Supernodal) SolveTo(x, b sparse.Vec) {
 	} else {
 		copy(w, b)
 	}
-	unit := s.mode == ModeLDLT
-
-	// Forward: L y = P b. Per supernode: dense (unit-)lower solve on the
-	// diagonal block, then one gathered accumulation of the rectangular
-	// panel's contribution, scattered to the ancestor rows once.
+	// Forward: L y = P b, per supernode ascending.
 	for sn := 0; sn < s.ns; sn++ {
-		f := int(s.sfirst[sn])
-		width := int(s.sfirst[sn+1]) - f
-		ld := int(s.rx[sn+1] - s.rx[sn])
-		panel := s.panel[s.px[sn]:s.px[sn+1]]
-		rows := s.rowind[s.rx[sn]:s.rx[sn+1]]
-		g := sc.g[:ld-width]
-		for i := range g {
-			g[i] = 0
-		}
-		for jj := 0; jj < width; jj++ {
-			col := panel[jj*ld:]
-			v := w[f+jj]
-			if !unit {
-				v /= col[jj]
-				w[f+jj] = v
-			}
-			if v == 0 {
-				continue
-			}
-			for i := jj + 1; i < width; i++ {
-				w[f+i] -= col[i] * v
-			}
-			for i := width; i < ld; i++ {
-				g[i-width] += col[i] * v
-			}
-		}
-		for i := width; i < ld; i++ {
-			w[rows[i]] -= g[i-width]
-		}
+		s.forwardSupernode(sn, w, sc.g)
 	}
-	if unit {
+	if s.mode == ModeLDLT {
 		for j := 0; j < n; j++ {
 			w[j] /= s.d[j]
 		}
@@ -719,6 +693,45 @@ func (s *Supernodal) SolveTo(x, b sparse.Vec) {
 		copy(x, w)
 	}
 	s.scratch.Put(sc)
+}
+
+// forwardSupernode runs supernode sn's slice of the forward sweep L y = P b
+// on the permuted working vector w: the dense (unit-)lower solve on the
+// diagonal block, then one gathered accumulation of the rectangular panel's
+// contribution into g[:ld-width], scattered to the ancestor rows once. g
+// still holds that contribution on return. Its order is part of the pinned
+// solve bytes (see SolveTo).
+func (s *Supernodal) forwardSupernode(sn int, w sparse.Vec, g []float64) {
+	f := int(s.sfirst[sn])
+	width := int(s.sfirst[sn+1]) - f
+	ld := int(s.rx[sn+1] - s.rx[sn])
+	panel := s.panel[s.px[sn]:s.px[sn+1]]
+	rows := s.rowind[s.rx[sn]:s.rx[sn+1]]
+	unit := s.mode == ModeLDLT
+	g = g[:ld-width]
+	for i := range g {
+		g[i] = 0
+	}
+	for jj := 0; jj < width; jj++ {
+		col := panel[jj*ld:]
+		v := w[f+jj]
+		if !unit {
+			v /= col[jj]
+			w[f+jj] = v
+		}
+		if v == 0 {
+			continue
+		}
+		for i := jj + 1; i < width; i++ {
+			w[f+i] -= col[i] * v
+		}
+		for i := width; i < ld; i++ {
+			g[i-width] += col[i] * v
+		}
+	}
+	for i := width; i < ld; i++ {
+		w[rows[i]] -= g[i-width]
+	}
 }
 
 // backwardSupernode runs supernode sn's slice of the backward sweep Lᵀ z = y
