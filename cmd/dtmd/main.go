@@ -61,6 +61,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/dist"
+	"repro/internal/factor"
 	"repro/internal/sparse"
 	"repro/internal/topology"
 	"repro/internal/transport"
@@ -83,7 +84,7 @@ type options struct {
 	topo          string
 	delay         float64
 	tol           float64
-	localSolver   string
+	fs            factor.Settings // -local-solver fills the backend
 	sendThreshold float64
 	watchdogMS    int
 	pollMS        int
@@ -115,7 +116,7 @@ func main() {
 	flag.StringVar(&o.topo, "topo", "uniform", fmt.Sprintf("problem spec: topology string (%v)", topology.RegisteredTopologies()))
 	flag.Float64Var(&o.delay, "delay", 10, "problem spec: uniform/ring link delay")
 	flag.Float64Var(&o.tol, "tol", 1e-9, "quiescence tolerance")
-	flag.StringVar(&o.localSolver, "local-solver", "", "factor backend for the local solves (empty for default)")
+	flag.StringVar(&o.fs.Backend, "local-solver", "", "factor backend for the local solves (empty for default)")
 	flag.Float64Var(&o.sendThreshold, "send-threshold", 0, "wave re-announcement suppression threshold (default tol/100)")
 	flag.IntVar(&o.watchdogMS, "watchdog-ms", 50, "worker retransmission sweep interval (at least 1)")
 	flag.IntVar(&o.pollMS, "poll-ms", 10, "coordinator status poll interval (at least 1)")
@@ -277,7 +278,7 @@ func buildSpec(o *options) dist.SpecV2 {
 func coordConfig(o *options, spec dist.SpecV2, workers []int) dist.CoordConfig {
 	return dist.CoordConfig{
 		Spec: spec, Workers: workers, Tol: o.tol,
-		LocalSolver: o.localSolver, SendThreshold: o.sendThreshold,
+		Factor: o.fs, SendThreshold: o.sendThreshold,
 		WatchdogMS:   o.watchdogMS,
 		PollInterval: time.Duration(o.pollMS) * time.Millisecond,
 		HeartbeatMS:  int(o.heartbeat / time.Millisecond),
@@ -408,7 +409,7 @@ func selftest(o *options) error {
 	if o.crash && res.Failovers < 1 {
 		return fmt.Errorf("selftest: -crash run finished without a failover (epoch=%d)", res.Epoch)
 	}
-	oracle, err := spec.Oracle(o.tol, o.localSolver)
+	oracle, err := spec.Oracle(o.tol, o.fs)
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -103,9 +102,9 @@ func run(o options) error {
 	fmt.Printf("system %q: n=%d, nnz=%d, symmetric=%v\n", sys.Name, sys.Dim(), sys.A.NNZ(), sys.A.IsSymmetric(1e-12))
 
 	if o.timeout > 0 && o.method != "live" {
-		// The live engine honours the deadline cooperatively (it returns a
-		// partial result); for everything else the timeout is a hard cap on
-		// the process.
+		// A live run's budget ends its poll phase with the gathered partial
+		// result; for everything else the timeout is a hard cap on the
+		// process.
 		time.AfterFunc(o.timeout, func() {
 			fmt.Fprintf(os.Stderr, "dtmsolve: %v deadline exceeded\n", o.timeout)
 			os.Exit(1)
@@ -192,36 +191,31 @@ func checkParts(o options, n int) error {
 }
 
 // assignment builds the system's graph and tears it into -parts pieces with
-// partition.LevelSetGrow. DTM's methods and the block-Jacobi baselines all
-// tear here, so -method compares like for like.
-func assignment(o options, sys sparse.System) (*graph.Electric, partition.Assignment, error) {
+// partition.LevelSetGrow, as core.AutoProblem does for DTM's methods, so the
+// block-Jacobi baselines compare like for like.
+func assignment(o options, sys sparse.System) (partition.Assignment, error) {
 	g, err := graph.FromSystem(sys.A, sys.B)
 	if err == nil {
 		err = checkParts(o, g.Order())
 	}
 	if err != nil {
-		return nil, partition.Assignment{}, err
+		return partition.Assignment{}, err
 	}
-	return g, partition.LevelSetGrow(g, o.parts), nil
+	return partition.LevelSetGrow(g, o.parts), nil
 }
 
+// distributedProblem tears the system for the core.Solve methods with
+// core.AutoProblem, the pipeline every -method live worker runs on its
+// dist.SpecV2: all DTM methods tear by one function.
 func distributedProblem(o options, sys sparse.System) (*core.Problem, error) {
+	if err := checkParts(o, sys.Dim()); err != nil {
+		return nil, err
+	}
 	topo, err := machine(o)
 	if err != nil {
 		return nil, err
 	}
-	if topo.N() < o.parts {
-		return nil, fmt.Errorf("topology %s has %d processors but %d parts were requested", topo.Name(), topo.N(), o.parts)
-	}
-	g, assign, err := assignment(o, sys)
-	if err != nil {
-		return nil, err
-	}
-	res, err := partition.EVS(g, assign, partition.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return core.NewProblem(sys, res, topo, nil)
+	return core.AutoProblem(sys, o.parts, topo)
 }
 
 // faultSummary renders the fault statistics of a run, or "" without faults.
@@ -267,17 +261,6 @@ var engineMethods = map[string]engineMethod{
 			return fmt.Sprintf("converged=%v at t=%.0f after %d async phases and %d sync sweeps, %d local solves, %d messages%s",
 				r.Converged, r.FinalTime, r.AsyncPhases, r.SyncSweepsDone, r.Solves, r.Messages, faultSummary(r.Faults))
 		}},
-	"live": {core.EngineLive, true,
-		func(o options, c *core.Config) {
-			c.TimeScale, c.MaxWallTime = 20*time.Microsecond, 3*time.Second
-			if o.timeout > 0 {
-				c.MaxWallTime = o.timeout
-			}
-		},
-		func(r *core.Result) string {
-			return fmt.Sprintf("converged=%v after %.2f s of real asynchronous execution, %d local solves, %d messages%s",
-				r.Converged, r.FinalTime, r.Solves, r.Messages, faultSummary(r.Faults))
-		}},
 }
 
 func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
@@ -287,9 +270,12 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		if spec, err = chaos.ParseSpec(o.faults); err != nil {
 			return nil, "", err
 		}
-		if !engineMethods[o.method].faults {
+		if o.method != "live" && !engineMethods[o.method].faults {
 			return nil, "", fmt.Errorf("-faults applies to methods dtm, mixed and live, not %q", o.method)
 		}
+	}
+	if o.method == "live" {
+		return solveLive(o, sys, spec)
 	}
 	if m, ok := engineMethods[o.method]; ok {
 		prob, err := distributedProblem(o, sys)
@@ -299,13 +285,6 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		cfg := core.Config{CommonOptions: core.CommonOptions{Tol: o.tol, Factor: o.fs, Faults: spec}, Engine: m.engine}
 		m.config(o, &cfg)
 		res, err := core.Solve(context.Background(), prob, cfg)
-		if errors.Is(err, core.ErrDeadlineExceeded) {
-			// Only the live engine runs against a deadline. Still report the
-			// partial result; the residual line tells the user how far the
-			// run got.
-			fmt.Fprintf(os.Stderr, "dtmsolve: %v\n", err)
-			err = nil
-		}
 		if err != nil {
 			return nil, "", err
 		}
@@ -341,7 +320,7 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		x, st, err := iterative.CG(sys.A, sys.B, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol})
 		return x, iterSummary(st), err
 	case "block-jacobi":
-		_, assign, err := assignment(o, sys)
+		assign, err := assignment(o, sys)
 		if err != nil {
 			return nil, "", err
 		}
@@ -352,7 +331,7 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		_, assign, err := assignment(o, sys)
+		assign, err := assignment(o, sys)
 		if err != nil {
 			return nil, "", err
 		}

@@ -217,7 +217,7 @@ func TestMachineResolvesThroughRegistry(t *testing.T) {
 // reach the partitioners' panics; every tearing method now exits 1 with one
 // line naming n and the request, and no goroutine trace.
 func TestOversizedPartsIsAnErrorNotAPanic(t *testing.T) {
-	for _, method := range []string{"dtm", "vtm", "block-jacobi", "async-jacobi"} {
+	for _, method := range []string{"dtm", "vtm", "live", "block-jacobi", "async-jacobi"} {
 		o := testOptions(method, factor.Settings{})
 		o.source, o.parts = "tridiag:n=5", 9
 		sys, err := loadSystem(o)
@@ -249,11 +249,11 @@ func TestOversizedPartsIsAnErrorNotAPanic(t *testing.T) {
 	}
 }
 
-// TestEngineMethodSummaries pins what the four core.Solve methods print after
-// "method=<name>  ": the three virtual-time engines are deterministic, so the
-// line is held byte for byte (recorded at a1bc04f, before the four blocks
-// became rows of engineMethods); the live engine's counts vary per run, so its
-// line is held by shape, on the converged path and on the deadline path,
+// TestEngineMethodSummaries pins what the three core.Solve methods and live
+// print after "method=<name>  ": the virtual-time engines are deterministic,
+// so their line is held byte for byte (recorded at a1bc04f, before the four
+// blocks became rows of engineMethods); a live run's counts vary per run, so
+// its line is held by shape, on the converged path and on the deadline path,
 // which reports the partial result instead of failing.
 func TestEngineMethodSummaries(t *testing.T) {
 	summary := func(method string, set func(*options)) string {

@@ -48,17 +48,17 @@
 //     core.Solve(ctx, p, cfg) entry point, whose Config selects the engine:
 //     the asynchronous DES engine (default), the synchronous VTM special
 //     case and the mixed GALS variant — one virtual-time engine under three
-//     schedules of an asynchronous window and a barrier sweep — and the live
-//     goroutine engine; and
+//     schedules of an asynchronous window and a barrier sweep; and
 //     core.Shard, the wave-reliability protocol as a pure state machine
 //     (sequence numbers with last-writer-wins dedup, needed/applied marks,
 //     watchdog re-announcement, epoch fences, the Quiescent stopping rule)
-//     that the live engine and the dist worker both drive, with the DES
-//     engine's own fault layer as the reference it is tested against;
+//     that the dist worker drives, with the DES engine's own fault layer as
+//     the reference it is tested against;
 //   - internal/transport — the datagram fabric distributed DTM runs on: an
 //     in-process channel implementation and a length-prefixed binary TCP
 //     implementation with reconnect backoff, under one conformance-tested
-//     Transport interface, plus the drop-and-duplicate chaos decorator;
+//     Transport interface, plus the chaos decorator (drop and duplicate, or
+//     on a clock the whole model with per-link delays);
 //   - internal/dist — coordinator/worker distributed DTM over a Transport:
 //     deterministic re-tearing by every worker from a dist.SpecV2 ({source,
 //     tearing shape, topology} registry strings; the coordinator only
@@ -68,7 +68,8 @@
 //     snapshots, jittered coordinator leases, rendezvous-hashed ownership
 //     reassignment under fenced epochs (stale-epoch and dead-incarnation
 //     packets are dropped and counted), snapshot-seeded adoption by the
-//     survivors, and rejoin of restarted workers at a higher incarnation;
+//     survivors, and rejoin of restarted workers at a higher incarnation —
+//     the one real-concurrency run, behind dtmsolve -method live too;
 //   - internal/iterative — the classical baselines (CG, the reference solve,
 //     and synchronous and asynchronous block-Jacobi);
 //   - internal/experiments — one registry of experiments: every figure of the

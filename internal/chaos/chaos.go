@@ -22,15 +22,12 @@
 // are down.
 package chaos
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Spec is the immutable, validated description of the faults to inject on a
 // run. The zero value injects nothing. Times are in the virtual time unit of
-// the topology (the live engine maps them to wall clock through its
-// TimeScale).
+// the topology (transport.NewFaultClock maps them to wall clock through its
+// scale).
 type Spec struct {
 	// Seed selects the deterministic fault streams; runs with equal seeds and
 	// equal specs inject identical faults.
@@ -124,6 +121,26 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// CheckParts refuses a spec that names a part a run over n parts does not
+// have: such a crash would never fire, and such a window would act on no link
+// while the engines' stopping rules wait it out.
+func (s *Spec) CheckParts(n int) error {
+	if s == nil {
+		return nil
+	}
+	for _, c := range s.Crashes {
+		if c.Part >= n {
+			return fmt.Errorf("chaos: fault spec crashes part %d but the partition has only %d parts", c.Part, n)
+		}
+	}
+	for _, w := range s.Down {
+		if w.From >= n || w.To >= n {
+			return fmt.Errorf("chaos: fault spec window %d>%d references a part outside the %d-part partition", w.From, w.To, n)
+		}
+	}
+	return nil
+}
+
 // Enabled reports whether the spec injects any fault at all. A nil or
 // zero-value spec leaves the engines on their fault-free fast paths.
 func (s *Spec) Enabled() bool {
@@ -196,8 +213,7 @@ func (s *Spec) AnyCrashedAt(t float64) bool {
 	return false
 }
 
-// Stats counts the faults a Controller actually injected. Counters are
-// atomics so the live engine's concurrent senders can share one Controller.
+// Stats counts the faults a Controller actually injected.
 type Stats struct {
 	// Dropped counts sends lost to the drop probability or a hard-down window.
 	Dropped int64
@@ -209,23 +225,21 @@ type Stats struct {
 }
 
 // pairState is the deterministic fault stream of one directed part pair. Only
-// the sending side advances it (a single goroutine in both engines), so it
-// needs no lock.
+// the sending side advances it (a single goroutine in the DES engine; a
+// transport.FaultClock serialises a fleet's members), so it needs no lock.
 type pairState struct {
 	rng   splitMix64
 	fates []float64 // reusable fate buffer handed to the engine per send
 }
 
 // Controller applies a Spec to the message flow of one run. It is created
-// per run (its pair streams and counters are mutable run state).
+// per run (its pair streams and counters are mutable run state) and used by
+// one goroutine at a time.
 type Controller struct {
 	spec   *Spec
 	nParts int
 	pairs  []pairState
-
-	dropped    atomic.Int64
-	duplicated atomic.Int64
-	delayed    atomic.Int64
+	stats  Stats
 }
 
 // NewController returns the runtime fault state for a run over nParts
@@ -268,7 +282,7 @@ func (c *Controller) Fate(from, to int, now, d float64) []float64 {
 			continue
 		}
 		if w.SlowBy <= 1 {
-			c.dropped.Add(1)
+			c.stats.Dropped++
 			return ps.fates
 		}
 		if w.SlowBy > slow {
@@ -276,28 +290,22 @@ func (c *Controller) Fate(from, to int, now, d float64) []float64 {
 		}
 	}
 	if slow > 1 {
-		c.delayed.Add(1)
+		c.stats.Delayed++
 	}
 	if uDrop < s.Drop {
-		c.dropped.Add(1)
+		c.stats.Dropped++
 		return ps.fates
 	}
 	ps.fates = append(ps.fates, d*slow*(1+s.Jitter*uJit1))
 	if uDup < s.Dup {
-		c.duplicated.Add(1)
+		c.stats.Duplicated++
 		ps.fates = append(ps.fates, d*slow*(1+s.Jitter*uJit2))
 	}
 	return ps.fates
 }
 
 // Stats returns the counters accumulated so far.
-func (c *Controller) Stats() Stats {
-	return Stats{
-		Dropped:    c.dropped.Load(),
-		Duplicated: c.duplicated.Load(),
-		Delayed:    c.delayed.Load(),
-	}
-}
+func (c *Controller) Stats() Stats { return c.stats }
 
 // splitMix64 is the SplitMix64 generator: tiny, splittable-by-seeding and
 // plenty for fault decisions. Deliberately not math/rand: the stream must be

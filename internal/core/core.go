@@ -20,9 +20,9 @@
 //     the propagation delay of the line being the communication delay of the
 //     path — the algorithm–architecture delay mapping;
 //  5. the subdomains run with no synchronisation and no broadcast, only
-//     neighbour-to-neighbour messages, either on the deterministic
-//     discrete-event simulator (package netsim) or truly concurrently on
-//     goroutines and channels (the live engine).
+//     neighbour-to-neighbour messages: here on the deterministic
+//     discrete-event simulator (package netsim), and truly concurrently as
+//     the core.Shard protocol a dist worker drives.
 //
 // Theorem 6.1 of the paper guarantees convergence to the exact solution of
 // the original system whenever at least one subgraph is SPD and all others

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/dtl"
@@ -49,10 +49,23 @@ func TestConfigValidation(t *testing.T) {
 		"negative threshold": {MaxTime: 10, CommonOptions: CommonOptions{SendThreshold: -0.5}},
 		"unknown backend":    {MaxTime: 10, CommonOptions: CommonOptions{Factor: factor.Settings{Backend: "no-such-backend"}}},
 		"unknown ordering":   {MaxTime: 10, CommonOptions: CommonOptions{Factor: factor.Settings{Ordering: 99}}},
+		"invalid fault spec": {MaxTime: 10, CommonOptions: CommonOptions{Faults: &chaos.Spec{Drop: 2}}},
 	}
 	for name, opts := range cases {
 		if _, err := Solve(context.Background(), prob, opts); err == nil {
 			t.Errorf("%s: expected an error", name)
+		}
+	}
+	// A 4-part problem has no part 7 or 8: the crash would never fire, and
+	// the window would hold the stopping rule for its whole span.
+	for _, spec := range []string{"crash=7@10+5", "down=7>8@0:1e9"} {
+		faults, err := chaos.ParseSpec(spec)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", spec, err)
+		}
+		cfg := Config{CommonOptions: CommonOptions{Faults: faults}, MaxTime: 100}
+		if _, err := Solve(context.Background(), prob, cfg); err == nil || !strings.Contains(err.Error(), "partition") {
+			t.Errorf("accepted %q, which names a part outside the partition (err=%v)", spec, err)
 		}
 	}
 }
@@ -375,9 +388,7 @@ func TestSingleSubdomainIsDirectSolve(t *testing.T) {
 		{Engine: EngineDES, MaxTime: 10},
 		{Engine: EngineVTM, MaxIterations: 10},
 		{Engine: EngineMixed, MaxTime: 10, AsyncWindow: 5},
-		{Engine: EngineLive, CommonOptions: CommonOptions{MaxWallTime: time.Second}},
 		{Engine: EngineDES, MaxTime: 10, CommonOptions: CommonOptions{Faults: lossy}},
-		{Engine: EngineLive, CommonOptions: CommonOptions{MaxWallTime: time.Second, Faults: lossy}},
 	} {
 		res, err := Solve(context.Background(), prob, cfg)
 		if err != nil {

@@ -99,8 +99,8 @@ type engine struct {
 	messages, delivered int
 
 	converged bool
-	// interrupted is set when the caller's ctx (or the MaxWallTime deadline)
-	// ended the run before a stopping rule fired.
+	// interrupted is set when the caller's ctx ended the run before a
+	// stopping rule fired.
 	interrupted bool
 
 	// faults is the fault-injection bookkeeping (see faults.go); nil unless the
@@ -516,15 +516,14 @@ func solveDES(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 		return nil, err
 	}
 	end := eng.window(ctx, 0, cfg.MaxTime, false)
-	return eng.finish(end), deadlineErr(ctx, cfg, eng.interrupted)
+	return eng.finish(end), deadlineErr(eng.interrupted)
 }
 
 // window runs one asynchronous phase: a fresh DES over the subdomains' current
 // state from absolute virtual time off for at most length, cold (the paper's
 // zero initial waves) or warm (announcing the current ones). It returns the
 // absolute time the phase ended at. The ctx is consulted only when it can
-// fire (Solve wires MaxWallTime into it), so a Background run pays one nil
-// check per stop test.
+// fire, so a Background run pays one nil check per stop test.
 func (e *engine) window(ctx context.Context, off, length float64, warm bool) float64 {
 	dtmNodes := make([]*dtmNode, len(e.subs))
 	nodes := make([]netsim.Node[wavePacket], len(e.subs))

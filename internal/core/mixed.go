@@ -34,7 +34,7 @@ func solveMixed(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 
 	res := eng.finish(math.Min(now, cfg.MaxTime))
 	res.AsyncPhases, res.SyncSweepsDone = phases, sweeps
-	return res, deadlineErr(ctx, cfg, eng.interrupted)
+	return res, deadlineErr(eng.interrupted)
 }
 
 // slowestAdjacentRoundTrip returns the largest delay(a→b)+delay(b→a) over

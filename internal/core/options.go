@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/dtl"
@@ -28,9 +27,6 @@ const (
 	// synchronous sweeps (the "async-sync-async-sync" variant of the paper's
 	// conclusions).
 	EngineMixed
-	// EngineLive runs one goroutine per subdomain with real (scaled)
-	// communication delays — genuinely asynchronous, not deterministic.
-	EngineLive
 )
 
 // String returns the engine's short name as used by CLIs and reports.
@@ -42,8 +38,6 @@ func (e Engine) String() string {
 		return "vtm"
 	case EngineMixed:
 		return "mixed"
-	case EngineLive:
-		return "live"
 	default:
 		return fmt.Sprintf("engine(%d)", int(e))
 	}
@@ -70,8 +64,8 @@ type CommonOptions struct {
 	// quiesced in the distributed sense: every subdomain has solved at least
 	// once, the last local solve of every subdomain moved its boundary
 	// potentials by less than Tol, the largest twin disagreement is below
-	// Tol, and — wherever waves can be lost or late (an enabled fault spec,
-	// the live engine) — no announced wave is still unapplied or unsolved-for.
+	// Tol, and — wherever waves can be lost or late (an enabled fault spec) —
+	// no announced wave is still unapplied or unsolved-for.
 	Tol float64
 
 	// SendThreshold suppresses messages to a neighbour when none of the waves
@@ -87,8 +81,7 @@ type CommonOptions struct {
 	Exact sparse.Vec
 
 	// StopOnError, when positive and Exact is supplied, stops the run as soon
-	// as the RMS error drops to or below this value (DES, VTM and mixed
-	// engines — the live engine has no deterministic instant to test it at).
+	// as the RMS error drops to or below this value.
 	StopOnError float64
 
 	// RecordTrace enables the convergence-history trace, thinned uniformly
@@ -99,19 +92,9 @@ type CommonOptions struct {
 	// (drops, duplicates, jitter, link-down windows, crash-restart) into the
 	// run and activates the recovery machinery: sequence-numbered waves with
 	// last-writer-wins deduplication, watchdog retransmission, and periodic
-	// snapshots. DES runs stay byte-identical per Faults.Seed. A nil or
-	// disabled spec leaves every fault-path branch of the virtual-time
-	// engines off; the live engine runs its protocol (Shard) regardless and
-	// merely injects nothing.
+	// snapshots. Runs stay byte-identical per Faults.Seed. A nil or disabled
+	// spec leaves every fault-path branch off.
 	Faults *chaos.Spec
-
-	// MaxWallTime is the wall-clock deadline of the run. Required for the
-	// live engine (it bounds real execution); optional elsewhere, where it
-	// caps the virtual-time engines the way a ctx deadline does. A run that
-	// the deadline (or the caller's ctx) ends before convergence returns its
-	// partial result alongside ErrDeadlineExceeded when a convergence target
-	// was set.
-	MaxWallTime time.Duration
 }
 
 // Config is the complete configuration of a Solve call: the shared
@@ -149,26 +132,14 @@ type Config struct {
 	// the slowest round-trip delay between adjacent subdomains — what a
 	// barrier on that machine actually costs.
 	SyncSweeps int
-
-	// TimeScale converts one topology time unit into wall-clock time for the
-	// live engine, e.g. 100·time.Microsecond turns a 10 ms-unit mesh delay
-	// into 1 ms of real time. Default: 100 µs per unit. The fault spec's
-	// windows and schedules, expressed in topology time units, are mapped
-	// through the same scale.
-	TimeScale time.Duration
 }
 
-const (
-	// traceMaxPoints bounds the number of trace points a Result retains.
-	traceMaxPoints = 2000
-	// livePollInterval is how often the live engine's monitor samples the
-	// shared state for the trace and the stopping rule.
-	livePollInterval = 2 * time.Millisecond
-)
+// traceMaxPoints bounds the number of trace points a Result retains.
+const traceMaxPoints = 2000
 
 // DrainThreshold is the SendThreshold a run whose stop rule waits for the
-// network to drain gets when it sets none — every fault-injected or live
-// solve and every dist session: two orders below the stopping tolerance, so
+// network to drain gets when it sets none — every fault-injected solve and
+// every dist session: two orders below the stopping tolerance, so
 // suppression can never hold the twin gap above tol, and 1e-12 when tol is
 // zero.
 func DrainThreshold(tol float64) float64 {
@@ -182,19 +153,12 @@ func DrainThreshold(tol float64) float64 {
 // defaulting rules (notably SendThreshold = DrainThreshold(Tol) wherever the
 // stop rule waits for the network to drain).
 func (c *Config) normalize() {
-	if (c.Faults.Enabled() || c.Engine == EngineLive) && c.SendThreshold == 0 {
-		// These stop rules wait for the network to drain (see SendThreshold).
+	if c.Faults.Enabled() && c.SendThreshold == 0 {
+		// This stop rule waits for the network to drain (see SendThreshold).
 		c.SendThreshold = DrainThreshold(c.Tol)
 	}
-	switch c.Engine {
-	case EngineMixed:
-		if c.SyncSweeps <= 0 {
-			c.SyncSweeps = 1
-		}
-	case EngineLive:
-		if c.TimeScale <= 0 {
-			c.TimeScale = 100 * time.Microsecond
-		}
+	if c.Engine == EngineMixed && c.SyncSweeps <= 0 {
+		c.SyncSweeps = 1
 	}
 }
 
@@ -213,21 +177,8 @@ func (c *Config) validate(p *Problem) error {
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
-	if c.Faults != nil {
-		// A crash of a part the partition does not have would never fire, and
-		// a window on one would hold the stopping rule for its whole span
-		// with no link to act on.
-		n := p.Partition.NumParts()
-		for _, cr := range c.Faults.Crashes {
-			if cr.Part >= n {
-				return fmt.Errorf("core: fault spec crashes part %d but the partition has only %d parts", cr.Part, n)
-			}
-		}
-		for _, w := range c.Faults.Down {
-			if w.From >= n || w.To >= n {
-				return fmt.Errorf("core: fault spec window %d>%d references a part outside the %d-part partition", w.From, w.To, n)
-			}
-		}
+	if err := c.Faults.CheckParts(p.Partition.NumParts()); err != nil {
+		return err
 	}
 	if c.Faults.Enabled() && c.Engine == EngineVTM {
 		return fmt.Errorf("core: the VTM engine is a reliable synchronous baseline and does not take a fault spec")
@@ -247,10 +198,6 @@ func (c *Config) validate(p *Problem) error {
 		}
 		if c.AsyncWindow <= 0 || math.IsNaN(c.AsyncWindow) {
 			return fmt.Errorf("core: AsyncWindow must be positive for the mixed engine, got %g", c.AsyncWindow)
-		}
-	case EngineLive:
-		if c.MaxWallTime <= 0 {
-			return fmt.Errorf("core: MaxWallTime must be positive for the live engine")
 		}
 	default:
 		return fmt.Errorf("core: unknown engine %v", c.Engine)

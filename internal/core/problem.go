@@ -114,8 +114,8 @@ func (p *Problem) Delay(a, b int) float64 {
 // part is the owner of: its inner vertices plus the split-vertex copies whose
 // original vertex is assigned to it. Every global vertex has exactly one
 // owner, so writing owner values into a global vector assembles a solution
-// estimate without double counting. Both the DES and the live engine maintain
-// their assembled solutions through this map.
+// estimate without double counting. The engines and the dist workers
+// assemble their solutions through this map.
 func (p *Problem) OwnerPairs() [][][2]int {
 	assign := p.Partition.Assign.Assign
 	owner := make([][][2]int, p.Partition.NumParts())

@@ -26,15 +26,14 @@ type TracePoint struct {
 	Messages int
 }
 
-// Result is the outcome of a DTM (or live-DTM) run.
+// Result is the outcome of a DTM run.
 type Result struct {
 	// X is the assembled global solution (owner copy of every split vertex).
 	X sparse.Vec
 	// Converged reports whether the stopping tolerance was reached before the
 	// time limit.
 	Converged bool
-	// FinalTime is the virtual (or wall-clock, for the live engine) time at
-	// which the run stopped.
+	// FinalTime is the virtual time at which the run stopped.
 	FinalTime float64
 	// RMSError is the final RMS error against the exact solution (NaN when no
 	// exact solution was supplied).

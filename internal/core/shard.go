@@ -21,10 +21,10 @@ import (
 // hands it received wave packets (Receive), tells it when to work
 // (SolveDirty), when its watchdog fired (Retransmit) and when ownership
 // changed (Adopt, Drop, Advance); what the shard wants to send to another
-// member leaves through emit. The live engine runs one single-part Shard per
-// goroutine, a dist worker one Shard for all its parts. Waves between two
-// parts of one shard ("siblings") are applied directly and carry no sequence
-// numbers: in-process delivery cannot lose anything.
+// member leaves through emit. A dist worker runs one Shard for all its
+// parts. Waves between two parts of one shard ("siblings") are applied
+// directly and carry no sequence numbers: in-process delivery cannot lose
+// anything.
 //
 // When a part re-solves is the shard's choice (Theorem 6.1 holds for any
 // delays), and it solves for the network, not against it: a part that applied

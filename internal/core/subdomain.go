@@ -39,8 +39,8 @@ type LinkEnd struct {
 // the paper says.
 //
 // Subdomain is not safe for concurrent use by itself; the DES engine calls it
-// from a single goroutine and the live engine confines each Subdomain to the
-// goroutine of its processor.
+// from a single goroutine and a dist worker confines its Subdomains to its
+// one loop.
 type Subdomain struct {
 	part      int
 	numPorts  int

@@ -25,5 +25,5 @@ func solveVTM(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	}
 	res := eng.finish(float64(it))
 	res.Iterations = it
-	return res, deadlineErr(ctx, cfg, eng.interrupted)
+	return res, deadlineErr(eng.interrupted)
 }

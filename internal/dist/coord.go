@@ -23,9 +23,9 @@ type CoordConfig struct {
 	Workers []int
 	// Tol is the quiescence tolerance (stopping rule); required.
 	Tol float64
-	// LocalSolver selects the factor backend on every worker (empty for
-	// default).
-	LocalSolver string
+	// Factor is how every worker factorises its subdomains: backend and
+	// ordering (the zero value is auto/auto).
+	Factor factor.Settings
 	// SendThreshold suppresses unchanged wave re-announcements; defaults to
 	// core.DrainThreshold(Tol), the fault-mode rule, because a real network
 	// always needs traffic to drain.
@@ -66,7 +66,7 @@ func (c *CoordConfig) normalize() error {
 	}
 	// Refused here, before any assign: every worker would otherwise build the
 	// spec only to fail in NewSubdomain.
-	if err := (factor.Settings{Backend: c.LocalSolver}).Validate(); err != nil {
+	if err := c.Factor.Validate(); err != nil {
 		return err
 	}
 	if c.SendThreshold <= 0 {
@@ -108,7 +108,8 @@ type Result struct {
 	// Converged reports whether the stopping rule held before the context
 	// expired.
 	Converged bool
-	// Solves and Messages aggregate the workers' counters at the final poll.
+	// Solves and Messages aggregate the workers' counters at the last
+	// complete poll round (before the first, at the replies it has).
 	Solves, Messages int
 	// Polls is the number of completed status rounds the coordinator ran.
 	Polls int

@@ -276,7 +276,15 @@ func (s *coordState) completeRound() {
 // stop ends the poll phase, converged or not: every live worker is told to
 // stop and its result awaited.
 func (s *coordState) stop() {
-	s.res.Solves, s.res.Messages, s.res.Fenced = core.Totals(s.lastFull)
+	states := s.lastFull
+	if states == nil {
+		// A deadline before any round completed: count the replies the round
+		// in flight has.
+		for _, st := range s.statuses {
+			states = append(states, st.ShardState)
+		}
+	}
+	s.res.Solves, s.res.Messages, s.res.Fenced = core.Totals(states)
 	s.phase, s.pending = msgResult, s.ms.alive()
 	s.res.X = make(sparse.Vec, s.dim)
 	s.send(s.pending, &ctrlMsg{Type: msgStop}, true)
@@ -323,7 +331,8 @@ func (s *coordState) assignMsg() *assignMsg {
 	return &assignMsg{
 		Spec: s.cfg.Spec, Owner: slices.Clone(s.owner),
 		Tol:           s.cfg.Tol,
-		LocalSolver:   s.cfg.LocalSolver,
+		Backend:       s.cfg.Factor.Backend,
+		Ordering:      s.cfg.Factor.Ordering.String(),
 		SendThreshold: s.cfg.SendThreshold,
 		WatchdogMS:    s.cfg.WatchdogMS,
 		HeartbeatMS:   s.cfg.HeartbeatMS,

@@ -97,7 +97,7 @@ func checkAgainstOracle(t *testing.T, res *Result, spec SpecV2) {
 		t.Fatalf("distributed run did not converge (%d polls, maxChange=%g, gap=%g)",
 			res.Polls, res.MaxLastChange, res.TwinGap)
 	}
-	oracle, err := spec.Oracle(1e-9, "")
+	oracle, err := spec.Oracle(1e-9, factor.Settings{})
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestCoordinateRejectsBadConfig(t *testing.T) {
 }
 
 // TestSendThresholdDefaultIsCoreRule: a dist session suppresses waves at the
-// threshold EngineLive and every fault-injected solve default to, core's one
+// threshold every fault-injected solve defaults to, core's one
 // DrainThreshold rule — no floor of its own, so at Tol 1e-11 it is 1e-13.
 func TestSendThresholdDefaultIsCoreRule(t *testing.T) {
 	for _, tol := range []float64{1e-6, 1e-9, 1e-11, 1e-14} {
@@ -247,7 +247,7 @@ func TestSendThresholdDefaultIsCoreRule(t *testing.T) {
 func TestSessionImpedancesMatchTheOracle(t *testing.T) {
 	members := chanFabric(t, 2)
 	s := stepSession(t, members[1], 1, 0, steppedAssign(ContiguousOwner(quickSpec.Parts(), []int{1})))
-	oracle, err := quickSpec.Oracle(1e-9, "")
+	oracle, err := quickSpec.Oracle(1e-9, factor.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestCoordinateRejectsUnknownBackend(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_, err := Coordinate(ctx, members[0], CoordConfig{
-		Spec: quickSpec, Workers: []int{1}, Tol: 1e-9, LocalSolver: "no-such-backend",
+		Spec: quickSpec, Workers: []int{1}, Tol: 1e-9, Factor: factor.Settings{Backend: "no-such-backend"},
 	})
 	want := factor.Settings{Backend: "no-such-backend"}.Validate()
 	if err == nil || err.Error() != want.Error() {
@@ -550,7 +550,7 @@ func TestCoordinatorRefusesDisagreeingTears(t *testing.T) {
 
 func ExampleSpecV2_Oracle() {
 	spec := SpecV2{V: 2, Source: "grid:rows=9,cols=9,seed=1", PartsX: 2, PartsY: 1}
-	res, err := spec.Oracle(1e-8, "")
+	res, err := spec.Oracle(1e-8, factor.Settings{})
 	if err != nil {
 		panic(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/factor"
 	"repro/internal/transport"
 )
 
@@ -403,7 +404,7 @@ func TestWorkerLostStatus(t *testing.T) {
 func steppedAssign(owner []int) *assignMsg {
 	return &assignMsg{
 		Spec: quickSpec, Owner: append([]int(nil), owner...),
-		Tol: 1e-9, SendThreshold: 1e-11, WatchdogMS: 50, HeartbeatMS: 25, Epoch: 1,
+		Tol: 1e-9, SendThreshold: 1e-11, WatchdogMS: 50, HeartbeatMS: 25, Epoch: 1, Ordering: "auto",
 	}
 }
 
@@ -510,7 +511,7 @@ func runSteppedFailover(t *testing.T, nWorkers, victim, killRound int) []byte {
 	}
 
 	// The stepped run must still land on the true solution.
-	oracle, err := quickSpec.Oracle(1e-9, "")
+	oracle, err := quickSpec.Oracle(1e-9, factor.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}

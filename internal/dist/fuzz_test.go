@@ -38,7 +38,7 @@ func FuzzCtrlMsg(f *testing.F) {
 	// The fabric's member 0 plays the coordinator; both members are drained
 	// after each input, so replies and waves never pile up.
 	net := transport.NewChanNetwork(2)
-	a := &assignMsg{Spec: quickSpec, Owner: []int{1, 1, 1, 1}, Tol: 1e-9,
+	a := &assignMsg{Spec: quickSpec, Owner: []int{1, 1, 1, 1}, Tol: 1e-9, Ordering: "auto",
 		SendThreshold: 1e-11, WatchdogMS: 1000, HeartbeatMS: 1000, Epoch: 1}
 	drainCtx, cancelDrain := context.WithCancel(context.Background())
 	cancelDrain() // a done ctx takes only what is queued

@@ -84,8 +84,11 @@ type assignMsg struct {
 	Owner []int `json:"owner"`
 	// Tol is the distributed quiescence tolerance.
 	Tol float64 `json:"tol"`
-	// LocalSolver selects the factor backend (empty for default).
-	LocalSolver string `json:"localSolver,omitempty"`
+	// Backend and Ordering are the factor.Settings every owned subdomain
+	// factorises under: the backend's registry name (empty for auto) and the
+	// ordering's (factor.ParseOrdering).
+	Backend  string `json:"backend,omitempty"`
+	Ordering string `json:"ordering"`
 	// SendThreshold suppresses unchanged wave re-announcements. The
 	// coordinator defaults it to core.DrainThreshold(Tol) — the fault-mode
 	// rule — because a real network always needs the traffic to drain.

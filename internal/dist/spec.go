@@ -5,10 +5,9 @@
 // The design exploits the paper's structure directly. DTM needs only
 // unreliable neighbour-to-neighbour wave messages, so the data plane is wave
 // packets (link id + wave value, sequence-numbered per directed part pair)
-// carried verbatim by the transport, under the core.Shard protocol — the
-// same state machine the live engine drives — so dropped packets and broken
-// connections cost time, never correctness (Theorem 6.1
-// self-stabilisation). And because the tearing is deterministic —
+// carried verbatim by the transport, under the core.Shard protocol, so
+// dropped packets and broken connections cost time, never correctness
+// (Theorem 6.1 self-stabilisation). And because the tearing is deterministic —
 // partitioning, impedance assignment and local factorisation depend only on
 // the SpecV2 — workers do not ship matrices: every worker re-tears the
 // same problem locally and builds exactly the subdomains the in-process
@@ -20,6 +19,10 @@
 // (refusing a worker whose tear differs), polls statuses until the
 // distributed stopping rule (core.Quiescent) holds on consecutive rounds,
 // then gathers the owner fragments of X.
+//
+// A Fleet runs the whole thing in one process — the repository's one
+// real-concurrency engine: dtmsolve -method live is a Fleet over a channel
+// fabric with one worker per part, behind a transport.FaultClock.
 package dist
 
 import (
@@ -178,13 +181,13 @@ func (s *SpecV2) sourceError(err error) error {
 
 // Oracle solves the spec's problem on the in-process DES engine — the
 // deterministic reference a distributed run is compared against.
-func (s *SpecV2) Oracle(tol float64, localSolver string) (*core.Result, error) {
+func (s *SpecV2) Oracle(tol float64, fs factor.Settings) (*core.Result, error) {
 	p, err := s.Build()
 	if err != nil {
 		return nil, err
 	}
 	return core.Solve(context.Background(), p, core.Config{
-		CommonOptions: core.CommonOptions{Tol: tol, Factor: factor.Settings{Backend: localSolver}},
+		CommonOptions: core.CommonOptions{Tol: tol, Factor: fs},
 		MaxTime:       1e9,
 	})
 }

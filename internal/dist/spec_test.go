@@ -62,7 +62,7 @@ func TestLegacySpecRefused(t *testing.T) {
 	members := transport.NewChanNetwork(2)
 	defer members[0].Close()
 	defer members[1].Close()
-	a := &assignMsg{Spec: s, Owner: []int{1, 1, 1, 1}, Tol: 1e-6, WatchdogMS: 50, HeartbeatMS: 25}
+	a := &assignMsg{Spec: s, Owner: []int{1, 1, 1, 1}, Tol: 1e-6, WatchdogMS: 50, HeartbeatMS: 25, Ordering: "auto"}
 	outs := stepMsg(t, stepState(members[1], 1), 0, &ctrlMsg{Type: msgAssign, Assign: a})
 	if len(outs) != 1 || !strings.Contains(outs[0].m.Err, "no problem source") {
 		t.Fatalf("worker answered the assign with %d messages, want a ready with the no-problem-source refusal", len(outs))

@@ -31,6 +31,7 @@ type workerState struct {
 
 	coord          int
 	a              *assignMsg
+	fs             factor.Settings
 	p              *core.Problem
 	zs             []float64
 	shard          *core.Shard
@@ -213,6 +214,10 @@ func (s *workerState) apply(now time.Time, m *ctrlMsg) error {
 // build tears the spec and factorises the owned subdomains, seeding them from
 // snaps, which a rejoin carries.
 func (s *workerState) build(a *assignMsg, snaps []partSnap) error {
+	ord, err := factor.ParseOrdering(a.Ordering)
+	if err != nil {
+		return err
+	}
 	p, err := a.Spec.Build()
 	if err != nil {
 		return err
@@ -223,7 +228,7 @@ func (s *workerState) build(a *assignMsg, snaps []partSnap) error {
 	if s.zs, err = p.Impedances(nil); err != nil {
 		return err
 	}
-	s.a, s.p = a, p
+	s.a, s.p, s.fs = a, p, factor.Settings{Backend: a.Backend, Ordering: ord}
 	s.shard = core.NewShard(s.self, a.Owner, a.Epoch, a.SendThreshold, func(to int, pkt transport.Packet) {
 		pkt.Inc = s.inc // receivers fence the waves of an overtaken life
 		s.emit(to, pkt)
@@ -251,8 +256,7 @@ func (s *workerState) own(owner []int, snaps []partSnap) error {
 		if s.shard.Sub(int32(part)) != nil {
 			continue
 		}
-		sd, err := core.NewSubdomain(s.p.Partition.Subdomains[part], s.p.Partition.LinksOfPart(part), s.zs,
-			factor.Settings{Backend: s.a.LocalSolver})
+		sd, err := core.NewSubdomain(s.p.Partition.Subdomains[part], s.p.Partition.LinksOfPart(part), s.zs, s.fs)
 		if err != nil {
 			return fmt.Errorf("dist: building subdomain %d: %w", part, err)
 		}

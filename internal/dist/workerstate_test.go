@@ -4,12 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/factor"
+	"repro/internal/sparse"
 	"repro/internal/transport"
 )
 
@@ -80,6 +84,56 @@ func TestWorkerRefusesNonPositiveIntervals(t *testing.T) {
 			t.Fatalf("%s with a bad %s started a session", tc.typ, tc.field)
 		}
 	}
+}
+
+// TestWorkerFactorsUnderAssignedSettings: the backend and ordering an assign
+// names reach the factor of every subdomain the worker builds. Each part's
+// first solve must have the bytes of a subdomain built here under
+// {sparse-cholesky, nd}, and not those under rcm, which a worker that dropped
+// the ordering and fell back to auto would compute on blocks this small. An
+// ordering the worker does not know is refused by a ready naming it.
+func TestWorkerFactorsUnderAssignedSettings(t *testing.T) {
+	members := chanFabric(t, 2)
+	a := steppedAssign(make([]int, quickSpec.Parts()))
+	a.Backend, a.Ordering = factor.SparseCholesky, factor.OrderND.String()
+	s := stepSession(t, members[0], 1, 1, a)
+
+	p, err := quickSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	zs, err := p.Impedances(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstSolve := func(part int, fs factor.Settings) sparse.Vec {
+		sd, err := core.NewSubdomain(p.Partition.Subdomains[part], p.Partition.LinksOfPart(part), zs, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd.Solve()
+		return sd.X()
+	}
+	for _, part := range s.shard.Owned() {
+		sub := s.shard.Sub(part)
+		sub.Solve()
+		got := sub.X()
+		want := firstSolve(int(part), factor.Settings{Backend: factor.SparseCholesky, Ordering: factor.OrderND})
+		other := firstSolve(int(part), factor.Settings{Backend: factor.SparseCholesky, Ordering: factor.OrderRCM})
+		if !sameBits(got, want) || sameBits(got, other) {
+			t.Errorf("part %d: same bytes as nd %v, as rcm %v; want nd only", part, sameBits(got, want), sameBits(got, other))
+		}
+	}
+
+	a.Ordering = "metis"
+	outs := stepMsg(t, stepState(members[0], 1), 1, &ctrlMsg{Type: msgAssign, Assign: a})
+	if len(outs) != 1 || outs[0].m.Type != msgReady || !strings.Contains(outs[0].m.Err, `"metis"`) {
+		t.Errorf("an assign under ordering metis sent %+v, want one ready naming it", outs)
+	}
+}
+
+func sameBits(a, b sparse.Vec) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // propSpec is the problem TestWorkerStateProperties tears: four parts of a 9²
@@ -347,7 +401,7 @@ func (c *workerChecker) msg() *ctrlMsg {
 	rng := c.rng
 	assign := func(epoch uint32) assignMsg {
 		a := assignMsg{Spec: propSpec, Owner: make([]int, len(c.pairs)), Tol: 1e-9, SendThreshold: 1e-11,
-			WatchdogMS: int(propWD / time.Millisecond), HeartbeatMS: int(propHB / time.Millisecond), Epoch: epoch}
+			WatchdogMS: int(propWD / time.Millisecond), HeartbeatMS: int(propHB / time.Millisecond), Epoch: epoch, Ordering: "auto"}
 		for part := range a.Owner {
 			a.Owner[part] = 1 + rng.Intn(2)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/dist"
+	"repro/internal/factor"
 	"repro/internal/sparse"
 	"repro/internal/transport"
 )
@@ -154,7 +155,7 @@ func FailoverSweep(p DistributedParams) (*DistributedResult, error) {
 
 // run solves the DES oracle once and then every leg on a fleet of its own.
 func (p DistributedParams) run(legs ...distLeg) (*DistributedResult, error) {
-	oracle, err := p.Spec.Oracle(p.Tol, "")
+	oracle, err := p.Spec.Oracle(p.Tol, factor.Settings{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: distributed oracle: %w", err)
 	}

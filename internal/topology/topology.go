@@ -87,7 +87,8 @@ func (t *Topology) LinkDelay(a, b int) float64 { return t.delay[a][b] }
 
 // Delay returns the end-to-end delay from a to b: the direct link delay if a
 // link exists, otherwise the shortest store-and-forward path over the links.
-// It panics if b is unreachable from a.
+// It panics if b is unreachable from a. The first call routes all pairs, so
+// concurrent callers must serialise it.
 func (t *Topology) Delay(a, b int) float64 {
 	if a == b {
 		return 0
@@ -99,11 +100,6 @@ func (t *Topology) Delay(a, b int) float64 {
 	}
 	return d
 }
-
-// Route precomputes the all-pairs routing table. Delay routes lazily on
-// first use, which is unsafe when goroutines share the topology — engines
-// that call Delay concurrently (the live engine) must Route up front.
-func (t *Topology) Route() { t.ensureRouted() }
 
 func (t *Topology) ensureRouted() {
 	if t.routed != nil {

@@ -17,7 +17,6 @@ import (
 func TestYaoMeshConnectivity(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7, 1108} {
 		tp := YaoMesh(40, 6, seed, 10)
-		tp.Route()
 		for i := 0; i < tp.N(); i++ {
 			for j := 0; j < tp.N(); j++ {
 				d := tp.Delay(i, j) // panics if unreachable

@@ -41,7 +41,10 @@ const (
 	// changes the control payload: its problem-sized vectors travel as
 	// Packed strings, not JSON arrays, which a version-2 peer would read as
 	// a bad control frame on every status and never finish a poll round.
-	frameVersion = 3
+	// Version 4 keeps the layout again: an assign names the factor ordering
+	// beside the backend, which a version-3 worker would drop, factorising
+	// under auto.
+	frameVersion = 4
 	frameHeader  = 1 + 1 + 4 + 4 + 4 + 8 + 4 + 4 + 4 // version..nEntries
 	entrySize    = 4 + 8
 	maxFrame     = 16 << 20

@@ -10,9 +10,10 @@
 // Two implementations ship: an in-process channel fabric (NewChanNetwork) for
 // deterministic tests, and a TCP fabric (NewTCP) framing packets as
 // length-prefixed binary messages with lazy per-peer dialing and
-// exponential-backoff reconnection. WithFaults decorates any Transport with
-// the seeded chaos fault model (drops, duplicates, delay) so lossy-network
-// behaviour is testable on loopback. The interface carries no topology
+// exponential-backoff reconnection. A FaultClock decorates any Transport
+// with the seeded chaos fault model so lossy-network behaviour is testable on
+// loopback: WithFaults drops and duplicates, NewFaultClock adds per-link
+// delays, jitter and down or slow windows on a wall clock. The interface carries no topology
 // assumptions — members are opaque integer ids — so non-mesh fabrics
 // (geometric spanners, Yao graphs) need no changes here.
 package transport

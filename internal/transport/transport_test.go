@@ -605,7 +605,7 @@ func TestWithFaultsDropsAndDuplicates(t *testing.T) {
 			t.Fatalf("send %d: %v", s, err)
 		}
 	}
-	st := faulty.(*faultTransport).ctl.Stats()
+	st := faulty.(*faultTransport).c.Stats()
 	if st.Dropped == 0 || st.Duplicated == 0 {
 		t.Fatalf("fault decorator injected nothing: %+v", st)
 	}
@@ -655,4 +655,148 @@ func TestWithFaultsRefusesTimedFaults(t *testing.T) {
 			WithFaults(NewChanNetwork(2)[0], spec, 2)
 		}()
 	}
+}
+
+// TestFaultClock pins the decorator's two forms. Clocked: each wave arrives no
+// earlier than scale × its link's delay, a down=0>1 window drops the part
+// 0 → 1 waves and only those whichever member sends them, and control packets
+// pass at once and intact. Clockless (WithFaults): the k-th wave send to a
+// member gets the copies of the k-th Fate call keyed on the two members, at
+// time 0 with delay 1, and every copy is in the inbox when Send returns.
+func TestFaultClock(t *testing.T) {
+	ctx := context.Background()
+	recvNow := func(tr Transport) (Packet, bool) {
+		done, cancel := context.WithCancel(ctx)
+		cancel()
+		pkt, err := tr.Recv(done)
+		return pkt, err == nil
+	}
+	wave := func(from, to int32, seq uint64) Packet {
+		return Packet{Kind: KindWave, FromPart: from, ToPart: to, Seq: seq, Entries: []WaveEntry{{LinkID: 3, Wave: float64(seq)}}}
+	}
+
+	t.Run("delay", func(t *testing.T) {
+		const scale = 200 * time.Microsecond
+		delay := func(from, to int) float64 { return 5 + float64(from) }
+		spec, err := chaos.ParseSpec("seed=3,jitter=0.5,dup=0.2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := NewChanNetwork(2)
+		defer closeAll(ts)
+		clock := NewFaultClock(spec, 2, delay, scale)
+		a, b := clock.Wrap(ts[0]), clock.Wrap(ts[1])
+		type dir struct {
+			src, dst Transport
+			from, to int32
+		}
+		sent := map[[2]uint64]time.Time{} // (from part, seq) → before its Send
+		for seq := uint64(1); seq <= 20; seq++ {
+			for _, d := range []dir{{a, b, 0, 1}, {b, a, 1, 0}} {
+				sent[[2]uint64{uint64(d.from), seq}] = time.Now()
+				if err := d.src.Send(ctx, d.dst.Self(), wave(d.from, d.to, seq)); err != nil {
+					t.Fatal(err)
+				}
+				// Take copies until this send's: a late duplicate of an earlier
+				// one may come first, and is held to its own send time.
+				for {
+					rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+					pkt, err := d.dst.Recv(rctx)
+					cancel()
+					if err != nil {
+						t.Fatalf("%d>%d seq %d: %v", d.from, d.to, seq, err)
+					}
+					hold := time.Duration(delay(int(pkt.FromPart), int(pkt.ToPart)) * float64(scale))
+					if got := time.Since(sent[[2]uint64{uint64(pkt.FromPart), pkt.Seq}]); got < hold {
+						t.Fatalf("%d>%d seq %d arrived after %v, want no earlier than %v", pkt.FromPart, pkt.ToPart, pkt.Seq, got, hold)
+					}
+					if pkt.Seq == seq {
+						break
+					}
+				}
+			}
+		}
+		if clock.Stats().Duplicated == 0 {
+			t.Errorf("dup=0.2 over 40 sends duplicated nothing")
+		}
+	})
+
+	t.Run("window", func(t *testing.T) {
+		spec, err := chaos.ParseSpec("down=0>1@0:1e9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := NewChanNetwork(2)
+		defer closeAll(ts)
+		clock := NewFaultClock(spec, 3, func(int, int) float64 { return 0 }, time.Millisecond)
+		a := clock.Wrap(ts[0])
+		// Member 0 speaks for parts 0 and 2; only the 0 → 1 pair is down.
+		pairs := [][2]int32{{0, 1}, {2, 1}, {1, 0}, {0, 2}}
+		for seq := uint64(1); seq <= 10; seq++ {
+			for _, p := range pairs {
+				if err := a.Send(ctx, 1, wave(p[0], p[1], seq)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// 40 sends, 10 of them 0 → 1: exactly 30 copies leave, all of them
+		// from open pairs.
+		for i := 0; i < 30; i++ {
+			rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+			pkt, err := ts[1].Recv(rctx)
+			cancel()
+			if err != nil {
+				t.Fatalf("arrival %d: %v", i, err)
+			}
+			if pkt.FromPart == 0 && pkt.ToPart == 1 {
+				t.Fatalf("a 0>1 wave (seq %d) got through the down window", pkt.Seq)
+			}
+		}
+		if d := clock.Stats().Dropped; d != 10 {
+			t.Errorf("down=0>1: %d dropped, want the 10 sends on that pair", d)
+		}
+
+		// Control traffic is out of the model: it passes at once, intact,
+		// through a window that takes every wave down.
+		spec, err = chaos.ParseSpec("down=*@0:1e9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewFaultClock(spec, 3, func(int, int) float64 { return 1e6 }, time.Hour).Wrap(ts[0])
+		if err := c.Send(ctx, 1, Packet{Kind: KindControl, Ctrl: []byte(`{"type":"stop"}`)}); err != nil {
+			t.Fatal(err)
+		}
+		if pkt, ok := recvNow(ts[1]); !ok || pkt.Kind != KindControl || string(pkt.Ctrl) != `{"type":"stop"}` {
+			t.Errorf("control packet: got %+v, %v", pkt, ok)
+		}
+	})
+
+	t.Run("clockless", func(t *testing.T) {
+		spec, err := chaos.ParseSpec("drop=0.3,dup=0.3,seed=11")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := NewChanNetwork(3)
+		defer closeAll(ts)
+		faulty := WithFaults(ts[2], spec, 3)
+		ref := chaos.NewController(spec, 3)
+		for seq := uint64(1); seq <= 200; seq++ {
+			to := int(seq % 2)
+			// The parts are not the members: the clockless form keys on the
+			// members.
+			if err := faulty.Send(ctx, to, wave(7, 9, seq)); err != nil {
+				t.Fatal(err)
+			}
+			copies := 0
+			for {
+				if _, ok := recvNow(ts[to]); !ok {
+					break
+				}
+				copies++
+			}
+			if want := len(ref.Fate(2, to, 0, 1)); copies != want {
+				t.Fatalf("send %d to member %d: %d copies, want %d", seq, to, copies, want)
+			}
+		}
+	})
 }
