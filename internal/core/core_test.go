@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -54,18 +53,6 @@ func TestConfigValidation(t *testing.T) {
 	for name, opts := range cases {
 		if _, err := Solve(context.Background(), prob, opts); err == nil {
 			t.Errorf("%s: expected an error", name)
-		}
-	}
-	// A 4-part problem has no part 7 or 8: the crash would never fire, and
-	// the window would hold the stopping rule for its whole span.
-	for _, spec := range []string{"crash=7@10+5", "down=7>8@0:1e9"} {
-		faults, err := chaos.ParseSpec(spec)
-		if err != nil {
-			t.Fatalf("ParseSpec(%q): %v", spec, err)
-		}
-		cfg := Config{CommonOptions: CommonOptions{Faults: faults}, MaxTime: 100}
-		if _, err := Solve(context.Background(), prob, cfg); err == nil || !strings.Contains(err.Error(), "partition") {
-			t.Errorf("accepted %q, which names a part outside the partition (err=%v)", spec, err)
 		}
 	}
 }

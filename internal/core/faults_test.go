@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -23,6 +24,40 @@ func faultTestProblem(t *testing.T) *Problem {
 		t.Fatalf("GridProblem: %v", err)
 	}
 	return prob
+}
+
+// TestLiveValidation checks that a fault spec naming a part outside the
+// partition is refused by both gates that take one: Solve's (the DES engine)
+// and chaos.Spec.CheckParts (the live fleet in cmd/dtmsolve), each naming the
+// partition.
+func TestLiveValidation(t *testing.T) {
+	prob, _ := gridProblem(t, 6, 2, nil)
+	n := prob.Partition.NumParts()
+	// A 4-part problem has no part 7 or 8: the crash would never fire, and
+	// the window would hold the stopping rule for its whole span.
+	for _, spec := range []string{"crash=7@10+5", "down=7>8@0:1e9"} {
+		faults, err := chaos.ParseSpec(spec)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", spec, err)
+		}
+		cfg := Config{CommonOptions: CommonOptions{Faults: faults}, MaxTime: 100}
+		if _, err := Solve(context.Background(), prob, cfg); err == nil || !strings.Contains(err.Error(), "partition") {
+			t.Errorf("Solve accepted %q, which names a part outside the partition (err=%v)", spec, err)
+		}
+		if err := faults.CheckParts(n); err == nil || !strings.Contains(err.Error(), "partition") {
+			t.Errorf("CheckParts(%d) accepted %q, which names a part outside the partition (err=%v)", n, spec, err)
+		}
+	}
+	// The same specs over enough parts pass both gates.
+	for _, spec := range []string{"crash=3@10+5", "down=2>3@0:1e9"} {
+		faults, err := chaos.ParseSpec(spec)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", spec, err)
+		}
+		if err := faults.CheckParts(n); err != nil {
+			t.Errorf("CheckParts(%d) refused in-range %q: %v", n, spec, err)
+		}
+	}
 }
 
 func faultRun(t *testing.T, spec *chaos.Spec) *Result {
