@@ -26,8 +26,13 @@ const (
 // every member derives from spec. Each wave is held for its link's delay ×
 // scale, the fault spec applied on the way (transport.FaultClock); its
 // crash=P@t+r kills member P+1 at t and restarts it r later, and the budget
-// ends the poll phase with the gathered partial result. Crashes and budget
-// run on one clock, started at the first poll, so set-up is outside it.
+// ends the poll phase with the gathered partial result. Windows, crashes and
+// budget run on one clock, the fault clock's, which the first wave starts. A
+// part sends its first waves right after its first solve, so set-up is
+// outside that clock, and so is a host that has yet to run any worker: the
+// budget cannot end a run before it has done any work. (A run that never
+// sends a wave has no twin links, one part, and converges on its first
+// solve.)
 type liveRun struct {
 	spec   dist.SpecV2
 	delay  func(from, to int) float64 // topology time units
@@ -67,16 +72,21 @@ func (r liveRun) run() (*liveResult, error) {
 	defer cancel()
 	out := &liveResult{}
 	down := make([]int, len(faults.Crashes)) // per crash: 0 pending, 1 killed, 2 restarted
-	var start time.Time
+	var firstPoll time.Time
 	onPoll := func(poll int) {
 		if poll == 0 {
-			start = time.Now()
+			firstPoll = time.Now()
 		}
-		if time.Since(start) >= r.budget {
+		start := clock.Started()
+		if start.IsZero() {
+			return
+		}
+		since := time.Since(start)
+		if since >= r.budget {
 			cancel()
 			return
 		}
-		now := float64(time.Since(start)) / float64(r.scale)
+		now := float64(since) / float64(r.scale)
 		for i, c := range faults.Crashes {
 			switch {
 			case down[i] == 0 && now >= c.At:
@@ -90,7 +100,7 @@ func (r liveRun) run() (*liveResult, error) {
 		}
 	}
 	res, err := fleet.Coordinate(ctx, dist.CoordConfig{Spec: r.spec, Tol: r.tol, Factor: r.fs, PollInterval: livePoll, OnPoll: onPoll})
-	out.Result, out.seconds = res, time.Since(start).Seconds()
+	out.Result, out.seconds = res, time.Since(firstPoll).Seconds()
 	if cerr := fleet.Close(); err == nil {
 		err = cerr
 	}

@@ -148,7 +148,7 @@ func TestLiveFaultsRecover(t *testing.T) {
 	r, _ := testLive(t, "grid:rows=7,cols=7,seed=11", 1e-9)
 	want := oracle(t, r)
 	var err error
-	// The clock starts at the first poll; the kill at 0.5 ms and the restart
+	// The clock starts at the first wave; the kill at 0.5 ms and the restart
 	// at 2.5 ms fall on its next polls, long before a run that loses a fifth
 	// of its waves to a 50 ms watchdog can converge.
 	if r.faults, err = chaos.ParseSpec("seed=17,drop=0.20,dup=0.05,jitter=0.5,down=0>1@0:200,crash=2@100+400,snap=50"); err != nil {

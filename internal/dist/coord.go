@@ -108,8 +108,8 @@ type Result struct {
 	// Converged reports whether the stopping rule held before the context
 	// expired.
 	Converged bool
-	// Solves and Messages aggregate the workers' counters at the last
-	// complete poll round (before the first, at the replies it has).
+	// Solves and Messages total the counters the final owners report with
+	// their results: every solve and message of theirs up to the stop.
 	Solves, Messages int
 	// Polls is the number of completed status rounds the coordinator ran.
 	Polls int
@@ -125,8 +125,8 @@ type Result struct {
 	Failovers, Rejoins int
 	// Epoch is the final ownership epoch (1 when nothing failed).
 	Epoch uint32
-	// Fenced aggregates the workers' zombie-wave drop counters at the final
-	// poll — nonzero proves the epoch/incarnation fences did real work.
+	// Fenced totals the same workers' zombie-wave drop counters — nonzero
+	// proves the epoch/incarnation fences did real work.
 	Fenced uint64
 }
 

@@ -67,11 +67,12 @@ type coordState struct {
 
 	// Round state: the number of the latest poll sent, and the statuses
 	// answering it, by worker; nil while no poll is in flight. stable counts
-	// consecutive quiet rounds, lastFull is the last complete one.
+	// consecutive quiet rounds.
 	round, stable int
 	statuses      map[int]*statusMsg
-	lastFull      []core.ShardState
 	nextPoll      time.Time
+	// final are the statuses the results carried, the session's counters.
+	final []core.ShardState
 	// rejoins queues dead-declared members seen beating with a higher
 	// incarnation (recorded), to be re-admitted at the next epoch.
 	rejoins map[int]uint32
@@ -116,6 +117,7 @@ func (s *coordState) Tick(now time.Time, idle bool) (next time.Time, outs []out,
 		return s.nextPoll, nil, err
 	case s.phase == msgResult && len(s.pending) == 0:
 		s.phase, s.res.Owner, s.res.Epoch = phaseDone, slices.Clone(s.owner), s.epoch
+		s.res.Solves, s.res.Messages, s.res.Fenced = core.Totals(s.final)
 	case s.phase == msgResult && idle:
 		// A worker that died after the last poll never sends its result.
 		for _, w := range s.ms.expired(now) {
@@ -225,7 +227,9 @@ func (s *coordState) Handle(now time.Time, from int, m *ctrlMsg) (outs []out, er
 	return nil, err
 }
 
-// gather files one worker's owner fragment of X.
+// gather files one worker's owner fragment of X and the final status it
+// came with, whose counters hold the work done up to the stop: a deadline
+// can end the poll phase before any poll round has seen that work.
 func (s *coordState) gather(w int, m *ctrlMsg) error {
 	r := m.Result
 	if r == nil || len(r.Value) != len(r.Index) {
@@ -236,6 +240,9 @@ func (s *coordState) gather(w int, m *ctrlMsg) error {
 			return fmt.Errorf("dist: worker %d returned unknown %d of a %d-unknown problem", w, gv, len(s.res.X))
 		}
 		s.res.X[gv] = r.Value[i]
+	}
+	if m.Status != nil {
+		s.final = append(s.final, m.Status.ShardState)
 	}
 	return nil
 }
@@ -258,7 +265,6 @@ func (s *coordState) completeRound() {
 	}
 	s.statuses = nil
 	s.res.Polls++
-	s.lastFull = states
 	var quiet bool
 	quiet, s.res.MaxLastChange, s.res.TwinGap = core.Quiescent(s.links, s.cfg.Tol, states)
 	if !quiet {
@@ -276,15 +282,6 @@ func (s *coordState) completeRound() {
 // stop ends the poll phase, converged or not: every live worker is told to
 // stop and its result awaited.
 func (s *coordState) stop() {
-	states := s.lastFull
-	if states == nil {
-		// A deadline before any round completed: count the replies the round
-		// in flight has.
-		for _, st := range s.statuses {
-			states = append(states, st.ShardState)
-		}
-	}
-	s.res.Solves, s.res.Messages, s.res.Fenced = core.Totals(states)
 	s.phase, s.pending = msgResult, s.ms.alive()
 	s.res.X = make(sparse.Vec, s.dim)
 	s.send(s.pending, &ctrlMsg{Type: msgStop}, true)

@@ -454,6 +454,35 @@ func TestHeartbeatNonFiniteSnapshot(t *testing.T) {
 	}
 }
 
+// TestDeadlineResultCountsFinalWork: a deadline that ends the poll phase
+// before any round completed still reports the work the workers did, as the
+// final counters their results carry — a duplicate result counted once —
+// and a round's replies, which come before the work they report is done,
+// count for nothing.
+func TestDeadlineResultCountsFinalWork(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s := pollingState(t, now, 1, 2)
+	s.Tick(now.Add(s.cfg.PollInterval), true)
+	if _, err := s.Handle(now, 1, &ctrlMsg{Type: msgStatus, Round: s.round, Status: &statusMsg{ShardState: core.ShardState{Solves: 1, Messages: 1}, Epoch: s.epoch}}); err != nil {
+		t.Fatal(err)
+	}
+	s.Expire()
+	final := map[int]core.ShardState{1: {Solves: 7, Messages: 11, Fenced: 2}, 2: {Solves: 5, Messages: 3}}
+	for _, w := range []int{1, 2, 1} {
+		res := &resultMsg{Index: []int32{int32(w)}, Value: []float64{float64(w)}}
+		if _, err := s.Handle(now, w, &ctrlMsg{Type: msgResult, Result: res, Status: &statusMsg{ShardState: final[w]}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Tick(now, true)
+	if s.phase != phaseDone || s.res.Converged {
+		t.Fatalf("phase %s, converged %v: want a done, unconverged session", s.phase, s.res.Converged)
+	}
+	if s.res.Solves != 12 || s.res.Messages != 14 || s.res.Fenced != 2 {
+		t.Errorf("counted %d solves, %d messages, %d fenced; want the results' 12, 14, 2", s.res.Solves, s.res.Messages, s.res.Fenced)
+	}
+}
+
 // TestFuzzCoordHandleSeedsDecode: FuzzCoordHandle's seeds are frames of the
 // current protocol — every one but those named binary-* or truncated-*
 // decodes — so none turns silently into garbage when a field's encoding

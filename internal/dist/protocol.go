@@ -30,7 +30,8 @@ import (
 //	status  ⇄ report per-part convergence state + recovery sequence numbers;
 //	          the reply echoes the poll's round number
 //	stop    → leave the solve loop
-//	result  ← owner fragments of X
+//	result  ← owner fragments of X, and a status holding only the
+//	          session's work counters as they stand at the stop
 //
 // A worker outlives sessions: after result it waits for the next assign
 // (the dtmd server mode), until shutdown or transport close.

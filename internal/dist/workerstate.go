@@ -282,8 +282,11 @@ func (s *workerState) stop(to int) {
 			res.Value = append(res.Value, x[pair[0]])
 		}
 	}
-	s.send(to, &ctrlMsg{Type: msgResult, Result: res}, true)
+	// The result's status carries only the session's counters, the one part
+	// of it the coordinator reads: it totals them over the final owners.
 	st := s.shard.State()
+	final := core.ShardState{Solves: st.Solves, Messages: st.Messages, Fenced: st.Fenced}
+	s.send(to, &ctrlMsg{Type: msgResult, Result: res, Status: &statusMsg{ShardState: final}}, true)
 	s.logf("worker %d: session done (%d solves, %d messages, %d fenced)", s.self, st.Solves, st.Messages, st.Fenced)
 	s.end()
 }

@@ -179,8 +179,10 @@ func (c *workerChecker) handle(pkt *transport.Packet) bool {
 	c.t.Helper()
 	s := c.s
 	idle, waves, dirty := s.shard == nil, c.waves, 0
+	var before core.ShardState
 	if !idle {
-		dirty = s.status().Dirty
+		before = s.shard.State()
+		dirty = before.Dirty
 	}
 	outs, exit := s.Handle(pkt)
 	m, err := decodeCtrl(pkt)
@@ -209,7 +211,7 @@ func (c *workerChecker) handle(pkt *transport.Packet) bool {
 			c.fail("status? for round %d at epoch %d answered for round %d at epoch %d", m.Round, c.epoch, o.Round, o.Status.Epoch)
 		}
 	case m.Type == msgStop && !idle:
-		c.checkResult(outs)
+		c.checkResult(outs, before)
 		c.owner, c.started = nil, false
 	case m.Type == msgStart && !idle:
 		if len(outs) > 0 {
@@ -262,8 +264,9 @@ func (c *workerChecker) handle(pkt *transport.Packet) bool {
 }
 
 // checkResult checks the answer to a stop: exactly one result, retried until
-// it lands, covering every unknown the owned parts own, and the worker idle.
-func (c *workerChecker) checkResult(outs []out) {
+// it lands, covering every unknown the owned parts own and carrying the
+// session's counters as they stood (st), and the worker idle.
+func (c *workerChecker) checkResult(outs []out, st core.ShardState) {
 	c.t.Helper()
 	c.results++
 	if len(outs) != 1 || outs[0].m.Type != msgResult || !outs[0].retry || c.s.shard != nil {
@@ -282,6 +285,9 @@ func (c *workerChecker) checkResult(outs []out) {
 	slices.Sort(want)
 	if !slices.Equal(got, want) {
 		c.fail("the result covers %d unknowns, the owned parts own %d", len(got), len(want))
+	}
+	if f := outs[0].m.Status; f == nil || f.Solves != st.Solves || f.Messages != st.Messages || f.Fenced != st.Fenced {
+		c.fail("the result carries counters %+v, the session's were %d solves, %d messages, %d fenced", f, st.Solves, st.Messages, st.Fenced)
 	}
 }
 

@@ -65,23 +65,37 @@ func BenchmarkFactorScalarVsSupernodal(b *testing.B) {
 	}
 }
 
-// bigblockPart is one local system of the benchmark's bigblock-grid65 lane:
-// the 2×2 tear of grid:rows=65,cols=65,seed=7, each part's matrix with its
-// lines' 1/Z on the port diagonal (eq. 5.9, dtl.DiagScaled{Alpha: 1}), its
-// base right-hand side and its port count.
-type bigblockPart struct {
+// lanePart is one local system of a benchmark lane torn with EVS: the part's
+// matrix with its lines' 1/Z on the port diagonal (eq. 5.9,
+// dtl.DiagScaled{Alpha: 1}), its base right-hand side and its port count.
+type lanePart struct {
 	a     *sparse.CSR
 	b     sparse.Vec
 	ports int
 }
 
-func bigblockParts(tb testing.TB) []bigblockPart {
-	sys := sparse.RandomGridSPD(65, 65, 7)
+// laneParts builds the system of the source spec and tears it as the lane
+// does: into px×py grid blocks, or, when nparts > 0, into nparts level sets.
+func laneParts(tb testing.TB, spec string, px, py, nparts int) []lanePart {
+	src, err := sparse.ParseSource(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys, hint, err := src.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
 	g, err := graph.FromSystem(sys.A, sys.B)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, err := partition.EVS(g, partition.GridBlocks(65, 65, 2, 2), partition.Options{})
+	var assign partition.Assignment
+	if nparts > 0 {
+		assign = partition.LevelSetGrow(g, nparts)
+	} else {
+		assign = partition.GridBlocks(hint.NX, hint.NY, px, py)
+	}
+	res, err := partition.EVS(g, assign, partition.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -89,7 +103,7 @@ func bigblockParts(tb testing.TB) []bigblockPart {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	parts := make([]bigblockPart, len(res.Subdomains))
+	parts := make([]lanePart, len(res.Subdomains))
 	for i, sub := range res.Subdomains {
 		diag := sparse.NewVec(sub.Dim())
 		for _, l := range res.Links {
@@ -100,16 +114,26 @@ func bigblockParts(tb testing.TB) []bigblockPart {
 				diag[l.PortB] += 1 / z[l.ID]
 			}
 		}
-		parts[i] = bigblockPart{a: sub.A.AddDiag(diag), b: sub.B, ports: sub.NumPorts}
+		parts[i] = lanePart{a: sub.A.AddDiag(diag), b: sub.B, ports: sub.NumPorts}
 	}
 	return parts
 }
 
+// bigblockParts are the four parts of the benchmark's bigblock-grid65 lane,
+// the 2×2 tear of grid:rows=65,cols=65,seed=7.
+func bigblockParts(tb testing.TB) []lanePart {
+	return laneParts(tb, "grid:rows=65,cols=65,seed=7", 2, 2, 0)
+}
+
 // BenchmarkSolve times one solve of a factor: SolveTo on a 128² Poisson
-// grid, and on each of bigblock-grid65's four parts the full SolveTo beside
-// the ports-only solve an activation runs. The ports-only arm reports its
-// closure: supernodes in it, of all, and the share of the stored factor
-// entries they hold.
+// grid, and the local solve of every part of the benchmark's three lanes as
+// the auto backend factorises it. On each of bigblock-grid65's four
+// sparse-supernodal parts that is the full SolveTo beside the ports-only
+// solve an activation runs; the ports-only arm reports its closure:
+// supernodes in it, of all, and the share of the stored factor entries they
+// hold. On spanner-lsg4's four sparse-cholesky parts an activation is the
+// full SolveTo, and on ring9-grid13's nine dense-cholesky parts the port
+// solve through the Schur complement's factor (SolvePorts).
 func BenchmarkSolve(b *testing.B) {
 	grid := sparse.Poisson2D(128, 128, 0.05)
 	for _, backend := range []string{SparseCholesky, SparseSupernodal} {
@@ -158,5 +182,38 @@ func BenchmarkSolve(b *testing.B) {
 		})
 		first, last := slices.Min(sn.portPos), slices.Max(sn.portPos)
 		b.Logf("part %d: n=%d k=%d ordering %v, ports at permuted columns %d..%d", i, p.a.Rows(), p.ports, sn.Ordering(), first, last)
+	}
+	for i, p := range laneParts(b, "spanner:n=1000,k=6,seed=1", 0, 0, 4) {
+		f, err := Settings{}.NewPorts(p.a, p.ports)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if f.Backend() != SparseCholesky {
+			b.Fatalf("spanner part %d: auto picked %s, the lane runs sparse-cholesky", i, f.Backend())
+		}
+		x := sparse.NewVec(p.a.Rows())
+		b.Run(fmt.Sprintf("spanner/part%d/full", i), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f.SolveTo(x, p.b)
+			}
+		})
+	}
+	for i, p := range laneParts(b, "grid:rows=13,cols=13,seed=169", 3, 3, 0) {
+		f, err := Settings{}.NewPorts(p.a, p.ports)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ps, ok := f.(PortSolver)
+		if !ok {
+			b.Fatalf("ring9 part %d: auto picked %s, the lane runs a dense-cholesky port solver", i, f.Backend())
+		}
+		d, u := p.b[:p.ports].Clone(), sparse.NewVec(p.ports)
+		b.Run(fmt.Sprintf("ring9/part%d/ports", i), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ps.SolvePorts(u, d)
+			}
+		})
 	}
 }

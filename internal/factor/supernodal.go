@@ -655,7 +655,11 @@ func (s *Supernodal) Solve(b sparse.Vec) sparse.Vec {
 // per diagonal block, gathered rectangular updates), the D⁻¹ scaling in LDLᵀ
 // mode, supernodal backward substitution, permute back. Its floating-point
 // order is pinned: TestSupernodalDeterministicAcrossGOMAXPROCS's hashes and
-// the bigblock-grid65 benchmark counters move on any last-bit change. x may
+// the bigblock-grid65 benchmark counters move on any last-bit change, and
+// TestBlockedSweepsMatchScalar holds the sweeps to that order on every
+// target. Every update in them is one `a += b*c` or `a -= b*c` statement, so
+// a target that fuses multiply-adds fuses the same operations whatever the
+// grouping. x may
 // alias b. SolveTo is reentrant — all scratch is per call — so one factor may
 // serve concurrent solves.
 func (s *Supernodal) SolveTo(x, b sparse.Vec) {
@@ -697,10 +701,17 @@ func (s *Supernodal) SolveTo(x, b sparse.Vec) {
 
 // forwardSupernode runs supernode sn's slice of the forward sweep L y = P b
 // on the permuted working vector w: the dense (unit-)lower solve on the
-// diagonal block, then one gathered accumulation of the rectangular panel's
+// diagonal block, and one gathered accumulation of the rectangular panel's
 // contribution into g[:ld-width], scattered to the ancestor rows once. g
 // still holds that contribution on return. Its order is part of the pinned
-// solve bytes (see SolveTo).
+// solve bytes (see SolveTo): every g[i] starts at 0 and adds, one `+= col·v`
+// each, the columns whose value is nonzero in ascending column order.
+//
+// The panel is swept four nonzero columns per pass, g loaded and stored once
+// for all four, each pass as soon as the diagonal solve has finished its
+// fourth column (a column's value is final once its own step is done). A
+// column whose value is zero, of either sign, is skipped; the columns after
+// it fill the pass in its place.
 func (s *Supernodal) forwardSupernode(sn int, w sparse.Vec, g []float64) {
 	f := int(s.sfirst[sn])
 	width := int(s.sfirst[sn+1]) - f
@@ -709,9 +720,9 @@ func (s *Supernodal) forwardSupernode(sn int, w sparse.Vec, g []float64) {
 	rows := s.rowind[s.rx[sn]:s.rx[sn+1]]
 	unit := s.mode == ModeLDLT
 	g = g[:ld-width]
-	for i := range g {
-		g[i] = 0
-	}
+	clear(g)
+	var cols [4]int // the pending pass's columns, ascending
+	k := 0
 	for jj := 0; jj < width; jj++ {
 		col := panel[jj*ld:]
 		v := w[f+jj]
@@ -725,52 +736,97 @@ func (s *Supernodal) forwardSupernode(sn int, w sparse.Vec, g []float64) {
 		for i := jj + 1; i < width; i++ {
 			w[f+i] -= col[i] * v
 		}
-		for i := width; i < ld; i++ {
-			g[i-width] += col[i] * v
+		if cols[k] = jj; k < 3 {
+			k++
+			continue
+		}
+		k = 0
+		c0, c1 := panel[cols[0]*ld+width:][:len(g)], panel[cols[1]*ld+width:][:len(g)]
+		c2, c3 := panel[cols[2]*ld+width:][:len(g)], col[width:][:len(g)]
+		v0, v1, v2 := w[f+cols[0]], w[f+cols[1]], w[f+cols[2]]
+		for i := range g {
+			t := g[i]
+			t += c0[i] * v0
+			t += c1[i] * v1
+			t += c2[i] * v2
+			t += c3[i] * v
+			g[i] = t
 		}
 	}
-	for i := width; i < ld; i++ {
-		w[rows[i]] -= g[i-width]
+	for _, jj := range cols[:k] {
+		col, v := panel[jj*ld+width:][:len(g)], w[f+jj]
+		for i := range g {
+			g[i] += col[i] * v
+		}
+	}
+	for i, r := range rows[width:] {
+		w[r] -= g[i]
 	}
 }
 
 // backwardSupernode runs supernode sn's slice of the backward sweep Lᵀ z = y
 // on the permuted working vector w: gather the ancestor rows into g, subtract
-// each column's pre-summed rectangular contribution, then the dense
+// each column's pre-summed rectangular contribution, and the dense
 // (unit-)upper solve on the diagonal block. The rectangular contribution is
-// pre-summed per column in ascending row order; that order is part of the
-// pinned solve bytes (see SolveTo).
+// pre-summed per column from 0 in ascending row order, one `+= col·g` each;
+// that order is part of the pinned solve bytes (see SolveTo).
+//
+// The columns go in groups of four from the last: one pass over the gathered
+// rows sums a group's four contributions in four accumulators, four
+// independent chains of adds where one would make every add wait on the
+// last. The group's diagonal solve follows, so the next group's pass can run
+// beside that solve's dependent chain; it reads only columns above its own
+// group, which are final.
 func (s *Supernodal) backwardSupernode(sn int, w sparse.Vec, g []float64) {
 	f := int(s.sfirst[sn])
 	width := int(s.sfirst[sn+1]) - f
 	ld := int(s.rx[sn+1] - s.rx[sn])
+	m := ld - width
 	panel := s.panel[s.px[sn]:s.px[sn+1]]
 	rows := s.rowind[s.rx[sn]:s.rx[sn+1]]
 	unit := s.mode == ModeLDLT
-	if m := ld - width; m > 0 {
-		gb := g[:m]
-		for i := 0; i < m; i++ {
-			gb[i] = w[rows[width+i]]
-		}
-		for jj := 0; jj < width; jj++ {
-			col := panel[jj*ld+width:]
-			sum := 0.0
-			for i := 0; i < m; i++ {
-				sum += col[i] * gb[i]
-			}
-			w[f+jj] -= sum
-		}
+	gb := g[:m]
+	for i, r := range rows[width:] {
+		gb[i] = w[r]
 	}
-	for jj := width - 1; jj >= 0; jj-- {
-		col := panel[jj*ld:]
-		sum := w[f+jj]
-		for i := jj + 1; i < width; i++ {
-			sum -= col[i] * w[f+i]
+	for hi := width; hi > 0; hi -= 4 {
+		lo := max(hi-4, 0)
+		if m > 0 {
+			// A group short of four repeats its last column in the spare
+			// chains, whose sums are dropped.
+			j1, j2, j3 := min(lo+1, hi-1), min(lo+2, hi-1), min(lo+3, hi-1)
+			c0, c1 := panel[lo*ld+width:][:m], panel[j1*ld+width:][:m]
+			c2, c3 := panel[j2*ld+width:][:m], panel[j3*ld+width:][:m]
+			var s0, s1, s2, s3 float64
+			for i, x := range gb {
+				s0 += c0[i] * x
+				s1 += c1[i] * x
+				s2 += c2[i] * x
+				s3 += c3[i] * x
+			}
+			switch hi - lo {
+			case 4:
+				w[f+lo+3] -= s3
+				fallthrough
+			case 3:
+				w[f+lo+2] -= s2
+				fallthrough
+			case 2:
+				w[f+lo+1] -= s1
+			}
+			w[f+lo] -= s0
 		}
-		if !unit {
-			sum /= col[jj]
+		for jj := hi - 1; jj >= lo; jj-- {
+			col := panel[jj*ld:]
+			sum := w[f+jj]
+			for i := jj + 1; i < width; i++ {
+				sum -= col[i] * w[f+i]
+			}
+			if !unit {
+				sum /= col[jj]
+			}
+			w[f+jj] = sum
 		}
-		w[f+jj] = sum
 	}
 }
 

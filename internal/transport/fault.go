@@ -61,6 +61,14 @@ func (c *FaultClock) Wrap(t Transport) Transport { return &faultTransport{Transp
 // Stats returns the faults injected so far; read it while no member sends.
 func (c *FaultClock) Stats() chaos.Stats { return c.ctl.Stats() }
 
+// Started returns when the clocked form's first wave was sent — the instant
+// its windows are read against — or the zero time while none has been.
+func (c *FaultClock) Started() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.start
+}
+
 type faultTransport struct {
 	Transport
 	c *FaultClock

@@ -43,8 +43,9 @@ const (
 	// a bad control frame on every status and never finish a poll round.
 	// Version 4 keeps the layout again: an assign names the factor ordering
 	// beside the backend, which a version-3 worker would drop, factorising
-	// under auto.
-	frameVersion = 4
+	// under auto. Version 5 keeps the layout: a result carries the
+	// session's work counters, which a version-4 worker omits.
+	frameVersion = 5
 	frameHeader  = 1 + 1 + 4 + 4 + 4 + 8 + 4 + 4 + 4 // version..nEntries
 	entrySize    = 4 + 8
 	maxFrame     = 16 << 20
