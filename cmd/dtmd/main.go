@@ -491,6 +491,12 @@ func parsePeers(s string) (map[int]string, error) {
 		if err != nil || id < 0 {
 			return nil, fmt.Errorf("bad member id in -peers entry %q", part)
 		}
+		if _, dup := addrs[id]; dup {
+			return nil, fmt.Errorf("-peers entry %q repeats member %d", part, id)
+		}
+		if kv[1] == "" {
+			return nil, fmt.Errorf("-peers entry %q has an empty address", part)
+		}
 		addrs[id] = kv[1]
 	}
 	return addrs, nil

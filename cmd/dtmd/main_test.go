@@ -102,3 +102,41 @@ func TestCadenceFlagsHaveAFloor(t *testing.T) {
 		}
 	}
 }
+
+// TestParsePeers: a well-formed -peers map parses to its members (and formats
+// back to itself); a malformed one is refused with an error naming the
+// offending entry, never a map that silently keeps one of two addresses.
+func TestParsePeers(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want string // the formatted map, or substrings of the error after "!"
+	}{
+		{"0=a:1,1=b:2", "0=a:1,1=b:2"},
+		{" 1=b:2 , 0=a:1 ", "0=a:1,1=b:2"},
+		{"", "!-peers is required"},
+		{"0=a:1,1=b:2,1=c:3", `!"1=c:3"|repeats member 1`},
+		{"1=", `!"1="|empty address`},
+		{"0=a:1,b:2", `!"b:2"|want id=host:port`},
+		{"x=a:1", `!"x=a:1"|member id`},
+		{"-1=a:1", `!"-1=a:1"|member id`},
+	} {
+		addrs, err := parsePeers(tc.in)
+		if want, ok := strings.CutPrefix(tc.want, "!"); ok {
+			if err == nil {
+				t.Errorf("%q: accepted as %v", tc.in, addrs)
+				continue
+			}
+			for _, part := range strings.Split(want, "|") {
+				if !strings.Contains(err.Error(), part) {
+					t.Errorf("%q: error %q does not mention %q", tc.in, err, part)
+				}
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: refused: %v", tc.in, err)
+		} else if got := formatPeers(addrs); got != tc.want {
+			t.Errorf("%q: parsed to %s, want %s", tc.in, got, tc.want)
+		}
+	}
+}

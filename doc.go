@@ -4,11 +4,10 @@
 //
 // The library lives under internal/ (see DESIGN.md for the full inventory):
 //
-//   - internal/sparse, internal/dense, internal/spectral — the numerical
-//     substrate (CSR matrices, MatrixMarket I/O, Cholesky/LU/eigen,
-//     definiteness certification) plus the problem-source registry: one
-//     canonical spec-string grammar (sparse.ParseSource) that is the only
-//     way a system is named, by the CLIs' -source flag, the experiments and
+//   - internal/sparse, internal/dense — the numerical substrate (CSR
+//     matrices, MatrixMarket I/O, Cholesky/LU/eigen) plus the problem-source
+//     registry: one canonical spec-string grammar (sparse.ParseSource) that
+//     is the only way a system is named, by the CLIs' -source flag, the experiments and
 //     dist.SpecV2 alike — generated systems ("grid:", "poisson:",
 //     "resistor:", "random:", "tridiag:", "saddle:"), random geometric
 //     Yao-spanner Laplacians ("spanner:") and content-hash-pinned

@@ -41,7 +41,7 @@ func Example_quickstart() {
 	// The hypotheses of the convergence theorem: the original system is SPD,
 	// at least one subgraph is SPD and the others are symmetric non-negative
 	// definite. Any positive impedances and delays then converge.
-	fmt.Println(core.CheckTheorem(prob, 1e-10, 100))
+	fmt.Println(core.CheckTheorem(prob))
 
 	// DTM on the deterministic discrete-event engine, until the twin
 	// potentials agree to 1e-10.
@@ -92,7 +92,7 @@ func Example_circuit() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(core.CheckTheorem(prob, 1e-10, 400))
+	fmt.Println(core.CheckTheorem(prob))
 
 	res, err := core.Solve(context.Background(), prob, core.Config{
 		CommonOptions: core.CommonOptions{Tol: 1e-10},

@@ -2,10 +2,39 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
-	"repro/internal/spectral"
+	"repro/internal/factor"
+	"repro/internal/sparse"
 )
+
+// Definiteness classifies a symmetric matrix.
+type Definiteness int
+
+// Definiteness classes, from Theorem 6.1's hypotheses.
+const (
+	// Indefinite means the smallest eigenvalue is at most -τ, or the matrix
+	// is not square and symmetric within τ.
+	Indefinite Definiteness = iota
+	// SNND (symmetric non-negative definite) means the smallest eigenvalue
+	// lies in (-τ, τ].
+	SNND
+	// SPD means the smallest eigenvalue is above τ.
+	SPD
+)
+
+// String implements fmt.Stringer.
+func (d Definiteness) String() string {
+	switch d {
+	case SPD:
+		return "SPD"
+	case SNND:
+		return "SNND"
+	default:
+		return "indefinite"
+	}
+}
 
 // TheoremReport is the outcome of checking a partition against the hypotheses
 // of Theorem 6.1 (the convergence theorem): the original system must be SPD,
@@ -14,7 +43,7 @@ import (
 // propagation delays may then be arbitrary positive values.
 type TheoremReport struct {
 	// Classes holds the definiteness class of each subgraph, indexed by part.
-	Classes []spectral.Definiteness
+	Classes []Definiteness
 	// NumSPD, NumSNND and NumIndefinite count the subgraphs per class.
 	NumSPD, NumSNND, NumIndefinite int
 	// OriginalSPD reports whether the original coefficient matrix is SPD.
@@ -35,23 +64,21 @@ func (r TheoremReport) String() string {
 	return b.String()
 }
 
-// CheckTheorem certifies the convergence-theorem hypotheses for a problem.
-// tol is the tolerance below which tiny negative eigenvalues are treated as
-// zero (use something like 1e-9 times the matrix scale); denseLimit is the
-// largest subgraph dimension for which an exact dense eigenvalue check is
-// performed (larger subgraphs are classified with Gershgorin bounds and
-// power-iteration estimates, which is conservative but approximate).
-func CheckTheorem(p *Problem, tol float64, denseLimit int) TheoremReport {
+// CheckTheorem certifies the convergence-theorem hypotheses for a problem. It
+// classifies A and every subgraph's matrix exactly, at every size, with one
+// tolerance τ = 1e-9·maxᵢ|aᵢᵢ| taken from A (see classify).
+func CheckTheorem(p *Problem) TheoremReport {
+	tau := theoremTol(p.System.A)
 	res := p.Partition
-	report := TheoremReport{Classes: make([]spectral.Definiteness, res.NumParts())}
-	report.OriginalSPD = spectral.Classify(p.System.A, tol, denseLimit) == spectral.SPD
+	report := TheoremReport{Classes: make([]Definiteness, res.NumParts())}
+	report.OriginalSPD = classify(p.System.A, tau) == SPD
 	for i, sub := range res.Subdomains {
-		c := spectral.Classify(sub.A, tol, denseLimit)
+		c := classify(sub.A, tau)
 		report.Classes[i] = c
 		switch c {
-		case spectral.SPD:
+		case SPD:
 			report.NumSPD++
-		case spectral.SNND:
+		case SNND:
 			report.NumSNND++
 		default:
 			report.NumIndefinite++
@@ -59,4 +86,40 @@ func CheckTheorem(p *Problem, tol float64, denseLimit int) TheoremReport {
 	}
 	report.Satisfied = report.OriginalSPD && report.NumSPD >= 1 && report.NumIndefinite == 0
 	return report
+}
+
+// theoremTol is CheckTheorem's tolerance for A: 1e-9 times its largest
+// diagonal magnitude.
+func theoremTol(a *sparse.CSR) float64 {
+	var d float64
+	for i := 0; i < a.Rows(); i++ {
+		d = math.Max(d, math.Abs(a.At(i, i)))
+	}
+	return 1e-9 * d
+}
+
+// classify decides the class of a by Sylvester's law of inertia applied to a
+// shift: a − τI has a Cholesky factor exactly when λ_min(a) > τ (SPD), and
+// a + τI exactly when λ_min(a) > −τ (SNND); otherwise a is indefinite. A
+// matrix that is not square and symmetric within τ is reported indefinite.
+func classify(a *sparse.CSR, tau float64) Definiteness {
+	if a.Rows() != a.Cols() || !a.IsSymmetric(tau) {
+		return Indefinite
+	}
+	switch {
+	case factorises(a, -tau):
+		return SPD
+	case factorises(a, tau):
+		return SNND
+	default:
+		return Indefinite
+	}
+}
+
+// factorises reports whether a + shift·I has a sparse Cholesky factor.
+func factorises(a *sparse.CSR, shift float64) bool {
+	d := sparse.NewVec(a.Rows())
+	d.Fill(shift)
+	_, err := factor.NewSupernodal(a.AddDiag(d), factor.OrderAuto, factor.ModeCholesky)
+	return err == nil
 }

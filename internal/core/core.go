@@ -28,5 +28,7 @@
 // the original system whenever at least one subgraph is SPD and all others
 // are symmetric non-negative definite, for any positive impedances and any
 // positive, possibly asymmetric, delays; CheckTheorem certifies those
-// hypotheses for a concrete partition.
+// hypotheses for a concrete partition, deciding each matrix's class exactly
+// by whether it factorises by sparse Cholesky once shifted down and once up
+// by a small tolerance.
 package core

@@ -13,7 +13,6 @@ import (
 	"repro/internal/iterative"
 	"repro/internal/partition"
 	"repro/internal/sparse"
-	"repro/internal/spectral"
 	"repro/internal/topology"
 )
 
@@ -46,6 +45,9 @@ func TestConfigValidation(t *testing.T) {
 		"negative Tol":       {MaxTime: 10, CommonOptions: CommonOptions{Tol: -1}},
 		"negative StopOnErr": {MaxTime: 10, CommonOptions: CommonOptions{Exact: exact, StopOnError: -1}},
 		"negative threshold": {MaxTime: 10, CommonOptions: CommonOptions{SendThreshold: -0.5}},
+		"NaN Tol":            {MaxTime: 10, CommonOptions: CommonOptions{Tol: math.NaN()}},
+		"NaN StopOnErr":      {MaxTime: 10, CommonOptions: CommonOptions{Exact: exact, StopOnError: math.NaN()}},
+		"NaN threshold":      {MaxTime: 10, CommonOptions: CommonOptions{SendThreshold: math.NaN()}},
 		"unknown backend":    {MaxTime: 10, CommonOptions: CommonOptions{Factor: factor.Settings{Backend: "no-such-backend"}}},
 		"unknown ordering":   {MaxTime: 10, CommonOptions: CommonOptions{Factor: factor.Settings{Ordering: 99}}},
 		"invalid fault spec": {MaxTime: 10, CommonOptions: CommonOptions{Faults: &chaos.Spec{Drop: 2}}},
@@ -564,7 +566,7 @@ func TestVTMImpedanceAffectsSpeedNotFixedPoint(t *testing.T) {
 
 func TestCheckTheoremClassifiesPartitions(t *testing.T) {
 	prob, _ := gridProblem(t, 8, 2, nil)
-	rep := CheckTheorem(prob, 1e-9, 400)
+	rep := CheckTheorem(prob)
 	if !rep.OriginalSPD || !rep.Satisfied {
 		t.Errorf("the shifted Poisson grid partition satisfies the theorem: %+v", rep)
 	}
@@ -581,7 +583,7 @@ func TestCheckTheoremClassifiesPartitions(t *testing.T) {
 		t.Errorf("empty report string")
 	}
 	for _, c := range rep.Classes {
-		if c == spectral.Indefinite {
+		if c == Indefinite {
 			t.Errorf("no subgraph of a dominance-proportional split should be indefinite")
 		}
 	}

@@ -168,8 +168,13 @@ func (c *Config) validate(p *Problem) error {
 	if c.Exact != nil && len(c.Exact) != p.System.Dim() {
 		return fmt.Errorf("core: Exact has length %d, want %d", len(c.Exact), p.System.Dim())
 	}
-	if c.Tol < 0 || c.StopOnError < 0 || c.SendThreshold < 0 {
-		return fmt.Errorf("core: tolerances must be non-negative")
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Tol", c.Tol}, {"StopOnError", c.StopOnError}, {"SendThreshold", c.SendThreshold}} {
+		if !(f.v >= 0) { // NaN too
+			return fmt.Errorf("core: %s must be non-negative, got %g", f.name, f.v)
+		}
 	}
 	if err := c.Factor.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)

@@ -230,7 +230,7 @@ func TestPaperExampleTheoremHypotheses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProblem: %v", err)
 	}
-	report := CheckTheorem(prob, 1e-9, 512)
+	report := CheckTheorem(prob)
 	if !report.OriginalSPD {
 		t.Errorf("the paper example must be SPD")
 	}

@@ -132,10 +132,3 @@ func (c *Cholesky) SolveTrailingTo(x, b sparse.Vec) {
 		x[i] = s / row[i]
 	}
 }
-
-// IsSPD reports whether the symmetric matrix a is numerically positive
-// definite (its Cholesky factorisation succeeds).
-func IsSPD(a *Matrix) bool {
-	_, err := NewCholesky(a)
-	return err == nil
-}

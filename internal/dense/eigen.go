@@ -126,15 +126,3 @@ func offDiagNorm(w *Matrix) float64 {
 	}
 	return math.Sqrt(2 * s)
 }
-
-// MinEigenvalue returns the smallest eigenvalue of a symmetric matrix.
-func MinEigenvalue(a *Matrix) (float64, error) {
-	eig, _, err := SymEigen(a, false)
-	if err != nil {
-		return 0, err
-	}
-	if len(eig) == 0 {
-		return 0, nil
-	}
-	return eig[0], nil
-}

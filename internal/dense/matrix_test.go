@@ -337,30 +337,6 @@ func TestSymEigenRejectsNonSymmetric(t *testing.T) {
 	}
 }
 
-func TestMinEigenvalue(t *testing.T) {
-	a := FromRows([][]float64{{2, 1}, {1, 2}})
-	mn, err := MinEigenvalue(a)
-	if err != nil || math.Abs(mn-1) > 1e-10 {
-		t.Errorf("MinEigenvalue = %g, %v", mn, err)
-	}
-}
-
-func TestIsSPD(t *testing.T) {
-	spd := FromRows([][]float64{{2, -1}, {-1, 2}})
-	if !IsSPD(spd) {
-		t.Errorf("SPD matrix misclassified")
-	}
-	// Singular but non-negative definite: the graph Laplacian of one edge.
-	snnd := FromRows([][]float64{{1, -1}, {-1, 1}})
-	if IsSPD(snnd) {
-		t.Errorf("singular SNND matrix must not be SPD")
-	}
-	indef := FromRows([][]float64{{1, 3}, {3, 1}})
-	if IsSPD(indef) {
-		t.Errorf("indefinite matrix misclassified")
-	}
-}
-
 // Property: the eigenvalues returned by SymEigen sum to the trace and their
 // product matches the determinant (for small random symmetric matrices).
 func TestSymEigenTraceDetProperty(t *testing.T) {

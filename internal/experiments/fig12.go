@@ -102,7 +102,7 @@ func RunMesh(p MeshRunParams) (*MeshRunResult, error) {
 		curve := MeshRunCurve{
 			outcome: outs[0],
 			N:       sys.Dim(),
-			Theorem: core.CheckTheorem(s.prob, 1e-8, 400).String(),
+			Theorem: core.CheckTheorem(s.prob).String(),
 			Error:   metrics.Series{Name: fmt.Sprintf("rms-error-n%d", sys.Dim())},
 		}
 		for _, tp := range curve.Trace {

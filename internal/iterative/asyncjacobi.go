@@ -139,7 +139,7 @@ func (n *ajNode) packets() []netsim.Outgoing[ajPacket] {
 // directed delays, exactly like DTM's wave messages do.
 func AsyncBlockJacobi(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, topo *topology.Topology, opts AsyncOptions) (*AsyncResult, error) {
 	n := a.Rows()
-	if opts.MaxTime <= 0 {
+	if !(opts.MaxTime > 0) { // NaN too
 		return nil, fmt.Errorf("iterative: AsyncOptions.MaxTime must be positive")
 	}
 	if opts.Exact != nil && len(opts.Exact) != n {
@@ -149,8 +149,8 @@ func AsyncBlockJacobi(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, 
 	if err != nil {
 		return nil, err
 	}
-	if opts.Tol < 0 {
-		return nil, fmt.Errorf("iterative: AsyncOptions.Tol must be non-negative")
+	if !(opts.Tol >= 0) { // NaN too
+		return nil, fmt.Errorf("iterative: AsyncOptions.Tol must be non-negative, got %g", opts.Tol)
 	}
 	if topo.N() < len(blocks) {
 		return nil, fmt.Errorf("iterative: %d blocks but only %d processors", len(blocks), topo.N())

@@ -46,7 +46,7 @@ func (c Config) validate(n int) error {
 	if c.MaxIterations <= 0 {
 		return fmt.Errorf("iterative: MaxIterations must be positive")
 	}
-	if c.Tol < 0 {
+	if !(c.Tol >= 0) { // NaN too
 		return fmt.Errorf("iterative: Tol must be non-negative, got %g", c.Tol)
 	}
 	if c.Exact != nil && len(c.Exact) != n {

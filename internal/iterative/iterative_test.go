@@ -26,9 +26,10 @@ func smallSystem(t *testing.T) (sparse.System, sparse.Vec) {
 func TestConfigValidation(t *testing.T) {
 	sys, exact := smallSystem(t)
 	bad := []Config{
-		{},                           // no iteration bound
-		{MaxIterations: -1},          // negative bound
-		{MaxIterations: 10, Tol: -1}, // negative tolerance
+		{},                                   // no iteration bound
+		{MaxIterations: -1},                  // negative bound
+		{MaxIterations: 10, Tol: -1},         // negative tolerance
+		{MaxIterations: 10, Tol: math.NaN()}, // NaN tolerance
 		{MaxIterations: 10, Exact: sparse.Vec{1, 2}}, // wrong exact length
 	}
 	for i, cfg := range bad {
@@ -179,6 +180,12 @@ func TestAsyncBlockJacobiValidation(t *testing.T) {
 	}
 	if _, err := AsyncBlockJacobi(sys.A, sys.B, assign, topology.Uniform(2, 10, "u2"), AsyncOptions{MaxTime: 100}); err == nil {
 		t.Errorf("too few processors must be rejected")
+	}
+	if _, err := AsyncBlockJacobi(sys.A, sys.B, assign, topo, AsyncOptions{MaxTime: math.NaN()}); err == nil {
+		t.Errorf("a NaN time horizon must be rejected")
+	}
+	if _, err := AsyncBlockJacobi(sys.A, sys.B, assign, topo, AsyncOptions{MaxTime: 100, Tol: math.NaN()}); err == nil {
+		t.Errorf("a NaN tolerance must be rejected")
 	}
 }
 
