@@ -296,15 +296,17 @@ func TestCoordinatorDoesNotTear(t *testing.T) {
 
 // gatedSpecs are the three problems bench/dtmperf gates its end-to-end
 // metrics on, as every member of a session builds them from the spec, with
-// about twice the objects one Build allocates (171, 118 and 143).
+// about twice the objects one Build allocates (162, 112 and 140) and one
+// BuildSubdomains allocates (466, 6 178 and 3 609).
 var gatedSpecs = []struct {
-	name      string
-	spec      SpecV2
-	maxAllocs float64
+	name          string
+	spec          SpecV2
+	maxAllocs     float64 // Build
+	maxSubdomains float64 // BuildSubdomains
 }{
-	{"ring9-grid13", SpecV2{V: 2, Source: "grid:rows=13,cols=13,seed=169", PartsX: 3, PartsY: 3, Topology: "ring"}, 350},
-	{"bigblock-grid65", SpecV2{V: 2, Source: "grid:rows=65,cols=65,seed=7", PartsX: 2, PartsY: 2, Topology: "uniform"}, 240},
-	{"spanner-lsg4", SpecV2{V: 2, Source: "spanner:n=1000,k=6,seed=1", NParts: 4, Topology: "uniform"}, 300},
+	{"ring9-grid13", SpecV2{V: 2, Source: "grid:rows=13,cols=13,seed=169", PartsX: 3, PartsY: 3, Topology: "ring"}, 330, 950},
+	{"bigblock-grid65", SpecV2{V: 2, Source: "grid:rows=65,cols=65,seed=7", PartsX: 2, PartsY: 2, Topology: "uniform"}, 230, 12400},
+	{"spanner-lsg4", SpecV2{V: 2, Source: "spanner:n=1000,k=6,seed=1", NParts: 4, Topology: "uniform"}, 280, 7300},
 }
 
 // BenchmarkSpecBuild times the set-up every member of a dist session pays
@@ -332,6 +334,46 @@ func TestSpecBuildAllocations(t *testing.T) {
 		})
 		if allocs > tc.maxAllocs {
 			t.Errorf("%s: Build allocates %.0f objects, want <= %.0f", tc.name, allocs, tc.maxAllocs)
+		}
+	}
+}
+
+// BenchmarkBuildSubdomains times the rest of the set-up in front of the first
+// wave: every part's eq. (5.9) matrix assembled and factorised under the
+// default impedances and the auto backend, as core.Solve builds them.
+func BenchmarkBuildSubdomains(b *testing.B) {
+	for _, tc := range gatedSpecs {
+		b.Run(tc.name, func(b *testing.B) {
+			prob, err := tc.spec.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := prob.BuildSubdomains(nil, ""); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestBuildSubdomainsAllocations holds each gated problem's BuildSubdomains
+// to its allocation ceiling.
+func TestBuildSubdomainsAllocations(t *testing.T) {
+	for _, tc := range gatedSpecs {
+		prob, err := tc.spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, _, err := prob.BuildSubdomains(nil, ""); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f objects", tc.name, allocs)
+		if allocs > tc.maxSubdomains {
+			t.Errorf("%s: BuildSubdomains allocates %.0f objects, want <= %.0f", tc.name, allocs, tc.maxSubdomains)
 		}
 	}
 }

@@ -210,16 +210,13 @@ func EVS(g *graph.Electric, a Assignment, opts Options) (*Result, error) {
 			sub.GlobalIdx = append(sub.GlobalIdx, v)
 		}
 	}
-	// A part's entries are its diagonal and both ends of each edge it holds,
-	// whose endpoints both have a copy there: at most its vertices' degrees.
-	coos := make([]*sparse.COO, a.Parts)
+	// A part's row holds the vertex's diagonal and one entry per edge the part
+	// holds at it, whose other endpoint also has a copy there: at most one
+	// more than the vertex's degree. Each edge lands once per part and each
+	// local vertex gets one diagonal, so no position is written twice.
+	rows := make([]*sparse.RowBuilder, a.Parts)
 	for p, sub := range subs {
-		coos[p] = sparse.NewCOO(dim[p], dim[p])
-		entries := dim[p]
-		for _, v := range sub.GlobalIdx {
-			entries += len(g.Neighbors(v))
-		}
-		coos[p].Grow(entries)
+		rows[p] = sparse.NewRowBuilder(dim[p], dim[p], func(li int) int { return 1 + len(g.Neighbors(sub.GlobalIdx[li])) })
 	}
 
 	// Step 3a: assign every edge (or edge fraction) to a part, in ascending
@@ -243,7 +240,7 @@ func EVS(g *graph.Electric, a Assignment, opts Options) (*Result, error) {
 		if !ok1 || !ok2 {
 			return fmt.Errorf("partition: internal error: edge {%d,%d} assigned to part %d but an endpoint has no copy there", e.U, e.V, p)
 		}
-		coos[p].AddSym(lu, lv, w)
+		rows[p].AddSym(lu, lv, w)
 		if cu >= 0 {
 			incident[cu] += math.Abs(w)
 		}
@@ -314,19 +311,19 @@ func EVS(g *graph.Electric, a Assignment, opts Options) (*Result, error) {
 		}
 		for k, p := range sv.Parts {
 			li := copyLocal[lo+k]
-			coos[p].Add(li, li, sv.Weights[k])
+			rows[p].Add(li, li, sv.Weights[k])
 			subs[p].B[li] = sv.Sources[k]
 		}
 	}
 	for v := 0; v < n; v++ {
 		if splitOf[v] < 0 {
 			p, li := assign[v], local[v]
-			coos[p].Add(li, li, g.VertexWeight(v))
+			rows[p].Add(li, li, g.VertexWeight(v))
 			subs[p].B[li] = g.Source(v)
 		}
 	}
 	for p, sub := range subs {
-		sub.A = coos[p].ToCSR()
+		sub.A = rows[p].ToCSR()
 	}
 
 	// Step 4: twin links — chain the copies of each split vertex in ascending

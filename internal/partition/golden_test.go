@@ -159,6 +159,7 @@ func TestTearGolden(t *testing.T) {
 		if got := tearHash(r); got != golden[tc.name] {
 			t.Errorf("%s: FNV-1a of the tear = %#x, want %#x", tc.name, got, golden[tc.name])
 		}
+		checkAssembly(t, tc.name, g, r, tc.opts)
 	}
 }
 

@@ -205,13 +205,12 @@ func RandomGridSPD(nx, ny int, seed int64) System {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	n := nx * ny
-	coo := NewCOO(n, n)
-	coo.Grow(5 * n)
+	a := NewRowBuilder(n, n, func(int) int { return 5 }) // four neighbours and the diagonal
 	rowSum := make([]float64, n)
 	idx := func(ix, iy int) int { return ix + iy*nx }
 	addEdge := func(i, j int) {
 		w := -(0.3 + 0.7*rng.Float64())
-		coo.AddSym(i, j, w)
+		a.AddSym(i, j, w)
 		rowSum[i] += -w
 		rowSum[j] += -w
 	}
@@ -227,13 +226,13 @@ func RandomGridSPD(nx, ny int, seed int64) System {
 		}
 	}
 	for i := 0; i < n; i++ {
-		coo.Add(i, i, rowSum[i]+0.3+0.7*rng.Float64())
+		a.Add(i, i, rowSum[i]+0.3+0.7*rng.Float64())
 	}
 	b := NewVec(n)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	return System{A: coo.ToCSR(), B: b, Name: fmt.Sprintf("random-grid-spd-%dx%d-seed%d", nx, ny, seed)}
+	return System{A: a.ToCSR(), B: b, Name: fmt.Sprintf("random-grid-spd-%dx%d-seed%d", nx, ny, seed)}
 }
 
 // ResistorNetwork returns the nodal-analysis system of a random resistor grid:

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -128,98 +129,133 @@ func (m *CSR) Residual(x, b Vec) Vec {
 }
 
 // PermuteSym returns B = A(p, p), i.e. B(i, j) = A(p[i], p[j]), for a square
-// matrix and a permutation in the perm[new] = old convention. It runs in
-// O(nnz) with two counting passes (no comparison sort): the first pass builds
-// Bᵀ with sorted rows by scanning B's rows in ascending order, the second
-// transposes it back the same way. The factorisation backends permute every
-// block they reorder, so this is on the factor-once hot path.
+// matrix and a permutation in the perm[new] = old convention. Row i of B is
+// row p[i] of A gathered with its columns relabelled, then sorted by its new
+// columns (stably, so a row with a repeated column keeps their order). The
+// factorisation backends permute every block they reorder, so this is on the
+// factor-once hot path. It panics when p is not a permutation of 0..n-1.
 func (m *CSR) PermuteSym(p []int) *CSR {
 	n := m.rows
 	if m.cols != n || len(p) != n {
 		panic(fmt.Sprintf("sparse: PermuteSym of %dx%d matrix with %d-permutation", m.rows, m.cols, len(p)))
 	}
 	inv := make([]int, n)
+	for i := range inv {
+		inv[i] = -1
+	}
 	for newIdx, oldIdx := range p {
+		if oldIdx < 0 || oldIdx >= n {
+			panic(fmt.Sprintf("sparse: PermuteSym p[%d] = %d outside [0,%d)", newIdx, oldIdx, n))
+		}
+		if inv[oldIdx] >= 0 {
+			panic(fmt.Sprintf("sparse: PermuteSym p[%d] = %d repeats p[%d]", newIdx, oldIdx, inv[oldIdx]))
+		}
 		inv[oldIdx] = newIdx
 	}
-	nnz := len(m.vals)
-
-	// Pass 1: build T = Bᵀ. Scanning new rows i in ascending order and
-	// appending each entry (i, inv[c]) to T's row inv[c] leaves every T row
-	// with ascending column indices.
-	tPtr := make([]int, n+1)
-	for _, c := range m.colIdx {
-		tPtr[inv[c]+1]++
-	}
-	for i := 0; i < n; i++ {
-		tPtr[i+1] += tPtr[i]
-	}
-	tCol := make([]int, nnz)
-	tVal := make([]float64, nnz)
-	tFill := make([]int, n)
-	copy(tFill, tPtr[:n])
-	for i := 0; i < n; i++ {
-		old := p[i]
+	rowPtr := make([]int, n+1)
+	colIdx := make([]int, len(m.colIdx))
+	vals := make([]float64, len(m.vals))
+	k := 0
+	for i, old := range p {
+		lo := k
 		for q := m.rowPtr[old]; q < m.rowPtr[old+1]; q++ {
-			r := inv[m.colIdx[q]]
-			tCol[tFill[r]] = i
-			tVal[tFill[r]] = m.vals[q]
-			tFill[r]++
+			colIdx[k], vals[k] = inv[m.colIdx[q]], m.vals[q]
+			k++
 		}
+		sortRow(colIdx[lo:k], vals[lo:k])
+		rowPtr[i+1] = k
 	}
-
-	// Pass 2: transpose T back into B; scanning T's rows in order sorts B's.
-	bPtr := make([]int, n+1)
-	for _, c := range tCol {
-		bPtr[c+1]++
-	}
-	for i := 0; i < n; i++ {
-		bPtr[i+1] += bPtr[i]
-	}
-	bCol := make([]int, nnz)
-	bVal := make([]float64, nnz)
-	bFill := make([]int, n)
-	copy(bFill, bPtr[:n])
-	for i := 0; i < n; i++ {
-		for q := tPtr[i]; q < tPtr[i+1]; q++ {
-			r := tCol[q]
-			bCol[bFill[r]] = i
-			bVal[bFill[r]] = tVal[q]
-			bFill[r]++
-		}
-	}
-	return &CSR{rows: n, cols: n, rowPtr: bPtr, colIdx: bCol, vals: bVal}
+	return &CSR{rows: n, cols: n, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
 }
 
-// AddDiag returns A + diag(d) as a new matrix.
+// AddDiag returns A + diag(d) as a new matrix, built row by row in one pass.
+// It stores what COO.ToCSR would for A's entries followed by d's: stored zeros
+// of A and zeros of d are dropped, a diagonal present in both holds A's value
+// plus d's, and a diagonal that cancels to zero is not stored.
 func (m *CSR) AddDiag(d Vec) *CSR {
 	if len(d) != m.rows || m.rows != m.cols {
 		panic("sparse: AddDiag requires a square matrix and matching diagonal length")
 	}
-	coo := NewCOO(m.rows, m.cols)
-	coo.Grow(m.NNZ() + len(d))
-	m.Each(func(i, j int, v float64) { coo.Add(i, j, v) })
-	for i, v := range d {
-		coo.Add(i, i, v)
+	rowPtr := make([]int, m.rows+1)
+	colIdx := make([]int, len(m.vals)+len(d))
+	vals := make([]float64, len(m.vals)+len(d))
+	w := 0
+	for i := 0; i < m.rows; i++ {
+		k, end := m.rowPtr[i], m.rowPtr[i+1]
+		for ; k < end && m.colIdx[k] < i; k++ {
+			if v := m.vals[k]; v != 0 {
+				colIdx[w], vals[w] = m.colIdx[k], v
+				w++
+			}
+		}
+		diag := d[i]
+		if k < end && m.colIdx[k] == i {
+			if v := m.vals[k]; v != 0 {
+				diag = v + d[i]
+			}
+			k++
+		}
+		if diag != 0 {
+			colIdx[w], vals[w] = i, diag
+			w++
+		}
+		for ; k < end; k++ {
+			if v := m.vals[k]; v != 0 {
+				colIdx[w], vals[w] = m.colIdx[k], v
+				w++
+			}
+		}
+		rowPtr[i+1] = w
 	}
-	return coo.ToCSR()
+	return &CSR{rows: m.rows, cols: m.cols, rowPtr: rowPtr, colIdx: colIdx[:w], vals: vals[:w]}
 }
 
-// IsSymmetric reports whether |A(i,j) - A(j,i)| <= tol for every entry.
+// IsSymmetric reports whether |A(i,j) - A(j,i)| <= tol for every entry; a
+// difference that is NaN fails the test. Rows are visited in ascending order
+// and each entry above the diagonal is paired with its mirror below through a
+// cursor into the mirror's row that only moves forward, so every entry is read
+// once as itself and at most once as a mirror: O(nnz) in all.
 func (m *CSR) IsSymmetric(tol float64) bool {
 	if m.rows != m.cols {
 		return false
 	}
-	sym := true
-	m.Each(func(i, j int, v float64) {
-		if !sym {
-			return
+	// next[j] is the first entry of row j below the diagonal that no mirror
+	// has claimed yet. An entry the cursor steps over has no mirror, so it is
+	// compared with zero.
+	next := slices.Clone(m.rowPtr[:m.rows])
+	for i := 0; i < m.rows; i++ {
+		k, end := next[i], m.rowPtr[i+1]
+		for ; k < end && m.colIdx[k] < i; k++ {
+			if !(math.Abs(m.vals[k]) <= tol) {
+				return false
+			}
 		}
-		if math.Abs(v-m.At(j, i)) > tol {
-			sym = false
+		if k < end && m.colIdx[k] == i {
+			if v := m.vals[k]; !(math.Abs(v-v) <= tol) {
+				return false
+			}
+			k++
 		}
-	})
-	return sym
+		for ; k < end; k++ {
+			j, v := m.colIdx[k], m.vals[k]
+			q, qend := next[j], m.rowPtr[j+1]
+			for ; q < qend && m.colIdx[q] < i; q++ {
+				if !(math.Abs(m.vals[q]) <= tol) {
+					return false
+				}
+			}
+			mirror := 0.0
+			if q < qend && m.colIdx[q] == i {
+				mirror = m.vals[q]
+				q++
+			}
+			next[j] = q
+			if !(math.Abs(v-mirror) <= tol) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // IsDiagonallyDominant reports whether A is (weakly) diagonally dominant, and

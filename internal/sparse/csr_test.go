@@ -368,6 +368,10 @@ func TestReadMatrixErrors(t *testing.T) {
 		"index out of rng":  "2 2 1\n3 1 5\n",
 		"truncated entries": "2 2 2\n1 1 5\n",
 		"bad entry fields":  "2 2 1\n1 1\n",
+		"NaN diagonal":      "2 2 2\n1 1 nan\n2 2 1\n",
+		"+Inf entry":        "2 2 1\n1 2 inf\n",
+		"-Inf mirrored":     "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 -Inf\n",
+		"NaN array entry":   "%%MatrixMarket matrix array real general\n1 2\n1\nNaN\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadMatrix(strings.NewReader(in)); err == nil {
@@ -419,10 +423,24 @@ func TestCSRPermuteSym(t *testing.T) {
 }
 
 func TestCSRPermuteSymPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("PermuteSym with a short permutation did not panic")
-		}
-	}()
-	Identity(4).PermuteSym([]int{0, 1})
+	for _, tc := range []struct {
+		name string
+		p    []int
+		want string // in the panic message
+	}{
+		{"short", []int{0, 1}, "2-permutation"},
+		{"repeated", []int{0, 2, 2, 1}, "p[2] = 2 repeats p[1]"},
+		{"negative", []int{0, 1, -1, 3}, "p[2] = -1 outside [0,4)"},
+		{"too large", []int{4, 1, 2, 3}, "p[0] = 4 outside [0,4)"},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: PermuteSym(%v) panicked with %q, want it to name %q", tc.name, tc.p, msg, tc.want)
+				}
+			}()
+			Identity(4).PermuteSym(tc.p)
+		}()
+	}
 }

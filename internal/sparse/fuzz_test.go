@@ -10,8 +10,8 @@ import (
 // FuzzReadMatrix drives the MatrixMarket reader with arbitrary input. The
 // reader fronts every external matrix the CLIs load, so it must reject
 // malformed input with an error — never panic, never hang, never return a
-// structurally inconsistent CSR — and anything it accepts must survive a
-// write/read round trip.
+// structurally inconsistent CSR or a NaN or ±Inf value — and anything it
+// accepts must survive a write/read round trip.
 func FuzzReadMatrix(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4.0\n2 2 -1.5\n")
 	f.Add("%%MatrixMarket matrix coordinate real symmetric\n3 3 4\n1 1 2\n2 2 2\n3 3 2\n2 1 -1\n")
@@ -36,6 +36,9 @@ func FuzzReadMatrix(f *testing.F) {
 			if i < 0 || i >= m.Rows() || j < 0 || j >= m.Cols() {
 				t.Fatalf("entry (%d,%d) outside %dx%d", i, j, m.Rows(), m.Cols())
 			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted a non-finite entry (%d,%d) = %g", i, j, v)
+			}
 			nnz++
 		})
 		if nnz != m.NNZ() {
@@ -54,7 +57,7 @@ func FuzzReadMatrix(f *testing.F) {
 			t.Fatalf("round trip changed shape: %dx%d -> %dx%d", m.Rows(), m.Cols(), back.Rows(), back.Cols())
 		}
 		m.Each(func(i, j int, v float64) {
-			if got := back.At(i, j); got != v && !(math.IsNaN(got) && math.IsNaN(v)) {
+			if got := back.At(i, j); got != v {
 				t.Fatalf("round trip changed (%d,%d): %g -> %g", i, j, v, got)
 			}
 		})
@@ -100,7 +103,8 @@ func FuzzParseSource(f *testing.F) {
 }
 
 // FuzzReadVec drives the vector reader (array and n×1 coordinate files) with
-// arbitrary input: errors are fine, panics and inconsistent vectors are not.
+// arbitrary input: errors are fine, panics, inconsistent vectors and NaN or
+// ±Inf entries are not.
 func FuzzReadVec(f *testing.F) {
 	f.Add("%%MatrixMarket matrix array real general\n3 1\n1.5\n-2\n0\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n3 1 2\n1 1 5\n3 1 -5\n")
@@ -112,6 +116,11 @@ func FuzzReadVec(f *testing.F) {
 		v, err := ReadVec(strings.NewReader(data))
 		if err != nil {
 			return
+		}
+		for i, x := range v {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("accepted a non-finite entry [%d] = %g", i, x)
+			}
 		}
 		var buf bytes.Buffer
 		if err := WriteVec(&buf, v); err != nil {
@@ -125,7 +134,7 @@ func FuzzReadVec(f *testing.F) {
 			t.Fatalf("round trip changed length: %d -> %d", len(v), len(back))
 		}
 		for i := range v {
-			if back[i] != v[i] && !(math.IsNaN(back[i]) && math.IsNaN(v[i])) {
+			if back[i] != v[i] {
 				t.Fatalf("round trip changed [%d]: %g -> %g", i, v[i], back[i])
 			}
 		}

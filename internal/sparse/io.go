@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -189,6 +190,9 @@ func readCoordinateMatrix(sc *bufio.Scanner, hdr mmHeader, header []string) (*CS
 		if i < 1 || i > rows || j < 1 || j > cols {
 			return nil, fmt.Errorf("sparse: entry (%d,%d) out of range %dx%d", i, j, rows, cols)
 		}
+		if !finite(v) {
+			return nil, fmt.Errorf("sparse: entry %d at (%d,%d) is %g, not a finite number", k+1, i, j, v)
+		}
 		coo.Add(i-1, j-1, v)
 		if mirror && i != j {
 			mv := v
@@ -240,6 +244,9 @@ func readArrayMatrix(sc *bufio.Scanner, hdr mmHeader, header []string) (*CSR, er
 			v, err := read()
 			if err != nil {
 				return nil, fmt.Errorf("sparse: reading array entry (%d,%d): %w", i+1, j+1, err)
+			}
+			if !finite(v) {
+				return nil, fmt.Errorf("sparse: array entry (%d,%d) is %g, not a finite number", i+1, j+1, v)
 			}
 			coo.Add(i, j, v)
 			if mirror && i != j {
@@ -307,10 +314,18 @@ func ReadVec(r io.Reader) (Vec, error) {
 		if perr != nil {
 			return nil, fmt.Errorf("sparse: malformed vector entry %q", fields[0])
 		}
+		if !finite(x) {
+			return nil, fmt.Errorf("sparse: vector entry %d is %g, not a finite number", i+1, x)
+		}
 		v[i] = x
 	}
 	return v, nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf. The readers refuse other
+// values: a matrix holding one would load, then fail far from the file (or
+// "converge" to NaN) in whatever solver it was handed to.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // nextDataLine returns the fields of the next non-comment, non-empty line.
 func nextDataLine(sc *bufio.Scanner) ([]string, error) {

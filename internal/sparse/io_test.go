@@ -198,3 +198,26 @@ func TestReadVecCoordinate(t *testing.T) {
 		t.Errorf("coordinate vector = %v, want %v", v, want)
 	}
 }
+
+// TestReadersNameNonFiniteEntry: a NaN or ±Inf value is refused at load, and
+// the error names the entry, so the file can be fixed.
+func TestReadersNameNonFiniteEntry(t *testing.T) {
+	for _, tc := range []struct {
+		text, want string
+		vec        bool
+	}{
+		{"%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 2\n3 2 1\n2 2 NaN\n", "entry 3 at (2,2)", false},
+		{"%%MatrixMarket matrix array real symmetric\n2 2\n1\n+Inf\n1\n", "array entry (2,1)", false},
+		{"%%MatrixMarket matrix array real general\n3 1\n1\n2\nInf\n", "vector entry 3", true},
+	} {
+		var err error
+		if tc.vec {
+			_, err = ReadVec(strings.NewReader(tc.text))
+		} else {
+			_, err = ReadMatrix(strings.NewReader(tc.text))
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "not a finite number") {
+			t.Errorf("reading %q: err = %v, want one naming %q as not finite", tc.text, err, tc.want)
+		}
+	}
+}

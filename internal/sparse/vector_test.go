@@ -253,6 +253,8 @@ func TestReadVecErrors(t *testing.T) {
 		"wrong col count":  "%%MatrixMarket matrix array real general\n2 2\n1\n2\n",
 		"missing entries":  "%%MatrixMarket matrix array real general\n3 1\n1\n2\n",
 		"non-numeric body": "%%MatrixMarket matrix array real general\n1 1\nhello\n",
+		"infinite entry":   "%%MatrixMarket matrix array real general\n2 1\n1\n-inf\n",
+		"NaN coordinate":   "%%MatrixMarket matrix coordinate real general\n2 1 1\n2 1 nan\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadVec(strings.NewReader(in)); err == nil {

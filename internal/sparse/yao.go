@@ -40,25 +40,30 @@ func YaoSpannerLaplacian(n, k int, seed int64, leak float64) System {
 	rng := rand.New(rand.NewSource(seed))
 	pts := geom.Points(rng, n)
 	edges := geom.YaoEdges(pts, k)
-	coo := NewCOO(n, n)
-	coo.Grow(n + 2*len(edges))
+	// A node's row holds one entry per incident edge and its diagonal.
+	deg := make([]int, n)
+	for _, e := range edges {
+		deg[e[0]]++
+		deg[e[1]]++
+	}
+	a := NewRowBuilder(n, n, func(i int) int { return 1 + deg[i] })
 	diag := make([]float64, n)
 	for _, e := range edges {
 		i, j := e[0], e[1]
 		g := 1 / (0.1 + math.Sqrt(float64(n))*geom.Dist(pts, i, j))
-		coo.AddSym(i, j, -g)
+		a.AddSym(i, j, -g)
 		diag[i] += g
 		diag[j] += g
 	}
 	for i := 0; i < n; i++ {
-		coo.Add(i, i, diag[i]+leak)
+		a.Add(i, i, diag[i]+leak)
 	}
 	b := NewVec(n)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
 	return System{
-		A:    coo.ToCSR(),
+		A:    a.ToCSR(),
 		B:    b,
 		Name: fmt.Sprintf("yao-spanner-%d-k%d-seed%d", n, k, seed),
 	}
