@@ -102,24 +102,35 @@ func theoremTol(a *sparse.CSR) float64 {
 // shift: a − τI has a Cholesky factor exactly when λ_min(a) > τ (SPD), and
 // a + τI exactly when λ_min(a) > −τ (SNND); otherwise a is indefinite. A
 // matrix that is not square and symmetric within τ is reported indefinite.
+// Both shifts have a's off-diagonal pattern, so one analysis of a serves
+// both attempts.
 func classify(a *sparse.CSR, tau float64) Definiteness {
 	if a.Rows() != a.Cols() || !a.IsSymmetric(tau) {
 		return Indefinite
 	}
+	an, err := analyze(a, factor.OrderAuto)
+	if err != nil {
+		return Indefinite
+	}
 	switch {
-	case factorises(a, -tau):
+	case factorises(an, a, -tau):
 		return SPD
-	case factorises(a, tau):
+	case factorises(an, a, tau):
 		return SNND
 	default:
 		return Indefinite
 	}
 }
 
-// factorises reports whether a + shift·I has a sparse Cholesky factor.
-func factorises(a *sparse.CSR, shift float64) bool {
+// analyze is factor.Analyze; the test that classify orders each matrix once
+// counts its calls.
+var analyze = factor.Analyze
+
+// factorises reports whether a + shift·I has a sparse Cholesky factor, on
+// the analysis of a's pattern.
+func factorises(an *factor.Analysis, a *sparse.CSR, shift float64) bool {
 	d := sparse.NewVec(a.Rows())
 	d.Fill(shift)
-	_, err := factor.NewSupernodal(a.AddDiag(d), factor.OrderAuto, factor.ModeCholesky)
+	_, err := an.NewSupernodal(a.AddDiag(d), factor.ModeCholesky)
 	return err == nil
 }

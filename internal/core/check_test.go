@@ -7,7 +7,9 @@ import (
 	"testing/quick"
 
 	"repro/internal/dense"
+	"repro/internal/factor"
 	"repro/internal/sparse"
+	"repro/internal/topology"
 )
 
 // neumannLaplacian is the graph Laplacian of the nx×ny grid plus shift·I:
@@ -139,4 +141,32 @@ func FuzzTheoremClass(f *testing.F) {
 			t.Errorf("n=%d: class %v, λ_min = %g and τ = %g say %v", n, got, lmin, tau, want)
 		}
 	})
+}
+
+// TestCheckTheoremOrdersEachMatrixOnce: CheckTheorem analyses A and every
+// part once, and the shifted attempts A ∓ τI factorise on that one analysis
+// — also when the SPD attempt fails and the SNND one follows.
+func TestCheckTheoremOrdersEachMatrixOnce(t *testing.T) {
+	calls := 0
+	defer func(f func(*sparse.CSR, factor.Ordering) (*factor.Analysis, error)) { analyze = f }(analyze)
+	counting := analyze
+	analyze = func(a *sparse.CSR, o factor.Ordering) (*factor.Analysis, error) {
+		calls++
+		return counting(a, o)
+	}
+	prob, err := GridProblem(sparse.RandomGridSPD(65, 65, 7), 65, 65, 2, 2, topology.Uniform(4, 10, "uniform"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := CheckTheorem(prob); !r.Satisfied {
+		t.Fatalf("grid65: %s", r)
+	}
+	if want := 1 + prob.Partition.NumParts(); calls != want {
+		t.Errorf("CheckTheorem analysed %d matrices' patterns, want %d (A and every part once)", calls, want)
+	}
+	calls = 0
+	a := neumannLaplacian(20, 20, 0)
+	if c := classify(a, theoremTol(a)); c != SNND || calls != 1 {
+		t.Errorf("singular Laplacian: class %v after %d analyses, want SNND after 1", c, calls)
+	}
 }

@@ -389,3 +389,63 @@ func checkOneInteriorSolvePerPart(t *testing.T, prob *Problem) {
 		}
 	}
 }
+
+// TestRefactorReusesTheAnalysis: a Refactor rebuilds a sparse subdomain's
+// factor on the symbolic analysis its first build made — it orders nothing —
+// and the rebuilt subdomain solves bit for bit as before. The parts are the
+// benchmark's two sparse lanes: grid65's four sparse-supernodal blocks and
+// the 4-part tear of spanner:n=1000's sparse-cholesky blocks.
+func TestRefactorReusesTheAnalysis(t *testing.T) {
+	_, subs := grid65Subdomains(t)
+	src, err := sparse.ParseSource("spanner:n=1000,k=6,seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, _, err := src.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := AutoProblem(sys, 4, topology.Uniform(4, 10, "uniform"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spanner, _, err := prob.BuildSubdomains(nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range spanner {
+		if s.solver.Backend() != factor.SparseCholesky {
+			t.Fatalf("spanner part %d: factorised by %q, want sparse-cholesky", i, s.solver.Backend())
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	for i, s := range append(subs, spanner...) {
+		an := factor.AnalysisOf(s.solver)
+		if an == nil {
+			t.Fatalf("part %d: the %s factor carries no analysis", i, s.solver.Backend())
+		}
+		waves := make([]float64, len(s.incoming))
+		for e := range waves {
+			waves[e] = rng.NormFloat64()
+		}
+		copy(s.incoming, waves)
+		s.Solve()
+		want := s.X().Clone()
+		if err := s.Refactor(); err != nil {
+			t.Fatal(err)
+		}
+		if factor.AnalysisOf(s.solver) != an {
+			t.Errorf("part %d: Refactor analysed the pattern again", i)
+		}
+		copy(s.incoming, waves)
+		s.Solve()
+		if got := s.X(); !got.Equal(want, 0) {
+			t.Errorf("part %d: the refactorised subdomain solves differently", i)
+		}
+		for j := range want {
+			if math.Float64bits(s.x[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("part %d: entry %d is %x after Refactor, %x before", i, j, math.Float64bits(s.x[j]), math.Float64bits(want[j]))
+			}
+		}
+	}
+}

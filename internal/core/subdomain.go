@@ -86,10 +86,13 @@ type Subdomain struct {
 	prevPorts []float64  // scratch: port potentials before the latest solve
 
 	// localA and fs are kept so a crash-restarted subdomain can rebuild its
-	// factorisation the way it was first built (Refactor); the snap fields
-	// hold the latest in-memory snapshot a restart rolls back to.
+	// factorisation the way it was first built (Refactor), and with them the
+	// symbolic analysis of localA's pattern when a sparse backend built it,
+	// which a rebuild reuses instead of ordering again; the snap fields hold
+	// the latest in-memory snapshot a restart rolls back to.
 	localA       *sparse.CSR
 	fs           factor.Settings
+	analysis     *factor.Analysis
 	snapX        sparse.Vec
 	snapIncoming []float64
 	snapPortRHS  []float64
@@ -365,14 +368,16 @@ func (s *Subdomain) RestoreSnapshot() {
 // or the ports-only solve, when the backend offers one — from the retained
 // local matrix and factor settings. NewSubdomain factorises through it, and a
 // crash-restarted subdomain calls it because the factorisation held by the
-// crashed process is lost; the rebuild is deterministic, so the restarted
-// subdomain solves exactly as before.
+// crashed process is lost; the rebuild runs on the first build's symbolic
+// analysis and is deterministic, so the restarted subdomain orders nothing
+// and solves exactly as before.
 func (s *Subdomain) Refactor() error {
-	solver, err := s.fs.NewPorts(s.localA, s.numPorts)
+	solver, err := s.fs.NewPortsOn(s.analysis, s.localA, s.numPorts)
 	if err != nil {
 		return fmt.Errorf("core: factorising local system of part %d: %w", s.part, err)
 	}
 	s.solver = solver
+	s.analysis = factor.AnalysisOf(solver)
 	s.ports, _ = solver.(factor.PortSolver)
 	s.portsOnly = nil
 	if s.ports != nil {

@@ -297,7 +297,7 @@ func TestCoordinatorDoesNotTear(t *testing.T) {
 // gatedSpecs are the three problems bench/dtmperf gates its end-to-end
 // metrics on, as every member of a session builds them from the spec, with
 // about twice the objects one Build allocates (162, 112 and 140) and one
-// BuildSubdomains allocates (466, 6 178 and 3 609).
+// BuildSubdomains allocates (466, 330 and 258).
 var gatedSpecs = []struct {
 	name          string
 	spec          SpecV2
@@ -305,8 +305,8 @@ var gatedSpecs = []struct {
 	maxSubdomains float64 // BuildSubdomains
 }{
 	{"ring9-grid13", SpecV2{V: 2, Source: "grid:rows=13,cols=13,seed=169", PartsX: 3, PartsY: 3, Topology: "ring"}, 330, 950},
-	{"bigblock-grid65", SpecV2{V: 2, Source: "grid:rows=65,cols=65,seed=7", PartsX: 2, PartsY: 2, Topology: "uniform"}, 230, 12400},
-	{"spanner-lsg4", SpecV2{V: 2, Source: "spanner:n=1000,k=6,seed=1", NParts: 4, Topology: "uniform"}, 280, 7300},
+	{"bigblock-grid65", SpecV2{V: 2, Source: "grid:rows=65,cols=65,seed=7", PartsX: 2, PartsY: 2, Topology: "uniform"}, 230, 660},
+	{"spanner-lsg4", SpecV2{V: 2, Source: "spanner:n=1000,k=6,seed=1", NParts: 4, Topology: "uniform"}, 280, 520},
 }
 
 // BenchmarkSpecBuild times the set-up every member of a dist session pays

@@ -1,6 +1,9 @@
 package factor
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/sparse"
 )
 
@@ -28,7 +31,9 @@ import (
 //
 // The ordering is deterministic: the pending-vertex heap breaks degree ties
 // towards the smaller vertex index, every sweep runs in index order, and
-// supervariables absorb towards the smallest member.
+// supervariables absorb towards the smallest member. Its permutation is the
+// one the lazy-heap, slice-per-list implementation it replaced computed,
+// which is kept as the oracle in symbolic_oracle_test.go.
 func AMD(a *sparse.CSR) Perm {
 	p, _ := amdOrder(a)
 	return p
@@ -43,195 +48,231 @@ type amdStats struct {
 	massElim  int // variables eliminated for free alongside their pivot
 }
 
+// amdOrder is AMD with its statistics. Every list and counter is an int32
+// carved from a pooled workspace, and the variable, element and boundary
+// lists live in three arenas instead of one slice per vertex and per step.
 func amdOrder(a *sparse.CSR) (Perm, amdStats) {
 	var stats amdStats
 	n := a.Rows()
 	perm := make(Perm, 0, n)
+	if n == 0 {
+		return perm, stats
+	}
+	w := getWorkspace()
+	defer w.release()
 
 	// Variable adjacency (off-diagonal, pruned in place as the elimination
-	// proceeds), per-variable element lists, and supervariable sizes. Element
-	// e is the vertex whose elimination created it; bound[e] is its boundary
-	// Le and boundSize[e] the live supervariable mass of that boundary.
-	adj := make([][]int32, n)
-	elems := make([][]int32, n)
-	bound := make([][]int32, n)
-	boundSize := make([]int, n)
-	deg := make([]int, n)
-	nv := make([]int, n)
-	sub := make([][]int32, n) // supervariables absorbed into this principal
+	// proceeds) is adj[adjLo[i]:adjLo[i]+adjLen[i]]; variable i's element list
+	// is elemArena[elemLo[i]:][:elemLen[i]] with room for elemCap[i]. Element
+	// e is the vertex whose elimination created it; its boundary Le is
+	// boundArena[boundLo[e]:][:boundLen[e]] and boundSize[e] the live
+	// supervariable mass of that boundary. nv holds supervariable sizes.
+	nnz := 0
 	for i := 0; i < n; i++ {
 		cols, _ := a.RowView(i)
-		row := make([]int32, 0, len(cols))
+		nnz += len(cols)
+	}
+	adj := w.take(nnz)
+	adjLo, adjLen := w.take(n), w.take(n)
+	// deg holds the heap's keys; a step computes the new degrees of its
+	// boundary in dnew and re-keys them one at a time at its end, so the
+	// heap is consistent at every operation.
+	deg, dnew, nv := w.take(n), w.take(n), w.take(n)
+	fill := 0
+	for i := 0; i < n; i++ {
+		cols, _ := a.RowView(i)
+		adjLo[i] = int32(fill)
 		for _, j := range cols {
 			if j != i {
-				row = append(row, int32(j))
+				adj[fill] = int32(j)
+				fill++
 			}
 		}
-		adj[i] = row
-		deg[i] = len(row)
+		adjLen[i] = int32(fill) - adjLo[i]
+		deg[i] = adjLen[i]
 		nv[i] = 1
 	}
+	elemLo, elemLen, elemCap := w.filled(n, 0), w.filled(n, 0), w.filled(n, 0)
+	boundLo, boundLen, boundSize := w.filled(n, 0), w.filled(n, 0), w.take(n)
+	elemArena, boundArena := w.arena[0][:0], w.arena[1][:0]
+	defer func() { w.arena[0], w.arena[1] = elemArena, boundArena }()
 
 	var (
-		eliminated = make([]bool, n)
-		deadElem   = make([]bool, n)
-		mark       = make([]int, n) // Lp membership, stamped per elimination
-		wseen      = make([]int, n) // |Le \ Lp| computation stamp
-		w          = make([]int, n) // |Le \ Lp| per alive element (size-weighted)
-		hseen      = make([]int, n) // hash-bucket stamp
-		hhead      = make([]int32, n)
-		hnext      = make([]int32, n)
-		lp         = make([]int32, 0, n)
-		emitStack  = make([]int32, 0, 16)
+		deadElem = w.filled(n, 0)  // 1 once absorbed into a newer element
+		mark     = w.filled(n, -1) // Lp membership stamp; gone once eliminated or absorbed
+		wseen    = w.filled(n, -1) // |Le \ Lp| computation stamp
+		wsz      = w.take(n)       // |Le \ Lp| per alive element (size-weighted)
+		hseen    = w.filled(n, -1) // hash-bucket stamp
+		hhead    = w.take(n)
+		hnext    = w.take(n)
+		lp       = w.take(n)
+		// Supervariables absorbed into a principal, in absorption order: a
+		// singly linked list per principal, and the cursor stack of emit.
+		subHead   = w.filled(n, -1)
+		subTail   = w.take(n)
+		subNext   = w.take(n)
+		emitStack = w.take(n + 1)
 	)
-	for i := range mark {
-		mark[i], wseen[i], hseen[i] = -1, -1, -1
-	}
 
 	// emit appends a principal variable and, transitively, every
-	// supervariable it absorbed (each group in absorption order).
+	// supervariable it absorbed: a preorder walk, each group in absorption
+	// order.
 	emit := func(v int32) {
-		emitStack = append(emitStack[:0], v)
-		for len(emitStack) > 0 {
-			u := emitStack[len(emitStack)-1]
-			emitStack = emitStack[:len(emitStack)-1]
-			perm = append(perm, int(u))
-			// Push in reverse so absorbed members emit in absorption order.
-			for t := len(sub[u]) - 1; t >= 0; t-- {
-				emitStack = append(emitStack, sub[u][t])
-			}
-			sub[u] = nil
-		}
-	}
-
-	// Min-heap of deg<<32|vertex with lazy deletion: a popped entry whose
-	// degree no longer matches deg[v] is stale and skipped. The packed key
-	// makes ties break towards the smaller vertex index for free.
-	heap := newDegHeap(n)
-	for v := 0; v < n; v++ {
-		heap.push(deg[v], v)
-	}
-
-	step := 0
-	for len(perm) < n {
-		p := -1
-		for {
-			d, v, ok := heap.pop()
-			if !ok {
-				break
-			}
-			if eliminated[v] || d != deg[v] {
+		perm = append(perm, int(v))
+		sp := 0
+		emitStack[sp] = subHead[v]
+		for sp >= 0 {
+			u := emitStack[sp]
+			if u == -1 {
+				sp--
 				continue
 			}
-			p = v
-			break
+			emitStack[sp] = subNext[u]
+			perm = append(perm, int(u))
+			sp++
+			emitStack[sp] = subHead[u]
 		}
-		if p == -1 {
-			break // unreachable for a well-formed heap; defensive
+	}
+
+	// A variable is live and outside Lp exactly when mark[v] < step: Lp's
+	// members carry the step's stamp, and an eliminated or absorbed variable
+	// carries gone, above every stamp.
+	const gone = math.MaxInt32
+
+	// The pending variables in an indexed min-heap keyed by (degree, index):
+	// one entry per live variable, updated in place when its degree changes
+	// and removed when it is eliminated or absorbed.
+	heap := newDegHeap(w, n, deg)
+
+	step := int32(0)
+	for len(perm) < n {
+		if heap.len() == 0 {
+			break // unreachable for a well-formed quotient graph; defensive
 		}
+		p := heap.pop()
 		step++
 
 		// Form Lp = (Ap ∪ ⋃_{e∈Ep} Le) \ {p}: the uneliminated principal
 		// variables the new element p is adjacent to, with their mass.
-		lp = lp[:0]
-		lpSize := 0
-		mark[p] = step
-		for _, j := range adj[p] {
-			if v := int(j); !eliminated[v] && mark[v] != step {
+		nlp := 0
+		lpSize := int32(0)
+		mark[p] = gone
+		for _, v := range adj[adjLo[p] : adjLo[p]+adjLen[p]] {
+			if mark[v] < step {
 				mark[v] = step
-				lp = append(lp, j)
+				lp[nlp] = v
+				nlp++
 				lpSize += nv[v]
 			}
 		}
-		for _, e := range elems[p] {
-			if deadElem[e] {
+		for _, e := range elemArena[elemLo[p] : elemLo[p]+elemLen[p]] {
+			if deadElem[e] != 0 {
 				continue
 			}
-			for _, j := range bound[e] {
-				if v := int(j); v != p && !eliminated[v] && mark[v] != step {
+			for _, v := range boundArena[boundLo[e] : boundLo[e]+boundLen[e]] {
+				if mark[v] < step {
 					mark[v] = step
-					lp = append(lp, j)
+					lp[nlp] = v
+					nlp++
 					lpSize += nv[v]
 				}
 			}
-			deadElem[e] = true // absorbed into p
-			bound[e] = nil
+			deadElem[e] = 1 // absorbed into p
+			boundLen[e] = 0
 		}
-		sortInt32(lp)
-		bound[p] = append([]int32(nil), lp...)
+		lpv := lp[:nlp]
+		sortInt32(lpv)
+		boundLo[p], boundLen[p] = int32(len(boundArena)), int32(nlp)
+		boundArena = append(boundArena, lpv...)
 		boundSize[p] = lpSize
-		eliminated[p] = true
-		elems[p], adj[p] = nil, nil
-		emit(int32(p))
+		elemLen[p], adjLen[p] = 0, 0
+		emit(p)
 
 		// First pass: w[e] = |Le \ Lp| (in supervariable mass) for every
 		// alive element adjacent to Lp: initialise to boundSize[e] on first
 		// sight, then subtract each boundary member found inside Lp.
-		for _, ji := range lp {
-			for _, e := range elems[ji] {
-				if deadElem[e] {
+		for _, i := range lpv {
+			for _, e := range elemArena[elemLo[i] : elemLo[i]+elemLen[i]] {
+				if deadElem[e] != 0 {
 					continue
 				}
 				if wseen[e] != step {
 					wseen[e] = step
-					w[e] = boundSize[e]
+					wsz[e] = boundSize[e]
 				}
-				w[e] -= nv[ji]
+				wsz[e] -= nv[i]
 			}
 		}
 
 		// Second pass: prune each i ∈ Lp and recompute its approximate degree
 		//   d(i) ≈ |Ai \ Lp| + |Lp \ {i}| + Σ_{e ∈ Ei} |Le \ Lp|,
 		// every term weighted by supervariable mass.
-		for _, ji := range lp {
-			i := int(ji)
+		for _, i := range lpv {
 			// Ai loses everything now reachable through element p.
-			av := adj[i][:0]
-			avSize := 0
-			for _, j := range adj[i] {
-				if v := int(j); !eliminated[v] && mark[v] != step {
-					av = append(av, j)
+			ai := adj[adjLo[i] : adjLo[i]+adjLen[i]]
+			k := 0
+			avSize := int32(0)
+			for _, v := range ai {
+				if mark[v] < step {
+					ai[k] = v
+					k++
 					avSize += nv[v]
 				}
 			}
-			adj[i] = av
+			adjLen[i] = int32(k)
 			// Ei drops dead (absorbed) elements and gains p. An element whose
 			// boundary is entirely inside Lp (w ≤ 0) is dominated by p and
 			// absorbed.
-			ev := elems[i][:0]
+			ei := elemArena[elemLo[i] : elemLo[i]+elemLen[i]]
+			k = 0
 			d := avSize + lpSize - nv[i]
-			for _, e := range elems[i] {
-				if deadElem[e] {
+			for _, e := range ei {
+				if deadElem[e] != 0 {
 					continue
 				}
-				if wseen[e] == step && w[e] <= 0 {
-					deadElem[e] = true
-					bound[e] = nil
+				if wseen[e] == step && wsz[e] <= 0 {
+					deadElem[e] = 1
+					boundLen[e] = 0
 					continue
 				}
-				ev = append(ev, e)
+				ei[k] = e
+				k++
 				if wseen[e] == step {
-					d += w[e]
+					d += wsz[e]
 				} else {
 					d += boundSize[e]
 				}
 			}
-			elems[i] = append(ev, int32(p))
-			deg[i] = d
+			if int32(k) == elemCap[i] {
+				// Full: move the list to the end of the arena with twice the
+				// room (in place when it already ends the arena).
+				lo := elemLo[i]
+				if elemCap[i] == 0 || int(lo+elemCap[i]) != len(elemArena) {
+					lo = int32(len(elemArena))
+					elemArena = append(elemArena, ei[:k]...)
+					elemLo[i] = lo
+				}
+				c := max(2*elemCap[i], 4)
+				elemArena = slices.Grow(elemArena, int(lo+c)-len(elemArena))[:lo+c]
+				elemCap[i] = c
+			}
+			elemArena[elemLo[i]+int32(k)] = p
+			elemLen[i] = int32(k) + 1
+			dnew[i] = d
 		}
 
 		// Mass elimination: a boundary variable with no remaining adjacency
 		// and p as its only element is dominated by the new clique — it
 		// eliminates now, for free. lp is sorted, so the group emits in
 		// ascending index order.
-		for _, ji := range lp {
-			i := int(ji)
-			if len(adj[i]) == 0 && len(elems[i]) == 1 {
-				eliminated[i] = true
+		for _, i := range lpv {
+			if adjLen[i] == 0 && elemLen[i] == 1 {
+				mark[i] = gone
+				heap.remove(i)
 				boundSize[p] -= nv[i]
-				elems[i] = nil
-				stats.massElim += nv[i]
-				emit(ji)
+				elemLen[i] = 0
+				stats.massElim += int(nv[i])
+				emit(i)
 			}
 		}
 
@@ -241,16 +282,17 @@ func amdOrder(a *sparse.CSR) (Perm, amdStats) {
 		// larger index is absorbed into the smaller. (Both lists are pruned
 		// to live entries in the same chronological order, so set equality is
 		// plain elementwise equality.)
-		for _, ji := range lp {
-			i := int(ji)
-			if eliminated[i] {
+		for _, i := range lpv {
+			if mark[i] == gone {
 				continue
 			}
+			ai := adj[adjLo[i] : adjLo[i]+adjLen[i]]
+			ei := elemArena[elemLo[i] : elemLo[i]+elemLen[i]]
 			h := 0
-			for _, j := range adj[i] {
+			for _, j := range ai {
 				h += int(j)
 			}
-			for _, e := range elems[i] {
+			for _, e := range ei {
 				h += int(e)
 			}
 			if h < 0 {
@@ -262,49 +304,58 @@ func amdOrder(a *sparse.CSR) (Perm, amdStats) {
 				hhead[h] = -1
 			}
 			hnext[i] = hhead[h]
-			hhead[h] = ji
+			hhead[h] = i
 			// Compare against the earlier bucket members (all larger lp
 			// indices arrive later, so the chain holds smaller indices
 			// further down; absorption goes towards the smallest).
-			for cand := hnext[i]; cand != -1; cand = hnext[cand] {
-				c := int(cand)
-				if eliminated[c] || !int32SlicesEqual(adj[i], adj[c]) || !int32SlicesEqual(elems[i], elems[c]) {
+			for c := hnext[i]; c != -1; c = hnext[c] {
+				if mark[c] == gone ||
+					!int32SlicesEqual(ai, adj[adjLo[c]:adjLo[c]+adjLen[c]]) ||
+					!int32SlicesEqual(ei, elemArena[elemLo[c]:elemLo[c]+elemLen[c]]) {
 					continue
 				}
 				// Indistinguishable: absorb the larger index into the
-				// smaller. lp is sorted ascending, so cand < i here.
+				// smaller. lp is sorted ascending, so c < i here.
 				m := nv[i]
 				nv[c] += m
-				sub[cand] = append(sub[cand], ji)
+				subNext[i] = -1
+				if subHead[c] == -1 {
+					subHead[c] = i
+				} else {
+					subNext[subTail[c]] = i
+				}
+				subTail[c] = i
 				stats.supervars++
-				eliminated[i] = true
-				adj[i], elems[i] = nil, nil
-				// i leaves every boundary it was in, and cand gains exactly
-				// its mass there (they share all elements), so boundary
-				// sizes are unchanged. The principal's degree shrinks by the
+				mark[i] = gone
+				heap.remove(i)
+				adjLen[i], elemLen[i] = 0, 0
+				// i leaves every boundary it was in, and c gains exactly its
+				// mass there (they share all elements), so boundary sizes
+				// are unchanged. The principal's degree shrinks by the
 				// absorbed mass (it no longer counts i as a neighbour).
-				deg[c] -= m
+				dnew[c] -= m
 				break
 			}
 		}
 
-		// Re-queue the surviving boundary with their updated degrees, capped
+		// Re-key the surviving boundary with their updated degrees, capped
 		// by the remaining mass.
-		remaining := n - len(perm)
-		for _, ji := range lp {
-			i := int(ji)
-			if eliminated[i] {
+		remaining := int32(n - len(perm))
+		for _, i := range lpv {
+			if mark[i] == gone {
 				continue
 			}
-			d := deg[i]
+			d := dnew[i]
 			if limit := remaining - nv[i]; d > limit {
 				d = limit
 			}
 			if d < 0 {
 				d = 0
 			}
-			deg[i] = d
-			heap.push(d, i)
+			if d != deg[i] {
+				deg[i] = d
+				heap.fix(i)
+			}
 		}
 	}
 	return perm, stats
@@ -323,52 +374,105 @@ func int32SlicesEqual(a, b []int32) bool {
 	return true
 }
 
-// degHeap is a binary min-heap over packed (degree, vertex) keys with lazy
-// deletion; the low 32 bits carry the vertex so equal degrees order by index.
-type degHeap struct{ keys []int64 }
-
-func newDegHeap(capacity int) *degHeap {
-	return &degHeap{keys: make([]int64, 0, capacity)}
+// degHeap is an indexed binary min-heap of variables keyed by (deg[v], v):
+// each live variable is in it once, at pos[v] (-1 when out), so a degree
+// change re-keys the variable in place and nothing stale is ever popped. The
+// index in the key makes every key distinct and breaks degree ties towards
+// the smaller index.
+type degHeap struct {
+	deg  []int32 // the keys, owned by the caller
+	heap []int32
+	pos  []int32
 }
 
-func (h *degHeap) push(deg, v int) {
-	h.keys = append(h.keys, int64(deg)<<32|int64(v))
-	i := len(h.keys) - 1
+// newDegHeap builds the heap of variables 0..n-1 from the workspace.
+func newDegHeap(w *workspace, n int, deg []int32) degHeap {
+	h := degHeap{deg: deg, heap: w.take(n), pos: w.take(n)}
+	for v := range h.heap {
+		h.heap[v], h.pos[v] = int32(v), int32(v)
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
+
+func (h *degHeap) len() int { return len(h.heap) }
+
+func (h *degHeap) less(a, b int32) bool {
+	da, db := h.deg[a], h.deg[b]
+	return da < db || da == db && a < b
+}
+
+// pop removes and returns the variable of least (degree, index).
+func (h *degHeap) pop() int32 {
+	v := h.heap[0]
+	h.remove(v)
+	return v
+}
+
+// remove takes v out of the heap (a no-op when it is not in it).
+func (h *degHeap) remove(v int32) {
+	i := h.pos[v]
+	if i < 0 {
+		return
+	}
+	h.pos[v] = -1
+	last := int32(len(h.heap) - 1)
+	if i != last {
+		u := h.heap[last]
+		h.heap[i], h.pos[u] = u, i
+		h.heap = h.heap[:last]
+		h.fixAt(int(i))
+		return
+	}
+	h.heap = h.heap[:last]
+}
+
+// fix restores the heap order after deg[v] changed.
+func (h *degHeap) fix(v int32) { h.fixAt(int(h.pos[v])) }
+
+func (h *degHeap) fixAt(i int) {
+	if !h.up(i) {
+		h.down(i)
+	}
+}
+
+func (h *degHeap) up(i int) bool {
+	v := h.heap[i]
+	moved := false
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.keys[parent] <= h.keys[i] {
+		u := h.heap[parent]
+		if !h.less(v, u) {
 			break
 		}
-		h.keys[parent], h.keys[i] = h.keys[i], h.keys[parent]
-		i = parent
+		h.heap[i], h.pos[u] = u, int32(i)
+		i, moved = parent, true
 	}
+	h.heap[i], h.pos[v] = v, int32(i)
+	return moved
 }
 
-func (h *degHeap) pop() (deg, v int, ok bool) {
-	if len(h.keys) == 0 {
-		return 0, 0, false
-	}
-	top := h.keys[0]
-	last := len(h.keys) - 1
-	h.keys[0] = h.keys[last]
-	h.keys = h.keys[:last]
-	i := 0
+func (h *degHeap) down(i int) {
+	n := len(h.heap)
+	v := h.heap[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.keys[l] < h.keys[smallest] {
-			smallest = l
-		}
-		if r < last && h.keys[r] < h.keys[smallest] {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		h.keys[i], h.keys[smallest] = h.keys[smallest], h.keys[i]
-		i = smallest
+		if r := c + 1; r < n && h.less(h.heap[r], h.heap[c]) {
+			c = r
+		}
+		u := h.heap[c]
+		if !h.less(u, v) {
+			break
+		}
+		h.heap[i], h.pos[u] = u, int32(i)
+		i = c
 	}
-	return int(top >> 32), int(top & 0xffffffff), true
+	h.heap[i], h.pos[v] = v, int32(i)
 }
 
 // sortInt32 is an insertion/quick hybrid over the small boundary slices AMD

@@ -29,10 +29,13 @@ func irregularTestMatrices() map[string]*sparse.CSR {
 // read from the symbolic column counts of the postordered permuted matrix —
 // the true fill, without the explicit zeros supernodal amalgamation stores.
 func exactFill(a *sparse.CSR, order Ordering) int {
-	c, _, _, _ := snPrepare(a, order)
+	an, err := Analyze(a, order)
+	if err != nil {
+		panic(err)
+	}
 	fill := 0
-	for _, count := range snColCounts(c, etree(c)) {
-		fill += count - 1
+	for _, count := range an.count {
+		fill += int(count) - 1
 	}
 	return fill
 }
@@ -198,14 +201,14 @@ func TestOrderAutoPolicy(t *testing.T) {
 		}
 	}
 	// The factorisations report the resolved ordering.
-	chol, err := NewCholesky(grid, OrderAuto)
+	chol, err := newCholesky(grid, OrderAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if chol.Ordering() != OrderRCM {
 		t.Errorf("grid Cholesky resolved to %s, want rcm", chol.Ordering())
 	}
-	ldlt, err := NewSupernodal(saddle, OrderAuto, ModeLDLT)
+	ldlt, err := newSupernodal(saddle, OrderAuto, ModeLDLT)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,6 +42,30 @@ func BenchmarkAMDOrdering(b *testing.B) {
 	}
 }
 
+// BenchmarkRCM times the RCM ordering on a 128² grid and on two patterns of
+// 10⁵ vertices made of many components — isolated vertices, and small paths,
+// cliques and stars — where a root search that rescans every vertex per
+// component would be quadratic.
+func BenchmarkRCM(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"poisson-128", sparse.Poisson2D(128, 128, 0.05).A},
+		{"isolated-1e5", sparse.Identity(100000)},
+		{"components-1e5", componentsPattern(100000, 1)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if p := RCM(tc.a); len(p) != tc.a.Rows() {
+					b.Fatal("bad permutation")
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkFactorScalarVsSupernodal(b *testing.B) {
 	grid := sparse.Poisson2D(128, 128, 0.05)
 	saddle := sparse.SaddlePoisson2D(128, 128, 1e-2)
@@ -49,9 +73,9 @@ func BenchmarkFactorScalarVsSupernodal(b *testing.B) {
 		name string
 		run  func() error
 	}{
-		{"scalar-cholesky/poisson-128", func() error { _, err := NewCholesky(grid.A, OrderAuto); return err }},
-		{"supernodal-cholesky/poisson-128", func() error { _, err := NewSupernodal(grid.A, OrderAuto, ModeCholesky); return err }},
-		{"supernodal-ldlt/saddle-128", func() error { _, err := NewSupernodal(saddle.A, OrderAuto, ModeLDLT); return err }},
+		{"scalar-cholesky/poisson-128", func() error { _, err := newCholesky(grid.A, OrderAuto); return err }},
+		{"supernodal-cholesky/poisson-128", func() error { _, err := newSupernodal(grid.A, OrderAuto, ModeCholesky); return err }},
+		{"supernodal-ldlt/saddle-128", func() error { _, err := newSupernodal(saddle.A, OrderAuto, ModeLDLT); return err }},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -123,6 +147,37 @@ func laneParts(tb testing.TB, spec string, px, py, nparts int) []lanePart {
 // the 2×2 tear of grid:rows=65,cols=65,seed=7.
 func bigblockParts(tb testing.TB) []lanePart {
 	return laneParts(tb, "grid:rows=65,cols=65,seed=7", 2, 2, 0)
+}
+
+// BenchmarkAnalyze times the symbolic analysis of every part of the two
+// sparse lanes as the auto backend runs it: bigblock-grid65's four parts
+// under RCM with their supernode partitions, spanner-lsg4's four under AMD.
+func BenchmarkAnalyze(b *testing.B) {
+	for _, lane := range []struct {
+		name           string
+		spec           string
+		px, py, nparts int
+		supernodal     bool
+	}{
+		{"bigblock", "grid:rows=65,cols=65,seed=7", 2, 2, 0, true},
+		{"spanner", "spanner:n=1000,k=6,seed=1", 0, 0, 4, false},
+	} {
+		parts := laneParts(b, lane.spec, lane.px, lane.py, lane.nparts)
+		b.Run(lane.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, p := range parts {
+					an, err := Analyze(p.a, OrderAuto)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if lane.supernodal {
+						an.supernodes()
+					}
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSolve times one solve of a factor: SolveTo on a 128² Poisson

@@ -123,8 +123,10 @@ type PortSolver interface {
 
 // factorizer builds a LocalSolver from a sparse matrix whose first ports
 // unknowns are ports, under the given fill-reducing ordering (the dense
-// backends ignore the ordering; dense-lu and sparse-cholesky the ports).
-type factorizer func(a *sparse.CSR, order Ordering, ports int) (LocalSolver, error)
+// backends ignore the ordering; dense-lu and sparse-cholesky the ports). A
+// sparse backend factorises on an, the analysis of a's pattern under that
+// ordering, or analyses a itself when an is nil.
+type factorizer func(a *sparse.CSR, order Ordering, ports int, an *Analysis) (LocalSolver, error)
 
 // Solve is a convenience wrapper around SolveTo that allocates the solution.
 func Solve(s LocalSolver, b sparse.Vec) sparse.Vec {
@@ -206,6 +208,14 @@ func (s Settings) New(a *sparse.CSR) (LocalSolver, error) { return s.NewPorts(a,
 // New does and marks the ports' closure, which its PortsOnly solve needs; the
 // others factorise exactly as New does.
 func (s Settings) NewPorts(a *sparse.CSR, ports int) (LocalSolver, error) {
+	return s.NewPortsOn(nil, a, ports)
+}
+
+// NewPortsOn is NewPorts on a pattern already analysed under s.Ordering
+// (nil: analyse it here, as NewPorts does): a sparse backend factorises on
+// an and orders nothing. a must have an's off-diagonal pattern. Pass it the
+// AnalysisOf an earlier factor of a matrix with a's pattern.
+func (s Settings) NewPortsOn(an *Analysis, a *sparse.CSR, ports int) (LocalSolver, error) {
 	if ports < 0 || ports > a.Rows() {
 		return nil, fmt.Errorf("factor: %d ports in a system of %d unknowns", ports, a.Rows())
 	}
@@ -213,7 +223,30 @@ func (s Settings) NewPorts(a *sparse.CSR, ports int) (LocalSolver, error) {
 	if !ok {
 		return nil, fmt.Errorf("factor: unknown backend %q (have %v)", s.Backend, Backends())
 	}
-	return f(a, s.Ordering, ports)
+	if an != nil && an.requested != s.Ordering {
+		return nil, fmt.Errorf("factor: an analysis under ordering %s for settings ordering %s", an.requested, s.Ordering)
+	}
+	return f(a, s.Ordering, ports, an)
+}
+
+// AnalysisOf returns the analysis a sparse factor was built on, or nil for
+// the dense backends, which have none.
+func AnalysisOf(f LocalSolver) *Analysis {
+	switch f := f.(type) {
+	case *Cholesky:
+		return f.an
+	case *Supernodal:
+		return f.an
+	}
+	return nil
+}
+
+// analysisFor returns an, or the analysis of a under order when an is nil.
+func analysisFor(a *sparse.CSR, order Ordering, an *Analysis) (*Analysis, error) {
+	if an != nil {
+		return an, nil
+	}
+	return Analyze(a, order)
 }
 
 // New factorises a with the named backend (empty for Auto) under the default
@@ -303,7 +336,7 @@ func (s denseLUSolver) FactorBytes() int64 {
 	return 16 * n * n
 }
 
-func newDenseCholesky(a *sparse.CSR, _ Ordering, ports int) (LocalSolver, error) {
+func newDenseCholesky(a *sparse.CSR, _ Ordering, ports int, _ *Analysis) (LocalSolver, error) {
 	n := a.Rows()
 	if a.Cols() != n {
 		return nil, fmt.Errorf("factor: dense Cholesky of non-square %dx%d matrix", n, a.Cols())
@@ -322,7 +355,7 @@ func newDenseCholesky(a *sparse.CSR, _ Ordering, ports int) (LocalSolver, error)
 	return denseCholSolver{chol: c, ports: ports}, nil
 }
 
-func newDenseLU(a *sparse.CSR, _ Ordering, _ int) (LocalSolver, error) {
+func newDenseLU(a *sparse.CSR, _ Ordering, _ int, _ *Analysis) (LocalSolver, error) {
 	if err := DenseFeasible(a.Rows()); err != nil {
 		return nil, err
 	}
@@ -333,23 +366,32 @@ func newDenseLU(a *sparse.CSR, _ Ordering, _ int) (LocalSolver, error) {
 	return denseLUSolver{lu}, nil
 }
 
-func newSparseCholeskyBackend(a *sparse.CSR, order Ordering, _ int) (LocalSolver, error) {
-	return NewCholesky(a, order)
+func newSparseCholeskyBackend(a *sparse.CSR, order Ordering, _ int, an *Analysis) (LocalSolver, error) {
+	an, err := analysisFor(a, order, an)
+	if err != nil {
+		return nil, err
+	}
+	return an.NewCholesky(a)
 }
 
 // newSparseSupernodalBackend covers both symmetric factorisations with one
 // name: Cholesky when the matrix turns out SPD, LDLᵀ otherwise. A non-positive
 // diagonal entry proves non-positive-definiteness up front (xᵀAx ≤ 0 for a
-// unit vector), so that case skips the doomed Cholesky attempt entirely. The
-// factor marks the ports' closure, which offers the ports-only solve.
-func newSparseSupernodalBackend(a *sparse.CSR, order Ordering, ports int) (LocalSolver, error) {
+// unit vector), so that case skips the doomed Cholesky attempt entirely; the
+// LDLᵀ retry factorises on the Cholesky attempt's analysis. The factor marks
+// the ports' closure, which offers the ports-only solve.
+func newSparseSupernodalBackend(a *sparse.CSR, order Ordering, ports int, an *Analysis) (LocalSolver, error) {
+	an, err := analysisFor(a, order, an)
+	if err != nil {
+		return nil, err
+	}
 	mode := ModeCholesky
 	if !hasPosDiag(a) {
 		mode = ModeLDLT
 	}
-	s, err := NewSupernodal(a, order, mode)
+	s, err := an.NewSupernodal(a, mode)
 	if mode == ModeCholesky && errors.Is(err, ErrNotPositiveDefinite) {
-		s, err = NewSupernodal(a, order, ModeLDLT)
+		s, err = an.NewSupernodal(a, ModeLDLT)
 	}
 	if err != nil {
 		return nil, err
@@ -361,9 +403,18 @@ func newSparseSupernodalBackend(a *sparse.CSR, order Ordering, ports int) (Local
 // hasPosDiag reports whether every diagonal entry of a is strictly positive —
 // a necessary condition for positive definiteness that is cheap to test.
 func hasPosDiag(a *sparse.CSR) bool {
-	n := a.Rows()
-	for i := 0; i < n; i++ {
-		if a.At(i, i) <= 0 {
+	for i := 0; i < a.Rows(); i++ {
+		d := 0.0 // a missing diagonal entry is zero
+		cols, vals := a.RowView(i)
+		for t, j := range cols {
+			if j >= i {
+				if j == i {
+					d = vals[t]
+				}
+				break
+			}
+		}
+		if d <= 0 {
 			return false
 		}
 	}
@@ -405,8 +456,9 @@ func autoPicksSparse(n, nnz int) bool {
 //
 // so a block that is both huge and merely SNND factorises sparsely instead of
 // dying at ErrDenseTooLarge, and dense LU's row pivoting is the last resort
-// for a block that diagonal pivots find singular.
-func newAuto(a *sparse.CSR, order Ordering, ports int) (LocalSolver, error) {
+// for a block that diagonal pivots find singular. The sparse steps share one
+// analysis.
+func newAuto(a *sparse.CSR, order Ordering, ports int, an *Analysis) (LocalSolver, error) {
 	n := a.Rows()
 	first := DenseCholesky
 	if autoPicksSparse(n, a.NNZ()) {
@@ -414,8 +466,12 @@ func newAuto(a *sparse.CSR, order Ordering, ports int) (LocalSolver, error) {
 		if n >= autoSupernodalMinDim {
 			first = SparseSupernodal
 		}
+		var err error
+		if an, err = analysisFor(a, order, an); err != nil {
+			return nil, err
+		}
 	}
-	s, err := registry[first](a, order, ports)
+	s, err := registry[first](a, order, ports, an)
 	if err == nil {
 		return s, nil
 	}
@@ -428,14 +484,14 @@ func newAuto(a *sparse.CSR, order Ordering, ports int) (LocalSolver, error) {
 	case first == SparseCholesky:
 		// At best SNND: LDLᵀ has the same sparse cost model and no
 		// definiteness requirement.
-		ldlt, lErr := NewSupernodal(a, order, ModeLDLT)
+		ldlt, lErr := an.NewSupernodal(a, ModeLDLT)
 		if lErr == nil {
 			ldlt.markClosure(ports)
 			return ldlt, nil
 		}
 		err = fmt.Errorf("%v; supernodal LDLT: %w", err, lErr)
 	}
-	lu, luErr := newDenseLU(a, order, ports)
+	lu, luErr := newDenseLU(a, order, ports, nil)
 	if luErr != nil {
 		return nil, fmt.Errorf("factor: auto fallback after %v: %w", err, luErr)
 	}

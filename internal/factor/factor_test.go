@@ -187,7 +187,7 @@ func TestAutoFallsThroughToDenseLUWhenLDLTFails(t *testing.T) {
 		coo.AddSym(i, n-1-i, 1)
 	}
 	a := coo.ToCSR()
-	if _, err := NewSupernodal(a, OrderAuto, ModeLDLT); !errors.Is(err, ErrSingular) {
+	if _, err := newSupernodal(a, OrderAuto, ModeLDLT); !errors.Is(err, ErrSingular) {
 		t.Fatalf("supernodal LDLT on the anti-diagonal: %v, want ErrSingular", err)
 	}
 	s, err := New(Auto, a)

@@ -46,7 +46,7 @@ func TestLDLTMatchesDenseLUOnSNND(t *testing.T) {
 			t.Fatalf("seed %d: dense LU reference: %v", seed, err)
 		}
 		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD, OrderND, OrderAuto} {
-			s, err := NewSupernodal(sys.A, ord, ModeLDLT)
+			s, err := newSupernodal(sys.A, ord, ModeLDLT)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, ord, err)
 			}
@@ -66,11 +66,11 @@ func TestLDLTMatchesCholeskyOnSPD(t *testing.T) {
 		sparse.Poisson2D(17, 13, 0.05),
 		sparse.RandomSPD(250, 0.03, 9),
 	} {
-		chol, err := NewCholesky(sys.A, OrderAuto)
+		chol, err := newCholesky(sys.A, OrderAuto)
 		if err != nil {
 			t.Fatalf("%s: %v", sys.Name, err)
 		}
-		ldlt, err := NewSupernodal(sys.A, OrderAuto, ModeLDLT)
+		ldlt, err := newSupernodal(sys.A, OrderAuto, ModeLDLT)
 		if err != nil {
 			t.Fatalf("%s: %v", sys.Name, err)
 		}
@@ -88,7 +88,7 @@ func TestLDLTMatchesCholeskyOnSPD(t *testing.T) {
 func TestLDLTInertiaOfSaddleSystem(t *testing.T) {
 	nx, ny := 15, 12
 	sys := sparse.SaddlePoisson2D(nx, ny, 1e-2)
-	s, err := NewSupernodal(sys.A, OrderAuto, ModeLDLT)
+	s, err := newSupernodal(sys.A, OrderAuto, ModeLDLT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestLDLTInertiaOfSaddleSystem(t *testing.T) {
 
 func TestLDLTSolveToleratesAliasing(t *testing.T) {
 	sys := sparse.SaddlePoisson2D(9, 9, 1e-2)
-	s, err := NewSupernodal(sys.A, OrderAuto, ModeLDLT)
+	s, err := newSupernodal(sys.A, OrderAuto, ModeLDLT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +114,13 @@ func TestLDLTSolveToleratesAliasing(t *testing.T) {
 
 func TestLDLTIsDeterministic(t *testing.T) {
 	sys := randomQuasiDefinite(80, 20, 42)
-	first, err := NewSupernodal(sys.A, OrderAuto, ModeLDLT)
+	first, err := newSupernodal(sys.A, OrderAuto, ModeLDLT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x0 := first.Solve(sys.B)
 	for run := 0; run < 3; run++ {
-		again, err := NewSupernodal(sys.A, OrderAuto, ModeLDLT)
+		again, err := newSupernodal(sys.A, OrderAuto, ModeLDLT)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,11 +137,11 @@ func TestLDLTRejectsSingularAndNonSquare(t *testing.T) {
 	coo.AddSym(0, 1, 1)
 	coo.Add(1, 1, 2)
 	// Vertex 2 has no entries at all.
-	if _, err := NewSupernodal(coo.ToCSR(), OrderNatural, ModeLDLT); !errors.Is(err, ErrSingular) {
+	if _, err := newSupernodal(coo.ToCSR(), OrderNatural, ModeLDLT); !errors.Is(err, ErrSingular) {
 		t.Errorf("singular matrix: err = %v, want ErrSingular", err)
 	}
 	rect := sparse.NewCOO(2, 3).ToCSR()
-	if _, err := NewSupernodal(rect, OrderNatural, ModeLDLT); err == nil {
+	if _, err := newSupernodal(rect, OrderNatural, ModeLDLT); err == nil {
 		t.Error("non-square matrix was accepted")
 	}
 }
@@ -154,10 +154,10 @@ func TestLDLTHandlesNegativeLeadingPivot(t *testing.T) {
 		{1, -3, 1},
 		{0, 1, 4},
 	}, 0)
-	if _, err := NewCholesky(a, OrderNatural); !errors.Is(err, ErrNotPositiveDefinite) {
+	if _, err := newCholesky(a, OrderNatural); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("Cholesky on a negative-pivot matrix: %v, want ErrNotPositiveDefinite", err)
 	}
-	s, err := NewSupernodal(a, OrderNatural, ModeLDLT)
+	s, err := newSupernodal(a, OrderNatural, ModeLDLT)
 	if err != nil {
 		t.Fatal(err)
 	}

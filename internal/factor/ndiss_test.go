@@ -75,11 +75,11 @@ func TestNDDeterministic(t *testing.T) {
 func TestNDFillAndFlopsBelowRCMOnGrids(t *testing.T) {
 	for _, side := range []int{64, 128} {
 		sys := sparse.Poisson2D(side, side, 0.05)
-		rcm, err := NewSupernodal(sys.A, OrderRCM, ModeCholesky)
+		rcm, err := newSupernodal(sys.A, OrderRCM, ModeCholesky)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nd, err := NewSupernodal(sys.A, OrderND, ModeCholesky)
+		nd, err := newSupernodal(sys.A, OrderND, ModeCholesky)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestAnalyzeSupernodalMatchesFactorisation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewSupernodal(sys.A, ord, ModeCholesky)
+		s, err := newSupernodal(sys.A, ord, ModeCholesky)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,11 +131,11 @@ func TestAnalyzeSupernodalMatchesFactorisation(t *testing.T) {
 // this pins a grid large enough for a real dissection tree).
 func TestNDScalarAgreement(t *testing.T) {
 	sys := sparse.Poisson2D(40, 40, 0.05)
-	scalar, err := NewCholesky(sys.A, OrderND)
+	scalar, err := newCholesky(sys.A, OrderND)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := NewSupernodal(sys.A, OrderND, ModeCholesky)
+	sn, err := newSupernodal(sys.A, OrderND, ModeCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestNDScalarAgreement(t *testing.T) {
 		t.Errorf("supernodal deviates from scalar by %g under OrderND", d)
 	}
 	// The scalar factor under ND must also beat its RCM fill at this size.
-	rcm, err := NewCholesky(sys.A, OrderRCM)
+	rcm, err := newCholesky(sys.A, OrderRCM)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestRCMDisconnectedComponents(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The factorisation must work across components too.
-	s, err := NewCholesky(a, OrderRCM)
+	s, err := newCholesky(a, OrderRCM)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,16 +23,16 @@ func TestSolveToConcurrentReentrant(t *testing.T) {
 		build func(sys sparse.System) (LocalSolver, error)
 	}{
 		{"sparse-cholesky", sparse.Poisson2D(48, 48, 0.05), func(s sparse.System) (LocalSolver, error) {
-			return NewCholesky(s.A, OrderAuto)
+			return newCholesky(s.A, OrderAuto)
 		}},
 		{"supernodal-cholesky", sparse.Poisson2D(64, 64, 0.05), func(s sparse.System) (LocalSolver, error) {
-			return NewSupernodal(s.A, OrderAuto, ModeCholesky)
+			return newSupernodal(s.A, OrderAuto, ModeCholesky)
 		}},
 		{"supernodal-nd", sparse.Poisson2D(64, 64, 0.05), func(s sparse.System) (LocalSolver, error) {
-			return NewSupernodal(s.A, OrderND, ModeCholesky)
+			return newSupernodal(s.A, OrderND, ModeCholesky)
 		}},
 		{"supernodal-ldlt", sparse.SaddlePoisson2D(32, 32, 1e-2), func(s sparse.System) (LocalSolver, error) {
-			return NewSupernodal(s.A, OrderAuto, ModeLDLT)
+			return newSupernodal(s.A, OrderAuto, ModeLDLT)
 		}},
 	}
 
@@ -136,7 +136,7 @@ func TestInertiaCrossBackendAgreement(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := sparse.SaddlePoisson2D(side, side, tc.gamma)
 			for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD, OrderND, OrderAuto} {
-				sn, err := NewSupernodal(sys.A, ord, ModeLDLT)
+				sn, err := newSupernodal(sys.A, ord, ModeLDLT)
 				if err != nil {
 					t.Fatalf("%v: %v", ord, err)
 				}
@@ -159,7 +159,7 @@ func TestInertiaZeroPivotClassification(t *testing.T) {
 	}
 	// Cholesky mode: all positive by construction, no zeros.
 	sys := sparse.Poisson2D(16, 16, 0.05)
-	sn, err := NewSupernodal(sys.A, OrderAuto, ModeCholesky)
+	sn, err := newSupernodal(sys.A, OrderAuto, ModeCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}

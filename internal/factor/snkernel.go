@@ -2,6 +2,7 @@ package factor
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/sparse"
 )
@@ -21,8 +22,8 @@ import (
 // through the packed microkernel.
 const snPanelStrip = 8
 
-// snWorker is the scratch of the numeric phase, allocated once per
-// factorisation.
+// snWorker is the scratch of the numeric phase. Workers are pooled, as the
+// solve scratch is: a factorisation draws one and hands it back.
 type snWorker struct {
 	relind []int32   // global row -> row within the supernode being built
 	abuf   []float64 // packed left operand, one row chunk
@@ -30,13 +31,24 @@ type snWorker struct {
 	cbuf   []float64 // accumulation chunk (snChunkRows × snMaxWidth, padded)
 }
 
-func newSnWorker(n int) *snWorker {
+var snWorkers = sync.Pool{New: func() any {
 	return &snWorker{
-		relind: make([]int32, n),
-		abuf:   make([]float64, snChunkRows*snMaxWidth),
-		bbuf:   make([]float64, snMaxWidth*snMaxWidth),
-		cbuf:   make([]float64, snChunkRows*snMaxWidth),
+		abuf: make([]float64, snChunkRows*snMaxWidth),
+		bbuf: make([]float64, snMaxWidth*snMaxWidth),
+		cbuf: make([]float64, snChunkRows*snMaxWidth),
 	}
+}}
+
+// getSnWorker draws a worker whose relind covers n rows. relind needs no
+// clearing (see factorSupernode), nor do the buffers, which every kernel
+// writes before it reads.
+func getSnWorker(n int) *snWorker {
+	wk := snWorkers.Get().(*snWorker)
+	if cap(wk.relind) < n {
+		wk.relind = make([]int32, n)
+	}
+	wk.relind = wk.relind[:n]
+	return wk
 }
 
 // packPanels packs rows [rowOff, rowOff+rows) of the ld-strided column-major
@@ -184,15 +196,18 @@ func gemmPackedFrom(c []float64, ldc int, ap []float64, m int, bp []float64, q, 
 
 // factorAll runs the numeric phase: assemble and factorise every supernode in
 // ascending order (descendants before ancestors, by the postorder) on one
-// scratch, stopping at the first bad pivot.
-func (s *Supernodal) factorAll(c *sparse.CSR, sym *snSym) error {
+// pooled scratch, stopping at the first bad pivot. Row j of PAPᵀ is row
+// s.perm[j] of a with its columns mapped through inv (a itself when perm is
+// nil).
+func (s *Supernodal) factorAll(a *sparse.CSR, inv []int32, sym *snSym) error {
 	pivTol := 0.0
 	if s.mode == ModeLDLT {
-		pivTol = ldltPivotRelTol * c.MaxAbs()
+		pivTol = ldltPivotRelTol * a.MaxAbs()
 	}
-	wk := newSnWorker(s.n)
+	wk := getSnWorker(s.n)
+	defer snWorkers.Put(wk)
 	for sn := 0; sn < s.ns; sn++ {
-		if err := s.factorSupernode(sn, c, sym, wk, pivTol); err != nil {
+		if err := s.factorSupernode(sn, a, inv, sym, wk, pivTol); err != nil {
 			return err
 		}
 	}
@@ -204,7 +219,7 @@ func (s *Supernodal) factorAll(c *sparse.CSR, sym *snSym) error {
 // descendant supernodes (in the fixed symbolic order), then run the blocked
 // dense trapezoidal factorisation. pivTol is the LDLᵀ acceptance threshold
 // (unused in Cholesky mode).
-func (s *Supernodal) factorSupernode(sn int, c *sparse.CSR, sym *snSym, wk *snWorker, pivTol float64) error {
+func (s *Supernodal) factorSupernode(sn int, a *sparse.CSR, inv []int32, sym *snSym, wk *snWorker, pivTol float64) error {
 	f := int(s.sfirst[sn])
 	width := int(s.sfirst[sn+1]) - f
 	ld := int(s.rx[sn+1] - s.rx[sn])
@@ -219,15 +234,23 @@ func (s *Supernodal) factorSupernode(sn int, c *sparse.CSR, sym *snSym, wk *snWo
 	}
 
 	// Assemble A: row j of the (symmetric, permuted) matrix holds column j's
-	// below-diagonal values at its ≥ j entries.
-	for i := range panel {
-		panel[i] = 0
-	}
+	// below-diagonal values at its ≥ j entries. Each lands in its own slot,
+	// so the order a row's entries arrive in does not matter. The panel is
+	// still the zeros make gave it: nothing writes a supernode's panel before
+	// its own turn.
 	for jj := 0; jj < width; jj++ {
 		j := f + jj
-		cols, vals := c.RowView(j)
+		row := j
+		if s.perm != nil {
+			row = s.perm[j]
+		}
+		cols, vals := a.RowView(row)
 		col := panel[jj*ld : (jj+1)*ld]
-		for t, i := range cols {
+		for t, c := range cols {
+			i := c
+			if inv != nil {
+				i = int(inv[c])
+			}
 			if i >= j {
 				col[wk.relind[i]] = vals[t]
 			}
@@ -235,7 +258,7 @@ func (s *Supernodal) factorSupernode(sn int, c *sparse.CSR, sym *snSym, wk *snWo
 	}
 
 	// Pull the scheduled updates, in their fixed (ascending-descendant) order.
-	for _, u := range sym.upd[sn] {
+	for _, u := range sym.upd[sym.updPtr[sn]:sym.updPtr[sn+1]] {
 		s.applyUpdate(sn, u, wk)
 	}
 

@@ -10,10 +10,10 @@ import (
 
 // Cholesky is the sparse factor L of the symmetrically permuted SPD
 // matrix P·A·Pᵀ = L·Lᵀ, stored column-compressed with the diagonal entry
-// first in every column. The symbolic phase (elimination tree and per-column
-// counts) sizes the factor exactly, the numeric phase is the classic
-// up-looking algorithm — one sparse triangular solve per row — and the solves
-// are factor-once/solve-many like the dense backends.
+// first in every column. The symbolic phase (an Analysis: elimination tree
+// and per-column counts) sizes the factor exactly, the numeric phase is the
+// classic up-looking algorithm — one sparse triangular solve per row — and
+// the solves are factor-once/solve-many like the dense backends.
 //
 // Like the symmetric dense factorisations it reads only the lower triangle of
 // the input, so a numerically unsymmetric matrix is treated as if its lower
@@ -22,52 +22,35 @@ type Cholesky struct {
 	n       int
 	order   Ordering // the resolved concrete ordering (never OrderAuto)
 	perm    Perm     // perm[new] = old; nil when the ordering is the identity
+	an      *Analysis
 	colPtr  []int
 	rowIdx  []int32
 	vals    []float64
 	scratch sync.Pool // *sparse.Vec per-call solve scratch (SolveTo is reentrant)
 }
 
-// NewCholesky factorises the sparse SPD matrix a under the given ordering
-// (OrderAuto resolves per the grid-vs-irregular policy). It returns
-// ErrNotPositiveDefinite when a pivot is not strictly positive, leaving the
-// caller (the auto policy) to fall back to the supernodal LDLᵀ or dense LU.
-func NewCholesky(a *sparse.CSR, order Ordering) (*Cholesky, error) {
-	if a.Rows() != a.Cols() {
-		return nil, fmt.Errorf("factor: sparse Cholesky of non-square %dx%d matrix", a.Rows(), a.Cols())
+// NewCholesky factorises a, which must have the analysed off-diagonal
+// pattern, under the analysis's fill-reducing permutation (not its
+// postorder: the up-looking kernel's floating-point order follows the
+// labels). The analysis sizes L exactly — its column counts, relabelled from
+// the postorder — and its elimination tree drives the numeric phase.
+func (an *Analysis) NewCholesky(a *sparse.CSR) (*Cholesky, error) {
+	if err := an.check(a); err != nil {
+		return nil, err
 	}
-	n := a.Rows()
-	s := &Cholesky{n: n, order: resolveOrdering(a, order)}
+	n := an.n
+	s := &Cholesky{n: n, order: an.order, perm: an.fill, an: an}
 	s.scratch.New = func() any { v := sparse.NewVec(n); return &v }
-	c := a
-	if n > 1 {
-		if p := fillReducing(a, s.order); p != nil {
-			s.perm = p
-			c = a.PermuteSym(p)
-		}
-	}
-
-	parent := etree(c)
-
-	// Symbolic phase: per-column counts of L via one ereach sweep, then exact
-	// allocation. mark/stack/pattern are shared with the numeric phase.
-	mark := make([]int, n)
-	stack := make([]int, n)
-	pattern := make([]int, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	count := make([]int, n)
-	for k := 0; k < n; k++ {
-		top := ereach(c, k, parent, mark, stack, pattern)
-		count[k]++ // diagonal
-		for _, j := range pattern[top:] {
-			count[j]++
-		}
-	}
 	s.colPtr = make([]int, n+1)
+	for i, cnt := range an.count {
+		j := i
+		if an.post != nil {
+			j = int(an.post[i])
+		}
+		s.colPtr[j+1] = int(cnt)
+	}
 	for j := 0; j < n; j++ {
-		s.colPtr[j+1] = s.colPtr[j] + count[j]
+		s.colPtr[j+1] += s.colPtr[j]
 	}
 	s.rowIdx = make([]int32, s.colPtr[n])
 	s.vals = make([]float64, s.colPtr[n])
@@ -77,24 +60,22 @@ func NewCholesky(a *sparse.CSR, order Ordering) (*Cholesky, error) {
 	// the square-root pivot. fill[j] tracks the next free slot of column j;
 	// the diagonal lands first in each column because column k receives its
 	// first entry at step k.
-	for i := range mark {
-		mark[i] = -1
-	}
-	fill := make([]int, n)
+	w := getWorkspace()
+	defer w.release()
+	c := lowerRows(a, an.fill, w)
+	parent := an.parent
+	mark, stack, pattern := w.filled(n, -1), w.take(n), w.take(n)
+	fill := w.intBuf(n)
 	copy(fill, s.colPtr[:n])
-	x := make([]float64, n)
+	x := w.floats(n)
 	for k := 0; k < n; k++ {
 		top := ereach(c, k, parent, mark, stack, pattern)
 		d := 0.0
-		cols, vals := c.RowView(k)
-		for t, j := range cols {
-			if j > k {
-				break
-			}
-			if j == k {
-				d = vals[t]
+		for t := c.ptr[k]; t < c.ptr[k+1]; t++ {
+			if j := c.idx[t]; int(j) == k {
+				d = c.val[t]
 			} else {
-				x[j] = vals[t]
+				x[j] = c.val[t]
 			}
 		}
 		for _, j := range pattern[top:] {
@@ -118,51 +99,98 @@ func NewCholesky(a *sparse.CSR, order Ordering) (*Cholesky, error) {
 	return s, nil
 }
 
-// etree computes the elimination tree of the pattern-symmetric matrix c using
-// ancestor path compression (parent[i] = -1 for roots).
-func etree(c *sparse.CSR) []int {
-	n := c.Rows()
-	parent := make([]int, n)
-	ancestor := make([]int, n)
-	for i := range parent {
-		parent[i], ancestor[i] = -1, -1
+// lowerCSR is the lower triangle of C = PAPᵀ, diagonal included, row by row
+// in ascending column order: row k is idx/val[ptr[k]:ptr[k+1]].
+type lowerCSR struct {
+	ptr []int32
+	idx []int32
+	val []float64
+}
+
+// lowerRows builds the lower triangle of PAPᵀ (perm nil: of a) from the
+// workspace: row k is row perm[k] of a restricted to the columns that map at
+// or below k, the entries and values the up-looking kernel reads of the
+// permuted matrix. Two counting passes — the entries bucketed by column with
+// rows ascending, then by row with columns ascending — order every row
+// without a comparison sort.
+func lowerRows(a *sparse.CSR, perm Perm, w *workspace) lowerCSR {
+	n := a.Rows()
+	var inv []int32
+	if perm != nil {
+		inv = inverse(perm, w.take(n))
 	}
+	col := func(c int) int32 {
+		if inv != nil {
+			return inv[c]
+		}
+		return int32(c)
+	}
+	row := func(k int) ([]int, []float64) {
+		if perm != nil {
+			return a.RowView(perm[k])
+		}
+		return a.RowView(k)
+	}
+	// Entry counts per row and per column of the lower triangle.
+	rowPtr, colPtr := w.filled(n+1, 0), w.filled(n+1, 0)
 	for k := 0; k < n; k++ {
-		cols, _ := c.RowView(k)
-		for _, j := range cols {
-			if j >= k {
-				break
-			}
-			for i := j; i != -1 && i < k; {
-				next := ancestor[i]
-				ancestor[i] = k
-				if next == -1 {
-					parent[i] = k
-					break
-				}
-				i = next
+		cols, _ := row(k)
+		for _, c := range cols {
+			if j := col(c); int(j) <= k {
+				rowPtr[k+1]++
+				colPtr[j+1]++
 			}
 		}
 	}
-	return parent
+	for k := 0; k < n; k++ {
+		rowPtr[k+1] += rowPtr[k]
+		colPtr[k+1] += colPtr[k]
+	}
+	nnz := int(rowPtr[n])
+	// Bucket by column, rows ascending ...
+	cursor := w.take(n)
+	copy(cursor, colPtr[:n])
+	byColRow, byColVal := w.take(nnz), w.takeFloats(nnz)
+	for k := 0; k < n; k++ {
+		cols, vals := row(k)
+		for t, c := range cols {
+			if j := col(c); int(j) <= k {
+				byColRow[cursor[j]] = int32(k)
+				byColVal[cursor[j]] = vals[t]
+				cursor[j]++
+			}
+		}
+	}
+	// ... then by row, columns ascending.
+	copy(cursor, rowPtr[:n])
+	out := lowerCSR{ptr: rowPtr, idx: w.take(nnz), val: w.takeFloats(nnz)}
+	for j := 0; j < n; j++ {
+		for t := colPtr[j]; t < colPtr[j+1]; t++ {
+			k := byColRow[t]
+			out.idx[cursor[k]] = int32(j)
+			out.val[cursor[k]] = byColVal[t]
+			cursor[k]++
+		}
+	}
+	return out
 }
 
 // ereach computes the nonzero pattern of row k of L — the reach of the lower
 // row pattern of C through the elimination tree — in topological order. The
 // pattern is written to out[top:] and top is returned; mark is stamped with k.
-func ereach(c *sparse.CSR, k int, parent, mark, stack, out []int) int {
+func ereach(c lowerCSR, k int, parent, mark, stack, out []int32) int {
 	top := len(out)
-	mark[k] = k
-	cols, _ := c.RowView(k)
-	for _, j := range cols {
-		if j >= k {
+	k32 := int32(k)
+	mark[k] = k32
+	for _, j := range c.idx[c.ptr[k]:c.ptr[k+1]] {
+		if j >= k32 {
 			break
 		}
 		l := 0
-		for i := j; i != -1 && i < k && mark[i] != k; i = parent[i] {
+		for i := j; i != -1 && i < k32 && mark[i] != k32; i = parent[i] {
 			stack[l] = i
 			l++
-			mark[i] = k
+			mark[i] = k32
 		}
 		for l > 0 {
 			l--

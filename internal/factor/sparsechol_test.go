@@ -62,11 +62,11 @@ func TestSparseDenseLUAgreement(t *testing.T) {
 
 func TestSparseCholeskyOrderings(t *testing.T) {
 	sys := sparse.RandomGridSPD(11, 11, 42)
-	natural, err := NewCholesky(sys.A, OrderNatural)
+	natural, err := newCholesky(sys.A, OrderNatural)
 	if err != nil {
 		t.Fatalf("natural: %v", err)
 	}
-	rcm, err := NewCholesky(sys.A, OrderRCM)
+	rcm, err := newCholesky(sys.A, OrderRCM)
 	if err != nil {
 		t.Fatalf("rcm: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestSparseCholeskyNotPositiveDefinite(t *testing.T) {
 		{2, 1, 0},
 		{0, 0, 1},
 	}, 0)
-	_, err := NewCholesky(a, OrderRCM)
+	_, err := newCholesky(a, OrderRCM)
 	if !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Errorf("indefinite matrix: err = %v, want ErrNotPositiveDefinite", err)
 	}
@@ -95,7 +95,7 @@ func TestSparseCholeskyNotPositiveDefinite(t *testing.T) {
 
 func TestSparseCholeskySolveToAliasing(t *testing.T) {
 	sys := sparse.Poisson2D(8, 8, 0.05)
-	s, err := NewCholesky(sys.A, OrderRCM)
+	s, err := newCholesky(sys.A, OrderRCM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestSparseCholeskySolveToAliasing(t *testing.T) {
 func TestSparseCholeskyMatchesDenseFactorisation(t *testing.T) {
 	// Deterministic byte-for-byte repeatability of factor and solve.
 	sys := sparse.RandomGridSPD(9, 9, 7)
-	s1, err := NewCholesky(sys.A, OrderRCM)
+	s1, err := newCholesky(sys.A, OrderRCM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewCholesky(sys.A, OrderRCM)
+	s2, err := newCholesky(sys.A, OrderRCM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSparseCholeskyMatchesDenseFactorisation(t *testing.T) {
 
 func TestSparseCholeskySingleton(t *testing.T) {
 	a := sparse.NewCSRFromDense([][]float64{{4}}, 0)
-	s, err := NewCholesky(a, OrderRCM)
+	s, err := newCholesky(a, OrderRCM)
 	if err != nil {
 		t.Fatal(err)
 	}

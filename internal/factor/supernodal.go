@@ -97,12 +97,13 @@ type Supernodal struct {
 	mode  SupernodalMode
 	order Ordering // resolved concrete ordering (never OrderAuto)
 	perm  Perm     // perm[new] = old, fill-reducing ∘ postorder; nil if identity
+	an    *Analysis
 
-	// Partition: supernode s covers columns [sfirst[s], sfirst[s+1]) and rows
-	// rowind[rx[s]:rx[s+1]] (the first width entries are its own columns); its
-	// panel is panel[px[s]:px[s+1]], column-major with leading dimension
-	// rx[s+1]-rx[s]. Entries of the panel strictly above the diagonal block's
-	// diagonal are dead storage.
+	// Partition, shared with the analysis: supernode s covers columns
+	// [sfirst[s], sfirst[s+1]) and rows rowind[rx[s]:rx[s+1]] (the first
+	// width entries are its own columns); its panel is panel[px[s]:px[s+1]],
+	// column-major with leading dimension rx[s+1]-rx[s]. Entries of the panel
+	// strictly above the diagonal block's diagonal are dead storage.
 	ns     int
 	sfirst []int32
 	rx     []int32
@@ -123,7 +124,7 @@ type Supernodal struct {
 	// pattern of the DTM subdomains — share nothing mutable.
 	scratch sync.Pool
 
-	// Stats from the symbolic phase.
+	// Stats from the analysis.
 	nnzStored int     // stored trapezoid entries (incl. amalgamation zeros)
 	flopsEst  float64 // symbolic estimate of the factorisation flops
 }
@@ -135,447 +136,36 @@ type snSolveScratch struct {
 	g []float64
 }
 
-// NewSupernodal factorises the sparse symmetric matrix a under the given
-// fill-reducing ordering (OrderAuto resolves per the grid-vs-irregular
-// policy) in the given mode. Like the scalar sparse Cholesky it reads only
-// one triangle of the input (the upper rows of the CSR, which for the
-// symmetric matrices every caller passes is the mirror of the lower).
-func NewSupernodal(a *sparse.CSR, order Ordering, mode SupernodalMode) (*Supernodal, error) {
-	if a.Rows() != a.Cols() {
-		return nil, fmt.Errorf("factor: supernodal factorisation of non-square %dx%d matrix", a.Rows(), a.Cols())
+// NewSupernodal factorises a, which must have the analysed off-diagonal
+// pattern, in the given mode on the analysis's supernode partition. The
+// factor shares the analysis's structure, and the numeric phase reads a's
+// rows through the permutation: no permuted copy of a is formed. Like the
+// scalar sparse Cholesky it reads only one triangle of a (the upper rows of
+// the CSR, which for the symmetric matrices every caller passes is the
+// mirror of the lower).
+func (an *Analysis) NewSupernodal(a *sparse.CSR, mode SupernodalMode) (*Supernodal, error) {
+	if err := an.check(a); err != nil {
+		return nil, err
 	}
-	n := a.Rows()
-	c, perm, sym, resolved := snPrepare(a, order)
-	s := &Supernodal{n: n, mode: mode, order: resolved, perm: perm}
-	s.ns = sym.ns
-	s.sfirst = sym.sfirst
-	s.rx = sym.rx
-	s.rowind = sym.rowind
-	s.px = sym.px
-	s.nnzStored = sym.nnzStored
-	for _, f := range sym.flops {
-		s.flopsEst += f
+	sym := an.supernodes()
+	n := an.n
+	s := &Supernodal{
+		n: n, mode: mode, order: an.order, perm: an.perm, an: an,
+		ns: sym.ns, sfirst: sym.sfirst, rx: sym.rx, rowind: sym.rowind, px: sym.px,
+		nnzStored: sym.nnzStored, flopsEst: sym.flops,
 	}
 	s.panel = make([]float64, s.px[s.ns])
 	if mode == ModeLDLT {
 		s.d = make([]float64, n)
 	}
-	maxLd := 0
-	for i := 0; i < s.ns; i++ {
-		if ld := int(s.rx[i+1] - s.rx[i]); ld > maxLd {
-			maxLd = ld
-		}
-	}
+	maxLd := sym.maxLd
 	s.scratch.New = func() any {
 		return &snSolveScratch{w: sparse.NewVec(n), g: make([]float64, maxLd)}
 	}
-
-	if err := s.factorAll(c, sym); err != nil {
+	if err := s.factorAll(a, an.inv, sym); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// snPrepare is the shared front half of NewSupernodal and AnalyzeSupernodal:
-// resolve the ordering, compose the fill-reducing permutation with the
-// elimination-tree postorder (supernode detection needs postordered columns)
-// and run the symbolic phase. c is the permuted matrix the numeric phase
-// reads; perm is nil when the combined permutation is the identity.
-func snPrepare(a *sparse.CSR, order Ordering) (c *sparse.CSR, perm Perm, sym *snSym, resolved Ordering) {
-	n := a.Rows()
-	resolved = resolveOrdering(a, order)
-	c = a
-	var fillPerm Perm
-	if n > 1 {
-		if p := fillReducing(a, resolved); p != nil {
-			fillPerm = p
-			c = a.PermuteSym(p)
-		}
-	}
-	parent := etree(c)
-	post := postorder(parent)
-	if !Perm(post).IsIdentity() {
-		combined := make(Perm, n)
-		for i, old := range post {
-			if fillPerm != nil {
-				combined[i] = fillPerm[old]
-			} else {
-				combined[i] = old
-			}
-		}
-		perm = combined
-		c = a.PermuteSym(combined)
-		parent = relabelEtree(parent, post)
-	} else if fillPerm != nil {
-		perm = fillPerm
-	}
-	return c, perm, snSymbolic(c, parent), resolved
-}
-
-// SupernodalAnalysis is what a supernodal factorisation under a given
-// ordering would cost, measured symbolically — no numeric work is done.
-type SupernodalAnalysis struct {
-	Ordering   Ordering // the resolved concrete ordering
-	Supernodes int
-	NNZL       int     // stored trapezoid entries (incl. amalgamation zeros)
-	Flops      float64 // estimated factorisation flops
-}
-
-// AnalyzeSupernodal runs only the symbolic phase and reports the factor's
-// cost profile — the cheap way to compare orderings (E6's ND-vs-RCM column)
-// without paying for numeric factorisations.
-func AnalyzeSupernodal(a *sparse.CSR, order Ordering) (SupernodalAnalysis, error) {
-	if a.Rows() != a.Cols() {
-		return SupernodalAnalysis{}, fmt.Errorf("factor: supernodal analysis of non-square %dx%d matrix", a.Rows(), a.Cols())
-	}
-	_, _, sym, resolved := snPrepare(a, order)
-	an := SupernodalAnalysis{
-		Ordering:   resolved,
-		Supernodes: sym.ns,
-		NNZL:       sym.nnzStored,
-	}
-	for _, f := range sym.flops {
-		an.Flops += f
-	}
-	return an, nil
-}
-
-// postorder returns a postordering of the forest parent (children visited in
-// ascending index order, every vertex emitted after its children), in the
-// perm[new] = old convention.
-func postorder(parent []int) []int {
-	n := len(parent)
-	// Children lists in ascending child order: head/next singly linked lists
-	// built by scanning vertices in DESCENDING order so each head ends lowest.
-	head := make([]int, n)
-	next := make([]int, n)
-	for i := range head {
-		head[i] = -1
-	}
-	for v := n - 1; v >= 0; v-- {
-		if p := parent[v]; p != -1 {
-			next[v] = head[p]
-			head[p] = v
-		}
-	}
-	post := make([]int, 0, n)
-	stack := make([]int, 0, 64)
-	for r := 0; r < n; r++ {
-		if parent[r] != -1 {
-			continue
-		}
-		// Iterative DFS emitting vertices postorder.
-		stack = append(stack, r)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			if c := head[v]; c != -1 {
-				head[v] = next[c] // consume the child link
-				stack = append(stack, c)
-				continue
-			}
-			post = append(post, v)
-			stack = stack[:len(stack)-1]
-		}
-	}
-	return post
-}
-
-// relabelEtree maps the elimination tree through the postorder permutation:
-// the postordered matrix's etree is the relabelled old tree (a postorder is an
-// equivalent reordering, so the structure is preserved).
-func relabelEtree(parent, post []int) []int {
-	n := len(parent)
-	inv := make([]int, n)
-	for newIdx, oldIdx := range post {
-		inv[oldIdx] = newIdx
-	}
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		if p := parent[post[i]]; p == -1 {
-			out[i] = -1
-		} else {
-			out[i] = inv[p]
-		}
-	}
-	return out
-}
-
-// snColCounts returns the per-column nonzero counts of L (diagonal included)
-// for the postordered pattern-symmetric matrix c with elimination tree
-// parent — the Gilbert–Ng–Peyton skeleton-matrix algorithm: an entry A(i,j)
-// contributes to count deltas only when j is a leaf of row i's row subtree,
-// detected with first-descendant stamps and a path-halving ancestor
-// union-find, and the deltas accumulate up the tree in one final pass.
-func snColCounts(c *sparse.CSR, parent []int) []int {
-	n := c.Rows()
-	first := make([]int, n)
-	maxfirst := make([]int, n)
-	prevleaf := make([]int, n)
-	ancestor := make([]int, n)
-	delta := make([]int, n)
-	for i := range first {
-		first[i], maxfirst[i], prevleaf[i] = -1, -1, -1
-		ancestor[i] = i
-	}
-	// First descendants (the matrix is postordered, so k is its own postorder
-	// rank); delta[j] starts at 1 exactly when j is a leaf of the etree.
-	for k := 0; k < n; k++ {
-		if first[k] == -1 {
-			delta[k] = 1
-		}
-		for j := k; j != -1 && first[j] == -1; j = parent[j] {
-			first[j] = k
-		}
-	}
-	for j := 0; j < n; j++ {
-		if parent[j] != -1 {
-			delta[parent[j]]--
-		}
-		cols, _ := c.RowView(j)
-		for _, i := range cols {
-			if i <= j || first[j] <= maxfirst[i] {
-				continue // A(i,j) is not in the skeleton: j is not a new leaf
-			}
-			maxfirst[i] = first[j]
-			jprev := prevleaf[i]
-			prevleaf[i] = j
-			if jprev == -1 {
-				delta[j]++ // first leaf of row subtree i: no overlap
-				continue
-			}
-			// q = least common ancestor of the previous leaf and j, found by
-			// the union-find with path compression.
-			q := jprev
-			for q != ancestor[q] {
-				q = ancestor[q]
-			}
-			for s := jprev; s != q; {
-				next := ancestor[s]
-				ancestor[s] = q
-				s = next
-			}
-			delta[j]++
-			delta[q]--
-		}
-		if parent[j] != -1 {
-			ancestor[j] = parent[j]
-		}
-	}
-	for j := 0; j < n; j++ {
-		if parent[j] != -1 {
-			delta[parent[j]] += delta[j]
-		}
-	}
-	return delta
-}
-
-// snUpd is one scheduled rank-k update: descendant supernode d contributes
-// the outer product of its panel rows [lo, hi) (its rows falling inside the
-// target's columns) against rows [lo, ld_d) (those rows and everything below).
-type snUpd struct{ d, lo, hi int32 }
-
-// snSym is the symbolic analysis the numeric phase executes: the supernode
-// partition, per-supernode row structures, the per-supernode update lists in
-// their fixed deterministic order, and the per-supernode flop estimates.
-type snSym struct {
-	n      int
-	parent []int // postordered etree
-	ns     int
-	super  []int32 // column -> supernode
-	sfirst []int32 // ns+1
-	rx     []int32 // ns+1 offsets into rowind
-	rowind []int32
-	px     []int // ns+1 offsets into the panel value array
-
-	sparent []int32   // supernodal etree (-1 for roots)
-	upd     [][]snUpd // per-supernode update lists, ascending descendant order
-	flops   []float64 // per-supernode numeric cost estimate
-
-	nnzStored int
-}
-
-// snSymbolic runs the full symbolic phase on the postordered matrix c:
-// per-column counts (one ereach sweep), fundamental supernode detection,
-// relaxed amalgamation, supernodal row structures (merged child structures,
-// no second sweep), update lists and flop estimates.
-func snSymbolic(c *sparse.CSR, parent []int) *snSym {
-	n := c.Rows()
-	sym := &snSym{n: n, parent: parent}
-	if n == 0 {
-		sym.sfirst = []int32{0}
-		sym.rx = []int32{0}
-		sym.px = []int{0}
-		return sym
-	}
-
-	// Per-column counts of L — the Gilbert–Ng–Peyton skeleton algorithm,
-	// O(nnz·α) instead of the O(nnz(L)) ereach sweep the scalar Cholesky runs.
-	count := snColCounts(c, parent)
-
-	// Fundamental supernodes: column j extends the current supernode when it
-	// is the etree parent of its predecessor and the counts nest
-	// (count[j-1] == count[j]+1 ⇔ struct(j-1) = {j-1} ∪ struct(j)).
-	first := make([]int32, 0, 64)
-	first = append(first, 0)
-	for j := 1; j < n; j++ {
-		w := j - int(first[len(first)-1])
-		if parent[j-1] == j && count[j-1] == count[j]+1 && w < snMaxWidth {
-			continue
-		}
-		first = append(first, int32(j))
-	}
-
-	// Relaxed amalgamation over the fundamental partition, processed as a
-	// stack: when the next supernode fs is the supernodal parent of the stack
-	// top (the top's last column's etree parent lies inside fs) and the merged
-	// trapezoid stays within the zero-fill budget, the top is absorbed into
-	// fs — repeatedly, since fs keeps growing downward.
-	type snb struct {
-		first, last int32 // column range
-		ld          int32 // rows of the trapezoid (width + |U|)
-		nnz         int   // true factor entries in the column range
-	}
-	fundLd := func(f, l int32) snb {
-		nnz := 0
-		for j := f; j <= l; j++ {
-			nnz += count[j]
-		}
-		return snb{first: f, last: l, ld: int32(count[f]), nnz: nnz}
-	}
-	entries := func(b snb) int {
-		w := int(b.last - b.first + 1)
-		return w*int(b.ld) - w*(w-1)/2
-	}
-	var sstack []snb
-	for i := 0; i < len(first); i++ {
-		last := int32(n - 1)
-		if i+1 < len(first) {
-			last = first[i+1] - 1
-		}
-		cur := fundLd(first[i], last)
-		for len(sstack) > 0 {
-			top := sstack[len(sstack)-1]
-			p := parent[top.last]
-			if p == -1 || int32(p) < cur.first || int32(p) > cur.last {
-				break // top is not a child of cur in the supernodal etree
-			}
-			merged := snb{
-				first: top.first,
-				last:  cur.last,
-				ld:    top.last - top.first + 1 + cur.ld,
-				nnz:   top.nnz + cur.nnz,
-			}
-			e := entries(merged)
-			if !snRelaxOK(int(merged.last-merged.first+1), e-merged.nnz, e) {
-				break
-			}
-			cur = merged
-			sstack = sstack[:len(sstack)-1]
-		}
-		sstack = append(sstack, cur)
-	}
-
-	ns := len(sstack)
-	sym.ns = ns
-	sym.sfirst = make([]int32, ns+1)
-	sym.super = make([]int32, n)
-	for s, b := range sstack {
-		sym.sfirst[s] = b.first
-		for j := b.first; j <= b.last; j++ {
-			sym.super[j] = int32(s)
-		}
-	}
-	sym.sfirst[ns] = int32(n)
-
-	// Supernodal etree.
-	sym.sparent = make([]int32, ns)
-	for s := 0; s < ns; s++ {
-		lastCol := sym.sfirst[s+1] - 1
-		if p := parent[lastCol]; p == -1 {
-			sym.sparent[s] = -1
-		} else {
-			sym.sparent[s] = sym.super[p]
-		}
-	}
-
-	// Row structures: rows(s) = cols(s) ++ U(s) with
-	// U(s) = (∪_{child c} U(c) ∪ A-pattern below cols(s)) \ cols(s), merged
-	// with a stamp array and sorted — no second ereach sweep. Children lists
-	// come from the supernodal etree (ascending automatically).
-	children := make([][]int32, ns)
-	for s := 0; s < ns; s++ {
-		if p := sym.sparent[s]; p != -1 {
-			children[p] = append(children[p], int32(s))
-		}
-	}
-	sym.rx = make([]int32, ns+1)
-	sym.px = make([]int, ns+1)
-	rowind := make([]int32, 0, n)
-	smark := make([]int32, n)
-	for i := range smark {
-		smark[i] = -1
-	}
-	var ubuf []int32
-	for s := 0; s < ns; s++ {
-		f, l := sym.sfirst[s], sym.sfirst[s+1]-1
-		ubuf = ubuf[:0]
-		for j := f; j <= l; j++ {
-			cols, _ := c.RowView(int(j))
-			for _, i := range cols {
-				if int32(i) > l && smark[i] != int32(s) {
-					smark[i] = int32(s)
-					ubuf = append(ubuf, int32(i))
-				}
-			}
-		}
-		for _, ch := range children[s] {
-			u := rowind[sym.rx[ch]+(sym.sfirst[ch+1]-sym.sfirst[ch]) : sym.rx[ch+1]]
-			for _, r := range u {
-				if r > l && smark[r] != int32(s) {
-					smark[r] = int32(s)
-					ubuf = append(ubuf, r)
-				}
-			}
-		}
-		sortInt32(ubuf)
-		for j := f; j <= l; j++ {
-			rowind = append(rowind, j)
-		}
-		rowind = append(rowind, ubuf...)
-		sym.rx[s+1] = int32(len(rowind))
-		w, ld := int(l-f+1), int(l-f+1)+len(ubuf)
-		sym.px[s+1] = sym.px[s] + ld*w
-		sym.nnzStored += w*ld - w*(w-1)/2
-	}
-	sym.rowind = rowind
-
-	// Update lists: descendant d updates every supernode owning a row of its
-	// below-diagonal structure. Scanning descendants in ascending order keeps
-	// every update list in its deterministic (ascending-descendant) order; the
-	// [lo, hi) row window of each update is recorded so the numeric phase does
-	// no searching.
-	sym.upd = make([][]snUpd, ns)
-	sym.flops = make([]float64, ns)
-	for d := 0; d < ns; d++ {
-		wd := sym.sfirst[d+1] - sym.sfirst[d]
-		rows := rowind[sym.rx[d]:sym.rx[d+1]]
-		ld := int32(len(rows))
-		for t := wd; t < ld; {
-			s := sym.super[rows[t]]
-			hi := t + 1
-			lastCol := sym.sfirst[s+1]
-			for hi < ld && rows[hi] < lastCol {
-				hi++
-			}
-			sym.upd[s] = append(sym.upd[s], snUpd{d: int32(d), lo: t, hi: hi})
-			// 2·m·q·k flops for the gemm plus the scatter.
-			sym.flops[s] += 2 * float64(ld-t) * float64(hi-t) * float64(wd)
-			t = hi
-		}
-		// Trapezoidal panel factorisation of d itself: ~w²·ld flops.
-		sym.flops[d] += float64(wd) * float64(wd) * float64(ld)
-	}
-	return sym
 }
 
 // Dim returns the dimension of the factorised matrix.

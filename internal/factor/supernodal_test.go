@@ -40,7 +40,7 @@ func TestSupernodalAgreesWithScalarBackends(t *testing.T) {
 				mode := ModeCholesky
 				var ref sparse.Vec
 				if spd {
-					scalar, err := NewCholesky(sys.A, ord)
+					scalar, err := newCholesky(sys.A, ord)
 					if err != nil {
 						t.Fatalf("scalar Cholesky: %v", err)
 					}
@@ -53,7 +53,7 @@ func TestSupernodalAgreesWithScalarBackends(t *testing.T) {
 					}
 					ref = Solve(lu, sys.B)
 				}
-				sn, err := NewSupernodal(sys.A, ord, mode)
+				sn, err := newSupernodal(sys.A, ord, mode)
 				if err != nil {
 					t.Fatalf("supernodal: %v", err)
 				}
@@ -93,7 +93,7 @@ func TestSupernodalLDLTInertiaMatchesScalar(t *testing.T) {
 	for _, gamma := range []float64{1e-2, 1e-9} {
 		sys := sparse.SaddlePoisson2D(nx, ny, gamma)
 		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD, OrderND, OrderAuto} {
-			sn, err := NewSupernodal(sys.A, ord, ModeLDLT)
+			sn, err := newSupernodal(sys.A, ord, ModeLDLT)
 			if err != nil {
 				t.Fatalf("γ=%g %v: %v", gamma, ord, err)
 			}
@@ -101,7 +101,7 @@ func TestSupernodalLDLTInertiaMatchesScalar(t *testing.T) {
 				t.Errorf("γ=%g %v: inertia (%d+,%d-,%d0), want (%d+,%d-,00)", gamma, ord, p, neg, zero, nx*ny, ny)
 			}
 		}
-		if _, err := NewSupernodal(sys.A, OrderAMD, ModeCholesky); !errors.Is(err, ErrNotPositiveDefinite) {
+		if _, err := newSupernodal(sys.A, OrderAMD, ModeCholesky); !errors.Is(err, ErrNotPositiveDefinite) {
 			t.Errorf("γ=%g: Cholesky mode on an indefinite system: %v, want ErrNotPositiveDefinite", gamma, err)
 		}
 	}
@@ -158,14 +158,14 @@ func TestSupernodalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for name, tc := range systems {
 		t.Run(name, func(t *testing.T) {
 			runtime.GOMAXPROCS(1)
-			s1, err := NewSupernodal(tc.sys.A, tc.ord, tc.mode)
+			s1, err := newSupernodal(tc.sys.A, tc.ord, tc.mode)
 			if err != nil {
 				t.Fatal(err)
 			}
 			bytes1 := snFactorBytes(t, s1, tc.sys.B)
 
 			runtime.GOMAXPROCS(4)
-			s4, err := NewSupernodal(tc.sys.A, tc.ord, tc.mode)
+			s4, err := newSupernodal(tc.sys.A, tc.ord, tc.mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,11 +189,11 @@ func TestSupernodalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // whatever GOMAXPROCS the test harness uses.
 func TestSupernodalRunToRunDeterminism(t *testing.T) {
 	sys := sparse.RandomGridSPD(40, 40, 9)
-	s1, err := NewSupernodal(sys.A, OrderAuto, ModeCholesky)
+	s1, err := newSupernodal(sys.A, OrderAuto, ModeCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewSupernodal(sys.A, OrderAuto, ModeCholesky)
+	s2, err := newSupernodal(sys.A, OrderAuto, ModeCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestSupernodalSolveToDoesNotAllocate(t *testing.T) {
 		t.Skip("alloc accounting is noisy under -short races")
 	}
 	grid := sparse.Poisson2D(24, 24, 0.05)
-	s, err := NewSupernodal(grid.A, OrderAuto, ModeCholesky)
+	s, err := newSupernodal(grid.A, OrderAuto, ModeCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestSupernodalSolveToDoesNotAllocate(t *testing.T) {
 	// to 1 while it measures.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	big := sparse.Poisson2D(128, 128, 0.05)
-	s, err = NewSupernodal(big.A, OrderND, ModeCholesky)
+	s, err = newSupernodal(big.A, OrderND, ModeCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestSupernodePartitionProperties(t *testing.T) {
 			if !hasPosDiag(sys.A) {
 				mode = ModeLDLT
 			}
-			s, err := NewSupernodal(sys.A, OrderAuto, mode)
+			s, err := newSupernodal(sys.A, OrderAuto, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,8 +277,8 @@ func TestSupernodePartitionProperties(t *testing.T) {
 			if s.perm != nil {
 				c = sys.A.PermuteSym(s.perm)
 			}
-			parent := etree(c)
-			count := snColCounts(c, parent)
+			parent := etreeOracle(c)
+			count := snColCountsOracle(c, parent)
 			// Cross-check the GNP counts against the ereach sweep the scalar
 			// backends use.
 			mark := make([]int, n)
@@ -289,7 +289,7 @@ func TestSupernodePartitionProperties(t *testing.T) {
 			}
 			sweep := make([]int, n)
 			for k := 0; k < n; k++ {
-				top := ereach(c, k, parent, mark, stack, pattern)
+				top := ereachOracle(c, k, parent, mark, stack, pattern)
 				sweep[k]++
 				for _, j := range pattern[top:] {
 					sweep[j]++
@@ -421,18 +421,18 @@ func TestAutoPicksSupernodalForLargeBlocks(t *testing.T) {
 // pivots in both modes (with the right sentinels), and the singleton and
 // aliasing edge cases.
 func TestSupernodalErrors(t *testing.T) {
-	if _, err := NewSupernodal(sparse.NewCOO(2, 3).ToCSR(), OrderNatural, ModeCholesky); err == nil {
+	if _, err := newSupernodal(sparse.NewCOO(2, 3).ToCSR(), OrderNatural, ModeCholesky); err == nil {
 		t.Error("non-square input did not fail")
 	}
 	indef := sparse.NewCSRFromDense([][]float64{{1, 2}, {2, 1}}, 0)
-	if _, err := NewSupernodal(indef, OrderNatural, ModeCholesky); !errors.Is(err, ErrNotPositiveDefinite) {
+	if _, err := newSupernodal(indef, OrderNatural, ModeCholesky); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Errorf("indefinite Cholesky: %v, want ErrNotPositiveDefinite", err)
 	}
 	sing := sparse.NewCSRFromDense([][]float64{{0, 1}, {1, 0}}, 0)
-	if _, err := NewSupernodal(sing, OrderNatural, ModeLDLT); !errors.Is(err, ErrSingular) {
+	if _, err := newSupernodal(sing, OrderNatural, ModeLDLT); !errors.Is(err, ErrSingular) {
 		t.Errorf("zero-pivot LDLT: %v, want ErrSingular", err)
 	}
-	one, err := NewSupernodal(sparse.NewCSRFromDense([][]float64{{4}}, 0), OrderNatural, ModeCholesky)
+	one, err := newSupernodal(sparse.NewCSRFromDense([][]float64{{4}}, 0), OrderNatural, ModeCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestSupernodalErrors(t *testing.T) {
 		t.Errorf("1x1 solve got %g, want 2", x[0])
 	}
 	sys := sparse.Poisson2D(9, 9, 0.05)
-	s, err := NewSupernodal(sys.A, OrderRCM, ModeCholesky)
+	s, err := newSupernodal(sys.A, OrderRCM, ModeCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestSupernodalParallelErrorDeterministic(t *testing.T) {
 	var msgs []string
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		_, err := NewSupernodal(sys.A, OrderAMD, ModeCholesky)
+		_, err := newSupernodal(sys.A, OrderAMD, ModeCholesky)
 		if !errors.Is(err, ErrNotPositiveDefinite) {
 			t.Fatalf("GOMAXPROCS=%d: %v, want ErrNotPositiveDefinite", procs, err)
 		}
@@ -477,9 +477,15 @@ func TestSupernodalParallelErrorDeterministic(t *testing.T) {
 // TestPostorder checks the postorder helper on a small forest.
 func TestPostorder(t *testing.T) {
 	//     5        6 (root)     parents: 5 for {1,3}, 6 for {0,5}, roots 6, 2? keep a forest:
-	parent := []int{6, 5, -1, 5, 2, 6, -1}
-	post := postorder(parent)
-	if err := Perm(post).Check(); err != nil {
+	parent := []int32{6, 5, -1, 5, 2, 6, -1}
+	w := getWorkspace()
+	defer w.release()
+	post := postorder(parent, make([]int32, len(parent)), w)
+	p := make(Perm, len(post))
+	for i, v := range post {
+		p[i] = int(v)
+	}
+	if err := p.Check(); err != nil {
 		t.Fatal(err)
 	}
 	pos := make([]int, len(parent))

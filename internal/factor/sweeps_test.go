@@ -333,9 +333,9 @@ func FuzzSupernodalSweeps(f *testing.F) {
 		var err error
 		switch kind % 4 {
 		case 0:
-			s, err = NewSupernodal(shuffled(sparse.RandomSPD(n, dens, seed).A, seed), ord, ModeCholesky)
+			s, err = newSupernodal(shuffled(sparse.RandomSPD(n, dens, seed).A, seed), ord, ModeCholesky)
 		case 1:
-			s, err = NewSupernodal(shuffled(randomQuasiDefinite(n, 1+n/4, seed).A, seed), ord, ModeLDLT)
+			s, err = newSupernodal(shuffled(randomQuasiDefinite(n, 1+n/4, seed).A, seed), ord, ModeLDLT)
 			if err != nil {
 				t.Skip(err) // a pivot under the relative threshold: nothing to solve with
 			}

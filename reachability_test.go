@@ -34,6 +34,7 @@ var reachKeep = map[string]string{
 	"internal/geom.YaoPicks":                "the picks behind YaoEdges, compared pick for pick with the all-pairs oracle in yao_test.go and by the out-degree tests of sparse and topology",
 	"internal/dense.LU.Det":                 "independent oracle of SymEigen: the eigenvalue product must equal the determinant (TestSymEigenTraceDetProperty)",
 	"internal/factor.Perm.Check":            "permutation validity asserted on every ordering (RCM, AMD, ND, postorder tests)",
+	"internal/sparse.CSR.PermuteSym":        "the materialised PAPᵀ the factor oracles read (symbolic_oracle_test.go), against which the analysis and factors that read A through the permutation are compared bit for bit; also shuffles factor's test inputs",
 
 	// Assertion helpers of tests in several packages.
 	"internal/sparse.CSR.EqualApprox":          "matrix equality in the tests of sparse, graph, partition, factor, core and cmd/dtmgen",
