@@ -54,9 +54,20 @@ func getSnWorker(n int) *snWorker {
 // packPanels packs rows [rowOff, rowOff+rows) of the ld-strided column-major
 // k-column matrix src into dst as ⌈rows/4⌉ consecutive k-major 4-row panels,
 // zero-padding the last panel. When scale is non-nil, column kk is multiplied
-// by scale[kk] on the way in (the D of an LDLᵀ update).
+// by scale[kk] on the way in (the D of an LDLᵀ update). Unscaled full panels
+// are plain copies: x·1 is x, bit for bit.
 func packPanels(dst, src []float64, ld, rowOff, rows, k int, scale []float64) {
-	for ip := 0; ip < rows; ip += 4 {
+	ip := 0
+	for ; scale == nil && ip+4 <= rows; ip += 4 {
+		d := dst[ip*k : ip*k+4*k]
+		o := rowOff + ip
+		for kk := 0; kk < len(d); kk += 4 {
+			s, t := src[o:o+4:o+4], d[kk:kk+4:kk+4]
+			t[0], t[1], t[2], t[3] = s[0], s[1], s[2], s[3]
+			o += ld
+		}
+	}
+	for ; ip < rows; ip += 4 {
 		base := ip * k
 		r := rows - ip
 		if r > 4 {
