@@ -103,6 +103,7 @@ func amdOrder(a *sparse.CSR) (Perm, amdStats) {
 		wseen    = w.filled(n, -1) // |Le \ Lp| computation stamp
 		wsz      = w.take(n)       // |Le \ Lp| per alive element (size-weighted)
 		hseen    = w.filled(n, -1) // hash-bucket stamp
+		hbucket  = w.take(n)       // each boundary variable's bucket, from the second pass
 		hhead    = w.take(n)
 		hnext    = w.take(n)
 		lp       = w.take(n)
@@ -212,11 +213,13 @@ func amdOrder(a *sparse.CSR) (Perm, amdStats) {
 			ai := adj[adjLo[i] : adjLo[i]+adjLen[i]]
 			k := 0
 			avSize := int32(0)
+			h := int(p) // the supervariable hash: the sum of both pruned lists
 			for _, v := range ai {
 				if mark[v] < step {
 					ai[k] = v
 					k++
 					avSize += nv[v]
+					h += int(v)
 				}
 			}
 			adjLen[i] = int32(k)
@@ -237,6 +240,7 @@ func amdOrder(a *sparse.CSR) (Perm, amdStats) {
 				}
 				ei[k] = e
 				k++
+				h += int(e)
 				if wseen[e] == step {
 					d += wsz[e]
 				} else {
@@ -259,6 +263,7 @@ func amdOrder(a *sparse.CSR) (Perm, amdStats) {
 			elemArena[elemLo[i]+int32(k)] = p
 			elemLen[i] = int32(k) + 1
 			dnew[i] = d
+			hbucket[i] = int32(h % n)
 		}
 
 		// Mass elimination: a boundary variable with no remaining adjacency
@@ -288,17 +293,7 @@ func amdOrder(a *sparse.CSR) (Perm, amdStats) {
 			}
 			ai := adj[adjLo[i] : adjLo[i]+adjLen[i]]
 			ei := elemArena[elemLo[i] : elemLo[i]+elemLen[i]]
-			h := 0
-			for _, j := range ai {
-				h += int(j)
-			}
-			for _, e := range ei {
-				h += int(e)
-			}
-			if h < 0 {
-				h = -h
-			}
-			h %= n
+			h := hbucket[i]
 			if hseen[h] != step {
 				hseen[h] = step
 				hhead[h] = -1
