@@ -41,6 +41,11 @@
 //     dense path, and dense LU is the last resort for a block singular under
 //     diagonal pivots.
 //
+// The two sparse backends factorise on an Analysis (Analyze): the ordering,
+// elimination tree, column counts and supernode partition of one sparsity
+// pattern, computed once and shared by every factorisation of a matrix with
+// that pattern (Settings.NewPortsOn, AnalysisOf).
+//
 // Every backend is deterministic: for a fixed backend name and input matrix
 // the factor and all solves are byte-identical run over run, which the DES
 // determinism guarantees of internal/core rely on.
