@@ -203,7 +203,7 @@ func TestSubdomainAccessorsAndWaves(t *testing.T) {
 
 	// Before any solve the state is the zero initial condition (5.6).
 	for p := 0; p < s0.numPorts; p++ {
-		if s0.PortPotential(p) != 0 {
+		if s0.X()[p] != 0 {
 			t.Errorf("initial port state must be zero")
 		}
 	}
@@ -213,7 +213,7 @@ func TestSubdomainAccessorsAndWaves(t *testing.T) {
 		t.Errorf("first solve must move the boundary potentials, change = %g", change)
 	}
 	for k := range ends {
-		u := s0.PortPotential(ends[k].Port)
+		u := s0.X()[ends[k].Port]
 		r := s0.incoming[k] // still zero
 		if r != 0 {
 			t.Errorf("incoming wave must still be zero")

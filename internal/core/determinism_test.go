@@ -200,41 +200,6 @@ func TestVTMGolden(t *testing.T) {
 	}
 }
 
-// TestIncrementalTwinGapMatchesFullScan verifies, after a DTM run, that
-// twinGap — the segment tree's root once the stale parts are refreshed —
-// equals a from-scratch scan over every link: the invariant that lets the
-// stop condition touch only O(incident) links per solved part.
-func TestIncrementalTwinGapMatchesFullScan(t *testing.T) {
-	sys := sparse.RandomGridSPD(13, 13, 99)
-	topo := topology.Mesh4x4Paper()
-	prob, err := GridProblem(sys, 13, 13, 4, 4, topo)
-	if err != nil {
-		t.Fatalf("GridProblem: %v", err)
-	}
-	cfg := Config{CommonOptions: CommonOptions{Tol: 1e-7}, MaxTime: 800}
-	cfg.normalize()
-	eng, err := newEngine(prob, &cfg)
-	if err != nil {
-		t.Fatalf("newEngine: %v", err)
-	}
-	eng.window(context.Background(), 0, cfg.MaxTime, false)
-	subs := eng.subs
-
-	full := 0.0
-	for _, l := range prob.Partition.Links {
-		va := subs[l.PartA].PortPotential(l.PortA)
-		vb := subs[l.PartB].PortPotential(l.PortB)
-		if d := va - vb; d > full {
-			full = d
-		} else if -d > full {
-			full = -d
-		}
-	}
-	if got := eng.twinGap(); got != full {
-		t.Errorf("incremental twin gap %g != full scan %g", got, full)
-	}
-}
-
 // orderingProblem is a grid torn 2×2 whose blocks are factorised sparsely
 // when the backend says so, so the fill-reducing ordering is observable.
 func orderingProblem(t *testing.T) *Problem {

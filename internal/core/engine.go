@@ -61,37 +61,17 @@ type engine struct {
 	sinceRecompute int
 	solves         int
 
-	// Twin-gap state, maintained on demand. gapTree is a 1-indexed max
-	// segment tree whose leaves (starting at gapLeaf) hold the disagreement
-	// |u_A − u_B| of each link. A solve only marks its part stale; twinGap
-	// refreshes the links incident to the stale parts — O(incident · log L)
-	// each instead of an O(L) scan — before it reads the root. The stop rule
-	// asks for the gap only once every part's lastChange is under Tol, so a
-	// run that records no trace pays for the tree a handful of times instead
-	// of once per solve. Unlike errSq no periodic recomputation is needed:
-	// every leaf is recomputed exactly from the two port potentials (nothing
-	// accumulates), and those change only inside solve. gapRefs[p] holds, per
-	// incident link of part p, the tree leaf index and direct pointers to the
-	// two port potentials (stable: a Subdomain's x is solved in place and
-	// never reallocated), so a gap refresh is two loads, one abs, and a tree
-	// walk.
-	gapRefs [][]gapRef
-	gapTree []float64
-	gapLeaf int
-	// gapStale lists the parts solved since the last twinGap, each once
-	// (gapIsStale is the membership test); gapRefreshes counts the per-part
-	// refreshes performed, for the test that pins how few a run needs.
-	gapStale     []int32
-	gapIsStale   []bool
-	gapRefreshes int
+	// ports[part] is the view x[:NumPorts] of each subdomain's solution:
+	// the port potentials the twin gap reads (see twinGap). The views stay
+	// valid because a Subdomain's x is solved and snapshot-restored in place.
+	ports [][]float64
 
 	// entryPool recycles waveEntry slices between sender and receiver; the DES
 	// engine is single-threaded, so a plain free list suffices and the steady
 	// state allocates no packet buffers at all.
 	entryPool netsim.Pool[waveEntry]
 
-	lastChange []float64 // last boundary-potential change per part
-	solvedOnce []bool
+	lastChange []float64 // last boundary-potential change per part, +Inf before the first solve
 
 	trace []TracePoint
 	// messages counts the waves sent and delivered those that arrived; a
@@ -124,10 +104,11 @@ func newEngine(p *Problem, cfg *Config) (*engine, error) {
 		x:          sparse.NewVec(p.System.Dim()),
 		exact:      cfg.Exact,
 		lastChange: make([]float64, len(subs)),
-		solvedOnce: make([]bool, len(subs)),
+		ports:      make([][]float64, len(subs)),
 	}
-	for i := range e.lastChange {
+	for i, sub := range subs {
 		e.lastChange[i] = math.Inf(1)
+		e.ports[i] = sub.x[:sub.numPorts]
 	}
 	e.ownerOf = p.OwnerPairs()
 	if e.exact != nil {
@@ -136,7 +117,6 @@ func newEngine(p *Problem, cfg *Config) (*engine, error) {
 			e.errSq += d * d
 		}
 	}
-	e.initTwinGaps()
 	if cfg.Faults.Enabled() {
 		e.faults = newFaultState(cfg.Faults, len(subs))
 	}
@@ -147,97 +127,14 @@ func newEngine(p *Problem, cfg *Config) (*engine, error) {
 // exact recomputations of errSq (see the field comment).
 const errRecomputeEvery = 256
 
-// gapRef locates one twin link for the incremental gap tracker: its leaf slot
-// in the segment tree and the addresses of the two twin port potentials.
-type gapRef struct {
-	leaf int32
-	a, b *float64
-}
-
-// initTwinGaps builds the per-part incidence lists and the max segment tree
-// over the current link disagreements.
-func (e *engine) initTwinGaps() {
-	links := e.prob.Partition.Links
-	linksOfPart := make([][]int32, len(e.subs))
-	for i, l := range links {
-		linksOfPart[l.PartA] = append(linksOfPart[l.PartA], int32(i))
-		if l.PartB != l.PartA {
-			linksOfPart[l.PartB] = append(linksOfPart[l.PartB], int32(i))
-		}
-	}
-	if len(links) == 0 {
-		return
-	}
-	leaf := 1
-	for leaf < len(links) {
-		leaf <<= 1
-	}
-	e.gapLeaf = leaf
-	e.gapTree = make([]float64, 2*leaf)
-	for i, l := range links {
-		e.gapTree[leaf+i] = math.Abs(e.subs[l.PartA].PortPotential(l.PortA) - e.subs[l.PartB].PortPotential(l.PortB))
-	}
-	for i := leaf - 1; i >= 1; i-- {
-		e.gapTree[i] = math.Max(e.gapTree[2*i], e.gapTree[2*i+1])
-	}
-	e.gapStale = make([]int32, 0, len(e.subs))
-	e.gapIsStale = make([]bool, len(e.subs))
-	e.gapRefs = make([][]gapRef, len(e.subs))
-	for part, incident := range linksOfPart {
-		refs := make([]gapRef, len(incident))
-		for j, li := range incident {
-			l := &links[li]
-			refs[j] = gapRef{
-				leaf: int32(leaf + int(li)),
-				a:    &e.subs[l.PartA].x[l.PortA],
-				b:    &e.subs[l.PartB].x[l.PortB],
-			}
-		}
-		e.gapRefs[part] = refs
-	}
-}
-
-// updateTwinGaps refreshes the disagreement of every link incident to part
-// (the only links whose gap can have changed in that part's solves) and
-// propagates the new maxima up the tree, stopping as soon as a parent is
-// unchanged.
-func (e *engine) updateTwinGaps(part int) {
-	e.gapRefreshes++
-	tree := e.gapTree
-	for _, r := range e.gapRefs[part] {
-		g := math.Abs(*r.a - *r.b)
-		i := int(r.leaf)
-		if tree[i] == g {
-			continue
-		}
-		tree[i] = g
-		for i >>= 1; i >= 1; i >>= 1 {
-			m := tree[2*i]
-			if right := tree[2*i+1]; right > m {
-				m = right
-			}
-			if tree[i] == m {
-				break
-			}
-			tree[i] = m
-		}
-	}
-}
-
 // solve is one local solve of a part — the step every schedule is made of:
 // re-solve with the current incoming waves, note the boundary change for the
-// quiescence rule, mark the part's incident twin gaps stale, fold the
-// solution into the assembled state if the running error needs it, and tell
-// the observer.
+// quiescence rule, fold the solution into the assembled state if the
+// running error needs it, and tell the observer.
 func (e *engine) solve(part int, now float64) {
 	sub := e.subs[part]
 	e.lastChange[part] = sub.Solve()
-	e.solvedOnce[part] = true
 	e.solves++
-	if e.gapTree != nil && !e.gapIsStale[part] {
-		e.gapIsStale[part] = true
-		e.gapStale = append(e.gapStale, int32(part))
-	}
 	if e.exact != nil {
 		e.applyLocal(part)
 	}
@@ -289,19 +186,10 @@ func (e *engine) rmsError() float64 {
 	return math.Sqrt(e.errSq / float64(n))
 }
 
-// twinGap returns the largest twin-potential disagreement over all links: the
-// root of the segment tree, once the parts solved since the last call have
-// had their incident leaves refreshed.
+// twinGap returns the largest twin-potential disagreement over all links:
+// TwinGap over the parts' port views, the function Quiescent reads too.
 func (e *engine) twinGap() float64 {
-	if e.gapTree == nil {
-		return 0
-	}
-	for _, part := range e.gapStale {
-		e.updateTwinGaps(int(part))
-		e.gapIsStale[part] = false
-	}
-	e.gapStale = e.gapStale[:0]
-	return e.gapTree[1]
+	return TwinGap(e.prob.Partition.Links, e.ports)
 }
 
 // quiesced implements the distributed stopping rule of CommonOptions.Tol.
@@ -310,7 +198,7 @@ func (e *engine) quiesced(tol float64) bool {
 		return false
 	}
 	for i := range e.subs {
-		if !e.solvedOnce[i] || e.lastChange[i] > tol {
+		if e.lastChange[i] > tol {
 			return false
 		}
 	}

@@ -6,15 +6,15 @@ import (
 )
 
 // solveMixed runs the sync-async-mixed variant: asynchronous windows of
-// AsyncWindow separated by SyncSweeps barrier sweeps, each charged the
-// slowest round trip of the machine, on one virtual time axis. cfg must be
-// normalized and validated.
+// AsyncWindow separated by SyncSweeps barrier sweeps, each charged
+// Problem.BarrierCost, on one virtual time axis. cfg must be normalized and
+// validated.
 func solveMixed(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	eng, err := newEngine(p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	syncCost := slowestAdjacentRoundTrip(p)
+	syncCost := p.BarrierCost()
 
 	now := 0.0
 	phases, sweeps := 0, 0
@@ -35,22 +35,4 @@ func solveMixed(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	res := eng.finish(math.Min(now, cfg.MaxTime))
 	res.AsyncPhases, res.SyncSweepsDone = phases, sweeps
 	return res, deadlineErr(eng.interrupted)
-}
-
-// slowestAdjacentRoundTrip returns the largest delay(a→b)+delay(b→a) over
-// pairs of adjacent subdomains — the per-sweep price of a global barrier on
-// the problem's machine.
-func slowestAdjacentRoundTrip(p *Problem) float64 {
-	worst := 0.0
-	for a, neighbours := range p.Partition.AdjacentParts() {
-		for _, b := range neighbours {
-			if rt := p.Delay(a, b) + p.Delay(b, a); rt > worst {
-				worst = rt
-			}
-		}
-	}
-	if worst == 0 {
-		worst = 1
-	}
-	return worst
 }

@@ -125,3 +125,33 @@ func TestMixedSingleSubdomainDegenerates(t *testing.T) {
 		t.Errorf("single-subdomain mixed run must converge with one solve: %+v", res)
 	}
 }
+
+// TestBarrierCostRoutesAdjacentPairs pins the barrier price on a machine
+// where adjacency and links differ: a 6×6 grid torn 2×2 onto a 4-processor
+// ring (0–1–3–2–0, every link 10 each way). The corner vertex makes the
+// diagonal blocks adjacent, but their processors share no link, so their
+// waves take two hops: a barrier costs 40, twice any direct link's round trip.
+func TestBarrierCostRoutesAdjacentPairs(t *testing.T) {
+	topo := topology.New(4, "square")
+	for _, l := range [][2]int{{0, 1}, {1, 3}, {3, 2}, {2, 0}} {
+		topo.SetLinkPair(l[0], l[1], 10, 10)
+	}
+	prob, err := GridProblem(sparse.RandomGridSPD(6, 6, 1), 6, 6, 2, 2, topo)
+	if err != nil {
+		t.Fatalf("GridProblem: %v", err)
+	}
+	unlinked := 0
+	for a, neighbours := range prob.Partition.AdjacentParts() {
+		for _, b := range neighbours {
+			if !topo.HasDirectLink(prob.ProcMap[a], prob.ProcMap[b]) {
+				unlinked++
+			}
+		}
+	}
+	if unlinked == 0 {
+		t.Fatalf("every adjacent pair is linked directly: the tear makes no corner adjacency")
+	}
+	if got := prob.BarrierCost(); got != 40 {
+		t.Errorf("BarrierCost = %g, want 40 (two hops of 10 each way)", got)
+	}
+}

@@ -63,9 +63,9 @@ type CommonOptions struct {
 	// Tol, when positive, stops the run early once the computation has
 	// quiesced in the distributed sense: every subdomain has solved at least
 	// once, the last local solve of every subdomain moved its boundary
-	// potentials by less than Tol, the largest twin disagreement is below
-	// Tol, and — wherever waves can be lost or late (an enabled fault spec) —
-	// no announced wave is still unapplied or unsolved-for.
+	// potentials by at most Tol, the largest twin disagreement (TwinGap) is
+	// at most Tol, and — wherever waves can be lost or late (an enabled fault
+	// spec) — no announced wave is still unapplied or unsolved-for.
 	Tol float64
 
 	// SendThreshold suppresses messages to a neighbour when none of the waves

@@ -110,6 +110,24 @@ func (p *Problem) Delay(a, b int) float64 {
 	return p.Topology.Delay(p.ProcMap[a], p.ProcMap[b])
 }
 
+// BarrierCost returns the virtual time one global barrier costs on the
+// problem's machine: the largest delay(a→b)+delay(b→a) over pairs of adjacent
+// subdomains, routed (Delay) where their processors share no direct link, or
+// 1 when no pair is adjacent. The mixed engine charges it per synchronous
+// sweep, and E1 charges a VTM sweep the same.
+func (p *Problem) BarrierCost() float64 {
+	worst := 0.0
+	for a, neighbours := range p.Partition.AdjacentParts() {
+		for _, b := range neighbours {
+			worst = max(worst, p.Delay(a, b)+p.Delay(b, a))
+		}
+	}
+	if worst == 0 {
+		worst = 1
+	}
+	return worst
+}
+
 // OwnerPairs returns, for each part, the (local index, global index) pairs the
 // part is the owner of: its inner vertices plus the split-vertex copies whose
 // original vertex is assigned to it. Every global vertex has exactly one

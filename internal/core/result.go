@@ -16,7 +16,8 @@ type TracePoint struct {
 	// against the exact solution; NaN when no exact solution was supplied.
 	RMSError float64
 	// TwinGap is the largest absolute disagreement between the potentials of
-	// any pair of twin vertices — the distributed convergence indicator.
+	// any pair of twin vertices (the function TwinGap) — the distributed
+	// convergence indicator: the Tol rule stops only while it is at most Tol.
 	TwinGap float64
 	// Solves is the cumulative number of local solves across all subdomains.
 	Solves int

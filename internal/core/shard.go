@@ -404,13 +404,30 @@ func Totals(states []ShardState) (solves, messages int, fenced uint64) {
 	return solves, messages, fenced
 }
 
+// TwinGap is the twin gap both stopping rules read — the DES, VTM and mixed
+// engines' and Quiescent's: the largest |u_A − u_B| over the links, where
+// ports[part] holds a part's port potentials. A NaN disagreement makes it NaN
+// (math.Max propagates it), so no gap test passes on a diverged part; a
+// link whose port is missing — a part nobody reported — makes it +Inf. With
+// no links it is 0.
+func TwinGap(links []partition.TwinLink, ports [][]float64) float64 {
+	gap := 0.0
+	for _, l := range links {
+		a, b := ports[l.PartA], ports[l.PartB]
+		if l.PortA >= len(a) || l.PortB >= len(b) {
+			return math.Inf(1)
+		}
+		gap = math.Max(gap, math.Abs(a[l.PortA]-b[l.PortB]))
+	}
+	return gap
+}
+
 // Quiescent is the distributed stopping rule, evaluated on one state per
 // shard: every part has solved at least once, no last solve moved a port by
-// more than tol, every twin gap (the two port potentials across a DTLP) is
-// within tol, no shard has applied a wave it has not yet solved for, and
-// every announced sequence number has been applied by its receiver — the
-// network is drained. It also returns the two convergence measures; a link
-// whose part no state reports makes the gap infinite.
+// more than tol, every twin gap (TwinGap) is at most tol, no shard has
+// applied a wave it has not yet solved for, and every announced sequence
+// number has been applied by its receiver — the network is drained. It also
+// returns the two convergence measures.
 func Quiescent(links []partition.TwinLink, tol float64, states []ShardState) (quiet bool, maxChange, gap float64) {
 	nParts := 0
 	for _, l := range links {
@@ -432,14 +449,7 @@ func Quiescent(links []partition.TwinLink, tol float64, states []ShardState) (qu
 			applied[[2]int32{pr.From, pr.To}] = pr.Seq
 		}
 	}
-	for _, l := range links {
-		a, b := ports[l.PartA], ports[l.PartB]
-		if l.PortA >= len(a) || l.PortB >= len(b) {
-			gap = math.Inf(1)
-			break
-		}
-		gap = math.Max(gap, math.Abs(a[l.PortA]-b[l.PortB]))
-	}
+	gap = TwinGap(links, ports)
 	for i := range states {
 		for _, nd := range states[i].Needed {
 			quiet = quiet && applied[[2]int32{nd.From, nd.To}] >= nd.Seq

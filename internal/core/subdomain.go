@@ -263,9 +263,6 @@ func (s *Subdomain) Solve() float64 {
 	return change
 }
 
-// PortPotential returns the latest potential of local port p.
-func (s *Subdomain) PortPotential(p int) float64 { return s.x[p] }
-
 // OutgoingWave returns the wave to send down end k after the latest solve.
 // The remote twin's delay equation (2.2) reads
 //
@@ -348,8 +345,8 @@ func (s *Subdomain) Snapshot() {
 
 // RestoreSnapshot rolls the solution and incoming waves back to the latest
 // snapshot, or to the zero initial condition when none has been taken. The
-// buffers are restored in place — pointers into x held by the engine's
-// twin-gap tracker stay valid.
+// buffers are restored in place — the engine's views of the port potentials
+// stay valid.
 func (s *Subdomain) RestoreSnapshot() {
 	if !s.hasSnap {
 		s.x.Zero()
