@@ -245,3 +245,36 @@ func TestStopRuleResidualByImpedance(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceMessagesCountsSends pins what TracePoint.Messages is: the waves
+// sent so far. Result.Messages counts the waves delivered, so an asynchronous
+// run — stopped with waves still in flight — ends with its last trace point
+// at or above it, and a VTM run, whose barrier delivers everything it sends,
+// exactly on it.
+func TestTraceMessagesCountsSends(t *testing.T) {
+	prob := ring9Problem(t)
+	solve := func(cfg Config) (last TracePoint, res *Result) {
+		cfg.Tol, cfg.RecordTrace = 1e-9, true
+		res, err := Solve(context.Background(), prob, cfg)
+		if err != nil {
+			t.Fatalf("Solve: %v", err)
+		}
+		if !res.Converged || len(res.Trace) == 0 {
+			t.Fatalf("converged=%v with %d trace points", res.Converged, len(res.Trace))
+		}
+		return res.Trace[len(res.Trace)-1], res
+	}
+	last, res := solve(Config{MaxTime: 1e9})
+	if last.Messages < res.Messages || last.Solves != res.Solves {
+		t.Errorf("DES: last trace point has %d messages sent, %d solves; the result %d delivered, %d solves",
+			last.Messages, last.Solves, res.Messages, res.Solves)
+	}
+	if last.Messages == res.Messages {
+		t.Errorf("DES: %d messages sent and delivered: the ring run is expected to stop with waves in flight", res.Messages)
+	}
+	last, res = solve(Config{Engine: EngineVTM, MaxIterations: 100000})
+	if last.Messages != res.Messages || last.Solves != res.Solves {
+		t.Errorf("VTM: last trace point has %d messages, %d solves; the result %d, %d",
+			last.Messages, last.Solves, res.Messages, res.Solves)
+	}
+}
