@@ -256,7 +256,7 @@ var engineMethods = map[string]engineMethod{
 				r.Converged, r.Iterations, r.TwinGap)
 		}},
 	"mixed": {core.EngineMixed, true,
-		func(o options, c *core.Config) { c.MaxTime, c.AsyncWindow, c.SyncSweeps = o.maxTime, o.maxTime/20, 1 },
+		func(o options, c *core.Config) { c.MaxTime, c.AsyncWindow = o.maxTime, o.maxTime/20 },
 		func(r *core.Result) string {
 			return fmt.Sprintf("converged=%v at t=%.0f after %d async phases and %d sync sweeps, %d local solves, %d messages%s",
 				r.Converged, r.FinalTime, r.AsyncPhases, r.SyncSweepsDone, r.Solves, r.Messages, faultSummary(r.Faults))

@@ -32,8 +32,8 @@
 //     symmetrisation, connectivity patching) the "spanner:" source and the
 //     "yao:" fabric share;
 //   - internal/graph, internal/partition — the electric graph of a symmetric
-//     system, a flat read-only adjacency laid over its CSR, and its Electric
-//     Vertex Splitting (wire tearing);
+//     system, a read-only view of its CSR, and its Electric Vertex Splitting
+//     (wire tearing);
 //   - internal/dtl, internal/topology, internal/netsim — the impedances of
 //     the directed transmission lines, heterogeneous machines (the registry
 //     topology.ParseTopology: uniform, ring, torus, the paper's

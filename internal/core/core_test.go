@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/chaos"
@@ -191,11 +192,8 @@ func TestSubdomainAccessorsAndWaves(t *testing.T) {
 			t.Errorf("end impedance %g does not match assignment %g", e.Z, zs[e.LinkID])
 		}
 	}
-	if got := s0.EndsTowards(1); len(got) != 2 {
-		t.Errorf("EndsTowards(1) = %v", got)
-	}
-	if got := s0.EndsTowards(5); len(got) != 0 {
-		t.Errorf("EndsTowards(unknown) = %v, want empty", got)
+	if got := s0.AdjacentEnds(0); !slices.Equal(got, []int{0, 1}) {
+		t.Errorf("AdjacentEnds(0) = %v, want [0 1]", got)
 	}
 	if got := s0.globalIdx; len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 0 {
 		t.Errorf("globalIdx = %v, want [1 2 0] (ports V2, V3 then inner V1)", got)
@@ -398,7 +396,7 @@ func TestDESObserverSeesEverySolve(t *testing.T) {
 		{Engine: EngineDES, MaxTime: 2000},
 		{Engine: EngineVTM, MaxIterations: 40},
 		// Windows short enough that most solves happen in barrier sweeps.
-		{Engine: EngineMixed, MaxTime: 2000, AsyncWindow: 30, SyncSweeps: 2},
+		{Engine: EngineMixed, MaxTime: 2000, AsyncWindow: 30},
 	} {
 		observed := 0
 		cfg.Exact = exact

@@ -198,7 +198,7 @@ func (e *engine) quiesced(tol float64) bool {
 		return false
 	}
 	for i := range e.subs {
-		if e.lastChange[i] > tol {
+		if !(e.lastChange[i] <= tol) { // NaN too
 			return false
 		}
 	}
@@ -243,9 +243,6 @@ type dtmNode struct {
 	eng *engine
 	sub *Subdomain
 	adj []int
-	// endsTo[i] are the end indices towards adj[i] (the subdomain's cached
-	// EndsTowards table — never mutated here).
-	endsTo [][]int
 	// lastSent[k] is the wave last sent on end k (NaN before the first send).
 	lastSent []float64
 	// outs is the reused outgoing-message buffer; netsim copies it into the
@@ -273,12 +270,8 @@ func newDTMNode(eng *engine, sub *Subdomain) *dtmNode {
 		eng:      eng,
 		sub:      sub,
 		adj:      adj,
-		endsTo:   make([][]int, len(adj)),
 		lastSent: make([]float64, len(sub.Ends())),
 		outs:     make([]netsim.Outgoing[wavePacket], 0, len(adj)),
-	}
-	for i, remote := range adj {
-		n.endsTo[i] = sub.EndsTowards(remote)
 	}
 	for k := range n.lastSent {
 		n.lastSent[k] = math.NaN()
@@ -363,7 +356,7 @@ func (n *dtmNode) packetsToAll(now float64, initial bool) []netsim.Outgoing[wave
 	ends := n.sub.Ends()
 	n.outs = n.outs[:0]
 	for ai, remote := range n.adj {
-		toward := n.endsTo[ai]
+		toward := n.sub.AdjacentEnds(ai)
 		entries := n.eng.entryPool.Get(len(toward))
 		changed := initial
 		for _, k := range toward {

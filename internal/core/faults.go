@@ -191,7 +191,7 @@ func (n *dtmNode) watchdogFired(now float64, ai int) []netsim.Outgoing[wavePacke
 	}
 	f := n.eng.faults
 	part := n.sub.Part()
-	toward := n.endsTo[ai]
+	toward := n.sub.AdjacentEnds(ai)
 	ends := n.sub.Ends()
 	entries := n.eng.entryPool.Get(len(toward))
 	for _, k := range toward {

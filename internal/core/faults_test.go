@@ -247,7 +247,6 @@ func TestMixedFaultsConverge(t *testing.T) {
 		Engine:      EngineMixed,
 		MaxTime:     200000,
 		AsyncWindow: 500,
-		SyncSweeps:  1,
 	})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)

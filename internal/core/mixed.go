@@ -6,7 +6,7 @@ import (
 )
 
 // solveMixed runs the sync-async-mixed variant: asynchronous windows of
-// AsyncWindow separated by SyncSweeps barrier sweeps, each charged
+// AsyncWindow, each followed by one barrier sweep charged
 // Problem.BarrierCost, on one virtual time axis. cfg must be normalized and
 // validated.
 func solveMixed(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
@@ -23,7 +23,7 @@ func solveMixed(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 		// Only the very first window starts from the paper's zero waves.
 		now = eng.window(ctx, now, math.Min(cfg.AsyncWindow, cfg.MaxTime-now), phases > 0)
 		phases++
-		for s := 0; s < cfg.SyncSweeps && running(); s++ {
+		if running() {
 			eng.sweep(now)
 			sweeps++
 			now += syncCost

@@ -47,7 +47,6 @@ func TestMixedConvergesAndAlternatesPhases(t *testing.T) {
 		Engine:      EngineMixed,
 		MaxTime:     30000,
 		AsyncWindow: 400,
-		SyncSweeps:  1,
 	})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
@@ -83,7 +82,6 @@ func TestMixedMatchesDTMAndVTMFixedPoint(t *testing.T) {
 		Engine:      EngineMixed,
 		MaxTime:     30000,
 		AsyncWindow: 300,
-		SyncSweeps:  2,
 	})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)

@@ -123,15 +123,11 @@ type Config struct {
 	// VTM engine.
 	MaxIterations int
 
-	// AsyncWindow is the length of each asynchronous phase (virtual time).
-	// Required by the mixed engine.
+	// AsyncWindow is the length of each asynchronous phase (virtual time),
+	// each followed by one synchronous sweep charged the slowest round trip
+	// between adjacent subdomains — what a barrier on that machine actually
+	// costs. Required by the mixed engine.
 	AsyncWindow float64
-
-	// SyncSweeps is the number of synchronous sweeps performed after each
-	// asynchronous window of the mixed engine (default 1). Each is charged
-	// the slowest round-trip delay between adjacent subdomains — what a
-	// barrier on that machine actually costs.
-	SyncSweeps int
 }
 
 // traceMaxPoints bounds the number of trace points a Result retains.
@@ -156,9 +152,6 @@ func (c *Config) normalize() {
 	if c.Faults.Enabled() && c.SendThreshold == 0 {
 		// This stop rule waits for the network to drain (see SendThreshold).
 		c.SendThreshold = DrainThreshold(c.Tol)
-	}
-	if c.Engine == EngineMixed && c.SyncSweeps <= 0 {
-		c.SyncSweeps = 1
 	}
 }
 

@@ -324,7 +324,7 @@ func (s *Shard) announce(part int32, retransmit bool) {
 		if retransmit && local {
 			continue
 		}
-		toward := p.sub.EndsTowards(remote)
+		toward := p.sub.AdjacentEnds(ai)
 		moved := false
 		for _, k := range toward {
 			if !(math.Abs(p.sub.OutgoingWave(k)-p.lastSent[k]) <= s.threshold) {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/factor"
 	"repro/internal/partition"
@@ -72,8 +74,8 @@ type Subdomain struct {
 	endOfLink []int32
 	invZ      []float64 // 1/Z per end
 	// adjacent is the sorted set of remote parts and endsByAdj[i] the end
-	// indices towards adjacent[i] — both precomputed once so the per-send hot
-	// path never rebuilds them.
+	// indices towards adjacent[i], ascending — both precomputed once so the
+	// per-send hot path never rebuilds them.
 	adjacent  []int
 	endsByAdj [][]int
 
@@ -256,9 +258,7 @@ func (s *Subdomain) Solve() float64 {
 	}
 	var change float64
 	for p, u := range ports {
-		if d := math.Abs(u - prev[p]); d > change {
-			change = d
-		}
+		change = max(change, math.Abs(u-prev[p])) // NaN propagates
 	}
 	return change
 }
@@ -277,43 +277,23 @@ func (s *Subdomain) OutgoingWave(k int) float64 {
 	return 2*s.x[e.Port] - s.incoming[k]
 }
 
-// buildAdjacency precomputes the sorted adjacent-part list and the ends
-// grouped by remote part, so the send hot path never rebuilds either.
+// buildAdjacency groups the ends by remote part with one stable sort of their
+// indices, so the send hot path never rebuilds either table.
 func (s *Subdomain) buildAdjacency() {
-	seen := map[int]bool{}
-	for _, e := range s.ends {
-		if !seen[e.Remote] {
-			seen[e.Remote] = true
-			s.adjacent = append(s.adjacent, e.Remote)
-		}
+	byRemote := make([]int, len(s.ends))
+	for k := range byRemote {
+		byRemote[k] = k
 	}
-	// ends are built in link-ID order; sort for determinism.
-	for i := 1; i < len(s.adjacent); i++ {
-		for j := i; j > 0 && s.adjacent[j] < s.adjacent[j-1]; j-- {
-			s.adjacent[j], s.adjacent[j-1] = s.adjacent[j-1], s.adjacent[j]
+	slices.SortStableFunc(byRemote, func(a, b int) int { return cmp.Compare(s.ends[a].Remote, s.ends[b].Remote) })
+	for lo := 0; lo < len(byRemote); {
+		remote, hi := s.ends[byRemote[lo]].Remote, lo+1
+		for hi < len(byRemote) && s.ends[byRemote[hi]].Remote == remote {
+			hi++
 		}
+		s.adjacent = append(s.adjacent, remote)
+		s.endsByAdj = append(s.endsByAdj, byRemote[lo:hi:hi])
+		lo = hi
 	}
-	s.endsByAdj = make([][]int, len(s.adjacent))
-	for k, e := range s.ends {
-		for i, r := range s.adjacent {
-			if r == e.Remote {
-				s.endsByAdj[i] = append(s.endsByAdj[i], k)
-				break
-			}
-		}
-	}
-}
-
-// EndsTowards returns the indices of the ends whose remote part is the given
-// part, in increasing end order. The returned slice is a precomputed table
-// shared across calls — callers must not mutate it.
-func (s *Subdomain) EndsTowards(remote int) []int {
-	for i, r := range s.adjacent {
-		if r == remote {
-			return s.endsByAdj[i]
-		}
-	}
-	return nil
 }
 
 // AdjacentParts returns the sorted set of remote parts this subdomain shares a
@@ -321,6 +301,13 @@ func (s *Subdomain) EndsTowards(remote int) []int {
 // mutate it.
 func (s *Subdomain) AdjacentParts() []int {
 	return s.adjacent
+}
+
+// AdjacentEnds returns the indices of the ends towards AdjacentParts()[i], in
+// increasing end order. The returned slice is precomputed and shared —
+// callers must not mutate it.
+func (s *Subdomain) AdjacentEnds(i int) []int {
+	return s.endsByAdj[i]
 }
 
 // Snapshot stores an in-memory copy of the subdomain's recovery state: the

@@ -202,6 +202,9 @@ func TestStopRulesShareTwinGap(t *testing.T) {
 					sub.incoming[k] = math.NaN()
 				}
 				eng.solve(part, res.FinalTime)
+				if c := eng.lastChange[part]; !math.IsNaN(c) {
+					t.Errorf("part %d solved on NaN waves: last change %g, want NaN", part, c)
+				}
 				if g := eng.twinGap(); !math.IsNaN(g) {
 					t.Errorf("part %d solved on NaN waves (last change %g): TwinGap = %g, want NaN", part, eng.lastChange[part], g)
 				}
@@ -209,7 +212,13 @@ func TestStopRulesShareTwinGap(t *testing.T) {
 					t.Errorf("part %d solved on NaN waves: the engine's rule stops", part)
 				}
 				agree(t, eng, "with NaN ports")
+				// The converged ports are back, the NaN change is not: the
+				// last-change clause alone must refuse.
 				sub.RestoreSnapshot()
+				if eng.quiesced(tol) {
+					t.Errorf("part %d: the engine's rule stops on a NaN last change", part)
+				}
+				agree(t, eng, "with a NaN last change")
 				eng.lastChange[part] = last
 				if !eng.quiesced(tol) {
 					t.Fatalf("part %d: restoring the snapshot did not restore the converged state", part)

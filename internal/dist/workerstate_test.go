@@ -389,9 +389,9 @@ func (c *workerChecker) wave(stale bool) *transport.Packet {
 		q := owned[c.rng.Intn(len(owned))]
 		sub := c.s.shard.Sub(q)
 		adj := sub.AdjacentParts()
-		if r := adj[c.rng.Intn(len(adj))]; c.owner[r] != c.s.self {
-			pkt.FromPart, pkt.ToPart = int32(r), q
-			for _, k := range sub.EndsTowards(r) {
+		if ai := c.rng.Intn(len(adj)); c.owner[adj[ai]] != c.s.self {
+			pkt.FromPart, pkt.ToPart = int32(adj[ai]), q
+			for _, k := range sub.AdjacentEnds(ai) {
 				pkt.Entries = append(pkt.Entries, transport.WaveEntry{LinkID: int32(sub.Ends()[k].LinkID), Wave: c.rng.NormFloat64()})
 			}
 			break

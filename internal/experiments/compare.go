@@ -320,7 +320,7 @@ func AblationMixedSync(p CompareParams) (*CompareResult, error) {
 			topo: topology.Mesh(px, py, "uniform 10 ms mesh", func(_, _ int) float64 { return 10 })},
 		leg{label: "time-domain mixed (400 ms async windows + 1 sync sweep, heterogeneous mesh)",
 			topo:  heterogeneousMesh(px, py),
-			delta: func(cfg *core.Config) { cfg.Engine, cfg.AsyncWindow, cfg.SyncSweeps = core.EngineMixed, 400, 1 }},
+			delta: func(cfg *core.Config) { cfg.Engine, cfg.AsyncWindow = core.EngineMixed, 400 }},
 	)
 	if err != nil {
 		return nil, err

@@ -151,14 +151,9 @@ func (p FaultSweepParams) legs(prob *core.Problem) []leg {
 	}
 	if p.CrashAt > 0 && p.CrashRestartAfter > 0 {
 		// Crash the most connected subdomain: the hardest case for recovery.
-		degree := make([]int, prob.Partition.NumParts())
-		for _, l := range links {
-			degree[l.PartA]++
-			degree[l.PartB]++
-		}
-		part := 0
-		for i, d := range degree {
-			if d > degree[part] {
+		part, linksOf := 0, prob.Partition.LinksOfPart
+		for i := range prob.Partition.NumParts() {
+			if len(linksOf(i)) > len(linksOf(part)) {
 				part = i
 			}
 		}

@@ -5,11 +5,12 @@
 // electric graph is one-to-one with the symmetric system, and Electric Vertex
 // Splitting (package partition) operates on this representation.
 //
-// The graph is a read-only view of the system it was built from: FromSystem
-// lays the off-diagonal part of the CSR out as one flat adjacency (offsets,
-// neighbours, weights) in a single O(nnz) pass and nothing mutates it
-// afterwards, so it can be shared freely and every traversal order —
-// neighbours ascending, edges ascending by (U, V) — is fixed by construction.
+// The graph is a read-only view of the system it was built from: the
+// neighbours of vertex i are the columns of row i of A's CSR, the edge
+// weights are A's entries and the sources are b itself. FromSystem checks
+// that A is symmetric, in pattern and within a tolerance in value, and keeps
+// only the diagonal beside it, so every traversal order — neighbours
+// ascending, edges ascending by (U, V) — is A's own row order.
 package graph
 
 import (
@@ -26,22 +27,19 @@ type Edge struct {
 	Weight float64
 }
 
-// Electric is the electric graph of a symmetric linear system.
+// Electric is the electric graph of a symmetric linear system. It holds A
+// and b, which must not be modified while the graph is in use.
 type Electric struct {
-	a       *sparse.CSR // the system matrix the graph was built from
-	diag    sparse.Vec  // vertex weights a_ii
-	sources sparse.Vec  // vertex sources b_i
-	// The neighbours of vertex i are nbr[off[i]:off[i+1]], ascending, and
-	// wt holds the edge weights a_ij beside them.
-	off []int
-	nbr []int
-	wt  []float64
+	a    *sparse.CSR // the system matrix: its rows are the adjacency
+	b    sparse.Vec  // vertex sources b_i
+	diag sparse.Vec  // vertex weights a_ii
 }
 
 // FromSystem builds the electric graph of the symmetric system (A, b).
-// It returns an error when A is not square, not symmetric, or its dimension
-// does not match b. Edge {i,j}, i < j, carries the upper-triangle entry
-// A(i,j) in both directions.
+// It returns an error when A is not square, its dimension does not match b,
+// or it is not symmetric: an entry that differs from its mirror by more than
+// 1e-9·(1 + max|a_ij|), or one stored without its mirror. Edge {i,j}, i < j,
+// carries the upper-triangle entry A(i,j).
 func FromSystem(a *sparse.CSR, b sparse.Vec) (*Electric, error) {
 	if a.Rows() != a.Cols() {
 		return nil, fmt.Errorf("graph: matrix is %dx%d, not square", a.Rows(), a.Cols())
@@ -53,36 +51,27 @@ func FromSystem(a *sparse.CSR, b sparse.Vec) (*Electric, error) {
 		return nil, fmt.Errorf("graph: matrix is not symmetric")
 	}
 	n := a.Rows()
-	g := &Electric{a: a, diag: sparse.NewVec(n), sources: b.Clone(), off: make([]int, n+1)}
-	for i := 0; i < n; i++ {
+	g := &Electric{a: a, b: b, diag: sparse.NewVec(n)}
+	// The rows are the adjacency, so the pattern must be symmetric too. Rows
+	// are scanned in ascending order, so the entries below the diagonal of
+	// row j meet their mirrors in their own order: mirrored[j] counts those
+	// met so far, and all of them have been by the time row j is reached.
+	mirrored := make([]int, n)
+	for i := range n {
 		cols, vals := a.RowView(i)
-		for k, j := range cols {
-			if j == i {
-				g.diag[i] = vals[k]
-			} else if j > i {
-				g.off[i+1]++
-				g.off[j+1]++
-			}
+		k, diag := slices.BinarySearch(cols, i)
+		if mirrored[i] != k {
+			return nil, fmt.Errorf("graph: matrix pattern is not symmetric: A(%d,%d) is stored, A(%d,%d) is not", i, cols[mirrored[i]], cols[mirrored[i]], i)
 		}
-	}
-	for i := 0; i < n; i++ {
-		g.off[i+1] += g.off[i]
-	}
-	g.nbr = make([]int, g.off[n])
-	g.wt = make([]float64, g.off[n])
-	// Scanning rows in ascending order fills every list in ascending order:
-	// the neighbours below i arrive from their own (earlier) rows, the ones
-	// above i from row i itself. fill[i] is the next free slot of vertex i.
-	fill := slices.Clone(g.off[:n])
-	for i := 0; i < n; i++ {
-		cols, vals := a.RowView(i)
-		for k, j := range cols {
-			if j > i {
-				g.nbr[fill[i]], g.wt[fill[i]] = j, vals[k]
-				g.nbr[fill[j]], g.wt[fill[j]] = i, vals[k]
-				fill[i]++
-				fill[j]++
+		if diag {
+			g.diag[i] = vals[k]
+			k++
+		}
+		for _, j := range cols[k:] {
+			if mcols, _ := a.RowView(j); mirrored[j] == len(mcols) || mcols[mirrored[j]] != i {
+				return nil, fmt.Errorf("graph: matrix pattern is not symmetric: A(%d,%d) is stored, A(%d,%d) is not", i, j, j, i)
 			}
+			mirrored[j]++
 		}
 	}
 	return g, nil
@@ -95,19 +84,38 @@ func (g *Electric) Order() int { return len(g.diag) }
 func (g *Electric) VertexWeight(i int) float64 { return g.diag[i] }
 
 // Source returns b_i.
-func (g *Electric) Source(i int) float64 { return g.sources[i] }
+func (g *Electric) Source(i int) float64 { return g.b[i] }
 
-// Neighbors returns the neighbours of vertex i: ascending, without i itself,
-// and read-only — the slice is a view of the graph's storage, shared by every
-// caller, and must not be modified.
-func (g *Electric) Neighbors(i int) []int { return g.nbr[g.off[i]:g.off[i+1]] }
+// Neighbors visits the neighbours of vertex i in ascending order: the columns
+// of row i of A other than i itself.
+func (g *Electric) Neighbors(i int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		cols, _ := g.a.RowView(i)
+		for _, j := range cols {
+			if j != i && !yield(j) {
+				return
+			}
+		}
+	}
+}
+
+// Degree returns the number of neighbours of vertex i.
+func (g *Electric) Degree(i int) int {
+	cols, _ := g.a.RowView(i)
+	if _, diag := slices.BinarySearch(cols, i); diag {
+		return len(cols) - 1
+	}
+	return len(cols)
+}
 
 // Edges visits all undirected edges with U < V in ascending (U, V) order.
 func (g *Electric) Edges() iter.Seq[Edge] {
 	return func(yield func(Edge) bool) {
 		for u := range g.diag {
-			for k := g.off[u]; k < g.off[u+1]; k++ {
-				if v := g.nbr[k]; v > u && !yield(Edge{U: u, V: v, Weight: g.wt[k]}) {
+			cols, vals := g.a.RowView(u)
+			k, _ := slices.BinarySearch(cols, u+1)
+			for q, v := range cols[k:] {
+				if !yield(Edge{U: u, V: v, Weight: vals[k+q]}) {
 					return
 				}
 			}
@@ -134,7 +142,10 @@ func (g *Electric) BFS(start int, mark []int32, from, to int32, order []int) (ou
 		if head == levelEnd {
 			lastLevel, levelEnd = head, len(order)
 		}
-		for _, w := range g.Neighbors(order[head]) {
+		// The walk reads the whole row: the vertex's own column is skipped
+		// because its mark is already to.
+		cols, _ := g.a.RowView(order[head])
+		for _, w := range cols {
 			if mark[w] == from {
 				mark[w] = to
 				order = append(order, w)

@@ -102,9 +102,7 @@ func (n *ajNode) OnMessages(now float64, msgs []netsim.Message[ajPacket]) []nets
 	n.blk.solveLocal(n.xView, n.local)
 	var change float64
 	for li, gv := range n.blk.own {
-		if d := math.Abs(n.local[li] - n.xView[gv]); d > change {
-			change = d
-		}
+		change = max(change, math.Abs(n.local[li]-n.xView[gv])) // NaN propagates
 		n.xView[gv] = n.local[li]
 		n.eng.x[gv] = n.local[li]
 	}
@@ -208,7 +206,7 @@ func AsyncBlockJacobi(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, 
 			return false
 		}
 		for p := range blocks {
-			if !eng.solved[p] || eng.last[p] > opts.Tol {
+			if !eng.solved[p] || !(eng.last[p] <= opts.Tol) { // NaN too
 				return false
 			}
 		}
@@ -218,7 +216,7 @@ func AsyncBlockJacobi(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, 
 		// though the real exchange has barely started. Confirm with the global
 		// relative residual, which is only evaluated when the cheap per-block
 		// test already passes.
-		if relResidual(a, eng.x, b) > opts.Tol {
+		if !(relResidual(a, eng.x, b) <= opts.Tol) {
 			return false
 		}
 		converged = true

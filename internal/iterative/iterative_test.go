@@ -189,6 +189,37 @@ func TestAsyncBlockJacobiValidation(t *testing.T) {
 	}
 }
 
+// TestAsyncBlockJacobiStopRule holds the stop rule to what it reports: a run
+// is Converged only with every block's last change and the relative residual
+// at most Tol. The second row is SPD but its point Jacobi iteration matrix
+// has spectral radius 1.8, so the iterates overflow to ±Inf and their changes
+// and the residual turn NaN, which once passed both `> Tol` tests.
+func TestAsyncBlockJacobiStopRule(t *testing.T) {
+	poisson, _ := smallSystem(t)
+	jacobiDivergent := sparse.NewCSRFromDense([][]float64{{1, .9, .9}, {.9, 1, .9}, {.9, .9, 1}}, 0)
+	for _, tc := range []struct {
+		name      string
+		a         *sparse.CSR
+		b         sparse.Vec
+		assign    partition.Assignment
+		converged bool
+	}{
+		{"poisson7 2x2", poisson.A, poisson.B, partition.GridBlocks(7, 7, 2, 2), true},
+		{"jacobi-divergent 3x1", jacobiDivergent, sparse.Vec{1, 2, 3}, partition.Assignment{Parts: 3, Assign: []int{0, 1, 2}}, false},
+	} {
+		const tol = 1e-6
+		topo := topology.Uniform(tc.assign.Parts, 10, "uniform")
+		res, err := AsyncBlockJacobi(tc.a, tc.b, tc.assign, topo, AsyncOptions{MaxTime: 1e5, Tol: tol})
+		if err != nil {
+			t.Fatalf("%s: AsyncBlockJacobi: %v", tc.name, err)
+		}
+		if res.Converged != tc.converged || res.Converged && !(res.Residual <= tol) {
+			t.Errorf("%s: Converged = %v with residual %g after %d solves (|x|∞ %g), want Converged = %v",
+				tc.name, res.Converged, res.Residual, res.Solves, res.X.NormInf(), tc.converged)
+		}
+	}
+}
+
 // TestAsyncBlockJacobiSteadyStateDoesNotAllocate holds the baseline, the
 // other netsim client, to the allocation contract of the DES loop
 // (core.TestDESSteadyStateDoesNotAllocate, same system, ring and budget): a

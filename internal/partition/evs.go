@@ -76,6 +76,10 @@ type Result struct {
 
 	// original system dimension.
 	n int
+	// linksOf[p] holds the links with p as an endpoint, in ID order, and
+	// adjacent[p] the parts at their other ends, ascending.
+	linksOf  [][]TwinLink
+	adjacent [][]int
 }
 
 // Options configures Electric Vertex Splitting.
@@ -146,7 +150,7 @@ func EVS(g *graph.Electric, a Assignment, opts Options) (*Result, error) {
 		begin := len(parts)
 		parts = append(parts, pv)
 		boundary := inBoundary[v]
-		for _, w := range g.Neighbors(v) {
+		for w := range g.Neighbors(v) {
 			pw := assign[w]
 			if pw == pv {
 				continue
@@ -216,7 +220,7 @@ func EVS(g *graph.Electric, a Assignment, opts Options) (*Result, error) {
 	// local vertex gets one diagonal, so no position is written twice.
 	rows := make([]*sparse.RowBuilder, a.Parts)
 	for p, sub := range subs {
-		rows[p] = sparse.NewRowBuilder(dim[p], dim[p], func(li int) int { return 1 + len(g.Neighbors(sub.GlobalIdx[li])) })
+		rows[p] = sparse.NewRowBuilder(dim[p], dim[p], func(li int) int { return 1 + g.Degree(sub.GlobalIdx[li]) })
 	}
 
 	// Step 3a: assign every edge (or edge fraction) to a part, in ascending
@@ -345,6 +349,7 @@ func EVS(g *graph.Electric, a Assignment, opts Options) (*Result, error) {
 		}
 	}
 
+	linksOf, adjacent := partTables(a.Parts, links)
 	return &Result{
 		Assign:     a,
 		Boundary:   boundary,
@@ -352,7 +357,43 @@ func EVS(g *graph.Electric, a Assignment, opts Options) (*Result, error) {
 		Links:      links,
 		Splits:     splits,
 		n:          n,
+		linksOf:    linksOf,
+		adjacent:   adjacent,
 	}, nil
+}
+
+// partTables files every link under both of its parts, in ID order, and lists
+// each part's adjacent parts, ascending. Each table is cut from one backing
+// array: the links are counted per part, then filled.
+func partTables(nparts int, links []TwinLink) (linksOf [][]TwinLink, adjacent [][]int) {
+	off := make([]int, nparts+1)
+	for _, l := range links {
+		off[l.PartA+1]++
+		off[l.PartB+1]++
+	}
+	for p := range nparts {
+		off[p+1] += off[p]
+	}
+	flat, far := make([]TwinLink, off[nparts]), make([]int, off[nparts])
+	linksOf, adjacent = make([][]TwinLink, nparts), make([][]int, nparts)
+	for p := range nparts {
+		linksOf[p] = flat[off[p]:off[p]:off[p+1]]
+	}
+	for _, l := range links {
+		linksOf[l.PartA] = append(linksOf[l.PartA], l)
+		linksOf[l.PartB] = append(linksOf[l.PartB], l)
+	}
+	// A part's adjacent parts are the far ends of its links, sorted in the
+	// part's own segment and compacted.
+	for p, ls := range linksOf {
+		adj := far[off[p]:off[p]]
+		for _, l := range ls {
+			adj = append(adj, l.PartA+l.PartB-p)
+		}
+		slices.Sort(adj)
+		adjacent[p] = slices.Clip(slices.Compact(adj))
+	}
+	return linksOf, adjacent
 }
 
 // defaultVertexSplit distributes a boundary vertex's weight proportionally to
@@ -388,37 +429,14 @@ func (r *Result) Dim() int { return r.n }
 // NumParts returns the number of subdomains.
 func (r *Result) NumParts() int { return len(r.Subdomains) }
 
-// AdjacentParts returns, for each part, the sorted list of parts it shares at
-// least one twin link with (its N2N communication neighbours).
-func (r *Result) AdjacentParts() [][]int {
-	sets := make([]map[int]bool, r.NumParts())
-	for i := range sets {
-		sets[i] = make(map[int]bool)
-	}
-	for _, l := range r.Links {
-		sets[l.PartA][l.PartB] = true
-		sets[l.PartB][l.PartA] = true
-	}
-	out := make([][]int, r.NumParts())
-	for i, s := range sets {
-		for p := range s {
-			out[i] = append(out[i], p)
-		}
-		slices.Sort(out[i])
-	}
-	return out
-}
+// AdjacentParts returns, for each part, the ascending list of parts it shares
+// at least one twin link with (its N2N communication neighbours). The lists
+// are EVS's own tables: callers must not modify them.
+func (r *Result) AdjacentParts() [][]int { return r.adjacent }
 
-// LinksOfPart returns the links that have the given part as one endpoint.
-func (r *Result) LinksOfPart(part int) []TwinLink {
-	var out []TwinLink
-	for _, l := range r.Links {
-		if l.PartA == part || l.PartB == part {
-			out = append(out, l)
-		}
-	}
-	return out
-}
+// LinksOfPart returns the links that have the given part as one endpoint, in
+// ID order. The slice is EVS's own table: callers must not modify it.
+func (r *Result) LinksOfPart(part int) []TwinLink { return r.linksOf[part] }
 
 // Reconstruct sums the expanded per-part subsystems back into a global system.
 // By construction it must equal the original (A, b): the inflow currents of

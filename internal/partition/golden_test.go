@@ -93,7 +93,18 @@ func sourceSystem(t testing.TB, spec string) (sparse.System, sparse.Hint) {
 	return sys, hint
 }
 
-func TestTearGolden(t *testing.T) {
+// tearCase is one tear TestTearGolden pins.
+type tearCase struct {
+	name   string
+	sys    func() (sparse.System, sparse.Hint)
+	px, py int // regular block tearing of a grid source, or
+	nparts int // LevelSetGrow
+	assign *Assignment
+	opts   Options
+}
+
+// goldenTears lists the tears TestTearGolden pins.
+func goldenTears(t testing.TB) []tearCase {
 	paperOpts := Options{
 		// Example 4.1 as internal/experiments/fig8.go tears it.
 		Boundary: []int{1, 2},
@@ -110,14 +121,7 @@ func TestTearGolden(t *testing.T) {
 			return weight / 2, weight / 2
 		},
 	}
-	cases := []struct {
-		name   string
-		sys    func() (sparse.System, sparse.Hint)
-		px, py int // regular block tearing of a grid source, or
-		nparts int // LevelSetGrow
-		assign *Assignment
-		opts   Options
-	}{
+	return []tearCase{
 		// The three gated bench/dtmperf problems.
 		{name: "ring9-grid13", sys: func() (sparse.System, sparse.Hint) { return sourceSystem(t, "grid:rows=13,cols=13,seed=169") }, px: 3, py: 3},
 		{name: "bigblock-grid65", sys: func() (sparse.System, sparse.Hint) { return sourceSystem(t, "grid:rows=65,cols=65,seed=7") }, px: 2, py: 2},
@@ -129,6 +133,33 @@ func TestTearGolden(t *testing.T) {
 		{name: "example-4.1", sys: func() (sparse.System, sparse.Hint) { return sparse.PaperExample(), sparse.Hint{} },
 			assign: &Assignment{Parts: 2, Assign: []int{0, 0, 1, 1}}, opts: paperOpts},
 	}
+}
+
+// tear builds the case's graph and tears it.
+func (tc tearCase) tear(t testing.TB) (*graph.Electric, *Result) {
+	t.Helper()
+	sys, hint := tc.sys()
+	g, err := graph.FromSystem(sys.A, sys.B)
+	if err != nil {
+		t.Fatalf("%s: %v", tc.name, err)
+	}
+	var a Assignment
+	switch {
+	case tc.assign != nil:
+		a = *tc.assign
+	case tc.nparts > 0:
+		a = LevelSetGrow(g, tc.nparts)
+	default:
+		a = GridBlocks(hint.NX, hint.NY, tc.px, tc.py)
+	}
+	r, err := EVS(g, a, tc.opts)
+	if err != nil {
+		t.Fatalf("%s: %v", tc.name, err)
+	}
+	return g, r
+}
+
+func TestTearGolden(t *testing.T) {
 	golden := map[string]uint64{
 		"ring9-grid13":    0x798f838da1a1522a,
 		"bigblock-grid65": 0x56f5303650b1d764,
@@ -137,25 +168,8 @@ func TestTearGolden(t *testing.T) {
 		"saddle-lsg4":     0x1abe3ba50dbe4781,
 		"example-4.1":     0xd6dc655385250874,
 	}
-	for _, tc := range cases {
-		sys, hint := tc.sys()
-		g, err := graph.FromSystem(sys.A, sys.B)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		var a Assignment
-		switch {
-		case tc.assign != nil:
-			a = *tc.assign
-		case tc.nparts > 0:
-			a = LevelSetGrow(g, tc.nparts)
-		default:
-			a = GridBlocks(hint.NX, hint.NY, tc.px, tc.py)
-		}
-		r, err := EVS(g, a, tc.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+	for _, tc := range goldenTears(t) {
+		g, r := tc.tear(t)
 		if got := tearHash(r); got != golden[tc.name] {
 			t.Errorf("%s: FNV-1a of the tear = %#x, want %#x", tc.name, got, golden[tc.name])
 		}
@@ -195,7 +209,8 @@ func TestAssignmentGolden(t *testing.T) {
 // TestNeighborsAscendingAndStable states the contract of the neighbour view:
 // strictly ascending, diagonal-free, and still so after every consumer in this
 // package has walked the graph (a partitioner once sorted the slice it was
-// handed in place, which is a write into shared storage now that it is a view).
+// handed in place; the neighbours are A's own rows now, so such a write would
+// change the system).
 func TestNeighborsAscendingAndStable(t *testing.T) {
 	sys, _ := sourceSystem(t, "spanner:n=200")
 	g, err := graph.FromSystem(sys.A, sys.B)
@@ -205,7 +220,7 @@ func TestNeighborsAscendingAndStable(t *testing.T) {
 	snapshot := func() [][]int {
 		out := make([][]int, g.Order())
 		for v := range out {
-			out[v] = slices.Clone(g.Neighbors(v))
+			out[v] = slices.Collect(g.Neighbors(v))
 		}
 		return out
 	}
