@@ -114,7 +114,7 @@ func main() {
 	flag.IntVar(&o.parts, "parts", 0, "problem spec: tear into this many parts with the general pipeline (0 keeps -px×-py)")
 	flag.BoolVar(&o.mmtest, "mm", false, "selftest: run the MatrixMarket-by-hash leg (write a file, solve it distributed, require a corrupted hash to be refused)")
 	flag.StringVar(&o.topo, "topo", "uniform", fmt.Sprintf("problem spec: topology string (%v)", topology.RegisteredTopologies()))
-	flag.Float64Var(&o.delay, "delay", 10, "problem spec: uniform/ring link delay")
+	flag.Float64Var(&o.delay, "delay", topology.DefaultDelay, "problem spec: uniform/ring link delay")
 	flag.Float64Var(&o.tol, "tol", 1e-9, "quiescence tolerance")
 	flag.StringVar(&o.fs.Backend, "local-solver", "", "factor backend for the local solves (empty for default)")
 	flag.Float64Var(&o.sendThreshold, "send-threshold", 0, "wave re-announcement suppression threshold (default tol/100)")

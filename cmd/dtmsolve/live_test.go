@@ -45,10 +45,6 @@ func oracle(t *testing.T, r liveRun) sparse.Vec {
 	return des.X
 }
 
-func relResidual(sys sparse.System, x sparse.Vec) float64 {
-	return sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2()
-}
-
 // TestLiveConvergesOnGoroutines: a live run under asymmetric per-link delays
 // (5 + the sending part) converges to the exact solution.
 func TestLiveConvergesOnGoroutines(t *testing.T) {
@@ -71,7 +67,7 @@ func TestLiveConvergesOnGoroutines(t *testing.T) {
 	if rms := res.X.RMSError(exact); rms > 1e-6 {
 		t.Errorf("live RMS error = %g", rms)
 	}
-	if rel := relResidual(sys, res.X); rel > 1e-5 {
+	if rel := sys.A.RelResidual(res.X, sys.B); rel > 1e-5 {
 		t.Errorf("live residual = %g", rel)
 	}
 	if res.Solves == 0 || res.Messages == 0 || !(res.seconds > 0) {
@@ -124,7 +120,7 @@ func TestLiveDeadlineExceeded(t *testing.T) {
 		if res.Converged {
 			t.Errorf("budget %v: a run its budget ended cannot be marked converged", tc.budget)
 		}
-		if rel := relResidual(sys, res.X); math.IsNaN(rel) || math.IsInf(rel, 0) {
+		if rel := sys.A.RelResidual(res.X, sys.B); math.IsNaN(rel) || math.IsInf(rel, 0) {
 			t.Errorf("budget %v: the partial result must carry a finite residual, got %g", tc.budget, rel)
 		}
 		if res.Solves == 0 {
@@ -197,7 +193,7 @@ func TestLiveOnOnePart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel := relResidual(sys, x); !(rel <= 1e-10) || !strings.HasPrefix(summary, "converged=true ") {
+	if rel := sys.A.RelResidual(x, sys.B); !(rel <= 1e-10) || !strings.HasPrefix(summary, "converged=true ") {
 		t.Errorf("-parts 1: relative residual %g (%s)", rel, summary)
 	}
 }
@@ -228,7 +224,7 @@ func TestLiveReadsMatrixAsMMSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel := relResidual(sys, x); !(rel <= 1e-6) {
+	if rel := sys.A.RelResidual(x, sys.B); !(rel <= 1e-6) {
 		t.Errorf("-matrix: relative residual %g (%s)", rel, summary)
 	}
 

@@ -118,7 +118,7 @@ func run(o options) error {
 	}
 	elapsed := time.Since(start)
 
-	rel := sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2()
+	rel := sys.A.RelResidual(x, sys.B)
 	fmt.Printf("method=%s  %s\n", o.method, summary)
 	fmt.Printf("relative residual %.3g, wall time %v\n", rel, elapsed.Round(time.Millisecond))
 	if o.printX {
@@ -179,7 +179,7 @@ func loadSystem(o options) (sparse.System, error) {
 }
 
 func machine(o options) (*topology.Topology, error) {
-	return topology.ParseTopology(o.topo, o.parts, 10)
+	return topology.ParseTopology(o.topo, o.parts, topology.DefaultDelay)
 }
 
 // checkParts refuses a -parts the partitioner would panic on.
@@ -327,11 +327,11 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		x, st, err := iterative.BlockJacobi(sys.A, sys.B, assign, iterative.Config{MaxIterations: o.maxIter, Tol: o.tol, Factor: o.fs})
 		return x, iterSummary(st), err
 	case "async-jacobi":
-		topo, err := machine(o)
+		assign, err := assignment(o, sys) // checks -parts before machine builds for it
 		if err != nil {
 			return nil, "", err
 		}
-		assign, err := assignment(o, sys)
+		topo, err := machine(o)
 		if err != nil {
 			return nil, "", err
 		}

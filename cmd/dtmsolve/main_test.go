@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os/exec"
 	"path/filepath"
@@ -214,19 +215,22 @@ func TestMachineResolvesThroughRegistry(t *testing.T) {
 }
 
 // TestOversizedPartsIsAnErrorNotAPanic: -parts larger than the system used to
-// reach the partitioners' panics; every tearing method now exits 1 with one
-// line naming n and the request, and no goroutine trace.
+// reach the partitioners' panics, and -parts 0 the machine's (async-jacobi
+// built it first); every tearing method now exits 1 with one line naming n
+// and the request, and no goroutine trace.
 func TestOversizedPartsIsAnErrorNotAPanic(t *testing.T) {
-	for _, method := range []string{"dtm", "vtm", "live", "block-jacobi", "async-jacobi"} {
-		o := testOptions(method, factor.Settings{})
-		o.source, o.parts = "tridiag:n=5", 9
-		sys, err := loadSystem(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, err = solve(o, sys)
-		if err == nil || !strings.Contains(err.Error(), "-parts 9") || !strings.Contains(err.Error(), "5 unknowns") {
-			t.Errorf("%s: -parts 9 on 5 unknowns returned %v, want an error naming both", method, err)
+	for _, parts := range []int{9, 0} {
+		for _, method := range []string{"dtm", "vtm", "live", "block-jacobi", "async-jacobi"} {
+			o := testOptions(method, factor.Settings{})
+			o.source, o.parts = "tridiag:n=5", parts
+			sys, err := loadSystem(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = solve(o, sys)
+			if arg := fmt.Sprint("-parts ", parts); err == nil || !strings.Contains(err.Error(), arg) || !strings.Contains(err.Error(), "5 unknowns") {
+				t.Errorf("%s: %s on 5 unknowns returned %v, want an error naming both", method, arg, err)
+			}
 		}
 	}
 	if testing.Short() {
@@ -236,16 +240,18 @@ func TestOversizedPartsIsAnErrorNotAPanic(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	var stderr bytes.Buffer
-	cmd := exec.Command(bin, "-source", "tridiag:n=5", "-method", "dtm", "-parts", "9")
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Errorf("err %v, want exit code 1", err)
-	}
-	if msg := stderr.String(); !strings.Contains(msg, "dtmsolve: -parts 9") || strings.Contains(msg, "goroutine") || strings.Count(msg, "\n") != 1 {
-		t.Errorf("stderr is not the one-line error:\n%s", msg)
+	for _, args := range [][]string{{"-method", "dtm", "-parts", "9"}, {"-method", "async-jacobi", "-parts", "0"}} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, append([]string{"-source", "tridiag:n=5"}, args...)...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: err %v, want exit code 1", args, err)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "dtmsolve: -parts "+args[3]) || strings.Contains(msg, "goroutine") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: stderr is not the one-line error:\n%s", args, msg)
+		}
 	}
 }
 

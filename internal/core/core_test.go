@@ -195,8 +195,8 @@ func TestSubdomainAccessorsAndWaves(t *testing.T) {
 	if got := s0.AdjacentEnds(0); !slices.Equal(got, []int{0, 1}) {
 		t.Errorf("AdjacentEnds(0) = %v, want [0 1]", got)
 	}
-	if got := s0.globalIdx; len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 0 {
-		t.Errorf("globalIdx = %v, want [1 2 0] (ports V2, V3 then inner V1)", got)
+	if got := res.Subdomains[0].GlobalIdx; !slices.Equal(got, []int{1, 2, 0}) {
+		t.Errorf("GlobalIdx = %v, want [1 2 0] (ports V2, V3 then inner V1)", got)
 	}
 
 	// Before any solve the state is the zero initial condition (5.6).

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sparse"
+	"repro/internal/topology"
 )
 
 // wavePacket is the payload of one N2N message: the outgoing waves of every
@@ -39,7 +40,8 @@ type engine struct {
 	cfg  *Config
 	subs []*Subdomain
 	zs   []float64 // characteristic impedance per twin link
-	// compute is the virtual time one local solve takes (see computeTime).
+	// compute is the virtual time one local solve takes
+	// (topology.LocalSolveTime).
 	compute float64
 
 	// ownerOf[part] lists the (local index, global index) pairs the part owns
@@ -100,7 +102,7 @@ func newEngine(p *Problem, cfg *Config) (*engine, error) {
 		cfg:        cfg,
 		subs:       subs,
 		zs:         zs,
-		compute:    computeTime(p),
+		compute:    topology.LocalSolveTime(p.Partition.AdjacentParts(), p.Delay),
 		x:          sparse.NewVec(p.System.Dim()),
 		exact:      cfg.Exact,
 		lastChange: make([]float64, len(subs)),

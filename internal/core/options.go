@@ -202,20 +202,3 @@ func (c *Config) validate(p *Problem) error {
 	}
 	return nil
 }
-
-// computeTime models the local solve time of a subdomain (virtual time) for
-// the DES and mixed engines: 5% of the smallest inter-subdomain delay of the
-// problem, which keeps the processors busy a realistic fraction of the time
-// and bounds the message rate.
-func computeTime(p *Problem) float64 {
-	minDelay := math.Inf(1)
-	for a, neighbours := range p.Partition.AdjacentParts() {
-		for _, b := range neighbours {
-			minDelay = math.Min(minDelay, p.Delay(a, b))
-		}
-	}
-	if math.IsInf(minDelay, 1) {
-		minDelay = 1
-	}
-	return 0.05 * minDelay
-}

@@ -84,11 +84,7 @@ func (r *Result) measure(p *Problem, exact sparse.Vec) {
 	if exact != nil {
 		r.RMSError = r.X.RMSError(exact)
 	}
-	bn := p.System.B.Norm2()
-	if bn == 0 {
-		bn = 1
-	}
-	r.Residual = p.System.A.Residual(r.X, p.System.B).Norm2() / bn
+	r.Residual = p.System.A.RelResidual(r.X, p.System.B)
 }
 
 // ErrorAtTime returns the RMS error of the last trace point at or before the

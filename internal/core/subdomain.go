@@ -44,9 +44,8 @@ type LinkEnd struct {
 // from a single goroutine and a dist worker confines its Subdomains to its
 // one loop.
 type Subdomain struct {
-	part      int
-	numPorts  int
-	globalIdx []int
+	part     int
+	numPorts int
 
 	solver factor.LocalSolver
 	// ports is solver again when it holds the port factor, portsOnly the
@@ -115,7 +114,6 @@ func NewSubdomain(sub *partition.Subdomain, links []partition.TwinLink, z []floa
 	s := &Subdomain{
 		part:      sub.Part,
 		numPorts:  sub.NumPorts,
-		globalIdx: append([]int(nil), sub.GlobalIdx...),
 		baseRHS:   sub.B.Clone(),
 		endOfLink: make([]int32, len(z)),
 		x:         sparse.NewVec(sub.Dim()),

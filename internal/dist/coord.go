@@ -100,7 +100,10 @@ func (c *CoordConfig) lease() time.Duration {
 	return time.Duration(c.HeartbeatMS*c.LeaseBeats) * time.Millisecond
 }
 
-// Result is the outcome of a distributed solve.
+// Result is the outcome of a distributed solve: the gathered solution, the
+// final poll's convergence measures and the session's counters. It measures
+// no error against an exact solution; a caller that has one compares X with
+// it (the tests and dtmd -selftest compare with SpecV2.Oracle's).
 type Result struct {
 	// X is the assembled solution estimate (owner fragments gathered from
 	// the workers).
@@ -115,9 +118,6 @@ type Result struct {
 	Polls int
 	// MaxLastChange and TwinGap are the final poll's convergence measures.
 	MaxLastChange, TwinGap float64
-	// RMSError is the RMS distance to the exact solution, when Exact is
-	// given to Verify; NaN otherwise.
-	RMSError float64
 	// Owner maps part → worker member id under the final epoch.
 	Owner []int
 	// Failovers and Rejoins count ownership epochs burned on worker deaths

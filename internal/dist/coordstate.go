@@ -82,7 +82,7 @@ type coordState struct {
 func newCoordState(cfg *CoordConfig) *coordState {
 	home := ContiguousOwner(cfg.Spec.Parts(), cfg.Workers)
 	return &coordState{
-		cfg: cfg, res: &Result{RMSError: math.NaN()},
+		cfg: cfg, res: &Result{},
 		phase: msgAssign, pending: slices.Clone(cfg.Workers),
 		home: home, owner: slices.Clone(home), epoch: 1,
 		snaps:   make(map[int32][]float64),
@@ -327,7 +327,6 @@ func (s *coordState) agree(w int, m *ctrlMsg) error {
 func (s *coordState) assignMsg() *assignMsg {
 	return &assignMsg{
 		Spec: s.cfg.Spec, Owner: slices.Clone(s.owner),
-		Tol:           s.cfg.Tol,
 		Backend:       s.cfg.Factor.Backend,
 		Ordering:      s.cfg.Factor.Ordering.String(),
 		SendThreshold: s.cfg.SendThreshold,

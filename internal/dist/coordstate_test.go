@@ -124,7 +124,7 @@ func (f *simFleet) arrived() (simPacket, bool) {
 // status is a worker's poll reply: every part it owns under the map it holds,
 // converged once the fleet has settled.
 func (f *simFleet) status(w *simWorker) *statusMsg {
-	st := &statusMsg{Inc: w.inc, Epoch: w.epoch}
+	st := &statusMsg{Epoch: w.epoch}
 	for part, o := range w.owner {
 		if o != w.id {
 			continue

@@ -404,7 +404,7 @@ func TestWorkerLostStatus(t *testing.T) {
 func steppedAssign(owner []int) *assignMsg {
 	return &assignMsg{
 		Spec: quickSpec, Owner: append([]int(nil), owner...),
-		Tol: 1e-9, SendThreshold: 1e-11, WatchdogMS: 50, HeartbeatMS: 25, Epoch: 1, Ordering: "auto",
+		SendThreshold: 1e-11, WatchdogMS: 50, HeartbeatMS: 25, Epoch: 1, Ordering: "auto",
 	}
 }
 
@@ -794,8 +794,8 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestWorkerDropsCorruptCtrl: malformed control payloads are dropped and
-// counted, in-session and idle, without ever panicking or killing the loop.
+// TestWorkerDropsCorruptCtrl: malformed control payloads are dropped,
+// in-session and idle, without ever panicking or killing the loop.
 func TestWorkerDropsCorruptCtrl(t *testing.T) {
 	members := transport.NewChanNetwork(2)
 	defer func() {
@@ -811,20 +811,17 @@ func TestWorkerDropsCorruptCtrl(t *testing.T) {
 			t.Fatalf("corrupt ctrl %q was answered or ended the session: exit=%v, %d messages", ctrl, exit, len(outs))
 		}
 	}
-	if got := s.badCtrl; got != 4 {
-		t.Fatalf("want 4 bad-ctrl drops, got %d", got)
-	}
-	// A reassign with a malformed owner map is counted, not applied.
+	// A reassign with a malformed owner map is dropped, not applied.
 	re := &reassignMsg{Epoch: 9, Assign: assignMsg{Owner: []int{0}, Epoch: 9}}
 	stepMsg(t, s, 1, &ctrlMsg{Type: msgReassign, Reassign: re})
-	if s.shard.Epoch() != 1 || s.badCtrl != 5 {
-		t.Fatalf("malformed reassign applied: epoch=%d badCtrl=%d", s.shard.Epoch(), s.badCtrl)
+	if s.shard.Epoch() != 1 {
+		t.Fatalf("malformed reassign applied: epoch=%d", s.shard.Epoch())
 	}
 }
 
 // TestWorkerIdleSurvivesCorruptCtrl: an idle worker fed garbage frames keeps
-// serving (answers the next status poll with hello) and counts them, as the
-// status of the session it is assigned next reports.
+// serving: it answers the next status poll with hello, and the session it is
+// assigned next with a status.
 func TestWorkerIdleSurvivesCorruptCtrl(t *testing.T) {
 	members := chanFabric(t, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -862,7 +859,4 @@ func TestWorkerIdleSurvivesCorruptCtrl(t *testing.T) {
 	}
 	_ = sendCtrl(ctx, members[0], 1, &ctrlMsg{Type: msgShutdown})
 	wg.Wait()
-	if st.BadCtrl < 3 {
-		t.Fatalf("bad-ctrl counter = %d, want >= 3", st.BadCtrl)
-	}
 }

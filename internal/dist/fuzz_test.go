@@ -12,7 +12,7 @@ import (
 // FuzzCtrlMsg throws arbitrary bytes at the worker's state, idle and in a
 // session, each time through Handle and the Tick Run runs after it. The
 // invariants under fuzz: the state NEVER panics, a frame that does not decode
-// is dropped and counted (badCtrl), and it neither starts nor ends a session
+// is dropped, and it neither starts nor ends a session
 // nor moves the epoch fence. The seed corpus under testdata/fuzz/FuzzCtrlMsg
 // pins the interesting shapes: valid messages of every type, a status? for an
 // idle worker, a rejoin reassign, truncated JSON, a reassign with a
@@ -38,7 +38,7 @@ func FuzzCtrlMsg(f *testing.F) {
 	// The fabric's member 0 plays the coordinator; both members are drained
 	// after each input, so replies and waves never pile up.
 	net := transport.NewChanNetwork(2)
-	a := &assignMsg{Spec: quickSpec, Owner: []int{1, 1, 1, 1}, Tol: 1e-9, Ordering: "auto",
+	a := &assignMsg{Spec: quickSpec, Owner: []int{1, 1, 1, 1}, Ordering: "auto",
 		SendThreshold: 1e-11, WatchdogMS: 1000, HeartbeatMS: 1000, Epoch: 1}
 	drainCtx, cancelDrain := context.WithCancel(context.Background())
 	cancelDrain() // a done ctx takes only what is queued
@@ -53,16 +53,13 @@ func FuzzCtrlMsg(f *testing.F) {
 		}
 		for _, s := range []*workerState{stepState(net[1], 1), sess} {
 			pkt := transport.Packet{Kind: transport.KindControl, From: 0, Ctrl: data}
-			idle, before, epoch := s.shard == nil, s.badCtrl, uint32(0)
+			idle, epoch := s.shard == nil, uint32(0)
 			if !idle {
 				epoch = s.shard.Epoch()
 			}
 			_, derr := decodeCtrl(&pkt)
 			s.Handle(&pkt)
 			s.Tick(time.Unix(1000, 0), true)
-			if derr != nil && s.badCtrl != before+1 {
-				t.Fatalf("corrupt ctrl not counted: BadCtrl %d -> %d", before, s.badCtrl)
-			}
 			if derr != nil && (idle != (s.shard == nil) || !idle && s.shard.Epoch() != epoch) {
 				t.Fatalf("corrupt ctrl moved the session: idle %v -> %v, epoch %d", idle, s.shard == nil, epoch)
 			}

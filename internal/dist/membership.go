@@ -22,7 +22,6 @@ type membership struct {
 }
 
 type memberState struct {
-	id       int
 	inc      uint32
 	lastBeat time.Time
 	alive    bool
@@ -38,7 +37,7 @@ type memberState struct {
 func newMembership(workers []int, lease time.Duration, seed uint64) *membership {
 	ms := &membership{members: make(map[int]*memberState, len(workers)), lease: lease, seed: seed}
 	for _, w := range workers {
-		ms.members[w] = &memberState{id: w, alive: true}
+		ms.members[w] = &memberState{alive: true}
 	}
 	return ms
 }

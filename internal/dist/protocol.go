@@ -83,8 +83,6 @@ type assignMsg struct {
 	// Owner maps part → member id, for every part (workers need it to route
 	// waves to remote parts).
 	Owner []int `json:"owner"`
-	// Tol is the distributed quiescence tolerance.
-	Tol float64 `json:"tol"`
 	// Backend and Ordering are the factor.Settings every owned subdomain
 	// factorises under: the backend's registry name (empty for auto) and the
 	// ordering's (factor.ParseOrdering).
@@ -150,12 +148,9 @@ type reassignMsg struct {
 // counters — stamped by the session.
 type statusMsg struct {
 	core.ShardState
-	// Inc and Epoch identify which life and ownership map produced this
-	// status; the coordinator discards statuses from stale epochs.
-	Inc   uint32 `json:"inc"`
+	// Epoch identifies the ownership map that produced this status; the
+	// coordinator discards statuses from stale epochs.
 	Epoch uint32 `json:"epoch"`
-	// BadCtrl counts malformed control frames dropped by this worker.
-	BadCtrl uint64 `json:"badCtrl,omitempty"`
 }
 
 // resultMsg carries a worker's owner fragment of the assembled solution.

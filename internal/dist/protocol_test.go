@@ -25,7 +25,7 @@ func bigblockCtrl(tb testing.TB) []struct {
 	}
 	rng := rand.New(rand.NewSource(1))
 	res := &resultMsg{}
-	st := &statusMsg{Inc: 1, Epoch: 1}
+	st := &statusMsg{Epoch: 1}
 	st.Solves, st.Messages = 190, 450
 	owner, adjacent := p.OwnerPairs(), p.Partition.AdjacentParts()
 	for _, part := range []int{0, 1} {

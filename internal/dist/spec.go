@@ -108,7 +108,7 @@ func (s *SpecV2) TopologyString() string {
 // delayOrDefault returns the spec's default link delay.
 func (s *SpecV2) delayOrDefault() float64 {
 	if s.Delay <= 0 {
-		return 10
+		return topology.DefaultDelay
 	}
 	return s.Delay
 }
@@ -160,6 +160,14 @@ func (s *SpecV2) resolve() (sparse.Source, *topology.Topology, error) {
 	src, err := sparse.ParseSource(s.Source)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: %w", err)
+	}
+	// The part counts arrive from outside and size the machine's delay table,
+	// which ParseTopology bounds; bound each count first, so their product
+	// cannot overflow.
+	for _, c := range []int{s.NParts, s.PartsX, s.PartsY} {
+		if c < 0 || c > topology.MaxProcessors {
+			return nil, nil, fmt.Errorf("dist: spec part count %d is outside [0,%d]: %+v", c, topology.MaxProcessors, *s)
+		}
 	}
 	n := s.Parts()
 	if n < 1 {

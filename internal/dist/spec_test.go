@@ -62,7 +62,7 @@ func TestLegacySpecRefused(t *testing.T) {
 	members := transport.NewChanNetwork(2)
 	defer members[0].Close()
 	defer members[1].Close()
-	a := &assignMsg{Spec: s, Owner: []int{1, 1, 1, 1}, Tol: 1e-6, WatchdogMS: 50, HeartbeatMS: 25, Ordering: "auto"}
+	a := &assignMsg{Spec: s, Owner: []int{1, 1, 1, 1}, WatchdogMS: 50, HeartbeatMS: 25, Ordering: "auto"}
 	outs := stepMsg(t, stepState(members[1], 1), 0, &ctrlMsg{Type: msgAssign, Assign: a})
 	if len(outs) != 1 || !strings.Contains(outs[0].m.Err, "no problem source") {
 		t.Fatalf("worker answered the assign with %d messages, want a ready with the no-problem-source refusal", len(outs))
@@ -269,6 +269,27 @@ func TestSpecBuildRejectsOversizedTearing(t *testing.T) {
 	// The largest request that fits still builds.
 	if _, err := (&SpecV2{V: 2, Source: "grid:rows=3,cols=5,seed=1", PartsX: 3, PartsY: 5}).Build(); err != nil {
 		t.Errorf("3x5 parts of a 3x5 grid: %v", err)
+	}
+}
+
+// TestSpecValidateBoundsTheMachine: the part counts of a spec arrive over the
+// wire and size the machine's dense delay table, so Validate refuses any of
+// them, or their product, outside [1, topology.MaxProcessors] before it
+// builds anything. (Every case stays near the bound: a build that ignored it
+// would cost tens of megabytes, not a machine.)
+func TestSpecValidateBoundsTheMachine(t *testing.T) {
+	const most = topology.MaxProcessors
+	for _, s := range []SpecV2{
+		{V: 2, Source: "tridiag:n=5", NParts: most + 1},
+		{V: 2, Source: "tridiag:n=5", NParts: -1, PartsX: 2, PartsY: 2},
+		{V: 2, Source: "tridiag:n=5", PartsX: most + 1, PartsY: 1},
+		{V: 2, Source: "tridiag:n=5", PartsX: 1 << 32, PartsY: 1 << 32},
+		{V: 2, Source: "tridiag:n=5", PartsX: 46, PartsY: 45, Topology: "ring"},
+		{V: 2, Source: "tridiag:n=5", PartsX: -2, PartsY: -2},
+	} {
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprint(most)) {
+			t.Errorf("%+v: Validate err = %v, want one naming the bound %d", s, err, most)
+		}
 	}
 }
 

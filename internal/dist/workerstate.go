@@ -17,12 +17,11 @@ import (
 // the core.Shard holding the owned parts, whose waves leave through emit, the
 // send function the driver supplies. A test can drive it with a fake clock.
 type workerState struct {
-	self    int
-	inc     uint32
-	emit    func(to int, pkt transport.Packet)
-	logf    func(format string, args ...any)
-	badCtrl uint64 // control frames dropped as malformed
-	outs    []out
+	self int
+	inc  uint32
+	emit func(to int, pkt transport.Packet)
+	logf func(format string, args ...any)
+	outs []out
 
 	// pending is an assign or reassign whose build the next Tick does.
 	// Tearing and factorising can outlast a lease, so Handle returns the
@@ -59,7 +58,6 @@ func (s *workerState) Handle(pkt *transport.Packet) (outs []out, exit bool) {
 	}
 	m, err := decodeCtrl(pkt)
 	if err != nil {
-		s.badCtrl++
 		s.logf("worker %d: %v", s.self, err)
 		return nil, false
 	}
@@ -81,7 +79,7 @@ func (s *workerState) Handle(pkt *transport.Packet) (outs []out, exit bool) {
 		}
 		s.send(from, &ctrlMsg{Type: msgStatus, Round: m.Round, Status: st}, false)
 	case m.Type == msgAssign && m.Assign == nil, m.Type == msgReassign && re == nil:
-		s.badCtrl++
+		// Malformed: dropped.
 	case m.Type == msgAssign && idle:
 		s.begin(from, m, m.Assign)
 	case m.Type == msgReassign && idle:
@@ -93,7 +91,7 @@ func (s *workerState) Handle(pkt *transport.Packet) (outs []out, exit bool) {
 	case m.Type == msgReassign && re.Epoch <= s.shard.Epoch():
 		// A duplicate or out-of-order reassign: already there.
 	case m.Type == msgReassign && len(re.Assign.Owner) != s.p.Partition.NumParts():
-		s.badCtrl++
+		// Malformed: dropped.
 	case m.Type == msgReassign:
 		s.pending = m
 		s.beat()
@@ -301,9 +299,9 @@ func (s *workerState) ready() *readyMsg {
 }
 
 // status assembles the poll reply: the shard's state, stamped with the epoch
-// and incarnation that produced it.
+// that produced it.
 func (s *workerState) status() *statusMsg {
-	return &statusMsg{ShardState: s.shard.State(), Inc: s.inc, Epoch: s.shard.Epoch(), BadCtrl: s.badCtrl}
+	return &statusMsg{ShardState: s.shard.State(), Epoch: s.shard.Epoch()}
 }
 
 // diverged returns the first part whose last change or a port potential is

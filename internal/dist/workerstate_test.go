@@ -207,7 +207,7 @@ func (c *workerChecker) handle(pkt *transport.Packet) bool {
 		if len(outs) != 1 || outs[0].m.Type != msgStatus {
 			c.fail("status? for round %d was not answered with one status", m.Round)
 		}
-		if o := outs[0].m; o.Round != m.Round || o.Status.Epoch != c.epoch || o.Status.Inc != s.inc {
+		if o := outs[0].m; o.Round != m.Round || o.Status.Epoch != c.epoch {
 			c.fail("status? for round %d at epoch %d answered for round %d at epoch %d", m.Round, c.epoch, o.Round, o.Status.Epoch)
 		}
 	case m.Type == msgStop && !idle:
@@ -406,7 +406,7 @@ func (c *workerChecker) wave(stale bool) *transport.Packet {
 func (c *workerChecker) msg() *ctrlMsg {
 	rng := c.rng
 	assign := func(epoch uint32) assignMsg {
-		a := assignMsg{Spec: propSpec, Owner: make([]int, len(c.pairs)), Tol: 1e-9, SendThreshold: 1e-11,
+		a := assignMsg{Spec: propSpec, Owner: make([]int, len(c.pairs)), SendThreshold: 1e-11,
 			WatchdogMS: int(propWD / time.Millisecond), HeartbeatMS: int(propHB / time.Millisecond), Epoch: epoch, Ordering: "auto"}
 		for part := range a.Owner {
 			a.Owner[part] = 1 + rng.Intn(2)

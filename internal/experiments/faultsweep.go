@@ -117,7 +117,7 @@ func FaultSweep(p FaultSweepParams) (FaultSweepResult, error) {
 		// A setup without a reference: the first leg's solution — the
 		// fault-free baseline's — is what every other leg is measured against.
 		outs, err := setup{prob: prob}.run(core.Config{
-			CommonOptions: core.CommonOptions{Tol: p.Tol, SendThreshold: p.Tol / 100},
+			CommonOptions: core.CommonOptions{Tol: p.Tol, SendThreshold: core.DrainThreshold(p.Tol)},
 			MaxTime:       g.MaxTime,
 		}, p.legs(prob)...)
 		if err != nil {

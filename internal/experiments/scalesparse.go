@@ -60,12 +60,12 @@ func scaleSparseParams(quick bool) ScaleSparseParams {
 
 // ScaleSparseRow is the measurement at one grid size.
 type ScaleSparseRow struct {
-	Side, N, NNZ int
-	Backend      string // what the auto policy picked
-	Supernodes   int    // supernode count when the supernodal backend ran
-	NNZL         int
-	FillRatio    float64 // nnz(L) / nnz(tril(A))
-	Residual     float64
+	N, NNZ     int
+	Backend    string // what the auto policy picked
+	Supernodes int    // supernode count when the supernodal backend ran
+	NNZL       int
+	FillRatio  float64 // nnz(L) / nnz(tril(A))
+	Residual   float64
 
 	// The ordering comparison: the same system analysed symbolically under
 	// the banded RCM ordering and under nested dissection, so the ND fill and
@@ -113,7 +113,7 @@ func ScaleSparse(p ScaleSparseParams) (*ScaleSparseResult, error) {
 	for _, side := range p.Sides {
 		sys := sparse.Poisson2D(side, side, 0.05)
 		n := sys.Dim()
-		row := ScaleSparseRow{Side: side, N: n, NNZ: sys.A.NNZ(), DenseBytes: factor.DenseBytesNeeded(n)}
+		row := ScaleSparseRow{N: n, NNZ: sys.A.NNZ(), DenseBytes: factor.DenseBytesNeeded(n)}
 
 		sol, err := factor.New(factor.Auto, sys.A)
 		if err != nil {
@@ -208,7 +208,7 @@ func ScaleSparse(p ScaleSparseParams) (*ScaleSparseResult, error) {
 func solveResidual(sys sparse.System, sol factor.LocalSolver) float64 {
 	x := sparse.NewVec(sys.Dim())
 	sol.SolveTo(x, sys.B)
-	return sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2()
+	return sys.A.RelResidual(x, sys.B)
 }
 
 // Render implements Renderer.

@@ -36,7 +36,6 @@ type AsyncOptions struct {
 type AsyncTracePoint struct {
 	Time     float64
 	RMSError float64
-	Solves   int
 }
 
 // AsyncResult is the outcome of an asynchronous block-Jacobi run.
@@ -52,14 +51,15 @@ type AsyncResult struct {
 }
 
 type ajEngine struct {
-	blocks []*blockData
 	x      sparse.Vec // global view assembled from owner blocks
 	exact  sparse.Vec
 	solves int
 	last   []float64
 	solved []bool
-	trace  []AsyncTracePoint
-	opts   *AsyncOptions
+	// diverged is set by the first block change that is not finite: NaN and
+	// ±Inf never leave the iterates once they appear, so the run ends there.
+	diverged bool
+	trace    []AsyncTracePoint
 	// pool recycles ajValue slices between sender and receiver; the DES run is
 	// single-threaded, so the plain free list keeps the hot path allocation-free.
 	pool netsim.Pool[ajValue]
@@ -110,6 +110,7 @@ func (n *ajNode) OnMessages(now float64, msgs []netsim.Message[ajPacket]) []nets
 	n.eng.last[p] = change
 	n.eng.solved[p] = true
 	n.eng.solves++
+	n.eng.diverged = n.eng.diverged || math.IsNaN(change) || math.IsInf(change, 0)
 	return n.packets()
 }
 
@@ -134,7 +135,9 @@ func (n *ajNode) packets() []netsim.Outgoing[ajPacket] {
 // AsyncBlockJacobi runs the asynchronous block-Jacobi iteration on the given
 // machine and returns the assembled solution. One block is mapped to one
 // processor; messages carry boundary values and experience the topology's
-// directed delays, exactly like DTM's wave messages do.
+// directed delays, exactly like DTM's wave messages do. A block change that
+// is not finite ends the run at once with Converged false: the iterates
+// diverged, and NaN never leaves them.
 func AsyncBlockJacobi(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, topo *topology.Topology, opts AsyncOptions) (*AsyncResult, error) {
 	n := a.Rows()
 	if !(opts.MaxTime > 0) { // NaN too
@@ -154,26 +157,19 @@ func AsyncBlockJacobi(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, 
 		return nil, fmt.Errorf("iterative: %d blocks but only %d processors", len(blocks), topo.N())
 	}
 
-	// Block i runs on processor i, and a local solve takes 5% of the smallest
-	// delay between adjacent blocks — DTM's model (core.computeTime).
-	minDelay := math.Inf(1)
-	for _, blk := range blocks {
-		for _, q := range blk.adjacent {
-			minDelay = math.Min(minDelay, topo.Delay(blk.part, q))
-		}
+	// Block i runs on processor i, and a local solve takes as long as one of
+	// DTM's.
+	adjacent := make([][]int, len(blocks))
+	for p, blk := range blocks {
+		adjacent[p] = blk.adjacent
 	}
-	if math.IsInf(minDelay, 1) {
-		minDelay = 1
-	}
-	compute := 0.05 * minDelay
+	compute := topology.LocalSolveTime(adjacent, topo.Delay)
 
 	eng := &ajEngine{
-		blocks: blocks,
 		x:      sparse.NewVec(n),
 		exact:  opts.Exact,
 		last:   make([]float64, len(blocks)),
 		solved: make([]bool, len(blocks)),
-		opts:   &opts,
 	}
 	for i := range eng.last {
 		eng.last[i] = math.Inf(1)
@@ -198,10 +194,13 @@ func AsyncBlockJacobi(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, 
 		if eng.exact != nil {
 			rms = eng.x.RMSError(eng.exact)
 		}
-		eng.trace = append(eng.trace, AsyncTracePoint{Time: now, RMSError: rms, Solves: eng.solves})
+		eng.trace = append(eng.trace, AsyncTracePoint{Time: now, RMSError: rms})
 	})
 	converged := false
 	sim.SetStopCondition(func(now float64) bool {
+		if eng.diverged {
+			return true
+		}
 		if opts.Tol <= 0 {
 			return false
 		}
@@ -216,7 +215,7 @@ func AsyncBlockJacobi(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, 
 		// though the real exchange has barely started. Confirm with the global
 		// relative residual, which is only evaluated when the cheap per-block
 		// test already passes.
-		if !(relResidual(a, eng.x, b) <= opts.Tol) {
+		if !(a.RelResidual(eng.x, b) <= opts.Tol) {
 			return false
 		}
 		converged = true
@@ -236,6 +235,6 @@ func AsyncBlockJacobi(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, 
 	if opts.Exact != nil {
 		res.RMSError = res.X.RMSError(opts.Exact)
 	}
-	res.Residual = relResidual(a, res.X, b)
+	res.Residual = a.RelResidual(res.X, b)
 	return res, nil
 }

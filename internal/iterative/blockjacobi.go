@@ -153,11 +153,11 @@ func BlockJacobi(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, cfg C
 		if cfg.Exact != nil {
 			st.ErrorTrace = append(st.ErrorTrace, x.RMSError(cfg.Exact))
 		}
-		if rr := relResidual(a, x, b); rr <= cfg.Tol {
+		if rr := a.RelResidual(x, b); rr <= cfg.Tol {
 			st.Converged = true
 			break
 		}
 	}
-	st.Residual = relResidual(a, x, b)
+	st.Residual = a.RelResidual(x, b)
 	return x, st, nil
 }

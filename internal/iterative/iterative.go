@@ -55,15 +55,6 @@ func (c Config) validate(n int) error {
 	return nil
 }
 
-func relResidual(a *sparse.CSR, x, b sparse.Vec) float64 {
-	r := a.Residual(x, b)
-	bn := b.Norm2()
-	if bn == 0 {
-		bn = 1
-	}
-	return r.Norm2() / bn
-}
-
 // CG solves the SPD system A·x = b by the conjugate gradient method starting
 // from the zero vector. It is the strongest practical single-machine baseline
 // and the reference for "how hard is this system".
@@ -104,6 +95,6 @@ func CG(a *sparse.CSR, b sparse.Vec, cfg Config) (sparse.Vec, Stats, error) {
 		p.AddScaled(1, r)
 		rsOld = rsNew
 	}
-	st.Residual = relResidual(a, x, b)
+	st.Residual = a.RelResidual(x, b)
 	return x, st, nil
 }

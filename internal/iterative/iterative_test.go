@@ -203,19 +203,25 @@ func TestAsyncBlockJacobiStopRule(t *testing.T) {
 		b         sparse.Vec
 		assign    partition.Assignment
 		converged bool
+		solves    int // at the stop; 0 when not pinned
 	}{
-		{"poisson7 2x2", poisson.A, poisson.B, partition.GridBlocks(7, 7, 2, 2), true},
-		{"jacobi-divergent 3x1", jacobiDivergent, sparse.Vec{1, 2, 3}, partition.Assignment{Parts: 3, Assign: []int{0, 1, 2}}, false},
+		{"poisson7 2x2", poisson.A, poisson.B, partition.GridBlocks(7, 7, 2, 2), true, 0},
+		// The iterates overflow to ±Inf and then NaN: the run ends at the
+		// first change that is not finite, long before MaxTime.
+		{"jacobi-divergent 3x1", jacobiDivergent, sparse.Vec{1, 2, 3}, partition.Assignment{Parts: 3, Assign: []int{0, 1, 2}}, false, 7246},
 	} {
-		const tol = 1e-6
+		const tol, maxTime = 1e-6, 1e7
 		topo := topology.Uniform(tc.assign.Parts, 10, "uniform")
-		res, err := AsyncBlockJacobi(tc.a, tc.b, tc.assign, topo, AsyncOptions{MaxTime: 1e5, Tol: tol})
+		res, err := AsyncBlockJacobi(tc.a, tc.b, tc.assign, topo, AsyncOptions{MaxTime: maxTime, Tol: tol})
 		if err != nil {
 			t.Fatalf("%s: AsyncBlockJacobi: %v", tc.name, err)
 		}
 		if res.Converged != tc.converged || res.Converged && !(res.Residual <= tol) {
 			t.Errorf("%s: Converged = %v with residual %g after %d solves (|x|∞ %g), want Converged = %v",
 				tc.name, res.Converged, res.Residual, res.Solves, res.X.NormInf(), tc.converged)
+		}
+		if tc.solves != 0 && (res.Solves != tc.solves || !(res.FinalTime < maxTime)) {
+			t.Errorf("%s: stopped after %d solves at t=%g, want %d solves before t=%g", tc.name, res.Solves, res.FinalTime, tc.solves, maxTime)
 		}
 	}
 }

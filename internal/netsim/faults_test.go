@@ -5,17 +5,22 @@ import (
 	"testing"
 )
 
-// sinkNode records what it receives and never replies.
+// sinkNode records what it receives, and when, and never replies. It computes
+// in zero time, so the now of each activation is its messages' delivery time.
 type sinkNode struct {
 	received []Message[int]
+	at       []float64
 }
 
 func (n *sinkNode) Init(now float64) []Outgoing[int] { return nil }
 func (n *sinkNode) OnMessages(now float64, msgs []Message[int]) []Outgoing[int] {
 	n.received = append(n.received, msgs...)
+	for range msgs {
+		n.at = append(n.at, now)
+	}
 	return nil
 }
-func (n *sinkNode) ComputeTime(batch int) float64 { return 0.5 }
+func (n *sinkNode) ComputeTime(batch int) float64 { return 0 }
 
 // burstSource sends a fixed number of messages to node 1 at start-up.
 type burstSource struct{ count int }
@@ -57,10 +62,9 @@ func TestFaultPolicyDropsDuplicatesAndDelays(t *testing.T) {
 		t.Errorf("delivered %d messages, want 4 (1 dropped, 1 duplicated)", stats.Messages)
 	}
 	var got []int
-	var times []float64
+	times := dst.at
 	for _, m := range dst.received {
 		got = append(got, m.Payload)
-		times = append(times, m.DeliverTime)
 	}
 	want := []int{1, 3, 1, 2}
 	wantT := []float64{10, 10, 11, 30}

@@ -29,15 +29,14 @@ import (
 	"math/bits"
 )
 
-// Message is a payload in flight between two nodes.
+// Message is a payload delivered to a node, with the node that sent it.
 type Message[P any] struct {
-	From, To    int
-	Payload     P
-	SendTime    float64
-	DeliverTime float64
+	From    int
+	Payload P
 }
 
-// Outgoing is a message a node wants to send; the simulator fills in the times.
+// Outgoing is a message a node wants to send; the simulator delivers it after
+// the link's delay.
 type Outgoing[P any] struct {
 	To      int
 	Payload P
@@ -98,12 +97,6 @@ type Stats struct {
 	Messages int
 	// Activations is the number of node batch activations.
 	Activations int
-	// BatchedMessages is the total number of messages consumed in batches
-	// (equals Messages at the end of a run that drained its queues).
-	BatchedMessages int
-	// StoppedEarly is true when a StopCondition ended the run before MaxTime
-	// and before the event queue drained.
-	StoppedEarly bool
 }
 
 // event kinds.
@@ -113,18 +106,17 @@ const (
 	evTimer
 )
 
-// event is the body of a queue entry. It deliberately does not embed a full
-// Message: the destination equals node and the delivery time equals time, so
-// only the sender, send time and payload are carried. Timer events reuse the
-// from field for the caller-chosen timer id, so they cost nothing extra.
+// event is the body of a queue entry: the destination is node and the
+// delivery time is time, so an arrival carries only its sender and payload.
+// Timer events reuse the from field for the caller-chosen timer id, so they
+// cost nothing extra.
 type event[P any] struct {
-	time     float64
-	seq      int64
-	kind     int32
-	node     int32
-	from     int32 // sender for arrivals; timer id for timers
-	sendTime float64
-	payload  P
+	time    float64
+	seq     int64
+	kind    int32
+	node    int32
+	from    int32 // sender for arrivals; timer id for timers
+	payload P
 }
 
 // key is what the heap orders and moves: 16 bytes of integers, so the four
@@ -397,13 +389,12 @@ func (s *Simulator[P]) send(from int, now float64, outs []Outgoing[P]) {
 func (s *Simulator[P]) pushArrival(from, to int, now, d float64, payload P) {
 	s.seq++
 	s.queue.push(event[P]{
-		time:     now + d,
-		seq:      s.seq,
-		kind:     evArrival,
-		node:     int32(to),
-		from:     int32(from),
-		sendTime: now,
-		payload:  payload,
+		time:    now + d,
+		seq:     s.seq,
+		kind:    evArrival,
+		node:    int32(to),
+		from:    int32(from),
+		payload: payload,
 	})
 }
 
@@ -425,7 +416,6 @@ func (s *Simulator[P]) startNode(node int, start float64) {
 	done := start + d
 	outs := s.nodes[node].OnMessages(done, batch)
 	s.stats.Activations++
-	s.stats.BatchedMessages += len(batch)
 	s.send(node, done, outs)
 	// The node becomes free at `done`; schedule the event so queued arrivals
 	// received meanwhile get processed then.
@@ -456,39 +446,24 @@ func (s *Simulator[P]) Run(maxTime float64) Stats {
 		e := s.queue.pop()
 		if e.time > maxTime {
 			s.now = maxTime
-			s.stats.Time = maxTime
-			return s.stats
+			break
 		}
 		s.now = e.time
 		node := int(e.node)
 		switch e.kind {
 		case evArrival:
 			s.stats.Messages++
-			s.inbox[node] = append(s.inbox[node], Message[P]{
-				From:        int(e.from),
-				To:          node,
-				Payload:     e.payload,
-				SendTime:    e.sendTime,
-				DeliverTime: e.time,
-			})
-			if !s.busy[node] {
-				s.startNode(node, e.time)
-				if s.stop != nil && s.stop(s.now) {
-					s.stats.Time = s.now
-					s.stats.StoppedEarly = true
-					return s.stats
-				}
+			s.inbox[node] = append(s.inbox[node], Message[P]{From: int(e.from), Payload: e.payload})
+			if s.busy[node] {
+				continue
 			}
+			s.startNode(node, e.time)
 		case evFree:
 			s.busy[node] = false
-			if len(s.inbox[node]) > 0 {
-				s.startNode(node, e.time)
-				if s.stop != nil && s.stop(s.now) {
-					s.stats.Time = s.now
-					s.stats.StoppedEarly = true
-					return s.stats
-				}
+			if len(s.inbox[node]) == 0 {
+				continue
 			}
+			s.startNode(node, e.time)
 		case evTimer:
 			// Timers fire regardless of the node's busy state: they model
 			// NIC-level machinery (retransmission watchdogs, crash schedules)
@@ -498,11 +473,9 @@ func (s *Simulator[P]) Run(maxTime float64) Stats {
 				panic(fmt.Sprintf("netsim: node %d received a timer but does not implement TimerNode", node))
 			}
 			s.send(node, e.time, tn.OnTimer(e.time, int(e.from)))
-			if s.stop != nil && s.stop(s.now) {
-				s.stats.Time = s.now
-				s.stats.StoppedEarly = true
-				return s.stats
-			}
+		}
+		if s.stop != nil && s.stop(s.now) {
+			break
 		}
 	}
 	s.stats.Time = s.now

@@ -66,16 +66,12 @@ func TestPingPongDeliveryTimes(t *testing.T) {
 	if stats.Activations != 4 {
 		t.Errorf("activations = %d, want 4", stats.Activations)
 	}
-	if stats.StoppedEarly {
-		t.Errorf("the run drained naturally; StoppedEarly must be false")
+	if stats.Time != 10 {
+		t.Errorf("the run drained naturally at t=10, stopped at %g", stats.Time)
 	}
-	// Message metadata is consistent.
 	for _, m := range b.received {
-		if m.From != 0 || m.To != 1 {
-			t.Errorf("message endpoints wrong: %+v", m)
-		}
-		if m.DeliverTime <= m.SendTime {
-			t.Errorf("delivery must be strictly after sending: %+v", m)
+		if m.From != 0 {
+			t.Errorf("b received a message from %d, want 0: %+v", m.From, m)
 		}
 	}
 }
@@ -130,8 +126,8 @@ func TestStopConditionEndsEarly(t *testing.T) {
 		return count >= 5
 	})
 	stats := sim.Run(1e9)
-	if !stats.StoppedEarly {
-		t.Errorf("StoppedEarly must be set")
+	if stats.Time >= 1e9 || sim.queue.len() == 0 {
+		t.Errorf("the stop condition must end the run before the horizon with events queued: t=%g, %d queued", stats.Time, sim.queue.len())
 	}
 	if stats.Activations < 5 || stats.Activations > 6 {
 		t.Errorf("activations = %d, want about 5", stats.Activations)
@@ -207,8 +203,8 @@ func TestSimultaneousArrivalsAreBatched(t *testing.T) {
 	if total != 4 {
 		t.Errorf("receiver consumed %d messages, want 4", total)
 	}
-	if stats.BatchedMessages != 4 {
-		t.Errorf("BatchedMessages = %d, want 4", stats.BatchedMessages)
+	if stats.Messages != 4 {
+		t.Errorf("delivered %d messages, want 4", stats.Messages)
 	}
 	if len(receiver.batches) > 2 {
 		t.Errorf("4 simultaneous messages caused %d activations, want at most 2", len(receiver.batches))

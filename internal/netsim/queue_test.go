@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // refEvent / refQueue is a container/heap reference implementation with the
@@ -154,6 +155,26 @@ func TestQueueLimitsPanic(t *testing.T) {
 			}()
 			tc.f()
 		})
+	}
+}
+
+// TestEventBodySizes pins the bytes one delivery moves for a 32-byte payload
+// (a slice header and a word, the size of the DES engine's wave packet): the
+// queued event body fills one 64-byte cache line and the inbox message is the
+// sender and the payload.
+func TestEventBodySizes(t *testing.T) {
+	type payload struct {
+		seq     uint64
+		entries []float64
+	}
+	if got := unsafe.Sizeof(payload{}); got != 32 {
+		t.Fatalf("payload is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(event[payload]{}); got != 64 {
+		t.Errorf("queued event body is %d bytes, want 64", got)
+	}
+	if got := unsafe.Sizeof(Message[payload]{}); got != 40 {
+		t.Errorf("delivered message is %d bytes, want 40", got)
 	}
 }
 

@@ -128,6 +128,16 @@ func (m *CSR) Residual(x, b Vec) Vec {
 	return r
 }
 
+// RelResidual returns the relative residual ‖b − A x‖₂ / ‖b‖₂ every solver
+// reports; for b = 0 it divides by 1, giving the absolute residual.
+func (m *CSR) RelResidual(x, b Vec) float64 {
+	bn := b.Norm2()
+	if bn == 0 {
+		bn = 1
+	}
+	return m.Residual(x, b).Norm2() / bn
+}
+
 // PermuteSym returns B = A(p, p), i.e. B(i, j) = A(p[i], p[j]), for a square
 // matrix and a permutation in the perm[new] = old convention. Row i of B is
 // row p[i] of A gathered with its columns relabelled, then sorted by its new

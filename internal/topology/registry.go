@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,6 +33,16 @@ func fixed(build func(n int, delay float64) *Topology) buildFunc {
 	}
 }
 
+// MaxProcessors bounds the processor count every caller asks for and every
+// fabric sized by it builds: the count arrives from outside — a CLI flag, a
+// spec on the dist wire — and a Topology holds a dense n×n delay table
+// (32 MiB at the limit).
+const MaxProcessors = 1 << 11
+
+// DefaultDelay is the link delay of the sized fabrics when the caller names
+// none: the CLIs' default and dist.SpecV2's.
+const DefaultDelay = 10
+
 // topologies is the registry.
 var topologies = map[string]buildFunc{
 	"uniform": fixed(func(n int, delay float64) *Topology { return Uniform(n, delay, "uniform") }),
@@ -40,21 +51,26 @@ var topologies = map[string]buildFunc{
 	"mesh8x8": fixed(func(int, float64) *Topology { return Mesh8x8Paper() }),
 	// The smallest square torus with n processors, its directed link delays
 	// uniform in [10, 99] like the paper's meshes (fixed seed).
-	"torus": fixed(func(n int, _ float64) *Topology {
+	"torus": func(params string, n int, _ float64) (*Topology, error) {
 		side := 2
 		for side*side < n {
 			side++
 		}
-		return TorusUniformRandom(side, side, 10, 99, 1, fmt.Sprintf("torus %dx%d", side, side))
-	}),
+		if side*side > MaxProcessors {
+			return nil, fmt.Errorf("the smallest square torus of %d processors has %d, more than %d", n, side*side, MaxProcessors)
+		}
+		return fixed(func(int, float64) *Topology {
+			return TorusUniformRandom(side, side, 10, 99, 1, fmt.Sprintf("torus %dx%d", side, side))
+		})(params, n, 0)
+	},
 	"yao": func(params string, n int, delay float64) (*Topology, error) {
 		size, k, seed := int64(n), int64(6), int64(1)
 		err := parseKVInt64(params, map[string]*int64{"n": &size, "k": &k, "seed": &seed})
 		if err != nil {
 			return nil, err
 		}
-		if size < 1 || size > maxYaoProcessors {
-			return nil, fmt.Errorf("yao n must be in [1,%d], got %d", maxYaoProcessors, size)
+		if size < 1 || size > MaxProcessors {
+			return nil, fmt.Errorf("yao n must be in [1,%d], got %d", MaxProcessors, size)
 		}
 		if k < 1 || k > 64 {
 			return nil, fmt.Errorf("yao needs 1 <= k <= 64 cones, got %d", k)
@@ -75,8 +91,12 @@ func RegisteredTopologies() []string {
 
 // ParseTopology resolves a topology spec string into a machine. The empty
 // string means "uniform". n and delay are the caller's processor count and
-// default link delay (see buildFunc).
+// default link delay (see buildFunc); an n outside [1, MaxProcessors] and a
+// delay that is not positive and finite are refused.
 func ParseTopology(spec string, n int, delay float64) (*Topology, error) {
+	if n < 1 || n > MaxProcessors || !(delay > 0) || math.IsInf(delay, 1) {
+		return nil, fmt.Errorf("topology: spec %q: needs n in [1,%d] and a positive, finite delay, got n=%d and delay %g", spec, MaxProcessors, n, delay)
+	}
 	scheme, params, _ := strings.Cut(spec, ":")
 	scheme = strings.TrimSpace(scheme)
 	if scheme == "" {
@@ -126,8 +146,3 @@ func parseKVInt64(params string, fields map[string]*int64) error {
 	}
 	return nil
 }
-
-// maxYaoProcessors bounds the size a "yao:" spec — external input on the
-// dist wire — may ask for: a Topology holds a dense n×n delay table (32 MiB
-// at the limit).
-const maxYaoProcessors = 1 << 11

@@ -186,6 +186,25 @@ func (t *Topology) Stats() DelayStats {
 	return s
 }
 
+// LocalSolveTime is the virtual time one local solve takes in the
+// discrete-event engines, DTM's and asynchronous block-Jacobi's alike: 5% of
+// the smallest delay between adjacent parts, or 5% of one time unit when no
+// parts are adjacent. adjacent[a] lists the parts adjacent to part a and
+// delay is from part to part. The rule keeps the processors busy a realistic
+// fraction of the time and bounds the message rate.
+func LocalSolveTime(adjacent [][]int, delay func(a, b int) float64) float64 {
+	minDelay := math.Inf(1)
+	for a, neighbours := range adjacent {
+		for _, b := range neighbours {
+			minDelay = math.Min(minDelay, delay(a, b))
+		}
+	}
+	if math.IsInf(minDelay, 1) {
+		minDelay = 1
+	}
+	return 0.05 * minDelay
+}
+
 // Uniform returns a fully connected topology with the same delay on every
 // directed link — the simplest platform, used by unit tests and by the VTM
 // comparison (equal unit delays make DTM degenerate into VTM).

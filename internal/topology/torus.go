@@ -35,8 +35,8 @@ func Torus(px, py int, name string, delayFn func(from, to int) float64) *Topolog
 
 // TorusUniformRandom builds a px×py torus whose directed link delays are drawn
 // independently and uniformly from [lo, hi] using the given seed — the torus
-// counterpart of MeshUniformRandom, used by the ablations to check that DTM's
-// behaviour does not depend on the mesh's open boundary.
+// counterpart of MeshUniformRandom, and the machine of the registry's "torus"
+// scheme.
 func TorusUniformRandom(px, py int, lo, hi float64, seed int64, name string) *Topology {
 	rng := rand.New(rand.NewSource(seed))
 	return Torus(px, py, name, func(from, to int) float64 {

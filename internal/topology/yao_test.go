@@ -166,7 +166,7 @@ func TestParseTopologyRegistry(t *testing.T) {
 			t.Errorf("ParseTopology(%q): err = %v, want one mentioning %q", tc.spec, err, tc.wantErr)
 		}
 	}
-	if _, err := ParseTopology("yao", maxYaoProcessors+1, 10); err == nil {
+	if _, err := ParseTopology("yao", MaxProcessors+1, 10); err == nil {
 		t.Error("yao defaulting to more processors than the limit should be rejected")
 	}
 }

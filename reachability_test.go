@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // reachRootPackages are packages whose exported functions are roots beside
@@ -72,39 +73,7 @@ var reachKeep = map[string]string{
 // callers this test cannot see). Test files are not read, so a helper only
 // tests call is an orphan unless reachKeep says why it stays.
 func TestEveryInternalFunctionIsReachable(t *testing.T) {
-	l := newLoader()
-	var mains []string
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != "." && (name[0] == '.' || name == "testdata") {
-			return filepath.SkipDir
-		}
-		bp, err := build.ImportDir(path, 0)
-		if _, empty := err.(*build.NoGoError); empty {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if bp.Name == "main" || strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-			if _, err := l.Import(modulePath + "/" + filepath.ToSlash(path)); err != nil {
-				return err
-			}
-		}
-		if bp.Name == "main" {
-			mains = append(mains, filepath.ToSlash(path))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mains) < 5 {
-		t.Fatalf("found only %d main packages (%v): cmd/ and bench/dtmperf should give 5", len(mains), mains)
-	}
-
+	l, mains := loadModule(t)
 	g := newReachGraph(l)
 	for _, dir := range mains {
 		g.linkIn(l.pkgs[dir].types)
@@ -156,7 +125,278 @@ func TestEveryInternalFunctionIsReachable(t *testing.T) {
 	}
 }
 
+// fieldKeep lists the struct fields under internal/ and cmd/ that no non-test
+// code reads and that stay anyway, each with the tests that read it. An entry
+// that names a field code reads, or no field at all, fails the test like an
+// unlisted unread field does.
+var fieldKeep = map[string]string{
+	// Measurements binaries do not print, asserted on by tests.
+	"internal/core.TracePoint.TwinGap":              "hashed into the trace golden of TestVTMGolden",
+	"internal/core.TracePoint.Solves":               "TestTraceMessagesCountsSends and TestTraceDownsampleKeepsEndpoints compare it with the result's count; hashed by TestVTMGolden",
+	"internal/core.TracePoint.Messages":             "TestTraceMessagesCountsSends: the last point counts the waves sent; hashed by TestVTMGolden",
+	"internal/core.Result.Impedances":               "TestSessionImpedancesMatchTheOracle holds a dist worker's impedances to the DES oracle's; TestDESGridConvergesOnUniformMachine counts them",
+	"internal/core.LinkEnd.Z":                       "the end's impedance TestSubdomainAccessorsAndWaves checks against the assignment and the condensed tests' from-scratch solve (TestCondensedSolveMatchesFullSolve) reads",
+	"internal/core.Subdomain.interiorSolves":        "TestCondensedRunSolvesEachInteriorOnce and TestCondensedSolveMatchesFullSolve count the interior solves X() materialises",
+	"internal/dist.Result.Owner":                    "the final ownership map TestFailoverChanMatchesOracle and TestRejoinRestartedWorker assert after failovers and rejoins",
+	"internal/dist.SpecV2.V":                        "the version every spec literal writes, bench/dtmperf's included; TestLegacySpecJSONDecodes reads it off the legacy wire form",
+	"internal/iterative.AsyncResult.Residual":       "TestAsyncBlockJacobiStopRule holds a converged run's residual to Tol",
+	"internal/factor.SupernodalAnalysis.Ordering":   "TestAnalyzeSupernodalMatchesFactorisation holds the analysis to the factor it predicts",
+	"internal/factor.SupernodalAnalysis.Supernodes": "TestAnalyzeSupernodalMatchesFactorisation holds the analysis to the factor it predicts",
+	"internal/partition.Result.Boundary":            "TestEVSPaperExampleDefaultSplit checks the paper's boundary; hashed by TestTearGolden",
+	"internal/partition.Result.Splits":              "the split coefficients TestEVSReconstructionProperty and TestEVSPaperExampleDefaultSplit sum back to the original system; hashed by TestTearGolden",
+
+	// Search counters that prove a path runs.
+	"internal/factor.amdStats.supervars": "TestAMDSupervariableDetection: AMD finds indistinguishable variables",
+	"internal/factor.amdStats.massElim":  "TestAMDMassElimination: AMD eliminates variables alongside their pivot",
+	"internal/geom.search.evals":         "the evaluations-per-point counter TestYaoConeFallback and BenchmarkYaoEdges report",
+	"internal/geom.cones.fallbacks":      "TestYaoConeFallback: the exact cone fallback runs near cone edges",
+}
+
+// TestEveryInternalFieldIsRead is the function rule's counterpart for data:
+// every named field of a struct declared in a non-test file under internal/
+// or cmd/ must be read by non-test code of the module or of bench/dtmperf. A
+// read is any use of the field other than as an assignment's target, an
+// increment's operand or a composite literal's key; a field of a generic type
+// counts by its origin. Embedded fields and the fields of reachRootPackages
+// are exempt, and fieldKeep names the tests that read the rest. The reason of
+// each fieldKeep entry must name a test function of the module.
+func TestEveryInternalFieldIsRead(t *testing.T) {
+	l, _ := loadModule(t)
+	type declared struct {
+		name, where string
+	}
+	fields := map[*types.Var]declared{}
+	read := map[*types.Var]bool{}
+	written := map[*ast.Ident]bool{}
+	for dir, p := range l.pkgs {
+		checked := (strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")) && reachRootPackages[dir] == ""
+		for _, f := range p.files {
+			if checked {
+				var stack []ast.Node
+				ast.Inspect(f, func(n ast.Node) bool {
+					if n == nil {
+						stack = stack[:len(stack)-1]
+						return true
+					}
+					stack = append(stack, n)
+					st, ok := n.(*ast.StructType)
+					if !ok {
+						return true
+					}
+					owner := dir + "." + ownerName(stack)
+					for _, fd := range st.Fields.List {
+						for _, id := range fd.Names {
+							if v, ok := p.info.Defs[id].(*types.Var); ok && id.Name != "_" {
+								pos := l.fset.Position(id.Pos())
+								fields[v] = declared{owner + "." + id.Name, fmt.Sprintf("%s:%d", pos.Filename, pos.Line)}
+							}
+						}
+					}
+					return true
+				})
+			}
+			writeTargets(f, written)
+		}
+	}
+	for _, p := range l.pkgs {
+		for id, obj := range p.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+				read[v.Origin()] = true
+			}
+		}
+	}
+
+	unread := map[string]string{}
+	for v, d := range fields {
+		if !read[v] {
+			unread[d.name] = d.where
+		}
+	}
+	tests := testFunctions(t)
+	var report []string
+	for name, where := range unread {
+		if fieldKeep[name] == "" {
+			report = append(report, fmt.Sprintf("%s  %s: no non-test code reads it; delete it with what writes it, or give fieldKeep the tests that read it", name, where))
+		}
+	}
+	for name, reason := range fieldKeep {
+		if _, ok := unread[name]; !ok {
+			report = append(report, fmt.Sprintf("%s: stale fieldKeep entry (no such field, or non-test code reads it now)", name))
+			continue
+		}
+		named := false
+		for _, word := range strings.FieldsFunc(reason, func(r rune) bool { return !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' }) {
+			named = named || tests[word]
+		}
+		if !named {
+			report = append(report, fmt.Sprintf("%s: fieldKeep reason names no test function of the module", name))
+		}
+	}
+	sort.Strings(report)
+	for _, line := range report {
+		t.Error(line)
+	}
+}
+
+// ownerName names the struct type at the top of an AST stack by the
+// declarations around it, outermost first: the function (with its receiver's
+// type), type, variable and field names on the way down —
+// "Simulator.stats" for a field of the struct type of a field, "Worker.Run.wait"
+// for a local variable's anonymous struct.
+func ownerName(stack []ast.Node) string {
+	var parts []string
+	for _, n := range stack[:len(stack)-1] {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Recv != nil {
+				if named := recvTypeName(n.Recv.List[0].Type); named != "" {
+					parts = append(parts, named)
+				}
+			}
+			parts = append(parts, n.Name.Name)
+		case *ast.TypeSpec:
+			parts = append(parts, n.Name.Name)
+		case *ast.ValueSpec:
+			parts = append(parts, n.Names[0].Name)
+		case *ast.Field:
+			if len(n.Names) > 0 {
+				parts = append(parts, n.Names[0].Name)
+			}
+		}
+	}
+	return strings.Join(parts, ".")
+}
+
+// recvTypeName is the type name of a receiver expression: T, *T, T[P] or *T[P].
+func recvTypeName(x ast.Expr) string {
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// writeTargets adds to written the identifiers in f that name what an
+// assignment or an increment writes, and the keys of its composite literals:
+// the uses of a field that are not reads.
+func writeTargets(f *ast.File, written map[*ast.Ident]bool) {
+	target := func(x ast.Expr) {
+		switch e := ast.Unparen(x).(type) {
+		case *ast.Ident:
+			written[e] = true
+		case *ast.SelectorExpr:
+			written[e.Sel] = true
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				target(lhs)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						written[id] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// testFunctions returns the names of the Test, Fuzz, Benchmark and Example
+// functions declared in the _test.go files of the module and of bench/.
+func testFunctions(t *testing.T) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name[0] == '.' || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+				for _, prefix := range []string{"Test", "Fuzz", "Benchmark", "Example"} {
+					names[fd.Name.Name] = names[fd.Name.Name] || strings.HasPrefix(fd.Name.Name, prefix)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
 const modulePath = "repro"
+
+// loadModule type-checks every main package of the module and of bench/dtmperf
+// and every package under internal/, and returns the main packages'
+// directories.
+func loadModule(t *testing.T) (*loader, []string) {
+	t.Helper()
+	l := newLoader()
+	var mains []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (name[0] == '.' || name == "testdata") {
+			return filepath.SkipDir
+		}
+		bp, err := build.ImportDir(path, 0)
+		if _, empty := err.(*build.NoGoError); empty {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if bp.Name == "main" || strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+			if _, err := l.Import(modulePath + "/" + filepath.ToSlash(path)); err != nil {
+				return err
+			}
+		}
+		if bp.Name == "main" {
+			mains = append(mains, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mains) < 5 {
+		t.Fatalf("found only %d main packages (%v): cmd/ and bench/dtmperf should give 5", len(mains), mains)
+	}
+	return l, mains
+}
 
 // funcName is the key reachKeep uses: the package directory, then the receiver
 // type if any, then the name — "internal/sparse.CSR.EqualApprox".
