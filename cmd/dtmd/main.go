@@ -119,7 +119,7 @@ func main() {
 	flag.StringVar(&o.fs.Backend, "local-solver", "", "factor backend for the local solves (empty for default)")
 	flag.Float64Var(&o.sendThreshold, "send-threshold", 0, "wave re-announcement suppression threshold (default tol/100)")
 	flag.IntVar(&o.watchdogMS, "watchdog-ms", 50, "worker retransmission sweep interval (at least 1)")
-	flag.IntVar(&o.pollMS, "poll-ms", 10, "coordinator status poll interval (at least 1)")
+	flag.IntVar(&o.pollMS, "poll-ms", 10, "coordinator: fallback status poll interval; a round begins sooner when every worker says it fell silent (at least 1)")
 	flag.DurationVar(&o.heartbeat, "heartbeat", 25*time.Millisecond, "worker heartbeat (and snapshot) interval, in whole milliseconds (at least 1ms)")
 	flag.IntVar(&o.leaseBeats, "lease", 6, "coordinator: worker lease in heartbeat intervals (at least 1)")
 	flag.BoolVar(&o.noFailover, "no-failover", false, "coordinator: surface a lost worker as an error instead of reassigning")

@@ -13,8 +13,9 @@ import (
 )
 
 // A -method live run holds a wave on a 10-unit link for 0.2 ms (liveScale per
-// topology time unit, the -faults spec's times included), polls every 2 ms
-// and stops after 3 s unless -timeout says otherwise.
+// topology time unit, the -faults spec's times included), polls at least
+// every 2 ms — at once when every worker has told the coordinator its shard
+// fell silent — and stops after 3 s unless -timeout says otherwise.
 const (
 	liveScale  = 20 * time.Microsecond
 	livePoll   = 2 * time.Millisecond

@@ -49,7 +49,9 @@ type Shard struct {
 	news    bool
 	dedup   *transport.Dedup
 
-	solves, messages int
+	// solves and messages count all work; newsSent counts the cross-member
+	// sends that carried news: those that raised a needed mark (announce).
+	solves, messages, newsSent int
 }
 
 // shardPart is one owned part's protocol state. sentSeq, needed and answer
@@ -354,6 +356,7 @@ func (s *Shard) announce(part int32, retransmit bool) {
 		if !retransmit {
 			if moved {
 				p.needed[ai] = p.sentSeq[ai]
+				s.newsSent++
 			}
 			p.answer[ai] = false
 			s.awaited[s.owner[remote]] = true
@@ -365,12 +368,21 @@ func (s *Shard) announce(part int32, retransmit bool) {
 	}
 }
 
+// NewsSent counts the cross-member sends that carried news: each raised a
+// needed mark, so the stopping rule waits for its receiver to apply it.
+// Answers below the threshold and watchdog retransmissions are not news.
+func (s *Shard) NewsSent() int { return s.newsSent }
+
+// Backlog is the number of owned parts awaiting a solve, dirty and owed —
+// State's Dirty, without the snapshot.
+func (s *Shard) Backlog() int { return len(s.dirty) + len(s.owed) }
+
 // State snapshots the shard for the stopping rule.
 func (s *Shard) State() ShardState {
 	st := ShardState{
 		Solves: s.solves, Messages: s.messages,
 		Parts: make([]PartState, 0, len(s.owned)),
-		Dirty: len(s.dirty) + len(s.owed), Fenced: s.dedup.Fenced(),
+		Dirty: s.Backlog(), Fenced: s.dedup.Fenced(),
 	}
 	for _, part := range s.owned {
 		p := s.parts[part]

@@ -380,6 +380,30 @@ func TestShardDropLeavesOwedQueue(t *testing.T) {
 // which one had.
 func roundRobin(t *testing.T, p *Problem, threshold float64, nMembers int) (sts []ShardState, x sparse.Vec, turns int) {
 	t.Helper()
+	f := newRoundRobinFleet(t, p, threshold, nMembers)
+	turns = f.run()
+	x = sparse.NewVec(p.System.Dim())
+	pairs := p.OwnerPairs()
+	for _, sh := range f.shards {
+		sts = append(sts, sh.State())
+		for _, part := range sh.Owned() {
+			for _, pair := range pairs[part] {
+				x[pair[1]] = sh.Sub(part).X()[pair[0]]
+			}
+		}
+	}
+	return sts, x, turns
+}
+
+// roundRobinFleet is roundRobin's fleet: one woken shard per member, owning
+// a contiguous range of parts, and each member's inbox.
+type roundRobinFleet struct {
+	shards []*Shard
+	inbox  [][]transport.Packet
+}
+
+func newRoundRobinFleet(t *testing.T, p *Problem, threshold float64, nMembers int) *roundRobinFleet {
+	t.Helper()
 	zs, err := dtl.Assign(p.Partition, dtl.DiagScaled{Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -389,11 +413,10 @@ func roundRobin(t *testing.T, p *Problem, threshold float64, nMembers int) (sts 
 	for part := range owner {
 		owner[part] = part * nMembers / nParts
 	}
-	inbox := make([][]transport.Packet, nMembers)
-	shards := make([]*Shard, nMembers)
-	for m := range shards {
-		shards[m] = NewShard(m, owner, 1, threshold, func(to int, pkt transport.Packet) {
-			inbox[to] = append(inbox[to], pkt)
+	f := &roundRobinFleet{shards: make([]*Shard, nMembers), inbox: make([][]transport.Packet, nMembers)}
+	for m := range f.shards {
+		f.shards[m] = NewShard(m, owner, 1, threshold, func(to int, pkt transport.Packet) {
+			f.inbox[to] = append(f.inbox[to], pkt)
 		})
 		for part, o := range owner {
 			if o == m {
@@ -401,15 +424,22 @@ func roundRobin(t *testing.T, p *Problem, threshold float64, nMembers int) (sts 
 				if err != nil {
 					t.Fatal(err)
 				}
-				shards[m].Adopt(sd, nil)
+				f.shards[m].Adopt(sd, nil)
 			}
 		}
-		shards[m].Wake()
+		f.shards[m].Wake()
 	}
-	for turn, idle := 0, 0; idle < nMembers; turn++ {
-		sh := shards[turn%nMembers]
-		in := inbox[turn%nMembers]
-		inbox[turn%nMembers] = nil
+	return f
+}
+
+// run takes turns until a full round finds no member with anything to do,
+// and returns the number of turns in which one had.
+func (f *roundRobinFleet) run() (turns int) {
+	n := len(f.shards)
+	for turn, idle := 0, 0; idle < n; turn++ {
+		sh := f.shards[turn%n]
+		in := f.inbox[turn%n]
+		f.inbox[turn%n] = nil
 		worked := len(in) > 0
 		for i := range in {
 			sh.Receive(&in[i])
@@ -424,17 +454,7 @@ func roundRobin(t *testing.T, p *Problem, threshold float64, nMembers int) (sts 
 			idle++
 		}
 	}
-	x = sparse.NewVec(p.System.Dim())
-	pairs := p.OwnerPairs()
-	for _, sh := range shards {
-		sts = append(sts, sh.State())
-		for _, part := range sh.Owned() {
-			for _, pair := range pairs[part] {
-				x[pair[1]] = sh.Sub(part).X()[pair[0]]
-			}
-		}
-	}
-	return sts, x, turns
+	return turns
 }
 
 // TestShardRoundRobinCounts pins the sibling schedule's work exactly: a
@@ -535,5 +555,89 @@ func TestShardAdvanceFencesOlderEpochs(t *testing.T) {
 	}
 	if !b.Receive(&fresh) {
 		t.Fatal("the new epoch's first packet was refused")
+	}
+}
+
+// TestShardNewsSent: NewsSent counts the sends that raise a needed mark and
+// nothing else, and Backlog says when a part still waits for a solve. On a
+// drained round-robin fleet a watchdog Retransmit is not news, nor is what it
+// makes the receiver solve, nor an answer whose waves moved less than the
+// threshold; Wake and Advance leave every part waiting, and what the woken
+// parts then send is news.
+func TestShardNewsSent(t *testing.T) {
+	sys := sparse.RandomGridSPD(13, 13, 5)
+	p, err := GridProblem(sys, 13, 13, 3, 3, topology.Uniform(9, 10, "uniform"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newRoundRobinFleet(t, p, 1e-11, 2)
+	a, b := f.shards[0], f.shards[1]
+	if a.Backlog() != len(a.Owned()) || a.NewsSent() != 0 {
+		t.Fatalf("a woken shard: backlog %d of %d parts, %d news sent", a.Backlog(), len(a.Owned()), a.NewsSent())
+	}
+	f.run()
+	newsA, newsB := a.NewsSent(), b.NewsSent()
+	needed := 0
+	for _, nd := range append(a.State().Needed, b.State().Needed...) {
+		needed += int(nd.Seq)
+	}
+	if newsA == 0 || newsB == 0 || newsA+newsB > needed || a.Backlog()+b.Backlog() > 0 {
+		t.Fatalf("drained: %d and %d news sent (needed marks sum to %d), backlogs %d and %d", newsA, newsB, needed, a.Backlog(), b.Backlog())
+	}
+	same := func(what string) {
+		t.Helper()
+		if a.NewsSent() != newsA || b.NewsSent() != newsB {
+			t.Fatalf("%s: news sent %d → %d and %d → %d", what, newsA, a.NewsSent(), newsB, b.NewsSent())
+		}
+	}
+
+	a.Retransmit()
+	if len(f.inbox[1]) == 0 {
+		t.Fatal("the watchdog sent nothing")
+	}
+	retransmitted := slices.Clone(f.inbox[1])
+	same("a Retransmit")
+	f.run()
+	same("the solves a Retransmit causes")
+
+	// An answer below the threshold: a wave moved well past it and moved
+	// back before the receiver solves leaves the receiver owing an answer
+	// whose own waves have not moved at all.
+	pkt := retransmitted[0]
+	moved := pkt
+	moved.Entries = slices.Clone(pkt.Entries)
+	moved.Entries[0].Wave++
+	moved.Seq, pkt.Seq = pkt.Seq+1, pkt.Seq+2
+	if !b.Receive(&moved) || !b.Receive(&pkt) {
+		t.Fatal("fresh packets refused")
+	}
+	messages := b.State().Messages
+	for b.SolveDirty() {
+	}
+	answered := slices.ContainsFunc(f.inbox[0], func(q transport.Packet) bool { return q.ToPart == pkt.FromPart && q.FromPart == pkt.ToPart })
+	if !answered || b.State().Messages == messages {
+		t.Fatalf("part %d did not answer part %d", pkt.ToPart, pkt.FromPart)
+	}
+	same("an answer below the threshold")
+	f.run()
+	same("the answer's receipt")
+
+	a.Wake()
+	if a.Backlog() != len(a.Owned()) {
+		t.Fatalf("after Wake: backlog %d of %d parts", a.Backlog(), len(a.Owned()))
+	}
+	f.run()
+	if a.NewsSent() == newsA {
+		t.Fatal("a woken shard sent no news")
+	}
+	newsA, newsB = a.NewsSent(), b.NewsSent()
+	b.Advance(2, b.owner)
+	if b.Backlog() != len(b.Owned()) {
+		t.Fatalf("after Advance: backlog %d of %d parts", b.Backlog(), len(b.Owned()))
+	}
+	for b.SolveDirty() {
+	}
+	if b.NewsSent() == newsB {
+		t.Fatal("an advanced shard sent no news")
 	}
 }

@@ -42,7 +42,11 @@ type CoordConfig struct {
 	// DisableFailover turns lease expiry into an immediate *WorkerLostError
 	// instead of a reassignment (strict mode).
 	DisableFailover bool
-	// PollInterval spaces the coordinator's status polls (default 10ms).
+	// PollInterval is the fallback cadence of the coordinator's status polls
+	// (default 10ms). A round begins sooner when every live worker has told
+	// the coordinator its shard fell silent (a quiet notice), and a quiet
+	// round is confirmed by the next poll at once; the timer covers a lost
+	// notice, a worker that never sends one and a fleet silent but not quiet.
 	PollInterval time.Duration
 	// StablePolls is how many consecutive polls must satisfy the stopping
 	// rule before the coordinator declares convergence (default 2) — the
@@ -114,7 +118,9 @@ type Result struct {
 	// Solves and Messages total the counters the final owners report with
 	// their results: every solve and message of theirs up to the stop.
 	Solves, Messages int
-	// Polls is the number of completed status rounds the coordinator ran.
+	// Polls is the number of completed status rounds the coordinator ran,
+	// each begun by the PollInterval timer, a quiet round's confirmation or
+	// the fleet's silent notices.
 	Polls int
 	// MaxLastChange and TwinGap are the final poll's convergence measures.
 	MaxLastChange, TwinGap float64

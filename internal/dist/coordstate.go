@@ -71,6 +71,10 @@ type coordState struct {
 	round, stable int
 	statuses      map[int]*statusMsg
 	nextPoll      time.Time
+	// silent is each live worker's latest quiet notice, toldSilent whether a
+	// silent one arrived since the latest round began (pollIfSilent).
+	silent     map[int]bool
+	toldSilent bool
 	// final are the statuses the results carried, the session's counters.
 	final []core.ShardState
 	// rejoins queues dead-declared members seen beating with a higher
@@ -88,6 +92,7 @@ func newCoordState(cfg *CoordConfig) *coordState {
 		snaps:   make(map[int32][]float64),
 		ms:      newMembership(cfg.Workers, cfg.lease(), cfg.Spec.Hash()),
 		rejoins: make(map[int]uint32), reassignSent: make(map[int]time.Time),
+		silent: make(map[int]bool),
 	}
 }
 
@@ -178,6 +183,7 @@ func (s *coordState) pollTick(now time.Time, idle bool) error {
 		if s.statuses == nil {
 			s.round++
 			s.statuses = make(map[int]*statusMsg, len(s.ms.alive()))
+			s.toldSilent = false
 		}
 		// Dead members are polled too: a restarted process answers with hello
 		// and is re-admitted.
@@ -210,6 +216,7 @@ func (s *coordState) Handle(now time.Time, from int, m *ctrlMsg) (outs []out, er
 	}
 	if s.phase == phasePoll {
 		s.completeRound()
+		s.pollIfSilent()
 		return nil, nil
 	}
 	// A duplicate ready or result only renewed the lease; a refused one
@@ -253,7 +260,9 @@ func (s *coordState) gather(w int, m *ctrlMsg) error {
 // completes, not a PollInterval later. That is the second wave of Mattern's
 // four-counter termination detection, which needs the second round to begin
 // after the first has completed and no delay between them, as long as a
-// reply counts only in the round that asked for it (classify).
+// reply counts only in the round that asked for it (classify). A round that
+// is not quiet is followed at once too when the fleet told it fell silent
+// since the round began (pollIfSilent).
 func (s *coordState) completeRound() {
 	alive := s.ms.alive()
 	states := make([]core.ShardState, 0, len(alive))
@@ -275,6 +284,26 @@ func (s *coordState) completeRound() {
 		s.res.Converged = true
 		s.stop()
 		return
+	}
+	s.nextPoll = time.Time{}
+}
+
+// pollIfSilent brings the next poll forward to now when no round is in
+// flight, every live worker's latest quiet notice says its shard is silent
+// and one such notice arrived after the latest round began — the moments
+// are a notice's arrival and a round completing not quiet. The notice only
+// decides when a round begins; what stops the session is still two
+// consecutive quiet rounds (completeRound). A notice from before the round
+// began cannot trigger again, so a fleet silent but not quiet is polled on
+// the PollInterval timer.
+func (s *coordState) pollIfSilent() {
+	if s.phase != phasePoll || s.statuses != nil || !s.toldSilent {
+		return
+	}
+	for _, w := range s.ms.alive() {
+		if !s.silent[w] {
+			return
+		}
 	}
 	s.nextPoll = time.Time{}
 }
@@ -381,6 +410,12 @@ func (s *coordState) classify(from int, m *ctrlMsg, now time.Time) error {
 		if m.Status != nil && m.Status.Epoch == s.epoch && m.Round == s.round && s.statuses != nil {
 			s.statuses[from] = m.Status
 		}
+	case msgQuiet:
+		s.ms.beat(from, 0, 0, now)
+		if w, ok := s.ms.members[from]; ok && w.alive && s.phase == phasePoll {
+			s.silent[from] = m.Quiet
+			s.toldSilent = s.toldSilent || m.Quiet
+		}
 	default:
 		// ready/result renew the lease too; the barriers are Handle's.
 		s.ms.beat(from, 0, 0, now)
@@ -417,5 +452,8 @@ func (s *coordState) reassign(now time.Time, lost int, revived map[int]bool) err
 		s.reassignSent[w] = now
 	}
 	s.stable, s.statuses = 0, nil
+	// Every worker wakes under the new map: none is silent until it says so.
+	clear(s.silent)
+	s.toldSilent = false
 	return nil
 }

@@ -184,8 +184,10 @@ func (f *simFleet) deliver(outs []out) {
 }
 
 // step moves the fleet's clock on: mostly by a millisecond or two, now and
-// then by about a lease. Workers in a session heartbeat every 10 ms; now and
-// then one crashes or a crashed one restarts under a higher incarnation.
+// then by about a lease. Workers in a session heartbeat every 10 ms and now
+// and then tell whether they are silent, which they are from 20 ms before
+// they settle (silent, not yet quiet); now and then one crashes or a crashed
+// one restarts under a higher incarnation.
 func (f *simFleet) step(churn bool) {
 	dt := time.Duration(f.rng.Intn(2500)) * time.Microsecond
 	if f.rng.Intn(80) == 0 {
@@ -199,6 +201,8 @@ func (f *simFleet) step(churn bool) {
 			w.up, w.inc = true, w.inc+1
 		case w.up && churn && f.rng.Intn(300) == 0:
 			w.up, w.inSession = false, false
+		case w.up && w.inSession && !w.nextBeat.IsZero() && f.rng.Intn(8) == 0:
+			f.emit(id, &ctrlMsg{Type: msgQuiet, Quiet: !f.now.Before(f.settle.Add(-20 * time.Millisecond))}, true)
 		case w.up && w.inSession && !f.now.Before(w.nextBeat) && !w.nextBeat.IsZero():
 			hb := &heartbeatMsg{Inc: w.inc, Epoch: w.epoch}
 			for part, o := range w.owner {
@@ -223,6 +227,10 @@ type coordChecker struct {
 	// the completed rounds and the epoch when it was first asked.
 	asked, askedPolls int
 	askedEpoch        uint32
+	// silent is each live worker's latest quiet notice this epoch; told
+	// counts the polls a silent fleet's notices brought forward.
+	silent map[int]bool
+	told   int
 	// replied records, per round, the workers whose status for it reached
 	// Handle under the epoch then current.
 	replied map[int]map[int]bool
@@ -242,8 +250,11 @@ func (c *coordChecker) fail(format string, args ...any) {
 func (c *coordChecker) call(now time.Time, idle, expire bool, from int, m *ctrlMsg) ([]out, error) {
 	c.t.Helper()
 	s := c.s
-	epoch, stable, polls, round, phase := s.epoch, s.stable, s.res.Polls, s.round, s.phase
+	epoch, stable, polls, round, phase, nextPoll := s.epoch, s.stable, s.res.Polls, s.round, s.phase, s.nextPoll
 	alive := s.ms.alive()
+	if m != nil && m.Type == msgQuiet && phase == phasePoll && slices.Contains(alive, from) {
+		c.silent[from] = m.Quiet
+	}
 	lastBeat := make(map[int]time.Time, len(alive))
 	for _, w := range alive {
 		lastBeat[w] = s.ms.members[w].lastBeat
@@ -270,6 +281,17 @@ func (c *coordChecker) call(now time.Time, idle, expire bool, from int, m *ctrlM
 
 	if s.epoch < epoch {
 		c.fail("epoch went back from %d to %d", epoch, s.epoch)
+	}
+	if s.epoch != epoch {
+		clear(c.silent)
+	}
+	if m != nil && s.phase == phasePoll && s.stable == 0 && !nextPoll.IsZero() && s.nextPoll.IsZero() {
+		c.told++
+		for _, w := range s.ms.alive() {
+			if !c.silent[w] {
+				c.fail("a %s brought the poll forward while worker %d had not told silent", m.Type, w)
+			}
+		}
 	}
 	if m != nil && m.Type == msgStatus && phase == phasePoll && !forRound {
 		if s.res.Polls != polls || (s.statuses != nil && s.statuses[from] != prevStatus) {
@@ -349,12 +371,14 @@ func (c *coordChecker) call(now time.Time, idle, expire bool, from int, m *ctrlM
 //   - a member is expired only on an idle tick with a lapsed lease, in the
 //     poll phase and the result phase alike;
 //   - a live member lagging the epoch is re-sent the reassign within a lease;
+//   - a poll is brought forward, not confirming a quiet round, only when
+//     every live worker's latest quiet notice this epoch said silent;
 //   - the gather never writes outside Dim.
 //
 // A session ends converged, expired, or in a loss the state reports; a
 // failure names its seed and step, and replays from them.
 func TestCoordStateProperties(t *testing.T) {
-	var done, failovers, rejoins, rounds int
+	var done, failovers, rejoins, rounds, told int
 	ended := map[string]int{}
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -366,7 +390,7 @@ func TestCoordStateProperties(t *testing.T) {
 			f.workers[id] = &simWorker{id: id, up: true, inc: 1}
 		}
 		step := 0
-		c := &coordChecker{t: t, s: s, replied: map[int]map[int]bool{},
+		c := &coordChecker{t: t, s: s, replied: map[int]map[int]bool{}, silent: map[int]bool{},
 			issued: map[uint32]*reassignMsg{}, sentTo: map[int]time.Time{},
 			desc: func() string { return fmt.Sprintf("seed %d, step %d", seed, step) }}
 		expireAt := -1
@@ -404,9 +428,11 @@ func TestCoordStateProperties(t *testing.T) {
 		failovers += s.res.Failovers
 		rejoins += s.res.Rejoins
 		rounds += s.res.Polls
+		told += c.told
 	}
-	t.Logf("300 sessions: %d done, ended early %v; %d failovers, %d rejoins, %d rounds", done, ended, failovers, rejoins, rounds)
-	if done < 150 || failovers < 100 || rejoins < 50 || ended["lost in result"] == 0 {
+	t.Logf("300 sessions: %d done, ended early %v; %d failovers, %d rejoins, %d rounds, %d polls brought forward by silent notices",
+		done, ended, failovers, rejoins, rounds, told)
+	if done < 150 || failovers < 100 || rejoins < 50 || ended["lost in result"] == 0 || told < 50 {
 		t.Errorf("the schedules no longer reach what the invariants are about: %d done, ended early %v, %d failovers, %d rejoins",
 			done, ended, failovers, rejoins)
 	}
@@ -521,13 +547,16 @@ func TestFuzzCoordHandleSeedsDecode(t *testing.T) {
 // FuzzCoordHandle throws arbitrary control bytes, from any member id, at the
 // coordinator's state in each phase that receives: ready (workers 1 and 3 in,
 // worker 2 pending), poll (round 1 in flight) and result (worker 1's result
-// in). The state must not panic, must not write outside Dim, must not move
-// the epoch on a frame that does not decode (Coordinate drops it), and must
-// not start after a refused ready: the refused worker stays pending. The seed
-// corpus under testdata/fuzz/FuzzCoordHandle pins agreeing and refused
-// readies, stale and current statuses, a restart's hello, foreign snapshots,
-// results outside the problem, an unknown member and frames that do not
-// decode.
+// in). The sender is from%128 mod 5 — 1 to 3 are workers, 0 and 4 unknown —
+// and a from of 128 or more first declares it dead, as an expired lease does
+// (in the poll phase with the reassign that follows). The state must not
+// panic, must not write outside Dim, must not move the epoch on a frame that
+// does not decode (Coordinate drops it), and must not start after a refused
+// ready: the refused worker stays pending. The seed corpus under
+// testdata/fuzz/FuzzCoordHandle pins agreeing and refused readies, stale and
+// current statuses, a restart's hello, foreign snapshots, results outside
+// the problem, quiet notices (true, false, null) from a live, an unknown and
+// a dead member in every phase, and frames that do not decode.
 func FuzzCoordHandle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, phase, from uint8, data []byte) {
 		now := time.Unix(1000, 0)
@@ -541,7 +570,14 @@ func FuzzCoordHandle(f *testing.F) {
 			s.Expire()
 			s.Handle(now, 1, &ctrlMsg{Type: msgResult, Result: &resultMsg{Index: []int32{0}, Value: []float64{1}}})
 		}
-		epoch, w, refused := s.epoch, int(from%5), false
+		w := int(from%128) % 5
+		if from >= 128 {
+			s.ms.markDead(w)
+			if s.phase == phasePoll {
+				_ = s.reassign(now, w, nil)
+			}
+		}
+		epoch, refused := s.epoch, false
 		m, err := decodeCtrl(&transport.Packet{Kind: transport.KindControl, From: int32(w), Ctrl: data})
 		if err == nil {
 			_, herr := s.Handle(now, w, m)
@@ -563,4 +599,236 @@ func FuzzCoordHandle(f *testing.F) {
 			t.Fatalf("X has %d entries for a %d-unknown problem", len(s.res.X), s.dim)
 		}
 	})
+}
+
+// roundAsked is the round a status? among outs asks, 0 when none does.
+func roundAsked(outs []out) int {
+	for _, o := range outs {
+		if o.m.Type == msgStatusRq {
+			return o.m.Round
+		}
+	}
+	return 0
+}
+
+// tellAt hands s worker w's quiet notice at now, before the poll timer is
+// due, and runs the tick Coordinate runs after it. It returns the round a
+// poll then asked, 0 when none went out.
+func tellAt(t *testing.T, s *coordState, now time.Time, w int, silent bool) int {
+	t.Helper()
+	if !now.Before(s.nextPoll) {
+		t.Fatalf("the poll timer is due at %v: a poll would not show the notice's effect", now)
+	}
+	if outs, err := s.Handle(now, w, &ctrlMsg{Type: msgQuiet, Quiet: silent}); err != nil || len(outs) > 0 {
+		t.Fatalf("a quiet notice was answered with %v, %v", outs, err)
+	}
+	_, outs, err := s.Tick(now, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return roundAsked(outs)
+}
+
+// answerRound files every live worker's status for the round in flight:
+// converged parts when quiet, parts that still move otherwise.
+func answerRound(t *testing.T, s *coordState, now time.Time, quiet bool) {
+	t.Helper()
+	if s.statuses == nil {
+		t.Fatal("no round in flight")
+	}
+	for _, w := range s.ms.alive() {
+		st := &statusMsg{Epoch: s.epoch}
+		for part, o := range s.owner {
+			if o == w {
+				ps := core.PartState{Part: int32(part), SolvedOnce: true, Ports: []float64{0, 0}}
+				if !quiet {
+					ps.LastChange = 1
+				}
+				st.Parts = append(st.Parts, ps)
+			}
+		}
+		if _, err := s.Handle(now, w, &ctrlMsg{Type: msgStatus, Round: s.round, Status: st}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSilentFleetIsPolledAtOnce: with no round in flight, the notice that
+// makes every live worker silent brings the next poll forward to its own
+// now; it does not wait for the PollInterval timer. The poll is the first
+// round, numbered as the timer would have numbered it.
+func TestSilentFleetIsPolledAtOnce(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s := pollingState(t, now, 1, 2, 3)
+	ms := time.Millisecond
+	if r := tellAt(t, s, now.Add(ms), 1, true); r != 0 {
+		t.Fatalf("one silent worker of three was polled (round %d)", r)
+	}
+	if r := tellAt(t, s, now.Add(2*ms), 2, true); r != 0 {
+		t.Fatalf("two silent workers of three were polled (round %d)", r)
+	}
+	if r := tellAt(t, s, now.Add(3*ms), 3, true); r != 1 {
+		t.Fatalf("the fleet told silent %v before the timer asked round %d, want round 1 at once", s.cfg.PollInterval-3*ms, r)
+	}
+	if want := now.Add(3 * ms).Add(s.cfg.PollInterval); !s.nextPoll.Equal(want) {
+		t.Errorf("the timer restarts at %v, want the early poll's time plus PollInterval", s.nextPoll.Sub(now))
+	}
+}
+
+// TestSilentPollWaitsForEveryLiveWorker: a worker told not silent, a worker
+// never told, and a worker dead-declared and then revived each hold the poll
+// until its own silent notice. A dead worker holds nothing.
+func TestSilentPollWaitsForEveryLiveWorker(t *testing.T) {
+	ms := time.Millisecond
+	t.Run("told-not-silent", func(t *testing.T) {
+		now := time.Unix(1000, 0)
+		s := pollingState(t, now, 1, 2)
+		tellAt(t, s, now.Add(ms), 2, true)
+		tellAt(t, s, now.Add(ms), 2, false)
+		if r := tellAt(t, s, now.Add(2*ms), 1, true); r != 0 {
+			t.Fatalf("worker 2 told not silent, and round %d was asked", r)
+		}
+		if r := tellAt(t, s, now.Add(3*ms), 2, true); r != 1 {
+			t.Fatalf("worker 2 told silent again: round %d asked, want 1", r)
+		}
+	})
+	t.Run("never-told", func(t *testing.T) {
+		now := time.Unix(1000, 0)
+		s := pollingState(t, now, 1, 2)
+		if r := tellAt(t, s, now.Add(ms), 1, true); r != 0 {
+			t.Fatalf("worker 2 never told, and round %d was asked", r)
+		}
+		// The timer still polls the fleet.
+		if _, outs, _ := s.Tick(s.nextPoll, true); roundAsked(outs) != 1 {
+			t.Fatal("the timer did not ask round 1")
+		}
+	})
+	t.Run("dead-then-revived", func(t *testing.T) {
+		now := time.Unix(1000, 0)
+		s := pollingState(t, now, 1, 2, 3)
+		// Workers 1 and 2 beat; worker 3 falls silent past its lease.
+		late := now.Add(s.ms.leaseOf(3) + ms)
+		for _, w := range []int{1, 2} {
+			s.Handle(late, w, &ctrlMsg{Type: msgHeartbeat, HB: &heartbeatMsg{Inc: 1, Epoch: 1}})
+		}
+		s.Tick(late, true)
+		if s.res.Failovers != 1 || slices.Contains(s.ms.alive(), 3) {
+			t.Fatalf("worker 3 not declared dead: %d failovers, alive %v", s.res.Failovers, s.ms.alive())
+		}
+		answerRound(t, s, late, false)
+		if r := tellAt(t, s, late, 1, true); r != 0 {
+			t.Fatalf("worker 2 not told silent at epoch 2, and round %d was asked", r)
+		}
+		if r := tellAt(t, s, late, 2, true); r == 0 {
+			t.Fatal("every live worker told silent, dead worker 3 held the poll")
+		}
+		answerRound(t, s, late, false)
+		// A dead worker's notice is no news of the live fleet.
+		if r := tellAt(t, s, late, 3, true); r != 0 {
+			t.Fatalf("dead worker 3 told silent, and round %d was asked", r)
+		}
+		// Worker 3 restarts and beats under a new incarnation: revived at epoch 3.
+		s.Handle(late, 3, &ctrlMsg{Type: msgHeartbeat, HB: &heartbeatMsg{Inc: 2}})
+		if _, outs, _ := s.Tick(late, false); s.res.Rejoins != 1 || roundAsked(outs) != 0 {
+			t.Fatalf("the rejoin: %d rejoins, round %d asked", s.res.Rejoins, roundAsked(outs))
+		}
+		tellAt(t, s, late, 1, true)
+		if r := tellAt(t, s, late, 2, true); r != 0 {
+			t.Fatalf("revived worker 3 not told silent, and round %d was asked", r)
+		}
+		if r := tellAt(t, s, late, 3, true); r == 0 {
+			t.Fatal("revived worker 3 told silent, and no round was asked")
+		}
+	})
+}
+
+// TestSilentNoticeTriggersOncePerRound: a silent notice told before the
+// round in flight began does not trigger again when that round completes not
+// quiet, so a fleet that is silent but not quiet (SendThreshold above Tol
+// leaves it so) is polled on the timer alone — no poll storm. A notice told
+// while the round is in flight does trigger the poll once it completes.
+func TestSilentNoticeTriggersOncePerRound(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s := pollingState(t, now, 1, 2)
+	tellAt(t, s, now, 1, true)
+	if r := tellAt(t, s, now, 2, true); r != 1 {
+		t.Fatalf("round %d asked, want 1", r)
+	}
+	// Silent but not quiet, from here on: every round is answered at once.
+	asked, end := 1, now.Add(100*s.cfg.PollInterval)
+	for at := now; at.Before(end); at = at.Add(time.Millisecond / 4) {
+		if s.statuses != nil {
+			answerRound(t, s, at, false)
+		}
+		_, outs, _ := s.Tick(at, true)
+		if r := roundAsked(outs); r > asked {
+			asked = r
+		}
+	}
+	if asked > 101 {
+		t.Fatalf("a silent, not quiet fleet asked %d rounds in 100 poll intervals", asked)
+	}
+	if s.res.Polls != asked {
+		t.Fatalf("%d rounds completed of %d asked", s.res.Polls, asked)
+	}
+	// A notice told while a round is in flight polls again once it completes.
+	at := s.nextPoll
+	if _, outs, _ := s.Tick(at, true); roundAsked(outs) != asked+1 {
+		t.Fatalf("the timer did not ask round %d", asked+1)
+	}
+	s.Handle(at, 1, &ctrlMsg{Type: msgQuiet, Quiet: true})
+	answerRound(t, s, at, false)
+	if _, outs, _ := s.Tick(at, false); roundAsked(outs) != asked+2 {
+		t.Fatalf("a silent notice told during round %d did not ask round %d when it completed", asked+1, asked+2)
+	}
+}
+
+// TestReassignClearsSilentNotices: every worker wakes under a new ownership
+// map, so a reassign forgets what the workers told; each must tell silent
+// again.
+func TestReassignClearsSilentNotices(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s := pollingState(t, now, 1, 2)
+	tellAt(t, s, now, 1, true)
+	tellAt(t, s, now, 2, false)
+	// Worker 2 says hello under a new incarnation: a rejoin, epoch 2.
+	s.Handle(now, 2, &ctrlMsg{Type: msgHello, HB: &heartbeatMsg{Inc: 2}})
+	s.Tick(now, false)
+	if s.epoch != 2 || len(s.silent) > 0 || s.toldSilent {
+		t.Fatalf("after the reassign to epoch %d: told %v, a silent notice pending %v", s.epoch, s.silent, s.toldSilent)
+	}
+	if r := tellAt(t, s, now, 2, true); r != 0 {
+		t.Fatalf("worker 1's notice from epoch 1 still counts: round %d asked", r)
+	}
+	if r := tellAt(t, s, now, 1, true); r != 1 {
+		t.Fatalf("both told silent at epoch 2: round %d asked, want 1", r)
+	}
+}
+
+// TestSilentNoticeOutsidePollPhaseOnlyRenewsLease: in the assign, ready and
+// result phases a quiet notice from a worker, silent or not, renews its lease
+// and nothing else.
+func TestSilentNoticeOutsidePollPhaseOnlyRenewsLease(t *testing.T) {
+	now := time.Unix(1000, 0)
+	assign := newCoordState(stateConfig(t, 1, 2))
+	ready := readyState(t, now, []int{1, 2}, 2)
+	result := pollingState(t, now, 1, 2)
+	result.Expire()
+	for _, s := range []*coordState{assign, ready, result} {
+		phase, pending, round, next := s.phase, slices.Clone(s.pending), s.round, s.nextPoll
+		res := *s.res
+		later := now.Add(time.Millisecond)
+		for _, silent := range []bool{true, false} {
+			if outs, err := s.Handle(later, 1, &ctrlMsg{Type: msgQuiet, Quiet: silent}); err != nil || len(outs) > 0 {
+				t.Fatalf("%s phase: a quiet notice was answered with %v, %v", phase, outs, err)
+			}
+		}
+		if s.phase != phase || !slices.Equal(s.pending, pending) || s.round != round || !s.nextPoll.Equal(next) ||
+			len(s.silent) > 0 || s.toldSilent || s.res.Polls != res.Polls || s.res.Converged != res.Converged {
+			t.Errorf("%s phase: a quiet notice changed the session", phase)
+		}
+		if got := s.ms.members[1].lastBeat; !got.Equal(later) {
+			t.Errorf("%s phase: lease last renewed at %v, want the notice's %v", phase, got, later)
+		}
+	}
 }

@@ -13,10 +13,12 @@ import (
 // session, each time through Handle and the Tick Run runs after it. The
 // invariants under fuzz: the state NEVER panics, a frame that does not decode
 // is dropped, and it neither starts nor ends a session
-// nor moves the epoch fence. The seed corpus under testdata/fuzz/FuzzCtrlMsg
-// pins the interesting shapes: valid messages of every type, a status? for an
-// idle worker, a rejoin reassign, truncated JSON, a reassign with a
-// mismatched owner map, and binary garbage.
+// nor moves the epoch fence; nor does a quiet notice, which is
+// coordinator-bound and which a worker drops unanswered. The seed corpus under
+// testdata/fuzz/FuzzCtrlMsg pins the interesting shapes: valid messages of
+// every type, a status? for an idle worker, a rejoin reassign, a quiet
+// notice, truncated JSON, a reassign with a mismatched owner map, and binary
+// garbage.
 func FuzzCtrlMsg(f *testing.F) {
 	seeds := [][]byte{
 		[]byte(`{"type":"start"}`),
@@ -26,6 +28,7 @@ func FuzzCtrlMsg(f *testing.F) {
 		[]byte(`{"type":"reassign","reassign":{"epoch":9,"assign":{"owner":[1]}}}`),
 		[]byte(`{"type":"reassign"}`),
 		[]byte(`{"type":"hb","hb":{"inc":2,"epoch":3}}`),
+		[]byte(`{"type":"quiet","quiet":true}`),
 		[]byte(`{"type":"st`),
 		[]byte(``),
 		{0xff, 0x00, 0x9e, 0x37, 0x79, 0xb9},
@@ -57,11 +60,16 @@ func FuzzCtrlMsg(f *testing.F) {
 			if !idle {
 				epoch = s.shard.Epoch()
 			}
-			_, derr := decodeCtrl(&pkt)
-			s.Handle(&pkt)
+			m, derr := decodeCtrl(&pkt)
+			started := s.started
+			outs, exit := s.Handle(&pkt)
+			quiet := derr == nil && m.Type == msgQuiet
+			if quiet && (len(outs) > 0 || exit || s.started != started || s.pending != nil) {
+				t.Fatalf("a worker acted on a quiet notice: sent %d, exit %v, started %v -> %v", len(outs), exit, started, s.started)
+			}
 			s.Tick(time.Unix(1000, 0), true)
-			if derr != nil && (idle != (s.shard == nil) || !idle && s.shard.Epoch() != epoch) {
-				t.Fatalf("corrupt ctrl moved the session: idle %v -> %v, epoch %d", idle, s.shard == nil, epoch)
+			if (derr != nil || quiet) && (idle != (s.shard == nil) || !idle && s.shard.Epoch() != epoch) {
+				t.Fatalf("corrupt ctrl or a quiet notice moved the session: idle %v -> %v, epoch %d", idle, s.shard == nil, epoch)
 			}
 		}
 		for _, m := range net {

@@ -8,10 +8,10 @@ import (
 // membership is the coordinator's view of the worker fleet: per worker the
 // last sign of life, the highest incarnation seen, and whether its lease is
 // currently honoured. Every control message from a worker (heartbeat, hello,
-// status, ready, result) renews its lease; a worker whose lease lapses is
-// declared dead and its parts are reassigned. A dead worker beating with a
-// *higher* incarnation is a restarted process asking to rejoin; a beat with
-// the old incarnation is a zombie and is ignored.
+// status, quiet, ready, result) renews its lease; a worker whose lease
+// lapses is declared dead and its parts are reassigned. A dead worker beating
+// with a *higher* incarnation is a restarted process asking to rejoin; a
+// beat with the old incarnation is a zombie and is ignored.
 type membership struct {
 	members map[int]*memberState
 	// lease is the base lease duration; each worker's effective lease gets a

@@ -29,6 +29,9 @@ import (
 //	start   → announce initial waves; enter the solve loop
 //	status  ⇄ report per-part convergence state + recovery sequence numbers;
 //	          the reply echoes the poll's round number
+//	quiet   ← the shard turned silent (true: nothing to solve, no news
+//	          sent since the last idle tick) or stopped being so (false);
+//	          sent once, it lets the coordinator poll at once
 //	stop    → leave the solve loop
 //	result  ← owner fragments of X, and a status holding only the
 //	          session's work counters as they stand at the stop
@@ -59,6 +62,7 @@ const (
 	msgHeartbeat = "heartbeat"
 	msgReassign  = "reassign"
 	msgHello     = "hello"
+	msgQuiet     = "quiet"
 )
 
 type ctrlMsg struct {
@@ -72,6 +76,8 @@ type ctrlMsg struct {
 	Result   *resultMsg    `json:"result,omitempty"`
 	HB       *heartbeatMsg `json:"hb,omitempty"`
 	Reassign *reassignMsg  `json:"reassign,omitempty"`
+	// Quiet is a quiet notice's news: whether the worker's shard is silent.
+	Quiet bool `json:"quiet,omitempty"`
 	// Err carries a worker-side failure back to the coordinator (fatal for
 	// the session).
 	Err string `json:"err,omitempty"`

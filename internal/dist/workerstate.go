@@ -36,6 +36,12 @@ type workerState struct {
 	shard          *core.Shard
 	started        bool
 	nextHB, nextWD time.Time
+
+	// silent is what the coordinator was last told (quiet); newsSeen is the
+	// shard's NewsSent at the previous idle tick, and fresh says a part
+	// solved since the last notice.
+	silent, fresh bool
+	newsSeen      int
 }
 
 func (s *workerState) send(to int, m *ctrlMsg, retry bool) {
@@ -131,13 +137,16 @@ func (s *workerState) fail(err error) {
 // end returns the worker to idle.
 func (s *workerState) end() {
 	s.a, s.p, s.zs, s.shard, s.started = nil, nil, nil, nil, false
+	s.silent, s.fresh, s.newsSeen = false, false, 0
 }
 
 // Tick advances the state to now: it does the build Handle left, sends the
 // heartbeat and runs the watchdog's Retransmit when they are due, and, when
-// idle says Run's last receive found the inbox empty, solves one dirty part.
-// It returns what to send and the next deadline: zero when nothing is due
-// before a packet arrives, now itself when it solved, as more work may wait.
+// idle says Run's last receive found the inbox empty, solves one dirty part
+// or, with none to solve, tells the coordinator whether the shard is silent
+// (tell). It returns what to send and the next deadline: zero when nothing
+// is due before a packet arrives, now itself when it solved, as more work
+// may wait.
 func (s *workerState) Tick(now time.Time, idle bool) (next time.Time, outs []out) {
 	defer func() { outs, s.outs = s.outs, nil }()
 	if m := s.pending; m != nil {
@@ -162,8 +171,12 @@ func (s *workerState) Tick(now time.Time, idle bool) (next time.Time, outs []out
 		s.shard.Retransmit()
 		s.nextWD = now.Add(time.Duration(s.a.WatchdogMS) * time.Millisecond)
 	}
-	if idle && s.shard.SolveDirty() {
-		return now, nil
+	if idle {
+		if s.shard.SolveDirty() {
+			s.fresh = true
+			return now, nil
+		}
+		s.tell()
 	}
 	if s.nextWD.Before(s.nextHB) {
 		return s.nextWD, nil
@@ -184,6 +197,7 @@ func (s *workerState) apply(now time.Time, m *ctrlMsg) error {
 			return err
 		}
 		s.shard.Advance(re.Epoch, re.Assign.Owner)
+		s.silent = false // as the coordinator's reassign leaves it
 		if len(s.shard.Owned()) > 0 {
 			s.logf("worker %d (inc %d): epoch %d, owns parts %v", s.self, s.inc, s.shard.Epoch(), s.shard.Owned())
 			s.beat()
@@ -287,6 +301,23 @@ func (s *workerState) stop(to int) {
 	s.send(to, &ctrlMsg{Type: msgResult, Result: res, Status: &statusMsg{ShardState: final}}, true)
 	s.logf("worker %d: session done (%d solves, %d messages, %d fenced)", s.self, st.Solves, st.Messages, st.Fenced)
 	s.end()
+}
+
+// tell sends the coordinator a quiet notice at an idle tick with nothing to
+// solve. The shard is silent when no part is dirty or owed and it sent no
+// news since the previous idle tick. The notice says true when the shard
+// turns silent, or is silent again after fresh solves, and false when it
+// stops being silent. It is sent once, like a poll: a lost one costs the
+// coordinator one PollInterval.
+func (s *workerState) tell() {
+	news := s.shard.NewsSent()
+	silent := s.shard.Backlog() == 0 && news == s.newsSeen
+	s.newsSeen = news
+	if silent == s.silent && !(silent && s.fresh) {
+		return
+	}
+	s.silent, s.fresh = silent, false
+	s.send(s.coord, &ctrlMsg{Type: msgQuiet, Quiet: silent}, false)
 }
 
 // ready reports the torn problem's shape: its dimension and twin links.

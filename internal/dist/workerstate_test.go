@@ -163,9 +163,10 @@ type workerChecker struct {
 	started         bool
 	next            *ctrlMsg // the message whose build the next tick does
 	lastBeat, wdDue time.Time
+	told            bool // the last quiet notice said silent, this epoch
 
 	// What the schedules reached.
-	sessions, adopts, handbacks, stale, results, busyBeats, retransmits int
+	sessions, adopts, handbacks, stale, results, busyBeats, retransmits, notices int
 }
 
 func (c *workerChecker) fail(format string, args ...any) {
@@ -212,7 +213,7 @@ func (c *workerChecker) handle(pkt *transport.Packet) bool {
 		}
 	case m.Type == msgStop && !idle:
 		c.checkResult(outs, before)
-		c.owner, c.started = nil, false
+		c.owner, c.started, c.told = nil, false, false
 	case m.Type == msgStart && !idle:
 		if len(outs) > 0 {
 			c.fail("start was answered")
@@ -306,20 +307,37 @@ func (c *workerChecker) tick(idle bool) {
 		switch {
 		case s.shard == nil: // the build failed, and a ready says why
 		case was:
-			c.owner, c.epoch = m.Reassign.Assign.Owner, m.Reassign.Epoch
+			c.owner, c.epoch, c.told = m.Reassign.Assign.Owner, m.Reassign.Epoch, false
 			c.adopts++
 		default:
 			a := m.Assign
 			if m.Type == msgReassign {
 				a = &m.Reassign.Assign
 			}
-			c.owner, c.epoch, c.started = a.Owner, a.Epoch, m.Type == msgReassign
+			c.owner, c.epoch, c.started, c.told = a.Owner, a.Epoch, m.Type == msgReassign, false
 			c.lastBeat, c.wdDue = c.now, c.now.Add(propWD)
 			c.sessions++
 		}
 	}
+	for _, o := range outs {
+		if o.m.Type != msgQuiet {
+			continue
+		}
+		switch {
+		case s.shard == nil || !c.started:
+			c.fail("a quiet notice from a worker idle or not started")
+		case !idle:
+			c.fail("a quiet notice on a tick that was not idle")
+		case o.m.Quiet && s.shard.Backlog() > 0:
+			c.fail("told silent with %d parts to solve", s.shard.Backlog())
+		case !o.m.Quiet && !c.told:
+			c.fail("told not silent without having told silent")
+		}
+		c.told = o.m.Quiet
+		c.notices++
+	}
 	if s.shard == nil {
-		c.owner, c.started = nil, false
+		c.owner, c.started, c.told = nil, false, false
 		return
 	}
 	beat := slices.ContainsFunc(outs, func(o out) bool { return o.m.Type == msgHeartbeat })
@@ -469,7 +487,10 @@ func (c *workerChecker) msg() *ctrlMsg {
 //   - an idle worker answers status? with hello and drops waves;
 //   - stop yields exactly one result covering the owned parts' OwnerPairs;
 //   - the shard owns what the session gave it, and no more parts are dirty
-//     than it owns.
+//     than it owns;
+//   - a quiet notice leaves only on an idle tick of a started session, says
+//     silent only with nothing to solve, and says not silent only after
+//     saying silent under the same epoch.
 //
 // A failure names its seed and step, and replays from them.
 func TestWorkerStateProperties(t *testing.T) {
@@ -529,11 +550,178 @@ func TestWorkerStateProperties(t *testing.T) {
 		sum.results += c.results
 		sum.busyBeats += c.busyBeats
 		sum.retransmits += c.retransmits
+		sum.notices += c.notices
 	}
-	t.Logf("120 schedules: %d sessions, %d adoptions (%d handing back a part while dirty), %d stale reassigns, %d results, %d heartbeats on solving ticks, %d watchdog rounds",
-		sum.sessions, sum.adopts, sum.handbacks, sum.stale, sum.results, sum.busyBeats, sum.retransmits)
+	t.Logf("120 schedules: %d sessions, %d adoptions (%d handing back a part while dirty), %d stale reassigns, %d results, %d heartbeats on solving ticks, %d watchdog rounds, %d quiet notices",
+		sum.sessions, sum.adopts, sum.handbacks, sum.stale, sum.results, sum.busyBeats, sum.retransmits, sum.notices)
 	if sum.sessions < 300 || sum.adopts < 300 || sum.handbacks < 50 || sum.stale < 100 ||
-		sum.results < 100 || sum.busyBeats < 100 || sum.retransmits < 300 {
+		sum.results < 100 || sum.busyBeats < 100 || sum.retransmits < 300 || sum.notices < 100 {
 		t.Errorf("the schedules no longer reach what the invariants are about")
+	}
+}
+
+// ring9Spec is the benchmark's ring9-grid13 system: 169 unknowns torn 3×3
+// over a nine-processor ring.
+var ring9Spec = SpecV2{V: 2, Source: "grid:rows=13,cols=13,seed=169", PartsX: 3, PartsY: 3, Topology: "ring"}
+
+// notice is a quiet notice a stepFleet worker sent, with the fleet's news
+// sent when it did.
+type notice struct {
+	worker int
+	silent bool
+	news   int
+}
+
+// stepFleet is two started worker states over ring9's system, member 0
+// coordinating, stepped with instant delivery on a clock that stands still
+// unless a test moves it (until then no heartbeat or watchdog falls due).
+type stepFleet struct {
+	t       *testing.T
+	now     time.Time
+	workers []*workerState
+	inbox   [][]transport.Packet
+	told    []notice
+}
+
+func newStepFleet(t *testing.T) *stepFleet {
+	f := &stepFleet{t: t, now: time.Unix(1000, 0), workers: make([]*workerState, 2), inbox: make([][]transport.Packet, 3)}
+	for i := range f.workers {
+		w := i + 1
+		f.workers[i] = &workerState{self: w, inc: 1, logf: func(string, ...any) {},
+			emit: func(to int, pkt transport.Packet) { pkt.From = int32(w); f.inbox[to] = append(f.inbox[to], pkt) }}
+	}
+	a := &assignMsg{Spec: ring9Spec, Owner: ContiguousOwner(ring9Spec.Parts(), []int{1, 2}), Ordering: "auto",
+		SendThreshold: core.DrainThreshold(1e-9), WatchdogMS: 50, HeartbeatMS: 25, Epoch: 1}
+	for _, s := range f.workers {
+		s.Handle(ctrlPacket(t, 0, &ctrlMsg{Type: msgAssign, Assign: a}))
+		f.tick(s, false)
+	}
+	for _, s := range f.workers {
+		s.Handle(ctrlPacket(t, 0, &ctrlMsg{Type: msgStart}))
+	}
+	return f
+}
+
+// news is the fleet's news sent so far.
+func (f *stepFleet) news() (n int) {
+	for _, s := range f.workers {
+		n += s.shard.NewsSent()
+	}
+	return n
+}
+
+func (f *stepFleet) tick(s *workerState, idle bool) (solved bool) {
+	next, outs := s.Tick(f.now, idle)
+	for _, o := range outs {
+		if o.m.Type == msgQuiet {
+			f.told = append(f.told, notice{s.self, o.m.Quiet, f.news()})
+		}
+	}
+	return next.Equal(f.now)
+}
+
+// turn hands worker s its inbox, a Handle and a busy tick per packet, then
+// idle ticks until one solves nothing — Run's order. It reports whether s
+// had anything to do.
+func (f *stepFleet) turn(s *workerState) (worked bool) {
+	in := f.inbox[s.self]
+	f.inbox[s.self] = nil
+	worked = len(in) > 0
+	for i := range in {
+		s.Handle(&in[i])
+		f.tick(s, false)
+	}
+	for f.tick(s, true) {
+		worked = true
+	}
+	return worked
+}
+
+// run takes turns, as TestShardRoundRobinCounts does, until a full round
+// finds no worker with anything to do.
+func (f *stepFleet) run() {
+	for turn, idle := 0, 0; idle < len(f.workers); turn++ {
+		if idle++; f.turn(f.workers[turn%len(f.workers)]) {
+			idle = 0
+		}
+	}
+}
+
+// TestWorkerTellsSilentOnceAtTheEnd runs ring9's system on two worker states
+// taking turns with instant delivery. Each worker must tell silent exactly
+// once, when no worker sends news any more, and the fleet must then be
+// quiescent: the poll the notices bring forward stops the session.
+func TestWorkerTellsSilentOnceAtTheEnd(t *testing.T) {
+	f := newStepFleet(t)
+	f.run()
+	total := f.news()
+	for _, s := range f.workers {
+		var mine []notice
+		for _, n := range f.told {
+			if n.worker == s.self {
+				mine = append(mine, n)
+			}
+		}
+		if len(mine) != 1 || !mine[0].silent || mine[0].news != total {
+			t.Errorf("worker %d told %+v, want one silent notice after all %d news", s.self, mine, total)
+		}
+	}
+	p, err := ring9Spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := []core.ShardState{f.workers[0].shard.State(), f.workers[1].shard.State()}
+	if quiet, change, gap := core.Quiescent(p.Partition.Links, 1e-9, states); !quiet {
+		t.Errorf("told silent but not quiescent: last change %g, twin gap %g", change, gap)
+	}
+	solves, messages, _ := core.Totals(states)
+	t.Logf("%d solves, %d messages, %d news; told %+v", solves, messages, total, f.told)
+}
+
+// TestWorkerRetellsSilentAfterFreshSolves: a silent worker that solves again
+// without sending news — here against a repeat of a wave it already applied —
+// tells silent again, so the coordinator may poll a round that began before
+// those solves once more; one whose solves send news tells not silent, then
+// silent again once nothing is left to solve. An idle tick with nothing new
+// tells nothing.
+func TestWorkerRetellsSilentAfterFreshSolves(t *testing.T) {
+	f := newStepFleet(t)
+	f.run()
+	w1, w2 := f.workers[0], f.workers[1]
+	last := func() notice { return f.told[len(f.told)-1] }
+	told := len(f.told)
+	if f.tick(w1, true); len(f.told) != told {
+		t.Fatalf("a silent worker with nothing new told %+v", last())
+	}
+
+	// A repeat: worker 2 re-announces its waves unchanged.
+	w2.shard.Retransmit()
+	f.turn(w1)
+	if len(f.told) != told+1 || last() != (notice{1, true, f.news()}) {
+		t.Fatalf("after solving against a repeat: told %+v, want one more silent notice", f.told[told:])
+	}
+
+	// News: a wave to worker 1 that moves by far more than the threshold.
+	w2.shard.Retransmit()
+	pkt := &f.inbox[1][0]
+	pkt.Entries = slices.Clone(pkt.Entries)
+	pkt.Entries[0].Wave += 1
+	told = len(f.told)
+	f.run()
+	if w1.shard.Backlog() > 0 {
+		// Parts owed a sweep wait on a member that will not answer an
+		// answer; the watchdog ends the wait.
+		f.now = f.now.Add(50 * time.Millisecond)
+		f.run()
+	}
+	var w1told []bool
+	for _, n := range f.told[told:] {
+		if n.worker == 1 {
+			w1told = append(w1told, n.silent)
+		}
+	}
+	// The watchdog's re-announcements are fresh solves for worker 1 too.
+	if len(w1told) < 2 || w1told[0] || slices.Contains(w1told[1:], false) || w1.shard.Backlog() > 0 {
+		t.Fatalf("worker 1, moved off its fixed point, told %v with %d parts left to solve; want not silent, then silent", w1told, w1.shard.Backlog())
 	}
 }
