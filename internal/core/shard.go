@@ -42,7 +42,7 @@ type Shard struct {
 	owned []int32      // ascending, so every sweep is deterministic
 	dirty []int32      // parts that applied a remote wave (or woke) and await their solve, FIFO
 	owed  []int32      // parts that applied a sibling's wave and await the next sweep; disjoint from dirty
-	// awaited[m] marks a member this shard sent a wave to and has not heard
+	// awaited[m] marks a member this shard sent news to and has not heard
 	// from since; news says a fresh remote packet arrived since the last
 	// sibling sweep. A sweep runs when either permits it (SolveDirty).
 	awaited []bool
@@ -278,7 +278,7 @@ func (s *Shard) markOwed(part int32) {
 // SolveDirty solves the longest-waiting dirty part and announces its new
 // waves. With no part dirty it sweeps the owed parts — makes them all dirty
 // and solves the first — if a fresh remote packet arrived since the last
-// sweep or no member it sent a wave to is still awaited; otherwise the remote
+// sweep or no member it sent news to is still awaited; otherwise the remote
 // waves the owed parts would solve against are about to change, and it
 // reports false, as it does when nothing is dirty or owed.
 func (s *Shard) SolveDirty() bool {
@@ -314,10 +314,13 @@ func (s *Shard) Retransmit() {
 // needed and answer alone. Otherwise a neighbour gets a packet when a wave
 // toward it moved beyond the threshold (raising needed) or when it sent news
 // this part has not answered yet: the answer carries this part's state after
-// folding that news in, and is what ends the sender's wait. Either marks the
-// neighbour's member awaited. A sibling's waves are written in place and
-// leave it owed. The baseline moves only on an actual send, so sub-threshold
-// drift cannot accumulate unannounced; only a packet that leaves allocates.
+// folding that news in, and is what ends the sender's wait. Only news marks
+// the neighbour's member awaited: the neighbour answers a wave that moved,
+// not an answer below the threshold, and a wait for a reply that never comes
+// would hold the owed parts until the watchdog. A sibling's waves are written
+// in place and leave it owed. The baseline moves only on an actual send, so
+// sub-threshold drift cannot accumulate unannounced; only a packet that
+// leaves allocates.
 func (s *Shard) announce(part int32, retransmit bool) {
 	p := s.parts[part]
 	ends := p.sub.Ends()
@@ -357,9 +360,9 @@ func (s *Shard) announce(part int32, retransmit bool) {
 			if moved {
 				p.needed[ai] = p.sentSeq[ai]
 				s.newsSent++
+				s.awaited[s.owner[remote]] = true
 			}
 			p.answer[ai] = false
-			s.awaited[s.owner[remote]] = true
 		}
 		s.emit(s.owner[remote], transport.Packet{
 			Kind: transport.KindWave, FromPart: part, ToPart: int32(remote),

@@ -88,8 +88,13 @@ func BenchmarkCtrlCodec(b *testing.B) {
 // TestCtrlCodecAllocations holds BenchmarkCtrlCodec's messages to their
 // allocation ceilings, about twice what encoding and decoding one allocates
 // (result 5 and 13, status 5 and 23). Decoding the vectors from JSON
-// arrays, which grow element by element, takes 37 and 36.
+// arrays, which grow element by element, takes 37 and 36. The race
+// detector's instrumentation allocates more (result encoding 14, status 18),
+// so the ceilings hold only in builds without it.
 func TestCtrlCodecAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings hold only without the race detector")
+	}
 	ceilings := map[string][2]float64{"result": {10, 26}, "status": {10, 46}}
 	for _, tc := range bigblockCtrl(t) {
 		ctrl, err := json.Marshal(tc.m)

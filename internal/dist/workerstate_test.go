@@ -707,20 +707,13 @@ func TestWorkerRetellsSilentAfterFreshSolves(t *testing.T) {
 	pkt.Entries = slices.Clone(pkt.Entries)
 	pkt.Entries[0].Wave += 1
 	told = len(f.told)
-	f.run()
-	if w1.shard.Backlog() > 0 {
-		// Parts owed a sweep wait on a member that will not answer an
-		// answer; the watchdog ends the wait.
-		f.now = f.now.Add(50 * time.Millisecond)
-		f.run()
-	}
+	f.run() // the clock stays put: no watchdog ends a wait here
 	var w1told []bool
 	for _, n := range f.told[told:] {
 		if n.worker == 1 {
 			w1told = append(w1told, n.silent)
 		}
 	}
-	// The watchdog's re-announcements are fresh solves for worker 1 too.
 	if len(w1told) < 2 || w1told[0] || slices.Contains(w1told[1:], false) || w1.shard.Backlog() > 0 {
 		t.Fatalf("worker 1, moved off its fixed point, told %v with %d parts left to solve; want not silent, then silent", w1told, w1.shard.Backlog())
 	}

@@ -52,7 +52,7 @@ const (
 )
 
 // payloadLen is the length of pkt's frame without its length prefix — the
-// number readFrame holds against maxFrame.
+// number a frameReader holds against maxFrame.
 func payloadLen(pkt *Packet) int {
 	return frameHeader + len(pkt.Entries)*entrySize + 4 + len(pkt.Ctrl)
 }
@@ -120,23 +120,57 @@ func decodePacket(payload []byte) (Packet, error) {
 	return pkt, nil
 }
 
-// readFrame reads one length-prefixed frame from r and decodes it.
-func readFrame(r io.Reader, scratch []byte) (Packet, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return Packet{}, scratch, err
+// frameReader decodes the frame stream of one connection. Each read takes
+// whatever the socket holds into one buffer, which starts at
+// frameReadBuffer bytes and grows to the largest frame seen, and next then
+// decodes the complete frames there one by one before it reads again.
+type frameReader struct {
+	r          io.Reader
+	buf        []byte
+	head, tail int   // buf[head:tail] is read and not yet decoded
+	err        error // the read error to return once buf holds no complete frame
+}
+
+// frameReadBuffer is a connection's initial read buffer: a burst of small
+// wave frames fits, and a reader that only ever sees those allocates no more.
+const frameReadBuffer = 512
+
+// next returns the stream's next packet. A length prefix above maxFrame is
+// an error before anything is allocated for it, as is a frame that does not
+// decode; either ends the stream.
+func (f *frameReader) next() (Packet, error) {
+	if f.buf == nil {
+		f.buf = make([]byte, frameReadBuffer)
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n > maxFrame {
-		return Packet{}, scratch, fmt.Errorf("transport: frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
+	for {
+		if f.head == f.tail {
+			f.head, f.tail = 0, 0
+		}
+		avail := f.buf[f.head:f.tail]
+		need := 4
+		if len(avail) >= 4 {
+			n := binary.LittleEndian.Uint32(avail)
+			if n > maxFrame {
+				return Packet{}, fmt.Errorf("transport: frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
+			}
+			need += int(n)
+			if len(avail) >= need {
+				f.head += need
+				return decodePacket(avail[4:need])
+			}
+		}
+		if f.err != nil {
+			return Packet{}, f.err
+		}
+		if f.head+need > len(f.buf) {
+			if need > len(f.buf) {
+				f.buf = make([]byte, need)
+			}
+			f.tail = copy(f.buf, avail)
+			f.head = 0
+		}
+		k, err := f.r.Read(f.buf[f.tail:])
+		f.tail += k
+		f.err = err
 	}
-	if cap(scratch) < int(n) {
-		scratch = make([]byte, n)
-	}
-	scratch = scratch[:n]
-	if _, err := io.ReadFull(r, scratch); err != nil {
-		return Packet{}, scratch, err
-	}
-	pkt, err := decodePacket(scratch)
-	return pkt, scratch, err
 }

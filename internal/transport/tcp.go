@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -11,7 +12,8 @@ import (
 // Reconnect backoff: a failed dial locks the peer out for dialBackoffBase,
 // doubling per consecutive failure up to dialBackoffCap — the same
 // exponential-backoff shape the fault layer's watchdogs use, so a down peer
-// costs O(1) failed dials per backoff window instead of one per wave.
+// costs O(1) failed dials per backoff window instead of one per wave. A write
+// of one batch gives up after writeTimeout, which also bounds Close's flush.
 const (
 	dialBackoffBase = 50 * time.Millisecond
 	dialBackoffCap  = 2 * time.Second
@@ -22,9 +24,11 @@ const (
 // tcpTransport carries Packets as length-prefixed binary frames over TCP:
 // one listener per member, one lazily dialed outbound connection per peer
 // (re-dialed with exponential backoff after failures), and a shared inbox
-// fed by per-connection reader goroutines. Send is best-effort: a write
-// error closes the connection and loses the packet, exactly like a dropped
-// datagram, and the protocol's retransmission machinery recovers.
+// fed by per-connection reader goroutines. Send only queues the frame on its
+// peer connection, whose one writer goroutine writes everything queued since
+// its last write in one Write: a burst leaves in one syscall, and no frame
+// waits on a timer. A failed write loses what it carried, exactly like
+// dropped datagrams, and the protocol's retransmission machinery recovers.
 type tcpTransport struct {
 	self  int
 	addrs map[int]string
@@ -39,10 +43,14 @@ type tcpTransport struct {
 	closeOnce sync.Once
 }
 
+// peerConn is the outbound side of one peer. conn, pending, wake and done
+// belong to the connection a writeLoop serves; the dial state outlives it.
 type peerConn struct {
 	mu       sync.Mutex
 	conn     net.Conn
-	buf      []byte
+	pending  []byte        // frames Send queued and the writer has not taken
+	wake     chan struct{} // one token: pending has frames the writer has not seen
+	done     chan struct{} // closed when conn's writer has flushed and exited
 	failures int
 	nextDial time.Time
 }
@@ -125,13 +133,12 @@ func (t *tcpTransport) acceptLoop() {
 
 func (t *tcpTransport) readLoop(conn net.Conn) {
 	defer conn.Close()
-	var scratch []byte
+	fr := frameReader{r: conn}
 	for {
-		pkt, s, err := readFrame(conn, scratch)
+		pkt, err := fr.next()
 		if err != nil {
 			return
 		}
-		scratch = s
 		select {
 		case t.inbox <- pkt:
 		case <-t.closed:
@@ -156,23 +163,31 @@ func (t *tcpTransport) peer(to int) (*peerConn, error) {
 	return pc, nil
 }
 
+// Send queues pkt on its peer's connection, dialing it first if there is
+// none, and returns; the connection's writer sends it. The queue holds at
+// most one largest frame's bytes (4 + maxFrame): a frame that would take it
+// further, as when the peer stops reading, is refused with
+// ErrPeerUnavailable, a lost datagram.
 func (t *tcpTransport) Send(ctx context.Context, to int, pkt Packet) error {
-	select {
-	case <-t.closed:
-		return ErrClosed
-	default:
-	}
 	pc, err := t.peer(to)
 	if err != nil {
 		return err
 	}
-	if n := payloadLen(&pkt); n > maxFrame {
+	n := payloadLen(&pkt)
+	if n > maxFrame {
 		return fmt.Errorf("%w: %d bytes, the cap is %d", ErrFrameTooLarge, n, maxFrame)
 	}
 	pkt.From = int32(t.self)
 
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
+	// Checked under pc.mu: the writer takes its last batch under it after
+	// Close, so a frame queued here is either in that batch or refused.
+	select {
+	case <-t.closed:
+		return ErrClosed
+	default:
+	}
 	if pc.conn == nil {
 		now := time.Now()
 		if now.Before(pc.nextDial) {
@@ -194,25 +209,69 @@ func (t *tcpTransport) Send(ctx context.Context, to int, pkt Packet) error {
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}
-		pc.conn = conn
 		pc.failures = 0
 		pc.nextDial = time.Time{}
-		// Inbound frames on an outbound connection are legal (a peer may
-		// reply over the same conn); feed them into the inbox too.
-		go t.readLoop(conn)
+		t.serve(pc, conn)
 	}
-	pc.buf = appendPacket(pc.buf[:0], &pkt)
-	pc.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if _, err := pc.conn.Write(pc.buf); err != nil {
-		// The connection is broken; the packet is lost. Drop the conn so the
-		// next send re-dials (after backoff) and let retransmission recover.
-		pc.conn.Close()
-		pc.conn = nil
-		pc.nextDial = time.Now().Add(dialBackoffBase)
-		pc.failures = 1
-		return fmt.Errorf("%w: %v", ErrPeerUnavailable, err)
+	if len(pc.pending)+n > maxFrame {
+		return fmt.Errorf("%w: %d bytes queued for member %d", ErrPeerUnavailable, len(pc.pending), to)
+	}
+	pc.pending = appendPacket(slices.Grow(pc.pending, 4+n), &pkt)
+	select {
+	case pc.wake <- struct{}{}:
+	default: // the writer is already due to look
 	}
 	return nil
+}
+
+// serve makes conn pc's connection and starts its writer and its reader:
+// inbound frames on an outbound connection are legal (a peer may reply over
+// the same conn) and go to the inbox too. pc.mu is held.
+func (t *tcpTransport) serve(pc *peerConn, conn net.Conn) {
+	pc.conn = conn
+	pc.wake = make(chan struct{}, 1)
+	pc.done = make(chan struct{})
+	go t.writeLoop(pc, conn, pc.wake, pc.done)
+	go t.readLoop(conn)
+}
+
+// writeLoop is conn's one writer: each time Send wakes it, it takes every
+// frame queued since its last write and writes them in one Write under one
+// deadline. It exits when a write fails, dropping the connection and what
+// was queued on it so the next Send re-dials after the backoff, or when the
+// transport closes, after writing what was queued by then.
+func (t *tcpTransport) writeLoop(pc *peerConn, conn net.Conn, wake <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	defer conn.Close()
+	var batch []byte
+	for {
+		closing := false
+		select {
+		case <-wake:
+		case <-t.closed:
+			closing = true
+		}
+		pc.mu.Lock()
+		batch, pc.pending = pc.pending, batch[:0]
+		pc.mu.Unlock()
+		if len(batch) > 0 {
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+			if _, err := conn.Write(batch); err != nil {
+				pc.mu.Lock()
+				if pc.conn == conn {
+					pc.conn = nil
+					pc.pending = pc.pending[:0]
+					pc.nextDial = time.Now().Add(dialBackoffBase)
+					pc.failures = 1
+				}
+				pc.mu.Unlock()
+				return
+			}
+		}
+		if closing {
+			return
+		}
+	}
 }
 
 func (t *tcpTransport) Recv(ctx context.Context) (Packet, error) {
@@ -232,20 +291,26 @@ func (t *tcpTransport) Recv(ctx context.Context) (Packet, error) {
 	}
 }
 
+// Close stops the listener, lets every writer flush what Send queued before
+// it (each write bounded by writeTimeout) and returns once they have.
 func (t *tcpTransport) Close() error {
 	t.closeOnce.Do(func() {
 		close(t.closed)
 		t.ln.Close()
+		var flushed []chan struct{}
 		t.mu.Lock()
 		for _, pc := range t.conns {
 			pc.mu.Lock()
 			if pc.conn != nil {
-				pc.conn.Close()
+				flushed = append(flushed, pc.done)
 				pc.conn = nil
 			}
 			pc.mu.Unlock()
 		}
 		t.mu.Unlock()
+		for _, done := range flushed {
+			<-done
+		}
 	})
 	return nil
 }

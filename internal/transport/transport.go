@@ -10,7 +10,10 @@
 // Two implementations ship: an in-process channel fabric (NewChanNetwork) for
 // deterministic tests, and a TCP fabric (NewTCP) framing packets as
 // length-prefixed binary messages with lazy per-peer dialing and
-// exponential-backoff reconnection. A FaultClock decorates any Transport
+// exponential-backoff reconnection. Its Send queues the frame for the peer
+// connection's writer, which writes everything queued in one syscall; a
+// failed write is lost datagrams, seen as ErrPeerUnavailable on a later Send
+// while the redial backs off, and Close flushes what was queued. A FaultClock decorates any Transport
 // with the seeded chaos fault model so lossy-network behaviour is testable on
 // loopback: WithFaults drops and duplicates, NewFaultClock adds per-link
 // delays, jitter and down or slow windows on a wall clock. The interface carries no topology
@@ -79,9 +82,14 @@ type Transport interface {
 	// Peers lists the other members' ids, ascending.
 	Peers() []int
 	// Send delivers (or loses — delivery is best-effort) one packet to a
-	// peer. It blocks at most until ctx is done. A send to an unreachable
-	// peer may return ErrPeerUnavailable immediately; the caller's
-	// retransmission machinery is expected to recover.
+	// peer. It blocks at most until ctx is done, and may return before the
+	// packet has left: the TCP fabric only queues it for the connection's
+	// writer. A nil error is therefore no receipt; a write that fails later
+	// loses the packet like a dropped datagram, and a Send during the redial
+	// backoff that follows returns ErrPeerUnavailable. A send to an
+	// unreachable peer, or to one whose queue is full, may return
+	// ErrPeerUnavailable immediately; the caller's retransmission machinery is
+	// expected to recover. Packets queued before Close are still sent.
 	Send(ctx context.Context, to int, pkt Packet) error
 	// Recv returns the next received packet, blocking until one arrives,
 	// ctx is done, or the transport is closed (ErrClosed). A packet already
@@ -89,8 +97,9 @@ type Transport interface {
 	// done ctx takes one without waiting; after Close the queued packets come
 	// back first, then ErrClosed.
 	Recv(ctx context.Context) (Packet, error)
-	// Close releases the member's resources. Packets already received stay
-	// readable until drained; then Recv returns ErrClosed.
+	// Close releases the member's resources once the packets Send queued
+	// before it have been written. Packets already received stay readable
+	// until drained; then Recv returns ErrClosed.
 	Close() error
 }
 
@@ -99,7 +108,8 @@ type Transport interface {
 var ErrClosed = errors.New("transport: closed")
 
 // ErrPeerUnavailable is returned by Send when the peer cannot be reached
-// right now (connection refused, reconnect backoff in progress). The packet
+// right now (connection refused, reconnect backoff in progress after a failed
+// dial or write, send queue full). The packet
 // is lost — exactly like a dropped datagram — and the protocol's watchdog
 // retransmission recovers.
 var ErrPeerUnavailable = errors.New("transport: peer unavailable")

@@ -1,9 +1,12 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -402,6 +405,303 @@ func TestTCPOversizedFrameRefused(t *testing.T) {
 	}
 }
 
+// dialed sends pkt from a to member `to`, retrying while loopback TCP
+// transiently refuses, so the connection exists when it returns.
+func dialed(ctx context.Context, t *testing.T, a Transport, to int, pkt Packet) {
+	t.Helper()
+	for {
+		err := a.Send(ctx, to, pkt)
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, ErrPeerUnavailable) || ctx.Err() != nil {
+			t.Fatalf("send: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestTCPCloseFlushesQueued: Send only queues, so Close must let the writer
+// write what was queued before it. dtmd's coordinator sends the workers their
+// stop and closes its member at once; all K frames sent right before Close
+// arrive. Behind a blocked write the queue is certain to be non-empty when
+// Close begins, and every frame in it is still written; that half runs 16
+// times, since the writer may see the close signal before the wake-up.
+func TestTCPCloseFlushesQueued(t *testing.T) {
+	ts := newTCPNetwork(t, 2)
+	defer closeAll(ts)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	const k = 1000
+	wave := func(seq uint64) Packet {
+		return Packet{Kind: KindWave, Seq: seq, Entries: make([]WaveEntry, 32)}
+	}
+	dialed(ctx, t, ts[0], 1, wave(1))
+	for s := uint64(2); s <= k; s++ {
+		if err := ts[0].Send(ctx, 1, wave(s)); err != nil {
+			t.Fatalf("send %d: %v", s, err)
+		}
+	}
+	ts[0].Close()
+	for s := uint64(1); s <= k; s++ {
+		pkt, err := ts[1].Recv(ctx)
+		if err != nil || pkt.Seq != s {
+			t.Fatalf("recv: seq %d, %v; want seq %d of the %d sent before Close", pkt.Seq, err, s, k)
+		}
+	}
+
+	for round := 0; round < 16; round++ {
+		tr, conn := gatedMember(t)
+		want := sendGated(t, tr, conn, 10)
+		closed := make(chan struct{})
+		go func() {
+			tr.Close()
+			close(closed)
+		}()
+		<-tr.closed
+		close(conn.release)
+		<-closed
+		if got := bytes.Join(conn.writes, nil); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: %d of %d bytes queued before Close were written", round, len(got), len(want))
+		}
+	}
+}
+
+// TestTCPSendQueueIsBounded: a peer that accepts and never reads stalls the
+// writer; Send keeps queueing until one largest frame's worth waits, then
+// refuses with ErrPeerUnavailable, a lost datagram, instead of growing the
+// queue without bound or blocking.
+func TestTCPSendQueueIsBounded(t *testing.T) {
+	ln0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mute, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	accepted := make(chan net.Conn, 1) // the one connection member 0 dials
+	go func() {
+		if conn, err := mute.Accept(); err == nil {
+			accepted <- conn
+		}
+	}()
+	a := NewTCPFromListener(0, ln0, map[int]string{0: ln0.Addr().String(), 1: mute.Addr().String()})
+	defer a.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	big := Packet{Kind: KindControl, Ctrl: make([]byte, 1<<20)}
+	dialed(ctx, t, a, 1, big)
+	conn := <-accepted
+	// Closing the unread socket resets the connection, so the stalled write
+	// fails and a's deferred Close does not wait out its deadline.
+	defer conn.Close()
+	pc, _ := a.(*tcpTransport).peer(1)
+	for sent := 1; ; sent++ {
+		if sent > 200 {
+			t.Fatalf("%d MiB queued for a peer that reads nothing, none refused", sent)
+		}
+		err := a.Send(ctx, 1, big)
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, ErrPeerUnavailable) {
+			t.Fatalf("send %d: %v, want ErrPeerUnavailable", sent, err)
+		}
+		pc.mu.Lock()
+		queued := len(pc.pending)
+		pc.mu.Unlock()
+		if queued > 4+maxFrame {
+			t.Fatalf("refused with %d bytes queued, want at most one largest frame, %d", queued, 4+maxFrame)
+		}
+		t.Logf("refused after %d MiB, %d bytes queued", sent, queued)
+		return
+	}
+}
+
+// gatedConn is a net.Conn whose first Write blocks until release is closed;
+// it records every Write.
+type gatedConn struct {
+	net.Conn
+	entered, release chan struct{}
+	closed           chan struct{}
+	closeOnce        sync.Once
+
+	mu     sync.Mutex
+	writes [][]byte
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	first := len(c.writes) == 0
+	c.writes = append(c.writes, append([]byte(nil), p...))
+	c.mu.Unlock()
+	if first {
+		close(c.entered)
+		<-c.release
+	}
+	return len(p), nil
+}
+
+func (c *gatedConn) Read([]byte) (int, error) {
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *gatedConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return nil
+}
+
+func (c *gatedConn) SetWriteDeadline(time.Time) error { return nil }
+
+// gatedMember is a TCP member whose connection to member 1 is a gatedConn.
+func gatedMember(t *testing.T) (*tcpTransport, *gatedConn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTCPFromListener(0, ln, map[int]string{0: ln.Addr().String(), 1: "127.0.0.1:1"}).(*tcpTransport)
+	conn := &gatedConn{entered: make(chan struct{}), release: make(chan struct{}), closed: make(chan struct{})}
+	pc, _ := tr.peer(1)
+	pc.mu.Lock()
+	tr.serve(pc, conn)
+	pc.mu.Unlock()
+	return tr, conn
+}
+
+// sendGated sends k wave frames to member 1, the last k−1 while the writer
+// holds the first in its blocked Write, and returns their bytes in Send order.
+func sendGated(t *testing.T, tr *tcpTransport, conn *gatedConn, k int) []byte {
+	t.Helper()
+	var want []byte
+	for s := 1; s <= k; s++ {
+		pkt := Packet{Kind: KindWave, FromPart: 2, ToPart: 3, Seq: uint64(s), Entries: []WaveEntry{{LinkID: int32(s), Wave: float64(s) / 3}}}
+		if err := tr.Send(context.Background(), 1, pkt); err != nil {
+			t.Fatalf("send %d: %v", s, err)
+		}
+		pkt.From = 0
+		want = appendPacket(want, &pkt)
+		if s == 1 {
+			<-conn.entered
+		}
+	}
+	return want
+}
+
+// TestTCPWriterCoalesces: the frames Send queues while the connection's one
+// write is blocked leave together in the next Write, in Send order — so a
+// burst costs at most two writes however long it is.
+func TestTCPWriterCoalesces(t *testing.T) {
+	const k = 50
+	tr, conn := gatedMember(t)
+	want := sendGated(t, tr, conn, k)
+	close(conn.release)
+	tr.Close()
+	if len(conn.writes) > 2 {
+		t.Errorf("%d frames left in %d writes, want at most 2", k, len(conn.writes))
+	}
+	if got := bytes.Join(conn.writes, nil); !bytes.Equal(got, want) {
+		t.Errorf("the writes carry %d bytes that are not the %d frames in Send order (%d bytes)", len(got), k, len(want))
+	}
+}
+
+// chunkReader hands out stream in reads of the sizes chunks cycles through
+// (1 byte up to many frames each); the last read returns io.EOF with its
+// bytes.
+type chunkReader struct {
+	stream, chunks []byte
+	i              int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.stream) == 0 {
+		return 0, io.EOF
+	}
+	n := len(r.stream)
+	if len(r.chunks) > 0 {
+		n = 1 + 7*int(r.chunks[r.i%len(r.chunks)])
+		r.i++
+	}
+	n = min(n, len(p), len(r.stream))
+	copy(p, r.stream[:n])
+	r.stream = r.stream[n:]
+	if len(r.stream) == 0 {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// FuzzFrameStream: any concatenation of valid frames, cut into any reads,
+// decodes through one frameReader to the packets each frame decodes to on
+// its own, then io.EOF; a length prefix above maxFrame after them ends the
+// stream with an error, the buffer never larger than the initial one or the
+// largest frame.
+func FuzzFrameStream(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0}, []byte{0}, false)
+	f.Add(bytes.Repeat([]byte{0x81, 200, 9}, 40), []byte{}, true)
+	f.Add(bytes.Repeat([]byte{0x0f}, 300), []byte{3, 0, 90, 255}, true)
+	// Reads of 337 bytes cut a frame at an odd offset where the buffer
+	// compacts.
+	f.Add([]byte("0000000000000000000000000000\x0f000000000000000000000\x0f000000000000000000000\x0f000000000000000000000\x0f0"), []byte("0"), true)
+	f.Fuzz(func(t *testing.T, data, chunks []byte, hostile bool) {
+		// data spells the packets: a header byte (kind, entry count, ctrl
+		// length) and the entries' and control bytes after it.
+		var pkts []Packet
+		for len(data) > 0 {
+			h := data[0]
+			data = data[1:]
+			pkt := Packet{Kind: Kind(h & 1), From: int32(h), Seq: uint64(len(pkts)) << 40, Epoch: uint32(h) << 20}
+			for e := 0; e < int(h>>1&7) && len(data) >= 3; e++ {
+				bits := uint64(data[0])<<56 | uint64(data[1])<<8 | uint64(data[2])
+				pkt.Entries = append(pkt.Entries, WaveEntry{LinkID: int32(data[2]) - 128, Wave: math.Float64frombits(bits)})
+				data = data[3:]
+			}
+			cl := min(int(h>>4)*9, len(data))
+			if cl > 0 {
+				pkt.Ctrl, data = data[:cl], data[cl:]
+			}
+			pkts = append(pkts, pkt)
+		}
+		var stream []byte
+		largest := 0
+		for i := range pkts {
+			frame := appendPacket(nil, &pkts[i])
+			largest = max(largest, len(frame))
+			stream = append(stream, frame...)
+		}
+		if hostile {
+			stream = binary.LittleEndian.AppendUint32(stream, maxFrame+1+uint32(len(chunks)))
+			stream = append(stream, frameVersion, 0, 0, 0)
+		}
+		fr := frameReader{r: &chunkReader{stream: stream, chunks: chunks}}
+		for i := range pkts {
+			frame := appendPacket(nil, &pkts[i])
+			want, err := decodePacket(frame[4:])
+			if err != nil {
+				t.Fatalf("packet %d does not decode on its own: %v", i, err)
+			}
+			got, err := fr.next()
+			if err != nil {
+				t.Fatalf("packet %d of %d: %v", i, len(pkts), err)
+			}
+			if !bytes.Equal(appendPacket(nil, &got), appendPacket(nil, &want)) {
+				t.Fatalf("packet %d: stream decodes %+v, the frame alone %+v", i, got, want)
+			}
+		}
+		_, err := fr.next()
+		if hostile == errors.Is(err, io.EOF) || err == nil {
+			t.Fatalf("after the %d frames (hostile prefix %v): %v", len(pkts), hostile, err)
+		}
+		if len(fr.buf) > max(frameReadBuffer, largest) {
+			t.Fatalf("buffer grew to %d bytes, the largest frame is %d", len(fr.buf), largest)
+		}
+	})
+}
+
 // TestFrameRoundTrip pins the wire format: encode→decode is the identity,
 // including NaN waves, empty entry lists and control payloads.
 func TestFrameRoundTrip(t *testing.T) {
@@ -430,8 +730,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	// A hostile length prefix must be rejected, not allocated.
-	if _, _, err := readFrame(&hugeFrameReader{}, nil); err == nil {
-		t.Fatal("oversized frame accepted")
+	fr := frameReader{r: hugeFrameReader{}}
+	if _, err := fr.next(); err == nil || len(fr.buf) > frameReadBuffer {
+		t.Fatalf("oversized frame: %v with a %d-byte buffer, want an error and no growth", err, len(fr.buf))
 	}
 }
 
