@@ -2,40 +2,30 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
 )
 
-// chanTransport is the in-process Transport: every member is a buffered
-// channel, a send is a non-blocking enqueue onto the destination's inbox.
-// Delivery is FIFO per sender-receiver pair and lossless until the inbox
-// fills (then packets are dropped, like any congested datagram fabric), so
-// single-threaded protocol tests on top of it are deterministic.
+// chanTransport is the in-process Transport: a send is a non-blocking put
+// onto the destination member's inbox. Delivery is FIFO per sender-receiver
+// pair and lossless until the inbox fills (then packets are dropped, like any
+// congested datagram fabric), so single-threaded protocol tests on top of it
+// are deterministic.
 type chanTransport struct {
-	self  int
-	peers []int
-	net   *chanNetwork
-}
-
-type chanNetwork struct {
-	inboxes []chan Packet
-	closed  []chan struct{}
-	once    []sync.Once
+	self    int
+	peers   []int
+	inboxes []inbox // every member's, indexed by id
 }
 
 // NewChanNetwork builds an n-member in-process fabric and returns one
-// Transport per member. Inboxes hold up to 4096 packets; a send to a full
+// Transport per member. An inbox holds at most 4096 packets, a cap rather
+// than an allocation: its storage grows with what it holds. A send to a full
 // inbox drops the packet (best-effort semantics, matching real datagram
 // loss) rather than blocking the sender.
 func NewChanNetwork(n int) []Transport {
-	net := &chanNetwork{
-		inboxes: make([]chan Packet, n),
-		closed:  make([]chan struct{}, n),
-		once:    make([]sync.Once, n),
-	}
-	for i := range net.inboxes {
-		net.inboxes[i] = make(chan Packet, 4096)
-		net.closed[i] = make(chan struct{})
+	inboxes := make([]inbox, n)
+	for i := range inboxes {
+		inboxes[i] = newInbox()
 	}
 	ts := make([]Transport, n)
 	for i := range ts {
@@ -45,7 +35,7 @@ func NewChanNetwork(n int) []Transport {
 				peers = append(peers, j)
 			}
 		}
-		ts[i] = &chanTransport{self: i, peers: peers, net: net}
+		ts[i] = &chanTransport{self: i, peers: peers, inboxes: inboxes}
 	}
 	return ts
 }
@@ -54,46 +44,26 @@ func (t *chanTransport) Self() int    { return t.self }
 func (t *chanTransport) Peers() []int { return t.peers }
 
 func (t *chanTransport) Send(ctx context.Context, to int, pkt Packet) error {
-	if to < 0 || to >= len(t.net.inboxes) || to == t.self {
+	if to < 0 || to >= len(t.inboxes) || to == t.self {
 		return fmt.Errorf("transport: invalid destination %d", to)
 	}
-	select {
-	case <-t.net.closed[t.self]:
+	if t.inboxes[t.self].isClosed() {
 		return ErrClosed
-	default:
 	}
 	pkt.From = int32(t.self)
-	select {
-	case <-t.net.closed[to]:
+	if err := t.inboxes[to].put(pkt); errors.Is(err, ErrClosed) {
 		return ErrPeerUnavailable
-	case t.net.inboxes[to] <- pkt:
-		return nil
-	default:
-		// Inbox full: the fabric is congested, the packet is lost. The
-		// protocol's retransmission recovers, and not blocking here keeps
-		// in-process tests deadlock-free.
-		return nil
 	}
+	// Queued, or lost at a full inbox: the protocol's retransmission
+	// recovers, and not blocking here keeps in-process tests deadlock-free.
+	return nil
 }
 
 func (t *chanTransport) Recv(ctx context.Context) (Packet, error) {
-	// Drain whatever is already queued even after Close.
-	select {
-	case pkt := <-t.net.inboxes[t.self]:
-		return pkt, nil
-	default:
-	}
-	select {
-	case pkt := <-t.net.inboxes[t.self]:
-		return pkt, nil
-	case <-t.net.closed[t.self]:
-		return Packet{}, ErrClosed
-	case <-ctx.Done():
-		return Packet{}, ctx.Err()
-	}
+	return t.inboxes[t.self].take(ctx)
 }
 
 func (t *chanTransport) Close() error {
-	t.net.once[t.self].Do(func() { close(t.net.closed[t.self]) })
+	t.inboxes[t.self].close()
 	return nil
 }

@@ -23,21 +23,24 @@ const (
 
 // tcpTransport carries Packets as length-prefixed binary frames over TCP:
 // one listener per member, one lazily dialed outbound connection per peer
-// (re-dialed with exponential backoff after failures), and a shared inbox
-// fed by per-connection reader goroutines. Send only queues the frame on its
-// peer connection, whose one writer goroutine writes everything queued since
-// its last write in one Write: a burst leaves in one syscall, and no frame
-// waits on a timer. A failed write loses what it carried, exactly like
-// dropped datagrams, and the protocol's retransmission machinery recovers.
+// (re-dialed with exponential backoff after failures), and one inbox fed by
+// per-connection reader goroutines. The inbox holds at most 4096 packets, a
+// cap rather than an allocation: its storage grows with what it holds. Send
+// only queues the frame on its peer connection, whose one writer goroutine
+// writes everything queued since its last write in one Write: a burst leaves
+// in one syscall, and no frame waits on a timer. A failed write loses what it
+// carried, exactly like dropped datagrams, and the protocol's retransmission
+// machinery recovers.
 type tcpTransport struct {
 	self  int
 	addrs map[int]string
 	peers []int
 	ln    net.Listener
-	inbox chan Packet
+	inbox inbox
 
-	mu    sync.Mutex
-	conns map[int]*peerConn
+	mu       sync.Mutex
+	conns    map[int]*peerConn
+	accepted map[net.Conn]struct{} // inbound connections whose reader runs
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -82,13 +85,14 @@ func NewTCPFromListener(self int, ln net.Listener, addrs map[int]string) Transpo
 		}
 	}
 	t := &tcpTransport{
-		self:   self,
-		addrs:  addrs,
-		peers:  peers,
-		ln:     ln,
-		inbox:  make(chan Packet, 4096),
-		conns:  make(map[int]*peerConn),
-		closed: make(chan struct{}),
+		self:     self,
+		addrs:    addrs,
+		peers:    peers,
+		ln:       ln,
+		inbox:    newInbox(),
+		conns:    make(map[int]*peerConn),
+		accepted: make(map[net.Conn]struct{}),
+		closed:   make(chan struct{}),
 	}
 	go t.acceptLoop()
 	return t
@@ -121,16 +125,37 @@ func NewTCPLoopback(n int) ([]Transport, error) {
 func (t *tcpTransport) Self() int    { return t.self }
 func (t *tcpTransport) Peers() []int { return t.peers }
 
+// acceptLoop serves the listener until Close. Each inbound connection is
+// registered under t.mu, or closed at once when Close has begun, so Close
+// ends every reader it leaves running.
 func (t *tcpTransport) acceptLoop() {
 	for {
 		conn, err := t.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		go t.readLoop(conn)
+		t.mu.Lock()
+		select {
+		case <-t.closed:
+			t.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
+		t.accepted[conn] = struct{}{}
+		t.mu.Unlock()
+		go func() {
+			t.readLoop(conn)
+			t.mu.Lock()
+			delete(t.accepted, conn)
+			t.mu.Unlock()
+		}()
 	}
 }
 
+// readLoop puts every frame conn carries in the inbox until the connection
+// ends; Close ends every connection, after its writer's flush on an
+// outbound one.
 func (t *tcpTransport) readLoop(conn net.Conn) {
 	defer conn.Close()
 	fr := frameReader{r: conn}
@@ -139,13 +164,7 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		select {
-		case t.inbox <- pkt:
-		case <-t.closed:
-			return
-		default:
-			// Inbox full: drop, like any congested datagram fabric.
-		}
+		_ = t.inbox.put(pkt) // full or closed: dropped, like a congested datagram fabric
 	}
 }
 
@@ -275,30 +294,23 @@ func (t *tcpTransport) writeLoop(pc *peerConn, conn net.Conn, wake <-chan struct
 }
 
 func (t *tcpTransport) Recv(ctx context.Context) (Packet, error) {
-	// Drain what already arrived even after Close.
-	select {
-	case pkt := <-t.inbox:
-		return pkt, nil
-	default:
-	}
-	select {
-	case pkt := <-t.inbox:
-		return pkt, nil
-	case <-t.closed:
-		return Packet{}, ErrClosed
-	case <-ctx.Done():
-		return Packet{}, ctx.Err()
-	}
+	return t.inbox.take(ctx)
 }
 
-// Close stops the listener, lets every writer flush what Send queued before
-// it (each write bounded by writeTimeout) and returns once they have.
+// Close closes the inbox, so no frame that arrives after it is queued, stops
+// the listener and every inbound connection, lets every writer flush what
+// Send queued before it (each write bounded by writeTimeout) and returns once
+// they have; each writer then closes its connection.
 func (t *tcpTransport) Close() error {
 	t.closeOnce.Do(func() {
 		close(t.closed)
+		t.inbox.close()
 		t.ln.Close()
 		var flushed []chan struct{}
 		t.mu.Lock()
+		for conn := range t.accepted {
+			conn.Close()
+		}
 		for _, pc := range t.conns {
 			pc.mu.Lock()
 			if pc.conn != nil {

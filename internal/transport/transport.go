@@ -7,18 +7,22 @@
 // sequence numbers with last-writer-wins deduplication plus watchdog
 // retransmission): core.Shard, which package dist drives over any Transport.
 //
-// Two implementations ship: an in-process channel fabric (NewChanNetwork) for
+// Two implementations ship: an in-process fabric (NewChanNetwork) for
 // deterministic tests, and a TCP fabric (NewTCP) framing packets as
 // length-prefixed binary messages with lazy per-peer dialing and
 // exponential-backoff reconnection. Its Send queues the frame for the peer
 // connection's writer, which writes everything queued in one syscall; a
 // failed write is lost datagrams, seen as ErrPeerUnavailable on a later Send
-// while the redial backs off, and Close flushes what was queued. A FaultClock decorates any Transport
-// with the seeded chaos fault model so lossy-network behaviour is testable on
-// loopback: WithFaults drops and duplicates, NewFaultClock adds per-link
-// delays, jitter and down or slow windows on a wall clock. The interface carries no topology
-// assumptions — members are opaque integer ids — so non-mesh fabrics
-// (geometric spanners, Yao graphs) need no changes here.
+// while the redial backs off, and Close flushes what was queued. Both deliver
+// into one kind of inbox: a FIFO queue of at most 4096 packets that drops
+// what arrives when it is full or closed, and whose storage grows with what it
+// holds rather than being allocated at the bound. A FaultClock decorates any
+// Transport with the seeded chaos fault model so lossy-network behaviour is
+// testable on loopback: WithFaults drops and duplicates, NewFaultClock adds
+// per-link delays, jitter and down or slow windows on a wall clock. The
+// interface carries no topology assumptions — members are opaque integer ids
+// — so non-mesh fabrics (geometric spanners, Yao graphs) need no changes
+// here.
 package transport
 
 import (
@@ -94,12 +98,15 @@ type Transport interface {
 	// Recv returns the next received packet, blocking until one arrives,
 	// ctx is done, or the transport is closed (ErrClosed). A packet already
 	// queued is returned even when ctx is already done, so a receive under a
-	// done ctx takes one without waiting; after Close the queued packets come
-	// back first, then ErrClosed.
+	// done ctx takes one without waiting; after Close the packets queued
+	// before it come back first, then ErrClosed. Nothing sent to a closed
+	// member is ever returned.
 	Recv(ctx context.Context) (Packet, error)
 	// Close releases the member's resources once the packets Send queued
-	// before it have been written. Packets already received stay readable
-	// until drained; then Recv returns ErrClosed.
+	// before it have been written, and ends its inbound side: a packet that
+	// arrives after Close is dropped, and the TCP fabric closes its listener
+	// and every connection. Packets received before Close stay readable until
+	// drained; then Recv returns ErrClosed.
 	Close() error
 }
 

@@ -203,9 +203,9 @@ func TestConformanceDedup(t *testing.T) {
 func queued(tr Transport) int {
 	switch m := tr.(type) {
 	case *chanTransport:
-		return len(m.net.inboxes[m.self])
+		return m.inboxes[m.self].len()
 	case *tcpTransport:
-		return len(m.inbox)
+		return m.inbox.len()
 	case *faultTransport:
 		return queued(m.Transport)
 	}
@@ -279,6 +279,30 @@ func TestConformanceRecvDrainsWhenDone(t *testing.T) {
 		run(f.name, f.make)
 	}
 	run("faults", faulty)
+}
+
+// TestConformanceCloseWakesRecv: a Recv blocked on an empty inbox returns
+// ErrClosed when the member closes, without waiting for its ctx. The sleep
+// only lets Recv block first; the test passes either way round.
+func TestConformanceCloseWakesRecv(t *testing.T) {
+	for _, f := range fabrics {
+		t.Run(f.name, func(t *testing.T) {
+			ts := f.make(t, 2)
+			defer closeAll(ts)
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			got := make(chan error, 1)
+			go func() {
+				_, err := ts[1].Recv(ctx)
+				got <- err
+			}()
+			time.Sleep(10 * time.Millisecond)
+			ts[1].Close()
+			if err := <-got; !errors.Is(err, ErrClosed) {
+				t.Fatalf("blocked Recv across Close: %v, want ErrClosed", err)
+			}
+		})
+	}
 }
 
 // TestTCPReconnectAfterClose kills a member and restarts it on the same
@@ -464,6 +488,54 @@ func TestTCPCloseFlushesQueued(t *testing.T) {
 		if got := bytes.Join(conn.writes, nil); !bytes.Equal(got, want) {
 			t.Fatalf("round %d: %d of %d bytes queued before Close were written", round, len(got), len(want))
 		}
+	}
+}
+
+// TestTCPCloseEndsInbound: Close ends the member's inbound side. Over 20
+// rounds, 100 frames sent to a member after its Close are never read back
+// from it, however long its readers had; and a raw client whose connection
+// the member accepted before Close reads EOF after it.
+func TestTCPCloseEndsInbound(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	ctrl := func(seq uint64) Packet { return Packet{Kind: KindControl, Seq: seq, Ctrl: []byte(`{}`)} }
+	for round := 0; round < 20; round++ {
+		ts := newTCPNetwork(t, 2)
+		dialed(ctx, t, ts[0], 1, ctrl(0))
+		if _, err := ts[1].Recv(ctx); err != nil {
+			t.Fatalf("round %d: first recv: %v", round, err)
+		}
+		ts[1].Close()
+		for s := uint64(1); s <= 100; s++ {
+			ts[0].Send(ctx, 1, ctrl(s)) // queued, lost or refused: all are right
+		}
+		ts[0].Close() // writes what the sends queued
+		for i := 0; i < 10; i++ {
+			if pkt, err := ts[1].Recv(ctx); !errors.Is(err, ErrClosed) {
+				t.Fatalf("round %d: Recv after Close: seq %d, %v; want ErrClosed", round, pkt.Seq, err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	ts := newTCPNetwork(t, 1)
+	defer closeAll(ts)
+	conn, err := net.Dial("tcp", ts[0].(*tcpTransport).addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	pkt := ctrl(1)
+	if _, err := conn.Write(appendPacket(nil, &pkt)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts[0].Recv(ctx); err != nil { // the member has accepted conn
+		t.Fatalf("recv from the raw client: %v", err)
+	}
+	ts[0].Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("raw client read after Close: %d bytes, %v; want EOF", n, err)
 	}
 }
 
