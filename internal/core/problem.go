@@ -129,22 +129,42 @@ func (p *Problem) BarrierCost() float64 {
 }
 
 // OwnerPairs returns, for each part, the (local index, global index) pairs the
-// part is the owner of: its inner vertices plus the split-vertex copies whose
-// original vertex is assigned to it. Every global vertex has exactly one
-// owner, so writing owner values into a global vector assembles a solution
-// estimate without double counting. The engines and the dist workers
-// assemble their solutions through this map.
+// part is the owner of (Owns), in local order. Every global vertex has exactly
+// one owner, so writing owner values into a global vector assembles a
+// solution estimate without double counting. The engines assemble their
+// solutions through this map.
 func (p *Problem) OwnerPairs() [][][2]int {
-	assign := p.Partition.Assign.Assign
 	owner := make([][][2]int, p.Partition.NumParts())
 	for part, ps := range p.Partition.Subdomains {
+		owner[part] = make([][2]int, 0, p.NumOwned(part))
 		for li, gv := range ps.GlobalIdx {
-			if li >= ps.NumPorts || assign[gv] == part {
+			if p.Owns(part, li) {
 				owner[part] = append(owner[part], [2]int{li, gv})
 			}
 		}
 	}
 	return owner
+}
+
+// Owns reports whether part is the owner of its local vertex li: an inner
+// vertex always, a split-vertex copy (a port, li < NumPorts) when its
+// original vertex is assigned to part. It is the one owner rule: OwnerPairs
+// and the dist workers' results both read it.
+func (p *Problem) Owns(part, li int) bool {
+	ps := p.Partition.Subdomains[part]
+	return li >= ps.NumPorts || p.Partition.Assign.Assign[ps.GlobalIdx[li]] == part
+}
+
+// NumOwned is the number of local vertices part owns (Owns).
+func (p *Problem) NumOwned(part int) int {
+	ps := p.Partition.Subdomains[part]
+	n := len(ps.GlobalIdx) - ps.NumPorts
+	for li := range ps.NumPorts {
+		if p.Owns(part, li) {
+			n++
+		}
+	}
+	return n
 }
 
 // assembleOwned writes the values a part owns (pairs is its OwnerPairs row)

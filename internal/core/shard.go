@@ -74,37 +74,37 @@ type shardPart struct {
 
 // PairSeq is one directed part pair's sequence-number mark.
 type PairSeq struct {
-	From int32  `json:"f"`
-	To   int32  `json:"t"`
-	Seq  uint64 `json:"s"`
+	From int32
+	To   int32
+	Seq  uint64
 }
 
 // PartState is one owned part's convergence state.
 type PartState struct {
-	Part       int32                     `json:"part"`
-	SolvedOnce bool                      `json:"solvedOnce"`
-	LastChange float64                   `json:"lastChange"` // largest port move of the last solve
-	Ports      transport.Packed[float64] `json:"ports"`
+	Part       int32
+	SolvedOnce bool
+	LastChange float64 // largest port move of the last solve
+	Ports      []float64
 }
 
 // ShardState is a consistent snapshot of what the stopping rule needs from
 // one shard. Parts ascend by part id; Needed and Applied follow the same
 // sweep (owned part, then neighbour, both ascending), so equal states encode
-// to equal bytes. The JSON form is the body of dist's status frame.
+// to equal bytes. It is the body of dist's status frame.
 type ShardState struct {
-	Solves   int         `json:"solves"`
-	Messages int         `json:"messages"`
-	Parts    []PartState `json:"parts"`
+	Solves   int
+	Messages int
+	Parts    []PartState
 	// Needed lists the outgoing cross-member pairs that have announced state,
 	// Applied the incoming ones that have folded some in.
-	Needed  []PairSeq `json:"needed,omitempty"`
-	Applied []PairSeq `json:"applied,omitempty"`
+	Needed  []PairSeq
+	Applied []PairSeq
 	// Dirty counts owned parts whose Ports and LastChange are stale: they
 	// applied a wave (or were woken) and have not been re-solved yet — owed
 	// parts included.
-	Dirty int `json:"dirty,omitempty"`
+	Dirty int
 	// Fenced counts packets the epoch and incarnation fences discarded.
-	Fenced uint64 `json:"fenced,omitempty"`
+	Fenced uint64
 }
 
 // NewShard returns an empty shard for member self under the given ownership
@@ -391,7 +391,7 @@ func (s *Shard) State() ShardState {
 		p := s.parts[part]
 		st.Parts = append(st.Parts, PartState{
 			Part: part, SolvedOnce: p.solvedOnce, LastChange: p.lastChange,
-			Ports: transport.Packed[float64](slices.Clone(p.sub.x[:p.sub.numPorts])),
+			Ports: slices.Clone(p.sub.x[:p.sub.numPorts]),
 		})
 		for ai, remote := range p.sub.AdjacentParts() {
 			if s.owner[remote] == s.self {

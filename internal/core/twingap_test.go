@@ -11,7 +11,6 @@ import (
 	"repro/internal/dtl"
 	"repro/internal/sparse"
 	"repro/internal/topology"
-	"repro/internal/transport"
 )
 
 // ring9Problem is bench/dtmperf's ring9-grid13 lane: a random 13×13 grid torn
@@ -139,7 +138,7 @@ func shardStates(e *engine) []ShardState {
 			Part:       int32(part),
 			SolvedOnce: !math.IsInf(e.lastChange[part], 1),
 			LastChange: e.lastChange[part],
-			Ports:      transport.Packed[float64](slices.Clone(sub.x[:sub.numPorts])),
+			Ports:      slices.Clone(sub.x[:sub.numPorts]),
 		}}
 	}
 	return sts

@@ -177,28 +177,42 @@ func Coordinate(ctx context.Context, tr transport.Transport, cfg CoordConfig) (*
 	s := newCoordState(&cfg)
 	polls := 0
 	deliver := func(outs []out, err error) error {
+		var ctrl []byte
 		for i := 0; err == nil && i < len(outs); i++ {
 			o := outs[i]
-			switch {
-			case !o.retry:
-				// OnPoll runs before each poll batch (one message to many).
-				if o.m.Type == msgStatusRq && (i == 0 || outs[i-1].m != o.m) && cfg.OnPoll != nil {
+			// A batch (one message to many) is encoded once, and OnPoll runs
+			// before each poll batch.
+			if i == 0 || outs[i-1].m != o.m {
+				ctrl = encodeCtrl(o.m)
+				if o.m.Type == msgStatusRq && cfg.OnPoll != nil {
 					cfg.OnPoll(polls)
 					polls++
 				}
-				_ = sendCtrl(ctx, tr, o.to, o.m)
+			}
+			switch {
+			case !o.retry:
+				_ = sendCtrl(ctx, tr, o.to, ctrl)
 			case o.m.Type == msgReassign:
 				rctx, cancel := context.WithTimeout(ctx, 2*cfg.lease())
-				_ = sendCtrlRetry(rctx, tr, o.to, o.m)
+				_ = sendCtrlRetry(rctx, tr, o.to, ctrl)
 				cancel()
 			default:
-				if err = sendCtrlRetry(ctx, tr, o.to, o.m); err != nil && !errors.Is(err, transport.ErrClosed) {
+				if err = sendCtrlRetry(ctx, tr, o.to, ctrl); err != nil && !errors.Is(err, transport.ErrClosed) {
 					err = lostError(o.to, s.owner, o.m.Type)
 				}
 			}
 		}
 		return err
 	}
+	// The receive deadline is reused until next moves; wait.ctx is nil when
+	// none is made yet or ctx was replaced.
+	var wait struct {
+		ctx    context.Context
+		cancel context.CancelFunc
+		until  time.Time
+	}
+	wait.cancel = func() {}
+	defer func() { wait.cancel() }()
 	for idle := true; ; {
 		next, outs, err := s.Tick(time.Now(), idle)
 		if err = deliver(outs, err); err != nil {
@@ -213,14 +227,18 @@ func Coordinate(ctx context.Context, tr transport.Transport, cfg CoordConfig) (*
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
+			wait.ctx = nil
 			if err := deliver(s.Expire()); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		rctx, cancel := context.WithDeadline(ctx, next)
-		pkt, err := tr.Recv(rctx)
-		cancel()
+		if wait.ctx == nil || !next.Equal(wait.until) {
+			wait.cancel()
+			wait.ctx, wait.cancel = context.WithDeadline(ctx, next)
+			wait.until = next
+		}
+		pkt, err := tr.Recv(wait.ctx)
 		if idle = err != nil; idle && errors.Is(err, transport.ErrClosed) {
 			return nil, fmt.Errorf("dist: coordinator closed during %s: %w", s.phase, err)
 		}

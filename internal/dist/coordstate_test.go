@@ -20,7 +20,7 @@ import (
 
 // simShape is the problem every simulated worker reports having torn: ten
 // unknowns over quickSpec's four parts, two ports a part.
-var simShape = readyMsg{Dim: 10, Links: transport.Packed[int32]{0, 0, 1, 0, 1, 1, 2, 0, 2, 1, 3, 0, 3, 1, 0, 1}}
+var simShape = readyMsg{Dim: 10, Links: []int32{0, 0, 1, 0, 1, 1, 2, 0, 2, 1, 3, 0, 3, 1, 0, 1}}
 
 // stateConfig is a normalised session of the given workers over quickSpec:
 // a 40 ms base lease, a 5 ms poll, two quiet rounds to stop.
@@ -451,7 +451,7 @@ func TestHeartbeatNonFiniteSnapshot(t *testing.T) {
 	incoming := []float64{math.NaN(), math.Inf(1), math.Float64frombits(0x7ff0000000000bad), -1.5}
 	hb := &ctrlMsg{Type: msgHeartbeat, HB: &heartbeatMsg{Inc: 1, Epoch: 1, Snaps: []partSnap{{Part: 0, Incoming: incoming}}}}
 	ctx := context.Background()
-	if err := sendCtrl(ctx, net[1], 0, hb); err != nil {
+	if err := sendCtrl(ctx, net[1], 0, encodeCtrl(hb)); err != nil {
 		t.Fatalf("a heartbeat holding NaN and +Inf does not send: %v", err)
 	}
 	pkt, err := net[0].Recv(ctx)

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -179,7 +178,7 @@ func TestWorkerServesMultipleSessions(t *testing.T) {
 		checkAgainstOracle(t, res, spec)
 	}
 	for _, w := range []int{1, 2} {
-		_ = sendCtrl(ctx, members[0], w, &ctrlMsg{Type: msgShutdown})
+		_ = sendCtrl(ctx, members[0], w, encodeCtrl(&ctrlMsg{Type: msgShutdown}))
 	}
 	wg.Wait()
 	if ctx.Err() != nil {
@@ -503,9 +502,7 @@ func (r *readyTamper) Recv(ctx context.Context) (transport.Packet, error) {
 			return pkt, nil
 		}
 		r.alter(m.Ready)
-		if pkt.Ctrl, err = json.Marshal(m); err != nil {
-			return pkt, err
-		}
+		pkt.Ctrl = encodeCtrl(m)
 		r.held = &pkt
 	}
 }

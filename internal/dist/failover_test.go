@@ -836,7 +836,7 @@ func TestWorkerIdleSurvivesCorruptCtrl(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		_ = members[0].Send(ctx, 1, transport.Packet{Kind: transport.KindControl, Ctrl: []byte("garbage")})
 	}
-	_ = sendCtrl(ctx, members[0], 1, &ctrlMsg{Type: msgStatusRq})
+	_ = sendCtrl(ctx, members[0], 1, encodeCtrl(&ctrlMsg{Type: msgStatusRq}))
 	pkt, err := members[0].Recv(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -845,8 +845,8 @@ func TestWorkerIdleSurvivesCorruptCtrl(t *testing.T) {
 	if err != nil || m.Type != msgHello || m.HB == nil || m.HB.Inc != 1 {
 		t.Fatalf("idle worker did not hello after garbage: %v %+v", err, m)
 	}
-	_ = sendCtrl(ctx, members[0], 1, &ctrlMsg{Type: msgAssign, Assign: steppedAssign(ContiguousOwner(quickSpec.Parts(), []int{1}))})
-	_ = sendCtrl(ctx, members[0], 1, &ctrlMsg{Type: msgStatusRq, Round: 1})
+	_ = sendCtrl(ctx, members[0], 1, encodeCtrl(&ctrlMsg{Type: msgAssign, Assign: steppedAssign(ContiguousOwner(quickSpec.Parts(), []int{1}))}))
+	_ = sendCtrl(ctx, members[0], 1, encodeCtrl(&ctrlMsg{Type: msgStatusRq, Round: 1}))
 	var st *statusMsg
 	for st == nil {
 		pkt, err := members[0].Recv(ctx)
@@ -857,6 +857,6 @@ func TestWorkerIdleSurvivesCorruptCtrl(t *testing.T) {
 			st = m.Status
 		}
 	}
-	_ = sendCtrl(ctx, members[0], 1, &ctrlMsg{Type: msgShutdown})
+	_ = sendCtrl(ctx, members[0], 1, encodeCtrl(&ctrlMsg{Type: msgShutdown}))
 	wg.Wait()
 }

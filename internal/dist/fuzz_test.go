@@ -17,20 +17,23 @@ import (
 // coordinator-bound and which a worker drops unanswered. The seed corpus under
 // testdata/fuzz/FuzzCtrlMsg pins the interesting shapes: valid messages of
 // every type, a status? for an idle worker, a rejoin reassign, a quiet
-// notice, truncated JSON, a reassign with a mismatched owner map, and binary
-// garbage.
+// notice, a truncated frame, a reassign with a mismatched owner map, and
+// binary garbage.
 func FuzzCtrlMsg(f *testing.F) {
+	unknown := encodeCtrl(&ctrlMsg{Type: msgHeartbeat, HB: &heartbeatMsg{Inc: 2, Epoch: 3}})
+	unknown[0] = byte(len(msgTypes)) // a type no worker knows, with a heartbeat inside
 	seeds := [][]byte{
-		[]byte(`{"type":"start"}`),
-		[]byte(`{"type":"status?"}`),
-		[]byte(`{"type":"stop"}`),
-		[]byte(`{"type":"assign","assign":{"spec":{"rows":17,"cols":17,"seed":3,"partsX":2,"partsY":2},"owner":[1,1,1,1],"tol":1e-9,"sendThreshold":1e-11,"watchdogMS":1000,"heartbeatMS":1000,"epoch":1}}`),
-		[]byte(`{"type":"reassign","reassign":{"epoch":9,"assign":{"owner":[1]}}}`),
-		[]byte(`{"type":"reassign"}`),
-		[]byte(`{"type":"hb","hb":{"inc":2,"epoch":3}}`),
-		[]byte(`{"type":"quiet","quiet":true}`),
-		[]byte(`{"type":"st`),
-		[]byte(``),
+		encodeCtrl(&ctrlMsg{Type: msgStart}),
+		encodeCtrl(&ctrlMsg{Type: msgStatusRq}),
+		encodeCtrl(&ctrlMsg{Type: msgStop}),
+		encodeCtrl(&ctrlMsg{Type: msgAssign, Assign: &assignMsg{Spec: SpecV2{PartsX: 2, PartsY: 2}, Owner: []int{1, 1, 1, 1},
+			SendThreshold: 1e-11, WatchdogMS: 1000, HeartbeatMS: 1000, Epoch: 1}}),
+		encodeCtrl(&ctrlMsg{Type: msgReassign, Reassign: &reassignMsg{Epoch: 9, Assign: assignMsg{Owner: []int{1}}}}),
+		encodeCtrl(&ctrlMsg{Type: msgReassign}),
+		unknown,
+		encodeCtrl(&ctrlMsg{Type: msgQuiet, Quiet: true}),
+		encodeCtrl(&ctrlMsg{Type: msgStatus, Round: 7})[:5],
+		{},
 		{0xff, 0x00, 0x9e, 0x37, 0x79, 0xb9},
 	}
 	for _, s := range seeds {

@@ -46,20 +46,20 @@ import (
 // "yao:…") and the tearing shape. A source with a grid hint (grid, 2-D
 // poisson, resistor) torn PartsX×PartsY keeps the paper's regular block
 // tearing; everything else — an irregular source, or an explicit NParts — is
-// torn with the general level-set + EVS pipeline (core.AutoProblem). A spec without a Source — which is what the pre-registry
-// Rows/Cols/Seed wire form decodes to — is refused at assign time, as is an
-// mm: source whose file content does not hash to the pinned value
-// (sparse.ErrHashMismatch): either way the member would have torn a different
-// system than the rest of the fleet.
+// torn with the general level-set + EVS pipeline (core.AutoProblem). A spec
+// without a Source is refused at assign time, as is an mm: source whose file
+// content does not hash to the pinned value (sparse.ErrHashMismatch): either
+// way the member would have torn a different system than the rest of the
+// fleet.
 type SpecV2 struct {
 	// V is the spec version; 2 is the only one.
-	V int `json:"v,omitempty"`
+	V int
 	// Source is the problem-source string (sparse.ParseSource). Required.
-	Source string `json:"source,omitempty"`
+	Source string
 	// NParts, when positive, tears the source into this many subdomains with
 	// the general pipeline. Zero defers to PartsX×PartsY (and, for grid
 	// sources, to the paper's regular block tearing).
-	NParts int `json:"nparts,omitempty"`
+	NParts int
 	// PartsX, PartsY tear the grid into PartsX·PartsY subdomains.
 	PartsX, PartsY int
 	// Topology names the machine, resolved through the topology registry:

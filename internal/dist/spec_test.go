@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -19,33 +18,17 @@ import (
 	"repro/internal/transport"
 )
 
-// legacySpecJSON is raw wire bytes from a pre-registry coordinator, pinned
-// verbatim. Its Rows/Cols/Seed keys name fields SpecV2 no longer has, so it
-// decodes to a spec with no Source.
-const legacySpecJSON = `{"Rows":12,"Cols":12,"Seed":7,"PartsX":2,"PartsY":2,"Topology":"","Delay":10}`
-
-// TestLegacySpecJSONDecodes: an old peer's assign message must still decode —
-// into a spec that visibly has no source — so it is answered with the clear
-// refusal below rather than a JSON error.
-func TestLegacySpecJSONDecodes(t *testing.T) {
-	var s SpecV2
-	if err := json.Unmarshal([]byte(legacySpecJSON), &s); err != nil {
-		t.Fatalf("legacy spec JSON no longer decodes: %v", err)
-	}
-	if s.V != 0 || s.Source != "" || s.NParts != 0 || s.PartsX != 2 || s.PartsY != 2 || s.Delay != 10 {
-		t.Fatalf("legacy JSON decoded to %+v", s)
-	}
-}
+// legacySpec is what a pre-registry coordinator's spec — rows 12, cols 12,
+// seed 7, torn 2×2 — came to once its Rows/Cols/Seed were gone: a spec with
+// no Source.
+var legacySpec = SpecV2{PartsX: 2, PartsY: 2, Delay: 10}
 
 // TestLegacySpecRefused: a spec without a problem source must be refused —
 // by Build, by the coordinator's Validate before it touches the transport,
 // and by a worker at assign time — rather than torn into something the rest
 // of the fleet did not tear.
 func TestLegacySpecRefused(t *testing.T) {
-	var s SpecV2
-	if err := json.Unmarshal([]byte(legacySpecJSON), &s); err != nil {
-		t.Fatal(err)
-	}
+	s := legacySpec
 	_, err := s.Build()
 	if err == nil || !strings.Contains(err.Error(), "no problem source") {
 		t.Fatalf("Build err = %v, want the no-problem-source refusal", err)
@@ -85,7 +68,7 @@ func TestSpecHashSpellingInvariant(t *testing.T) {
 }
 
 // formerLegacySpecs are the specs that used to be written Rows/Cols/Seed —
-// the E9/E10 defaults and legacySpecJSON — with the Hash their legacy form
+// the E9/E10 defaults and legacySpec — with the Hash their legacy form
 // had in the last release that accepted it.
 var formerLegacySpecs = []struct {
 	rows, cols int
@@ -95,7 +78,7 @@ var formerLegacySpecs = []struct {
 }{
 	{33, 33, 1089, 2, 4, 0x569e4f8330f88bf1}, // E9/E10 full
 	{17, 17, 289, 2, 2, 0x009e214fe150e788},  // E9/E10 quick
-	{12, 12, 7, 2, 2, 0x828ce3b302e6a9c8},    // legacySpecJSON
+	{12, 12, 7, 2, 2, 0x828ce3b302e6a9c8},    // legacySpec
 }
 
 func gridSpec(rows, cols int, seed int64, px, py int) SpecV2 {

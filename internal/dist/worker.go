@@ -65,9 +65,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			if o.retry {
 				send = sendCtrlRetry
 			}
-			// A message sent once goes again with the next beat or poll, but
-			// not one encoding/json refuses; a retried one did not land.
-			if err := send(ctx, w.tr, o.to, o.m); err != nil && (o.retry || errors.Is(err, errEncode)) && ctx.Err() == nil {
+			// A message sent once goes again with the next beat or poll; a
+			// retried one did not land.
+			if err := send(ctx, w.tr, o.to, encodeCtrl(o.m)); err != nil && o.retry && ctx.Err() == nil {
 				w.logf("worker %d: %v", s.self, err)
 			}
 		}

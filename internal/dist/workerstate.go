@@ -283,15 +283,21 @@ func (s *workerState) own(owner []int, snaps []partSnap) error {
 	return nil
 }
 
-// stop ends the session with its result: the owner fragments of X.
+// stop ends the session with its result: the owner fragments of X of the
+// owned parts (core.Problem.Owns).
 func (s *workerState) stop(to int) {
-	res := &resultMsg{}
-	owner := s.p.OwnerPairs()
+	n := 0
+	for _, part := range s.shard.Owned() {
+		n += s.p.NumOwned(int(part))
+	}
+	res := &resultMsg{Index: make([]int32, 0, n), Value: make([]float64, 0, n)}
 	for _, part := range s.shard.Owned() {
 		x := s.shard.Sub(part).X()
-		for _, pair := range owner[part] {
-			res.Index = append(res.Index, int32(pair[1]))
-			res.Value = append(res.Value, x[pair[0]])
+		for li, gv := range s.p.Partition.Subdomains[part].GlobalIdx {
+			if s.p.Owns(int(part), li) {
+				res.Index = append(res.Index, int32(gv))
+				res.Value = append(res.Value, x[li])
+			}
 		}
 	}
 	// The result's status carries only the session's counters, the one part
@@ -322,7 +328,7 @@ func (s *workerState) tell() {
 
 // ready reports the torn problem's shape: its dimension and twin links.
 func (s *workerState) ready() *readyMsg {
-	links := make(transport.Packed[int32], 0, 4*len(s.p.Partition.Links))
+	links := make([]int32, 0, 4*len(s.p.Partition.Links))
 	for _, l := range s.p.Partition.Links {
 		links = append(links, int32(l.PartA), int32(l.PortA), int32(l.PartB), int32(l.PortB))
 	}

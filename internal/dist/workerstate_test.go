@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -27,11 +26,7 @@ func stepState(tr transport.Transport, inc uint32) *workerState {
 // ctrlPacket is m as it arrives from member from.
 func ctrlPacket(t testing.TB, from int, m *ctrlMsg) *transport.Packet {
 	t.Helper()
-	b, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &transport.Packet{Kind: transport.KindControl, From: int32(from), Ctrl: b}
+	return &transport.Packet{Kind: transport.KindControl, From: int32(from), Ctrl: encodeCtrl(m)}
 }
 
 // stepMsg hands s the control message m from member from and runs the tick

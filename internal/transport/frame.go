@@ -39,13 +39,16 @@ const (
 	// fields (epoch, inc); version 1 is the implicit pre-failover layout,
 	// which had no version byte at all. Version 3 keeps the layout and
 	// changes the control payload: its problem-sized vectors travel as
-	// Packed strings, not JSON arrays, which a version-2 peer would read as
-	// a bad control frame on every status and never finish a poll round.
+	// base64 strings of their little-endian bytes, not JSON arrays, which a
+	// version-2 peer would read as a bad control frame on every status and
+	// never finish a poll round.
 	// Version 4 keeps the layout again: an assign names the factor ordering
 	// beside the backend, which a version-3 worker would drop, factorising
 	// under auto. Version 5 keeps the layout: a result carries the
-	// session's work counters, which a version-4 worker omits.
-	frameVersion = 5
+	// session's work counters, which a version-4 worker omits. Version 6
+	// keeps the layout and replaces the control payload's JSON with dist's
+	// fixed-order binary form, which a version-5 peer cannot parse.
+	frameVersion = 6
 	frameHeader  = 1 + 1 + 4 + 4 + 4 + 8 + 4 + 4 + 4 // version..nEntries
 	entrySize    = 4 + 8
 	maxFrame     = 16 << 20

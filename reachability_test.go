@@ -138,7 +138,6 @@ var fieldKeep = map[string]string{
 	"internal/core.LinkEnd.Z":                       "the end's impedance TestSubdomainAccessorsAndWaves checks against the assignment and the condensed tests' from-scratch solve (TestCondensedSolveMatchesFullSolve) reads",
 	"internal/core.Subdomain.interiorSolves":        "TestCondensedRunSolvesEachInteriorOnce and TestCondensedSolveMatchesFullSolve count the interior solves X() materialises",
 	"internal/dist.Result.Owner":                    "the final ownership map TestFailoverChanMatchesOracle and TestRejoinRestartedWorker assert after failovers and rejoins",
-	"internal/dist.SpecV2.V":                        "the version every spec literal writes, bench/dtmperf's included; TestLegacySpecJSONDecodes reads it off the legacy wire form",
 	"internal/iterative.AsyncResult.Residual":       "TestAsyncBlockJacobiStopRule holds a converged run's residual to Tol",
 	"internal/factor.SupernodalAnalysis.Ordering":   "TestAnalyzeSupernodalMatchesFactorisation holds the analysis to the factor it predicts",
 	"internal/factor.SupernodalAnalysis.Supernodes": "TestAnalyzeSupernodalMatchesFactorisation holds the analysis to the factor it predicts",
