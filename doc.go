@@ -5,7 +5,7 @@
 // The library lives under internal/ (see DESIGN.md for the full inventory):
 //
 //   - internal/sparse, internal/dense — the numerical substrate (CSR
-//     matrices, MatrixMarket I/O, Cholesky/LU/eigen) plus the problem-source
+//     matrices, MatrixMarket I/O, Cholesky/LU) plus the problem-source
 //     registry: one canonical spec-string grammar (sparse.ParseSource) that
 //     is the only way a system is named, by the CLIs' -source flag, the experiments and
 //     dist.SpecV2 alike — generated systems ("grid:", "poisson:",

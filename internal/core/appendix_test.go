@@ -1,7 +1,9 @@
-// Package theory turns the paper's convergence theory (Section 6 and the
-// Appendix) into executable checks for the two-subdomain case the proof is
-// written for. Given an EVS split A = A₁ + A₂ of an SPD matrix and a positive
-// diagonal characteristic-impedance matrix Z, it verifies numerically:
+package core
+
+// The paper's convergence theory (Section 6 and the Appendix) as executable
+// checks for the two-subdomain case the proof is written for. Given an EVS
+// split A = A₁ + A₂ of an SPD matrix and a positive diagonal
+// characteristic-impedance matrix Z, they verify numerically:
 //
 //   - Lemma A.2: √Z·Aⱼ·√Z is symmetric, so Z·Aⱼ is similar to a real diagonal
 //     matrix with the eigenvalues tᵢ of √Z·Aⱼ·√Z;
@@ -18,11 +20,9 @@
 //     delay) wave-iteration operator of the two coupled subdomains has
 //     spectral radius < 1, so the iteration contracts to the exact solution.
 //
-// These checks are what the tests in this package and the theorem-driven
-// property tests elsewhere rely on; they are also useful diagnostics when
-// experimenting with impedance strategies, because they expose how Z moves the
-// spectra the proof manipulates.
-package theory
+// No binary runs them. theory_test.go checks them on Example 4.1's port
+// blocks and on random SPD splits, and TestTheoryPredictsVTMContraction holds
+// the operator's spectral radius to EngineVTM's measured contraction.
 
 import (
 	"fmt"
@@ -57,7 +57,10 @@ func (s Split) Validate() error {
 	if s.A1.Cols() != r || s.A2.Rows() != r || s.A2.Cols() != r {
 		return fmt.Errorf("theory: A1 and A2 must be square matrices of the same dimension")
 	}
-	if !s.A1.IsSymmetric(1e-10) || !s.A2.IsSymmetric(1e-10) {
+	if !finite(s.A1) || !finite(s.A2) {
+		return fmt.Errorf("theory: A1 and A2 must have finite entries")
+	}
+	if !isSymmetric(s.A1, 1e-10) || !isSymmetric(s.A2, 1e-10) {
 		return fmt.Errorf("theory: A1 and A2 must be symmetric")
 	}
 	if len(s.Z) != r {
@@ -123,7 +126,7 @@ func LemmaA2(a *dense.Matrix, z sparse.Vec) (t []float64, q *dense.Matrix, err e
 	if len(z) != a.Rows() {
 		return nil, nil, fmt.Errorf("theory: Z has length %d, want %d", len(z), a.Rows())
 	}
-	return dense.SymEigen(scaled(a, z), true)
+	return SymEigen(scaled(a, z), true)
 }
 
 // LambdaSpectra returns the eigenvalues of Λ₁ = (I+T₁)(I−T₁)⁻¹ and of
@@ -421,8 +424,8 @@ func SpectralRadiusEstimate(m *dense.Matrix, iterations int) float64 {
 	return math.Pow(prod, 1/float64(len(lastRates)))
 }
 
-// TheoremReport bundles every check this package performs for one split.
-type TheoremReport struct {
+// SplitReport bundles every check of this file for one split.
+type SplitReport struct {
 	Lambda         LambdaReport
 	K              KReport
 	SpectralRadius float64
@@ -431,16 +434,16 @@ type TheoremReport struct {
 	Converges bool
 }
 
-// CheckSplit runs every check of this package on a split with sensible
+// CheckSplit runs every check of this file on a split with sensible
 // defaults (a [0, 50/τ_min] frequency sweep with 64 points, 400 power
 // iterations for the spectral radius).
-func CheckSplit(s Split) (TheoremReport, error) {
+func CheckSplit(s Split) (SplitReport, error) {
 	if err := s.Validate(); err != nil {
-		return TheoremReport{}, err
+		return SplitReport{}, err
 	}
 	lrep, err := CheckLambdaBounds(s)
 	if err != nil {
-		return TheoremReport{}, err
+		return SplitReport{}, err
 	}
 	fw, bw := s.delays()
 	minTau := math.Inf(1)
@@ -454,14 +457,14 @@ func CheckSplit(s Split) (TheoremReport, error) {
 	}
 	krep, err := CheckKNonSingular(s, 50/minTau, 64)
 	if err != nil {
-		return TheoremReport{}, err
+		return SplitReport{}, err
 	}
 	op, err := VTMIterationOperator(s)
 	if err != nil {
-		return TheoremReport{}, err
+		return SplitReport{}, err
 	}
 	rho := SpectralRadiusEstimate(op, 400)
-	return TheoremReport{
+	return SplitReport{
 		Lambda:         lrep,
 		K:              krep,
 		SpectralRadius: rho,

@@ -122,7 +122,7 @@ func FuzzTheoremClass(f *testing.F) {
 			}
 		}
 		a := coo.ToCSR()
-		eig, _, err := dense.SymEigen(dense.FromCSR(a), false)
+		eig, _, err := SymEigen(dense.FromCSR(a), false)
 		if err != nil {
 			t.Fatal(err)
 		}

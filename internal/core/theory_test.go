@@ -1,4 +1,4 @@
-package theory
+package core
 
 import (
 	"math"
@@ -78,8 +78,9 @@ func TestSplitValidate(t *testing.T) {
 	}
 	cases := map[string]func(*Split){
 		"nil matrix":     func(s *Split) { s.A1 = nil },
-		"size mismatch":  func(s *Split) { s.A2 = dense.Identity(3) },
+		"size mismatch":  func(s *Split) { s.A2 = identity(3) },
 		"asymmetric":     func(s *Split) { s.A1 = dense.FromRows([][]float64{{1, 2}, {0, 1}}) },
+		"NaN entry":      func(s *Split) { s.A1 = dense.FromRows([][]float64{{2.5, math.NaN()}, {math.NaN(), 3.3}}) },
 		"bad Z length":   func(s *Split) { s.Z = sparse.Vec{1} },
 		"negative Z":     func(s *Split) { s.Z = sparse.Vec{1, -1} },
 		"zero delay":     func(s *Split) { s.TauForward = sparse.Vec{0, 1} },
@@ -101,7 +102,7 @@ func TestLemmaA2EigenvaluesMatchZA(t *testing.T) {
 		t.Fatalf("LemmaA2: %v", err)
 	}
 	// Q must be orthonormal.
-	if !q.Transpose().Mul(q).EqualApprox(dense.Identity(2), 1e-10) {
+	if !q.Transpose().Mul(q).EqualApprox(identity(2), 1e-10) {
 		t.Errorf("eigenvector matrix is not orthonormal")
 	}
 	// The eigenvalues of √Z·A·√Z are the eigenvalues of Z·A (Lemma A.2): check

@@ -1,16 +1,15 @@
-package theory
+package core
 
 import (
 	"context"
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/dtl"
-	"repro/internal/experiments"
 	"repro/internal/partition"
 	"repro/internal/sparse"
+	"repro/internal/topology"
 )
 
 // schurOntoPorts eliminates the inner vertices of a torn subdomain: with the
@@ -44,13 +43,18 @@ func schurOntoPorts(t *testing.T, sub *partition.Subdomain) *dense.Matrix {
 	return s
 }
 
-// TestTheoryPredictsVTMContraction holds the package's discrete-time
+// TestTheoryPredictsVTMContraction holds the Appendix checks' discrete-time
 // conclusion to the engine it is about: on Example 4.1, for every impedance of
 // a sweep along Fig. 9's axis, the spectral radius of the two-subdomain wave
 // iteration built from the torn subdomains' port Schur complements must equal
-// the per-sweep contraction of the RMS error that core's VTM engine measures.
+// the per-sweep contraction of the RMS error that EngineVTM measures.
 func TestTheoryPredictsVTMContraction(t *testing.T) {
-	prob, _, exact, err := experiments.PaperProblem()
+	sys, tear := paperTearing(t)
+	prob, err := NewProblem(sys, tear, topology.TwoProcessorPaper(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := dense.SolveExact(sys.A, sys.B)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +81,9 @@ func TestTheoryPredictsVTMContraction(t *testing.T) {
 	// eigenvalue pairs of the swap structure.
 	const first, last, floor = 20, 40, 1e-12
 	for _, z := range []float64{0.02, 0.05, 0.1, 0.2, 1, 2} {
-		res, err := core.Solve(context.Background(), prob, core.Config{
-			CommonOptions: core.CommonOptions{Impedance: dtl.Constant{Z: z}, Exact: exact, RecordTrace: true},
-			Engine:        core.EngineVTM,
+		res, err := Solve(context.Background(), prob, Config{
+			CommonOptions: CommonOptions{Impedance: dtl.Constant{Z: z}, Exact: exact, RecordTrace: true},
+			Engine:        EngineVTM,
 			MaxIterations: last,
 		})
 		if err != nil {

@@ -1,7 +1,7 @@
 // Package dense provides the dense linear-algebra kernels the DTM reproduction
-// relies on: dense matrices, Cholesky / LU factorisations with
-// triangular solves, and a symmetric Jacobi eigenvalue solver used to certify
-// the SPD / SNND hypotheses of the convergence theorem.
+// relies on: dense matrices and Cholesky / LU factorisations with
+// factor-once/solve-many triangular solves, behind factor's dense-cholesky and
+// dense-lu backends and the small-system reference solve (SolveExact).
 package dense
 
 import (
@@ -46,15 +46,6 @@ func FromRows(rows [][]float64) *Matrix {
 func FromCSR(a *sparse.CSR) *Matrix {
 	m := New(a.Rows(), a.Cols())
 	a.Each(func(i, j int, v float64) { m.Set(i, j, v) })
-	return m
-}
-
-// Identity returns the n×n identity.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
 	return m
 }
 
@@ -126,32 +117,6 @@ func (m *Matrix) Transpose() *Matrix {
 		}
 	}
 	return out
-}
-
-// IsSymmetric reports whether M is symmetric within tol.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// MaxAbs returns the largest absolute entry.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // EqualApprox reports whether M and B agree entry-wise within tol.

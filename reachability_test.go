@@ -16,12 +16,6 @@ import (
 	"unicode"
 )
 
-// reachRootPackages are packages whose exported functions are roots beside
-// every func main: they are run by no binary and stay for the stated reason.
-var reachRootPackages = map[string]string{
-	"internal/theory": "the paper's Section 6 convergence proof as executable checks; TestTheoryPredictsVTMContraction holds its spectral radius to EngineVTM's measured contraction",
-}
-
 // reachKeep lists the functions under internal/ that no binary reaches and
 // that stay anyway, each with its reason: what tests of reachable code compare
 // against (a reference implementation), assert with or build their inputs
@@ -33,7 +27,7 @@ var reachKeep = map[string]string{
 	// References that tests of reachable code compare against.
 	"internal/partition.Result.Reconstruct": "the EVS oracle: the torn subsystems must sum back to the original system (partition's invariant and property tests, core's paper example)",
 	"internal/geom.YaoPicks":                "the picks behind YaoEdges, compared pick for pick with the all-pairs oracle in yao_test.go and by the out-degree tests of sparse and topology",
-	"internal/dense.LU.Det":                 "independent oracle of SymEigen: the eigenvalue product must equal the determinant (TestSymEigenTraceDetProperty)",
+	"internal/dense.LU.Det":                 "independent oracle of SymEigen, core's test eigensolver: the eigenvalue product must equal the determinant (TestSymEigenTraceDetProperty)",
 	"internal/factor.Perm.Check":            "permutation validity asserted on every ordering (RCM, AMD, ND, postorder tests)",
 	"internal/sparse.CSR.PermuteSym":        "the materialised PAPᵀ the factor oracles read (symbolic_oracle_test.go), against which the analysis and factors that read A through the permutation are compared bit for bit; also shuffles factor's test inputs",
 
@@ -43,14 +37,15 @@ var reachKeep = map[string]string{
 	"internal/sparse.Vec.NormInf":              "residual and error norm in the tests of core, dense, factor, experiments and sparse",
 	"internal/sparse.Vec.Sub":                  "error vector x − x* in the tests of factor, iterative, partition, dense, core and dist",
 	"internal/sparse.CSR.IsDiagonallyDominant": "asserted on every generator's output and on EVS's default split",
-	"internal/dense.Matrix.EqualApprox":        "matrix equality in the tests of dense and theory",
+	"internal/dense.Matrix.EqualApprox":        "matrix equality in dense's tests; QᵀQ = I in core's TestLemmaA2EigenvaluesMatchZA",
 
 	// Fixtures of tests in several packages.
 	"internal/sparse.Identity":        "the identity as an input of factor's, core's and sparse's tests",
 	"internal/sparse.RandomVec":       "seeded random right-hand sides in the tests of factor, sparse and dense",
-	"internal/dense.FromRows":         "literal matrices in the tests of dense and theory",
-	"internal/dense.Matrix.Mul":       "B·Bᵀ + n·I, the random SPD input of dense's factorisation property tests; QᵀQ = I in theory's",
-	"internal/dense.Matrix.Transpose": "B·Bᵀ + n·I, the random SPD input of dense's factorisation property tests; QᵀQ = I in theory's",
+	"internal/dense.FromRows":         "literal matrices in dense's tests and in core's Appendix and SymEigen tests (theory_test.go, eigen_test.go)",
+	"internal/dense.Matrix.Mul":       "B·Bᵀ + n·I, the random SPD input of dense's factorisation property tests; QᵀQ = I in core's TestLemmaA2EigenvaluesMatchZA",
+	"internal/dense.Matrix.Transpose": "B·Bᵀ + n·I, the random SPD input of dense's factorisation property tests; QᵀQ = I in core's TestLemmaA2EigenvaluesMatchZA",
+	"internal/dense.Matrix.MulVec":    "b = A·x in dense's factorisation tests; the power iteration of core's SpectralRadiusEstimate and the port Schur complement of TestTheoryPredictsVTMContraction",
 
 	// The allocating Solve beside each backend's SolveTo, which binaries call.
 	"internal/dense.Cholesky.Solve":    "x := f.Solve(b) in dense's tests of the factor whose SolveTo binaries call",
@@ -65,32 +60,19 @@ var reachKeep = map[string]string{
 // TestEveryInternalFunctionIsReachable recomputes, from the type-checked
 // source, which functions under internal/ some binary can execute: the roots
 // are func main of every main package in this module and of bench/dtmperf,
-// every init and package-level initialiser those link in, and the exported
-// functions of reachRootPackages; a function is reached when reached code names
-// it, when reached code calls its name through an interface its receiver
-// implements, or when its receiver is a reached type that satisfies an
-// interface of the standard library (fmt.Stringer, error, sort.Interface, …:
-// callers this test cannot see). Test files are not read, so a helper only
-// tests call is an orphan unless reachKeep says why it stays.
+// and every init and package-level initialiser those link in; a function is
+// reached when reached code names it, when reached code calls its name
+// through an interface its receiver implements, or when its receiver is a
+// reached type that satisfies an interface of the standard library
+// (fmt.Stringer, error, sort.Interface, …: callers this test cannot see).
+// Test files are not read, so a helper only tests call is an orphan unless
+// reachKeep says why it stays.
 func TestEveryInternalFunctionIsReachable(t *testing.T) {
 	l, mains := loadModule(t)
 	g := newReachGraph(l)
 	for _, dir := range mains {
 		g.linkIn(l.pkgs[dir].types)
 		g.reach(l.pkgs[dir].types.Scope().Lookup("main"))
-	}
-	for dir := range reachRootPackages {
-		p := l.pkgs[dir]
-		if p == nil {
-			t.Errorf("reachRootPackages names %s, which is not a package under internal/", dir)
-			continue
-		}
-		g.linkIn(p.types)
-		for fn, decl := range g.decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fn.Pkg() == p.types && fd.Name.IsExported() {
-				g.reach(fn)
-			}
-		}
 	}
 	g.run()
 
@@ -156,8 +138,8 @@ var fieldKeep = map[string]string{
 // or cmd/ must be read by non-test code of the module or of bench/dtmperf. A
 // read is any use of the field other than as an assignment's target, an
 // increment's operand or a composite literal's key; a field of a generic type
-// counts by its origin. Embedded fields and the fields of reachRootPackages
-// are exempt, and fieldKeep names the tests that read the rest. The reason of
+// counts by its origin. Embedded fields are exempt, and fieldKeep names the
+// tests that read the rest. The reason of
 // each fieldKeep entry must name a test function of the module.
 func TestEveryInternalFieldIsRead(t *testing.T) {
 	l, _ := loadModule(t)
@@ -168,7 +150,7 @@ func TestEveryInternalFieldIsRead(t *testing.T) {
 	read := map[*types.Var]bool{}
 	written := map[*ast.Ident]bool{}
 	for dir, p := range l.pkgs {
-		checked := (strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")) && reachRootPackages[dir] == ""
+		checked := strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")
 		for _, f := range p.files {
 			if checked {
 				var stack []ast.Node
