@@ -147,33 +147,26 @@ func TestCondensedSolveMatchesFullSolve(t *testing.T) {
 	}
 }
 
-// TestCondensedSnapshotCarriesTheStaleInterior: a snapshot taken while the
-// interior is waiting for X restores to a subdomain whose X is still the full
-// solution of the snapshotted Solve — through a Refactor, as a crash-restart
-// does it — and whose next Solve repeats, bit for bit, what the uncrashed
-// subdomain computed. Without a snapshot the restore is the zero state.
+// TestCondensedSnapshotCarriesTheStaleInterior: a restart from a snapshot —
+// the incoming waves the part held at it, the recovery state a DES
+// crash-restart and a dist failover both solve from — is a Refactor, the
+// snapshot's waves and one Solve. X is then the full solution of the
+// snapshot's waves, and the next Solve repeats, bit for bit, what the
+// uncrashed subdomain computed.
 //
 // On the ports-only path nothing may move a bit: per part of the 2×2 tear of
-// grid65, X of a snapshotted Solve — taken through more Solves, X calls, a
-// Refactor and RestoreSnapshot — is, bit for bit, X as it was at the
-// snapshot, and that X is the full supernodal solve of the snapshotted
-// right-hand side, ports included. The remembered right-hand side must live
-// apart from the scratch vectors X and Refactor write.
+// grid65, X after more Solves, X calls, a Refactor and the restart's Solve is,
+// bit for bit, X as it was at the snapshot, and that X is the full
+// supernodal solve of the snapshotted right-hand side, ports included. The
+// remembered right-hand side must live apart from the scratch vectors X and
+// Refactor write.
 func TestCondensedSnapshotCarriesTheStaleInterior(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f := newCondensedFixture(t, seed, 27, 11, false)
 		s := f.sub
 		f.randomWaves()
-		s.Solve()
-		s.RestoreSnapshot()
-		if x := s.X(); x.NormInf() != 0 || sparse.Vec(s.incoming).NormInf() != 0 {
-			t.Fatalf("seed %d: restoring without a snapshot left X = %v, incoming = %v", seed, x, s.incoming)
-		}
-
-		f.randomWaves()
 		atSnap := append([]float64(nil), s.incoming...)
 		s.Solve()
-		s.Snapshot()
 		f.randomWaves()
 		next := append([]float64(nil), s.incoming...)
 		s.Solve()
@@ -187,12 +180,10 @@ func TestCondensedSnapshotCarriesTheStaleInterior(t *testing.T) {
 		if err := s.Refactor(); err != nil {
 			t.Fatal(err)
 		}
-		s.RestoreSnapshot()
-		if !sparse.Vec(s.incoming).Equal(atSnap, 0) {
-			t.Errorf("seed %d: incoming waves not rolled back", seed)
-		}
+		copy(s.incoming, atSnap)
+		s.Solve()
 		if d := relErr(s.X(), f.fullSolve(atSnap)); d > 1e-12 {
-			t.Errorf("seed %d: X after RestoreSnapshot off the snapshotted solve by %.3g relative", seed, d)
+			t.Errorf("seed %d: X after the restart off the snapshotted solve by %.3g relative", seed, d)
 		}
 		copy(s.incoming, next)
 		s.Solve()
@@ -214,7 +205,6 @@ func TestCondensedSnapshotCarriesTheStaleInterior(t *testing.T) {
 			waves(s)
 			atSnap := append([]float64(nil), s.incoming...)
 			s.Solve()
-			s.Snapshot()
 			want := s.X().Clone()
 			rhs := s.baseRHS.Clone()
 			for e, end := range s.ends {
@@ -233,10 +223,11 @@ func TestCondensedSnapshotCarriesTheStaleInterior(t *testing.T) {
 			if err := s.Refactor(); err != nil {
 				t.Fatal(err)
 			}
-			s.RestoreSnapshot()
+			copy(s.incoming, atSnap)
+			s.Solve()
 			before := s.interiorSolves
 			if got := s.X(); !got.Equal(want, 0) || s.interiorSolves != before+1 {
-				t.Errorf("part %d: X after Snapshot, Solves, Refactor and RestoreSnapshot differs from the snapshotted X (%d interior solves)", i, s.interiorSolves-before)
+				t.Errorf("part %d: X after Solves, Refactor and the restart's Solve differs from the snapshotted X (%d interior solves)", i, s.interiorSolves-before)
 			}
 		}
 	})

@@ -7,25 +7,21 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sparse"
 	"repro/internal/topology"
+	"repro/internal/transport"
 )
 
 // wavePacket is the payload of one N2N message: the outgoing waves of every
 // DTL whose far end lives in the destination subdomain. It travels through the
-// generic simulator as a value — no interface boxing — and its entries slice
-// is recycled through the engine's pool once the receiver has consumed it.
+// generic simulator as a value — no interface boxing — and, in a fault-free
+// run, its entries slice is recycled through the engine's pool once the
+// receiver has consumed it.
 //
-// seq exists for the fault layer: it numbers the waves of each directed part
-// pair so receivers can discard duplicated or overtaken packets
-// (last-writer-wins). Fault-free DES runs leave it at zero and never consult
-// it.
+// seq exists for the fault layer: it is the transport.Packet sequence number
+// a part's Shard stamped on the wave (faults.go). Fault-free DES runs leave
+// it at zero and never consult it.
 type wavePacket struct {
 	seq     uint64
-	entries []waveEntry
-}
-
-type waveEntry struct {
-	linkID int
-	wave   float64
+	entries []transport.WaveEntry
 }
 
 // engine is the one virtual-time engine: the subdomains, the incrementally
@@ -65,13 +61,13 @@ type engine struct {
 
 	// ports[part] is the view x[:NumPorts] of each subdomain's solution:
 	// the port potentials the twin gap reads (see twinGap). The views stay
-	// valid because a Subdomain's x is solved and snapshot-restored in place.
+	// valid because a Subdomain's x is solved in place.
 	ports [][]float64
 
-	// entryPool recycles waveEntry slices between sender and receiver; the DES
-	// engine is single-threaded, so a plain free list suffices and the steady
-	// state allocates no packet buffers at all.
-	entryPool netsim.Pool[waveEntry]
+	// entryPool recycles wave-entry slices between sender and receiver; the
+	// DES engine is single-threaded, so a plain free list suffices and the
+	// steady state allocates no packet buffers at all.
+	entryPool netsim.Pool[transport.WaveEntry]
 
 	lastChange []float64 // last boundary-potential change per part, +Inf before the first solve
 
@@ -120,7 +116,7 @@ func newEngine(p *Problem, cfg *Config) (*engine, error) {
 		}
 	}
 	if cfg.Faults.Enabled() {
-		e.faults = newFaultState(cfg.Faults, len(subs))
+		e.faults = newFaultState(cfg.Faults, subs, cfg.SendThreshold)
 	}
 	return e, nil
 }
@@ -130,18 +126,23 @@ func newEngine(p *Problem, cfg *Config) (*engine, error) {
 const errRecomputeEvery = 256
 
 // solve is one local solve of a part — the step every schedule is made of:
-// re-solve with the current incoming waves, note the boundary change for the
-// quiescence rule, fold the solution into the assembled state if the
-// running error needs it, and tell the observer.
+// re-solve with the current incoming waves and book it (solved).
 func (e *engine) solve(part int, now float64) {
-	sub := e.subs[part]
-	e.lastChange[part] = sub.Solve()
+	e.solved(part, now, e.subs[part].Solve())
+}
+
+// solved books a local solve of part that moved its ports by change: note
+// the change for the quiescence rule, fold the solution into the assembled
+// state if the running error needs it, and tell the observer. A part's Shard
+// solves by itself under a fault spec, and its node books the solve here.
+func (e *engine) solved(part int, now, change float64) {
+	e.lastChange[part] = change
 	e.solves++
 	if e.exact != nil {
 		e.applyLocal(part)
 	}
 	if e.cfg.Observer != nil {
-		e.cfg.Observer(now, part, sub.X())
+		e.cfg.Observer(now, part, e.subs[part].X())
 	}
 }
 
@@ -240,7 +241,8 @@ func (e *engine) record(now float64) {
 }
 
 // dtmNode adapts one Subdomain to the netsim.Node interface, implementing the
-// per-processor loop of Table 1 in the paper.
+// per-processor loop of Table 1 in the paper on a reliable network (faultNode
+// is its counterpart under a fault spec).
 type dtmNode struct {
 	eng *engine
 	sub *Subdomain
@@ -255,15 +257,9 @@ type dtmNode struct {
 	// engine uses it to resume an asynchronous window from accumulated state.
 	warmStart bool
 	// off is the absolute virtual time of the window's start: the simulator
-	// hands the node window-relative times, the engine and the fault spec
-	// live on the absolute axis.
+	// hands the node window-relative times, the engine lives on the absolute
+	// axis.
 	off float64
-
-	// Fault-layer state (see faults.go); untouched in fault-free runs.
-	sim        *netsim.Simulator[wavePacket]
-	wdDeadline []float64 // armed watchdog deadline per neighbour
-	wdBackoff  []int     // consecutive silent watchdog expiries per neighbour
-	crashed    bool
 }
 
 func newDTMNode(eng *engine, sub *Subdomain) *dtmNode {
@@ -286,15 +282,7 @@ func newDTMNode(eng *engine, sub *Subdomain) *dtmNode {
 // initial waves are what bootstraps the asynchronous exchange. A warm-started
 // node instead announces the outgoing waves of its current state.
 func (n *dtmNode) Init(now float64) []netsim.Outgoing[wavePacket] {
-	if n.eng.faults != nil {
-		n.initFaultNode(now)
-		if n.crashed {
-			// The crash window straddles the window start (mixed engine):
-			// announce nothing until the restart timer fires.
-			return nil
-		}
-	}
-	return n.packetsToAll(now, !n.warmStart)
+	return n.packetsToAll(!n.warmStart)
 }
 
 // OnMessages implements steps 3–3.2: fold the received remote boundary
@@ -302,43 +290,15 @@ func (n *dtmNode) Init(now float64) []netsim.Outgoing[wavePacket] {
 // local system, and send the new local boundary conditions to the adjacent
 // subdomains.
 func (n *dtmNode) OnMessages(now float64, msgs []netsim.Message[wavePacket]) []netsim.Outgoing[wavePacket] {
-	fresh := 0
 	for i := range msgs {
 		entries := msgs[i].Payload.entries
-		if f := n.eng.faults; f != nil {
-			if n.crashed {
-				// A crashed process loses everything delivered to it; the
-				// senders' watchdogs recover the state after the restart.
-				continue
-			}
-			pid := n.eng.pairID(msgs[i].From, n.sub.Part())
-			if !f.apply(pid, msgs[i].Payload.seq) {
-				// Duplicate, or overtaken by a newer wave on the same pair
-				// that a shorter jittered path delivered first.
-				continue
-			}
-		}
-		fresh++
 		for _, en := range entries {
-			n.sub.SetIncomingByLink(en.linkID, en.wave)
+			n.sub.SetIncomingByLink(int(en.LinkID), en.Wave)
 		}
-		if n.eng.faults == nil {
-			// Under faults a duplicated send aliases one entries buffer from
-			// two delivery events, so recycling a delivered buffer would hand
-			// it to a new sender while the duplicate still reads it. Buffers
-			// of delivered packets are left to the GC then; only the
-			// fault-free engine keeps its zero-alloc recycling.
-			n.eng.entryPool.Put(entries)
-		}
-	}
-	if fresh == 0 && n.eng.faults != nil {
-		// Nothing survived deduplication (or the process is down): no state
-		// changed, so re-solving and re-announcing would only amplify the
-		// duplicate traffic.
-		return nil
+		n.eng.entryPool.Put(entries)
 	}
 	n.eng.solve(n.sub.Part(), n.off+now)
-	return n.packetsToAll(now, false)
+	return n.packetsToAll(false)
 }
 
 // ComputeTime implements netsim.Node.
@@ -350,11 +310,9 @@ func (n *dtmNode) ComputeTime(batch int) float64 {
 // true the waves are the zero initial condition; otherwise they are the waves
 // of the latest local solve, filtered by the send threshold. Entry buffers
 // come from the engine's pool and the outgoing slice is reused, so the steady
-// state allocates nothing. Under a fault spec every packet is sequence-
-// numbered and each send re-arms the watchdog toward its destination.
-func (n *dtmNode) packetsToAll(now float64, initial bool) []netsim.Outgoing[wavePacket] {
+// state allocates nothing.
+func (n *dtmNode) packetsToAll(initial bool) []netsim.Outgoing[wavePacket] {
 	threshold := n.eng.cfg.SendThreshold
-	part := n.sub.Part()
 	ends := n.sub.Ends()
 	n.outs = n.outs[:0]
 	for ai, remote := range n.adj {
@@ -369,23 +327,17 @@ func (n *dtmNode) packetsToAll(now float64, initial bool) []netsim.Outgoing[wave
 			if math.IsNaN(n.lastSent[k]) || math.Abs(w-n.lastSent[k]) > threshold {
 				changed = true
 			}
-			entries = append(entries, waveEntry{linkID: ends[k].LinkID, wave: w})
+			entries = append(entries, transport.WaveEntry{LinkID: int32(ends[k].LinkID), Wave: w})
 		}
 		if !changed {
 			n.eng.entryPool.Put(entries)
 			continue
 		}
 		for i, k := range toward {
-			n.lastSent[k] = entries[i].wave
+			n.lastSent[k] = entries[i].Wave
 		}
-		pkt := wavePacket{entries: entries}
-		if f := n.eng.faults; f != nil {
-			pkt.seq = f.sendSeq(n.eng.pairID(part, remote))
-			n.wdBackoff[ai] = 0
-			n.armWatchdog(now, ai)
-		}
-		n.eng.messages += 1
-		n.outs = append(n.outs, netsim.Outgoing[wavePacket]{To: remote, Payload: pkt})
+		n.eng.messages++
+		n.outs = append(n.outs, netsim.Outgoing[wavePacket]{To: remote, Payload: wavePacket{entries: entries}})
 	}
 	return n.outs
 }
@@ -408,15 +360,23 @@ func solveDES(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 // absolute time the phase ended at. The ctx is consulted only when it can
 // fire, so a Background run pays one nil check per stop test.
 func (e *engine) window(ctx context.Context, off, length float64, warm bool) float64 {
-	dtmNodes := make([]*dtmNode, len(e.subs))
 	nodes := make([]netsim.Node[wavePacket], len(e.subs))
+	var faultNodes []*faultNode
 	for i, s := range e.subs {
-		dtmNodes[i] = newDTMNode(e, s)
-		dtmNodes[i].warmStart, dtmNodes[i].off = warm, off
-		nodes[i] = dtmNodes[i]
+		if e.faults != nil {
+			// Under faults every start announces the current waves, which
+			// before the first solve are the zero waves of (5.6).
+			fn := e.newFaultNode(i, off)
+			faultNodes = append(faultNodes, fn)
+			nodes[i] = fn
+			continue
+		}
+		n := newDTMNode(e, s)
+		n.warmStart, n.off = warm, off
+		nodes[i] = n
 	}
 	sim := netsim.New(nodes, func(from, to int) float64 { return e.prob.Delay(from, to) })
-	for _, n := range dtmNodes {
+	for _, n := range faultNodes {
 		n.sim = sim
 	}
 	if f := e.faults; f != nil {

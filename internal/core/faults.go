@@ -1,104 +1,88 @@
 package core
 
 import (
-	"math"
+	"slices"
 
 	"repro/internal/chaos"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 )
 
-// This file holds the fault-tolerance layer of the DES engine: per-directed-
-// pair sequence numbers with last-writer-wins deduplication, sender-side
-// watchdog retransmission with exponential backoff, crash-restart from
-// in-memory snapshots, and the fault-aware part of the stopping rule.
+// This file holds the fault-tolerance layer of the DES engine. Under an
+// enabled fault spec every part is a one-part member with its own Shard —
+// the wave-reliability protocol a dist worker runs: per-pair sequence
+// numbers with last-writer-wins deduplication, needed/applied marks,
+// threshold-suppressed sends — driven on virtual time by a faultNode. What
+// the node keeps itself is what a Shard leaves to its driver: the watchdog
+// timers and their backoff, the snapshot ticks, the crash schedule, and the
+// window gates of the stopping rule (faultQuiet).
 //
-// Everything here is inert when Config.Faults is nil or disabled: no timers
-// are armed, packets carry seq 0, and shouldStop reduces to the fault-free
-// rule — so fault-free runs stay byte-identical to previous releases.
+// Everything here is inert when Config.Faults is nil or disabled: the engine
+// builds plain dtmNodes, whose pooled loop allocates nothing in the steady
+// state.
 
 // faultState is the engine's fault bookkeeping, allocated only when a run has
 // an enabled fault spec.
 type faultState struct {
 	spec *chaos.Spec
 	ctl  *chaos.Controller
-
-	// sentSeq, neededSeq and appliedSeq index directed part pairs
-	// (from·nParts + to). sentSeq is the newest sequence number assigned to a
-	// wave on the pair; appliedSeq the newest one the receiver has folded in;
-	// neededSeq the newest *state-bearing* wave — a regular send announcing a
-	// changed state, as opposed to a watchdog retransmission of state the
-	// receiver may well already have. A pair is pending while appliedSeq <
-	// neededSeq: the receiver has not yet seen the sender's announced state,
-	// so the globally visible twin gaps are not the whole story and
-	// convergence must not be declared. Retransmissions deliberately do not
-	// raise neededSeq — they carry no new state, so losing one must not block
-	// the detector for another backoff period (it would oscillate forever on
-	// a lossy link). Applying any seq ≥ neededSeq settles the pair, because
-	// every wave (retransmissions included) carries the sender's state at
-	// send time (last-writer-wins).
-	sentSeq    []uint64
-	neededSeq  []uint64
-	appliedSeq []uint64
-	// pendingPairs counts pairs with appliedSeq < neededSeq.
-	pendingPairs int
+	// shards[part] is the part's one-part member. The shards outlive a mixed
+	// run's windows, so their sequence numbers keep counting across them, and
+	// a barrier settles them (settle).
+	shards []*Shard
+	// snaps[part] is the part's incoming waves at its latest snapshot tick,
+	// nil before the first: the recovery state a restart solves from.
+	snaps [][]float64
 
 	stats FaultStats
 }
 
-// newFaultState is the bookkeeping of an enabled fault spec over n parts
-// (Config.validate has checked its part references against the partition).
-// The fault-mode SendThreshold default (DrainThreshold) is applied by
-// Config.normalize, for every engine.
-func newFaultState(spec *chaos.Spec, n int) *faultState {
-	return &faultState{
-		spec:       spec,
-		ctl:        chaos.NewController(spec, n),
-		sentSeq:    make([]uint64, n*n),
-		neededSeq:  make([]uint64, n*n),
-		appliedSeq: make([]uint64, n*n),
+// newFaultState is the bookkeeping of an enabled fault spec over the
+// subdomains (Config.validate has checked its part references against the
+// partition). The fault-mode SendThreshold default (DrainThreshold) is
+// applied by Config.normalize, for every engine.
+func newFaultState(spec *chaos.Spec, subs []*Subdomain, threshold float64) *faultState {
+	f := &faultState{
+		spec:   spec,
+		ctl:    chaos.NewController(spec, len(subs)),
+		shards: make([]*Shard, len(subs)),
+		snaps:  make([][]float64, len(subs)),
 	}
+	owner := make([]int, len(subs))
+	for part := range owner {
+		owner[part] = part
+	}
+	for part, sub := range subs {
+		f.shards[part] = NewShard(part, owner, 0, threshold, nil)
+		f.shards[part].Adopt(sub, nil)
+	}
+	return f
 }
 
-func (e *engine) pairID(from, to int) int { return from*len(e.subs) + to }
-
-// retransmitSeq assigns the next sequence number for a watchdog
-// retransmission: the pair's pending status is unchanged.
-func (f *faultState) retransmitSeq(pid int) uint64 {
-	f.sentSeq[pid]++
-	return f.sentSeq[pid]
-}
-
-// sendSeq assigns the next sequence number for a state-bearing wave and marks
-// the pair pending until the receiver applies it (or any later wave).
-func (f *faultState) sendSeq(pid int) uint64 {
-	f.sentSeq[pid]++
-	if f.appliedSeq[pid] >= f.neededSeq[pid] {
-		f.pendingPairs++
+// drained reports whether every part's receivers have applied the newest
+// state-bearing wave it sent them: a retransmission carries no news, so a
+// lost one holds nothing back.
+func (f *faultState) drained() bool {
+	for part, sh := range f.shards {
+		p := sh.parts[part]
+		for ai, remote := range p.sub.AdjacentParts() {
+			if p.needed[ai] > f.shards[remote].dedup.Applied(int32(part), int32(remote)) {
+				return false
+			}
+		}
 	}
-	f.neededSeq[pid] = f.sentSeq[pid]
-	return f.sentSeq[pid]
-}
-
-// apply reports whether a received wave with the given sequence number is
-// fresh on its pair. A fresh wave advances appliedSeq, retiring every earlier
-// wave on the pair; a stale one (duplicate, or overtaken by a newer delivery)
-// must be discarded by the caller.
-func (f *faultState) apply(pid int, seq uint64) bool {
-	if seq <= f.appliedSeq[pid] {
-		return false
-	}
-	if f.appliedSeq[pid] < f.neededSeq[pid] && seq >= f.neededSeq[pid] {
-		f.pendingPairs--
-	}
-	f.appliedSeq[pid] = seq
 	return true
 }
 
-// settle marks every assigned sequence number as applied — engine.sweep
-// calls it after the barrier, which exchanges all waves reliably.
+// settle applies every wave sent so far at its receiver — engine.sweep calls
+// it after the barrier, which exchanges all waves reliably.
 func (f *faultState) settle() {
-	copy(f.appliedSeq, f.sentSeq)
-	f.pendingPairs = 0
+	for part, sh := range f.shards {
+		p := sh.parts[part]
+		for ai, remote := range p.sub.AdjacentParts() {
+			f.shards[remote].dedup.Fresh(&transport.Packet{FromPart: int32(part), ToPart: int32(remote), Seq: p.sentSeq[ai]})
+		}
+	}
 }
 
 // faultQuiet reports whether the fault layer permits declaring convergence at
@@ -108,25 +92,53 @@ func (f *faultState) settle() {
 // a state that a delayed or retransmitted wave is still going to change.
 func (e *engine) faultQuiet(now float64) bool {
 	f := e.faults
-	if f == nil {
-		return true
+	return f == nil || !f.spec.AnyDownAt(now) && !f.spec.AnyCrashedAt(now) && f.drained()
+}
+
+// faultNode is one part of a DES window under a fault spec: a dtmNode whose
+// Shard folds in what arrives and decides what to solve and announce (into
+// outs), and which runs the clocks a Shard has none of.
+type faultNode struct {
+	dtmNode
+	shard      *Shard
+	sim        *netsim.Simulator[wavePacket]
+	wdDeadline []float64 // armed watchdog deadline per neighbour
+	wdBackoff  []int     // consecutive silent watchdog expiries per neighbour
+	crashed    bool
+}
+
+func (e *engine) newFaultNode(part int, off float64) *faultNode {
+	sub := e.subs[part]
+	adj := sub.AdjacentParts()
+	n := &faultNode{
+		dtmNode:    dtmNode{eng: e, sub: sub, adj: adj, off: off},
+		shard:      e.faults.shards[part],
+		wdDeadline: make([]float64, len(adj)),
+		wdBackoff:  make([]int, len(adj)),
 	}
-	return f.pendingPairs == 0 && !f.spec.AnyDownAt(now) && !f.spec.AnyCrashedAt(now)
+	n.shard.emit = n.emit
+	return n
+}
+
+// emit is the shard's network: the packet leaves at the end of the
+// activation.
+func (n *faultNode) emit(_ int, pkt transport.Packet) {
+	n.eng.messages++
+	n.outs = append(n.outs, netsim.Outgoing[wavePacket]{To: int(pkt.ToPart), Payload: wavePacket{seq: pkt.Seq, entries: pkt.Entries}})
 }
 
 // Timer-id layout per node (per netsim node ids are scoped to the node):
 // ids 0..len(adj)-1 are the per-neighbour watchdogs, len(adj) is the snapshot
 // tick, and above that crashes and restarts alternate (crash i → base+2i,
 // restart i → base+2i+1, indexing the spec's crash list).
-func (n *dtmNode) idSnapshot() int  { return len(n.adj) }
-func (n *dtmNode) idCrashBase() int { return len(n.adj) + 1 }
+func (n *faultNode) idSnapshot() int  { return len(n.adj) }
+func (n *faultNode) idCrashBase() int { return len(n.adj) + 1 }
 
-// initFaultNode sizes the node's watchdog state and schedules this part's
-// crash timers and (when crashes exist) the periodic snapshot tick. Called
-// from Init when faults are enabled.
-func (n *dtmNode) initFaultNode(now float64) {
-	n.wdDeadline = make([]float64, len(n.adj))
-	n.wdBackoff = make([]int, len(n.adj))
+// Init schedules this part's crash timers and (when crashes exist) the
+// periodic snapshot tick, then announces the part's current waves without
+// solving — before its first solve the zero waves of (5.6), in a mixed run's
+// later windows the state the last barrier left.
+func (n *faultNode) Init(now float64) []netsim.Outgoing[wavePacket] {
 	spec := n.eng.faults.spec
 	part := n.sub.Part()
 	absNow := n.off + now
@@ -147,6 +159,49 @@ func (n *dtmNode) initFaultNode(now float64) {
 	if len(spec.Crashes) > 0 {
 		n.sim.After(part, now, spec.SnapshotInterval(), n.idSnapshot())
 	}
+	if n.crashed {
+		return nil
+	}
+	n.outs = n.outs[:0]
+	n.shard.parts[part].forget()
+	n.shard.announce(int32(part), false)
+	return n.sent(now)
+}
+
+// OnMessages hands every delivered wave to the shard, which discards
+// duplicates and overtaken waves, and solves if one was fresh. A crashed
+// process loses everything delivered to it; the senders' watchdogs recover
+// the state after the restart.
+func (n *faultNode) OnMessages(now float64, msgs []netsim.Message[wavePacket]) []netsim.Outgoing[wavePacket] {
+	if n.crashed {
+		return nil
+	}
+	part := int32(n.sub.Part())
+	for i := range msgs {
+		n.shard.Receive(&transport.Packet{
+			Kind: transport.KindWave, FromPart: int32(msgs[i].From), ToPart: part,
+			Seq: msgs[i].Payload.seq, Entries: msgs[i].Payload.entries,
+		})
+	}
+	n.outs = n.outs[:0]
+	if !n.shard.SolveDirty() {
+		// Nothing fresh: re-solving and re-announcing would only amplify
+		// the duplicate traffic.
+		return nil
+	}
+	n.eng.solved(int(part), n.off+now, n.shard.parts[part].lastChange)
+	return n.sent(now)
+}
+
+// sent re-arms, with its backoff reset, the watchdog toward every neighbour
+// the activation's packets go to.
+func (n *faultNode) sent(now float64) []netsim.Outgoing[wavePacket] {
+	for _, o := range n.outs {
+		ai, _ := slices.BinarySearch(n.adj, o.To)
+		n.wdBackoff[ai] = 0
+		n.armWatchdog(now, ai)
+	}
+	return n.outs
 }
 
 // armWatchdog (re)arms the retransmission watchdog toward neighbour adj[ai].
@@ -154,7 +209,7 @@ func (n *dtmNode) initFaultNode(now float64) {
 // expiry up to the backoff cap. Stale timer events — ones superseded by a
 // newer arming — are recognised in OnTimer by comparing against wdDeadline, so
 // nothing needs to be cancelled.
-func (n *dtmNode) armWatchdog(now float64, ai int) {
+func (n *faultNode) armWatchdog(now float64, ai int) {
 	spec := n.eng.faults.spec
 	part := n.sub.Part()
 	t := spec.WatchdogTimeout(n.eng.prob.Delay(part, n.adj[ai]))
@@ -165,7 +220,7 @@ func (n *dtmNode) armWatchdog(now float64, ai int) {
 
 // OnTimer dispatches the node's timer events: watchdog expiries, snapshot
 // ticks, and the crash/restart schedule. It implements netsim.TimerNode.
-func (n *dtmNode) OnTimer(now float64, id int) []netsim.Outgoing[wavePacket] {
+func (n *faultNode) OnTimer(now float64, id int) []netsim.Outgoing[wavePacket] {
 	switch {
 	case id < len(n.adj):
 		return n.watchdogFired(now, id)
@@ -177,71 +232,59 @@ func (n *dtmNode) OnTimer(now float64, id int) []netsim.Outgoing[wavePacket] {
 	}
 }
 
-// watchdogFired re-announces the newest outgoing waves toward one neighbour.
-// DTM has no acknowledgements, so the watchdog cannot know whether the last
-// wave was lost; it retransmits the current state unconditionally, which is
-// safe because waves are idempotent boundary conditions and the receiver
-// deduplicates by sequence number. Backoff keeps a converged-but-lossy system
-// from chattering at the full watchdog rate forever.
-func (n *dtmNode) watchdogFired(now float64, ai int) []netsim.Outgoing[wavePacket] {
+// watchdogFired re-announces the current waves toward one neighbour through
+// the shard. DTM has no acknowledgements, so the watchdog cannot know whether
+// the last wave was lost; it retransmits the current state unconditionally,
+// which is safe because waves are idempotent boundary conditions and the
+// receiver deduplicates by sequence number. Backoff keeps a converged-but-
+// lossy system from chattering at the full watchdog rate forever.
+func (n *faultNode) watchdogFired(now float64, ai int) []netsim.Outgoing[wavePacket] {
 	if n.crashed || now < n.wdDeadline[ai] {
 		// Crashed processes run no timers; an event below the armed deadline
 		// was superseded by a more recent send re-arming the watchdog.
 		return nil
 	}
-	f := n.eng.faults
-	part := n.sub.Part()
-	toward := n.sub.AdjacentEnds(ai)
-	ends := n.sub.Ends()
-	entries := n.eng.entryPool.Get(len(toward))
-	for _, k := range toward {
-		w := n.sub.OutgoingWave(k)
-		n.lastSent[k] = w
-		entries = append(entries, waveEntry{linkID: ends[k].LinkID, wave: w})
-	}
-	f.stats.Retransmissions++
-	n.eng.messages++
+	n.outs = n.outs[:0]
+	n.shard.announceTo(int32(n.sub.Part()), ai, true)
+	n.eng.faults.stats.Retransmissions++
 	if n.wdBackoff[ai] < chaos.MaxBackoff {
 		n.wdBackoff[ai]++
 	}
 	n.armWatchdog(now, ai)
-	n.outs = n.outs[:0]
-	n.outs = append(n.outs, netsim.Outgoing[wavePacket]{
-		To:      n.adj[ai],
-		Payload: wavePacket{seq: f.retransmitSeq(n.eng.pairID(part, n.adj[ai])), entries: entries},
-	})
 	return n.outs
 }
 
-// snapshotTick records the periodic recovery snapshot and re-arms the tick.
-// A crashed process takes no snapshot (it is not running), but the tick keeps
+// snapshotTick records the part's incoming waves — the recovery state a
+// dist failover adopts from too (Shard.Incoming) — and re-arms the tick. A
+// crashed process takes no snapshot (it is not running), but the tick keeps
 // going so snapshots resume after the restart.
-func (n *dtmNode) snapshotTick(now float64) {
+func (n *faultNode) snapshotTick(now float64) {
+	f := n.eng.faults
+	part := n.sub.Part()
 	if !n.crashed {
-		n.sub.Snapshot()
-		n.eng.faults.stats.Snapshots++
+		f.snaps[part] = n.shard.Incoming(int32(part))
+		f.stats.Snapshots++
 	}
-	n.sim.After(n.sub.Part(), now, n.eng.faults.spec.SnapshotInterval(), n.idSnapshot())
+	n.sim.After(part, now, f.spec.SnapshotInterval(), n.idSnapshot())
 }
 
 // crashTimer handles the crash/restart schedule. A crash silences the node:
 // incoming messages are discarded and timers ignored until the restart, which
 // models a process that lost its in-memory state. The restart rebuilds the
-// factorisation from the cached local matrix, rolls the mutable state back to
-// the latest snapshot, re-solves, and re-announces its waves to every
+// factorisation from the cached local matrix, rolls the incoming waves back
+// to the latest snapshot (zero before the first), and wakes the shard, which
+// forgets what it announced, re-solves and re-announces its waves to every
 // neighbour — recovery is local, the rest of the computation never stops.
-func (n *dtmNode) crashTimer(now float64, id int) []netsim.Outgoing[wavePacket] {
+func (n *faultNode) crashTimer(now float64, id int) []netsim.Outgoing[wavePacket] {
 	f := n.eng.faults
 	part := n.sub.Part()
 	rel := id - n.idCrashBase()
 	if rel%2 == 0 { // crash
-		ci := rel / 2
 		n.crashed = true
 		f.stats.Crashes++
-		n.sim.After(part, now, f.spec.Crashes[ci].RestartAfter, id+1)
+		n.sim.After(part, now, f.spec.Crashes[rel/2].RestartAfter, id+1)
 		return nil
 	}
-	// Restart.
 	n.crashed = false
 	f.stats.Restarts++
 	if err := n.sub.Refactor(); err != nil {
@@ -249,12 +292,14 @@ func (n *dtmNode) crashTimer(now float64, id int) []netsim.Outgoing[wavePacket] 
 		// is a programming error, not a runtime condition.
 		panic(err)
 	}
-	n.sub.RestoreSnapshot()
-	// The restarted process has no memory of what it last sent; clear the
-	// send-threshold history so the re-announcement below reaches everyone.
-	for k := range n.lastSent {
-		n.lastSent[k] = math.NaN()
+	if snap := f.snaps[part]; snap != nil {
+		copy(n.sub.incoming, snap)
+	} else {
+		clear(n.sub.incoming)
 	}
-	n.eng.solve(part, n.off+now)
-	return n.packetsToAll(now, false)
+	n.shard.Wake()
+	n.outs = n.outs[:0]
+	n.shard.SolveDirty()
+	n.eng.solved(part, n.off+now, n.shard.parts[part].lastChange)
+	return n.sent(now)
 }

@@ -261,3 +261,32 @@ func TestMixedFaultsConverge(t *testing.T) {
 		t.Errorf("mixed faulted solution diverges from the oracle by %g", d)
 	}
 }
+
+// TestDESFaultStopAgreesWithQuiescent judges one state by both stopping
+// rules: on the benchmark's fault lane (ring9, drop=0.05,dup=0.02,jitter=0.5,
+// seed=42), the state the DES engine stops converged in is quiet by
+// core.Quiescent over every part's Shard.State(), with the engine's twin gap
+// bit for bit.
+func TestDESFaultStopAgreesWithQuiescent(t *testing.T) {
+	spec, err := chaos.ParseSpec("drop=0.05,dup=0.02,jitter=0.5,seed=42")
+	if err != nil {
+		t.Fatalf("ParseSpec: %v", err)
+	}
+	const tol = 1e-9
+	res, eng := runWindow(t, ring9Problem(t), CommonOptions{Tol: tol, Faults: spec}, 1e9, false, nil)
+	if !res.Converged {
+		t.Fatalf("not converged (gap %g at t=%g)", res.TwinGap, res.FinalTime)
+	}
+	states := make([]ShardState, len(eng.faults.shards))
+	for part, sh := range eng.faults.shards {
+		states[part] = sh.State()
+	}
+	quiet, change, gap := Quiescent(eng.prob.Partition.Links, tol, states)
+	if !quiet {
+		t.Errorf("the DES stop is not quiescent: last change %g, twin gap %g", change, gap)
+	}
+	if math.Float64bits(gap) != math.Float64bits(res.TwinGap) {
+		t.Errorf("Quiescent's twin gap %g, the engine's %g", gap, res.TwinGap)
+	}
+	t.Logf("%d solves, twin gap %.3g", res.Solves, gap)
+}

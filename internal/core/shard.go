@@ -22,9 +22,10 @@ import (
 // (SolveDirty), when its watchdog fired (Retransmit) and when ownership
 // changed (Adopt, Drop, Advance); what the shard wants to send to another
 // member leaves through emit. A dist worker runs one Shard for all its
-// parts. Waves between two parts of one shard ("siblings") are applied
-// directly and carry no sequence numbers: in-process delivery cannot lose
-// anything.
+// parts; the DES engine, under a fault spec, runs one per part on virtual
+// time (faults.go), so both kinds of run are held to the same rules. Waves
+// between two parts of one shard ("siblings") are applied directly and carry
+// no sequence numbers: in-process delivery cannot lose anything.
 //
 // When a part re-solves is the shard's choice (Theorem 6.1 holds for any
 // delays), and it solves for the network, not against it: a part that applied
@@ -45,7 +46,9 @@ type Shard struct {
 	// awaited[m] marks a member this shard sent news to and has not heard
 	// from since; news says a fresh remote packet arrived since the last
 	// sibling sweep. A sweep runs when either permits it (SolveDirty).
+	// partsOf[m] counts the parts member m owns.
 	awaited []bool
+	partsOf []int
 	news    bool
 	dedup   *transport.Dedup
 
@@ -129,6 +132,12 @@ func (s *Shard) setOwner(owner []int) {
 		members = max(members, m+1)
 	}
 	s.awaited = make([]bool, members)
+	s.partsOf = make([]int, members)
+	for _, m := range owner {
+		if m >= 0 { // as members does: only a malformed map has one
+			s.partsOf[m]++
+		}
+	}
 }
 
 // Adopt adds a factorised subdomain. On the initial assignment snap is nil
@@ -231,9 +240,11 @@ func (s *Shard) Advance(epoch uint32, owner []int) {
 // Receive folds one wave packet into the part it is addressed to and marks
 // the part dirty. A fresh packet is news for the sibling sweep and ends the
 // wait for its sender's member; one that moved an incoming wave by more than
-// the send threshold is owed an answer (see announce). Receive reports false,
-// having changed nothing but the fence counter, when the part is not owned
-// here or the packet is a duplicate, overtaken, or fenced (transport.Dedup).
+// the send threshold is owed an answer (see announceTo) when that member
+// owns siblings: only owed parts wait for answers, and a one-part member
+// never has any. Receive reports false, having changed nothing but the fence
+// counter, when the part is not owned here or the packet is a duplicate,
+// overtaken, or fenced (transport.Dedup).
 func (s *Shard) Receive(pkt *transport.Packet) bool {
 	sub := s.Sub(pkt.ToPart)
 	if sub == nil || !s.dedup.Fresh(pkt) {
@@ -246,14 +257,12 @@ func (s *Shard) Receive(pkt *transport.Packet) bool {
 			sub.incoming[k] = e.Wave
 		}
 	}
-	from := int(pkt.FromPart)
-	if moved {
-		if ai, ok := slices.BinarySearch(sub.AdjacentParts(), from); ok {
+	if from := int(pkt.FromPart); from >= 0 && from < len(s.owner) {
+		m := s.owner[from]
+		s.awaited[m] = false
+		if ai, ok := slices.BinarySearch(sub.AdjacentParts(), from); ok && moved && s.partsOf[m] > 1 {
 			s.parts[pkt.ToPart].answer[ai] = true
 		}
-	}
-	if from >= 0 && from < len(s.owner) {
-		s.awaited[s.owner[from]] = false
 	}
 	s.news = true
 	s.markDirty(pkt.ToPart)
@@ -309,66 +318,73 @@ func (s *Shard) Retransmit() {
 	}
 }
 
-// announce sends part's outgoing waves, one packet per neighbouring part. A
-// retransmission always goes out, skips neighbours on this shard and leaves
-// needed and answer alone. Otherwise a neighbour gets a packet when a wave
-// toward it moved beyond the threshold (raising needed) or when it sent news
-// this part has not answered yet: the answer carries this part's state after
-// folding that news in, and is what ends the sender's wait. Only news marks
-// the neighbour's member awaited: the neighbour answers a wave that moved,
-// not an answer below the threshold, and a wait for a reply that never comes
-// would hold the owed parts until the watchdog. A sibling's waves are written
-// in place and leave it owed. The baseline moves only on an actual send, so
-// sub-threshold drift cannot accumulate unannounced; only a packet that
-// leaves allocates.
+// announce sends part's outgoing waves, one packet per neighbouring part
+// (announceTo). A DES watchdog retransmits toward one neighbour at a time.
 func (s *Shard) announce(part int32, retransmit bool) {
-	p := s.parts[part]
-	ends := p.sub.Ends()
-	for ai, remote := range p.sub.AdjacentParts() {
-		local := s.owner[remote] == s.self
-		if retransmit && local {
-			continue
-		}
-		toward := p.sub.AdjacentEnds(ai)
-		moved := false
-		for _, k := range toward {
-			if !(math.Abs(p.sub.OutgoingWave(k)-p.lastSent[k]) <= s.threshold) {
-				moved = true
-				break
-			}
-		}
-		if !moved && !retransmit && !p.answer[ai] {
-			continue
-		}
-		s.messages++
-		if local {
-			dst := s.parts[remote].sub
-			for _, k := range toward {
-				p.lastSent[k] = p.sub.OutgoingWave(k)
-				dst.SetIncomingByLink(ends[k].LinkID, p.lastSent[k])
-			}
-			s.markOwed(int32(remote))
-			continue
-		}
-		entries := make([]transport.WaveEntry, len(toward))
-		for i, k := range toward {
-			p.lastSent[k] = p.sub.OutgoingWave(k)
-			entries[i] = transport.WaveEntry{LinkID: int32(ends[k].LinkID), Wave: p.lastSent[k]}
-		}
-		p.sentSeq[ai]++
-		if !retransmit {
-			if moved {
-				p.needed[ai] = p.sentSeq[ai]
-				s.newsSent++
-				s.awaited[s.owner[remote]] = true
-			}
-			p.answer[ai] = false
-		}
-		s.emit(s.owner[remote], transport.Packet{
-			Kind: transport.KindWave, FromPart: part, ToPart: int32(remote),
-			Seq: p.sentSeq[ai], Epoch: s.dedup.Epoch(), Entries: entries,
-		})
+	for ai := range s.parts[part].sub.AdjacentParts() {
+		s.announceTo(part, ai, retransmit)
 	}
+}
+
+// announceTo sends part's outgoing waves toward its neighbour
+// AdjacentParts()[ai]. A retransmission always goes out, unless the neighbour
+// is on this shard, and leaves needed and answer alone. Otherwise the
+// neighbour gets a packet when a wave toward it moved beyond the threshold
+// (raising needed) or when it sent news this part has not answered yet: the
+// answer carries this part's state after folding that news in, and is what
+// ends the sender's wait. Only news marks the neighbour's member awaited: the
+// neighbour answers a wave that moved (when this member owns siblings), not
+// an answer below the threshold, and a wait for a reply that never comes
+// would hold the owed parts until the watchdog. A sibling's waves are written in place and leave it owed. The
+// baseline moves only on an actual send, so sub-threshold drift cannot
+// accumulate unannounced; only a packet that leaves allocates.
+func (s *Shard) announceTo(part int32, ai int, retransmit bool) {
+	p := s.parts[part]
+	remote := p.sub.AdjacentParts()[ai]
+	local := s.owner[remote] == s.self
+	if retransmit && local {
+		return
+	}
+	toward := p.sub.AdjacentEnds(ai)
+	moved := false
+	for _, k := range toward {
+		if !(math.Abs(p.sub.OutgoingWave(k)-p.lastSent[k]) <= s.threshold) {
+			moved = true
+			break
+		}
+	}
+	if !moved && !retransmit && !p.answer[ai] {
+		return
+	}
+	s.messages++
+	ends := p.sub.Ends()
+	if local {
+		dst := s.parts[remote].sub
+		for _, k := range toward {
+			p.lastSent[k] = p.sub.OutgoingWave(k)
+			dst.SetIncomingByLink(ends[k].LinkID, p.lastSent[k])
+		}
+		s.markOwed(int32(remote))
+		return
+	}
+	entries := make([]transport.WaveEntry, len(toward))
+	for i, k := range toward {
+		p.lastSent[k] = p.sub.OutgoingWave(k)
+		entries[i] = transport.WaveEntry{LinkID: int32(ends[k].LinkID), Wave: p.lastSent[k]}
+	}
+	p.sentSeq[ai]++
+	if !retransmit {
+		if moved {
+			p.needed[ai] = p.sentSeq[ai]
+			s.newsSent++
+			s.awaited[s.owner[remote]] = true
+		}
+		p.answer[ai] = false
+	}
+	s.emit(s.owner[remote], transport.Packet{
+		Kind: transport.KindWave, FromPart: part, ToPart: int32(remote),
+		Seq: p.sentSeq[ai], Epoch: s.dedup.Epoch(), Entries: entries,
+	})
 }
 
 // NewsSent counts the cross-member sends that carried news: each raised a

@@ -641,3 +641,58 @@ func TestShardNewsSent(t *testing.T) {
 		t.Fatal("an advanced shard sent no news")
 	}
 }
+
+// TestShardAnswersOnlyMembersWithSiblings: a news wave is owed an answer only
+// when the sender's member owns siblings, because only owed parts wait for
+// answers and a one-part member never has any. Member A owns part 0 and
+// member B parts 1 and 2 of a 3×1 tear: a moved wave from A to part 1 leaves
+// part 1 owing A nothing, one from B's part 1 to part 0 leaves part 0 owing
+// part 1 an answer.
+func TestShardAnswersOnlyMembersWithSiblings(t *testing.T) {
+	p, err := GridProblem(sparse.RandomGridSPD(9, 6, 5), 9, 6, 3, 1, topology.Uniform(3, 10, "uniform"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zs, err := dtl.Assign(p.Partition, dtl.DiagScaled{Alpha: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := []int{0, 1, 1}
+	shards := []*Shard{
+		NewShard(0, owner, 0, 1e-11, func(int, transport.Packet) {}),
+		NewShard(1, owner, 0, 1e-11, func(int, transport.Packet) {}),
+	}
+	for part, m := range owner {
+		sd, err := NewSubdomain(p.Partition.Subdomains[part], p.Partition.LinksOfPart(part), zs, factor.Settings{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[m].Adopt(sd, nil)
+	}
+	// moved sends a wave of 1 on every link from part from to part to, and
+	// reports whether part to now owes from an answer.
+	moved := func(from, to int32) bool {
+		t.Helper()
+		dst := shards[owner[to]]
+		var entries []transport.WaveEntry
+		for _, end := range dst.Sub(to).Ends() {
+			if end.Remote == int(from) {
+				entries = append(entries, transport.WaveEntry{LinkID: int32(end.LinkID), Wave: 1})
+			}
+		}
+		if len(entries) == 0 {
+			t.Fatalf("parts %d and %d share no link", from, to)
+		}
+		if !dst.Receive(&transport.Packet{FromPart: from, ToPart: to, Seq: 1, Entries: entries}) {
+			t.Fatalf("the wave from part %d to part %d was refused", from, to)
+		}
+		ai, _ := slices.BinarySearch(dst.Sub(to).AdjacentParts(), int(from))
+		return dst.parts[to].answer[ai]
+	}
+	if moved(0, 1) {
+		t.Error("part 1 owes an answer to part 0, whose member owns no siblings")
+	}
+	if !moved(1, 0) {
+		t.Error("part 0 owes no answer to part 1, whose member owns siblings")
+	}
+}

@@ -89,16 +89,10 @@ type Subdomain struct {
 	// localA and fs are kept so a crash-restarted subdomain can rebuild its
 	// factorisation the way it was first built (Refactor), and with them the
 	// symbolic analysis of localA's pattern when a sparse backend built it,
-	// which a rebuild reuses instead of ordering again; the snap fields hold
-	// the latest in-memory snapshot a restart rolls back to.
-	localA       *sparse.CSR
-	fs           factor.Settings
-	analysis     *factor.Analysis
-	snapX        sparse.Vec
-	snapIncoming []float64
-	snapPortRHS  []float64
-	snapStale    bool
-	hasSnap      bool
+	// which a rebuild reuses instead of ordering again.
+	localA   *sparse.CSR
+	fs       factor.Settings
+	analysis *factor.Analysis
 }
 
 // NewSubdomain builds the DTM subdomain for one EVS subgraph. links must be
@@ -306,44 +300,6 @@ func (s *Subdomain) AdjacentParts() []int {
 // callers must not mutate it.
 func (s *Subdomain) AdjacentEnds(i int) []int {
 	return s.endsByAdj[i]
-}
-
-// Snapshot stores an in-memory copy of the subdomain's recovery state: the
-// latest local solution and the latest incoming waves — and, since the
-// solution's interior may be waiting for X, whether it is and the port
-// entries of the right-hand side it would be solved for. The constant inputs
-// — the local matrix, right-hand side and DTL endpoints — need no snapshot,
-// and the factorisation is deliberately excluded: a crashed process loses it
-// and Refactor rebuilds it from the cached matrix.
-func (s *Subdomain) Snapshot() {
-	if s.snapX == nil {
-		s.snapX = sparse.NewVec(len(s.x))
-		s.snapIncoming = make([]float64, len(s.incoming))
-		s.snapPortRHS = make([]float64, len(s.portRHS))
-	}
-	s.snapX.CopyFrom(s.x)
-	copy(s.snapIncoming, s.incoming)
-	copy(s.snapPortRHS, s.portRHS)
-	s.snapStale = s.stale
-	s.hasSnap = true
-}
-
-// RestoreSnapshot rolls the solution and incoming waves back to the latest
-// snapshot, or to the zero initial condition when none has been taken. The
-// buffers are restored in place — the engine's views of the port potentials
-// stay valid.
-func (s *Subdomain) RestoreSnapshot() {
-	if !s.hasSnap {
-		s.x.Zero()
-		clear(s.incoming)
-		clear(s.portRHS)
-		s.stale = false
-		return
-	}
-	s.x.CopyFrom(s.snapX)
-	copy(s.incoming, s.snapIncoming)
-	copy(s.portRHS, s.snapPortRHS)
-	s.stale = s.snapStale
 }
 
 // Refactor (re)builds the local solver — and with it the port factor and u⁰,

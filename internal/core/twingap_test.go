@@ -74,8 +74,8 @@ func runWindow(t *testing.T, prob *Problem, opts CommonOptions, maxTime float64,
 
 // TestOnDemandTwinGapTree runs the three shapes the engine meets — the 13×13
 // 3×3 ring of bench/dtmperf, an irregular 4-part spanner, and a crash/restart
-// schedule with snapshots (whose RestoreSnapshot rewrites port potentials
-// outside a solve, just before one) — with the trace on and off. The twin gap
+// schedule with snapshots (whose restart rewrites incoming waves outside a
+// solve, just before one) — with the trace on and off. The twin gap
 // is read on every activation with the trace on and only when the stop rule
 // gets that far with it off; both must be the same run bit for bit, and the
 // trace-off run's solve count is pinned exactly.
@@ -146,7 +146,7 @@ func shardStates(e *engine) []ShardState {
 
 // TestStopRulesShareTwinGap holds the two stopping rules to one twin gap:
 // at every solve of a DES run (ring9, and the crash/restart schedule whose
-// snapshot restores rewrite the ports the engine's views read), the engine's
+// restarts solve from a snapshot's incoming waves), the engine's
 // gap equals core.Quiescent's over ShardStates of the same subdomains bit for
 // bit, and the two rules decide alike. Then, from the converged ring9 state,
 // each part in turn is solved on NaN waves: its last change still reads
@@ -195,7 +195,7 @@ func TestStopRulesShareTwinGap(t *testing.T) {
 			}
 			checking = false
 			for part, sub := range eng.subs {
-				sub.Snapshot()
+				snap := slices.Clone(sub.incoming)
 				last := eng.lastChange[part]
 				for k := range sub.incoming {
 					sub.incoming[k] = math.NaN()
@@ -213,7 +213,8 @@ func TestStopRulesShareTwinGap(t *testing.T) {
 				agree(t, eng, "with NaN ports")
 				// The converged ports are back, the NaN change is not: the
 				// last-change clause alone must refuse.
-				sub.RestoreSnapshot()
+				copy(sub.incoming, snap)
+				sub.Solve()
 				if eng.quiesced(tol) {
 					t.Errorf("part %d: the engine's rule stops on a NaN last change", part)
 				}

@@ -32,13 +32,6 @@ func (v Vec) CopyFrom(src Vec) {
 	copy(v, src)
 }
 
-// Zero sets every entry of v to zero.
-func (v Vec) Zero() {
-	for i := range v {
-		v[i] = 0
-	}
-}
-
 // Fill sets every entry of v to x.
 func (v Vec) Fill(x float64) {
 	for i := range v {

@@ -23,18 +23,12 @@ func TestNewVecIsZero(t *testing.T) {
 	}
 }
 
-func TestVecFillAndZero(t *testing.T) {
+func TestVecFill(t *testing.T) {
 	v := NewVec(4)
 	v.Fill(2.5)
 	for i, x := range v {
 		if x != 2.5 {
 			t.Errorf("after Fill, v[%d] = %g", i, x)
-		}
-	}
-	v.Zero()
-	for i, x := range v {
-		if x != 0 {
-			t.Errorf("after Zero, v[%d] = %g", i, x)
 		}
 	}
 }

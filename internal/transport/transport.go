@@ -131,7 +131,9 @@ var ErrFrameTooLarge = errors.New("transport: frame too large")
 // deduplication of wave packets per directed part pair, plus the failover
 // fences — a packet from a stale ownership epoch or from an overtaken
 // incarnation of its sending part is dropped and counted, never applied.
-// core.Shard receives through it, and the conformance tests exercise every
+// core.Shard receives through it, in dist workers and in the DES engine's
+// fault layer alike (which also settles a barrier's waves through Fresh and
+// reads Applied for its stop gate), and the conformance tests exercise every
 // Transport against it.
 type Dedup struct {
 	epoch   uint32
