@@ -51,8 +51,9 @@
 //     core.Shard, the wave-reliability protocol as a pure state machine
 //     (sequence numbers with last-writer-wins dedup, needed/applied marks,
 //     watchdog re-announcement, epoch fences, the Quiescent stopping rule)
-//     that the dist worker drives, with the DES engine's own fault layer as
-//     the reference it is tested against;
+//     that the dist worker drives, and every DES window too, one shard per
+//     part; the fault-free DES run is the reference the others are tested
+//     against;
 //   - internal/transport — the datagram fabric distributed DTM runs on: an
 //     in-process channel implementation and a length-prefixed binary TCP
 //     implementation with reconnect backoff, under one conformance-tested

@@ -348,7 +348,7 @@ func runUnwatched(t *testing.T, prob *Problem, cfg Config) (*Result, *engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := eng.finish(eng.window(context.Background(), 0, cfg.MaxTime, false))
+	res := eng.finish(eng.window(context.Background(), 0, cfg.MaxTime))
 	if !res.Converged {
 		t.Fatal("not converged")
 	}

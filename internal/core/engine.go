@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/sparse"
@@ -11,14 +12,12 @@ import (
 )
 
 // wavePacket is the payload of one N2N message: the outgoing waves of every
-// DTL whose far end lives in the destination subdomain. It travels through the
-// generic simulator as a value — no interface boxing — and, in a fault-free
-// run, its entries slice is recycled through the engine's pool once the
-// receiver has consumed it.
-//
-// seq exists for the fault layer: it is the transport.Packet sequence number
-// a part's Shard stamped on the wave (faults.go). Fault-free DES runs leave
-// it at zero and never consult it.
+// DTL whose far end lives in the destination subdomain, and the sequence
+// number the sending part's Shard stamped on them (transport.Packet's Seq;
+// the receiving Shard deduplicates by it). It travels through the generic
+// simulator as a value — no interface boxing, and 32 bytes where a
+// transport.Packet is 80 — and, in a fault-free run, its entries slice is
+// recycled through the engine's pool once the receiver has consumed it.
 type wavePacket struct {
 	seq     uint64
 	entries []transport.WaveEntry
@@ -64,9 +63,14 @@ type engine struct {
 	// valid because a Subdomain's x is solved in place.
 	ports [][]float64
 
-	// entryPool recycles wave-entry slices between sender and receiver; the
-	// DES engine is single-threaded, so a plain free list suffices and the
-	// steady state allocates no packet buffers at all.
+	// shards[part] is the part's one-part member: the wave-reliability
+	// protocol a dist worker runs (shard.go), which every DES window drives
+	// (dtmNode). The shards outlive a mixed run's windows, so their sequence
+	// numbers keep counting across them.
+	shards []*Shard
+	// entryPool recycles wave-entry slices between sender and receiver in a
+	// fault-free run; the DES engine is single-threaded, so a plain free list
+	// suffices and the steady state allocates no packet buffers at all.
 	entryPool netsim.Pool[transport.WaveEntry]
 
 	lastChange []float64 // last boundary-potential change per part, +Inf before the first solve
@@ -115,8 +119,23 @@ func newEngine(p *Problem, cfg *Config) (*engine, error) {
 			e.errSq += d * d
 		}
 	}
+	owner := make([]int, len(subs))
+	for part := range owner {
+		owner[part] = part
+	}
+	e.shards = make([]*Shard, len(subs))
+	for part, sub := range subs {
+		e.shards[part] = NewShard(part, owner, 0, cfg.SendThreshold, nil)
+		e.shards[part].Adopt(sub, nil)
+	}
 	if cfg.Faults.Enabled() {
-		e.faults = newFaultState(cfg.Faults, subs, cfg.SendThreshold)
+		// A duplicated packet shares its entries with its twin, so a faulted
+		// run leaves the buffers to the GC.
+		e.faults = newFaultState(cfg.Faults, len(subs))
+	} else {
+		for _, sh := range e.shards {
+			sh.pool = &e.entryPool
+		}
 	}
 	return e, nil
 }
@@ -133,8 +152,8 @@ func (e *engine) solve(part int, now float64) {
 
 // solved books a local solve of part that moved its ports by change: note
 // the change for the quiescence rule, fold the solution into the assembled
-// state if the running error needs it, and tell the observer. A part's Shard
-// solves by itself under a fault spec, and its node books the solve here.
+// state if the running error needs it, and tell the observer. In a DES
+// window a part's Shard solves by itself, and its node books the solve here.
 func (e *engine) solved(part int, now, change float64) {
 	e.lastChange[part] = change
 	e.solves++
@@ -240,65 +259,73 @@ func (e *engine) record(now float64) {
 	})
 }
 
-// dtmNode adapts one Subdomain to the netsim.Node interface, implementing the
-// per-processor loop of Table 1 in the paper on a reliable network (faultNode
-// is its counterpart under a fault spec).
+// dtmNode is one part of a DES window: the per-processor loop of Table 1
+// around the part's Shard, which folds in what arrives and decides what to
+// solve and announce (into outs). Under an enabled fault spec the node also
+// runs the clocks a Shard has none of — the watchdogs, the snapshot tick and
+// the crash schedule (faults.go); in a fault-free run they are never armed.
 type dtmNode struct {
-	eng *engine
-	sub *Subdomain
-	adj []int
-	// lastSent[k] is the wave last sent on end k (NaN before the first send).
-	lastSent []float64
+	eng   *engine
+	shard *Shard
+	part  int
+	adj   []int
 	// outs is the reused outgoing-message buffer; netsim copies it into the
 	// event queue before the node runs again.
 	outs []netsim.Outgoing[wavePacket]
-	// warmStart makes Init announce the subdomain's current outgoing waves
-	// instead of the paper's zero initial condition (5.6); the mixed sync/async
-	// engine uses it to resume an asynchronous window from accumulated state.
-	warmStart bool
 	// off is the absolute virtual time of the window's start: the simulator
 	// hands the node window-relative times, the engine lives on the absolute
 	// axis.
 	off float64
+
+	// The fault clocks: the simulator their timers run on, the armed
+	// watchdog deadline and the consecutive silent expiries per neighbour
+	// (nil in a fault-free run), and whether the part is inside a crash
+	// window.
+	sim        *netsim.Simulator[wavePacket]
+	wdDeadline []float64
+	wdBackoff  []int
+	crashed    bool
 }
 
-func newDTMNode(eng *engine, sub *Subdomain) *dtmNode {
-	adj := sub.AdjacentParts()
-	n := &dtmNode{
-		eng:      eng,
-		sub:      sub,
-		adj:      adj,
-		lastSent: make([]float64, len(sub.Ends())),
-		outs:     make([]netsim.Outgoing[wavePacket], 0, len(adj)),
-	}
-	for k := range n.lastSent {
-		n.lastSent[k] = math.NaN()
-	}
-	return n
-}
-
-// Init implements the paper's step 1–2: the initial boundary conditions are
-// the zero state (5.6), so the initial wave u−Z·ω on every line is zero; these
-// initial waves are what bootstraps the asynchronous exchange. A warm-started
-// node instead announces the outgoing waves of its current state.
+// Init announces the part's current waves without solving: before its first
+// solve the zero waves of (5.6), the paper's initial boundary conditions that
+// bootstrap the asynchronous exchange; in a mixed run's later windows the
+// state the last barrier left. Under a fault spec it first arms the part's
+// clocks (armClocks), and a part that starts crashed stays silent.
 func (n *dtmNode) Init(now float64) []netsim.Outgoing[wavePacket] {
-	return n.packetsToAll(!n.warmStart)
+	if n.eng.faults != nil && n.armClocks(now) {
+		return nil
+	}
+	n.outs = n.outs[:0]
+	n.shard.parts[n.part].forget()
+	n.shard.announce(int32(n.part), false)
+	return n.sent(now)
 }
 
-// OnMessages implements steps 3–3.2: fold the received remote boundary
-// conditions into the local right-hand side, re-solve the (pre-factorised)
-// local system, and send the new local boundary conditions to the adjacent
-// subdomains.
+// OnMessages implements steps 3–3.2: hand every delivered wave to the shard,
+// which discards duplicates and overtaken waves, and, if one was fresh,
+// re-solve the (pre-factorised) local system and send the new local boundary
+// conditions to the adjacent subdomains. A crashed process loses everything
+// delivered to it; the senders' watchdogs recover the state after the
+// restart.
 func (n *dtmNode) OnMessages(now float64, msgs []netsim.Message[wavePacket]) []netsim.Outgoing[wavePacket] {
-	for i := range msgs {
-		entries := msgs[i].Payload.entries
-		for _, en := range entries {
-			n.sub.SetIncomingByLink(int(en.LinkID), en.Wave)
-		}
-		n.eng.entryPool.Put(entries)
+	if n.crashed {
+		return nil
 	}
-	n.eng.solve(n.sub.Part(), n.off+now)
-	return n.packetsToAll(false)
+	pkt := transport.Packet{Kind: transport.KindWave, ToPart: int32(n.part)}
+	for i := range msgs {
+		pkt.FromPart, pkt.Seq, pkt.Entries = int32(msgs[i].From), msgs[i].Payload.seq, msgs[i].Payload.entries
+		n.shard.Receive(&pkt)
+		n.shard.pool.Put(pkt.Entries)
+	}
+	n.outs = n.outs[:0]
+	if !n.shard.SolveDirty() {
+		// Nothing fresh: re-solving and re-announcing would only amplify
+		// the duplicate traffic.
+		return nil
+	}
+	n.eng.solved(n.part, n.off+now, n.shard.parts[n.part].lastChange)
+	return n.sent(now)
 }
 
 // ComputeTime implements netsim.Node.
@@ -306,38 +333,22 @@ func (n *dtmNode) ComputeTime(batch int) float64 {
 	return n.eng.compute
 }
 
-// packetsToAll builds one wave packet per adjacent subdomain. When initial is
-// true the waves are the zero initial condition; otherwise they are the waves
-// of the latest local solve, filtered by the send threshold. Entry buffers
-// come from the engine's pool and the outgoing slice is reused, so the steady
-// state allocates nothing.
-func (n *dtmNode) packetsToAll(initial bool) []netsim.Outgoing[wavePacket] {
-	threshold := n.eng.cfg.SendThreshold
-	ends := n.sub.Ends()
-	n.outs = n.outs[:0]
-	for ai, remote := range n.adj {
-		toward := n.sub.AdjacentEnds(ai)
-		entries := n.eng.entryPool.Get(len(toward))
-		changed := initial
-		for _, k := range toward {
-			var w float64
-			if !initial {
-				w = n.sub.OutgoingWave(k)
-			}
-			if math.IsNaN(n.lastSent[k]) || math.Abs(w-n.lastSent[k]) > threshold {
-				changed = true
-			}
-			entries = append(entries, transport.WaveEntry{LinkID: int32(ends[k].LinkID), Wave: w})
-		}
-		if !changed {
-			n.eng.entryPool.Put(entries)
-			continue
-		}
-		for i, k := range toward {
-			n.lastSent[k] = entries[i].Wave
-		}
-		n.eng.messages++
-		n.outs = append(n.outs, netsim.Outgoing[wavePacket]{To: remote, Payload: wavePacket{entries: entries}})
+// emit is the shard's network: the packet leaves at the end of the
+// activation. The fields are written in place: appending a composite
+// literal builds it on the stack and copies it, a store-forwarding stall on
+// every wave.
+func (n *dtmNode) emit(_ int, pkt *transport.Packet) {
+	n.eng.messages++
+	n.outs = slices.Grow(n.outs, 1)[:len(n.outs)+1]
+	o := &n.outs[len(n.outs)-1]
+	o.To, o.Payload.seq, o.Payload.entries = int(pkt.ToPart), pkt.Seq, pkt.Entries
+}
+
+// sent returns the activation's packets, having re-armed under a fault spec
+// the watchdog toward every neighbour they go to.
+func (n *dtmNode) sent(now float64) []netsim.Outgoing[wavePacket] {
+	if n.eng.faults != nil {
+		n.rearm(now)
 	}
 	return n.outs
 }
@@ -350,34 +361,32 @@ func solveDES(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	end := eng.window(ctx, 0, cfg.MaxTime, false)
+	end := eng.window(ctx, 0, cfg.MaxTime)
 	return eng.finish(end), deadlineErr(eng.interrupted)
 }
 
 // window runs one asynchronous phase: a fresh DES over the subdomains' current
-// state from absolute virtual time off for at most length, cold (the paper's
-// zero initial waves) or warm (announcing the current ones). It returns the
-// absolute time the phase ended at. The ctx is consulted only when it can
-// fire, so a Background run pays one nil check per stop test.
-func (e *engine) window(ctx context.Context, off, length float64, warm bool) float64 {
+// state from absolute virtual time off for at most length, every part
+// starting by announcing its current waves (Init). It returns the absolute
+// time the phase ended at. The ctx is consulted only when it can fire, so a
+// Background run pays one nil check per stop test.
+func (e *engine) window(ctx context.Context, off, length float64) float64 {
+	dtm := make([]dtmNode, len(e.subs))
 	nodes := make([]netsim.Node[wavePacket], len(e.subs))
-	var faultNodes []*faultNode
-	for i, s := range e.subs {
+	for part, sub := range e.subs {
+		adj := sub.AdjacentParts()
+		n := &dtm[part]
+		*n = dtmNode{eng: e, shard: e.shards[part], part: part, adj: adj, off: off,
+			outs: make([]netsim.Outgoing[wavePacket], 0, len(adj))}
 		if e.faults != nil {
-			// Under faults every start announces the current waves, which
-			// before the first solve are the zero waves of (5.6).
-			fn := e.newFaultNode(i, off)
-			faultNodes = append(faultNodes, fn)
-			nodes[i] = fn
-			continue
+			n.wdDeadline, n.wdBackoff = make([]float64, len(adj)), make([]int, len(adj))
 		}
-		n := newDTMNode(e, s)
-		n.warmStart, n.off = warm, off
-		nodes[i] = n
+		n.shard.emit = n.emit
+		nodes[part] = n
 	}
 	sim := netsim.New(nodes, func(from, to int) float64 { return e.prob.Delay(from, to) })
-	for _, n := range faultNodes {
-		n.sim = sim
+	for part := range dtm {
+		dtm[part].sim = sim
 	}
 	if f := e.faults; f != nil {
 		sim.SetFaultPolicy(func(from, to int, t, d float64) []float64 { return f.ctl.Fate(from, to, off+t, d) })
@@ -438,11 +447,9 @@ func (e *engine) sweep(now float64) {
 	}
 	e.messages += len(updates)
 	e.delivered += len(updates)
-	if e.faults != nil {
-		// The barrier exchanged (or consciously skipped) everything: no wave
-		// is left in flight.
-		e.faults.settle()
-	}
+	// The barrier exchanged (or consciously skipped) everything: no wave is
+	// left in flight.
+	e.settle()
 }
 
 // solveUncoupled is the degenerate case of a partition with no twin links

@@ -277,8 +277,8 @@ func TestDESFaultStopAgreesWithQuiescent(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("not converged (gap %g at t=%g)", res.TwinGap, res.FinalTime)
 	}
-	states := make([]ShardState, len(eng.faults.shards))
-	for part, sh := range eng.faults.shards {
+	states := make([]ShardState, len(eng.shards))
+	for part, sh := range eng.shards {
 		states[part] = sh.State()
 	}
 	quiet, change, gap := Quiescent(eng.prob.Partition.Links, tol, states)

@@ -20,8 +20,9 @@ func solveMixed(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 	phases, sweeps := 0, 0
 	running := func() bool { return now < cfg.MaxTime && !eng.converged && !eng.interrupted }
 	for running() {
-		// Only the very first window starts from the paper's zero waves.
-		now = eng.window(ctx, now, math.Min(cfg.AsyncWindow, cfg.MaxTime-now), phases > 0)
+		// Every window starts by announcing the current waves: the paper's
+		// zero waves in the first, the last barrier's state after it.
+		now = eng.window(ctx, now, math.Min(cfg.AsyncWindow, cfg.MaxTime-now))
 		phases++
 		if running() {
 			eng.sweep(now)

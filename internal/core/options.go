@@ -90,12 +90,12 @@ type CommonOptions struct {
 
 	// Faults, when non-nil and enabled, injects deterministic channel faults
 	// (drops, duplicates, jitter, link-down windows, crash-restart) into the
-	// run and activates the recovery machinery: every part runs the
-	// wave-reliability protocol of a dist worker (a one-part Shard:
-	// sequence-numbered waves with last-writer-wins deduplication), with
-	// watchdog retransmission and periodic snapshots of its incoming waves.
-	// Runs stay byte-identical per Faults.Seed. A nil or disabled spec leaves
-	// every fault-path branch off.
+	// run and arms the recovery clocks: every part, which runs the
+	// wave-reliability protocol of a dist worker whatever the spec (a
+	// one-part Shard: sequence-numbered waves with last-writer-wins
+	// deduplication), gets watchdog retransmission and periodic snapshots of
+	// its incoming waves. Runs stay byte-identical per Faults.Seed. A nil or
+	// disabled spec leaves every fault-path branch off.
 	Faults *chaos.Spec
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/netsim"
 	"repro/internal/partition"
 	"repro/internal/transport"
 )
@@ -22,10 +23,16 @@ import (
 // (SolveDirty), when its watchdog fired (Retransmit) and when ownership
 // changed (Adopt, Drop, Advance); what the shard wants to send to another
 // member leaves through emit. A dist worker runs one Shard for all its
-// parts; the DES engine, under a fault spec, runs one per part on virtual
-// time (faults.go), so both kinds of run are held to the same rules. Waves
-// between two parts of one shard ("siblings") are applied directly and carry
-// no sequence numbers: in-process delivery cannot lose anything.
+// parts; the DES engine runs one per part on virtual time (engine.go), so
+// every kind of run is held to the same rules. Waves between two parts of
+// one shard ("siblings") are applied directly and carry no sequence numbers:
+// in-process delivery cannot lose anything.
+//
+// Every ownership map a shard is given (NewShard, Advance) must name, for
+// each part of the problem, a member of the fleet — a non-negative id no
+// larger than the fleet's largest: the shard sizes its per-member state by
+// the largest id it sees and indexes it by each, unchecked. A dist worker
+// refuses a map that names anyone else on receipt.
 //
 // When a part re-solves is the shard's choice (Theorem 6.1 holds for any
 // delays), and it solves for the network, not against it: a part that applied
@@ -37,7 +44,7 @@ type Shard struct {
 	self      int
 	owner     []int // part → member id, for every part of the problem
 	threshold float64
-	emit      func(to int, pkt transport.Packet)
+	emit      func(to int, pkt *transport.Packet)
 
 	parts []*shardPart // by part id; nil where another member owns the part
 	owned []int32      // ascending, so every sweep is deterministic
@@ -50,29 +57,53 @@ type Shard struct {
 	awaited []bool
 	partsOf []int
 	news    bool
-	dedup   *transport.Dedup
+
+	// The receiver half of the protocol (Receive), with each part's applied
+	// marks: epoch is the ownership epoch the shard announces under and
+	// admits; inc[part] is the newest incarnation heard from the sending
+	// part (an older one is fenced); fenced counts what both fences dropped.
+	epoch  uint32
+	inc    []uint32
+	fenced uint64
+	// pool, when set, supplies the entries of every packet the shard emits:
+	// the DES engine's free list on a fault-free run, whose receivers hand
+	// each buffer back once Receive has read it.
+	pool *netsim.Pool[transport.WaveEntry]
 
 	// solves and messages count all work; newsSent counts the cross-member
 	// sends that carried news: those that raised a needed mark (announce).
 	solves, messages, newsSent int
+
+	// out is the packet emit is handed, rewritten for every send: one
+	// 80-byte Packet is neither built nor copied per wave.
+	out transport.Packet
 }
 
-// shardPart is one owned part's protocol state. sentSeq, needed and answer
-// index the subdomain's AdjacentParts: the newest sequence number assigned
-// toward that neighbour, the newest one that announced changed state (a
-// watchdog retransmission gets a fresh number, so it beats older copies in
-// flight, but carries no news and must not hold the stopping rule if it is
-// lost), and whether the neighbour sent news this part has not answered yet.
+// shardPart is one owned part's protocol state.
 type shardPart struct {
 	sub *Subdomain
 	// lastSent[k] is the wave last announced on end k (NaN when nothing has
 	// been announced since the last Wake); the send threshold compares
 	// against it, so a converged part goes quiet and the network can drain.
-	lastSent        []float64
-	sentSeq, needed []uint64
-	answer          []bool
-	lastChange      float64
-	solvedOnce      bool
+	lastSent []float64
+	// pairs[ai] is the state of the pair with the neighbour
+	// AdjacentParts()[ai], both ways.
+	pairs      []pairState
+	lastChange float64
+	solvedOnce bool
+}
+
+// pairState is an owned part's protocol state toward one neighbouring part.
+type pairState struct {
+	// sentSeq is the newest sequence number assigned toward the neighbour;
+	// needed is the newest one that announced changed state (a watchdog
+	// retransmission gets a fresh number, so it beats older copies in
+	// flight, but carries no news and must not hold the stopping rule if it
+	// is lost); applied is the newest one applied from the neighbour
+	// (last-writer-wins: an older or equal one is a duplicate or overtaken).
+	sentSeq, needed, applied uint64
+	// answer says the neighbour sent news this part has not answered yet.
+	answer bool
 }
 
 // PairSeq is one directed part pair's sequence-number mark.
@@ -112,15 +143,18 @@ type ShardState struct {
 
 // NewShard returns an empty shard for member self under the given ownership
 // map and epoch. Announcements are suppressed per neighbour while no wave
-// toward it has moved by more than sendThreshold since the last one.
-func NewShard(self int, owner []int, epoch uint32, sendThreshold float64, emit func(to int, pkt transport.Packet)) *Shard {
+// toward it has moved by more than sendThreshold since the last one. The
+// packet emit is handed is the shard's own, valid only during the call: a
+// driver that keeps or queues it copies it.
+func NewShard(self int, owner []int, epoch uint32, sendThreshold float64, emit func(to int, pkt *transport.Packet)) *Shard {
 	s := &Shard{
 		self: self, threshold: sendThreshold, emit: emit,
 		parts: make([]*shardPart, len(owner)),
-		dedup: transport.NewDedup(),
+		inc:   make([]uint32, len(owner)),
+		epoch: epoch,
+		out:   transport.Packet{Kind: transport.KindWave},
 	}
 	s.setOwner(owner)
-	s.dedup.Advance(epoch)
 	return s
 }
 
@@ -149,13 +183,10 @@ func (s *Shard) setOwner(owner []int) {
 // again because converged neighbours suppress their sends. A snapshot of the
 // wrong shape is ignored — one more transient for Theorem 6.1 to absorb.
 func (s *Shard) Adopt(sub *Subdomain, snap []float64) {
-	nAdj := len(sub.AdjacentParts())
 	p := &shardPart{
 		sub:      sub,
 		lastSent: make([]float64, len(sub.Ends())),
-		sentSeq:  make([]uint64, nAdj),
-		needed:   make([]uint64, nAdj),
-		answer:   make([]bool, nAdj),
+		pairs:    make([]pairState, len(sub.AdjacentParts())),
 	}
 	p.forget()
 	s.parts[sub.Part()] = p
@@ -189,17 +220,25 @@ func (s *Shard) Drop(part int32) {
 
 // Sub returns an owned part's subdomain, nil when the part is not owned.
 func (s *Shard) Sub(part int32) *Subdomain {
-	if part < 0 || int(part) >= len(s.parts) || s.parts[part] == nil {
+	if p := s.part(part); p != nil {
+		return p.sub
+	}
+	return nil
+}
+
+// part returns an owned part's state, nil when the part is not owned.
+func (s *Shard) part(part int32) *shardPart {
+	if part < 0 || int(part) >= len(s.parts) {
 		return nil
 	}
-	return s.parts[part].sub
+	return s.parts[part]
 }
 
 // Owned lists the owned parts, ascending. The slice is the shard's own.
 func (s *Shard) Owned() []int32 { return s.owned }
 
 // Epoch is the ownership epoch the shard announces under and admits.
-func (s *Shard) Epoch() uint32 { return s.dedup.Epoch() }
+func (s *Shard) Epoch() uint32 { return s.epoch }
 
 // Incoming returns a copy of an owned part's boundary state: the latest
 // incoming wave per DTL end, in end order. It is the complete recovery state
@@ -220,19 +259,23 @@ func (s *Shard) Wake() {
 	}
 }
 
-// Advance installs the ownership map of a newer epoch: packets of older
-// epochs are fenced from now on, the per-pair sequence numbers restart, no
-// member is awaited, and every part wakes. An older or equal epoch is ignored.
+// Advance installs the ownership map of a newer epoch: packets of other
+// epochs are fenced from now on, the per-pair sequence numbers and applied
+// marks restart (the reassigned senders number from 1 again), no member is
+// awaited, and every part wakes. The recorded incarnations reset too: they
+// scope to the epoch that observed them, because a reassignment may hand a
+// part from a restarted worker back to a lower-incarnation survivor, whose
+// waves the old watermark would fence forever; the epoch fence alone drops
+// every cross-epoch zombie. An older or equal epoch is ignored.
 func (s *Shard) Advance(epoch uint32, owner []int) {
-	if epoch <= s.dedup.Epoch() {
+	if epoch <= s.epoch {
 		return
 	}
 	s.setOwner(owner)
-	s.dedup.Advance(epoch)
+	s.epoch = epoch
+	clear(s.inc)
 	for _, part := range s.owned {
-		clear(s.parts[part].sentSeq)
-		clear(s.parts[part].needed)
-		clear(s.parts[part].answer)
+		clear(s.parts[part].pairs)
 	}
 	s.Wake()
 }
@@ -243,29 +286,66 @@ func (s *Shard) Advance(epoch uint32, owner []int) {
 // the send threshold is owed an answer (see announceTo) when that member
 // owns siblings: only owed parts wait for answers, and a one-part member
 // never has any. Receive reports false, having changed nothing but the fence
-// counter, when the part is not owned here or the packet is a duplicate,
-// overtaken, or fenced (transport.Dedup).
+// counter, when the part is not owned here, the sender is not one of its
+// neighbours, or the packet is a duplicate, overtaken, or fenced (admit).
 func (s *Shard) Receive(pkt *transport.Packet) bool {
-	sub := s.Sub(pkt.ToPart)
-	if sub == nil || !s.dedup.Fresh(pkt) {
+	p := s.part(pkt.ToPart)
+	if p == nil {
 		return false
 	}
+	sub := p.sub
+	ai := sub.adjacentIndex(int(pkt.FromPart))
+	if ai < 0 {
+		return false
+	}
+	if (pkt.Epoch != s.epoch || pkt.Inc != s.inc[pkt.FromPart]) && !s.admit(pkt) {
+		return false
+	}
+	pair := &p.pairs[ai]
+	if pkt.Seq <= pair.applied {
+		// A duplicate, or overtaken by a newer wave on the pair.
+		return false
+	}
+	pair.applied = pkt.Seq
+	m := s.owner[pkt.FromPart]
+	answers := s.partsOf[m] > 1
 	moved := false
 	for _, e := range pkt.Entries {
 		if k := sub.endOf(int(e.LinkID)); k >= 0 {
-			moved = moved || math.Abs(e.Wave-sub.incoming[k]) > s.threshold
+			moved = moved || answers && math.Abs(e.Wave-sub.incoming[k]) > s.threshold
 			sub.incoming[k] = e.Wave
 		}
 	}
-	if from := int(pkt.FromPart); from >= 0 && from < len(s.owner) {
-		m := s.owner[from]
-		s.awaited[m] = false
-		if ai, ok := slices.BinarySearch(sub.AdjacentParts(), from); ok && moved && s.partsOf[m] > 1 {
-			s.parts[pkt.ToPart].answer[ai] = true
-		}
+	s.awaited[m] = false
+	if moved {
+		pair.answer = true
 	}
 	s.news = true
 	s.markDirty(pkt.ToPart)
+	return true
+}
+
+// admit is the fence for a wave packet whose epoch or incarnation differs
+// from the shard's. A packet of another epoch is zombie (or
+// not-yet-reassigned straggler) traffic, one from an overtaken incarnation of
+// its sending part a message of a dead life: admit counts either fenced and
+// reports false — the watchdog re-announces current state under the current
+// epoch, so dropping here costs time, never correctness. A newer incarnation
+// is a new life of the sending part, which restarts its sequence numbers
+// toward every part it neighbours here: admit records it and reports true.
+func (s *Shard) admit(pkt *transport.Packet) bool {
+	from := pkt.FromPart
+	if pkt.Epoch != s.epoch || pkt.Inc < s.inc[from] {
+		s.fenced++
+		return false
+	}
+	s.inc[from] = pkt.Inc
+	for _, part := range s.owned {
+		q := s.parts[part]
+		if ai := q.sub.adjacentIndex(int(from)); ai >= 0 {
+			q.pairs[ai].applied = 0
+		}
+	}
 	return true
 }
 
@@ -299,7 +379,8 @@ func (s *Shard) SolveDirty() bool {
 		s.news = false
 	}
 	part := s.dirty[0]
-	s.dirty = s.dirty[1:]
+	copy(s.dirty, s.dirty[1:]) // in place: the queue keeps its storage
+	s.dirty = s.dirty[:len(s.dirty)-1]
 	p := s.parts[part]
 	p.lastChange = p.sub.Solve()
 	p.solvedOnce = true
@@ -353,7 +434,8 @@ func (s *Shard) announceTo(part int32, ai int, retransmit bool) {
 			break
 		}
 	}
-	if !moved && !retransmit && !p.answer[ai] {
+	pair := &p.pairs[ai]
+	if !moved && !retransmit && !pair.answer {
 		return
 	}
 	s.messages++
@@ -367,24 +449,23 @@ func (s *Shard) announceTo(part int32, ai int, retransmit bool) {
 		s.markOwed(int32(remote))
 		return
 	}
-	entries := make([]transport.WaveEntry, len(toward))
-	for i, k := range toward {
+	entries := s.pool.Get(len(toward))
+	for _, k := range toward {
 		p.lastSent[k] = p.sub.OutgoingWave(k)
-		entries[i] = transport.WaveEntry{LinkID: int32(ends[k].LinkID), Wave: p.lastSent[k]}
+		entries = append(entries, transport.WaveEntry{LinkID: int32(ends[k].LinkID), Wave: p.lastSent[k]})
 	}
-	p.sentSeq[ai]++
+	pair.sentSeq++
 	if !retransmit {
 		if moved {
-			p.needed[ai] = p.sentSeq[ai]
+			pair.needed = pair.sentSeq
 			s.newsSent++
 			s.awaited[s.owner[remote]] = true
 		}
-		p.answer[ai] = false
+		pair.answer = false
 	}
-	s.emit(s.owner[remote], transport.Packet{
-		Kind: transport.KindWave, FromPart: part, ToPart: int32(remote),
-		Seq: p.sentSeq[ai], Epoch: s.dedup.Epoch(), Entries: entries,
-	})
+	o := &s.out
+	o.FromPart, o.ToPart, o.Seq, o.Epoch, o.Entries = part, int32(remote), pair.sentSeq, s.epoch, entries
+	s.emit(s.owner[remote], o)
 }
 
 // NewsSent counts the cross-member sends that carried news: each raised a
@@ -401,7 +482,7 @@ func (s *Shard) State() ShardState {
 	st := ShardState{
 		Solves: s.solves, Messages: s.messages,
 		Parts: make([]PartState, 0, len(s.owned)),
-		Dirty: s.Backlog(), Fenced: s.dedup.Fenced(),
+		Dirty: s.Backlog(), Fenced: s.fenced,
 	}
 	for _, part := range s.owned {
 		p := s.parts[part]
@@ -414,10 +495,10 @@ func (s *Shard) State() ShardState {
 				continue
 			}
 			rp := int32(remote)
-			if p.needed[ai] > 0 {
-				st.Needed = append(st.Needed, PairSeq{From: part, To: rp, Seq: p.needed[ai]})
+			if seq := p.pairs[ai].needed; seq > 0 {
+				st.Needed = append(st.Needed, PairSeq{From: part, To: rp, Seq: seq})
 			}
-			if seq := s.dedup.Applied(rp, part); seq > 0 {
+			if seq := p.pairs[ai].applied; seq > 0 {
 				st.Applied = append(st.Applied, PairSeq{From: rp, To: part, Seq: seq})
 			}
 		}

@@ -119,7 +119,8 @@ func (h *shardHarness) subdomain(part int) *Subdomain {
 // emit is every shard's network: while faults last a packet may be dropped or
 // duplicated, and each copy is delayed by its own random number of steps, so
 // packets overtake each other.
-func (h *shardHarness) emit(to int, pkt transport.Packet) {
+func (h *shardHarness) emit(to int, p *transport.Packet) {
+	pkt := *p
 	if h.deafWatchdog && h.retransmitting {
 		return
 	}
@@ -415,8 +416,8 @@ func newRoundRobinFleet(t *testing.T, p *Problem, threshold float64, nMembers in
 	}
 	f := &roundRobinFleet{shards: make([]*Shard, nMembers), inbox: make([][]transport.Packet, nMembers)}
 	for m := range f.shards {
-		f.shards[m] = NewShard(m, owner, 1, threshold, func(to int, pkt transport.Packet) {
-			f.inbox[to] = append(f.inbox[to], pkt)
+		f.shards[m] = NewShard(m, owner, 1, threshold, func(to int, pkt *transport.Packet) {
+			f.inbox[to] = append(f.inbox[to], *pkt)
 		})
 		for part, o := range owner {
 			if o == m {
@@ -659,8 +660,8 @@ func TestShardAnswersOnlyMembersWithSiblings(t *testing.T) {
 	}
 	owner := []int{0, 1, 1}
 	shards := []*Shard{
-		NewShard(0, owner, 0, 1e-11, func(int, transport.Packet) {}),
-		NewShard(1, owner, 0, 1e-11, func(int, transport.Packet) {}),
+		NewShard(0, owner, 0, 1e-11, func(int, *transport.Packet) {}),
+		NewShard(1, owner, 0, 1e-11, func(int, *transport.Packet) {}),
 	}
 	for part, m := range owner {
 		sd, err := NewSubdomain(p.Partition.Subdomains[part], p.Partition.LinksOfPart(part), zs, factor.Settings{})
@@ -687,7 +688,7 @@ func TestShardAnswersOnlyMembersWithSiblings(t *testing.T) {
 			t.Fatalf("the wave from part %d to part %d was refused", from, to)
 		}
 		ai, _ := slices.BinarySearch(dst.Sub(to).AdjacentParts(), int(from))
-		return dst.parts[to].answer[ai]
+		return dst.parts[to].pairs[ai].answer
 	}
 	if moved(0, 1) {
 		t.Error("part 1 owes an answer to part 0, whose member owns no siblings")

@@ -248,11 +248,15 @@ func (s *Subdomain) Solve() float64 {
 			s.solver.SolveTo(s.x, s.rhs)
 		}
 	}
-	var change float64
+	// The largest |u − prev|, taken on the bit patterns: for floats ≥ 0 they
+	// order like the values, and a NaN move (Abs clears its sign) sorts above
+	// +Inf, so it propagates as max's would — with one branch-free compare
+	// per port where max's NaN and ±0 rules cost branches.
+	var change uint64
 	for p, u := range ports {
-		change = max(change, math.Abs(u-prev[p])) // NaN propagates
+		change = max(change, math.Float64bits(math.Abs(u-prev[p])))
 	}
-	return change
+	return math.Float64frombits(change)
 }
 
 // OutgoingWave returns the wave to send down end k after the latest solve.
@@ -293,6 +297,21 @@ func (s *Subdomain) buildAdjacency() {
 // mutate it.
 func (s *Subdomain) AdjacentParts() []int {
 	return s.adjacent
+}
+
+// adjacentIndex returns the position of part in AdjacentParts, -1 when this
+// subdomain shares no DTLP with it. A part has a handful of neighbours, so it
+// counts those below part in one pass without a data-dependent branch: which
+// neighbour a wave comes from is what a search's branches would mispredict.
+func (s *Subdomain) adjacentIndex(part int) int {
+	i := 0
+	for _, q := range s.adjacent {
+		i -= (q - part) >> 63 // +1 when q < part: part ids are far from overflow
+	}
+	if i < len(s.adjacent) && s.adjacent[i] == part {
+		return i
+	}
+	return -1
 }
 
 // AdjacentEnds returns the indices of the ends towards AdjacentParts()[i], in

@@ -69,7 +69,7 @@ func runWindow(t *testing.T, prob *Problem, opts CommonOptions, maxTime float64,
 	if err != nil {
 		t.Fatalf("newEngine: %v", err)
 	}
-	return eng.finish(eng.window(context.Background(), 0, cfg.MaxTime, false)), eng
+	return eng.finish(eng.window(context.Background(), 0, cfg.MaxTime)), eng
 }
 
 // TestOnDemandTwinGapTree runs the three shapes the engine meets — the 13×13

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/transport"
@@ -37,6 +38,11 @@ type Worker struct {
 // NewWorker wraps a transport member into a worker (incarnation 1).
 func NewWorker(tr transport.Transport) *Worker { return &Worker{tr: tr, Incarnation: 1} }
 
+// members is the membership of tr, ascending.
+func members(tr transport.Transport) []int {
+	return slices.Sorted(slices.Values(append([]int{tr.Self()}, tr.Peers()...)))
+}
+
 func (w *Worker) logf(format string, args ...any) {
 	if w.Logf != nil {
 		w.Logf(format, args...)
@@ -55,7 +61,7 @@ func (w *Worker) logf(format string, args ...any) {
 // and hand it to the state. It waits for one only when the inbox was empty
 // and the last tick solved nothing, and then until the state's deadline.
 func (w *Worker) Run(ctx context.Context) error {
-	s := &workerState{self: w.tr.Self(), inc: w.Incarnation, logf: w.logf,
+	s := &workerState{self: w.tr.Self(), inc: w.Incarnation, fleet: members(w.tr), logf: w.logf,
 		// Best-effort: a failed send is a lost datagram, and the watchdog
 		// re-announces.
 		emit: func(to int, pkt transport.Packet) { _ = w.tr.Send(ctx, to, pkt) }}

@@ -19,9 +19,13 @@ import (
 type workerState struct {
 	self int
 	inc  uint32
-	emit func(to int, pkt transport.Packet)
-	logf func(format string, args ...any)
-	outs []out
+	// fleet is the transport's membership, ascending: the member ids an
+	// ownership map may name (core.Shard sizes and indexes its per-member
+	// state by them).
+	fleet []int
+	emit  func(to int, pkt transport.Packet)
+	logf  func(format string, args ...any)
+	outs  []out
 
 	// pending is an assign or reassign whose build the next Tick does.
 	// Tearing and factorising can outlast a lease, so Handle returns the
@@ -96,7 +100,8 @@ func (s *workerState) Handle(pkt *transport.Packet) (outs []out, exit bool) {
 		}
 	case m.Type == msgReassign && re.Epoch <= s.shard.Epoch():
 		// A duplicate or out-of-order reassign: already there.
-	case m.Type == msgReassign && len(re.Assign.Owner) != s.p.Partition.NumParts():
+	case m.Type == msgReassign && len(re.Assign.Owner) != s.p.Partition.NumParts(),
+		m.Type == msgReassign && !s.inFleet(re.Assign.Owner):
 		// Malformed: dropped.
 	case m.Type == msgReassign:
 		s.pending = m
@@ -111,11 +116,14 @@ func (s *workerState) Handle(pkt *transport.Packet) (outs []out, exit bool) {
 }
 
 // begin takes an assign, or a reassign to an idle worker, as a session the
-// next Tick builds, and reports whether it did. An interval that is not
-// positive is refused by name: the coordinator always sends normalised ones.
+// next Tick builds, and reports whether it did. An ownership map that names
+// a member outside the fleet, or an interval that is not positive, is
+// refused by name: the coordinator sends neither.
 func (s *workerState) begin(from int, m *ctrlMsg, a *assignMsg) bool {
 	s.coord = from
 	switch {
+	case !s.inFleet(a.Owner):
+		s.fail(fmt.Errorf("dist: %s gives parts to members outside the fleet %v", m.Type, s.fleet))
 	case a.WatchdogMS <= 0:
 		s.fail(fmt.Errorf("dist: %s with watchdogMS %d, want a positive interval", m.Type, a.WatchdogMS))
 	case a.HeartbeatMS <= 0:
@@ -125,6 +133,17 @@ func (s *workerState) begin(from int, m *ctrlMsg, a *assignMsg) bool {
 		return true
 	}
 	return false
+}
+
+// inFleet reports whether every member an ownership map names is in the
+// fleet. It is checked on receipt, before anything is sized by those ids.
+func (s *workerState) inFleet(owner []int) bool {
+	for _, m := range owner {
+		if _, ok := slices.BinarySearch(s.fleet, m); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // fail ends the session, if any, and reports err so the run can be aborted.
@@ -241,9 +260,9 @@ func (s *workerState) build(a *assignMsg, snaps []partSnap) error {
 		return err
 	}
 	s.a, s.p, s.fs = a, p, factor.Settings{Backend: a.Backend, Ordering: ord}
-	s.shard = core.NewShard(s.self, a.Owner, a.Epoch, a.SendThreshold, func(to int, pkt transport.Packet) {
+	s.shard = core.NewShard(s.self, a.Owner, a.Epoch, a.SendThreshold, func(to int, pkt *transport.Packet) {
 		pkt.Inc = s.inc // receivers fence the waves of an overtaken life
-		s.emit(to, pkt)
+		s.emit(to, *pkt)
 	})
 	if err := s.own(a.Owner, snaps); err != nil {
 		return err

@@ -19,7 +19,7 @@ import (
 // stepState is a worker state for member tr whose waves go out over tr: what
 // Run drives, without the loop.
 func stepState(tr transport.Transport, inc uint32) *workerState {
-	return &workerState{self: tr.Self(), inc: inc, logf: func(string, ...any) {},
+	return &workerState{self: tr.Self(), inc: inc, fleet: members(tr), logf: func(string, ...any) {},
 		emit: func(to int, pkt transport.Packet) { _ = tr.Send(context.Background(), to, pkt) }}
 }
 
@@ -77,6 +77,45 @@ func TestWorkerRefusesNonPositiveIntervals(t *testing.T) {
 		}
 		if s.shard != nil {
 			t.Fatalf("%s with a bad %s started a session", tc.typ, tc.field)
+		}
+	}
+}
+
+// TestWorkerRefusesOwnersOutsideTheFleet: core.Shard sizes and indexes its
+// per-member state by the ids an ownership map names, so a worker checks
+// them against its transport's membership on receipt. A worker in session,
+// started and solving, is sent a reassign that gives a part to member −1,
+// then one that gives it to member 2⁴⁰: it drops both and stays in session
+// at its epoch, without a panic or an allocation sized by the id. An idle
+// worker refuses an assign or a rejoin naming such a member with a ready
+// that says so, before anything is torn.
+func TestWorkerRefusesOwnersOutsideTheFleet(t *testing.T) {
+	members := chanFabric(t, 2) // member 1 plays the coordinator
+	s := stepSession(t, members[0], 1, 1, steppedAssign(make([]int, quickSpec.Parts())))
+	stepMsg(t, s, 1, &ctrlMsg{Type: msgStart})
+	for _, stranger := range []int{-1, 1 << 40} {
+		owner := make([]int, quickSpec.Parts())
+		owner[len(owner)-1] = stranger
+		re := &reassignMsg{Epoch: 2, Assign: *steppedAssign(owner)}
+		stepMsg(t, s, 1, &ctrlMsg{Type: msgReassign, Reassign: re})
+		for range 20 {
+			s.Tick(time.Unix(1000, 0), true)
+		}
+		if s.shard == nil || s.shard.Epoch() != 1 || len(s.shard.Owned()) != quickSpec.Parts() {
+			t.Fatalf("a reassign naming member %d moved the session", stranger)
+		}
+	}
+	for _, typ := range []string{msgAssign, msgReassign} {
+		a := steppedAssign(make([]int, quickSpec.Parts()))
+		a.Owner[0] = -1
+		m := &ctrlMsg{Type: msgAssign, Assign: a}
+		if typ == msgReassign {
+			m = &ctrlMsg{Type: msgReassign, Reassign: &reassignMsg{Epoch: 2, Assign: *a}}
+		}
+		idle := stepState(members[0], 1)
+		outs := stepMsg(t, idle, 1, m)
+		if len(outs) != 1 || outs[0].m.Type != msgReady || !strings.Contains(outs[0].m.Err, "outside the fleet") || idle.shard != nil {
+			t.Fatalf("an idle worker took a %s naming member -1", typ)
 		}
 	}
 }
@@ -503,7 +542,7 @@ func TestWorkerStateProperties(t *testing.T) {
 		busy, step := seed%3 == 0, 0
 		c := &workerChecker{t: t, rng: rng, pairs: p.OwnerPairs(), ends: ends, now: time.Unix(1000, 0),
 			desc: func() string { return fmt.Sprintf("seed %d, step %d", seed, step) }}
-		c.s = &workerState{self: 1, inc: 1, logf: func(string, ...any) {},
+		c.s = &workerState{self: 1, inc: 1, fleet: []int{0, 1, 2}, logf: func(string, ...any) {},
 			emit: func(int, transport.Packet) { c.waves++ }}
 		for ; step < 300; step++ {
 			var pkt *transport.Packet
@@ -582,7 +621,7 @@ func newStepFleet(t *testing.T) *stepFleet {
 	f := &stepFleet{t: t, now: time.Unix(1000, 0), workers: make([]*workerState, 2), inbox: make([][]transport.Packet, 3)}
 	for i := range f.workers {
 		w := i + 1
-		f.workers[i] = &workerState{self: w, inc: 1, logf: func(string, ...any) {},
+		f.workers[i] = &workerState{self: w, inc: 1, fleet: []int{0, 1, 2}, logf: func(string, ...any) {},
 			emit: func(to int, pkt transport.Packet) { pkt.From = int32(w); f.inbox[to] = append(f.inbox[to], pkt) }}
 	}
 	a := &assignMsg{Spec: ring9Spec, Owner: ContiguousOwner(ring9Spec.Parts(), []int{1, 2}), Ordering: "auto",

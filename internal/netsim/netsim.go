@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Message is a payload delivered to a node, with the node that sent it.
@@ -190,17 +191,22 @@ type eventQueue[P any] struct {
 
 func (q *eventQueue[P]) len() int { return len(q.keys) }
 
-// push stores e in a slab slot and inserts its key, sifting up with a hole
-// (moving parents down and writing the key once) instead of pairwise swaps.
-func (q *eventQueue[P]) push(e event[P]) {
+// push takes a slab slot for an event at (time, seq) and inserts its key,
+// sifting up with a hole (moving parents down and writing the key once)
+// instead of pairwise swaps. It returns the body, time and seq written and
+// the rest zero, for the caller to fill before the next push: a body written
+// field by field in its slot, where a 64-byte event passed in would be built
+// on the stack and copied out of it, a store-forwarding stall per event.
+func (q *eventQueue[P]) push(time float64, seq int64) *event[P] {
 	slot := len(q.slab)
 	if n := len(q.free); n > 0 {
 		slot = int(q.free[n-1])
 		q.free = q.free[:n-1]
-		q.slab[slot] = e
 	} else {
-		q.slab = append(q.slab, e)
+		q.slab = append(q.slab, event[P]{})
 	}
+	e := &q.slab[slot]
+	e.time, e.seq = time, seq
 	k := makeKey(e.time, e.seq, slot)
 	q.keys = append(q.keys, k)
 	a := q.keys
@@ -214,13 +220,16 @@ func (q *eventQueue[P]) push(e event[P]) {
 		i = p
 	}
 	a[i] = k
+	return e
 }
 
-// pop removes and returns the minimum event, vacating its slab slot.
-func (q *eventQueue[P]) pop() event[P] {
+// pop removes the minimum event into *top, vacating its slab slot. The body
+// is copied to the caller's variable, not returned: a returned event is
+// spilled field by field and reloaded whole, another stall.
+func (q *eventQueue[P]) pop(top *event[P]) {
 	a := q.keys
 	slot := int32(a[0].s & (maxSlots - 1))
-	top := q.slab[slot]
+	*top = q.slab[slot]
 	var zero event[P]
 	q.slab[slot] = zero // drop payload references so the GC can reclaim them
 	q.free = append(q.free, slot)
@@ -230,7 +239,6 @@ func (q *eventQueue[P]) pop() event[P] {
 	if n > 0 {
 		q.siftDown(last)
 	}
-	return top
 }
 
 // siftDown re-inserts k starting from the root, moving the smallest child up
@@ -350,13 +358,8 @@ func (s *Simulator[P]) After(node int, now, delay float64, id int) {
 		panic(fmt.Sprintf("netsim: timer id %d does not fit int32", id))
 	}
 	s.seq++
-	s.queue.push(event[P]{
-		time: now + delay,
-		seq:  s.seq,
-		kind: evTimer,
-		node: int32(node),
-		from: int32(id),
-	})
+	e := s.queue.push(now+delay, s.seq)
+	e.kind, e.node, e.from = evTimer, int32(node), int32(id)
 }
 
 func (s *Simulator[P]) send(from int, now float64, outs []Outgoing[P]) {
@@ -388,14 +391,8 @@ func (s *Simulator[P]) send(from int, now float64, outs []Outgoing[P]) {
 // pushArrival schedules one delivery of a payload.
 func (s *Simulator[P]) pushArrival(from, to int, now, d float64, payload P) {
 	s.seq++
-	s.queue.push(event[P]{
-		time:    now + d,
-		seq:     s.seq,
-		kind:    evArrival,
-		node:    int32(to),
-		from:    int32(from),
-		payload: payload,
-	})
+	e := s.queue.push(now+d, s.seq)
+	e.kind, e.node, e.from, e.payload = evArrival, int32(to), int32(from), payload
 }
 
 // startNode lets an idle node with a non-empty inbox consume its batch.
@@ -420,7 +417,8 @@ func (s *Simulator[P]) startNode(node int, start float64) {
 	// The node becomes free at `done`; schedule the event so queued arrivals
 	// received meanwhile get processed then.
 	s.seq++
-	s.queue.push(event[P]{time: done, seq: s.seq, kind: evFree, node: int32(node)})
+	e := s.queue.push(done, s.seq)
+	e.kind, e.node = evFree, int32(node)
 	// Recycle the batch buffer (zeroing payload references first).
 	clear(batch)
 	s.spare[node] = batch[:0]
@@ -442,8 +440,9 @@ func (s *Simulator[P]) Run(maxTime float64) Stats {
 	for i, n := range s.nodes {
 		s.send(i, 0, n.Init(0))
 	}
+	var e event[P]
 	for s.queue.len() > 0 {
-		e := s.queue.pop()
+		s.queue.pop(&e)
 		if e.time > maxTime {
 			s.now = maxTime
 			break
@@ -453,7 +452,12 @@ func (s *Simulator[P]) Run(maxTime float64) Stats {
 		switch e.kind {
 		case evArrival:
 			s.stats.Messages++
-			s.inbox[node] = append(s.inbox[node], Message[P]{From: int(e.from), Payload: e.payload})
+			// In place, like the queue's bodies: no Message built and copied.
+			in := slices.Grow(s.inbox[node], 1)
+			in = in[:len(in)+1]
+			m := &in[len(in)-1]
+			m.From, m.Payload = int(e.from), e.payload
+			s.inbox[node] = in
 			if s.busy[node] {
 				continue
 			}
@@ -486,7 +490,8 @@ func (s *Simulator[P]) Run(maxTime float64) Stats {
 // single-threaded simulation: senders Get a buffer, fill it, and ship it as a
 // message payload; the receiver Puts it back once the batch is consumed. It is
 // deliberately not safe for concurrent use — concurrent engines (which cannot
-// prove single ownership of in-flight buffers) should allocate instead.
+// prove single ownership of in-flight buffers) should allocate instead, and a
+// nil *Pool does: its Get allocates and its Put drops the buffer.
 type Pool[T any] struct {
 	free [][]T
 }
@@ -494,7 +499,8 @@ type Pool[T any] struct {
 // Get hands out a recycled empty buffer, or a fresh one with the given
 // capacity hint.
 func (p *Pool[T]) Get(capHint int) []T {
-	if n := len(p.free); n > 0 {
+	if p != nil && len(p.free) > 0 {
+		n := len(p.free)
 		b := p.free[n-1]
 		p.free = p.free[:n-1]
 		return b[:0]
@@ -504,7 +510,7 @@ func (p *Pool[T]) Get(capHint int) []T {
 
 // Put returns a consumed buffer to the free list.
 func (p *Pool[T]) Put(b []T) {
-	if cap(b) == 0 {
+	if p == nil || cap(b) == 0 {
 		return
 	}
 	p.free = append(p.free, b)

@@ -58,7 +58,8 @@ func TestFourAryHeapMatchesContainerHeap(t *testing.T) {
 		var seq int64
 		maxLive := 0
 		popBoth := func(when string) {
-			got := fast.pop()
+			var got event[[]int64]
+			fast.pop(&got)
 			want := heap.Pop(ref).(refEvent)
 			if got.time != want.time || got.seq != want.seq {
 				t.Fatalf("trial %d: %s mismatch: got (%g,%d), want (%g,%d)",
@@ -89,7 +90,8 @@ func TestFourAryHeapMatchesContainerHeap(t *testing.T) {
 					tm = edgeTimes[rng.Intn(len(edgeTimes))]
 				}
 				seq++
-				fast.push(event[[]int64]{time: tm, seq: seq, node: int32(seq % 7), payload: []int64{seq}})
+				e := fast.push(tm, seq)
+				e.node, e.payload = int32(seq%7), []int64{seq}
 				heap.Push(ref, refEvent{time: tm, seq: seq})
 			}
 			maxLive = max(maxLive, fast.len())
@@ -123,7 +125,7 @@ func TestQueueLimitsPanic(t *testing.T) {
 	push := func(time float64, seq int64) func() {
 		return func() {
 			var q eventQueue[int]
-			q.push(event[int]{time: time, seq: seq})
+			q.push(time, seq)
 		}
 	}
 	for _, tc := range []struct {
@@ -199,7 +201,9 @@ func FuzzEventQueueOrder(f *testing.F) {
 				}
 				return live[i].seq < live[j].seq
 			})
-			got, want := q.pop(), live[0]
+			var got event[int]
+			q.pop(&got)
+			want := live[0]
 			live = live[1:]
 			if got.time != want.time || got.seq != want.seq || got.payload != int(want.seq) {
 				t.Fatalf("pop (%g,%d) payload %d, want (%g,%d)", got.time, got.seq, got.payload, want.time, want.seq)
@@ -217,7 +221,7 @@ func FuzzEventQueueOrder(f *testing.F) {
 				tm = edgeTimes[int(b>>2&31)%len(edgeTimes)]
 			}
 			seq++
-			q.push(event[int]{time: tm, seq: seq, payload: int(seq)})
+			q.push(tm, seq).payload = int(seq)
 			live = append(live, refEvent{time: tm, seq: seq})
 			if q.len() != len(live) {
 				t.Fatalf("len %d with %d live events", q.len(), len(live))

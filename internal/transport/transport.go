@@ -4,8 +4,11 @@
 // guarantee — so the Transport interface is deliberately minimal: a member
 // can send a Packet to a peer, receive whatever has arrived, and close.
 // Reliability is the job of the protocol layered on top (per-directed-pair
-// sequence numbers with last-writer-wins deduplication plus watchdog
-// retransmission): core.Shard, which package dist drives over any Transport.
+// sequence numbers with last-writer-wins deduplication, epoch and
+// incarnation fences, watchdog retransmission): core.Shard, which keeps all
+// of its state, the receiver's applied marks included, and which package
+// dist drives over any Transport. This package stamps nothing and
+// deduplicates nothing.
 //
 // Two implementations ship: an in-process fabric (NewChanNetwork) for
 // deterministic tests, and a TCP fabric (NewTCP) framing packets as
@@ -126,87 +129,3 @@ var ErrPeerUnavailable = errors.New("transport: peer unavailable")
 // make the receiver drop the connection and would be lost again on every
 // retry; refused, it costs nothing, and the connection stays as it was.
 var ErrFrameTooLarge = errors.New("transport: frame too large")
-
-// Dedup is the receiver half of the recovery protocol: last-writer-wins
-// deduplication of wave packets per directed part pair, plus the failover
-// fences — a packet from a stale ownership epoch or from an overtaken
-// incarnation of its sending part is dropped and counted, never applied.
-// core.Shard receives through it, in dist workers and in the DES engine's
-// fault layer alike (which also settles a barrier's waves through Fresh and
-// reads Applied for its stop gate), and the conformance tests exercise every
-// Transport against it.
-type Dedup struct {
-	epoch   uint32
-	applied map[[2]int32]uint64
-	inc     map[int32]uint32
-	fenced  uint64
-}
-
-// NewDedup returns an empty deduplicator at epoch 0 (the single-epoch
-// protocol: packets that carry no epoch pass the fence).
-func NewDedup() *Dedup {
-	return &Dedup{
-		applied: make(map[[2]int32]uint64),
-		inc:     make(map[int32]uint32),
-	}
-}
-
-// Fresh reports whether the wave packet carries news on its directed pair —
-// the current epoch, a live incarnation, and a sequence number above
-// everything applied so far — and records it if so. Duplicated, overtaken
-// and fenced packets return false and must be discarded.
-func (d *Dedup) Fresh(pkt *Packet) bool {
-	if pkt.Epoch != d.epoch {
-		// Zombie (or not-yet-reassigned straggler) traffic: the watchdog
-		// re-announces current state under the current epoch, so dropping
-		// here costs time, never correctness.
-		d.fenced++
-		return false
-	}
-	if prev := d.inc[pkt.FromPart]; pkt.Inc < prev {
-		d.fenced++
-		return false
-	} else if pkt.Inc > prev {
-		// A new life of the sending part restarts its sequence numbers.
-		d.inc[pkt.FromPart] = pkt.Inc
-		for key := range d.applied {
-			if key[0] == pkt.FromPart {
-				delete(d.applied, key)
-			}
-		}
-	}
-	key := [2]int32{pkt.FromPart, pkt.ToPart}
-	if pkt.Seq <= d.applied[key] {
-		return false
-	}
-	d.applied[key] = pkt.Seq
-	return true
-}
-
-// Advance moves the fence to a newer ownership epoch and clears the applied
-// frontier — the reassigned senders restart their per-pair sequence numbers
-// at 1. Incarnation tracking resets with it: recorded incarnations scope to
-// the epoch that observed them, because a reassignment may hand a part from a
-// high-incarnation (restarted) worker back to a lower-incarnation survivor,
-// and carrying the old watermark across would fence the new owner's waves
-// forever. The epoch fence alone already drops every cross-epoch zombie.
-// Moving to an older or equal epoch is a no-op.
-func (d *Dedup) Advance(epoch uint32) {
-	if epoch <= d.epoch {
-		return
-	}
-	d.epoch = epoch
-	clear(d.applied)
-	clear(d.inc)
-}
-
-// Epoch returns the epoch the fence currently admits.
-func (d *Dedup) Epoch() uint32 { return d.epoch }
-
-// Fenced returns how many packets the epoch/incarnation fences dropped.
-func (d *Dedup) Fenced() uint64 { return d.fenced }
-
-// Applied returns the newest sequence number applied on the directed pair.
-func (d *Dedup) Applied(fromPart, toPart int32) uint64 {
-	return d.applied[[2]int32{fromPart, toPart}]
-}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -139,8 +140,10 @@ func TestConformanceDelivery(t *testing.T) {
 }
 
 // TestConformanceDedup forces duplication and reordering at the sender and
-// checks the shared LWW deduplicator admits exactly the fresh packets — the
-// recovery-protocol rule every fabric must compose with.
+// checks every fabric hands over each copy as sent, so last-writer-wins by
+// sequence number (core.Shard.Receive, TestShardReceiveLWW) admits exactly
+// the fresh packets — the recovery-protocol rule every fabric must compose
+// with.
 func TestConformanceDedup(t *testing.T) {
 	for _, f := range fabrics {
 		t.Run(f.name, func(t *testing.T) {
@@ -170,30 +173,21 @@ func TestConformanceDedup(t *testing.T) {
 				send(s)
 			}
 
-			dedup := NewDedup()
-			var fresh []uint64
+			var got []uint64
 			for i := 0; i < len(seqs); i++ {
 				pkt, err := ts[1].Recv(ctx)
 				if err != nil {
 					t.Fatalf("recv %d: %v", i, err)
 				}
-				if dedup.Fresh(&pkt) {
-					fresh = append(fresh, pkt.Seq)
+				if len(pkt.Entries) != 1 || pkt.Entries[0].Wave != float64(pkt.Seq) {
+					t.Fatalf("recv %d: corrupted payload %+v", i, pkt)
 				}
+				got = append(got, pkt.Seq)
 			}
 			// Both fabrics are FIFO per connection, so the arrival order is
-			// the send order and the fresh subsequence is exactly 1,2,4,5.
-			want := []uint64{1, 2, 4, 5}
-			if len(fresh) != len(want) {
-				t.Fatalf("fresh seqs %v, want %v", fresh, want)
-			}
-			for i := range want {
-				if fresh[i] != want[i] {
-					t.Fatalf("fresh seqs %v, want %v", fresh, want)
-				}
-			}
-			if got := dedup.Applied(0, 1); got != 5 {
-				t.Fatalf("Applied = %d, want 5", got)
+			// the send order: duplicates and the overtaken packet included.
+			if !slices.Equal(got, seqs) {
+				t.Fatalf("arrived seqs %v, want %v", got, seqs)
 			}
 		})
 	}
@@ -851,101 +845,6 @@ func TestFrameVersionMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestDedupEpochFence exercises the failover fences: stale-epoch packets are
-// dropped and counted, Advance clears the applied frontier so reassigned
-// senders can restart at seq 1, and moving backwards is a no-op.
-func TestDedupEpochFence(t *testing.T) {
-	d := NewDedup()
-	d.Advance(2)
-	if d.Epoch() != 2 {
-		t.Fatalf("Epoch = %d, want 2", d.Epoch())
-	}
-	fresh := &Packet{Kind: KindWave, FromPart: 0, ToPart: 1, Seq: 1, Epoch: 2}
-	if !d.Fresh(fresh) {
-		t.Fatal("current-epoch packet fenced")
-	}
-	stale := &Packet{Kind: KindWave, FromPart: 0, ToPart: 1, Seq: 2, Epoch: 1}
-	if d.Fresh(stale) {
-		t.Fatal("stale-epoch packet admitted")
-	}
-	future := &Packet{Kind: KindWave, FromPart: 0, ToPart: 1, Seq: 2, Epoch: 3}
-	if d.Fresh(future) {
-		t.Fatal("future-epoch packet admitted before Advance")
-	}
-	if d.Fenced() != 2 {
-		t.Fatalf("Fenced = %d, want 2", d.Fenced())
-	}
-	// Advance clears the frontier: seq 1 is fresh again under the new epoch.
-	d.Advance(3)
-	if d.Applied(0, 1) != 0 {
-		t.Fatalf("Applied survived Advance: %d", d.Applied(0, 1))
-	}
-	if !d.Fresh(&Packet{Kind: KindWave, FromPart: 0, ToPart: 1, Seq: 1, Epoch: 3}) {
-		t.Fatal("restarted seq fenced after Advance")
-	}
-	// Backwards or equal Advance is a no-op.
-	d.Advance(2)
-	if d.Epoch() != 3 {
-		t.Fatalf("Advance moved backwards to %d", d.Epoch())
-	}
-}
-
-// TestDedupIncarnationFence pins zombie fencing: packets from an overtaken
-// incarnation of a sending part are dropped and counted, and a higher
-// incarnation resets that part's applied frontier (the restarted sender
-// restarts its sequence numbers).
-func TestDedupIncarnationFence(t *testing.T) {
-	d := NewDedup()
-	mk := func(seq uint64, inc uint32) *Packet {
-		return &Packet{Kind: KindWave, FromPart: 3, ToPart: 1, Seq: seq, Inc: inc}
-	}
-	if !d.Fresh(mk(5, 1)) {
-		t.Fatal("first-life packet fenced")
-	}
-	// Restarted sender: higher inc, sequence restarts below the old frontier.
-	if !d.Fresh(mk(1, 2)) {
-		t.Fatal("restarted sender's seq 1 not admitted after inc bump")
-	}
-	// Zombie: the old life's traffic is fenced even with a huge seq.
-	if d.Fresh(mk(100, 1)) {
-		t.Fatal("zombie incarnation admitted")
-	}
-	if d.Fenced() != 1 {
-		t.Fatalf("Fenced = %d, want 1", d.Fenced())
-	}
-	// Other sending parts are unaffected by part 3's new life.
-	if !d.Fresh(&Packet{Kind: KindWave, FromPart: 4, ToPart: 1, Seq: 1, Inc: 1}) {
-		t.Fatal("unrelated part fenced")
-	}
-}
-
-// TestDedupAdvanceResetsIncarnations pins the crash-after-rejoin sequence:
-// a part announced by a restarted worker (incarnation 2) fails over, on the
-// next epoch, to a surviving incarnation-1 worker. Advance must reset the
-// incarnation watermarks along with the applied frontier — the epoch fence
-// already drops every cross-epoch zombie — or the adopter's waves would be
-// fenced forever and the solve could never converge (regression).
-func TestDedupAdvanceResetsIncarnations(t *testing.T) {
-	d := NewDedup()
-	d.Advance(1)
-	// Epoch 1: part 3 is announced by a restarted worker at incarnation 2.
-	if !d.Fresh(&Packet{Kind: KindWave, FromPart: 3, ToPart: 1, Seq: 1, Epoch: 1, Inc: 2}) {
-		t.Fatal("restarted sender's wave fenced at epoch 1")
-	}
-	// The restarted worker dies too; part 3 fails over to an incarnation-1
-	// survivor under epoch 2.
-	d.Advance(2)
-	if !d.Fresh(&Packet{Kind: KindWave, FromPart: 3, ToPart: 1, Seq: 1, Epoch: 2, Inc: 1}) {
-		t.Fatal("adopter's lower-incarnation wave fenced after Advance")
-	}
-	// The fence still bites within the new epoch: once incarnation 1 is
-	// recorded there, an in-epoch higher incarnation resets it as usual, and
-	// cross-epoch zombies stay fenced.
-	if d.Fresh(&Packet{Kind: KindWave, FromPart: 3, ToPart: 1, Seq: 9, Epoch: 1, Inc: 2}) {
-		t.Fatal("stale-epoch zombie admitted")
-	}
-}
-
 type hugeFrameReader struct{}
 
 func (hugeFrameReader) Read(p []byte) (int, error) {
@@ -983,8 +882,9 @@ func TestWithFaultsDropsAndDuplicates(t *testing.T) {
 		t.Fatalf("fault decorator injected nothing: %+v", st)
 	}
 
-	// Collect what actually arrived: every copy was sent inside Send.
-	dedup := NewDedup()
+	// Collect what actually arrived: every copy was sent inside Send. One
+	// pair, so last-writer-wins keeps the newest sequence number.
+	var newest uint64
 	delivered, fresh := 0, 0
 	for {
 		drainCtx, dcancel := context.WithTimeout(ctx, 200*time.Millisecond)
@@ -994,7 +894,8 @@ func TestWithFaultsDropsAndDuplicates(t *testing.T) {
 			break
 		}
 		delivered++
-		if dedup.Fresh(&pkt) {
+		if pkt.Seq > newest {
+			newest = pkt.Seq
 			fresh++
 		}
 	}
