@@ -109,7 +109,7 @@ func TestDESDeterminism(t *testing.T) {
 // 3×3 on a 9-processor ring, no stopping rule, no faults, no trace) a run
 // twice as long does ≈ 14 400 more solves and ≈ 51 000 more messages, and may
 // allocate at most one more object per 50 of those solves. What it does
-// allocate is growth of the event heap and the wave pools (≈ 140 objects,
+// allocate is growth of the event queue and the wave pools (≈ 140 objects,
 // one per 105 solves); anything paid per event, per message or per solve
 // is at least one per solve. The faulted path is not held to this: it hands
 // duplicated buffers to the GC by design, and ring9-grid13-faults in

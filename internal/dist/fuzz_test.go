@@ -2,6 +2,8 @@ package dist
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +21,14 @@ import (
 // every type, a status? for an idle worker, a rejoin reassign, a quiet
 // notice, a truncated frame, a reassign with a mismatched owner map, and
 // binary garbage.
+//
+// Each input's allocation is bounded like FuzzCtrlCodec's: five bytes per
+// byte of the frame past the message's fixed-size structs, plus slack for
+// the replies (16 KiB) and, in the session, for adopting every part of its
+// 289-unknown problem again (1 MiB; ≈ 0.75 MB when a reassign hands back all
+// four parts an earlier input gave away). Tearing a new problem is sized by
+// the spec's source, which sparse caps, not by the frame: for an idle state
+// that takes the frame as a session to build, only Handle is counted.
 func FuzzCtrlMsg(f *testing.F) {
 	unknown := encodeCtrl(&ctrlMsg{Type: msgHeartbeat, HB: &heartbeatMsg{Inc: 2, Epoch: 3}})
 	unknown[0] = byte(len(msgTypes)) // a type no worker knows, with a heartbeat inside
@@ -50,6 +60,10 @@ func FuzzCtrlMsg(f *testing.F) {
 	cancelDrain() // a done ctx takes only what is queued
 	var mu sync.Mutex
 	var sess *workerState
+	var fixed uint64
+	for _, v := range []any{ctrlMsg{}, assignMsg{}, readyMsg{}, statusMsg{}, resultMsg{}, heartbeatMsg{}, reassignMsg{}} {
+		fixed += uint64(reflect.TypeOf(v).Size())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mu.Lock()
@@ -65,12 +79,25 @@ func FuzzCtrlMsg(f *testing.F) {
 			}
 			m, derr := decodeCtrl(&pkt)
 			started := s.started
+			before := totalAlloc()
 			outs, exit := s.Handle(&pkt)
+			builds := idle && s.pending != nil
+			used := totalAlloc() - before
 			quiet := derr == nil && m.Type == msgQuiet
 			if quiet && (len(outs) > 0 || exit || s.started != started || s.pending != nil) {
 				t.Fatalf("a worker acted on a quiet notice: sent %d, exit %v, started %v -> %v", len(outs), exit, started, s.started)
 			}
 			s.Tick(time.Unix(1000, 0), true)
+			if !builds {
+				used = totalAlloc() - before
+			}
+			slack := uint64(16 << 10)
+			if !idle {
+				slack = 1 << 20
+			}
+			if limit := 5*uint64(len(data)) + fixed + slack; used > limit {
+				t.Fatalf("a %d-byte frame made the %s state allocate %d bytes, over the %d it allows", len(data), map[bool]string{true: "idle", false: "session"}[idle], used, limit)
+			}
 			if (derr != nil || quiet) && (idle != (s.shard == nil) || !idle && s.shard.Epoch() != epoch) {
 				t.Fatalf("corrupt ctrl or a quiet notice moved the session: idle %v -> %v, epoch %d", idle, s.shard == nil, epoch)
 			}
@@ -83,4 +110,11 @@ func FuzzCtrlMsg(f *testing.F) {
 			}
 		}
 	})
+}
+
+// totalAlloc is the bytes the process has allocated so far.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }

@@ -3,9 +3,10 @@
 // "DTM toolbox" the paper's experiments ran on: every processor is a Node with
 // its own compute time, every directed link has its own delay, and the
 // simulator advances a virtual continuous-time clock, delivering messages and
-// activating nodes in exact timestamp order. Because every tie is broken by a
-// deterministic sequence number, two runs with the same inputs produce exactly
-// the same trajectories — which is what makes the paper's figures reproducible.
+// activating nodes in exact timestamp order. Because events of equal time are
+// taken in the order they were scheduled, two runs with the same inputs
+// produce exactly the same trajectories — which is what makes the paper's
+// figures reproducible.
 //
 // The asynchrony semantics match the DTM algorithm of Table 1: a node sleeps
 // until at least one message has been delivered to it, then wakes up, consumes
@@ -16,11 +17,15 @@
 //
 // The simulator is generic over the message payload type P, so a run over a
 // concrete payload (e.g. a wave packet) never boxes payloads into interfaces.
-// The event queue is an index-based 4-ary min-heap of 16-byte integer keys —
-// the bits of the event time and the sequence number packed over a slot
-// index — compared and selected without branches, over a free-listed slab
-// that holds the event bodies still; together with per-node inbox recycling
-// the steady-state event loop performs no heap allocations at all.
+// The event queue is a monotone radix queue over a free-listed slab that holds
+// the event bodies still: nothing is ever scheduled before the clock (an
+// arrival is d > 0 after its send, a node frees up at its start plus its
+// compute time, and a timer is set from an activation's now, which is never
+// behind the clock), so the queue files each event in one of 64 FIFO buckets
+// by the highest bit in which its time differs from the last popped one, and
+// a pop relinks at most one bucket instead of sifting a heap. Together with
+// per-node inbox recycling the steady-state event loop performs no heap
+// allocations at all.
 package netsim
 
 import (
@@ -107,177 +112,133 @@ const (
 	evTimer
 )
 
-// event is the body of a queue entry: the destination is node and the
-// delivery time is time, so an arrival carries only its sender and payload.
-// Timer events reuse the from field for the caller-chosen timer id, so they
-// cost nothing extra.
+// event is the body of a queue entry: the destination is node, so an arrival
+// carries only its sender and payload. Timer events reuse the from field for
+// the caller-chosen timer id, so they cost nothing extra. The time is not in
+// the body: the queue keeps it beside the slab, and pop returns it.
 type event[P any] struct {
-	time    float64
-	seq     int64
 	kind    int32
 	node    int32
 	from    int32 // sender for arrivals; timer id for timers
 	payload P
 }
 
-// key is what the heap orders and moves: 16 bytes of integers, so the four
-// children of a node are one cache line's worth of data. t is
-// math.Float64bits of the event time, which orders exactly like the float for
-// the non-negative, non-NaN times push admits; s packs the event's sequence
-// number over its slab slot, so s is unique and (t, s) is the same strict
-// total order as (time, seq).
-type key struct {
-	t uint64
-	s uint64
-}
-
-const (
-	slotBits = 24
-	maxSlots = 1 << slotBits        // events in flight
-	maxSeq   = 1 << (64 - slotBits) // events ever scheduled
-)
-
-// infBits is the largest admissible key time: Float64bits is monotone on
+// infBits is the largest admissible time pattern: Float64bits is monotone on
 // [+0, +Inf], and everything above +Inf's pattern is a NaN or carries the
 // sign bit (a -0.0 would sort after +Inf).
 var infBits = math.Float64bits(math.Inf(1))
 
-// makeKey packs the key of an event stored in the given slab slot, refusing
-// what the packing cannot order.
-func makeKey(time float64, seq int64, slot int) key {
+// eventQueue is a monotone radix queue (Ahuja, Mehlhorn, Orlin and Tarjan's
+// radix heap) over a free-listed slab of event bodies. It pops in (time, push
+// order) and accepts a push only at or after the last popped time, which is
+// all a DES needs: nothing is scheduled before the clock. Times are ordered
+// as math.Float64bits patterns; an event whose pattern first differs from
+// last's in bit i-1 waits in bucket i, an intrusive FIFO linked through
+// next. Bucket 0 holds the events at last itself. When it runs dry, pop
+// moves last to the minimum of the lowest non-empty bucket and relinks that
+// bucket's events, in order, into lower ones. Events of one time always
+// share a bucket, and both the pushes and the relinks append, so equal times
+// leave in push order. A body is written once into its slot on push and read
+// once on pop, never moved in between.
+type eventQueue[P any] struct {
+	slab  []event[P]
+	tbits []uint64 // Float64bits of each slot's time
+	next  []int32  // the slot after each slot in its bucket, -1 at the tail
+	free  []int32  // vacant slab slots, most recently vacated last
+
+	// Bucket b is the FIFO head[b] … tail[b] of minimum pattern low[b]; bit b
+	// of full is set while bucket b is non-empty, and the three are stale
+	// while it is clear. The sign bit is never set, so 64 buckets cover every
+	// admissible pattern.
+	head, tail [64]int32
+	low        [64]uint64
+	full       uint64
+	last       uint64 // the pattern of the last popped time
+}
+
+func (q *eventQueue[P]) len() int { return len(q.slab) - len(q.free) }
+
+// push takes a slab slot for an event at time and links it at the tail of
+// its bucket. It returns the body zeroed, for the caller to fill before the
+// next push: a body written field by field in its slot, where a 64-byte event
+// passed in would be built on the stack and copied out of it, a
+// store-forwarding stall per event.
+func (q *eventQueue[P]) push(time float64) *event[P] {
 	t := math.Float64bits(time)
 	if t > infBits {
 		panic(fmt.Sprintf("netsim: event time %g is negative or NaN", time))
 	}
-	if uint64(seq) >= maxSeq {
-		panic(fmt.Sprintf("netsim: event sequence number %d is outside [0, 2^%d)", seq, 64-slotBits))
+	if t < q.last {
+		panic(fmt.Sprintf("netsim: event time %g is before the last popped time %g", time, math.Float64frombits(q.last)))
 	}
-	if slot >= maxSlots {
-		panic(fmt.Sprintf("netsim: more than 2^%d events in flight", slotBits))
-	}
-	return key{t: t, s: uint64(seq)<<slotBits | uint64(slot)}
-}
-
-// less reports a < b as 1 or 0 without a branch: it is the borrow out of the
-// 128-bit subtraction a − b. A (time, seq) comparison on in-flight events is
-// a coin toss the branch predictor loses; the borrow chain has nothing to
-// predict.
-func (a key) less(b key) uint64 {
-	_, borrow := bits.Sub64(a.s, b.s, 0)
-	_, borrow = bits.Sub64(a.t, b.t, borrow)
-	return borrow
-}
-
-// minOf returns the smaller of a and b and which it was (0 for a, 1 for b),
-// selected arithmetically.
-func minOf(a, b key) (uint64, key) {
-	which := b.less(a)
-	mask := -which
-	return which, key{t: a.t ^ (a.t^b.t)&mask, s: a.s ^ (a.s^b.s)&mask}
-}
-
-// eventQueue is an index-based 4-ary min-heap of keys ordered by (time, seq)
-// over a slab of event bodies. Only the keys take part in sifting; a body is
-// written once into a free-listed slab slot on push and read once on pop,
-// never moved in between. The 4-ary layout halves the tree depth of a binary
-// heap, and the minimum of a node's four children is selected by mask
-// arithmetic on less (minOf) rather than by branches. seq is unique per
-// event, so pop order is fully deterministic.
-type eventQueue[P any] struct {
-	keys []key
-	slab []event[P]
-	free []int32 // vacant slab slots, most recently vacated last
-}
-
-func (q *eventQueue[P]) len() int { return len(q.keys) }
-
-// push takes a slab slot for an event at (time, seq) and inserts its key,
-// sifting up with a hole (moving parents down and writing the key once)
-// instead of pairwise swaps. It returns the body, time and seq written and
-// the rest zero, for the caller to fill before the next push: a body written
-// field by field in its slot, where a 64-byte event passed in would be built
-// on the stack and copied out of it, a store-forwarding stall per event.
-func (q *eventQueue[P]) push(time float64, seq int64) *event[P] {
-	slot := len(q.slab)
+	var slot int32
 	if n := len(q.free); n > 0 {
-		slot = int(q.free[n-1])
+		slot = q.free[n-1]
 		q.free = q.free[:n-1]
+		q.tbits[slot] = t
 	} else {
+		slot = slotIndex(len(q.slab))
 		q.slab = append(q.slab, event[P]{})
+		q.tbits = append(q.tbits, t)
+		q.next = append(q.next, 0)
 	}
-	e := &q.slab[slot]
-	e.time, e.seq = time, seq
-	k := makeKey(e.time, e.seq, slot)
-	q.keys = append(q.keys, k)
-	a := q.keys
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if a[p].less(k) != 0 {
-			break
-		}
-		a[i] = a[p]
-		i = p
-	}
-	a[i] = k
-	return e
+	q.link(slot, bits.Len64(t^q.last))
+	return &q.slab[slot]
 }
 
-// pop removes the minimum event into *top, vacating its slab slot. The body
-// is copied to the caller's variable, not returned: a returned event is
-// spilled field by field and reloaded whole, another stall.
-func (q *eventQueue[P]) pop(top *event[P]) {
-	a := q.keys
-	slot := int32(a[0].s & (maxSlots - 1))
+// slotIndex is the slot a new slab entry takes: the links are int32s, with
+// -1 for none.
+func slotIndex(n int) int32 {
+	if n > math.MaxInt32 {
+		panic("netsim: more than 2^31 events in flight")
+	}
+	return int32(n)
+}
+
+// link appends slot to bucket b.
+func (q *eventQueue[P]) link(slot int32, b int) {
+	q.next[slot] = -1
+	if q.full&(1<<b) == 0 {
+		q.head[b], q.low[b] = slot, q.tbits[slot]
+		q.full |= 1 << b
+	} else {
+		q.next[q.tail[b]] = slot
+		q.low[b] = min(q.low[b], q.tbits[slot])
+	}
+	q.tail[b] = slot
+}
+
+// pop removes the first event into *top, vacating its slab slot, and returns
+// its time. The body is copied to the caller's variable, not returned: a
+// returned event is spilled field by field and reloaded whole, another stall.
+func (q *eventQueue[P]) pop(top *event[P]) float64 {
+	if q.full&1 == 0 {
+		q.refill()
+	}
+	slot := q.head[0]
+	if q.head[0] = q.next[slot]; q.head[0] < 0 {
+		q.full &^= 1
+	}
 	*top = q.slab[slot]
 	var zero event[P]
 	q.slab[slot] = zero // drop payload references so the GC can reclaim them
 	q.free = append(q.free, slot)
-	n := len(a) - 1
-	last := a[n]
-	q.keys = a[:n]
-	if n > 0 {
-		q.siftDown(last)
-	}
+	return math.Float64frombits(q.last)
 }
 
-// siftDown re-inserts k starting from the root, moving the smallest child up
-// into the hole until k's position is found. A full group of four children
-// costs three borrow-chain comparisons and no branch; only the last level can
-// hold a partial group, which the trailing loop handles.
-func (q *eventQueue[P]) siftDown(k key) {
-	a := q.keys
-	n := len(a)
-	i := 0
-	for {
-		c := i<<2 + 1
-		if c+4 > n {
-			break
-		}
-		g := a[c : c+4 : c+4]
-		lo, kLo := minOf(g[0], g[1])
-		hi, kHi := minOf(g[2], g[3])
-		top, kMin := minOf(kLo, kHi)
-		if k.less(kMin) != 0 {
-			a[i] = k
-			return
-		}
-		a[i] = kMin
-		i = c + int(lo+(2+hi-lo)&-top)
+// refill advances last to the minimum of the lowest non-empty bucket and
+// relinks that bucket's events, in order, into the buckets below it; its
+// minimum lands in bucket 0. Every event of the bucket shares last's bits
+// above the bucket's, so none moves up.
+func (q *eventQueue[P]) refill() {
+	b := bits.TrailingZeros64(q.full)
+	q.last = q.low[b]
+	q.full &^= 1 << b
+	for s := q.head[b]; s >= 0; {
+		n := q.next[s]
+		q.link(s, bits.Len64(q.tbits[s]^q.last))
+		s = n
 	}
-	if c := i<<2 + 1; c < n {
-		m := c
-		for j := c + 1; j < n; j++ {
-			if a[j].less(a[m]) != 0 {
-				m = j
-			}
-		}
-		if a[m].less(k) != 0 {
-			a[i] = a[m]
-			i = m
-		}
-	}
-	a[i] = k
 }
 
 // Simulator is a deterministic discrete-event simulator over a fixed set of
@@ -288,7 +249,6 @@ type Simulator[P any] struct {
 	fault FaultFunc
 
 	queue eventQueue[P]
-	seq   int64
 
 	inbox [][]Message[P]
 	// spare[n] is the batch buffer node n consumed last; it is swapped back in
@@ -322,8 +282,9 @@ func New[P any](nodes []Node[P], delay DelayFunc) *Simulator[P] {
 		spare: make([][]Message[P], len(nodes)),
 		busy:  make([]bool, len(nodes)),
 	}
-	s.queue.keys = make([]key, 0, 4*len(nodes))
 	s.queue.slab = make([]event[P], 0, 4*len(nodes))
+	s.queue.tbits = make([]uint64, 0, 4*len(nodes))
+	s.queue.next = make([]int32, 0, 4*len(nodes))
 	return s
 }
 
@@ -342,11 +303,12 @@ func (s *Simulator[P]) SetFaultPolicy(f FaultFunc) { s.fault = f }
 // After schedules a timer for the given node at virtual time now+delay; the
 // node must implement TimerNode or the firing panics. now is the caller's
 // activation time (the now handed to Init/OnMessages/OnTimer), which may be
-// ahead of the simulator clock by the node's compute time. The id is handed
+// ahead of the simulator clock by the node's compute time but never behind
+// it: a timer before the last popped event panics. The id is handed
 // back to OnTimer verbatim so nodes can multiplex watchdogs, snapshot ticks
 // and crash schedules over one queue; it must fit an int32. Timers cannot be
 // cancelled — nodes ignore stale firings instead (cheaper than tombstoning
-// inside the heap).
+// inside the queue).
 func (s *Simulator[P]) After(node int, now, delay float64, id int) {
 	if node < 0 || node >= len(s.nodes) {
 		panic(fmt.Sprintf("netsim: After on unknown node %d", node))
@@ -357,8 +319,7 @@ func (s *Simulator[P]) After(node int, now, delay float64, id int) {
 	if int(int32(id)) != id {
 		panic(fmt.Sprintf("netsim: timer id %d does not fit int32", id))
 	}
-	s.seq++
-	e := s.queue.push(now+delay, s.seq)
+	e := s.queue.push(now + delay)
 	e.kind, e.node, e.from = evTimer, int32(node), int32(id)
 }
 
@@ -390,8 +351,7 @@ func (s *Simulator[P]) send(from int, now float64, outs []Outgoing[P]) {
 
 // pushArrival schedules one delivery of a payload.
 func (s *Simulator[P]) pushArrival(from, to int, now, d float64, payload P) {
-	s.seq++
-	e := s.queue.push(now+d, s.seq)
+	e := s.queue.push(now + d)
 	e.kind, e.node, e.from, e.payload = evArrival, int32(to), int32(from), payload
 }
 
@@ -416,8 +376,7 @@ func (s *Simulator[P]) startNode(node int, start float64) {
 	s.send(node, done, outs)
 	// The node becomes free at `done`; schedule the event so queued arrivals
 	// received meanwhile get processed then.
-	s.seq++
-	e := s.queue.push(done, s.seq)
+	e := s.queue.push(done)
 	e.kind, e.node = evFree, int32(node)
 	// Recycle the batch buffer (zeroing payload references first).
 	clear(batch)
@@ -442,12 +401,12 @@ func (s *Simulator[P]) Run(maxTime float64) Stats {
 	}
 	var e event[P]
 	for s.queue.len() > 0 {
-		s.queue.pop(&e)
-		if e.time > maxTime {
+		now := s.queue.pop(&e)
+		if now > maxTime {
 			s.now = maxTime
 			break
 		}
-		s.now = e.time
+		s.now = now
 		node := int(e.node)
 		switch e.kind {
 		case evArrival:
@@ -461,13 +420,13 @@ func (s *Simulator[P]) Run(maxTime float64) Stats {
 			if s.busy[node] {
 				continue
 			}
-			s.startNode(node, e.time)
+			s.startNode(node, now)
 		case evFree:
 			s.busy[node] = false
 			if len(s.inbox[node]) == 0 {
 				continue
 			}
-			s.startNode(node, e.time)
+			s.startNode(node, now)
 		case evTimer:
 			// Timers fire regardless of the node's busy state: they model
 			// NIC-level machinery (retransmission watchdogs, crash schedules)
@@ -476,7 +435,7 @@ func (s *Simulator[P]) Run(maxTime float64) Stats {
 			if !ok {
 				panic(fmt.Sprintf("netsim: node %d received a timer but does not implement TimerNode", node))
 			}
-			s.send(node, e.time, tn.OnTimer(e.time, int(e.from)))
+			s.send(node, now, tn.OnTimer(now, int(e.from)))
 		}
 		if s.stop != nil && s.stop(s.now) {
 			break
@@ -496,14 +455,18 @@ type Pool[T any] struct {
 	free [][]T
 }
 
-// Get hands out a recycled empty buffer, or a fresh one with the given
-// capacity hint.
+// Get hands out an empty buffer of capacity at least capHint: the recycled
+// one on top of the free list when it is large enough, else a fresh one. A
+// recycled buffer too small is dropped rather than kept, so the pooled
+// buffers grow to the largest hint once, not by appends that reallocate.
 func (p *Pool[T]) Get(capHint int) []T {
 	if p != nil && len(p.free) > 0 {
 		n := len(p.free)
 		b := p.free[n-1]
 		p.free = p.free[:n-1]
-		return b[:0]
+		if cap(b) >= capHint {
+			return b[:0]
+		}
 	}
 	return make([]T, 0, capHint)
 }

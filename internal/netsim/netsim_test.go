@@ -267,3 +267,32 @@ func TestInvalidConstructionPanics(t *testing.T) {
 		})
 	}
 }
+
+// TestPoolGetHonoursItsHint pins Pool.Get's rule: the buffer it hands out is
+// empty and holds at least the hinted capacity, so a sender's appends never
+// reallocate it. A recycled buffer that large is reused; a smaller one is
+// dropped for a fresh one, and a nil pool always allocates.
+func TestPoolGetHonoursItsHint(t *testing.T) {
+	var p Pool[int]
+	p.Put(make([]int, 3, 4))
+	big := p.Get(8)
+	if len(big) != 0 || cap(big) < 8 {
+		t.Fatalf("Get(8) over a pooled cap-4 buffer gave len %d cap %d, want len 0 cap >= 8", len(big), cap(big))
+	}
+	if len(p.free) != 0 {
+		t.Fatalf("the cap-4 buffer stayed pooled after Get(8): %d free", len(p.free))
+	}
+	p.Put(append(big, 1, 2))
+	if got := p.Get(2); len(got) != 0 || cap(got) != cap(big) || &got[:1][0] != &big[:1][0] {
+		t.Fatalf("Get(2) over a pooled cap-%d buffer gave len %d cap %d, not that buffer", cap(big), len(got), cap(got))
+	}
+	p.Put(nil)
+	if len(p.free) != 0 {
+		t.Fatalf("a zero-capacity buffer was pooled")
+	}
+	var none *Pool[int]
+	if got := none.Get(5); len(got) != 0 || cap(got) != 5 {
+		t.Fatalf("nil pool Get(5) gave len %d cap %d", len(got), cap(got))
+	}
+	none.Put(make([]int, 1))
+}

@@ -10,10 +10,10 @@ import (
 	"unsafe"
 )
 
-// refEvent / refQueue is a container/heap reference implementation with the
-// (time, seq) ordering on floats that the key heap reproduces on integers; the
-// equivalence test below drives both with identical random event streams and
-// demands identical pop order.
+// refEvent / refQueue is a container/heap reference implementation of the
+// (time, push order) ordering on floats that the radix queue reproduces on
+// bit patterns; the equivalence test below drives both with identical random
+// event streams and demands identical pop order.
 type refEvent struct {
 	time float64
 	seq  int64
@@ -38,16 +38,17 @@ func (q *refQueue) Pop() any {
 	return e
 }
 
-// edgeTimes are the event times whose bit patterns sit at the ends of what
-// the integer key has to order like a float: zero, the smallest subnormal, a
+// edgeTimes are the offsets whose bit patterns sit at the ends of what the
+// queue has to order like a float: zero, the smallest subnormal, a
 // subnormal/normal neighbour pair, adjacent doubles, and magnitudes whose
-// exponents differ in the top bits.
+// exponents differ in the top bits. Added to a last popped time of zero they
+// are those times themselves.
 var edgeTimes = []float64{
 	0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
 	1, math.Nextafter(1, 2), 1e300, math.MaxFloat64, math.Inf(1),
 }
 
-func TestFourAryHeapMatchesContainerHeap(t *testing.T) {
+func TestRadixQueueMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		// A slice payload, so a slab slot that kept its body after the pop
@@ -56,23 +57,26 @@ func TestFourAryHeapMatchesContainerHeap(t *testing.T) {
 		ref := &refQueue{}
 		heap.Init(ref)
 		var seq int64
+		var last float64
 		maxLive := 0
 		popBoth := func(when string) {
 			var got event[[]int64]
-			fast.pop(&got)
+			tm := fast.pop(&got)
 			want := heap.Pop(ref).(refEvent)
-			if got.time != want.time || got.seq != want.seq {
-				t.Fatalf("trial %d: %s mismatch: got (%g,%d), want (%g,%d)",
-					trial, when, got.time, got.seq, want.time, want.seq)
+			if tm != want.time || len(got.payload) != 1 || got.payload[0] != want.seq {
+				t.Fatalf("trial %d: %s mismatch: got (%g,%v), want (%g,%d)",
+					trial, when, tm, got.payload, want.time, want.seq)
 			}
-			if len(got.payload) != 1 || got.payload[0] != got.seq || got.node != int32(got.seq%7) {
+			if got.node != int32(want.seq%7) {
 				t.Fatalf("trial %d: %s returned the body of another event: %+v", trial, when, got)
 			}
+			last = tm
 		}
 		n := 1 + rng.Intn(400)
 		// Interleave pushes and pops the way a simulation does: bursts of
-		// schedules separated by pops, with many duplicate timestamps so the
-		// seq tie-break is exercised constantly and vacated slots are reused.
+		// schedules at or after the clock separated by pops, with many
+		// duplicate timestamps so push order is exercised constantly and
+		// vacated slots are reused.
 		for op := 0; op < n; op++ {
 			if fast.len() > 0 && rng.Intn(3) == 0 {
 				pops := 1 + rng.Intn(fast.len())
@@ -83,14 +87,16 @@ func TestFourAryHeapMatchesContainerHeap(t *testing.T) {
 			}
 			pushes := 1 + rng.Intn(8)
 			for p := 0; p < pushes; p++ {
-				// Coarse times produce plenty of exact collisions; one push in
-				// four takes an edge time instead.
-				tm := float64(rng.Intn(20))
+				// Coarse offsets produce plenty of exact collisions, with the
+				// clock itself among them; one push in four takes an edge
+				// offset instead.
+				off := float64(rng.Intn(20))
 				if rng.Intn(4) == 0 {
-					tm = edgeTimes[rng.Intn(len(edgeTimes))]
+					off = edgeTimes[rng.Intn(len(edgeTimes))]
 				}
+				tm := last + off
 				seq++
-				e := fast.push(tm, seq)
+				e := fast.push(tm)
 				e.node, e.payload = int32(seq%7), []int64{seq}
 				heap.Push(ref, refEvent{time: tm, seq: seq})
 			}
@@ -118,14 +124,20 @@ func TestFourAryHeapMatchesContainerHeap(t *testing.T) {
 }
 
 // TestQueueLimitsPanic pins that the queue and the simulator refuse what they
-// cannot order instead of misordering it. The in-flight row drives makeKey,
-// the function push builds every key with: 2²⁴ live events would need a
-// gigabyte of slab.
+// cannot order instead of misordering it. The in-flight rows drive slotIndex,
+// the function push numbers every new slot with: 2³¹ live events would need
+// a hundred gigabytes of slab.
 func TestQueueLimitsPanic(t *testing.T) {
-	push := func(time float64, seq int64) func() {
+	push := func(times ...float64) func() {
 		return func() {
 			var q eventQueue[int]
-			q.push(time, seq)
+			var e event[int]
+			for i, tm := range times {
+				if i > 0 {
+					q.pop(&e)
+				}
+				q.push(tm)
+			}
 		}
 	}
 	for _, tc := range []struct {
@@ -133,15 +145,15 @@ func TestQueueLimitsPanic(t *testing.T) {
 		f    func()
 		want string // empty: must not panic
 	}{
-		{"zero time, largest seq", push(0, maxSeq-1), ""},
-		{"infinite time", push(math.Inf(1), 1), ""},
-		{"last slot", func() { makeKey(1, 1, maxSlots-1) }, ""},
-		{"negative time", push(-1, 1), "netsim: event time -1 is negative or NaN"},
-		{"negative zero", push(math.Copysign(0, -1), 1), "netsim: event time -0 is negative or NaN"},
-		{"NaN time", push(math.NaN(), 1), "netsim: event time NaN is negative or NaN"},
-		{"seq 2^40", push(1, maxSeq), "netsim: event sequence number 1099511627776 is outside [0, 2^40)"},
-		{"negative seq", push(1, -1), "netsim: event sequence number -1 is outside [0, 2^40)"},
-		{"2^24 events in flight", func() { makeKey(1, 1, maxSlots) }, "netsim: more than 2^24 events in flight"},
+		{"zero time", push(0), ""},
+		{"infinite time", push(math.Inf(1)), ""},
+		{"at the last pop", push(2, 2), ""},
+		{"last slot", func() { slotIndex(math.MaxInt32) }, ""},
+		{"negative time", push(-1), "netsim: event time -1 is negative or NaN"},
+		{"negative zero", push(math.Copysign(0, -1)), "netsim: event time -0 is negative or NaN"},
+		{"NaN time", push(math.NaN()), "netsim: event time NaN is negative or NaN"},
+		{"push before the last pop", push(2, 1), "netsim: event time 1 is before the last popped time 2"},
+		{"2^31 events in flight", func() { slotIndex(math.MaxInt32 + 1) }, "netsim: more than 2^31 events in flight"},
 		{"second Run", func() {
 			sim := New([]Node[int]{&chatterNode{n: 1, maxSends: 2}}, func(from, to int) float64 { return 1 })
 			sim.Run(10)
@@ -162,8 +174,9 @@ func TestQueueLimitsPanic(t *testing.T) {
 
 // TestEventBodySizes pins the bytes one delivery moves for a 32-byte payload
 // (a slice header and a word, the size of the DES engine's wave packet): the
-// queued event body fills one 64-byte cache line and the inbox message is the
-// sender and the payload.
+// queued event body is the payload behind three int32s, within one 64-byte
+// cache line (its time and link sit beside the slab), and the inbox message
+// is the sender and the payload.
 func TestEventBodySizes(t *testing.T) {
 	type payload struct {
 		seq     uint64
@@ -172,8 +185,8 @@ func TestEventBodySizes(t *testing.T) {
 	if got := unsafe.Sizeof(payload{}); got != 32 {
 		t.Fatalf("payload is %d bytes, want 32", got)
 	}
-	if got := unsafe.Sizeof(event[payload]{}); got != 64 {
-		t.Errorf("queued event body is %d bytes, want 64", got)
+	if got := unsafe.Sizeof(event[payload]{}); got != 48 {
+		t.Errorf("queued event body is %d bytes, want 48", got)
 	}
 	if got := unsafe.Sizeof(Message[payload]{}); got != 40 {
 		t.Errorf("delivered message is %d bytes, want 40", got)
@@ -181,19 +194,22 @@ func TestEventBodySizes(t *testing.T) {
 }
 
 // FuzzEventQueueOrder turns a byte stream into pushes and pops and checks
-// every pop against the plainest oracle there is: sort the live (time, seq)
-// pairs as floats and take the first. A byte with its two low bits clear
-// pops; any other pushes at a time drawn from the rest of the byte — a few
-// coarse values, so ties on time are the common case, or one of edgeTimes.
+// every pop against the plainest oracle there is: sort the live (time, push
+// order) pairs as floats and take the first. A byte with its two low bits
+// clear pops; any other pushes at the last popped time plus an offset drawn
+// from the rest of the byte — a few coarse values, zero among them, so ties
+// on time are the common case, or one of edgeTimes.
 func FuzzEventQueueOrder(f *testing.F) {
-	// The seeds are testdata/fuzz/FuzzEventQueueOrder: an equal-time burst,
-	// every edge time in both orders, a push/pop interleaving that recycles
-	// slots, and a 190-push stream four levels deep.
+	// The seeds are testdata/fuzz/FuzzEventQueueOrder: an equal-time burst
+	// with pushes at the clock behind it, every edge offset in both orders
+	// from a clock of 1, a push/pop interleaving that recycles slots, and a
+	// 190-push stream whose pops refill buckets at every scale.
 	f.Add([]byte{1, 2, 3, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var q eventQueue[int]
 		var live []refEvent
 		var seq int64
+		var last float64
 		pop := func() {
 			sort.Slice(live, func(i, j int) bool {
 				if live[i].time != live[j].time {
@@ -202,12 +218,13 @@ func FuzzEventQueueOrder(f *testing.F) {
 				return live[i].seq < live[j].seq
 			})
 			var got event[int]
-			q.pop(&got)
+			tm := q.pop(&got)
 			want := live[0]
 			live = live[1:]
-			if got.time != want.time || got.seq != want.seq || got.payload != int(want.seq) {
-				t.Fatalf("pop (%g,%d) payload %d, want (%g,%d)", got.time, got.seq, got.payload, want.time, want.seq)
+			if tm != want.time || got.payload != int(want.seq) {
+				t.Fatalf("pop (%g, push %d), want (%g, push %d)", tm, got.payload, want.time, want.seq)
 			}
+			last = tm
 		}
 		for _, b := range ops {
 			if b&3 == 0 {
@@ -216,13 +233,13 @@ func FuzzEventQueueOrder(f *testing.F) {
 				}
 				continue
 			}
-			tm := float64(b >> 2 & 7)
+			off := float64(b >> 2 & 7)
 			if b&0x80 != 0 {
-				tm = edgeTimes[int(b>>2&31)%len(edgeTimes)]
+				off = edgeTimes[int(b>>2&31)%len(edgeTimes)]
 			}
 			seq++
-			q.push(tm, seq).payload = int(seq)
-			live = append(live, refEvent{time: tm, seq: seq})
+			q.push(last + off).payload = int(seq)
+			live = append(live, refEvent{time: last + off, seq: seq})
 			if q.len() != len(live) {
 				t.Fatalf("len %d with %d live events", q.len(), len(live))
 			}
